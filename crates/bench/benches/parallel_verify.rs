@@ -8,68 +8,50 @@
 //! the warm-cache and fixed-base rows show the machine-independent wins.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tn_bench::scenarios::BlobChain;
 use tn_chain::prelude::*;
 use tn_chain::sigcache::SigCache;
 use tn_crypto::ec::mul_generator;
 use tn_crypto::merkle::{merkle_root, merkle_root_par};
 use tn_crypto::u256::U256;
-use tn_crypto::Keypair;
 use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
+use tn_trace::TraceSink;
 
-fn make_block(n: usize) -> Block {
-    let alice = Keypair::from_seed(b"bench alice");
-    let validator = Keypair::from_seed(b"bench validator");
-    let genesis = State::genesis([(alice.address(), 1_000_000)]);
-    let store = ChainStore::new(genesis, &validator);
-    let txs: Vec<Transaction> = (0..n)
-        .map(|i| {
-            Transaction::signed(
-                &alice,
-                i as u64,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::NEWS_PUBLISH,
-                    data: vec![0u8; 128],
-                },
-            )
-        })
-        .collect();
-    store.propose(&validator, 1, txs, &mut NoExecutor)
+/// The import path's verifier with its default batching policy.
+fn verify(block: &Block, pool: &Pool, cache: Option<&SigCache>) {
+    block
+        .verify_structure_policy(
+            pool,
+            cache,
+            &TelemetrySink::disabled(),
+            &TraceSink::disabled(),
+            0,
+            BatchVerifyPolicy::default(),
+        )
+        .expect("valid")
 }
 
 fn bench_verify_workers(c: &mut Criterion) {
-    let block = make_block(256);
-    let sink = TelemetrySink::disabled();
+    let block = BlobChain::new("bench", 256, 1).block();
     let mut group = c.benchmark_group("block_verify_256");
     group.sample_size(10);
     for workers in [1usize, 2, 4] {
         let pool = Pool::new(workers);
         group.bench_with_input(BenchmarkId::from_parameter(workers), &pool, |b, pool| {
-            b.iter(|| {
-                black_box(&block)
-                    .verify_structure_with(pool, None, &sink)
-                    .expect("valid")
-            })
+            b.iter(|| verify(black_box(&block), pool, None))
         });
     }
     group.finish();
 }
 
 fn bench_verify_warm_cache(c: &mut Criterion) {
-    let block = make_block(256);
-    let sink = TelemetrySink::disabled();
+    let block = BlobChain::new("bench", 256, 1).block();
     let pool = Pool::new(4);
     let cache = SigCache::new(1 << 16);
-    block
-        .verify_structure_with(&pool, Some(&cache), &sink)
-        .expect("warms the cache");
+    verify(&block, &pool, Some(&cache)); // warms the cache
     c.bench_function("block_verify_256_warm_cache", |b| {
-        b.iter(|| {
-            black_box(&block)
-                .verify_structure_with(&pool, Some(&cache), &sink)
-                .expect("valid")
-        })
+        b.iter(|| verify(black_box(&block), &pool, Some(&cache)))
     });
 }
 

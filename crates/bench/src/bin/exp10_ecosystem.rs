@@ -5,7 +5,7 @@
 //! Run: `cargo run -p tn-bench --release --bin exp10_ecosystem`
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_core::ecosystem::{run_ecosystem, EcosystemConfig};
 
 #[derive(Debug, Serialize)]
@@ -23,7 +23,7 @@ struct Row {
 }
 
 fn main() {
-    banner("E10", "figure-2 ecosystem simulation");
+    let exp = Experiment::start("E10", "figure-2 ecosystem simulation");
     let mut rows = Vec::new();
 
     for (variant, detector_round) in [
@@ -66,34 +66,7 @@ fn main() {
         );
     }
 
-    println!(
-        "\n{:<28} {:>5} {:>6} {:>5} {:>12} {:>10} {:>10} {:>8} {:>8} {:>7}",
-        "variant",
-        "round",
-        "publ.",
-        "fake",
-        "rank(fact)",
-        "rank(fake)",
-        "separation",
-        "points",
-        "factdb",
-        "height"
-    );
-    for r in &rows {
-        println!(
-            "{:<28} {:>5} {:>6} {:>5} {:>12.1} {:>10.1} {:>10.1} {:>8.1} {:>8} {:>7}",
-            r.variant,
-            r.round,
-            r.published,
-            r.fake_published,
-            r.mean_rank_factual,
-            r.mean_rank_fake,
-            r.separation,
-            r.mean_consumer_points,
-            r.factdb_size,
-            r.chain_height
-        );
-    }
+    exp.report("E10", "ecosystem simulation", &rows);
     println!(
         "\nshape check: factual items consistently outrank fake ones from round one \
          (provenance + crowd), the AI detector widens the gap once shipped, the factual \
@@ -101,5 +74,4 @@ fn main() {
          points for confirmed-accurate ratings (the §V reward economy, paid through the \
          incentive contract), and every action is on-chain."
     );
-    Report::new("E10", "ecosystem simulation", rows).write_json();
 }

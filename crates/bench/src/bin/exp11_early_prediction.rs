@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use tn_aidetect::dense::{DenseConfig, DenseLogReg};
 use tn_aidetect::lexicon::LexiconFeatures;
 use tn_aidetect::metrics::evaluate;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_crypto::Address;
 use tn_supplychain::ranking::trace_score;
 use tn_supplychain::synth::{generate, SynthConfig};
@@ -42,7 +42,7 @@ struct Sample {
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E11",
         "predicting fake news at publication, before propagation",
     );
@@ -166,16 +166,7 @@ fn main() {
         });
     }
 
-    println!(
-        "{:<22} {:>10} {:>7} {:>9} {:>12}",
-        "features", "n_feats", "auc", "accuracy", "recall(fake)"
-    );
-    for r in &rows {
-        println!(
-            "{:<22} {:>10} {:>7.3} {:>9.3} {:>12.3}",
-            r.feature_set, r.n_features, r.auc, r.accuracy, r.recall_fake
-        );
-    }
+    exp.report("E11", "publication-time fake prediction", &rows);
     println!(
         "\nshape check: fake news is predictable AT PUBLICATION, before any propagation or \
          dispute. Content style is a strong signal against overt fakes; provenance structure \
@@ -185,5 +176,4 @@ fn main() {
          §VII future-work item made concrete: the platform can rank-suppress a likely-fake \
          story from its first second, feeding E5's ranking-suppression intervention."
     );
-    Report::new("E11", "publication-time fake prediction", rows).write_json();
 }

@@ -11,7 +11,7 @@
 //! Run: `cargo run -p tn-bench --release --bin exp13_sybil_resistance`
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_crowdrank::aggregate::{evidence_weighted, majority, reputation_weighted, Vote};
 use tn_crowdrank::reputation::ReputationLedger;
 use tn_crypto::{Address, Hash256, Keypair};
@@ -30,7 +30,7 @@ fn addr(tag: &str, i: usize) -> Address {
 }
 
 fn main() {
-    banner("E13", "Sybil-swarm attack on the ranking mechanisms");
+    let exp = Experiment::start("E13", "Sybil-swarm attack on the ranking mechanisms");
     // 12 honest raters, each with 25 confirmed-correct ratings of history.
     let honest: Vec<Address> = (0..12).map(|i| addr("honest", i)).collect();
     let mut ledger = ReputationLedger::new();
@@ -70,20 +70,7 @@ fn main() {
         });
     }
 
-    println!(
-        "{:>7} {:>10} {:>20} {:>19} {:>12}",
-        "sybils", "majority", "posterior-weighted", "evidence-weighted", "confidence"
-    );
-    for r in &rows {
-        println!(
-            "{:>7} {:>10} {:>20} {:>19} {:>12.3}",
-            r.sybils,
-            r.majority_correct,
-            r.posterior_weighted_correct,
-            r.evidence_weighted_correct,
-            r.evidence_confidence
-        );
-    }
+    exp.report("E13", "sybil resistance", &rows);
     println!(
         "\nshape check: majority falls as soon as the swarm matches the honest raters (ties break \
          conservative); posterior-mean weighting falls a little later (each fresh identity \
@@ -93,5 +80,4 @@ fn main() {
          The defense is exactly the paper's pairing of verified identity with recorded, \
          confirmable behaviour."
     );
-    Report::new("E13", "sybil resistance", rows).write_json();
 }

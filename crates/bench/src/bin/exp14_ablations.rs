@@ -8,16 +8,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use tn_aidetect::corpus::{generate_news_corpus, NewsCorpusConfig};
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
 use tn_aidetect::metrics::roc_auc;
-use tn_bench::{banner, Report};
+use tn_bench::scenarios::ProvenanceSignals;
+use tn_bench::Experiment;
 use tn_crowdrank::aggregate::{reputation_weighted, Vote};
 use tn_crowdrank::reputation::ReputationLedger;
 use tn_crypto::Keypair;
 use tn_supplychain::ops::{apply, PropagationOp};
-use tn_supplychain::ranking::trace_score;
-use tn_supplychain::synth::{generate, SynthConfig};
 use tn_supplychain::text::{jaccard, shingles};
 
 #[derive(Debug, Serialize)]
@@ -44,38 +41,20 @@ struct DecayRow {
 }
 
 fn main() {
-    banner("E14", "design-choice ablations");
+    let exp = Experiment::start("E14", "design-choice ablations");
 
     // ---------- (a) rank-weight mix --------------------------------------
-    let synth = generate(&SynthConfig {
-        n_fact_roots: 60,
-        n_honest: 25,
-        n_fakers: 6,
-        n_items: 600,
-        seed: 17,
-        ..SynthConfig::default()
-    });
-    let detector = EnsembleDetector::train(
-        &generate_news_corpus(&NewsCorpusConfig::default()),
-        EnsembleWeights::default(),
-    );
-    let traces: Vec<_> = synth.graph.trace_all();
-    let mut is_fake = Vec::new();
-    let mut t_scores = Vec::new();
-    let mut a_scores = Vec::new();
-    let mut camouflaged = Vec::new();
-    for (id, trace) in &traces {
-        let Some(t) = synth.truth.get(id) else {
-            continue;
-        };
-        let content = &synth.graph.get(id).expect("in graph").content;
-        is_fake.push(t.is_fake);
-        t_scores.push(trace_score(trace));
-        a_scores.push(detector.prob_factual(content));
-        let clean =
-            tn_aidetect::lexicon::LexiconFeatures::extract(content).heuristic_score() < 0.35;
-        camouflaged.push(!t.is_fake || clean);
-    }
+    let ProvenanceSignals {
+        is_fake,
+        trace_scores: t_scores,
+        ai_scores: a_scores,
+        text_clean,
+        ..
+    } = ProvenanceSignals::collect();
+    // Factual items plus the fakes whose text looks clean.
+    let camouflaged: Vec<bool> = (0..is_fake.len())
+        .map(|i| !is_fake[i] || text_clean[i])
+        .collect();
     let mut weight_rows = Vec::new();
     for &tw in &[0.0, 0.25, 0.5, 0.7, 0.9, 1.0] {
         let score = |i: usize| tw * t_scores[i] + (1.0 - tw) * a_scores[i];
@@ -93,17 +72,7 @@ fn main() {
         });
     }
     println!("(a) rank-weight mix (trace weight vs AI weight):");
-    println!(
-        "{:>13} {:>12} {:>17}",
-        "trace weight", "AUC overall", "AUC camouflaged"
-    );
-    for r in &weight_rows {
-        println!(
-            "{:>13.2} {:>12.3} {:>17.3}",
-            r.trace_weight, r.auc_overall, r.auc_camouflaged
-        );
-    }
-    Report::new("E14a", "rank-weight ablation", weight_rows).write_json();
+    exp.report("E14a", "rank-weight ablation", &weight_rows);
 
     // ---------- (b) shingle size ------------------------------------------
     // The modification-degree measure is meant to be a *content-neutral*
@@ -144,17 +113,7 @@ fn main() {
         });
     }
     println!("\n(b) shingle size k for the modification-degree measure:");
-    println!(
-        "{:>3} {:>22} {:>17} {:>15}",
-        "k", "AUC (0.5=neutral)", "mean mod honest", "mean mod fake"
-    );
-    for r in &shingle_rows {
-        println!(
-            "{:>3} {:>22.3} {:>17.3} {:>15.3}",
-            r.k, r.auc_fake_edit_detection, r.mean_mod_honest, r.mean_mod_fake
-        );
-    }
-    Report::new("E14b", "shingle-size ablation", shingle_rows).write_json();
+    exp.report("E14b", "shingle-size ablation", &shingle_rows);
 
     // ---------- (c) reputation decay under behaviour change ---------------
     // 12 validators: 5 stay honest; 7 "turncoats" are honest for 15 rounds
@@ -217,17 +176,7 @@ fn main() {
         });
     }
     println!("\n(c) reputation decay with turncoat validators (switch at round 15):");
-    println!(
-        "{:<15} {:>14} {:>13} {:>17}",
-        "decay", "acc (before)", "acc (after)", "turncoat weight"
-    );
-    for r in &decay_rows {
-        println!(
-            "{:<15} {:>14.3} {:>13.3} {:>17.3}",
-            r.decay, r.accuracy_before_switch, r.accuracy_after_switch, r.turncoat_final_weight
-        );
-    }
-    Report::new("E14c", "reputation-decay ablation", decay_rows).write_json();
+    exp.report("E14c", "reputation-decay ablation", &decay_rows);
 
     println!(
         "\nshape check: (a) the mixed weighting (trace 0.25–0.5) dominates BOTH pure \

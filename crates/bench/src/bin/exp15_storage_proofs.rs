@@ -11,7 +11,7 @@
 //! Run: `cargo run -p tn-bench --release --bin exp15_storage_proofs`
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_chain::prelude::*;
 use tn_crypto::Keypair;
 use tn_factdb::corpus::{seeded_database, CorpusConfig};
@@ -34,7 +34,7 @@ struct DbRow {
 }
 
 fn main() {
-    banner("E15", "storage and proof-size scaling");
+    let exp = Experiment::start("E15", "storage and proof-size scaling");
 
     // ---- chain growth ------------------------------------------------------
     let mut rows = Vec::new();
@@ -85,17 +85,7 @@ fn main() {
             tx_proof_bytes: proof.siblings.len() * 32 + 16,
         });
     }
-    println!(
-        "{:>11} {:>15} {:>12} {:>16} {:>15}",
-        "news items", "snapshot bytes", "bytes/item", "tx-proof hashes", "tx-proof bytes"
-    );
-    for r in &rows {
-        println!(
-            "{:>11} {:>15} {:>12.0} {:>16} {:>15}",
-            r.news_items, r.snapshot_bytes, r.bytes_per_item, r.tx_proof_hashes, r.tx_proof_bytes
-        );
-    }
-    Report::new("E15", "chain storage scaling", rows).write_json();
+    exp.report("E15", "chain storage scaling", &rows);
 
     // ---- factual-DB proof scaling ------------------------------------------
     let mut db_rows = Vec::new();
@@ -117,16 +107,7 @@ fn main() {
             consistency_hashes: cons.hashes.len(),
         });
     }
-    println!(
-        "\n{:>9} {:>17} {:>25}",
-        "records", "inclusion hashes", "consistency hashes"
-    );
-    for r in &db_rows {
-        println!(
-            "{:>9} {:>17} {:>25}",
-            r.records, r.inclusion_hashes, r.consistency_hashes
-        );
-    }
+    exp.report("E15b", "factdb proof scaling", &db_rows);
     println!(
         "\nshape check: ledger bytes grow linearly with activity at a stable per-item cost \
          (dominated by signatures + content); every client-side proof — transaction \
@@ -134,5 +115,4 @@ fn main() {
          logarithmically (~log2(n) hashes of 32 bytes). The trust machinery costs a few \
          hundred bytes per verification regardless of platform size."
     );
-    Report::new("E15b", "factdb proof scaling", db_rows).write_json();
 }

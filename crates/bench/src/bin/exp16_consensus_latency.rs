@@ -17,8 +17,11 @@
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, Report};
-use tn_consensus::harness::{order_payloads_pbft_instrumented, order_payloads_poa_instrumented};
+use tn_bench::Experiment;
+use tn_consensus::fault::FaultPlan;
+use tn_consensus::harness::{order_payloads_pbft_faulted, order_payloads_poa_faulted};
+use tn_consensus::pbft::PbftConfig;
+use tn_consensus::poa::PoaConfig;
 use tn_consensus::sim::NetworkConfig;
 use tn_node::network::{run_pbft_cluster, ClusterConfig};
 use tn_node::workload::scripted_workload;
@@ -47,15 +50,19 @@ struct LatencyRow {
 fn measure(protocol: &'static str, n: usize, payloads: &[Vec<u8>]) -> LatencyRow {
     let registries: Vec<Registry> = (0..n).map(|_| Registry::new()).collect();
     let sinks: Vec<TelemetrySink> = registries.iter().map(Registry::sink).collect();
-    let net = NetworkConfig::default();
+    let (net, plan) = (NetworkConfig::default(), FaultPlan::default());
+    let horizon = 2_000_000;
     match protocol {
         "pbft" => {
-            order_payloads_pbft_instrumented(n, payloads, 5, net, 2_000_000, &sinks);
+            let config = PbftConfig::default();
+            order_payloads_pbft_faulted(n, payloads, 5, net, horizon, &config, &plan, &sinks, &[])
         }
         _ => {
-            order_payloads_poa_instrumented(n, payloads, 5, net, 2_000_000, &sinks);
+            let config = PoaConfig::default();
+            order_payloads_poa_faulted(n, payloads, 5, net, horizon, &config, &plan, &sinks, &[])
         }
     }
+    .expect("default network and empty plan are valid");
     let snap = registries[0].snapshot();
     let zero = Default::default();
     let prepare = snap.histogram("pbft.prepare_phase_ticks").unwrap_or(&zero);
@@ -82,7 +89,7 @@ fn measure(protocol: &'static str, n: usize, payloads: &[Vec<u8>]) -> LatencyRow
 }
 
 fn main() {
-    banner("E16", "Consensus phase latency via telemetry histograms");
+    let exp = Experiment::start("E16", "Consensus phase latency via telemetry histograms");
 
     // Part A: phase latency vs cluster size, 200 requests per run.
     let payloads: Vec<Vec<u8>> = (0..200u32)
@@ -94,41 +101,17 @@ fn main() {
         .collect();
 
     println!("Part A: phase latency (sim ticks) vs cluster size, 200 requests\n");
-    println!(
-        "{:<6} {:>3} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>8} {:>8} {:>8}",
-        "proto",
-        "n",
-        "batches",
-        "prepare_p50",
-        "prepare_p95",
-        "commit_p50",
-        "commit_p95",
-        "e2e_mean",
-        "e2e_p50",
-        "e2e_p95",
-        "e2e_p99"
-    );
     let mut rows = Vec::new();
     for &n in &[4usize, 7, 13, 19] {
         for proto in ["pbft", "poa"] {
-            let row = measure(proto, n, &payloads);
-            println!(
-                "{:<6} {:>3} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>8} {:>8} {:>8}",
-                row.protocol,
-                row.n,
-                row.batches,
-                row.prepare_p50,
-                row.prepare_p95,
-                row.commit_p50,
-                row.commit_p95,
-                f(row.e2e_mean),
-                row.e2e_p50,
-                row.e2e_p95,
-                row.e2e_p99
-            );
-            rows.push(row);
+            rows.push(measure(proto, n, &payloads));
         }
     }
+    exp.report(
+        "E16",
+        "Consensus phase latency from telemetry histograms (sim ticks)",
+        &rows,
+    );
 
     // Sanity: PBFT's three-phase commit must cost more than PoA's single
     // leader slot at every cluster size.
@@ -170,11 +153,4 @@ fn main() {
     }
     println!();
     print!("{}", run.reports[0].metrics.render_table());
-
-    Report::new(
-        "E16",
-        "Consensus phase latency from telemetry histograms (sim ticks)",
-        rows,
-    )
-    .write_json();
 }

@@ -23,14 +23,15 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, Report};
+use tn_bench::scenarios::BlobChain;
+use tn_bench::Experiment;
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{SigCache, HIT_COUNTER, MISS_COUNTER};
 use tn_crypto::ec::{generator, mul_generator, Jacobian};
 use tn_crypto::u256::U256;
-use tn_crypto::Keypair;
 use tn_par::Pool;
 use tn_telemetry::{Registry, TelemetrySink};
+use tn_trace::TraceSink;
 
 /// One measured configuration.
 #[derive(Debug, Serialize)]
@@ -55,44 +56,50 @@ struct Row {
     misses: u64,
 }
 
-fn make_block(n: usize) -> Block {
-    let alice = Keypair::from_seed(b"e17 alice");
-    let validator = Keypair::from_seed(b"e17 validator");
-    let store = ChainStore::new(State::genesis([(alice.address(), 1_000_000)]), &validator);
-    let txs: Vec<Transaction> = (0..n)
-        .map(|i| {
-            Transaction::signed(
-                &alice,
-                i as u64,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::NEWS_PUBLISH,
-                    data: vec![0u8; 128],
-                },
-            )
-        })
-        .collect();
-    store.propose(&validator, 1, txs, &mut NoExecutor)
+impl Row {
+    /// A row measuring `txs` operations in `ms` each, everything else zero.
+    fn timed(section: &'static str, label: impl Into<String>, txs: usize, ms: f64) -> Row {
+        Row {
+            section,
+            label: label.into(),
+            workers: 0,
+            txs,
+            ms,
+            per_s: if ms > 0.0 {
+                txs as f64 / (ms / 1_000.0)
+            } else {
+                0.0
+            },
+            speedup: 0.0,
+            hits: 0,
+            misses: 0,
+        }
+    }
 }
 
 fn time_verify(block: &Block, pool: &Pool, cache: Option<&SigCache>, reps: usize) -> f64 {
-    let sink = TelemetrySink::disabled();
-    // One untimed pass to populate caches and tables.
-    block
-        .verify_structure_with(pool, cache, &sink)
-        .expect("valid block");
+    let verify = || {
+        block
+            .verify_structure_policy(
+                pool,
+                cache,
+                &TelemetrySink::disabled(),
+                &TraceSink::disabled(),
+                0,
+                BatchVerifyPolicy::default(),
+            )
+            .expect("valid block")
+    };
+    verify(); // one untimed pass to populate caches and tables
     let started = Instant::now();
     for _ in 0..reps {
-        block
-            .verify_structure_with(pool, cache, &sink)
-            .expect("valid block");
+        verify();
     }
     started.elapsed().as_secs_f64() * 1_000.0 / reps as f64
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    banner(
+    let exp = Experiment::start(
         "E17",
         "Parallel verification: worker pool, sigcache, fixed-base table",
     );
@@ -101,101 +108,65 @@ fn main() {
         Pool::auto().workers()
     );
 
-    let block_txs = if quick { 64 } else { 256 };
-    let reps = if quick { 2 } else { 5 };
+    let block_txs = if exp.quick { 64 } else { 256 };
+    let reps = if exp.quick { 2 } else { 5 };
     let mut rows: Vec<Row> = Vec::new();
 
     // Part A: worker sweep, cold cache.
     println!("Part A: {block_txs}-tx block verification vs pool workers\n");
-    println!(
-        "{:<10} {:>10} {:>12} {:>9}",
-        "workers", "ms/block", "tx/s", "speedup"
-    );
+    let block = BlobChain::new("e17", block_txs, 1).block();
     let mut base_ms = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let block = make_block(block_txs);
         let ms = time_verify(&block, &Pool::new(workers), None, reps);
         if workers == 1 {
             base_ms = ms;
         }
-        let row = Row {
-            section: "verify_workers",
-            label: format!("{workers} workers"),
+        rows.push(Row {
             workers,
-            txs: block_txs,
-            ms,
-            per_s: block_txs as f64 / (ms / 1_000.0),
             speedup: base_ms / ms,
-            hits: 0,
-            misses: 0,
-        };
-        println!(
-            "{:<10} {:>10} {:>12} {:>9}",
-            workers,
-            f(row.ms),
-            f(row.per_s),
-            f(row.speedup)
-        );
-        rows.push(row);
+            ..Row::timed(
+                "verify_workers",
+                format!("{workers} workers"),
+                block_txs,
+                ms,
+            )
+        });
     }
 
     // Part B: verified-tx cache — wall-time and actual EC-verify counts.
     println!("\nPart B: verified-tx cache\n");
-    let block = make_block(block_txs);
     let pool = Pool::auto();
     let cold_ms = time_verify(&block, &pool, None, reps);
     let cache = SigCache::new(1 << 16);
     let warm_ms = time_verify(&block, &pool, Some(&cache), reps);
-    println!(
-        "cold verify {} ms, warm verify {} ms ({}x)",
-        f(cold_ms),
-        f(warm_ms),
-        f(cold_ms / warm_ms)
-    );
+    let ratio = cold_ms / warm_ms;
+    println!("cold verify {cold_ms:.3} ms, warm verify {warm_ms:.3} ms ({ratio:.3}x)");
     rows.push(Row {
-        section: "warm_cache",
-        label: "cold (no cache)".into(),
         workers: pool.workers(),
-        txs: block_txs,
-        ms: cold_ms,
-        per_s: block_txs as f64 / (cold_ms / 1_000.0),
         speedup: 1.0,
-        hits: 0,
-        misses: 0,
+        ..Row::timed("warm_cache", "cold (no cache)", block_txs, cold_ms)
     });
     rows.push(Row {
-        section: "warm_cache",
-        label: "warm (all hits)".into(),
         workers: pool.workers(),
-        txs: block_txs,
-        ms: warm_ms,
-        per_s: block_txs as f64 / (warm_ms / 1_000.0),
-        speedup: cold_ms / warm_ms,
+        speedup: ratio,
         hits: block_txs as u64,
-        misses: 0,
+        ..Row::timed("warm_cache", "warm (all hits)", block_txs, warm_ms)
     });
 
     // End-to-end counter check: admission → proposal → import does one EC
     // verification per transaction, total.
     let registry = Registry::new();
-    let alice = Keypair::from_seed(b"e17 alice");
-    let validator = Keypair::from_seed(b"e17 validator");
-    let mut store = ChainStore::new(State::genesis([(alice.address(), 1_000_000)]), &validator);
+    let BlobChain {
+        mut store,
+        validator,
+        txs,
+    } = BlobChain::new("e17", block_txs, 1);
     store.set_telemetry(registry.sink());
     let mut mempool = Mempool::new(10_000);
     mempool.set_telemetry(registry.sink());
     mempool.set_sig_cache(store.sig_cache());
     let k = block_txs as u64;
-    for i in 0..k {
-        let tx = Transaction::signed(
-            &alice,
-            i,
-            1,
-            Payload::Blob {
-                tag: blob_tags::NEWS_PUBLISH,
-                data: vec![0u8; 128],
-            },
-        );
+    for tx in txs {
         mempool.insert(tx, store.head_state()).expect("admitted");
     }
     let selected = mempool.select(store.head_state(), block_txs);
@@ -208,20 +179,20 @@ fn main() {
     assert_eq!(misses, k, "exactly one EC verification per transaction");
     assert_eq!(hits, 2 * k, "proposal and import both served from cache");
     rows.push(Row {
-        section: "sigcache_counters",
-        label: "admission+proposal+import".into(),
         workers: pool.workers(),
-        txs: block_txs,
-        ms: 0.0,
-        per_s: 0.0,
-        speedup: 0.0,
         hits,
         misses,
+        ..Row::timed(
+            "sigcache_counters",
+            "admission+proposal+import",
+            block_txs,
+            0.0,
+        )
     });
 
     // Part C: fixed-base window table vs generic ladder for s·G.
     println!("\nPart C: fixed-base generator multiplication\n");
-    let muls = if quick { 50 } else { 400 };
+    let muls = if exp.quick { 50 } else { 400 };
     let scalars: Vec<U256> = (0..muls)
         .map(|i| {
             let mut bytes = [0x5au8; 32];
@@ -243,39 +214,24 @@ fn main() {
         std::hint::black_box(g.mul_scalar(s).to_affine());
     }
     let ladder_ms = started.elapsed().as_secs_f64() * 1_000.0;
-    println!(
-        "{muls} muls: window {} ms, ladder {} ms ({}x)",
-        f(window_ms),
-        f(ladder_ms),
-        f(ladder_ms / window_ms)
-    );
-    rows.push(Row {
-        section: "fixed_base",
-        label: "window table".into(),
-        workers: 0,
-        txs: muls,
-        ms: window_ms / muls as f64,
-        per_s: muls as f64 / (window_ms / 1_000.0),
-        speedup: ladder_ms / window_ms,
-        hits: 0,
-        misses: 0,
-    });
-    rows.push(Row {
-        section: "fixed_base",
-        label: "double-and-add ladder".into(),
-        workers: 0,
-        txs: muls,
-        ms: ladder_ms / muls as f64,
-        per_s: muls as f64 / (ladder_ms / 1_000.0),
-        speedup: 1.0,
-        hits: 0,
-        misses: 0,
-    });
+    let ratio = ladder_ms / window_ms;
+    println!("{muls} muls: window {window_ms:.3} ms, ladder {ladder_ms:.3} ms ({ratio:.3}x)");
+    // `ms` is per multiplication here, `per_s` multiplications per second.
+    for (label, total_ms, speedup) in [
+        ("window table", window_ms, ratio),
+        ("double-and-add ladder", ladder_ms, 1.0),
+    ] {
+        rows.push(Row {
+            per_s: muls as f64 / (total_ms / 1_000.0),
+            speedup,
+            ..Row::timed("fixed_base", label, muls, total_ms / muls as f64)
+        });
+    }
 
-    Report::new(
+    println!();
+    exp.report(
         "E17",
         "Parallel verification pipeline: worker scaling, sigcache hit rates, fixed-base table",
-        rows,
-    )
-    .write_json();
+        &rows,
+    );
 }

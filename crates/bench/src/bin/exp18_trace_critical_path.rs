@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, Report};
+use tn_bench::Experiment;
 use tn_node::network::{run_pbft_cluster, ClusterConfig};
 use tn_node::validator::{encode_payloads, ValidatorNode};
 use tn_node::workload::scripted_workload;
@@ -163,8 +163,7 @@ fn export_and_validate(trace: &Trace, path: &Path, min_replicas: usize) -> (usiz
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    banner(
+    let exp = Experiment::start(
         "E18",
         "Distributed tracing: causal cross-replica traces and the commit critical path",
     );
@@ -174,7 +173,7 @@ fn main() {
         ..ClusterConfig::default()
     };
     let txs = scripted_workload(&config.platform);
-    let workload = if quick {
+    let workload = if exp.quick {
         &txs[..txs.len().min(12)]
     } else {
         &txs[..]
@@ -293,12 +292,8 @@ fn main() {
 
     // Part D: wall-time sanity bound (not a microbenchmark — see the
     // consensus_round criterion bench for the disabled-path overhead).
-    println!(
-        "wall-time: untraced {} s, traced {} s ({}x)",
-        f(untraced_s),
-        f(traced_s),
-        f(traced_s / untraced_s)
-    );
+    let overhead = traced_s / untraced_s;
+    println!("wall-time: untraced {untraced_s:.3} s, traced {traced_s:.3} s ({overhead:.3}x)");
     rows.push(Row {
         section: "overhead",
         label: "untraced_run".into(),
@@ -310,7 +305,7 @@ fn main() {
         section: "overhead",
         label: "traced_run".into(),
         ns: (traced_s * 1e9) as u64,
-        share: traced_s / untraced_s,
+        share: overhead,
         count: trace.len() as u64,
     });
 
@@ -335,10 +330,10 @@ fn main() {
         "the window covered exactly one block import"
     );
 
-    Report::new(
+    println!();
+    exp.report(
         "E18",
         "Distributed tracing: Perfetto export, commit-stage breakdown, critical path",
-        rows,
-    )
-    .write_json();
+        &rows,
+    );
 }

@@ -23,10 +23,9 @@
 
 use serde::Serialize;
 
-use tn_bench::{banner, Report};
-use tn_consensus::fault::{CrashFault, DropWindow, FaultPlan, PartitionFault};
-use tn_consensus::pbft::ByzMode;
-use tn_consensus::poa::PoaMode;
+use tn_bench::scenarios::fault_matrix;
+use tn_bench::Experiment;
+use tn_consensus::fault::FaultPlan;
 use tn_node::network::{
     run_pbft_cluster, run_poa_cluster, ClusterConfig, ClusterRun, ClusterVerdict, ReplicaVerdict,
 };
@@ -71,27 +70,16 @@ fn summarize(scenario: &'static str, run: &ClusterRun) -> MatrixRow {
     let quorum_report = quorum
         .and_then(|q| run.reports.iter().find(|r| r.execution_digest == q))
         .unwrap_or(&run.reports[0]);
-    let replay_ok = run
-        .nodes
-        .iter()
-        .zip(&run.fault_reports)
-        .filter(|(_, f)| matches!(f.verdict, ReplicaVerdict::Agreed | ReplicaVerdict::CaughtUp))
-        .all(|(n, _)| n.verify_replay().is_ok());
+    let on_quorum =
+        |v: ReplicaVerdict| matches!(v, ReplicaVerdict::Agreed | ReplicaVerdict::CaughtUp);
+    let verdicts = || run.fault_reports.iter().map(|f| f.verdict);
     MatrixRow {
         scenario,
         protocol: run.protocol,
         verdict: format!("{:?}", run.verdict),
         quorum: quorum.is_some(),
-        on_quorum: run
-            .fault_reports
-            .iter()
-            .filter(|f| matches!(f.verdict, ReplicaVerdict::Agreed | ReplicaVerdict::CaughtUp))
-            .count(),
-        lagging: run
-            .fault_reports
-            .iter()
-            .filter(|f| f.verdict == ReplicaVerdict::Lagging)
-            .count(),
+        on_quorum: verdicts().filter(|&v| on_quorum(v)).count(),
+        lagging: verdicts().filter(|&v| v == ReplicaVerdict::Lagging).count(),
         quarantined: run.quarantined().len(),
         batches: quorum_report.batches,
         included: quorum_report.included,
@@ -103,161 +91,16 @@ fn summarize(scenario: &'static str, run: &ClusterRun) -> MatrixRow {
         catchup_applied: run
             .fault_reports
             .iter()
-            .filter_map(|f| f.recovery.as_ref())
-            .filter_map(|r| r.catchup.as_ref())
+            .filter_map(|f| f.recovery.as_ref()?.catchup.as_ref())
             .map(|c| c.blocks_applied)
             .sum(),
-        replay_ok,
+        replay_ok: run
+            .nodes
+            .iter()
+            .zip(&run.fault_reports)
+            .filter(|(_, f)| on_quorum(f.verdict))
+            .all(|(n, _)| n.verify_replay().is_ok()),
     }
-}
-
-/// A named fault scenario, with per-protocol plans (byzantine modes are
-/// protocol-specific; everything else is shared).
-struct Scenario {
-    name: &'static str,
-    /// Included in `--quick` smoke runs.
-    quick: bool,
-    pbft: Option<FaultPlan>,
-    poa: Option<FaultPlan>,
-}
-
-fn crash(replica: usize, at: u64, restart_at: Option<u64>) -> FaultPlan {
-    FaultPlan {
-        crashes: vec![CrashFault {
-            replica,
-            at,
-            restart_at,
-        }],
-        ..FaultPlan::default()
-    }
-}
-
-fn scenarios() -> Vec<Scenario> {
-    let both = |plan: FaultPlan| (Some(plan.clone()), Some(plan));
-    let mut out = Vec::new();
-
-    let (p, q) = both(FaultPlan::default());
-    out.push(Scenario {
-        name: "baseline",
-        quick: true,
-        pbft: p,
-        poa: q,
-    });
-
-    // Crash a backup/follower: within f = 1 of n = 4.
-    let (p, q) = both(crash(3, 100, None));
-    out.push(Scenario {
-        name: "crash-backup",
-        quick: true,
-        pbft: p,
-        poa: q,
-    });
-
-    // Crash replica 0: the view-0 PBFT primary (forces a view change)
-    // and the slot-0 PoA leader (its slots go unfilled).
-    let (p, q) = both(crash(0, 100, None));
-    out.push(Scenario {
-        name: "crash-primary",
-        quick: false,
-        pbft: p,
-        poa: q,
-    });
-
-    // Crash then restart: the revived replica goes through snapshot
-    // restore + state-sync catch-up at the node layer.
-    let (p, q) = both(crash(2, 100, Some(100_000)));
-    out.push(Scenario {
-        name: "crash-revive",
-        quick: true,
-        pbft: p,
-        poa: q,
-    });
-
-    // Two-two partition, healed while requests are still pending.
-    let (p, q) = both(FaultPlan {
-        partitions: vec![PartitionFault {
-            at: 50,
-            groups: vec![vec![0, 1], vec![2, 3]],
-            heal_at: Some(2_000),
-        }],
-        ..FaultPlan::default()
-    });
-    out.push(Scenario {
-        name: "partition-heal",
-        quick: false,
-        pbft: p,
-        poa: q,
-    });
-
-    // One equivocator: the PBFT primary sends conflicting batches, the
-    // PoA leader sends different batches to different followers.
-    out.push(Scenario {
-        name: "byz-equivocate",
-        quick: false,
-        pbft: Some(FaultPlan {
-            byz_modes: vec![(0, ByzMode::EquivocatingPrimary)],
-            ..FaultPlan::default()
-        }),
-        poa: Some(FaultPlan {
-            poa_modes: vec![(0, PoaMode::EquivocatingLeader)],
-            ..FaultPlan::default()
-        }),
-    });
-
-    // Corrupt execution within f: consensus-level digests agree, but the
-    // replica's node-level state forks off the agreed chain → quarantine.
-    out.push(Scenario {
-        name: "corrupt-exec-1",
-        quick: true,
-        pbft: Some(FaultPlan {
-            byz_modes: vec![(3, ByzMode::CorruptExec)],
-            ..FaultPlan::default()
-        }),
-        poa: None,
-    });
-
-    // Corrupt execution beyond f: no 2f+1 digest quorum can form — the
-    // cluster must *detect* the divergence, not panic.
-    out.push(Scenario {
-        name: "corrupt-exec-2",
-        quick: true,
-        pbft: Some(FaultPlan {
-            byz_modes: vec![(2, ByzMode::CorruptExec), (3, ByzMode::CorruptExec)],
-            ..FaultPlan::default()
-        }),
-        poa: None,
-    });
-
-    // A window of heavy random loss while the workload is in flight.
-    let (p, q) = both(FaultPlan {
-        drop_windows: vec![DropWindow {
-            from: 100,
-            until: 600,
-            drop_prob: 0.3,
-        }],
-        ..FaultPlan::default()
-    });
-    out.push(Scenario {
-        name: "drop-window-0.3",
-        quick: false,
-        pbft: p,
-        poa: q,
-    });
-
-    // Undecodable payloads injected into the request stream: consensus
-    // orders them, execution counts and skips them identically everywhere.
-    let (p, q) = both(FaultPlan {
-        corrupt_payloads: 3,
-        ..FaultPlan::default()
-    });
-    out.push(Scenario {
-        name: "corrupt-payloads",
-        quick: false,
-        pbft: p,
-        poa: q,
-    });
-
-    out
 }
 
 fn run_cell(
@@ -265,15 +108,11 @@ fn run_cell(
     protocol: &'static str,
     plan: &FaultPlan,
 ) -> (MatrixRow, ClusterRun) {
-    let mut config = ClusterConfig {
+    let config = ClusterConfig {
         faults: plan.clone(),
         ..ClusterConfig::default()
     };
-    // Elevated base loss for the drop scenarios is modelled as a window;
-    // the base NetworkConfig (seeded rng) stays identical across cells so
-    // every difference in a row is attributable to its fault plan.
     let txs = scripted_workload(&config.platform);
-    config.max_time = 2_000_000;
     let run = match protocol {
         "pbft" => run_pbft_cluster(&config, &txs).expect("pbft cluster"),
         _ => run_poa_cluster(&config, &txs).expect("poa cluster"),
@@ -282,74 +121,32 @@ fn run_cell(
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E19",
         "Fault-injection matrix: liveness + convergence under crashes, partitions, byzantine modes",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
-
-    println!(
-        "{:<16} {:<5} {:<10} {:>6} {:>8} {:>7} {:>5} {:>8} {:>8} {:>6} {:>11} {:>8} {:>7} {:>6}",
-        "scenario",
-        "proto",
-        "verdict",
-        "quorum",
-        "on_quorum",
-        "lagging",
-        "quar",
-        "batches",
-        "included",
-        "undec",
-        "last_commit",
-        "dropped",
-        "partns",
-        "sync"
-    );
 
     let mut rows = Vec::new();
-    for sc in scenarios() {
-        if quick && !sc.quick {
+    for sc in fault_matrix() {
+        if exp.quick && !sc.quick {
             continue;
         }
         for (protocol, plan) in [("pbft", &sc.pbft), ("poa", &sc.poa)] {
             let Some(plan) = plan else { continue };
             let (row, run) = run_cell(sc.name, protocol, plan);
-            println!(
-                "{:<16} {:<5} {:<10} {:>6} {:>8} {:>7} {:>5} {:>8} {:>8} {:>6} {:>11} {:>8} {:>7} {:>6}",
-                row.scenario,
-                row.protocol,
-                row.verdict,
-                row.quorum,
-                row.on_quorum,
-                row.lagging,
-                row.quarantined,
-                row.batches,
-                row.included,
-                row.undecodable,
-                row.last_commit,
-                row.dropped,
-                row.partitioned,
-                row.catchup_applied,
-            );
             check_invariants(&row, &run);
             rows.push(row);
         }
     }
+    exp.report(
+        "E19",
+        "Fault matrix: verdicts, liveness and convergence per (scenario, protocol)",
+        &rows,
+    );
 
     println!("\nInvariants held: ≤f crashes keep live replicas on one digest with a green");
     println!("replay audit; a revived replica converges via catch-up; >f corrupt-execution");
     println!("replicas produce a detected divergence (no quorum, no panic).");
-
-    if quick {
-        println!("\n[--quick: results/e19.json left untouched; run without --quick to regenerate]");
-    } else {
-        Report::new(
-            "E19",
-            "Fault matrix: verdicts, liveness and convergence per (scenario, protocol)",
-            rows,
-        )
-        .write_json();
-    }
 }
 
 /// The PR's acceptance criteria, asserted per cell.

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_crypto::Keypair;
 use tn_supplychain::process::{ProcessSupplyChain, Stage};
 use tn_supplychain::synth::{generate, SynthConfig};
@@ -29,7 +29,7 @@ struct Row {
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E1",
         "process supply chain (Fig. 3) vs news supply chain (Fig. 4)",
     );
@@ -103,25 +103,9 @@ fn main() {
         });
     }
 
-    println!(
-        "{:<18} {:>7} {:>13} {:>15} {:>7} {:>14} {:>11}",
-        "chain", "items", "participants", "ledger entries", "edges", "trace µs/item", "traceable"
-    );
-    for r in &rows {
-        println!(
-            "{:<18} {:>7} {:>13} {:>15} {:>7} {:>14.2} {:>10.0}%",
-            r.chain_kind,
-            r.items,
-            r.participants,
-            r.ledger_entries,
-            r.edges,
-            r.mean_trace_us,
-            r.traceable_fraction * 100.0
-        );
-    }
+    exp.report("E1", "process vs news supply chain scale", &rows);
     println!(
         "\nshape check: process participants stay fixed at 4 while news participants grow \
          with volume; news tracing stays sub-millisecond via memoized graph walks."
     );
-    Report::new("E1", "process vs news supply chain scale", rows).write_json();
 }

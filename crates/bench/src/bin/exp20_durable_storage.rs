@@ -22,32 +22,16 @@
 //! perf snapshot; `--quick` is a CI smoke run in a temp dir that asserts
 //! the invariants and writes nothing.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, write_bench_snapshot, MachineSpec, Report};
+use tn_bench::scenarios::TempDir;
+use tn_bench::table::capture;
+use tn_bench::Experiment;
 use tn_core::platform::PlatformConfig;
 use tn_node::validator::ValidatorNode;
 use tn_storage::BackendKind;
-
-/// Scratch directory under the OS temp dir, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("tn-e20-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        TempDir(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// One kill-and-restart cell: a chain of `chain_blocks`, crashed
 /// `since_checkpoint` blocks after its last durable checkpoint.
@@ -176,57 +160,34 @@ fn throughput_cell(
     }
 }
 
-/// Everything `BENCH_e20.json` records: the recovery matrix plus the
-/// backend throughput sweep, in one machine-readable perf snapshot
-/// following the `docs/BENCHMARKS.md` contract.
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    /// Schema version of this snapshot (see docs/BENCHMARKS.md).
-    schema: u32,
-    machine: MachineSpec,
-    recovery: Vec<RecoveryRow>,
-    throughput: Vec<ThroughputRow>,
-}
-
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E20",
         "Durable storage: restart-proportional recovery + disk import throughput",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
 
     // Recovery matrix: vary the WAL tail at fixed chain length, then
     // repeat one tail size at a longer chain. Proportionality shows up
     // as recover_ms growing with `since_checkpoint` and staying flat
     // across `chain_blocks`.
-    let cells: &[(u64, u64)] = if quick {
+    let cells: &[(u64, u64)] = if exp.quick {
         &[(24, 0), (24, 8), (48, 8)]
     } else {
         &[(96, 0), (96, 8), (96, 24), (96, 48), (192, 8), (192, 48)]
     };
-    println!(
-        "{:<13} {:>17} {:>9} {:>11} {:>7} {:>7} {:>7}",
-        "chain_blocks", "since_checkpoint", "replayed", "recover_ms", "digest", "projs", "audit"
-    );
     let mut recovery = Vec::new();
     for &(chain, tail) in cells {
         let row = recovery_cell(chain, tail);
-        println!(
-            "{:<13} {:>17} {:>9} {:>11} {:>7} {:>7} {:>7}",
-            row.chain_blocks,
-            row.since_checkpoint,
-            row.replayed,
-            f(row.recover_ms),
-            row.digest_match,
-            row.projections_match,
-            row.replay_audit
-        );
         assert!(row.digest_match, "kill-and-restart digest mismatch");
         assert!(row.projections_match, "projection digest mismatch");
         assert!(row.replay_audit, "replay audit failed after recovery");
         recovery.push(row);
     }
+    exp.report(
+        "E20",
+        "Durable storage: kill-and-restart recovery matrix (disk backend)",
+        &recovery,
+    );
 
     // Proportionality check on the measurements themselves: at the same
     // tail size, doubling the chain must not double recovery time. Kept
@@ -239,7 +200,7 @@ fn main() {
             .find(|r| r.chain_blocks == chain && r.since_checkpoint == tail)
             .map(|r| r.recover_ms)
     };
-    let (short, long) = if quick {
+    let (short, long) = if exp.quick {
         (ms_at(24, 8), ms_at(48, 8))
     } else {
         (ms_at(96, 48), ms_at(192, 48))
@@ -252,43 +213,21 @@ fn main() {
     }
 
     // Backend import throughput on an identical batch stream.
-    let stream = opaque_batches(if quick { 32 } else { 256 });
-    println!(
-        "\n{:<6} {:>14} {:>8} {:>10} {:>12}",
-        "backend", "fsync_interval", "batches", "import_ms", "blocks_per_s"
+    let stream = opaque_batches(if exp.quick { 32 } else { 256 });
+    let throughput: Vec<ThroughputRow> = [("mem", 0u64), ("disk", 8), ("disk", 1)]
+        .into_iter()
+        .map(|(backend, fsync)| throughput_cell(backend, fsync, &stream))
+        .collect();
+    println!();
+    exp.table(&throughput);
+
+    // `BENCH_e20.json`: the recovery matrix plus the backend throughput
+    // sweep, in one perf snapshot under the `docs/BENCHMARKS.md` contract.
+    exp.snapshot(
+        "e20_durable_storage",
+        vec![
+            ("recovery", capture(&recovery)),
+            ("throughput", capture(&throughput)),
+        ],
     );
-    let mut throughput = Vec::new();
-    for (backend, fsync) in [("mem", 0u64), ("disk", 8), ("disk", 1)] {
-        let row = throughput_cell(backend, fsync, &stream);
-        println!(
-            "{:<6} {:>14} {:>8} {:>10} {:>12}",
-            row.backend,
-            row.fsync_interval,
-            row.batches,
-            f(row.import_ms),
-            f(row.blocks_per_s)
-        );
-        throughput.push(row);
-    }
-
-    if quick {
-        println!("\n[--quick: invariants asserted, no artifacts written]");
-        return;
-    }
-
-    let snapshot = BenchSnapshot {
-        bench: "e20_durable_storage",
-        schema: 1,
-        machine: MachineSpec::current(),
-        recovery,
-        throughput,
-    };
-    write_bench_snapshot("e20", &snapshot);
-    let BenchSnapshot { recovery, .. } = snapshot;
-    Report::new(
-        "E20",
-        "Durable storage: kill-and-restart recovery matrix (disk backend)",
-        recovery,
-    )
-    .write_json();
 }

@@ -8,10 +8,13 @@
 //! E21 replays a fixed Zipf-popularity persona workload (submitters,
 //! rankers, readers; bot-amplified, from `tn-propagation`'s account
 //! model) through the `tn-gateway` front door at a *configured* arrival
-//! rate, sweeping that rate across the engine's capacity. Below the
-//! knee, committed throughput tracks offered load and p99 stays near
-//! service time; past it, committed throughput plateaus and the tail
-//! percentiles blow up — the classic open-loop signature.
+//! rate, sweeping that rate across the harness's configured drain
+//! ceiling (256 txs per 20 ms block tick = 12.8k tx/s — a constant of the
+//! sweep, not a capacity of the engine; the engine-bound figure is
+//! `commit_tps`@`door_single` in `benchmark/README.md`). Below the knee,
+//! committed throughput tracks offered load and p99 stays near service
+//! time; past it, committed throughput plateaus at the ceiling and the
+//! tail percentiles blow up — the classic open-loop signature.
 //!
 //! Admission decisions run on the logical arrival clock and are exactly
 //! reproducible; only commit service times are wall-clock measurements
@@ -22,9 +25,11 @@
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, write_bench_snapshot, MachineSpec, Report};
+use tn_bench::scenarios::{open_loop_sweep, sweep_olc};
+use tn_bench::table::capture;
+use tn_bench::Experiment;
 use tn_core::platform::PlatformConfig;
-use tn_gateway::{build_workload, run_open_loop, LoadProfile, OpenLoopConfig, Workload};
+use tn_gateway::{run_open_loop, Workload};
 
 /// One offered-load point of the sweep (also the `BENCH_e21.json` row
 /// format documented in `docs/BENCHMARKS.md`).
@@ -68,16 +73,6 @@ struct LoadPoint {
     service_ms: f64,
 }
 
-/// Everything `BENCH_e21.json` records.
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    /// Schema version of this snapshot (see docs/BENCHMARKS.md).
-    schema: u32,
-    machine: MachineSpec,
-    points: Vec<LoadPoint>,
-}
-
 /// Runs one offered-load point and asserts the conservation invariants
 /// every point must satisfy regardless of load.
 fn sweep_point(config: &PlatformConfig, workload: &Workload, offered_tps: f64) -> LoadPoint {
@@ -116,94 +111,33 @@ fn sweep_point(config: &PlatformConfig, workload: &Workload, offered_tps: f64) -
     }
 }
 
-/// The sweep's open-loop parameters: 20 ms block ticks capped at 256
-/// transactions per block give the run a hard logical drain ceiling of
-/// 12.8k tps, so the top of the sweep is guaranteed to sit past the
-/// knee and the plateau + shed behaviour is visible in the recorded
-/// points.
-fn sweep_olc(offered_tps: f64) -> OpenLoopConfig {
-    OpenLoopConfig {
-        offered_tps,
-        block_max_txs: 256,
-        ..OpenLoopConfig::default()
-    }
-}
-
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E21",
         "Open-loop load sweep: throughput vs offered load + commit-latency knee",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (config, workload) = open_loop_sweep(exp.quick);
+    println!("[workload: {} write requests]", workload.writes());
 
-    // A generous per-client rate so the sweep probes *engine* saturation
-    // (queue bounds + watermark backpressure), not the per-client token
-    // bucket; the bucket still guards against one runaway client. The
-    // ingress lanes and mempool watermark are deliberately tight so the
-    // overload half of the sweep exercises bounded-queue shedding rather
-    // than buffering the whole burst.
-    let mut config = PlatformConfig::default();
-    config.gateway.rate_per_client = 5_000;
-    config.gateway.burst_per_client = 500;
-    config.gateway.queue_capacity = 256;
-    config.gateway.mempool_watermark = 1_024;
-
-    let profile = if quick {
-        LoadProfile {
-            submitters: 2,
-            rankers: 4,
-            readers: 2,
-            seed_articles: 6,
-            write_events: 80,
-            read_events: 20,
-            ..LoadProfile::default()
-        }
-    } else {
-        LoadProfile {
-            write_events: 3_000,
-            read_events: 1_000,
-            ..LoadProfile::default()
-        }
-    };
-    println!("[building workload: {} write events]", profile.write_events);
-    let workload = build_workload(&config, &profile);
-
-    let sweep: &[f64] = if quick {
+    let sweep: &[f64] = if exp.quick {
         &[400.0, 4_000.0]
     } else {
         &[
             500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0, 32_000.0, 64_000.0,
         ]
     };
-    println!(
-        "{:>11} {:>13} {:>8} {:>8} {:>8} {:>9} {:>6} {:>10}",
-        "offered_tps",
-        "committed_tps",
-        "p50_ms",
-        "p99_ms",
-        "p999_ms",
-        "admitted",
-        "shed",
-        "aborted"
+    let points: Vec<LoadPoint> = sweep
+        .iter()
+        .map(|&offered| sweep_point(&config, &workload, offered))
+        .collect();
+    exp.report(
+        "E21",
+        "Open-loop load sweep: throughput vs offered load and latency percentiles",
+        &points,
     );
-    let mut points = Vec::new();
-    for &offered in sweep {
-        let p = sweep_point(&config, &workload, offered);
-        println!(
-            "{:>11} {:>13} {:>8} {:>8} {:>8} {:>9} {:>6} {:>10}",
-            p.offered_tps,
-            f(p.committed_tps),
-            f(p.p50_ms),
-            f(p.p99_ms),
-            f(p.p999_ms),
-            p.admitted,
-            p.shed_rate_limit + p.shed_queue_full,
-            p.aborted
-        );
-        points.push(p);
-    }
+    exp.snapshot("e21_open_loop", vec![("points", capture(&points))]);
 
-    if quick {
+    if exp.quick {
         // Determinism smoke: the same point twice must produce identical
         // verdict streams and byte-identical replica digests.
         let olc = sweep_olc(4_000.0);
@@ -215,22 +149,5 @@ fn main() {
             b.node.execution_digest(),
             "replayed chains must be byte-identical"
         );
-        println!("\n[--quick: invariants asserted, no artifacts written]");
-        return;
     }
-
-    let snapshot = BenchSnapshot {
-        bench: "e21_open_loop",
-        schema: 1,
-        machine: MachineSpec::current(),
-        points,
-    };
-    write_bench_snapshot("e21", &snapshot);
-    let BenchSnapshot { points, .. } = snapshot;
-    Report::new(
-        "E21",
-        "Open-loop load sweep: throughput vs offered load and latency percentiles",
-        points,
-    )
-    .write_json();
 }

@@ -32,7 +32,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, write_bench_snapshot, MachineSpec, Report};
+use tn_bench::scenarios::BlobChain;
+use tn_bench::{Experiment, Value};
 use tn_chain::block::{BatchVerifyPolicy, BATCH_CHUNKS_COUNTER, BATCH_TXS_COUNTER};
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
@@ -65,24 +66,25 @@ struct Row {
     speedup: f64,
 }
 
-/// Perf-trajectory snapshot (`BENCH_e22.json`, schema in
-/// `docs/BENCHMARKS.md`).
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    schema: u32,
-    machine: MachineSpec,
-    /// Cold verification throughput, per-tx scan (txs/s).
-    scan_txs_per_s: f64,
-    /// Cold verification throughput, batched (txs/s).
-    batch_txs_per_s: f64,
-    /// Batched / scan throughput ratio (the headline gate, ≥ 4 expected
-    /// on single-signer blocks at full size).
-    cold_import_speedup: f64,
-    /// Per-point MSM cost at the largest swept size, microseconds.
-    msm_us_per_point: f64,
-    /// Single no-inversion verification cost, microseconds.
-    single_verify_us: f64,
+impl Row {
+    /// A row measuring `n` items in `ms` per operation.
+    fn timed(
+        section: &'static str,
+        label: impl Into<String>,
+        n: usize,
+        ms: f64,
+        speedup: f64,
+    ) -> Row {
+        Row {
+            section,
+            label: label.into(),
+            n,
+            ms,
+            us_per_item: ms * 1_000.0 / n as f64,
+            per_s: n as f64 / (ms / 1_000.0),
+            speedup,
+        }
+    }
 }
 
 fn deterministic_pairs(n: usize) -> Vec<(Affine, U256)> {
@@ -96,30 +98,6 @@ fn deterministic_pairs(n: usize) -> Vec<(Affine, U256)> {
             (mul_generator(&p), k)
         })
         .collect()
-}
-
-fn make_block(txs: usize, signers: usize) -> Block {
-    let keys: Vec<Keypair> = (0..signers.max(1))
-        .map(|i| Keypair::from_seed(format!("e22 signer {i}").as_bytes()))
-        .collect();
-    let validator = Keypair::from_seed(b"e22 validator");
-    let funded: Vec<(tn_crypto::Address, u64)> =
-        keys.iter().map(|k| (k.address(), 1_000_000)).collect();
-    let store = ChainStore::new(State::genesis(funded), &validator);
-    let txs: Vec<Transaction> = (0..txs)
-        .map(|i| {
-            Transaction::signed(
-                &keys[i % keys.len()],
-                (i / keys.len()) as u64,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::NEWS_PUBLISH,
-                    data: vec![0u8; 128],
-                },
-            )
-        })
-        .collect();
-    store.propose(&validator, 1, txs, &mut NoExecutor)
 }
 
 /// Cold structural verification wall-time (no cache, so every rep pays
@@ -160,21 +138,17 @@ fn verify_affine_baseline(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    banner(
+    let exp = Experiment::start(
         "E22",
         "Batch Schnorr verification: MSM kernels, no-inversion verify, cold import",
     );
+    let quick = exp.quick;
     println!("available parallelism: {}\n", Pool::auto().workers());
 
     let mut rows: Vec<Row> = Vec::new();
 
     // Part A: MSM per-point cost vs independent per-point multiplication.
-    println!("Part A: multi-scalar multiplication\n");
-    println!(
-        "{:<22} {:>8} {:>12} {:>12} {:>9}",
-        "kernel", "points", "ms/op", "us/point", "speedup"
-    );
+    println!("Part A: multi-scalar multiplication");
     let sizes: &[usize] = if quick {
         &[16, 128]
     } else {
@@ -205,28 +179,8 @@ fn main() {
         } else {
             format!("pippenger c={}", pippenger_window(n))
         };
-        for (label, ms, speedup) in [
-            ("per-point windows".to_string(), per_point_ms, 1.0),
-            (kernel, msm_ms, per_point_ms / msm_ms),
-        ] {
-            println!(
-                "{:<22} {:>8} {:>12} {:>12} {:>9}",
-                label,
-                n,
-                f(ms),
-                f(ms * 1_000.0 / n as f64),
-                f(speedup)
-            );
-            rows.push(Row {
-                section: "msm",
-                label,
-                n,
-                ms,
-                us_per_item: ms * 1_000.0 / n as f64,
-                per_s: n as f64 / (ms / 1_000.0),
-                speedup,
-            });
-        }
+        rows.push(Row::timed("msm", "per-point windows", n, per_point_ms, 1.0));
+        rows.push(Row::timed("msm", kernel, n, msm_ms, per_point_ms / msm_ms));
         msm_us_per_point = msm_ms * 1_000.0 / n as f64;
     }
 
@@ -288,38 +242,26 @@ fn main() {
         ));
     }
     let old_ms = started.elapsed().as_secs_f64() * 1_000.0;
+    let ratio = old_ms / new_ms;
     println!(
-        "{muls} verifications: no-inversion {} ms, affine baseline {} ms ({}x)",
-        f(new_ms),
-        f(old_ms),
-        f(old_ms / new_ms)
+        "{muls} verifications: no-inversion {new_ms:.3} ms, affine baseline {old_ms:.3} ms \
+         ({ratio:.3}x)"
     );
     let single_verify_us = new_ms * 1_000.0 / muls as f64;
-    rows.push(Row {
-        section: "single_verify",
-        label: "affine-comparison baseline".into(),
-        n: muls,
-        ms: old_ms / muls as f64,
-        us_per_item: old_ms * 1_000.0 / muls as f64,
-        per_s: muls as f64 / (old_ms / 1_000.0),
-        speedup: 1.0,
-    });
-    rows.push(Row {
-        section: "single_verify",
-        label: "no-inversion two-term".into(),
-        n: muls,
-        ms: new_ms / muls as f64,
-        us_per_item: single_verify_us,
-        per_s: muls as f64 / (new_ms / 1_000.0),
-        speedup: old_ms / new_ms,
-    });
+    // `ms` is per verification here; the per-item figures follow from the
+    // totals.
+    for (label, total_ms, speedup) in [
+        ("affine-comparison baseline", old_ms, 1.0),
+        ("no-inversion two-term", new_ms, ratio),
+    ] {
+        rows.push(Row {
+            ms: total_ms / muls as f64,
+            ..Row::timed("single_verify", label, muls, total_ms, speedup)
+        });
+    }
 
     // Part C: cold import — the headline gate.
-    println!("\nPart C: cold block verification (batching off vs on)\n");
-    println!(
-        "{:<26} {:>7} {:>10} {:>12} {:>9}",
-        "configuration", "txs", "ms/block", "txs/s", "speedup"
-    );
+    println!("\nPart C: cold block verification (batching off vs on)");
     let block_txs = if quick { 96 } else { 1024 };
     let reps = if quick { 1 } else { 3 };
     let pool = Pool::auto();
@@ -327,7 +269,7 @@ fn main() {
     let mut batch_tps = 0.0;
     let mut speedup_single = 0.0;
     for (label, signers) in [("single signer", 1usize), ("distinct signers", block_txs)] {
-        let block = make_block(block_txs, signers);
+        let block = BlobChain::new("e22", block_txs, signers).block();
         let scan_ms = time_cold_verify(&block, &pool, BatchVerifyPolicy::disabled(), reps);
         let batch_ms = time_cold_verify(&block, &pool, BatchVerifyPolicy::default(), reps);
         let speedup = scan_ms / batch_ms;
@@ -336,23 +278,7 @@ fn main() {
             ("batched", batch_ms, speedup),
         ] {
             let full = format!("{label}, {mode}");
-            println!(
-                "{:<26} {:>7} {:>10} {:>12} {:>9}",
-                full,
-                block_txs,
-                f(ms),
-                f(block_txs as f64 / (ms / 1_000.0)),
-                f(sp)
-            );
-            rows.push(Row {
-                section: "cold_import",
-                label: full,
-                n: block_txs,
-                ms,
-                us_per_item: ms * 1_000.0 / block_txs as f64,
-                per_s: block_txs as f64 / (ms / 1_000.0),
-                speedup: sp,
-            });
+            rows.push(Row::timed("cold_import", full, block_txs, ms, sp));
         }
         if signers == 1 {
             scan_tps = block_txs as f64 / (scan_ms / 1_000.0);
@@ -372,24 +298,13 @@ fn main() {
     // one-EC-verify-per-tx accounting.
     println!("\nPart D: batch counters through a cold import\n");
     let registry = Registry::new();
-    let alice = Keypair::from_seed(b"e22 signer 0");
-    let validator = Keypair::from_seed(b"e22 validator");
-    let mut store = ChainStore::new(State::genesis([(alice.address(), 1_000_000)]), &validator);
-    store.set_telemetry(registry.sink());
     let k = if quick { 64u64 } else { 256 };
-    let txs: Vec<Transaction> = (0..k)
-        .map(|i| {
-            Transaction::signed(
-                &alice,
-                i,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::NEWS_PUBLISH,
-                    data: vec![0u8; 128],
-                },
-            )
-        })
-        .collect();
+    let BlobChain {
+        mut store,
+        validator,
+        txs,
+    } = BlobChain::new("e22", k as usize, 1);
+    store.set_telemetry(registry.sink());
     // Proposing warms the cache; import another replica's view cold by
     // clearing it first.
     let block = store.propose(&validator, 1, txs, &mut NoExecutor);
@@ -418,28 +333,26 @@ fn main() {
         speedup: 0.0,
     });
 
-    // CI smokes assert invariants only; humans commit numbers (the
-    // BENCH contract, docs/BENCHMARKS.md rule 4).
-    if quick {
-        return;
-    }
-
-    Report::new(
+    println!();
+    exp.report(
         "E22",
         "Batch Schnorr verification: MSM kernels, no-inversion single verify, cold import speedup",
-        rows,
-    )
-    .write_json();
-
-    let snapshot = BenchSnapshot {
-        bench: "e22_batch_verify",
-        schema: 1,
-        machine: MachineSpec::current(),
-        scan_txs_per_s: scan_tps,
-        batch_txs_per_s: batch_tps,
-        cold_import_speedup: speedup_single,
-        msm_us_per_point,
-        single_verify_us,
-    };
-    write_bench_snapshot("e22", &snapshot);
+        &rows,
+    );
+    // Perf-trajectory snapshot (`BENCH_e22.json`, schema in
+    // `docs/BENCHMARKS.md`): cold verification throughput of the per-tx
+    // scan and the batched path (txs/s), their ratio (the headline gate,
+    // ≥ 4 expected on single-signer blocks at full size), per-point MSM
+    // cost at the largest swept size and one no-inversion verification
+    // (µs).
+    exp.snapshot(
+        "e22_batch_verify",
+        vec![
+            ("scan_txs_per_s", Value::F64(scan_tps)),
+            ("batch_txs_per_s", Value::F64(batch_tps)),
+            ("cold_import_speedup", Value::F64(speedup_single)),
+            ("msm_us_per_point", Value::F64(msm_us_per_point)),
+            ("single_verify_us", Value::F64(single_verify_us)),
+        ],
+    );
 }

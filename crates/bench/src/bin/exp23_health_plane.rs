@@ -1,5 +1,5 @@
 //! E23: health plane — monitor overhead, fault-detection latency, and
-//! the gateway shed SLO joining the E21 knee.
+//! the gateway shed SLO joining E21's drain ceiling.
 //!
 //! E19 proved the cluster *survives* faults; E23 asks whether an
 //! operator would *notice* them. Every replica carries a `tn-monitor`
@@ -24,10 +24,10 @@
 //!   verdicts. Two cells use [`MonitorConfig::extra_rules`] to watch
 //!   fault counters the built-ins don't (partitions, byzantine flags),
 //!   exercising the declarative rule API end to end.
-//! - **C (shed SLO vs the knee)**: the E21 open-loop sweep with the
+//! - **C (shed SLO vs the drain ceiling)**: the E21 open-loop sweep with the
 //!   monitor attached to the validator. Below the drain ceiling
 //!   (256 tx / 20 ms ≈ 12.8k tps) the shed burn-rate SLO must stay
-//!   quiet; past the knee the gateway sheds far beyond the 1% error
+//!   quiet; past it the gateway sheds far beyond the 1% error
 //!   budget and the burn-rate alert must fire.
 //!
 //! Full runs write `results/e23.json` plus the repo-root
@@ -39,11 +39,11 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use tn_bench::{banner, f, write_bench_snapshot, MachineSpec, Report};
-use tn_consensus::fault::{CrashFault, DropWindow, FaultPlan, PartitionFault};
-use tn_consensus::pbft::ByzMode;
+use tn_bench::scenarios::{fault_matrix, open_loop_sweep, sweep_olc, FaultScenario};
+use tn_bench::table::capture;
+use tn_bench::Experiment;
 use tn_core::platform::PlatformConfig;
-use tn_gateway::{build_workload, run_open_loop, LoadProfile, OpenLoopConfig};
+use tn_gateway::{run_open_loop, OpenLoopConfig};
 use tn_monitor::{
     ClusterHealthVerdict, Cmp, HealthState, MonitorConfig, Query, Severity, SloRule, Transition,
     RULE_CATCHUP, RULE_DIVERGENCE, RULE_LAG, RULE_MSG_DROPS, RULE_RESTART, RULE_SHED_BURN,
@@ -107,19 +107,6 @@ struct SloPoint {
     detection_tick: Option<u64>,
 }
 
-/// Everything `BENCH_e23.json` records (and the single row of
-/// `results/e23.json`).
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    /// Schema version of this snapshot (see docs/BENCHMARKS.md).
-    schema: u32,
-    machine: MachineSpec,
-    overhead: Overhead,
-    detection: Vec<DetectionRow>,
-    slo: Vec<SloPoint>,
-}
-
 /// What a fault cell must make the monitor say.
 enum Expect {
     /// No alerts, no non-Healthy replica: the false-positive guard.
@@ -132,18 +119,6 @@ enum Expect {
     },
     /// No quorum: every replica quarantined, verdict Critical.
     Critical { rule: &'static str },
-}
-
-struct Cell {
-    name: &'static str,
-    /// Included in `--quick` smoke runs.
-    quick: bool,
-    plan: FaultPlan,
-    /// Extra declarative rules for fault counters the built-ins skip.
-    extra: Vec<SloRule>,
-    expect: Expect,
-    /// Replicas the rollup may quarantine in this cell.
-    allowed_quarantine: &'static [usize],
 }
 
 /// Watches a counter the built-in rule set ignores: fires when `counter`
@@ -163,194 +138,79 @@ fn watch_counter(name: &'static str, counter: &'static str) -> SloRule {
     }
 }
 
-fn crash(replica: usize, at: u64, restart_at: Option<u64>) -> FaultPlan {
-    FaultPlan {
-        crashes: vec![CrashFault {
-            replica,
-            at,
-            restart_at,
-        }],
-        ..FaultPlan::default()
-    }
-}
-
 const RULE_PARTITIONS: &str = "consensus-partitions";
 const RULE_BYZ_FLAGGED: &str = "byzantine-flagged";
 
-fn cells() -> Vec<Cell> {
-    vec![
-        Cell {
-            name: "baseline",
-            quick: true,
-            plan: FaultPlan::default(),
-            extra: vec![],
-            expect: Expect::Clean,
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "crash-backup",
-            quick: true,
-            plan: crash(3, 100, None),
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_LAG],
-                replica: Some(3),
-            },
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "crash-primary",
-            quick: false,
-            plan: crash(0, 100, None),
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_LAG],
-                replica: Some(0),
-            },
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "crash-revive",
-            quick: true,
-            plan: crash(2, 100, Some(100_000)),
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_RESTART, RULE_CATCHUP],
-                replica: Some(2),
-            },
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "partition-heal",
-            quick: false,
-            plan: FaultPlan {
-                partitions: vec![PartitionFault {
-                    at: 50,
-                    groups: vec![vec![0, 1], vec![2, 3]],
-                    heal_at: Some(2_000),
-                }],
-                ..FaultPlan::default()
-            },
-            // The simulator accounts partition-blocked messages on
-            // replica 0's sink under `sim.msg.partitioned`, which no
-            // built-in rule watches: a declarative extra rule does.
-            extra: vec![watch_counter(RULE_PARTITIONS, "sim.msg.partitioned")],
-            expect: Expect::Rules {
-                rules: &[RULE_PARTITIONS],
-                replica: Some(0),
-            },
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "byz-equivocate",
-            quick: false,
-            plan: FaultPlan {
-                byz_modes: vec![(0, ByzMode::EquivocatingPrimary)],
-                ..FaultPlan::default()
-            },
-            // The runner flags byzantine replicas on their own registry
-            // (`node.fault.byzantine`); an extra rule surfaces the flag.
-            extra: vec![watch_counter(RULE_BYZ_FLAGGED, "node.fault.byzantine")],
-            expect: Expect::Rules {
-                rules: &[RULE_BYZ_FLAGGED],
-                replica: Some(0),
-            },
-            allowed_quarantine: &[0],
-        },
-        Cell {
-            name: "corrupt-exec-1",
-            quick: true,
-            plan: FaultPlan {
-                byz_modes: vec![(3, ByzMode::CorruptExec)],
-                ..FaultPlan::default()
-            },
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_DIVERGENCE],
-                replica: Some(3),
-            },
-            allowed_quarantine: &[3],
-        },
-        Cell {
-            name: "corrupt-exec-2",
-            quick: true,
-            plan: FaultPlan {
-                byz_modes: vec![(2, ByzMode::CorruptExec), (3, ByzMode::CorruptExec)],
-                ..FaultPlan::default()
-            },
-            extra: vec![],
-            expect: Expect::Critical {
+/// What the monitor must report for one scenario of the E19 matrix:
+/// extra declarative rules for fault counters the built-ins skip, the
+/// alert class that must fire (and where), and the replicas the rollup
+/// may quarantine.
+fn expectation(scenario: &str) -> (Vec<SloRule>, Expect, &'static [usize]) {
+    let on = |rules: &'static [&'static str], replica| Expect::Rules { rules, replica };
+    match scenario {
+        "baseline" => (vec![], Expect::Clean, &[]),
+        "crash-backup" => (vec![], on(&[RULE_LAG], Some(3)), &[]),
+        "crash-primary" => (vec![], on(&[RULE_LAG], Some(0)), &[]),
+        "crash-revive" => (vec![], on(&[RULE_RESTART, RULE_CATCHUP], Some(2)), &[]),
+        // The simulator accounts partition-blocked messages on
+        // replica 0's sink under `sim.msg.partitioned`, which no
+        // built-in rule watches: a declarative extra rule does.
+        "partition-heal" => (
+            vec![watch_counter(RULE_PARTITIONS, "sim.msg.partitioned")],
+            on(&[RULE_PARTITIONS], Some(0)),
+            &[],
+        ),
+        // The runner flags byzantine replicas on their own registry
+        // (`node.fault.byzantine`); an extra rule surfaces the flag.
+        "byz-equivocate" => (
+            vec![watch_counter(RULE_BYZ_FLAGGED, "node.fault.byzantine")],
+            on(&[RULE_BYZ_FLAGGED], Some(0)),
+            &[0],
+        ),
+        "corrupt-exec-1" => (vec![], on(&[RULE_DIVERGENCE], Some(3)), &[3]),
+        "corrupt-exec-2" => (
+            vec![],
+            Expect::Critical {
                 rule: RULE_DIVERGENCE,
             },
-            allowed_quarantine: &[0, 1, 2, 3],
-        },
-        Cell {
-            name: "drop-window-0.3",
-            quick: false,
-            plan: FaultPlan {
-                drop_windows: vec![DropWindow {
-                    from: 100,
-                    until: 600,
-                    drop_prob: 0.3,
-                }],
-                ..FaultPlan::default()
-            },
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_MSG_DROPS],
-                replica: Some(0),
-            },
-            allowed_quarantine: &[],
-        },
-        Cell {
-            name: "corrupt-payloads",
-            quick: true,
-            plan: FaultPlan {
-                corrupt_payloads: 3,
-                ..FaultPlan::default()
-            },
-            extra: vec![],
-            expect: Expect::Rules {
-                rules: &[RULE_UNDECODABLE],
-                replica: None,
-            },
-            allowed_quarantine: &[],
-        },
-    ]
+            &[0, 1, 2, 3],
+        ),
+        "drop-window-0.3" => (vec![], on(&[RULE_MSG_DROPS], Some(0)), &[]),
+        "corrupt-payloads" => (vec![], on(&[RULE_UNDECODABLE], None), &[]),
+        other => panic!("no monitor expectation for E19 scenario {other}"),
+    }
 }
 
-/// First `Firing` transition of `rule` across the cluster's timelines.
-fn first_firing(run: &ClusterRun, rule: &str) -> Option<(usize, u64)> {
-    run.nodes
+/// Tick of the first `Firing` transition of `rule` on replica `id`.
+fn fired_at(run: &ClusterRun, rule: &str, id: usize) -> Option<u64> {
+    let timeline = run.nodes[id].monitor()?.engine().timeline();
+    let firing = timeline
         .iter()
-        .enumerate()
-        .filter_map(|(id, n)| {
-            n.monitor().and_then(|m| {
-                m.engine()
-                    .timeline()
-                    .iter()
-                    .find(|a| a.rule == rule && a.transition == Transition::Firing)
-                    .map(|a| (id, a.tick))
-            })
-        })
-        .min_by_key(|&(_, tick)| tick)
+        .find(|a| a.rule == rule && a.transition == Transition::Firing)?;
+    Some(firing.tick)
 }
 
 /// Whether `rule` ever fired on replica `id`.
 fn fired_on(run: &ClusterRun, rule: &str, id: usize) -> bool {
-    run.nodes[id].monitor().is_some_and(|m| {
-        m.engine()
-            .timeline()
-            .iter()
-            .any(|a| a.rule == rule && a.transition == Transition::Firing)
-    })
+    fired_at(run, rule, id).is_some()
 }
 
-fn run_cell(cell: &Cell) -> DetectionRow {
+/// First `Firing` transition of `rule` across the cluster's timelines.
+fn first_firing(run: &ClusterRun, rule: &str) -> Option<(usize, u64)> {
+    (0..run.nodes.len())
+        .filter_map(|id| Some((id, fired_at(run, rule, id)?)))
+        .min_by_key(|&(_, tick)| tick)
+}
+
+fn run_cell(cell: &FaultScenario) -> DetectionRow {
+    let (extra_rules, expect, allowed_quarantine) = expectation(cell.name);
     let config = ClusterConfig {
-        faults: cell.plan.clone(),
+        faults: cell
+            .pbft
+            .clone()
+            .expect("every E19 scenario has a PBFT plan"),
         monitor: Some(MonitorConfig {
-            extra_rules: cell.extra.clone(),
+            extra_rules,
             ..MonitorConfig::default()
         }),
         ..ClusterConfig::default()
@@ -364,14 +224,14 @@ fn run_cell(cell: &Cell) -> DetectionRow {
     for (id, state) in health.replicas.iter().enumerate() {
         if *state == HealthState::Quarantined {
             assert!(
-                cell.allowed_quarantine.contains(&id),
+                allowed_quarantine.contains(&id),
                 "{}: false Quarantined on replica {id}",
                 cell.name
             );
         }
     }
 
-    let (expected_rules, fired, detect) = match &cell.expect {
+    let (expected_rules, fired, detect) = match &expect {
         Expect::Clean => {
             assert_eq!(
                 health.verdict,
@@ -490,18 +350,16 @@ fn measure_overhead(reps: usize) -> Overhead {
 fn slo_point(config: &PlatformConfig, wl: &tn_gateway::Workload, offered_tps: f64) -> SloPoint {
     // Session aborts are off: E21 measures cooperative clients that back
     // off after a shed, which keeps the *run-level* shed ratio under the
-    // 1% budget even past the knee. The SLO exists for the other client
+    // 1% budget even past the ceiling. The SLO exists for the other client
     // population — retriers that never back off — so part C keeps every
     // session submitting and lets the door shed sustained overload.
     let run = run_open_loop(
         config,
         wl,
         &OpenLoopConfig {
-            offered_tps,
-            block_max_txs: 256,
             abort_shed_sessions: false,
             monitor: Some(MonitorConfig::default()),
-            ..OpenLoopConfig::default()
+            ..sweep_olc(offered_tps)
         },
     )
     .expect("open-loop run");
@@ -529,146 +387,70 @@ fn slo_point(config: &PlatformConfig, wl: &tn_gateway::Workload, offered_tps: f6
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E23",
-        "Health plane: monitor overhead, fault-detection latency, shed SLO at the knee",
+        "Health plane: monitor overhead, fault-detection latency, shed SLO at the drain ceiling",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
 
     // Part A ---------------------------------------------------------
-    let overhead = measure_overhead(if quick { 1 } else { 3 });
-    println!(
-        "[overhead] base {} ms, monitored {} ms ({}%), {} windows sampled, digests identical: {}",
-        f(overhead.base_ms),
-        f(overhead.monitored_ms),
-        f(overhead.overhead_pct),
-        overhead.windows_sampled,
-        overhead.digests_identical,
-    );
+    let overhead = measure_overhead(if exp.quick { 1 } else { 3 });
+    exp.table(std::slice::from_ref(&overhead));
 
     // Part B ---------------------------------------------------------
-    println!(
-        "\n{:<16} {:<34} {:>5} {:>7} {:>11} {:>7} {:<9} {:>4} {:>4}",
-        "scenario",
-        "expected",
-        "fired",
-        "replica",
-        "detect_tick",
-        "height",
-        "verdict",
-        "quar",
-        "lag"
-    );
-    let mut detection = Vec::new();
-    for cell in cells() {
-        if quick && !cell.quick {
-            continue;
-        }
-        let row = run_cell(&cell);
-        println!(
-            "{:<16} {:<34} {:>5} {:>7} {:>11} {:>7} {:<9} {:>4} {:>4}",
-            row.scenario,
-            row.expected_rules,
-            row.fired,
-            row.detect_replica
-                .map_or_else(|| "-".into(), |r| r.to_string()),
-            row.detection_tick
-                .map_or_else(|| "-".into(), |t| t.to_string()),
-            row.final_height,
-            row.verdict,
-            row.quarantined,
-            row.lagging,
-        );
-        detection.push(row);
-    }
+    let detection: Vec<DetectionRow> = fault_matrix()
+        .iter()
+        .filter(|cell| cell.quick || !exp.quick)
+        .map(run_cell)
+        .collect();
+    println!();
+    exp.table(&detection);
 
     // Part C ---------------------------------------------------------
-    let mut config = PlatformConfig::default();
-    config.gateway.rate_per_client = 5_000;
-    config.gateway.burst_per_client = 500;
-    config.gateway.queue_capacity = 256;
-    config.gateway.mempool_watermark = 1_024;
-    let profile = if quick {
-        LoadProfile {
-            submitters: 2,
-            rankers: 4,
-            readers: 2,
-            seed_articles: 6,
-            write_events: 80,
-            read_events: 20,
-            ..LoadProfile::default()
-        }
-    } else {
-        LoadProfile {
-            write_events: 3_000,
-            read_events: 1_000,
-            ..LoadProfile::default()
-        }
-    };
-    let wl = build_workload(&config, &profile);
-    let sweep: &[f64] = if quick {
+    let (config, wl) = open_loop_sweep(exp.quick);
+    let sweep: &[f64] = if exp.quick {
         &[400.0]
     } else {
         &[2_000.0, 8_000.0, 16_000.0, 32_000.0, 64_000.0]
     };
-    println!(
-        "\n{:>11} {:>13} {:>8} {:>10} {:>6} {:>11}",
-        "offered_tps", "committed_tps", "p99_ms", "shed_ratio", "burn", "detect_tick"
-    );
-    let mut slo = Vec::new();
-    for &offered in sweep {
-        let p = slo_point(&config, &wl, offered);
-        println!(
-            "{:>11} {:>13} {:>8} {:>10} {:>6} {:>11}",
-            p.offered_tps,
-            f(p.committed_tps),
-            f(p.p99_ms),
-            f(p.shed_ratio),
-            p.burn_alert_fired,
-            p.detection_tick
-                .map_or_else(|| "-".into(), |t| t.to_string()),
-        );
-        slo.push(p);
-    }
-    // The SLO must join the knee: quiet inside the error budget, firing
-    // past the drain ceiling.
+    let slo: Vec<SloPoint> = sweep
+        .iter()
+        .map(|&offered| slo_point(&config, &wl, offered))
+        .collect();
+    println!();
+    exp.table(&slo);
+    // The SLO must join the drain ceiling: quiet inside the error budget,
+    // firing past it.
     let below = &slo[0];
     assert!(
         !below.burn_alert_fired,
         "shed SLO false-fired at {} tps (shed ratio {})",
         below.offered_tps, below.shed_ratio
     );
-    if !quick {
+    if !exp.quick {
         let above = slo.last().expect("sweep has points");
         assert!(
             above.burn_alert_fired,
-            "shed SLO silent past the knee at {} tps (shed ratio {})",
+            "shed SLO silent past the drain ceiling at {} tps (shed ratio {})",
             above.offered_tps, above.shed_ratio
         );
     }
 
     println!("\nInvariants held: digests byte-identical with monitoring on/off; every fault");
     println!("cell fired its expected alert class on the expected replica; zero false");
-    println!("Quarantined on the clean baseline; the shed SLO is quiet below the knee.");
+    println!("Quarantined on the clean baseline; the shed SLO is quiet below the ceiling.");
 
-    if quick {
-        println!("\n[--quick: invariants asserted, no artifacts written]");
-        return;
-    }
-
-    let snapshot = BenchSnapshot {
-        bench: "e23_health_plane",
-        schema: 1,
-        machine: MachineSpec::current(),
-        overhead,
-        detection,
-        slo,
-    };
-    write_bench_snapshot("e23", &snapshot);
-    Report::new(
+    // `BENCH_e23.json` is also the single row of `results/e23.json`.
+    let snapshot = exp.snapshot(
+        "e23_health_plane",
+        vec![
+            ("overhead", capture(&overhead)),
+            ("detection", capture(&detection)),
+            ("slo", capture(&slo)),
+        ],
+    );
+    exp.write_report(
         "E23",
         "Health plane: monitor overhead, detection latency per fault class, shed SLO",
-        vec![snapshot],
-    )
-    .write_json();
+        &[snapshot],
+    );
 }

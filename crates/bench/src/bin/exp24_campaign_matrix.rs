@@ -23,7 +23,8 @@
 //! Run: `cargo run -p tn-bench --release --bin exp24_campaign_matrix`
 
 use serde::Serialize;
-use tn_bench::{banner, f, write_bench_snapshot, MachineSpec, Report};
+use tn_bench::table::capture;
+use tn_bench::Experiment;
 use tn_core::platform::PlatformConfig;
 use tn_gateway::campaign::{
     build_campaign_workload, run_campaign, AttackKind, CampaignOutcome, CampaignProfile,
@@ -50,16 +51,6 @@ struct Row {
     factual_reach: usize,
     digest: String,
     replicas_agree: bool,
-}
-
-/// The machine-readable artifact (`BENCH_e24.json`), under the
-/// docs/BENCHMARKS.md envelope contract.
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    schema: u32,
-    machine: MachineSpec,
-    rows: Vec<Row>,
 }
 
 fn profile(attack: AttackKind, defense: bool, quick: bool) -> CampaignProfile {
@@ -197,14 +188,13 @@ fn check_cell(row: &Row) {
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E24",
         "Misinformation-campaign matrix: attacks x defenses through the gateway",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
     let config = PlatformConfig::default();
 
-    let cells: Vec<(AttackKind, bool)> = if quick {
+    let cells: Vec<(AttackKind, bool)> = if exp.quick {
         vec![
             (AttackKind::Clean, true),
             (AttackKind::BotRing, true),
@@ -218,44 +208,13 @@ fn main() {
             .collect()
     };
 
-    println!(
-        "{:<16} {:>7} {:>6} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6} {:>7} {:>7} {:>6}",
-        "attack",
-        "defense",
-        "votes",
-        "coord",
-        "alert",
-        "quar",
-        "fp",
-        "fake",
-        "fact",
-        "reach_k",
-        "reach_f",
-        "agree"
-    );
     let mut rows = Vec::new();
     let mut ring_prom: Option<String> = None;
     let mut undefended_fake: Option<f64> = None;
     let mut defended_fake: Option<f64> = None;
     for (attack, defense) in cells {
-        let p = profile(attack, defense, quick);
+        let p = profile(attack, defense, exp.quick);
         let (row, outcome) = run_cell(&config, &p);
-        println!(
-            "{:<16} {:>7} {:>6} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6} {:>7} {:>7} {:>6}",
-            row.attack,
-            row.defense,
-            row.total_votes,
-            row.coordinated_votes,
-            row.alert_height
-                .map_or_else(|| "-".into(), |h| h.to_string()),
-            row.quarantined,
-            row.false_positives,
-            f(row.fake_crowd_score),
-            f(row.factual_crowd_score),
-            row.fake_reach,
-            row.factual_reach,
-            row.replicas_agree,
-        );
         check_cell(&row);
         if attack == AttackKind::BotRing && defense {
             ring_prom = Some(outcome.prometheus.clone());
@@ -266,6 +225,7 @@ fn main() {
         }
         rows.push(row);
     }
+    exp.table(&rows);
 
     // Cross-cell damage bound: defenses must shrink the ring's fake
     // score by a wide margin, not a rounding error.
@@ -278,7 +238,7 @@ fn main() {
 
     // Prometheus artifact from the defended-ring cell: the campaign
     // burn-rate series and alert must survive the exposition lint (this
-    // is the artifact scripts/check.sh greps).
+    // is the artifact scripts/check.sh greps, so --quick writes it too).
     let prom = ring_prom.expect("defended ring cell ran");
     lint_prometheus(&prom).expect("exposition lint");
     assert!(
@@ -293,22 +253,11 @@ fn main() {
     println!("quarantines; clean cell silent; coordinated attacks alerted and (defended)");
     println!("bounded below 50 crowd score; bribery bounded by slashing without detection.");
 
-    if quick {
-        println!("\n[--quick: invariants asserted, no bench snapshot written]");
-        return;
-    }
-
-    let snapshot = BenchSnapshot {
-        bench: "e24_campaign_matrix",
-        schema: 1,
-        machine: MachineSpec::current(),
-        rows,
-    };
-    write_bench_snapshot("e24", &snapshot);
-    Report::new(
+    // `BENCH_e24.json` is also the single row of `results/e24.json`.
+    let snapshot = exp.snapshot("e24_campaign_matrix", vec![("rows", capture(&rows))]);
+    exp.write_report(
         "E24",
         "Misinformation-campaign matrix: damage bounds under participant defenses",
-        vec![snapshot],
-    )
-    .write_json();
+        &[snapshot],
+    );
 }

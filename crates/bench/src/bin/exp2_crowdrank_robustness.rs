@@ -9,7 +9,7 @@
 //! Run: `cargo run -p tn-bench --release --bin exp2_crowdrank_robustness`
 
 use serde::Serialize;
-use tn_bench::{banner, write_bench_snapshot, MachineSpec, Report};
+use tn_bench::{table::capture, Experiment};
 use tn_crowdrank::sim::{run, SimConfig, Strategy};
 
 #[derive(Debug, Serialize)]
@@ -23,18 +23,8 @@ struct Row {
     malicious_weight: f64,
 }
 
-/// The machine-readable artifact (`BENCH_e2.json`), under the
-/// docs/BENCHMARKS.md envelope contract.
-#[derive(Debug, Serialize)]
-struct BenchSnapshot {
-    bench: &'static str,
-    schema: u32,
-    machine: MachineSpec,
-    rows: Vec<Row>,
-}
-
 fn main() {
-    banner("E2", "ranking accuracy vs malicious-validator fraction");
+    let exp = Experiment::start("E2", "ranking accuracy vs malicious-validator fraction");
     let total = 24usize;
     let mut rows = Vec::new();
 
@@ -64,22 +54,7 @@ fn main() {
         });
     }
 
-    println!(
-        "{:>9} {:>10} {:>10} {:>12} {:>14} {:>9} {:>9}",
-        "mal.frac", "majority", "weighted", "truth-disc", "weighted-late", "rep(hon)", "rep(mal)"
-    );
-    for r in &rows {
-        println!(
-            "{:>9.3} {:>10.3} {:>10.3} {:>12.3} {:>14.3} {:>9.2} {:>9.2}",
-            r.malicious_fraction,
-            r.majority_accuracy,
-            r.weighted_accuracy,
-            r.truth_discovery_accuracy,
-            r.weighted_late_accuracy,
-            r.honest_weight,
-            r.malicious_weight
-        );
-    }
+    exp.table(&rows);
     println!(
         "\nshape check: majority degrades steeply as the malicious fraction approaches 0.5 \
          (honest noise makes it fail even earlier). Truth discovery needs no history and \
@@ -88,12 +63,8 @@ fn main() {
          mechanism that stays accurate through the 50% mark — the paper's case for \
          accountability over anonymous majorities."
     );
-    let snapshot = BenchSnapshot {
-        bench: "e2_crowdrank_robustness",
-        schema: 1,
-        machine: MachineSpec::current(),
-        rows,
-    };
-    write_bench_snapshot("e2", &snapshot);
-    Report::new("E2", "crowd-ranking robustness", vec![snapshot]).write_json();
+    // The machine-readable artifact (`BENCH_e2.json`) is also the single
+    // row of `results/e2.json`.
+    let snapshot = exp.snapshot("e2_crowdrank_robustness", vec![("rows", capture(&rows))]);
+    exp.write_report("E2", "crowd-ranking robustness", &[snapshot]);
 }

@@ -11,13 +11,11 @@
 use std::collections::HashSet;
 
 use serde::Serialize;
-use tn_aidetect::corpus::{generate_news_corpus, NewsCorpusConfig};
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
 use tn_aidetect::metrics::roc_auc;
-use tn_bench::{banner, Report};
+use tn_bench::scenarios::ProvenanceSignals;
+use tn_bench::Experiment;
 use tn_crypto::Hash256;
 use tn_supplychain::ranking::{precision_at_k, spearman, trace_score};
-use tn_supplychain::synth::{generate, SynthConfig};
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -27,141 +25,88 @@ struct Row {
     precision_at_25_fake: f64,
 }
 
-fn main() {
-    banner("E3", "provenance-based factualness ranking quality");
-    let synth = generate(&SynthConfig {
-        n_fact_roots: 60,
-        n_honest: 25,
-        n_fakers: 6,
-        n_items: 600,
-        seed: 17,
-        ..SynthConfig::default()
-    });
-    let detector = EnsembleDetector::train(
-        &generate_news_corpus(&NewsCorpusConfig::default()),
-        EnsembleWeights::default(),
-    );
+#[derive(Debug, Serialize)]
+struct GenerationRow {
+    generation: usize,
+    items: usize,
+    mean_score: f64,
+}
 
-    // Collect per-item signals.
-    let traces = synth.graph.trace_all();
-    let mut ids = Vec::new();
-    let mut is_fake = Vec::new();
-    let mut trace_scores = Vec::new();
-    let mut ai_scores = Vec::new();
-    for (id, trace) in &traces {
-        let Some(t) = synth.truth.get(id) else {
-            continue;
-        };
-        ids.push(*id);
-        is_fake.push(t.is_fake);
-        trace_scores.push(trace_score(trace));
-        let content = &synth.graph.get(id).expect("in graph").content;
-        ai_scores.push(detector.prob_factual(content));
+/// Scores one factualness signal over `ids`: low score should mean fake,
+/// so `1 - score` is fed as "probability fake" to the ROC and to
+/// precision@25 for catching fakes when sorting ascending by score.
+fn evaluate(name: &'static str, ids: &[Hash256], is_fake: &[bool], scores: &[f64]) -> Row {
+    let preds: Vec<(bool, f64)> = scores
+        .iter()
+        .zip(is_fake)
+        .map(|(s, f)| (*f, 1.0 - s))
+        .collect();
+    let scored: Vec<(Hash256, f64)> = ids
+        .iter()
+        .zip(scores)
+        .map(|(id, s)| (*id, 1.0 - s))
+        .collect();
+    let fake_set: HashSet<Hash256> = ids
+        .iter()
+        .zip(is_fake)
+        .filter(|(_, f)| **f)
+        .map(|(id, _)| *id)
+        .collect();
+    let truth: Vec<f64> = is_fake.iter().map(|f| if *f { 0.0 } else { 1.0 }).collect();
+    Row {
+        signal: name,
+        auc_fake_detection: roc_auc(&preds),
+        spearman_vs_truth: spearman(scores, &truth),
+        precision_at_25_fake: precision_at_k(&scored, &fake_set, 25),
     }
+}
+
+fn main() {
+    let exp = Experiment::start("E3", "provenance-based factualness ranking quality");
+    let ProvenanceSignals {
+        synth,
+        traces,
+        ids,
+        is_fake,
+        trace_scores,
+        ai_scores,
+        text_clean,
+    } = ProvenanceSignals::collect();
     let combined: Vec<f64> = trace_scores
         .iter()
         .zip(&ai_scores)
         .map(|(t, a)| 0.7 * t + 0.3 * a)
         .collect();
 
-    let fake_set: HashSet<Hash256> = ids
-        .iter()
-        .zip(&is_fake)
-        .filter(|(_, f)| **f)
-        .map(|(id, _)| *id)
-        .collect();
-    let truth_numeric: Vec<f64> = is_fake.iter().map(|f| if *f { 0.0 } else { 1.0 }).collect();
-
-    let eval = |name: &'static str, scores: &[f64]| {
-        // Fake detection: low score should mean fake, so feed 1-score as
-        // "probability fake".
-        let preds: Vec<(bool, f64)> = scores
-            .iter()
-            .zip(&is_fake)
-            .map(|(s, f)| (*f, 1.0 - s))
-            .collect();
-        // Precision@25 for catching fakes when sorting ascending by score.
-        let scored: Vec<(Hash256, f64)> = ids
-            .iter()
-            .zip(scores)
-            .map(|(id, s)| (*id, 1.0 - s))
-            .collect();
-        Row {
-            signal: name,
-            auc_fake_detection: roc_auc(&preds),
-            spearman_vs_truth: spearman(scores, &truth_numeric),
-            precision_at_25_fake: precision_at_k(&scored, &fake_set, 25),
-        }
-    };
-
     let mut rows = vec![
-        eval("trace only", &trace_scores),
-        eval("ai only", &ai_scores),
-        eval("combined (0.7/0.3)", &combined),
+        evaluate("trace only", &ids, &is_fake, &trace_scores),
+        evaluate("ai only", &ids, &is_fake, &ai_scores),
+        evaluate("combined (0.7/0.3)", &ids, &is_fake, &combined),
     ];
 
     // Camouflage stress test: restrict to factual items plus the fakes
     // whose *text* looks clean (honest accounts relaying fake-lineage
     // content verbatim, or lightly split copies). On this subset the AI
     // has little to work with and provenance carries the detection.
-    {
-        let lexicon_clean = |i: usize| -> bool {
-            let content = &synth.graph.get(&ids[i]).expect("in graph").content;
-            tn_aidetect::lexicon::LexiconFeatures::extract(content).heuristic_score() < 0.35
-        };
-        let subset: Vec<usize> = (0..ids.len())
-            .filter(|&i| !is_fake[i] || lexicon_clean(i))
-            .collect();
-        let camou_fakes = subset.iter().filter(|&&i| is_fake[i]).count();
-        if camou_fakes >= 10 {
-            let sub = |v: &[f64]| -> Vec<f64> { subset.iter().map(|&i| v[i]).collect() };
-            let sub_fake: Vec<bool> = subset.iter().map(|&i| is_fake[i]).collect();
-            let sub_eval = |name: &'static str, scores: &[f64]| {
-                let preds: Vec<(bool, f64)> = scores
-                    .iter()
-                    .zip(&sub_fake)
-                    .map(|(s, f)| (*f, 1.0 - s))
-                    .collect();
-                let sub_ids: Vec<Hash256> = subset.iter().map(|&i| ids[i]).collect();
-                let sub_fake_set: HashSet<Hash256> = sub_ids
-                    .iter()
-                    .zip(&sub_fake)
-                    .filter(|(_, f)| **f)
-                    .map(|(id, _)| *id)
-                    .collect();
-                let scored: Vec<(Hash256, f64)> = sub_ids
-                    .iter()
-                    .zip(scores)
-                    .map(|(id, s)| (*id, 1.0 - s))
-                    .collect();
-                let tn: Vec<f64> = sub_fake
-                    .iter()
-                    .map(|f| if *f { 0.0 } else { 1.0 })
-                    .collect();
-                Row {
-                    signal: name,
-                    auc_fake_detection: roc_auc(&preds),
-                    spearman_vs_truth: spearman(scores, &tn),
-                    precision_at_25_fake: precision_at_k(&scored, &sub_fake_set, 25),
-                }
-            };
-            println!("(camouflage subset: {camou_fakes} text-clean fakes)\n");
-            rows.push(sub_eval("trace only (camouflaged)", &sub(&trace_scores)));
-            rows.push(sub_eval("ai only (camouflaged)", &sub(&ai_scores)));
-            rows.push(sub_eval("combined (camouflaged)", &sub(&combined)));
+    let subset: Vec<usize> = (0..ids.len())
+        .filter(|&i| !is_fake[i] || text_clean[i])
+        .collect();
+    let camou_fakes = subset.iter().filter(|&&i| is_fake[i]).count();
+    if camou_fakes >= 10 {
+        let sub_ids: Vec<Hash256> = subset.iter().map(|&i| ids[i]).collect();
+        let sub_fake: Vec<bool> = subset.iter().map(|&i| is_fake[i]).collect();
+        let sub = |v: &[f64]| -> Vec<f64> { subset.iter().map(|&i| v[i]).collect() };
+        println!("(camouflage subset: {camou_fakes} text-clean fakes)\n");
+        for (name, scores) in [
+            ("trace only (camouflaged)", &trace_scores),
+            ("ai only (camouflaged)", &ai_scores),
+            ("combined (camouflaged)", &combined),
+        ] {
+            rows.push(evaluate(name, &sub_ids, &sub_fake, &sub(scores)));
         }
     }
 
-    println!(
-        "{:<20} {:>14} {:>16} {:>16}",
-        "signal", "ROC-AUC(fake)", "spearman(truth)", "prec@25(fake)"
-    );
-    for r in &rows {
-        println!(
-            "{:<20} {:>14.3} {:>16.3} {:>16.3}",
-            r.signal, r.auc_fake_detection, r.spearman_vs_truth, r.precision_at_25_fake
-        );
-    }
+    exp.report("E3", "trace-back ranking quality", &rows);
 
     // Distance/modification profile.
     let mut by_gen: Vec<(usize, Vec<f64>)> = Vec::new();
@@ -181,11 +126,15 @@ fn main() {
     }
     by_gen.sort_by_key(|(g, _)| *g);
     println!("\ntrace score by propagation generation (decay with distance):");
-    println!("{:>11} {:>7} {:>12}", "generation", "items", "mean score");
-    for (g, scores) in &by_gen {
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        println!("{:>11} {:>7} {:>12.3}", g, scores.len(), mean);
-    }
+    let generations: Vec<GenerationRow> = by_gen
+        .iter()
+        .map(|(generation, scores)| GenerationRow {
+            generation: *generation,
+            items: scores.len(),
+            mean_score: scores.iter().sum::<f64>() / scores.len() as f64,
+        })
+        .collect();
+    exp.table(&generations);
 
     println!(
         "\nshape check: on the full mix the AI content signal is strong (the synthetic fakes \
@@ -195,5 +144,4 @@ fn main() {
          for integrating blockchain provenance WITH AI rather than relying on either alone. \
          Trace scores also decay monotonically with propagation generation (distance)."
     );
-    Report::new("E3", "trace-back ranking quality", rows).write_json();
 }

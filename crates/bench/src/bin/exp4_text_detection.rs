@@ -20,7 +20,7 @@ use tn_aidetect::lexicon::LexiconFeatures;
 use tn_aidetect::logreg::{LogRegConfig, LogisticRegression};
 use tn_aidetect::metrics::evaluate;
 use tn_aidetect::naive_bayes::NaiveBayes;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -58,94 +58,63 @@ fn corpora(
 }
 
 fn main() {
-    banner("E4", "text detection: learning curve and subtlety sweep");
+    let exp = Experiment::start("E4", "text detection: learning curve and subtlety sweep");
     let mut rows = Vec::new();
-
-    // --- (a) learning curve at fixed subtlety 0.5 ------------------------
-    for &n_train in &[8usize, 25, 75, 250] {
-        let (train, test) = corpora(n_train, 0.5);
-        let nb = NaiveBayes::train(&train);
-        let lr = LogisticRegression::train(&train, &LogRegConfig::default());
-        let ens = EnsembleDetector::train(&train, EnsembleWeights::default());
-        type Scorer = Box<dyn Fn(&str) -> f64>;
-        let models: Vec<(String, Scorer)> = vec![
-            (
-                "naive bayes".into(),
-                Box::new(move |t: &str| nb.prob_fake(t)),
-            ),
-            (
-                "logistic regression".into(),
-                Box::new(move |t: &str| lr.prob_fake(t)),
-            ),
-            ("ensemble".into(), Box::new(move |t: &str| ens.prob_fake(t))),
-        ];
-        for (name, f) in models {
-            let preds: Vec<(bool, f64)> = test.iter().map(|d| (d.fake, f(&d.text))).collect();
-            let m = evaluate(&preds, 0.5);
-            rows.push(Row {
-                sweep: "learning-curve",
-                model: name,
-                train_docs: 2 * n_train,
-                subtlety: 0.5,
-                accuracy: m.accuracy,
-                f1: m.f1,
-                auc: m.auc,
-            });
+    // (a) learning curve at fixed subtlety 0.5; (b) subtlety sweep at a
+    // fixed 500 training docs, with the untrained lexicon heuristic as the
+    // extra baseline.
+    let sweeps = [
+        (
+            "learning-curve",
+            vec![(8usize, 0.5), (25, 0.5), (75, 0.5), (250, 0.5)],
+        ),
+        ("subtlety", vec![(250, 0.0), (250, 0.5), (250, 0.9)]),
+    ];
+    for (sweep, points) in sweeps {
+        for (n_train, subtlety) in points {
+            let (train, test) = corpora(n_train, subtlety);
+            let nb = NaiveBayes::train(&train);
+            let lr = LogisticRegression::train(&train, &LogRegConfig::default());
+            let ens = EnsembleDetector::train(&train, EnsembleWeights::default());
+            type Scorer = Box<dyn Fn(&str) -> f64>;
+            let mut models: Vec<(&str, Scorer)> = vec![
+                ("naive bayes", Box::new(move |t: &str| nb.prob_fake(t))),
+                (
+                    "logistic regression",
+                    Box::new(move |t: &str| lr.prob_fake(t)),
+                ),
+                ("ensemble", Box::new(move |t: &str| ens.prob_fake(t))),
+            ];
+            if sweep == "subtlety" {
+                models.insert(
+                    0,
+                    (
+                        "lexicon heuristic",
+                        Box::new(|t: &str| LexiconFeatures::extract(t).heuristic_score()),
+                    ),
+                );
+            }
+            for (name, f) in models {
+                let preds: Vec<(bool, f64)> = test.iter().map(|d| (d.fake, f(&d.text))).collect();
+                let m = evaluate(&preds, 0.5);
+                rows.push(Row {
+                    sweep,
+                    model: name.into(),
+                    train_docs: 2 * n_train,
+                    subtlety,
+                    accuracy: m.accuracy,
+                    f1: m.f1,
+                    auc: m.auc,
+                });
+            }
         }
     }
 
-    // --- (b) subtlety sweep at fixed 500 training docs --------------------
-    for &subtlety in &[0.0, 0.5, 0.9] {
-        let (train, test) = corpora(250, subtlety);
-        let nb = NaiveBayes::train(&train);
-        let lr = LogisticRegression::train(&train, &LogRegConfig::default());
-        let ens = EnsembleDetector::train(&train, EnsembleWeights::default());
-        type Scorer2 = Box<dyn Fn(&str) -> f64>;
-        let models: Vec<(String, Scorer2)> = vec![
-            (
-                "lexicon heuristic".into(),
-                Box::new(|t: &str| LexiconFeatures::extract(t).heuristic_score()),
-            ),
-            (
-                "naive bayes".into(),
-                Box::new(move |t: &str| nb.prob_fake(t)),
-            ),
-            (
-                "logistic regression".into(),
-                Box::new(move |t: &str| lr.prob_fake(t)),
-            ),
-            ("ensemble".into(), Box::new(move |t: &str| ens.prob_fake(t))),
-        ];
-        for (name, f) in models {
-            let preds: Vec<(bool, f64)> = test.iter().map(|d| (d.fake, f(&d.text))).collect();
-            let m = evaluate(&preds, 0.5);
-            rows.push(Row {
-                sweep: "subtlety",
-                model: name,
-                train_docs: 500,
-                subtlety,
-                accuracy: m.accuracy,
-                f1: m.f1,
-                auc: m.auc,
-            });
-        }
-    }
-
-    println!(
-        "{:<16} {:<22} {:>10} {:>9} {:>9} {:>7} {:>7}",
-        "sweep", "model", "train", "subtlety", "accuracy", "f1", "auc"
-    );
-    for r in &rows {
-        println!(
-            "{:<16} {:<22} {:>10} {:>9.1} {:>9.3} {:>7.3} {:>7.3}",
-            r.sweep, r.model, r.train_docs, r.subtlety, r.accuracy, r.f1, r.auc
-        );
-    }
+    exp.report("E4", "text detection sweeps", &rows);
     println!(
         "\nshape check: accuracy climbs with training volume (the cited \"insufficient \
          training data\" problem is visible at the small end), and every content-only \
          detector degrades as fakes get subtler — the regime where the platform's \
          provenance signal (E3) has to carry detection."
     );
-    Report::new("E4", "text detection sweeps", rows).write_json();
 }

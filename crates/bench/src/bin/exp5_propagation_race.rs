@@ -8,7 +8,7 @@
 //! Run: `cargo run -p tn-bench --release --bin exp5_propagation_race`
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_propagation::network::{barabasi_albert, watts_strogatz};
 use tn_propagation::race::{run_race, Intervention, RaceConfig};
 
@@ -24,7 +24,7 @@ struct Row {
 }
 
 fn main() {
-    banner("E5", "fake vs factual propagation race under interventions");
+    let exp = Experiment::start("E5", "fake vs factual propagation race under interventions");
     let networks: Vec<(&'static str, tn_propagation::network::SocialGraph)> = vec![
         ("barabasi-albert 5k", barabasi_albert(5_000, 3, 2019)),
         ("watts-strogatz 5k", watts_strogatz(5_000, 4, 0.1, 2019)),
@@ -84,22 +84,7 @@ fn main() {
         }
     }
 
-    println!(
-        "{:<20} {:<24} {:>9} {:>9} {:>7} {:>6} {:>9}",
-        "network", "intervention", "fake", "factual", "ratio", "wins", "fake t50"
-    );
-    for r in &rows {
-        println!(
-            "{:<20} {:<24} {:>9} {:>9} {:>7.2} {:>6} {:>9}",
-            r.network,
-            r.intervention,
-            r.fake_reach,
-            r.factual_reach,
-            r.ratio,
-            r.factual_wins,
-            r.fake_half_reach_round
-        );
-    }
+    exp.report("E5", "propagation race", &rows);
     println!(
         "\nshape check: with no platform the bot-amplified, influencer-seeded fake dominates \
          on both topologies. Flagging helps only when it lands within the cascade's short \
@@ -108,5 +93,4 @@ fn main() {
          placement of the factual story — flips the race so factual content wins, the \
          paper's headline claim."
     );
-    Report::new("E5", "propagation race", rows).write_json();
 }

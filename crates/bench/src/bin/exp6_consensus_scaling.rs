@@ -15,9 +15,11 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_chain::state::TxExecutor;
-use tn_consensus::harness::{order_payloads_pbft_instrumented, run_pbft, run_poa, Workload};
+use tn_consensus::fault::FaultPlan;
+use tn_consensus::harness::{order_payloads_pbft_faulted, run_pbft, run_poa, RunStats, Workload};
+use tn_consensus::pbft::PbftConfig;
 use tn_consensus::sim::NetworkConfig;
 use tn_contracts::asm::assemble;
 use tn_contracts::executor::ContractRegistry;
@@ -46,7 +48,7 @@ struct ParallelRow {
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E6",
         "consensus scaling (PBFT vs PoA) and parallel execution",
     );
@@ -55,63 +57,29 @@ fn main() {
         interarrival: 4,
         payload_size: 64,
     };
+    let row = |protocol, crashed, stats: RunStats| ConsensusRow {
+        protocol,
+        n_validators: stats.n_nodes,
+        crashed,
+        committed: stats.committed,
+        throughput_per_ktick: stats.throughput,
+        p50_latency: stats.p50_latency,
+        p95_latency: stats.p95_latency,
+        messages_per_commit: stats.messages_per_commit,
+    };
+    let net = NetworkConfig::default;
     let mut rows = Vec::new();
-
     for &n in &[4usize, 7, 13, 19, 31] {
-        let pbft = run_pbft(n, &[], &workload, NetworkConfig::default(), 5_000_000);
-        rows.push(ConsensusRow {
-            protocol: "pbft",
-            n_validators: n,
-            crashed: 0,
-            committed: pbft.committed,
-            throughput_per_ktick: pbft.throughput,
-            p50_latency: pbft.p50_latency,
-            p95_latency: pbft.p95_latency,
-            messages_per_commit: pbft.messages_per_commit,
-        });
-        let poa = run_poa(n, &[], &workload, NetworkConfig::default(), 5_000_000);
-        rows.push(ConsensusRow {
-            protocol: "poa",
-            n_validators: n,
-            crashed: 0,
-            committed: poa.committed,
-            throughput_per_ktick: poa.throughput,
-            p50_latency: poa.p50_latency,
-            p95_latency: poa.p95_latency,
-            messages_per_commit: poa.messages_per_commit,
-        });
+        let pbft = run_pbft(n, &[], &workload, net(), 5_000_000);
+        rows.push(row("pbft", 0, pbft));
+        let poa = run_poa(n, &[], &workload, net(), 5_000_000);
+        rows.push(row("poa", 0, poa));
     }
-    // Fault tolerance spot checks.
-    let faulty = run_pbft(7, &[5, 6], &workload, NetworkConfig::default(), 5_000_000);
-    rows.push(ConsensusRow {
-        protocol: "pbft(f=2 crash)",
-        n_validators: 7,
-        crashed: 2,
-        committed: faulty.committed,
-        throughput_per_ktick: faulty.throughput,
-        p50_latency: faulty.p50_latency,
-        p95_latency: faulty.p95_latency,
-        messages_per_commit: faulty.messages_per_commit,
-    });
+    // Fault tolerance spot check.
+    let faulty = run_pbft(7, &[5, 6], &workload, net(), 5_000_000);
+    rows.push(row("pbft(f=2 crash)", 2, faulty));
 
-    println!(
-        "{:<17} {:>4} {:>8} {:>10} {:>11} {:>9} {:>9} {:>12}",
-        "protocol", "n", "crashed", "committed", "thru/ktick", "p50 lat", "p95 lat", "msgs/commit"
-    );
-    for r in &rows {
-        println!(
-            "{:<17} {:>4} {:>8} {:>10} {:>11.2} {:>9} {:>9} {:>12.1}",
-            r.protocol,
-            r.n_validators,
-            r.crashed,
-            r.committed,
-            r.throughput_per_ktick,
-            r.p50_latency,
-            r.p95_latency,
-            r.messages_per_commit
-        );
-    }
-    Report::new("E6", "consensus scaling", rows).write_json();
+    exp.report("E6", "consensus scaling", &rows);
 
     // Telemetry snapshot at exit: re-run the 4-replica PBFT config with a
     // registry attached to replica 0 and print the phase-level view the
@@ -125,14 +93,18 @@ fn main() {
             p
         })
         .collect();
-    order_payloads_pbft_instrumented(
+    order_payloads_pbft_faulted(
         4,
         &payloads,
         workload.interarrival,
-        NetworkConfig::default(),
+        net(),
         5_000_000,
+        &PbftConfig::default(),
+        &FaultPlan::default(),
         &sinks,
-    );
+        &[],
+    )
+    .expect("default network and empty plan are valid");
     println!("\nreplica 0 telemetry (pbft, n=4):");
     print!("{}", registry.snapshot().render_table());
 
@@ -185,16 +157,7 @@ fn main() {
             speedup: baseline / millis,
         });
     }
-    println!(
-        "{:>8} {:>7} {:>10} {:>9}",
-        "workers", "tasks", "millis", "speedup"
-    );
-    for r in &prows {
-        println!(
-            "{:>8} {:>7} {:>10.1} {:>9.2}",
-            r.workers, r.tasks, r.millis, r.speedup
-        );
-    }
+    exp.report("E6b", "parallel contract execution", &prows);
     println!(
         "\nshape check: PBFT message cost grows superlinearly with n (quadratic broadcast) \
          while PoA stays at O(n) — the trust/performance trade-off — and PBFT keeps full \
@@ -203,5 +166,4 @@ fn main() {
          bounded by the host's cores: near-linear on multi-core machines, flat when only \
          one core is available (as reported above)."
     );
-    Report::new("E6b", "parallel contract execution", prows).write_json();
 }

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_crypto::Address;
 use tn_supplychain::expert::score_experts;
 use tn_supplychain::synth::{generate, SynthConfig};
@@ -25,7 +25,7 @@ struct Row {
 }
 
 fn main() {
-    banner("E7", "domain-expert identification from ledger history");
+    let exp = Experiment::start("E7", "domain-expert identification from ledger history");
     // Ground truth: honest accounts are the "experts" (they create factual,
     // well-sourced content); fakers are not.
     let mut rows = Vec::new();
@@ -65,20 +65,10 @@ fn main() {
         }
     }
 
-    println!(
-        "{:>13} {:>4} {:>13} {:>15}",
-        "ledger items", "k", "precision@k", "candidate pool"
-    );
-    for r in &rows {
-        println!(
-            "{:>13} {:>4} {:>13.3} {:>15}",
-            r.items_indexed, r.k, r.precision_at_k, r.candidate_pool
-        );
-    }
+    exp.report("E7", "expert identification", &rows);
     println!(
         "\nshape check: precision@k is high (the top of the expertise ranking is dominated \
          by genuinely factual creators) and the candidate pool grows with ledger history — \
          the mechanism the paper proposes for scaling the fact-checking pool."
     );
-    Report::new("E7", "expert identification", rows).write_json();
 }

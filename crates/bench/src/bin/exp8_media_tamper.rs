@@ -12,7 +12,7 @@ use tn_aidetect::media::{
     Tamper,
 };
 use tn_aidetect::metrics::roc_auc;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -23,7 +23,7 @@ struct Row {
 }
 
 fn main() {
-    banner(
+    let exp = Experiment::start(
         "E8",
         "media tamper detection ROC vs intensity and region size",
     );
@@ -66,16 +66,7 @@ fn main() {
         }
     }
 
-    println!(
-        "{:>10} {:>8} {:>18} {:>16}",
-        "intensity", "region", "AUC(fingerprint)", "AUC(temporal)"
-    );
-    for r in &rows {
-        println!(
-            "{:>10.2} {:>8} {:>18.3} {:>16.3}",
-            r.intensity, r.region, r.auc_fingerprint, r.auc_temporal
-        );
-    }
+    exp.report("E8", "media tamper detection", &rows);
     println!(
         "\nshape check: both detectors must beat benign re-encode noise. The provenance-\
          fingerprint detector (which needs the original's registered chain — the blockchain's \
@@ -83,5 +74,4 @@ fn main() {
          detector needs stronger or larger edits. AUC rises with intensity and region size \
          for both — quantifying the value of anchoring media fingerprints at publication."
     );
-    Report::new("E8", "media tamper detection", rows).write_json();
 }

@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use tn_bench::{banner, Report};
+use tn_bench::Experiment;
 use tn_supplychain::synth::{generate, SynthConfig};
 
 #[derive(Debug, Serialize)]
@@ -34,7 +34,7 @@ struct Row {
 }
 
 fn main() {
-    banner("E9", "accountability queries and trace cost vs graph size");
+    let exp = Experiment::start("E9", "accountability queries and trace cost vs graph size");
     let mut rows = Vec::new();
 
     for &n_items in &[200usize, 800, 3200] {
@@ -107,28 +107,7 @@ fn main() {
         });
     }
 
-    println!(
-        "{:>12} {:>11} {:>12} {:>10} {:>13} {:>13} {:>10}",
-        "graph items",
-        "fabricated",
-        "origin acc",
-        "distorted",
-        "culprit∈path",
-        "pinpoint acc",
-        "trace µs"
-    );
-    for r in &rows {
-        println!(
-            "{:>12} {:>11} {:>12.3} {:>10} {:>13.3} {:>13.3} {:>10.2}",
-            r.graph_items,
-            r.fabricated,
-            r.fabrication_origin_acc,
-            r.distorted,
-            r.culprit_on_path,
-            r.culprit_pinpoint_acc,
-            r.mean_trace_us
-        );
-    }
+    exp.report("E9", "accountability at scale", &rows);
     println!(
         "\nshape check: the hard guarantees hold exactly at every scale — fabrication \
          origins are identified perfectly, and for distorted content the culprit is always \
@@ -138,5 +117,4 @@ fn main() {
          accountability to a short audited list rather than one guess. Trace cost stays in \
          microseconds per item."
     );
-    Report::new("E9", "accountability at scale", rows).write_json();
 }

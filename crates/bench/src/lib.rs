@@ -1,51 +1,35 @@
-//! Shared reporting helpers for the experiment binaries.
+//! The skeleton every experiment binary stands on.
 //!
-//! Each `expN_*` binary regenerates one experiment from EXPERIMENTS.md:
-//! it prints a human-readable table to stdout and writes the same rows as
-//! JSON under `results/` so EXPERIMENTS.md stays regenerable.
+//! Each `expN_*` binary regenerates one experiment from EXPERIMENTS.md. It
+//! declares its rows once, as `#[derive(Serialize)]` structs, and the
+//! [`Experiment`] handle derives everything else from them: the aligned
+//! stdout table ([`table`]), `results/<id>.json`, and — for experiments on
+//! the perf trajectory — the repo-root `BENCH_<id>.json` snapshot in the
+//! `docs/BENCHMARKS.md` envelope. The command line is parsed in one place:
+//! the only flag any experiment takes is `--quick`, a CI-sized smoke run
+//! that asserts the experiment's invariants and leaves the committed
+//! artifacts untouched. [`scenarios`] holds the scenario definitions more
+//! than one experiment runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod scenarios;
+pub mod table;
 
 use std::fs;
 use std::path::Path;
 
 use serde::Serialize;
 
-/// A simple experiment report: a header comment plus tabular rows.
+pub use table::Value;
+
+/// The `results/<id>.json` document: a header plus tabular rows.
 #[derive(Debug, Serialize)]
-pub struct Report<R: Serialize> {
-    /// Experiment id, e.g. `"E2"`.
-    pub id: &'static str,
-    /// One-line description.
-    pub title: &'static str,
-    /// The measured rows.
-    pub rows: Vec<R>,
-}
-
-impl<R: Serialize> Report<R> {
-    /// Creates a report.
-    pub fn new(id: &'static str, title: &'static str, rows: Vec<R>) -> Self {
-        Report { id, title, rows }
-    }
-
-    /// Writes the report as pretty JSON to `results/<id>.json` (the
-    /// directory is created if needed). Prints the path written.
-    pub fn write_json(&self) {
-        let dir = Path::new("results");
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("warning: could not create results dir: {e}");
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.id.to_lowercase()));
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => match fs::write(&path, json) {
-                Ok(()) => println!("\n[written {}]", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            },
-            Err(e) => eprintln!("warning: could not serialize report: {e}"),
-        }
-    }
+struct Report<R: Serialize> {
+    id: &'static str,
+    title: &'static str,
+    rows: R,
 }
 
 /// The host a `BENCH_*.json` perf snapshot was measured on.
@@ -74,49 +58,90 @@ impl MachineSpec {
     }
 }
 
-/// Serializes `snapshot` as pretty JSON into the repo-root perf file
-/// `BENCH_<id>.json` (the `docs/BENCHMARKS.md` trajectory). Failures
-/// warn instead of panicking — a perf snapshot must never fail a run.
-pub fn write_bench_snapshot<S: Serialize>(id: &str, snapshot: &S) {
-    let path = format!("BENCH_{id}.json");
-    match serde_json::to_string_pretty(snapshot) {
-        Ok(json) => match fs::write(&path, json) {
-            Ok(()) => println!("\n[written {path}]"),
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
-        },
-        Err(e) => eprintln!("warning: could not serialize {path}: {e}"),
-    }
+/// One running experiment: its id and whether this is a `--quick` run.
+#[derive(Debug)]
+pub struct Experiment {
+    id: &'static str,
+    /// True under `--quick`: the binary picks its CI-sized parameters and
+    /// no `results/` or `BENCH_` artifact is written.
+    pub quick: bool,
 }
 
-/// Prints an experiment banner.
-pub fn banner(id: &str, title: &str) {
-    println!("=== {id}: {title} ===\n");
-}
-
-/// Formats a float tersely.
-pub fn f(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Serialize)]
-    struct Row {
-        x: u32,
+impl Experiment {
+    /// Prints the experiment banner and parses the command line.
+    ///
+    /// Exits with status 2 on any argument other than `--quick`.
+    pub fn start(id: &'static str, title: &str) -> Experiment {
+        let mut quick = false;
+        for arg in std::env::args().skip(1) {
+            if arg == "--quick" {
+                quick = true;
+            } else {
+                eprintln!("{id}: unknown argument {arg:?} (the only flag is --quick)");
+                std::process::exit(2);
+            }
+        }
+        println!("=== {id}: {title} ===\n");
+        Experiment { id, quick }
     }
 
-    #[test]
-    fn report_serializes() {
-        let r = Report::new("E0", "test", vec![Row { x: 1 }, Row { x: 2 }]);
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"E0\""));
-        assert!(json.contains("\"x\":2"));
+    /// Prints `rows` as an aligned table, one column per field.
+    pub fn table<R: Serialize>(&self, rows: &[R]) {
+        let captured: Vec<Value> = rows.iter().map(table::capture).collect();
+        print!("{}", table::render(&captured));
     }
 
-    #[test]
-    fn float_format() {
-        assert_eq!(f(1.23456), "1.235");
+    /// Prints `rows` as a table and writes them to `results/<id>.json`
+    /// (`id` lower-cased; sub-reports pass e.g. `"E14b"`).
+    pub fn report<R: Serialize>(&self, id: &'static str, title: &'static str, rows: &[R]) {
+        self.table(rows);
+        self.write_report(id, title, rows);
+    }
+
+    /// Writes `rows` to `results/<id>.json` without printing them. Skipped
+    /// under `--quick`.
+    pub fn write_report<R: Serialize>(&self, id: &'static str, title: &'static str, rows: &[R]) {
+        let path = Path::new("results").join(format!("{}.json", id.to_lowercase()));
+        self.write_json(&path, &Report { id, title, rows });
+    }
+
+    /// Writes the repo-root perf snapshot `BENCH_<id>.json`: the
+    /// `docs/BENCHMARKS.md` envelope (`bench`, `schema`, `machine`)
+    /// followed by the experiment's `sections`, in order. Returns the
+    /// snapshot so experiments whose `results/` row *is* the snapshot can
+    /// pass it on to [`Experiment::write_report`]. Skipped under `--quick`.
+    pub fn snapshot(&self, bench: &'static str, sections: Vec<(&'static str, Value)>) -> Value {
+        let mut fields = vec![
+            ("bench", Value::Str(bench.into())),
+            ("schema", Value::U64(1)),
+            ("machine", table::capture(&MachineSpec::current())),
+        ];
+        fields.extend(sections);
+        let snapshot = Value::Struct(fields);
+        let path = format!("BENCH_{}.json", self.id.to_lowercase());
+        self.write_json(Path::new(&path), &snapshot);
+        snapshot
+    }
+
+    /// Pretty-prints `doc` into `path`. Failures warn instead of
+    /// panicking — an unwritable artifact must never fail a run whose
+    /// assertions held.
+    fn write_json<T: Serialize>(&self, path: &Path, doc: &T) {
+        if self.quick {
+            println!("\n[--quick: {} left untouched]", path.display());
+            return;
+        }
+        let written = serde_json::to_string_pretty(doc)
+            .map_err(|e| e.to_string())
+            .and_then(|json| {
+                if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+                }
+                fs::write(path, json).map_err(|e| e.to_string())
+            });
+        match written {
+            Ok(()) => println!("\n[written {}]", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
     }
 }

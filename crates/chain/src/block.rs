@@ -206,72 +206,49 @@ impl Block {
         proof.verify(&tn_crypto::merkle::leaf_hash(tx_id.as_bytes()), tx_root)
     }
 
-    /// Structural validation: proposer signature, proposer address
-    /// consistency, tx-root match, and per-transaction signatures.
+    /// Structural validation: proposer address consistency, proposer
+    /// signature, tx-root match, and per-transaction signatures.
+    ///
+    /// This is the reference verifier: one plain loop, no worker pool, no
+    /// signature cache, no batch equation. Tests and experiments compare
+    /// [`Block::verify_structure_policy`] against it; block import goes
+    /// through that configurable form.
     ///
     /// # Errors
     ///
     /// [`ChainError::AddressMismatch`], [`ChainError::BadSignature`] or
     /// [`ChainError::BadTxRoot`].
     pub fn verify_structure(&self) -> Result<(), ChainError> {
-        self.verify_structure_with(&Pool::sequential(), None, &TelemetrySink::disabled())
+        if self.proposer_key.address() != self.header.proposer {
+            return Err(ChainError::AddressMismatch);
+        }
+        if !self
+            .proposer_key
+            .verify(&self.header.digest(), &self.signature)
+        {
+            return Err(ChainError::BadSignature);
+        }
+        if Block::compute_tx_root(&self.transactions) != self.header.tx_root {
+            return Err(ChainError::BadTxRoot);
+        }
+        self.transactions.iter().try_for_each(Transaction::verify)
     }
 
-    /// [`Block::verify_structure`] with the per-transaction work fanned
-    /// out over `pool` and (optionally) short-circuited through a
-    /// verified-transaction `cache`.
+    /// [`Block::verify_structure`] as the import path runs it: the
+    /// per-transaction work fans out over `pool`, is short-circuited
+    /// through a verified-transaction `cache` when one is given (hits bump
+    /// `chain.sigcache.hit` on `telemetry`, misses bump
+    /// `chain.sigcache.miss` and pay the EC verification), and is batched
+    /// according to `policy`. With `trace` enabled, one `tx.verify` span
+    /// per transaction is recorded under `parent` (the importing replica's
+    /// `chain.verify` span), carrying the verify worker that owned the
+    /// transaction's chunk (from [`Pool::chunk_bounds`]) and its index.
     ///
-    /// The result is byte-identical to the sequential path for every
-    /// worker count and cache state: header checks run in the same order,
+    /// The result is byte-identical to the reference for every worker
+    /// count, cache state and policy: header checks run in the same order,
     /// and when several transactions are invalid the error reported is
     /// always the one at the **lowest** transaction index (the pool's
-    /// `try_check` guarantees first-error semantics). Cache hits bump
-    /// `chain.sigcache.hit` on `telemetry`, misses bump
-    /// `chain.sigcache.miss` and pay the actual EC verification.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Block::verify_structure`].
-    pub fn verify_structure_with(
-        &self,
-        pool: &Pool,
-        cache: Option<&SigCache>,
-        telemetry: &TelemetrySink,
-    ) -> Result<(), ChainError> {
-        self.verify_structure_traced(pool, cache, telemetry, &TraceSink::disabled(), 0)
-    }
-
-    /// [`Block::verify_structure_with`] recording one `tx.verify` span per
-    /// transaction into `trace`, parented under `parent` (the importing
-    /// replica's `chain.verify` span). Each span carries the verify worker
-    /// that owned the transaction's chunk (from [`Pool::chunk_bounds`])
-    /// and the transaction's index, so Perfetto shows which tn-par worker
-    /// checked which signature. A disabled `trace` makes this identical
-    /// to [`Block::verify_structure_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Block::verify_structure`].
-    pub fn verify_structure_traced(
-        &self,
-        pool: &Pool,
-        cache: Option<&SigCache>,
-        telemetry: &TelemetrySink,
-        trace: &TraceSink,
-        parent: u64,
-    ) -> Result<(), ChainError> {
-        self.verify_structure_policy(
-            pool,
-            cache,
-            telemetry,
-            trace,
-            parent,
-            BatchVerifyPolicy::default(),
-        )
-    }
-
-    /// [`Block::verify_structure_traced`] with an explicit
-    /// [`BatchVerifyPolicy`].
+    /// `try_check` guarantees first-error semantics).
     ///
     /// With batching enabled (and tracing disabled — per-transaction
     /// spans require per-transaction verification), transactions are split
@@ -578,6 +555,23 @@ mod tests {
         assert!(block.prove_tx(99).is_none());
     }
 
+    /// The configurable verifier with batching off, so the pool's
+    /// per-transaction `try_check` path is the one under test.
+    fn verify_pooled(
+        block: &Block,
+        pool: &Pool,
+        cache: Option<&SigCache>,
+    ) -> Result<(), ChainError> {
+        block.verify_structure_policy(
+            pool,
+            cache,
+            &TelemetrySink::disabled(),
+            &TraceSink::disabled(),
+            0,
+            BatchVerifyPolicy::disabled(),
+        )
+    }
+
     fn block_with_txs(count: usize) -> Block {
         let proposer = Keypair::from_seed(b"proposer");
         let alice = Keypair::from_seed(b"alice");
@@ -610,11 +604,7 @@ mod tests {
             let block = block_with_txs(count);
             let seq = block.verify_structure();
             for workers in [1usize, 2, 3, 4, 8] {
-                let par = block.verify_structure_with(
-                    &Pool::new(workers),
-                    None,
-                    &TelemetrySink::disabled(),
-                );
+                let par = verify_pooled(&block, &Pool::new(workers), None);
                 assert_eq!(par, seq, "count={count} workers={workers}");
             }
             assert_eq!(
@@ -661,11 +651,7 @@ mod tests {
             let seq = block.verify_structure();
             assert_eq!(seq, expected, "sequential reports the lowest-index error");
             for workers in [1usize, 2, 3, 4, 8] {
-                let par = block.verify_structure_with(
-                    &Pool::new(workers),
-                    None,
-                    &TelemetrySink::disabled(),
-                );
+                let par = verify_pooled(&block, &Pool::new(workers), None);
                 assert_eq!(par, seq, "k={k} workers={workers}");
             }
         }
@@ -674,19 +660,12 @@ mod tests {
     #[test]
     fn parallel_verify_with_cache_matches_and_hits() {
         let block = block_with_txs(16);
-        let cache = crate::sigcache::SigCache::new(64);
+        let cache = SigCache::new(64);
         let pool = Pool::new(4);
-        let sink = TelemetrySink::disabled();
-        assert_eq!(
-            block.verify_structure_with(&pool, Some(&cache), &sink),
-            Ok(())
-        );
+        assert_eq!(verify_pooled(&block, &pool, Some(&cache)), Ok(()));
         assert_eq!(cache.len(), 16);
         // Second pass is served entirely from the cache.
-        assert_eq!(
-            block.verify_structure_with(&pool, Some(&cache), &sink),
-            Ok(())
-        );
+        assert_eq!(verify_pooled(&block, &pool, Some(&cache)), Ok(()));
     }
 
     #[test]

@@ -383,6 +383,14 @@ impl ChainStore {
                 None => at = raw.height - 1,
             }
         };
+        // A backend reopened before its first segment was sealed reports
+        // frontier 0 with genesis merely live in the WAL, not finalized.
+        // Finalizing height 1 onto that would make the backend take 1 as
+        // its base height and discard the genesis record as a dead fork
+        // sibling, so genesis is re-finalized first.
+        if backend.finalized_id(0)?.is_none() {
+            backend.finalize(0, genesis_id.as_bytes())?;
+        }
         for &(h, id) in gap.iter().rev() {
             backend.finalize(h, id.as_bytes())?;
             canonical.insert(h, id);
@@ -829,7 +837,7 @@ impl ChainStore {
         let mut receipts = Vec::with_capacity(block.transactions.len());
         let e0 = trace.now_ns();
         for tx in &block.transactions {
-            // Signatures were batch-verified in `verify_structure_with`;
+            // Signatures were checked by `verify_structure_policy`;
             // only nonce/balance/execution remain.
             let a0 = trace.now_ns();
             receipts.push(state.apply_prechecked(tx, &block.header.proposer, executor)?);

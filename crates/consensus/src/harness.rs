@@ -7,10 +7,10 @@ use tn_crypto::Hash256;
 use tn_telemetry::TelemetrySink;
 use tn_trace::TraceSink;
 
-use crate::fault::FaultPlan;
-use crate::pbft::{ByzMode, PbftConfig, PbftMsg, PbftReplica, Request};
-use crate::poa::{PoaConfig, PoaMode, PoaMsg, PoaValidator};
-use crate::sim::{NetworkConfig, NodeId, Simulator};
+use crate::fault::{CrashFault, FaultPlan};
+use crate::pbft::{ByzMode, CommittedEntry, PbftConfig, PbftMsg, PbftReplica, Request};
+use crate::poa::{PoaConfig, PoaMsg, PoaValidator};
+use crate::sim::{NetworkConfig, Node, NodeId, Simulator};
 
 /// Aggregate statistics from a consensus run.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,197 +71,21 @@ impl Default for Workload {
     }
 }
 
-fn make_request(i: usize, t: u64, payload_size: usize) -> Request {
-    let mut payload = format!("request-{i}-").into_bytes();
-    payload.resize(payload_size, b'x');
-    Request::new(payload, t)
-}
-
-/// Runs PBFT with `n` replicas (`crashed` of them fail-silent) and returns
-/// stats measured at the first honest replica.
-pub fn run_pbft(
-    n: usize,
-    crashed: &[NodeId],
-    workload: &Workload,
-    net: NetworkConfig,
-    max_time: u64,
-) -> RunStats {
-    let nodes: Vec<PbftReplica> = (0..n)
-        .map(|id| {
-            let mode = if crashed.contains(&id) {
-                ByzMode::Silent
-            } else {
-                ByzMode::Honest
-            };
-            PbftReplica::new(id, n, PbftConfig::default(), mode)
-        })
-        .collect();
-    let mut sim = Simulator::new(nodes, net);
-    for i in 0..workload.n_requests {
-        let t = 10 + (i as u64) * workload.interarrival;
-        let req = make_request(i, t, workload.payload_size);
-        // Route to the initial primary unless it is crashed, else to the
-        // first live replica (which forwards / drives the view change).
-        let target = (0..n).find(|id| !crashed.contains(id)).unwrap_or(0);
-        let entry = if crashed.contains(&0) { target } else { 0 };
-        sim.inject_at(entry, PbftMsg::Request(req), t);
-    }
-    sim.run_until(max_time);
-
-    let reference = (0..n)
-        .find(|id| !crashed.contains(id))
-        .expect("an honest node");
-    let replica = sim.node(reference);
-    let mut latencies = Vec::new();
-    let mut last_commit = 0;
-    let mut committed = 0usize;
-    for entry in &replica.committed {
-        last_commit = last_commit.max(entry.committed_at);
-        for r in &entry.requests {
-            committed += 1;
-            latencies.push(entry.committed_at.saturating_sub(r.submitted_at));
-        }
-    }
-    let (mean, p50, p95) = latency_stats(latencies);
-    let duration = last_commit.max(1);
-    RunStats {
-        protocol: "pbft",
-        n_nodes: n,
-        injected: workload.n_requests,
-        committed,
-        duration,
-        throughput: committed as f64 * 1000.0 / duration as f64,
-        mean_latency: mean,
-        p50_latency: p50,
-        p95_latency: p95,
-        messages: sim.delivered_messages,
-        messages_per_commit: if committed > 0 {
-            sim.delivered_messages as f64 / committed as f64
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Runs round-robin PoA with `n` validators and returns stats measured at
-/// validator 0 (or the first live one).
-pub fn run_poa(
-    n: usize,
-    crashed: &[NodeId],
-    workload: &Workload,
-    net: NetworkConfig,
-    max_time: u64,
-) -> RunStats {
-    let nodes: Vec<PoaValidator> = (0..n)
-        .map(|id| PoaValidator::new(id, n, PoaConfig::default(), PoaMode::Honest))
-        .collect();
-    let mut sim = Simulator::new(nodes, net);
-    for &c in crashed {
-        sim.crash(c);
-    }
-    for i in 0..workload.n_requests {
-        let t = 10 + (i as u64) * workload.interarrival;
-        let req = make_request(i, t, workload.payload_size);
-        for node in 0..n {
-            sim.inject_at(node, PoaMsg::Request(req.clone()), t);
-        }
-    }
-    sim.run_until(max_time);
-
-    let reference = (0..n)
-        .find(|id| !crashed.contains(id))
-        .expect("a live node");
-    let v = sim.node(reference);
-    let mut latencies = Vec::new();
-    let mut last_commit = 0;
-    let mut committed = 0usize;
-    for entry in &v.committed {
-        last_commit = last_commit.max(entry.committed_at);
-        for r in &entry.requests {
-            committed += 1;
-            latencies.push(entry.committed_at.saturating_sub(r.submitted_at));
-        }
-    }
-    let (mean, p50, p95) = latency_stats(latencies);
-    let duration = last_commit.max(1);
-    RunStats {
-        protocol: "poa",
-        n_nodes: n,
-        injected: workload.n_requests,
-        committed,
-        duration,
-        throughput: committed as f64 * 1000.0 / duration as f64,
-        mean_latency: mean,
-        p50_latency: p50,
-        p95_latency: p95,
-        messages: sim.delivered_messages,
-        messages_per_commit: if committed > 0 {
-            sim.delivered_messages as f64 / committed as f64
-        } else {
-            0.0
-        },
+impl Workload {
+    fn payloads(&self) -> Vec<Vec<u8>> {
+        (0..self.n_requests)
+            .map(|i| {
+                let mut payload = format!("request-{i}-").into_bytes();
+                payload.resize(self.payload_size, b'x');
+                payload
+            })
+            .collect()
     }
 }
 
 /// The committed batches observed by one replica: each inner vector is one
 /// consensus batch's payloads, in commit order.
 pub type CommittedPayloads = Vec<Vec<Vec<u8>>>;
-
-/// Orders opaque payloads through a PBFT cluster of `n` replicas and
-/// returns each replica's committed batch sequence. Payloads are injected
-/// at the primary in order, `interarrival` ticks apart; agreement means
-/// every honest replica returns the same sequence.
-pub fn order_payloads_pbft(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-) -> Vec<CommittedPayloads> {
-    order_payloads_pbft_instrumented(n, payloads, interarrival, net, max_time, &[])
-}
-
-/// [`order_payloads_pbft`] with per-replica telemetry: replica `i` records
-/// its PBFT phase histograms and commit counters into `sinks[i]` (missing
-/// entries default to disabled).
-pub fn order_payloads_pbft_instrumented(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-    sinks: &[TelemetrySink],
-) -> Vec<CommittedPayloads> {
-    order_payloads_pbft_traced(n, payloads, interarrival, net, max_time, sinks, &[])
-}
-
-/// [`order_payloads_pbft_instrumented`] plus per-replica span sinks:
-/// replica `i` records its consensus phase spans into `traces[i]` (missing
-/// entries default to disabled). Collect the merged trace from the
-/// [`tn_trace::Tracer`] the sinks came from.
-pub fn order_payloads_pbft_traced(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-    sinks: &[TelemetrySink],
-    traces: &[TraceSink],
-) -> Vec<CommittedPayloads> {
-    order_payloads_pbft_faulted(
-        n,
-        payloads,
-        interarrival,
-        net,
-        max_time,
-        &PbftConfig::default(),
-        &FaultPlan::default(),
-        sinks,
-        traces,
-    )
-    .expect("fault-free run with a valid network cannot fail validation")
-    .views
-}
 
 /// Outcome of a fault-injected ordering run, observed across the whole
 /// cluster rather than a single reference replica.
@@ -289,12 +113,92 @@ pub struct OrderingRun {
     pub last_commit: u64,
 }
 
-/// Picks the first replica that the plan has alive (and not fail-silent)
-/// at tick `t`, falling back to 0.
-fn injection_target(plan: &FaultPlan, n: usize, t: u64, silent: &[bool]) -> NodeId {
-    (0..n)
-        .find(|&id| !plan.is_down_at(id, t) && !silent[id])
-        .unwrap_or(0)
+/// What the ordering kernel needs from a consensus protocol: how to build
+/// a replica from the run's inputs, where client requests enter, and how
+/// to read back what a replica committed.
+trait Protocol: Sized {
+    type Msg: Clone;
+    type Config;
+    const LABEL: &'static str;
+
+    fn replica(id: NodeId, n: usize, config: &Self::Config, plan: &FaultPlan) -> Self;
+    fn attach(&mut self, telemetry: TelemetrySink, trace: TraceSink);
+    fn request(req: Request) -> Self::Msg;
+    /// The replicas a client hands a request arriving at tick `t` to.
+    fn entry_points(plan: &FaultPlan, n: usize, t: u64) -> std::ops::Range<NodeId>;
+    /// Everything this replica committed, in local commit order.
+    fn committed(&self) -> &[CommittedEntry];
+    /// `(final view, highest stable checkpoint)`; zeros where the protocol
+    /// has neither concept.
+    fn progress(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+impl Protocol for PbftReplica {
+    type Msg = PbftMsg;
+    type Config = PbftConfig;
+    const LABEL: &'static str = "pbft";
+
+    fn replica(id: NodeId, n: usize, config: &PbftConfig, plan: &FaultPlan) -> Self {
+        PbftReplica::new(id, n, config.clone(), plan.byz_mode_of(id))
+    }
+
+    fn attach(&mut self, telemetry: TelemetrySink, trace: TraceSink) {
+        self.set_telemetry(telemetry);
+        self.set_trace(trace);
+    }
+
+    fn request(req: Request) -> PbftMsg {
+        PbftMsg::Request(req)
+    }
+
+    /// The first replica the plan has alive and not fail-silent at `t`
+    /// (the view-0 primary in a healthy cluster; a backup forwards and
+    /// drives the view change otherwise), falling back to 0.
+    fn entry_points(plan: &FaultPlan, n: usize, t: u64) -> std::ops::Range<NodeId> {
+        let entry = (0..n)
+            .find(|&id| !plan.is_down_at(id, t) && plan.byz_mode_of(id) != ByzMode::Silent)
+            .unwrap_or(0);
+        entry..entry + 1
+    }
+
+    fn committed(&self) -> &[CommittedEntry] {
+        &self.committed
+    }
+
+    fn progress(&self) -> (u64, u64) {
+        (self.view(), self.stable_checkpoint())
+    }
+}
+
+impl Protocol for PoaValidator {
+    type Msg = PoaMsg;
+    type Config = PoaConfig;
+    const LABEL: &'static str = "poa";
+
+    fn replica(id: NodeId, n: usize, config: &PoaConfig, plan: &FaultPlan) -> Self {
+        PoaValidator::new(id, n, config.clone(), plan.poa_mode_of(id))
+    }
+
+    fn attach(&mut self, telemetry: TelemetrySink, trace: TraceSink) {
+        self.set_telemetry(telemetry);
+        self.set_trace(trace);
+    }
+
+    fn request(req: Request) -> PoaMsg {
+        PoaMsg::Request(req)
+    }
+
+    /// PoA clients broadcast to every validator (the slot leader
+    /// rotates); crashed targets just lose their copy.
+    fn entry_points(_plan: &FaultPlan, n: usize, _t: u64) -> std::ops::Range<NodeId> {
+        0..n
+    }
+
+    fn committed(&self) -> &[CommittedEntry] {
+        &self.committed
+    }
 }
 
 /// Deterministic garbage payload `j`, distinct from any workload payload.
@@ -302,11 +206,228 @@ fn corrupt_payload(j: usize) -> Vec<u8> {
     vec![0xde, 0xad, 0xbe, 0xef, j as u8, (j >> 8) as u8]
 }
 
-/// The full-control PBFT ordering run: consensus config, per-replica
-/// byzantine modes, and a scheduled [`FaultPlan`] (crashes, restarts,
-/// partitions, loss windows, corrupted payload injection), all threaded
-/// from the caller instead of hard-coded. Returns per-replica views plus
-/// loss/agreement diagnostics.
+/// The one ordering body: validates the inputs, builds `n` replicas of
+/// protocol `P` with their sinks attached, schedules the fault plan,
+/// injects `payloads` (then the plan's corrupted payloads — consensus must
+/// order them like any opaque payload and the execution layer must reject
+/// them identically on every replica) `interarrival` ticks apart from
+/// tick 10, and runs the simulator to `max_time`.
+#[allow(clippy::too_many_arguments)]
+fn simulate<P: Protocol + Node<P::Msg>>(
+    n: usize,
+    payloads: &[Vec<u8>],
+    interarrival: u64,
+    net: NetworkConfig,
+    max_time: u64,
+    config: &P::Config,
+    plan: &FaultPlan,
+    sinks: &[TelemetrySink],
+    traces: &[TraceSink],
+) -> Result<Simulator<P::Msg, P>, String> {
+    net.validate()?;
+    plan.validate(n)?;
+    let nodes: Vec<P> = (0..n)
+        .map(|id| {
+            let mut replica = P::replica(id, n, config, plan);
+            // Missing sink entries stay disabled (the sinks' default).
+            replica.attach(
+                sinks.get(id).cloned().unwrap_or_default(),
+                traces.get(id).cloned().unwrap_or_default(),
+            );
+            replica
+        })
+        .collect();
+    let mut sim = Simulator::new(nodes, net);
+    if let Some(sink) = sinks.first() {
+        sim.set_telemetry(sink.clone());
+    }
+    plan.schedule_on(&mut sim);
+    let corrupt = (0..plan.corrupt_payloads).map(corrupt_payload);
+    for (i, payload) in payloads.iter().cloned().chain(corrupt).enumerate() {
+        let t = 10 + (i as u64) * interarrival;
+        let req = Request::new(payload, t);
+        for entry in P::entry_points(plan, n, t) {
+            sim.inject_at(entry, P::request(req.clone()), t);
+        }
+    }
+    sim.run_until(max_time);
+    Ok(sim)
+}
+
+/// Reads the cluster-wide outcome off a finished simulation.
+fn observe<P: Protocol + Node<P::Msg>>(
+    sim: &Simulator<P::Msg, P>,
+    plan: &FaultPlan,
+) -> OrderingRun {
+    let mut run = OrderingRun {
+        views: Vec::new(),
+        exec_digests: Vec::new(),
+        final_views: Vec::new(),
+        stable_checkpoints: Vec::new(),
+        delivered: sim.delivered_messages,
+        dropped: sim.dropped_messages,
+        partitioned: sim.partitioned_messages,
+        corrupt_injected: plan.corrupt_payloads,
+        last_commit: 0,
+    };
+    for node in sim.nodes() {
+        // PoA slots can commit out of slot order; PBFT logs in sequence.
+        let mut batches: Vec<&CommittedEntry> = node.committed().iter().collect();
+        batches.sort_by_key(|b| b.seq);
+        run.views.push(
+            batches
+                .iter()
+                .map(|b| b.requests.iter().map(|r| r.payload.clone()).collect())
+                .collect(),
+        );
+        // Chained over the batch digests in protocol order: PBFT replicas
+        // maintain exactly this value themselves (it is what checkpoint
+        // votes carry); PoA has no protocol-level digest, so agreement
+        // checks read the same chain for both.
+        run.exec_digests
+            .push(batches.iter().fold(Hash256::ZERO, |acc, b| {
+                let mut chained = Vec::with_capacity(64);
+                chained.extend_from_slice(acc.as_bytes());
+                chained.extend_from_slice(b.digest.as_bytes());
+                tagged_hash("TN/exec-chain", &chained)
+            }));
+        let (view, checkpoint) = node.progress();
+        run.final_views.push(view);
+        run.stable_checkpoints.push(checkpoint);
+        run.last_commit = batches
+            .iter()
+            .map(|b| b.committed_at)
+            .fold(run.last_commit, u64::max);
+    }
+    run
+}
+
+/// Throughput/latency statistics of `workload` as seen by the first
+/// replica outside `crashed`.
+fn run_stats<P: Protocol + Node<P::Msg>>(
+    n: usize,
+    crashed: &[NodeId],
+    workload: &Workload,
+    net: NetworkConfig,
+    max_time: u64,
+    config: &P::Config,
+    plan: &FaultPlan,
+) -> RunStats {
+    let sim = simulate::<P>(
+        n,
+        &workload.payloads(),
+        workload.interarrival,
+        net,
+        max_time,
+        config,
+        plan,
+        &[],
+        &[],
+    )
+    .expect("valid network model and crash set");
+    let reference = (0..n)
+        .find(|id| !crashed.contains(id))
+        .expect("a live node");
+    let batches = sim.node(reference).committed();
+    let latencies: Vec<u64> = batches
+        .iter()
+        .flat_map(|b| {
+            b.requests
+                .iter()
+                .map(|r| b.committed_at.saturating_sub(r.submitted_at))
+        })
+        .collect();
+    let committed = latencies.len();
+    let duration = batches
+        .iter()
+        .map(|b| b.committed_at)
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    let (mean, p50, p95) = latency_stats(latencies);
+    RunStats {
+        protocol: P::LABEL,
+        n_nodes: n,
+        injected: workload.n_requests,
+        committed,
+        duration,
+        throughput: committed as f64 * 1000.0 / duration as f64,
+        mean_latency: mean,
+        p50_latency: p50,
+        p95_latency: p95,
+        messages: sim.delivered_messages,
+        messages_per_commit: if committed > 0 {
+            sim.delivered_messages as f64 / committed as f64
+        } else {
+            0.0
+        },
+    }
+}
+
+/// Runs PBFT with `n` replicas (`crashed` of them fail-silent) and returns
+/// stats measured at the first honest replica.
+pub fn run_pbft(
+    n: usize,
+    crashed: &[NodeId],
+    workload: &Workload,
+    net: NetworkConfig,
+    max_time: u64,
+) -> RunStats {
+    let plan = FaultPlan {
+        byz_modes: crashed.iter().map(|&id| (id, ByzMode::Silent)).collect(),
+        ..FaultPlan::default()
+    };
+    run_stats::<PbftReplica>(
+        n,
+        crashed,
+        workload,
+        net,
+        max_time,
+        &PbftConfig::default(),
+        &plan,
+    )
+}
+
+/// Runs round-robin PoA with `n` validators (`crashed` of them down from
+/// tick 0) and returns stats measured at the first live one.
+pub fn run_poa(
+    n: usize,
+    crashed: &[NodeId],
+    workload: &Workload,
+    net: NetworkConfig,
+    max_time: u64,
+) -> RunStats {
+    let plan = FaultPlan {
+        crashes: crashed
+            .iter()
+            .map(|&replica| CrashFault {
+                replica,
+                at: 0,
+                restart_at: None,
+            })
+            .collect(),
+        ..FaultPlan::default()
+    };
+    run_stats::<PoaValidator>(
+        n,
+        crashed,
+        workload,
+        net,
+        max_time,
+        &PoaConfig::default(),
+        &plan,
+    )
+}
+
+/// Orders opaque payloads through a PBFT cluster of `n` replicas:
+/// consensus config, per-replica byzantine modes and a scheduled
+/// [`FaultPlan`] (crashes, restarts, partitions, loss windows, corrupted
+/// payload injection) all come from the caller; replica `i` records its
+/// phase histograms into `sinks[i]` and its consensus spans into
+/// `traces[i]` (missing entries stay disabled). Payloads are injected in
+/// order, `interarrival` ticks apart; agreement means every honest replica
+/// returns the same batch sequence. A fault-free, uninstrumented run is
+/// `&FaultPlan::default(), &[], &[]`.
 ///
 /// # Errors
 ///
@@ -324,131 +445,24 @@ pub fn order_payloads_pbft_faulted(
     sinks: &[TelemetrySink],
     traces: &[TraceSink],
 ) -> Result<OrderingRun, String> {
-    net.validate()?;
-    plan.validate(n)?;
-    let nodes: Vec<PbftReplica> = (0..n)
-        .map(|id| {
-            let mut replica = PbftReplica::new(id, n, config.clone(), plan.byz_mode_of(id));
-            if let Some(sink) = sinks.get(id) {
-                replica.set_telemetry(sink.clone());
-            }
-            if let Some(trace) = traces.get(id) {
-                replica.set_trace(trace.clone());
-            }
-            replica
-        })
-        .collect();
-    let silent: Vec<bool> = (0..n)
-        .map(|id| plan.byz_mode_of(id) == ByzMode::Silent)
-        .collect();
-    let mut sim = Simulator::new(nodes, net);
-    if let Some(sink) = sinks.first() {
-        sim.set_telemetry(sink.clone());
-    }
-    plan.schedule_on(&mut sim);
-    for (i, payload) in payloads.iter().enumerate() {
-        let t = 10 + (i as u64) * interarrival;
-        let entry = injection_target(plan, n, t, &silent);
-        sim.inject_at(entry, PbftMsg::Request(Request::new(payload.clone(), t)), t);
-    }
-    // Corrupted payloads ride the same arrival process, after the real
-    // workload: consensus must order them like any opaque payload and the
-    // execution layer must reject them identically on every replica.
-    for j in 0..plan.corrupt_payloads {
-        let t = 10 + ((payloads.len() + j) as u64) * interarrival;
-        let entry = injection_target(plan, n, t, &silent);
-        sim.inject_at(
-            entry,
-            PbftMsg::Request(Request::new(corrupt_payload(j), t)),
-            t,
-        );
-    }
-    sim.run_until(max_time);
-
-    let views = (0..n)
-        .map(|id| {
-            let mut entries: Vec<_> = sim.node(id).committed.iter().collect();
-            entries.sort_by_key(|e| e.seq);
-            entries
-                .iter()
-                .map(|e| e.requests.iter().map(|r| r.payload.clone()).collect())
-                .collect()
-        })
-        .collect();
-    let last_commit = (0..n)
-        .flat_map(|id| sim.node(id).committed.iter().map(|e| e.committed_at))
-        .max()
-        .unwrap_or(0);
-    Ok(OrderingRun {
-        views,
-        exec_digests: (0..n).map(|id| sim.node(id).exec_digest()).collect(),
-        final_views: (0..n).map(|id| sim.node(id).view()).collect(),
-        stable_checkpoints: (0..n).map(|id| sim.node(id).stable_checkpoint()).collect(),
-        delivered: sim.delivered_messages,
-        dropped: sim.dropped_messages,
-        partitioned: sim.partitioned_messages,
-        corrupt_injected: plan.corrupt_payloads,
-        last_commit,
-    })
-}
-
-/// Orders opaque payloads through a round-robin PoA cluster; the PoA
-/// counterpart of [`order_payloads_pbft`].
-pub fn order_payloads_poa(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-) -> Vec<CommittedPayloads> {
-    order_payloads_poa_instrumented(n, payloads, interarrival, net, max_time, &[])
-}
-
-/// [`order_payloads_poa`] with per-validator telemetry: validator `i`
-/// records its slot counters and latency histogram into `sinks[i]`
-/// (missing entries default to disabled).
-pub fn order_payloads_poa_instrumented(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-    sinks: &[TelemetrySink],
-) -> Vec<CommittedPayloads> {
-    order_payloads_poa_traced(n, payloads, interarrival, net, max_time, sinks, &[])
-}
-
-/// [`order_payloads_poa_instrumented`] plus per-validator span sinks:
-/// validator `i` records its `poa.propose`/`poa.commit` spans into
-/// `traces[i]` (missing entries default to disabled).
-pub fn order_payloads_poa_traced(
-    n: usize,
-    payloads: &[Vec<u8>],
-    interarrival: u64,
-    net: NetworkConfig,
-    max_time: u64,
-    sinks: &[TelemetrySink],
-    traces: &[TraceSink],
-) -> Vec<CommittedPayloads> {
-    order_payloads_poa_faulted(
+    let sim = simulate::<PbftReplica>(
         n,
         payloads,
         interarrival,
         net,
         max_time,
-        &PoaConfig::default(),
-        &FaultPlan::default(),
+        config,
+        plan,
         sinks,
         traces,
-    )
-    .expect("fault-free run with a valid network cannot fail validation")
-    .views
+    )?;
+    Ok(observe(&sim, plan))
 }
 
-/// The full-control PoA ordering run; the PoA counterpart of
-/// [`order_payloads_pbft_faulted`]. Per-validator modes come from the
-/// plan's `poa_modes`; `final_views` / `stable_checkpoints` are zeros
-/// (PoA has neither concept).
+/// The PoA counterpart of [`order_payloads_pbft_faulted`]: clients
+/// broadcast each request to every validator, per-validator modes come
+/// from the plan's `poa_modes`, and `final_views` / `stable_checkpoints`
+/// are zeros (PoA has neither concept).
 ///
 /// # Errors
 ///
@@ -465,86 +479,42 @@ pub fn order_payloads_poa_faulted(
     sinks: &[TelemetrySink],
     traces: &[TraceSink],
 ) -> Result<OrderingRun, String> {
-    net.validate()?;
-    plan.validate(n)?;
-    let nodes: Vec<PoaValidator> = (0..n)
-        .map(|id| {
-            let mut v = PoaValidator::new(id, n, config.clone(), plan.poa_mode_of(id));
-            if let Some(sink) = sinks.get(id) {
-                v.set_telemetry(sink.clone());
-            }
-            if let Some(trace) = traces.get(id) {
-                v.set_trace(trace.clone());
-            }
-            v
-        })
-        .collect();
-    let mut sim = Simulator::new(nodes, net);
-    if let Some(sink) = sinks.first() {
-        sim.set_telemetry(sink.clone());
-    }
-    plan.schedule_on(&mut sim);
-    // PoA clients broadcast to every validator (the slot leader rotates);
-    // crashed targets just lose their copy.
-    let inject_all = |sim: &mut Simulator<PoaMsg, PoaValidator>, req: Request, t: u64| {
-        for node in 0..n {
-            sim.inject_at(node, PoaMsg::Request(req.clone()), t);
-        }
-    };
-    for (i, payload) in payloads.iter().enumerate() {
-        let t = 10 + (i as u64) * interarrival;
-        inject_all(&mut sim, Request::new(payload.clone(), t), t);
-    }
-    for j in 0..plan.corrupt_payloads {
-        let t = 10 + ((payloads.len() + j) as u64) * interarrival;
-        inject_all(&mut sim, Request::new(corrupt_payload(j), t), t);
-    }
-    sim.run_until(max_time);
-
-    let views: Vec<CommittedPayloads> = (0..n)
-        .map(|id| {
-            let mut entries: Vec<_> = sim.node(id).committed.iter().collect();
-            entries.sort_by_key(|e| e.slot);
-            entries
-                .iter()
-                .map(|e| e.requests.iter().map(|r| r.payload.clone()).collect())
-                .collect()
-        })
-        .collect();
-    // PoA has no protocol-level execution digest; chain the committed slot
-    // digests so agreement checks look the same as PBFT's.
-    let exec_digests = (0..n)
-        .map(|id| {
-            let mut entries: Vec<_> = sim.node(id).committed.iter().collect();
-            entries.sort_by_key(|e| e.slot);
-            entries.iter().fold(Hash256::ZERO, |acc, e| {
-                let mut chained = Vec::with_capacity(64);
-                chained.extend_from_slice(acc.as_bytes());
-                chained.extend_from_slice(e.digest.as_bytes());
-                tagged_hash("TN/exec-chain", &chained)
-            })
-        })
-        .collect();
-    let last_commit = (0..n)
-        .flat_map(|id| sim.node(id).committed.iter().map(|e| e.committed_at))
-        .max()
-        .unwrap_or(0);
-    Ok(OrderingRun {
-        views,
-        exec_digests,
-        final_views: vec![0; n],
-        stable_checkpoints: vec![0; n],
-        delivered: sim.delivered_messages,
-        dropped: sim.dropped_messages,
-        partitioned: sim.partitioned_messages,
-        corrupt_injected: plan.corrupt_payloads,
-        last_commit,
-    })
+    let sim = simulate::<PoaValidator>(
+        n,
+        payloads,
+        interarrival,
+        net,
+        max_time,
+        config,
+        plan,
+        sinks,
+        traces,
+    )?;
+    Ok(observe(&sim, plan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 4-replica PBFT run on the default network.
+    fn pbft(
+        payloads: &[Vec<u8>],
+        config: &PbftConfig,
+        plan: &FaultPlan,
+        traces: &[TraceSink],
+    ) -> OrderingRun {
+        let net = NetworkConfig::default();
+        order_payloads_pbft_faulted(4, payloads, 5, net, 500_000, config, plan, &[], traces)
+            .expect("valid inputs")
+    }
+
+    /// A 4-validator PoA run on the default network.
+    fn poa(payloads: &[Vec<u8>], plan: &FaultPlan, traces: &[TraceSink]) -> OrderingRun {
+        let (net, config) = (NetworkConfig::default(), PoaConfig::default());
+        order_payloads_poa_faulted(4, payloads, 5, net, 500_000, &config, plan, &[], traces)
+            .expect("valid inputs")
+    }
 
     fn small_load() -> Workload {
         Workload {
@@ -557,7 +527,13 @@ mod tests {
     #[test]
     fn ordered_payloads_agree_across_replicas() {
         let payloads: Vec<Vec<u8>> = (0u8..20).map(|i| vec![i; 8]).collect();
-        let views = order_payloads_pbft(4, &payloads, 5, NetworkConfig::default(), 200_000);
+        let views = pbft(
+            &payloads,
+            &PbftConfig::default(),
+            &FaultPlan::default(),
+            &[],
+        )
+        .views;
         assert_eq!(views.len(), 4);
         let flat: Vec<Vec<u8>> = views[0].iter().flatten().cloned().collect();
         assert_eq!(flat, payloads, "pbft must commit every payload in order");
@@ -565,7 +541,7 @@ mod tests {
             assert_eq!(*view, views[0], "replicas must agree on the batch sequence");
         }
 
-        let views = order_payloads_poa(4, &payloads, 5, NetworkConfig::default(), 200_000);
+        let views = poa(&payloads, &FaultPlan::default(), &[]).views;
         let flat: Vec<Vec<u8>> = views[0].iter().flatten().cloned().collect();
         assert_eq!(flat, payloads, "poa must commit every payload in order");
         for view in &views[1..] {
@@ -578,15 +554,13 @@ mod tests {
         let tracer = tn_trace::Tracer::new(4);
         let traces: Vec<TraceSink> = (0..4).map(|i| tracer.sink(i)).collect();
         let payloads: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 8]).collect();
-        let views = order_payloads_pbft_traced(
-            4,
+        let views = pbft(
             &payloads,
-            5,
-            NetworkConfig::default(),
-            200_000,
-            &[],
+            &PbftConfig::default(),
+            &FaultPlan::default(),
             &traces,
-        );
+        )
+        .views;
         assert_eq!(views[0].iter().flatten().count(), 10);
         let trace = tracer.collect();
         assert!(!trace.named("pbft.propose").is_empty());
@@ -623,15 +597,7 @@ mod tests {
         let tracer = tn_trace::Tracer::new(4);
         let traces: Vec<TraceSink> = (0..4).map(|i| tracer.sink(i)).collect();
         let payloads: Vec<Vec<u8>> = (0u8..8).map(|i| vec![i; 8]).collect();
-        order_payloads_poa_traced(
-            4,
-            &payloads,
-            5,
-            NetworkConfig::default(),
-            200_000,
-            &[],
-            &traces,
-        );
+        poa(&payloads, &FaultPlan::default(), &traces);
         let trace = tracer.collect();
         let proposals = trace.named("poa.propose");
         assert!(!proposals.is_empty());
@@ -741,18 +707,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let run = order_payloads_pbft_faulted(
-            4,
-            &payloads,
-            5,
-            NetworkConfig::default(),
-            500_000,
-            &PbftConfig::default(),
-            &plan,
-            &[],
-            &[],
-        )
-        .unwrap();
+        let run = pbft(&payloads, &PbftConfig::default(), &plan, &[]);
         // Survivors (within f = 1) commit everything and agree.
         let flat: Vec<Vec<u8>> = run.views[0].iter().flatten().cloned().collect();
         assert_eq!(flat, payloads);
@@ -773,18 +728,7 @@ mod tests {
             checkpoint_interval: 1,
             ..PbftConfig::default()
         };
-        let run = order_payloads_pbft_faulted(
-            4,
-            &payloads,
-            5,
-            NetworkConfig::default(),
-            500_000,
-            &tight,
-            &FaultPlan::default(),
-            &[],
-            &[],
-        )
-        .unwrap();
+        let run = pbft(&payloads, &tight, &FaultPlan::default(), &[]);
         assert!(
             run.stable_checkpoints.iter().all(|&cp| cp > 0),
             "threaded checkpoint_interval must produce stable checkpoints: {:?}",
@@ -800,30 +744,8 @@ mod tests {
             ..FaultPlan::default()
         };
         for run in [
-            order_payloads_pbft_faulted(
-                4,
-                &payloads,
-                5,
-                NetworkConfig::default(),
-                500_000,
-                &PbftConfig::default(),
-                &plan,
-                &[],
-                &[],
-            )
-            .unwrap(),
-            order_payloads_poa_faulted(
-                4,
-                &payloads,
-                5,
-                NetworkConfig::default(),
-                500_000,
-                &PoaConfig::default(),
-                &plan,
-                &[],
-                &[],
-            )
-            .unwrap(),
+            pbft(&payloads, &PbftConfig::default(), &plan, &[]),
+            poa(&payloads, &plan, &[]),
         ] {
             assert_eq!(run.corrupt_injected, 3);
             let committed: usize = run.views[0].iter().map(|b| b.len()).sum();
@@ -841,18 +763,7 @@ mod tests {
             byz_modes: vec![(2, ByzMode::CorruptExec)],
             ..FaultPlan::default()
         };
-        let run = order_payloads_pbft_faulted(
-            4,
-            &payloads,
-            5,
-            NetworkConfig::default(),
-            500_000,
-            &PbftConfig::default(),
-            &plan,
-            &[],
-            &[],
-        )
-        .unwrap();
+        let run = pbft(&payloads, &PbftConfig::default(), &plan, &[]);
         // Consensus-level agreement holds (batch digests cover originals)…
         assert_eq!(run.exec_digests[2], run.exec_digests[0]);
         // …but the executed payloads differ: that divergence is what the

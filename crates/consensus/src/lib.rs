@@ -45,10 +45,9 @@ pub mod sim;
 
 pub use fault::{CrashFault, DropWindow, FaultPlan, PartitionFault};
 pub use harness::{
-    order_payloads_pbft, order_payloads_pbft_faulted, order_payloads_pbft_instrumented,
-    order_payloads_poa, order_payloads_poa_faulted, order_payloads_poa_instrumented, run_pbft,
-    run_poa, CommittedPayloads, OrderingRun, RunStats, Workload,
+    order_payloads_pbft_faulted, order_payloads_poa_faulted, run_pbft, run_poa, CommittedPayloads,
+    OrderingRun, RunStats, Workload,
 };
 pub use pbft::{ByzMode, CommittedEntry, PbftConfig, PbftMsg, PbftReplica, Request};
-pub use poa::{PoaConfig, PoaEntry, PoaMode, PoaMsg, PoaValidator};
+pub use poa::{PoaConfig, PoaMode, PoaMsg, PoaValidator};
 pub use sim::{Context, NetworkConfig, Node, NodeId, Simulator};

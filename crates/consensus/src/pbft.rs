@@ -117,12 +117,13 @@ pub enum PbftMsg {
 /// A prepared entry carried in view-change messages: `(seq, digest, batch)`.
 pub type PreparedEntry = (u64, Hash256, Vec<Request>);
 
-/// An entry the replica has finally committed (executed).
+/// A batch a replica has finally committed (executed). PoA validators log
+/// their committed slots in the same shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommittedEntry {
-    /// Sequence number (gapless, increasing).
+    /// Sequence number (PBFT: gapless, increasing; PoA: the slot).
     pub seq: u64,
-    /// View in which it committed.
+    /// View in which it committed (PoA: always 0).
     pub view: u64,
     /// Batch digest.
     pub digest: Hash256,

@@ -15,7 +15,7 @@ use tn_crypto::Hash256;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, SpanContext, TraceId, TraceSink};
 
-use crate::pbft::Request;
+use crate::pbft::{CommittedEntry, Request};
 use crate::sim::{Context, Node, NodeId, EXTERNAL};
 
 /// PoA protocol messages.
@@ -35,19 +35,6 @@ pub enum PoaMsg {
         /// Not part of the digest — tracing never affects agreement.
         span: SpanContext,
     },
-}
-
-/// A committed slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoaEntry {
-    /// Slot number.
-    pub slot: u64,
-    /// Batch digest.
-    pub digest: Hash256,
-    /// Requests in order.
-    pub requests: Vec<Request>,
-    /// Local commit time.
-    pub committed_at: u64,
 }
 
 /// Leader misbehaviour for fault injection.
@@ -99,8 +86,8 @@ pub struct PoaValidator {
     pending_ids: HashSet<Hash256>,
     committed_ids: HashSet<Hash256>,
     seen_slots: HashMap<u64, Hash256>,
-    /// Commit log.
-    pub committed: Vec<PoaEntry>,
+    /// Commit log, in local commit order (`seq` is the slot, `view` 0).
+    pub committed: Vec<CommittedEntry>,
     /// Metrics sink (round/commit counters and request latency, in sim
     /// ticks). Disabled by default.
     telemetry: TelemetrySink,
@@ -185,8 +172,9 @@ impl PoaValidator {
                 &[("slot", slot), ("requests", fresh.len() as u64)],
             );
         }
-        self.committed.push(PoaEntry {
-            slot,
+        self.committed.push(CommittedEntry {
+            seq: slot,
+            view: 0,
             digest,
             requests: fresh,
             committed_at: now,
@@ -367,7 +355,7 @@ mod tests {
         let mut sim = cluster(3, &[]);
         inject(&mut sim, 30);
         sim.run_until(10_000);
-        let slots: HashSet<u64> = sim.node(0).committed.iter().map(|e| e.slot % 3).collect();
+        let slots: HashSet<u64> = sim.node(0).committed.iter().map(|e| e.seq % 3).collect();
         assert!(
             slots.len() > 1,
             "multiple leaders should have produced slots"
@@ -384,7 +372,7 @@ mod tests {
         let mut digests: HashMap<u64, HashSet<Hash256>> = HashMap::new();
         for id in 1..4 {
             for e in &sim.node(id).committed {
-                digests.entry(e.slot).or_default().insert(e.digest);
+                digests.entry(e.seq).or_default().insert(e.digest);
             }
         }
         let split = digests.values().any(|d| d.len() > 1);

@@ -93,58 +93,73 @@ pub struct Bootstrap {
     pub pipeline: ExecutionPipeline,
 }
 
-/// Builds the canonical replica start state for `config`: genesis balances
-/// for governor and validator, the four governance contracts, the seeded
-/// factual corpus, and one committed block anchoring the corpus root.
-pub fn bootstrap(config: &PlatformConfig) -> Bootstrap {
-    try_bootstrap(config).expect("storage backend initialization")
-}
-
-/// [`bootstrap`], surfacing storage-backend initialization failures (a
-/// disk-backed replica's directory may be unwritable or already in use)
-/// instead of panicking.
-///
-/// # Errors
-///
-/// [`ChainError::Storage`] when the configured backend cannot be created.
-pub fn try_bootstrap(config: &PlatformConfig) -> Result<Bootstrap, ChainError> {
+/// What every bootstrap path shares: the well-known governance keys, the
+/// seed corpus derived from `config`, and the verification knobs wired
+/// into whatever pipeline `build` produces from them.
+fn bootstrap_with<R>(
+    config: &PlatformConfig,
+    build: impl FnOnce(
+        &Keypair,
+        &Keypair,
+        Vec<FactRecord>,
+    ) -> Result<(ExecutionPipeline, R), ChainError>,
+) -> Result<(Bootstrap, R), ChainError> {
     let governor = Keypair::from_seed(b"tn-platform-governor");
     let validator = Keypair::from_seed(b"tn-platform-validator");
-    let genesis = State::genesis([
-        (governor.address(), 1_000_000_000),
-        (validator.address(), 1_000_000),
-    ]);
     let seed_corpus: Vec<FactRecord> = tn_factdb::corpus::generate_corpus(&config.factdb_seed)
         .into_iter()
         .collect();
-    let mut pipeline = ExecutionPipeline::with_storage(
-        genesis,
-        &validator,
-        governor.address(),
-        config.fact_threshold,
-        seed_corpus,
-        config.storage.clone(),
-    )?;
+    let (mut pipeline, extra) = build(&governor, &validator, seed_corpus)?;
     pipeline.set_verify_workers(config.verify_workers);
     pipeline.set_verify_batch_chunk(config.verify_batch_chunk);
-    let root = pipeline.factdb().root();
+    let bootstrap = Bootstrap {
+        governor,
+        validator,
+        pipeline,
+    };
+    Ok((bootstrap, extra))
+}
+
+/// Builds the canonical replica start state for `config`: genesis balances
+/// for governor and validator, the four governance contracts, the seeded
+/// factual corpus, and one committed block anchoring the corpus root.
+///
+/// # Panics
+///
+/// When the configured storage backend cannot be created (a disk-backed
+/// replica's directory is unwritable or already holds a chain — reopen
+/// that with [`recover_bootstrap`]).
+pub fn bootstrap(config: &PlatformConfig) -> Bootstrap {
+    let (mut bootstrap, ()) = bootstrap_with(config, |governor, validator, seed_corpus| {
+        let genesis = State::genesis([
+            (governor.address(), 1_000_000_000),
+            (validator.address(), 1_000_000),
+        ]);
+        let pipeline = ExecutionPipeline::with_storage(
+            genesis,
+            validator,
+            governor.address(),
+            config.fact_threshold,
+            seed_corpus,
+            config.storage.clone(),
+        )?;
+        Ok((pipeline, ()))
+    })
+    .expect("storage backend initialization");
     let anchor = Transaction::signed(
-        &governor,
+        &bootstrap.governor,
         0,
         config.fee,
         Payload::AnchorRoot {
             namespace: "factdb".into(),
-            root,
+            root: bootstrap.pipeline.factdb().root(),
         },
     );
-    pipeline
-        .commit_batch(&validator, 1, vec![anchor])
+    bootstrap
+        .pipeline
+        .commit_batch(&bootstrap.validator, 1, vec![anchor])
         .expect("genesis anchor block");
-    Ok(Bootstrap {
-        governor,
-        validator,
-        pipeline,
-    })
+    bootstrap
 }
 
 /// Reopens a disk-backed replica from its storage directory: re-derives
@@ -159,37 +174,21 @@ pub fn try_bootstrap(config: &PlatformConfig) -> Result<Bootstrap, ChainError> {
 /// backend (there is nothing on disk to recover) or the stored state is
 /// unusable; [`ChainError::Storage`] on backend failures.
 pub fn recover_bootstrap(config: &PlatformConfig) -> Result<(Bootstrap, u64), ChainError> {
-    let governor = Keypair::from_seed(b"tn-platform-governor");
-    let validator = Keypair::from_seed(b"tn-platform-validator");
-    let seed_corpus: Vec<FactRecord> = tn_factdb::corpus::generate_corpus(&config.factdb_seed)
-        .into_iter()
-        .collect();
-    let dir = match &config.storage.backend {
-        tn_storage::BackendKind::Disk(dir) => dir.clone(),
-        tn_storage::BackendKind::Mem => {
+    bootstrap_with(config, |governor, _, seed_corpus| {
+        let tn_storage::BackendKind::Disk(dir) = &config.storage.backend else {
             return Err(ChainError::Checkpoint(
                 "recovery requires a disk storage backend".into(),
-            ))
-        }
-    };
-    let backend = Box::new(tn_storage::DiskBackend::open(&dir, &config.storage)?);
-    let (mut pipeline, replayed) = ExecutionPipeline::recover(
-        backend,
-        &config.storage,
-        governor.address(),
-        config.fact_threshold,
-        seed_corpus,
-    )?;
-    pipeline.set_verify_workers(config.verify_workers);
-    pipeline.set_verify_batch_chunk(config.verify_batch_chunk);
-    Ok((
-        Bootstrap {
-            governor,
-            validator,
-            pipeline,
-        },
-        replayed,
-    ))
+            ));
+        };
+        let backend = Box::new(tn_storage::DiskBackend::open(dir, &config.storage)?);
+        ExecutionPipeline::recover(
+            backend,
+            &config.storage,
+            governor.address(),
+            config.fact_threshold,
+            seed_corpus,
+        )
+    })
 }
 
 /// Rebuilds a replica from a [`ChainStore::snapshot`] taken by a node of
@@ -206,24 +205,16 @@ pub fn restore_bootstrap(
     config: &PlatformConfig,
     snapshot: &[u8],
 ) -> Result<Bootstrap, ChainError> {
-    let governor = Keypair::from_seed(b"tn-platform-governor");
-    let validator = Keypair::from_seed(b"tn-platform-validator");
-    let seed_corpus: Vec<FactRecord> = tn_factdb::corpus::generate_corpus(&config.factdb_seed)
-        .into_iter()
-        .collect();
-    let mut pipeline = ExecutionPipeline::restore(
-        snapshot,
-        governor.address(),
-        config.fact_threshold,
-        seed_corpus,
-    )?;
-    pipeline.set_verify_workers(config.verify_workers);
-    pipeline.set_verify_batch_chunk(config.verify_batch_chunk);
-    Ok(Bootstrap {
-        governor,
-        validator,
-        pipeline,
-    })
+    let (bootstrap, ()) = bootstrap_with(config, |governor, _, seed_corpus| {
+        let pipeline = ExecutionPipeline::restore(
+            snapshot,
+            governor.address(),
+            config.fact_threshold,
+            seed_corpus,
+        )?;
+        Ok((pipeline, ()))
+    })?;
+    Ok(bootstrap)
 }
 
 /// The deterministic execution core: chain store + contract executor +
@@ -246,31 +237,11 @@ impl std::fmt::Debug for ExecutionPipeline {
 }
 
 impl ExecutionPipeline {
-    /// Builds a pipeline: genesis state, the four governance built-ins
-    /// owned by `governor`, and the four projections seeded with the
-    /// genesis factual corpus. Two pipelines built with identical
+    /// Builds a pipeline on `storage`: genesis state, the four governance
+    /// built-ins owned by `governor`, and the four projections seeded with
+    /// the genesis factual corpus. Two pipelines built with identical
     /// arguments are bit-identical, which is what lets every validator of
     /// a network boot the same replica.
-    pub fn new(
-        genesis: State,
-        validator: &Keypair,
-        governor: Address,
-        fact_threshold: usize,
-        seed_corpus: Vec<FactRecord>,
-    ) -> ExecutionPipeline {
-        Self::with_storage(
-            genesis,
-            validator,
-            governor,
-            fact_threshold,
-            seed_corpus,
-            StorageConfig::default(),
-        )
-        .expect("in-memory storage cannot fail to initialize")
-    }
-
-    /// [`ExecutionPipeline::new`] on an explicit storage configuration —
-    /// the entry point for disk-backed replicas.
     ///
     /// # Errors
     ///

@@ -452,6 +452,25 @@ impl Platform {
         Ok(())
     }
 
+    /// Enqueues a `signer`-signed call of `contract` with the encoded
+    /// operation `input`.
+    fn call_contract(
+        &mut self,
+        signer: &Keypair,
+        contract: Address,
+        input: Vec<u8>,
+        gas_limit: u64,
+    ) -> Result<(), PlatformError> {
+        self.enqueue(
+            signer,
+            Payload::ContractCall {
+                contract,
+                input,
+                gas_limit,
+            },
+        )
+    }
+
     fn enqueue_anchor(&mut self) -> Result<(), PlatformError> {
         let root = self.pipeline.factdb().root();
         let governor = self.governor.clone();
@@ -548,14 +567,7 @@ impl Platform {
         if roles.contains(&Role::FactChecker) {
             let input = admission_register_checker(&who.address());
             let governor = self.governor.clone();
-            self.enqueue(
-                &governor,
-                Payload::ContractCall {
-                    contract: self.pipeline.addrs().admission,
-                    input,
-                    gas_limit: 10_000,
-                },
-            )?;
+            self.call_contract(&governor, self.pipeline.addrs().admission, input, 10_000)?;
         }
         Ok(())
     }
@@ -585,15 +597,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         self.require_role(&publisher.address(), Role::Publisher)?;
         let input = newsroom_register_platform(name);
-        let contract = self.pipeline.addrs().newsroom;
-        self.enqueue(
-            publisher,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
     }
 
     /// Creates a topical news room on an owned platform (§V layer 2).
@@ -610,15 +614,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         self.require_role(&publisher.address(), Role::Publisher)?;
         let input = newsroom_create_room(platform_id, topic);
-        let contract = self.pipeline.addrs().newsroom;
-        self.enqueue(
-            publisher,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
     }
 
     /// Authorizes a journalist to publish in a room.
@@ -634,15 +630,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         self.require_role(&publisher.address(), Role::Publisher)?;
         let input = newsroom_authorize(room, journalist);
-        let contract = self.pipeline.addrs().newsroom;
-        self.enqueue(
-            publisher,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
     }
 
     // --- news flow ---------------------------------------------------------
@@ -720,15 +708,7 @@ impl Platform {
             return Err(PlatformError::NotVerified(rater.address()));
         }
         let input = ranking_submit(item, score);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            rater,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(rater, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// Proposes a record for factual-database admission as an on-chain
@@ -776,15 +756,7 @@ impl Platform {
             return Err(PlatformError::UnknownItem(*record_id));
         }
         let input = admission_attest(record_id);
-        let contract = self.pipeline.addrs().admission;
-        self.enqueue(
-            checker,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(checker, self.pipeline.addrs().admission, input, 10_000)
     }
 
     // --- AI & ranking -----------------------------------------------------
@@ -886,15 +858,7 @@ impl Platform {
     pub fn reward_points(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::incentive_reward(who, amount);
-        let contract = self.pipeline.addrs().incentive;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().incentive, input, 10_000)
     }
 
     /// The governor slashes an account's incentive points.
@@ -905,15 +869,7 @@ impl Platform {
     pub fn slash_points(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::incentive_slash(who, amount);
-        let contract = self.pipeline.addrs().incentive;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().incentive, input, 10_000)
     }
 
     // --- Adversarial-participant defenses ---------------------------------
@@ -931,15 +887,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::ranking_set_policy(policy);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// The governor grants free ranking stake to a verified participant
@@ -952,15 +900,7 @@ impl Platform {
     pub fn grant_ranking_stake(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::ranking_grant_stake(who, amount);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// A participant bonds free stake so their ratings carry weight
@@ -975,15 +915,7 @@ impl Platform {
         amount: u64,
     ) -> Result<(), PlatformError> {
         let input = tn_contracts::builtin::ranking_post_bond(amount);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            staker,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(staker, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// The governor records a confirmed fact-check outcome for an item:
@@ -1000,15 +932,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::ranking_record_outcome(item, factual);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 50_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 50_000)
     }
 
     /// The governor quarantines a rater: new submissions are rejected and
@@ -1021,15 +945,7 @@ impl Platform {
     pub fn quarantine_rater(&mut self, who: &Address) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::ranking_quarantine(who);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// The governor lifts a rater's quarantine.
@@ -1040,15 +956,7 @@ impl Platform {
     pub fn unquarantine_rater(&mut self, who: &Address) -> Result<(), PlatformError> {
         let governor = self.governor.clone();
         let input = tn_contracts::builtin::ranking_unquarantine(who);
-        let contract = self.pipeline.addrs().ranking;
-        self.enqueue(
-            &governor,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit: 10_000,
-            },
-        )
+        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
     }
 
     // --- Management Act enforcement ---------------------------------------
@@ -1098,14 +1006,7 @@ impl Platform {
         for (who, _) in &sanctioned {
             for room in &rooms {
                 let input = tn_contracts::builtin::newsroom_revoke(*room, who);
-                self.enqueue(
-                    enforcer,
-                    Payload::ContractCall {
-                        contract,
-                        input,
-                        gas_limit: 10_000,
-                    },
-                )?;
+                self.call_contract(enforcer, contract, input, 10_000)?;
             }
         }
         Ok(sanctioned)

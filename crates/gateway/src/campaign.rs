@@ -47,7 +47,7 @@ use tn_propagation::CascadeConfig;
 use tn_trace::TraceSink;
 
 use crate::loadgen::{Request, RequestKind, Workload};
-use crate::openloop::{run_open_loop_hooked, OpenLoopConfig, OpenLoopReport};
+use crate::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopReport};
 use crate::GatewayError;
 
 /// Rule name recorded on the monitor timeline when the governor
@@ -550,7 +550,7 @@ pub fn run_campaign(
         }
     };
 
-    let run = run_open_loop_hooked(
+    let run = run_open_loop_on(
         node,
         &config.gateway,
         telemetry,

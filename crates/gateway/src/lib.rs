@@ -58,10 +58,7 @@ pub use loadgen::{
     build_workload, schedule, Arrival, ClientProfile, LoadProfile, Persona, Request, RequestKind,
     Workload,
 };
-pub use openloop::{
-    run_open_loop, run_open_loop_hooked, run_open_loop_on, OpenLoopConfig, OpenLoopReport,
-    OpenLoopRun,
-};
+pub use openloop::{run_open_loop, run_open_loop_on, OpenLoopConfig, OpenLoopReport, OpenLoopRun};
 pub use queue::IngressLane;
 
 /// Gateway-layer errors.

@@ -151,13 +151,12 @@ pub struct OpenLoopRun {
 const NS_PER_MS: f64 = 1e6;
 
 /// Runs `workload` open-loop against a fresh single validator built from
-/// `config`, wiring the gateway's telemetry into the node's registry.
+/// `config`, wiring the gateway's telemetry into the node's registry:
+/// [`run_open_loop_on`] with tracing off and no per-block hook.
 ///
 /// # Errors
 ///
-/// [`GatewayError::Config`] for invalid gateway configuration;
-/// [`GatewayError::Node`] when setup pre-application or block production
-/// fails (generator-produced traffic should never trigger it).
+/// As [`run_open_loop_on`].
 pub fn run_open_loop(
     config: &PlatformConfig,
     workload: &Workload,
@@ -172,46 +171,25 @@ pub fn run_open_loop(
         TraceSink::disabled(),
         workload,
         olc,
-    )
-}
-
-/// [`run_open_loop`] with caller-supplied node and sinks — the hook the
-/// tracing tests use to capture `gateway.admission → gateway.ingest →
-/// tx.commit` span chains.
-///
-/// # Errors
-///
-/// As [`run_open_loop`].
-pub fn run_open_loop_on(
-    node: ValidatorNode,
-    gw_config: &tn_core::platform::GatewayConfig,
-    telemetry: TelemetrySink,
-    trace: TraceSink,
-    workload: &Workload,
-    olc: &OpenLoopConfig,
-) -> Result<OpenLoopRun, GatewayError> {
-    run_open_loop_hooked(
-        node,
-        gw_config,
-        telemetry,
-        trace,
-        workload,
-        olc,
         &mut |_| {},
     )
 }
 
-/// [`run_open_loop_on`] with a per-block hook: after every produced
-/// block, `hook` runs with mutable access to the node — it can inspect
-/// the new head, drive an external monitor off the node's registry, and
-/// inject governance transactions (e.g. quarantine verdicts) that enter
-/// the mempool for the *next* block, exactly as a live oracle would.
-/// The hook never runs on idle block ticks.
+/// The open loop itself, on a caller-supplied node and sinks (tracing
+/// tests capture `gateway.admission → gateway.ingest → tx.commit` span
+/// chains through `trace`). After every produced block `hook` runs with
+/// mutable access to the node — it can inspect the new head, drive an
+/// external monitor off the node's registry, and inject governance
+/// transactions (e.g. quarantine verdicts) that enter the mempool for the
+/// *next* block, exactly as a live oracle would. The hook never runs on
+/// idle block ticks.
 ///
 /// # Errors
 ///
-/// As [`run_open_loop`].
-pub fn run_open_loop_hooked(
+/// [`GatewayError::Config`] for invalid gateway configuration;
+/// [`GatewayError::Node`] when setup pre-application or block production
+/// fails (generator-produced traffic should never trigger it).
+pub fn run_open_loop_on(
     mut node: ValidatorNode,
     gw_config: &tn_core::platform::GatewayConfig,
     telemetry: TelemetrySink,

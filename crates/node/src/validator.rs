@@ -110,23 +110,38 @@ impl ValidatorNode {
     /// and mempool; metrics never feed back into execution, so
     /// instrumented replicas stay byte-identical too.
     pub fn new(id: usize, config: &PlatformConfig) -> ValidatorNode {
+        Self::assemble(id, config, bootstrap(config), false)
+    }
+
+    /// Wires a bootstrapped pipeline into a node: a fresh telemetry
+    /// registry through pipeline and mempool, and the mempool sharing the
+    /// pipeline's verified-tx cache (a signature verified at admission is
+    /// never re-verified at proposal or import). `recovered` counts the
+    /// restart in the fresh registry.
+    fn assemble(
+        id: usize,
+        config: &PlatformConfig,
+        bootstrap: Bootstrap,
+        recovered: bool,
+    ) -> ValidatorNode {
         let Bootstrap {
             validator,
             mut pipeline,
             ..
-        } = bootstrap(config);
+        } = bootstrap;
         let registry = Registry::new();
         pipeline.set_telemetry(registry.sink());
         let mut mempool = Mempool::new(config.mempool_capacity);
         mempool.set_telemetry(registry.sink());
-        // Share the pipeline's verified-tx cache: a signature verified at
-        // admission is never re-verified at proposal or import.
         mempool.set_sig_cache(pipeline.store().sig_cache());
+        if recovered {
+            registry.sink().incr("node.fault.recoveries");
+        }
         ValidatorNode {
             id,
             proposer: validator,
+            next_timestamp: pipeline.store().height() + 1,
             pipeline,
-            next_timestamp: 2,
             mempool,
             registry,
             trace: TraceSink::disabled(),
@@ -156,28 +171,8 @@ impl ValidatorNode {
         config: &PlatformConfig,
         snapshot: &[u8],
     ) -> Result<ValidatorNode, NodeError> {
-        let Bootstrap {
-            validator,
-            mut pipeline,
-            ..
-        } = restore_bootstrap(config, snapshot)?;
-        let registry = Registry::new();
-        pipeline.set_telemetry(registry.sink());
-        let mut mempool = Mempool::new(config.mempool_capacity);
-        mempool.set_telemetry(registry.sink());
-        mempool.set_sig_cache(pipeline.store().sig_cache());
-        let next_timestamp = pipeline.store().height() + 1;
-        registry.sink().incr("node.fault.recoveries");
-        Ok(ValidatorNode {
-            id,
-            proposer: validator,
-            pipeline,
-            next_timestamp,
-            mempool,
-            registry,
-            trace: TraceSink::disabled(),
-            monitor: None,
-        })
+        let bootstrap = restore_bootstrap(config, snapshot)?;
+        Ok(Self::assemble(id, config, bootstrap, true))
     }
 
     /// Restarts replica `id` from its on-disk storage directory (the
@@ -195,34 +190,8 @@ impl ValidatorNode {
     /// [`NodeError::Chain`] when the directory holds no usable storage or
     /// checkpointed state fails to load.
     pub fn reopen(id: usize, config: &PlatformConfig) -> Result<(ValidatorNode, u64), NodeError> {
-        let (
-            Bootstrap {
-                validator,
-                mut pipeline,
-                ..
-            },
-            replayed,
-        ) = recover_bootstrap(config)?;
-        let registry = Registry::new();
-        pipeline.set_telemetry(registry.sink());
-        let mut mempool = Mempool::new(config.mempool_capacity);
-        mempool.set_telemetry(registry.sink());
-        mempool.set_sig_cache(pipeline.store().sig_cache());
-        let next_timestamp = pipeline.store().height() + 1;
-        registry.sink().incr("node.fault.recoveries");
-        Ok((
-            ValidatorNode {
-                id,
-                proposer: validator,
-                pipeline,
-                next_timestamp,
-                mempool,
-                registry,
-                trace: TraceSink::disabled(),
-                monitor: None,
-            },
-            replayed,
-        ))
+        let (bootstrap, replayed) = recover_bootstrap(config)?;
+        Ok((Self::assemble(id, config, bootstrap, true), replayed))
     }
 
     /// Forces a storage checkpoint at the current head (clean shutdown:

@@ -15,12 +15,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "== cargo test -q"
 cargo test --workspace --offline -q
 
+echo "== benchmark package (the public surface benchmark/README.md pins)"
+# The repo's benchmark is a package of its own that drives the platform
+# through public functions only. Build it against its committed lock file,
+# run its unit tests and its two-second smoke, then require that nothing
+# under benchmark/ (Cargo.lock included) or BENCHMARK.json moved: a crate
+# added, removed or re-wired inside the benchmark's dependency closure
+# makes cargo rewrite benchmark/Cargo.lock, and that must fail here rather
+# than in the benchmark pipeline.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick
+git diff --exit-code -- benchmark BENCHMARK.json
+
 echo "== exp17 smoke (parallel verification pipeline)"
 cargo run -q --release --offline -p tn-bench --bin exp17_parallel_verify -- --quick
 
 echo "== exp18 smoke (distributed tracing + Perfetto export)"
 # The bin itself validates the exported JSON (well-formed, non-empty,
-# spans from >= 3 replicas); double-check the artifact landed.
+# spans from >= 3 replicas); double-check the artifact landed (--quick
+# leaves results/e18.json alone but always exports the trace).
 cargo run -q --release --offline -p tn-bench --bin exp18_trace_critical_path -- --quick
 test -s results/e18_trace.json || { echo "missing results/e18_trace.json"; exit 1; }
 

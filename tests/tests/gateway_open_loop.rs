@@ -144,6 +144,7 @@ fn gateway_spans_link_admission_through_ingest_to_commit() {
             offered_tps: 2_000.0,
             ..OpenLoopConfig::default()
         },
+        &mut |_| {},
     )
     .expect("run");
     assert!(run.report.committed > 0);
