@@ -1,10 +1,14 @@
 //! Microbenchmarks for the batch-verification kernels: variable-base MSM
 //! (Straus vs Pippenger across window widths and batch sizes) and the
-//! batched Schnorr check itself. The window sweep here is the source of
-//! the measured-parameter table in `tn_crypto::msm`'s module docs and of
+//! batched Schnorr check itself, plus mempool admission of one ingest
+//! batch through it. The window sweep here is the source of the
+//! measured-parameter table in `tn_crypto::msm`'s module docs and of
 //! `STRAUS_CUTOFF` / `pippenger_window`.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use tn_bench::scenarios::BlobChain;
+use tn_chain::block::BatchVerifyPolicy;
+use tn_chain::prelude::Mempool;
 use tn_crypto::ec::Affine;
 use tn_crypto::msm::{msm, pippenger, pippenger_window, straus};
 use tn_crypto::sha256::{sha256, tagged_hash};
@@ -82,9 +86,34 @@ fn bench_verify_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Mempool admission of one 128-transaction ingest batch (the gateway's
+/// default `ingest_batch`, 24 signers like the persona workloads) with no
+/// sigcache, so every iteration pays its signature checks: the
+/// per-transaction scan vs one batched equation.
+fn bench_mempool_admit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_verify/mempool_admit_128");
+    group.sample_size(10);
+    let chain = BlobChain::new("bench admit", 128, 24);
+    let state = chain.store.head_state();
+    let pool = chain.store.verify_pool();
+    for (label, policy) in [
+        ("scan", BatchVerifyPolicy::disabled()),
+        ("batched", BatchVerifyPolicy::default()),
+    ] {
+        group.bench_function(label, |b| {
+            b.iter_batched(
+                || (Mempool::new(1024), chain.txs.clone()),
+                |(mut mempool, txs)| mempool.insert_batch(txs, state, &pool, policy),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_msm_windows, bench_verify_batch
+    targets = bench_msm_windows, bench_verify_batch, bench_mempool_admit
 }
 criterion_main!(benches);

@@ -25,6 +25,13 @@
 //! - **Counters** (Part D): a cold import observed through the
 //!   `chain.verify.batch.*` and `chain.sigcache.*` counters — batching
 //!   preserves the one-EC-verify-per-tx accounting.
+//! - **Admission** (Part E): `ValidatorNode::submit_batch` of one 128-
+//!   and one 256-transaction ingest batch on a fresh node — per-tx
+//!   (`verify_batch_chunk = 0`) vs batched (the default), single-signer
+//!   and distinct-signer — plus a poisoned batch (one bad signature):
+//!   its equation fails, the whole batch is rescanned, and the cost must
+//!   stay near the per-tx path's. Every pair is also checked for equal
+//!   verdicts, pool contents and sigcache lookups.
 //!
 //! Run with `--quick` for a CI-sized smoke run.
 
@@ -34,15 +41,20 @@ use serde::Serialize;
 
 use tn_bench::scenarios::BlobChain;
 use tn_bench::{Experiment, Value};
-use tn_chain::block::{BatchVerifyPolicy, BATCH_CHUNKS_COUNTER, BATCH_TXS_COUNTER};
+use tn_chain::block::{
+    BatchVerifyPolicy, BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_TXS_COUNTER,
+};
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
+use tn_core::platform::PlatformConfig;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian};
 use tn_crypto::field::{self, neg_mod, reduce};
 use tn_crypto::msm::{msm, mul_window, pippenger_window};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::u256::U256;
-use tn_crypto::{Keypair, Signature};
+use tn_crypto::{Hash256, Keypair, Signature};
+use tn_node::validator::IngestOutcome;
+use tn_node::ValidatorNode;
 use tn_par::Pool;
 use tn_telemetry::{Registry, TelemetrySink};
 use tn_trace::TraceSink;
@@ -135,6 +147,50 @@ fn verify_affine_baseline(
         Affine::Infinity => false,
         Affine::Point { x, y } => x == *r_x && y.is_odd() == parity_odd,
     }
+}
+
+/// What one `submit_batch` left behind, timing aside.
+#[derive(Debug, PartialEq)]
+struct Admitted {
+    outcome: IngestOutcome,
+    pool: Vec<Hash256>,
+    hits: u64,
+    misses: u64,
+}
+
+/// `submit_batch(txs)` on a fresh node built from `config`, with the ids
+/// in `cached` already in its sigcache: the fastest of `reps` wall times
+/// (ms), what was admitted, and the `chain.verify.batch.{txs,fallback}`
+/// counters.
+fn admit(
+    config: &PlatformConfig,
+    txs: &[Transaction],
+    cached: &[Hash256],
+    reps: usize,
+) -> (f64, Admitted, u64, u64) {
+    let mut best: Option<(f64, Admitted, u64, u64)> = None;
+    for _ in 0..reps {
+        let mut node = ValidatorNode::new(0, config);
+        let cache = node.pipeline().store().sig_cache();
+        cached.iter().for_each(|id| cache.insert(*id));
+        let batch = txs.to_vec();
+        let started = Instant::now();
+        let outcome = node.submit_batch(batch);
+        let ms = started.elapsed().as_secs_f64() * 1_000.0;
+        let snap = node.metrics_snapshot();
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        let admitted = Admitted {
+            outcome,
+            pool: node.mempool().iter().map(Transaction::id).collect(),
+            hits: count(HIT_COUNTER),
+            misses: count(MISS_COUNTER),
+        };
+        if best.as_ref().is_none_or(|(b, ..)| ms < *b) {
+            let (txs, fallback) = (count(BATCH_TXS_COUNTER), count(BATCH_FALLBACK_COUNTER));
+            best = Some((ms, admitted, txs, fallback));
+        }
+    }
+    best.expect("reps >= 1")
 }
 
 fn main() {
@@ -333,6 +389,81 @@ fn main() {
         speedup: 0.0,
     });
 
+    // Part E: mempool admission of one ingest batch — the per-tx scan
+    // vs the batched equation behind `ValidatorNode::submit_batch`.
+    println!("\nPart E: batch admission (submit_batch, per-tx vs batched)\n");
+    let scan_config = PlatformConfig {
+        verify_batch_chunk: 0,
+        ..PlatformConfig::default()
+    };
+    let batch_config = PlatformConfig::default();
+    let reps = if quick { 1 } else { 5 };
+    let sizes: &[usize] = if quick { &[32] } else { &[128, 256] };
+    let mut admit_scan_us = 0.0;
+    let mut admit_batch_us = 0.0;
+    for &n in sizes {
+        for (label, signers) in [("single signer", 1usize), ("distinct signers", n)] {
+            let txs = BlobChain::new("e22 admit", n, signers).txs;
+            let (scan_ms, scan, scan_batched, _) = admit(&scan_config, &txs, &[], reps);
+            let (batch_ms, batched, batch_txs, fallback) = admit(&batch_config, &txs, &[], reps);
+            assert_eq!(batched, scan, "batched admission differs from the scan");
+            assert_eq!(scan.outcome.accepted, n);
+            // One lookup per transaction, a miss; every miss through the
+            // equation when batching is on, none when it is off.
+            assert_eq!((scan.hits, scan.misses), (0, n as u64));
+            assert_eq!((scan_batched, batch_txs, fallback), (0, n as u64, 0));
+            for (mode, ms, sp) in [
+                ("per-tx", scan_ms, 1.0),
+                ("batched", batch_ms, scan_ms / batch_ms),
+            ] {
+                let full = format!("{label}, {mode}");
+                rows.push(Row::timed("admission", full, n, ms, sp));
+            }
+            if signers == 1 && n == sizes[0] {
+                admit_scan_us = scan_ms * 1_000.0 / n as f64;
+                admit_batch_us = batch_ms * 1_000.0 / n as f64;
+            }
+        }
+    }
+    // Half the batch already in the sigcache: those are hits beside the
+    // equation, the rest go through it — still one lookup each.
+    let n = sizes[0];
+    let txs = BlobChain::new("e22 admit", n, 1).txs;
+    let cached: Vec<Hash256> = txs.iter().step_by(2).map(Transaction::id).collect();
+    let (_, scan, ..) = admit(&scan_config, &txs, &cached, 1);
+    let (_, batched, batch_txs, _) = admit(&batch_config, &txs, &cached, 1);
+    assert_eq!(batched, scan, "half-cached batch differs from the scan");
+    let half = (n / 2) as u64;
+    assert_eq!((scan.hits, scan.misses, batch_txs), (half, half, half));
+    // A poisoned batch: the equation fails and decides nothing, the scan
+    // finds the one bad signature, everything else is admitted.
+    let mut poisoned = txs;
+    poisoned[n / 2].fee ^= 1;
+    let (scan_ms, scan, ..) = admit(&scan_config, &poisoned, &[], reps);
+    let (poisoned_ms, batched, batch_txs, fallback) = admit(&batch_config, &poisoned, &[], reps);
+    assert_eq!(batched, scan, "poisoned batch differs from the scan");
+    assert_eq!((scan.outcome.accepted, scan.outcome.rejected), (n - 1, 1));
+    assert_eq!((batch_txs, fallback, scan.misses), (0, 1, n as u64));
+    let fallback_cost = poisoned_ms / scan_ms;
+    rows.push(Row::timed(
+        "admission",
+        "single signer, poisoned batch (fallback)",
+        n,
+        poisoned_ms,
+        1.0 / fallback_cost,
+    ));
+    println!(
+        "poisoned {n}-tx batch: {poisoned_ms:.3} ms batched vs {scan_ms:.3} ms per-tx \
+         ({fallback_cost:.3}x)"
+    );
+    if !quick {
+        assert!(
+            fallback_cost <= 1.35,
+            "a failed equation must cost little more than the scan it falls back to \
+             (measured {fallback_cost:.2}x)"
+        );
+    }
+
     println!();
     exp.report(
         "E22",
@@ -344,7 +475,8 @@ fn main() {
     // scan and the batched path (txs/s), their ratio (the headline gate,
     // ≥ 4 expected on single-signer blocks at full size), per-point MSM
     // cost at the largest swept size and one no-inversion verification
-    // (µs).
+    // (µs), and per-transaction admission cost of one 128-tx single-signer
+    // `submit_batch`, per-tx vs batched (µs).
     exp.snapshot(
         "e22_batch_verify",
         vec![
@@ -353,6 +485,8 @@ fn main() {
             ("cold_import_speedup", Value::F64(speedup_single)),
             ("msm_us_per_point", Value::F64(msm_us_per_point)),
             ("single_verify_us", Value::F64(single_verify_us)),
+            ("admit_scan_us_per_tx", Value::F64(admit_scan_us)),
+            ("admit_batch_us_per_tx", Value::F64(admit_batch_us)),
         ],
     );
 }

@@ -248,7 +248,10 @@ impl Block {
     /// count, cache state and policy: header checks run in the same order,
     /// and when several transactions are invalid the error reported is
     /// always the one at the **lowest** transaction index (the pool's
-    /// `try_check` guarantees first-error semantics).
+    /// `try_check` guarantees first-error semantics). The one header
+    /// check a `cache` can shorten is the proposer signature: a block the
+    /// owning store proposed itself is recorded there (see
+    /// `ChainStore::propose`) and is not verified a second time.
     ///
     /// With batching enabled (and tracing disabled — per-transaction
     /// spans require per-transaction verification), transactions are split
@@ -287,10 +290,9 @@ impl Block {
         if self.proposer_key.address() != self.header.proposer {
             return Err(ChainError::AddressMismatch);
         }
-        if !self
-            .proposer_key
-            .verify(&self.header.digest(), &self.signature)
-        {
+        let digest = self.header.digest();
+        let signed_here = cache.is_some_and(|c| c.contains(&self.header_sig_memo(&digest)));
+        if !signed_here && !self.proposer_key.verify(&digest, &self.signature) {
             return Err(ChainError::BadSignature);
         }
         if Block::compute_tx_root_par(&self.transactions, pool) != self.header.tx_root {
@@ -333,6 +335,23 @@ impl Block {
         .map_err(|(_, err)| err)
     }
 
+    /// The `cache` key under which [`crate::store::ChainStore::propose`]
+    /// records "this store signed exactly this header": a domain-separated
+    /// hash of the header `digest`, the proposer key and the signature, so
+    /// it can collide with no transaction id and a hit can only come from
+    /// the byte-identical triple the local proposer just produced. Import
+    /// of a self-proposed block takes the hit instead of re-verifying its
+    /// own signature; blocks from sync, recovery or restore are never
+    /// recorded and pay the EC check. The lookup is not a transaction
+    /// lookup and moves neither `chain.sigcache.hit` nor `.miss`.
+    pub(crate) fn header_sig_memo(&self, digest: &Hash256) -> Hash256 {
+        let mut data = [0u8; 32 + 33 + 65];
+        data[..32].copy_from_slice(digest.as_bytes());
+        data[32..65].copy_from_slice(&self.proposer_key.to_compressed());
+        data[65..].copy_from_slice(&self.signature.to_bytes());
+        tagged_hash("TN/hdrsig", &data)
+    }
+
     /// Runs the batched signature check over all transactions in
     /// fixed-size chunks fanned out over `pool`. Returns `true` when every
     /// chunk's equation holds — in which case sigcache/batch counters are
@@ -353,50 +372,14 @@ impl Block {
         let block_id = self.id();
         let ok = pool
             .map_chunks(&self.transactions, chunk, |ci, txs| {
-                let mut items: Vec<BatchItem> = Vec::with_capacity(txs.len());
-                let mut ids = Vec::with_capacity(txs.len());
-                let mut hits = 0u64;
-                for tx in txs {
-                    if tx.pubkey.address() != tx.from {
-                        return false;
-                    }
-                    let id = tx.id();
-                    if cache.is_some_and(|c| c.contains(&id)) {
-                        hits += 1;
-                        continue;
-                    }
-                    let digest =
-                        Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
-                    items.push((tx.pubkey, digest, tx.signature));
-                    ids.push(id);
-                }
                 // The Fiat–Shamir seed binds the block id and chunk index:
                 // replicas chunking the same block derive bit-identical
                 // batch coefficients regardless of worker count.
                 let mut seed = [0u8; 40];
                 seed[..32].copy_from_slice(block_id.as_bytes());
                 seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
-                if !verify_batch(&items, &seed) {
-                    return false;
-                }
-                if cache.is_some() {
-                    if hits > 0 {
-                        telemetry.add(crate::sigcache::HIT_COUNTER, hits);
-                    }
-                    if !ids.is_empty() {
-                        telemetry.add(crate::sigcache::MISS_COUNTER, ids.len() as u64);
-                    }
-                }
-                if !ids.is_empty() {
-                    telemetry.add(BATCH_TXS_COUNTER, ids.len() as u64);
-                }
-                telemetry.incr(BATCH_CHUNKS_COUNTER);
-                if let Some(cache) = cache {
-                    for id in ids {
-                        cache.insert(id);
-                    }
-                }
-                true
+                let txs = txs.iter().map(|tx| (tx, tx.id()));
+                batch_verify_chunk(txs, &seed, cache, telemetry)
             })
             .into_iter()
             .all(|chunk_ok| chunk_ok);
@@ -405,6 +388,63 @@ impl Block {
         }
         ok
     }
+}
+
+/// One batched signature equation over `txs` (each paired with its id):
+/// the kernel that block import ([`Block::verify_structure_policy`]) and
+/// mempool admission ([`crate::mempool::Mempool::insert_batch`]) share.
+///
+/// Transactions already in `cache` are skipped; the signatures of the
+/// rest are folded into one [`verify_batch`] equation seeded by `seed`.
+/// Returns `true` when the equation holds, i.e. every transaction of the
+/// chunk is known valid — then, and only then, the counters move
+/// (`chain.sigcache.hit` per skipped transaction, `chain.sigcache.miss`
+/// and [`BATCH_TXS_COUNTER`] per batched one, [`BATCH_CHUNKS_COUNTER`]
+/// once) and the batched ids are written to `cache`. Returns `false` on
+/// a sender-address mismatch or a failing equation, deciding nothing: the
+/// caller rescans its share per transaction for the exact error.
+pub(crate) fn batch_verify_chunk<'a>(
+    txs: impl Iterator<Item = (&'a Transaction, Hash256)>,
+    seed: &[u8],
+    cache: Option<&SigCache>,
+    telemetry: &TelemetrySink,
+) -> bool {
+    let mut items: Vec<BatchItem> = Vec::with_capacity(txs.size_hint().0);
+    let mut ids = Vec::with_capacity(txs.size_hint().0);
+    let mut hits = 0u64;
+    for (tx, id) in txs {
+        if tx.pubkey.address() != tx.from {
+            return false;
+        }
+        if cache.is_some_and(|c| c.contains(&id)) {
+            hits += 1;
+            continue;
+        }
+        let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
+        items.push((tx.pubkey, digest, tx.signature));
+        ids.push(id);
+    }
+    if !verify_batch(&items, seed) {
+        return false;
+    }
+    if cache.is_some() {
+        if hits > 0 {
+            telemetry.add(crate::sigcache::HIT_COUNTER, hits);
+        }
+        if !ids.is_empty() {
+            telemetry.add(crate::sigcache::MISS_COUNTER, ids.len() as u64);
+        }
+    }
+    if !ids.is_empty() {
+        telemetry.add(BATCH_TXS_COUNTER, ids.len() as u64);
+    }
+    telemetry.incr(BATCH_CHUNKS_COUNTER);
+    if let Some(cache) = cache {
+        for id in ids {
+            cache.insert(id);
+        }
+    }
+    true
 }
 
 impl Encodable for Block {

@@ -4,9 +4,11 @@
 use std::collections::{BTreeMap, HashSet};
 
 use tn_crypto::{Address, Hash256};
+use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
+use crate::block::{batch_verify_chunk, BatchVerifyPolicy, BATCH_FALLBACK_COUNTER};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
 use crate::state::State;
@@ -84,18 +86,120 @@ impl Mempool {
     /// # Errors
     ///
     /// - [`ChainError::DuplicateTransaction`] if already pending;
-    /// - [`ChainError::MempoolFull`] at capacity;
+    /// - [`ChainError::MempoolFull`] at capacity (a higher-fee replacement
+    ///   for an already-pending nonce does not grow the pool and is not
+    ///   refused for capacity);
     /// - signature errors from [`Transaction::verify`];
     /// - [`ChainError::BadNonce`] if the nonce is already below the
     ///   account's committed nonce in `state`.
     pub fn insert(&mut self, tx: Transaction, state: &State) -> Result<(), ChainError> {
+        let id = tx.id();
+        self.admit(tx, id, state, false)
+    }
+
+    /// Adds a batch of transactions: verdict `i` is exactly what the
+    /// `i`-th call of a plain [`Mempool::insert`] loop would return, and
+    /// pool contents, `mempool.admitted` / `mempool.rejected`, the
+    /// `mempool_reject` events and the sigcache lookups (one per
+    /// transaction that reaches its signature check, `chain.sigcache.hit`
+    /// or `.miss`, never both) are those of the loop too. Only the cost of
+    /// the signature checks differs.
+    ///
+    /// A pre-pass computes every id once and picks the transactions that
+    /// are certain to reach their signature check: not already pending,
+    /// not a repeat of an earlier transaction of the batch, sender address
+    /// matching the key, and inside the remaining capacity. Their
+    /// signatures are folded into batched equations of `policy.chunk`
+    /// signatures, fanned out over `pool` — the chunking and the kernel
+    /// block import uses, counted in `chain.verify.batch.{txs,chunks}`;
+    /// an ingest batch below `policy.chunk` is one equation on the
+    /// caller's thread. Then the per-transaction checks of
+    /// [`Mempool::insert`] run in input order, skipping the signature
+    /// check of every transaction whose equation held. A failing equation
+    /// decides nothing (`chain.verify.batch.fallback` counts it): its
+    /// share, like everything the pre-pass set aside, is verified one by
+    /// one.
+    ///
+    /// With `policy` disabled, or while a [`TraceSink`] is enabled (each
+    /// `tx.admission` span times its own transaction's check), this *is*
+    /// the plain loop.
+    pub fn insert_batch(
+        &mut self,
+        txs: Vec<Transaction>,
+        state: &State,
+        pool: &Pool,
+        policy: BatchVerifyPolicy,
+    ) -> Vec<Result<(), ChainError>> {
+        let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
+        let verified = if policy.enabled && !self.trace.is_enabled() {
+            self.batch_verify(&txs, &ids, pool, policy.chunk.max(1))
+        } else {
+            vec![false; txs.len()]
+        };
+        txs.into_iter()
+            .zip(ids)
+            .zip(verified)
+            .map(|((tx, id), verified)| self.admit(tx, id, state, verified))
+            .collect()
+    }
+
+    /// The pre-pass and equations of [`Mempool::insert_batch`]: entry `i`
+    /// is true when `txs[i]` went through an equation that held (or was
+    /// found in the sigcache beside one).
+    fn batch_verify(
+        &self,
+        txs: &[Transaction],
+        ids: &[Hash256],
+        pool: &Pool,
+        chunk: usize,
+    ) -> Vec<bool> {
+        let mut verified = vec![false; txs.len()];
+        // Each candidate admitted grows the pool by at most one, and a
+        // repeat can only be admitted when its first copy was not, so the
+        // first `room` candidates all pass the capacity check on their turn.
+        let room = self.capacity.saturating_sub(self.len);
+        let mut in_batch = HashSet::with_capacity(txs.len());
+        let candidates: Vec<usize> = (0..txs.len())
+            .filter(|&i| {
+                in_batch.insert(ids[i])
+                    && !self.seen.contains(&ids[i])
+                    && txs[i].pubkey.address() == txs[i].from
+            })
+            .take(room)
+            .collect();
+        if candidates.is_empty() {
+            return verified;
+        }
+        let held = pool.map_chunks(&candidates, chunk, |_, share| {
+            let share = share.iter().map(|&i| (&txs[i], ids[i]));
+            batch_verify_chunk(share, b"TN/admit", self.sig_cache.as_ref(), &self.telemetry)
+        });
+        for (share, held) in candidates.chunks(chunk).zip(held) {
+            if held {
+                share.iter().for_each(|&i| verified[i] = true);
+            } else {
+                self.telemetry.incr(BATCH_FALLBACK_COUNTER);
+            }
+        }
+        verified
+    }
+
+    /// One admission with its metrics and span; `verified` says the
+    /// signature check already happened (see [`Mempool::insert_batch`]).
+    fn admit(
+        &mut self,
+        tx: Transaction,
+        id: Hash256,
+        state: &State,
+        verified: bool,
+    ) -> Result<(), ChainError> {
         let t0 = self.trace.now_ns();
         let tx_trace = if self.trace.is_enabled() {
-            TraceId::from_seed(tx.id().as_bytes())
+            TraceId::from_seed(id.as_bytes())
         } else {
             TraceId::NONE
         };
-        let result = self.insert_inner(tx, state);
+        let result = self.insert_inner(tx, id, state, verified);
         match &result {
             Ok(()) => {
                 self.telemetry.incr("mempool.admitted");
@@ -112,17 +216,29 @@ impl Mempool {
         result
     }
 
-    fn insert_inner(&mut self, tx: Transaction, state: &State) -> Result<(), ChainError> {
-        let id = tx.id();
+    fn insert_inner(
+        &mut self,
+        tx: Transaction,
+        id: Hash256,
+        state: &State,
+        verified: bool,
+    ) -> Result<(), ChainError> {
         if self.seen.contains(&id) {
             return Err(ChainError::DuplicateTransaction(id));
         }
-        if self.len >= self.capacity {
+        // A replacement for an already-pending nonce does not grow the pool.
+        let slot_taken = self
+            .by_account
+            .get(&tx.from)
+            .is_some_and(|slot| slot.contains_key(&tx.nonce));
+        if !slot_taken && self.len >= self.capacity {
             return Err(ChainError::MempoolFull);
         }
-        match &self.sig_cache {
-            Some(cache) => cache.verify_tx(&tx, &self.telemetry)?,
-            None => tx.verify()?,
+        if !verified {
+            match &self.sig_cache {
+                Some(cache) => cache.verify_tx(&tx, &self.telemetry)?,
+                None => tx.verify()?,
+            }
         }
         let committed = state.nonce(&tx.from);
         if tx.nonce < committed {
@@ -300,6 +416,27 @@ mod tests {
         pool.insert(tx(&alice(), 1, 1), &s).unwrap();
         assert!(matches!(
             pool.insert(tx(&alice(), 2, 1), &s),
+            Err(ChainError::MempoolFull)
+        ));
+    }
+
+    #[test]
+    fn replace_by_fee_is_not_refused_at_capacity() {
+        let s = state();
+        let mut pool = Mempool::new(2);
+        pool.insert(tx(&alice(), 0, 1), &s).unwrap();
+        pool.insert(tx(&alice(), 1, 1), &s).unwrap();
+        // A full pool still takes a higher-fee replacement: it does not grow.
+        pool.insert(tx(&alice(), 1, 10), &s).unwrap();
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.select(&s, 2)[1].fee, 10);
+        // A lower-fee rival is a duplicate, a new nonce is over capacity.
+        assert!(matches!(
+            pool.insert(tx(&alice(), 1, 5), &s),
+            Err(ChainError::DuplicateTransaction(_))
+        ));
+        assert!(matches!(
+            pool.insert(tx(&bob(), 0, 100), &s),
             Err(ChainError::MempoolFull)
         ));
     }

@@ -1213,6 +1213,8 @@ impl ChainStore {
     /// Produces (but does not import) a block extending the canonical head,
     /// executing `txs` against the head state. Transactions that fail
     /// validation are skipped (like a real proposer dropping invalid txs).
+    /// The header signature made here is noted in the store's sigcache,
+    /// so importing the block into this store does not verify it again.
     pub fn propose(
         &self,
         proposer: &Keypair,
@@ -1233,14 +1235,17 @@ impl ChainStore {
                 included.push(tx);
             }
         }
-        Block::build(
+        let block = Block::build(
             proposer,
             self.height() + 1,
             self.head_id(),
             state.root(),
             timestamp,
             included,
-        )
+        );
+        self.sig_cache
+            .insert(block.header_sig_memo(&block.header.digest()));
+        block
     }
 
     /// The canonical chain as block ids, head first down to genesis.
@@ -1569,6 +1574,36 @@ mod tests {
         let block = store.propose(&proposer(), 1, vec![bad, good], &mut NoExecutor);
         assert_eq!(block.transactions.len(), 1);
         assert_eq!(block.transactions[0].nonce, 0);
+    }
+
+    #[test]
+    fn own_header_signature_is_memoised_and_nothing_else() {
+        let mut store = store_with_funds();
+        let block = store.propose(&proposer(), 1, vec![blob(0)], &mut NoExecutor);
+        let memo = block.header_sig_memo(&block.header.digest());
+        assert!(store.sig_cache().contains(&memo));
+        // The memo covers the exact triple only: any other signature or
+        // header on the same block misses it and pays the real check.
+        let mut resigned = block.clone();
+        resigned.signature = alice().sign(&block.header.digest());
+        assert_eq!(
+            store.import(resigned, &mut NoExecutor),
+            Err(ChainError::BadSignature)
+        );
+        let mut redated = block.clone();
+        redated.header.timestamp += 1;
+        assert_eq!(
+            store.import(redated, &mut NoExecutor),
+            Err(ChainError::BadSignature)
+        );
+        store
+            .import(block.clone(), &mut NoExecutor)
+            .expect("imports");
+        // A store that did not propose the block verifies it as ever and
+        // records nothing about its header.
+        let mut follower = store_with_funds();
+        follower.import(block, &mut NoExecutor).expect("imports");
+        assert!(!follower.sig_cache().contains(&memo));
     }
 
     #[test]

@@ -427,6 +427,48 @@ mod tests {
     }
 
     #[test]
+    fn drain_batch_verifies_exactly_the_uncached_transactions() {
+        let config = PlatformConfig::default();
+        let mut node = ValidatorNode::new(0, &config);
+        let mut gw = Gateway::new(&GatewayConfig {
+            queue_capacity: 16,
+            ..cfg()
+        })
+        .unwrap();
+        // The funded bootstrap governor; its nonce 0 went to the genesis anchor.
+        let txs: Vec<Transaction> = (1..=7)
+            .map(|nonce| tx(b"tn-platform-governor", nonce))
+            .collect();
+        // One signature is already known to the node's sigcache.
+        node.pipeline().store().sig_cache().insert(txs[4].id());
+        for t in &txs {
+            assert_eq!(gw.offer(9, t.clone(), t.nonce), AdmitVerdict::Admitted);
+        }
+        let report = gw.drain_into(&mut node);
+        assert_eq!((report.ingested, report.accepted), (7, 7));
+        // A pending transaction offered again never reaches an equation.
+        assert_eq!(gw.offer(9, txs[0].clone(), 8), AdmitVerdict::Admitted);
+        let again = gw.drain_into(&mut node);
+        assert_eq!((again.ingested, again.rejected), (1, 1));
+        let snap = node.metrics_snapshot();
+        assert_eq!(snap.counter("chain.verify.batch.txs"), Some(6));
+        assert_eq!(snap.counter("chain.sigcache.miss"), Some(6));
+        assert_eq!(snap.counter("chain.sigcache.hit"), Some(1));
+        // Door conservation: offered = admitted, admitted = ingested,
+        // ingested = accepted + rejected, nothing left in the lanes.
+        let stats = gw.stats();
+        assert_eq!(stats.admitted, 8);
+        assert_eq!(stats.ingested, stats.admitted);
+        assert_eq!(
+            stats.mempool_accepted + stats.mempool_rejected,
+            stats.ingested
+        );
+        assert_eq!((stats.mempool_accepted, stats.mempool_rejected), (7, 1));
+        assert_eq!(gw.queued(), 0);
+        assert_eq!(node.mempool().len(), 7);
+    }
+
+    #[test]
     fn watermark_backpressure_holds_work_in_lanes() {
         let config = PlatformConfig::default();
         let mut node = ValidatorNode::new(0, &config);

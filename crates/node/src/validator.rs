@@ -298,18 +298,27 @@ impl ValidatorNode {
 
     /// Admission-checks a batch of transactions against the current head
     /// state in one pass — the gateway's batched-ingest entry point.
-    /// Rejections are per-transaction and never abort the batch; counts
-    /// `node.ingest.batches` and observes `node.ingest.batch_size` on top
-    /// of the usual per-transaction mempool metrics.
+    /// Rejections are per-transaction and never abort the batch, and every
+    /// verdict is the one [`ValidatorNode::submit`] would give in the same
+    /// position; the signatures are checked through
+    /// [`Mempool::insert_batch`]'s batched equations on the store's verify
+    /// pool and batch policy. Counts `node.ingest.batches` and observes
+    /// `node.ingest.batch_size` on top of the usual per-transaction
+    /// mempool metrics.
     pub fn submit_batch(&mut self, txs: Vec<Transaction>) -> IngestOutcome {
         let size = txs.len() as u64;
-        let mut out = IngestOutcome::default();
-        for tx in txs {
-            match self.mempool.insert(tx, self.pipeline.store().head_state()) {
-                Ok(()) => out.accepted += 1,
-                Err(_) => out.rejected += 1,
-            }
-        }
+        let store = self.pipeline.store();
+        let verdicts = self.mempool.insert_batch(
+            txs,
+            store.head_state(),
+            &store.verify_pool(),
+            store.batch_policy(),
+        );
+        let accepted = verdicts.iter().filter(|v| v.is_ok()).count();
+        let out = IngestOutcome {
+            accepted,
+            rejected: verdicts.len() - accepted,
+        };
         self.registry.sink().incr("node.ingest.batches");
         self.registry.sink().observe("node.ingest.batch_size", size);
         out
@@ -713,6 +722,51 @@ mod tests {
         assert_eq!(snap.counter("node.ingest.batches"), Some(2));
         assert_eq!(snap.counter("mempool.admitted"), Some(n as u64));
         assert_eq!(snap.counter("mempool.rejected"), Some(n as u64));
+        Ok(())
+    }
+
+    #[test]
+    fn submit_batch_and_submit_reach_the_same_digest() -> Result<(), String> {
+        use crate::workload::scripted_workload;
+        let config = PlatformConfig::default();
+        let stream = scripted_workload(&config);
+        // A damaged signature and a repeat follow in a batch of their own:
+        // same verdicts, and neither may reach a block on either node.
+        let mut forged = stream[3].clone();
+        forged.fee += 1;
+        let tail = vec![forged, stream[0].clone()];
+        let mut batched = ValidatorNode::new(0, &config);
+        let mut single = ValidatorNode::new(1, &config);
+        for (batch, rejected) in [(&stream, 0), (&tail, 2)] {
+            let out = batched.submit_batch(batch.clone());
+            let accepted = batch
+                .iter()
+                .filter(|tx| single.submit((*tx).clone()).is_ok())
+                .count();
+            assert_eq!(out.accepted, accepted);
+            assert_eq!(out.rejected, rejected);
+        }
+        for node in [&mut batched, &mut single] {
+            while node
+                .produce_block_from_mempool(16)
+                .map_err(|e| format!("produce failed: {e}"))?
+                .is_some()
+            {}
+        }
+        assert_eq!(batched.height(), single.height());
+        assert_eq!(batched.execution_digest(), single.execution_digest());
+        // The batched node paid its signature checks in equations, the
+        // other one by one; both looked each signature up once.
+        let (b, s) = (batched.metrics_snapshot(), single.metrics_snapshot());
+        assert_eq!(
+            b.counter("chain.verify.batch.txs"),
+            Some(stream.len() as u64)
+        );
+        assert_eq!(b.counter("chain.verify.batch.fallback"), Some(1));
+        assert_eq!(s.counter("chain.verify.batch.txs"), None);
+        for name in ["chain.sigcache.hit", "chain.sigcache.miss"] {
+            assert_eq!(b.counter(name), s.counter(name), "{name}");
+        }
         Ok(())
     }
 

@@ -57,10 +57,12 @@ echo "== exp21 smoke (open-loop gateway sweep)"
 # replica digests. Writes no artifacts.
 cargo run -q --release --offline -p tn-bench --bin exp21_open_loop -- --quick
 
-echo "== exp22 smoke (batch Schnorr verification on the cold import path)"
+echo "== exp22 smoke (batch Schnorr verification: cold import and mempool admission)"
 # The bin asserts batch==sequential verdicts, byte-identical replica
-# digests across batch configurations, and the one-EC-verify-per-tx
-# cache contract; --quick runs small sizes and writes no artifacts.
+# digests across batch configurations, the one-EC-verify-per-tx cache
+# contract, and that submit_batch through the batched equation admits,
+# rejects and counts exactly like the per-tx path (clean, half-cached
+# and poisoned batches); --quick runs small sizes and writes no artifacts.
 cargo run -q --release --offline -p tn-bench --bin exp22_batch_verify -- --quick
 
 echo "== exp23 smoke (health plane: fault detection + monitor overhead)"
