@@ -33,7 +33,7 @@ fn pairs(n: usize) -> Vec<(Affine, U256)> {
 fn bench_msm_windows(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_verify/msm");
     group.sample_size(10);
-    for n in [16usize, 64, 256, 1024, 4096] {
+    for n in [16usize, 64, 128, 192, 256, 1024, 4096] {
         let ps = pairs(n);
         if n <= 256 {
             group.bench_with_input(BenchmarkId::new("straus", n), &ps, |b, ps| {
@@ -57,7 +57,7 @@ fn bench_msm_windows(c: &mut Criterion) {
         });
     }
     group.finish();
-    for n in [16usize, 64, 256, 1024, 4096] {
+    for n in [16usize, 64, 128, 192, 256, 1024, 4096] {
         println!("pippenger_window({n}) = {}", pippenger_window(n));
     }
 }

@@ -45,7 +45,7 @@ fn bench_block_import(c: &mut Criterion) {
                 },
                 |(mut store, block)| {
                     store
-                        .import(black_box(block), &mut NoExecutor)
+                        .import(black_box(&block), &mut NoExecutor)
                         .expect("imports")
                 },
                 criterion::BatchSize::SmallInput,

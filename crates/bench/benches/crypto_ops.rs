@@ -3,8 +3,12 @@
 //! (every news action is a signed transaction).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tn_crypto::ec::{mul_generator, mul_generator_jacobian, Jacobian};
+use tn_crypto::field::Fe;
 use tn_crypto::merkle::{leaf_hash, MerkleTree};
+use tn_crypto::msm::mul_window;
 use tn_crypto::sha256::sha256;
+use tn_crypto::u256::U256;
 use tn_crypto::Keypair;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -26,6 +30,50 @@ fn bench_schnorr(c: &mut Criterion) {
     c.bench_function("schnorr_verify", |b| {
         b.iter(|| assert!(kp.public().verify(black_box(&msg), black_box(&sig))))
     });
+}
+
+/// The rows beneath `crypto.verify_us`: one field operation, one point
+/// operation, one scalar multiplication of each kind.
+fn bench_field_ops(c: &mut Criterion) {
+    let mut group = c.benchmark_group("field_ops");
+    let k = U256::from_be_bytes(sha256(b"field_ops scalar").as_bytes());
+    let a = Fe::reduce(&U256::from_be_bytes(sha256(b"field_ops a").as_bytes()));
+    let b = Fe::reduce(&U256::from_be_bytes(sha256(b"field_ops b").as_bytes()));
+    // One multiplication is ~17 ns and one point operation ~0.1–0.25 µs,
+    // below what a single timed call can resolve: those rows time
+    // dependent chains of 1024 operations.
+    group.bench_function("mul_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(a), |x, _| x * black_box(b)))
+    });
+    group.bench_function("sqr_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(a), |x, _| x.sqr()))
+    });
+    group.bench_function("inv", |g| g.iter(|| black_box(a).inv()));
+    group.bench_function("sqrt", |g| g.iter(|| black_box(a).sqr().sqrt()));
+
+    let affine = mul_generator(&U256::from_u64(0x5eed));
+    // Two unrelated points with Z ≠ 1, as the kernels meet them.
+    let p = mul_generator_jacobian(&k).double();
+    let q = mul_generator_jacobian(&U256::from_u64(0xfeed)).double();
+    group.bench_function("double_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(p), |x, _| x.double()))
+    });
+    group.bench_function("add_affine_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(p), |x, _| x.add_affine(black_box(&affine))))
+    });
+    group.bench_function("add_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(p), |x, _| x.add(black_box(&q))))
+    });
+    group.bench_function("mul_generator", |g| {
+        g.iter(|| mul_generator_jacobian(black_box(&k)))
+    });
+    group.bench_function("mul_window", |g| {
+        g.iter(|| mul_window(black_box(&affine), black_box(&k)))
+    });
+    group.bench_function("to_affine", |g| {
+        g.iter(|| Jacobian::to_affine(black_box(&p)))
+    });
+    group.finish();
 }
 
 fn bench_merkle(c: &mut Criterion) {
@@ -50,6 +98,6 @@ fn bench_merkle(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sha256, bench_schnorr, bench_merkle
+    targets = bench_sha256, bench_schnorr, bench_field_ops, bench_merkle
 }
 criterion_main!(benches);

@@ -78,7 +78,7 @@ fn bench_merkle_par(c: &mut Criterion) {
 
 fn bench_fixed_base_mul(c: &mut Criterion) {
     let k = U256::from_be_bytes(&[0x5a; 32]);
-    let g = tn_crypto::ec::Jacobian::from_affine(&tn_crypto::ec::generator());
+    let g = tn_crypto::ec::Jacobian::from_affine(&tn_crypto::ec::GENERATOR);
     c.bench_function("mul_generator_window", |b| {
         b.iter(|| mul_generator(black_box(&k)))
     });

@@ -68,7 +68,7 @@ fn main() {
                 })
                 .collect();
             let block = store.propose(&validator, timestamp, txs, &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
             timestamp += 1;
             remaining -= batch;
         }

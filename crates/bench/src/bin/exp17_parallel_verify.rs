@@ -27,7 +27,7 @@ use tn_bench::scenarios::BlobChain;
 use tn_bench::Experiment;
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{SigCache, HIT_COUNTER, MISS_COUNTER};
-use tn_crypto::ec::{generator, mul_generator, Jacobian};
+use tn_crypto::ec::{mul_generator, Jacobian, GENERATOR};
 use tn_crypto::u256::U256;
 use tn_par::Pool;
 use tn_telemetry::{Registry, TelemetrySink};
@@ -171,7 +171,7 @@ fn main() {
     }
     let selected = mempool.select(store.head_state(), block_txs);
     let proposed = store.propose(&validator, 1, selected, &mut NoExecutor);
-    store.import(proposed, &mut NoExecutor).expect("imports");
+    store.import(&proposed, &mut NoExecutor).expect("imports");
     let snap = registry.snapshot();
     let hits = snap.counter(HIT_COUNTER).unwrap_or(0);
     let misses = snap.counter(MISS_COUNTER).unwrap_or(0);
@@ -208,7 +208,7 @@ fn main() {
         std::hint::black_box(mul_generator(s));
     }
     let window_ms = started.elapsed().as_secs_f64() * 1_000.0;
-    let g = Jacobian::from_affine(&generator());
+    let g = Jacobian::from_affine(&GENERATOR);
     let started = Instant::now();
     for s in &scalars {
         std::hint::black_box(g.mul_scalar(s).to_affine());

@@ -12,8 +12,8 @@
 //!   multi-scalar multiplication (`tn_crypto::msm`) vs one independent
 //!   window multiplication per point, across batch sizes.
 //! - **Single verification** (Part B): the no-inversion two-term form
-//!   (`s·G + (−e)·P + (−R) == ∞`, fixed-base window table + 4-bit Straus
-//!   window, identity test free in Jacobian coordinates) vs the previous
+//!   (`s·G + (−e)·P + (−R) == ∞`, fixed-base window table + signed
+//!   5-bit window, identity test free in Jacobian coordinates) vs the previous
 //!   affine-comparison form (generic ladder for `e·P` plus a field
 //!   inversion to normalize).
 //! - **Cold import** (Part C): full block structural verification —
@@ -48,7 +48,7 @@ use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
 use tn_core::platform::PlatformConfig;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian};
-use tn_crypto::field::{self, neg_mod, reduce};
+use tn_crypto::field::{neg_mod, reduce, N};
 use tn_crypto::msm::{msm, mul_window, pippenger_window};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::u256::U256;
@@ -139,13 +139,13 @@ fn verify_affine_baseline(
     e: &U256,
     s: &U256,
 ) -> bool {
-    let neg_e = neg_mod(&reduce(e, &field::n()), &field::n());
+    let neg_e = neg_mod(&reduce(e, &N), &N);
     let rp = tn_crypto::ec::mul_generator_jacobian(s)
         .add(&Jacobian::from_affine(pubkey).mul_scalar(&neg_e))
         .to_affine();
     match rp {
         Affine::Infinity => false,
-        Affine::Point { x, y } => x == *r_x && y.is_odd() == parity_odd,
+        Affine::Point { x, y } => x.to_u256() == *r_x && y.is_odd() == parity_odd,
     }
 }
 
@@ -275,7 +275,7 @@ fn main() {
         data.extend_from_slice(msg.as_bytes());
         reduce(
             &U256::from_be_bytes(tagged_hash("TN/challenge", &data).as_bytes()),
-            &field::n(),
+            &N,
         )
     };
     // Sanity: the baseline must accept the valid signature before we race it.
@@ -365,7 +365,7 @@ fn main() {
     // clearing it first.
     let block = store.propose(&validator, 1, txs, &mut NoExecutor);
     store.set_sig_cache(SigCache::new(1 << 16));
-    store.import(block, &mut NoExecutor).expect("imports");
+    store.import(&block, &mut NoExecutor).expect("imports");
     let snap = registry.snapshot();
     let batch_txs = snap.counter(BATCH_TXS_COUNTER).unwrap_or(0);
     let chunks = snap.counter(BATCH_CHUNKS_COUNTER).unwrap_or(0);

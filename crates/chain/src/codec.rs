@@ -70,6 +70,18 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Reserves room for exactly `additional` more bytes, so a caller that
+    /// knows the final size pays for one allocation and no slack.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
+    /// Appends bytes that are already a canonical encoding, as they are.
+    pub fn put_raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Writes a single byte.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

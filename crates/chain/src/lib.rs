@@ -48,7 +48,7 @@
 //!     Payload::Blob { tag: blob_tags::NEWS_PUBLISH, data: b"story bytes".to_vec() },
 //! );
 //! let block = store.propose(&validator, 1, vec![tx], &mut NoExecutor);
-//! store.import(block, &mut NoExecutor)?;
+//! store.import(&block, &mut NoExecutor)?;
 //! assert_eq!(store.height(), 1);
 //! # Ok::<(), tn_chain::ChainError>(())
 //! ```

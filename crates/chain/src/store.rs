@@ -9,19 +9,24 @@
 //!
 //! ## Storage layout
 //!
-//! The store keeps only a recent *window* of blocks fully materialized in
-//! memory (block, post-state, receipts — including fork branches). Every
-//! imported block is first made durable in the backend's write-ahead log;
-//! when a height falls `retention` blocks behind the head it is
-//! *finalized* into the backend (sealed into segment files on the disk
-//! backend, fork siblings discarded) and evicted from the window. The
-//! full height → id canonical map stays in memory (40 bytes per block),
-//! so canonical-chain walks never touch the backend.
+//! The window holds fork-choice state, the backend holds bodies. For a
+//! recent *window* of blocks (including fork branches) the store keeps
+//! what validation and fork choice need — header and post-state — and
+//! nothing else; a block's transactions and receipts live once, as the
+//! canonical bytes of its backend record, for windowed and evicted heights
+//! alike. Every imported block is first made durable in the backend's
+//! write-ahead log; when a height falls `retention` blocks behind the
+//! head it is *finalized* into the backend (sealed into segment files on
+//! the disk backend, fork siblings discarded) and evicted from the
+//! window. The full height → id canonical map stays in memory (40 bytes
+//! per block), so canonical-chain walks never touch the backend.
 //!
-//! Historical queries against evicted blocks are served from the backend:
-//! blocks and receipts are read back directly, while historical *states*
-//! are reconstructed by replaying forward from the nearest checkpoint at
-//! or below the requested height. The replay uses [`NoExecutor`], which
+//! Every query about a body — [`ChainStore::block`], the transaction and
+//! account indexes, observer replay, [`ChainStore::snapshot`] — reads the
+//! backend record, whatever the height. Historical *states* of evicted
+//! blocks are reconstructed by replaying forward from the nearest
+//! checkpoint at or below the requested height. The replay uses
+//! [`NoExecutor`], which
 //! is sound because contract execution never writes chain [`State`] —
 //! the proposer path proves this invariant on every block (it builds
 //! state roots with `NoExecutor` that import then validates under the
@@ -35,15 +40,16 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_par::Pool;
-use tn_storage::{BlockRecord, HeadMeta, Key, Storage, StorageConfig, TxIndexEntry, TxLocation};
+use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, TxLocation};
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
-use crate::block::{BatchVerifyPolicy, Block};
+use crate::block::{BatchVerifyPolicy, Block, BlockHeader};
 use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
@@ -52,12 +58,13 @@ use crate::sigcache::SigCache;
 use crate::state::{NoExecutor, Receipt, State, TxExecutor};
 use crate::transaction::{Payload, Transaction};
 
-/// A windowed block together with its post-state and receipts.
+/// What the window keeps of a block: enough to validate children against
+/// it and to run fork choice. Transactions and receipts stay in the
+/// backend record.
 #[derive(Debug, Clone)]
 struct StoredBlock {
-    block: Block,
+    header: BlockHeader,
     post_state: State,
-    receipts: Vec<Receipt>,
 }
 
 fn encode_block(block: &Block) -> Vec<u8> {
@@ -93,17 +100,20 @@ fn decode_receipts(bytes: &[u8]) -> Result<Vec<Receipt>, ChainError> {
     Ok(receipts)
 }
 
-/// The account keys a transaction touches, for the backend's account
-/// index: always the sender, plus the transfer recipient or called
-/// contract.
-fn index_accounts(tx: &Transaction) -> Vec<Key> {
-    let mut accounts = vec![*tx.from.as_hash().as_bytes()];
-    match &tx.payload {
-        Payload::Transfer { to, .. } => accounts.push(*to.as_hash().as_bytes()),
-        Payload::ContractCall { contract, .. } => accounts.push(*contract.as_hash().as_bytes()),
-        _ => {}
+/// A transaction's entry for the backend's indexes: its id and the
+/// account keys it touches — always the sender, plus the transfer
+/// recipient or called contract.
+fn index_entry(tx: &Transaction) -> TxIndexEntry {
+    let counterparty = match &tx.payload {
+        Payload::Transfer { to, .. } => Some(to),
+        Payload::ContractCall { contract, .. } => Some(contract),
+        _ => None,
+    };
+    TxIndexEntry {
+        id: *tx.id().as_bytes(),
+        sender: *tx.from.as_hash().as_bytes(),
+        counterparty: counterparty.map(|a| *a.as_hash().as_bytes()),
     }
-    accounts
 }
 
 fn block_record(block: &Block, receipts: &[Receipt]) -> BlockRecord {
@@ -111,16 +121,9 @@ fn block_record(block: &Block, receipts: &[Receipt]) -> BlockRecord {
         height: block.header.height,
         id: *block.id().as_bytes(),
         parent: *block.header.parent.as_bytes(),
-        block_bytes: encode_block(block),
-        receipts_bytes: encode_receipts(receipts),
-        txs: block
-            .transactions
-            .iter()
-            .map(|tx| TxIndexEntry {
-                id: *tx.id().as_bytes(),
-                accounts: index_accounts(tx),
-            })
-            .collect(),
+        block_bytes: encode_block(block).into(),
+        receipts_bytes: encode_receipts(receipts).into(),
+        txs: block.transactions.iter().map(index_entry).collect(),
     }
 }
 
@@ -131,7 +134,7 @@ fn block_record(block: &Block, receipts: &[Receipt]) -> BlockRecord {
 /// while reorgs reset them and replay the new canonical chain from
 /// genesis, so observers always reflect exactly the canonical history.
 pub struct ChainStore {
-    /// Recent blocks (canonical and fork) fully materialized in memory.
+    /// Header and post-state of recent blocks (canonical and fork).
     /// Genesis stays pinned; everything else is evicted once finalized.
     window: HashMap<Hash256, StoredBlock>,
     /// Full canonical height → id map (covers genesis through head).
@@ -236,8 +239,7 @@ impl ChainStore {
         config: &StorageConfig,
     ) -> Result<ChainStore, ChainError> {
         let id = block.id();
-        let rec = block_record(&block, &[]);
-        backend.append_block(&rec)?;
+        backend.append_block(block_record(&block, &[]))?;
         backend.finalize(0, id.as_bytes())?;
         backend.set_head(HeadMeta {
             height: 0,
@@ -259,9 +261,8 @@ impl ChainStore {
         window.insert(
             id,
             StoredBlock {
-                block,
+                header: block.header,
                 post_state: genesis_state,
-                receipts: Vec::new(),
             },
         );
         let mut canonical = BTreeMap::new();
@@ -350,15 +351,17 @@ impl ChainStore {
         // falls back to the next older one). The surviving walk is the
         // gap to re-finalize, ascending.
         let mut at = u64::MAX;
-        let (cp, cp_block, cp_receipts, gap) = loop {
+        let (cp, cp_header, gap) = loop {
             let Some(raw) = backend.checkpoint_at_or_before(at)? else {
                 return Err(ChainError::Checkpoint("no usable checkpoint".into()));
             };
             let candidate = ChainCheckpoint::from_bytes(&raw.blob).ok().and_then(|cp| {
                 let rec = backend.block_by_id(cp.head_id.as_bytes()).ok().flatten()?;
-                let block = decode_block(&rec.block_bytes).ok()?;
-                let receipts = decode_receipts(&rec.receipts_bytes).ok()?;
-                if block.header.state_root != cp.state.root() || block.header.height != cp.height {
+                // A record whose receipts do not decode is as unusable as
+                // one whose block does not.
+                let header = decode_block(&rec.block_bytes).ok()?.header;
+                decode_receipts(&rec.receipts_bytes).ok()?;
+                if header.state_root != cp.state.root() || header.height != cp.height {
                     return None;
                 }
                 let mut gap = Vec::new();
@@ -373,7 +376,7 @@ impl ChainStore {
                     cur = Hash256::from_bytes(rec.parent);
                     h -= 1;
                 }
-                (canonical.get(&h) == Some(&cur)).then_some((cp, block, receipts, gap))
+                (canonical.get(&h) == Some(&cur)).then_some((cp, header, gap))
             });
             match candidate {
                 Some(found) => break found,
@@ -400,9 +403,8 @@ impl ChainStore {
         window.insert(
             genesis_id,
             StoredBlock {
-                block: genesis_block,
+                header: genesis_block.header,
                 post_state: genesis_cp.state.clone(),
-                receipts: Vec::new(),
             },
         );
         let head = cp.head_id;
@@ -410,9 +412,8 @@ impl ChainStore {
             window.insert(
                 head,
                 StoredBlock {
-                    block: cp_block,
+                    header: cp_header,
                     post_state: cp.state.clone(),
-                    receipts: cp_receipts,
                 },
             );
         }
@@ -468,7 +469,7 @@ impl ChainStore {
                     continue;
                 }
             };
-            match self.import(block, executor) {
+            match self.import(&block, executor) {
                 Ok(_) => replayed += 1,
                 Err(ChainError::DuplicateBlock(_)) => {}
                 Err(
@@ -557,14 +558,25 @@ impl ChainStore {
         self.head
     }
 
-    /// The canonical head block (always resident in the window).
-    pub fn head(&self) -> &Block {
-        &self.window[&self.head].block
+    /// Header of the canonical head block (always resident in the window).
+    pub fn head_header(&self) -> &BlockHeader {
+        &self.window[&self.head].header
+    }
+
+    /// The canonical head block, decoded from its backend record.
+    ///
+    /// # Panics
+    ///
+    /// When the backend cannot produce the head's record — it is appended
+    /// before the block becomes head and never pruned while it is.
+    pub fn head(&self) -> Block {
+        self.block(&self.head)
+            .expect("head block readable from the backend")
     }
 
     /// Height of the canonical head.
     pub fn height(&self) -> u64 {
-        self.head().header.height
+        self.head_header().height
     }
 
     /// State after the canonical head.
@@ -593,21 +605,23 @@ impl ChainStore {
         Ok(self.backend)
     }
 
-    /// Number of blocks currently materialized in the in-memory window
-    /// (bounded by `retention` plus fork branches, regardless of chain
-    /// length).
+    /// Number of blocks whose header and post-state are held in the
+    /// in-memory window (bounded by `retention` plus fork branches,
+    /// regardless of chain length).
     pub fn resident_blocks(&self) -> usize {
         self.window.len()
     }
 
-    /// Looks up a block by id — from the window, or read back from the
-    /// backend for evicted history.
+    /// True when the store holds the block `id` (canonical or fork),
+    /// without reading it.
+    pub fn contains(&self, id: &Hash256) -> bool {
+        self.window.contains_key(id) || self.backend.contains_block(id.as_bytes())
+    }
+
+    /// Looks up a block by id, decoding it from its backend record
+    /// (windowed and evicted heights alike).
     pub fn block(&self, id: &Hash256) -> Option<Block> {
-        if let Some(sb) = self.window.get(id) {
-            return Some(sb.block.clone());
-        }
-        let rec = self.backend.block_by_id(id.as_bytes()).ok().flatten()?;
-        decode_block(&rec.block_bytes).ok()
+        decode_block(&self.record(id).ok()?.block_bytes).ok()
     }
 
     /// Post-state of an arbitrary canonical block. Windowed blocks answer
@@ -653,13 +667,20 @@ impl ChainStore {
         Some(state)
     }
 
-    /// Receipts of an arbitrary stored block (window or backend).
+    /// Receipts of an arbitrary stored block, decoded from its backend
+    /// record.
     pub fn receipts_of(&self, id: &Hash256) -> Option<Vec<Receipt>> {
-        if let Some(sb) = self.window.get(id) {
-            return Some(sb.receipts.clone());
-        }
-        let rec = self.backend.block_by_id(id.as_bytes()).ok().flatten()?;
-        decode_receipts(&rec.receipts_bytes).ok()
+        decode_receipts(&self.record(id).ok()?.receipts_bytes).ok()
+    }
+
+    /// Index entries of the canonical blocks above the finalized frontier,
+    /// lowest height first: the part of the chain the backend's own
+    /// transaction and account indexes do not cover yet.
+    fn unfinalized_index(&self) -> impl Iterator<Item = (u64, Arc<[TxIndexEntry]>)> + '_ {
+        let frontier = self.backend.finalized_height();
+        self.canonical
+            .range(frontier + 1..)
+            .filter_map(|(&h, id)| Some((h, self.record(id).ok()?.txs)))
     }
 
     /// Location (height, intra-block index) of a canonical transaction,
@@ -669,19 +690,13 @@ impl ChainStore {
         if let Ok(Some(loc)) = self.backend.tx_location(tx.as_bytes()) {
             return Some(loc);
         }
-        let frontier = self.backend.finalized_height();
-        for (&h, id) in self.canonical.range(frontier + 1..) {
-            let sb = self.window.get(id)?;
-            for (i, t) in sb.block.transactions.iter().enumerate() {
-                if t.id() == *tx {
-                    return Some(TxLocation {
-                        height: h,
-                        index: i as u32,
-                    });
-                }
-            }
-        }
-        None
+        self.unfinalized_index().find_map(|(height, txs)| {
+            let index = txs.iter().position(|t| t.id == *tx.as_bytes())?;
+            Some(TxLocation {
+                height,
+                index: index as u32,
+            })
+        })
     }
 
     /// Ids of canonical transactions touching `account` (sender,
@@ -695,15 +710,12 @@ impl ChainStore {
             .into_iter()
             .map(Hash256::from_bytes)
             .collect();
-        let frontier = self.backend.finalized_height();
-        for (_, id) in self.canonical.range(frontier + 1..) {
-            if let Some(sb) = self.window.get(id) {
-                for tx in &sb.block.transactions {
-                    if index_accounts(tx).contains(&key) {
-                        out.push(tx.id());
-                    }
-                }
-            }
+        for (_, txs) in self.unfinalized_index() {
+            out.extend(
+                txs.iter()
+                    .filter(|t| t.accounts().any(|a| *a == key))
+                    .map(|t| Hash256::from_bytes(t.id)),
+            );
         }
         out
     }
@@ -713,8 +725,8 @@ impl ChainStore {
     pub fn len(&self) -> usize {
         let fork_blocks = self
             .window
-            .values()
-            .filter(|sb| self.canonical.get(&sb.block.header.height) != Some(&sb.block.id()))
+            .iter()
+            .filter(|(id, sb)| self.canonical.get(&sb.header.height) != Some(id))
             .count();
         self.canonical.len() + fork_blocks
     }
@@ -733,7 +745,7 @@ impl ChainStore {
     /// Any structural or stateful [`ChainError`].
     pub fn import(
         &mut self,
-        block: Block,
+        block: &Block,
         executor: &mut dyn TxExecutor,
     ) -> Result<Vec<Receipt>, ChainError> {
         let telemetry = self.telemetry.clone();
@@ -777,14 +789,14 @@ impl ChainStore {
 
     fn import_inner(
         &mut self,
-        block: Block,
+        block: &Block,
         executor: &mut dyn TxExecutor,
     ) -> Result<Vec<Receipt>, ChainError> {
         let id = block.id();
         // During tail replay every record is, by definition, already in
         // the backend — only the window counts as "seen" then.
         if self.window.contains_key(&id)
-            || (!self.replaying && matches!(self.backend.block_by_id(id.as_bytes()), Ok(Some(_))))
+            || (!self.replaying && self.backend.contains_block(id.as_bytes()))
         {
             return Err(ChainError::DuplicateBlock(id));
         }
@@ -823,14 +835,14 @@ impl ChainStore {
             .window
             .get(&block.header.parent)
             .ok_or(ChainError::UnknownParent(block.header.parent))?;
-        let expected_height = parent.block.header.height + 1;
+        let expected_height = parent.header.height + 1;
         if block.header.height != expected_height {
             return Err(ChainError::BadHeight {
                 expected: expected_height,
                 actual: block.header.height,
             });
         }
-        if block.header.timestamp < parent.block.header.timestamp {
+        if block.header.timestamp < parent.header.timestamp {
             return Err(ChainError::TimestampRegression);
         }
         let mut state = parent.post_state.clone();
@@ -871,17 +883,15 @@ impl ChainStore {
         // the window or fork choice can see the block. During tail replay
         // the backend already holds the record.
         if !self.replaying {
-            self.backend
-                .append_block(&block_record(&block, &receipts))?;
+            self.backend.append_block(block_record(block, &receipts))?;
         }
         let height = block.header.height;
         let parent_id = block.header.parent;
         self.window.insert(
             id,
             StoredBlock {
-                block,
+                header: block.header.clone(),
                 post_state: state,
-                receipts: receipts.clone(),
             },
         );
         // Fork choice: longest chain, deterministic tie-break.
@@ -904,7 +914,7 @@ impl ChainStore {
                 id: *id.as_bytes(),
             })?;
             if parent_id == old_head {
-                self.notify_observers(&id, block_trace, import_span, &trace);
+                self.notify_observers(block, &receipts, block_trace, import_span, &trace);
             } else {
                 self.rebuild_observers();
             }
@@ -916,7 +926,8 @@ impl ChainStore {
     /// Feeds the newly-canonical head block to every registered observer.
     fn notify_observers(
         &mut self,
-        id: &Hash256,
+        block: &Block,
+        receipts: &[Receipt],
         block_trace: TraceId,
         import_span: u64,
         trace: &TraceSink,
@@ -924,20 +935,19 @@ impl ChainStore {
         let timed = self.telemetry.is_enabled();
         let telemetry = self.telemetry.clone();
         let mut observers = std::mem::take(&mut self.observers);
-        let stored = &self.window[id];
         let p0 = trace.now_ns();
         let projections_span = replica_span_id(block_trace, "chain.projections", trace.replica());
         for ob in observers.iter_mut() {
             let o0 = trace.now_ns();
             if timed {
                 let started = Instant::now();
-                ob.on_block(&stored.block, &stored.receipts);
+                ob.on_block(block, receipts);
                 telemetry.observe(
                     &format!("chain.projection.{}.apply_ns", ob.name()),
                     started.elapsed().as_nanos() as u64,
                 );
             } else {
-                ob.on_block(&stored.block, &stored.receipts);
+                ob.on_block(block, receipts);
             }
             trace.complete(
                 block_trace,
@@ -975,7 +985,7 @@ impl ChainStore {
                     .event("chain.reorg_below_window", String::new);
                 break;
             };
-            let h = sb.block.header.height;
+            let h = sb.header.height;
             if self.canonical.get(&h) == Some(&cur) {
                 break;
             }
@@ -983,7 +993,7 @@ impl ChainStore {
             if h == 0 {
                 break;
             }
-            cur = sb.block.header.parent;
+            cur = sb.header.parent;
         }
         // Drop stale entries above the new head (only possible if the old
         // branch was longer, which fork choice forbids — kept for safety).
@@ -1010,7 +1020,7 @@ impl ChainStore {
         }
         let genesis = self.genesis;
         self.window
-            .retain(|id, sb| sb.block.header.height > bound || *id == genesis);
+            .retain(|id, sb| sb.header.height > bound || *id == genesis);
         Ok(())
     }
 
@@ -1090,34 +1100,25 @@ impl ChainStore {
         Ok(())
     }
 
-    /// Reads the canonical block and receipts at `height` (window first,
-    /// then backend).
-    fn canonical_block_and_receipts(
-        &self,
-        height: u64,
-        id: &Hash256,
-    ) -> Result<(Block, Vec<Receipt>), ChainError> {
-        if let Some(sb) = self.window.get(id) {
-            return Ok((sb.block.clone(), sb.receipts.clone()));
-        }
-        let rec = self
-            .backend
-            .block_by_height(height)?
+    /// The backend record of a block the store knows, or the error that
+    /// says compaction took it.
+    fn record(&self, id: &Hash256) -> Result<BlockRecord, ChainError> {
+        self.backend
+            .block_by_id(id.as_bytes())?
             .ok_or(ChainError::HistoryPruned {
                 first: self.backend.first_height(),
-            })?;
-        Ok((
-            decode_block(&rec.block_bytes)?,
-            decode_receipts(&rec.receipts_bytes)?,
-        ))
+            })
     }
 
-    /// Walks the canonical chain genesis-first, feeding each block to
-    /// `f`. Evicted heights are read back from the backend.
+    /// Walks the canonical chain genesis-first, decoding each block and
+    /// its receipts from the backend and feeding them to `f`.
     fn for_each_canonical(&self, f: &mut dyn FnMut(&Block, &[Receipt])) -> Result<(), ChainError> {
-        for (&h, id) in self.canonical.iter() {
-            let (block, receipts) = self.canonical_block_and_receipts(h, id)?;
-            f(&block, &receipts);
+        for id in self.canonical.values() {
+            let rec = self.record(id)?;
+            f(
+                &decode_block(&rec.block_bytes)?,
+                &decode_receipts(&rec.receipts_bytes)?,
+            );
         }
         Ok(())
     }
@@ -1130,11 +1131,37 @@ impl ChainStore {
     ///
     /// When canonical history cannot be read back from the backend
     /// (compaction pruned it, or the disk is corrupt).
-    pub fn register_observer(&mut self, mut observer: Box<dyn BlockObserver>) {
-        observer.reset();
-        self.for_each_canonical(&mut |block, receipts| observer.on_block(block, receipts))
+    pub fn register_observer(&mut self, observer: Box<dyn BlockObserver>) {
+        self.register_observers(vec![observer]);
+    }
+
+    /// Registers several projections at once: the canonical history is
+    /// read and decoded once and fed to all of them, instead of once per
+    /// projection.
+    ///
+    /// # Panics
+    ///
+    /// As [`ChainStore::register_observer`].
+    pub fn register_observers(&mut self, mut observers: Vec<Box<dyn BlockObserver>>) {
+        self.feed_canonical(&mut observers)
             .expect("canonical history readable (compaction disables observer replay)");
-        self.observers.push(observer);
+        self.observers.append(&mut observers);
+    }
+
+    /// Resets `observers` and feeds them the canonical chain, genesis
+    /// first, in one pass; returns the number of blocks fed.
+    fn feed_canonical(&self, observers: &mut [Box<dyn BlockObserver>]) -> Result<u64, ChainError> {
+        for ob in observers.iter_mut() {
+            ob.reset();
+        }
+        let mut blocks = 0;
+        self.for_each_canonical(&mut |block, receipts| {
+            for ob in observers.iter_mut() {
+                ob.on_block(block, receipts);
+            }
+            blocks += 1;
+        })?;
+        Ok(blocks)
     }
 
     /// Registers a projection whose state was already restored from a
@@ -1187,16 +1214,10 @@ impl ChainStore {
     pub fn replay_into(&self, observers: &mut [Box<dyn BlockObserver>]) {
         let _span = self.telemetry.span("chain.replay_ns");
         self.telemetry.incr("chain.replays");
-        for ob in observers.iter_mut() {
-            ob.reset();
-        }
-        self.for_each_canonical(&mut |block, receipts| {
-            for ob in observers.iter_mut() {
-                ob.on_block(block, receipts);
-            }
-            self.telemetry.incr("chain.replay_blocks");
-        })
-        .expect("canonical history readable (compaction disables audit replay)");
+        let blocks = self
+            .feed_canonical(observers)
+            .expect("canonical history readable (compaction disables audit replay)");
+        self.telemetry.add("chain.replay_blocks", blocks);
     }
 
     /// Resets every observer and replays the canonical chain (used after
@@ -1255,7 +1276,7 @@ impl ChainStore {
 
     /// Iterates all transactions on the canonical chain in execution order
     /// (genesis-era first). Used by the indexing layers (supply-chain graph,
-    /// ratings ledger). Evicted blocks are read back from the backend.
+    /// ratings ledger).
     pub fn canonical_transactions(&self) -> Vec<Transaction> {
         let mut out = Vec::new();
         self.for_each_canonical(&mut |block, _| {
@@ -1274,32 +1295,45 @@ impl ChainStore {
     /// canonical chain and any windowed fork blocks — into one snapshot
     /// blob (see [`ChainStore::restore`]). Evicted fork blocks are not
     /// included (they can never become canonical again).
+    ///
+    /// A record's block bytes are the block's canonical encoding, so the
+    /// snapshot is assembled from them without decoding anything, in a
+    /// buffer reserved once for the total.
+    ///
+    /// # Panics
+    ///
+    /// When a canonical block cannot be read back from the backend
+    /// (compaction pruned it, or the disk is corrupt).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        let genesis = &self.window[&self.genesis];
-        genesis.post_state.encode(&mut enc);
-        genesis.block.encode(&mut enc);
-        let mut blocks: Vec<Block> = Vec::with_capacity(self.canonical.len());
-        for (&h, id) in self.canonical.iter() {
-            if h == 0 {
-                continue;
-            }
-            blocks.push(
-                self.block(id)
-                    .expect("canonical block readable (compaction disables snapshots)"),
-            );
-        }
-        for sb in self.window.values() {
-            let h = sb.block.header.height;
-            if h > 0 && self.canonical.get(&h) != Some(&sb.block.id()) {
-                blocks.push(sb.block.clone());
-            }
-        }
         // Height order (parents before children), deterministic tie-break.
-        blocks.sort_by_key(|b| (b.header.height, b.id()));
-        enc.put_varint(blocks.len() as u64);
-        for b in &blocks {
-            b.encode(&mut enc);
+        let mut ids: Vec<(u64, Hash256)> = self
+            .canonical
+            .iter()
+            .map(|(&h, id)| (h, *id))
+            .chain(
+                self.window
+                    .iter()
+                    .filter(|(id, sb)| self.canonical.get(&sb.header.height) != Some(id))
+                    .map(|(id, sb)| (sb.header.height, *id)),
+            )
+            .collect();
+        ids.sort_unstable();
+        let bodies: Vec<Arc<[u8]>> = ids
+            .iter()
+            .map(|(_, id)| {
+                self.record(id)
+                    .expect("canonical block readable (compaction disables snapshots)")
+                    .block_bytes
+            })
+            .collect();
+        let (genesis, rest) = bodies.split_first().expect("genesis is canonical");
+        let mut enc = Encoder::new();
+        self.window[&self.genesis].post_state.encode(&mut enc);
+        // The block count is a varint of at most ten bytes.
+        enc.reserve_exact(10 + bodies.iter().map(|b| b.len()).sum::<usize>());
+        enc.put_raw(genesis).put_varint(rest.len() as u64);
+        for body in rest {
+            enc.put_raw(body);
         }
         enc.finish()
     }
@@ -1331,7 +1365,7 @@ impl ChainStore {
         }
         for _ in 0..n {
             let block = Block::decode(&mut dec)?;
-            store.import(block, executor)?;
+            store.import(&block, executor)?;
         }
         dec.expect_end().map_err(ChainError::from)?;
         Ok(store)
@@ -1395,9 +1429,7 @@ mod tests {
     fn propose_and_import_extends_chain() {
         let mut store = store_with_funds();
         let block = store.propose(&proposer(), 10, vec![blob(0), blob(1)], &mut NoExecutor);
-        let receipts = store
-            .import(block.clone(), &mut NoExecutor)
-            .expect("imports");
+        let receipts = store.import(&block, &mut NoExecutor).expect("imports");
         assert_eq!(receipts.len(), 2);
         assert!(receipts.iter().all(|r| r.success));
         assert_eq!(store.height(), 1);
@@ -1410,11 +1442,9 @@ mod tests {
     fn duplicate_block_rejected() {
         let mut store = store_with_funds();
         let block = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
-        store
-            .import(block.clone(), &mut NoExecutor)
-            .expect("first import");
+        store.import(&block, &mut NoExecutor).expect("first import");
         assert!(matches!(
-            store.import(block, &mut NoExecutor),
+            store.import(&block, &mut NoExecutor),
             Err(ChainError::DuplicateBlock(_))
         ));
     }
@@ -1431,7 +1461,7 @@ mod tests {
             vec![],
         );
         assert!(matches!(
-            store.import(block, &mut NoExecutor),
+            store.import(&block, &mut NoExecutor),
             Err(ChainError::UnknownParent(_))
         ));
     }
@@ -1448,7 +1478,7 @@ mod tests {
             vec![],
         );
         assert!(matches!(
-            store.import(block, &mut NoExecutor),
+            store.import(&block, &mut NoExecutor),
             Err(ChainError::BadHeight {
                 expected: 1,
                 actual: 5
@@ -1468,7 +1498,7 @@ mod tests {
             vec![],
         );
         assert!(matches!(
-            store.import(block, &mut NoExecutor),
+            store.import(&block, &mut NoExecutor),
             Err(ChainError::BadStateRoot)
         ));
     }
@@ -1477,12 +1507,12 @@ mod tests {
     fn timestamp_regression_rejected() {
         let mut store = store_with_funds();
         let b1 = store.propose(&proposer(), 100, vec![], &mut NoExecutor);
-        store.import(b1, &mut NoExecutor).expect("imports");
+        store.import(&b1, &mut NoExecutor).expect("imports");
         let mut state = store.head_state().clone();
         let b2 = Block::build(&proposer(), 2, store.head_id(), state.root(), 50, vec![]);
         let _ = &mut state;
         assert!(matches!(
-            store.import(b2, &mut NoExecutor),
+            store.import(&b2, &mut NoExecutor),
             Err(ChainError::TimestampRegression)
         ));
     }
@@ -1496,16 +1526,16 @@ mod tests {
 
         // Branch A: one block on genesis.
         let a1 = store.propose(&p1, 10, vec![blob(0)], &mut NoExecutor);
-        store.import(a1.clone(), &mut NoExecutor).expect("a1");
+        store.import(&a1, &mut NoExecutor).expect("a1");
         assert_eq!(store.head_id(), a1.id());
 
         // Branch B: two blocks on genesis → should win.
         let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
         let b1 = Block::build(&p2, 1, genesis, genesis_state.root(), 11, vec![]);
-        store.import(b1.clone(), &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut NoExecutor).expect("b1");
         let b1_state = store.state_of(&b1.id()).expect("b1 state").clone();
         let b2 = Block::build(&p2, 2, b1.id(), b1_state.root(), 12, vec![]);
-        store.import(b2.clone(), &mut NoExecutor).expect("b2");
+        store.import(&b2, &mut NoExecutor).expect("b2");
 
         assert_eq!(store.head_id(), b2.id());
         assert_eq!(store.height(), 2);
@@ -1517,9 +1547,9 @@ mod tests {
     fn canonical_transactions_in_order() {
         let mut store = store_with_funds();
         let b1 = store.propose(&proposer(), 1, vec![blob(0)], &mut NoExecutor);
-        store.import(b1, &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut NoExecutor).expect("b1");
         let b2 = store.propose(&proposer(), 2, vec![blob(1), blob(2)], &mut NoExecutor);
-        store.import(b2, &mut NoExecutor).expect("b2");
+        store.import(&b2, &mut NoExecutor).expect("b2");
         let txs = store.canonical_transactions();
         assert_eq!(txs.len(), 3);
         let nonces: Vec<u64> = txs.iter().map(|t| t.nonce).collect();
@@ -1531,7 +1561,7 @@ mod tests {
         let mut store = store_with_funds();
         for i in 0..4u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         let snap = store.snapshot();
         let restored = ChainStore::restore(&snap, &mut NoExecutor).expect("restores");
@@ -1542,7 +1572,7 @@ mod tests {
         // The restored store keeps working.
         let mut restored = restored;
         let block = restored.propose(&proposer(), 99, vec![blob(4)], &mut NoExecutor);
-        restored.import(block, &mut NoExecutor).expect("extends");
+        restored.import(&block, &mut NoExecutor).expect("extends");
         assert_eq!(restored.height(), 5);
     }
 
@@ -1550,7 +1580,7 @@ mod tests {
     fn restore_rejects_tampered_snapshot() {
         let mut store = store_with_funds();
         let block = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
-        store.import(block, &mut NoExecutor).expect("imports");
+        store.import(&block, &mut NoExecutor).expect("imports");
         let snap = store.snapshot();
         // Flip one byte near the end (inside the last block's signature or
         // payload): restore must fail, never silently accept.
@@ -1587,22 +1617,20 @@ mod tests {
         let mut resigned = block.clone();
         resigned.signature = alice().sign(&block.header.digest());
         assert_eq!(
-            store.import(resigned, &mut NoExecutor),
+            store.import(&resigned, &mut NoExecutor),
             Err(ChainError::BadSignature)
         );
         let mut redated = block.clone();
         redated.header.timestamp += 1;
         assert_eq!(
-            store.import(redated, &mut NoExecutor),
+            store.import(&redated, &mut NoExecutor),
             Err(ChainError::BadSignature)
         );
-        store
-            .import(block.clone(), &mut NoExecutor)
-            .expect("imports");
+        store.import(&block, &mut NoExecutor).expect("imports");
         // A store that did not propose the block verifies it as ever and
         // records nothing about its header.
         let mut follower = store_with_funds();
-        follower.import(block, &mut NoExecutor).expect("imports");
+        follower.import(&block, &mut NoExecutor).expect("imports");
         assert!(!follower.sig_cache().contains(&memo));
     }
 
@@ -1613,7 +1641,7 @@ mod tests {
         for i in 0..20u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
             ids.push(block.id());
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         // Window is bounded: retention blocks + pinned genesis.
         assert!(
@@ -1635,7 +1663,7 @@ mod tests {
         // Evicted duplicate still rejected as duplicate.
         let dup = store.block(old).unwrap();
         assert!(matches!(
-            store.import(dup, &mut NoExecutor),
+            store.import(&dup, &mut NoExecutor),
             Err(ChainError::DuplicateBlock(_))
         ));
     }
@@ -1648,7 +1676,7 @@ mod tests {
             let tx = blob(i);
             tx_ids.push(tx.id());
             let block = store.propose(&proposer(), 10 + i, vec![tx], &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         for (i, tx_id) in tx_ids.iter().enumerate() {
             let loc = store.tx_location(tx_id).expect("tx located");
@@ -1664,7 +1692,7 @@ mod tests {
         let mut store = tight_store();
         for i in 0..19u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
             store.maybe_checkpoint(Vec::new()).expect("checkpoints");
         }
         let head = store.head_id();
@@ -1686,7 +1714,7 @@ mod tests {
 
         // The recovered store keeps working.
         let block = recovered.propose(&proposer(), 99, vec![blob(19)], &mut NoExecutor);
-        recovered.import(block, &mut NoExecutor).expect("extends");
+        recovered.import(&block, &mut NoExecutor).expect("extends");
         assert_eq!(recovered.height(), height + 1);
     }
 
@@ -1703,7 +1731,7 @@ mod tests {
                 .expect("builds");
         for i in 0..9u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         let head = store.head_id();
         let backend = store.into_backend().expect("flushes");
@@ -1712,6 +1740,86 @@ mod tests {
         let replayed = recovered.replay_tail(&mut NoExecutor).expect("replays");
         assert_eq!(replayed, 9);
         assert_eq!(recovered.head_id(), head);
+    }
+
+    #[test]
+    fn window_entries_hold_no_body() {
+        let mut store = store_with_funds();
+        let block = store.propose(&proposer(), 10, vec![blob(0), blob(1)], &mut NoExecutor);
+        store.import(&block, &mut NoExecutor).expect("imports");
+        // Exhaustive: a new field (a transaction list, say) fails to compile
+        // here and has to be argued for.
+        let StoredBlock { header, post_state } = &store.window[&block.id()];
+        assert_eq!(*header, block.header);
+        assert_eq!(post_state.root(), block.header.state_root);
+        // The body and the receipts come from the backend record, and the
+        // record's bytes are the canonical encoding.
+        let rec = store.record(&block.id()).expect("record");
+        assert_eq!(&rec.block_bytes[..], &encode_block(&block)[..]);
+        assert_eq!(store.block(&block.id()), Some(block.clone()));
+        assert_eq!(store.head(), block);
+        assert_eq!(store.receipts_of(&block.id()).map(|r| r.len()), Some(2));
+        assert!(store.contains(&block.id()));
+        assert!(!store.contains(&tn_crypto::sha256::sha256(b"no such block")));
+    }
+
+    #[test]
+    fn pruned_checkpoints_still_serve_history_recovery_and_compaction() {
+        // 60 blocks, a checkpoint every 8: the in-memory backend is left
+        // with the genesis checkpoint and those at 48 and 56.
+        let mut store = tight_store();
+        let mut ids = vec![store.genesis_id()];
+        for i in 0..60u64 {
+            let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
+            ids.push(block.id());
+            store.import(&block, &mut NoExecutor).expect("imports");
+            store.maybe_checkpoint(Vec::new()).expect("checkpoints");
+        }
+        let at = |h| store.storage().checkpoint_at_or_before(h).unwrap().unwrap();
+        assert_eq!((at(60).height, at(55).height, at(47).height), (56, 48, 0));
+        // The header's state root is the oracle no pruning can move: every
+        // evicted height's state, replayed from whichever checkpoint is
+        // left below it, must hash to it.
+        for (h, id) in ids.iter().enumerate() {
+            let header = store.block(id).expect("block readable").header;
+            assert_eq!(header.height, h as u64);
+            let state = store.state_of(id).expect("state reconstructed");
+            assert_eq!(state.root(), header.state_root, "height {h}");
+        }
+
+        // Recovery restores the newest checkpoint and replays the tail.
+        let (head, root) = (store.head_id(), store.head_state().root());
+        let backend = store.into_backend().expect("flushes");
+        let (mut recovered, cp) =
+            ChainStore::open_recovering(backend, &tight_config()).expect("recovers");
+        assert_eq!(cp.height, 56);
+        assert_eq!(recovered.replay_tail(&mut NoExecutor).expect("replays"), 4);
+        assert_eq!(recovered.head_id(), head);
+        assert_eq!(recovered.head_state().root(), root);
+        let old = recovered
+            .state_of(&ids[20])
+            .expect("state below the kept checkpoints");
+        assert_eq!(
+            old.root(),
+            recovered.block(&ids[20]).unwrap().header.state_root
+        );
+
+        // Compaction drops history below the newest checkpoint; what is
+        // left still answers, what is gone answers `None`, nothing panics.
+        recovered.backend.compact().expect("compacts");
+        assert_eq!(recovered.storage().first_height(), 56);
+        for (h, id) in ids.iter().enumerate().skip(1) {
+            let state = recovered.state_of(id);
+            if h >= 56 {
+                let header = recovered.block(id).expect("kept block").header;
+                assert_eq!(state.expect("kept state").root(), header.state_root);
+            } else {
+                assert!(
+                    state.is_none() && recovered.block(id).is_none(),
+                    "height {h}"
+                );
+            }
+        }
     }
 
     /// Test projection: a running hash over observed `(block id, receipt
@@ -1773,7 +1881,7 @@ mod tests {
     fn observer_sees_imports_and_catches_up_on_registration() {
         let mut store = store_with_funds();
         let b1 = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
-        store.import(b1, &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut NoExecutor).expect("b1");
 
         // Late registration replays history (genesis + b1).
         store.register_observer(Box::new(ChainTrace::default()));
@@ -1783,7 +1891,7 @@ mod tests {
         );
 
         let b2 = store.propose(&proposer(), 11, vec![blob(1)], &mut NoExecutor);
-        store.import(b2, &mut NoExecutor).expect("b2");
+        store.import(&b2, &mut NoExecutor).expect("b2");
         assert_eq!(
             store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
             3
@@ -1809,17 +1917,17 @@ mod tests {
 
         // Branch A extends the head — observer follows it live.
         let a1 = store.propose(&p1, 10, vec![blob(0)], &mut NoExecutor);
-        store.import(a1, &mut NoExecutor).expect("a1");
+        store.import(&a1, &mut NoExecutor).expect("a1");
         let digest_on_a = store.projection_digests()[0].1;
 
         // Branch B (two empty blocks) wins the reorg; the observer must
         // now reflect B's history, not A's.
         let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
         let b1 = Block::build(&p2, 1, genesis, genesis_state.root(), 11, vec![]);
-        store.import(b1.clone(), &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut NoExecutor).expect("b1");
         let b1_state = store.state_of(&b1.id()).expect("b1 state").clone();
         let b2 = Block::build(&p2, 2, b1.id(), b1_state.root(), 12, vec![]);
-        store.import(b2.clone(), &mut NoExecutor).expect("b2");
+        store.import(&b2, &mut NoExecutor).expect("b2");
         assert_eq!(store.head_id(), b2.id());
 
         let trace = store.observer::<ChainTrace>("trace").unwrap();
@@ -1838,7 +1946,7 @@ mod tests {
         let mut store = store_with_funds();
         let genesis = store.head_id();
         let b1 = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
-        store.import(b1, &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut NoExecutor).expect("b1");
         store.register_observer(Box::new(ChainTrace::default()));
 
         // A same-height rival that loses the tie-break must not disturb
@@ -1847,7 +1955,7 @@ mod tests {
         let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
         let r1 = Block::build(&rival, 1, genesis, genesis_state.root(), 11, vec![]);
         let head_before = store.head_id();
-        store.import(r1.clone(), &mut NoExecutor).expect("r1");
+        store.import(&r1, &mut NoExecutor).expect("r1");
         if store.head_id() == head_before {
             assert_eq!(
                 store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
@@ -1869,7 +1977,7 @@ mod tests {
         store.register_observer(Box::new(ChainTrace::default()));
         for i in 0..19u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
             store.maybe_checkpoint(Vec::new()).expect("checkpoints");
         }
         let live_digest = store.projection_digests()[0].1;

@@ -409,7 +409,7 @@ mod tests {
         );
         let expected_addr = contract_address(&alice.address(), 0);
         let block = store.propose(&validator, 1, vec![deploy_tx], &mut ContractRegistry::new());
-        let receipts = store.import(block, &mut authoritative).unwrap();
+        let receipts = store.import(&block, &mut authoritative).unwrap();
         assert!(receipts[0].success);
         assert_eq!(
             receipts[0].output,
@@ -432,7 +432,7 @@ mod tests {
             .deploy(&alice.address(), 0, &counter_code())
             .unwrap();
         let block = store.propose(&validator, 2, vec![call_tx], &mut scratch);
-        let receipts = store.import(block, &mut authoritative).unwrap();
+        let receipts = store.import(&block, &mut authoritative).unwrap();
         assert!(receipts[0].success);
         assert!(receipts[0].gas_used > 0);
         assert_eq!(

@@ -359,7 +359,7 @@ mod tests {
         client.submit_block_header(&genesis).unwrap();
         let head = p.store().head();
         assert!(matches!(
-            client.submit_block_header(head),
+            client.submit_block_header(&head),
             Err(ClientError::BrokenLink { .. })
         ));
     }
@@ -512,7 +512,7 @@ mod tests {
         let (p, _) = platform_with_news();
         let client = sync_client(&p);
         let head_id = p.store().head_id();
-        let head = p.store().head().clone();
+        let head = p.store().head();
         // A transaction not in the block cannot be proven with another's
         // proof.
         if let (Some(tx0), Some(proof1)) = (head.transactions.first(), head.prove_tx(0)) {

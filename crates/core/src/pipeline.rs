@@ -258,9 +258,7 @@ impl ExecutionPipeline {
     ) -> Result<ExecutionPipeline, ChainError> {
         let (registry, addrs) = install_builtins(governor, fact_threshold);
         let mut store = ChainStore::with_config(genesis, validator, storage)?;
-        for projection in projection_set(seed_corpus, addrs.admission, fact_threshold) {
-            store.register_observer(projection);
-        }
+        store.register_observers(projection_set(seed_corpus, addrs.admission, fact_threshold));
         Ok(ExecutionPipeline {
             store,
             registry,
@@ -341,9 +339,8 @@ impl ExecutionPipeline {
 
     /// Routes pipeline spans to `sink` and forwards it to the chain store
     /// and contract registry. Each committed block records a
-    /// `pipeline.commit` root span with `chain.propose`,
-    /// `pipeline.handoff`, and `chain.import` children. Disabled by
-    /// default.
+    /// `pipeline.commit` root span with `chain.propose` and
+    /// `chain.import` children. Disabled by default.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.store.set_trace(sink.clone());
         self.registry.set_trace(sink.clone());
@@ -400,9 +397,7 @@ impl ExecutionPipeline {
     ) -> Result<ExecutionPipeline, ChainError> {
         let (mut registry, addrs) = install_builtins(governor, fact_threshold);
         let mut store = ChainStore::restore(snapshot, &mut registry)?;
-        for projection in projection_set(seed_corpus, addrs.admission, fact_threshold) {
-            store.register_observer(projection);
-        }
+        store.register_observers(projection_set(seed_corpus, addrs.admission, fact_threshold));
         Ok(ExecutionPipeline {
             store,
             registry,
@@ -453,17 +448,7 @@ impl ExecutionPipeline {
             t0,
             &[("txs", block.transactions.len() as u64)],
         );
-        let h0 = trace.now_ns();
-        let block_for_import = block.clone();
-        trace.complete(
-            block_trace,
-            "pipeline.handoff",
-            commit_span,
-            lanes::PIPELINE,
-            h0,
-            &[],
-        );
-        let receipts = self.store.import(block_for_import, &mut self.registry)?;
+        let receipts = self.store.import(&block, &mut self.registry)?;
         trace.complete(
             block_trace,
             "pipeline.commit",
@@ -513,7 +498,7 @@ impl ExecutionPipeline {
     /// # Errors
     ///
     /// Chain-level import errors.
-    pub fn apply_block(&mut self, block: Block) -> Result<Vec<Receipt>, ChainError> {
+    pub fn apply_block(&mut self, block: &Block) -> Result<Vec<Receipt>, ChainError> {
         let receipts = self.store.import(block, &mut self.registry)?;
         self.maybe_checkpoint()?;
         Ok(receipts)

@@ -787,7 +787,7 @@ mod tests {
             ),
         ];
         let block = store.propose(&validator, 1, txs, &mut NoExecutor);
-        store.import(block, &mut NoExecutor).unwrap();
+        store.import(&block, &mut NoExecutor).unwrap();
 
         let seed = vec![record(100), record(101)];
         let fresh = || -> Vec<Box<dyn BlockObserver>> {
@@ -865,7 +865,7 @@ mod tests {
             ),
         ];
         let block = store.propose(&validator, 1, txs, &mut NoExecutor);
-        store.import(block, &mut NoExecutor).unwrap();
+        store.import(&block, &mut NoExecutor).unwrap();
 
         let seed = vec![record(100), record(101)];
         let fresh = || -> Vec<Box<dyn BlockObserver>> {

@@ -1,15 +1,22 @@
 //! secp256k1 elliptic-curve group operations.
 //!
-//! The curve is `y² = x³ + 7` over the prime field `F_p`. Points are kept
-//! in Jacobian projective coordinates internally so that point addition and
-//! doubling avoid the (expensive) modular inversion; only conversion back
-//! to affine coordinates pays one inversion.
+//! The curve is `y² = x³ + 7` over the prime field `F_p`, with coordinates
+//! held as [`Fe`] elements. Points are kept in Jacobian projective
+//! coordinates internally so that point addition and doubling avoid the
+//! (expensive) field inversion; only conversion back to affine coordinates
+//! pays one, and [`Jacobian::batch_to_affine`] shares that one across a
+//! whole table. Operation costs in field multiplications (M) and
+//! squarings (S): doubling 3M + 4S, mixed addition of an affine point
+//! 8M + 3S, general addition 12M + 4S.
 
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::field::{self, add_mod, inv_mod, mul_mod, neg_mod, sqr_mod, sub_mod};
+use crate::field::Fe;
 use crate::u256::U256;
+
+/// The curve constant `b` of `y² = x³ + b`.
+const B: Fe = Fe::from_u64(7);
 
 /// An affine curve point, or the point at infinity.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,9 +26,9 @@ pub enum Affine {
     /// A finite point `(x, y)` with coordinates in `F_p`.
     Point {
         /// x coordinate.
-        x: U256,
+        x: Fe,
         /// y coordinate.
-        y: U256,
+        y: Fe,
     },
 }
 
@@ -30,13 +37,7 @@ impl Affine {
     pub fn is_on_curve(&self) -> bool {
         match self {
             Affine::Infinity => true,
-            Affine::Point { x, y } => {
-                let p = field::p();
-                let y2 = sqr_mod(y, &p);
-                let x3 = mul_mod(&sqr_mod(x, &p), x, &p);
-                let rhs = add_mod(&x3, &U256::from_u64(7), &p);
-                y2 == rhs
-            }
+            Affine::Point { x, y } => y.sqr() == x.sqr() * *x + B,
         }
     }
 
@@ -44,7 +45,7 @@ impl Affine {
     pub fn x(&self) -> Option<U256> {
         match self {
             Affine::Infinity => None,
-            Affine::Point { x, .. } => Some(*x),
+            Affine::Point { x, .. } => Some(x.to_u256()),
         }
     }
 
@@ -68,6 +69,15 @@ impl Affine {
         out
     }
 
+    /// The finite point with x coordinate `x` whose y has the requested
+    /// parity. `None` if `x ≥ p` (non-canonical) or no point has that x.
+    pub fn lift_x(x: &U256, parity_odd: bool) -> Option<Affine> {
+        let x = Fe::from_u256(x)?;
+        let y = (x.sqr() * x + B).sqrt()?;
+        let y = if y.is_odd() == parity_odd { y } else { -y };
+        Some(Affine::Point { x, y })
+    }
+
     /// Decodes a compressed point, recovering y from x.
     ///
     /// Returns `None` if the prefix is invalid, x is not on the curve, or
@@ -81,30 +91,16 @@ impl Affine {
             0x03 => true,
             _ => return None,
         };
-        let p = field::p();
         let mut xb = [0u8; 32];
         xb.copy_from_slice(&bytes[1..]);
-        let x = U256::from_be_bytes(&xb);
-        if x >= p {
-            return None;
-        }
-        let x3 = mul_mod(&sqr_mod(&x, &p), &x, &p);
-        let rhs = add_mod(&x3, &U256::from_u64(7), &p);
-        let mut y = field::sqrt_mod(&rhs, &p)?;
-        if y.is_odd() != parity_odd {
-            y = neg_mod(&y, &p);
-        }
-        Some(Affine::Point { x, y })
+        Affine::lift_x(&U256::from_be_bytes(&xb), parity_odd)
     }
 
     /// The additive inverse (reflection over the x axis).
     pub fn negate(&self) -> Affine {
         match self {
             Affine::Infinity => Affine::Infinity,
-            Affine::Point { x, y } => Affine::Point {
-                x: *x,
-                y: neg_mod(y, &field::p()),
-            },
+            Affine::Point { x, y } => Affine::Point { x: *x, y: -*y },
         }
     }
 }
@@ -113,7 +109,7 @@ impl fmt::Display for Affine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Affine::Infinity => f.write_str("∞"),
-            Affine::Point { x, .. } => write!(f, "({}…, …)", &x.to_hex()[..8]),
+            Affine::Point { x, .. } => write!(f, "({}…, …)", &x.to_u256().to_hex()[..8]),
         }
     }
 }
@@ -122,18 +118,18 @@ impl fmt::Display for Affine {
 /// point `(X/Z², Y/Z³)`; `Z = 0` is infinity.
 #[derive(Clone, Copy, Debug)]
 pub struct Jacobian {
-    x: U256,
-    y: U256,
-    z: U256,
+    x: Fe,
+    y: Fe,
+    z: Fe,
 }
 
 impl Jacobian {
     /// The point at infinity.
     pub fn infinity() -> Jacobian {
         Jacobian {
-            x: U256::ONE,
-            y: U256::ONE,
-            z: U256::ZERO,
+            x: Fe::ONE,
+            y: Fe::ONE,
+            z: Fe::ZERO,
         }
     }
 
@@ -149,8 +145,17 @@ impl Jacobian {
             Affine::Point { x, y } => Jacobian {
                 x: *x,
                 y: *y,
-                z: U256::ONE,
+                z: Fe::ONE,
             },
+        }
+    }
+
+    /// The affine form of a finite point, given `zinv = 1/Z`.
+    fn scaled_by(&self, zinv: Fe) -> Affine {
+        let zinv2 = zinv.sqr();
+        Affine::Point {
+            x: self.x * zinv2,
+            y: self.y * zinv2 * zinv,
         }
     }
 
@@ -159,45 +164,61 @@ impl Jacobian {
         if self.is_infinity() {
             return Affine::Infinity;
         }
-        let p = field::p();
-        let zinv = inv_mod(&self.z, &p);
-        let zinv2 = sqr_mod(&zinv, &p);
-        let zinv3 = mul_mod(&zinv2, &zinv, &p);
-        Affine::Point {
-            x: mul_mod(&self.x, &zinv2, &p),
-            y: mul_mod(&self.y, &zinv3, &p),
-        }
+        self.scaled_by(self.z.inv())
     }
 
-    /// Point doubling (formulas specialised for curve parameter `a = 0`).
+    /// Converts many points to affine coordinates with one field inversion
+    /// between them and three multiplications per point (Montgomery's
+    /// trick); infinities pass through.
+    pub fn batch_to_affine(points: &[Jacobian]) -> Vec<Affine> {
+        // before[i] = product of the finite points' Z before index i.
+        let mut acc = Fe::ONE;
+        let before: Vec<Fe> = points
+            .iter()
+            .map(|p| {
+                let product = acc;
+                if !p.is_infinity() {
+                    acc = acc * p.z;
+                }
+                product
+            })
+            .collect();
+        // `inv` is the inverse of the product of Z up to and including i.
+        let mut inv = acc.inv();
+        let mut out = vec![Affine::Infinity; points.len()];
+        for ((p, before), slot) in points.iter().zip(before).zip(out.iter_mut()).rev() {
+            if !p.is_infinity() {
+                *slot = p.scaled_by(inv * before);
+                inv = inv * p.z;
+            }
+        }
+        out
+    }
+
+    /// Point doubling (formulas specialised for curve parameter `a = 0`;
+    /// the constant factors are additions).
     pub fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
             return Jacobian::infinity();
         }
-        let p = field::p();
-        let y2 = sqr_mod(&self.y, &p);
-        let s = mul_mod(&U256::from_u64(4), &mul_mod(&self.x, &y2, &p), &p);
-        let m = mul_mod(&U256::from_u64(3), &sqr_mod(&self.x, &p), &p);
-        let x3 = sub_mod(&sqr_mod(&m, &p), &add_mod(&s, &s, &p), &p);
-        let y4 = sqr_mod(&y2, &p);
-        let y3 = sub_mod(
-            &mul_mod(&m, &sub_mod(&s, &x3, &p), &p),
-            &mul_mod(&U256::from_u64(8), &y4, &p),
-            &p,
-        );
-        let z3 = mul_mod(&add_mod(&self.y, &self.y, &p), &self.z, &p);
+        let y2 = self.y.sqr();
+        let s = (self.x * y2).double().double(); // 4·X·Y²
+        let m = self.x.sqr().triple(); // 3·X²
+        let x3 = m.sqr() - s.double();
+        let y4_8 = y2.sqr().double().double().double(); // 8·Y⁴
         Jacobian {
             x: x3,
-            y: y3,
-            z: z3,
+            y: m * (s - x3) - y4_8,
+            z: (self.y * self.z).double(),
         }
     }
 
     /// Mixed addition of an affine point (`Z₂ = 1`): the same result as
     /// [`Jacobian::add`] on the lifted point, but with the `Z₂`-dependent
     /// field multiplications eliminated (8M + 3S instead of 12M + 4S).
-    /// This is the inner-loop operation of the multi-scalar kernels in
-    /// [`crate::msm`], where the input points are affine by construction.
+    /// This is the inner-loop operation of the fixed-base table and of the
+    /// multi-scalar kernels in [`crate::msm`], where the table or input
+    /// points are affine by construction.
     pub fn add_affine(&self, other: &Affine) -> Jacobian {
         let Affine::Point { x: x2, y: y2 } = other else {
             return *self;
@@ -205,38 +226,10 @@ impl Jacobian {
         if self.is_infinity() {
             return Jacobian::from_affine(other);
         }
-        let p = field::p();
-        let z1z1 = sqr_mod(&self.z, &p);
-        let u2 = mul_mod(x2, &z1z1, &p);
-        let s2 = mul_mod(y2, &mul_mod(&z1z1, &self.z, &p), &p);
-        if self.x == u2 {
-            return if self.y == s2 {
-                self.double()
-            } else {
-                Jacobian::infinity()
-            };
-        }
-        let h = sub_mod(&u2, &self.x, &p);
-        let r = sub_mod(&s2, &self.y, &p);
-        let h2 = sqr_mod(&h, &p);
-        let h3 = mul_mod(&h2, &h, &p);
-        let u1h2 = mul_mod(&self.x, &h2, &p);
-        let x3 = sub_mod(
-            &sub_mod(&sqr_mod(&r, &p), &h3, &p),
-            &add_mod(&u1h2, &u1h2, &p),
-            &p,
-        );
-        let y3 = sub_mod(
-            &mul_mod(&r, &sub_mod(&u1h2, &x3, &p), &p),
-            &mul_mod(&self.y, &h3, &p),
-            &p,
-        );
-        let z3 = mul_mod(&h, &self.z, &p);
-        Jacobian {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let z1z1 = self.z.sqr();
+        let u2 = *x2 * z1z1;
+        let s2 = *y2 * z1z1 * self.z;
+        self.add_reduced(self.x, self.y, u2, s2, self.z)
     }
 
     /// General Jacobian point addition.
@@ -247,13 +240,20 @@ impl Jacobian {
         if other.is_infinity() {
             return *self;
         }
-        let p = field::p();
-        let z1z1 = sqr_mod(&self.z, &p);
-        let z2z2 = sqr_mod(&other.z, &p);
-        let u1 = mul_mod(&self.x, &z2z2, &p);
-        let u2 = mul_mod(&other.x, &z1z1, &p);
-        let s1 = mul_mod(&self.y, &mul_mod(&z2z2, &other.z, &p), &p);
-        let s2 = mul_mod(&other.y, &mul_mod(&z1z1, &self.z, &p), &p);
+        let z1z1 = self.z.sqr();
+        let z2z2 = other.z.sqr();
+        let u1 = self.x * z2z2;
+        let u2 = other.x * z1z1;
+        let s1 = self.y * z2z2 * other.z;
+        let s2 = other.y * z1z1 * self.z;
+        self.add_reduced(u1, s1, u2, s2, self.z * other.z)
+    }
+
+    /// The tail both additions share, once the operands are on a common
+    /// denominator: `(u1, s1)` and `(u2, s2)` are the two points' x and y
+    /// scaled to `Z = z1·z2`, passed as `z`. `self` is the first operand,
+    /// doubled when the two turn out equal.
+    fn add_reduced(&self, u1: Fe, s1: Fe, u2: Fe, s2: Fe, z: Fe) -> Jacobian {
         if u1 == u2 {
             return if s1 == s2 {
                 self.double()
@@ -261,30 +261,21 @@ impl Jacobian {
                 Jacobian::infinity()
             };
         }
-        let h = sub_mod(&u2, &u1, &p);
-        let r = sub_mod(&s2, &s1, &p);
-        let h2 = sqr_mod(&h, &p);
-        let h3 = mul_mod(&h2, &h, &p);
-        let u1h2 = mul_mod(&u1, &h2, &p);
-        let x3 = sub_mod(
-            &sub_mod(&sqr_mod(&r, &p), &h3, &p),
-            &add_mod(&u1h2, &u1h2, &p),
-            &p,
-        );
-        let y3 = sub_mod(
-            &mul_mod(&r, &sub_mod(&u1h2, &x3, &p), &p),
-            &mul_mod(&s1, &h3, &p),
-            &p,
-        );
-        let z3 = mul_mod(&h, &mul_mod(&self.z, &other.z, &p), &p);
+        let h = u2 - u1;
+        let r = s2 - s1;
+        let h2 = h.sqr();
+        let h3 = h2 * h;
+        let u1h2 = u1 * h2;
+        let x3 = r.sqr() - h3 - u1h2.double();
         Jacobian {
             x: x3,
-            y: y3,
-            z: z3,
+            y: r * (u1h2 - x3) - s1 * h3,
+            z: h * z,
         }
     }
 
-    /// Scalar multiplication by double-and-add (MSB first).
+    /// Scalar multiplication by double-and-add (MSB first): the plain
+    /// ladder the windowed kernels are tested against.
     pub fn mul_scalar(&self, k: &U256) -> Jacobian {
         let mut acc = Jacobian::infinity();
         let bits = k.bits();
@@ -299,42 +290,49 @@ impl Jacobian {
 }
 
 /// The standard secp256k1 generator point `G`.
-pub fn generator() -> Affine {
-    Affine::Point {
-        x: U256::from_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798")
-            .expect("valid constant"),
-        y: U256::from_hex("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8")
-            .expect("valid constant"),
-    }
-}
+pub const GENERATOR: Affine = Affine::Point {
+    x: Fe::from_canonical_limbs([
+        0x59f2_815b_16f8_1798,
+        0x029b_fcdb_2dce_28d9,
+        0x55a0_6295_ce87_0b07,
+        0x79be_667e_f9dc_bbac,
+    ]),
+    y: Fe::from_canonical_limbs([
+        0x9c47_d08f_fb10_d4b8,
+        0xfd17_b448_a685_5419,
+        0x5da4_fbfc_0e11_08a8,
+        0x483a_da77_26a3_c465,
+    ]),
+};
 
 /// Number of 4-bit windows covering a 256-bit scalar.
 const GEN_WINDOWS: usize = 64;
 
 /// Precomputed fixed-base window table for the generator.
 ///
-/// `table[w][j]` holds `(j + 1) · 16^w · G` for `j` in `0..15`, so `k·G`
-/// is the sum of one table entry per nonzero nibble of `k` — at most 64
-/// point additions and **zero doublings**, roughly 5× cheaper than the
-/// generic double-and-add ladder. Built once on first use (~1000 point
-/// additions, ≈90 KiB), shared by every signing and verification call in
-/// the process.
-fn generator_table() -> &'static [[Jacobian; 15]] {
-    static TABLE: OnceLock<Vec<[Jacobian; 15]>> = OnceLock::new();
+/// `table[w][j]` holds `(j + 1) · 16^w · G` for `j` in `0..15`, in affine
+/// form, so `k·G` is the sum of one table entry per nonzero nibble of `k`
+/// — at most 64 mixed additions and **zero doublings**. Built once on
+/// first use (960 point additions and one batch inversion, ~68 KiB), shared
+/// by every signing and verification call in the process.
+fn generator_table() -> &'static [[Affine; 15]] {
+    static TABLE: OnceLock<Vec<[Affine; 15]>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(GEN_WINDOWS);
+        let mut entries = Vec::with_capacity(GEN_WINDOWS * 15);
         // `base` is 16^w · G for the current window.
-        let mut base = Jacobian::from_affine(&generator());
+        let mut base = Jacobian::from_affine(&GENERATOR);
         for _ in 0..GEN_WINDOWS {
-            let mut row = [Jacobian::infinity(); 15];
-            row[0] = base;
-            for j in 1..15 {
-                row[j] = row[j - 1].add(&base);
+            let mut multiple = base;
+            for _ in 0..15 {
+                entries.push(multiple);
+                multiple = multiple.add(&base);
             }
-            base = row[14].add(&base);
-            table.push(row);
+            base = multiple;
         }
-        table
+        Jacobian::batch_to_affine(&entries)
+            .chunks_exact(15)
+            .map(|row| std::array::from_fn(|j| row[j]))
+            .collect()
     })
 }
 
@@ -351,7 +349,7 @@ pub fn mul_generator_jacobian(k: &U256) -> Jacobian {
         let byte = bytes[31 - w / 2];
         let digit = if w % 2 == 0 { byte & 0x0f } else { byte >> 4 };
         if digit != 0 {
-            acc = acc.add(&row[(digit - 1) as usize]);
+            acc = acc.add_affine(&row[(digit - 1) as usize]);
         }
     }
     acc
@@ -363,19 +361,19 @@ pub fn mul_generator(k: &U256) -> Affine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::field::n;
+    use crate::field::N;
 
     #[test]
     fn generator_is_on_curve() {
-        assert!(generator().is_on_curve());
+        assert!(GENERATOR.is_on_curve());
     }
 
     #[test]
     fn known_double_of_generator() {
         // 2G is a published test vector.
-        let two_g = Jacobian::from_affine(&generator()).double().to_affine();
+        let two_g = Jacobian::from_affine(&GENERATOR).double().to_affine();
         assert!(two_g.is_on_curve());
         assert_eq!(
             two_g.x().unwrap().to_hex(),
@@ -385,19 +383,19 @@ mod tests {
 
     #[test]
     fn order_times_generator_is_infinity() {
-        let ng = mul_generator(&n());
+        let ng = mul_generator(&N);
         assert_eq!(ng, Affine::Infinity);
     }
 
     #[test]
     fn n_minus_one_g_is_negation_of_g() {
-        let k = n().wrapping_sub(&U256::ONE);
-        assert_eq!(mul_generator(&k), generator().negate());
+        let k = N.wrapping_sub(&U256::ONE);
+        assert_eq!(mul_generator(&k), GENERATOR.negate());
     }
 
     #[test]
     fn addition_matches_doubling() {
-        let g = Jacobian::from_affine(&generator());
+        let g = Jacobian::from_affine(&GENERATOR);
         assert_eq!(g.add(&g).to_affine(), g.double().to_affine());
     }
 
@@ -441,7 +439,7 @@ mod tests {
 
     #[test]
     fn point_plus_negation_is_infinity() {
-        let g = generator();
+        let g = GENERATOR;
         let sum = Jacobian::from_affine(&g).add(&Jacobian::from_affine(&g.negate()));
         assert!(sum.is_infinity());
     }
@@ -487,29 +485,8 @@ mod tests {
 
     #[test]
     fn window_table_matches_ladder() {
-        // The fixed-base window path must agree with the generic
-        // double-and-add ladder on easy, boundary, and full-width scalars.
-        let mut scalars = vec![
-            U256::ZERO,
-            U256::ONE,
-            U256::from_u64(2),
-            U256::from_u64(15),
-            U256::from_u64(16),
-            U256::from_u64(0xffff_ffff_ffff_ffff),
-            n().wrapping_sub(&U256::ONE),
-            n(),
-            n().wrapping_add(&U256::ONE),
-        ];
-        // A few pseudo-random full-width scalars.
-        let mut x = U256::from_u64(0x9e3779b97f4a7c15);
-        for _ in 0..4 {
-            x = x
-                .wrapping_mul(&x)
-                .wrapping_add(&U256::from_u64(0xda3e39cb94b95bdb));
-            scalars.push(x);
-        }
-        let g = Jacobian::from_affine(&generator());
-        for k in scalars {
+        let g = Jacobian::from_affine(&GENERATOR);
+        for k in ladder_scalars() {
             assert_eq!(
                 mul_generator(&k),
                 g.mul_scalar(&k).to_affine(),
@@ -517,5 +494,62 @@ mod tests {
                 k.to_hex()
             );
         }
+    }
+
+    #[test]
+    fn lift_x_agrees_with_the_curve_equation() {
+        let Affine::Point { x, y } = GENERATOR else {
+            unreachable!("G is finite")
+        };
+        assert_eq!(Affine::lift_x(&x.to_u256(), y.is_odd()), Some(GENERATOR));
+        assert_eq!(
+            Affine::lift_x(&x.to_u256(), !y.is_odd()),
+            Some(GENERATOR.negate())
+        );
+        // x = 5 is on no point (5³ + 7 is a non-residue); x ≥ p is not an
+        // encoding of anything.
+        assert_eq!(Affine::lift_x(&U256::from_u64(5), false), None);
+        assert_eq!(Affine::lift_x(&crate::field::P, false), None);
+        assert_eq!(Affine::lift_x(&U256::MAX, true), None);
+    }
+
+    #[test]
+    fn batch_to_affine_matches_single_conversions() {
+        let g = Jacobian::from_affine(&GENERATOR);
+        let mut points = vec![Jacobian::infinity(), g];
+        for k in [2u64, 3, 77, 1 << 40] {
+            points.push(g.mul_scalar(&U256::from_u64(k)));
+            points.push(Jacobian::infinity());
+        }
+        let expect: Vec<Affine> = points.iter().map(Jacobian::to_affine).collect();
+        assert_eq!(Jacobian::batch_to_affine(&points), expect);
+        assert!(Jacobian::batch_to_affine(&[]).is_empty());
+    }
+
+    /// Scalars the windowed kernels are compared with the plain ladder on:
+    /// zero, the window-digit boundaries of both recodings, the group order's
+    /// neighbourhood, the widest scalar, and a few full-width pseudo-random
+    /// ones.
+    pub(crate) fn ladder_scalars() -> Vec<U256> {
+        let mut scalars: Vec<U256> = [0u64, 1, 2, 15, 16, 17, 31, 32, 33, u64::MAX]
+            .iter()
+            .map(|&k| U256::from_u64(k))
+            .collect();
+        scalars.extend([
+            N.wrapping_sub(&U256::ONE),
+            N,
+            N.wrapping_add(&U256::ONE),
+            U256::MAX,
+            U256::MAX.shr(1),
+            U256::ONE.shl(255),
+        ]);
+        let mut x = U256::from_u64(0x9e3779b97f4a7c15);
+        for _ in 0..4 {
+            x = x
+                .wrapping_mul(&x)
+                .wrapping_add(&U256::from_u64(0xda3e39cb94b95bdb));
+            scalars.push(x);
+        }
+        scalars
     }
 }

@@ -6,7 +6,7 @@ use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::ec::{mul_generator, Affine};
-use crate::field::{self, reduce};
+use crate::field::{reduce, N};
 use crate::hash::Hash256;
 use crate::schnorr::{sign_digest, verify_digest, Signature};
 use crate::sha256::tagged_hash;
@@ -20,7 +20,6 @@ impl SecretKey {
     /// Derives a secret key deterministically from arbitrary seed bytes by
     /// hashing into the scalar field (rejecting the zero scalar).
     pub fn from_seed(seed: &[u8]) -> SecretKey {
-        let n = field::n();
         let mut counter = 0u32;
         loop {
             let mut data = Vec::with_capacity(seed.len() + 4);
@@ -28,7 +27,7 @@ impl SecretKey {
             data.extend_from_slice(&counter.to_be_bytes());
             let d = reduce(
                 &U256::from_be_bytes(tagged_hash("TN/keygen", &data).as_bytes()),
-                &n,
+                &N,
             );
             if !d.is_zero() {
                 return SecretKey(d);

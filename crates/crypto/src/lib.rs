@@ -12,13 +12,21 @@
 //!   validated against NIST test vectors.
 //! - [`u256`]: fixed-width 256-bit unsigned integer arithmetic (with 512-bit
 //!   multiplication intermediates).
-//! - [`field`]: arithmetic modulo the secp256k1 base-field and group-order
-//!   primes, using the special form of the field prime for fast reduction.
+//! - [`field`]: the dedicated base-field element `Fe` for
+//!   `p = 2^256 − 0x1000003D1` — schoolbook 4×4 limb product (dedicated
+//!   squaring), reduced by two single-limb folds of the high half times
+//!   `0x1000003D1` and one conditional subtraction; inversion and square
+//!   root by the fixed addition chains for `p − 2` and `(p + 1)/4` — plus
+//!   the generic `*_mod` family that serves the group order `n` and is the
+//!   reference `Fe` is tested against.
 //! - [`ec`]: secp256k1 elliptic-curve group operations in Jacobian
-//!   coordinates.
-//! - [`msm`]: variable-base multi-scalar multiplication (Straus for small
-//!   batches, Pippenger buckets for large ones) backing batch signature
-//!   verification.
+//!   coordinates over `Fe`; the generator has a 64 × 15 fixed-base window
+//!   table stored affine (normalised once by a batch inversion), so `k·G`
+//!   is at most 64 mixed additions and no doublings.
+//! - [`msm`]: variable-base multi-scalar multiplication (Straus on width-5
+//!   non-adjacent form over eight batch-normalised odd multiples per point
+//!   for small batches, Pippenger buckets for large ones) backing single
+//!   and batch signature verification.
 //! - [`schnorr`]: Schnorr signatures over secp256k1 (BIP340-flavoured, but
 //!   simplified: the nonce is derived deterministically from the secret key
 //!   and message).
@@ -33,8 +41,10 @@
 //! # Security note
 //!
 //! These implementations are *functionally* correct (tested against known
-//! vectors and algebraic properties) but are **not** hardened: no
-//! constant-time guarantees, no side-channel resistance. They exist so the
+//! vectors and algebraic properties) but are **not** hardened: nothing
+//! here is constant-time (the field reduction, the scalar recodings and the
+//! table lookups all branch or index on secret data), and there is no
+//! side-channel resistance. They exist so the
 //! reproduction is self-contained; a production deployment would swap in
 //! audited crates behind the same interfaces.
 //!

@@ -6,10 +6,12 @@
 //! ~256 doublings plus ~128 additions *per point*; the kernels here share
 //! that work across the whole batch:
 //!
-//! - **Straus** ([`straus`]): every point gets a 15-entry 4-bit window
-//!   table, then one doubling chain is shared by all points — per point,
-//!   ~14 table additions plus at most 64 window additions. Wins for small
-//!   batches where Pippenger's bucket overhead dominates.
+//! - **Straus** ([`straus`]): every point gets a table of its eight odd
+//!   multiples, the tables are normalised to affine sixteen points to an
+//!   inversion, and one doubling chain serves all points — per point, 8
+//!   table additions plus ~43 mixed additions for a 256-bit scalar in
+//!   width-5 non-adjacent form. Wins for small batches where Pippenger's
+//!   bucket overhead dominates.
 //! - **Pippenger** ([`pippenger`]): for each `c`-bit window, points are
 //!   accumulated into `2^c − 1` buckets by scalar digit and the buckets
 //!   collapse with a running sum, so the per-window cost is `n` mixed
@@ -21,31 +23,40 @@
 //! Scalars are plain 256-bit integers: `k·P` is integer scalar
 //! multiplication, so callers may pass values `≥ n` (they wrap by the
 //! point's group order as usual). Short scalars are cheap — both kernels
-//! skip windows above the widest scalar in the batch, which is what makes
-//! 128-bit Fiat–Shamir coefficients half-price.
+//! skip the positions above the widest scalar in the batch, which is what
+//! makes 128-bit Fiat–Shamir coefficients half-price.
 //!
 //! # Measured window parameters
 //!
 //! The `batch_verify` criterion group (`crates/bench/benches/
 //! batch_verify.rs`) sweeps MSM sizes n = 16…4096 across window widths on
-//! the full 256-bit scalar range. Measured on the E21/E22 machine envelope
-//! (linux/x86_64, 1 CPU, per-point µs, 10-sample criterion runs — single-
-//! digit values carry a few µs of single-core noise):
+//! the full 256-bit scalar range. Measured on the dedicated field element
+//! of [`crate::field`] (linux/x86_64, 2 vCPUs giving about one CPU of
+//! time, per-point µs, 10-iteration runs; a second sweep moved single
+//! cells by up to 2 µs, so the last digit is noise):
 //!
-//! | n    | Straus | c=4 | c=6 | c=8 | c=10 | c=12 | [`msm`] picks |
-//! |------|--------|-----|-----|-----|------|------|---------------|
-//! | 16   | 209    | 253 | 437 | 992 | —    | —    | Straus        |
-//! | 64   | 146    | 119 | 172 | 159 | —    | —    | Straus        |
-//! | 256  | 72     | 50  | 43  | 57  | 135  | —    | c=5           |
-//! | 1024 | —      | 46  | 36  | 34  | 47   | 103  | c=7           |
-//! | 4096 | —      | 44  | 31  | 25  | 26   | 39   | c=8           |
+//! | n    | Straus | c=4  | c=6  | c=8  | c=10 | c=12 | [`msm`] picks |
+//! |------|--------|------|------|------|------|------|---------------|
+//! | 16   | 15.1   | 32.8 | 54.8 | 138  | —    | —    | Straus (14.1) |
+//! | 64   | 13.6   | 17.9 | 21.8 | 41.7 | —    | —    | Straus (13.0) |
+//! | 128  | 13.2   | 13.4 | 14.9 | 24.2 | 57.5 | —    | Straus (13.1) |
+//! | 192  | 12.4   | 13.0 | 11.7 | 18.7 | 41.3 | —    | c=5 (12.4)    |
+//! | 256  | 12.8   | 12.4 | 11.7 | 16.7 | 34.3 | —    | c=5 (11.7)    |
+//! | 1024 | —      | 11.7 | 9.2  | 8.8  | 12.7 | 27.7 | c=7 (8.6)     |
+//! | 4096 | —      | 11.7 | 8.4  | 6.9  | 7.3  | 11.1 | c=8 (7.0)     |
 //!
-//! The cost model in [`pippenger_window`] (`windows · (¾·n + 2^(c+1))`,
-//! mixed bucket additions weighted 8/12 against general additions) picks
-//! windows within a few percent of the measured optima at every swept
-//! size. [`STRAUS_CUTOFF`] = 128 sits at the crossover: at n = 64 the
-//! best Pippenger column ties Straus within noise, and by n = 256 buckets
-//! win outright.
+//! The point operations underneath (`field_ops` group of `crates/bench/
+//! benches/crypto_ops.rs`, dependent chains of 1024): doubling 0.14 µs,
+//! mixed addition 0.18 µs, general addition 0.24–0.25 µs — a mixed addition
+//! costs 0.68–0.74 of a general one across runs, which is the weight 7/10
+//! in [`pippenger_window`]'s model `windows · (0.7·n + 2^(c+1))`. The model
+//! picks windows within a few percent of the measured optima at every
+//! swept size. Straus is flat at 12–15 µs per point while Pippenger's cost
+//! falls with `n`; on full-width scalars the two meet between n = 128 and
+//! n = 192, and on the shape `verify_batch` produces (half the points carry
+//! 128-bit coefficients) already near n = 150, so [`STRAUS_CUTOFF`] = 160.
+//! Nothing here is constant-time: digits, bucket indexes and the recoding
+//! all branch and index on the scalars.
 
 use crate::ec::{Affine, Jacobian};
 use crate::u256::U256;
@@ -53,9 +64,10 @@ use crate::u256::U256;
 /// Batch sizes below this use [`straus`]; at or above it, [`pippenger`].
 ///
 /// Chosen from the criterion sweep in the module docs: per-point cost of
-/// Straus is flat (~window-table + 64 additions) while Pippenger's falls
-/// with `n`; the curves cross between n = 64 and n = 256.
-pub const STRAUS_CUTOFF: usize = 128;
+/// Straus is flat (odd-multiples table + ~43 mixed additions) while
+/// Pippenger's falls with `n`; the curves cross between n = 128 and
+/// n = 192.
+pub const STRAUS_CUTOFF: usize = 160;
 
 /// Bits `[lo, lo + c)` of `k` as a bucket index. `c ≤ 16`; bits past 255
 /// read as zero.
@@ -78,39 +90,90 @@ fn window_count(pairs: &[(Affine, U256)], c: u32) -> u32 {
     max_bits.div_ceil(c).max(1)
 }
 
-/// `Σ kᵢ·Pᵢ` by the Straus (shared-doubling window) method.
+/// Signed-window width of [`straus`]: digits are odd and at most 15 in
+/// magnitude, so a point needs its [`ODD_MULTIPLES`] `P, 3P, …, 15P` only.
+const WNAF_WIDTH: u32 = 5;
+
+/// Table entries per point in [`straus`].
+const ODD_MULTIPLES: usize = 1 << (WNAF_WIDTH - 2);
+
+/// Points whose tables [`straus`] normalises with one shared inversion.
+const NORMALIZE_BLOCK: usize = 16;
+
+/// Digits in the width-5 non-adjacent form of a 256-bit scalar.
+const WNAF_DIGITS: usize = 257;
+
+/// The width-5 non-adjacent form of `k`: digits `dᵢ` with
+/// `k = Σ dᵢ·2^i`, every nonzero digit odd with `|dᵢ| ≤ 15`, and at least
+/// four zeros after each nonzero one — on average one nonzero digit in
+/// six. Returns the digits and how many of them are in use (the index of
+/// the highest nonzero digit plus one).
+fn wnaf(k: &U256) -> ([i8; WNAF_DIGITS], usize) {
+    let mut digits = [0i8; WNAF_DIGITS];
+    let mut used = 0;
+    // `carry` is what a negative digit further down borrowed from here.
+    let mut carry = 0u32;
+    let mut bit = 0u32;
+    while bit < 256 {
+        if k.bit(bit) as u32 == carry {
+            // The bit and the carry cancel (0+0, or 1+1 carrying on).
+            bit += 1;
+            continue;
+        }
+        let width = WNAF_WIDTH.min(256 - bit);
+        let window = digit(k, bit, width) as u32 + carry; // odd, ≤ 31
+        carry = window >> (WNAF_WIDTH - 1);
+        digits[bit as usize] = (window as i32 - ((carry as i32) << WNAF_WIDTH)) as i8;
+        used = bit as usize + 1;
+        bit += width;
+    }
+    if carry == 1 {
+        digits[256] = 1;
+        used = WNAF_DIGITS;
+    }
+    (digits, used)
+}
+
+/// `Σ kᵢ·Pᵢ` by the Straus (shared-doubling) method on signed windows.
 ///
-/// Each point gets a 15-entry table of its small odd-and-even multiples
-/// (`P … 15P`); a single 4-bit doubling chain then serves every point.
+/// Each point gets a table of its eight odd multiples `P, 3P, …, 15P`;
+/// the tables are brought to affine form by a shared inversion, so the
+/// single doubling chain that serves every point adds mixed. Each scalar
+/// is recoded to width-5 non-adjacent form (`wnaf`) — about 43 additions
+/// for a 256-bit scalar, negative digits adding the negated entry.
 /// Preferred below [`STRAUS_CUTOFF`] points.
 pub fn straus(pairs: &[(Affine, U256)]) -> Jacobian {
-    const C: u32 = 4;
-    if pairs.is_empty() {
-        return Jacobian::infinity();
-    }
-    let tables: Vec<[Jacobian; 15]> = pairs
-        .iter()
-        .map(|(p, _)| {
-            let mut row = [Jacobian::infinity(); 15];
-            row[0] = Jacobian::from_affine(p);
-            for j in 1..15 {
-                row[j] = row[j - 1].add_affine(p);
-            }
-            row
-        })
-        .collect();
-    let windows = window_count(pairs, C);
-    let mut acc = Jacobian::infinity();
-    for w in (0..windows).rev() {
-        if !acc.is_infinity() {
-            for _ in 0..C {
-                acc = acc.double();
+    // Tables are normalised a block of points at a time, so the Jacobian
+    // multiples are a fixed-size scratch buffer; one inversion per block
+    // is ~2 % of the block's additions.
+    let mut tables = Vec::with_capacity(pairs.len() * ODD_MULTIPLES);
+    let mut multiples = Vec::with_capacity(pairs.len().min(NORMALIZE_BLOCK) * ODD_MULTIPLES);
+    for block in pairs.chunks(NORMALIZE_BLOCK) {
+        multiples.clear();
+        for (p, _) in block {
+            let mut multiple = Jacobian::from_affine(p);
+            let twice = multiple.double();
+            for _ in 0..ODD_MULTIPLES {
+                multiples.push(multiple);
+                multiple = multiple.add(&twice);
             }
         }
-        for (i, (_, k)) in pairs.iter().enumerate() {
-            let d = digit(k, w * C, C);
+        tables.extend(Jacobian::batch_to_affine(&multiples));
+    }
+    let recoded: Vec<_> = pairs.iter().map(|(_, k)| wnaf(k)).collect();
+    let top = recoded.iter().map(|(_, used)| *used).max().unwrap_or(0);
+    let mut acc = Jacobian::infinity();
+    for bit in (0..top).rev() {
+        acc = acc.double();
+        for ((digits, _), table) in recoded.iter().zip(tables.chunks_exact(ODD_MULTIPLES)) {
+            let d = digits[bit];
             if d != 0 {
-                acc = acc.add(&tables[i][d - 1]);
+                let entry = &table[d.unsigned_abs() as usize / 2];
+                acc = if d > 0 {
+                    acc.add_affine(entry)
+                } else {
+                    acc.add_affine(&entry.negate())
+                };
             }
         }
     }
@@ -167,16 +230,16 @@ pub fn pippenger(pairs: &[(Affine, U256)], c: u32) -> Jacobian {
 /// The Pippenger window width minimizing the modeled cost for an
 /// `n`-point MSM over full-width scalars.
 ///
-/// Model: `windows(c) · (¾·n + 2^(c+1))` — `n` mixed bucket additions
-/// (8M+3S, weighted ¾ of a general 12M+4S addition) plus the running-sum
-/// collapse per window. Validated against the criterion sweep recorded in
-/// the module docs.
+/// Model: `windows(c) · (0.7·n + 2^(c+1))` — `n` mixed bucket additions
+/// (8M + 3S, measured at 0.70 of a general 12M + 4S addition) plus the
+/// running-sum collapse per window. Validated against the criterion sweep
+/// recorded in the module docs.
 pub fn pippenger_window(n: usize) -> u32 {
     let mut best = 4u32;
     let mut best_cost = u64::MAX;
     for c in 4..=14u32 {
         let windows = 256u64.div_ceil(c as u64);
-        let cost = windows * ((3 * n as u64) / 4 + (1u64 << (c + 1)));
+        let cost = windows * ((7 * n as u64) / 10 + (1u64 << (c + 1)));
         if cost < best_cost {
             best_cost = cost;
             best = c;
@@ -195,10 +258,10 @@ pub fn msm(pairs: &[(Affine, U256)]) -> Jacobian {
     }
 }
 
-/// `k·P` for a variable base point by a 4-bit window — the single-point
-/// special case of [`straus`]. ~64 additions cheaper than the generic
-/// double-and-add ladder; used for the `e·P` half of every per-signature
-/// Schnorr verification.
+/// `k·P` for a variable base point — the single-point special case of
+/// [`straus`]: 256 doublings and ~43 mixed additions against the generic
+/// ladder's ~128 general ones. Used for the `e·P` half of every
+/// per-signature Schnorr verification.
 pub fn mul_window(point: &Affine, k: &U256) -> Jacobian {
     straus(&[(*point, *k)])
 }
@@ -206,8 +269,9 @@ pub fn mul_window(point: &Affine, k: &U256) -> Jacobian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ec::{generator, mul_generator};
-    use crate::field::n;
+    use crate::ec::tests::ladder_scalars;
+    use crate::ec::{mul_generator, GENERATOR};
+    use crate::field::N;
 
     /// Deterministic pseudo-random scalar stream for tests.
     fn scalars(count: usize, seed: u64) -> Vec<U256> {
@@ -267,13 +331,13 @@ mod tests {
 
     #[test]
     fn edge_scalars() {
-        let g = generator();
+        let g = GENERATOR;
         // Zero scalars contribute nothing; n wraps to infinity; n−1 = −P;
         // duplicate points accumulate.
         let cases: Vec<(Vec<(Affine, U256)>, Affine)> = vec![
             (vec![(g, U256::ZERO)], Affine::Infinity),
-            (vec![(g, n())], Affine::Infinity),
-            (vec![(g, n().wrapping_sub(&U256::ONE))], g.negate()),
+            (vec![(g, N)], Affine::Infinity),
+            (vec![(g, N.wrapping_sub(&U256::ONE))], g.negate()),
             (
                 vec![(g, U256::ONE), (g, U256::ONE), (g, U256::ONE)],
                 mul_generator(&U256::from_u64(3)),
@@ -310,18 +374,71 @@ mod tests {
     #[test]
     fn mul_window_matches_ladder() {
         let p = mul_generator(&U256::from_u64(42));
-        for k in scalars(6, 0x9).into_iter().chain([
-            U256::ZERO,
-            U256::ONE,
-            n(),
-            n().wrapping_sub(&U256::ONE),
-        ]) {
+        for k in ladder_scalars().into_iter().chain(scalars(6, 0x9)) {
             assert_eq!(
                 mul_window(&p, &k).to_affine(),
                 Jacobian::from_affine(&p).mul_scalar(&k).to_affine(),
                 "k={}",
                 k.to_hex()
             );
+        }
+        for k in [U256::ZERO, U256::from_u64(9), U256::MAX] {
+            assert!(mul_window(&Affine::Infinity, &k).is_infinity());
+        }
+    }
+
+    #[test]
+    fn kernels_match_ladder_on_edge_scalars_and_degenerate_batches() {
+        // Every edge scalar on its own point, plus an infinity, a repeated
+        // point and a negated point in the same batch.
+        let edge = ladder_scalars();
+        let mut ps: Vec<(Affine, U256)> = edge
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (mul_generator(&U256::from_u64(i as u64 * 5 + 2)), *k))
+            .collect();
+        let (first, last) = (ps[3].0, ps[ps.len() - 1].0);
+        ps.push((Affine::Infinity, U256::MAX));
+        ps.push((first, edge[edge.len() - 1]));
+        ps.push((first.negate(), edge[edge.len() - 2]));
+        ps.push((last.negate(), edge[edge.len() - 1]));
+        let expect = naive(&ps);
+        assert_eq!(straus(&ps).to_affine(), expect);
+        for c in [4u32, 5, 9] {
+            assert_eq!(pippenger(&ps, c).to_affine(), expect, "c={c}");
+        }
+        // The whole batch cancelling: k·P + k·(−P).
+        for k in edge {
+            let cancel = [(first, k), (first.negate(), k)];
+            assert!(straus(&cancel).is_infinity(), "k={}", k.to_hex());
+            assert!(pippenger(&cancel, 5).is_infinity(), "k={}", k.to_hex());
+        }
+    }
+
+    #[test]
+    fn wnaf_digits_are_sparse_odd_and_sum_to_the_scalar() {
+        for k in ladder_scalars().into_iter().chain(scalars(8, 0x31)) {
+            let (digits, used) = wnaf(&k);
+            assert!(digits[used..].iter().all(|&d| d == 0));
+            assert!(used == 0 || digits[used - 1] != 0);
+            // Horner from the top, modulo 2^256 (a digit at position 256
+            // contributes 2^256 ≡ 0 and is checked by the ladder tests).
+            let mut sum = U256::ZERO;
+            for (i, &d) in digits.iter().enumerate().take(256).rev() {
+                sum = sum.shl(1);
+                let magnitude = U256::from_u64(d.unsigned_abs() as u64);
+                sum = if d >= 0 {
+                    sum.wrapping_add(&magnitude)
+                } else {
+                    sum.wrapping_sub(&magnitude)
+                };
+                if d != 0 {
+                    assert!(d % 2 != 0 && d.unsigned_abs() <= 15, "digit {d}");
+                    let next = (i + 1)..(i + WNAF_WIDTH as usize).min(WNAF_DIGITS);
+                    assert!(digits[next].iter().all(|&z| z == 0), "k={}", k.to_hex());
+                }
+            }
+            assert_eq!(sum, k, "k={}", k.to_hex());
         }
     }
 

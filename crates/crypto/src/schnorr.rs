@@ -12,8 +12,8 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ec::{generator, mul_generator, mul_generator_jacobian, Affine};
-use crate::field::{self, add_mod, mul_mod, neg_mod, reduce};
+use crate::ec::{mul_generator, mul_generator_jacobian, Affine, GENERATOR};
+use crate::field::{add_mod, mul_mod, neg_mod, reduce, N};
 use crate::hash::Hash256;
 use crate::keys::PublicKey;
 use crate::msm::{msm, mul_window};
@@ -67,7 +67,7 @@ fn challenge(r: &Affine, pubkey: &Affine, msg: &Hash256) -> U256 {
     data.extend_from_slice(&pubkey.to_compressed());
     data.extend_from_slice(msg.as_bytes());
     let h = tagged_hash("TN/challenge", &data);
-    reduce(&U256::from_be_bytes(h.as_bytes()), &field::n())
+    reduce(&U256::from_be_bytes(h.as_bytes()), &N)
 }
 
 /// Signs a 32-byte message digest with secret scalar `d`.
@@ -75,7 +75,6 @@ fn challenge(r: &Affine, pubkey: &Affine, msg: &Hash256) -> U256 {
 /// `d` must be in `[1, n−1]` and `pubkey` must equal `d·G` (the
 /// [`crate::keys::Keypair`] wrapper guarantees both).
 pub(crate) fn sign_digest(d: &U256, pubkey: &Affine, msg: &Hash256) -> Signature {
-    let n = field::n();
     // Deterministic nonce: H(tag, d || msg || counter), retrying on the
     // (astronomically unlikely) zero or R-at-infinity cases.
     let mut counter = 0u32;
@@ -86,7 +85,7 @@ pub(crate) fn sign_digest(d: &U256, pubkey: &Affine, msg: &Hash256) -> Signature
         seed.extend_from_slice(&counter.to_be_bytes());
         let k = reduce(
             &U256::from_be_bytes(tagged_hash("TN/nonce", &seed).as_bytes()),
-            &n,
+            &N,
         );
         counter += 1;
         if k.is_zero() {
@@ -98,7 +97,7 @@ pub(crate) fn sign_digest(d: &U256, pubkey: &Affine, msg: &Hash256) -> Signature
             Affine::Point { x, y } => (x, y.is_odd()),
         };
         let e = challenge(&r, pubkey, msg);
-        let s = add_mod(&k, &mul_mod(&e, d, &n), &n);
+        let s = add_mod(&k, &mul_mod(&e, d, &N), &N);
         return Signature {
             r_x: r_x.to_be_bytes(),
             r_parity_odd: parity_odd,
@@ -119,23 +118,11 @@ struct Prepared {
 /// and recomputes the challenge. `None` exactly when [`verify_digest`]
 /// would reject before reaching the group equation.
 fn prepare(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> Option<Prepared> {
-    let n = field::n();
-    let p = field::p();
     let s = U256::from_be_bytes(&sig.s);
-    let r_x = U256::from_be_bytes(&sig.r_x);
-    if s >= n || r_x >= p {
+    if s >= N || matches!(pubkey, Affine::Infinity) {
         return None;
     }
-    if matches!(pubkey, Affine::Infinity) {
-        return None;
-    }
-    let mut compressed = [0u8; 33];
-    compressed[0] = if sig.r_parity_odd { 0x03 } else { 0x02 };
-    compressed[1..].copy_from_slice(&sig.r_x);
-    let r = match Affine::from_compressed(&compressed) {
-        Some(pt @ Affine::Point { .. }) => pt,
-        _ => return None,
-    };
+    let r = Affine::lift_x(&U256::from_be_bytes(&sig.r_x), sig.r_parity_odd)?;
     let e = challenge(&r, pubkey, msg);
     Some(Prepared { r, e, s })
 }
@@ -144,14 +131,14 @@ fn prepare(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> Option<Prepared> 
 ///
 /// The group equation `s·G == R + e·P` is checked as
 /// `s·G + (−e)·P + (−R) == ∞`: `s·G` comes from the fixed-base window
-/// table, `(−e)·P` from the variable-base 4-bit window
+/// table, `(−e)·P` from the variable-base signed window
 /// ([`crate::msm::mul_window`]), and the identity test is free in
-/// Jacobian coordinates — no field inversion anywhere on the path.
+/// Jacobian coordinates.
 pub(crate) fn verify_digest(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> bool {
     let Some(Prepared { r, e, s }) = prepare(pubkey, msg, sig) else {
         return false;
     };
-    let neg_e = neg_mod(&e, &field::n());
+    let neg_e = neg_mod(&e, &N);
     mul_generator_jacobian(&s)
         .add(&mul_window(pubkey, &neg_e))
         .add_affine(&r.negate())
@@ -232,7 +219,6 @@ pub fn verify_batch(items: &[BatchItem], seed: &[u8]) -> bool {
         }
     }
     let zs = batch_coefficients(items, seed);
-    let n = field::n();
     // Coalesce duplicate points: one MSM pair per distinct point, scalars
     // accumulated mod n (sound because the curve group has prime order n).
     let mut pairs: Vec<(Affine, U256)> = Vec::with_capacity(2 * items.len() + 1);
@@ -240,7 +226,7 @@ pub fn verify_batch(items: &[BatchItem], seed: &[u8]) -> bool {
     let mut accumulate = |pairs: &mut Vec<(Affine, U256)>, point: &Affine, scalar: U256| {
         let key = point.to_compressed();
         match slots.get(&key) {
-            Some(&i) => pairs[i].1 = add_mod(&pairs[i].1, &reduce(&scalar, &n), &n),
+            Some(&i) => pairs[i].1 = add_mod(&pairs[i].1, &reduce(&scalar, &N), &N),
             None => {
                 slots.insert(key, pairs.len());
                 pairs.push((*point, scalar));
@@ -249,12 +235,12 @@ pub fn verify_batch(items: &[BatchItem], seed: &[u8]) -> bool {
     };
     let mut sg = U256::ZERO; // Σ z_i·s_i mod n
     for ((pubkey, _, _), (p, z)) in items.iter().zip(prepared.iter().zip(zs.iter())) {
-        sg = add_mod(&sg, &mul_mod(z, &p.s, &n), &n);
+        sg = add_mod(&sg, &mul_mod(z, &p.s, &N), &N);
         accumulate(&mut pairs, &p.r, *z);
-        accumulate(&mut pairs, pubkey.as_affine(), mul_mod(z, &p.e, &n));
+        accumulate(&mut pairs, pubkey.as_affine(), mul_mod(z, &p.e, &N));
     }
     // Fold −(Σ z_i·s_i)·G into the same MSM; valid ⟺ the total is ∞.
-    accumulate(&mut pairs, &generator(), neg_mod(&sg, &n));
+    accumulate(&mut pairs, &GENERATOR, neg_mod(&sg, &N));
     msm(&pairs).is_infinity()
 }
 
@@ -391,17 +377,40 @@ mod tests {
 
     #[test]
     fn batch_matches_individual_verdicts() {
-        for corrupt_at in [None, Some(0), Some(3), Some(6)] {
-            let mut items = make_batch(7, 2);
-            if let Some(i) = corrupt_at {
-                items[i].2.s[30] ^= 0x40;
+        // Clean, poisoned (one bad item, at either end or inside) and
+        // half-valid batches, for every way an item can be wrong, on both
+        // sides of the Straus/Pippenger cutoff (each item contributes up
+        // to two MSM points).
+        type Corruption = fn(&mut BatchItem);
+        let corruptions: [Corruption; 6] = [
+            |item| item.2.s[30] ^= 0x40,
+            |item| item.2.s = [0xff; 32],
+            |item| item.2.r_x[7] ^= 1,
+            |item| item.2.r_parity_odd = !item.2.r_parity_odd,
+            |item| item.1 = sha256(b"another message"),
+            |item| item.0 = *Keypair::from_seed(b"another signer").public(),
+        ];
+        for (n, signers) in [(7, 2), (40, 40), (crate::msm::STRAUS_CUTOFF, 3)] {
+            let clean = make_batch(n, signers);
+            assert!(verify_batch(&clean, b"seed"), "n={n}");
+            for (c, corrupt) in corruptions.iter().enumerate() {
+                let poisoned = [vec![0], vec![n / 2], vec![n - 1]];
+                let half = (0..n).step_by(2).collect();
+                for positions in poisoned.into_iter().chain([half]) {
+                    let mut items = clean.clone();
+                    positions.iter().for_each(|&i| corrupt(&mut items[i]));
+                    let individual: Vec<bool> =
+                        items.iter().map(|(pk, m, s)| pk.verify(m, s)).collect();
+                    for &i in &positions {
+                        assert!(!individual[i], "corruption {c} must invalidate item {i}");
+                    }
+                    assert_eq!(
+                        verify_batch(&items, b"seed"),
+                        individual.iter().all(|&ok| ok),
+                        "n={n} corruption={c} at {positions:?}"
+                    );
+                }
             }
-            let individual = items.iter().all(|(pk, m, s)| pk.verify(m, s));
-            assert_eq!(
-                verify_batch(&items, b"seed"),
-                individual,
-                "corrupt_at={corrupt_at:?}"
-            );
         }
     }
 

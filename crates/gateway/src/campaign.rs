@@ -327,7 +327,7 @@ pub fn build_campaign_workload(
         }
         p.produce_block().expect("bond block");
     }
-    let setup_height = p.store().head().header.height;
+    let setup_height = p.store().height();
 
     // --- campaign rounds --------------------------------------------------
     for round in 0..profile.rounds {
@@ -478,7 +478,7 @@ pub fn run_campaign(
     let defense = profile.defense;
 
     let mut hook = |node: &mut ValidatorNode| {
-        let head = node.pipeline().store().head().clone();
+        let head = node.pipeline().store().head();
         let height = head.header.height;
         blocks_seen += 1;
 

@@ -261,7 +261,7 @@ pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workloa
         }
     }
     p.produce_block().expect("final seed block");
-    let setup_height = p.store().head().header.height;
+    let setup_height = p.store().height();
 
     // --- event loop: the load stream -------------------------------------
     // Writers draw events in proportion to their amplification, so bots

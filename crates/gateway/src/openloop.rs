@@ -306,7 +306,7 @@ pub fn run_open_loop_on(
                     report.service_ms += service_ns as f64 / NS_PER_MS;
                     server_free_ns = server_free_ns.max(t) + service_ns;
                     last_finish = server_free_ns;
-                    let head = node.pipeline().store().head().clone();
+                    let head = node.pipeline().store().head();
                     for tx in &head.transactions {
                         report.committed += 1;
                         if let Some(arrived) = arrival_of.remove(&tx.id()) {

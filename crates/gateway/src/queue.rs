@@ -40,7 +40,9 @@ impl IngressLane {
     pub fn new(capacity: usize) -> IngressLane {
         assert!(capacity > 0, "zero-capacity ingress lane");
         IngressLane {
-            queue: VecDeque::with_capacity(capacity.min(1024)),
+            // Grown on demand: `capacity` is the shedding bound, and a lane
+            // that never queues that deep should not hold a quarter-MiB ring.
+            queue: VecDeque::new(),
             capacity,
         }
     }
@@ -97,6 +99,14 @@ mod tests {
             client: 1,
             arrival_ns: nonce,
         }
+    }
+
+    #[test]
+    fn a_fresh_lane_holds_no_ring() {
+        // `capacity` bounds the queue; it is not preallocated.
+        let lane = IngressLane::new(1 << 20);
+        assert_eq!(lane.queue.capacity(), 0);
+        assert_eq!(lane.capacity(), 1 << 20);
     }
 
     #[test]

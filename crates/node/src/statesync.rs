@@ -75,19 +75,11 @@ pub struct CatchupReport {
 /// canonical chain — the point the two histories share. Blocks above it
 /// are what the replica is missing (or has forked away from).
 fn fork_height(node: &ValidatorNode, peer: &ValidatorNode) -> u64 {
-    let mut ids = peer.pipeline().store().canonical_chain(); // head first
-    ids.reverse();
-    let mut shared = 0u64;
-    for id in &ids {
-        if let Some(b) = peer.pipeline().store().block(id) {
-            if node.has_block(id) {
-                shared = b.header.height;
-            } else {
-                break;
-            }
-        }
-    }
-    shared
+    // Head first, one id per height, genesis last: counted from the far
+    // end, a block's position is its height.
+    let ids = peer.pipeline().store().canonical_chain();
+    let held = ids.iter().rev().take_while(|id| node.has_block(id)).count();
+    held.saturating_sub(1) as u64
 }
 
 /// Catches `node` up to `target` — the cluster's agreed execution digest

@@ -430,18 +430,18 @@ impl ValidatorNode {
 
     /// True when the node's store holds `id` (canonical or fork).
     pub fn has_block(&self, id: &Hash256) -> bool {
-        self.pipeline.store().block(id).is_some()
+        self.pipeline.store().contains(id)
     }
 
     /// Canonical blocks strictly above `height`, lowest first — what a
     /// peer serves to a catching-up replica.
     pub fn blocks_after(&self, height: u64) -> Vec<Block> {
-        let mut ids = self.pipeline.store().canonical_chain();
-        ids.reverse(); // genesis first
-        ids.iter()
-            .filter_map(|id| self.pipeline.store().block(id))
-            .filter(|b| b.header.height > height)
-            .collect()
+        let store = self.pipeline.store();
+        // Head first, one id per height: everything above `height` is the
+        // leading `head − height` ids. Only those are decoded.
+        let mut ids = store.canonical_chain();
+        ids.truncate(store.height().saturating_sub(height) as usize);
+        ids.iter().rev().filter_map(|id| store.block(id)).collect()
     }
 
     /// Applies one peer-fetched block during state-sync catch-up. The
@@ -468,7 +468,7 @@ impl ValidatorNode {
             )));
         }
         let timestamp = block.header.timestamp;
-        self.pipeline.apply_block(block)?;
+        self.pipeline.apply_block(&block)?;
         self.next_timestamp = self.next_timestamp.max(timestamp + 1);
         self.mempool
             .prune_committed(self.pipeline.store().head_state());

@@ -42,7 +42,7 @@ use std::path::{Path, PathBuf};
 
 use tn_telemetry::TelemetrySink;
 
-use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader, TxLocation};
+use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader, TxIndexEntry, TxLocation};
 use crate::{Checkpoint, CompactStats, Storage, StorageConfig, StorageError};
 
 const META_MAGIC: u32 = 0x544E_4D54; // "TNMT"
@@ -507,8 +507,7 @@ impl DiskBackend {
         // Index entries become durable with the segment.
         for (height, id) in &sealed {
             let rec = self.live.iter().find(|r| r.id == *id).expect("checked");
-            let entries: Vec<(Key, Vec<Key>)> =
-                rec.txs.iter().map(|t| (t.id, t.accounts.clone())).collect();
+            let entries: Vec<(Key, Vec<Key>)> = rec.txs.iter().map(index_entry).collect();
             let payload = encode_index_frame(*height, &entries);
             self.index_file.write_all(&frame_bytes(&payload))?;
         }
@@ -687,7 +686,7 @@ fn read_checkpoint(dir: &Path, height: u64) -> Result<Option<Checkpoint>, Storag
     let mut r = Reader::new(payload);
     let h = r.u64().map_err(bad)?;
     let id = r.key().map_err(bad)?;
-    let blob = r.bytes().map_err(bad)?;
+    let blob = r.bytes().map_err(bad)?.to_vec();
     r.expect_end().map_err(bad)?;
     if h != height {
         return Ok(None);
@@ -712,6 +711,11 @@ fn encode_index_frame(height: u64, entries: &[(Key, Vec<Key>)]) -> Vec<u8> {
 /// One decoded `index.log` frame: the finalized height plus, per tx id,
 /// the accounts it touches.
 type IndexFrame = (u64, Vec<(Key, Vec<Key>)>);
+
+/// A record's index entry in the shape of an `index.log` frame entry.
+fn index_entry(tx: &TxIndexEntry) -> (Key, Vec<Key>) {
+    (tx.id, tx.accounts().copied().collect())
+}
 
 fn decode_index_frame(payload: &[u8]) -> Result<IndexFrame, StorageError> {
     let mut r = Reader::new(payload);
@@ -759,9 +763,9 @@ impl Storage for DiskBackend {
         "disk"
     }
 
-    fn append_block(&mut self, rec: &BlockRecord) -> Result<(), StorageError> {
+    fn append_block(&mut self, rec: BlockRecord) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.append_ns");
-        if self.live_ids.contains(&rec.id) || self.by_id.contains_key(&rec.id) {
+        if self.contains_block(&rec.id) {
             return Err(StorageError::Invalid(format!(
                 "duplicate block id at height {}",
                 rec.height
@@ -771,7 +775,7 @@ impl Storage for DiskBackend {
         self.wal_file.write_all(&frame)?;
         self.telemetry.add("storage.wal.bytes", frame.len() as u64);
         self.live_ids.insert(rec.id);
-        self.live.push(rec.clone());
+        self.live.push(rec);
         self.appends_since_sync += 1;
         if self.appends_since_sync >= self.fsync_interval {
             self.sync_wal()?;
@@ -797,8 +801,7 @@ impl Storage for DiskBackend {
                 "finalize of unknown block at height {height}"
             )));
         };
-        let entries: Vec<(Key, Vec<Key>)> =
-            rec.txs.iter().map(|t| (t.id, t.accounts.clone())).collect();
+        let entries: Vec<(Key, Vec<Key>)> = rec.txs.iter().map(index_entry).collect();
         apply_index(
             &mut self.tx_index,
             &mut self.account_index,
@@ -840,6 +843,10 @@ impl Storage for DiskBackend {
 
     fn first_height(&self) -> u64 {
         self.first
+    }
+
+    fn contains_block(&self, id: &Key) -> bool {
+        self.live_ids.contains(id) || self.by_id.contains_key(id)
     }
 
     fn block_by_id(&self, id: &Key) -> Result<Option<BlockRecord>, StorageError> {
@@ -997,7 +1004,6 @@ impl Storage for DiskBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TxIndexEntry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1035,12 +1041,14 @@ mod tests {
             height,
             id: [tag; 32],
             parent: [tag.wrapping_sub(1); 32],
-            block_bytes: vec![tag; 10],
-            receipts_bytes: vec![tag ^ 1],
-            txs: vec![TxIndexEntry {
+            block_bytes: vec![tag; 10].into(),
+            receipts_bytes: vec![tag ^ 1].into(),
+            txs: [TxIndexEntry {
                 id: [tag | 0x80; 32],
-                accounts: vec![[0x42; 32]],
-            }],
+                sender: [0x42; 32],
+                counterparty: None,
+            }]
+            .into(),
         }
     }
 
@@ -1050,7 +1058,7 @@ mod tests {
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
             for h in 1..=3 {
-                s.append_block(&rec(h, h as u8)).unwrap();
+                s.append_block(rec(h, h as u8)).unwrap();
             }
             s.set_head(HeadMeta {
                 height: 3,
@@ -1082,7 +1090,7 @@ mod tests {
         let tmp = TempDir::new();
         let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
         for h in 1..=6 {
-            s.append_block(&rec(h, h as u8)).unwrap();
+            s.append_block(rec(h, h as u8)).unwrap();
         }
         for h in 1..=5 {
             s.finalize(h, &[h as u8; 32]).unwrap();
@@ -1113,7 +1121,7 @@ mod tests {
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
             for h in 1..=6 {
-                s.append_block(&rec(h, h as u8)).unwrap();
+                s.append_block(rec(h, h as u8)).unwrap();
                 if h <= 4 {
                     s.finalize(h, &[h as u8; 32]).unwrap();
                 }
@@ -1140,7 +1148,7 @@ mod tests {
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
             for h in 1..=3 {
-                s.append_block(&rec(h, h as u8)).unwrap();
+                s.append_block(rec(h, h as u8)).unwrap();
             }
             s.flush().unwrap();
         }
@@ -1171,7 +1179,7 @@ mod tests {
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
             for h in 1..=4 {
-                s.append_block(&rec(h, h as u8)).unwrap();
+                s.append_block(rec(h, h as u8)).unwrap();
             }
             s.flush().unwrap();
         }
@@ -1197,7 +1205,7 @@ mod tests {
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
             for h in 1..=5 {
-                s.append_block(&rec(h, h as u8)).unwrap();
+                s.append_block(rec(h, h as u8)).unwrap();
                 if h <= 4 {
                     s.finalize(h, &[h as u8; 32]).unwrap();
                 }
@@ -1214,7 +1222,7 @@ mod tests {
         let tmp = TempDir::new();
         {
             let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
-            s.append_block(&rec(1, 1)).unwrap();
+            s.append_block(rec(1, 1)).unwrap();
             s.set_head(HeadMeta {
                 height: 1,
                 id: [1; 32],
@@ -1244,7 +1252,7 @@ mod tests {
         let tmp = TempDir::new();
         let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
         for h in 1..=9 {
-            s.append_block(&rec(h, h as u8)).unwrap();
+            s.append_block(rec(h, h as u8)).unwrap();
             s.finalize(h, &[h as u8; 32]).unwrap();
         }
         s.put_checkpoint(8, &[8; 32], b"snapshot-blob").unwrap();
@@ -1270,8 +1278,8 @@ mod tests {
     fn finalize_contiguity_enforced() {
         let tmp = TempDir::new();
         let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
-        s.append_block(&rec(1, 1)).unwrap();
-        s.append_block(&rec(3, 3)).unwrap();
+        s.append_block(rec(1, 1)).unwrap();
+        s.append_block(rec(3, 3)).unwrap();
         s.finalize(1, &[1; 32]).unwrap();
         assert!(matches!(
             s.finalize(3, &[3; 32]),
@@ -1283,8 +1291,8 @@ mod tests {
     fn fork_siblings_dropped_at_finalize() {
         let tmp = TempDir::new();
         let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
-        s.append_block(&rec(1, 1)).unwrap();
-        s.append_block(&rec(1, 9)).unwrap();
+        s.append_block(rec(1, 1)).unwrap();
+        s.append_block(rec(1, 9)).unwrap();
         s.finalize(1, &[1; 32]).unwrap();
         assert!(s.block_by_id(&[9; 32]).unwrap().is_none());
         assert_eq!(s.blocks_after(0).unwrap().len(), 1);

@@ -175,7 +175,7 @@ pub trait Storage: Send + fmt::Debug {
     ///
     /// [`StorageError::Invalid`] on duplicate ids, [`StorageError::Io`]
     /// on write failure.
-    fn append_block(&mut self, rec: &BlockRecord) -> Result<(), StorageError>;
+    fn append_block(&mut self, rec: BlockRecord) -> Result<(), StorageError>;
 
     /// Seals the canonical block `id` at `height` into finalized history
     /// and drops competing records at or below that height. Must be
@@ -193,6 +193,10 @@ pub trait Storage: Send + fmt::Debug {
     /// Lowest finalized height still materialized (rises past 1 only
     /// after compaction pruned early segments).
     fn first_height(&self) -> u64;
+
+    /// True when [`Storage::block_by_id`] would find a record for `id`,
+    /// answered from the id indexes without touching the record.
+    fn contains_block(&self, id: &Key) -> bool;
 
     /// Fetches a record by block id: WAL records and finalized history.
     ///

@@ -3,9 +3,19 @@
 //! Everything lives in process maps; "durability" is a no-op. The backend
 //! still implements the full finalize/checkpoint protocol so the chain
 //! layer behaves identically over both backends (the round-trip property
-//! tests depend on that), and so memory stays bounded: finalized blocks
-//! keep only their [`BlockRecord`] — the chain layer drops its per-block
-//! `State` clones when it finalizes a height.
+//! tests depend on that), and so memory stays bounded. A block's
+//! [`BlockRecord`] here is the only copy of its body in the process,
+//! whether the block is finalized or still in the chain layer's window:
+//! the chain layer keeps headers, receipts and per-block `State`s for the
+//! window (and drops them when it finalizes a height) but no bodies, and
+//! every read hands out the record's shared slices, not copies of them.
+//!
+//! Checkpoint blobs are full state snapshots, so only the ones recovery
+//! and historical queries can need are kept: the oldest (the genesis
+//! checkpoint every replay can start from) and the newest two. A query for a height below the kept recent ones
+//! is answered with the genesis checkpoint and the chain layer replays
+//! further — the same state, since records are only ever dropped by
+//! `compact`. (The disk backend keeps every blob; they cost it no memory.)
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -13,6 +23,10 @@ use tn_telemetry::TelemetrySink;
 
 use crate::record::{BlockRecord, HeadMeta, Key, TxLocation};
 use crate::{Checkpoint, CompactStats, Storage, StorageError};
+
+/// Checkpoints kept besides the oldest one. Two, so that a checkpoint the
+/// chain layer finds unusable still has a recent predecessor.
+const RECENT_CHECKPOINTS: usize = 2;
 
 /// In-memory storage backend.
 #[derive(Debug, Default)]
@@ -43,15 +57,15 @@ impl Storage for MemBackend {
         "mem"
     }
 
-    fn append_block(&mut self, rec: &BlockRecord) -> Result<(), StorageError> {
+    fn append_block(&mut self, rec: BlockRecord) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.append_ns");
-        if self.by_id.contains_key(&rec.id) || self.wal.iter().any(|r| r.id == rec.id) {
+        if self.contains_block(&rec.id) {
             return Err(StorageError::Invalid(format!(
                 "duplicate block id at height {}",
                 rec.height
             )));
         }
-        self.wal.push(rec.clone());
+        self.wal.push(rec);
         Ok(())
     }
 
@@ -81,7 +95,7 @@ impl Storage for MemBackend {
                     index: i as u32,
                 },
             );
-            for account in &tx.accounts {
+            for account in tx.accounts() {
                 self.account_index.entry(*account).or_default().push(tx.id);
             }
         }
@@ -103,6 +117,10 @@ impl Storage for MemBackend {
         } else {
             self.first_height
         }
+    }
+
+    fn contains_block(&self, id: &Key) -> bool {
+        self.by_id.contains_key(id) || self.wal.iter().any(|r| r.id == *id)
     }
 
     fn block_by_id(&self, id: &Key) -> Result<Option<BlockRecord>, StorageError> {
@@ -150,6 +168,12 @@ impl Storage for MemBackend {
     fn put_checkpoint(&mut self, height: u64, id: &Key, blob: &[u8]) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.snapshot_ns");
         self.checkpoints.insert(height, (*id, blob.to_vec()));
+        if self.checkpoints.len() > 1 + RECENT_CHECKPOINTS {
+            // One insert, one removal: the oldest after the first.
+            if let Some(&superseded) = self.checkpoints.keys().nth(1) {
+                self.checkpoints.remove(&superseded);
+            }
+        }
         Ok(())
     }
 
@@ -213,26 +237,29 @@ impl Storage for MemBackend {
 mod tests {
     use super::*;
     use crate::record::TxIndexEntry;
+    use std::sync::Arc;
 
     fn rec(height: u64, tag: u8) -> BlockRecord {
         BlockRecord {
             height,
             id: [tag; 32],
             parent: [tag.wrapping_sub(1); 32],
-            block_bytes: vec![tag],
-            receipts_bytes: vec![],
-            txs: vec![TxIndexEntry {
+            block_bytes: vec![tag].into(),
+            receipts_bytes: vec![].into(),
+            txs: [TxIndexEntry {
                 id: [tag ^ 0xFF; 32],
-                accounts: vec![[0x11; 32]],
-            }],
+                sender: [0x11; 32],
+                counterparty: None,
+            }]
+            .into(),
         }
     }
 
     #[test]
     fn append_finalize_lookup() {
         let mut s = MemBackend::new();
-        s.append_block(&rec(1, 1)).unwrap();
-        s.append_block(&rec(2, 2)).unwrap();
+        s.append_block(rec(1, 1)).unwrap();
+        s.append_block(rec(2, 2)).unwrap();
         assert_eq!(s.finalized_height(), 0);
         s.finalize(1, &[1; 32]).unwrap();
         assert_eq!(s.finalized_height(), 1);
@@ -251,9 +278,9 @@ mod tests {
     #[test]
     fn duplicate_append_rejected() {
         let mut s = MemBackend::new();
-        s.append_block(&rec(1, 1)).unwrap();
+        s.append_block(rec(1, 1)).unwrap();
         assert!(matches!(
-            s.append_block(&rec(1, 1)),
+            s.append_block(rec(1, 1)),
             Err(StorageError::Invalid(_))
         ));
     }
@@ -261,9 +288,9 @@ mod tests {
     #[test]
     fn finalize_drops_fork_siblings() {
         let mut s = MemBackend::new();
-        s.append_block(&rec(1, 1)).unwrap();
-        s.append_block(&rec(1, 9)).unwrap(); // fork sibling
-        s.append_block(&rec(2, 2)).unwrap();
+        s.append_block(rec(1, 1)).unwrap();
+        s.append_block(rec(1, 9)).unwrap(); // fork sibling
+        s.append_block(rec(2, 2)).unwrap();
         s.finalize(1, &[1; 32]).unwrap();
         assert!(s.block_by_id(&[9; 32]).unwrap().is_none());
         assert_eq!(s.blocks_after(0).unwrap().len(), 2);
@@ -273,7 +300,7 @@ mod tests {
     fn blocks_after_orders_finalized_then_wal() {
         let mut s = MemBackend::new();
         for h in 1..=4 {
-            s.append_block(&rec(h, h as u8)).unwrap();
+            s.append_block(rec(h, h as u8)).unwrap();
         }
         s.finalize(1, &[1; 32]).unwrap();
         s.finalize(2, &[2; 32]).unwrap();
@@ -290,7 +317,7 @@ mod tests {
     fn checkpoints_and_compaction() {
         let mut s = MemBackend::new();
         for h in 1..=6 {
-            s.append_block(&rec(h, h as u8)).unwrap();
+            s.append_block(rec(h, h as u8)).unwrap();
             s.finalize(h, &[h as u8; 32]).unwrap();
         }
         s.put_checkpoint(0, &[0; 32], b"genesis").unwrap();
@@ -302,6 +329,50 @@ mod tests {
         assert_eq!(s.first_height(), 4);
         assert!(s.block_by_height(3).unwrap().is_none());
         assert!(s.block_by_height(5).unwrap().is_some());
+    }
+
+    #[test]
+    fn keeps_the_oldest_checkpoint_and_the_newest_two() {
+        let mut s = MemBackend::new();
+        for h in 0..100u64 {
+            s.put_checkpoint(h * 16, &[h as u8; 32], &[h as u8; 8])
+                .unwrap();
+            assert!(s.checkpoints.len() <= 3);
+        }
+        let kept: Vec<u64> = s.checkpoints.keys().copied().collect();
+        assert_eq!(kept, vec![0, 98 * 16, 99 * 16]);
+        assert_eq!(s.latest_checkpoint().unwrap().unwrap().height, 99 * 16);
+        // Heights the kept recent checkpoints cover answer with them, every
+        // older height with the genesis checkpoint — never with nothing.
+        let at = |h| s.checkpoint_at_or_before(h).unwrap().unwrap();
+        assert_eq!(at(u64::MAX).height, 99 * 16);
+        assert_eq!(at(99 * 16 - 1).height, 98 * 16);
+        assert_eq!(at(98 * 16 - 1).height, 0);
+        assert_eq!(at(17).blob, vec![0u8; 8]);
+        // Rewriting a kept height replaces it and drops nothing.
+        s.put_checkpoint(99 * 16, &[7; 32], b"again").unwrap();
+        assert_eq!(s.checkpoints.len(), 3);
+        assert_eq!(s.latest_checkpoint().unwrap().unwrap().blob, b"again");
+    }
+
+    #[test]
+    fn reads_share_the_stored_bytes() {
+        let mut s = MemBackend::new();
+        let original = rec(1, 1);
+        s.append_block(original.clone()).unwrap();
+        s.append_block(rec(2, 2)).unwrap();
+        let same = |got: BlockRecord| {
+            Arc::ptr_eq(&got.block_bytes, &original.block_bytes)
+                && Arc::ptr_eq(&got.receipts_bytes, &original.receipts_bytes)
+                && Arc::ptr_eq(&got.txs, &original.txs)
+        };
+        assert!(s.contains_block(&[1; 32]) && !s.contains_block(&[9; 32]));
+        assert!(same(s.block_by_id(&[1; 32]).unwrap().unwrap()));
+        assert!(same(s.blocks_after(0).unwrap().remove(0)));
+        s.finalize(1, &[1; 32]).unwrap();
+        assert!(s.contains_block(&[1; 32]));
+        assert!(same(s.block_by_id(&[1; 32]).unwrap().unwrap()));
+        assert!(same(s.block_by_height(1).unwrap().unwrap()));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! protected by a CRC-32 so torn or bit-flipped tails are detected at open.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A 32-byte identifier (block id, transaction id, or account key).
 ///
@@ -26,17 +27,33 @@ pub struct TxLocation {
 }
 
 /// Index material for one transaction inside a [`BlockRecord`]: the
-/// transaction id plus every account key the transaction touched.
+/// transaction id plus the account keys the transaction touched, which
+/// drive the account index. A transaction has one sender and names at most
+/// one other account, so both sit inline — an entry owns no heap memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxIndexEntry {
     /// Transaction id.
     pub id: Key,
-    /// Accounts touched (sender, recipients); drives the account index.
-    pub accounts: Vec<Key>,
+    /// The sending account.
+    pub sender: Key,
+    /// The other account touched (a transfer's recipient, a called
+    /// contract), if the transaction names one.
+    pub counterparty: Option<Key>,
+}
+
+impl TxIndexEntry {
+    /// The accounts touched: the sender, then the counterparty if any.
+    pub fn accounts(&self) -> impl Iterator<Item = &Key> {
+        std::iter::once(&self.sender).chain(&self.counterparty)
+    }
 }
 
 /// One block as the engine stores it: placement metadata, opaque payloads,
 /// and the per-transaction index material extracted by the chain layer.
+///
+/// The payloads and the index entries are shared slices: a backend that
+/// keeps records in memory hands out clones that copy three pointers, so
+/// the bytes of a block exist once however many readers ask for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRecord {
     /// Block height.
@@ -46,11 +63,11 @@ pub struct BlockRecord {
     /// Parent block id.
     pub parent: Key,
     /// Canonical encoding of the block itself.
-    pub block_bytes: Vec<u8>,
+    pub block_bytes: Arc<[u8]>,
     /// Canonical encoding of the block's execution receipts.
-    pub receipts_bytes: Vec<u8>,
+    pub receipts_bytes: Arc<[u8]>,
     /// Per-transaction index entries, in block order.
-    pub txs: Vec<TxIndexEntry>,
+    pub txs: Arc<[TxIndexEntry]>,
 }
 
 /// Crash-safe head metadata: the chain layer's current fork-choice winner.
@@ -129,12 +146,12 @@ impl<'a> Reader<'a> {
         Ok(self.take(32)?.try_into().expect("32"))
     }
 
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u64()? as usize;
         if len > self.buf.len() - self.pos {
             return Err(DecodeError("length prefix beyond buffer"));
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     pub(crate) fn expect_end(&self) -> Result<(), DecodeError> {
@@ -158,10 +175,10 @@ impl BlockRecord {
         put_bytes(&mut out, &self.block_bytes);
         put_bytes(&mut out, &self.receipts_bytes);
         put_u64(&mut out, self.txs.len() as u64);
-        for tx in &self.txs {
+        for tx in self.txs.iter() {
             out.extend_from_slice(&tx.id);
-            put_u64(&mut out, tx.accounts.len() as u64);
-            for a in &tx.accounts {
+            put_u64(&mut out, tx.accounts().count() as u64);
+            for a in tx.accounts() {
                 out.extend_from_slice(a);
             }
         }
@@ -178,20 +195,21 @@ impl BlockRecord {
         let height = r.u64()?;
         let id = r.key()?;
         let parent = r.key()?;
-        let block_bytes = r.bytes()?;
-        let receipts_bytes = r.bytes()?;
+        let block_bytes = r.bytes()?.into();
+        let receipts_bytes = r.bytes()?.into();
         let n_txs = r.u64()? as usize;
         let mut txs = Vec::with_capacity(n_txs.min(1 << 16));
         for _ in 0..n_txs {
-            let tx_id = r.key()?;
-            let n_accounts = r.u64()? as usize;
-            let mut accounts = Vec::with_capacity(n_accounts.min(1 << 10));
-            for _ in 0..n_accounts {
-                accounts.push(r.key()?);
-            }
+            let id = r.key()?;
+            let (sender, counterparty) = match r.u64()? {
+                1 => (r.key()?, None),
+                2 => (r.key()?, Some(r.key()?)),
+                _ => return Err(DecodeError("a transaction touches one or two accounts")),
+            };
             txs.push(TxIndexEntry {
-                id: tx_id,
-                accounts,
+                id,
+                sender,
+                counterparty,
             });
         }
         let rec = BlockRecord {
@@ -200,7 +218,7 @@ impl BlockRecord {
             parent,
             block_bytes,
             receipts_bytes,
-            txs,
+            txs: txs.into(),
         };
         r.expect_end()?;
         Ok(rec)
@@ -251,18 +269,21 @@ mod tests {
             height,
             id: [height as u8; 32],
             parent: [height.wrapping_sub(1) as u8; 32],
-            block_bytes: vec![1, 2, 3, height as u8],
-            receipts_bytes: vec![9, 8],
-            txs: vec![
+            block_bytes: vec![1, 2, 3, height as u8].into(),
+            receipts_bytes: vec![9, 8].into(),
+            txs: [
                 TxIndexEntry {
                     id: [0xAA; 32],
-                    accounts: vec![[1; 32], [2; 32]],
+                    sender: [1; 32],
+                    counterparty: Some([2; 32]),
                 },
                 TxIndexEntry {
                     id: [0xBB; 32],
-                    accounts: vec![],
+                    sender: [3; 32],
+                    counterparty: None,
                 },
-            ],
+            ]
+            .into(),
         }
     }
 

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use tn_crypto::sha256::tagged_hash;
+use tn_crypto::sha256::{sha256, tagged_hash, Sha256};
 use tn_crypto::{Address, Hash256};
 
 use crate::ops::PropagationOp;
@@ -236,25 +236,31 @@ impl SupplyChainGraph {
     /// graphs built from the same event sequence digest identically, so
     /// replicas and ledger replays can be compared by hash.
     pub fn digest(&self) -> Hash256 {
-        let mut data = Vec::new();
+        // Streamed into the hasher field by field: the graph is hashed
+        // after every block, and a buffer of its whole encoding would be
+        // the largest allocation of a read-heavy node.
+        let tag = sha256(b"TN/supplychain-graph");
+        let mut h = Sha256::new();
+        h.update(tag.as_bytes());
+        h.update(tag.as_bytes());
         for item in self.iter() {
-            data.extend_from_slice(item.id.as_bytes());
-            data.extend_from_slice(item.author.as_hash().as_bytes());
-            data.extend_from_slice(&(item.content.len() as u64).to_le_bytes());
-            data.extend_from_slice(item.content.as_bytes());
-            data.extend_from_slice(&(item.topic.len() as u64).to_le_bytes());
-            data.extend_from_slice(item.topic.as_bytes());
-            data.extend_from_slice(&item.room.to_le_bytes());
-            data.extend_from_slice(&item.published_at.to_le_bytes());
-            data.push(item.is_fact_root as u8);
-            data.extend_from_slice(&(item.parents.len() as u64).to_le_bytes());
+            h.update(item.id.as_bytes());
+            h.update(item.author.as_hash().as_bytes());
+            h.update(&(item.content.len() as u64).to_le_bytes());
+            h.update(item.content.as_bytes());
+            h.update(&(item.topic.len() as u64).to_le_bytes());
+            h.update(item.topic.as_bytes());
+            h.update(&item.room.to_le_bytes());
+            h.update(&item.published_at.to_le_bytes());
+            h.update(&[item.is_fact_root as u8]);
+            h.update(&(item.parents.len() as u64).to_le_bytes());
             for p in &item.parents {
-                data.extend_from_slice(p.id.as_bytes());
-                data.push(p.op.tag());
-                data.extend_from_slice(&p.modification.to_bits().to_le_bytes());
+                h.update(p.id.as_bytes());
+                h.update(&[p.op.tag()]);
+                h.update(&p.modification.to_bits().to_le_bytes());
             }
         }
-        tagged_hash("TN/supplychain-graph", &data)
+        h.finalize()
     }
 
     /// Looks up an item.

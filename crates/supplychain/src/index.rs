@@ -244,7 +244,7 @@ mod tests {
         let tx2 = Transaction::signed(&bob, 0, 1, relay.into_payload());
 
         let block = store.propose(&validator, 1, vec![tx1, tx2], &mut NoExecutor);
-        store.import(block, &mut NoExecutor).unwrap();
+        store.import(&block, &mut NoExecutor).unwrap();
 
         let mut graph = SupplyChainGraph::new();
         let stats = index_chain(&store, &mut graph);
@@ -307,7 +307,7 @@ mod tests {
         );
 
         let block = store.propose(&validator, 1, vec![tx1, tx2, tx3, tx4], &mut NoExecutor);
-        store.import(block, &mut NoExecutor).unwrap();
+        store.import(&block, &mut NoExecutor).unwrap();
 
         let mut graph = SupplyChainGraph::new();
         let stats = index_chain(&store, &mut graph);

@@ -12,7 +12,7 @@ pub mod lanes {
     pub const ADMISSION: &str = "admission";
     /// Consensus ordering: PBFT phases / PoA slots.
     pub const CONSENSUS: &str = "consensus";
-    /// Block-level pipeline: propose, handoff, import.
+    /// Block-level pipeline: propose, import.
     pub const PIPELINE: &str = "pipeline";
     /// Verification: block structure + per-transaction signatures.
     pub const VERIFY: &str = "verify";

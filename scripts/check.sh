@@ -15,6 +15,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "== cargo test -q"
 cargo test --workspace --offline -q
 
+echo "== cargo test --release -p tn-crypto (limb arithmetic as the benchmark builds it)"
+# The workspace run above is a debug build: overflow checks and
+# debug_assert!s on. The field and curve kernels are wrapping limb
+# arithmetic, so they are also run the way every binary ships them.
+cargo test --release --offline -p tn-crypto -q
+
 echo "== benchmark package (the public surface benchmark/README.md pins)"
 # The repo's benchmark is a package of its own that drives the platform
 # through public functions only. Build it against its committed lock file,

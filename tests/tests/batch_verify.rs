@@ -169,7 +169,7 @@ fn replica_digests_identical_across_batch_configs() {
             })
             .collect();
         let block = store.propose(&proposer, 10, txs, &mut NoExecutor);
-        store.import(block, &mut NoExecutor).expect("imports");
+        store.import(&block, &mut NoExecutor).expect("imports");
         (store.head_id(), store.head_state().root())
     };
     let reference = build(1, BatchVerifyPolicy::disabled());

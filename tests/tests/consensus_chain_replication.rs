@@ -61,7 +61,7 @@ fn replicas_converge_to_identical_chains() {
                 .map(|r| Transaction::from_bytes(&r.payload).expect("valid tx bytes"))
                 .collect();
             let block = store.propose(&validator, entry.committed_at, batch, &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         roots.push(store.head_state().root());
         heights.push(store.height());
@@ -111,7 +111,7 @@ fn replication_survives_crashed_backup() {
                 .map(|r| Transaction::from_bytes(&r.payload).expect("valid tx bytes"))
                 .collect();
             let block = store.propose(&validator, entry.committed_at, batch, &mut NoExecutor);
-            store.import(block, &mut NoExecutor).expect("imports");
+            store.import(&block, &mut NoExecutor).expect("imports");
         }
         assert_eq!(
             store

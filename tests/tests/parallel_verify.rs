@@ -101,7 +101,7 @@ fn warm_cache_import_skips_ec_verification_entirely() {
     assert_eq!(before.counter(MISS_COUNTER), Some(K as u64));
     assert_eq!(before.counter(HIT_COUNTER), None);
 
-    store.import(block, &mut NoExecutor).expect("imports");
+    store.import(&block, &mut NoExecutor).expect("imports");
     let after = registry.snapshot();
     assert_eq!(
         after.counter(MISS_COUNTER),
@@ -162,7 +162,7 @@ fn explicit_pool_import_matches_sequential() {
             })
             .collect();
         let block = store.propose(&proposer, 10, txs, &mut NoExecutor);
-        store.import(block, &mut NoExecutor).expect("imports");
+        store.import(&block, &mut NoExecutor).expect("imports");
         (store.head_id(), store.head_state().root())
     };
     let sequential = build(Pool::sequential());

@@ -218,7 +218,7 @@ fn all_layers_agree_across_pbft_replicas() {
             let block_txs = block.transactions.clone();
             replica
                 .store
-                .import(block, &mut replica.registry)
+                .import(&block, &mut replica.registry)
                 .expect("imports");
             for tx in &block_txs {
                 index_transaction(tx, &mut replica.graph, &mut replica.stats);
