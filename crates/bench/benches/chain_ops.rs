@@ -1,7 +1,9 @@
 //! Chain-layer benchmarks: transaction verification, block building and
-//! block import (full validation + state transition).
+//! block import (full validation + state transition), and what the state
+//! costs a block as the account table grows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tn_bench::scenarios::{StateScale, STATE_SCALE_SIZES};
 use tn_chain::prelude::*;
 use tn_crypto::Keypair;
 
@@ -55,9 +57,34 @@ fn bench_block_import(c: &mut Criterion) {
     group.finish();
 }
 
+/// The state's share of a block at 10³–10⁶ accounts: taking a copy of the
+/// head state, applying a block of 128 transfers to fresh accounts and
+/// committing to the result, and serving a 16-balance page.
+fn bench_state_scale(c: &mut Criterion) {
+    let mut group = c.benchmark_group("state_scale");
+    group.sample_size(20);
+    for n in STATE_SCALE_SIZES {
+        let fixture = StateScale::new(n);
+        group.bench_with_input(BenchmarkId::new("clone", n), &n, |b, _| {
+            b.iter(|| black_box(&fixture.state).clone())
+        });
+        group.bench_with_input(BenchmarkId::new("block128_root", n), &n, |b, _| {
+            b.iter_batched(
+                || fixture.state.clone(),
+                |state| fixture.apply_block(state).root(),
+                criterion::BatchSize::SmallInput,
+            )
+        });
+        group.bench_with_input(BenchmarkId::new("page16", n), &n, |b, _| {
+            b.iter(|| fixture.read_page(black_box(&fixture.state)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_tx_verify, bench_block_import
+    targets = bench_tx_verify, bench_block_import, bench_state_scale
 }
 criterion_main!(benches);

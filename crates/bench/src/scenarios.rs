@@ -3,8 +3,8 @@
 //! configuration (re-run with the shed SLO attached by E23), the
 //! per-item factualness signals E3 ranks by and E14 ablates, the
 //! single-chain block fixture of the verification experiments and
-//! benches, and the scratch-directory guard of the disk-backed
-//! experiments.
+//! benches, the state-scaling fixture E15 and the `state_scale` bench
+//! share, and the scratch-directory guard of the disk-backed experiments.
 
 use std::path::PathBuf;
 
@@ -16,8 +16,8 @@ use tn_consensus::fault::{CrashFault, DropWindow, FaultPlan, PartitionFault};
 use tn_consensus::pbft::ByzMode;
 use tn_consensus::poa::PoaMode;
 use tn_core::platform::PlatformConfig;
-use tn_crypto::Hash256;
-use tn_crypto::Keypair;
+use tn_crypto::sha256::sha256;
+use tn_crypto::{Address, Hash256, Keypair};
 use tn_gateway::{build_workload, LoadProfile, OpenLoopConfig, Workload};
 use tn_supplychain::graph::TraceResult;
 use tn_supplychain::ranking::trace_score;
@@ -307,6 +307,78 @@ impl BlobChain {
     pub fn block(self) -> Block {
         self.store
             .propose(&self.validator, 1, self.txs, &mut NoExecutor)
+    }
+}
+
+/// Account-table sizes of the state-scaling sweep.
+pub const STATE_SCALE_SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+
+/// A state of a given size and the block the state-scaling sweep applies
+/// to it: the `wide_state` benchmark's block shape (8 signers, 128
+/// one-token transfers to accounts that do not exist yet) on a table that
+/// is as large as asked from the start.
+#[derive(Debug)]
+pub struct StateScale {
+    /// The table: `accounts` hash-derived addresses holding one token
+    /// each, plus the eight funded signers. Its root is already computed,
+    /// as a head state's is.
+    pub state: State,
+    block: Vec<Transaction>,
+    proposer: Address,
+    page: Vec<Address>,
+}
+
+impl StateScale {
+    /// Builds the table and signs the block.
+    pub fn new(accounts: usize) -> StateScale {
+        let holder = |i: usize| Address::from_hash(sha256(format!("holder {i}").as_bytes()));
+        let signers: Vec<Keypair> = (0..8)
+            .map(|i| Keypair::from_seed(format!("state-scale signer {i}").as_bytes()))
+            .collect();
+        let state = State::genesis(
+            (0..accounts)
+                .map(|i| (holder(i), 1))
+                .chain(signers.iter().map(|k| (k.address(), 1_000_000))),
+        );
+        state.root();
+        let block = (0..128)
+            .map(|i| {
+                let to = Address::from_hash(sha256(format!("fresh {i}").as_bytes()));
+                let payload = Payload::Transfer { to, amount: 1 };
+                Transaction::signed(&signers[i % 8], (i / 8) as u64, 1, payload)
+            })
+            .collect();
+        StateScale {
+            state,
+            block,
+            proposer: Keypair::from_seed(b"state-scale proposer").address(),
+            page: (0..16).map(|i| holder(i * (accounts / 16))).collect(),
+        }
+    }
+
+    /// Applies the block to `state` (a clone of [`StateScale::state`]).
+    ///
+    /// # Panics
+    ///
+    /// When `state` is not such a clone and refuses a transfer.
+    pub fn apply_block(&self, mut state: State) -> State {
+        for tx in &self.block {
+            state
+                .apply_prechecked(tx, &self.proposer, &mut NoExecutor)
+                .expect("scripted transfer applies");
+        }
+        state
+    }
+
+    /// One account page: sixteen balances spread over the table.
+    pub fn read_page(&self, state: &State) -> u64 {
+        self.page.iter().map(|a| state.balance(a)).sum()
+    }
+
+    /// An address the table holds and one it does not.
+    pub fn probe_addresses(&self) -> (Address, Address) {
+        let absent = Address::from_hash(sha256(b"state-scale: nobody"));
+        (self.page[1], absent)
     }
 }
 

@@ -94,6 +94,7 @@ impl Decodable for ChainCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tn_crypto::sha256::sha256;
     use tn_crypto::Address;
 
     fn sample() -> ChainCheckpoint {
@@ -123,6 +124,31 @@ mod tests {
         assert_eq!(cp.extension("supplychain"), Some(&[1u8, 2, 3][..]));
         assert_eq!(cp.extension("contracts"), Some(&[][..]));
         assert_eq!(cp.extension("missing"), None);
+    }
+
+    /// A blob whose account table is out of order, or names one address
+    /// twice, is refused by the decoder — before anyone could compare a
+    /// root over whichever entry "won".
+    #[test]
+    fn non_canonical_account_table_rejected() {
+        let mut cp = sample();
+        cp.state.credit(&Address::from_hash(sha256(b"second")), 7);
+        cp.state.credit(&Address::from_hash(sha256(b"third")), 9);
+        let bytes = cp.to_bytes();
+        assert_eq!(ChainCheckpoint::from_bytes(&bytes).unwrap(), cp);
+        // height (8) + head id (32) + account count (1), then 48-byte entries.
+        let entry = |i: usize| 41 + 48 * i..41 + 48 * (i + 1);
+        let mut swapped = bytes.clone();
+        swapped.copy_within(entry(1), entry(0).start);
+        swapped[entry(1)].copy_from_slice(&bytes[entry(0)]);
+        let mut doubled = bytes.clone();
+        doubled.copy_within(entry(1), entry(2).start);
+        for bad in [swapped, doubled] {
+            assert_eq!(
+                ChainCheckpoint::from_bytes(&bad),
+                Err(DecodeError::UnsortedKeys)
+            );
+        }
     }
 
     #[test]

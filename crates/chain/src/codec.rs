@@ -26,6 +26,9 @@ pub enum DecodeError {
     BadUtf8,
     /// Trailing bytes remained after the value was decoded.
     TrailingBytes(usize),
+    /// The keys of a table were not strictly ascending (out of order, or
+    /// one of them twice): not the canonical encoding of any value.
+    UnsortedKeys,
 }
 
 impl fmt::Display for DecodeError {
@@ -37,6 +40,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown enum tag {t}"),
             DecodeError::BadUtf8 => f.write_str("invalid utf-8 in string field"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            DecodeError::UnsortedKeys => f.write_str("table keys not strictly ascending"),
         }
     }
 }

@@ -17,9 +17,14 @@
 //! - [`state`]: the replicated world state — balances (the incentive
 //!   currency), nonces, and namespaced anchor roots (the factual-DB root is
 //!   anchored here) — plus the transition function with a pluggable
-//!   contract executor.
+//!   contract executor. Accounts live in [`trie`], a persistent Merkle
+//!   radix trie: a clone is O(1), a block re-hashes the paths it wrote,
+//!   and a reader checks one account against a header's state root with
+//!   an [`AccountProof`].
 //! - [`store`]: block storage, parent-state validation, longest-chain fork
-//!   choice, and [`observer`] notification.
+//!   choice, and [`observer`] notification. A proposer executes and accepts
+//!   its own block in one pass ([`ChainStore::commit`]); blocks from
+//!   elsewhere are validated in full ([`ChainStore::import`]).
 //! - [`observer`]: the [`BlockObserver`] projection trait — derived views
 //!   (supply-chain graph, identity registry, fact admissions, …) as pure
 //!   functions of canonical block history, each with a state digest so
@@ -66,6 +71,7 @@ pub mod sigcache;
 pub mod state;
 pub mod store;
 pub mod transaction;
+pub mod trie;
 
 pub use block::{BatchVerifyPolicy, Block, BlockHeader};
 pub use checkpoint::ChainCheckpoint;
@@ -76,6 +82,7 @@ pub use sigcache::SigCache;
 pub use state::{AccountState, NoExecutor, Receipt, State, TxExecutor};
 pub use store::ChainStore;
 pub use transaction::{blob_tags, Payload, Transaction};
+pub use trie::{AccountProof, ProofError};
 
 /// Common imports for downstream crates.
 pub mod prelude {

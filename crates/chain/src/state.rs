@@ -1,6 +1,22 @@
 //! The replicated world state and its transition function.
+//!
+//! A [`State`] is two tables behind one commitment. Accounts live in a
+//! persistent Merkle radix trie ([`crate::trie`]): cloning a state is two
+//! reference counts, a write copies and re-hashes only the path it
+//! touches, and states derived from one another — the chain store keeps
+//! one per windowed block — share everything they did not write. The
+//! anchor table holds a handful of entries and is hashed flat, behind an
+//! `Arc` of its own.
+//!
+//! `root() = tagged_hash("TN/state/2", accounts_root ‖ anchors_hash)`.
+//! Both halves are functions of the tables' *contents*: the trie's shape
+//! depends on the key set alone, so replicas that reached the same state
+//! by different routes (block by block, from a checkpoint blob, from a
+//! snapshot) hold the same root. Iteration is in ascending address order,
+//! which is also the order of the canonical encoding.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::{Address, Hash256};
@@ -8,6 +24,7 @@ use tn_crypto::{Address, Hash256};
 use crate::codec::{Decodable, DecodeError, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
 use crate::transaction::{Payload, Transaction};
+use crate::trie::{AccountProof, AccountTrie};
 
 /// Per-account record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,17 +97,56 @@ impl TxExecutor for NoExecutor {
     }
 }
 
+/// The state commitment over its two halves.
+pub(crate) fn commitment(accounts_root: &Hash256, anchors_hash: &Hash256) -> Hash256 {
+    let mut data = [0u8; 64];
+    data[..32].copy_from_slice(accounts_root.as_bytes());
+    data[32..].copy_from_slice(anchors_hash.as_bytes());
+    tagged_hash("TN/state/2", &data)
+}
+
+/// Namespaced Merkle anchors (e.g. `"factdb"` → current factual-DB root)
+/// with the owner allowed to update each, and the hash of the table once
+/// someone asked for it.
+#[derive(Debug, Clone, Default)]
+struct Anchors {
+    table: BTreeMap<String, (Address, Hash256)>,
+    hash: OnceLock<Hash256>,
+}
+
+impl Anchors {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_varint(self.table.len() as u64);
+        for (ns, (owner, root)) in &self.table {
+            enc.put_str(ns).put_hash(owner.as_hash()).put_hash(root);
+        }
+    }
+
+    fn hash(&self) -> Hash256 {
+        *self.hash.get_or_init(|| {
+            let mut enc = Encoder::new();
+            self.encode(&mut enc);
+            tagged_hash("TN/state/anchors", &enc.finish())
+        })
+    }
+}
+
 /// The world state: account balances/nonces plus named anchor roots.
 ///
-/// Uses `BTreeMap` so iteration order — and therefore the state root — is
-/// canonical.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// See the [module docs](self) for the layout and what a clone costs.
+#[derive(Debug, Clone, Default)]
 pub struct State {
-    accounts: BTreeMap<Address, AccountState>,
-    /// Namespaced Merkle anchors (e.g. `"factdb"` → current factual-DB
-    /// root) with the owner allowed to update each.
-    anchors: BTreeMap<String, (Address, Hash256)>,
+    accounts: AccountTrie,
+    anchors: Arc<Anchors>,
 }
+
+impl PartialEq for State {
+    fn eq(&self, other: &Self) -> bool {
+        self.accounts == other.accounts && self.anchors.table == other.anchors.table
+    }
+}
+
+impl Eq for State {}
 
 impl State {
     /// Empty state.
@@ -102,13 +158,12 @@ impl State {
     pub fn genesis<I: IntoIterator<Item = (Address, u64)>>(grants: I) -> Self {
         let mut s = State::new();
         for (addr, amount) in grants {
-            s.accounts.insert(
-                addr,
-                AccountState {
+            s.accounts.update(&addr, |acct| {
+                *acct = AccountState {
                     balance: amount,
                     nonce: 0,
-                },
-            );
+                }
+            });
         }
         s
     }
@@ -135,35 +190,47 @@ impl State {
 
     /// Current anchor root for a namespace.
     pub fn anchor(&self, namespace: &str) -> Option<Hash256> {
-        self.anchors.get(namespace).map(|(_, r)| *r)
+        self.anchors.table.get(namespace).map(|(_, r)| *r)
     }
 
-    /// Credits tokens (used by genesis and block rewards).
+    /// Credits tokens (used by genesis and block rewards). The account
+    /// gets a record even when `amount` is zero.
     pub fn credit(&mut self, addr: &Address, amount: u64) {
-        let acct = self.accounts.entry(*addr).or_default();
-        acct.balance = acct.balance.saturating_add(amount);
+        self.accounts.update(addr, |acct| {
+            acct.balance = acct.balance.saturating_add(amount)
+        });
     }
 
-    /// Canonical state commitment: a tagged hash over the sorted account
-    /// table and anchor table.
+    /// Canonical state commitment (format `TN/state/2`): a tagged hash
+    /// over the account trie's root and the anchor table's hash. Hashes
+    /// only what was written since the last call on this state or on one
+    /// it was cloned from; at rest it is two cached reads and one hash.
     pub fn root(&self) -> Hash256 {
-        let mut enc = Encoder::new();
-        enc.put_varint(self.accounts.len() as u64);
-        for (addr, acct) in &self.accounts {
-            enc.put_hash(addr.as_hash())
-                .put_u64(acct.balance)
-                .put_u64(acct.nonce);
-        }
-        enc.put_varint(self.anchors.len() as u64);
-        for (ns, (owner, root)) in &self.anchors {
-            enc.put_str(ns).put_hash(owner.as_hash()).put_hash(root);
-        }
-        tagged_hash("TN/state", &enc.finish())
+        commitment(&self.accounts.root_hash(), &self.anchors.hash())
     }
 
     /// Iterates accounts in canonical (address) order.
     pub fn accounts(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
         self.accounts.iter()
+    }
+
+    /// A proof of `addr`'s record — or of its absence — that a reader
+    /// holding only a block header checks with [`AccountProof::verify`]
+    /// against the header's `state_root`.
+    pub fn prove(&self, addr: &Address) -> AccountProof {
+        self.accounts.prove(addr, self.anchors.hash())
+    }
+
+    /// Approximate heap bytes of the parts of this state that `base` does
+    /// not share: what keeping both costs beyond keeping `base` alone
+    /// (a window entry's price, with `base` the parent block's state).
+    pub fn unshared_bytes(&self, base: &State) -> usize {
+        let anchors = if Arc::ptr_eq(&self.anchors, &base.anchors) {
+            0
+        } else {
+            self.anchors.table.len() * std::mem::size_of::<(String, (Address, Hash256))>()
+        };
+        self.accounts.unshared(&base.accounts).1 + anchors
     }
 
     /// Validates a transaction against current state without applying it
@@ -245,11 +312,11 @@ impl State {
     ) -> Result<Receipt, ChainError> {
         self.validate_prechecked(tx)?;
         // Debit fee + value, bump nonce.
-        {
-            let acct = self.accounts.entry(tx.from).or_default();
-            acct.balance -= tx.total_debit();
+        let debit = tx.total_debit();
+        self.accounts.update(&tx.from, |acct| {
+            acct.balance -= debit;
             acct.nonce += 1;
-        }
+        });
         self.credit(proposer, tx.fee);
 
         let mut receipt = Receipt {
@@ -288,7 +355,7 @@ impl State {
                     receipt.error = Some(e);
                 }
             },
-            Payload::AnchorRoot { namespace, root } => match self.anchors.get(namespace) {
+            Payload::AnchorRoot { namespace, root } => match self.anchors.table.get(namespace) {
                 Some((owner, _)) if owner != &tx.from => {
                     receipt.success = false;
                     receipt.error = Some(format!(
@@ -297,7 +364,9 @@ impl State {
                     ));
                 }
                 _ => {
-                    self.anchors.insert(namespace.clone(), (tx.from, *root));
+                    let anchors = Arc::make_mut(&mut self.anchors);
+                    anchors.hash.take();
+                    anchors.table.insert(namespace.clone(), (tx.from, *root));
                 }
             },
         }
@@ -308,42 +377,59 @@ impl State {
 impl Encodable for State {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_varint(self.accounts.len() as u64);
-        for (addr, acct) in &self.accounts {
+        for (addr, acct) in self.accounts.iter() {
             enc.put_hash(addr.as_hash())
                 .put_u64(acct.balance)
                 .put_u64(acct.nonce);
         }
-        enc.put_varint(self.anchors.len() as u64);
-        for (ns, (owner, root)) in &self.anchors {
-            enc.put_str(ns).put_hash(owner.as_hash()).put_hash(root);
-        }
+        self.anchors.encode(enc);
     }
 }
 
+/// Bytes of one encoded account entry: address, balance, nonce.
+const ACCOUNT_ENTRY_BYTES: usize = 32 + 8 + 8;
+
 impl Decodable for State {
+    /// Accepts the canonical encoding only: account addresses and anchor
+    /// namespaces strictly ascending, so no entry can shadow another and
+    /// the account trie is built bottom-up in one pass.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let n = dec.get_varint()?;
         if n > 10_000_000 {
             return Err(DecodeError::BadLength(n));
         }
-        let mut state = State::new();
+        let mut entries: Vec<(Address, AccountState)> =
+            Vec::with_capacity((n as usize).min(dec.remaining() / ACCOUNT_ENTRY_BYTES));
         for _ in 0..n {
             let addr = Address::from_hash(dec.get_hash()?);
             let balance = dec.get_u64()?;
             let nonce = dec.get_u64()?;
-            state.accounts.insert(addr, AccountState { balance, nonce });
+            if entries.last().is_some_and(|(prev, _)| *prev >= addr) {
+                return Err(DecodeError::UnsortedKeys);
+            }
+            entries.push((addr, AccountState { balance, nonce }));
         }
         let m = dec.get_varint()?;
         if m > 1_000_000 {
             return Err(DecodeError::BadLength(m));
         }
+        let mut table = BTreeMap::new();
         for _ in 0..m {
             let ns = dec.get_str()?;
             let owner = Address::from_hash(dec.get_hash()?);
             let root = dec.get_hash()?;
-            state.anchors.insert(ns, (owner, root));
+            if table.last_key_value().is_some_and(|(prev, _)| *prev >= ns) {
+                return Err(DecodeError::UnsortedKeys);
+            }
+            table.insert(ns, (owner, root));
         }
-        Ok(state)
+        Ok(State {
+            accounts: AccountTrie::from_sorted(&entries),
+            anchors: Arc::new(Anchors {
+                table,
+                hash: OnceLock::new(),
+            }),
+        })
     }
 }
 

@@ -11,11 +11,11 @@
 //!
 //! The window holds fork-choice state, the backend holds bodies. For a
 //! recent *window* of blocks (including fork branches) the store keeps
-//! what validation and fork choice need — header and post-state — and
-//! nothing else; a block's transactions and receipts live once, as the
-//! canonical bytes of its backend record, for windowed and evicted heights
-//! alike. Every imported block is first made durable in the backend's
-//! write-ahead log; when a height falls `retention` blocks behind the
+//! what validation and fork choice need — header and post-state (a
+//! structurally shared [`State`]) — and nothing else; a block's
+//! transactions and receipts live once, as the canonical bytes of its
+//! backend record, for windowed and evicted heights alike. Every imported
+//! block is first made durable in the backend's write-ahead log; when a height falls `retention` blocks behind the
 //! head it is *finalized* into the backend (sealed into segment files on
 //! the disk backend, fork siblings discarded) and evicted from the
 //! window. The full height → id canonical map stays in memory (40 bytes
@@ -26,11 +26,23 @@
 //! backend record, whatever the height. Historical *states* of evicted
 //! blocks are reconstructed by replaying forward from the nearest
 //! checkpoint at or below the requested height. The replay uses
-//! [`NoExecutor`], which
-//! is sound because contract execution never writes chain [`State`] —
-//! the proposer path proves this invariant on every block (it builds
-//! state roots with `NoExecutor` that import then validates under the
-//! real executor).
+//! [`NoExecutor`], which is sound because contract execution cannot
+//! write chain [`State`]: a [`TxExecutor`] is handed the caller, the
+//! contract and its input, never the state (every replayed height is
+//! held to its header's state root in the tests).
+//!
+//! ## Two ways in, one accept tail
+//!
+//! A block enters through [`ChainStore::commit`] — the proposer's one
+//! pass: select, execute against the real executor, sign, accept what
+//! execution left — or through [`ChainStore::import`] — everyone else's
+//! path: verify structure and signatures, check parent, height and
+//! timestamp, re-execute and compare the state root. Both end in the
+//! same tail: the record reaches the backend before the block is
+//! visible, then window, fork choice, canonical map, projections,
+//! eviction. The window's per-block post-states are persistent tries
+//! that share whatever their blocks did not write, so a window entry
+//! costs the written paths, not a copy of the state.
 //!
 //! Checkpoints ([`ChainCheckpoint`]) bundle the head state with
 //! projection and executor extension blobs; a restarted replica restores
@@ -116,15 +128,81 @@ fn index_entry(tx: &Transaction) -> TxIndexEntry {
     }
 }
 
-fn block_record(block: &Block, receipts: &[Receipt]) -> BlockRecord {
+fn block_record(block: &Block, id: &Hash256, receipts: &[Receipt]) -> BlockRecord {
     BlockRecord {
         height: block.header.height,
-        id: *block.id().as_bytes(),
+        id: *id.as_bytes(),
         parent: *block.header.parent.as_bytes(),
         block_bytes: encode_block(block).into(),
         receipts_bytes: encode_receipts(receipts).into(),
         txs: block.transactions.iter().map(index_entry).collect(),
     }
+}
+
+/// How one block is named on this replica: its id, its trace and its
+/// `chain.import` span, which the import's child spans hang under. The
+/// last two are zero-cost placeholders when tracing is off.
+#[derive(Debug, Clone, Copy)]
+struct BlockIds {
+    block: Hash256,
+    trace: TraceId,
+    import: u64,
+}
+
+impl BlockIds {
+    fn of(block: &Block, sink: &TraceSink) -> BlockIds {
+        let id = block.id();
+        let trace = if sink.is_enabled() {
+            TraceId::from_seed(id.as_bytes())
+        } else {
+            TraceId::NONE
+        };
+        BlockIds {
+            block: id,
+            trace,
+            import: replica_span_id(trace, "chain.import", sink.replica()),
+        }
+    }
+}
+
+/// What [`ChainStore::assemble`] hands back: the signed block, the state
+/// and receipts executing it produced, and when (trace clock) the
+/// signature pass and the execution ran.
+struct Proposal {
+    block: Block,
+    post_state: State,
+    receipts: Vec<Receipt>,
+    verify_ns: (u64, u64),
+    execute_ns: (u64, u64),
+}
+
+/// Applies one signature-checked transaction of `proposer`'s block at
+/// `height` and, when tracing, records its `tx.apply` span.
+fn apply_traced(
+    state: &mut State,
+    tx: &Transaction,
+    proposer: &Address,
+    height: u64,
+    executor: &mut dyn TxExecutor,
+    trace: &TraceSink,
+) -> Result<Receipt, ChainError> {
+    let a0 = trace.now_ns();
+    let receipt = state.apply_prechecked(tx, proposer, executor)?;
+    if trace.is_enabled() {
+        // Each replica applies the tx; all of these spans parent to the
+        // single cluster-wide `tx.commit` span, whose id is computable
+        // from the tx trace without coordination.
+        let tx_trace = TraceId::from_seed(tx.id().as_bytes());
+        trace.complete(
+            tx_trace,
+            "tx.apply",
+            span_id(tx_trace, "tx.commit"),
+            lanes::EXECUTE,
+            a0,
+            &[("height", height)],
+        );
+    }
+    Ok(receipt)
 }
 
 /// The block store and canonical-chain tracker.
@@ -239,7 +317,7 @@ impl ChainStore {
         config: &StorageConfig,
     ) -> Result<ChainStore, ChainError> {
         let id = block.id();
-        backend.append_block(block_record(&block, &[]))?;
+        backend.append_block(block_record(&block, &id, &[]))?;
         backend.finalize(0, id.as_bytes())?;
         backend.set_head(HeadMeta {
             height: 0,
@@ -740,6 +818,12 @@ impl ChainStore {
     /// durable, stores it in the window and re-evaluates fork choice
     /// (longest chain; ties broken by smaller block id for determinism).
     ///
+    /// This is the path of every block that arrives from elsewhere — a
+    /// peer, state sync, the WAL on recovery, a snapshot — and trusts
+    /// nothing about it: structure, signatures, parent, height, timestamp
+    /// and state root are all checked before the record is appended. A
+    /// proposer extending its own head uses [`ChainStore::commit`].
+    ///
     /// # Errors
     ///
     /// Any structural or stateful [`ChainError`].
@@ -748,69 +832,85 @@ impl ChainStore {
         block: &Block,
         executor: &mut dyn TxExecutor,
     ) -> Result<Vec<Receipt>, ChainError> {
+        let ids = BlockIds::of(block, &self.trace);
+        self.timed_import(block, ids, |store| {
+            let (post_state, receipts) = store.validate(block, executor, ids)?;
+            store.accept(block, ids, post_state, receipts)
+        })
+    }
+
+    /// Counts a block this store refused.
+    fn count_rejected(&self, err: &ChainError) {
+        self.telemetry.incr("chain.blocks_rejected");
+        self.telemetry.event("block_rejected", || err.to_string());
+    }
+
+    /// Runs `take` — whatever this store does to take `block` in — under
+    /// the `chain.import` span and `chain.import_ns` timer, and counts
+    /// the outcome.
+    fn timed_import(
+        &mut self,
+        block: &Block,
+        ids: BlockIds,
+        take: impl FnOnce(&mut Self) -> Result<Vec<Receipt>, ChainError>,
+    ) -> Result<Vec<Receipt>, ChainError> {
         let telemetry = self.telemetry.clone();
         let _span = telemetry.span("chain.import_ns");
         let trace = self.trace.clone();
         let t0 = trace.now_ns();
-        let block_trace = if trace.is_enabled() {
-            TraceId::from_seed(block.id().as_bytes())
-        } else {
-            TraceId::NONE
-        };
-        let height = block.header.height;
-        let n_txs = block.transactions.len() as u64;
-        let result = self.import_inner(block, executor);
-        if trace.is_enabled() && result.is_ok() {
-            // The pipeline's commit span id is computable from the block
-            // trace alone, so the link holds whether or not a pipeline
-            // actually drove this import.
-            let parent = replica_span_id(block_trace, "pipeline.commit", trace.replica());
-            trace.complete(
-                block_trace,
-                "chain.import",
-                parent,
-                lanes::PIPELINE,
-                t0,
-                &[("height", height), ("txs", n_txs)],
-            );
-        }
+        let result = take(self);
         match &result {
             Ok(receipts) => {
                 telemetry.incr("chain.blocks_imported");
                 telemetry.add("chain.txs_executed", receipts.len() as u64);
+                // The pipeline's commit span id is computable from the
+                // block trace alone, so the link holds whether or not a
+                // pipeline actually drove this import.
+                trace.complete(
+                    ids.trace,
+                    "chain.import",
+                    replica_span_id(ids.trace, "pipeline.commit", trace.replica()),
+                    lanes::PIPELINE,
+                    t0,
+                    &[
+                        ("height", block.header.height),
+                        ("txs", block.transactions.len() as u64),
+                    ],
+                );
             }
-            Err(err) => {
-                telemetry.incr("chain.blocks_rejected");
-                telemetry.event("block_rejected", || err.to_string());
-            }
+            Err(err) => self.count_rejected(err),
         }
         result
     }
 
-    fn import_inner(
-        &mut self,
-        block: &Block,
-        executor: &mut dyn TxExecutor,
-    ) -> Result<Vec<Receipt>, ChainError> {
-        let id = block.id();
+    /// Refuses a block the store already holds.
+    fn reject_known(&self, id: &Hash256) -> Result<(), ChainError> {
         // During tail replay every record is, by definition, already in
         // the backend — only the window counts as "seen" then.
-        if self.window.contains_key(&id)
+        if self.window.contains_key(id)
             || (!self.replaying && self.backend.contains_block(id.as_bytes()))
         {
-            return Err(ChainError::DuplicateBlock(id));
+            return Err(ChainError::DuplicateBlock(*id));
         }
+        Ok(())
+    }
+
+    /// Checks everything about a block from elsewhere — not a duplicate,
+    /// well-formed and signed, extends a known parent, re-executes to the
+    /// state root its header claims — and returns the post-state and
+    /// receipts that re-execution produced.
+    fn validate(
+        &self,
+        block: &Block,
+        executor: &mut dyn TxExecutor,
+        ids: BlockIds,
+    ) -> Result<(State, Vec<Receipt>), ChainError> {
+        self.reject_known(&ids.block)?;
         let trace = self.trace.clone();
-        let block_trace = if trace.is_enabled() {
-            TraceId::from_seed(id.as_bytes())
-        } else {
-            TraceId::NONE
-        };
-        let import_span = replica_span_id(block_trace, "chain.import", trace.replica());
         {
             let _verify = self.telemetry.span("chain.verify_ns");
             let v0 = trace.now_ns();
-            let verify_span = replica_span_id(block_trace, "chain.verify", trace.replica());
+            let verify_span = replica_span_id(ids.trace, "chain.verify", trace.replica());
             block.verify_structure_policy(
                 &self.pool,
                 Some(&self.sig_cache),
@@ -820,9 +920,9 @@ impl ChainStore {
                 self.batch_policy,
             )?;
             trace.complete(
-                block_trace,
+                ids.trace,
                 "chain.verify",
-                import_span,
+                ids.import,
                 lanes::VERIFY,
                 v0,
                 &[
@@ -848,30 +948,18 @@ impl ChainStore {
         let mut state = parent.post_state.clone();
         let mut receipts = Vec::with_capacity(block.transactions.len());
         let e0 = trace.now_ns();
+        let (proposer, height) = (&block.header.proposer, block.header.height);
         for tx in &block.transactions {
             // Signatures were checked by `verify_structure_policy`;
             // only nonce/balance/execution remain.
-            let a0 = trace.now_ns();
-            receipts.push(state.apply_prechecked(tx, &block.header.proposer, executor)?);
-            if trace.is_enabled() {
-                // Each replica applies the tx; all of these spans parent
-                // to the single cluster-wide `tx.commit` span, whose id is
-                // computable from the tx trace without coordination.
-                let tx_trace = TraceId::from_seed(tx.id().as_bytes());
-                trace.complete(
-                    tx_trace,
-                    "tx.apply",
-                    span_id(tx_trace, "tx.commit"),
-                    lanes::EXECUTE,
-                    a0,
-                    &[("height", block.header.height)],
-                );
-            }
+            receipts.push(apply_traced(
+                &mut state, tx, proposer, height, executor, &trace,
+            )?);
         }
         trace.complete(
-            block_trace,
+            ids.trace,
             "chain.execute",
-            import_span,
+            ids.import,
             lanes::EXECUTE,
             e0,
             &[("txs", block.transactions.len() as u64)],
@@ -879,11 +967,27 @@ impl ChainStore {
         if state.root() != block.header.state_root {
             return Err(ChainError::BadStateRoot);
         }
+        Ok((state, receipts))
+    }
+
+    /// Takes a block whose post-state and receipts are known to be right —
+    /// re-derived by [`ChainStore::import`], or just produced by
+    /// [`ChainStore::commit`] — into the store: durable first, then the
+    /// window, fork choice, the canonical map, projections and eviction.
+    fn accept(
+        &mut self,
+        block: &Block,
+        ids: BlockIds,
+        post_state: State,
+        receipts: Vec<Receipt>,
+    ) -> Result<Vec<Receipt>, ChainError> {
+        let id = ids.block;
         // Durability before visibility: the record reaches the WAL before
         // the window or fork choice can see the block. During tail replay
         // the backend already holds the record.
         if !self.replaying {
-            self.backend.append_block(block_record(block, &receipts))?;
+            self.backend
+                .append_block(block_record(block, &id, &receipts))?;
         }
         let height = block.header.height;
         let parent_id = block.header.parent;
@@ -891,7 +995,7 @@ impl ChainStore {
             id,
             StoredBlock {
                 header: block.header.clone(),
-                post_state: state,
+                post_state,
             },
         );
         // Fork choice: longest chain, deterministic tie-break.
@@ -914,9 +1018,9 @@ impl ChainStore {
                 id: *id.as_bytes(),
             })?;
             if parent_id == old_head {
-                self.notify_observers(block, &receipts, block_trace, import_span, &trace);
+                self.notify_observers(block, &receipts, ids);
             } else {
-                self.rebuild_observers();
+                self.rebuild_observers()?;
             }
             self.evict_and_finalize()?;
         }
@@ -924,16 +1028,11 @@ impl ChainStore {
     }
 
     /// Feeds the newly-canonical head block to every registered observer.
-    fn notify_observers(
-        &mut self,
-        block: &Block,
-        receipts: &[Receipt],
-        block_trace: TraceId,
-        import_span: u64,
-        trace: &TraceSink,
-    ) {
+    fn notify_observers(&mut self, block: &Block, receipts: &[Receipt], ids: BlockIds) {
         let timed = self.telemetry.is_enabled();
         let telemetry = self.telemetry.clone();
+        let trace = self.trace.clone();
+        let (block_trace, import_span) = (ids.trace, ids.import);
         let mut observers = std::mem::take(&mut self.observers);
         let p0 = trace.now_ns();
         let projections_span = replica_span_id(block_trace, "chain.projections", trace.replica());
@@ -1012,10 +1111,9 @@ impl ChainStore {
         }
         let frontier = self.backend.finalized_height();
         for h in (frontier + 1)..=bound {
-            let id = *self
-                .canonical
-                .get(&h)
-                .expect("canonical map covers every height up to head");
+            let id = self.canonical.get(&h).ok_or_else(|| {
+                ChainError::Storage(format!("canonical map has no block at height {h}"))
+            })?;
             self.backend.finalize(h, id.as_bytes())?;
         }
         let genesis = self.genesis;
@@ -1212,23 +1310,75 @@ impl ChainStore {
     /// When canonical history cannot be read back from the backend
     /// (compaction pruned it, or the disk is corrupt).
     pub fn replay_into(&self, observers: &mut [Box<dyn BlockObserver>]) {
+        self.try_replay_into(observers)
+            .expect("canonical history readable (compaction disables audit replay)");
+    }
+
+    fn try_replay_into(&self, observers: &mut [Box<dyn BlockObserver>]) -> Result<(), ChainError> {
         let _span = self.telemetry.span("chain.replay_ns");
         self.telemetry.incr("chain.replays");
-        let blocks = self
-            .feed_canonical(observers)
-            .expect("canonical history readable (compaction disables audit replay)");
+        let blocks = self.feed_canonical(observers)?;
         self.telemetry.add("chain.replay_blocks", blocks);
+        Ok(())
     }
 
     /// Resets every observer and replays the canonical chain (used after
     /// a reorg changes canonical history).
-    fn rebuild_observers(&mut self) {
+    fn rebuild_observers(&mut self) -> Result<(), ChainError> {
         if self.observers.is_empty() {
-            return;
+            return Ok(());
         }
         let mut observers = std::mem::take(&mut self.observers);
-        self.replay_into(&mut observers);
+        let replayed = self.try_replay_into(&mut observers);
         self.observers = observers;
+        replayed
+    }
+
+    /// The proposer's one pass over `txs`: drops those whose signature
+    /// does not verify (through the sigcache, so transactions admitted by
+    /// a mempool sharing it skip the EC check), executes the rest in
+    /// order against a copy of the head state — dropping, untouched, those
+    /// the state refuses (nonce, balance) — and builds and signs the block
+    /// over what is left. With `trace` enabled each applied transaction
+    /// records its `tx.apply` span.
+    fn assemble(
+        &self,
+        proposer: &Keypair,
+        timestamp: u64,
+        mut txs: Vec<Transaction>,
+        executor: &mut dyn TxExecutor,
+        trace: &TraceSink,
+    ) -> Proposal {
+        let v0 = trace.now_ns();
+        {
+            let _verify = self.telemetry.span("chain.verify_ns");
+            txs.retain(|tx| self.sig_cache.verify_tx(tx, &self.telemetry).is_ok());
+        }
+        let e0 = trace.now_ns();
+        let (address, height) = (proposer.address(), self.height() + 1);
+        let mut post_state = self.head_state().clone();
+        let mut receipts = Vec::with_capacity(txs.len());
+        txs.retain(|tx| {
+            apply_traced(&mut post_state, tx, &address, height, executor, trace)
+                .map(|receipt| receipts.push(receipt))
+                .is_ok()
+        });
+        let e1 = trace.now_ns();
+        let block = Block::build(
+            proposer,
+            height,
+            self.head,
+            post_state.root(),
+            timestamp,
+            txs,
+        );
+        Proposal {
+            block,
+            post_state,
+            receipts,
+            verify_ns: (v0, e0),
+            execute_ns: (e0, e1),
+        }
     }
 
     /// Produces (but does not import) a block extending the canonical head,
@@ -1243,30 +1393,81 @@ impl ChainStore {
         txs: Vec<Transaction>,
         executor: &mut dyn TxExecutor,
     ) -> Block {
-        let mut state = self.head_state().clone();
-        let mut included = Vec::with_capacity(txs.len());
-        for tx in txs {
-            // Cache-aware verification: txs admitted through a mempool
-            // sharing this store's cache skip the EC check here.
-            if self.sig_cache.verify_tx(&tx, &self.telemetry).is_ok()
-                && state
-                    .apply_prechecked(&tx, &proposer.address(), executor)
-                    .is_ok()
-            {
-                included.push(tx);
-            }
-        }
-        let block = Block::build(
-            proposer,
-            self.height() + 1,
-            self.head_id(),
-            state.root(),
-            timestamp,
-            included,
-        );
+        let block = self
+            .assemble(proposer, timestamp, txs, executor, &TraceSink::disabled())
+            .block;
         self.sig_cache
             .insert(block.header_sig_memo(&block.header.digest()));
         block
+    }
+
+    /// Extends the canonical head with a block of this store's own making,
+    /// in one pass: selects and executes `txs` as [`ChainStore::propose`]
+    /// does — but against the authoritative `executor` — keeps the
+    /// post-state and receipts that execution produced, signs the block
+    /// and accepts it. Nothing is verified, executed or hashed a second
+    /// time: the signatures were checked during selection, the transaction
+    /// root and the state root were computed to build the header, and the
+    /// header was signed here.
+    ///
+    /// Spans: `chain.propose` (selection to signature) with `chain.verify`
+    /// and `chain.execute` beneath it, then `chain.import` around the
+    /// accept.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::TimestampRegression`] before anything is executed;
+    /// afterwards only what accepting can raise (storage failures).
+    pub fn commit(
+        &mut self,
+        proposer: &Keypair,
+        timestamp: u64,
+        txs: Vec<Transaction>,
+        executor: &mut dyn TxExecutor,
+    ) -> Result<(Block, Vec<Receipt>), ChainError> {
+        if timestamp < self.head_header().timestamp {
+            let err = ChainError::TimestampRegression;
+            self.count_rejected(&err);
+            return Err(err);
+        }
+        let trace = self.trace.clone();
+        let t0 = trace.now_ns();
+        let Proposal {
+            block,
+            post_state,
+            receipts,
+            verify_ns,
+            execute_ns,
+        } = self.assemble(proposer, timestamp, txs, executor, &trace);
+        debug_assert_eq!(block.verify_structure(), Ok(()));
+        let ids = BlockIds::of(&block, &trace);
+        if trace.is_enabled() {
+            // The block id exists only now, so the spans of the work that
+            // led to it are recorded after the fact; ids are deterministic,
+            // so the root span the pipeline records later still links up.
+            let commit = replica_span_id(ids.trace, "pipeline.commit", trace.replica());
+            let propose = replica_span_id(ids.trace, "chain.propose", trace.replica());
+            let txs = [("txs", block.transactions.len() as u64)];
+            for (name, lane, (start, end)) in [
+                ("chain.verify", lanes::VERIFY, verify_ns),
+                ("chain.execute", lanes::EXECUTE, execute_ns),
+            ] {
+                trace.complete_at(ids.trace, name, propose, lane, start, end, &txs);
+            }
+            trace.complete(
+                ids.trace,
+                "chain.propose",
+                commit,
+                lanes::PIPELINE,
+                t0,
+                &txs,
+            );
+        }
+        let receipts = self.timed_import(&block, ids, |store| {
+            store.reject_known(&ids.block)?;
+            store.accept(&block, ids, post_state, receipts)
+        })?;
+        Ok((block, receipts))
     }
 
     /// The canonical chain as block ids, head first down to genesis.
@@ -1632,6 +1833,140 @@ mod tests {
         let mut follower = store_with_funds();
         follower.import(&block, &mut NoExecutor).expect("imports");
         assert!(!follower.sig_cache().contains(&memo));
+    }
+
+    #[test]
+    fn commit_is_propose_and_import_in_one_pass() {
+        let mut one = store_with_funds();
+        let mut two = store_with_funds();
+        for (i, txs) in [vec![blob(0), blob(1)], vec![], vec![blob(7), blob(2)]]
+            .into_iter()
+            .enumerate()
+        {
+            let ts = 10 + i as u64;
+            let (block, receipts) = one
+                .commit(&proposer(), ts, txs.clone(), &mut NoExecutor)
+                .expect("commits");
+            let proposed = two.propose(&proposer(), ts, txs, &mut NoExecutor);
+            assert_eq!(block, proposed);
+            assert_eq!(
+                receipts,
+                two.import(&proposed, &mut NoExecutor).expect("imports")
+            );
+            assert_eq!(one.head_id(), block.id());
+            assert_eq!(one.head_state(), two.head_state());
+            assert_eq!(one.head_state().root(), block.header.state_root);
+            assert_eq!(one.receipts_of(&block.id()), Some(receipts));
+        }
+        assert_eq!(one.height(), 3);
+        assert_eq!(one.snapshot(), two.snapshot());
+        // The bad-nonce blob(7) was dropped, not committed.
+        assert_eq!(one.head().transactions.len(), 1);
+        // Committing checked no header signature, so it noted none.
+        let head = one.head();
+        assert!(!one
+            .sig_cache()
+            .contains(&head.header_sig_memo(&head.header.digest())));
+    }
+
+    #[test]
+    fn commit_refuses_a_timestamp_behind_the_head_before_executing() {
+        let mut store = store_with_funds();
+        store
+            .commit(&proposer(), 100, vec![blob(0)], &mut NoExecutor)
+            .expect("commits");
+        let head = store.head_id();
+        assert_eq!(
+            store.commit(&proposer(), 99, vec![blob(1)], &mut NoExecutor),
+            Err(ChainError::TimestampRegression)
+        );
+        assert_eq!(store.head_id(), head);
+        assert_eq!(store.head_state().nonce(&alice().address()), 1);
+    }
+
+    /// Swapping two account entries of a snapshot's genesis table, or
+    /// naming one address twice, fails in the decoder with a typed error —
+    /// not later, as a state-root mismatch over whatever entry won.
+    #[test]
+    fn restore_rejects_a_non_canonical_state_table() {
+        let bob = Keypair::from_seed(b"bob").address();
+        let state = State::genesis([(alice().address(), 10_000), (bob, 5), (Address::SYSTEM, 1)]);
+        let mut store = ChainStore::new(state, &proposer());
+        store
+            .commit(&proposer(), 10, vec![blob(0)], &mut NoExecutor)
+            .expect("commits");
+        let snap = store.snapshot();
+        ChainStore::restore(&snap, &mut NoExecutor).expect("canonical snapshot restores");
+        // Account count (1 byte), then 48-byte entries.
+        let entry = |i: usize| 1 + 48 * i..1 + 48 * (i + 1);
+        let mut swapped = snap.clone();
+        swapped.copy_within(entry(2), entry(1).start);
+        swapped[entry(2)].copy_from_slice(&snap[entry(1)]);
+        let mut doubled = snap.clone();
+        doubled.copy_within(entry(0), entry(1).start);
+        for bad in [swapped, doubled] {
+            assert_eq!(
+                ChainStore::restore(&bad, &mut NoExecutor).err(),
+                Some(ChainError::Decode(crate::codec::DecodeError::UnsortedKeys))
+            );
+        }
+    }
+
+    /// The header's state root is the oracle: whatever a block went
+    /// through — committed here or imported, on the branch that lost and
+    /// won again, still in the window or evicted and replayed from a
+    /// checkpoint — `state_of` must hash to it.
+    #[test]
+    fn state_of_matches_header_roots_across_reorg_checkpoint_and_eviction() {
+        let mut store = tight_store();
+        let rival = Keypair::from_seed(b"rival");
+        let genesis = store.genesis_id();
+        let mut ids = vec![genesis];
+        // Height 1 by commit; then a two-block rival branch from genesis
+        // takes over (reorg), and the chain continues on it.
+        store
+            .commit(&proposer(), 10, vec![blob(0)], &mut NoExecutor)
+            .expect("commits");
+        let root0 = store.state_of(&genesis).expect("genesis state").root();
+        let r1 = Block::build(&rival, 1, genesis, root0, 11, vec![]);
+        store.import(&r1, &mut NoExecutor).expect("r1");
+        let r2 = Block::build(&rival, 2, r1.id(), root0, 12, vec![]);
+        store.import(&r2, &mut NoExecutor).expect("r2");
+        assert_eq!(store.head_id(), r2.id(), "reorg onto the rival branch");
+        ids.extend([r1.id(), r2.id()]);
+        for i in 0..22u64 {
+            let ts = 20 + i;
+            let id = if i % 2 == 0 {
+                let (block, _) = store
+                    .commit(&proposer(), ts, vec![blob(i)], &mut NoExecutor)
+                    .expect("commits");
+                block.id()
+            } else {
+                let block = store.propose(&proposer(), ts, vec![blob(i)], &mut NoExecutor);
+                store.import(&block, &mut NoExecutor).expect("imports");
+                block.id()
+            };
+            ids.push(id);
+            store.maybe_checkpoint(Vec::new()).expect("checkpoints");
+        }
+        assert_eq!(store.height(), 24);
+        assert_eq!(store.storage().finalized_height(), 20);
+        assert!(
+            store
+                .storage()
+                .checkpoint_at_or_before(24)
+                .unwrap()
+                .unwrap()
+                .height
+                >= 16
+        );
+        assert!(store.resident_blocks() <= 5);
+        for (h, id) in ids.iter().enumerate() {
+            let header = store.block(id).expect("block readable").header;
+            assert_eq!(header.height, h as u64);
+            let state = store.state_of(id).expect("state available");
+            assert_eq!(state.root(), header.state_root, "height {h}");
+        }
     }
 
     #[test]

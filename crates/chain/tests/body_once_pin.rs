@@ -7,6 +7,12 @@
 //! and heights on both sides of the retention bound, and it is probed at
 //! three points: with both branches resident and nothing finalized, right
 //! after the reorg back, and at the end with most heights finalized.
+//!
+//! Re-pinned once for the `TN/state/2` state-root format: every section
+//! that hashes over a state root or a block id (`bodies`, `states`,
+//! `shape`, the `snapshot` digest, `restored`) has a new constant;
+//! `receipts`, `tx_locations`, `account_txs` and the three snapshot
+//! *lengths* are the ones recorded under the old format.
 
 use tn_chain::prelude::*;
 use tn_crypto::sha256::sha256;
@@ -258,7 +264,7 @@ fn body_queries_match_the_window_era_answers() {
 const FORKED: [(&str, &str); 8] = [
     (
         "bodies",
-        "f48a296ae9c20c7a334bc70a9bb15d55505b7ea91d20d1cbe65d0185ef1b4fc4",
+        "87723a6b4107c7e4b2c819ff5bac2e3e4fb43bf759711fafb560b4d6a3787a5c",
     ),
     (
         "receipts",
@@ -266,7 +272,7 @@ const FORKED: [(&str, &str); 8] = [
     ),
     (
         "states",
-        "87a7fba46451f05f1a73646b94f4c39cef6fd38ef1f3ab5f89bb881ce24d2a61",
+        "8a4121cd8f834f47113bd8573f8625649fded202c16747fad7a3b1d53308e67a",
     ),
     (
         "tx_locations",
@@ -278,22 +284,22 @@ const FORKED: [(&str, &str); 8] = [
     ),
     (
         "shape",
-        "689ee4996131e6ca61c888f2d87a2afd2a6d0cab1d3937f29556be11a1c8f91e",
+        "4e94b712f5af89a0890b8ea337eea5e3527660e0873062a4164a15347a2ad820",
     ),
     (
         "snapshot",
-        "3979 437080853120edb5535ddd37a3481ec5ce967bf4494de189f5ed192894af5434",
+        "3979 c21a96c3e64317e0bbe8b75754a74c76c3b2a0198c113a57616a8768955583c9",
     ),
     (
         "restored",
-        "9a784d1594a8e978e5ae3aa817c46793e366ed745f5bbfadc9b3ee7a8d55b519",
+        "6f1e8f77ef3dd93f9e1a0e690e18446db3f86f86498bcdef583bd2b890ada833",
     ),
 ];
 
 const REORGED: [(&str, &str); 8] = [
     (
         "bodies",
-        "3b4618ffa7e9a0350887e29c609e56a1cf8c0e53705bc667ca0dd6b256f19ff4",
+        "27fc9b0e00e20b071eb22948e919119df8f094c8b0264d8e3c5385aafa8e6e51",
     ),
     (
         "receipts",
@@ -301,7 +307,7 @@ const REORGED: [(&str, &str); 8] = [
     ),
     (
         "states",
-        "b7e86d37c70175b02b37a6f98d2cd95611996e9831e30e3f739d7d41906bd062",
+        "c369ae9f0bf4775914998ec8923d6bdfb8504d3f8de0ae17de2b5428a1a74be0",
     ),
     (
         "tx_locations",
@@ -313,22 +319,22 @@ const REORGED: [(&str, &str); 8] = [
     ),
     (
         "shape",
-        "56057ade6506f325c6bd587614cfadfb241ae016d3552f25245a73dd62ff175b",
+        "e378987cc61fd1bc4d3d44e3646afca3dbbb6ea3a5945e48aeafe8c653fa68dd",
     ),
     (
         "snapshot",
-        "5374 7ca501988a08b6a3147496decd191009848bfe839091b32cd4e92dc30bc0c3eb",
+        "5374 659ae8f2e0d4b4b69a846c65098663d01a8f5703ef09f88599bd9d1847c652f6",
     ),
     (
         "restored",
-        "f1537ee92b16195738521c43339c8c919eac644be8b21b7313d98a2be07ddc13",
+        "9581ff597078627a18dc20a18cf31b99761fe5b6f9369896814b55c2ec280b1e",
     ),
 ];
 
 const SETTLED: [(&str, &str); 8] = [
     (
         "bodies",
-        "d98e2d0723cc4c9767c911c2ff3ce354482aef5ce5e3f6f11532fd4f680dae1f",
+        "a80161fa1b473f151d9c678e0d297fda9d6c14830fff8acc275e0ee30ff7e704",
     ),
     (
         "receipts",
@@ -336,7 +342,7 @@ const SETTLED: [(&str, &str); 8] = [
     ),
     (
         "states",
-        "5d6420dedd1890b3a771730fb1e522b01b87bc6f2887b81fa5be33a8844a6b4f",
+        "0989c377d1e0b56109a5923dcdb7007402cb3cc9e5dde6a4ae23b446bc94f8a1",
     ),
     (
         "tx_locations",
@@ -348,14 +354,14 @@ const SETTLED: [(&str, &str); 8] = [
     ),
     (
         "shape",
-        "ca58523dcfe186fc48df348b8553056b4c613d130ada88df828ab872a7d32f7d",
+        "6d1b77e1f22794a5386517572f69bdc96a9f8bf6aeddc8ac2251537861822929",
     ),
     (
         "snapshot",
-        "10129 a0522fb48b3e71e863025c9af53b7363d5d880917e98c90f54cfc233a5459bb4",
+        "10129 f2cf821ebd3177e7f2e7ed7909870cdd69935427b4a1e1c17030324ee61ec43a",
     ),
     (
         "restored",
-        "f9dd495d96127b2209f574fe6f425231d9dd01d7cae82aaf05ead91c5c938b9b",
+        "89d9ee34c31c35554e060560d3efa5cc69645323abc352e306a2f3a7682d77fa",
     ),
 ];

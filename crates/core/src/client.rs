@@ -6,8 +6,10 @@
 //! is in the factual database — "the record is immutable and any changes
 //! are easy to detect" (§IV). A light client holds only block headers:
 //! it verifies proposer signatures and parent links, checks transaction
-//! inclusion with Merkle proofs against the header's `tx_root`, learns
-//! the factual-database anchor from proven `AnchorRoot` transactions, and
+//! inclusion with Merkle proofs against the header's `tx_root`, checks an
+//! account's balance and nonce — or that it has none — with an
+//! [`AccountProof`] against the header's `state_root`, learns the
+//! factual-database anchor from proven `AnchorRoot` transactions, and
 //! verifies fact records against that anchor.
 
 use std::collections::HashMap;
@@ -16,9 +18,10 @@ use std::fmt;
 
 use tn_chain::block::{Block, BlockHeader};
 use tn_chain::transaction::{Payload, Transaction};
+use tn_chain::{AccountProof, AccountState};
 use tn_crypto::history::{ConsistencyProof, InclusionProof};
 use tn_crypto::merkle::MerkleProof;
-use tn_crypto::{Hash256, PublicKey, Signature};
+use tn_crypto::{Address, Hash256, PublicKey, Signature};
 use tn_factdb::db::FactualDatabase;
 use tn_factdb::record::FactRecord;
 use tn_supplychain::index::NewsEvent;
@@ -212,6 +215,30 @@ impl LightClient {
         tx.verify().map_err(|_| ClientError::BadTransaction)
     }
 
+    /// Checks what the state after the accepted block `block_id` holds for
+    /// `addr`: its record, or `None` when it has none. `proof` comes from
+    /// any full node ([`tn_chain::State::prove`]) and is checked against
+    /// the `state_root` of a header this client already verified.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::UnknownBlock`], or [`ClientError::BadProof`] when
+    /// the proof is malformed or commits to another root.
+    pub fn verify_account(
+        &self,
+        block_id: &Hash256,
+        addr: &Address,
+        proof: &AccountProof,
+    ) -> Result<Option<AccountState>, ClientError> {
+        let accepted = self
+            .headers
+            .get(block_id)
+            .ok_or(ClientError::UnknownBlock(*block_id))?;
+        proof
+            .verify(&accepted.header.state_root, addr)
+            .map_err(|_| ClientError::BadProof)
+    }
+
     /// Verifies an on-chain news event: inclusion + signature + payload
     /// decoding. Returns the decoded event (author = `tx.from`).
     ///
@@ -347,6 +374,36 @@ mod tests {
         let client = sync_client(&p);
         assert_eq!(client.len() as u64, p.height() + 1);
         assert_eq!(client.tip(), Some(p.store().head_id()));
+    }
+
+    #[test]
+    fn account_proofs_check_against_an_accepted_header() {
+        let (p, _) = platform_with_news();
+        let client = sync_client(&p);
+        let head = p.store().head_id();
+        let state = p.store().head_state();
+        let journo = Keypair::from_seed(b"lc2 journalist").address();
+        let nobody = Keypair::from_seed(b"lc2 nobody").address();
+        let proof = state.prove(&journo);
+        assert_eq!(
+            client.verify_account(&head, &journo, &proof),
+            Ok(Some(state.account(&journo)))
+        );
+        assert!(state.balance(&journo) > 0);
+        assert_eq!(
+            client.verify_account(&head, &nobody, &state.prove(&nobody)),
+            Ok(None)
+        );
+        // The proof is for the head's state, not for an older header's.
+        let older = p.store().canonical_chain()[2];
+        assert_eq!(
+            client.verify_account(&older, &journo, &proof),
+            Err(ClientError::BadProof)
+        );
+        assert_eq!(
+            client.verify_account(&journo.as_hash().clone(), &journo, &proof),
+            Err(ClientError::UnknownBlock(*journo.as_hash()))
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use tn_storage::{Storage, StorageConfig};
 use tn_supplychain::graph::SupplyChainGraph;
 use tn_supplychain::index::IndexStats;
 use tn_telemetry::TelemetrySink;
-use tn_trace::{lanes, replica_span_id, TraceId, TraceSink};
+use tn_trace::{lanes, TraceId, TraceSink};
 
 use crate::platform::PlatformConfig;
 use crate::projections::{
@@ -339,8 +339,9 @@ impl ExecutionPipeline {
 
     /// Routes pipeline spans to `sink` and forwards it to the chain store
     /// and contract registry. Each committed block records a
-    /// `pipeline.commit` root span with `chain.propose` and
-    /// `chain.import` children. Disabled by default.
+    /// `pipeline.commit` root span with `chain.propose` (selection,
+    /// execution, signing) and `chain.import` (accept) children. Disabled
+    /// by default.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.store.set_trace(sink.clone());
         self.registry.set_trace(sink.clone());
@@ -409,57 +410,48 @@ impl ExecutionPipeline {
 
     // --- commit path -----------------------------------------------------
 
-    /// Proposes a block from `txs` at `timestamp`, imports it, and
-    /// returns it with its receipts. Projections observe the import
+    /// Builds a block from `txs` at `timestamp` on the head, commits it
+    /// and returns it with its receipts. Projections observe the block
     /// before this returns.
+    ///
+    /// One pass ([`ChainStore::commit`]): the transactions are selected
+    /// and executed once, against the contract registry, and the state
+    /// and receipts that execution left are what the store keeps.
     ///
     /// # Errors
     ///
-    /// Chain-level import errors.
+    /// [`ChainError::TimestampRegression`], or a storage failure while the
+    /// block was being accepted.
     pub fn commit_batch(
         &mut self,
         proposer: &Keypair,
         timestamp: u64,
         txs: Vec<Transaction>,
     ) -> Result<(Block, Vec<Receipt>), ChainError> {
-        // Contract execution never touches chain State (only fees/nonces),
-        // so the proposal pass can run without the registry; the import
-        // pass executes against the authoritative registry exactly once.
         let _span = self.telemetry.span("pipeline.commit_ns");
         let trace = self.trace.clone();
         let t0 = trace.now_ns();
-        let block = self
+        let (block, receipts) = self
             .store
-            .propose(proposer, timestamp, txs, &mut NoExecutor);
-        // The block id exists only after proposing, so the root span and
-        // its propose child are recorded retroactively from t0 — the ids
-        // are deterministic, so children recorded later still link up.
-        let block_trace = if trace.is_enabled() {
-            TraceId::from_seed(block.id().as_bytes())
-        } else {
-            TraceId::NONE
-        };
-        let commit_span = replica_span_id(block_trace, "pipeline.commit", trace.replica());
-        trace.complete(
-            block_trace,
-            "chain.propose",
-            commit_span,
-            lanes::PIPELINE,
-            t0,
-            &[("txs", block.transactions.len() as u64)],
-        );
-        let receipts = self.store.import(&block, &mut self.registry)?;
-        trace.complete(
-            block_trace,
-            "pipeline.commit",
-            0,
-            lanes::PIPELINE,
-            t0,
-            &[
-                ("height", block.header.height),
-                ("timestamp", block.header.timestamp),
-            ],
-        );
+            .commit(proposer, timestamp, txs, &mut self.registry)?;
+        let t1 = trace.now_ns();
+        if trace.is_enabled() {
+            // The block id exists only now, so the root span is recorded
+            // after the fact — span ids are deterministic, so the children
+            // the store recorded on the way already point at it.
+            trace.complete_at(
+                TraceId::from_seed(block.id().as_bytes()),
+                "pipeline.commit",
+                0,
+                lanes::PIPELINE,
+                t0,
+                t1,
+                &[
+                    ("height", block.header.height),
+                    ("timestamp", block.header.timestamp),
+                ],
+            );
+        }
         self.telemetry.incr("pipeline.batches_committed");
         self.maybe_checkpoint()?;
         Ok((block, receipts))

@@ -53,6 +53,13 @@ pub struct MonitorConfig {
     /// the shed alert.
     pub shed_burn_threshold: f64,
     /// Signature-cache hit-ratio floor; below it the cache has collapsed.
+    /// A healthy validator counts one miss per transaction it admits and
+    /// one hit when it commits it (the proposer's one signature pass), so
+    /// the ratio rests at 1/2 and dips while admissions run ahead of
+    /// commits. The default, 1/7, is where commits fall below a sixth of
+    /// admissions over the rule's four windows — the condition the floor
+    /// of 1/4 expressed while a commit still looked each signature up
+    /// twice.
     pub sigcache_floor: f64,
     /// Consensus-message drops tolerated per rule window before the drop
     /// alert fires.
@@ -77,7 +84,7 @@ impl Default for MonitorConfig {
             commit_p99_ns: 250_000_000, // 250 ms: far above healthy service time
             shed_budget: 0.01,
             shed_burn_threshold: 10.0,
-            sigcache_floor: 0.25,
+            sigcache_floor: 1.0 / 7.0,
             msg_drop_max: 0,
             wal_replay_max: 0,
             campaign_budget: 0.05,

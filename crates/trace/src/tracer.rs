@@ -187,11 +187,27 @@ impl TraceSink {
         start_ns: u64,
         args: &[(&'static str, u64)],
     ) {
+        self.complete_at(trace, name, parent, lane, start_ns, self.now_ns(), args);
+    }
+
+    /// [`TraceSink::complete`] for a span that already ended, at `end_ns`:
+    /// for work whose trace id is only known once it is over (a block's
+    /// id exists after the block was executed and built).
+    #[allow(clippy::too_many_arguments)]
+    pub fn complete_at(
+        &self,
+        trace: TraceId,
+        name: impl Into<Cow<'static, str>>,
+        parent: u64,
+        lane: &'static str,
+        start_ns: u64,
+        end_ns: u64,
+        args: &[(&'static str, u64)],
+    ) {
         let Some(inner) = &self.inner else {
             return;
         };
         let name = name.into();
-        let end = inner.origin.elapsed().as_nanos() as u64;
         Self::push(
             inner,
             SpanRecord {
@@ -202,7 +218,7 @@ impl TraceSink {
                 replica: self.replica,
                 lane,
                 start_ns,
-                dur_ns: end.saturating_sub(start_ns),
+                dur_ns: end_ns.saturating_sub(start_ns),
                 args: SpanArgs::new(args),
             },
         );
@@ -288,6 +304,27 @@ mod tests {
         assert_eq!(trace.dropped, 0);
         // Collection drains.
         assert!(tracer.collect().spans.is_empty());
+    }
+
+    #[test]
+    fn complete_at_records_the_interval_it_is_given() {
+        let tracer = Tracer::new(1);
+        let sink = tracer.sink(0);
+        let t = TraceId::from_seed(b"late id");
+        sink.complete_at(
+            t,
+            "chain.execute",
+            9,
+            lanes::EXECUTE,
+            100,
+            350,
+            &[("txs", 4)],
+        );
+        let trace = tracer.collect();
+        let span = &trace.spans[0];
+        assert_eq!((span.start_ns, span.dur_ns, span.parent), (100, 250, 9));
+        assert_eq!(span.id, replica_span_id(t, "chain.execute", 0));
+        assert_eq!(span.arg("txs"), Some(4));
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! A reader who runs NO node audits the platform: verifies the header
 //! chain, proves a news event is on-chain, proves a cited fact is in the
-//! factual database, and audits that the database only ever grew between
-//! anchors (append-only consistency, RFC 6962 style).
+//! factual database, audits that the database only ever grew between
+//! anchors (append-only consistency, RFC 6962 style), and checks an
+//! account's balance — and another account's absence — against a block
+//! header's state root.
 //!
 //! Run with: `cargo run -p tn-examples --bin light_client_audit --release`
 
+use tn_chain::codec::{Decodable, Encodable};
 use tn_chain::transaction::Payload;
+use tn_chain::AccountProof;
 use tn_core::client::LightClient;
 use tn_core::platform::{Platform, PlatformConfig};
 use tn_core::roles::Role;
@@ -148,6 +152,38 @@ fn main() {
         client.anchor_trail()[client.anchor_trail().len() - 2].short(),
         consistency.hashes.len()
     );
+
+    // Account state, from the head header alone: the full node hands over
+    // a proof per address (as bytes), the client checks each against the
+    // `state_root` of the header it already verified.
+    let head = client.tip().expect("synced");
+    let state = platform.store().head_state();
+    let stranger = Keypair::from_seed(b"lca stranger").address();
+    for (who, addr) in [("journalist", journalist.address()), ("stranger", stranger)] {
+        let wire = state.prove(&addr).to_bytes();
+        let account_proof = AccountProof::from_bytes(&wire).expect("proof decodes");
+        let (hashes, bytes) = (account_proof.hashes(), wire.len());
+        match client
+            .verify_account(&head, &addr, &account_proof)
+            .expect("proof verifies against the head header")
+        {
+            Some(acct) => {
+                assert_eq!(acct, state.account(&addr));
+                println!(
+                    "account {who}: balance {} nonce {} proven under state root {} ({hashes} hashes, {bytes} bytes)",
+                    acct.balance,
+                    acct.nonce,
+                    platform.store().head_header().state_root.short(),
+                );
+            }
+            None => {
+                assert_eq!(who, "stranger");
+                println!(
+                    "account {who}: proven absent from the state ({hashes} hashes, {bytes} bytes)"
+                );
+            }
+        }
+    }
 
     // And tampering is caught.
     let mut tampered = record.clone();

@@ -21,6 +21,13 @@ echo "== cargo test --release -p tn-crypto (limb arithmetic as the benchmark bui
 # arithmetic, so they are also run the way every binary ships them.
 cargo test --release --offline -p tn-crypto -q
 
+echo "== cargo test --release -p tn-chain (state trie without debug assertions)"
+# The account trie clears a cached hash in every node a write passes and
+# relies on it: a stale cell is a wrong state root, silently. The oracle
+# tests must hold with debug_assert!s compiled out, as the benchmark and
+# every binary run the code.
+cargo test --release --offline -p tn-chain -q
+
 echo "== benchmark package (the public surface benchmark/README.md pins)"
 # The repo's benchmark is a package of its own that drives the platform
 # through public functions only. Build it against its committed lock file,

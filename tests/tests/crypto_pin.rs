@@ -111,6 +111,10 @@ fn batch_coefficients_of_a_fixed_batch() {
     assert!(verify_batch(&items, b"crypto pin"));
 }
 
+/// The head id and the execution digest hash over state roots, so they
+/// were re-pinned once, for the `TN/state/2` state-root format; the item
+/// id (a transaction id) and every key, signature and coefficient above
+/// are the values recorded before it.
 #[test]
 fn scripted_platform_session_digests() {
     let mut p = Platform::new(PlatformConfig::default());
@@ -157,10 +161,10 @@ fn scripted_platform_session_digests() {
     );
     assert_eq!(
         p.store().head_id().to_hex(),
-        "e193aa3bbc7c4101b3a16daeb05fa9b9eb7f81cb85f983ae21ffeb2764bbafeb"
+        "77c5c47187b989caa3ae8683775832900ca44a0b1574dfcff89b553cf74c454c"
     );
     assert_eq!(
         p.execution_digest().to_hex(),
-        "18a3c57f7b85949687fa2404851baa26b7ff428d14ab65570ba409f8ee538410"
+        "4adad952e1199b521252bfdb87c37ea03a18762e1164758271316fd4ce74791b"
     );
 }

@@ -33,7 +33,8 @@ fn transfer(nonce: u64, fee: u64) -> Transaction {
 }
 
 /// Mempool admission pre-warms the cache: K submitted transactions cost K
-/// EC verifications total, then proposal and import are pure cache hits.
+/// EC verifications total, then the proposer's one signature pass is pure
+/// cache hits.
 #[test]
 fn one_ec_verify_per_tx_across_admission_proposal_import() {
     let config = PlatformConfig::default();
@@ -62,12 +63,12 @@ fn one_ec_verify_per_tx_across_admission_proposal_import() {
     assert_eq!(
         snap.counter(MISS_COUNTER),
         Some(K),
-        "proposal + import add zero EC verifications"
+        "the commit adds zero EC verifications"
     );
     assert_eq!(
         snap.counter(HIT_COUNTER),
-        Some(2 * K),
-        "proposal and import are both served from the cache"
+        Some(K),
+        "the commit looks each signature up once, and finds it"
     );
 }
 
