@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tn_crypto::ec::{mul_generator, mul_generator_jacobian, Jacobian};
 use tn_crypto::field::Fe;
 use tn_crypto::merkle::{leaf_hash, MerkleTree};
-use tn_crypto::msm::mul_window;
+use tn_crypto::msm::{double_mul_glv, glv_split, odd_multiples};
 use tn_crypto::sha256::sha256;
 use tn_crypto::u256::U256;
 use tn_crypto::Keypair;
@@ -67,8 +67,17 @@ fn bench_field_ops(c: &mut Criterion) {
     group.bench_function("mul_generator", |g| {
         g.iter(|| mul_generator_jacobian(black_box(&k)))
     });
-    group.bench_function("mul_window", |g| {
-        g.iter(|| mul_window(black_box(&affine), black_box(&k)))
+    // The lone-verify equation `s·G + k·P` and its two per-call set-up
+    // steps: the scalar split and the public key's eight odd multiples.
+    let s = U256::from_be_bytes(sha256(b"field_ops s").as_bytes());
+    group.bench_function("double_mul_glv", |g| {
+        g.iter(|| double_mul_glv(black_box(&s), black_box(&affine), black_box(&k)))
+    });
+    group.bench_function("glv_split_x1024", |g| {
+        g.iter(|| (0..1024).fold(black_box(k), |x, _| glv_split(&x)[0].0.wrapping_add(&s)))
+    });
+    group.bench_function("odd_multiples_table", |g| {
+        g.iter(|| odd_multiples(black_box(&affine), 8))
     });
     group.bench_function("to_affine", |g| {
         g.iter(|| Jacobian::to_affine(black_box(&p)))

@@ -142,8 +142,20 @@ impl Block {
     /// reduction fanned out over `pool`. Byte-identical to the sequential
     /// version for every input and worker count.
     pub fn compute_tx_root_par(txs: &[Transaction], pool: &Pool) -> Hash256 {
-        let leaves = pool.map(txs, |t| leaf_hash(t.id().as_bytes()));
-        merkle_root_of_leaves_par(leaves, pool)
+        Block::ids_and_tx_root(txs, pool).1
+    }
+
+    /// Every transaction's id and the Merkle root over them, hashing each
+    /// transaction once (fanned out over `pool`).
+    fn ids_and_tx_root(txs: &[Transaction], pool: &Pool) -> (Vec<Hash256>, Hash256) {
+        let (ids, leaves) = pool
+            .map(txs, |t| {
+                let id = t.id();
+                (id, leaf_hash(id.as_bytes()))
+            })
+            .into_iter()
+            .unzip();
+        (ids, merkle_root_of_leaves_par(leaves, pool))
     }
 
     /// Assembles and signs a block.
@@ -155,10 +167,35 @@ impl Block {
         timestamp: u64,
         transactions: Vec<Transaction>,
     ) -> Block {
+        let ids: Vec<Hash256> = transactions.iter().map(Transaction::id).collect();
+        Block::build_identified(
+            proposer,
+            height,
+            parent,
+            state_root,
+            timestamp,
+            transactions,
+            &ids,
+        )
+    }
+
+    /// [`Block::build`] for a caller that already holds the transactions'
+    /// ids (`ids[i]` must be `transactions[i].id()`), so the transaction
+    /// root does not hash them again.
+    pub(crate) fn build_identified(
+        proposer: &Keypair,
+        height: u64,
+        parent: Hash256,
+        state_root: Hash256,
+        timestamp: u64,
+        transactions: Vec<Transaction>,
+        ids: &[Hash256],
+    ) -> Block {
+        debug_assert_eq!(ids.len(), transactions.len());
         let header = BlockHeader {
             height,
             parent,
-            tx_root: Block::compute_tx_root(&transactions),
+            tx_root: merkle_root(ids.iter().map(|id| id.into_bytes())),
             state_root,
             timestamp,
             proposer: proposer.address(),
@@ -287,6 +324,23 @@ impl Block {
         parent: u64,
         policy: BatchVerifyPolicy,
     ) -> Result<(), ChainError> {
+        self.verify_structure_ids(pool, cache, telemetry, trace, parent, policy)
+            .map(|_ids| ())
+    }
+
+    /// [`Block::verify_structure_policy`], handing back the transaction
+    /// ids it computed on the way: the transaction root, the sigcache keys
+    /// and the spans all read one hash per transaction, and so can the
+    /// caller's receipts and indexes.
+    pub(crate) fn verify_structure_ids(
+        &self,
+        pool: &Pool,
+        cache: Option<&SigCache>,
+        telemetry: &TelemetrySink,
+        trace: &TraceSink,
+        parent: u64,
+        policy: BatchVerifyPolicy,
+    ) -> Result<Vec<Hash256>, ChainError> {
         if self.proposer_key.address() != self.header.proposer {
             return Err(ChainError::AddressMismatch);
         }
@@ -295,15 +349,16 @@ impl Block {
         if !signed_here && !self.proposer_key.verify(&digest, &self.signature) {
             return Err(ChainError::BadSignature);
         }
-        if Block::compute_tx_root_par(&self.transactions, pool) != self.header.tx_root {
+        let (ids, tx_root) = Block::ids_and_tx_root(&self.transactions, pool);
+        if tx_root != self.header.tx_root {
             return Err(ChainError::BadTxRoot);
         }
         if policy.enabled
             && !trace.is_enabled()
             && !self.transactions.is_empty()
-            && self.batch_verify_txs(pool, cache, telemetry, policy.chunk)
+            && self.batch_verify_txs(&ids, pool, cache, telemetry, policy.chunk)
         {
-            return Ok(());
+            return Ok(ids);
         }
         let bounds = if trace.is_enabled() {
             pool.chunk_bounds(self.transactions.len())
@@ -313,7 +368,7 @@ impl Block {
         pool.try_check(&self.transactions, |i, tx| {
             let t0 = trace.now_ns();
             let result = match cache {
-                Some(cache) => cache.verify_tx(tx, telemetry),
+                Some(cache) => cache.verify_identified(tx, ids[i], telemetry),
                 None => tx.verify(),
             };
             if trace.is_enabled() {
@@ -322,7 +377,7 @@ impl Block {
                     .position(|(lo, hi)| (*lo..*hi).contains(&i))
                     .unwrap_or(0) as u64;
                 trace.complete(
-                    TraceId::from_seed(tx.id().as_bytes()),
+                    TraceId::from_seed(ids[i].as_bytes()),
                     "tx.verify",
                     parent,
                     lanes::VERIFY,
@@ -332,7 +387,8 @@ impl Block {
             }
             result
         })
-        .map_err(|(_, err)| err)
+        .map_err(|(_, err)| err)?;
+        Ok(ids)
     }
 
     /// The `cache` key under which [`crate::store::ChainStore::propose`]
@@ -364,12 +420,14 @@ impl Block {
     /// counter totals are not part of the one-verify-per-tx contract.
     fn batch_verify_txs(
         &self,
+        ids: &[Hash256],
         pool: &Pool,
         cache: Option<&SigCache>,
         telemetry: &TelemetrySink,
         chunk: usize,
     ) -> bool {
         let block_id = self.id();
+        let chunk = chunk.max(1); // as `map_chunks` clamps it
         let ok = pool
             .map_chunks(&self.transactions, chunk, |ci, txs| {
                 // The Fiat–Shamir seed binds the block id and chunk index:
@@ -378,8 +436,8 @@ impl Block {
                 let mut seed = [0u8; 40];
                 seed[..32].copy_from_slice(block_id.as_bytes());
                 seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
-                let txs = txs.iter().map(|tx| (tx, tx.id()));
-                batch_verify_chunk(txs, &seed, cache, telemetry)
+                let ids = ids[ci * chunk..].iter().copied();
+                batch_verify_chunk(txs.iter().zip(ids), &seed, cache, telemetry)
             })
             .into_iter()
             .all(|chunk_ok| chunk_ok);
@@ -532,6 +590,25 @@ mod tests {
     fn built_block_verifies() {
         let (_, block) = sample_block();
         block.verify_structure().expect("valid");
+    }
+
+    #[test]
+    fn structure_check_hands_back_the_transaction_ids() {
+        let (_, block) = sample_block();
+        let expect: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
+        for policy in [BatchVerifyPolicy::default(), BatchVerifyPolicy::disabled()] {
+            let ids = block
+                .verify_structure_ids(
+                    &Pool::new(2),
+                    Some(&SigCache::new(8)),
+                    &TelemetrySink::disabled(),
+                    &TraceSink::disabled(),
+                    0,
+                    policy,
+                )
+                .expect("valid");
+            assert_eq!(ids, expect);
+        }
     }
 
     #[test]

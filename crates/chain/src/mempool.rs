@@ -21,9 +21,10 @@ use crate::transaction::Transaction;
 /// nonce order within each account.
 #[derive(Debug)]
 pub struct Mempool {
-    /// Per-account pending transactions keyed by nonce. `BTreeMap` keyed
-    /// by address so selection tie-breaking is deterministic.
-    by_account: BTreeMap<Address, BTreeMap<u64, Transaction>>,
+    /// Per-account pending transactions keyed by nonce, each with the id
+    /// it was admitted under (its key in `seen`). `BTreeMap` keyed by
+    /// address so selection tie-breaking is deterministic.
+    by_account: BTreeMap<Address, BTreeMap<u64, (Hash256, Transaction)>>,
     /// Known transaction ids for dedup.
     seen: HashSet<Hash256>,
     capacity: usize,
@@ -236,7 +237,7 @@ impl Mempool {
         }
         if !verified {
             match &self.sig_cache {
-                Some(cache) => cache.verify_tx(&tx, &self.telemetry)?,
+                Some(cache) => cache.verify_identified(&tx, id, &self.telemetry)?,
                 None => tx.verify()?,
             }
         }
@@ -250,14 +251,14 @@ impl Mempool {
         }
         let slot = self.by_account.entry(tx.from).or_default();
         // Replace-by-fee semantics for a duplicate nonce: keep the higher fee.
-        if let Some(existing) = slot.get(&tx.nonce) {
+        if let Some((existing_id, existing)) = slot.get(&tx.nonce) {
             if existing.fee >= tx.fee {
                 return Err(ChainError::DuplicateTransaction(id));
             }
-            self.seen.remove(&existing.id());
+            self.seen.remove(existing_id);
             self.len -= 1;
         }
-        slot.insert(tx.nonce, tx);
+        slot.insert(tx.nonce, (id, tx));
         self.seen.insert(id);
         self.len += 1;
         Ok(())
@@ -274,7 +275,7 @@ impl Mempool {
             let mut best: Option<&Transaction> = None;
             for (addr, txs) in &self.by_account {
                 let want = *next_nonce.get(addr).unwrap_or(&state.nonce(addr));
-                if let Some(tx) = txs.get(&want) {
+                if let Some((_, tx)) = txs.get(&want) {
                     if best.is_none_or(|b| tx.fee > b.fee) {
                         best = Some(tx);
                     }
@@ -294,28 +295,26 @@ impl Mempool {
     /// Removes transactions that were committed in a block (and any whose
     /// nonce is now stale).
     pub fn prune_committed(&mut self, state: &State) {
-        let mut removed = Vec::new();
+        let seen = &mut self.seen;
         self.by_account.retain(|addr, txs| {
             let committed = state.nonce(addr);
-            txs.retain(|nonce, tx| {
-                if *nonce < committed {
-                    removed.push(tx.id());
-                    false
-                } else {
-                    true
+            txs.retain(|nonce, (id, _)| {
+                let stale = *nonce < committed;
+                if stale {
+                    seen.remove(id);
                 }
+                !stale
             });
             !txs.is_empty()
         });
-        for id in removed {
-            self.seen.remove(&id);
-        }
         self.len = self.by_account.values().map(BTreeMap::len).sum();
     }
 
     /// All pending transactions (unordered), for inspection.
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.by_account.values().flat_map(|m| m.values())
+        self.by_account
+            .values()
+            .flat_map(|m| m.values().map(|(_, tx)| tx))
     }
 
     /// The next free nonce per account with pending transactions:

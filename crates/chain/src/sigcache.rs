@@ -144,7 +144,18 @@ impl SigCache {
     /// The same errors as [`Transaction::verify`]; failures are never
     /// cached.
     pub fn verify_tx(&self, tx: &Transaction, telemetry: &TelemetrySink) -> Result<(), ChainError> {
-        let id = tx.id();
+        self.verify_identified(tx, tx.id(), telemetry)
+    }
+
+    /// [`SigCache::verify_tx`] for a caller that already holds `tx`'s id
+    /// (`id` must be `tx.id()`), so the lookup does not hash the
+    /// transaction again.
+    pub(crate) fn verify_identified(
+        &self,
+        tx: &Transaction,
+        id: Hash256,
+        telemetry: &TelemetrySink,
+    ) -> Result<(), ChainError> {
         if self.contains(&id) {
             telemetry.incr(HIT_COUNTER);
             return Ok(());

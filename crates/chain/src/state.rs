@@ -310,6 +310,19 @@ impl State {
         proposer: &Address,
         executor: &mut dyn TxExecutor,
     ) -> Result<Receipt, ChainError> {
+        self.apply_identified(tx, tx.id(), proposer, executor)
+    }
+
+    /// [`State::apply_prechecked`] for a caller that already holds `tx`'s
+    /// id (`tx_id` must be `tx.id()`), so the receipt does not hash the
+    /// transaction again.
+    pub(crate) fn apply_identified(
+        &mut self,
+        tx: &Transaction,
+        tx_id: Hash256,
+        proposer: &Address,
+        executor: &mut dyn TxExecutor,
+    ) -> Result<Receipt, ChainError> {
         self.validate_prechecked(tx)?;
         // Debit fee + value, bump nonce.
         let debit = tx.total_debit();
@@ -320,7 +333,7 @@ impl State {
         self.credit(proposer, tx.fee);
 
         let mut receipt = Receipt {
-            tx_id: tx.id(),
+            tx_id,
             success: true,
             gas_used: 0,
             output: Vec::new(),

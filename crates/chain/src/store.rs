@@ -115,27 +115,35 @@ fn decode_receipts(bytes: &[u8]) -> Result<Vec<Receipt>, ChainError> {
 /// A transaction's entry for the backend's indexes: its id and the
 /// account keys it touches — always the sender, plus the transfer
 /// recipient or called contract.
-fn index_entry(tx: &Transaction) -> TxIndexEntry {
+fn index_entry(tx: &Transaction, id: &Hash256) -> TxIndexEntry {
     let counterparty = match &tx.payload {
         Payload::Transfer { to, .. } => Some(to),
         Payload::ContractCall { contract, .. } => Some(contract),
         _ => None,
     };
     TxIndexEntry {
-        id: *tx.id().as_bytes(),
+        id: *id.as_bytes(),
         sender: *tx.from.as_hash().as_bytes(),
         counterparty: counterparty.map(|a| *a.as_hash().as_bytes()),
     }
 }
 
+/// The backend record of `block`; `receipts` are its transactions'
+/// receipts in order, which is where the index takes each id from.
 fn block_record(block: &Block, id: &Hash256, receipts: &[Receipt]) -> BlockRecord {
+    debug_assert_eq!(block.transactions.len(), receipts.len());
     BlockRecord {
         height: block.header.height,
         id: *id.as_bytes(),
         parent: *block.header.parent.as_bytes(),
         block_bytes: encode_block(block).into(),
         receipts_bytes: encode_receipts(receipts).into(),
-        txs: block.transactions.iter().map(index_entry).collect(),
+        txs: block
+            .transactions
+            .iter()
+            .zip(receipts)
+            .map(|(tx, receipt)| index_entry(tx, &receipt.tx_id))
+            .collect(),
     }
 }
 
@@ -176,23 +184,25 @@ struct Proposal {
     execute_ns: (u64, u64),
 }
 
-/// Applies one signature-checked transaction of `proposer`'s block at
-/// `height` and, when tracing, records its `tx.apply` span.
+/// Applies one signature-checked transaction (`tx_id` is its id) of
+/// `proposer`'s block at `height` and, when tracing, records its
+/// `tx.apply` span.
 fn apply_traced(
     state: &mut State,
     tx: &Transaction,
+    tx_id: Hash256,
     proposer: &Address,
     height: u64,
     executor: &mut dyn TxExecutor,
     trace: &TraceSink,
 ) -> Result<Receipt, ChainError> {
     let a0 = trace.now_ns();
-    let receipt = state.apply_prechecked(tx, proposer, executor)?;
+    let receipt = state.apply_identified(tx, tx_id, proposer, executor)?;
     if trace.is_enabled() {
         // Each replica applies the tx; all of these spans parent to the
         // single cluster-wide `tx.commit` span, whose id is computable
         // from the tx trace without coordination.
-        let tx_trace = TraceId::from_seed(tx.id().as_bytes());
+        let tx_trace = TraceId::from_seed(tx_id.as_bytes());
         trace.complete(
             tx_trace,
             "tx.apply",
@@ -898,7 +908,8 @@ impl ChainStore {
     /// Checks everything about a block from elsewhere — not a duplicate,
     /// well-formed and signed, extends a known parent, re-executes to the
     /// state root its header claims — and returns the post-state and
-    /// receipts that re-execution produced.
+    /// receipts that re-execution produced. Each transaction is hashed
+    /// once: the ids the structure check computed name the receipts.
     fn validate(
         &self,
         block: &Block,
@@ -907,11 +918,11 @@ impl ChainStore {
     ) -> Result<(State, Vec<Receipt>), ChainError> {
         self.reject_known(&ids.block)?;
         let trace = self.trace.clone();
-        {
+        let tx_ids = {
             let _verify = self.telemetry.span("chain.verify_ns");
             let v0 = trace.now_ns();
             let verify_span = replica_span_id(ids.trace, "chain.verify", trace.replica());
-            block.verify_structure_policy(
+            let tx_ids = block.verify_structure_ids(
                 &self.pool,
                 Some(&self.sig_cache),
                 &self.telemetry,
@@ -930,7 +941,8 @@ impl ChainStore {
                     ("workers", self.pool.workers() as u64),
                 ],
             );
-        }
+            tx_ids
+        };
         let parent = self
             .window
             .get(&block.header.parent)
@@ -949,11 +961,11 @@ impl ChainStore {
         let mut receipts = Vec::with_capacity(block.transactions.len());
         let e0 = trace.now_ns();
         let (proposer, height) = (&block.header.proposer, block.header.height);
-        for tx in &block.transactions {
-            // Signatures were checked by `verify_structure_policy`;
-            // only nonce/balance/execution remain.
+        for (tx, tx_id) in block.transactions.iter().zip(tx_ids) {
+            // Signatures were checked by the structure pass; only
+            // nonce/balance/execution remain.
             receipts.push(apply_traced(
-                &mut state, tx, proposer, height, executor, &trace,
+                &mut state, tx, tx_id, proposer, height, executor, &trace,
             )?);
         }
         trace.complete(
@@ -1339,38 +1351,50 @@ impl ChainStore {
     /// a mempool sharing it skip the EC check), executes the rest in
     /// order against a copy of the head state — dropping, untouched, those
     /// the state refuses (nonce, balance) — and builds and signs the block
-    /// over what is left. With `trace` enabled each applied transaction
+    /// over what is left. Each transaction is hashed once: the id that
+    /// keys the sigcache also names the receipt and is the leaf of the
+    /// transaction root. With `trace` enabled each applied transaction
     /// records its `tx.apply` span.
     fn assemble(
         &self,
         proposer: &Keypair,
         timestamp: u64,
-        mut txs: Vec<Transaction>,
+        txs: Vec<Transaction>,
         executor: &mut dyn TxExecutor,
         trace: &TraceSink,
     ) -> Proposal {
         let v0 = trace.now_ns();
-        {
+        let mut txs: Vec<(Hash256, Transaction)> = {
             let _verify = self.telemetry.span("chain.verify_ns");
-            txs.retain(|tx| self.sig_cache.verify_tx(tx, &self.telemetry).is_ok());
-        }
+            let verified = |(id, tx): &(Hash256, Transaction)| {
+                self.sig_cache
+                    .verify_identified(tx, *id, &self.telemetry)
+                    .is_ok()
+            };
+            txs.into_iter()
+                .map(|tx| (tx.id(), tx))
+                .filter(verified)
+                .collect()
+        };
         let e0 = trace.now_ns();
         let (address, height) = (proposer.address(), self.height() + 1);
         let mut post_state = self.head_state().clone();
         let mut receipts = Vec::with_capacity(txs.len());
-        txs.retain(|tx| {
-            apply_traced(&mut post_state, tx, &address, height, executor, trace)
+        txs.retain(|(id, tx)| {
+            apply_traced(&mut post_state, tx, *id, &address, height, executor, trace)
                 .map(|receipt| receipts.push(receipt))
                 .is_ok()
         });
         let e1 = trace.now_ns();
-        let block = Block::build(
+        let (ids, txs): (Vec<Hash256>, Vec<Transaction>) = txs.into_iter().unzip();
+        let block = Block::build_identified(
             proposer,
             height,
             self.head,
             post_state.root(),
             timestamp,
             txs,
+            &ids,
         );
         Proposal {
             block,

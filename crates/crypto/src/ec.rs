@@ -12,7 +12,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::field::Fe;
+use crate::field::{Fe, BETA};
 use crate::u256::U256;
 
 /// The curve constant `b` of `y² = x³ + b`.
@@ -101,6 +101,19 @@ impl Affine {
         match self {
             Affine::Infinity => Affine::Infinity,
             Affine::Point { x, y } => Affine::Point { x: *x, y: -*y },
+        }
+    }
+
+    /// `λ·self` for one field multiplication: the curve endomorphism
+    /// `(x, y) ↦ (β·x, y)` with [`BETA`] and [`crate::field::LAMBDA`]. Only
+    /// meaningful for points of the curve.
+    pub fn mul_lambda(&self) -> Affine {
+        match self {
+            Affine::Infinity => Affine::Infinity,
+            Affine::Point { x, y } => Affine::Point {
+                x: *x * BETA,
+                y: *y,
+            },
         }
     }
 }
@@ -255,6 +268,8 @@ impl Jacobian {
     /// doubled when the two turn out equal.
     fn add_reduced(&self, u1: Fe, s1: Fe, u2: Fe, s2: Fe, z: Fe) -> Jacobian {
         if u1 == u2 {
+            #[cfg(test)]
+            DEGENERATE_ADDS.with(|count| count.set(count.get() + 1));
             return if s1 == s2 {
                 self.double()
             } else {
@@ -289,6 +304,14 @@ impl Jacobian {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Additions on this thread whose operands had the same x coordinate
+    /// (equal or opposite points), which the generic formula cannot add.
+    /// Tests read it to show that an input really reaches those branches.
+    pub(crate) static DEGENERATE_ADDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
 /// The standard secp256k1 generator point `G`.
 pub const GENERATOR: Affine = Affine::Point {
     x: Fe::from_canonical_limbs([
@@ -314,7 +337,9 @@ const GEN_WINDOWS: usize = 64;
 /// form, so `k·G` is the sum of one table entry per nonzero nibble of `k`
 /// — at most 64 mixed additions and **zero doublings**. Built once on
 /// first use (960 point additions and one batch inversion, ~68 KiB), shared
-/// by every signing and verification call in the process.
+/// by every signing and key-derivation call in the process. Verification
+/// does not come here: its `s·G` rides the doubling chain it needs for
+/// the public key anyway ([`crate::msm::double_mul_glv`]).
 fn generator_table() -> &'static [[Affine; 15]] {
     static TABLE: OnceLock<Vec<[Affine; 15]>> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -338,9 +363,8 @@ fn generator_table() -> &'static [[Affine; 15]] {
 
 /// `k·G` in Jacobian form via the fixed-base window table.
 ///
-/// This is the fast path for everything that multiplies the generator:
-/// key derivation, signing (nonce commitment `k·G`) and the `s·G` half of
-/// every Schnorr verification.
+/// This is the fast path for everything that multiplies the generator
+/// alone: key derivation and signing (nonce commitment `k·G`).
 pub fn mul_generator_jacobian(k: &U256) -> Jacobian {
     let bytes = k.to_be_bytes();
     let mut acc = Jacobian::infinity();
@@ -494,6 +518,30 @@ pub(crate) mod tests {
                 k.to_hex()
             );
         }
+    }
+
+    #[test]
+    fn endomorphism_multiplies_by_lambda() {
+        use crate::field::{mul_mod, LAMBDA};
+        let Affine::Point { x, y } = GENERATOR else {
+            unreachable!("G is finite")
+        };
+        let g = Jacobian::from_affine(&GENERATOR);
+        let lambda_g = g.mul_scalar(&LAMBDA).to_affine();
+        assert_eq!(lambda_g, Affine::Point { x: x * BETA, y });
+        assert_eq!(GENERATOR.mul_lambda(), lambda_g);
+        // On any point, and twice over: λ²·P by the ladder.
+        let lambda_sq = mul_mod(&LAMBDA, &LAMBDA, &N);
+        for k in [2u64, 77, 0xdead_beef] {
+            let p = mul_generator(&U256::from_u64(k));
+            let pj = Jacobian::from_affine(&p);
+            assert_eq!(p.mul_lambda(), pj.mul_scalar(&LAMBDA).to_affine());
+            assert_eq!(
+                p.mul_lambda().mul_lambda(),
+                pj.mul_scalar(&lambda_sq).to_affine()
+            );
+        }
+        assert_eq!(Affine::Infinity.mul_lambda(), Affine::Infinity);
     }
 
     #[test]

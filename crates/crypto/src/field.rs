@@ -38,6 +38,56 @@ pub const N: U256 = U256::from_limbs([
     0xffff_ffff_ffff_ffff,
 ]);
 
+/// `λ`, a primitive cube root of unity modulo [`N`]: the scalar the curve
+/// endomorphism `(x, y) ↦ (β·x, y)` multiplies by (see [`BETA`] and
+/// [`crate::ec::Affine::mul_lambda`]).
+pub const LAMBDA: U256 = U256::from_limbs([
+    0xdf02_967c_1b23_bd72,
+    0x122e_22ea_2081_6678,
+    0xa526_1c02_8812_645a,
+    0x5363_ad4c_c05c_30e0,
+]);
+
+/// `β`, the primitive cube root of unity modulo [`P`] that goes with
+/// [`LAMBDA`]: `λ·(x, y) = (β·x, y)` for every point of the curve.
+pub const BETA: Fe = Fe([
+    0xc139_6c28_7195_01ee,
+    0x9cf0_4975_12f5_8995,
+    0x6e64_479e_ac34_34e9,
+    0x7ae9_6a2b_657c_0710,
+]);
+
+/// The short lattice basis `(a₁, b₁)`, `(a₂, b₂)` of
+/// `{(a, b) : a + b·λ ≡ 0 (mod n)}` that [`crate::msm::glv_split`] rounds
+/// against: `a₁ = b₂` = [`GLV_A1`], `−b₁` = [`GLV_MINUS_B1`], `a₂` =
+/// [`GLV_A2`]. All are around `√n`, which is what keeps both halves of a
+/// split to 128 bits.
+pub(crate) const GLV_A1: U256 =
+    U256::from_limbs([0xe86c_90e4_9284_eb15, 0x3086_d221_a7d4_6bcd, 0, 0]);
+/// See [`GLV_A1`].
+pub(crate) const GLV_MINUS_B1: U256 =
+    U256::from_limbs([0x6f54_7fa9_0abf_e4c3, 0xe443_7ed6_010e_8828, 0, 0]);
+/// See [`GLV_A1`].
+pub(crate) const GLV_A2: U256 =
+    U256::from_limbs([0x57c1_108d_9d44_cfd8, 0x14ca_50f7_a8e2_f3f6, 1, 0]);
+
+/// `round(2^384·b₂/n)` and `round(2^384·(−b₁)/n)`: multiplying a scalar by
+/// one of these and keeping the bits above 2^384 is the rounded division
+/// by `n` the split needs, without a division.
+pub(crate) const GLV_G1: U256 = U256::from_limbs([
+    0xe893_209a_45db_b031,
+    0x3daa_8a14_71e8_ca7f,
+    0xe86c_90e4_9284_eb15,
+    0x3086_d221_a7d4_6bcd,
+]);
+/// See [`GLV_G1`].
+pub(crate) const GLV_G2: U256 = U256::from_limbs([
+    0x1571_b4ae_8ac4_7f71,
+    0x2212_08ac_9df5_06c6,
+    0x6f54_7fa9_0abf_e4c4,
+    0xe443_7ed6_010e_8828,
+]);
+
 /// `2^256 − p`: what one unit of the 2^256 column is worth modulo `p`.
 const FOLD: u64 = 0x1_0000_03d1;
 
@@ -469,6 +519,36 @@ mod tests {
             N.to_hex(),
             "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"
         );
+    }
+
+    #[test]
+    fn endomorphism_constants() {
+        // Primitive cube roots of unity in their fields.
+        let three = U256::from_u64(3);
+        assert!(LAMBDA < N && LAMBDA != U256::ONE);
+        assert_eq!(pow_mod(&LAMBDA, &three, &N), U256::ONE);
+        assert!(BETA.to_u256() < P && BETA != Fe::ONE);
+        assert_eq!(BETA.sqr() * BETA, Fe::ONE);
+        // Both basis rows lie in the lattice a + b·λ ≡ 0 (mod n):
+        // a₁ + b₁·λ with b₁ negative, a₂ + b₂·λ with b₂ = a₁.
+        assert_eq!(mul_mod(&GLV_MINUS_B1, &LAMBDA, &N), GLV_A1);
+        let a2 = reduce(&GLV_A2, &N);
+        assert_eq!(add_mod(&a2, &mul_mod(&GLV_A1, &LAMBDA, &N), &N), U256::ZERO);
+        // The rounding multipliers are the nearest integers to 2^384·b/n:
+        // |g·n − b·2^384| ≤ n/2, compared as 512-bit (high, low) pairs.
+        for (g, b) in [(GLV_G1, GLV_A1), (GLV_G2, GLV_MINUS_B1)] {
+            let (lo, hi) = g.widening_mul(&N);
+            let (product, target) = ((hi, lo), (b.shl(128), U256::ZERO));
+            let (big, small) = if product >= target {
+                (product, target)
+            } else {
+                (target, product)
+            };
+            let (diff_lo, borrow) = big.1.overflowing_sub(&small.1);
+            let diff_hi = big.0.wrapping_sub(&small.0);
+            let diff_hi = diff_hi.wrapping_sub(&U256::from_u64(borrow as u64));
+            assert!(diff_hi.is_zero() && diff_lo <= N.shr(1), "g={}", g.to_hex());
+        }
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //!   once `n` is large against `2^c`. Window size comes from
 //!   [`pippenger_window`].
 //! - [`msm`] picks between them by batch size ([`STRAUS_CUTOFF`]).
+//! - [`double_mul_glv`] is the other end of the range: the two-term
+//!   `s·G + k·P` of **one** verification, where there is no batch to share
+//!   work with — so it shares the doubling chain between the equation's
+//!   own terms and halves its length over the curve endomorphism (cost
+//!   model below).
 //!
 //! Scalars are plain 256-bit integers: `k·P` is integer scalar
 //! multiplication, so callers may pass values `≥ n` (they wrap by the
@@ -55,10 +60,51 @@
 //! falls with `n`; on full-width scalars the two meet between n = 128 and
 //! n = 192, and on the shape `verify_batch` produces (half the points carry
 //! 128-bit coefficients) already near n = 150, so [`STRAUS_CUTOFF`] = 160.
-//! Nothing here is constant-time: digits, bucket indexes and the recoding
-//! all branch and index on the scalars.
+//!
+//! # One signature: the lone-verify cost model
+//!
+//! A single verification needs `s·G + k·P` (`k = −e`). Done as two
+//! products — 60 additions from the signing comb for `s·G`, then a
+//! 256-step width-5 walk for `k·P` — the doublings are 36 of its ~50 µs.
+//! [`double_mul_glv`] removes half of them and shares the rest: secp256k1
+//! has the endomorphism `λ·(x, y) = (β·x, y)`, every scalar splits as
+//! `k₁ + k₂·λ (mod n)` with `|kᵢ| < 2^128` ([`glv_split`]), and so the
+//! equation is four 128-bit terms `s₁·G + s₂·λG + k₁·P + k₂·λP` on one
+//! doubling chain. Counted over 2 000 random `(s, P, k)` and priced with
+//! the point operations above (`field_ops`: doubling 0.14 µs, mixed
+//! addition 0.17 µs, general addition 0.22 µs, inversion 3.1 µs):
+//!
+//! | step | operations | model µs |
+//! |------|------------|----------|
+//! | two splits, four recodings | 4 widening + 8 wrapping multiplications | 0.5 |
+//! | `P`'s table, width 5 | 1 doubling, 7 general additions, 1 inversion, 8 × 3 M to normalise | 5.3 (measured) |
+//! | `λP`'s table | 8 field multiplications | 0.1 |
+//! | doubling chain | 127.1 doublings | 17.8 |
+//! | digits: `P`, `λP` one in 6; `G`, `λG` (static width-8 tables) one in 9 | 72.4 mixed additions | 12.3 |
+//! | **total** | | **36.0** |
+//!
+//! The same prices put the two-product form at 59 µs (60 + 43 additions,
+//! 256 doublings, the same table). In a tight loop the two measure
+//! 47.8–50 µs and 30.1–30.6 µs — the dependent-chain prices overstate
+//! both by the same sixth, and the ratio, 0.63, is the model's 0.61. A
+//! whole `PublicKey::verify` (plus lifting `R`, 3.0 µs, and the challenge
+//! hash, 0.6 µs) went 53.0 → 34.2 µs. The static tables are
+//! 2 × 64 affine points (~9 KiB, built on first use: 63 general
+//! additions and one inversion). Tried and left out: building
+//! `P`'s table on a shared denominator ("effective affine", no inversion;
+//! `G`'s entries then pay two multiplications per addition to follow it
+//! onto the isomorphic curve) measured 31.4 → 28.2 µs for the kernel but
+//! +2 % `commit_tps` on the replicated benchmark workload, inside its
+//! run-to-run spread, for a second table builder and table entries that
+//! are not curve points.
+//!
+//! Nothing here is constant-time: digits, bucket indexes, the recodings
+//! and the sign of each split half all branch and index on the scalars.
 
-use crate::ec::{Affine, Jacobian};
+use std::sync::OnceLock;
+
+use crate::ec::{Affine, Jacobian, GENERATOR};
+use crate::field::{GLV_A1, GLV_A2, GLV_G1, GLV_G2, GLV_MINUS_B1};
 use crate::u256::U256;
 
 /// Batch sizes below this use [`straus`]; at or above it, [`pippenger`].
@@ -90,25 +136,35 @@ fn window_count(pairs: &[(Affine, U256)], c: u32) -> u32 {
     max_bits.div_ceil(c).max(1)
 }
 
-/// Signed-window width of [`straus`]: digits are odd and at most 15 in
-/// magnitude, so a point needs its [`ODD_MULTIPLES`] `P, 3P, …, 15P` only.
+/// Signed-window width over a point met for the first time ([`straus`]
+/// and the public-key half of [`double_mul_glv`]): digits are odd and at
+/// most 15 in magnitude, so a point needs its [`ODD_MULTIPLES`]
+/// `P, 3P, …, 15P` only.
 const WNAF_WIDTH: u32 = 5;
 
-/// Table entries per point in [`straus`].
+/// Table entries per point at [`WNAF_WIDTH`].
 const ODD_MULTIPLES: usize = 1 << (WNAF_WIDTH - 2);
+
+/// Signed-window width over the generator, whose tables are built once
+/// per process: digits up to 127, one nonzero digit in nine.
+const GEN_WNAF_WIDTH: u32 = 8;
+
+/// Table entries for the generator at [`GEN_WNAF_WIDTH`].
+const GEN_ODD_MULTIPLES: usize = 1 << (GEN_WNAF_WIDTH - 2);
 
 /// Points whose tables [`straus`] normalises with one shared inversion.
 const NORMALIZE_BLOCK: usize = 16;
 
-/// Digits in the width-5 non-adjacent form of a 256-bit scalar.
+/// Digits in the non-adjacent form of a 256-bit scalar.
 const WNAF_DIGITS: usize = 257;
 
-/// The width-5 non-adjacent form of `k`: digits `dᵢ` with
-/// `k = Σ dᵢ·2^i`, every nonzero digit odd with `|dᵢ| ≤ 15`, and at least
-/// four zeros after each nonzero one — on average one nonzero digit in
-/// six. Returns the digits and how many of them are in use (the index of
-/// the highest nonzero digit plus one).
-fn wnaf(k: &U256) -> ([i8; WNAF_DIGITS], usize) {
+/// The width-`width` non-adjacent form of `k`: digits `dᵢ` with
+/// `k = Σ dᵢ·2^i`, every nonzero digit odd with `|dᵢ| < 2^(width−1)`, and
+/// at least `width − 1` zeros after each nonzero one — on average one
+/// nonzero digit in `width + 1`. Returns the digits and how many of them
+/// are in use (the index of the highest nonzero digit plus one).
+fn wnaf(k: &U256, width: u32) -> ([i8; WNAF_DIGITS], usize) {
+    debug_assert!((2..=8).contains(&width), "digits must fit an i8");
     let mut digits = [0i8; WNAF_DIGITS];
     let mut used = 0;
     // `carry` is what a negative digit further down borrowed from here.
@@ -120,18 +176,94 @@ fn wnaf(k: &U256) -> ([i8; WNAF_DIGITS], usize) {
             bit += 1;
             continue;
         }
-        let width = WNAF_WIDTH.min(256 - bit);
-        let window = digit(k, bit, width) as u32 + carry; // odd, ≤ 31
-        carry = window >> (WNAF_WIDTH - 1);
-        digits[bit as usize] = (window as i32 - ((carry as i32) << WNAF_WIDTH)) as i8;
+        let take = width.min(256 - bit);
+        let window = digit(k, bit, take) as u32 + carry; // odd, < 2^width
+        carry = window >> (width - 1);
+        digits[bit as usize] = (window as i32 - ((carry as i32) << width)) as i8;
         used = bit as usize + 1;
-        bit += width;
+        bit += take;
     }
     if carry == 1 {
         digits[256] = 1;
         used = WNAF_DIGITS;
     }
     (digits, used)
+}
+
+/// Appends `P, 3P, …, (2·count − 1)·P` to `out`.
+fn push_odd_multiples(p: &Affine, count: usize, out: &mut Vec<Jacobian>) {
+    let mut multiple = Jacobian::from_affine(p);
+    let twice = multiple.double();
+    for i in 0..count {
+        if i > 0 {
+            multiple = multiple.add(&twice);
+        }
+        out.push(multiple);
+    }
+}
+
+/// The odd multiples `P, 3P, …, (2·count − 1)·P` in affine form — the
+/// table a signed-window walk over `P` adds from: one doubling,
+/// `count − 1` general additions and one field inversion.
+pub fn odd_multiples(p: &Affine, count: usize) -> Vec<Affine> {
+    let mut multiples = Vec::with_capacity(count);
+    push_odd_multiples(p, count, &mut multiples);
+    Jacobian::batch_to_affine(&multiples)
+}
+
+/// One term of a shared doubling chain: a scalar in signed-window form
+/// and the affine odd multiples of its point.
+struct Stream<'a> {
+    table: &'a [Affine],
+    digits: [i8; WNAF_DIGITS],
+    used: usize,
+}
+
+impl<'a> Stream<'a> {
+    /// `k` over `table`, which holds `2^(width−2)` odd multiples.
+    fn new(table: &'a [Affine], k: &U256, width: u32) -> Stream<'a> {
+        debug_assert_eq!(table.len(), 1 << (width - 2));
+        let (digits, used) = wnaf(k, width);
+        Stream {
+            table,
+            digits,
+            used,
+        }
+    }
+
+    /// `±magnitude` over `table`: a negative scalar is its magnitude with
+    /// every digit's sign flipped.
+    fn signed(table: &'a [Affine], (magnitude, negative): (U256, bool), width: u32) -> Self {
+        let mut stream = Stream::new(table, &magnitude, width);
+        if negative {
+            for d in &mut stream.digits[..stream.used] {
+                *d = -*d;
+            }
+        }
+        stream
+    }
+}
+
+/// `Σ kᵢ·Pᵢ` over `streams`: one doubling per digit position of the
+/// widest scalar, and under each a mixed addition per nonzero digit.
+fn interleave(streams: &[Stream<'_>]) -> Jacobian {
+    let top = streams.iter().map(|s| s.used).max().unwrap_or(0);
+    let mut acc = Jacobian::infinity();
+    for bit in (0..top).rev() {
+        acc = acc.double();
+        for stream in streams {
+            let d = stream.digits[bit];
+            if d != 0 {
+                let entry = &stream.table[d.unsigned_abs() as usize / 2];
+                acc = if d > 0 {
+                    acc.add_affine(entry)
+                } else {
+                    acc.add_affine(&entry.negate())
+                };
+            }
+        }
+    }
+    acc
 }
 
 /// `Σ kᵢ·Pᵢ` by the Straus (shared-doubling) method on signed windows.
@@ -151,33 +283,91 @@ pub fn straus(pairs: &[(Affine, U256)]) -> Jacobian {
     for block in pairs.chunks(NORMALIZE_BLOCK) {
         multiples.clear();
         for (p, _) in block {
-            let mut multiple = Jacobian::from_affine(p);
-            let twice = multiple.double();
-            for _ in 0..ODD_MULTIPLES {
-                multiples.push(multiple);
-                multiple = multiple.add(&twice);
-            }
+            push_odd_multiples(p, ODD_MULTIPLES, &mut multiples);
         }
         tables.extend(Jacobian::batch_to_affine(&multiples));
     }
-    let recoded: Vec<_> = pairs.iter().map(|(_, k)| wnaf(k)).collect();
-    let top = recoded.iter().map(|(_, used)| *used).max().unwrap_or(0);
-    let mut acc = Jacobian::infinity();
-    for bit in (0..top).rev() {
-        acc = acc.double();
-        for ((digits, _), table) in recoded.iter().zip(tables.chunks_exact(ODD_MULTIPLES)) {
-            let d = digits[bit];
-            if d != 0 {
-                let entry = &table[d.unsigned_abs() as usize / 2];
-                acc = if d > 0 {
-                    acc.add_affine(entry)
-                } else {
-                    acc.add_affine(&entry.negate())
-                };
-            }
+    let streams: Vec<Stream<'_>> = pairs
+        .iter()
+        .zip(tables.chunks_exact(ODD_MULTIPLES))
+        .map(|((_, k), table)| Stream::new(table, k, WNAF_WIDTH))
+        .collect();
+    interleave(&streams)
+}
+
+/// `k` as `k₁ + k₂·λ (mod n)` with both halves short: returns
+/// `[k₁, k₂]`, each as `(magnitude, negative)`. For `k < n` both
+/// magnitudes are below 2^128, which is what lets [`double_mul_glv`] stop
+/// its doubling chain at half the scalar's width.
+///
+/// With the lattice basis of [`crate::field`] (rows `(a₁, b₁)`,
+/// `(a₂, b₂)`), `c₁ = ⌊b₂·k/n⌉` and `c₂ = ⌊−b₁·k/n⌉` come from one
+/// widening multiplication each by a precomputed `2^384/n` multiple; then
+/// `k₁ = k − c₁·a₁ − c₂·a₂` and `k₂ = −c₁·b₁ − c₂·b₂` are exact integers
+/// far inside ±2^255, so wrapping 256-bit arithmetic computes them in
+/// two's complement and the top bit is the sign.
+pub fn glv_split(k: &U256) -> [(U256, bool); 2] {
+    let rounded = |g: &U256| {
+        // ⌊k·g / 2^384⌉: the product's top 128 bits, plus bit 383.
+        let (_, hi) = k.widening_mul(g);
+        let h = hi.limbs();
+        U256::from_limbs([h[2], h[3], 0, 0]).wrapping_add(&U256::from_u64(h[1] >> 63))
+    };
+    let (c1, c2) = (rounded(&GLV_G1), rounded(&GLV_G2));
+    let k1 = k
+        .wrapping_sub(&c1.wrapping_mul(&GLV_A1))
+        .wrapping_sub(&c2.wrapping_mul(&GLV_A2));
+    // b₂ = a₁.
+    let k2 = c1
+        .wrapping_mul(&GLV_MINUS_B1)
+        .wrapping_sub(&c2.wrapping_mul(&GLV_A1));
+    [k1, k2].map(|v| {
+        if v.bit(255) {
+            (U256::ZERO.wrapping_sub(&v), true)
+        } else {
+            (v, false)
         }
-    }
-    acc
+    })
+}
+
+/// The generator's odd multiples `G, 3G, …, 127G` and the same multiples
+/// of `λ·G`, affine, built on first use (63 additions and one inversion;
+/// 128 points, ~9 KiB).
+fn generator_odd_multiples() -> &'static [[Affine; GEN_ODD_MULTIPLES]; 2] {
+    static TABLES: OnceLock<[[Affine; GEN_ODD_MULTIPLES]; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = odd_multiples(&GENERATOR, GEN_ODD_MULTIPLES);
+        [
+            std::array::from_fn(|i| g[i]),
+            std::array::from_fn(|i| g[i].mul_lambda()),
+        ]
+    })
+}
+
+/// `s·G + k·P` for the generator `G` and a point `P` of the curve, in one
+/// doubling chain of half the scalars' width — the whole group equation of
+/// a single Schnorr verification.
+///
+/// Both scalars are split over the curve endomorphism ([`glv_split`]:
+/// `s = s₁ + s₂·λ`, `k = k₁ + k₂·λ`, halves below 2^128), so the sum is
+/// `s₁·G + s₂·(λG) + k₁·P + k₂·(λP)`: four short scalars walked together
+/// (Straus–Shamir). `G` and `λG` add from static width-8 tables; `P` gets
+/// the per-call width-5 table of [`odd_multiples`], and `λP`'s is that
+/// table with every x coordinate multiplied by `β`
+/// ([`Affine::mul_lambda`]). Scalars are taken modulo `n`; `P` must be on
+/// the curve (the endomorphism means nothing elsewhere).
+pub fn double_mul_glv(s: &U256, point: &Affine, k: &U256) -> Jacobian {
+    let [g, g_lambda] = generator_odd_multiples();
+    let p = odd_multiples(point, ODD_MULTIPLES);
+    let p_lambda: [Affine; ODD_MULTIPLES] = std::array::from_fn(|i| p[i].mul_lambda());
+    let [s1, s2] = glv_split(s);
+    let [k1, k2] = glv_split(k);
+    interleave(&[
+        Stream::signed(g, s1, GEN_WNAF_WIDTH),
+        Stream::signed(g_lambda, s2, GEN_WNAF_WIDTH),
+        Stream::signed(&p, k1, WNAF_WIDTH),
+        Stream::signed(&p_lambda, k2, WNAF_WIDTH),
+    ])
 }
 
 /// `Σ kᵢ·Pᵢ` by the Pippenger bucket method with `c`-bit windows.
@@ -258,20 +448,12 @@ pub fn msm(pairs: &[(Affine, U256)]) -> Jacobian {
     }
 }
 
-/// `k·P` for a variable base point — the single-point special case of
-/// [`straus`]: 256 doublings and ~43 mixed additions against the generic
-/// ladder's ~128 general ones. Used for the `e·P` half of every
-/// per-signature Schnorr verification.
-pub fn mul_window(point: &Affine, k: &U256) -> Jacobian {
-    straus(&[(*point, *k)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ec::tests::ladder_scalars;
-    use crate::ec::{mul_generator, GENERATOR};
-    use crate::field::N;
+    use crate::ec::{mul_generator, DEGENERATE_ADDS};
+    use crate::field::{add_mod, mul_mod, neg_mod, reduce, LAMBDA, N};
 
     /// Deterministic pseudo-random scalar stream for tests.
     fn scalars(count: usize, seed: u64) -> Vec<U256> {
@@ -371,20 +553,144 @@ mod tests {
         assert_eq!(pippenger(&ps, 7).to_affine(), naive(&ps));
     }
 
+    /// `magnitude` or `n − magnitude`: a split half as a scalar modulo n.
+    fn half_mod_n((magnitude, negative): (U256, bool)) -> U256 {
+        if negative {
+            neg_mod(&magnitude, &N)
+        } else {
+            magnitude
+        }
+    }
+
     #[test]
-    fn mul_window_matches_ladder() {
-        let p = mul_generator(&U256::from_u64(42));
-        for k in ladder_scalars().into_iter().chain(scalars(6, 0x9)) {
-            assert_eq!(
-                mul_window(&p, &k).to_affine(),
-                Jacobian::from_affine(&p).mul_scalar(&k).to_affine(),
+    fn glv_split_recombines_with_short_halves() {
+        let two128 = U256::ONE.shl(128);
+        let mut ks = ladder_scalars();
+        ks.extend([
+            LAMBDA,
+            N.wrapping_sub(&LAMBDA),
+            two128.wrapping_sub(&U256::ONE),
+            two128.wrapping_add(&U256::ONE),
+        ]);
+        ks.extend(scalars(10_000, 0x61c));
+        for k in ks {
+            let [k1, k2] = glv_split(&k);
+            let sum = add_mod(&half_mod_n(k1), &mul_mod(&half_mod_n(k2), &LAMBDA, &N), &N);
+            assert_eq!(sum, reduce(&k, &N), "k={}", k.to_hex());
+            // Below n the halves fit 128 bits; the few values a U256 holds
+            // above n overshoot by less than a bit.
+            let limit = if k < N { 128 } else { 129 };
+            assert!(
+                k1.0.bits() <= limit && k2.0.bits() <= limit,
                 "k={}",
                 k.to_hex()
             );
         }
-        for k in [U256::ZERO, U256::from_u64(9), U256::MAX] {
-            assert!(mul_window(&Affine::Infinity, &k).is_infinity());
+        assert_eq!(glv_split(&U256::ZERO), [(U256::ZERO, false); 2]);
+        assert_eq!(
+            glv_split(&LAMBDA),
+            [(U256::ZERO, false), (U256::ONE, false)]
+        );
+        let minus_one = N.wrapping_sub(&U256::ONE);
+        assert_eq!(
+            glv_split(&minus_one),
+            [(U256::ONE, true), (U256::ZERO, false)]
+        );
+    }
+
+    /// `s·G + k·P` by two plain ladders.
+    fn double_mul_ladder(s: &U256, p: &Affine, k: &U256) -> Affine {
+        naive(&[(GENERATOR, *s), (*p, *k)])
+    }
+
+    #[test]
+    fn double_mul_glv_matches_ladder() {
+        let p = mul_generator(&U256::from_u64(42));
+        let edge = ladder_scalars();
+        for (i, s) in edge.iter().enumerate() {
+            // Every edge scalar on both sides, against a rotating partner.
+            let k = edge[(i * 7 + 3) % edge.len()];
+            for (s, k) in [(*s, k), (k, *s)] {
+                assert_eq!(
+                    double_mul_glv(&s, &p, &k).to_affine(),
+                    double_mul_ladder(&s, &p, &k),
+                    "s={} k={}",
+                    s.to_hex(),
+                    k.to_hex()
+                );
+            }
         }
+        let random = scalars(24, 0x9);
+        for pair in random.chunks_exact(2) {
+            let q = mul_generator(&pair[0]);
+            assert_eq!(
+                double_mul_glv(&pair[0], &q, &pair[1]).to_affine(),
+                double_mul_ladder(&pair[0], &q, &pair[1])
+            );
+        }
+        // No point: the generator's half alone.
+        for s in [U256::ZERO, U256::from_u64(9), U256::MAX] {
+            assert_eq!(
+                double_mul_glv(&s, &Affine::Infinity, &U256::MAX).to_affine(),
+                mul_generator(&s)
+            );
+        }
+    }
+
+    #[test]
+    fn table_collisions_reach_the_degenerate_additions() {
+        // Public keys that are themselves entries of the static tables (or
+        // their negations): with the scalars below the accumulator holds
+        // exactly the entry the next digit adds, or its inverse, so the
+        // generic addition formula would divide by zero. Each case must
+        // take the equal/opposite branch of the addition and still agree
+        // with the ladder.
+        let lambda_sq = mul_mod(&LAMBDA, &LAMBDA, &N);
+        let one = U256::ONE;
+        let cases = [
+            (one, one, one),                  // G + 1·G
+            (N.wrapping_sub(&one), one, one), // G + 1·(−G) = ∞
+            (LAMBDA, LAMBDA, one),            // λG + 1·(λG)
+            (lambda_sq, lambda_sq, one),      // λ²G = −G − λG
+            (U256::from_u64(2), U256::from_u64(2), one),
+            (U256::from_u64(15), U256::from_u64(15), one),
+        ];
+        for (d, s, k) in cases {
+            let p = mul_generator(&d);
+            let before = DEGENERATE_ADDS.with(|count| count.get());
+            let got = double_mul_glv(&s, &p, &k);
+            let hits = DEGENERATE_ADDS.with(|count| count.get()) - before;
+            assert!(hits > 0, "d={} never met a table entry", d.to_hex());
+            assert_eq!(
+                got.to_affine(),
+                double_mul_ladder(&s, &p, &k),
+                "d={}",
+                d.to_hex()
+            );
+        }
+    }
+
+    #[test]
+    fn odd_multiples_are_the_odd_multiples() {
+        let p = mul_generator(&U256::from_u64(77));
+        for count in [1usize, ODD_MULTIPLES, GEN_ODD_MULTIPLES] {
+            let table = odd_multiples(&p, count);
+            assert_eq!(table.len(), count);
+            for (i, entry) in table.iter().enumerate() {
+                let k = U256::from_u64(2 * i as u64 + 1);
+                assert_eq!(*entry, Jacobian::from_affine(&p).mul_scalar(&k).to_affine());
+            }
+        }
+        assert!(odd_multiples(&Affine::Infinity, 8)
+            .iter()
+            .all(|e| *e == Affine::Infinity));
+        let [g, g_lambda] = generator_odd_multiples();
+        assert_eq!(g[..], odd_multiples(&GENERATOR, GEN_ODD_MULTIPLES)[..]);
+        let lambda_g = mul_generator(&LAMBDA);
+        assert_eq!(
+            g_lambda[..],
+            odd_multiples(&lambda_g, GEN_ODD_MULTIPLES)[..]
+        );
     }
 
     #[test]
@@ -417,28 +723,32 @@ mod tests {
 
     #[test]
     fn wnaf_digits_are_sparse_odd_and_sum_to_the_scalar() {
-        for k in ladder_scalars().into_iter().chain(scalars(8, 0x31)) {
-            let (digits, used) = wnaf(&k);
-            assert!(digits[used..].iter().all(|&d| d == 0));
-            assert!(used == 0 || digits[used - 1] != 0);
-            // Horner from the top, modulo 2^256 (a digit at position 256
-            // contributes 2^256 ≡ 0 and is checked by the ladder tests).
-            let mut sum = U256::ZERO;
-            for (i, &d) in digits.iter().enumerate().take(256).rev() {
-                sum = sum.shl(1);
-                let magnitude = U256::from_u64(d.unsigned_abs() as u64);
-                sum = if d >= 0 {
-                    sum.wrapping_add(&magnitude)
-                } else {
-                    sum.wrapping_sub(&magnitude)
-                };
-                if d != 0 {
-                    assert!(d % 2 != 0 && d.unsigned_abs() <= 15, "digit {d}");
-                    let next = (i + 1)..(i + WNAF_WIDTH as usize).min(WNAF_DIGITS);
-                    assert!(digits[next].iter().all(|&z| z == 0), "k={}", k.to_hex());
+        for width in [2, WNAF_WIDTH, GEN_WNAF_WIDTH] {
+            let limit = (1u8 << (width - 1)) - 1;
+            for k in ladder_scalars().into_iter().chain(scalars(8, 0x31)) {
+                let (digits, used) = wnaf(&k, width);
+                assert!(digits[used..].iter().all(|&d| d == 0));
+                assert!(used == 0 || digits[used - 1] != 0);
+                // Horner from the top, modulo 2^256 (a digit at position
+                // 256 contributes 2^256 ≡ 0 and is checked by the ladder
+                // tests).
+                let mut sum = U256::ZERO;
+                for (i, &d) in digits.iter().enumerate().take(256).rev() {
+                    sum = sum.shl(1);
+                    let magnitude = U256::from_u64(d.unsigned_abs() as u64);
+                    sum = if d >= 0 {
+                        sum.wrapping_add(&magnitude)
+                    } else {
+                        sum.wrapping_sub(&magnitude)
+                    };
+                    if d != 0 {
+                        assert!(d % 2 != 0 && d.unsigned_abs() <= limit, "digit {d}");
+                        let next = (i + 1)..(i + width as usize).min(WNAF_DIGITS);
+                        assert!(digits[next].iter().all(|&z| z == 0), "k={}", k.to_hex());
+                    }
                 }
+                assert_eq!(sum, k, "width={width} k={}", k.to_hex());
             }
-            assert_eq!(sum, k, "k={}", k.to_hex());
         }
     }
 

@@ -12,12 +12,12 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ec::{mul_generator, mul_generator_jacobian, Affine, GENERATOR};
+use crate::ec::{mul_generator, Affine, GENERATOR};
 use crate::field::{add_mod, mul_mod, neg_mod, reduce, N};
 use crate::hash::Hash256;
 use crate::keys::PublicKey;
-use crate::msm::{msm, mul_window};
-use crate::sha256::tagged_hash;
+use crate::msm::{double_mul_glv, msm};
+use crate::sha256::{tagged_hash, tagged_hasher};
 use crate::u256::U256;
 
 /// A Schnorr signature: the nonce commitment (x coordinate + y parity) and
@@ -60,14 +60,16 @@ impl Signature {
     }
 }
 
-fn challenge(r: &Affine, pubkey: &Affine, msg: &Hash256) -> U256 {
-    let mut data = Vec::with_capacity(32 + 1 + 33 + 32);
-    data.extend_from_slice(&r.x().expect("R is finite").to_be_bytes());
-    data.push(!r.y_is_even() as u8);
-    data.extend_from_slice(&pubkey.to_compressed());
-    data.extend_from_slice(msg.as_bytes());
-    let h = tagged_hash("TN/challenge", &data);
-    reduce(&U256::from_be_bytes(h.as_bytes()), &N)
+/// The challenge scalar for the nonce point encoded as `r_x` and
+/// `r_parity_odd` — the signature's own bytes, which the caller has
+/// checked do name a curve point.
+fn challenge(r_x: &[u8; 32], r_parity_odd: bool, pubkey: &Affine, msg: &Hash256) -> U256 {
+    let mut h = tagged_hasher("TN/challenge");
+    h.update(r_x);
+    h.update(&[r_parity_odd as u8]);
+    h.update(&pubkey.to_compressed());
+    h.update(msg.as_bytes());
+    reduce(&U256::from_be_bytes(h.finalize().as_bytes()), &N)
 }
 
 /// Signs a 32-byte message digest with secret scalar `d`.
@@ -96,10 +98,11 @@ pub(crate) fn sign_digest(d: &U256, pubkey: &Affine, msg: &Hash256) -> Signature
             Affine::Infinity => continue,
             Affine::Point { x, y } => (x, y.is_odd()),
         };
-        let e = challenge(&r, pubkey, msg);
+        let r_x = r_x.to_be_bytes();
+        let e = challenge(&r_x, parity_odd, pubkey, msg);
         let s = add_mod(&k, &mul_mod(&e, d, &N), &N);
         return Signature {
-            r_x: r_x.to_be_bytes(),
+            r_x,
             r_parity_odd: parity_odd,
             s: s.to_be_bytes(),
         };
@@ -123,24 +126,22 @@ fn prepare(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> Option<Prepared> 
         return None;
     }
     let r = Affine::lift_x(&U256::from_be_bytes(&sig.r_x), sig.r_parity_odd)?;
-    let e = challenge(&r, pubkey, msg);
+    // The lift accepts canonical x only, so `sig`'s bytes are R's encoding.
+    let e = challenge(&sig.r_x, sig.r_parity_odd, pubkey, msg);
     Some(Prepared { r, e, s })
 }
 
 /// Verifies `sig` over `msg` against `pubkey`.
 ///
 /// The group equation `s·G == R + e·P` is checked as
-/// `s·G + (−e)·P + (−R) == ∞`: `s·G` comes from the fixed-base window
-/// table, `(−e)·P` from the variable-base signed window
-/// ([`crate::msm::mul_window`]), and the identity test is free in
-/// Jacobian coordinates.
+/// `s·G + (−e)·P + (−R) == ∞`: the two products come out of one shared
+/// doubling chain ([`crate::msm::double_mul_glv`]), and the identity test
+/// is free in Jacobian coordinates.
 pub(crate) fn verify_digest(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> bool {
     let Some(Prepared { r, e, s }) = prepare(pubkey, msg, sig) else {
         return false;
     };
-    let neg_e = neg_mod(&e, &N);
-    mul_generator_jacobian(&s)
-        .add(&mul_window(pubkey, &neg_e))
+    double_mul_glv(&s, pubkey, &neg_mod(&e, &N))
         .add_affine(&r.negate())
         .is_infinity()
 }

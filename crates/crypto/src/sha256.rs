@@ -4,6 +4,9 @@
 //! [`Sha256`] hasher. Verified against the NIST short-message test vectors
 //! in the unit tests below.
 
+use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
+
 use crate::hash::Hash256;
 
 /// First 32 bits of the fractional parts of the square roots of the first
@@ -201,15 +204,46 @@ pub fn sha256d(data: &[u8]) -> Hash256 {
     sha256(sha256(data).as_bytes())
 }
 
+/// Tags whose midstate [`tagged_hasher`] keeps. The platform's tags are a
+/// few dozen string literals; the bound only stops a caller that derives
+/// tags from data from growing the cache without limit (it still gets the
+/// right hash, uncached).
+const MAX_CACHED_TAGS: usize = 256;
+
+/// A hasher that has absorbed the 64-byte prefix
+/// `sha256(tag) || sha256(tag)` of a [`tagged_hash`] and nothing else.
+///
+/// The prefix is exactly one block, so its effect is a chaining value
+/// that depends on the tag alone; it is computed on a tag's first use
+/// and copied from a process-wide table afterwards — two compressions
+/// saved per hash.
+pub fn tagged_hasher(tag: &str) -> Sha256 {
+    static MIDSTATES: RwLock<BTreeMap<Box<str>, Sha256>> = RwLock::new(BTreeMap::new());
+    // A poisoned lock still guards a valid map: entries are inserted whole.
+    if let Some(h) = MIDSTATES
+        .read()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(tag)
+    {
+        return h.clone();
+    }
+    let t = sha256(tag.as_bytes());
+    let mut h = Sha256::new();
+    h.update(t.as_bytes());
+    h.update(t.as_bytes());
+    let mut midstates = MIDSTATES.write().unwrap_or_else(PoisonError::into_inner);
+    if midstates.len() < MAX_CACHED_TAGS {
+        midstates.insert(tag.into(), h.clone());
+    }
+    h
+}
+
 /// Tagged hash in the BIP340 style: `sha256(sha256(tag) || sha256(tag) || data)`.
 ///
 /// Domain-separates the different hash uses in the platform (signature
 /// challenges, transaction ids, address derivation, ...).
 pub fn tagged_hash(tag: &str, data: &[u8]) -> Hash256 {
-    let t = sha256(tag.as_bytes());
-    let mut h = Sha256::new();
-    h.update(t.as_bytes());
-    h.update(t.as_bytes());
+    let mut h = tagged_hasher(tag);
     h.update(data);
     h.finalize()
 }
@@ -276,6 +310,25 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn tagged_hash_is_the_prefixed_hash_cached_or_not() {
+        let mut tags: Vec<String> = ["", "a", "TN/challenge", "TN/txid"]
+            .map(String::from)
+            .to_vec();
+        // More distinct tags than the midstate table keeps.
+        tags.extend((0..MAX_CACHED_TAGS + 8).map(|i| format!("test/overflow/{i}")));
+        for data in [&b""[..], b"msg", &[0x5a; 200]] {
+            // Twice: the first pass fills the table, the second reads it.
+            for tag in tags.iter().chain(tags.iter()) {
+                let t = sha256(tag.as_bytes());
+                let mut prefixed = Vec::from(t.as_bytes().as_slice());
+                prefixed.extend_from_slice(t.as_bytes());
+                prefixed.extend_from_slice(data);
+                assert_eq!(tagged_hash(tag, data), sha256(&prefixed), "tag {tag:?}");
+            }
         }
     }
 

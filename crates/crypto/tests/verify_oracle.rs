@@ -1,0 +1,307 @@
+//! Verdict-for-verdict oracle for single-signature verification.
+//!
+//! [`PublicKey::verify`] runs the group equation through the GLV-split
+//! interleaved kernel ([`tn_crypto::msm::double_mul_glv`]). The reference
+//! here is the definition and nothing else: range-check `s`, recompute the
+//! challenge from the signature's bytes, compute `R' = s·G − e·P` with two
+//! plain double-and-add ladders and one affine conversion, and accept
+//! exactly when `R'` is finite and encodes to the signature's `r_x` and
+//! parity. It shares no window, table, recoding or endomorphism with the
+//! kernel, and it never lifts `r_x` to a point.
+
+use proptest::prelude::*;
+use tn_crypto::ec::{mul_generator, Affine, Jacobian, GENERATOR};
+use tn_crypto::field::{add_mod, mul_mod, neg_mod, reduce, LAMBDA, N, P};
+use tn_crypto::msm::double_mul_glv;
+use tn_crypto::sha256::{sha256, tagged_hash};
+use tn_crypto::u256::U256;
+use tn_crypto::{Hash256, Keypair, PublicKey, Signature};
+
+/// `a·G + b·Q` by two ladders.
+fn ladder_sum(a: &U256, q: &Affine, b: &U256) -> Affine {
+    Jacobian::from_affine(&GENERATOR)
+        .mul_scalar(a)
+        .add(&Jacobian::from_affine(q).mul_scalar(b))
+        .to_affine()
+}
+
+fn challenge(r_x: &[u8; 32], r_parity_odd: bool, key: &PublicKey, msg: &Hash256) -> U256 {
+    let mut data = Vec::with_capacity(98);
+    data.extend_from_slice(r_x);
+    data.push(r_parity_odd as u8);
+    data.extend_from_slice(&key.to_compressed());
+    data.extend_from_slice(msg.as_bytes());
+    reduce(
+        &U256::from_be_bytes(tagged_hash("TN/challenge", &data).as_bytes()),
+        &N,
+    )
+}
+
+/// The scheme's definition of a valid signature.
+fn reference_verify(key: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
+    let s = U256::from_be_bytes(&sig.s);
+    if s >= N {
+        return false;
+    }
+    let point = Affine::from_compressed(&key.to_compressed()).expect("a public key decodes");
+    let e = challenge(&sig.r_x, sig.r_parity_odd, key, msg);
+    match ladder_sum(&s, &point, &neg_mod(&e, &N)) {
+        Affine::Infinity => false,
+        Affine::Point { x, y } => x.to_be_bytes() == sig.r_x && y.is_odd() == sig.r_parity_odd,
+    }
+}
+
+/// Asserts the kernel and the reference agree on `(key, msg, sig)` and
+/// returns the verdict.
+fn agreed_verdict(key: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
+    let expect = reference_verify(key, msg, sig);
+    assert_eq!(
+        key.verify(msg, sig),
+        expect,
+        "key={:02x?} msg={msg:?} sig={sig:?}",
+        key.to_compressed()
+    );
+    expect
+}
+
+/// A signature by the secret scalar `d` with the nonce `k` chosen by the
+/// caller (the crate's own signer derives both from hashes, which cannot
+/// be steered onto the table-collision cases).
+fn sign_with(d: &U256, k: &U256, msg: &Hash256) -> (PublicKey, Signature) {
+    let key = PublicKey::from_compressed(&mul_generator(d).to_compressed()).expect("d in 1..n");
+    let Affine::Point { x, y } = mul_generator(k) else {
+        panic!("nonce must be in 1..n");
+    };
+    let (r_x, r_parity_odd) = (x.to_be_bytes(), y.is_odd());
+    let e = challenge(&r_x, r_parity_odd, &key, msg);
+    let s = add_mod(k, &mul_mod(&e, d, &N), &N);
+    let sig = Signature {
+        r_x,
+        r_parity_odd,
+        s: s.to_be_bytes(),
+    };
+    (key, sig)
+}
+
+fn flip(bytes: &mut [u8], bit: usize) {
+    bytes[bit / 8] ^= 1 << (bit % 8);
+}
+
+/// Every one-bit corruption of `(key, msg, sig)`; a key that no longer
+/// decodes is no key, so those flips are skipped.
+fn single_bit_flips(
+    key: &PublicKey,
+    msg: &Hash256,
+    sig: &Signature,
+) -> Vec<(PublicKey, Hash256, Signature)> {
+    let mut out = Vec::new();
+    for bit in 0..256 {
+        let (mut r, mut s, mut m) = (*sig, *sig, msg.into_bytes());
+        flip(&mut r.r_x, bit);
+        flip(&mut s.s, bit);
+        flip(&mut m, bit);
+        out.push((*key, *msg, r));
+        out.push((*key, *msg, s));
+        out.push((*key, Hash256::from_bytes(m), *sig));
+    }
+    let mut parity = *sig;
+    parity.r_parity_odd = !parity.r_parity_odd;
+    out.push((*key, *msg, parity));
+    for bit in 0..33 * 8 {
+        let mut k = key.to_compressed();
+        flip(&mut k, bit);
+        if let Some(other) = PublicKey::from_compressed(&k) {
+            out.push((other, *msg, *sig));
+        }
+    }
+    out
+}
+
+#[test]
+fn valid_signatures_and_every_single_bit_flip() {
+    let kp = Keypair::from_seed(b"oracle signer");
+    let msg = sha256(b"oracle message");
+    let sig = kp.sign(&msg);
+    assert!(agreed_verdict(kp.public(), &msg, &sig));
+    let flips = single_bit_flips(kp.public(), &msg, &sig);
+    assert!(
+        flips.len() > 3 * 256 + 1 + 100,
+        "about half the key flips decode"
+    );
+    for (key, msg, sig) in flips {
+        assert!(!agreed_verdict(&key, &msg, &sig), "a flipped bit verified");
+    }
+}
+
+#[test]
+fn response_scalar_at_and_beyond_the_group_order() {
+    let kp = Keypair::from_seed(b"oracle signer");
+    let msg = sha256(b"range");
+    let good = kp.sign(&msg);
+    for s in [
+        U256::ZERO,
+        U256::ONE,
+        N.wrapping_sub(&U256::ONE),
+        N,
+        N.wrapping_add(&U256::ONE),
+        U256::MAX,
+    ] {
+        let mut sig = good;
+        sig.s = s.to_be_bytes();
+        assert!(!agreed_verdict(kp.public(), &msg, &sig), "s={}", s.to_hex());
+    }
+    // No signature can be *made* valid with a chosen s (s = k + e·d, and
+    // e hashes the nonce point), so s = 0 and s = n − 1 holding is checked
+    // on the equation itself: R = s·G − e·P for the forced s.
+    let p = mul_generator(&U256::from_u64(0x5eed));
+    let e = U256::from_u64(0xe);
+    for s in [U256::ZERO, N.wrapping_sub(&U256::ONE)] {
+        assert_equation_agrees(&s, &p, &e);
+    }
+}
+
+#[test]
+fn nonce_encodings_that_name_no_point() {
+    let kp = Keypair::from_seed(b"oracle signer");
+    let msg = sha256(b"nonce");
+    let good = kp.sign(&msg);
+    // x ≥ p is not canonical; x = 5 is on no point (5³ + 7 is a
+    // non-residue).
+    for x in [P, P.wrapping_add(&U256::ONE), U256::MAX, U256::from_u64(5)] {
+        for parity in [false, true] {
+            let sig = Signature {
+                r_x: x.to_be_bytes(),
+                r_parity_odd: parity,
+                s: good.s,
+            };
+            assert!(!agreed_verdict(kp.public(), &msg, &sig), "x={}", x.to_hex());
+        }
+    }
+}
+
+/// The group equation with every input forced: the kernel's
+/// `s·G + (−e)·P − R == ∞` against the ladders' `s·G − e·P == R`, on the
+/// `R` that makes it hold and on a wrong one.
+fn assert_equation_agrees(s: &U256, p: &Affine, e: &U256) {
+    let neg_e = neg_mod(e, &N);
+    let r = ladder_sum(s, p, &neg_e);
+    let lhs = double_mul_glv(s, p, &neg_e);
+    assert_eq!(lhs.to_affine(), r, "s={} e={}", s.to_hex(), e.to_hex());
+    assert!(lhs.add_affine(&r.negate()).is_infinity());
+    let wrong = ladder_sum(&add_mod(s, &U256::ONE, &N), p, &neg_e);
+    assert!(!lhs.add_affine(&wrong.negate()).is_infinity());
+}
+
+/// Secret scalars whose public keys sit in the kernel's static tables
+/// (or are their negations): `G`, `−G`, `λG`, `λ²G`, `2G`, `15G`.
+fn table_collision_secrets() -> [U256; 6] {
+    [
+        U256::ONE,
+        N.wrapping_sub(&U256::ONE),
+        LAMBDA,
+        mul_mod(&LAMBDA, &LAMBDA, &N),
+        U256::from_u64(2),
+        U256::from_u64(15),
+    ]
+}
+
+#[test]
+fn challenge_forced_to_zero_and_other_edge_equations() {
+    let mut points: Vec<Affine> = table_collision_secrets()
+        .iter()
+        .map(mul_generator)
+        .collect();
+    points.push(mul_generator(&U256::from_u64(0xfeed_f00d)));
+    let edge = [
+        U256::ZERO,
+        U256::ONE,
+        U256::from_u64(2),
+        U256::from_u64(15),
+        LAMBDA,
+        N.wrapping_sub(&LAMBDA),
+        N.wrapping_sub(&U256::ONE),
+        U256::from_be_bytes(sha256(b"a full-width scalar").as_bytes()),
+    ];
+    for p in &points {
+        for s in &edge {
+            for e in &edge {
+                assert_equation_agrees(s, p, &reduce(e, &N));
+            }
+        }
+    }
+}
+
+#[test]
+fn keys_that_collide_with_the_static_tables() {
+    let msg = sha256(b"collision");
+    for d in table_collision_secrets() {
+        // Nonces that put R on a table entry too, and an ordinary one.
+        for k in [U256::ONE, d, U256::from_u64(3), U256::from_u64(0xabcdef)] {
+            let (key, sig) = sign_with(&d, &k, &msg);
+            assert!(agreed_verdict(&key, &msg, &sig), "d={}", d.to_hex());
+            for bit in [0usize, 7, 128, 255] {
+                let mut bad = sig;
+                flip(&mut bad.s, bit);
+                assert!(!agreed_verdict(&key, &msg, &bad));
+                let mut bad = sig;
+                flip(&mut bad.r_x, bit);
+                assert!(!agreed_verdict(&key, &msg, &bad));
+            }
+            let other = sha256(b"another message");
+            assert!(!agreed_verdict(&key, &other, &sig));
+        }
+    }
+}
+
+fn arb_scalar() -> impl Strategy<Value = U256> {
+    any::<[u64; 4]>().prop_map(|l| reduce(&U256::from_limbs(l), &N))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_verdicts_match_the_reference(
+        seed in any::<[u8; 16]>(),
+        body in any::<[u8; 24]>(),
+        target in 0usize..4,
+        bit in 0usize..256,
+    ) {
+        let kp = Keypair::from_seed(&seed);
+        let msg = sha256(&body);
+        let sig = kp.sign(&msg);
+        prop_assert!(agreed_verdict(kp.public(), &msg, &sig));
+        let (mut bad_sig, mut bad_msg) = (sig, msg.into_bytes());
+        match target {
+            0 => flip(&mut bad_sig.r_x, bit),
+            1 => flip(&mut bad_sig.s, bit),
+            2 => flip(&mut bad_msg, bit),
+            _ => bad_sig.r_parity_odd = !bad_sig.r_parity_odd,
+        }
+        prop_assert!(!agreed_verdict(kp.public(), &Hash256::from_bytes(bad_msg), &bad_sig));
+        // Someone else's key.
+        let other = Keypair::from_seed(&body);
+        prop_assert!(!agreed_verdict(other.public(), &msg, &sig));
+    }
+
+    #[test]
+    fn prop_chosen_secrets_and_nonces_verify(
+        d in arb_scalar(),
+        k in arb_scalar(),
+        body in any::<[u8; 24]>(),
+    ) {
+        prop_assume!(!d.is_zero() && !k.is_zero());
+        let msg = sha256(&body);
+        let (key, sig) = sign_with(&d, &k, &msg);
+        prop_assert!(agreed_verdict(&key, &msg, &sig));
+    }
+
+    #[test]
+    fn prop_equation_matches_the_ladders(
+        s in arb_scalar(),
+        e in arb_scalar(),
+        d in arb_scalar(),
+    ) {
+        assert_equation_agrees(&s, &mul_generator(&d), &e);
+    }
+}

@@ -18,7 +18,9 @@ cargo test --workspace --offline -q
 echo "== cargo test --release -p tn-crypto (limb arithmetic as the benchmark builds it)"
 # The workspace run above is a debug build: overflow checks and
 # debug_assert!s on. The field and curve kernels are wrapping limb
-# arithmetic, so they are also run the way every binary ships them.
+# arithmetic, so they are also run the way every binary ships them —
+# unit tests and tests/verify_oracle.rs, which holds PublicKey::verify
+# to the definition-level ladder reference verdict for verdict.
 cargo test --release --offline -p tn-crypto -q
 
 echo "== cargo test --release -p tn-chain (state trie without debug assertions)"
