@@ -1,6 +1,7 @@
 //! Chain-layer benchmarks: transaction verification, block building and
-//! block import (full validation + state transition), and what the state
-//! costs a block as the account table grows.
+//! block import (full validation + state transition), a cold chain
+//! imported block by block and as one run, and what the state costs a
+//! block as the account table grows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tn_bench::scenarios::{StateScale, STATE_SCALE_SIZES};
@@ -57,6 +58,57 @@ fn bench_block_import(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cold replica taking in a whole chain — the shapes catch-up and
+/// restart see: 256 one-transaction blocks (what consensus produces) and
+/// 13 full ones. The `each/` rows are [`ChainStore::import`] in a loop, two
+/// or 129 signatures settled per block; the others settle all of them
+/// before the first block executes ([`ChainStore::import_run`]).
+fn bench_import_run(c: &mut Criterion) {
+    let mut group = c.benchmark_group("import_run");
+    group.sample_size(10);
+    let alice = Keypair::from_seed(b"bench alice");
+    let validator = Keypair::from_seed(b"bench validator");
+    let cold = || ChainStore::new(State::genesis([(alice.address(), 1_000_000)]), &validator);
+    for (per_block, blocks) in [(1usize, 256usize), (128, 13)] {
+        let mut source = cold();
+        let chain: Vec<Block> = make_txs(per_block * blocks)
+            .chunks(per_block)
+            .zip(1..)
+            .map(|(txs, t)| {
+                let (block, _) = source
+                    .commit(&validator, t, txs.to_vec(), &mut NoExecutor)
+                    .expect("commits");
+                block
+            })
+            .collect();
+        let shape = format!("{per_block}tx_x{blocks}");
+        group.bench_function(&format!("each/{shape}"), |b| {
+            b.iter_batched(
+                cold,
+                |mut store| {
+                    for block in &chain {
+                        store.import(block, &mut NoExecutor).expect("imports");
+                    }
+                    store.height()
+                },
+                criterion::BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(&shape, |b| {
+            b.iter_batched(
+                cold,
+                |mut store| {
+                    let (_, verdict) = store.import_run(black_box(&chain), &mut NoExecutor);
+                    verdict.expect("imports");
+                    store.height()
+                },
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// The state's share of a block at 10³–10⁶ accounts: taking a copy of the
 /// head state, applying a block of 128 transfers to fresh accounts and
 /// committing to the result, and serving a 16-balance page.
@@ -85,6 +137,6 @@ fn bench_state_scale(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_tx_verify, bench_block_import, bench_state_scale
+    targets = bench_tx_verify, bench_block_import, bench_import_run, bench_state_scale
 }
 criterion_main!(benches);

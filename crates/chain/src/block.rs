@@ -1,4 +1,52 @@
 //! Blocks and block headers.
+//!
+//! ## Signatures are settled by the run
+//!
+//! A block carries one proposer signature and one signature per
+//! transaction. The import path does not verify them one at a time, nor
+//! block by block: it takes a **run** of blocks about to be imported in
+//! order — a peer's catch-up answer, a stretch of a snapshot or of the WAL
+//! tail, or a single block, which is the run of one — and folds every
+//! signature of the run this process has not seen into batched Schnorr
+//! equations ([`tn_crypto::verify_batch`]) of at most
+//! [`BatchVerifyPolicy::chunk`] signatures: an equation takes as many
+//! consecutive whole blocks as fit, and only a block larger than that is
+//! cut into several. The rule:
+//!
+//! - **What is proved before what is executed.** Signatures depend on no
+//!   chain state, so a whole run's are settled before its first block is
+//!   executed. Parent, height, timestamp, execution and state root are
+//!   still checked block by block, in order, as each block is imported.
+//! - **An equation that holds** records its signatures in the sigcache —
+//!   a transaction under its id, a proposer signature under a
+//!   domain-separated hash of the exact (header digest, key, signature)
+//!   triple — and moves the counters (`chain.verify.batch.txs`,
+//!   `.headers`, `.chunks`, `chain.sigcache.miss`).
+//! - **An equation that fails** records nothing and decides nothing
+//!   ([`BATCH_FALLBACK_COUNTER`] counts it). Every block it touched is
+//!   checked again on its own — first as a run of one, then, if that
+//!   fails too, by the sequential-semantics check: proposer address,
+//!   proposer signature, transaction root, transactions in order. So the
+//!   first bad block of a run is refused with exactly the error
+//!   [`Block::verify_structure`] names, after every block before it was
+//!   imported. A block whose transaction root is off is never put into an
+//!   equation and goes the same way.
+//! - **A run cut short** — block *k* fails to execute, links to nothing,
+//!   or claims the wrong state root — leaves the signatures of the blocks
+//!   after *k* in the sigcache although those blocks were never imported.
+//!   That is harmless: an entry says only "these exact bytes carry a
+//!   valid signature", which is true whether or not the block is ever
+//!   accepted, and every other check runs again should the block return.
+//!
+//! Nothing is ever recorded as verified except by a lone verification
+//! that passed, an equation that held, or the store having produced the
+//! signature itself. Equation boundaries depend only on the policy and
+//! the run, and each equation's Fiat–Shamir seed binds the id of the
+//! first block in it and the chunk index (the coefficients bind every
+//! signature, key and message of the chunk), so replicas proving the same
+//! run compute bit-identical equations whatever their worker count. With tracing on,
+//! per-transaction spans need per-transaction verification and no
+//! equation is formed.
 
 use tn_crypto::merkle::{leaf_hash, merkle_root, merkle_root_of_leaves_par};
 use tn_crypto::sha256::tagged_hash;
@@ -17,30 +65,34 @@ pub const BATCH_CHUNKS_COUNTER: &str = "chain.verify.batch.chunks";
 /// Telemetry counter: transactions verified through the batch equation
 /// (cache hits are counted by `chain.sigcache.hit` instead).
 pub const BATCH_TXS_COUNTER: &str = "chain.verify.batch.txs";
+/// Telemetry counter: block-header (proposer) signatures verified through
+/// the batch equation, beside the transactions of their run.
+pub const BATCH_HEADERS_COUNTER: &str = "chain.verify.batch.headers";
 /// Telemetry counter: batched verifications that failed and fell back to
-/// the per-transaction scan (only invalid blocks take this path).
+/// the per-block, then per-transaction, check (only a run holding an
+/// invalid block takes this path).
 pub const BATCH_FALLBACK_COUNTER: &str = "chain.verify.batch.fallback";
 
 /// Policy for the batched-Schnorr fast path on block verification.
 ///
-/// `chunk` is the number of transactions folded into one batched
-/// signature equation. It is a **consensus-visible constant in spirit**:
+/// `chunk` is the number of signatures (a block's proposer signature and
+/// its transactions') folded into one batched signature equation. It is a **consensus-visible constant in spirit**:
 /// chunk boundaries (and hence the Fiat–Shamir transcripts) depend only on
 /// this value, never on the worker count, so replicas with different
 /// parallelism compute bit-identical batch equations. Accept/reject
 /// outcomes are identical for *any* chunk value — a failing batch falls
-/// back to the sequential-semantics per-transaction scan — so the knob
-/// only moves performance.
+/// back to the sequential-semantics per-block check — so the knob only
+/// moves performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchVerifyPolicy {
     /// Whether the batch fast path runs at all.
     pub enabled: bool,
-    /// Transactions per batched equation (clamped to ≥ 1 at use sites).
+    /// Signatures per batched equation (clamped to ≥ 1 at use sites).
     pub chunk: usize,
 }
 
 impl BatchVerifyPolicy {
-    /// Default transactions per batch equation. Large enough that the
+    /// Default signatures per batch equation. Large enough that the
     /// Pippenger bucket MSM amortises well, small enough that several
     /// chunks exist to spread over verify workers at realistic block
     /// sizes.
@@ -56,7 +108,7 @@ impl BatchVerifyPolicy {
 }
 
 impl Default for BatchVerifyPolicy {
-    /// Batching on with [`BatchVerifyPolicy::DEFAULT_CHUNK`] transactions
+    /// Batching on with [`BatchVerifyPolicy::DEFAULT_CHUNK`] signatures
     /// per equation.
     fn default() -> Self {
         BatchVerifyPolicy {
@@ -158,6 +210,18 @@ impl Block {
         (ids, merkle_root_of_leaves_par(leaves, pool))
     }
 
+    /// Everything the import path hashes of this block, computed once: the
+    /// checks, the signature equations, the receipts and the indexes all
+    /// read these.
+    pub(crate) fn hashes(&self, pool: &Pool) -> BlockHashes {
+        let (tx_ids, tx_root) = Block::ids_and_tx_root(&self.transactions, pool);
+        BlockHashes {
+            id: self.header.digest(),
+            tx_ids,
+            tx_root,
+        }
+    }
+
     /// Assembles and signs a block.
     pub fn build(
         proposer: &Keypair,
@@ -248,8 +312,8 @@ impl Block {
     ///
     /// This is the reference verifier: one plain loop, no worker pool, no
     /// signature cache, no batch equation. Tests and experiments compare
-    /// [`Block::verify_structure_policy`] against it; block import goes
-    /// through that configurable form.
+    /// [`Block::verify_structure_policy`] — the import path's check of a
+    /// run of one — against it.
     ///
     /// # Errors
     ///
@@ -271,10 +335,10 @@ impl Block {
         self.transactions.iter().try_for_each(Transaction::verify)
     }
 
-    /// [`Block::verify_structure`] as the import path runs it: the
-    /// per-transaction work fans out over `pool`, is short-circuited
-    /// through a verified-transaction `cache` when one is given (hits bump
-    /// `chain.sigcache.hit` on `telemetry`, misses bump
+    /// [`Block::verify_structure`] as the import path runs it on one
+    /// block: the per-transaction work fans out over `pool`, is
+    /// short-circuited through a verified-signature `cache` when one is
+    /// given (hits bump `chain.sigcache.hit` on `telemetry`, misses bump
     /// `chain.sigcache.miss` and pay the EC verification), and is batched
     /// according to `policy`. With `trace` enabled, one `tx.verify` span
     /// per transaction is recorded under `parent` (the importing replica's
@@ -285,32 +349,28 @@ impl Block {
     /// count, cache state and policy: header checks run in the same order,
     /// and when several transactions are invalid the error reported is
     /// always the one at the **lowest** transaction index (the pool's
-    /// `try_check` guarantees first-error semantics). The one header
-    /// check a `cache` can shorten is the proposer signature: a block the
-    /// owning store proposed itself is recorded there (see
-    /// `ChainStore::propose`) and is not verified a second time.
+    /// `try_check` guarantees first-error semantics).
     ///
-    /// With batching enabled (and tracing disabled — per-transaction
-    /// spans require per-transaction verification), transactions are split
-    /// into fixed-size chunks and each chunk's signatures are folded into
-    /// one random-linear-combination Schnorr equation seeded by the block
-    /// id and chunk index ([`tn_crypto::verify_batch`]). Chunks fan out
-    /// over `pool` via [`Pool::map_chunks`], so the equations themselves
-    /// are independent of the worker count. Per chunk, cached
-    /// transactions are skipped (bumping `chain.sigcache.hit`) and the
-    /// rest are batch-verified (bumping `chain.sigcache.miss` and
-    /// [`BATCH_TXS_COUNTER`], then populating the cache) — so across
-    /// admission → proposal → import each signature still pays at most
-    /// one EC verification, exactly like the per-transaction path.
+    /// With batching enabled (and tracing disabled), this is the run of
+    /// one of the [module-level run rule](self): the proposer's signature
+    /// and the transactions' are split into fixed-size chunks and each
+    /// chunk is folded into one random-linear-combination Schnorr equation
+    /// ([`tn_crypto::verify_batch`]). Per chunk, cached signatures are
+    /// skipped (a transaction's bumps `chain.sigcache.hit`) and the rest
+    /// are batch-verified (bumping `chain.sigcache.miss` and
+    /// [`BATCH_TXS_COUNTER`] per transaction, [`BATCH_HEADERS_COUNTER`]
+    /// for the header, then populating the cache) — so across admission →
+    /// proposal → import each signature still pays at most one EC
+    /// verification, exactly like the per-transaction path.
     ///
     /// A valid block is **never** rejected by batching (each term of a
     /// batched equation is the identity precisely when that signature
-    /// verifies). When any chunk fails — which implies some transaction
-    /// is invalid, up to the 2⁻¹²⁸ soundness error — the whole
-    /// transaction list is rescanned with the pool's first-error
-    /// `try_check`, so the reported error is byte-identical to the
-    /// sequential scan's lowest-index failure for every pool × chunk
-    /// configuration ([`BATCH_FALLBACK_COUNTER`] records the rescan).
+    /// verifies). When any chunk fails — which implies some signature is
+    /// invalid, up to the 2⁻¹²⁸ soundness error — the block is checked
+    /// again from the top, one signature at a time, so the reported error
+    /// is byte-identical to the sequential scan's for every pool × chunk
+    /// configuration ([`BATCH_FALLBACK_COUNTER`] records the failed
+    /// equation).
     ///
     /// # Errors
     ///
@@ -324,42 +384,45 @@ impl Block {
         parent: u64,
         policy: BatchVerifyPolicy,
     ) -> Result<(), ChainError> {
-        self.verify_structure_ids(pool, cache, telemetry, trace, parent, policy)
-            .map(|_ids| ())
+        let hashes = self.hashes(pool);
+        if policy.enabled
+            && !trace.is_enabled()
+            && prove_run(&[(self, &hashes)], pool, cache, telemetry, policy.chunk)[0]
+        {
+            return Ok(());
+        }
+        self.verify_hashed(&hashes, pool, cache, telemetry, trace, parent)
     }
 
-    /// [`Block::verify_structure_policy`], handing back the transaction
-    /// ids it computed on the way: the transaction root, the sigcache keys
-    /// and the spans all read one hash per transaction, and so can the
-    /// caller's receipts and indexes.
-    pub(crate) fn verify_structure_ids(
+    /// The per-block check behind every import that no equation vouched
+    /// for: [`Block::verify_structure`]'s checks in its order — proposer
+    /// address, proposer signature, transaction root, then every
+    /// transaction at the pool's first-error `try_check` — reading
+    /// `hashes` (which must be `self.hashes(..)`) instead of hashing
+    /// again. A signature found in `cache` is not verified a second time:
+    /// a transaction's id is there once it verified anywhere in this
+    /// process, a header's [`Block::header_sig_memo`] once this store
+    /// signed it or an equation proved it.
+    pub(crate) fn verify_hashed(
         &self,
+        hashes: &BlockHashes,
         pool: &Pool,
         cache: Option<&SigCache>,
         telemetry: &TelemetrySink,
         trace: &TraceSink,
         parent: u64,
-        policy: BatchVerifyPolicy,
-    ) -> Result<Vec<Hash256>, ChainError> {
+    ) -> Result<(), ChainError> {
         if self.proposer_key.address() != self.header.proposer {
             return Err(ChainError::AddressMismatch);
         }
-        let digest = self.header.digest();
-        let signed_here = cache.is_some_and(|c| c.contains(&self.header_sig_memo(&digest)));
-        if !signed_here && !self.proposer_key.verify(&digest, &self.signature) {
+        let known = cache.is_some_and(|c| c.contains(&self.header_sig_memo(&hashes.id)));
+        if !known && !self.proposer_key.verify(&hashes.id, &self.signature) {
             return Err(ChainError::BadSignature);
         }
-        let (ids, tx_root) = Block::ids_and_tx_root(&self.transactions, pool);
-        if tx_root != self.header.tx_root {
+        if hashes.tx_root != self.header.tx_root {
             return Err(ChainError::BadTxRoot);
         }
-        if policy.enabled
-            && !trace.is_enabled()
-            && !self.transactions.is_empty()
-            && self.batch_verify_txs(&ids, pool, cache, telemetry, policy.chunk)
-        {
-            return Ok(ids);
-        }
+        let ids = &hashes.tx_ids;
         let bounds = if trace.is_enabled() {
             pool.chunk_bounds(self.transactions.len())
         } else {
@@ -387,19 +450,18 @@ impl Block {
             }
             result
         })
-        .map_err(|(_, err)| err)?;
-        Ok(ids)
+        .map_err(|(_, err)| err)
     }
 
-    /// The `cache` key under which [`crate::store::ChainStore::propose`]
-    /// records "this store signed exactly this header": a domain-separated
-    /// hash of the header `digest`, the proposer key and the signature, so
-    /// it can collide with no transaction id and a hit can only come from
-    /// the byte-identical triple the local proposer just produced. Import
-    /// of a self-proposed block takes the hit instead of re-verifying its
-    /// own signature; blocks from sync, recovery or restore are never
-    /// recorded and pay the EC check. The lookup is not a transaction
-    /// lookup and moves neither `chain.sigcache.hit` nor `.miss`.
+    /// The `cache` key that records "this exact header digest, proposer
+    /// key and signature verified in this process": a domain-separated
+    /// hash of the three, so it can collide with no transaction id and a
+    /// hit can only come from the byte-identical triple. Two things write
+    /// it — [`crate::store::ChainStore::propose`], for a header this store
+    /// just signed, and an equation of [`prove_run`] that held — and
+    /// nothing else: a failed equation records nothing. The lookup is not
+    /// a transaction lookup and moves neither `chain.sigcache.hit` nor
+    /// `.miss`.
     pub(crate) fn header_sig_memo(&self, digest: &Hash256) -> Hash256 {
         let mut data = [0u8; 32 + 33 + 65];
         data[..32].copy_from_slice(digest.as_bytes());
@@ -407,99 +469,157 @@ impl Block {
         data[65..].copy_from_slice(&self.signature.to_bytes());
         tagged_hash("TN/hdrsig", &data)
     }
-
-    /// Runs the batched signature check over all transactions in
-    /// fixed-size chunks fanned out over `pool`. Returns `true` when every
-    /// chunk's equation holds — in which case sigcache/batch counters are
-    /// bumped and `cache` is populated — and `false` otherwise, deciding
-    /// nothing (the caller rescans per-transaction for the exact error).
-    ///
-    /// Counters are only touched for *successful* chunks, so on the
-    /// all-valid path each transaction is counted exactly once (hit or
-    /// miss). A failing batch implies an invalid block, where per-import
-    /// counter totals are not part of the one-verify-per-tx contract.
-    fn batch_verify_txs(
-        &self,
-        ids: &[Hash256],
-        pool: &Pool,
-        cache: Option<&SigCache>,
-        telemetry: &TelemetrySink,
-        chunk: usize,
-    ) -> bool {
-        let block_id = self.id();
-        let chunk = chunk.max(1); // as `map_chunks` clamps it
-        let ok = pool
-            .map_chunks(&self.transactions, chunk, |ci, txs| {
-                // The Fiat–Shamir seed binds the block id and chunk index:
-                // replicas chunking the same block derive bit-identical
-                // batch coefficients regardless of worker count.
-                let mut seed = [0u8; 40];
-                seed[..32].copy_from_slice(block_id.as_bytes());
-                seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
-                let ids = ids[ci * chunk..].iter().copied();
-                batch_verify_chunk(txs.iter().zip(ids), &seed, cache, telemetry)
-            })
-            .into_iter()
-            .all(|chunk_ok| chunk_ok);
-        if !ok {
-            telemetry.incr(BATCH_FALLBACK_COUNTER);
-        }
-        ok
-    }
 }
 
-/// One batched signature equation over `txs` (each paired with its id):
-/// the kernel that block import ([`Block::verify_structure_policy`]) and
-/// mempool admission ([`crate::mempool::Mempool::insert_batch`]) share.
+/// What the import path hashes of a block ([`Block::hashes`]).
+#[derive(Debug, Clone)]
+pub(crate) struct BlockHashes {
+    /// The header digest: the block id, and what the proposer signed.
+    pub(crate) id: Hash256,
+    /// `transactions[i].id()`, in order.
+    pub(crate) tx_ids: Vec<Hash256>,
+    /// The Merkle root over `tx_ids` (what `header.tx_root` must equal).
+    pub(crate) tx_root: Hash256,
+}
+
+/// One signature put to [`batch_verify_chunk`], with the hash that names
+/// it in the sigcache.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Claim<'a> {
+    /// A transaction's signature; the hash is its id.
+    Tx(&'a Transaction, Hash256),
+    /// A block's proposer signature; the hash is the header digest.
+    Header(&'a Block, Hash256),
+}
+
+/// The signature pass of the [module-level run rule](self): proves every
+/// proposer and transaction signature of `run` that `cache` has not seen,
+/// in equations of at most `chunk` signatures, before any block of the run
+/// is executed. `run` pairs each block with its [`Block::hashes`]. Entry
+/// `i` of the result is true when block `i` needs no further signature or
+/// structure check: its transaction root matched, its signers matched
+/// their addresses, and every equation one of its signatures fell into
+/// held. A failed equation is counted ([`BATCH_FALLBACK_COUNTER`]) and
+/// leaves the blocks it touched unproved; what it leaves in `cache` is
+/// nothing.
+pub(crate) fn prove_run(
+    run: &[(&Block, &BlockHashes)],
+    pool: &Pool,
+    cache: Option<&SigCache>,
+    telemetry: &TelemetrySink,
+    chunk: usize,
+) -> Vec<bool> {
+    let Some((_, first)) = run.first() else {
+        return Vec::new();
+    };
+    let chunk = chunk.max(1); // as `map_chunks` clamps it
+    let mut claims = Vec::new();
+    let spans: Vec<_> = run
+        .iter()
+        .map(|(block, hashes)| {
+            let start = claims.len();
+            if hashes.tx_root == block.header.tx_root {
+                claims.push(Claim::Header(block, hashes.id));
+                let txs = block.transactions.iter().zip(&hashes.tx_ids);
+                claims.extend(txs.map(|(tx, id)| Claim::Tx(tx, *id)));
+            }
+            start..claims.len()
+        })
+        .collect();
+    let held = pool.map_chunks(&claims, chunk, |ci, share| {
+        let mut seed = [0u8; 40];
+        seed[..32].copy_from_slice(first.id.as_bytes());
+        seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
+        batch_verify_chunk(share.iter().copied(), &seed, cache, telemetry)
+    });
+    let failed = held.iter().filter(|held| !**held).count();
+    if failed > 0 {
+        telemetry.add(BATCH_FALLBACK_COUNTER, failed as u64);
+    }
+    spans
+        .into_iter()
+        .map(|span| {
+            !span.is_empty()
+                && held[span.start / chunk..=(span.end - 1) / chunk]
+                    .iter()
+                    .all(|held| *held)
+        })
+        .collect()
+}
+
+/// One batched signature equation over `claims`: the kernel that block
+/// import ([`prove_run`]) and mempool admission
+/// ([`crate::mempool::Mempool::insert_batch`]) share.
 ///
-/// Transactions already in `cache` are skipped; the signatures of the
-/// rest are folded into one [`verify_batch`] equation seeded by `seed`.
-/// Returns `true` when the equation holds, i.e. every transaction of the
-/// chunk is known valid — then, and only then, the counters move
-/// (`chain.sigcache.hit` per skipped transaction, `chain.sigcache.miss`
-/// and [`BATCH_TXS_COUNTER`] per batched one, [`BATCH_CHUNKS_COUNTER`]
-/// once) and the batched ids are written to `cache`. Returns `false` on
-/// a sender-address mismatch or a failing equation, deciding nothing: the
-/// caller rescans its share per transaction for the exact error.
+/// Signatures already in `cache` are skipped; the rest are folded into one
+/// [`verify_batch`] equation seeded by `seed`. Returns `true` when the
+/// equation holds, i.e. every signature of the chunk is known valid —
+/// then, and only then, the counters move (`chain.sigcache.hit` per
+/// skipped transaction, `chain.sigcache.miss` and [`BATCH_TXS_COUNTER`]
+/// per batched one, [`BATCH_HEADERS_COUNTER`] per batched header,
+/// [`BATCH_CHUNKS_COUNTER`] once) and the batched signatures are written
+/// to `cache`. Returns `false` on a signer-address mismatch or a failing
+/// equation, deciding nothing: the caller rescans its share for the exact
+/// error.
 pub(crate) fn batch_verify_chunk<'a>(
-    txs: impl Iterator<Item = (&'a Transaction, Hash256)>,
+    claims: impl Iterator<Item = Claim<'a>>,
     seed: &[u8],
     cache: Option<&SigCache>,
     telemetry: &TelemetrySink,
 ) -> bool {
-    let mut items: Vec<BatchItem> = Vec::with_capacity(txs.size_hint().0);
-    let mut ids = Vec::with_capacity(txs.size_hint().0);
-    let mut hits = 0u64;
-    for (tx, id) in txs {
-        if tx.pubkey.address() != tx.from {
-            return false;
-        }
-        if cache.is_some_and(|c| c.contains(&id)) {
-            hits += 1;
-            continue;
-        }
-        let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
-        items.push((tx.pubkey, digest, tx.signature));
-        ids.push(id);
+    let mut items: Vec<BatchItem> = Vec::with_capacity(claims.size_hint().0);
+    let mut keys = Vec::with_capacity(claims.size_hint().0);
+    let (mut hits, mut headers) = (0u64, 0u64);
+    for claim in claims {
+        let (key, item) = match claim {
+            Claim::Tx(tx, id) => {
+                if tx.pubkey.address() != tx.from {
+                    return false;
+                }
+                if cache.is_some_and(|c| c.contains(&id)) {
+                    hits += 1;
+                    continue;
+                }
+                let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
+                (id, (tx.pubkey, digest, tx.signature))
+            }
+            Claim::Header(block, digest) => {
+                if block.proposer_key.address() != block.header.proposer {
+                    return false;
+                }
+                let memo = block.header_sig_memo(&digest);
+                if cache.is_some_and(|c| c.contains(&memo)) {
+                    continue;
+                }
+                headers += 1;
+                (memo, (block.proposer_key, digest, block.signature))
+            }
+        };
+        items.push(item);
+        keys.push(key);
     }
     if !verify_batch(&items, seed) {
         return false;
     }
+    let txs = keys.len() as u64 - headers;
     if cache.is_some() {
         if hits > 0 {
             telemetry.add(crate::sigcache::HIT_COUNTER, hits);
         }
-        if !ids.is_empty() {
-            telemetry.add(crate::sigcache::MISS_COUNTER, ids.len() as u64);
+        if txs > 0 {
+            telemetry.add(crate::sigcache::MISS_COUNTER, txs);
         }
     }
-    if !ids.is_empty() {
-        telemetry.add(BATCH_TXS_COUNTER, ids.len() as u64);
+    if txs > 0 {
+        telemetry.add(BATCH_TXS_COUNTER, txs);
+    }
+    if headers > 0 {
+        telemetry.add(BATCH_HEADERS_COUNTER, headers);
     }
     telemetry.incr(BATCH_CHUNKS_COUNTER);
     if let Some(cache) = cache {
-        for id in ids {
-            cache.insert(id);
+        for key in keys {
+            cache.insert(key);
         }
     }
     true
@@ -593,22 +713,13 @@ mod tests {
     }
 
     #[test]
-    fn structure_check_hands_back_the_transaction_ids() {
+    fn hashes_are_the_digest_the_ids_and_the_root() {
         let (_, block) = sample_block();
-        let expect: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
-        for policy in [BatchVerifyPolicy::default(), BatchVerifyPolicy::disabled()] {
-            let ids = block
-                .verify_structure_ids(
-                    &Pool::new(2),
-                    Some(&SigCache::new(8)),
-                    &TelemetrySink::disabled(),
-                    &TraceSink::disabled(),
-                    0,
-                    policy,
-                )
-                .expect("valid");
-            assert_eq!(ids, expect);
-        }
+        let hashes = block.hashes(&Pool::new(2));
+        let ids: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
+        assert_eq!(hashes.id, block.id());
+        assert_eq!(hashes.tx_ids, ids);
+        assert_eq!(hashes.tx_root, block.header.tx_root);
     }
 
     #[test]
@@ -838,13 +949,15 @@ mod tests {
             .verify_structure_policy(&pool, Some(&cache), &sink, &trace, 0, policy)
             .expect("valid");
         let snap = registry.snapshot();
-        assert_eq!(cache.len(), 16, "every tx cached after batch verify");
+        // The proposer's signature leads the run: 17 signatures, 5 chunks.
+        assert_eq!(cache.len(), 17, "header and every tx cached");
         assert_eq!(snap.counter(crate::sigcache::MISS_COUNTER), Some(16));
         assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(16));
-        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(4));
+        assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(1));
+        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(5));
         assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), None);
         assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), None);
-        // Second pass: all txs served from the cache, no new misses.
+        // Second pass: everything served from the cache, no new misses.
         block
             .verify_structure_policy(&pool, Some(&cache), &sink, &trace, 0, policy)
             .expect("valid");
@@ -852,6 +965,7 @@ mod tests {
         assert_eq!(snap.counter(crate::sigcache::MISS_COUNTER), Some(16));
         assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), Some(16));
         assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(16));
+        assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(1));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! - [`store`]: block storage, parent-state validation, longest-chain fork
 //!   choice, and [`observer`] notification. A proposer executes and accepts
 //!   its own block in one pass ([`ChainStore::commit`]); blocks from
-//!   elsewhere are validated in full ([`ChainStore::import`]).
+//!   elsewhere are validated in full ([`ChainStore::import`]), a run of
+//!   them with one signature pass ahead of execution
+//!   ([`ChainStore::import_run`]).
 //! - [`observer`]: the [`BlockObserver`] projection trait — derived views
 //!   (supply-chain graph, identity registry, fact admissions, …) as pure
 //!   functions of canonical block history, each with a state digest so
@@ -80,7 +82,7 @@ pub use mempool::Mempool;
 pub use observer::{projection_root, BlockObserver};
 pub use sigcache::SigCache;
 pub use state::{AccountState, NoExecutor, Receipt, State, TxExecutor};
-pub use store::ChainStore;
+pub use store::{ChainStore, CheckedBlock};
 pub use transaction::{blob_tags, Payload, Transaction};
 pub use trie::{AccountProof, ProofError};
 
@@ -93,6 +95,6 @@ pub mod prelude {
     pub use crate::observer::{projection_root, BlockObserver};
     pub use crate::sigcache::SigCache;
     pub use crate::state::{NoExecutor, Receipt, State, TxExecutor};
-    pub use crate::store::ChainStore;
+    pub use crate::store::{ChainStore, CheckedBlock};
     pub use crate::transaction::{blob_tags, Payload, Transaction};
 }

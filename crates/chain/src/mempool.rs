@@ -8,7 +8,7 @@ use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
-use crate::block::{batch_verify_chunk, BatchVerifyPolicy, BATCH_FALLBACK_COUNTER};
+use crate::block::{batch_verify_chunk, BatchVerifyPolicy, Claim, BATCH_FALLBACK_COUNTER};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
 use crate::state::State;
@@ -172,7 +172,7 @@ impl Mempool {
             return verified;
         }
         let held = pool.map_chunks(&candidates, chunk, |_, share| {
-            let share = share.iter().map(|&i| (&txs[i], ids[i]));
+            let share = share.iter().map(|&i| Claim::Tx(&txs[i], ids[i]));
             batch_verify_chunk(share, b"TN/admit", self.sig_cache.as_ref(), &self.telemetry)
         });
         for (share, held) in candidates.chunks(chunk).zip(held) {

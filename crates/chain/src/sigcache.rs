@@ -20,7 +20,7 @@
 //! to the same cache so admission-time verification pre-warms import.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use tn_crypto::Hash256;
 use tn_telemetry::TelemetrySink;
@@ -104,20 +104,30 @@ impl SigCache {
         }
     }
 
+    /// The LRU, whether or not a thread panicked while holding it: an
+    /// entry is only ever written after its signature verified, and both
+    /// maps are updated by whole-entry inserts and removes, so the worst a
+    /// panicking writer leaves behind is an entry one map has and the
+    /// other lacks — a wasted slot or an early eviction, never a false
+    /// "verified".
+    fn lru(&self) -> MutexGuard<'_, LruInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// True when `id` is cached; refreshes its recency on hit.
     pub fn contains(&self, id: &Hash256) -> bool {
-        self.inner.lock().expect("sigcache poisoned").touch(id)
+        self.lru().touch(id)
     }
 
     /// Records `id` as verified, evicting the least recently used entry
     /// when full.
     pub fn insert(&self, id: Hash256) {
-        self.inner.lock().expect("sigcache poisoned").insert(id);
+        self.lru().insert(id);
     }
 
     /// Number of cached ids.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("sigcache poisoned").stamps.len()
+        self.lru().stamps.len()
     }
 
     /// True when nothing is cached.
@@ -127,7 +137,7 @@ impl SigCache {
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("sigcache poisoned").capacity
+        self.lru().capacity
     }
 
     /// True when the two handles share one underlying cache.

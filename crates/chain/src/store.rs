@@ -37,8 +37,22 @@
 //! pass: select, execute against the real executor, sign, accept what
 //! execution left — or through [`ChainStore::import`] — everyone else's
 //! path: verify structure and signatures, check parent, height and
-//! timestamp, re-execute and compare the state root. Both end in the
-//! same tail: the record reaches the backend before the block is
+//! timestamp, re-execute and compare the state root. Import works on
+//! **runs**: [`ChainStore::check_run`] hashes each block of a run once
+//! and settles all the run's unseen signatures — proposers' and
+//! transactions' — in shared equations before anything is executed
+//! (the rule, and what a failed equation leaves behind, is stated in
+//! [`crate::block`]); [`ChainStore::import_checked`] then takes the
+//! blocks one by one through the remaining checks.
+//! [`ChainStore::import`] is the run of one, [`ChainStore::import_run`]
+//! the loop that stops at the first refusal. State sync hands over what
+//! the peer served as one run; snapshot restore and WAL-tail replay
+//! decode and hand over runs of at most one equation's worth of
+//! signatures, so a stream of blocks is never held decoded whole. A
+//! block an equation vouched for skips the signature check and nothing
+//! else; one it did not is checked on its own, with the error a
+//! sequential import reports. Both ways in end in the same tail: the
+//! record reaches the backend before the block is
 //! visible, then window, fork choice, canonical map, projections,
 //! eviction. The window's per-block post-states are persistent tries
 //! that share whatever their blocks did not write, so a window entry
@@ -61,7 +75,7 @@ use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, Tx
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
-use crate::block::{BatchVerifyPolicy, Block, BlockHeader};
+use crate::block::{prove_run, BatchVerifyPolicy, Block, BlockHashes, BlockHeader};
 use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
@@ -158,8 +172,7 @@ struct BlockIds {
 }
 
 impl BlockIds {
-    fn of(block: &Block, sink: &TraceSink) -> BlockIds {
-        let id = block.id();
+    fn of(id: Hash256, sink: &TraceSink) -> BlockIds {
         let trace = if sink.is_enabled() {
             TraceId::from_seed(id.as_bytes())
         } else {
@@ -182,6 +195,80 @@ struct Proposal {
     receipts: Vec<Receipt>,
     verify_ns: (u64, u64),
     execute_ns: (u64, u64),
+}
+
+/// A block of a run that [`ChainStore::check_run`] has looked at: the
+/// block, what it hashes to, and what is known of its signatures. Only
+/// `check_run` makes one, so the hashes always belong to the block.
+#[derive(Debug)]
+pub struct CheckedBlock<'a> {
+    block: &'a Block,
+    hashes: BlockHashes,
+    sigs: Sigs,
+}
+
+impl<'a> CheckedBlock<'a> {
+    /// The block.
+    pub fn block(&self) -> &'a Block {
+        self.block
+    }
+
+    /// The block's id.
+    pub fn id(&self) -> Hash256 {
+        self.hashes.id
+    }
+}
+
+/// What [`ChainStore::check_run`] learned about a block's signatures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sigs {
+    /// Structure sound, every signature cached or proved in an equation
+    /// that held: nothing of [`Block::verify_structure`] is left to check.
+    Proved,
+    /// An equation this block shared with other blocks failed, which says
+    /// nothing about this one: it is checked again as a run of one.
+    Shared,
+    /// Nothing vouches for the block (an equation over it alone failed,
+    /// tracing or the policy rules equations out, or the store already
+    /// holds it): the per-block check decides.
+    Unproved,
+}
+
+/// Blocks decoded from a stream (a snapshot, the WAL tail), gathered into
+/// runs for [`ChainStore::check_run`]: a run is handed back as soon as the
+/// next block's signatures would no longer fit beside it in one equation,
+/// so the stream is never held decoded whole.
+struct RunBuffer {
+    blocks: Vec<Block>,
+    signatures: usize,
+    limit: usize,
+}
+
+impl RunBuffer {
+    fn new(policy: BatchVerifyPolicy) -> RunBuffer {
+        RunBuffer {
+            blocks: Vec::new(),
+            signatures: 0,
+            limit: policy.chunk.max(1),
+        }
+    }
+
+    /// Adds `block`; returns the run gathered before it when the two
+    /// together would overflow one equation.
+    fn push(&mut self, block: Block) -> Option<Vec<Block>> {
+        let signatures = 1 + block.transactions.len();
+        let full = (!self.blocks.is_empty() && self.signatures + signatures > self.limit)
+            .then(|| self.take());
+        self.signatures += signatures;
+        self.blocks.push(block);
+        full
+    }
+
+    /// The run gathered so far (possibly empty), leaving the buffer empty.
+    fn take(&mut self) -> Vec<Block> {
+        self.signatures = 0;
+        std::mem::take(&mut self.blocks)
+    }
 }
 
 /// Applies one signature-checked transaction (`tx_id` is its id) of
@@ -528,7 +615,8 @@ impl ChainStore {
 
     /// Re-imports every storage record past the restored checkpoint (the
     /// WAL tail plus any finalized blocks above it), re-validating and
-    /// re-executing each block. Observer projections restored via
+    /// re-executing each block, a run at a time
+    /// ([`ChainStore::check_run`]). Observer projections restored via
     /// [`ChainStore::register_observer_restored`] are fed the tail
     /// live. Orphaned fork records (whose parents were discarded) are
     /// skipped and counted. Returns the number of blocks replayed.
@@ -540,43 +628,62 @@ impl ChainStore {
     pub fn replay_tail(&mut self, executor: &mut dyn TxExecutor) -> Result<u64, ChainError> {
         let _span = self.telemetry.span("chain.recover_replay_ns");
         let records = self.backend.blocks_after(self.last_checkpoint)?;
-        let mut replayed = 0u64;
-        let mut orphaned = 0u64;
         self.replaying = true;
-        for rec in records {
-            if self.window.contains_key(&Hash256::from_bytes(rec.id)) {
-                continue;
-            }
-            let block = match decode_block(&rec.block_bytes) {
-                Ok(b) => b,
-                Err(_) => {
-                    // A torn fork record past the last valid canonical
-                    // prefix; the WAL scan already truncated real tears,
-                    // so treat this as an orphan.
-                    orphaned += 1;
-                    continue;
-                }
-            };
-            match self.import(&block, executor) {
-                Ok(_) => replayed += 1,
-                Err(ChainError::DuplicateBlock(_)) => {}
-                Err(
-                    ChainError::UnknownParent(_)
-                    | ChainError::BadHeight { .. }
-                    | ChainError::TimestampRegression,
-                ) => orphaned += 1,
-                Err(e) => {
-                    self.replaying = false;
-                    return Err(e);
-                }
-            }
-        }
+        let tally = self.replay_records(records, executor);
         self.replaying = false;
+        let (replayed, orphaned) = tally?;
         self.telemetry
             .add("chain.recover.blocks_replayed", replayed);
         self.telemetry
             .add("chain.recover.orphans_skipped", orphaned);
         Ok(replayed)
+    }
+
+    /// The loop of [`ChainStore::replay_tail`]: decodes `records` into
+    /// runs of at most one equation's worth of signatures and imports
+    /// each run. Returns how many blocks were replayed and how many
+    /// records were orphans.
+    fn replay_records(
+        &mut self,
+        records: Vec<BlockRecord>,
+        executor: &mut dyn TxExecutor,
+    ) -> Result<(u64, u64), ChainError> {
+        let (mut replayed, mut orphaned) = (0u64, 0u64);
+        let mut import = |store: &mut Self, run: Vec<Block>| {
+            for checked in store.check_run(&run) {
+                match store.import_checked(checked, executor) {
+                    Ok(_) => replayed += 1,
+                    Err(ChainError::DuplicateBlock(_)) => {}
+                    Err(
+                        ChainError::UnknownParent(_)
+                        | ChainError::BadHeight { .. }
+                        | ChainError::TimestampRegression,
+                    ) => orphaned += 1,
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
+        };
+        let mut run = RunBuffer::new(self.batch_policy);
+        let mut torn = 0u64;
+        for rec in records {
+            if self.window.contains_key(&Hash256::from_bytes(rec.id)) {
+                continue;
+            }
+            match decode_block(&rec.block_bytes) {
+                Ok(block) => {
+                    if let Some(full) = run.push(block) {
+                        import(self, full)?;
+                    }
+                }
+                // A torn fork record past the last valid canonical
+                // prefix; the WAL scan already truncated real tears,
+                // so treat this as an orphan.
+                Err(_) => torn += 1,
+            }
+        }
+        import(self, run.take())?;
+        Ok((replayed, orphaned + torn))
     }
 
     /// Routes the store's metrics (import latency, per-projection apply
@@ -831,8 +938,10 @@ impl ChainStore {
     /// This is the path of every block that arrives from elsewhere — a
     /// peer, state sync, the WAL on recovery, a snapshot — and trusts
     /// nothing about it: structure, signatures, parent, height, timestamp
-    /// and state root are all checked before the record is appended. A
-    /// proposer extending its own head uses [`ChainStore::commit`].
+    /// and state root are all checked before the record is appended. It is
+    /// the run of one: [`ChainStore::check_run`], then
+    /// [`ChainStore::import_checked`]. A proposer extending its own head
+    /// uses [`ChainStore::commit`].
     ///
     /// # Errors
     ///
@@ -842,9 +951,128 @@ impl ChainStore {
         block: &Block,
         executor: &mut dyn TxExecutor,
     ) -> Result<Vec<Receipt>, ChainError> {
-        let ids = BlockIds::of(block, &self.trace);
+        let mut checked = [self.hashed(block)];
+        self.prove(&mut checked);
+        let [checked] = checked;
+        self.import_checked(checked, executor)
+    }
+
+    /// Imports `blocks` in order — [`ChainStore::check_run`] over all of
+    /// them, then [`ChainStore::import_checked`] one by one — and stops at
+    /// the first block that is refused. Returns the receipts of the blocks
+    /// imported and, when one was refused, why: verdict for verdict what
+    /// calling [`ChainStore::import`] in a loop would have done.
+    pub fn import_run(
+        &mut self,
+        blocks: &[Block],
+        executor: &mut dyn TxExecutor,
+    ) -> (Vec<Vec<Receipt>>, Result<(), ChainError>) {
+        let mut imported = Vec::with_capacity(blocks.len());
+        for checked in self.check_run(blocks) {
+            match self.import_checked(checked, executor) {
+                Ok(receipts) => imported.push(receipts),
+                Err(err) => return (imported, Err(err)),
+            }
+        }
+        (imported, Ok(()))
+    }
+
+    /// The signature pass over a run of blocks about to be imported in
+    /// order: hashes every block once (`Block::hashes`) and settles all
+    /// the signatures the run carries that this process has not seen —
+    /// proposers' and transactions' alike — in equations of at most
+    /// [`BatchVerifyPolicy::chunk`] signatures, as many whole blocks to an
+    /// equation as fit, before any block is executed ([`crate::block`]
+    /// states the rule). Blocks the
+    /// store already holds are left out: they are refused before any
+    /// check. With tracing on, or batching off, nothing is proved here and
+    /// every block gets the per-block check when it is imported.
+    ///
+    /// Changes nothing in the store but its sigcache, which only ever
+    /// learns of signatures that verified. Hand each [`CheckedBlock`] to
+    /// [`ChainStore::import_checked`], in order; what the caller does
+    /// between two blocks (checkpoints, pruning) is its own business.
+    pub fn check_run<'a>(&self, blocks: &'a [Block]) -> Vec<CheckedBlock<'a>> {
+        let mut checked: Vec<_> = blocks.iter().map(|block| self.hashed(block)).collect();
+        self.prove(&mut checked);
+        checked
+    }
+
+    /// `block` with its hashes, nothing yet known of its signatures.
+    fn hashed<'a>(&self, block: &'a Block) -> CheckedBlock<'a> {
+        let _verify = self.telemetry.span("chain.verify_ns");
+        CheckedBlock {
+            block,
+            hashes: block.hashes(&self.pool),
+            sigs: Sigs::Unproved,
+        }
+    }
+
+    /// The signature pass of [`ChainStore::check_run`] over hashed blocks.
+    fn prove(&self, checked: &mut [CheckedBlock<'_>]) {
+        if !self.batch_policy.enabled || self.trace.is_enabled() {
+            return;
+        }
+        let _verify = self.telemetry.span("chain.verify_ns");
+        let fresh: Vec<usize> = (0..checked.len())
+            .filter(|&i| self.reject_known(&checked[i].hashes.id).is_ok())
+            .collect();
+        // One equation's worth of blocks at a time, on this thread. Fanned
+        // out, every verify worker would build its equation's scratch in
+        // an allocator arena of its own and the process would keep them
+        // all; the pool still splits a single block larger than a chunk.
+        let limit = self.batch_policy.chunk.max(1);
+        let mut rest = fresh.as_slice();
+        while !rest.is_empty() {
+            let mut signatures = 0;
+            let fits = |&&i: &&usize| {
+                signatures += 1 + checked[i].block.transactions.len();
+                signatures <= limit
+            };
+            let (together, later) = rest.split_at(rest.iter().take_while(fits).count().max(1));
+            let run: Vec<(&Block, &BlockHashes)> = together
+                .iter()
+                .map(|&i| (checked[i].block, &checked[i].hashes))
+                .collect();
+            let proved = prove_run(
+                &run,
+                &self.pool,
+                Some(&self.sig_cache),
+                &self.telemetry,
+                limit,
+            );
+            let unproved = if together.len() > 1 {
+                Sigs::Shared
+            } else {
+                Sigs::Unproved
+            };
+            for (&i, proved) in together.iter().zip(proved) {
+                checked[i].sigs = if proved { Sigs::Proved } else { unproved };
+            }
+            rest = later;
+        }
+    }
+
+    /// Imports one block of a checked run: everything
+    /// [`ChainStore::import`] checks, minus what
+    /// [`ChainStore::check_run`] already settled.
+    ///
+    /// # Errors
+    ///
+    /// Any structural or stateful [`ChainError`], exactly the one
+    /// [`ChainStore::import`] would report for the block at this point.
+    pub fn import_checked(
+        &mut self,
+        checked: CheckedBlock<'_>,
+        executor: &mut dyn TxExecutor,
+    ) -> Result<Vec<Receipt>, ChainError> {
+        if checked.sigs == Sigs::Shared {
+            return self.import(checked.block, executor);
+        }
+        let block = checked.block;
+        let ids = BlockIds::of(checked.hashes.id, &self.trace);
         self.timed_import(block, ids, |store| {
-            let (post_state, receipts) = store.validate(block, executor, ids)?;
+            let (post_state, receipts) = store.validate(&checked, executor, ids)?;
             store.accept(block, ids, post_state, receipts)
         })
     }
@@ -906,29 +1134,35 @@ impl ChainStore {
     }
 
     /// Checks everything about a block from elsewhere — not a duplicate,
-    /// well-formed and signed, extends a known parent, re-executes to the
-    /// state root its header claims — and returns the post-state and
-    /// receipts that re-execution produced. Each transaction is hashed
-    /// once: the ids the structure check computed name the receipts.
+    /// well-formed and signed (unless its run's signature pass proved
+    /// that already), extends a known parent, re-executes to the state
+    /// root its header claims — and returns the post-state and receipts
+    /// that re-execution produced. Each transaction is hashed once: the
+    /// ids [`ChainStore::check_run`] computed name the receipts.
     fn validate(
         &self,
-        block: &Block,
+        checked: &CheckedBlock<'_>,
         executor: &mut dyn TxExecutor,
         ids: BlockIds,
     ) -> Result<(State, Vec<Receipt>), ChainError> {
+        let CheckedBlock {
+            block,
+            hashes,
+            sigs,
+        } = checked;
         self.reject_known(&ids.block)?;
         let trace = self.trace.clone();
-        let tx_ids = {
+        if *sigs != Sigs::Proved {
             let _verify = self.telemetry.span("chain.verify_ns");
             let v0 = trace.now_ns();
             let verify_span = replica_span_id(ids.trace, "chain.verify", trace.replica());
-            let tx_ids = block.verify_structure_ids(
+            block.verify_hashed(
+                hashes,
                 &self.pool,
                 Some(&self.sig_cache),
                 &self.telemetry,
                 &trace,
                 verify_span,
-                self.batch_policy,
             )?;
             trace.complete(
                 ids.trace,
@@ -941,8 +1175,7 @@ impl ChainStore {
                     ("workers", self.pool.workers() as u64),
                 ],
             );
-            tx_ids
-        };
+        }
         let parent = self
             .window
             .get(&block.header.parent)
@@ -961,11 +1194,11 @@ impl ChainStore {
         let mut receipts = Vec::with_capacity(block.transactions.len());
         let e0 = trace.now_ns();
         let (proposer, height) = (&block.header.proposer, block.header.height);
-        for (tx, tx_id) in block.transactions.iter().zip(tx_ids) {
-            // Signatures were checked by the structure pass; only
+        for (tx, tx_id) in block.transactions.iter().zip(&hashes.tx_ids) {
+            // Signatures were checked by the signature pass; only
             // nonce/balance/execution remain.
             receipts.push(apply_traced(
-                &mut state, tx, tx_id, proposer, height, executor, &trace,
+                &mut state, tx, *tx_id, proposer, height, executor, &trace,
             )?);
         }
         trace.complete(
@@ -1464,7 +1697,7 @@ impl ChainStore {
             execute_ns,
         } = self.assemble(proposer, timestamp, txs, executor, &trace);
         debug_assert_eq!(block.verify_structure(), Ok(()));
-        let ids = BlockIds::of(&block, &trace);
+        let ids = BlockIds::of(block.id(), &trace);
         if trace.is_enabled() {
             // The block id exists only now, so the spans of the work that
             // led to it are recorded after the fact; ids are deterministic,
@@ -1565,8 +1798,9 @@ impl ChainStore {
 
     /// Restores a chain from a snapshot, re-validating and re-executing
     /// every block against `executor` (so the restored state is recomputed,
-    /// never trusted from the snapshot). The restored store runs on a
-    /// fresh in-memory backend.
+    /// never trusted from the snapshot). Blocks are decoded and imported a
+    /// run at a time ([`ChainStore::import_run`]). The restored store runs
+    /// on a fresh in-memory backend.
     ///
     /// # Errors
     ///
@@ -1588,10 +1822,25 @@ impl ChainStore {
         if n > 10_000_000 {
             return Err(crate::codec::DecodeError::BadLength(n).into());
         }
+        // Decoded a run at a time, never whole: the buffer holds at most
+        // one equation's worth of signatures.
+        let mut run = RunBuffer::new(store.batch_policy);
         for _ in 0..n {
-            let block = Block::decode(&mut dec)?;
-            store.import(&block, executor)?;
+            match Block::decode(&mut dec) {
+                Ok(block) => {
+                    if let Some(full) = run.push(block) {
+                        store.import_run(&full, executor).1?;
+                    }
+                }
+                Err(err) => {
+                    // What decoded before the damage is judged first, as
+                    // it was when each block was imported on decoding.
+                    store.import_run(&run.take(), executor).1?;
+                    return Err(err.into());
+                }
+            }
         }
+        store.import_run(&run.take(), executor).1?;
         dec.expect_end().map_err(ChainError::from)?;
         Ok(store)
     }
@@ -1832,31 +2081,49 @@ mod tests {
     }
 
     #[test]
-    fn own_header_signature_is_memoised_and_nothing_else() {
+    fn header_signature_is_recorded_by_signing_or_a_held_equation_only() {
         let mut store = store_with_funds();
         let block = store.propose(&proposer(), 1, vec![blob(0)], &mut NoExecutor);
-        let memo = block.header_sig_memo(&block.header.digest());
-        assert!(store.sig_cache().contains(&memo));
+        let memo = |b: &Block| b.header_sig_memo(&b.header.digest());
+        assert!(store.sig_cache().contains(&memo(&block)), "signed here");
         // The memo covers the exact triple only: any other signature or
-        // header on the same block misses it and pays the real check.
+        // header on the same block misses it, fails its equation and the
+        // real check after it, and leaves nothing behind.
         let mut resigned = block.clone();
         resigned.signature = alice().sign(&block.header.digest());
-        assert_eq!(
-            store.import(&resigned, &mut NoExecutor),
-            Err(ChainError::BadSignature)
-        );
         let mut redated = block.clone();
         redated.header.timestamp += 1;
-        assert_eq!(
-            store.import(&redated, &mut NoExecutor),
-            Err(ChainError::BadSignature)
-        );
+        for forged in [&resigned, &redated] {
+            assert_eq!(
+                store.import(forged, &mut NoExecutor),
+                Err(ChainError::BadSignature)
+            );
+            assert!(!store.sig_cache().contains(&memo(forged)));
+        }
         store.import(&block, &mut NoExecutor).expect("imports");
-        // A store that did not propose the block verifies it as ever and
-        // records nothing about its header.
+        // A store that did not propose the block proves the header beside
+        // the transaction, in one equation, and records both.
         let mut follower = store_with_funds();
         follower.import(&block, &mut NoExecutor).expect("imports");
-        assert!(!follower.sig_cache().contains(&memo));
+        assert!(follower.sig_cache().contains(&memo(&block)));
+        assert_eq!(follower.sig_cache().len(), 2);
+        // A run whose equation fails records nothing — not the bad block's
+        // signatures, not its valid neighbour's. Each block is then checked
+        // alone: block 1's own equation holds and is recorded, the forged
+        // block's fails again and so does the real check after it.
+        let mut cold = store_with_funds();
+        let next = store.propose(&proposer(), 2, vec![blob(1)], &mut NoExecutor);
+        let mut forged = next.clone();
+        forged.signature = alice().sign(&next.header.digest());
+        let (imported, verdict) = cold.import_run(&[block.clone(), forged], &mut NoExecutor);
+        assert_eq!(imported.len(), 1);
+        assert_eq!(verdict, Err(ChainError::BadSignature));
+        assert!(
+            cold.sig_cache().contains(&memo(&block)),
+            "block 1 alone held"
+        );
+        assert!(!cold.sig_cache().contains(&memo(&next)));
+        assert_eq!(cold.sig_cache().len(), 2, "block 1: header and transaction");
     }
 
     #[test]

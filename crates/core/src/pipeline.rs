@@ -496,6 +496,20 @@ impl ExecutionPipeline {
         Ok(receipts)
     }
 
+    /// [`ExecutionPipeline::apply_block`] for one block of a run whose
+    /// signatures the store has already been through
+    /// (`self.store().check_run(&blocks)`, then this for each block in
+    /// order): a run of blocks pays one signature pass, not one per block.
+    ///
+    /// # Errors
+    ///
+    /// Chain-level import errors.
+    pub fn apply_checked(&mut self, checked: CheckedBlock<'_>) -> Result<Vec<Receipt>, ChainError> {
+        let receipts = self.store.import_checked(checked, &mut self.registry)?;
+        self.maybe_checkpoint()?;
+        Ok(receipts)
+    }
+
     // --- digests ---------------------------------------------------------
 
     /// Per-projection state digests, in registration order.

@@ -1,6 +1,8 @@
 //! Key pairs, public keys and hash-derived account addresses.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -78,11 +80,35 @@ impl PublicKey {
 
     /// Decodes a compressed public key. Rejects infinity and off-curve
     /// encodings.
+    ///
+    /// Decompression is a field square root (~3 µs), and a chain names the
+    /// same few keys in every block and transaction it decodes, so the
+    /// points of encodings that passed are remembered in a bounded,
+    /// process-wide memo: a hit returns the very point the full decode
+    /// produced. Rejected encodings are not remembered.
     pub fn from_compressed(bytes: &[u8; 33]) -> Option<PublicKey> {
-        match Affine::from_compressed(bytes)? {
-            Affine::Infinity => None,
-            pt => Some(PublicKey(pt)),
+        /// Entries the memo holds before it starts over (~100 KiB).
+        const CAPACITY: usize = 1024;
+        static DECODED: OnceLock<Mutex<HashMap<[u8; 33], Affine>>> = OnceLock::new();
+        // A panic elsewhere cannot leave a wrong point behind: entries are
+        // written whole, after validation, and never changed.
+        let memo = || {
+            let memo = DECODED.get_or_init(Mutex::default);
+            memo.lock().unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(point) = memo().get(bytes) {
+            return Some(PublicKey(*point));
         }
+        let point = match Affine::from_compressed(bytes)? {
+            Affine::Infinity => return None,
+            point => point,
+        };
+        let mut memo = memo();
+        if memo.len() >= CAPACITY {
+            memo.clear();
+        }
+        memo.insert(*bytes, point);
+        Some(PublicKey(point))
     }
 
     /// The account address derived from this key: a tagged hash of the

@@ -3,10 +3,11 @@
 //! A replica that was down for k batches holds a prefix (PBFT) or a
 //! holed fork (PoA) of the cluster's canonical chain. [`catch_up`]
 //! fetches the missing canonical blocks from a peer that holds the
-//! agreed execution digest, verifies each one against the local chain
-//! before applying (linkage first, then the full structural, signature
-//! and state verification that block import performs), and reports
-//! whether the replica converged. Fork choice handles the PoA case: the synced
+//! agreed execution digest, verifies them against the local chain before
+//! applying — the signatures of the whole fetched run in one pass of
+//! batched equations, then per block linkage, re-execution and state
+//! root, exactly what block import checks — and reports whether the
+//! replica converged. Fork choice handles the PoA case: the synced
 //! branch overtakes the local one and the projections are rebuilt onto
 //! it.
 
@@ -116,37 +117,36 @@ pub fn catch_up(
         rejected_blocks: 0,
         converged: node.execution_digest() == target,
     };
-    let candidates: Vec<&&ValidatorNode> = peers
-        .iter()
-        .filter(|p| p.execution_digest() == target)
-        .collect();
-    if !report.converged && candidates.is_empty() {
-        return Err(SyncError::NoPeerAtTarget);
-    }
-    for peer in candidates {
+    // Each peer is asked for its digest only when its turn comes: the
+    // first one at the target that serves a good chain ends the scan.
+    let mut any_at_target = false;
+    for peer in peers {
         if report.converged {
             break;
         }
+        if peer.execution_digest() != target {
+            continue;
+        }
+        any_at_target = true;
         telemetry.incr("node.catchup.peers_tried");
         let base = fork_height(node, peer);
         let blocks = peer.blocks_after(base);
         report.blocks_fetched += blocks.len();
-        for block in blocks {
-            match node.apply_synced_block(block) {
-                Ok(()) => report.blocks_applied += 1,
-                Err(_) => {
-                    // Verification rejected it; everything after would
-                    // mislink, so move on to the next candidate.
-                    report.rejected_blocks += 1;
-                    telemetry.incr("node.catchup.blocks_rejected");
-                    break;
-                }
-            }
+        let (applied, verdict) = node.apply_synced_blocks(&blocks);
+        report.blocks_applied += applied;
+        if verdict.is_err() {
+            // Verification rejected a block; everything after would
+            // mislink, so move on to the next candidate.
+            report.rejected_blocks += 1;
+            telemetry.incr("node.catchup.blocks_rejected");
         }
         report.converged = node.execution_digest() == target;
         if report.converged {
             report.peer = Some(peer.id());
         }
+    }
+    if !report.converged && !any_at_target {
+        return Err(SyncError::NoPeerAtTarget);
     }
     report.to_height = node.height();
     if trace.is_enabled() {
@@ -348,6 +348,41 @@ mod tests {
             Some(synced_txs),
             "batch verification still counts one miss per cold tx"
         );
+    }
+
+    #[test]
+    fn one_tx_blocks_catch_up_without_a_lone_verification() {
+        // The chain consensus actually produces: one transaction per block,
+        // two signatures each. Synced as a run, all forty go into a single
+        // equation — no header and no transaction is verified on its own.
+        use tn_chain::block::{
+            BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_HEADERS_COUNTER, BATCH_TXS_COUNTER,
+        };
+        use tn_chain::codec::Encodable;
+        use tn_chain::prelude::{Payload, Transaction};
+        let config = PlatformConfig::default();
+        let mut peer = ValidatorNode::new(0, &config);
+        let governor = tn_crypto::Keypair::from_seed(b"tn-platform-governor");
+        for nonce in 1..=20u64 {
+            let payload = Payload::Blob {
+                tag: 1,
+                data: vec![nonce as u8],
+            };
+            let tx = Transaction::signed(&governor, nonce, config.fee, payload);
+            let out = peer.apply_committed_batch(&[tx.to_bytes()]).expect("batch");
+            assert_eq!(out.included, 1);
+        }
+        let target = peer.execution_digest();
+        let mut lagging = ValidatorNode::new(1, &config);
+        let report = catch_up(&mut lagging, &[&peer], target).expect("catch-up");
+        assert_eq!((report.blocks_applied, report.rejected_blocks), (20, 0));
+        let snap = lagging.metrics_snapshot();
+        assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(20));
+        assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(20));
+        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(1));
+        assert_eq!(snap.counter(tn_chain::sigcache::MISS_COUNTER), Some(20));
+        assert_eq!(snap.counter(tn_chain::sigcache::HIT_COUNTER), None);
+        assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), None);
     }
 
     #[test]

@@ -444,31 +444,58 @@ impl ValidatorNode {
         ids.iter().rev().filter_map(|id| store.block(id)).collect()
     }
 
-    /// Applies one peer-fetched block during state-sync catch-up. The
-    /// block's linkage is checked first (its parent must already be in
-    /// the store); the import itself then re-verifies structure,
-    /// signatures, and post-state digests, so a tampered block is
-    /// rejected before it can touch the ledger. Fork-choice runs on
-    /// import: once the synced branch outgrows the local one, the head
-    /// (and all projections) flip to it. Counts
-    /// `node.catchup.blocks_applied`.
+    /// Applies one peer-fetched block during state-sync catch-up: the run
+    /// of one of [`ValidatorNode::apply_synced_blocks`].
     ///
     /// # Errors
     ///
     /// [`NodeError::Sync`] when the parent is unknown, [`NodeError::Chain`]
     /// when verification rejects the block.
     pub fn apply_synced_block(&mut self, block: Block) -> Result<(), NodeError> {
-        if self.has_block(&block.id()) {
+        self.apply_synced_blocks(std::slice::from_ref(&block)).1
+    }
+
+    /// Applies a run of peer-fetched blocks, in order, during state-sync
+    /// catch-up, stopping at the first one that is refused. All the
+    /// signatures of the run — proposers' and transactions' — go through
+    /// one pass of batched equations before any block is executed
+    /// ([`ChainStore::check_run`]). Then, per block: one the store already
+    /// holds is skipped (shared prefix); its linkage is checked (its
+    /// parent must already be in the store); the import re-executes it and
+    /// checks its post-state, so a tampered block is rejected before it
+    /// can touch the ledger. Fork-choice runs on import: once the synced
+    /// branch outgrows the local one, the head (and all projections) flip
+    /// to it. Counts `node.catchup.blocks_applied`.
+    ///
+    /// Returns how many blocks were applied or skipped before the run
+    /// ended, and why it ended early if it did: [`NodeError::Sync`] when a
+    /// parent is unknown, [`NodeError::Chain`] when verification rejects a
+    /// block.
+    pub fn apply_synced_blocks(&mut self, blocks: &[Block]) -> (usize, Result<(), NodeError>) {
+        let mut applied = 0;
+        for checked in self.pipeline.store().check_run(blocks) {
+            if let Err(err) = self.apply_checked(checked) {
+                return (applied, Err(err));
+            }
+            applied += 1;
+        }
+        (applied, Ok(()))
+    }
+
+    /// One block's turn in [`ValidatorNode::apply_synced_blocks`].
+    fn apply_checked(&mut self, checked: CheckedBlock<'_>) -> Result<(), NodeError> {
+        if self.has_block(&checked.id()) {
             return Ok(()); // already have it (shared prefix)
         }
-        if !self.has_block(&block.header.parent) {
+        let header = &checked.block().header;
+        if !self.has_block(&header.parent) {
             return Err(NodeError::Sync(format!(
                 "synced block at height {} links to unknown parent",
-                block.header.height
+                header.height
             )));
         }
-        let timestamp = block.header.timestamp;
-        self.pipeline.apply_block(&block)?;
+        let timestamp = header.timestamp;
+        self.pipeline.apply_checked(checked)?;
         self.next_timestamp = self.next_timestamp.max(timestamp + 1);
         self.mempool
             .prune_committed(self.pipeline.store().head_state());
@@ -700,6 +727,38 @@ mod tests {
             node.apply_synced_block(b)
                 .map_err(|e| format!("sync apply failed: {e}"))?;
         }
+        assert_eq!(node.execution_digest(), peer.execution_digest());
+        Ok(())
+    }
+
+    #[test]
+    fn a_tampered_block_stops_a_synced_run_where_it_stands() -> Result<(), String> {
+        let config = PlatformConfig::default();
+        let mut peer = ValidatorNode::new(0, &config);
+        for i in 0..4u8 {
+            peer.apply_committed_batch(&[vec![i, 0xaa]])
+                .map_err(|e| format!("batch failed: {e}"))?;
+        }
+        let mut node = ValidatorNode::new(1, &config);
+        let good = peer.blocks_after(node.height());
+        let mut served = good.clone();
+        served[2].header.timestamp += 1;
+        // The run's one equation fails, so every block is checked on its
+        // own: the two before the tampered one are applied, it is refused
+        // with the error a block-by-block sync reports, nothing after it
+        // is touched.
+        let (applied, verdict) = node.apply_synced_blocks(&served);
+        assert_eq!(applied, 2);
+        assert!(
+            matches!(verdict, Err(NodeError::Chain(ChainError::BadSignature))),
+            "{verdict:?}"
+        );
+        assert_eq!(node.height(), peer.height() - 2);
+        // An honest copy of the same run finishes the job; the shared
+        // prefix counts as applied, as it does block by block.
+        let (applied, verdict) = node.apply_synced_blocks(&good);
+        assert_eq!(applied, 4);
+        verdict.map_err(|e| format!("honest run refused: {e}"))?;
         assert_eq!(node.execution_digest(), peer.execution_digest());
         Ok(())
     }

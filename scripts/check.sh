@@ -23,11 +23,13 @@ echo "== cargo test --release -p tn-crypto (limb arithmetic as the benchmark bui
 # to the definition-level ladder reference verdict for verdict.
 cargo test --release --offline -p tn-crypto -q
 
-echo "== cargo test --release -p tn-chain (state trie without debug assertions)"
+echo "== cargo test --release -p tn-chain (state trie and run import without debug assertions)"
 # The account trie clears a cached hash in every node a write passes and
 # relies on it: a stale cell is a wrong state root, silently. The oracle
 # tests must hold with debug_assert!s compiled out, as the benchmark and
-# every binary run the code.
+# every binary run the code. The same run holds tests/run_import_oracle.rs
+# — a run of blocks proved in shared equations against the block-by-block
+# loop, verdict for verdict — to the optimized build.
 cargo test --release --offline -p tn-chain -q
 
 echo "== benchmark package (the public surface benchmark/README.md pins)"
