@@ -36,7 +36,7 @@ use tn_storage::StorageConfig;
 use tn_supplychain::graph::{SupplyChainGraph, TraceResult};
 use tn_supplychain::index::{IndexStats, NewsEvent};
 use tn_supplychain::ops::PropagationOp;
-use tn_supplychain::ranking::trace_score;
+use tn_supplychain::ranking::summary_score;
 
 use crate::pipeline::ExecutionPipeline;
 use crate::roles::{IdentityRecord, IdentityRegistry, Role};
@@ -781,8 +781,8 @@ impl Platform {
     pub fn rank_item(&self, item: &Hash256) -> Result<ItemRank, PlatformError> {
         let graph = self.graph();
         let node = graph.get(item).ok_or(PlatformError::UnknownItem(*item))?;
-        let trace = graph.trace_back(item)?;
-        let t = trace_score(&trace);
+        let trace = graph.trace_summary(item)?;
+        let t = summary_score(&trace);
         let ai = match &self.detector {
             Some(d) => match self.pipeline.headline(item) {
                 Some(headline) => 1.0 - d.prob_fake_with_headline(headline, &node.content),
@@ -1493,5 +1493,49 @@ mod tests {
         let s = p.produce_block().unwrap();
         assert_eq!(s.failed, 0, "a nonce gap would strand the proposal");
         assert_eq!(s.included, 1);
+    }
+
+    /// Chain depth is outside input (any account may relay its own item
+    /// without end), so a ranking must not depend on stack depth. The
+    /// chain is grafted onto the live projection through its checkpoint
+    /// format: 100 000 signed publishes would say nothing more.
+    #[test]
+    fn rank_item_answers_on_a_100_000_hop_chain() {
+        use crate::projections::{names, SupplyChainProjection};
+        use tn_chain::codec::{Decoder, Encoder};
+        use tn_chain::BlockObserver;
+        const HOPS: usize = 100_000;
+
+        let mut p = boot();
+        let root = p.factdb().iter().next().unwrap().clone();
+        let projection = p
+            .pipeline
+            .store_mut()
+            .observer_mut::<SupplyChainProjection>(names::SUPPLY_CHAIN)
+            .unwrap();
+        let state = projection.save_state().unwrap();
+        let mut dec = Decoder::new(&state);
+        let mut graph = SupplyChainGraph::from_bytes(&dec.get_bytes().unwrap()).unwrap();
+        let rest = &state[state.len() - dec.remaining()..];
+
+        let relayer = kp("tireless relayer").address();
+        let mut tip = root.id();
+        for i in 0..HOPS {
+            let edge = vec![(tip, PropagationOp::Relay)];
+            tip = graph
+                .insert(relayer, &root.content, &root.topic, 1, edge, i as u64)
+                .unwrap();
+        }
+        let mut grafted = Encoder::new();
+        grafted.put_bytes(&graph.to_bytes()).put_raw(rest);
+        projection.load_state(&grafted.finish()).unwrap();
+
+        let rank = p.rank_item(&tip).unwrap();
+        assert!(rank.reaches_root);
+        assert_eq!(rank.trace, 1.0);
+        assert_eq!(p.trace_item(&tip).unwrap().distance, Some(HOPS));
+        assert_eq!(p.origin_of(&tip).unwrap(), Some(relayer));
+        assert_eq!(p.distortion_culprit_of(&tip).unwrap(), None);
+        assert_eq!(p.suggest_experts(&root.topic, 1)[0].items, HOPS);
     }
 }

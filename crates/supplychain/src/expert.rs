@@ -7,13 +7,18 @@
 //! from the volume and provenance quality of their contributions: items
 //! that trace to the factual database with little modification count for
 //! much more than unsourced or heavily distorted ones.
+//!
+//! The paper wants the suggestion "in real time when news emerges", so
+//! the evidence is tallied as items enter the graph (an item's trace is
+//! final at insert — see [`crate::graph`]) and a suggestion for a topic
+//! sorts that topic's rows; nothing is traced at query time.
 
 use std::collections::HashMap;
 
 use tn_crypto::Address;
 
-use crate::graph::SupplyChainGraph;
-use crate::ranking::trace_score;
+use crate::graph::{count_visit, SupplyChainGraph, TraceSummary};
+use crate::ranking::summary_score;
 
 /// Expertise evidence for one author on one topic.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,17 +35,27 @@ pub struct ExpertScore {
     pub score: f64,
 }
 
-/// Scans the graph and scores every (author, topic) pair.
-pub fn score_experts(graph: &SupplyChainGraph) -> Vec<ExpertScore> {
-    let traces: HashMap<_, _> = graph.trace_all().into_iter().collect();
-    let mut acc: HashMap<(Address, String), ExpertScore> = HashMap::new();
-    for item in graph.iter().filter(|i| !i.is_fact_root) {
-        let trace = &traces[&item.id];
-        let entry = acc
-            .entry((item.author, item.topic.clone()))
+/// The running [`ExpertScore`] of every (topic, author) pair, kept by the
+/// graph: an item's trace is final when it is inserted, so its evidence
+/// is added then — once, in insertion order, which fixes the order the
+/// `f64` sum adds in — and a suggestion reads one topic's rows instead of
+/// tracing the graph.
+#[derive(Debug, Default)]
+pub(crate) struct ExpertTallies {
+    by_topic: HashMap<String, HashMap<Address, ExpertScore>>,
+}
+
+impl ExpertTallies {
+    /// Adds one non-root item's evidence.
+    pub(crate) fn record(&mut self, topic: &str, author: Address, trace: &TraceSummary) {
+        let entry = self
+            .by_topic
+            .entry(topic.to_string())
+            .or_default()
+            .entry(author)
             .or_insert_with(|| ExpertScore {
-                author: item.author,
-                topic: item.topic.clone(),
+                author,
+                topic: topic.to_string(),
                 items: 0,
                 rooted_items: 0,
                 score: 0.0,
@@ -49,27 +64,36 @@ pub fn score_experts(graph: &SupplyChainGraph) -> Vec<ExpertScore> {
         if trace.reaches_root {
             entry.rooted_items += 1;
         }
-        entry.score += trace_score(trace);
+        entry.score += summary_score(trace);
     }
-    let mut out: Vec<ExpertScore> = acc.into_values().collect();
-    out.sort_by(|a, b| {
+}
+
+/// The best `k` of `rows`, copied out: score descending, then author,
+/// then topic (one author can hold equal scores on two topics).
+fn top<'a>(rows: impl Iterator<Item = &'a ExpertScore>, k: usize) -> Vec<ExpertScore> {
+    let mut rows: Vec<&ExpertScore> = rows.inspect(|_| count_visit()).collect();
+    rows.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.author.cmp(&b.author))
+            .then_with(|| a.topic.cmp(&b.topic))
     });
-    out
+    rows.into_iter().take(k).cloned().collect()
+}
+
+/// Every (author, topic) pair with its score, best first.
+pub fn score_experts(graph: &SupplyChainGraph) -> Vec<ExpertScore> {
+    let tallies = &graph.experts().by_topic;
+    top(tallies.values().flat_map(HashMap::values), usize::MAX)
 }
 
 /// The top-k candidate experts for a topic — the paper's "dynamically
 /// suggest a group of domain topic experts to a given topic in real time
-/// when news emerges".
+/// when news emerges". Reads that topic's rows and no others.
 pub fn experts_for_topic(graph: &SupplyChainGraph, topic: &str, k: usize) -> Vec<ExpertScore> {
-    score_experts(graph)
-        .into_iter()
-        .filter(|e| e.topic == topic)
-        .take(k)
-        .collect()
+    let authors = graph.experts().by_topic.get(topic);
+    top(authors.into_iter().flat_map(HashMap::values), k)
 }
 
 #[cfg(test)]

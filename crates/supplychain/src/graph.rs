@@ -5,15 +5,41 @@
 //! measured modification degree. Because an item's parents must already
 //! exist when it is inserted, the graph is a DAG by construction, and
 //! trace-back — "one group is able to trace back to the factual database
-//! … and the other group cannot" (§VI) — is a memoized reverse walk.
+//! … and the other group cannot" (§VI) — is answered when the item is
+//! inserted, not when it is asked.
+//!
+//! # Stored answers
+//!
+//! Nodes live in one insertion-ordered arena, parents at lower indices
+//! than their children. Beside its item every node keeps a fixed-size
+//! summary of its best path to a fact root: whether one exists, its score
+//! Π(1 − modificationᵢ), hop count and Σ modificationᵢ, the arena index
+//! of the next hop, the largest-modification hop and who made it, and the
+//! origin author. A node's summary is a function of its own edges and its
+//! parents' summaries, and nothing a node's answer depends on can change
+//! afterwards: nodes are never removed or edited, and an edge can only
+//! point at a node that already exists, so no later insert reaches an
+//! earlier node's ancestry. That immutability is the whole invalidation
+//! story — there is nothing to invalidate, so there is no cache, no
+//! recomputation and no lock. Ranking, culprit and origin reads are one
+//! lookup; a trace follows the next-hop links to write its path out,
+//! O(path) and iterative — chain depth is outside input (any account can
+//! relay its own item without end) and must never become stack depth.
+//!
+//! Summaries and the expertise tallies ([`crate::expert`]) are derived
+//! data: [`SupplyChainGraph::digest`] and [`SupplyChainGraph::to_bytes`]
+//! cover items and edges only, and [`SupplyChainGraph::from_bytes`]
+//! recomputes both in insertion order. `tests/trace_oracle.rs` holds
+//! every read to the recursive definition bit for bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use tn_crypto::sha256::{sha256, tagged_hash, Sha256};
 use tn_crypto::{Address, Hash256};
 
+use crate::expert::ExpertTallies;
 use crate::ops::PropagationOp;
 use crate::text::modification_degree;
 
@@ -98,26 +124,72 @@ pub struct TraceResult {
     pub cumulative_modification: f64,
 }
 
-impl TraceResult {
-    fn unreachable() -> TraceResult {
-        TraceResult {
-            reaches_root: false,
-            score: 0.0,
-            distance: None,
-            path: Vec::new(),
-            cumulative_modification: 0.0,
-        }
-    }
+/// A [`TraceResult`] without its path: what ranking needs of a trace, at
+/// a fixed size whatever the depth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceSummary {
+    /// True when at least one path reaches a fact root.
+    pub reaches_root: bool,
+    /// Best path quality, as [`TraceResult::score`].
+    pub score: f64,
+    /// Hop count of the best-scoring path (None when unreachable).
+    pub distance: Option<usize>,
+    /// Sum of modification degrees along the best path.
+    pub cumulative_modification: f64,
+}
+
+impl TraceSummary {
+    /// A fact root: the path is the root itself.
+    const ROOT: TraceSummary = TraceSummary {
+        reaches_root: true,
+        score: 1.0,
+        distance: Some(0),
+        cumulative_modification: 0.0,
+    };
+    /// No path to any root.
+    const UNREACHABLE: TraceSummary = TraceSummary {
+        reaches_root: false,
+        score: 0.0,
+        distance: None,
+        cumulative_modification: 0.0,
+    };
+}
+
+/// The stored answer of a node: everything the provenance reads report
+/// about its best path except the path itself, which is the chain of
+/// `next` links. Computed once, when the node enters the arena.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    trace: TraceSummary,
+    /// Arena index of the parent the best path continues through; `None`
+    /// on a root and on an item that reaches none.
+    next: Option<usize>,
+    /// The largest-modification hop of the best path, as `(author of the
+    /// hop's child, modification)`; of equal hops the one nearest this
+    /// node. `None` on a path without hops.
+    worst_hop: Option<(Address, f64)>,
+    /// Author of the node before the root on the best path; for an item
+    /// that reaches no root, of the unsourced item its first-parent chain
+    /// ends at. `None` on a root.
+    origin: Option<Address>,
+}
+
+#[derive(Debug)]
+struct Node {
+    item: NewsItem,
+    children: Vec<Hash256>,
+    summary: Summary,
 }
 
 /// The supply-chain graph.
 #[derive(Debug, Default)]
 pub struct SupplyChainGraph {
-    items: HashMap<Hash256, NewsItem>,
-    children: HashMap<Hash256, Vec<Hash256>>,
-    roots: HashSet<Hash256>,
-    /// Insertion order, for deterministic iteration.
-    order: Vec<Hash256>,
+    /// Every node, in insertion order. A node's parents sit at lower
+    /// indices, and neither they nor their summaries ever change.
+    nodes: Vec<Node>,
+    /// Item id → position in `nodes`.
+    index: HashMap<Hash256, usize>,
+    experts: ExpertTallies,
 }
 
 impl SupplyChainGraph {
@@ -128,22 +200,22 @@ impl SupplyChainGraph {
 
     /// Number of nodes (items + roots).
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.nodes.len()
     }
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Number of fact-root nodes.
     pub fn root_count(&self) -> usize {
-        self.roots.len()
+        self.iter().filter(|i| i.is_fact_root).count()
     }
 
     /// Total number of parent edges.
     pub fn edge_count(&self) -> usize {
-        self.items.values().map(|i| i.parents.len()).sum()
+        self.iter().map(|i| i.parents.len()).sum()
     }
 
     /// Adds a factual-database record as a root node.
@@ -158,11 +230,10 @@ impl SupplyChainGraph {
         topic: &str,
         recorded_at: u64,
     ) -> Result<(), GraphError> {
-        if self.items.contains_key(&id) {
+        if self.index.contains_key(&id) {
             return Err(GraphError::Duplicate(id));
         }
-        self.items.insert(
-            id,
+        self.push(
             NewsItem {
                 id,
                 author: Address::SYSTEM,
@@ -173,9 +244,8 @@ impl SupplyChainGraph {
                 is_fact_root: true,
                 published_at: recorded_at,
             },
+            &[],
         );
-        self.roots.insert(id);
-        self.order.push(id);
         Ok(())
     }
 
@@ -198,24 +268,21 @@ impl SupplyChainGraph {
         published_at: u64,
     ) -> Result<Hash256, GraphError> {
         let id = item_id(&author, content, published_at);
-        if self.items.contains_key(&id) {
+        if self.index.contains_key(&id) {
             return Err(GraphError::Duplicate(id));
         }
         let mut parent_refs = Vec::with_capacity(parents.len());
+        let mut parent_idx = Vec::with_capacity(parents.len());
         for (pid, op) in parents {
-            let parent = self.items.get(&pid).ok_or(GraphError::MissingParent(pid))?;
-            let modification = modification_degree(&parent.content, content);
+            let idx = *self.index.get(&pid).ok_or(GraphError::MissingParent(pid))?;
             parent_refs.push(ParentRef {
                 id: pid,
                 op,
-                modification,
+                modification: modification_degree(&self.nodes[idx].item.content, content),
             });
+            parent_idx.push(idx);
         }
-        for pref in &parent_refs {
-            self.children.entry(pref.id).or_default().push(id);
-        }
-        self.items.insert(
-            id,
+        self.push(
             NewsItem {
                 id,
                 author,
@@ -226,9 +293,98 @@ impl SupplyChainGraph {
                 is_fact_root: false,
                 published_at,
             },
+            &parent_idx,
         );
-        self.order.push(id);
         Ok(id)
+    }
+
+    /// Appends a node whose id is new; `parent_idx[i]` is the arena index
+    /// of `item.parents[i]`. The one place a node's summary is computed
+    /// and the expertise tallies move.
+    fn push(&mut self, item: NewsItem, parent_idx: &[usize]) {
+        let summary = self.summarize(&item, parent_idx);
+        if !item.is_fact_root {
+            self.experts
+                .record(&item.topic, item.author, &summary.trace);
+        }
+        for &parent in parent_idx {
+            self.nodes[parent].children.push(item.id);
+        }
+        self.index.insert(item.id, self.nodes.len());
+        self.nodes.push(Node {
+            item,
+            children: Vec::new(),
+            summary,
+        });
+    }
+
+    /// The best path of a node about to enter the arena, from its
+    /// parents' stored answers: max over reaching parents of `parent
+    /// score × (1 − modification)`, the earlier edge winning unless a
+    /// later one scores strictly higher or equal (within 1e-15) over a
+    /// strictly shorter path.
+    fn summarize(&self, item: &NewsItem, parent_idx: &[usize]) -> Summary {
+        if item.is_fact_root {
+            return Summary {
+                trace: TraceSummary::ROOT,
+                next: None,
+                worst_hop: None,
+                origin: None,
+            };
+        }
+        let mut best = Summary {
+            trace: TraceSummary::UNREACHABLE,
+            next: None,
+            worst_hop: None,
+            // Replaced as soon as a parent reaches a root; an item that
+            // reaches none inherits the end of its first-parent chain.
+            origin: match parent_idx.first() {
+                Some(&first) => self.nodes[first].summary.origin,
+                None => Some(item.author),
+            },
+        };
+        for (pref, &idx) in item.parents.iter().zip(parent_idx) {
+            let parent = &self.nodes[idx].summary;
+            if !parent.trace.reaches_root {
+                continue;
+            }
+            let retention = (1.0 - pref.modification).max(0.0);
+            let score = parent.trace.score * retention;
+            let distance = parent.trace.distance.map(|d| d + 1);
+            let better = score > best.trace.score
+                || !best.trace.reaches_root
+                || ((score - best.trace.score).abs() < 1e-15 && distance < best.trace.distance);
+            if !better {
+                continue;
+            }
+            // A path is a list of ids, so when a parent is named twice its
+            // hop carries the first such edge's modification.
+            let hop = item
+                .parents
+                .iter()
+                .find(|p| p.id == pref.id)
+                .map_or(pref.modification, |p| p.modification);
+            best = Summary {
+                trace: TraceSummary {
+                    reaches_root: true,
+                    score,
+                    distance,
+                    cumulative_modification: parent.trace.cumulative_modification
+                        + pref.modification,
+                },
+                next: Some(idx),
+                // Read from the item toward the root, the first of equal
+                // hops is blamed: this node's own hop wins a tie.
+                worst_hop: match parent.worst_hop {
+                    Some((_, m)) if m > hop => parent.worst_hop,
+                    _ => Some((item.author, hop)),
+                },
+                // A parent without an origin is a root: this is the
+                // first publisher.
+                origin: parent.origin.or(Some(item.author)),
+            };
+        }
+        best
     }
 
     /// A hash of the entire graph state, covering every node (in
@@ -263,19 +419,53 @@ impl SupplyChainGraph {
         h.finalize()
     }
 
+    /// The node at arena index `idx`. Every read path reaches nodes
+    /// through here, so tests can count how many a read visits.
+    fn node(&self, idx: usize) -> &Node {
+        count_visit();
+        &self.nodes[idx]
+    }
+
+    fn lookup(&self, id: &Hash256) -> Result<&Node, GraphError> {
+        let idx = self.index.get(id).ok_or(GraphError::NotFound(*id))?;
+        Ok(self.node(*idx))
+    }
+
     /// Looks up an item.
     pub fn get(&self, id: &Hash256) -> Option<&NewsItem> {
-        self.items.get(id)
+        self.lookup(id).ok().map(|node| &node.item)
     }
 
     /// Items derived from `id`.
     pub fn children_of(&self, id: &Hash256) -> &[Hash256] {
-        self.children.get(id).map(Vec::as_slice).unwrap_or(&[])
+        self.lookup(id).map_or(&[], |node| node.children.as_slice())
     }
 
     /// Iterates all items in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &NewsItem> {
-        self.order.iter().map(|id| &self.items[id])
+        self.nodes.iter().map(|node| &node.item)
+    }
+
+    /// Every item with its stored trace summary, in insertion order.
+    pub(crate) fn summaries(&self) -> impl Iterator<Item = (&NewsItem, &TraceSummary)> {
+        self.nodes
+            .iter()
+            .map(|node| (&node.item, &node.summary.trace))
+    }
+
+    /// Expertise tallies of every non-root item inserted so far.
+    pub(crate) fn experts(&self) -> &ExpertTallies {
+        &self.experts
+    }
+
+    /// The trace of `id` without its path — one lookup, whatever the
+    /// depth.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::NotFound`] for unknown ids.
+    pub fn trace_summary(&self, id: &Hash256) -> Result<TraceSummary, GraphError> {
+        Ok(self.lookup(id)?.summary.trace)
     }
 
     /// Traces `id` back to the factual database, returning the best path
@@ -285,76 +475,45 @@ impl SupplyChainGraph {
     ///
     /// [`GraphError::NotFound`] for unknown ids.
     pub fn trace_back(&self, id: &Hash256) -> Result<TraceResult, GraphError> {
-        if !self.items.contains_key(id) {
-            return Err(GraphError::NotFound(*id));
-        }
-        let mut memo: HashMap<Hash256, TraceResult> = HashMap::new();
-        Ok(self.trace_memo(*id, &mut memo))
+        Ok(self.materialize(self.lookup(id)?))
     }
 
-    fn trace_memo(&self, id: Hash256, memo: &mut HashMap<Hash256, TraceResult>) -> TraceResult {
-        if let Some(cached) = memo.get(&id) {
-            return cached.clone();
+    /// A node's stored trace with its path written out by following the
+    /// `next` links: O(path), no recursion.
+    fn materialize(&self, node: &Node) -> TraceResult {
+        let trace = node.summary.trace;
+        let mut path = Vec::with_capacity(trace.distance.map_or(0, |d| d + 1));
+        let mut at = trace.reaches_root.then_some(node);
+        while let Some(hop) = at {
+            path.push(hop.item.id);
+            at = hop.summary.next.map(|idx| self.node(idx));
         }
-        let item = &self.items[&id];
-        let result = if item.is_fact_root {
-            TraceResult {
-                reaches_root: true,
-                score: 1.0,
-                distance: Some(0),
-                path: vec![id],
-                cumulative_modification: 0.0,
-            }
-        } else {
-            let mut best = TraceResult::unreachable();
-            for pref in &item.parents {
-                let parent_res = self.trace_memo(pref.id, memo);
-                if !parent_res.reaches_root {
-                    continue;
-                }
-                let retention = (1.0 - pref.modification).max(0.0);
-                let score = parent_res.score * retention;
-                let better = score > best.score
-                    || (!best.reaches_root)
-                    || ((score - best.score).abs() < 1e-15
-                        && parent_res.distance.map(|d| d + 1) < best.distance);
-                if better {
-                    let mut path = Vec::with_capacity(parent_res.path.len() + 1);
-                    path.push(id);
-                    path.extend_from_slice(&parent_res.path);
-                    best = TraceResult {
-                        reaches_root: true,
-                        score,
-                        distance: parent_res.distance.map(|d| d + 1),
-                        path,
-                        cumulative_modification: parent_res.cumulative_modification
-                            + pref.modification,
-                    };
-                }
-            }
-            best
-        };
-        memo.insert(id, result.clone());
-        result
+        TraceResult {
+            reaches_root: trace.reaches_root,
+            score: trace.score,
+            distance: trace.distance,
+            path,
+            cumulative_modification: trace.cumulative_modification,
+        }
     }
 
     /// Traces every non-root item, returning `(id, trace)` pairs in
-    /// insertion order. Uses one shared memo, so the whole-graph cost is
-    /// linear in nodes + edges.
+    /// insertion order. Writing the paths out makes this O(Σ path
+    /// lengths); [`SupplyChainGraph::trace_summary`] answers without them.
     pub fn trace_all(&self) -> Vec<(Hash256, TraceResult)> {
-        let mut memo = HashMap::new();
-        self.order
+        self.nodes
             .iter()
-            .filter(|id| !self.roots.contains(id))
-            .map(|id| (*id, self.trace_memo(*id, &mut memo)))
+            .filter(|node| !node.item.is_fact_root)
+            .map(|node| (node.item.id, self.materialize(node)))
             .collect()
     }
 
     /// The account that introduced the largest modification along an
     /// item's best trace path — the accountability query for *distorted*
     /// news ("tracing the root to the person who creates fake news", §VI).
-    /// Returns `None` when the item does not reach a root or every hop is
-    /// below `threshold`.
+    /// Of equal modifications the hop nearest the item is blamed. Returns
+    /// `None` when the item does not reach a root or every hop is below
+    /// `threshold`.
     ///
     /// # Errors
     ///
@@ -364,63 +523,28 @@ impl SupplyChainGraph {
         id: &Hash256,
         threshold: f64,
     ) -> Result<Option<(Address, f64)>, GraphError> {
-        let trace = self.trace_back(id)?;
-        if !trace.reaches_root {
-            return Ok(None);
-        }
-        let mut worst: Option<(Address, f64)> = None;
-        // path[i] derives from path[i+1]; find the edge with the largest
-        // modification and blame the child (the account that made it).
-        for w in trace.path.windows(2) {
-            let child = &self.items[&w[0]];
-            let parent_id = w[1];
-            if let Some(pref) = child.parents.iter().find(|p| p.id == parent_id) {
-                if pref.modification >= threshold
-                    && worst.is_none_or(|(_, m)| pref.modification > m)
-                {
-                    worst = Some((child.author, pref.modification));
-                }
-            }
-        }
-        Ok(worst)
+        let worst = self.lookup(id)?.summary.worst_hop;
+        Ok(worst.filter(|(_, modification)| *modification >= threshold))
     }
 
-    /// The origin account of an item: walks the best trace path to the
-    /// last non-root node and reports its author — the accountability
+    /// The origin account of an item: the author of the last non-root
+    /// node on its best trace path, or, when no root is reachable, of the
+    /// unsourced item its first-parent chain ends at — the accountability
     /// query of §IV ("people create fake news can be easily identified and
-    /// located").
+    /// located"). `None` for a fact root.
     pub fn origin_author(&self, id: &Hash256) -> Result<Option<Address>, GraphError> {
-        let trace = self.trace_back(id)?;
-        if !trace.reaches_root {
-            // No root path: the earliest ancestor chain ends at an
-            // unsourced item; find it by walking any-parent upward.
-            let mut cur = *id;
-            loop {
-                let item = &self.items[&cur];
-                match item.parents.first() {
-                    Some(p) => cur = p.id,
-                    None => return Ok(Some(item.author)),
-                }
-            }
-        }
-        // Path ends at the fact root; the node before it is the first
-        // publisher.
-        let n = trace.path.len();
-        if n >= 2 {
-            Ok(Some(self.items[&trace.path[n - 2]].author))
-        } else {
-            Ok(None) // the item IS a root
-        }
+        Ok(self.lookup(id)?.summary.origin)
     }
 
     /// Serializes the graph (all nodes with their recorded edges, in
     /// insertion order) for a chain checkpoint. Modification degrees are
     /// stored as recorded — [`SupplyChainGraph::from_bytes`] restores them
-    /// without recomputation, so the round trip is exact.
+    /// without recomputation, so the round trip is exact. Summaries and
+    /// tallies are derived from these bytes and are not part of them.
     pub fn to_bytes(&self) -> Vec<u8> {
         use tn_chain::codec::Encoder;
         let mut e = Encoder::new();
-        e.put_varint(self.order.len() as u64);
+        e.put_varint(self.nodes.len() as u64);
         for item in self.iter() {
             e.put_hash(&item.id)
                 .put_hash(item.author.as_hash())
@@ -439,12 +563,14 @@ impl SupplyChainGraph {
         e.finish()
     }
 
-    /// Restores a graph from [`SupplyChainGraph::to_bytes`] bytes.
+    /// Restores a graph from [`SupplyChainGraph::to_bytes`] bytes,
+    /// recomputing every summary and tally in insertion order.
     ///
     /// # Errors
     ///
     /// A message when the blob is malformed (decode error, unknown op
-    /// tag, or an edge to a node that does not precede it).
+    /// tag, a modification that is not a number in `[0, 1]`, or an edge
+    /// to a node that does not precede it).
     pub fn from_bytes(bytes: &[u8]) -> Result<SupplyChainGraph, String> {
         use tn_chain::codec::Decoder;
         let err = |e: tn_chain::codec::DecodeError| format!("malformed graph state: {e}");
@@ -460,32 +586,34 @@ impl SupplyChainGraph {
             let published_at = dec.get_u64().map_err(err)?;
             let is_fact_root = dec.get_bool().map_err(err)?;
             let np = dec.get_varint().map_err(err)?;
-            let mut parents = Vec::with_capacity((np as usize).min(1 << 10));
+            let capacity = (np as usize).min(1 << 10);
+            let mut parents = Vec::with_capacity(capacity);
+            let mut parent_idx = Vec::with_capacity(capacity);
             for _ in 0..np {
                 let pid = dec.get_hash().map_err(err)?;
                 let op = PropagationOp::from_tag(dec.get_u8().map_err(err)?)
                     .ok_or_else(|| "unknown propagation op tag".to_string())?;
+                // Scores and tallies multiply and add this value as it
+                // stands: NaN (which fails the range test too), a negative
+                // or a value above 1 must not get past the decoder.
                 let modification = f64::from_bits(dec.get_u64().map_err(err)?);
-                if !graph.items.contains_key(&pid) {
-                    return Err(format!("edge to unknown parent {}", pid.short()));
+                if !(0.0..=1.0).contains(&modification) {
+                    return Err(format!("edge modification {modification} outside [0, 1]"));
                 }
+                let Some(&idx) = graph.index.get(&pid) else {
+                    return Err(format!("edge to unknown parent {}", pid.short()));
+                };
                 parents.push(ParentRef {
                     id: pid,
                     op,
                     modification,
                 });
+                parent_idx.push(idx);
             }
-            if graph.items.contains_key(&id) {
+            if graph.index.contains_key(&id) {
                 return Err(format!("duplicate node {}", id.short()));
             }
-            for p in &parents {
-                graph.children.entry(p.id).or_default().push(id);
-            }
-            if is_fact_root {
-                graph.roots.insert(id);
-            }
-            graph.items.insert(
-                id,
+            graph.push(
                 NewsItem {
                     id,
                     author,
@@ -496,12 +624,25 @@ impl SupplyChainGraph {
                     is_fact_root,
                     published_at,
                 },
+                &parent_idx,
             );
-            graph.order.push(id);
         }
         dec.expect_end().map_err(err)?;
         Ok(graph)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Arena nodes and tally rows read on this thread. Tests read it to
+    /// show that a provenance read visits its answer and nothing else.
+    static NODE_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Notes one arena node or expertise row read; nothing outside tests.
+pub(crate) fn count_visit() {
+    #[cfg(test)]
+    NODE_VISITS.with(|visits| visits.set(visits.get() + 1));
 }
 
 #[cfg(test)]
@@ -886,5 +1027,180 @@ mod tests {
             g.trace_back(&sha256(b"missing")),
             Err(GraphError::NotFound(_))
         ));
+    }
+
+    /// A relay chain of `hops` verbatim copies of `text` hanging off
+    /// `parent` (or off nothing); returns the ids in chain order.
+    fn relay_chain(
+        g: &mut SupplyChainGraph,
+        parent: Option<Hash256>,
+        text: &str,
+        topic: &str,
+        authors: &[Address],
+        hops: usize,
+    ) -> Vec<Hash256> {
+        let mut ids = Vec::with_capacity(hops);
+        let mut tip = parent;
+        for i in 0..hops {
+            let edges = tip.map(|p| (p, PropagationOp::Relay)).into_iter().collect();
+            let id = g
+                .insert(authors[i % authors.len()], text, topic, 1, edges, i as u64)
+                .unwrap();
+            ids.push(id);
+            tip = Some(id);
+        }
+        ids
+    }
+
+    /// Any account can relay its own item as often as it likes, so chain
+    /// depth is outside input. The recursive walk overflowed a 2 MiB
+    /// stack — this test's — from about 8 000 hops; no read may depend on
+    /// stack depth, rooted or not.
+    #[test]
+    fn hundred_thousand_hop_chains_answer_on_a_default_stack() {
+        use crate::expert::{experts_for_topic, score_experts};
+        use crate::ranking::{rank_graph, RankWeights};
+        const HOPS: usize = 100_000;
+        let authors = [addr(b"first"), addr(b"second"), addr(b"third")];
+
+        let (mut g, root) = graph_with_root();
+        let mut chain = relay_chain(&mut g, Some(root), FACT, "energy", &authors, HOPS / 2);
+        let distorter = addr(b"distorter");
+        let distorted = format!("{FACT} Insiders warn this is a shocking corrupt cover-up.");
+        let turn = g
+            .insert(
+                distorter,
+                &distorted,
+                "energy",
+                1,
+                vec![(chain[HOPS / 2 - 1], PropagationOp::Insert)],
+                0,
+            )
+            .unwrap();
+        chain.push(turn);
+        chain.extend(relay_chain(
+            &mut g,
+            Some(turn),
+            &distorted,
+            "energy",
+            &authors,
+            HOPS / 2 - 1,
+        ));
+        let tip = chain[HOPS - 1];
+        let trace = g.trace_back(&tip).unwrap();
+        assert_eq!(trace.distance, Some(HOPS));
+        assert_eq!(trace.path.len(), HOPS + 1);
+        assert_eq!(trace.path[HOPS], root);
+        assert!(chain.iter().rev().eq(trace.path[..HOPS].iter()));
+        assert_eq!(g.trace_summary(&tip).unwrap().distance, Some(HOPS));
+        let (culprit, modification) = g.distortion_culprit(&tip, 0.1).unwrap().unwrap();
+        assert_eq!(culprit, distorter);
+        assert!(modification > 0.1 && trace.score == 1.0 - modification);
+        assert_eq!(g.origin_author(&tip).unwrap(), Some(authors[0]));
+
+        // The unrooted walks: `origin_author` follows first parents to the
+        // fabricator, and the whole-graph reads touch every node of the
+        // chain. (On a rooted chain `trace_all` writes out Σ depth ids by
+        // contract, which no stack or heap survives at this depth.)
+        let mut g = SupplyChainGraph::new();
+        let chain = relay_chain(&mut g, None, "Made up story.", "energy", &authors, HOPS);
+        assert_eq!(g.origin_author(&chain[HOPS - 1]).unwrap(), Some(authors[0]));
+        assert_eq!(g.distortion_culprit(&chain[HOPS - 1], 0.0).unwrap(), None);
+        let all = g.trace_all();
+        assert_eq!(all.len(), HOPS);
+        assert!(all
+            .iter()
+            .all(|(_, t)| !t.reaches_root && t.path.is_empty()));
+        let experts = score_experts(&g);
+        assert_eq!(experts.len(), authors.len());
+        assert_eq!(experts.iter().map(|e| e.items).sum::<usize>(), HOPS);
+        assert_eq!(experts_for_topic(&g, "energy", 2).len(), 2);
+        assert_eq!(
+            rank_graph(&g, &|_| None, &RankWeights::default()).len(),
+            HOPS
+        );
+    }
+
+    fn visits<T>(read: impl FnOnce() -> T) -> usize {
+        NODE_VISITS.with(|v| v.set(0));
+        read();
+        NODE_VISITS.with(|v| v.get())
+    }
+
+    /// The stored summaries make a read cost its answer: one node for a
+    /// rank summary, a culprit or an origin, the path for a trace, one
+    /// topic's authors for a suggestion — whatever else the graph holds.
+    #[test]
+    fn reads_visit_their_answer_and_nothing_else() {
+        use crate::expert::{experts_for_topic, score_experts};
+        const DEPTH: usize = 4_096;
+        let (mut g, root) = graph_with_root();
+        // Ten times the chain in unrelated items: 64 authors on another
+        // topic, in short chains off a root of their own.
+        let crowd: Vec<Address> = (0..64u8).map(|i| addr(&[b'c', i])).collect();
+        let other_root = sha256(b"fact-2");
+        g.add_fact_root(other_root, "Hospital staffing rose.", "health", 0)
+            .unwrap();
+        for burst in 0..(10 * DEPTH / 64) {
+            let text = format!("Hospital staffing rose. Ward {burst}.");
+            relay_chain(&mut g, Some(other_root), &text, "health", &crowd, 64);
+        }
+        let authors = [addr(b"first"), addr(b"second"), addr(b"third")];
+        let chain = relay_chain(&mut g, Some(root), FACT, "energy", &authors, DEPTH);
+        let tip = chain[DEPTH - 1];
+        assert!(g.len() > 11 * DEPTH);
+
+        assert_eq!(visits(|| g.trace_summary(&tip).unwrap()), 1);
+        assert_eq!(visits(|| g.distortion_culprit(&tip, 0.1).unwrap()), 1);
+        assert_eq!(visits(|| g.origin_author(&tip).unwrap()), 1);
+        assert_eq!(visits(|| g.trace_back(&tip).unwrap()), DEPTH + 1);
+        assert_eq!(visits(|| g.trace_back(&chain[7]).unwrap()), 8 + 1);
+        assert_eq!(
+            visits(|| assert_eq!(experts_for_topic(&g, "energy", 2).len(), 2)),
+            authors.len()
+        );
+        assert_eq!(visits(|| experts_for_topic(&g, "sports", 2)), 0);
+        assert_eq!(visits(|| score_experts(&g)), authors.len() + crowd.len());
+    }
+
+    /// A checkpoint blob is outside input: an edge whose modification is
+    /// not a number in `[0, 1]` would flow into every score and tally
+    /// downstream of it.
+    #[test]
+    fn restore_rejects_modifications_outside_the_unit_interval() {
+        let (mut g, root) = graph_with_root();
+        g.insert(
+            addr(b"a"),
+            FACT,
+            "energy",
+            1,
+            vec![(root, PropagationOp::Relay)],
+            1,
+        )
+        .unwrap();
+        // The blob ends with the last edge's modification bits.
+        let with_modification = |m: f64| {
+            let mut bytes = g.to_bytes();
+            let at = bytes.len() - 8;
+            bytes[at..].copy_from_slice(&m.to_bits().to_le_bytes());
+            SupplyChainGraph::from_bytes(&bytes)
+        };
+        for bad in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.25,
+            1.0 + f64::EPSILON,
+            7.0,
+        ] {
+            let err = with_modification(bad).unwrap_err();
+            assert!(err.contains("outside [0, 1]"), "{bad}: {err}");
+        }
+        for good in [0.0, f64::MIN_POSITIVE, 0.5, 1.0] {
+            let restored = with_modification(good).unwrap();
+            let tip = restored.iter().last().unwrap().id;
+            assert_eq!(restored.trace_back(&tip).unwrap().score, 1.0 - good);
+        }
     }
 }

@@ -9,8 +9,9 @@
 //!   the "degree of modification" measure.
 //! - [`ops`]: the propagation operations (relay, cite, mix, split, merge,
 //!   insert) with executable text transformations.
-//! - [`graph`]: the supply-chain DAG with memoized trace-back to the
-//!   factual database and origin-account (accountability) queries.
+//! - [`graph`]: the supply-chain DAG; trace-back to the factual database
+//!   and the origin / distortion (accountability) queries are answered
+//!   from a summary stored on every node when it is inserted.
 //! - [`ranking`]: factualness ranking from trace distance × modification
 //!   degree, plus Spearman/precision@k rank-quality metrics.
 //! - [`expert`]: domain-topic expert identification from ledger history.
@@ -54,7 +55,7 @@ pub mod ranking;
 pub mod synth;
 pub mod text;
 
-pub use graph::{GraphError, NewsItem, ParentRef, SupplyChainGraph, TraceResult};
+pub use graph::{GraphError, NewsItem, ParentRef, SupplyChainGraph, TraceResult, TraceSummary};
 pub use index::{index_chain, IndexStats, NewsEvent};
 pub use ops::PropagationOp;
 pub use ranking::{rank_graph, RankWeights, RankedItem};

@@ -9,7 +9,7 @@
 
 use tn_crypto::Hash256;
 
-use crate::graph::{SupplyChainGraph, TraceResult};
+use crate::graph::{SupplyChainGraph, TraceResult, TraceSummary};
 
 /// Weighting between provenance and AI content signals.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +46,17 @@ pub struct RankedItem {
 
 /// Converts a trace result to a `[0, 1]` provenance score.
 pub fn trace_score(trace: &TraceResult) -> f64 {
-    if trace.reaches_root {
-        trace.score.clamp(0.0, 1.0)
+    provenance_score(trace.reaches_root, trace.score)
+}
+
+/// [`trace_score`] of a trace read without its path.
+pub fn summary_score(trace: &TraceSummary) -> f64 {
+    provenance_score(trace.reaches_root, trace.score)
+}
+
+fn provenance_score(reaches_root: bool, score: f64) -> f64 {
+    if reaches_root {
+        score.clamp(0.0, 1.0)
     } else {
         0.0
     }
@@ -73,13 +82,13 @@ pub fn rank_graph(
     weights: &RankWeights,
 ) -> Vec<RankedItem> {
     graph
-        .trace_all()
-        .into_iter()
-        .map(|(id, trace)| {
-            let ts = trace_score(&trace);
-            let ai = ai_scores(&id).unwrap_or(0.5);
+        .summaries()
+        .filter(|(item, _)| !item.is_fact_root)
+        .map(|(item, trace)| {
+            let ts = summary_score(trace);
+            let ai = ai_scores(&item.id).unwrap_or(0.5);
             RankedItem {
-                id,
+                id: item.id,
                 rank: combine(ts, ai, weights),
                 trace_score: ts,
                 ai_score: ai,

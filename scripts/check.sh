@@ -32,6 +32,17 @@ echo "== cargo test --release -p tn-chain (state trie and run import without deb
 # loop, verdict for verdict — to the optimized build.
 cargo test --release --offline -p tn-chain -q
 
+echo "== cargo test --release -p tn-supplychain (stored trace summaries as every binary reads them)"
+# Every provenance read — rank, trace, culprit, origin, expert suggestion —
+# answers from a summary computed when the item was inserted and never
+# again. A summary that is wrong or stale raises no error anywhere: items
+# rank on another path's score, the wrong account is named as distorter,
+# and no digest moves, because summaries are derived data outside every
+# digest. tests/trace_oracle.rs holds them bit for bit to the recursive
+# definition over random DAGs, and the visit-count guard in graph.rs holds
+# each read to O(answer); both must pass in the optimized build too.
+cargo test --release --offline -p tn-supplychain -q
+
 echo "== benchmark package (the public surface benchmark/README.md pins)"
 # The repo's benchmark is a package of its own that drives the platform
 # through public functions only. Build it against its committed lock file,
