@@ -82,11 +82,6 @@ impl NaiveBayes {
     pub fn predict(&self, text: &str) -> bool {
         self.log_odds_fake(text) > 0.0
     }
-
-    /// Vocabulary size (for inspection).
-    pub fn vocab_len(&self) -> usize {
-        self.vocab.len()
-    }
 }
 
 #[cfg(test)]

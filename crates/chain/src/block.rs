@@ -190,15 +190,9 @@ impl Block {
         merkle_root(txs.iter().map(|t| t.id().into_bytes()))
     }
 
-    /// [`Block::compute_tx_root`] with transaction hashing and Merkle
-    /// reduction fanned out over `pool`. Byte-identical to the sequential
-    /// version for every input and worker count.
-    pub fn compute_tx_root_par(txs: &[Transaction], pool: &Pool) -> Hash256 {
-        Block::ids_and_tx_root(txs, pool).1
-    }
-
     /// Every transaction's id and the Merkle root over them, hashing each
-    /// transaction once (fanned out over `pool`).
+    /// transaction once (fanned out over `pool`). The root is
+    /// [`Block::compute_tx_root`]'s for every input and worker count.
     fn ids_and_tx_root(txs: &[Transaction], pool: &Pool) -> (Vec<Hash256>, Hash256) {
         let (ids, leaves) = pool
             .map(txs, |t| {
@@ -836,7 +830,7 @@ mod tests {
                 assert_eq!(par, seq, "count={count} workers={workers}");
             }
             assert_eq!(
-                Block::compute_tx_root_par(&block.transactions, &Pool::new(4)),
+                Block::ids_and_tx_root(&block.transactions, &Pool::new(4)).1,
                 Block::compute_tx_root(&block.transactions),
             );
         }

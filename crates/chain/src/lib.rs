@@ -22,20 +22,20 @@
 //!   and a reader checks one account against a header's state root with
 //!   an [`AccountProof`].
 //! - [`store`]: block storage, parent-state validation, longest-chain fork
-//!   choice, and [`observer`] notification. A proposer executes and accepts
-//!   its own block in one pass ([`ChainStore::commit`]); blocks from
-//!   elsewhere are validated in full ([`ChainStore::import`]), a run of
-//!   them with one signature pass ahead of execution
-//!   ([`ChainStore::import_run`]).
-//! - [`observer`]: the [`BlockObserver`] projection trait — derived views
-//!   (supply-chain graph, identity registry, fact admissions, …) as pure
-//!   functions of canonical block history, each with a state digest so
-//!   replicas and replays can be compared by hash.
+//!   choice, and the word to the executor about what became canonical. A
+//!   proposer executes and accepts its own block in one pass
+//!   ([`ChainStore::commit`]); blocks from elsewhere are validated in full
+//!   ([`ChainStore::import`]), a run of them with one signature pass ahead
+//!   of execution ([`ChainStore::import_run`]).
+//! - [`observer`]: how the digests of views derived from canonical block
+//!   history (supply-chain graph, identity registry, fact admissions, …)
+//!   combine into one projection root, so replicas and replays can be
+//!   compared by hash.
 //! - [`mempool`]: fee-prioritised pending-transaction pool.
 //!
 //! Consensus (who gets to append) lives in `tn-consensus`; contract
-//! execution lives in `tn-contracts` and plugs in through
-//! [`state::TxExecutor`].
+//! execution lives in `tn-contracts`, the derived views in `tn-core`, and
+//! both plug in through [`state::TxExecutor`].
 //!
 //! # Example
 //!
@@ -79,7 +79,7 @@ pub use block::{BatchVerifyPolicy, Block, BlockHeader};
 pub use checkpoint::ChainCheckpoint;
 pub use error::ChainError;
 pub use mempool::Mempool;
-pub use observer::{projection_root, BlockObserver};
+pub use observer::projection_root;
 pub use sigcache::SigCache;
 pub use state::{AccountState, NoExecutor, Receipt, State, TxExecutor};
 pub use store::{ChainStore, CheckedBlock};
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::codec::{Decodable, Decoder, Encodable, Encoder};
     pub use crate::error::ChainError;
     pub use crate::mempool::Mempool;
-    pub use crate::observer::{projection_root, BlockObserver};
+    pub use crate::observer::projection_root;
     pub use crate::sigcache::SigCache;
     pub use crate::state::{NoExecutor, Receipt, State, TxExecutor};
     pub use crate::store::{ChainStore, CheckedBlock};

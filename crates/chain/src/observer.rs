@@ -1,79 +1,22 @@
-//! Block observers: deterministic projections of the canonical chain.
+//! The projection root: one hash over named projection digests.
 //!
 //! The paper's accountability claim is that every derived view of the
 //! platform — supply-chain graph, identity registry, fact admissions,
-//! headline caches — is a pure function of block history. A
-//! [`BlockObserver`] is exactly that function: it consumes canonical
-//! `(block, receipts)` pairs in order and exposes a digest of its
-//! derived state, so two replicas (or a live node and a replay from
-//! genesis) can compare projections by hash.
-//!
-//! Observers registered with a [`ChainStore`](crate::store::ChainStore)
-//! are fed every head-extending import; on a reorg the store resets them
-//! and replays the new canonical chain from genesis, so an observer only
-//! ever reflects the canonical history.
-
-use std::any::Any;
+//! headline cache — is a pure function of block history. The views
+//! themselves live with whoever executes blocks (a
+//! [`TxExecutor`](crate::state::TxExecutor) is told of every canonical
+//! block, see [`crate::store`]); what the chain layer fixes is how their
+//! digests combine, so two replicas — or a live node and a replay from
+//! genesis — compare all of their derived state by one hash.
 
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::Hash256;
-
-use crate::block::Block;
-use crate::state::Receipt;
-
-/// A deterministic projection over canonical blocks.
-///
-/// Implementations must be pure functions of the observed sequence: two
-/// observers of the same type fed the same `(block, receipts)` sequence
-/// must report identical [`digest`](BlockObserver::digest)s.
-pub trait BlockObserver {
-    /// Stable identifier used in digest reports (e.g. `"supplychain"`).
-    fn name(&self) -> &'static str;
-
-    /// Consumes the next canonical block and its execution receipts.
-    /// `receipts[i]` corresponds to `block.transactions[i]`.
-    fn on_block(&mut self, block: &Block, receipts: &[Receipt]);
-
-    /// A hash of the observer's entire derived state.
-    fn digest(&self) -> Hash256;
-
-    /// Returns the observer to its genesis (empty) state, ahead of a
-    /// replay after a reorg.
-    fn reset(&mut self);
-
-    /// Serializes the observer's derived state for inclusion in a storage
-    /// checkpoint. Observers returning `None` (the default) are rebuilt by
-    /// replaying block history on recovery instead.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state previously produced by
-    /// [`save_state`](BlockObserver::save_state).
-    ///
-    /// # Errors
-    ///
-    /// A message describing the failure; the default implementation always
-    /// fails (no checkpoint support).
-    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err(format!(
-            "projection {} cannot load checkpoints",
-            self.name()
-        ))
-    }
-
-    /// Downcast support (the store owns observers as trait objects).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
 
 /// Combines named per-projection digests into one projection root:
 /// `H("TN/projections" || (len(name) name digest)*)`.
 ///
 /// Replicas agree on their full derived state iff they agree on this
-/// root (given the same registered projection set, in order).
+/// root (given the same projections, in the same order).
 pub fn projection_root(digests: &[(&'static str, Hash256)]) -> Hash256 {
     let mut data = Vec::with_capacity(digests.len() * 40);
     for (name, digest) in digests {

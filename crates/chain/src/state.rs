@@ -21,8 +21,10 @@ use std::sync::{Arc, OnceLock};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::{Address, Hash256};
 
+use crate::block::Block;
 use crate::codec::{Decodable, DecodeError, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
+use crate::store::ChainStore;
 use crate::transaction::{Payload, Transaction};
 use crate::trie::{AccountProof, AccountTrie};
 
@@ -51,9 +53,14 @@ pub struct Receipt {
     pub error: Option<String>,
 }
 
-/// Hook through which the contracts crate plugs its VM into the chain
-/// without a dependency cycle. The chain executes native payloads itself
-/// and delegates `ContractDeploy`/`ContractCall` to this trait.
+/// What the chain hands to the layer above it, without depending on it.
+/// The chain executes native payloads itself, delegates
+/// `ContractDeploy`/`ContractCall` to [`deploy`](TxExecutor::deploy) and
+/// [`call`](TxExecutor::call), and reports what became canonical through
+/// [`block_connected`](TxExecutor::block_connected) and
+/// [`history_replaced`](TxExecutor::history_replaced), so whatever the
+/// executor derives from block history sees every canonical block once,
+/// in order, and nothing else.
 pub trait TxExecutor {
     /// Deploys `code`, returning the new contract's address.
     ///
@@ -74,6 +81,24 @@ pub trait TxExecutor {
         input: &[u8],
         gas_limit: u64,
     ) -> Result<(u64, Vec<u8>), String>;
+
+    /// `block` (its id is `id`; `receipts[i]` belongs to
+    /// `block.transactions[i]`) was accepted as the child of the canonical
+    /// head and is the head now. The block is durable by the time this is
+    /// called. A block that lands on a side branch is not announced.
+    fn block_connected(&mut self, _block: &Block, _id: &Hash256, _receipts: &[Receipt]) {}
+
+    /// A reorg replaced canonical history: the new head is not a child of
+    /// the old one. Whatever was derived from the blocks announced so far
+    /// has to be derived again from `store`'s canonical chain, genesis
+    /// first ([`ChainStore::for_each_canonical`]).
+    ///
+    /// # Errors
+    ///
+    /// When canonical history cannot be read back from `store`.
+    fn history_replaced(&mut self, _store: &ChainStore) -> Result<(), ChainError> {
+        Ok(())
+    }
 }
 
 /// Executor used when no contract VM is attached: all contract payloads

@@ -22,8 +22,9 @@
 //! per block), so canonical-chain walks never touch the backend.
 //!
 //! Every query about a body — [`ChainStore::block`], the transaction and
-//! account indexes, observer replay, [`ChainStore::snapshot`] — reads the
-//! backend record, whatever the height. Historical *states* of evicted
+//! account indexes, [`ChainStore::for_each_canonical`],
+//! [`ChainStore::snapshot`] — reads the backend record, whatever the
+//! height. Historical *states* of evicted
 //! blocks are reconstructed by replaying forward from the nearest
 //! checkpoint at or below the requested height. The replay uses
 //! [`NoExecutor`], which is sound because contract execution cannot
@@ -53,13 +54,26 @@
 //! else; one it did not is checked on its own, with the error a
 //! sequential import reports. Both ways in end in the same tail: the
 //! record reaches the backend before the block is
-//! visible, then window, fork choice, canonical map, projections,
-//! eviction. The window's per-block post-states are persistent tries
-//! that share whatever their blocks did not write, so a window entry
-//! costs the written paths, not a copy of the state.
+//! visible, then window, fork choice, canonical map, the hand-off to the
+//! executor, eviction. The window's per-block post-states are persistent
+//! tries that share whatever their blocks did not write, so a window
+//! entry costs the written paths, not a copy of the state.
 //!
-//! Checkpoints ([`ChainCheckpoint`]) bundle the head state with
-//! projection and executor extension blobs; a restarted replica restores
+//! ## One hand-off out
+//!
+//! The store calls out through one object: the [`TxExecutor`] every way
+//! in receives. It executes contract payloads, and it is told what became
+//! canonical — [`TxExecutor::block_connected`] when a block extended the
+//! head (committed, imported, replayed from the WAL tail or decoded from a
+//! snapshot alike), [`TxExecutor::history_replaced`] when a reorg made
+//! another branch canonical, after which it re-derives what it holds from
+//! [`ChainStore::for_each_canonical`]. A block on a side branch is stored
+//! and announced to nobody. The store keeps no list of listeners and
+//! knows no view by name: [`NoExecutor`] derives nothing, the platform's
+//! pipeline lends its contract registry and projections as one executor.
+//!
+//! Checkpoints ([`ChainCheckpoint`]) bundle the head state with the
+//! extension blobs the caller hands over; a restarted replica restores
 //! the latest durable checkpoint and replays only the storage records
 //! past it ([`ChainStore::open_recovering`] + [`ChainStore::replay_tail`]),
 //! so restart cost is proportional to downtime, not chain length.
@@ -67,7 +81,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_par::Pool;
@@ -79,7 +92,6 @@ use crate::block::{prove_run, BatchVerifyPolicy, Block, BlockHashes, BlockHeader
 use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
-use crate::observer::{self, BlockObserver};
 use crate::sigcache::SigCache;
 use crate::state::{NoExecutor, Receipt, State, TxExecutor};
 use crate::transaction::{Payload, Transaction};
@@ -304,10 +316,9 @@ fn apply_traced(
 
 /// The block store and canonical-chain tracker.
 ///
-/// Registered [`BlockObserver`] projections are fed every canonical
-/// block in order: head-extending imports notify observers directly,
-/// while reorgs reset them and replay the new canonical chain from
-/// genesis, so observers always reflect exactly the canonical history.
+/// It holds nothing derived from block contents but world state; what
+/// the layer above derives belongs to the [`TxExecutor`] every way in
+/// receives (the module docs, "One hand-off out").
 pub struct ChainStore {
     /// Header and post-state of recent blocks (canonical and fork).
     /// Genesis stays pinned; everything else is evicted once finalized.
@@ -330,7 +341,6 @@ pub struct ChainStore {
     /// Current head (tip of the canonical chain).
     head: Hash256,
     genesis: Hash256,
-    observers: Vec<Box<dyn BlockObserver>>,
     telemetry: TelemetrySink,
     trace: TraceSink,
     /// Worker pool used for block verification (tx hashing, Merkle
@@ -351,10 +361,6 @@ impl fmt::Debug for ChainStore {
             .field("canonical", &self.canonical.len())
             .field("head", &self.head)
             .field("genesis", &self.genesis)
-            .field(
-                "observers",
-                &self.observers.iter().map(|o| o.name()).collect::<Vec<_>>(),
-            )
             .finish()
     }
 }
@@ -453,7 +459,6 @@ impl ChainStore {
             replaying: false,
             head: id,
             genesis: id,
-            observers: Vec::new(),
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
             pool: Pool::auto(),
@@ -465,8 +470,8 @@ impl ChainStore {
     /// Reopens a store from an existing backend (typically
     /// [`tn_storage::DiskBackend::open`]), restoring the newest usable
     /// checkpoint. Returns the store positioned at the checkpoint block
-    /// together with the decoded checkpoint, so callers can restore
-    /// projection and executor state from its extensions before calling
+    /// together with the decoded checkpoint, so callers can restore the
+    /// executor's state from its extensions before calling
     /// [`ChainStore::replay_tail`].
     ///
     /// Checkpoint selection is defensive: a checkpoint whose blob fails
@@ -603,7 +608,6 @@ impl ChainStore {
             replaying: false,
             head,
             genesis: genesis_id,
-            observers: Vec::new(),
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
             pool: Pool::auto(),
@@ -616,10 +620,11 @@ impl ChainStore {
     /// Re-imports every storage record past the restored checkpoint (the
     /// WAL tail plus any finalized blocks above it), re-validating and
     /// re-executing each block, a run at a time
-    /// ([`ChainStore::check_run`]). Observer projections restored via
-    /// [`ChainStore::register_observer_restored`] are fed the tail
-    /// live. Orphaned fork records (whose parents were discarded) are
-    /// skipped and counted. Returns the number of blocks replayed.
+    /// ([`ChainStore::check_run`]). `executor`, restored from the
+    /// checkpoint's extensions, is told of every tail block that extends
+    /// the head, as on any import. Orphaned fork records (whose parents
+    /// were discarded) are skipped and counted. Returns the number of
+    /// blocks replayed.
     ///
     /// # Errors
     ///
@@ -686,8 +691,8 @@ impl ChainStore {
         Ok((replayed, orphaned + torn))
     }
 
-    /// Routes the store's metrics (import latency, per-projection apply
-    /// time, reorg and replay counters, backend `storage.*` series) to
+    /// Routes the store's metrics (import latency, verification, reorg and
+    /// recovery counters, backend `storage.*` series) to
     /// `sink`. The default sink is disabled, so an uninstrumented store
     /// records nothing.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
@@ -696,9 +701,8 @@ impl ChainStore {
     }
 
     /// Routes the store's spans to `sink`: per-block `chain.import` with
-    /// `chain.verify` / `chain.execute` / `chain.projections` children,
-    /// per-transaction `tx.verify` and `tx.apply`, and per-projection
-    /// `projection.<name>` spans.
+    /// `chain.verify` / `chain.execute` children and per-transaction
+    /// `tx.verify` and `tx.apply`.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
@@ -782,11 +786,6 @@ impl ChainStore {
     /// A shared reference to the storage backend.
     pub fn storage(&self) -> &dyn Storage {
         &*self.backend
-    }
-
-    /// Backend name (`"mem"`, `"disk"`).
-    pub fn storage_kind(&self) -> &'static str {
-        self.backend.kind()
     }
 
     /// Consumes the store, returning its backend (used by recovery tests
@@ -1073,7 +1072,7 @@ impl ChainStore {
         let ids = BlockIds::of(checked.hashes.id, &self.trace);
         self.timed_import(block, ids, |store| {
             let (post_state, receipts) = store.validate(&checked, executor, ids)?;
-            store.accept(block, ids, post_state, receipts)
+            store.accept(block, ids, post_state, receipts, executor)
         })
     }
 
@@ -1218,13 +1217,15 @@ impl ChainStore {
     /// Takes a block whose post-state and receipts are known to be right —
     /// re-derived by [`ChainStore::import`], or just produced by
     /// [`ChainStore::commit`] — into the store: durable first, then the
-    /// window, fork choice, the canonical map, projections and eviction.
+    /// window, fork choice, the canonical map, the word to `executor` and
+    /// eviction.
     fn accept(
         &mut self,
         block: &Block,
         ids: BlockIds,
         post_state: State,
         receipts: Vec<Receipt>,
+        executor: &mut dyn TxExecutor,
     ) -> Result<Vec<Receipt>, ChainError> {
         let id = ids.block;
         // Durability before visibility: the record reaches the WAL before
@@ -1249,9 +1250,9 @@ impl ChainStore {
         if height > head_height || (height == head_height && id < self.head) {
             self.head = id;
         }
-        // Keep projections in lock-step with the canonical chain.
         if self.head == id {
-            if parent_id == old_head {
+            let extends = parent_id == old_head;
+            if extends {
                 self.canonical.insert(height, id);
             } else {
                 // Reorg: the new head is not a child of the old one.
@@ -1262,57 +1263,16 @@ impl ChainStore {
                 height,
                 id: *id.as_bytes(),
             })?;
-            if parent_id == old_head {
-                self.notify_observers(block, &receipts, ids);
+            // Keep what the executor derives in step with the canonical
+            // chain.
+            if extends {
+                executor.block_connected(block, &id, &receipts);
             } else {
-                self.rebuild_observers()?;
+                executor.history_replaced(self)?;
             }
             self.evict_and_finalize()?;
         }
         Ok(receipts)
-    }
-
-    /// Feeds the newly-canonical head block to every registered observer.
-    fn notify_observers(&mut self, block: &Block, receipts: &[Receipt], ids: BlockIds) {
-        let timed = self.telemetry.is_enabled();
-        let telemetry = self.telemetry.clone();
-        let trace = self.trace.clone();
-        let (block_trace, import_span) = (ids.trace, ids.import);
-        let mut observers = std::mem::take(&mut self.observers);
-        let p0 = trace.now_ns();
-        let projections_span = replica_span_id(block_trace, "chain.projections", trace.replica());
-        for ob in observers.iter_mut() {
-            let o0 = trace.now_ns();
-            if timed {
-                let started = Instant::now();
-                ob.on_block(block, receipts);
-                telemetry.observe(
-                    &format!("chain.projection.{}.apply_ns", ob.name()),
-                    started.elapsed().as_nanos() as u64,
-                );
-            } else {
-                ob.on_block(block, receipts);
-            }
-            trace.complete(
-                block_trace,
-                format!("projection.{}", ob.name()),
-                projections_span,
-                lanes::PROJECTION,
-                o0,
-                &[],
-            );
-        }
-        if !observers.is_empty() {
-            trace.complete(
-                block_trace,
-                "chain.projections",
-                import_span,
-                lanes::PROJECTION,
-                p0,
-                &[("projections", observers.len() as u64)],
-            );
-        }
-        self.observers = observers;
     }
 
     /// Rewrites the canonical map after a reorg: walks the new head's
@@ -1378,8 +1338,9 @@ impl ChainStore {
     }
 
     /// Writes a checkpoint at the current head: the head state plus the
-    /// save-states of every registered observer and the caller-provided
-    /// `extras` (e.g. the executor's contract registry). The WAL is
+    /// caller's named `extensions`, in the order given (the saved state of
+    /// whatever the executor derives: contract storage, projections).
+    /// The WAL is
     /// flushed first so the checkpointed block is durable before the
     /// checkpoint that references it. Runs backend compaction afterwards
     /// when the store was configured with `compact`. Returns the
@@ -1388,17 +1349,14 @@ impl ChainStore {
     /// # Errors
     ///
     /// [`ChainError::Storage`] on backend write failures.
-    pub fn checkpoint_now(&mut self, extras: Vec<(String, Vec<u8>)>) -> Result<u64, ChainError> {
+    pub fn checkpoint_now(
+        &mut self,
+        extensions: Vec<(String, Vec<u8>)>,
+    ) -> Result<u64, ChainError> {
         let _span = self.telemetry.span("chain.checkpoint_ns");
         self.backend.flush()?;
         let height = self.height();
         let head_id = self.head;
-        let mut extensions: Vec<(String, Vec<u8>)> = self
-            .observers
-            .iter()
-            .filter_map(|ob| ob.save_state().map(|bytes| (ob.name().to_string(), bytes)))
-            .collect();
-        extensions.extend(extras);
         let cp = ChainCheckpoint {
             height,
             head_id,
@@ -1423,10 +1381,10 @@ impl ChainStore {
     /// [`ChainError::Storage`] on backend write failures.
     pub fn maybe_checkpoint(
         &mut self,
-        extras: Vec<(String, Vec<u8>)>,
+        extensions: Vec<(String, Vec<u8>)>,
     ) -> Result<Option<u64>, ChainError> {
         if self.checkpoint_due() {
-            Ok(Some(self.checkpoint_now(extras)?))
+            Ok(Some(self.checkpoint_now(extensions)?))
         } else {
             Ok(None)
         }
@@ -1454,8 +1412,18 @@ impl ChainStore {
     }
 
     /// Walks the canonical chain genesis-first, decoding each block and
-    /// its receipts from the backend and feeding them to `f`.
-    fn for_each_canonical(&self, f: &mut dyn FnMut(&Block, &[Receipt])) -> Result<(), ChainError> {
+    /// its receipts from the backend and feeding them to `f`: the input
+    /// every view derived from block history is a function of, for an
+    /// audit replay or a rebuild after a reorg.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::HistoryPruned`] when compaction took a canonical
+    /// record; storage and decode errors.
+    pub fn for_each_canonical(
+        &self,
+        f: &mut dyn FnMut(&Block, &[Receipt]),
+    ) -> Result<(), ChainError> {
         for id in self.canonical.values() {
             let rec = self.record(id)?;
             f(
@@ -1464,119 +1432,6 @@ impl ChainStore {
             );
         }
         Ok(())
-    }
-
-    /// Registers a projection. The existing canonical history (genesis
-    /// first) is replayed into it, so observers registered after blocks
-    /// were imported still see the complete canonical sequence.
-    ///
-    /// # Panics
-    ///
-    /// When canonical history cannot be read back from the backend
-    /// (compaction pruned it, or the disk is corrupt).
-    pub fn register_observer(&mut self, observer: Box<dyn BlockObserver>) {
-        self.register_observers(vec![observer]);
-    }
-
-    /// Registers several projections at once: the canonical history is
-    /// read and decoded once and fed to all of them, instead of once per
-    /// projection.
-    ///
-    /// # Panics
-    ///
-    /// As [`ChainStore::register_observer`].
-    pub fn register_observers(&mut self, mut observers: Vec<Box<dyn BlockObserver>>) {
-        self.feed_canonical(&mut observers)
-            .expect("canonical history readable (compaction disables observer replay)");
-        self.observers.append(&mut observers);
-    }
-
-    /// Resets `observers` and feeds them the canonical chain, genesis
-    /// first, in one pass; returns the number of blocks fed.
-    fn feed_canonical(&self, observers: &mut [Box<dyn BlockObserver>]) -> Result<u64, ChainError> {
-        for ob in observers.iter_mut() {
-            ob.reset();
-        }
-        let mut blocks = 0;
-        self.for_each_canonical(&mut |block, receipts| {
-            for ob in observers.iter_mut() {
-                ob.on_block(block, receipts);
-            }
-            blocks += 1;
-        })?;
-        Ok(blocks)
-    }
-
-    /// Registers a projection whose state was already restored from a
-    /// checkpoint extension — no reset, no history replay. The caller
-    /// must follow with [`ChainStore::replay_tail`] so the projection
-    /// catches up with blocks past the checkpoint.
-    pub fn register_observer_restored(&mut self, observer: Box<dyn BlockObserver>) {
-        self.observers.push(observer);
-    }
-
-    /// Looks up a registered observer by name, downcast to its concrete
-    /// projection type.
-    pub fn observer<T: 'static>(&self, name: &str) -> Option<&T> {
-        self.observers
-            .iter()
-            .find(|o| o.name() == name)
-            .and_then(|o| o.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable variant of [`ChainStore::observer`].
-    pub fn observer_mut<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
-        self.observers
-            .iter_mut()
-            .find(|o| o.name() == name)
-            .and_then(|o| o.as_any_mut().downcast_mut::<T>())
-    }
-
-    /// Per-projection state digests, in registration order.
-    pub fn projection_digests(&self) -> Vec<(&'static str, Hash256)> {
-        self.observers
-            .iter()
-            .map(|o| (o.name(), o.digest()))
-            .collect()
-    }
-
-    /// Combined digest over all registered projections (see
-    /// [`observer::projection_root`]).
-    pub fn projection_root(&self) -> Hash256 {
-        observer::projection_root(&self.projection_digests())
-    }
-
-    /// Replays the canonical chain from genesis into an external set of
-    /// (fresh or stale) observers. This is the audit path: digests of
-    /// the replayed observers must match the live registered ones.
-    ///
-    /// # Panics
-    ///
-    /// When canonical history cannot be read back from the backend
-    /// (compaction pruned it, or the disk is corrupt).
-    pub fn replay_into(&self, observers: &mut [Box<dyn BlockObserver>]) {
-        self.try_replay_into(observers)
-            .expect("canonical history readable (compaction disables audit replay)");
-    }
-
-    fn try_replay_into(&self, observers: &mut [Box<dyn BlockObserver>]) -> Result<(), ChainError> {
-        let _span = self.telemetry.span("chain.replay_ns");
-        self.telemetry.incr("chain.replays");
-        let blocks = self.feed_canonical(observers)?;
-        self.telemetry.add("chain.replay_blocks", blocks);
-        Ok(())
-    }
-
-    /// Resets every observer and replays the canonical chain (used after
-    /// a reorg changes canonical history).
-    fn rebuild_observers(&mut self) -> Result<(), ChainError> {
-        if self.observers.is_empty() {
-            return Ok(());
-        }
-        let mut observers = std::mem::take(&mut self.observers);
-        let replayed = self.try_replay_into(&mut observers);
-        self.observers = observers;
-        replayed
     }
 
     /// The proposer's one pass over `txs`: drops those whose signature
@@ -1722,7 +1577,7 @@ impl ChainStore {
         }
         let receipts = self.timed_import(&block, ids, |store| {
             store.reject_known(&ids.block)?;
-            store.accept(&block, ids, post_state, receipts)
+            store.accept(&block, ids, post_state, receipts, executor)
         })?;
         Ok((block, receipts))
     }
@@ -2448,58 +2303,53 @@ mod tests {
         }
     }
 
-    /// Test projection: a running hash over observed `(block id, receipt
-    /// successes)` — sensitive to both sequence and content.
-    #[derive(Default)]
-    struct ChainTrace {
-        acc: Vec<u8>,
-        blocks_seen: usize,
+    /// Test executor: no contracts, and a log of the canonical blocks it
+    /// was told of — 32 id bytes and the count of successful receipts each,
+    /// so sensitive to both sequence and content.
+    #[derive(Debug, Default, PartialEq)]
+    struct ChainTrace(Vec<u8>);
+
+    impl ChainTrace {
+        /// What a trace told of all of `store`'s canonical chain holds.
+        fn replayed(store: &ChainStore) -> Result<ChainTrace, ChainError> {
+            let mut trace = ChainTrace::default();
+            store.for_each_canonical(&mut |block, receipts| trace.see(&block.id(), receipts))?;
+            Ok(trace)
+        }
+
+        fn see(&mut self, id: &Hash256, receipts: &[Receipt]) {
+            self.0.extend_from_slice(id.as_bytes());
+            self.0
+                .push(receipts.iter().filter(|r| r.success).count() as u8);
+        }
+
+        fn blocks_seen(&self) -> usize {
+            self.0.len() / 33
+        }
     }
 
-    impl crate::observer::BlockObserver for ChainTrace {
-        fn name(&self) -> &'static str {
-            "trace"
+    impl TxExecutor for ChainTrace {
+        fn deploy(&mut self, by: &Address, nonce: u64, code: &[u8]) -> Result<Address, String> {
+            NoExecutor.deploy(by, nonce, code)
         }
 
-        fn on_block(&mut self, block: &Block, receipts: &[Receipt]) {
-            self.acc.extend_from_slice(block.id().as_bytes());
-            for r in receipts {
-                self.acc.push(r.success as u8);
-            }
-            self.blocks_seen += 1;
+        fn call(
+            &mut self,
+            caller: &Address,
+            contract: &Address,
+            input: &[u8],
+            gas_limit: u64,
+        ) -> Result<(u64, Vec<u8>), String> {
+            NoExecutor.call(caller, contract, input, gas_limit)
         }
 
-        fn digest(&self) -> Hash256 {
-            tn_crypto::sha256::tagged_hash("test/trace", &self.acc)
+        fn block_connected(&mut self, _: &Block, id: &Hash256, receipts: &[Receipt]) {
+            self.see(id, receipts);
         }
 
-        fn reset(&mut self) {
-            self.acc.clear();
-            self.blocks_seen = 0;
-        }
-
-        fn save_state(&self) -> Option<Vec<u8>> {
-            let mut out = self.acc.clone();
-            out.extend_from_slice(&(self.blocks_seen as u64).to_le_bytes());
-            Some(out)
-        }
-
-        fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-            if bytes.len() < 8 {
-                return Err("short".into());
-            }
-            let (acc, count) = bytes.split_at(bytes.len() - 8);
-            self.acc = acc.to_vec();
-            self.blocks_seen = u64::from_le_bytes(count.try_into().unwrap()) as usize;
+        fn history_replaced(&mut self, store: &ChainStore) -> Result<(), ChainError> {
+            *self = ChainTrace::replayed(store)?;
             Ok(())
-        }
-
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -2509,62 +2359,49 @@ mod tests {
         let b1 = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
         store.import(&b1, &mut NoExecutor).expect("b1");
 
-        // Late registration replays history (genesis + b1).
-        store.register_observer(Box::new(ChainTrace::default()));
-        assert_eq!(
-            store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
-            2
-        );
-
+        // An executor that joins late catches up from canonical history
+        // (genesis + b1), then follows imports and commits alike.
+        let mut trace = ChainTrace::replayed(&store).expect("history readable");
+        assert_eq!(trace.blocks_seen(), 2);
         let b2 = store.propose(&proposer(), 11, vec![blob(1)], &mut NoExecutor);
-        store.import(&b2, &mut NoExecutor).expect("b2");
-        assert_eq!(
-            store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
-            3
-        );
+        store.import(&b2, &mut trace).expect("b2");
+        assert_eq!(trace.blocks_seen(), 3);
+        store
+            .commit(&proposer(), 12, vec![blob(2)], &mut trace)
+            .expect("b3");
+        assert_eq!(trace.blocks_seen(), 4);
 
-        // Live digest equals a replay into a fresh observer.
-        let mut fresh: Vec<Box<dyn BlockObserver>> = vec![Box::new(ChainTrace::default())];
-        store.replay_into(&mut fresh);
-        assert_eq!(fresh[0].digest(), store.projection_digests()[0].1);
-        assert_eq!(
-            store.projection_root(),
-            observer::projection_root(&[("trace", fresh[0].digest())])
-        );
+        // What it was told live is what a replay tells a fresh one.
+        assert_eq!(ChainTrace::replayed(&store), Ok(trace));
     }
 
     #[test]
     fn reorg_rebuilds_observers_from_canonical_chain() {
         let mut store = store_with_funds();
-        store.register_observer(Box::new(ChainTrace::default()));
+        let mut trace = ChainTrace::replayed(&store).expect("genesis");
         let genesis = store.head_id();
         let p1 = proposer();
         let p2 = Keypair::from_seed(b"rival");
 
-        // Branch A extends the head — observer follows it live.
+        // Branch A extends the head — the executor follows it live.
         let a1 = store.propose(&p1, 10, vec![blob(0)], &mut NoExecutor);
-        store.import(&a1, &mut NoExecutor).expect("a1");
-        let digest_on_a = store.projection_digests()[0].1;
+        store.import(&a1, &mut trace).expect("a1");
+        let on_a = trace.0.clone();
 
-        // Branch B (two empty blocks) wins the reorg; the observer must
+        // Branch B (two empty blocks) wins the reorg; the executor must
         // now reflect B's history, not A's.
         let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
         let b1 = Block::build(&p2, 1, genesis, genesis_state.root(), 11, vec![]);
-        store.import(&b1, &mut NoExecutor).expect("b1");
+        store.import(&b1, &mut trace).expect("b1");
         let b1_state = store.state_of(&b1.id()).expect("b1 state").clone();
         let b2 = Block::build(&p2, 2, b1.id(), b1_state.root(), 12, vec![]);
-        store.import(&b2, &mut NoExecutor).expect("b2");
+        store.import(&b2, &mut trace).expect("b2");
         assert_eq!(store.head_id(), b2.id());
 
-        let trace = store.observer::<ChainTrace>("trace").unwrap();
-        assert_eq!(trace.blocks_seen, 3, "reset + genesis, b1, b2");
-        let digest_on_b = store.projection_digests()[0].1;
-        assert_ne!(digest_on_a, digest_on_b);
-
+        assert_eq!(trace.blocks_seen(), 3, "rebuilt over genesis, b1, b2");
+        assert_ne!(on_a, trace.0);
         // And the rebuilt state matches a from-scratch replay.
-        let mut fresh: Vec<Box<dyn BlockObserver>> = vec![Box::new(ChainTrace::default())];
-        store.replay_into(&mut fresh);
-        assert_eq!(fresh[0].digest(), digest_on_b);
+        assert_eq!(ChainTrace::replayed(&store), Ok(trace));
     }
 
     #[test]
@@ -2573,57 +2410,43 @@ mod tests {
         let genesis = store.head_id();
         let b1 = store.propose(&proposer(), 10, vec![blob(0)], &mut NoExecutor);
         store.import(&b1, &mut NoExecutor).expect("b1");
-        store.register_observer(Box::new(ChainTrace::default()));
+        let mut trace = ChainTrace::replayed(&store).expect("history readable");
 
         // A same-height rival that loses the tie-break must not disturb
-        // the projection.
+        // what the executor holds; one that wins it has it rebuilt.
         let rival = Keypair::from_seed(b"rival");
         let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
         let r1 = Block::build(&rival, 1, genesis, genesis_state.root(), 11, vec![]);
-        let head_before = store.head_id();
-        store.import(&r1, &mut NoExecutor).expect("r1");
+        let (head_before, before) = (store.head_id(), trace.0.clone());
+        store.import(&r1, &mut trace).expect("r1");
+        assert_eq!(trace.blocks_seen(), 2);
         if store.head_id() == head_before {
-            assert_eq!(
-                store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
-                2
-            );
+            assert_eq!(trace.0, before);
         } else {
-            // Tie-break picked the rival: observer was rebuilt onto it.
             assert_eq!(store.canonical_chain(), vec![r1.id(), genesis]);
-            assert_eq!(
-                store.observer::<ChainTrace>("trace").unwrap().blocks_seen,
-                2
-            );
+            assert_ne!(trace.0, before);
         }
     }
 
     #[test]
     fn restored_observer_continues_through_tail_replay() {
         let mut store = tight_store();
-        store.register_observer(Box::new(ChainTrace::default()));
+        let mut trace = ChainTrace::replayed(&store).expect("genesis");
         for i in 0..19u64 {
             let block = store.propose(&proposer(), 10 + i, vec![blob(i)], &mut NoExecutor);
-            store.import(&block, &mut NoExecutor).expect("imports");
-            store.maybe_checkpoint(Vec::new()).expect("checkpoints");
+            store.import(&block, &mut trace).expect("imports");
+            store
+                .maybe_checkpoint(vec![("trace".into(), trace.0.clone())])
+                .expect("checkpoints");
         }
-        let live_digest = store.projection_digests()[0].1;
 
         let backend = store.into_backend().expect("flushes");
         let (mut recovered, cp) =
             ChainStore::open_recovering(backend, &tight_config()).expect("recovers");
-        let mut trace = ChainTrace::default();
-        trace
-            .load_state(cp.extension("trace").expect("projection saved"))
-            .expect("loads");
-        recovered.register_observer_restored(Box::new(trace));
-        recovered.replay_tail(&mut NoExecutor).expect("replays");
-        assert_eq!(recovered.projection_digests()[0].1, live_digest);
-        assert_eq!(
-            recovered
-                .observer::<ChainTrace>("trace")
-                .unwrap()
-                .blocks_seen,
-            20
-        );
+        let mut restored = ChainTrace(cp.extension("trace").expect("saved").to_vec());
+        assert_eq!(restored.blocks_seen(), 17, "genesis and 16 blocks");
+        recovered.replay_tail(&mut restored).expect("replays");
+        assert_eq!(restored.blocks_seen(), 20);
+        assert_eq!(restored, trace);
     }
 }

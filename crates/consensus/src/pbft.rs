@@ -323,16 +323,6 @@ impl PbftReplica {
         self.log.len()
     }
 
-    /// Highest view this replica has voted to enter (diagnostics).
-    pub fn voted_view(&self) -> u64 {
-        self.vc_voted
-    }
-
-    /// Number of requests waiting for ordering (diagnostics).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     fn primary_of(&self, view: u64) -> NodeId {
         (view % self.n as u64) as usize
     }

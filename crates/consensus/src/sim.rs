@@ -295,11 +295,6 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
         &self.nodes[id]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
     /// Iterates all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
@@ -388,11 +383,6 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
             ControlAction::Heal => self.partition.clear(),
             ControlAction::SetDropProb(p) => self.config.drop_prob = p,
         }
-    }
-
-    /// True when `id` is crashed.
-    pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.crashed.contains(&id)
     }
 
     /// Splits the network into the given groups; cross-group messages are

@@ -103,11 +103,6 @@ impl ContractRegistry {
         self.builtins.get(addr).map(AsRef::as_ref)
     }
 
-    /// Mutable access to a built-in.
-    pub fn builtin_mut(&mut self, addr: &Address) -> Option<&mut Box<dyn BuiltinContract>> {
-        self.builtins.get_mut(addr)
-    }
-
     /// Looks up a deployed bytecode contract.
     pub fn contract(&self, addr: &Address) -> Option<&ContractEntry> {
         self.contracts.get(addr)

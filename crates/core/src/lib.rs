@@ -5,12 +5,12 @@
 //! substrate crate:
 //!
 //! - [`roles`]: verified identities and the five ecosystem roles.
-//! - [`projections`]: the four block observers (supply-chain graph,
-//!   identity registry, factual database, headline cache) that derive
-//!   platform state purely from committed blocks.
-//! - [`pipeline`]: the [`ExecutionPipeline`] — chain store + contract
-//!   executor + registered projections; the deterministic replica core
-//!   shared by the local platform and `tn-node` validators.
+//! - [`projections`]: [`Projections`], the four views (supply-chain
+//!   graph, identity registry, factual database, headline cache) derived
+//!   purely from committed blocks.
+//! - [`pipeline`]: the [`ExecutionPipeline`] — chain store plus, as its
+//!   executor, contract registry and projections; the deterministic
+//!   replica core shared by the local platform and `tn-node` validators.
 //! - [`platform`]: the [`Platform`] struct — a facade over the pipeline
 //!   adding keys, a mempool and the AI detector behind one transactional
 //!   API (publish, rate, attest, rank, trace, suggest experts).
@@ -50,7 +50,5 @@ pub use pipeline::{bootstrap, Bootstrap, BuiltinAddrs, ExecutionPipeline};
 pub use platform::{
     BlockSummary, ItemRank, Platform, PlatformConfig, PlatformError, PlatformRankWeights,
 };
-pub use projections::{
-    AdmissionLedger, FactProjection, HeadlineProjection, IdentityProjection, SupplyChainProjection,
-};
+pub use projections::{AdmissionLedger, Projections, View};
 pub use roles::{IdentityRecord, IdentityRegistry, Role};

@@ -1,15 +1,23 @@
 //! The layered block-execution pipeline.
 //!
 //! `ExecutionPipeline` is the deterministic core every node runs: a
-//! [`ChainStore`] with the contract registry as executor and the four
-//! platform projections (supply chain, identities, factual database,
-//! headlines) registered as block observers. Everything above it —
+//! [`ChainStore`] and, beside it, everything derived from the blocks the
+//! store accepts — the contract registry (contract storage) and the four
+//! platform [`Projections`] (supply chain, identities, factual database,
+//! headlines). The two derived halves are one `Host`, the
+//! [`TxExecutor`] the pipeline lends the store on every call: the store
+//! has it execute contract payloads and tells it which block became
+//! canonical, and that is the only way anything gets from the store to
+//! the projections, whichever way the block came in — committed here,
+//! imported from a peer, replayed from the WAL tail or decoded from a
+//! snapshot. Everything above the pipeline —
 //! [`Platform`](crate::platform::Platform) locally, `tn-node` validators
 //! in a consensus network — is a driver that decides *which* transactions
 //! to commit; the pipeline guarantees that committing the same blocks
 //! yields the same state and the same projection digests everywhere.
 
-use tn_chain::observer::BlockObserver;
+use std::time::Instant;
+
 use tn_chain::prelude::*;
 use tn_contracts::builtin::{
     FactDbAdmission, IncentiveContract, NewsroomRegistry, RankingContract,
@@ -22,12 +30,10 @@ use tn_storage::{Storage, StorageConfig};
 use tn_supplychain::graph::SupplyChainGraph;
 use tn_supplychain::index::IndexStats;
 use tn_telemetry::TelemetrySink;
-use tn_trace::{lanes, TraceId, TraceSink};
+use tn_trace::{lanes, replica_span_id, TraceId, TraceSink};
 
 use crate::platform::PlatformConfig;
-use crate::projections::{
-    names, FactProjection, HeadlineProjection, IdentityProjection, SupplyChainProjection,
-};
+use crate::projections::{AdmissionLedger, Projections, View};
 use crate::roles::IdentityRegistry;
 
 /// Checkpoint-extension key under which the pipeline stores the contract
@@ -47,35 +53,118 @@ pub struct BuiltinAddrs {
     pub admission: Address,
 }
 
-/// Installs the four governance built-ins into a fresh registry.
-fn install_builtins(governor: Address, fact_threshold: usize) -> (ContractRegistry, BuiltinAddrs) {
-    let mut registry = ContractRegistry::new();
-    let addrs = BuiltinAddrs {
-        newsroom: registry.install_builtin(Box::new(NewsroomRegistry::new())),
-        ranking: registry.install_builtin(Box::new(RankingContract::new(governor))),
-        incentive: registry.install_builtin(Box::new(IncentiveContract::new(governor))),
-        admission: registry
-            .install_builtin(Box::new(FactDbAdmission::new(governor, fact_threshold))),
-    };
-    (registry, addrs)
+/// What the pipeline derives from the blocks its store accepts, lent to
+/// the store as the executor of every call.
+struct Host {
+    registry: ContractRegistry,
+    projections: Projections,
+    telemetry: TelemetrySink,
+    trace: TraceSink,
 }
 
-/// The canonical projection set, in registration order.
-fn projection_set(
-    seed_corpus: Vec<FactRecord>,
-    admission: Address,
-    fact_threshold: usize,
-) -> Vec<Box<dyn BlockObserver>> {
-    vec![
-        Box::new(SupplyChainProjection::new(
-            seed_corpus.clone(),
-            admission,
-            fact_threshold,
-        )),
-        Box::new(IdentityProjection::new()),
-        Box::new(FactProjection::new(seed_corpus, admission, fact_threshold)),
-        Box::new(HeadlineProjection::new()),
-    ]
+impl Host {
+    /// The genesis host: the four governance built-ins owned by
+    /// `governor`, projections seeded with the genesis factual corpus.
+    fn genesis(
+        governor: Address,
+        fact_threshold: usize,
+        seed_corpus: Vec<FactRecord>,
+    ) -> (Host, BuiltinAddrs) {
+        let mut registry = ContractRegistry::new();
+        let addrs = BuiltinAddrs {
+            newsroom: registry.install_builtin(Box::new(NewsroomRegistry::new())),
+            ranking: registry.install_builtin(Box::new(RankingContract::new(governor))),
+            incentive: registry.install_builtin(Box::new(IncentiveContract::new(governor))),
+            admission: registry
+                .install_builtin(Box::new(FactDbAdmission::new(governor, fact_threshold))),
+        };
+        let host = Host {
+            registry,
+            projections: Projections::new(seed_corpus, addrs.admission, fact_threshold),
+            telemetry: TelemetrySink::disabled(),
+            trace: TraceSink::disabled(),
+        };
+        (host, addrs)
+    }
+}
+
+/// [`Projections::replay`] of `store`'s canonical chain into
+/// `projections`, counted (`chain.replays`, `chain.replay_blocks`,
+/// `chain.replay_ns`).
+fn replay_counted(
+    projections: &mut Projections,
+    store: &ChainStore,
+    telemetry: &TelemetrySink,
+) -> Result<(), ChainError> {
+    let _span = telemetry.span("chain.replay_ns");
+    telemetry.incr("chain.replays");
+    let blocks = projections.replay(store)?;
+    telemetry.add("chain.replay_blocks", blocks);
+    Ok(())
+}
+
+impl TxExecutor for Host {
+    fn deploy(&mut self, deployer: &Address, nonce: u64, code: &[u8]) -> Result<Address, String> {
+        self.registry.deploy(deployer, nonce, code)
+    }
+
+    fn call(
+        &mut self,
+        caller: &Address,
+        contract: &Address,
+        input: &[u8],
+        gas_limit: u64,
+    ) -> Result<(u64, Vec<u8>), String> {
+        self.registry.call(caller, contract, input, gas_limit)
+    }
+
+    /// Applies the new head block to the four views, each under its own
+    /// `chain.projection.<name>.apply_ns` sample and `projection.<name>`
+    /// span, all under the block's `chain.projections` span (a child of
+    /// the store's `chain.import`).
+    fn block_connected(&mut self, block: &Block, id: &Hash256, receipts: &[Receipt]) {
+        let (telemetry, trace) = (&self.telemetry, &self.trace);
+        let block_trace = if trace.is_enabled() {
+            TraceId::from_seed(id.as_bytes())
+        } else {
+            TraceId::NONE
+        };
+        let projections_span = replica_span_id(block_trace, "chain.projections", trace.replica());
+        let p0 = trace.now_ns();
+        for view in View::ALL {
+            let o0 = trace.now_ns();
+            let started = telemetry.is_enabled().then(Instant::now);
+            self.projections.apply_view(view, block, receipts);
+            if let Some(started) = started {
+                telemetry.observe(
+                    &format!("chain.projection.{}.apply_ns", view.name()),
+                    started.elapsed().as_nanos() as u64,
+                );
+            }
+            if trace.is_enabled() {
+                trace.complete(
+                    block_trace,
+                    format!("projection.{}", view.name()),
+                    projections_span,
+                    lanes::PROJECTION,
+                    o0,
+                    &[],
+                );
+            }
+        }
+        trace.complete(
+            block_trace,
+            "chain.projections",
+            replica_span_id(block_trace, "chain.import", trace.replica()),
+            lanes::PROJECTION,
+            p0,
+            &[("projections", View::ALL.len() as u64)],
+        );
+    }
+
+    fn history_replaced(&mut self, store: &ChainStore) -> Result<(), ChainError> {
+        replay_counted(&mut self.projections, store, &self.telemetry)
+    }
 }
 
 /// A deterministically bootstrapped replica: the well-known governance
@@ -193,10 +282,10 @@ pub fn recover_bootstrap(config: &PlatformConfig) -> Result<(Bootstrap, u64), Ch
 
 /// Rebuilds a replica from a [`ChainStore::snapshot`] taken by a node of
 /// the same `config`: re-derives the well-known governance keys and seed
-/// corpus, then restores the pipeline — every block re-validated and
-/// re-executed, projections replayed over the restored chain. This is the
-/// crash-recovery path: a restarted validator gets back exactly the state
-/// it persisted, or an error if the ledger was damaged.
+/// corpus, then restores the pipeline — every block re-validated,
+/// re-executed and applied to fresh projections as it is imported. This
+/// is the crash-recovery path: a restarted validator gets back exactly
+/// the state it persisted, or an error if the ledger was damaged.
 ///
 /// # Errors
 ///
@@ -217,21 +306,18 @@ pub fn restore_bootstrap(
     Ok(bootstrap)
 }
 
-/// The deterministic execution core: chain store + contract executor +
-/// registered projections.
+/// The deterministic execution core: the chain store and, as its
+/// executor, the contract registry and the projections.
 pub struct ExecutionPipeline {
     store: ChainStore,
-    registry: ContractRegistry,
+    host: Host,
     addrs: BuiltinAddrs,
-    telemetry: TelemetrySink,
-    trace: TraceSink,
 }
 
 impl std::fmt::Debug for ExecutionPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionPipeline")
             .field("height", &self.store.height())
-            .field("projections", &self.store.projection_digests().len())
             .finish()
     }
 }
@@ -256,16 +342,9 @@ impl ExecutionPipeline {
         seed_corpus: Vec<FactRecord>,
         storage: StorageConfig,
     ) -> Result<ExecutionPipeline, ChainError> {
-        let (registry, addrs) = install_builtins(governor, fact_threshold);
-        let mut store = ChainStore::with_config(genesis, validator, storage)?;
-        store.register_observers(projection_set(seed_corpus, addrs.admission, fact_threshold));
-        Ok(ExecutionPipeline {
-            store,
-            registry,
-            addrs,
-            telemetry: TelemetrySink::disabled(),
-            trace: TraceSink::disabled(),
-        })
+        let (host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        let store = ChainStore::with_config(genesis, validator, storage)?;
+        Ok(ExecutionPipeline { store, host, addrs })
     }
 
     /// Reopens a pipeline from an existing storage backend: restores the
@@ -288,64 +367,45 @@ impl ExecutionPipeline {
         seed_corpus: Vec<FactRecord>,
     ) -> Result<(ExecutionPipeline, u64), ChainError> {
         let (mut store, cp) = ChainStore::open_recovering(backend, config)?;
-        let (mut registry, addrs) = install_builtins(governor, fact_threshold);
-        if let Some(bytes) = cp.extension(REGISTRY_EXTENSION) {
-            registry.load_state(bytes).map_err(ChainError::Checkpoint)?;
-        } else if cp.height != 0 {
-            return Err(ChainError::Checkpoint(
-                "checkpoint missing contract-registry state".into(),
-            ));
+        let (mut host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        // The genesis checkpoint was written before anything executed: it
+        // carries no extensions and needs none, the tail replay starts at
+        // height 1 on a genesis host.
+        if cp.height != 0 {
+            let saved = cp.extension(REGISTRY_EXTENSION).ok_or_else(|| {
+                ChainError::Checkpoint("checkpoint missing contract-registry state".into())
+            })?;
+            host.registry
+                .load_state(saved)
+                .map_err(ChainError::Checkpoint)?;
+            host.projections
+                .load(&cp.extensions)
+                .map_err(ChainError::Checkpoint)?;
         }
-        for mut projection in projection_set(seed_corpus, addrs.admission, fact_threshold) {
-            match cp.extension(projection.name()) {
-                Some(bytes) => {
-                    projection
-                        .load_state(bytes)
-                        .map_err(ChainError::Checkpoint)?;
-                    store.register_observer_restored(projection);
-                }
-                // The genesis checkpoint (written before observers are
-                // registered) has no extensions; fresh projections are
-                // correct there because the tail replay starts at
-                // height 1.
-                None if cp.height == 0 => store.register_observer_restored(projection),
-                None => {
-                    return Err(ChainError::Checkpoint(format!(
-                        "checkpoint missing projection '{}'",
-                        projection.name()
-                    )))
-                }
-            }
-        }
-        let mut pipeline = ExecutionPipeline {
-            store,
-            registry,
-            addrs,
-            telemetry: TelemetrySink::disabled(),
-            trace: TraceSink::disabled(),
-        };
-        let replayed = pipeline.store.replay_tail(&mut pipeline.registry)?;
-        Ok((pipeline, replayed))
+        let replayed = store.replay_tail(&mut host)?;
+        Ok((ExecutionPipeline { store, host, addrs }, replayed))
     }
 
-    /// Routes pipeline metrics to `sink` and forwards it to the chain
-    /// store (import/projection timing) and contract registry (gas and
-    /// execution counters). Disabled by default.
+    /// Routes pipeline metrics (commit and per-projection apply timing,
+    /// replay counters) to `sink` and forwards it to the chain store
+    /// (import timing) and contract registry (gas and execution
+    /// counters). Disabled by default.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.store.set_telemetry(sink.clone());
-        self.registry.set_telemetry(sink.clone());
-        self.telemetry = sink;
+        self.host.registry.set_telemetry(sink.clone());
+        self.host.telemetry = sink;
     }
 
     /// Routes pipeline spans to `sink` and forwards it to the chain store
     /// and contract registry. Each committed block records a
     /// `pipeline.commit` root span with `chain.propose` (selection,
-    /// execution, signing) and `chain.import` (accept) children. Disabled
-    /// by default.
+    /// execution, signing) and `chain.import` (accept) children, the
+    /// latter with `chain.projections` and one `projection.<name>` per
+    /// view beneath it. Disabled by default.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.store.set_trace(sink.clone());
-        self.registry.set_trace(sink.clone());
-        self.trace = sink;
+        self.host.registry.set_trace(sink.clone());
+        self.host.trace = sink;
     }
 
     /// Sizes the chain store's verification worker pool. `0` selects the
@@ -382,8 +442,8 @@ impl ExecutionPipeline {
 
     /// Restores a pipeline from a [`ChainStore::snapshot`]: every block is
     /// re-validated and re-executed against a fresh contract registry (so
-    /// contract state is recomputed, never trusted), then the projections
-    /// are registered and replayed over the restored canonical chain. The
+    /// contract state is recomputed, never trusted) and applied to fresh
+    /// projections as it is imported — one pass over the snapshot. The
     /// construction parameters must match the ones the snapshotted chain
     /// was built with.
     ///
@@ -396,16 +456,9 @@ impl ExecutionPipeline {
         fact_threshold: usize,
         seed_corpus: Vec<FactRecord>,
     ) -> Result<ExecutionPipeline, ChainError> {
-        let (mut registry, addrs) = install_builtins(governor, fact_threshold);
-        let mut store = ChainStore::restore(snapshot, &mut registry)?;
-        store.register_observers(projection_set(seed_corpus, addrs.admission, fact_threshold));
-        Ok(ExecutionPipeline {
-            store,
-            registry,
-            addrs,
-            telemetry: TelemetrySink::disabled(),
-            trace: TraceSink::disabled(),
-        })
+        let (mut host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        let store = ChainStore::restore(snapshot, &mut host)?;
+        Ok(ExecutionPipeline { store, host, addrs })
     }
 
     // --- commit path -----------------------------------------------------
@@ -428,12 +481,12 @@ impl ExecutionPipeline {
         timestamp: u64,
         txs: Vec<Transaction>,
     ) -> Result<(Block, Vec<Receipt>), ChainError> {
-        let _span = self.telemetry.span("pipeline.commit_ns");
-        let trace = self.trace.clone();
+        let _span = self.host.telemetry.span("pipeline.commit_ns");
+        let trace = self.host.trace.clone();
         let t0 = trace.now_ns();
         let (block, receipts) = self
             .store
-            .commit(proposer, timestamp, txs, &mut self.registry)?;
+            .commit(proposer, timestamp, txs, &mut self.host)?;
         let t1 = trace.now_ns();
         if trace.is_enabled() {
             // The block id exists only now, so the root span is recorded
@@ -452,25 +505,22 @@ impl ExecutionPipeline {
                 ],
             );
         }
-        self.telemetry.incr("pipeline.batches_committed");
+        self.host.telemetry.incr("pipeline.batches_committed");
         self.maybe_checkpoint()?;
         Ok((block, receipts))
     }
 
     /// Writes a storage checkpoint if one is due (per the configured
-    /// interval), bundling the contract registry's serialized state with
-    /// every projection's save-state; returns its height when written.
-    /// The commit paths call this automatically.
+    /// interval), bundling every projection's saved state with the
+    /// contract registry's; returns its height when written. The commit
+    /// paths call this automatically.
     ///
     /// # Errors
     ///
     /// [`ChainError::Storage`] on backend write failures.
     pub fn maybe_checkpoint(&mut self) -> Result<Option<u64>, ChainError> {
-        if !self.store.checkpoint_due() {
-            return Ok(None);
-        }
-        let extras = vec![(REGISTRY_EXTENSION.to_string(), self.registry.save_state())];
-        self.store.checkpoint_now(extras).map(Some)
+        let due = self.store.checkpoint_due();
+        due.then(|| self.checkpoint_now()).transpose()
     }
 
     /// Forces a storage checkpoint at the current head regardless of the
@@ -480,8 +530,12 @@ impl ExecutionPipeline {
     ///
     /// [`ChainError::Storage`] on backend write failures.
     pub fn checkpoint_now(&mut self) -> Result<u64, ChainError> {
-        let extras = vec![(REGISTRY_EXTENSION.to_string(), self.registry.save_state())];
-        self.store.checkpoint_now(extras)
+        let mut extensions = self.host.projections.save();
+        extensions.push((
+            REGISTRY_EXTENSION.to_string(),
+            self.host.registry.save_state(),
+        ));
+        self.store.checkpoint_now(extensions)
     }
 
     /// Imports a block produced elsewhere (a peer validator) through the
@@ -491,7 +545,7 @@ impl ExecutionPipeline {
     ///
     /// Chain-level import errors.
     pub fn apply_block(&mut self, block: &Block) -> Result<Vec<Receipt>, ChainError> {
-        let receipts = self.store.import(block, &mut self.registry)?;
+        let receipts = self.store.import(block, &mut self.host)?;
         self.maybe_checkpoint()?;
         Ok(receipts)
     }
@@ -505,16 +559,16 @@ impl ExecutionPipeline {
     ///
     /// Chain-level import errors.
     pub fn apply_checked(&mut self, checked: CheckedBlock<'_>) -> Result<Vec<Receipt>, ChainError> {
-        let receipts = self.store.import_checked(checked, &mut self.registry)?;
+        let receipts = self.store.import_checked(checked, &mut self.host)?;
         self.maybe_checkpoint()?;
         Ok(receipts)
     }
 
     // --- digests ---------------------------------------------------------
 
-    /// Per-projection state digests, in registration order.
+    /// `(name, digest)` of every projection, in [`View::ALL`] order.
     pub fn projection_digests(&self) -> Vec<(&'static str, Hash256)> {
-        self.store.projection_digests()
+        self.host.projections.digests()
     }
 
     /// One hash summarizing the replica: head id, world-state root,
@@ -524,36 +578,29 @@ impl ExecutionPipeline {
         let mut data = Vec::with_capacity(128);
         data.extend_from_slice(self.store.head_id().as_bytes());
         data.extend_from_slice(self.store.head_state().root().as_bytes());
-        data.extend_from_slice(self.registry.storage_root().as_bytes());
-        data.extend_from_slice(self.store.projection_root().as_bytes());
+        data.extend_from_slice(self.host.registry.storage_root().as_bytes());
+        data.extend_from_slice(projection_root(&self.projection_digests()).as_bytes());
         tn_crypto::sha256::tagged_hash("TN/execution", &data)
     }
 
-    /// Replays the canonical chain into a fresh projection set and checks
-    /// every digest against the live projections, returning the replayed
-    /// `(name, live digest)` pairs. This is the ledger-replay audit: it
-    /// proves the registered projections are pure functions of chain
-    /// history.
+    /// Replays the canonical chain into fresh projections and checks
+    /// every digest against the live ones, returning the live
+    /// `(name, digest)` pairs. This is the ledger-replay audit: it proves
+    /// the projections are pure functions of chain history.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first projection that diverged, or why canonical
+    /// history could not be read back (compaction pruned it).
     pub fn verify_replay(&self) -> Result<Vec<(&'static str, Hash256)>, String> {
-        let mut fresh = self.fresh_projections();
-        self.store.replay_into(&mut fresh);
+        let mut fresh = self.host.projections.fresh();
+        replay_counted(&mut fresh, &self.store, &self.host.telemetry)
+            .map_err(|e| format!("ledger replay failed: {e}"))?;
         let live = self.projection_digests();
-        for (observer, (name, digest)) in fresh.iter().zip(&live) {
-            if observer.digest() != *digest {
-                return Err(format!("projection '{name}' diverged from ledger replay"));
-            }
+        match live.iter().zip(fresh.digests()).find(|(a, b)| **a != *b) {
+            Some(((name, _), _)) => Err(format!("projection '{name}' diverged from ledger replay")),
+            None => Ok(live),
         }
-        Ok(live)
-    }
-
-    /// A fresh (genesis-state) copy of the registered projection set,
-    /// suitable for [`ChainStore::replay_into`].
-    pub fn fresh_projections(&self) -> Vec<Box<dyn BlockObserver>> {
-        let fp = self
-            .store
-            .observer::<FactProjection>(names::FACTDB)
-            .expect("fact projection");
-        projection_set(fp.seed().to_vec(), self.addrs.admission, fp.threshold())
     }
 
     // --- read access -----------------------------------------------------
@@ -563,14 +610,9 @@ impl ExecutionPipeline {
         &self.store
     }
 
-    /// Mutable chain store access (observer registration, tests).
-    pub fn store_mut(&mut self) -> &mut ChainStore {
-        &mut self.store
-    }
-
     /// The contract registry.
     pub fn registry(&self) -> &ContractRegistry {
-        &self.registry
+        &self.host.registry
     }
 
     /// Built-in contract addresses.
@@ -578,58 +620,44 @@ impl ExecutionPipeline {
         self.addrs
     }
 
-    /// The supply-chain graph projection's derived graph.
+    /// The supply-chain graph.
     pub fn graph(&self) -> &SupplyChainGraph {
-        self.store
-            .observer::<SupplyChainProjection>(names::SUPPLY_CHAIN)
-            .expect("supply-chain projection registered")
-            .graph()
+        self.host.projections.graph()
     }
 
-    /// Indexing statistics from the supply-chain projection.
+    /// Indexing statistics of the supply-chain graph.
     pub fn index_stats(&self) -> &IndexStats {
-        self.store
-            .observer::<SupplyChainProjection>(names::SUPPLY_CHAIN)
-            .expect("supply-chain projection registered")
-            .stats()
+        self.host.projections.index_stats()
     }
 
-    /// The identity projection's derived registry.
+    /// The verified-identity registry.
     pub fn identities(&self) -> &IdentityRegistry {
-        self.store
-            .observer::<IdentityProjection>(names::IDENTITY)
-            .expect("identity projection registered")
-            .registry()
+        self.host.projections.identities()
     }
 
-    /// The fact projection's derived database.
+    /// The factual database.
     pub fn factdb(&self) -> &FactualDatabase {
-        self.store
-            .observer::<FactProjection>(names::FACTDB)
-            .expect("fact projection")
-            .db()
+        self.host.projections.factdb()
     }
 
-    /// The fact projection (for candidate queries).
-    pub fn fact_projection(&self) -> &FactProjection {
-        self.store
-            .observer::<FactProjection>(names::FACTDB)
-            .expect("fact projection")
+    /// The chain-derived fact-admission ledger (candidate queries).
+    pub fn admissions(&self) -> &AdmissionLedger {
+        self.host.projections.ledger()
     }
 
     /// Drains fact records admitted since the last call.
     pub fn take_newly_admitted(&mut self) -> Vec<Hash256> {
-        self.store
-            .observer_mut::<FactProjection>(names::FACTDB)
-            .expect("fact projection")
-            .take_newly_admitted()
+        self.host.projections.take_newly_admitted()
     }
 
     /// The headline recorded on-chain for `item`, if any.
     pub fn headline(&self, item: &Hash256) -> Option<&str> {
-        self.store
-            .observer::<HeadlineProjection>(names::HEADLINES)
-            .expect("headline projection")
-            .headline(item)
+        self.host.projections.headline(item)
+    }
+
+    /// The live projections, for tests that graft state onto them.
+    #[cfg(test)]
+    pub(crate) fn projections_mut(&mut self) -> &mut Projections {
+        &mut self.host.projections
     }
 }

@@ -746,11 +746,7 @@ impl Platform {
     ) -> Result<(), PlatformError> {
         self.require_role(&checker.address(), Role::FactChecker)?;
         let known = self.pending_proposals.contains(record_id)
-            || self
-                .pipeline
-                .fact_projection()
-                .ledger()
-                .is_candidate(record_id)
+            || self.pipeline.admissions().is_candidate(record_id)
             || self.factdb().contains(record_id);
         if !known {
             return Err(PlatformError::UnknownItem(*record_id));
@@ -1497,23 +1493,20 @@ mod tests {
 
     /// Chain depth is outside input (any account may relay its own item
     /// without end), so a ranking must not depend on stack depth. The
-    /// chain is grafted onto the live projection through its checkpoint
+    /// chain is grafted onto the live projections through their checkpoint
     /// format: 100 000 signed publishes would say nothing more.
     #[test]
     fn rank_item_answers_on_a_100_000_hop_chain() {
-        use crate::projections::{names, SupplyChainProjection};
+        use crate::projections::View;
         use tn_chain::codec::{Decoder, Encoder};
-        use tn_chain::BlockObserver;
         const HOPS: usize = 100_000;
 
         let mut p = boot();
         let root = p.factdb().iter().next().unwrap().clone();
-        let projection = p
-            .pipeline
-            .store_mut()
-            .observer_mut::<SupplyChainProjection>(names::SUPPLY_CHAIN)
-            .unwrap();
-        let state = projection.save_state().unwrap();
+        let projections = p.pipeline.projections_mut();
+        let mut saved = projections.save();
+        let state = std::mem::take(&mut saved[0].1);
+        assert_eq!(saved[0].0, View::SupplyChain.name());
         let mut dec = Decoder::new(&state);
         let mut graph = SupplyChainGraph::from_bytes(&dec.get_bytes().unwrap()).unwrap();
         let rest = &state[state.len() - dec.remaining()..];
@@ -1528,7 +1521,8 @@ mod tests {
         }
         let mut grafted = Encoder::new();
         grafted.put_bytes(&graph.to_bytes()).put_raw(rest);
-        projection.load_state(&grafted.finish()).unwrap();
+        saved[0].1 = grafted.finish();
+        projections.load(&saved).unwrap();
 
         let rank = p.rank_item(&tip).unwrap();
         assert!(rank.reaches_root);

@@ -1,47 +1,75 @@
-//! The four platform projections: chain-derived views as [`BlockObserver`]s.
+//! The platform's four projections: what is derived from canonical block
+//! history, as one typed value.
 //!
-//! Each projection is a pure function of canonical block history — it
-//! consumes `(block, receipts)` pairs in order and exposes a state digest.
-//! The supply-chain graph, identity registry, fact-admission ledger and
-//! headline cache were previously maintained ad hoc inside `Platform`;
-//! here each is an independent observer registered with the
-//! [`ChainStore`](tn_chain::ChainStore), so:
+//! [`Projections`] holds the supply-chain graph (with its indexing
+//! statistics), the identity registry, the factual database and the
+//! headline cache — the four [`View`]s — plus the two things more than
+//! one of them needs: the genesis seed corpus (roots of the graph, first
+//! records of the database) and the [`AdmissionLedger`] that decides when
+//! a proposed fact has been attested often enough (the record then enters
+//! graph and database in the same block). It is a pure function of the
+//! `(block, receipts)` sequence it was [`apply`](Projections::apply)ed
+//! to, so:
 //!
-//! - a replay from genesis rebuilds every view bit-for-bit (the audit
-//!   path — see [`ChainStore::replay_into`](tn_chain::ChainStore::replay_into));
+//! - a replay from genesis rebuilds every view bit-for-bit
+//!   ([`Projections::replay`], the audit and reorg path);
 //! - every replica of an N-validator network that commits the same blocks
-//!   reports the same projection digests (the consensus path — see
-//!   `tn-node`).
+//!   reports the same digests (the consensus path — see `tn-node`).
 //!
-//! Projections deliberately do not share state: the fact-admission logic
-//! needed by both the factual database and the supply-chain graph is the
-//! shared [`AdmissionLedger`] *type*, instantiated per projection, so each
-//! observer remains independently replayable.
+//! Each view keeps a digest and a checkpoint blob of its own, under its
+//! own name, so replicas can say *which* view diverged and a checkpoint
+//! reader finds each by name. The ledger's pending state is part of the
+//! graph's and the database's digest and blob alike: both depend on it.
+//!
+//! The pipeline ([`crate::pipeline`]) owns the one live value and is the
+//! only thing that feeds it; reads are plain field access.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use tn_chain::codec::{Decodable, DecodeError, Decoder, Encodable, Encoder};
-use tn_chain::observer::BlockObserver;
-use tn_chain::{blob_tags, Block, Payload, Receipt};
+use tn_chain::{blob_tags, Block, ChainError, ChainStore, Payload, Receipt};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::{Address, Hash256};
 use tn_factdb::db::FactualDatabase;
 use tn_factdb::record::FactRecord;
-use tn_supplychain::graph::SupplyChainGraph;
+use tn_supplychain::graph::{item_id, SupplyChainGraph};
 use tn_supplychain::index::{index_transaction, IndexStats, NewsEvent};
 
 use crate::roles::{IdentityRecord, IdentityRegistry};
 
-/// Projection names, as registered with the chain store.
-pub mod names {
-    /// [`SupplyChainProjection`](super::SupplyChainProjection).
-    pub const SUPPLY_CHAIN: &str = "supplychain";
-    /// [`IdentityProjection`](super::IdentityProjection).
-    pub const IDENTITY: &str = "identity";
-    /// [`FactProjection`](super::FactProjection).
-    pub const FACTDB: &str = "factdb";
-    /// [`HeadlineProjection`](super::HeadlineProjection).
-    pub const HEADLINES: &str = "headlines";
+/// One of the four views [`Projections`] derives, in the order their
+/// digests and checkpoint blobs are reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// The news supply-chain graph and its indexing statistics.
+    SupplyChain,
+    /// The verified-identity registry.
+    Identity,
+    /// The factual database: seed corpus plus admitted records.
+    FactDb,
+    /// Headlines by item id.
+    Headlines,
+}
+
+impl View {
+    /// Every view, in reporting order.
+    pub const ALL: [View; 4] = [
+        View::SupplyChain,
+        View::Identity,
+        View::FactDb,
+        View::Headlines,
+    ];
+
+    /// The view's stable name: in digest reports, as checkpoint-extension
+    /// key, in `chain.projection.<name>.apply_ns` and `projection.<name>`.
+    pub const fn name(self) -> &'static str {
+        match self {
+            View::SupplyChain => "supplychain",
+            View::Identity => "identity",
+            View::FactDb => "factdb",
+            View::Headlines => "headlines",
+        }
+    }
 }
 
 /// Chain-derived fact-admission state: candidates proposed on-chain
@@ -53,7 +81,7 @@ pub mod names {
 /// by the on-chain `FactDbAdmission` contract at execution time; the
 /// ledger only trusts successful receipts, so it never re-implements the
 /// authorization rules.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionLedger {
     admission_addr: Address,
     threshold: usize,
@@ -83,12 +111,6 @@ impl AdmissionLedger {
     /// Distinct attesters observed for `record`.
     pub fn attestation_count(&self, record: &Hash256) -> usize {
         self.attesters.get(record).map_or(0, BTreeSet::len)
-    }
-
-    fn clear(&mut self) {
-        self.candidates.clear();
-        self.attesters.clear();
-        self.admitted.clear();
     }
 
     /// Feeds one committed transaction (with its receipt) into the
@@ -131,17 +153,18 @@ impl AdmissionLedger {
             .filter(|id| self.attestation_count(id) >= self.threshold)
             .copied()
             .collect();
-        let mut admitted = Vec::with_capacity(ready.len());
-        for id in ready {
-            let record = self.candidates.remove(&id).expect("key listed");
-            self.admitted.insert(id);
-            admitted.push(record);
-        }
-        admitted
+        ready
+            .into_iter()
+            .filter_map(|id| {
+                let record = self.candidates.remove(&id)?;
+                self.admitted.insert(id);
+                Some(record)
+            })
+            .collect()
     }
 
-    /// Hash of the pending candidate/attester state (admitted records are
-    /// digested by whatever store consumed them).
+    /// Hash input of the pending candidate/attester state (admitted
+    /// records are digested by the views that took them in).
     fn pending_digest_into(&self, data: &mut Vec<u8>) {
         data.extend_from_slice(&(self.candidates.len() as u64).to_le_bytes());
         for id in self.candidates.keys() {
@@ -159,7 +182,7 @@ impl AdmissionLedger {
 
     /// Appends the candidate/attester/admitted sets to a checkpoint
     /// encoder. The admission address and threshold are construction-time
-    /// configuration, re-supplied by whoever rebuilds the projection, so
+    /// configuration, re-supplied by whoever rebuilds the projections, so
     /// they are not serialized.
     fn save_into(&self, e: &mut Encoder) {
         e.put_varint(self.candidates.len() as u64);
@@ -179,19 +202,23 @@ impl AdmissionLedger {
         }
     }
 
-    /// Restores the sets written by [`save_into`](AdmissionLedger::save_into),
-    /// leaving the ledger untouched on error.
-    fn load_from(&mut self, dec: &mut Decoder<'_>) -> Result<(), String> {
+    /// A ledger of this one's configuration holding the sets
+    /// [`save_into`](AdmissionLedger::save_into) wrote.
+    fn decode_saved(&self, dec: &mut Decoder<'_>) -> Result<AdmissionLedger, String> {
         let err = |e: DecodeError| format!("malformed admission ledger: {e}");
-        let mut candidates = BTreeMap::new();
+        let mut ledger = AdmissionLedger {
+            candidates: BTreeMap::new(),
+            attesters: BTreeMap::new(),
+            admitted: BTreeSet::new(),
+            ..*self
+        };
         let n = dec.get_varint().map_err(err)?;
         for _ in 0..n {
             let raw = dec.get_bytes().map_err(err)?;
             let rec = FactRecord::from_bytes(&raw)
                 .map_err(|e| format!("malformed candidate record: {e}"))?;
-            candidates.insert(rec.id(), rec);
+            ledger.candidates.insert(rec.id(), rec);
         }
-        let mut attesters = BTreeMap::new();
         let n = dec.get_varint().map_err(err)?;
         for _ in 0..n {
             let id = dec.get_hash().map_err(err)?;
@@ -200,124 +227,257 @@ impl AdmissionLedger {
             for _ in 0..m {
                 who.insert(Address::from_hash(dec.get_hash().map_err(err)?));
             }
-            attesters.insert(id, who);
+            ledger.attesters.insert(id, who);
         }
-        let mut admitted = BTreeSet::new();
         let n = dec.get_varint().map_err(err)?;
         for _ in 0..n {
-            admitted.insert(dec.get_hash().map_err(err)?);
+            ledger.admitted.insert(dec.get_hash().map_err(err)?);
         }
-        self.candidates = candidates;
-        self.attesters = attesters;
-        self.admitted = admitted;
-        Ok(())
+        Ok(ledger)
     }
 }
 
-/// Rebuilds the supply-chain graph from canonical news events, with
-/// admitted fact records entering as graph roots.
+/// Everything the platform derives from canonical block history.
 #[derive(Debug)]
-pub struct SupplyChainProjection {
+pub struct Projections {
+    /// The genesis factual corpus, planted on every (re)build.
     seed: Vec<FactRecord>,
+    ledger: AdmissionLedger,
     graph: SupplyChainGraph,
     stats: IndexStats,
-    ledger: AdmissionLedger,
+    identities: IdentityRegistry,
+    factdb: FactualDatabase,
+    /// Records admitted by blocks applied since the last
+    /// [`take_newly_admitted`](Projections::take_newly_admitted) call.
+    /// Deliberately excluded from every digest: it is a delivery buffer
+    /// for the driving node, not derived state.
+    newly_admitted: Vec<Hash256>,
+    headlines: HashMap<Hash256, String>,
 }
 
-impl SupplyChainProjection {
-    /// Creates the projection. `seed` is the genesis factual corpus; its
-    /// records are planted as graph roots on every (re)build.
+impl Projections {
+    /// The genesis state: `seed` planted as graph roots and as the
+    /// database's first records, nothing proposed or attested. Facts
+    /// attested by `threshold` distinct callers of the contract at
+    /// `admission_addr` are admitted.
     pub fn new(seed: Vec<FactRecord>, admission_addr: Address, threshold: usize) -> Self {
-        let mut p = SupplyChainProjection {
-            seed,
+        let mut p = Projections {
+            seed: Vec::new(),
+            ledger: AdmissionLedger::new(admission_addr, threshold),
             graph: SupplyChainGraph::new(),
             stats: IndexStats::default(),
-            ledger: AdmissionLedger::new(admission_addr, threshold),
+            identities: IdentityRegistry::new(),
+            factdb: FactualDatabase::new(),
+            newly_admitted: Vec::new(),
+            headlines: HashMap::new(),
         };
-        p.reset();
+        for rec in &seed {
+            p.admit(rec.clone());
+        }
+        p.seed = seed;
         p
     }
 
-    /// The derived graph.
-    pub fn graph(&self) -> &SupplyChainGraph {
-        &self.graph
+    /// A genesis-state value of the same construction parameters.
+    pub fn fresh(&self) -> Projections {
+        Projections::new(
+            self.seed.clone(),
+            self.ledger.admission_addr,
+            self.ledger.threshold,
+        )
     }
 
-    /// Indexing statistics over all observed blocks.
-    pub fn stats(&self) -> &IndexStats {
-        &self.stats
-    }
-
-    fn plant_root(graph: &mut SupplyChainGraph, rec: &FactRecord) {
-        // A duplicate root (record already planted) is harmless.
-        graph
+    /// Takes `rec` in as a fact: a root of the graph, a record of the
+    /// database. One the corpus or the chain names twice enters once.
+    fn admit(&mut self, rec: FactRecord) -> bool {
+        self.graph
             .add_fact_root(rec.id(), &rec.content, &rec.topic, rec.recorded_at)
             .ok();
-    }
-}
-
-impl BlockObserver for SupplyChainProjection {
-    fn name(&self) -> &'static str {
-        names::SUPPLY_CHAIN
+        self.factdb.append(rec).is_ok()
     }
 
-    fn on_block(&mut self, block: &Block, receipts: &[Receipt]) {
-        for (tx, receipt) in block.transactions.iter().zip(receipts) {
-            if !receipt.success {
-                continue;
+    /// Consumes the next canonical block and its execution receipts
+    /// (`receipts[i]` belongs to `block.transactions[i]`).
+    pub fn apply(&mut self, block: &Block, receipts: &[Receipt]) {
+        for view in View::ALL {
+            self.apply_view(view, block, receipts);
+        }
+    }
+
+    /// `view`'s share of [`apply`](Projections::apply), for whoever times
+    /// the views apart; a block is applied once all four, in order, ran.
+    pub(crate) fn apply_view(&mut self, view: View, block: &Block, receipts: &[Receipt]) {
+        let committed = || block.transactions.iter().zip(receipts);
+        let succeeded = committed().filter_map(|(tx, r)| r.success.then_some(tx));
+        match view {
+            View::SupplyChain => {
+                for tx in succeeded {
+                    index_transaction(tx, &mut self.graph, &mut self.stats);
+                }
             }
-            index_transaction(tx, &mut self.graph, &mut self.stats);
-            self.ledger.observe(&tx.from, &tx.payload, receipt);
-        }
-        for rec in self.ledger.evaluate() {
-            Self::plant_root(&mut self.graph, &rec);
+            View::Identity => {
+                for tx in succeeded {
+                    if let Payload::Blob { tag, data } = &tx.payload {
+                        if *tag == blob_tags::IDENTITY {
+                            if let Ok(rec) = IdentityRecord::from_bytes(data) {
+                                self.identities.register(tx.from, &rec.name, &rec.roles);
+                            }
+                        }
+                    }
+                }
+            }
+            View::FactDb => {
+                for (tx, receipt) in committed() {
+                    self.ledger.observe(&tx.from, &tx.payload, receipt);
+                }
+                for rec in self.ledger.evaluate() {
+                    let id = rec.id();
+                    if self.admit(rec) {
+                        self.newly_admitted.push(id);
+                    }
+                }
+            }
+            View::Headlines => {
+                for tx in succeeded {
+                    if let Some(Ok(event)) = NewsEvent::from_payload(&tx.payload) {
+                        if !event.headline.is_empty() {
+                            let id = item_id(&tx.from, &event.content, event.published_at);
+                            self.headlines.insert(id, event.headline);
+                        }
+                    }
+                }
+            }
         }
     }
 
-    fn digest(&self) -> Hash256 {
+    /// Starts over from the genesis state and applies `store`'s canonical
+    /// chain, genesis first; returns the number of blocks applied. On a
+    /// fresh value this is the ledger-replay audit, on the live one the
+    /// rebuild after a reorg.
+    ///
+    /// # Errors
+    ///
+    /// When canonical history cannot be read back (compaction pruned it,
+    /// or the disk is corrupt).
+    pub fn replay(&mut self, store: &ChainStore) -> Result<u64, ChainError> {
+        *self = self.fresh();
+        let mut blocks = 0;
+        store.for_each_canonical(&mut |block, receipts| {
+            self.apply(block, receipts);
+            blocks += 1;
+        })?;
+        Ok(blocks)
+    }
+
+    // --- digests and checkpoints -----------------------------------------
+
+    /// `(name, digest)` of every view, in [`View::ALL`] order.
+    pub fn digests(&self) -> Vec<(&'static str, Hash256)> {
+        View::ALL
+            .iter()
+            .map(|&view| (view.name(), self.digest(view)))
+            .collect()
+    }
+
+    /// A hash of everything `view` holds.
+    fn digest(&self, view: View) -> Hash256 {
         let mut data = Vec::new();
-        data.extend_from_slice(self.graph.digest().as_bytes());
-        for n in [
-            self.stats.indexed,
-            self.stats.malformed,
-            self.stats.rejected,
-            self.stats.ignored,
-        ] {
-            data.extend_from_slice(&(n as u64).to_le_bytes());
+        match view {
+            View::SupplyChain => {
+                data.extend_from_slice(self.graph.digest().as_bytes());
+                for n in stat_fields(&self.stats) {
+                    data.extend_from_slice(&(n as u64).to_le_bytes());
+                }
+                self.ledger.pending_digest_into(&mut data);
+                tagged_hash("TN/proj-supplychain", &data)
+            }
+            View::Identity => self.identities.digest(),
+            View::FactDb => {
+                data.extend_from_slice(self.factdb.root().as_bytes());
+                data.extend_from_slice(&(self.factdb.len() as u64).to_le_bytes());
+                self.ledger.pending_digest_into(&mut data);
+                tagged_hash("TN/proj-factdb", &data)
+            }
+            View::Headlines => {
+                for (id, headline) in self.sorted_headlines() {
+                    data.extend_from_slice(id.as_bytes());
+                    data.extend_from_slice(&(headline.len() as u64).to_le_bytes());
+                    data.extend_from_slice(headline.as_bytes());
+                }
+                tagged_hash("TN/proj-headlines", &data)
+            }
         }
-        self.ledger.pending_digest_into(&mut data);
-        tagged_hash("TN/proj-supplychain", &data)
     }
 
-    fn reset(&mut self) {
-        self.graph = SupplyChainGraph::new();
-        self.stats = IndexStats::default();
-        self.ledger.clear();
-        for rec in &self.seed {
-            Self::plant_root(&mut self.graph, rec);
-        }
+    fn sorted_headlines(&self) -> Vec<(&Hash256, &String)> {
+        let mut entries: Vec<_> = self.headlines.iter().collect();
+        entries.sort_by_key(|(id, _)| **id);
+        entries
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    /// The checkpoint extensions: every view's saved state under its
+    /// name, in [`View::ALL`] order.
+    pub fn save(&self) -> Vec<(String, Vec<u8>)> {
+        View::ALL
+            .iter()
+            .map(|&view| (view.name().to_string(), self.save_view(view)))
+            .collect()
+    }
+
+    fn save_view(&self, view: View) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_bytes(&self.graph.to_bytes());
-        for n in [
-            self.stats.indexed,
-            self.stats.malformed,
-            self.stats.rejected,
-            self.stats.ignored,
-        ] {
-            e.put_varint(n as u64);
+        match view {
+            View::SupplyChain => {
+                e.put_bytes(&self.graph.to_bytes());
+                for n in stat_fields(&self.stats) {
+                    e.put_varint(n as u64);
+                }
+                self.ledger.save_into(&mut e);
+            }
+            View::Identity => return self.identities.to_bytes(),
+            View::FactDb => {
+                // The database is fully reconstructible from its
+                // append-ordered record log, so that is all the
+                // checkpoint carries for it.
+                e.put_varint(self.factdb.len() as u64);
+                for rec in self.factdb.iter() {
+                    e.put_bytes(&rec.to_bytes());
+                }
+                self.ledger.save_into(&mut e);
+                e.put_varint(self.newly_admitted.len() as u64);
+                for id in &self.newly_admitted {
+                    e.put_hash(id);
+                }
+            }
+            View::Headlines => {
+                let entries = self.sorted_headlines();
+                e.put_varint(entries.len() as u64);
+                for (id, headline) in entries {
+                    e.put_hash(id).put_str(headline);
+                }
+            }
         }
-        self.ledger.save_into(&mut e);
-        Some(e.finish())
+        e.finish()
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Replaces all four views with the state [`save`](Projections::save)
+    /// wrote, found by name among `saved` (a checkpoint's extensions).
+    /// Nothing changes unless every blob is there and decodes in full.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the missing or malformed blob.
+    pub fn load(&mut self, saved: &[(String, Vec<u8>)]) -> Result<(), String> {
+        let blob = |view: View| {
+            let found = saved.iter().find(|(name, _)| name == view.name());
+            found
+                .map(|(_, bytes)| bytes.as_slice())
+                .ok_or_else(|| format!("checkpoint missing projection '{}'", view.name()))
+        };
+
         let err = |e: DecodeError| format!("malformed supply-chain checkpoint: {e}");
-        let mut dec = Decoder::new(bytes);
-        let raw = dec.get_bytes().map_err(err)?;
-        let graph = SupplyChainGraph::from_bytes(&raw)?;
+        let mut dec = Decoder::new(blob(View::SupplyChain)?);
+        let graph = SupplyChainGraph::from_bytes(&dec.get_bytes().map_err(err)?)?;
         let mut stats = IndexStats::default();
         for field in [
             &mut stats.indexed,
@@ -327,131 +487,83 @@ impl BlockObserver for SupplyChainProjection {
         ] {
             *field = dec.get_varint().map_err(err)? as usize;
         }
-        self.ledger.load_from(&mut dec)?;
+        let ledger = self.ledger.decode_saved(&mut dec)?;
         dec.expect_end().map_err(err)?;
+
+        let identities = IdentityRegistry::from_bytes(blob(View::Identity)?)?;
+
+        let err = |e: DecodeError| format!("malformed factdb checkpoint: {e}");
+        let mut dec = Decoder::new(blob(View::FactDb)?);
+        let mut factdb = FactualDatabase::new();
+        for _ in 0..dec.get_varint().map_err(err)? {
+            let raw = dec.get_bytes().map_err(err)?;
+            let rec =
+                FactRecord::from_bytes(&raw).map_err(|e| format!("malformed fact record: {e}"))?;
+            factdb
+                .append(rec)
+                .map_err(|e| format!("fact record replay rejected: {e}"))?;
+        }
+        // Graph and database were saved beside the one ledger both depend
+        // on; two blobs that disagree about it were not written together.
+        if self.ledger.decode_saved(&mut dec)? != ledger {
+            return Err("checkpoint blobs disagree on the admission ledger".into());
+        }
+        let m = dec.get_varint().map_err(err)?;
+        let mut newly_admitted = Vec::with_capacity((m as usize).min(1024));
+        for _ in 0..m {
+            newly_admitted.push(dec.get_hash().map_err(err)?);
+        }
+        dec.expect_end().map_err(err)?;
+
+        let err = |e: DecodeError| format!("malformed headline checkpoint: {e}");
+        let mut dec = Decoder::new(blob(View::Headlines)?);
+        let mut headlines = HashMap::new();
+        for _ in 0..dec.get_varint().map_err(err)? {
+            let id = dec.get_hash().map_err(err)?;
+            headlines.insert(id, dec.get_str().map_err(err)?);
+        }
+        dec.expect_end().map_err(err)?;
+
+        self.ledger = ledger;
         self.graph = graph;
         self.stats = stats;
+        self.identities = identities;
+        self.factdb = factdb;
+        self.newly_admitted = newly_admitted;
+        self.headlines = headlines;
         Ok(())
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    // --- reads -----------------------------------------------------------
+
+    /// The supply-chain graph.
+    pub fn graph(&self) -> &SupplyChainGraph {
+        &self.graph
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Rebuilds the verified-identity registry from IDENTITY blobs.
-#[derive(Debug, Default)]
-pub struct IdentityProjection {
-    registry: IdentityRegistry,
-}
-
-impl IdentityProjection {
-    /// Creates an empty projection.
-    pub fn new() -> Self {
-        Self::default()
+    /// Indexing statistics over all applied blocks.
+    pub fn index_stats(&self) -> &IndexStats {
+        &self.stats
     }
 
-    /// The derived registry.
-    pub fn registry(&self) -> &IdentityRegistry {
-        &self.registry
-    }
-}
-
-impl BlockObserver for IdentityProjection {
-    fn name(&self) -> &'static str {
-        names::IDENTITY
+    /// The verified-identity registry.
+    pub fn identities(&self) -> &IdentityRegistry {
+        &self.identities
     }
 
-    fn on_block(&mut self, block: &Block, receipts: &[Receipt]) {
-        for (tx, receipt) in block.transactions.iter().zip(receipts) {
-            if !receipt.success {
-                continue;
-            }
-            if let Payload::Blob { tag, data } = &tx.payload {
-                if *tag == blob_tags::IDENTITY {
-                    if let Ok(rec) = IdentityRecord::from_bytes(data) {
-                        self.registry.register(tx.from, &rec.name, &rec.roles);
-                    }
-                }
-            }
-        }
+    /// The factual database.
+    pub fn factdb(&self) -> &FactualDatabase {
+        &self.factdb
     }
 
-    fn digest(&self) -> Hash256 {
-        self.registry.digest()
-    }
-
-    fn reset(&mut self) {
-        self.registry = IdentityRegistry::new();
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.registry.to_bytes())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.registry = IdentityRegistry::from_bytes(bytes)?;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Rebuilds the factual database from the genesis corpus plus every
-/// record admitted through the on-chain propose/attest pipeline.
-#[derive(Debug)]
-pub struct FactProjection {
-    seed: Vec<FactRecord>,
-    db: FactualDatabase,
-    ledger: AdmissionLedger,
-    /// Records admitted by blocks observed since the last
-    /// [`take_newly_admitted`](FactProjection::take_newly_admitted) call.
-    /// Deliberately excluded from the digest: it is a delivery buffer for
-    /// the driving node, not projection state.
-    newly_admitted: Vec<Hash256>,
-}
-
-impl FactProjection {
-    /// Creates the projection over the genesis corpus `seed`.
-    pub fn new(seed: Vec<FactRecord>, admission_addr: Address, threshold: usize) -> Self {
-        let mut p = FactProjection {
-            seed,
-            db: FactualDatabase::new(),
-            ledger: AdmissionLedger::new(admission_addr, threshold),
-            newly_admitted: Vec::new(),
-        };
-        p.reset();
-        p
-    }
-
-    /// The derived factual database.
-    pub fn db(&self) -> &FactualDatabase {
-        &self.db
-    }
-
-    /// The genesis seed corpus this projection was built with.
-    pub fn seed(&self) -> &[FactRecord] {
-        &self.seed
-    }
-
-    /// The attestation threshold.
-    pub fn threshold(&self) -> usize {
-        self.ledger.threshold
-    }
-
-    /// The chain-derived admission ledger.
+    /// The chain-derived admission ledger (candidate queries).
     pub fn ledger(&self) -> &AdmissionLedger {
         &self.ledger
+    }
+
+    /// The headline recorded on-chain for `item`, if any.
+    pub fn headline(&self, item: &Hash256) -> Option<&str> {
+        self.headlines.get(item).map(String::as_str)
     }
 
     /// Drains the records admitted since the last call (the platform uses
@@ -461,193 +573,14 @@ impl FactProjection {
     }
 }
 
-impl BlockObserver for FactProjection {
-    fn name(&self) -> &'static str {
-        names::FACTDB
-    }
-
-    fn on_block(&mut self, block: &Block, receipts: &[Receipt]) {
-        for (tx, receipt) in block.transactions.iter().zip(receipts) {
-            self.ledger.observe(&tx.from, &tx.payload, receipt);
-        }
-        for rec in self.ledger.evaluate() {
-            let id = rec.id();
-            if self.db.append(rec).is_ok() {
-                self.newly_admitted.push(id);
-            }
-        }
-    }
-
-    fn digest(&self) -> Hash256 {
-        let mut data = Vec::new();
-        data.extend_from_slice(self.db.root().as_bytes());
-        data.extend_from_slice(&(self.db.len() as u64).to_le_bytes());
-        self.ledger.pending_digest_into(&mut data);
-        tagged_hash("TN/proj-factdb", &data)
-    }
-
-    fn reset(&mut self) {
-        self.db = FactualDatabase::new();
-        self.ledger.clear();
-        self.newly_admitted.clear();
-        for rec in &self.seed {
-            self.db
-                .append(rec.clone())
-                .expect("seed corpus records are unique");
-        }
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // The database is fully reconstructible from its append-ordered
-        // record log, so that is all the checkpoint carries for it.
-        let mut e = Encoder::new();
-        e.put_varint(self.db.len() as u64);
-        for rec in self.db.iter() {
-            e.put_bytes(&rec.to_bytes());
-        }
-        self.ledger.save_into(&mut e);
-        e.put_varint(self.newly_admitted.len() as u64);
-        for id in &self.newly_admitted {
-            e.put_hash(id);
-        }
-        Some(e.finish())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let err = |e: DecodeError| format!("malformed factdb checkpoint: {e}");
-        let mut dec = Decoder::new(bytes);
-        let n = dec.get_varint().map_err(err)?;
-        let mut db = FactualDatabase::new();
-        for _ in 0..n {
-            let raw = dec.get_bytes().map_err(err)?;
-            let rec =
-                FactRecord::from_bytes(&raw).map_err(|e| format!("malformed fact record: {e}"))?;
-            db.append(rec)
-                .map_err(|e| format!("fact record replay rejected: {e}"))?;
-        }
-        let mut ledger = self.ledger.clone();
-        ledger.load_from(&mut dec)?;
-        let m = dec.get_varint().map_err(err)?;
-        let mut newly_admitted = Vec::with_capacity((m as usize).min(1024));
-        for _ in 0..m {
-            newly_admitted.push(dec.get_hash().map_err(err)?);
-        }
-        dec.expect_end().map_err(err)?;
-        self.db = db;
-        self.ledger = ledger;
-        self.newly_admitted = newly_admitted;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Caches the headline of every news event that carries one, keyed by
-/// item id — the input to headline/body stance analysis.
-#[derive(Debug, Default)]
-pub struct HeadlineProjection {
-    headlines: HashMap<Hash256, String>,
-}
-
-impl HeadlineProjection {
-    /// Creates an empty projection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The headline recorded for `item`, if any.
-    pub fn headline(&self, item: &Hash256) -> Option<&str> {
-        self.headlines.get(item).map(String::as_str)
-    }
-
-    /// Number of cached headlines.
-    pub fn len(&self) -> usize {
-        self.headlines.len()
-    }
-
-    /// True when no headlines are cached.
-    pub fn is_empty(&self) -> bool {
-        self.headlines.is_empty()
-    }
-}
-
-impl BlockObserver for HeadlineProjection {
-    fn name(&self) -> &'static str {
-        names::HEADLINES
-    }
-
-    fn on_block(&mut self, block: &Block, receipts: &[Receipt]) {
-        for (tx, receipt) in block.transactions.iter().zip(receipts) {
-            if !receipt.success {
-                continue;
-            }
-            if let Some(Ok(event)) = NewsEvent::from_payload(&tx.payload) {
-                if !event.headline.is_empty() {
-                    let id = tn_supplychain::graph::item_id(
-                        &tx.from,
-                        &event.content,
-                        event.published_at,
-                    );
-                    self.headlines.insert(id, event.headline);
-                }
-            }
-        }
-    }
-
-    fn digest(&self) -> Hash256 {
-        let mut entries: Vec<_> = self.headlines.iter().collect();
-        entries.sort_by_key(|(id, _)| **id);
-        let mut data = Vec::new();
-        for (id, headline) in entries {
-            data.extend_from_slice(id.as_bytes());
-            data.extend_from_slice(&(headline.len() as u64).to_le_bytes());
-            data.extend_from_slice(headline.as_bytes());
-        }
-        tagged_hash("TN/proj-headlines", &data)
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut entries: Vec<_> = self.headlines.iter().collect();
-        entries.sort_by_key(|(id, _)| **id);
-        let mut e = Encoder::new();
-        e.put_varint(entries.len() as u64);
-        for (id, headline) in entries {
-            e.put_hash(id).put_str(headline);
-        }
-        Some(e.finish())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let err = |e: DecodeError| format!("malformed headline checkpoint: {e}");
-        let mut dec = Decoder::new(bytes);
-        let n = dec.get_varint().map_err(err)?;
-        let mut headlines = HashMap::new();
-        for _ in 0..n {
-            let id = dec.get_hash().map_err(err)?;
-            headlines.insert(id, dec.get_str().map_err(err)?);
-        }
-        dec.expect_end().map_err(err)?;
-        self.headlines = headlines;
-        Ok(())
-    }
-
-    fn reset(&mut self) {
-        self.headlines.clear();
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
+/// The statistics in the order digest and checkpoint carry them.
+fn stat_fields(stats: &IndexStats) -> [usize; 4] {
+    [
+        stats.indexed,
+        stats.malformed,
+        stats.rejected,
+        stats.ignored,
+    ]
 }
 
 #[cfg(test)]
@@ -668,19 +601,23 @@ mod tests {
         }
     }
 
+    fn receipt(success: bool) -> Receipt {
+        Receipt {
+            tx_id: Hash256::ZERO,
+            success,
+            gas_used: 0,
+            output: Vec::new(),
+            error: None,
+        }
+    }
+
     #[test]
     fn admission_ledger_admits_at_threshold_in_id_order() {
         let addr = Keypair::from_seed(b"admission").address();
         let mut ledger = AdmissionLedger::new(addr, 2);
         let (r1, r2) = (record(1), record(2));
         let (id1, id2) = (r1.id(), r2.id());
-        let ok = Receipt {
-            tx_id: Hash256::ZERO,
-            success: true,
-            gas_used: 0,
-            output: Vec::new(),
-            error: None,
-        };
+        let ok = receipt(true);
 
         for rec in [&r1, &r2] {
             ledger.observe(
@@ -723,13 +660,6 @@ mod tests {
     fn admission_ledger_ignores_failed_receipts() {
         let addr = Keypair::from_seed(b"admission").address();
         let mut ledger = AdmissionLedger::new(addr, 1);
-        let failed = Receipt {
-            tx_id: Hash256::ZERO,
-            success: false,
-            gas_used: 0,
-            output: Vec::new(),
-            error: Some("not a checker".into()),
-        };
         let input = tn_contracts::builtin::admission_attest(&record(1).id());
         ledger.observe(
             &Address::SYSTEM,
@@ -738,18 +668,17 @@ mod tests {
                 input,
                 gas_limit: 10_000,
             },
-            &failed,
+            &receipt(false),
         );
         assert_eq!(ledger.attestation_count(&record(1).id()), 0);
     }
 
-    #[test]
-    fn projections_replay_to_identical_digests() {
-        // Build a small chain carrying one of every observed payload kind,
-        // then check that feeding it twice produces identical digests.
+    /// A one-block chain carrying one of every payload kind a view reads
+    /// (identity, headline-bearing story, fact proposal), its author, and
+    /// genesis projections over a two-record seed corpus.
+    fn observed_chain() -> (ChainStore, Keypair, Projections) {
         let author = Keypair::from_seed(b"author");
         let validator = Keypair::from_seed(b"validator");
-        let admission_addr = Keypair::from_seed(b"admission").address();
         let genesis = State::genesis([(author.address(), 10_000)]);
         let mut store = ChainStore::new(genesis, &validator);
 
@@ -765,130 +694,91 @@ mod tests {
             parents: vec![],
             published_at: 1,
         };
+        let blob = |tag, data| Payload::Blob { tag, data };
         let txs = vec![
             Transaction::signed(
                 &author,
                 0,
                 1,
-                Payload::Blob {
-                    tag: blob_tags::IDENTITY,
-                    data: identity.to_bytes(),
-                },
+                blob(blob_tags::IDENTITY, identity.to_bytes()),
             ),
             Transaction::signed(&author, 1, 1, event.into_payload()),
             Transaction::signed(
                 &author,
                 2,
                 1,
-                Payload::Blob {
-                    tag: blob_tags::FACT_PROPOSE,
-                    data: record(9).to_bytes(),
-                },
+                blob(blob_tags::FACT_PROPOSE, record(9).to_bytes()),
             ),
         ];
-        let block = store.propose(&validator, 1, txs, &mut NoExecutor);
-        store.import(&block, &mut NoExecutor).unwrap();
+        store
+            .commit(&validator, 1, txs, &mut NoExecutor)
+            .expect("commits");
+        let admission_addr = Keypair::from_seed(b"admission").address();
+        let fresh = Projections::new(vec![record(100), record(101)], admission_addr, 2);
+        (store, author, fresh)
+    }
 
-        let seed = vec![record(100), record(101)];
-        let fresh = || -> Vec<Box<dyn BlockObserver>> {
-            vec![
-                Box::new(SupplyChainProjection::new(seed.clone(), admission_addr, 2)),
-                Box::new(IdentityProjection::new()),
-                Box::new(FactProjection::new(seed.clone(), admission_addr, 2)),
-                Box::new(HeadlineProjection::new()),
-            ]
-        };
-        let mut a = fresh();
-        let mut b = fresh();
-        store.replay_into(&mut a);
-        store.replay_into(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.digest(), y.digest(), "projection {}", x.name());
-        }
-        // The projections actually saw the data.
-        let sc = a[0]
-            .as_any()
-            .downcast_ref::<SupplyChainProjection>()
-            .unwrap();
-        assert_eq!(sc.stats().indexed, 1);
-        assert_eq!(sc.graph().root_count(), 2);
-        let idp = a[1].as_any().downcast_ref::<IdentityProjection>().unwrap();
-        assert!(idp.registry().is_verified(&author.address()));
-        let fp = a[2].as_any().downcast_ref::<FactProjection>().unwrap();
-        assert!(fp.ledger().is_candidate(&record(9).id()));
-        let hp = a[3].as_any().downcast_ref::<HeadlineProjection>().unwrap();
-        assert_eq!(hp.len(), 1);
+    #[test]
+    fn projections_replay_to_identical_digests() {
+        let (store, author, mut a) = observed_chain();
+        let mut b = a.fresh();
+        assert_eq!(a.replay(&store), Ok(2), "genesis and the block");
+        b.replay(&store).expect("replays");
+        assert_eq!(a.digests(), b.digests());
+        let names: Vec<&str> = a.digests().iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["supplychain", "identity", "factdb", "headlines"]);
+        // The views actually saw the data.
+        assert_eq!(a.index_stats().indexed, 1);
+        assert_eq!(a.graph().root_count(), 2);
+        assert_eq!(a.factdb().len(), 2);
+        assert!(a.identities().is_verified(&author.address()));
+        assert!(a.ledger().is_candidate(&record(9).id()));
+        let story = item_id(&author.address(), "Original story text.", 1);
+        assert_eq!(a.headline(&story), Some("A headline"));
+        // A second replay starts over: nothing is counted twice.
+        a.replay(&store).expect("replays");
+        assert_eq!(a.digests(), b.digests());
+        assert_ne!(a.digests(), a.fresh().digests());
     }
 
     #[test]
     fn projection_checkpoints_round_trip() {
-        // Drive every projection with real payloads, checkpoint each one,
-        // load the bytes into a fresh instance, and require digest
-        // equality — the property the storage-recovery path depends on.
-        let author = Keypair::from_seed(b"author");
-        let validator = Keypair::from_seed(b"validator");
-        let admission_addr = Keypair::from_seed(b"admission").address();
-        let genesis = State::genesis([(author.address(), 10_000)]);
-        let mut store = ChainStore::new(genesis, &validator);
+        // Drive every view with real payloads, checkpoint, load the blobs
+        // into a fresh value, and require digest equality — the property
+        // the storage-recovery path depends on.
+        let (store, _, mut live) = observed_chain();
+        live.replay(&store).expect("replays");
+        let saved = live.save();
+        let mut restored = live.fresh();
+        restored.load(&saved).expect("load succeeds");
+        assert_eq!(restored.digests(), live.digests());
+        // A second save of the restored state is byte-identical.
+        assert_eq!(restored.save(), saved);
 
-        let identity = IdentityRecord {
-            name: "Jane".into(),
-            roles: vec![crate::roles::Role::ContentCreator],
-        };
-        let event = tn_supplychain::index::NewsEvent {
-            headline: "A headline".into(),
-            content: "Original story text.".into(),
-            topic: "energy".into(),
-            room: 1,
-            parents: vec![],
-            published_at: 1,
-        };
-        let txs = vec![
-            Transaction::signed(
-                &author,
-                0,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::IDENTITY,
-                    data: identity.to_bytes(),
-                },
-            ),
-            Transaction::signed(&author, 1, 1, event.into_payload()),
-            Transaction::signed(
-                &author,
-                2,
-                1,
-                Payload::Blob {
-                    tag: blob_tags::FACT_PROPOSE,
-                    data: record(9).to_bytes(),
-                },
-            ),
-        ];
-        let block = store.propose(&validator, 1, txs, &mut NoExecutor);
-        store.import(&block, &mut NoExecutor).unwrap();
-
-        let seed = vec![record(100), record(101)];
-        let fresh = || -> Vec<Box<dyn BlockObserver>> {
-            vec![
-                Box::new(SupplyChainProjection::new(seed.clone(), admission_addr, 2)),
-                Box::new(IdentityProjection::new()),
-                Box::new(FactProjection::new(seed.clone(), admission_addr, 2)),
-                Box::new(HeadlineProjection::new()),
-            ]
-        };
-        let mut live = fresh();
-        store.replay_into(&mut live);
-        let mut restored = fresh();
-        for (src, dst) in live.iter().zip(restored.iter_mut()) {
-            let bytes = src.save_state().expect("projections support checkpoints");
-            dst.load_state(&bytes).expect("load succeeds");
-            assert_eq!(src.digest(), dst.digest(), "projection {}", src.name());
-            // A second save of the restored state is byte-identical.
-            assert_eq!(dst.save_state().unwrap(), bytes, "{}", src.name());
-            // Trailing garbage is rejected, not silently ignored.
-            let mut bad = bytes.clone();
-            bad.push(0xFF);
-            assert!(dst.load_state(&bad).is_err(), "{}", src.name());
+        let genesis = live.fresh().digests();
+        let mut untouched = live.fresh();
+        for i in 0..saved.len() {
+            // Trailing garbage is rejected, not silently ignored …
+            let mut bad = saved.clone();
+            bad[i].1.push(0xFF);
+            assert!(untouched.load(&bad).is_err(), "{}", saved[i].0);
+            // … and so is a checkpoint that lacks a view.
+            let mut short = saved.clone();
+            short.remove(i);
+            assert!(untouched.load(&short).is_err(), "{}", saved[i].0);
         }
+        // Graph and database blobs written at different heights carry
+        // different ledgers: not one checkpoint.
+        let mut mixed = saved.clone();
+        mixed[2].1 = live.fresh().save().swap_remove(2).1;
+        assert_eq!(
+            untouched.load(&mixed),
+            Err("checkpoint blobs disagree on the admission ledger".into())
+        );
+        assert_eq!(
+            untouched.digests(),
+            genesis,
+            "a refused load changes nothing"
+        );
     }
 }

@@ -147,14 +147,6 @@ impl U256 {
         self.overflowing_sub(other).0
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(&self, other: &U256) -> Option<U256> {
-        match self.overflowing_add(other) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Checked subtraction; `None` on underflow.
     pub fn checked_sub(&self, other: &U256) -> Option<U256> {
         match self.overflowing_sub(other) {

@@ -157,10 +157,9 @@ impl ValidatorNode {
     }
 
     /// Restarts replica `id` from a persisted ledger `snapshot`: every
-    /// block is re-validated and re-executed, and the projections are
-    /// rebuilt from the restored chain via the replay path — a recovered
-    /// node reports exactly the execution digest it had when the snapshot
-    /// was taken. Counts `node.fault.recoveries` in the fresh registry.
+    /// block is re-validated, re-executed and applied to fresh projections
+    /// in one import pass — a recovered node reports exactly the execution
+    /// digest it had when the snapshot was taken. Counts `node.fault.recoveries` in the fresh registry.
     ///
     /// # Errors
     ///

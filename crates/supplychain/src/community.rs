@@ -55,11 +55,6 @@ impl InteractionGraph {
         *self.adj.entry(b).or_default().entry(a).or_insert(0) += weight;
     }
 
-    /// Ensures a node exists even with no edges.
-    pub fn add_node(&mut self, a: Address) {
-        self.adj.entry(a).or_default();
-    }
-
     /// Number of accounts.
     pub fn node_count(&self) -> usize {
         self.adj.len()

@@ -100,17 +100,6 @@ pub fn word_levenshtein(a: &str, b: &str) -> usize {
     prev[tb.len()]
 }
 
-/// Normalized word edit distance in `[0, 1]` (0 = identical).
-pub fn normalized_edit_distance(a: &str, b: &str) -> f64 {
-    let d = word_levenshtein(a, b);
-    let n = tokenize(a).len().max(tokenize(b).len());
-    if n == 0 {
-        0.0
-    } else {
-        d as f64 / n as f64
-    }
-}
-
 /// Splits text into sentences on `.`, `!`, `?` boundaries (trimmed,
 /// non-empty).
 pub fn sentences(text: &str) -> Vec<String> {

@@ -6,6 +6,23 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== size and panic-site budget (scripts/budget.txt only ever goes down)"
+# Two counts that grew for twenty PRs: lines under crates/*/src, and
+# unwrap( / expect( / panic! sites outside tn-bench, comment lines and
+# everything from a file's #[cfg(test)] on left out. Neither may exceed
+# the value recorded in scripts/budget.txt; a PR that lowers one lowers
+# the recorded value with it, so the next PR cannot give it back.
+src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+panic_sites=$(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' -print0 |
+  xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && !/^[[:space:]]*\/\// { n += gsub(/unwrap\(|expect\(|panic!/, "&") }
+    END { print n + 0 }')
+for count in src_lines panic_sites; do
+  budget=$(awk -v key="$count" '$1 == key { print $2 }' scripts/budget.txt)
+  echo "$count ${!count} (budget $budget)"
+  [ "${!count}" -le "$budget" ] || { echo "$count over budget"; exit 1; }
+done
+
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
