@@ -6,7 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tn_crypto::ec::{mul_generator, mul_generator_jacobian, Jacobian};
 use tn_crypto::field::Fe;
 use tn_crypto::merkle::{leaf_hash, MerkleTree};
-use tn_crypto::msm::{double_mul_glv, glv_split, odd_multiples};
+use tn_crypto::msm::{double_mul_glv, glv_split, odd_multiples, SignerTables};
+use tn_crypto::schnorr::SignerMemo;
 use tn_crypto::sha256::sha256;
 use tn_crypto::u256::U256;
 use tn_crypto::Keypair;
@@ -22,14 +23,31 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
+/// `crypto.sign_us` and `crypto.verify_us` in a loop: a signature, a
+/// verification by a key its memo has not met (each iteration a new
+/// memo), one by a key whose tables the memo holds, and what those tables
+/// cost to build — paid once, on a key's second lone verification.
 fn bench_schnorr(c: &mut Criterion) {
+    let mut group = c.benchmark_group("schnorr");
     let kp = Keypair::from_seed(b"bench signer");
     let msg = sha256(b"benchmark message");
     let sig = kp.sign(&msg);
-    c.bench_function("schnorr_sign", |b| b.iter(|| kp.sign(black_box(&msg))));
-    c.bench_function("schnorr_verify", |b| {
-        b.iter(|| assert!(kp.public().verify(black_box(&msg), black_box(&sig))))
+    group.bench_function("sign", |b| b.iter(|| kp.sign(black_box(&msg))));
+    group.bench_function("verify_first_sighting", |b| {
+        b.iter(|| assert!(SignerMemo::new().verify(kp.public(), black_box(&msg), &sig)))
     });
+    let memo = SignerMemo::new();
+    for _ in 0..2 {
+        assert!(memo.verify(kp.public(), &msg, &sig));
+    }
+    group.bench_function("verify_repeat_signer", |b| {
+        b.iter(|| assert!(memo.verify(kp.public(), black_box(&msg), black_box(&sig))))
+    });
+    let point = mul_generator(&U256::from_u64(0x5eed));
+    group.bench_function("signer_tables_build", |b| {
+        b.iter(|| SignerTables::build(black_box(&point)))
+    });
+    group.finish();
 }
 
 /// The rows beneath `crypto.verify_us`: one field operation, one point
@@ -67,11 +85,17 @@ fn bench_field_ops(c: &mut Criterion) {
     group.bench_function("mul_generator", |g| {
         g.iter(|| mul_generator_jacobian(black_box(&k)))
     });
-    // The lone-verify equation `s·G + k·P` and its two per-call set-up
-    // steps: the scalar split and the public key's eight odd multiples.
+    // The lone-verify equation `s·G + k·P` — over a key met for the
+    // first time, then over a repeat signer's stored tables — and the
+    // first form's two per-call set-up steps: the scalar split and the
+    // public key's eight odd multiples.
     let s = U256::from_be_bytes(sha256(b"field_ops s").as_bytes());
     group.bench_function("double_mul_glv", |g| {
         g.iter(|| double_mul_glv(black_box(&s), black_box(&affine), black_box(&k)))
+    });
+    let tables = SignerTables::build(&affine);
+    group.bench_function("double_mul_signer_tables", |g| {
+        g.iter(|| tables.double_mul(black_box(&s), black_box(&k)))
     });
     group.bench_function("glv_split_x1024", |g| {
         g.iter(|| (0..1024).fold(black_box(k), |x, _| glv_split(&x)[0].0.wrapping_add(&s)))

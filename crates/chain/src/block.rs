@@ -235,11 +235,13 @@ impl Block {
             transactions,
             &ids,
         )
+        .0
     }
 
     /// [`Block::build`] for a caller that already holds the transactions'
     /// ids (`ids[i]` must be `transactions[i].id()`), so the transaction
-    /// root does not hash them again.
+    /// root does not hash them again. Hands back, with the block, the
+    /// header digest it signed — the block's id.
     pub(crate) fn build_identified(
         proposer: &Keypair,
         height: u64,
@@ -248,7 +250,7 @@ impl Block {
         timestamp: u64,
         transactions: Vec<Transaction>,
         ids: &[Hash256],
-    ) -> Block {
+    ) -> (Block, Hash256) {
         debug_assert_eq!(ids.len(), transactions.len());
         let header = BlockHeader {
             height,
@@ -258,13 +260,14 @@ impl Block {
             timestamp,
             proposer: proposer.address(),
         };
-        let signature = proposer.sign(&header.digest());
-        Block {
+        let id = header.digest();
+        let block = Block {
             header,
             proposer_key: *proposer.public(),
-            signature,
+            signature: proposer.sign(&id),
             transactions,
-        }
+        };
+        (block, id)
     }
 
     /// The block id (header digest).

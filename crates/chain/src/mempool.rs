@@ -8,7 +8,7 @@ use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
-use crate::block::{batch_verify_chunk, BatchVerifyPolicy, Claim, BATCH_FALLBACK_COUNTER};
+use crate::block::{batch_verify_chunk, BatchVerifyPolicy, Block, Claim, BATCH_FALLBACK_COUNTER};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
 use crate::state::State;
@@ -292,8 +292,31 @@ impl Mempool {
         out
     }
 
+    /// [`Mempool::prune_committed`] after `block` extended the head the
+    /// pool was last pruned at, `state` being the state after it: only the
+    /// block's senders had their nonces move, so only their accounts are
+    /// looked at, and only the stale front of each — the cost is the
+    /// block's, not the pool's. After a reorg, or when blocks went by
+    /// unpruned, only the full sweep is right.
+    pub fn prune_block(&mut self, block: &Block, state: &State) {
+        for tx in &block.transactions {
+            let Some(pending) = self.by_account.get_mut(&tx.from) else {
+                continue;
+            };
+            let committed = state.nonce(&tx.from);
+            while let Some(front) = pending.first_entry().filter(|e| *e.key() < committed) {
+                self.seen.remove(&front.remove().0);
+                self.len -= 1;
+            }
+            if pending.is_empty() {
+                self.by_account.remove(&tx.from);
+            }
+        }
+    }
+
     /// Removes transactions that were committed in a block (and any whose
-    /// nonce is now stale).
+    /// nonce is now stale), whatever happened to the chain since the last
+    /// call: a sweep over every pending transaction.
     pub fn prune_committed(&mut self, state: &State) {
         let seen = &mut self.seen;
         self.by_account.retain(|addr, txs| {

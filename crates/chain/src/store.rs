@@ -198,11 +198,12 @@ impl BlockIds {
     }
 }
 
-/// What [`ChainStore::assemble`] hands back: the signed block, the state
-/// and receipts executing it produced, and when (trace clock) the
-/// signature pass and the execution ran.
+/// What [`ChainStore::assemble`] hands back: the signed block and its id,
+/// the state and receipts executing it produced, and when (trace clock)
+/// the signature pass and the execution ran.
 struct Proposal {
     block: Block,
+    id: Hash256,
     post_state: State,
     receipts: Vec<Receipt>,
     verify_ns: (u64, u64),
@@ -1475,7 +1476,7 @@ impl ChainStore {
         });
         let e1 = trace.now_ns();
         let (ids, txs): (Vec<Hash256>, Vec<Transaction>) = txs.into_iter().unzip();
-        let block = Block::build_identified(
+        let (block, id) = Block::build_identified(
             proposer,
             height,
             self.head,
@@ -1486,6 +1487,7 @@ impl ChainStore {
         );
         Proposal {
             block,
+            id,
             post_state,
             receipts,
             verify_ns: (v0, e0),
@@ -1505,11 +1507,9 @@ impl ChainStore {
         txs: Vec<Transaction>,
         executor: &mut dyn TxExecutor,
     ) -> Block {
-        let block = self
-            .assemble(proposer, timestamp, txs, executor, &TraceSink::disabled())
-            .block;
-        self.sig_cache
-            .insert(block.header_sig_memo(&block.header.digest()));
+        let Proposal { block, id, .. } =
+            self.assemble(proposer, timestamp, txs, executor, &TraceSink::disabled());
+        self.sig_cache.insert(block.header_sig_memo(&id));
         block
     }
 
@@ -1546,13 +1546,14 @@ impl ChainStore {
         let t0 = trace.now_ns();
         let Proposal {
             block,
+            id,
             post_state,
             receipts,
             verify_ns,
             execute_ns,
         } = self.assemble(proposer, timestamp, txs, executor, &trace);
         debug_assert_eq!(block.verify_structure(), Ok(()));
-        let ids = BlockIds::of(block.id(), &trace);
+        let ids = BlockIds::of(id, &trace);
         if trace.is_enabled() {
             // The block id exists only now, so the spans of the work that
             // led to it are recorded after the fact; ids are deterministic,

@@ -108,18 +108,6 @@ impl ContractRegistry {
         self.contracts.get(addr)
     }
 
-    /// Removes a contract entry (used by the parallel executor to hand
-    /// ownership of disjoint state to worker threads).
-    pub fn take_contract(&mut self, addr: &Address) -> Option<ContractEntry> {
-        self.contracts.remove(addr)
-    }
-
-    /// Re-inserts a contract entry previously taken with
-    /// [`Self::take_contract`].
-    pub fn put_contract(&mut self, addr: Address, entry: ContractEntry) {
-        self.contracts.insert(addr, entry);
-    }
-
     /// Number of deployed bytecode contracts.
     pub fn len(&self) -> usize {
         self.contracts.len()

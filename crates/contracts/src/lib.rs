@@ -16,8 +16,6 @@
 //!   calls (bytecode or built-in), and implements `tn_chain::TxExecutor`.
 //! - [`builtin`]: the four native platform contracts — newsroom registry,
 //!   crowd ranking, incentives, factual-DB admission.
-//! - [`parallel`]: conflict-free parallel execution of independent calls,
-//!   reproducing the authors' ICDCS 2018 parallel-blockchain idea.
 //!
 //! # Example
 //!
@@ -44,7 +42,6 @@
 pub mod asm;
 pub mod builtin;
 pub mod executor;
-pub mod parallel;
 pub mod vm;
 
 pub use builtin::{
@@ -52,5 +49,4 @@ pub use builtin::{
     RankingContract,
 };
 pub use executor::{builtin_address, contract_address, ContractEntry, ContractRegistry};
-pub use parallel::{execute_parallel, CallTask, TaskResult};
 pub use vm::{ExecEnv, ExecOutcome, Op, VmError, Word};

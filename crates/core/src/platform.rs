@@ -501,7 +501,7 @@ impl Platform {
             .pipeline
             .commit_batch(&self.validator, self.clock, txs)?;
         self.mempool
-            .prune_committed(self.pipeline.store().head_state());
+            .prune_block(&block, self.pipeline.store().head_state());
         // Re-derive nonce reservations from what actually remains in the
         // pool: transactions that were neither selected nor pruned keep
         // their nonces reserved, everything else is released.

@@ -13,6 +13,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::field::{Fe, BETA};
+use crate::msm::{digit, glv_split};
 use crate::u256::U256;
 
 /// The curve constant `b` of `y² = x³ + b`.
@@ -328,52 +329,76 @@ pub const GENERATOR: Affine = Affine::Point {
     ]),
 };
 
-/// Number of 4-bit windows covering a 256-bit scalar.
-const GEN_WINDOWS: usize = 64;
+/// Bits per window of the generator comb.
+const COMB_BITS: u32 = 7;
 
-/// Precomputed fixed-base window table for the generator.
-///
-/// `table[w][j]` holds `(j + 1) · 16^w · G` for `j` in `0..15`, in affine
-/// form, so `k·G` is the sum of one table entry per nonzero nibble of `k`
-/// — at most 64 mixed additions and **zero doublings**. Built once on
-/// first use (960 point additions and one batch inversion, ~68 KiB), shared
-/// by every signing and key-derivation call in the process. Verification
-/// does not come here: its `s·G` rides the doubling chain it needs for
-/// the public key anyway ([`crate::msm::double_mul_glv`]).
-fn generator_table() -> &'static [[Affine; 15]] {
-    static TABLE: OnceLock<Vec<[Affine; 15]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut entries = Vec::with_capacity(GEN_WINDOWS * 15);
-        // `base` is 16^w · G for the current window.
+/// Windows covering one GLV half: 19 × 7 = 133 bits, room for a half of
+/// 129 bits (a scalar `≥ n`) and the carry of the window below.
+const COMB_WINDOWS: usize = 19;
+
+/// Entries per window: the magnitudes `1..=64` of a signed 7-bit digit.
+const COMB_ENTRIES: usize = 1 << (COMB_BITS - 1);
+
+/// Precomputed fixed-base comb for the generator: `comb[w][j]` holds
+/// `(j + 1) · 128^w · G`, affine. Built once on first use, shared by every
+/// signing and key-derivation call in the process; sizes and the cost
+/// model are in [`crate::msm`]'s module docs. Verification does not come
+/// here: its `s·G` rides the doubling chain it needs for the public key
+/// anyway ([`crate::msm::double_mul_glv`]).
+fn generator_comb() -> &'static [[Affine; COMB_ENTRIES]] {
+    static COMB: OnceLock<Vec<[Affine; COMB_ENTRIES]>> = OnceLock::new();
+    COMB.get_or_init(|| {
+        let mut entries = Vec::with_capacity(COMB_WINDOWS * COMB_ENTRIES);
+        // `base` is 128^w · G for the current window.
         let mut base = Jacobian::from_affine(&GENERATOR);
-        for _ in 0..GEN_WINDOWS {
+        for _ in 0..COMB_WINDOWS {
             let mut multiple = base;
-            for _ in 0..15 {
+            for _ in 1..COMB_ENTRIES {
                 entries.push(multiple);
                 multiple = multiple.add(&base);
             }
-            base = multiple;
+            entries.push(multiple);
+            base = multiple.double(); // 2 · 64 · base
         }
         Jacobian::batch_to_affine(&entries)
-            .chunks_exact(15)
+            .chunks_exact(COMB_ENTRIES)
             .map(|row| std::array::from_fn(|j| row[j]))
             .collect()
     })
 }
 
-/// `k·G` in Jacobian form via the fixed-base window table.
-///
-/// This is the fast path for everything that multiplies the generator
-/// alone: key derivation and signing (nonce commitment `k·G`).
+/// `k·G` in Jacobian form — key derivation and signing's nonce
+/// commitment — via the fixed-base comb: `k` split over the endomorphism
+/// ([`glv_split`]), each half recoded into 19 signed 7-bit digits, one
+/// entry added per nonzero digit (the `λ` half's with its x multiplied by
+/// `β`). At most 38 mixed additions and no doublings.
 pub fn mul_generator_jacobian(k: &U256) -> Jacobian {
-    let bytes = k.to_be_bytes();
+    let comb = generator_comb();
     let mut acc = Jacobian::infinity();
-    for (w, row) in generator_table().iter().enumerate() {
-        // Window w covers scalar bits [4w, 4w+4); byte 31 holds bits 0..8.
-        let byte = bytes[31 - w / 2];
-        let digit = if w % 2 == 0 { byte & 0x0f } else { byte >> 4 };
-        if digit != 0 {
-            acc = acc.add_affine(&row[(digit - 1) as usize]);
+    for ((magnitude, negative), lambda) in glv_split(k).into_iter().zip([false, true]) {
+        // Signed digits, low window first: a window above 64 is written
+        // `window − 128` and carries one into the next.
+        let mut carry = 0;
+        for (w, row) in comb.iter().enumerate() {
+            let window = digit(&magnitude, COMB_BITS * w as u32, COMB_BITS) + carry;
+            carry = usize::from(window > COMB_ENTRIES);
+            let size = if carry == 1 {
+                2 * COMB_ENTRIES - window
+            } else {
+                window
+            };
+            if size != 0 {
+                let entry = if lambda {
+                    row[size - 1].mul_lambda()
+                } else {
+                    row[size - 1]
+                };
+                acc = acc.add_affine(&if negative == (carry == 1) {
+                    entry
+                } else {
+                    entry.negate()
+                });
+            }
         }
     }
     acc
@@ -517,6 +542,38 @@ pub(crate) mod tests {
                 "k={}",
                 k.to_hex()
             );
+        }
+    }
+
+    #[test]
+    fn comb_matches_ladder_on_every_window_and_carry_chain() {
+        use crate::field::{add_mod, mul_mod, LAMBDA};
+        let g = Jacobian::from_affine(&GENERATOR);
+        let check = |k: U256| {
+            let expect = g.mul_scalar(&k).to_affine();
+            assert_eq!(mul_generator(&k), expect, "k={}", k.to_hex());
+        };
+        let two128 = U256::ONE.shl(128);
+        check(two128.wrapping_sub(&U256::ONE));
+        check(two128.wrapping_add(&U256::ONE));
+        // A half whose 7-bit windows `lo..=hi` are all ones: every digit of
+        // the run is written negative and carries into the next, the last
+        // carry landing in window `hi + 1` (`lo == hi`: one window all
+        // ones). Short enough for the split to hand the half back, so the
+        // comb recodes exactly this pattern — on `G`, on `λG`, negated, and
+        // beside another run on the other half.
+        let run = |lo: u32, hi: u32| U256::MAX.shr(256 - 7 * (hi - lo + 1)).shl(7 * lo);
+        for hi in 0..18u32 {
+            for lo in 0..=hi {
+                let half = run(lo, hi);
+                let on_lambda = mul_mod(&half, &LAMBDA, &N);
+                assert_eq!(glv_split(&half), [(half, false), (U256::ZERO, false)]);
+                assert_eq!(glv_split(&on_lambda)[1], (half, false), "{lo}..={hi}");
+                check(half);
+                check(on_lambda);
+                check(N.wrapping_sub(&half));
+                check(add_mod(&run(hi - lo, hi), &on_lambda, &N));
+            }
         }
     }
 

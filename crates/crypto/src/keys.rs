@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::ec::{mul_generator, Affine};
 use crate::field::{reduce, N};
 use crate::hash::Hash256;
-use crate::schnorr::{sign_digest, verify_digest, Signature};
+use crate::schnorr::{sign_digest, Signature, PROCESS_SIGNERS};
 use crate::sha256::tagged_hash;
 use crate::u256::U256;
 
@@ -63,9 +63,10 @@ impl fmt::Debug for SecretKey {
 pub struct PublicKey(Affine);
 
 impl PublicKey {
-    /// Verifies a Schnorr signature over a 32-byte digest.
+    /// Verifies a Schnorr signature over a 32-byte digest. A key this
+    /// process has verified before is recognised (see [`crate::schnorr::SignerMemo`]).
     pub fn verify(&self, msg: &Hash256, sig: &Signature) -> bool {
-        verify_digest(&self.0, msg, sig)
+        PROCESS_SIGNERS.verify(self, msg, sig)
     }
 
     /// The underlying curve point (for the batch-verification kernels).

@@ -19,11 +19,12 @@
 //!   once `n` is large against `2^c`. Window size comes from
 //!   [`pippenger_window`].
 //! - [`msm`] picks between them by batch size ([`STRAUS_CUTOFF`]).
-//! - [`double_mul_glv`] is the other end of the range: the two-term
-//!   `s·G + k·P` of **one** verification, where there is no batch to share
-//!   work with — so it shares the doubling chain between the equation's
-//!   own terms and halves its length over the curve endomorphism (cost
-//!   model below).
+//! - [`double_mul_glv`] and [`SignerTables::double_mul`] are the other end
+//!   of the range: the two-term `s·G + k·P` of **one** verification, where
+//!   there is no batch to share work with — so they share the doubling
+//!   chain between the equation's own terms, halve its length over the
+//!   curve endomorphism, and, for a key the process has verified before,
+//!   halve it again over stored tables (cost models below).
 //!
 //! Scalars are plain 256-bit integers: `k·P` is integer scalar
 //! multiplication, so callers may pass values `≥ n` (they wrap by the
@@ -61,42 +62,76 @@
 //! n = 192, and on the shape `verify_batch` produces (half the points carry
 //! 128-bit coefficients) already near n = 150, so [`STRAUS_CUTOFF`] = 160.
 //!
-//! # One signature: the lone-verify cost model
+//! # One signature: the lone-verify cost models
 //!
-//! A single verification needs `s·G + k·P` (`k = −e`). Done as two
-//! products — 60 additions from the signing comb for `s·G`, then a
-//! 256-step width-5 walk for `k·P` — the doublings are 36 of its ~50 µs.
-//! [`double_mul_glv`] removes half of them and shares the rest: secp256k1
-//! has the endomorphism `λ·(x, y) = (β·x, y)`, every scalar splits as
-//! `k₁ + k₂·λ (mod n)` with `|kᵢ| < 2^128` ([`glv_split`]), and so the
+//! A single verification needs `s·G + k·P` (`k = −e`). secp256k1 has the
+//! endomorphism `λ·(x, y) = (β·x, y)`, and every scalar splits as
+//! `k₁ + k₂·λ (mod n)` with `|kᵢ| < 2^128` ([`glv_split`]), so the
 //! equation is four 128-bit terms `s₁·G + s₂·λG + k₁·P + k₂·λP` on one
-//! doubling chain. Counted over 2 000 random `(s, P, k)` and priced with
-//! the point operations above (`field_ops`: doubling 0.14 µs, mixed
-//! addition 0.17 µs, general addition 0.22 µs, inversion 3.1 µs):
+//! doubling chain — [`double_mul_glv`], what a key met for the first time
+//! costs. A point whose multiple `2^64·B` also has a table takes a
+//! 128-bit scalar as two 64-bit terms, `a·B + b·(2^64·B)`; with static
+//! tables of `G, λG, 2^64·G, 2^64·λG` and a signer's stored tables of
+//! `P, 2^64·P` ([`SignerTables`]) the equation is **eight 64-bit terms**
+//! on a chain of 64 steps, and no table is built per call.
 //!
-//! | step | operations | model µs |
-//! |------|------------|----------|
-//! | two splits, four recodings | 4 widening + 8 wrapping multiplications | 0.5 |
-//! | `P`'s table, width 5 | 1 doubling, 7 general additions, 1 inversion, 8 × 3 M to normalise | 5.3 (measured) |
-//! | `λP`'s table | 8 field multiplications | 0.1 |
-//! | doubling chain | 127.1 doublings | 17.8 |
-//! | digits: `P`, `λP` one in 6; `G`, `λG` (static width-8 tables) one in 9 | 72.4 mixed additions | 12.3 |
-//! | **total** | | **36.0** |
+//! Counted over 2 000 hash-derived `(s, k)` and priced with the point
+//! operations above (`field_ops`: doubling 0.14 µs, mixed addition
+//! 0.17 µs, general addition 0.22 µs, inversion 3.1 µs, multiplication
+//! 16 ns):
 //!
-//! The same prices put the two-product form at 59 µs (60 + 43 additions,
-//! 256 doublings, the same table). In a tight loop the two measure
-//! 47.8–50 µs and 30.1–30.6 µs — the dependent-chain prices overstate
-//! both by the same sixth, and the ratio, 0.63, is the model's 0.61. A
-//! whole `PublicKey::verify` (plus lifting `R`, 3.0 µs, and the challenge
-//! hash, 0.6 µs) went 53.0 → 34.2 µs. The static tables are
-//! 2 × 64 affine points (~9 KiB, built on first use: 63 general
-//! additions and one inversion). Tried and left out: building
-//! `P`'s table on a shared denominator ("effective affine", no inversion;
-//! `G`'s entries then pay two multiplications per addition to follow it
-//! onto the isomorphic curve) measured 31.4 → 28.2 µs for the kernel but
-//! +2 % `commit_tps` on the replicated benchmark workload, inside its
+//! | step | first sighting ([`double_mul_glv`]) | µs | repeat signer ([`SignerTables::double_mul`]) | µs |
+//! |------|------------|------|------------|------|
+//! | two splits, the recodings | 4 widening + 8 wrapping multiplications, 4 recodings | 0.5 | the same, 8 recodings | 0.6 |
+//! | `P`'s table | width 5: 1 doubling, 7 general additions, 1 inversion, 8 × 3 M to normalise | 5.3 (measured) | stored (width 6, 2 × 16 entries) | — |
+//! | `λ` images | 8 multiplications | 0.1 | 32 multiplications | 0.5 |
+//! | doubling chain | 126.0 doublings | 17.6 | 63.2 doublings | 8.8 |
+//! | `G` terms (static width-8 tables: one digit in 9) | 29.2 mixed additions | 5.0 | 30.1 | 5.1 |
+//! | `P` terms (one digit in 6, resp. 7) | 43.3 mixed additions | 7.4 | 38.2 | 6.5 |
+//! | **total** | | **35.9** | | **21.5** |
+//!
+//! Measured in one process, alternating chunks of 100 calls, in a stretch
+//! where this host ran everything 1.6× slower than the prices above (so
+//! read the ratios): first sighting 49.5 µs, repeat signer 30.6 (0.62; the
+//! model's 0.60), [`SignerTables::build`] 23.0 — 66 doublings, 30 general
+//! additions, one inversion and 32 × 3 M, model 20.5 at those prices,
+//! 33 at that hour's: a run of doublings of one point overlaps better
+//! than the chains that priced it. A whole `PublicKey::verify` (plus
+//! lifting `R`, 3.0 µs, and the challenge hash, 0.6 µs) went 54.0 → 35.5
+//! (0.66), at the host's usual speed ≈ 34 → 22; in the benchmark's traced
+//! ledger `crypto.verify_us` 51.9 → 33.3. The build is 1.2 of the 18.9 µs
+//! the tables then save per call, which is why a key gets them on its
+//! *second* lone verification ([`crate::schnorr::SignerMemo`]): a one-off
+//! signer never pays, a repeat signer is ahead from its third. The static
+//! tables are 4 × 64 affine points (18 KiB, built on first use: 66
+//! doublings, 126 general additions and one inversion). The two-product
+//! form PR 14 had — 60 additions from the signing table for `s·G`, then a
+//! 256-step width-5 walk for `k·P` — is 59 µs at the model's prices.
+//!
+//! Tried and left out: building `P`'s per-call table on a shared
+//! denominator ("effective affine", no inversion; `G`'s entries then pay
+//! two multiplications per addition to follow it onto the isomorphic
+//! curve) measured 31.4 → 28.2 µs for the first-sighting kernel but +2 %
+//! `commit_tps` on the replicated benchmark workload, inside its
 //! run-to-run spread, for a second table builder and table entries that
-//! are not curve points.
+//! are not curve points. Storing the signer's `λ` images (4.5 KiB per key
+//! instead of 2.3) would save the 0.5 µs row.
+//!
+//! # The signing comb
+//!
+//! `k·G` alone ([`crate::ec::mul_generator`]: a signature's nonce
+//! commitment, a key's derivation) has no second term to share doublings
+//! with, so it has none: a table holds every `j·128^w·G` a signed 7-bit
+//! digit can ask for. Split over the endomorphism, a scalar is two halves
+//! of 19 such digits, and the `λ` half reads the same table through one
+//! `β` multiplication per addition: 37.2 mixed additions (at most 38) and
+//! 18.6 multiplications, model 6.6 µs, against up to 64 additions (60.0
+//! for a random scalar, 10.2 µs) from the 64 × 15 four-bit table it
+//! replaced. Measured in the same stretch: 12.5 → 8.2 µs (0.66), a whole
+//! `Keypair::sign` 17.7 → 13.6 (≈ 13 → 10 at the usual speed), signatures
+//! byte for byte the same. The table is 19 × 64 points, 85.5 KiB
+//! (the four-bit one was 67.5), built on first use from 19 doublings,
+//! 1 197 general additions and one inversion (~0.3 ms).
 //!
 //! Nothing here is constant-time: digits, bucket indexes, the recodings
 //! and the sign of each split half all branch and index on the scalars.
@@ -117,7 +152,7 @@ pub const STRAUS_CUTOFF: usize = 160;
 
 /// Bits `[lo, lo + c)` of `k` as a bucket index. `c ≤ 16`; bits past 255
 /// read as zero.
-fn digit(k: &U256, lo: u32, c: u32) -> usize {
+pub(crate) fn digit(k: &U256, lo: u32, c: u32) -> usize {
     debug_assert!(c <= 16 && lo < 256);
     let limbs = k.limbs();
     let li = (lo / 64) as usize;
@@ -152,6 +187,13 @@ const GEN_WNAF_WIDTH: u32 = 8;
 /// Table entries for the generator at [`GEN_WNAF_WIDTH`].
 const GEN_ODD_MULTIPLES: usize = 1 << (GEN_WNAF_WIDTH - 2);
 
+/// Signed-window width over a repeat signer's stored tables
+/// ([`SignerTables`]): digits up to 31, one nonzero digit in seven.
+const SIGNER_WNAF_WIDTH: u32 = 6;
+
+/// Table entries per stored signer table at [`SIGNER_WNAF_WIDTH`].
+const SIGNER_ODD_MULTIPLES: usize = 1 << (SIGNER_WNAF_WIDTH - 2);
+
 /// Points whose tables [`straus`] normalises with one shared inversion.
 const NORMALIZE_BLOCK: usize = 16;
 
@@ -170,7 +212,9 @@ fn wnaf(k: &U256, width: u32) -> ([i8; WNAF_DIGITS], usize) {
     // `carry` is what a negative digit further down borrowed from here.
     let mut carry = 0u32;
     let mut bit = 0u32;
-    while bit < 256 {
+    let top = k.bits();
+    // Past the scalar's top bit only a pending carry is left to place.
+    while bit < 256 && (bit < top || carry == 1) {
         if k.bit(bit) as u32 == carry {
             // The bit and the carry cancel (0+0, or 1+1 carrying on).
             bit += 1;
@@ -191,8 +235,8 @@ fn wnaf(k: &U256, width: u32) -> ([i8; WNAF_DIGITS], usize) {
 }
 
 /// Appends `P, 3P, …, (2·count − 1)·P` to `out`.
-fn push_odd_multiples(p: &Affine, count: usize, out: &mut Vec<Jacobian>) {
-    let mut multiple = Jacobian::from_affine(p);
+fn push_odd_multiples(p: Jacobian, count: usize, out: &mut Vec<Jacobian>) {
+    let mut multiple = p;
     let twice = multiple.double();
     for i in 0..count {
         if i > 0 {
@@ -207,8 +251,20 @@ fn push_odd_multiples(p: &Affine, count: usize, out: &mut Vec<Jacobian>) {
 /// `count − 1` general additions and one field inversion.
 pub fn odd_multiples(p: &Affine, count: usize) -> Vec<Affine> {
     let mut multiples = Vec::with_capacity(count);
-    push_odd_multiples(p, count, &mut multiples);
+    push_odd_multiples(Jacobian::from_affine(p), count, &mut multiples);
     Jacobian::batch_to_affine(&multiples)
+}
+
+/// `N` odd multiples of `P` and `N` of `2^64·P`, affine on one shared
+/// inversion: the two tables a scalar cut at bit 64 walks as two terms of
+/// half the length. 66 doublings and `2·N − 2` general additions.
+fn odd_multiples_split<const N: usize>(p: &Affine) -> [[Affine; N]; 2] {
+    let mut multiples = Vec::with_capacity(2 * N);
+    let low = Jacobian::from_affine(p);
+    push_odd_multiples(low, N, &mut multiples);
+    push_odd_multiples((0..64).fold(low, |q, _| q.double()), N, &mut multiples);
+    let multiples = Jacobian::batch_to_affine(&multiples);
+    [0, N].map(|at| std::array::from_fn(|i| multiples[at + i]))
 }
 
 /// One term of a shared doubling chain: a scalar in signed-window form
@@ -283,7 +339,7 @@ pub fn straus(pairs: &[(Affine, U256)]) -> Jacobian {
     for block in pairs.chunks(NORMALIZE_BLOCK) {
         multiples.clear();
         for (p, _) in block {
-            push_odd_multiples(p, ODD_MULTIPLES, &mut multiples);
+            push_odd_multiples(Jacobian::from_affine(p), ODD_MULTIPLES, &mut multiples);
         }
         tables.extend(Jacobian::batch_to_affine(&multiples));
     }
@@ -330,23 +386,23 @@ pub fn glv_split(k: &U256) -> [(U256, bool); 2] {
     })
 }
 
-/// The generator's odd multiples `G, 3G, …, 127G` and the same multiples
-/// of `λ·G`, affine, built on first use (63 additions and one inversion;
-/// 128 points, ~9 KiB).
-fn generator_odd_multiples() -> &'static [[Affine; GEN_ODD_MULTIPLES]; 2] {
-    static TABLES: OnceLock<[[Affine; GEN_ODD_MULTIPLES]; 2]> = OnceLock::new();
+/// The static width-8 tables: the odd multiples `B, 3B, …, 127B` of
+/// `B = G, λG, 2^64·G, 2^64·λG`, in that order, affine, built on first
+/// use (66 doublings, 126 additions and one inversion; 256 points,
+/// 18 KiB). [`double_mul_glv`] walks the first two; a repeat signer's
+/// equation ([`SignerTables::double_mul`]) walks all four.
+fn generator_odd_multiples() -> &'static [[Affine; GEN_ODD_MULTIPLES]; 4] {
+    static TABLES: OnceLock<[[Affine; GEN_ODD_MULTIPLES]; 4]> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let g = odd_multiples(&GENERATOR, GEN_ODD_MULTIPLES);
-        [
-            std::array::from_fn(|i| g[i]),
-            std::array::from_fn(|i| g[i].mul_lambda()),
-        ]
+        let [low, high] = odd_multiples_split(&GENERATOR);
+        let lambda = |table: [Affine; GEN_ODD_MULTIPLES]| table.map(|e| e.mul_lambda());
+        [low, lambda(low), high, lambda(high)]
     })
 }
 
 /// `s·G + k·P` for the generator `G` and a point `P` of the curve, in one
 /// doubling chain of half the scalars' width — the whole group equation of
-/// a single Schnorr verification.
+/// a single Schnorr verification by a key met for the first time.
 ///
 /// Both scalars are split over the curve endomorphism ([`glv_split`]:
 /// `s = s₁ + s₂·λ`, `k = k₁ + k₂·λ`, halves below 2^128), so the sum is
@@ -357,7 +413,7 @@ fn generator_odd_multiples() -> &'static [[Affine; GEN_ODD_MULTIPLES]; 2] {
 /// ([`Affine::mul_lambda`]). Scalars are taken modulo `n`; `P` must be on
 /// the curve (the endomorphism means nothing elsewhere).
 pub fn double_mul_glv(s: &U256, point: &Affine, k: &U256) -> Jacobian {
-    let [g, g_lambda] = generator_odd_multiples();
+    let [g, g_lambda, ..] = generator_odd_multiples();
     let p = odd_multiples(point, ODD_MULTIPLES);
     let p_lambda: [Affine; ODD_MULTIPLES] = std::array::from_fn(|i| p[i].mul_lambda());
     let [s1, s2] = glv_split(s);
@@ -368,6 +424,56 @@ pub fn double_mul_glv(s: &U256, point: &Affine, k: &U256) -> Jacobian {
         Stream::signed(&p, k1, WNAF_WIDTH),
         Stream::signed(&p_lambda, k2, WNAF_WIDTH),
     ])
+}
+
+/// What a process keeps of a public key `P` it verifies again and again:
+/// the width-6 odd multiples `P, 3P, …, 31P` and the same of `2^64·P`
+/// (2 × 16 affine points, 2 304 bytes).
+#[derive(Debug)]
+pub struct SignerTables {
+    /// `P`'s table, then `2^64·P`'s.
+    multiples: [[Affine; SIGNER_ODD_MULTIPLES]; 2],
+}
+
+impl SignerTables {
+    /// The tables of `point`, which must be on the curve: 66 doublings,
+    /// 30 general additions and one inversion.
+    pub fn build(point: &Affine) -> SignerTables {
+        SignerTables {
+            multiples: odd_multiples_split(point),
+        }
+    }
+
+    /// `s·G + k·P` for the `P` these tables were built from — the point
+    /// [`double_mul_glv`] returns (in another Jacobian form), on a chain of
+    /// 64 doublings: the four GLV halves are each cut at bit 64 into terms
+    /// of at most 64 bits (65 for a scalar `≥ n`), `s₁ = a + 2^64·b`
+    /// adding `a·G + b·(2^64·G)` and so on. The `λ` images of the
+    /// signer's two tables are made per call.
+    pub fn double_mul(&self, s: &U256, k: &U256) -> Jacobian {
+        let [g, g_lambda, g_high, g_high_lambda] = generator_odd_multiples();
+        let [p, p_high] = &self.multiples;
+        let (p_lambda, p_high_lambda) = (p.map(|e| e.mul_lambda()), p_high.map(|e| e.mul_lambda()));
+        let [[s1, s1_high], [s2, s2_high]] = glv_split(s).map(cut_at_64);
+        let [[k1, k1_high], [k2, k2_high]] = glv_split(k).map(cut_at_64);
+        interleave(&[
+            Stream::signed(g, s1, GEN_WNAF_WIDTH),
+            Stream::signed(g_high, s1_high, GEN_WNAF_WIDTH),
+            Stream::signed(g_lambda, s2, GEN_WNAF_WIDTH),
+            Stream::signed(g_high_lambda, s2_high, GEN_WNAF_WIDTH),
+            Stream::signed(p, k1, SIGNER_WNAF_WIDTH),
+            Stream::signed(p_high, k1_high, SIGNER_WNAF_WIDTH),
+            Stream::signed(&p_lambda, k2, SIGNER_WNAF_WIDTH),
+            Stream::signed(&p_high_lambda, k2_high, SIGNER_WNAF_WIDTH),
+        ])
+    }
+}
+
+/// `±m` as `±(m mod 2^64)` and `±(m >> 64)`: the two terms a split half
+/// becomes over a point's table and its `2^64` multiple's.
+fn cut_at_64((magnitude, negative): (U256, bool)) -> [(U256, bool); 2] {
+    let low = U256::from_u64(magnitude.as_u64());
+    [(low, negative), (magnitude.shr(64), negative)]
 }
 
 /// `Σ kᵢ·Pᵢ` by the Pippenger bucket method with `c`-bit windows.
@@ -603,37 +709,48 @@ mod tests {
         naive(&[(GENERATOR, *s), (*p, *k)])
     }
 
+    /// Both lone-verification kernels — a first sighting's four-term walk
+    /// and a repeat signer's eight-term walk over `tables` — against the
+    /// ladders.
+    fn assert_kernels_match_ladder(tables: &SignerTables, s: &U256, p: &Affine, k: &U256) {
+        let expect = double_mul_ladder(s, p, k);
+        let context = || format!("s={} k={}", s.to_hex(), k.to_hex());
+        assert_eq!(double_mul_glv(s, p, k).to_affine(), expect, "{}", context());
+        assert_eq!(tables.double_mul(s, k).to_affine(), expect, "{}", context());
+    }
+
     #[test]
     fn double_mul_glv_matches_ladder() {
         let p = mul_generator(&U256::from_u64(42));
-        let edge = ladder_scalars();
+        let tables = SignerTables::build(&p);
+        // The edge scalars, and those whose halves sit on the cut at bit
+        // 64 (every low or high term zero, all-ones, or a lone carry).
+        let mut edge = ladder_scalars();
+        let (two64, two128) = (U256::ONE.shl(64), U256::ONE.shl(128));
+        for v in [two64, two128, mul_mod(&two64, &LAMBDA, &N), LAMBDA] {
+            edge.extend([v.wrapping_sub(&U256::ONE), v, v.wrapping_add(&U256::ONE)]);
+            edge.push(neg_mod(&reduce(&v, &N), &N));
+        }
         for (i, s) in edge.iter().enumerate() {
             // Every edge scalar on both sides, against a rotating partner.
             let k = edge[(i * 7 + 3) % edge.len()];
-            for (s, k) in [(*s, k), (k, *s)] {
-                assert_eq!(
-                    double_mul_glv(&s, &p, &k).to_affine(),
-                    double_mul_ladder(&s, &p, &k),
-                    "s={} k={}",
-                    s.to_hex(),
-                    k.to_hex()
-                );
-            }
+            assert_kernels_match_ladder(&tables, s, &p, &k);
+            assert_kernels_match_ladder(&tables, &k, &p, s);
         }
         let random = scalars(24, 0x9);
         for pair in random.chunks_exact(2) {
             let q = mul_generator(&pair[0]);
-            assert_eq!(
-                double_mul_glv(&pair[0], &q, &pair[1]).to_affine(),
-                double_mul_ladder(&pair[0], &q, &pair[1])
-            );
+            assert_kernels_match_ladder(&SignerTables::build(&q), &pair[0], &q, &pair[1]);
         }
         // No point: the generator's half alone.
+        let none = SignerTables::build(&Affine::Infinity);
         for s in [U256::ZERO, U256::from_u64(9), U256::MAX] {
-            assert_eq!(
-                double_mul_glv(&s, &Affine::Infinity, &U256::MAX).to_affine(),
-                mul_generator(&s)
-            );
+            for got in [
+                double_mul_glv(&s, &Affine::Infinity, &U256::MAX),
+                none.double_mul(&s, &U256::MAX),
+            ] {
+                assert_eq!(got.to_affine(), mul_generator(&s));
+            }
         }
     }
 
@@ -644,29 +761,45 @@ mod tests {
         // exactly the entry the next digit adds, or its inverse, so the
         // generic addition formula would divide by zero. Each case must
         // take the equal/opposite branch of the addition and still agree
-        // with the ladder.
+        // with the ladder. `P = d·G`, equation `s·G + k·P`.
         let lambda_sq = mul_mod(&LAMBDA, &LAMBDA, &N);
         let one = U256::ONE;
-        let cases = [
-            (one, one, one),                  // G + 1·G
-            (N.wrapping_sub(&one), one, one), // G + 1·(−G) = ∞
-            (LAMBDA, LAMBDA, one),            // λG + 1·(λG)
-            (lambda_sq, lambda_sq, one),      // λ²G = −G − λG
+        let minus = |v: &U256| neg_mod(v, &N);
+        let first_sighting = [
+            (one, one, one),         // G + 1·G
+            (minus(&one), one, one), // G + 1·(−G) = ∞
+            (LAMBDA, LAMBDA, one),   // λG + 1·(λG)
+            (minus(&LAMBDA), LAMBDA, one),
+            (lambda_sq, lambda_sq, one), // λ²G = −G − λG
             (U256::from_u64(2), U256::from_u64(2), one),
             (U256::from_u64(15), U256::from_u64(15), one),
         ];
-        for (d, s, k) in cases {
-            let p = mul_generator(&d);
+        // The bases only the eight-term walk has tables of.
+        let two64 = one.shl(64);
+        let two64_lambda = mul_mod(&two64, &LAMBDA, &N);
+        let repeat_signer = [
+            (two64, two64, one), // 2^64·G + 1·(2^64·G)
+            (minus(&two64), two64, one),
+            (two64_lambda, two64_lambda, one),
+            (minus(&two64_lambda), two64_lambda, one),
+            (one, two64, two64), // the signer's own 2^64·P table meets 2^64·G
+            (U256::from_u64(31), U256::from_u64(31), one),
+        ];
+        let degenerate_adds = |walk: &dyn Fn() -> Jacobian| {
             let before = DEGENERATE_ADDS.with(|count| count.get());
-            let got = double_mul_glv(&s, &p, &k);
-            let hits = DEGENERATE_ADDS.with(|count| count.get()) - before;
+            let got = walk().to_affine();
+            (got, DEGENERATE_ADDS.with(|count| count.get()) - before)
+        };
+        for (i, (d, s, k)) in first_sighting.iter().chain(&repeat_signer).enumerate() {
+            let p = mul_generator(d);
+            let expect = double_mul_ladder(s, &p, k);
+            let (got, hits) = degenerate_adds(&|| double_mul_glv(s, &p, k));
+            assert_eq!(got, expect, "d={}", d.to_hex());
+            assert!(hits > 0 || i >= first_sighting.len(), "d={}", d.to_hex());
+            let tables = SignerTables::build(&p);
+            let (got, hits) = degenerate_adds(&|| tables.double_mul(s, k));
+            assert_eq!(got, expect, "d={}", d.to_hex());
             assert!(hits > 0, "d={} never met a table entry", d.to_hex());
-            assert_eq!(
-                got.to_affine(),
-                double_mul_ladder(&s, &p, &k),
-                "d={}",
-                d.to_hex()
-            );
         }
     }
 
@@ -684,13 +817,18 @@ mod tests {
         assert!(odd_multiples(&Affine::Infinity, 8)
             .iter()
             .all(|e| *e == Affine::Infinity));
-        let [g, g_lambda] = generator_odd_multiples();
-        assert_eq!(g[..], odd_multiples(&GENERATOR, GEN_ODD_MULTIPLES)[..]);
-        let lambda_g = mul_generator(&LAMBDA);
-        assert_eq!(
-            g_lambda[..],
-            odd_multiples(&lambda_g, GEN_ODD_MULTIPLES)[..]
-        );
+        // The static tables and a signer's, each against its base's own
+        // odd multiples: B = G, λG, 2^64·G, 2^64·λG, then P and 2^64·P.
+        let two64 = U256::ONE.shl(64);
+        let bases = [U256::ONE, LAMBDA, two64, mul_mod(&two64, &LAMBDA, &N)];
+        for (table, base) in generator_odd_multiples().iter().zip(bases) {
+            let base = mul_generator(&base);
+            assert_eq!(table[..], odd_multiples(&base, GEN_ODD_MULTIPLES)[..]);
+        }
+        let [low, high] = SignerTables::build(&p).multiples;
+        assert_eq!(low[..], odd_multiples(&p, SIGNER_ODD_MULTIPLES)[..]);
+        let shifted = Jacobian::from_affine(&p).mul_scalar(&two64).to_affine();
+        assert_eq!(high[..], odd_multiples(&shifted, SIGNER_ODD_MULTIPLES)[..]);
     }
 
     #[test]

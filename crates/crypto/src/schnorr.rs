@@ -9,6 +9,7 @@
 //! - verification recomputes `R' = s·G − e·P` and checks coordinates.
 
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +17,7 @@ use crate::ec::{mul_generator, Affine, GENERATOR};
 use crate::field::{add_mod, mul_mod, neg_mod, reduce, N};
 use crate::hash::Hash256;
 use crate::keys::PublicKey;
-use crate::msm::{double_mul_glv, msm};
+use crate::msm::{double_mul_glv, msm, SignerTables};
 use crate::sha256::{tagged_hash, tagged_hasher};
 use crate::u256::U256;
 
@@ -131,19 +132,98 @@ fn prepare(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> Option<Prepared> 
     Some(Prepared { r, e, s })
 }
 
+/// The [`SignerTables`] of the public keys a process verifies alone again
+/// and again — a permissioned ledger's registered identities, each signing
+/// transaction after transaction.
+///
+/// A key's first verification through a memo goes through
+/// [`double_mul_glv`] as if there were no memo and leaves a mark; the
+/// second spends the mark on building the key's tables and verifies with
+/// them; from the third on the tables are looked up. A key seen once never
+/// costs a build, and a key pays at most one build per two verifications
+/// whatever evicts it in between or races it.
+///
+/// Bounded like the decode memo of [`PublicKey::from_compressed`]: at
+/// [`SignerMemo::CAPACITY`] keys it starts over, so the worst case is
+/// 1 024 × 2.4 KiB (tables, key and map slot) — under 4 MiB, reached only
+/// by 1 024 distinct keys each verified at least twice.
+#[derive(Debug, Default)]
+pub struct SignerMemo(Mutex<HashMap<[u8; 33], Option<Arc<SignerTables>>>>);
+
+impl SignerMemo {
+    /// Keys (marked or with tables) a memo holds before it starts over.
+    pub const CAPACITY: usize = 1024;
+
+    /// An empty memo. [`PublicKey::verify`] uses one memo for the whole
+    /// process; a test makes its own to meet a key for the first time
+    /// more than once.
+    pub fn new() -> SignerMemo {
+        SignerMemo::default()
+    }
+
+    /// [`PublicKey::verify`] against this memo.
+    pub fn verify(&self, key: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
+        verify_digest(self, key.as_affine(), msg, sig)
+    }
+
+    /// The tables to verify `pubkey`'s signature with, or `None` when
+    /// this is a first sighting (now marked).
+    fn tables(&self, pubkey: &Affine) -> Option<Arc<SignerTables>> {
+        // A panic elsewhere cannot leave wrong tables behind: entries are
+        // written whole, built from the key they are filed under.
+        let lock = || self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = pubkey.to_compressed();
+        let file = |entry: Option<Arc<SignerTables>>| {
+            let mut memo = lock();
+            if memo.len() >= SignerMemo::CAPACITY {
+                memo.clear();
+            }
+            memo.insert(key, entry.clone());
+            entry
+        };
+        let mut memo = lock();
+        match memo.get(&key).cloned() {
+            Some(Some(tables)) => Some(tables),
+            // Second sighting: the mark is spent on a build, made with
+            // the lock released.
+            Some(None) => {
+                memo.remove(&key);
+                drop(memo);
+                file(Some(Arc::new(SignerTables::build(pubkey))))
+            }
+            None => {
+                drop(memo);
+                file(None)
+            }
+        }
+    }
+}
+
+/// The memo behind [`PublicKey::verify`].
+pub(crate) static PROCESS_SIGNERS: LazyLock<SignerMemo> = LazyLock::new(SignerMemo::new);
+
 /// Verifies `sig` over `msg` against `pubkey`.
 ///
 /// The group equation `s·G == R + e·P` is checked as
 /// `s·G + (−e)·P + (−R) == ∞`: the two products come out of one shared
-/// doubling chain ([`crate::msm::double_mul_glv`]), and the identity test
-/// is free in Jacobian coordinates.
-pub(crate) fn verify_digest(pubkey: &Affine, msg: &Hash256, sig: &Signature) -> bool {
+/// doubling chain — [`double_mul_glv`] for a key `signers` has not met,
+/// [`SignerTables::double_mul`] for one it has — and the identity test is
+/// free in Jacobian coordinates.
+pub(crate) fn verify_digest(
+    signers: &SignerMemo,
+    pubkey: &Affine,
+    msg: &Hash256,
+    sig: &Signature,
+) -> bool {
     let Some(Prepared { r, e, s }) = prepare(pubkey, msg, sig) else {
         return false;
     };
-    double_mul_glv(&s, pubkey, &neg_mod(&e, &N))
-        .add_affine(&r.negate())
-        .is_infinity()
+    let k = neg_mod(&e, &N);
+    let sum = match signers.tables(pubkey) {
+        Some(tables) => tables.double_mul(&s, &k),
+        None => double_mul_glv(&s, pubkey, &k),
+    };
+    sum.add_affine(&r.negate()).is_infinity()
 }
 
 /// One batch-verification entry: public key, message digest, signature.
@@ -329,6 +409,37 @@ mod tests {
         let mut sig = kp.sign(&msg);
         sig.s = [0xffu8; 32]; // >= n
         assert!(!kp.public().verify(&msg, &sig));
+    }
+
+    #[test]
+    fn memo_marks_then_builds_and_starts_over_when_full() {
+        let memo = SignerMemo::new();
+        let msg = sha256(b"m");
+        let state = |kp: &Keypair| {
+            let held = memo.0.lock().unwrap();
+            held.get(&kp.public().to_compressed())
+                .map(|entry| entry.is_some())
+        };
+        let verify = |kp: &Keypair| assert!(memo.verify(kp.public(), &msg, &kp.sign(&msg)));
+        let regular = Keypair::from_seed(b"regular");
+        assert_eq!(state(&regular), None);
+        verify(&regular);
+        assert_eq!(state(&regular), Some(false), "seen once: a mark, no tables");
+        verify(&regular);
+        assert_eq!(state(&regular), Some(true), "seen twice: tables");
+        verify(&regular);
+        assert_eq!(state(&regular), Some(true));
+        // A rejected signature counts as a sighting like any other.
+        let other = Keypair::from_seed(b"other");
+        assert!(!memo.verify(other.public(), &msg, &regular.sign(&msg)));
+        assert_eq!(state(&other), Some(false));
+        for i in 0..SignerMemo::CAPACITY as u32 {
+            verify(&Keypair::from_seed(&i.to_be_bytes()));
+            assert!(memo.0.lock().unwrap().len() <= SignerMemo::CAPACITY);
+        }
+        assert_eq!(state(&regular), None, "the memo started over");
+        verify(&regular);
+        assert_eq!(state(&regular), Some(false));
     }
 
     /// Batch of `n` items signed by `signers` distinct keys (round-robin).

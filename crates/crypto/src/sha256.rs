@@ -99,32 +99,23 @@ impl Sha256 {
     /// Pads and returns the final digest, consuming the hasher.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        self.update_pad(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_pad(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length in
+        // the last eight bytes of a block — this one when the buffered
+        // bytes and the 0x80 leave room for it, otherwise one more.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update_pad(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         Hash256::from_bytes(out)
-    }
-
-    /// `update` variant that does not count the bytes toward the message
-    /// length (used only for padding).
-    fn update_pad(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -311,6 +302,37 @@ mod tests {
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
         }
+    }
+
+    #[test]
+    fn every_padding_length_matches_the_definition() {
+        // Message lengths 0..=130 cover every position of the 0x80 byte in
+        // a block, both sides of the 55/56 boundary where the length field
+        // moves to a block of its own, twice over. The reference pads by
+        // the letter of FIPS 180-4 §5.1.1 and calls nothing but `compress`.
+        let mut all = Sha256::new();
+        for len in 0..=130usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let digest = sha256(&data);
+            let mut padded = data;
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
+            let mut reference = Sha256::new();
+            for block in padded.chunks_exact(64) {
+                reference.compress(block.try_into().expect("64 bytes"));
+            }
+            let words = reference.state.map(u32::to_be_bytes).concat();
+            assert_eq!(digest.as_bytes()[..], words[..], "len {len}");
+            all.update(digest.as_bytes());
+        }
+        // Recorded while `finalize` still padded a byte at a time.
+        assert_eq!(
+            all.finalize().to_hex(),
+            "969b9f993f9c27e8424a46288c5b7999eee502a7befa92cad6cfef1034d76c51"
+        );
     }
 
     #[test]

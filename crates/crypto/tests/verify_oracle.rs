@@ -1,18 +1,26 @@
 //! Verdict-for-verdict oracle for single-signature verification.
 //!
-//! [`PublicKey::verify`] runs the group equation through the GLV-split
-//! interleaved kernel ([`tn_crypto::msm::double_mul_glv`]). The reference
-//! here is the definition and nothing else: range-check `s`, recompute the
-//! challenge from the signature's bytes, compute `R' = s·G − e·P` with two
-//! plain double-and-add ladders and one affine conversion, and accept
-//! exactly when `R'` is finite and encodes to the signature's `r_x` and
-//! parity. It shares no window, table, recoding or endomorphism with the
-//! kernel, and it never lifts `r_x` to a point.
+//! [`PublicKey::verify`] runs the group equation through one of two walks
+//! over the same streams: the GLV-split four-term kernel
+//! ([`tn_crypto::msm::double_mul_glv`]) for a key the process's
+//! [`SignerMemo`] has not met, and the eight-term walk over stored tables
+//! ([`tn_crypto::msm::SignerTables`]) from the key's second verification
+//! on. A wrong table is a wrong verdict and nothing else — no digest, no
+//! error — so every case here is put to a fresh memo three times: the
+//! first sighting, the sighting that builds the tables, and one that
+//! reads them back. The reference is the definition and nothing else:
+//! range-check `s`, recompute the challenge from the signature's bytes,
+//! compute `R' = s·G − e·P` with two plain double-and-add ladders and one
+//! affine conversion, and accept exactly when `R'` is finite and encodes
+//! to the signature's `r_x` and parity. It shares no window, table,
+//! recoding or endomorphism with the kernels, and it never lifts `r_x` to
+//! a point.
 
 use proptest::prelude::*;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian, GENERATOR};
 use tn_crypto::field::{add_mod, mul_mod, neg_mod, reduce, LAMBDA, N, P};
-use tn_crypto::msm::double_mul_glv;
+use tn_crypto::msm::{double_mul_glv, SignerTables};
+use tn_crypto::schnorr::SignerMemo;
 use tn_crypto::sha256::{sha256, tagged_hash};
 use tn_crypto::u256::U256;
 use tn_crypto::{Hash256, Keypair, PublicKey, Signature};
@@ -51,16 +59,27 @@ fn reference_verify(key: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
     }
 }
 
-/// Asserts the kernel and the reference agree on `(key, msg, sig)` and
-/// returns the verdict.
+/// Asserts that verification agrees with the reference on
+/// `(key, msg, sig)` at every stage of a memo's acquaintance with the key
+/// — first sighting, table-building sighting, tables read back — and
+/// through the process's own memo, whatever it holds; returns the verdict.
 fn agreed_verdict(key: &PublicKey, msg: &Hash256, sig: &Signature) -> bool {
     let expect = reference_verify(key, msg, sig);
-    assert_eq!(
-        key.verify(msg, sig),
-        expect,
-        "key={:02x?} msg={msg:?} sig={sig:?}",
-        key.to_compressed()
-    );
+    let memo = SignerMemo::new();
+    let stages = [
+        ("first sighting", memo.verify(key, msg, sig)),
+        ("table build", memo.verify(key, msg, sig)),
+        ("from the memo", memo.verify(key, msg, sig)),
+        ("process memo", key.verify(msg, sig)),
+    ];
+    for (stage, got) in stages {
+        assert_eq!(
+            got,
+            expect,
+            "{stage}: key={:02x?} msg={msg:?} sig={sig:?}",
+            key.to_compressed()
+        );
+    }
     expect
 }
 
@@ -179,30 +198,36 @@ fn nonce_encodings_that_name_no_point() {
     }
 }
 
-/// The group equation with every input forced: the kernel's
+/// The group equation with every input forced: both kernels'
 /// `s·G + (−e)·P − R == ∞` against the ladders' `s·G − e·P == R`, on the
 /// `R` that makes it hold and on a wrong one.
 fn assert_equation_agrees(s: &U256, p: &Affine, e: &U256) {
     let neg_e = neg_mod(e, &N);
     let r = ladder_sum(s, p, &neg_e);
-    let lhs = double_mul_glv(s, p, &neg_e);
-    assert_eq!(lhs.to_affine(), r, "s={} e={}", s.to_hex(), e.to_hex());
-    assert!(lhs.add_affine(&r.negate()).is_infinity());
     let wrong = ladder_sum(&add_mod(s, &U256::ONE, &N), p, &neg_e);
-    assert!(!lhs.add_affine(&wrong.negate()).is_infinity());
+    let kernels = [
+        double_mul_glv(s, p, &neg_e),
+        SignerTables::build(p).double_mul(s, &neg_e),
+    ];
+    for lhs in kernels {
+        assert_eq!(lhs.to_affine(), r, "s={} e={}", s.to_hex(), e.to_hex());
+        assert!(lhs.add_affine(&r.negate()).is_infinity());
+        assert!(!lhs.add_affine(&wrong.negate()).is_infinity());
+    }
 }
 
-/// Secret scalars whose public keys sit in the kernel's static tables
-/// (or are their negations): `G`, `−G`, `λG`, `λ²G`, `2G`, `15G`.
-fn table_collision_secrets() -> [U256; 6] {
-    [
-        U256::ONE,
-        N.wrapping_sub(&U256::ONE),
-        LAMBDA,
-        mul_mod(&LAMBDA, &LAMBDA, &N),
-        U256::from_u64(2),
-        U256::from_u64(15),
-    ]
+/// Secret scalars whose public keys sit in the kernels' static tables or
+/// are their negations — `±G`, `±λG`, `±2^64·G`, `±2^64·λG`, and `λ²G`,
+/// `2G`, `15G`, `31G` — so the accumulator can hold the very entry the
+/// next digit adds (`crates/crypto/src/msm.rs`'s unit tests count those
+/// additions).
+fn table_collision_secrets() -> Vec<U256> {
+    let two64 = U256::ONE.shl(64);
+    let bases = [U256::ONE, LAMBDA, two64, mul_mod(&two64, &LAMBDA, &N)];
+    let mut secrets: Vec<U256> = bases.iter().flat_map(|b| [*b, neg_mod(b, &N)]).collect();
+    secrets.push(mul_mod(&LAMBDA, &LAMBDA, &N));
+    secrets.extend([2, 15, 31].map(U256::from_u64));
+    secrets
 }
 
 #[test]
@@ -217,6 +242,7 @@ fn challenge_forced_to_zero_and_other_edge_equations() {
         U256::ONE,
         U256::from_u64(2),
         U256::from_u64(15),
+        U256::ONE.shl(64),
         LAMBDA,
         N.wrapping_sub(&LAMBDA),
         N.wrapping_sub(&U256::ONE),
@@ -250,6 +276,79 @@ fn keys_that_collide_with_the_static_tables() {
             let other = sha256(b"another message");
             assert!(!agreed_verdict(&key, &other, &sig));
         }
+    }
+}
+
+#[test]
+fn a_memo_that_starts_over_keeps_its_verdicts() {
+    // One signer met twice (tables built), then more one-off signers than
+    // the memo holds: it starts over somewhere among them and the signer
+    // is a stranger again — first sighting, build, memo — with every
+    // verdict, a stranger's and a forger's included, the reference's.
+    let memo = SignerMemo::new();
+    let agreed = |key: &PublicKey, msg: &Hash256, sig: &Signature| {
+        let got = memo.verify(key, msg, sig);
+        assert_eq!(got, reference_verify(key, msg, sig));
+        got
+    };
+    let regular = Keypair::from_seed(b"a regular");
+    let msg = sha256(b"again and again");
+    let (sig, forged) = (regular.sign(&msg), Keypair::from_seed(b"forger").sign(&msg));
+    for _ in 0..3 {
+        assert!(agreed(regular.public(), &msg, &sig));
+        assert!(!agreed(regular.public(), &msg, &forged));
+    }
+    for i in 0..SignerMemo::CAPACITY as u32 + 8 {
+        let passerby = Keypair::from_seed(&i.to_be_bytes());
+        let theirs = passerby.sign(&msg);
+        assert!(agreed(passerby.public(), &msg, &theirs));
+        // Every 64th comes back, so tables are built all along the way.
+        if i % 64 == 0 {
+            assert!(agreed(passerby.public(), &msg, &theirs));
+            assert!(!agreed(passerby.public(), &msg, &sig));
+        }
+    }
+    for _ in 0..3 {
+        assert!(agreed(regular.public(), &msg, &sig));
+        assert!(!agreed(regular.public(), &msg, &forged));
+    }
+}
+
+#[test]
+fn eight_threads_meet_a_key_while_its_tables_are_built() {
+    // The key has been seen once, so the next verification builds its
+    // tables with the memo unlocked; all eight threads leave the barrier
+    // into that window, each with its own mix of signatures that hold and
+    // signatures that do not. Whichever of them builds, marks or reads,
+    // every verdict is the reference's.
+    let kp = Keypair::from_seed(b"contended signer");
+    let cases: Vec<(Hash256, Signature, bool)> = (0..16u8)
+        .map(|i| {
+            let msg = sha256(&[i]);
+            let mut sig = kp.sign(&msg);
+            if i % 3 == 0 {
+                flip(&mut sig.s, i as usize);
+            }
+            let expect = reference_verify(kp.public(), &msg, &sig);
+            assert_eq!(expect, i % 3 != 0);
+            (msg, sig, expect)
+        })
+        .collect();
+    for round in 0..24 {
+        let memo = SignerMemo::new();
+        assert!(memo.verify(kp.public(), &cases[1].0, &cases[1].1));
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (memo, barrier, cases, key) = (&memo, &barrier, &cases, kp.public());
+                scope.spawn(move || {
+                    barrier.wait();
+                    for (msg, sig, expect) in cases.iter().cycle().skip(t * 2).take(6) {
+                        assert_eq!(memo.verify(key, msg, sig), *expect, "round {round}");
+                    }
+                });
+            }
+        });
     }
 }
 

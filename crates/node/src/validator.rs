@@ -401,7 +401,7 @@ impl ValidatorNode {
         }
         // Committed transactions (and stale rivals) leave the ingest queue.
         self.mempool
-            .prune_committed(self.pipeline.store().head_state());
+            .prune_block(&block, self.pipeline.store().head_state());
         if undecodable > 0 {
             self.registry
                 .sink()

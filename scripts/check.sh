@@ -32,12 +32,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "== cargo test -q"
 cargo test --workspace --offline -q
 
-echo "== cargo test --release -p tn-crypto (limb arithmetic as the benchmark builds it)"
+echo "== cargo test --release -p tn-crypto (limb arithmetic and signer tables as the benchmark builds them)"
 # The workspace run above is a debug build: overflow checks and
 # debug_assert!s on. The field and curve kernels are wrapping limb
 # arithmetic, so they are also run the way every binary ships them —
 # unit tests and tests/verify_oracle.rs, which holds PublicKey::verify
 # to the definition-level ladder reference verdict for verdict.
+# From a key's second lone verification on, that verdict comes out of
+# tables kept in a process-wide memo (the signer's odd multiples, beside
+# static ones of G, λG, 2^64·G and 2^64·λG). A wrong table entry, a memo
+# that hands one key another's tables, or a walk that mis-cuts a scalar at
+# bit 64 raises no error and moves no digest: a valid signature is refused
+# or a forged one admitted, and nothing else in the tree would notice. The
+# oracle puts every case to a fresh memo at first sighting, at the
+# table-building sighting and from the memo, past the memo's capacity and
+# from eight threads at once; it is the only guard, so it runs optimized.
 cargo test --release --offline -p tn-crypto -q
 
 echo "== cargo test --release -p tn-chain (state trie and run import without debug assertions)"
