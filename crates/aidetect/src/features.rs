@@ -2,22 +2,10 @@
 
 use std::collections::HashMap;
 
-/// Lowercased alphanumeric word tokens.
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            tokens.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        tokens.push(cur);
-    }
-    tokens
-}
+/// Lowercased alphanumeric word tokens: the supply-chain graph's
+/// tokenizer, so the detector and the modification degree see the same
+/// words.
+pub use tn_supplychain::text::tokenize;
 
 /// A fitted vocabulary mapping tokens to dense feature indices.
 #[derive(Debug, Clone, Default)]

@@ -15,7 +15,7 @@ use tn_crowdrank::aggregate::{reputation_weighted, Vote};
 use tn_crowdrank::reputation::ReputationLedger;
 use tn_crypto::Keypair;
 use tn_supplychain::ops::{apply, PropagationOp};
-use tn_supplychain::text::{jaccard, shingles};
+use tn_supplychain::text::shingle_similarity;
 
 #[derive(Debug, Serialize)]
 struct WeightRow {
@@ -96,7 +96,7 @@ fn main() {
         for rec in &pool {
             let honest = apply(PropagationOp::Insert, &[&rec.content], false, &mut rng);
             let fake = apply(PropagationOp::Insert, &[&rec.content], true, &mut rng);
-            let m = |a: &str, b: &str| 1.0 - jaccard(&shingles(a, k), &shingles(b, k));
+            let m = |a: &str, b: &str| 1.0 - shingle_similarity(a, b, k);
             let hm = m(&rec.content, &honest);
             let fm = m(&rec.content, &fake);
             honest_mods.push(hm);

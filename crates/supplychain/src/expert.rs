@@ -46,20 +46,20 @@ pub(crate) struct ExpertTallies {
 }
 
 impl ExpertTallies {
-    /// Adds one non-root item's evidence.
+    /// Adds one non-root item's evidence. The topic is copied only the
+    /// first time it is seen, and into the row only for a new author.
     pub(crate) fn record(&mut self, topic: &str, author: Address, trace: &TraceSummary) {
-        let entry = self
-            .by_topic
-            .entry(topic.to_string())
-            .or_default()
-            .entry(author)
-            .or_insert_with(|| ExpertScore {
-                author,
-                topic: topic.to_string(),
-                items: 0,
-                rooted_items: 0,
-                score: 0.0,
-            });
+        let authors = match self.by_topic.get_mut(topic) {
+            Some(authors) => authors,
+            None => self.by_topic.entry(topic.to_string()).or_default(),
+        };
+        let entry = authors.entry(author).or_insert_with(|| ExpertScore {
+            author,
+            topic: topic.to_string(),
+            items: 0,
+            rooted_items: 0,
+            score: 0.0,
+        });
         entry.items += 1;
         if trace.reaches_root {
             entry.rooted_items += 1;

@@ -5,8 +5,8 @@
 //! data-flow supply chain so that ranking, traceability and accountability
 //! fall out of the recorded graph.
 //!
-//! - [`text`]: tokenization, shingling, Jaccard/Levenshtein similarity —
-//!   the "degree of modification" measure.
+//! - [`text`]: tokenization and word-shingle Jaccard similarity — the
+//!   "degree of modification" measure.
 //! - [`ops`]: the propagation operations (relay, cite, mix, split, merge,
 //!   insert) with executable text transformations.
 //! - [`graph`]: the supply-chain DAG; trace-back to the factual database

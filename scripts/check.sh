@@ -67,6 +67,13 @@ echo "== cargo test --release -p tn-supplychain (stored trace summaries as every
 # digest. tests/trace_oracle.rs holds them bit for bit to the recursive
 # definition over random DAGs, and the visit-count guard in graph.rs holds
 # each read to O(answer); both must pass in the optimized build too.
+# tests/similarity_oracle.rs guards what every edge is built from: the
+# modification degree insert measures from the two texts and stores on the
+# edge, which enters the graph digest and the checkpoint bytes. The kernel
+# interns tokens to ids and compares id windows instead of joined strings;
+# a last-bit difference from the HashSet-of-shingles definition forks
+# replicas that run different builds, so the oracle compares f64 bits for
+# k = 1..=8 over 100 000 random pairs and reader_mix's edges.
 cargo test --release --offline -p tn-supplychain -q
 
 echo "== benchmark package (the public surface benchmark/README.md pins)"
