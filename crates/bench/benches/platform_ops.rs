@@ -1,8 +1,12 @@
 //! End-to-end platform benchmarks: the cost of the full publish → block →
-//! index pipeline and of combined-rank queries — the operation mix the
-//! Figure-2 ecosystem runs at scale.
+//! index pipeline, of combined-rank queries — the operation mix the
+//! Figure-2 ecosystem runs at scale — and of one built-in contract call
+//! (§VII's "scalable smart contract" concern).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use tn_chain::state::TxExecutor;
+use tn_contracts::builtin::{ranking_submit, RankingContract};
+use tn_contracts::executor::ContractRegistry;
 use tn_core::platform::{Platform, PlatformConfig};
 use tn_core::roles::Role;
 use tn_crypto::Keypair;
@@ -96,9 +100,23 @@ fn bench_rank_query(c: &mut Criterion) {
     });
 }
 
+fn bench_builtin_rating(c: &mut Criterion) {
+    let owner = Keypair::from_seed(b"rating owner").address();
+    let mut reg = ContractRegistry::new();
+    let addr = reg.install_builtin(Box::new(RankingContract::new(owner)));
+    let rater = Keypair::from_seed(b"rater").address();
+    let input = ranking_submit(&tn_crypto::sha256::sha256(b"benchmark item"), 80);
+    c.bench_function("builtin_submit_rating", |b| {
+        b.iter(|| {
+            reg.call(black_box(&rater), &addr, &input, 10_000)
+                .expect("runs")
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_publish_and_block, bench_rank_query
+    targets = bench_publish_and_block, bench_rank_query, bench_builtin_rating
 }
 criterion_main!(benches);

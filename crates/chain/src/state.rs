@@ -54,22 +54,15 @@ pub struct Receipt {
 }
 
 /// What the chain hands to the layer above it, without depending on it.
-/// The chain executes native payloads itself, delegates
-/// `ContractDeploy`/`ContractCall` to [`deploy`](TxExecutor::deploy) and
-/// [`call`](TxExecutor::call), and reports what became canonical through
-/// [`block_connected`](TxExecutor::block_connected) and
+/// The chain executes native payloads itself, delegates `ContractCall`
+/// to [`call`](TxExecutor::call), and reports what became canonical
+/// through [`block_connected`](TxExecutor::block_connected) and
 /// [`history_replaced`](TxExecutor::history_replaced), so whatever the
 /// executor derives from block history sees every canonical block once,
 /// in order, and nothing else.
 pub trait TxExecutor {
-    /// Deploys `code`, returning the new contract's address.
-    ///
-    /// # Errors
-    ///
-    /// Implementations return a message describing why deployment failed.
-    fn deploy(&mut self, deployer: &Address, nonce: u64, code: &[u8]) -> Result<Address, String>;
-
-    /// Executes a call, returning `(gas_used, output)`.
+    /// Executes a call, returning `(gas_used, output)`. A call that
+    /// fails must leave the executor's state as it found it.
     ///
     /// # Errors
     ///
@@ -101,16 +94,12 @@ pub trait TxExecutor {
     }
 }
 
-/// Executor used when no contract VM is attached: all contract payloads
-/// fail cleanly.
+/// Executor used when no contract registry is attached: all contract
+/// calls fail cleanly.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoExecutor;
 
 impl TxExecutor for NoExecutor {
-    fn deploy(&mut self, _: &Address, _: u64, _: &[u8]) -> Result<Address, String> {
-        Err("no contract executor attached".into())
-    }
-
     fn call(
         &mut self,
         _: &Address,
@@ -300,10 +289,10 @@ impl State {
     /// Applies a validated transaction, returning its receipt. `proposer`
     /// receives the fee.
     ///
-    /// Contract payloads are delegated to `executor`; a failed execution
-    /// still consumes the fee and bumps the nonce but produces a
-    /// `success: false` receipt (state changes made by the failed contract
-    /// are the executor's responsibility to roll back).
+    /// Contract calls are delegated to `executor`; a failed call still
+    /// consumes the fee and bumps the nonce but produces a
+    /// `success: false` receipt (and, per [`TxExecutor::call`], changes
+    /// no contract state).
     ///
     /// # Errors
     ///
@@ -371,13 +360,6 @@ impl State {
             Payload::Blob { .. } => {
                 // Blobs have no native state effect; upper layers index them.
             }
-            Payload::ContractDeploy { code } => match executor.deploy(&tx.from, tx.nonce, code) {
-                Ok(addr) => receipt.output = addr.as_hash().as_bytes().to_vec(),
-                Err(e) => {
-                    receipt.success = false;
-                    receipt.error = Some(e);
-                }
-            },
             Payload::ContractCall {
                 contract,
                 input,
@@ -673,7 +655,16 @@ mod tests {
     #[test]
     fn contract_payloads_fail_cleanly_without_executor() {
         let (alice, _, mut state) = setup();
-        let tx = Transaction::signed(&alice, 0, 5, Payload::ContractDeploy { code: vec![1] });
+        let tx = Transaction::signed(
+            &alice,
+            0,
+            5,
+            Payload::ContractCall {
+                contract: alice.address(),
+                input: vec![1],
+                gas_limit: 100,
+            },
+        );
         let r = state
             .apply(&tx, &Address::SYSTEM, &mut NoExecutor)
             .expect("applies");

@@ -2330,10 +2330,6 @@ mod tests {
     }
 
     impl TxExecutor for ChainTrace {
-        fn deploy(&mut self, by: &Address, nonce: u64, code: &[u8]) -> Result<Address, String> {
-            NoExecutor.deploy(by, nonce, code)
-        }
-
         fn call(
             &mut self,
             caller: &Address,

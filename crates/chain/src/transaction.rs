@@ -33,13 +33,8 @@ pub enum Payload {
         /// Canonical record bytes.
         data: Vec<u8>,
     },
-    /// Deploys contract bytecode; the contract account address is derived
-    /// from the deployer and nonce.
-    ContractDeploy {
-        /// VM bytecode.
-        code: Vec<u8>,
-    },
-    /// Calls a deployed contract.
+    /// Calls a built-in contract. (Encoding tag 2, once bytecode
+    /// deployment, is retired: it decodes as [`DecodeError::BadTag`].)
     ContractCall {
         /// Contract account.
         contract: Address,
@@ -93,9 +88,6 @@ impl Encodable for Payload {
             Payload::Blob { tag, data } => {
                 enc.put_u8(1).put_u32(*tag as u32).put_bytes(data);
             }
-            Payload::ContractDeploy { code } => {
-                enc.put_u8(2).put_bytes(code);
-            }
             Payload::ContractCall {
                 contract,
                 input,
@@ -123,9 +115,6 @@ impl Decodable for Payload {
             1 => Ok(Payload::Blob {
                 tag: dec.get_u32()? as u16,
                 data: dec.get_bytes()?,
-            }),
-            2 => Ok(Payload::ContractDeploy {
-                code: dec.get_bytes()?,
             }),
             3 => Ok(Payload::ContractCall {
                 contract: Address::from_hash(dec.get_hash()?),
@@ -289,9 +278,6 @@ mod tests {
                 tag: blob_tags::NEWS_PUBLISH,
                 data: vec![1, 2, 3],
             },
-            Payload::ContractDeploy {
-                code: vec![0xde, 0xad],
-            },
             Payload::ContractCall {
                 contract: k.address(),
                 input: vec![9],
@@ -429,5 +415,10 @@ mod tests {
         let mut bytes = tx.to_bytes();
         bytes.push(0);
         assert!(Transaction::from_bytes(&bytes).is_err());
+        // Payload tag 2 (bytecode deployment, retired) is unknown.
+        bytes.pop();
+        assert_eq!(bytes[48], 1, "the payload tag follows from, nonce and fee");
+        bytes[48] = 2;
+        assert_eq!(Transaction::from_bytes(&bytes), Err(DecodeError::BadTag(2)));
     }
 }

@@ -4,11 +4,12 @@
 //! various smart contracts" (§V): distribution-platform creation,
 //! journalist authentication, crowd-source ranking, incentives, and
 //! factual-database admission. These four contracts implement those
-//! mechanisms natively (Rust instead of bytecode) behind the same call
-//! interface as VM contracts, so transactions cannot tell the difference.
+//! mechanisms natively, as typed Rust state behind one byte-level call
+//! interface that `ContractCall` transactions reach.
 //!
 //! Input/output use the `tn-chain` canonical codec; the first byte of the
-//! input selects the operation.
+//! input selects the operation. A call that returns `Err` has changed
+//! nothing: every operation checks and decodes before it writes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -36,21 +37,14 @@ pub trait BuiltinContract: Send + fmt::Debug {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
     /// Serializes the contract's persistent state for a chain checkpoint.
-    /// `None` means the contract does not participate in checkpoints (a
-    /// restarted node then rebuilds it by replaying from genesis).
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn save_state(&self) -> Vec<u8>;
 
     /// Restores state produced by [`BuiltinContract::save_state`].
     ///
     /// # Errors
     ///
-    /// A message when the blob is malformed or the contract does not
-    /// support checkpoints.
-    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err(format!("contract {} cannot load checkpoints", self.name()))
-    }
+    /// A message when the blob is malformed.
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String>;
 }
 
 fn bad_input(e: impl fmt::Display) -> String {
@@ -165,7 +159,7 @@ impl BuiltinContract for NewsroomRegistry {
         self
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    fn save_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_varint(self.platforms.len() as u64);
         for (id, p) in &self.platforms {
@@ -184,7 +178,7 @@ impl BuiltinContract for NewsroomRegistry {
             }
         }
         e.put_u64(self.next_platform).put_u64(self.next_room);
-        Some(e.finish())
+        e.finish()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -276,7 +270,9 @@ impl BuiltinContract for NewsroomRegistry {
                 if owner != *caller {
                     return Err("only the platform owner may manage journalists".into());
                 }
-                let r = self.rooms.get_mut(&room).expect("checked");
+                let Some(r) = self.rooms.get_mut(&room) else {
+                    return Err(format!("unknown room {room}"));
+                };
                 if op == 2 {
                     r.journalists.insert(who);
                 } else {
@@ -539,7 +535,7 @@ impl BuiltinContract for RankingContract {
         self
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    fn save_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_hash(self.owner.as_hash());
         let mut items: Vec<(&Hash256, &BTreeMap<Address, u8>)> = self.ratings.iter().collect();
@@ -585,7 +581,7 @@ impl BuiltinContract for RankingContract {
         for who in quarantined {
             e.put_hash(who.as_hash());
         }
-        Some(e.finish())
+        e.finish()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -719,13 +715,15 @@ impl BuiltinContract for RankingContract {
                 if amount == 0 {
                     return Err("bond amount must be positive".into());
                 }
-                let free = self.free_stake.entry(*caller).or_insert(0);
-                if *free < amount {
+                // Read, not `entry`: a refused bond must not leave a
+                // zero entry behind in the checkpointed stake map.
+                let free = self.free_stake.get(caller).copied().unwrap_or(0);
+                if free < amount {
                     return Err(format!(
                         "insufficient free stake: have {free}, need {amount}"
                     ));
                 }
-                *free -= amount;
+                self.free_stake.insert(*caller, free - amount);
                 *self.bonded_stake.entry(*caller).or_insert(0) += amount;
                 Ok(Vec::new())
             }
@@ -908,7 +906,7 @@ impl BuiltinContract for IncentiveContract {
         self
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    fn save_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_hash(self.owner.as_hash());
         let mut bals: Vec<(&Address, &u64)> = self.balances.iter().collect();
@@ -917,7 +915,7 @@ impl BuiltinContract for IncentiveContract {
         for (who, bal) in bals {
             e.put_hash(who.as_hash()).put_u64(*bal);
         }
-        Some(e.finish())
+        e.finish()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -1068,7 +1066,7 @@ impl BuiltinContract for FactDbAdmission {
         self
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
+    fn save_state(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.put_hash(self.owner.as_hash())
             .put_u64(self.threshold as u64);
@@ -1090,7 +1088,7 @@ impl BuiltinContract for FactDbAdmission {
                 e.put_hash(w.as_hash());
             }
         }
-        Some(e.finish())
+        e.finish()
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
@@ -1489,10 +1487,10 @@ mod tests {
             .unwrap();
         rk.call(&owner, &ranking_quarantine(&a)).unwrap();
 
-        let blob = rk.save_state().unwrap();
+        let blob = rk.save_state();
         let mut restored = RankingContract::new(addr(b"other"));
         restored.load_state(&blob).unwrap();
-        assert_eq!(restored.save_state().unwrap(), blob);
+        assert_eq!(restored.save_state(), blob);
         assert_eq!(restored.policy(), rk.policy());
         assert_eq!(restored.stake(&a), rk.stake(&a));
         assert_eq!(restored.treasury(), rk.treasury());

@@ -2,7 +2,7 @@
 //!
 //! `ExecutionPipeline` is the deterministic core every node runs: a
 //! [`ChainStore`] and, beside it, everything derived from the blocks the
-//! store accepts — the contract registry (contract storage) and the four
+//! store accepts — the contract registry (the built-ins' state) and the four
 //! platform [`Projections`] (supply chain, identities, factual database,
 //! headlines). The two derived halves are one `Host`, the
 //! [`TxExecutor`] the pipeline lends the store on every call: the store
@@ -39,6 +39,16 @@ use crate::roles::IdentityRegistry;
 /// Checkpoint-extension key under which the pipeline stores the contract
 /// registry's serialized state (distinct from every projection name).
 pub const REGISTRY_EXTENSION: &str = "contracts.registry";
+
+/// The contract slot of [`ExecutionPipeline::execution_digest`]: 32 bytes
+/// reserved for a commitment over the built-in contracts' state, which
+/// no digest covers yet. Until then it holds the root of an empty
+/// bytecode-contract store (`TN/contracts-root` over no bytes) — the
+/// value the slot has had on every chain the platform runs — so no
+/// execution digest moves.
+pub fn contracts_slot() -> Hash256 {
+    tn_crypto::sha256::tagged_hash("TN/contracts-root", &[])
+}
 
 /// Well-known addresses of the four governance built-in contracts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,10 +114,6 @@ fn replay_counted(
 }
 
 impl TxExecutor for Host {
-    fn deploy(&mut self, deployer: &Address, nonce: u64, code: &[u8]) -> Result<Address, String> {
-        self.registry.deploy(deployer, nonce, code)
-    }
-
     fn call(
         &mut self,
         caller: &Address,
@@ -571,14 +577,15 @@ impl ExecutionPipeline {
         self.host.projections.digests()
     }
 
-    /// One hash summarizing the replica: head id, world-state root,
-    /// contract-storage root, and the projection root. Two nodes agree on
-    /// their entire derived state iff they agree on this digest.
+    /// One hash summarizing the replica: head id, world-state root, the
+    /// [`contracts_slot`], and the projection root. Two nodes that agree
+    /// on it agree on their chain and their projections; the built-in
+    /// contracts' state is not in it yet.
     pub fn execution_digest(&self) -> Hash256 {
         let mut data = Vec::with_capacity(128);
         data.extend_from_slice(self.store.head_id().as_bytes());
         data.extend_from_slice(self.store.head_state().root().as_bytes());
-        data.extend_from_slice(self.host.registry.storage_root().as_bytes());
+        data.extend_from_slice(contracts_slot().as_bytes());
         data.extend_from_slice(projection_root(&self.projection_digests()).as_bytes());
         tn_crypto::sha256::tagged_hash("TN/execution", &data)
     }

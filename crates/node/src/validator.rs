@@ -865,12 +865,29 @@ mod tests {
     fn undecodable_payloads_are_counted_not_fatal() -> Result<(), String> {
         let config = PlatformConfig::default();
         let mut node = ValidatorNode::new(0, &config);
+        // A well-formed transaction whose payload carries tag 2, once
+        // bytecode deployment, now retired.
+        let mut deploy = Transaction::signed(
+            &Keypair::from_seed(b"deployer"),
+            0,
+            config.fee,
+            Payload::Blob {
+                tag: 1,
+                data: vec![0x01],
+            },
+        )
+        .to_bytes();
+        deploy[48] = 2;
         let out = node
-            .apply_committed_batch(&[vec![0xde, 0xad]])
+            .apply_committed_batch(&[vec![0xde, 0xad], deploy])
             .map_err(|e| format!("applying an undecodable-only batch must not fail: {e}"))?;
-        assert_eq!(out.undecodable, 1);
+        assert_eq!(out.undecodable, 2);
         assert_eq!(out.included, 0);
         assert_eq!(out.height, 2);
+        assert_eq!(
+            node.metrics_snapshot().counter("node.batch.undecodable"),
+            Some(2)
+        );
         Ok(())
     }
 }

@@ -20,7 +20,7 @@ pub mod lanes {
     pub const EXECUTE: &str = "execute";
     /// Projection application (block observers).
     pub const PROJECTION: &str = "projection";
-    /// Contract VM calls.
+    /// Built-in contract calls.
     pub const CONTRACTS: &str = "contracts";
 
     /// Every lane, in the fixed display order used by the exporter.

@@ -1,15 +1,20 @@
 //! Fuzz-style property tests over every untrusted-input surface: decoding
-//! arbitrary bytes and executing arbitrary bytecode must never panic —
-//! they return errors. A public blockchain platform feeds attacker-
-//! controlled bytes into all of these paths.
+//! arbitrary bytes and calling contracts with arbitrary input must never
+//! panic — they return errors. A public blockchain platform feeds
+//! attacker-controlled bytes into all of these paths.
 
 use proptest::prelude::*;
 
 use tn_chain::block::Block;
 use tn_chain::codec::{Decodable, Decoder};
+use tn_chain::state::TxExecutor;
 use tn_chain::transaction::Transaction;
-use tn_contracts::vm::{execute, validate, ExecEnv};
+use tn_contracts::{
+    builtin_address, ContractRegistry, FactDbAdmission, IncentiveContract, NewsroomRegistry,
+    RankingContract,
+};
 use tn_core::roles::IdentityRecord;
+use tn_crypto::Keypair;
 use tn_factdb::record::FactRecord;
 use tn_supplychain::index::NewsEvent;
 
@@ -53,21 +58,24 @@ proptest! {
     }
 
     #[test]
-    fn vm_validate_never_panics(code in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = validate(&code);
-    }
-
-    #[test]
-    fn vm_execute_validated_code_never_panics(
-        code in proptest::collection::vec(0u8..=24, 0..128),
-        input in proptest::collection::vec(any::<u64>(), 0..8),
+    fn contract_calls_never_panic(
+        target in 0usize..5,
+        input in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        // Arbitrary opcode soup: if it validates, it must execute without
-        // panicking under a gas cap (returning Ok or a VmError).
-        if validate(&code).is_ok() {
-            let mut storage = std::collections::BTreeMap::new();
-            let env = ExecEnv { caller: 7, input, gas_limit: 5_000 };
-            let _ = execute(&code, &mut storage, &env);
+        // Any bytes a `ContractCall` can carry, to each built-in the
+        // platform installs and to an address that holds no contract:
+        // an output or an error, never a panic.
+        let governor = Keypair::from_seed(b"fuzz governor").address();
+        let mut registry = ContractRegistry::new();
+        let targets = [
+            registry.install_builtin(Box::new(NewsroomRegistry::new())),
+            registry.install_builtin(Box::new(RankingContract::new(governor))),
+            registry.install_builtin(Box::new(IncentiveContract::new(governor))),
+            registry.install_builtin(Box::new(FactDbAdmission::new(governor, 2))),
+            builtin_address("no such contract"),
+        ];
+        for caller in [governor, Keypair::from_seed(b"fuzz stranger").address()] {
+            let _ = registry.call(&caller, &targets[target], &input, 10_000);
         }
     }
 
@@ -76,7 +84,6 @@ proptest! {
                                     data in proptest::collection::vec(any::<u8>(), 0..128)) {
         use tn_chain::codec::Encodable;
         use tn_chain::transaction::Payload;
-        use tn_crypto::Keypair;
         let kp = Keypair::from_seed(b"fuzz roundtrip");
         let tx = Transaction::signed(&kp, nonce, fee, Payload::Blob { tag: 1, data });
         let decoded = Transaction::from_bytes(&tx.to_bytes()).expect("own encoding decodes");

@@ -15,9 +15,14 @@ use tn_crypto::sha256::sha256;
 use tn_crypto::{Hash256, Keypair};
 use tn_node::{run_pbft_cluster, scripted_workload, ClusterConfig};
 
+/// Canonical state roots, built-in contract state, projection digests,
+/// execution digest.
+type Fingerprint = (Vec<Hash256>, Vec<u8>, Vec<(&'static str, Hash256)>, Hash256);
+
 /// Every digest a replica can be compared by, plus the state root of
-/// every canonical block as `state_of` reports it.
-fn fingerprint(b: &Bootstrap) -> (Vec<Hash256>, Hash256, Vec<(&'static str, Hash256)>, Hash256) {
+/// every canonical block as `state_of` reports it and the built-ins'
+/// checkpoint bytes.
+fn fingerprint(b: &Bootstrap) -> Fingerprint {
     let store = b.pipeline.store();
     let roots = store
         .canonical_chain()
@@ -26,7 +31,7 @@ fn fingerprint(b: &Bootstrap) -> (Vec<Hash256>, Hash256, Vec<(&'static str, Hash
         .collect();
     (
         roots,
-        b.pipeline.registry().storage_root(),
+        b.pipeline.registry().save_state(),
         b.pipeline.projection_digests(),
         b.pipeline.execution_digest(),
     )

@@ -1,19 +1,18 @@
 //! The full stack, replicated: platform-style transactions (news events,
-//! contract calls, anchors, VM deployments) are ordered by a PBFT cluster,
-//! and each replica independently executes the committed batches against
-//! its own chain store, contract registry and supply-chain index. Every
-//! layer of state must agree bit-for-bit across replicas — the replicated
-//! state machine the paper's "trust in machines" rests on.
+//! contract calls, anchors) are ordered by a PBFT cluster, and each
+//! replica independently executes the committed batches against its own
+//! chain store, contract registry and supply-chain index. Every layer of
+//! state must agree bit-for-bit across replicas — the replicated state
+//! machine the paper's "trust in machines" rests on.
 
 use tn_chain::codec::{Decodable, Encodable};
 use tn_chain::prelude::*;
 use tn_consensus::pbft::{ByzMode, PbftConfig, PbftMsg, PbftReplica, Request};
 use tn_consensus::sim::{NetworkConfig, Simulator};
-use tn_contracts::asm::assemble;
 use tn_contracts::builtin::{
     admission_attest, admission_register_checker, ranking_submit, FactDbAdmission, RankingContract,
 };
-use tn_contracts::executor::{contract_address, ContractRegistry};
+use tn_contracts::executor::ContractRegistry;
 use tn_crypto::{Hash256, Keypair};
 use tn_supplychain::graph::SupplyChainGraph;
 use tn_supplychain::index::{index_transaction, IndexStats, NewsEvent};
@@ -72,8 +71,7 @@ fn build_workload(fact_root: Hash256) -> Vec<Transaction> {
     let mut rn = 0u64;
     let mut gn = 0u64;
 
-    // Governor registers the rater as a fact checker and deploys a VM
-    // counter contract.
+    // Governor registers the rater as a fact checker.
     txs.push(Transaction::signed(
         &gov,
         gn,
@@ -85,20 +83,9 @@ fn build_workload(fact_root: Hash256) -> Vec<Transaction> {
         },
     ));
     gn += 1;
-    let counter_code =
-        assemble("push 0\npush 0\nsload\npush 1\nadd\nsstore\npush 0\nsload\npush 1\nret")
-            .expect("assembles");
-    txs.push(Transaction::signed(
-        &gov,
-        gn,
-        1,
-        Payload::ContractDeploy { code: counter_code },
-    ));
-    let vm_contract = contract_address(&gov.address(), gn);
-    gn += 1;
 
-    // Journalist publishes a chain of stories; rater rates each and calls
-    // the VM contract; checker attests a record.
+    // Journalist publishes a chain of stories; rater rates each; checker
+    // attests a record.
     let mut prev: Option<Hash256> = None;
     #[allow(clippy::explicit_counter_loop)] // jn/rn are account nonces, not loop counters
     for i in 0..6u64 {
@@ -136,17 +123,6 @@ fn build_workload(fact_root: Hash256) -> Vec<Transaction> {
             Payload::ContractCall {
                 contract: ranking,
                 input: ranking_submit(&item_id, 60 + (i as u8) * 5),
-                gas_limit: 10_000,
-            },
-        ));
-        rn += 1;
-        txs.push(Transaction::signed(
-            &rater,
-            rn,
-            1,
-            Payload::ContractCall {
-                contract: vm_contract,
-                input: vec![],
                 gas_limit: 10_000,
             },
         ));
@@ -231,6 +207,11 @@ fn all_layers_agree_across_pbft_replicas() {
     // Layer-by-layer agreement.
     let reference = &snapshots[0];
     assert!(reference.stats.indexed >= 6, "news events indexed");
+    assert_ne!(
+        reference.registry.save_state(),
+        make_replica(fact_root).registry.save_state(),
+        "the contract calls changed built-in state"
+    );
     for (id, r) in snapshots.iter().enumerate().skip(1) {
         // Chain layer.
         assert_eq!(
@@ -243,11 +224,11 @@ fn all_layers_agree_across_pbft_replicas() {
             reference.store.head_state().root(),
             "replica {id} state root"
         );
-        // VM contract storage.
+        // Contract layer: every built-in's state (ratings, admissions).
         assert_eq!(
-            r.registry.storage_root(),
-            reference.registry.storage_root(),
-            "replica {id} contract storage"
+            r.registry.save_state(),
+            reference.registry.save_state(),
+            "replica {id} contract state"
         );
         // Supply-chain index.
         assert_eq!(
