@@ -1,87 +1,115 @@
-//! Microbenchmarks for the batch-verification kernels: variable-base MSM
-//! (Straus vs Pippenger across window widths and batch sizes) and the
-//! batched Schnorr check itself, plus mempool admission of one ingest
-//! batch through it. The window sweep here is the source of the
-//! measured-parameter table in `tn_crypto::msm`'s module docs and of
-//! `STRAUS_CUTOFF` / `pippenger_window`.
+//! Microbenchmarks for batch verification at the shapes the workloads
+//! produce: `verify_batch` against verifying the same items alone, for
+//! n = 2, 16, 64, 128 and 512 signatures from 8 and 36 signers (a door
+//! admission chunk is 128 transactions from ~30 signers, a `reader_mix`
+//! synced block 65 signatures from 24, a replicated one-transaction block
+//! 2), the MSM kernels underneath at the same shapes, and mempool
+//! admission of one ingest batch. The source of the measured tables in
+//! `tn_crypto::msm`'s module docs.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use tn_bench::scenarios::BlobChain;
 use tn_chain::block::BatchVerifyPolicy;
 use tn_chain::prelude::Mempool;
-use tn_crypto::ec::Affine;
-use tn_crypto::msm::{msm, pippenger, pippenger_window, straus};
+use tn_crypto::ec::{mul_generator, Affine, GENERATOR};
+use tn_crypto::msm::{glv_halves, pippenger, signed_window, straus};
 use tn_crypto::sha256::{sha256, tagged_hash};
 use tn_crypto::u256::U256;
 use tn_crypto::{verify_batch, BatchItem, Keypair};
 
-/// Deterministic full-width scalars and distinct points.
-fn pairs(n: usize) -> Vec<(Affine, U256)> {
+/// The (signatures, signers) shapes measured.
+const SHAPES: [(usize, usize); 10] = [
+    (2, 8),
+    (2, 36),
+    (16, 8),
+    (16, 36),
+    (64, 8),
+    (64, 36),
+    (128, 8),
+    (128, 36),
+    (512, 8),
+    (512, 36),
+];
+
+/// `n` signed items from `signers` keys in rotation.
+fn items(n: usize, signers: usize) -> Vec<BatchItem> {
+    let keys: Vec<Keypair> = (0..signers.min(n))
+        .map(|i| Keypair::from_seed(format!("bench batch {i}").as_bytes()))
+        .collect();
     (0..n)
         .map(|i| {
-            let h = tagged_hash("bench/msm-scalar", &(i as u64).to_be_bytes());
-            let k = U256::from_be_bytes(h.as_bytes());
-            let p = tagged_hash("bench/msm-point", &(i as u64).to_be_bytes());
-            let point = tn_crypto::ec::mul_generator(&U256::from_be_bytes(p.as_bytes()));
-            (point, k)
+            let kp = &keys[i % keys.len()];
+            let msg = sha256(format!("bench message {i}").as_bytes());
+            (*kp.public(), msg, kp.sign(&msg))
         })
         .collect()
 }
 
-/// Straus vs Pippenger window widths across batch sizes — justifies
-/// `STRAUS_CUTOFF` and the `pippenger_window` cost model.
-fn bench_msm_windows(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_verify/msm");
-    group.sample_size(10);
-    for n in [16usize, 64, 128, 192, 256, 1024, 4096] {
-        let ps = pairs(n);
-        if n <= 256 {
-            group.bench_with_input(BenchmarkId::new("straus", n), &ps, |b, ps| {
-                b.iter(|| straus(black_box(ps)))
-            });
+/// The batched check against the items' lone verifications. Every key
+/// has been verified twice before, so the lone side is a repeat signer's
+/// table walk — the cheapest it gets.
+fn bench_verify_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_verify/schnorr");
+    group.sample_size(20);
+    for (n, signers) in SHAPES {
+        let items = items(n, signers);
+        for (key, msg, sig) in items.iter().chain(&items) {
+            assert!(key.verify(msg, sig));
         }
-        for w in [4u32, 6, 8, 10, 12] {
-            // Skip widths that are clearly hopeless for the size (keeps
-            // the sweep's wall-time sane without hiding the optimum).
-            if (n <= 64 && w > 8) || (n <= 256 && w > 10) {
-                continue;
-            }
-            group.bench_with_input(
-                BenchmarkId::new(format!("pippenger_c{w}"), n),
-                &ps,
-                |b, ps| b.iter(|| pippenger(black_box(ps), w)),
-            );
-        }
-        group.bench_with_input(BenchmarkId::new("auto", n), &ps, |b, ps| {
-            b.iter(|| msm(black_box(ps)))
+        let id = format!("{n}x{signers}");
+        group.bench_with_input(BenchmarkId::new("batch", &id), &items, |b, items| {
+            b.iter(|| assert!(verify_batch(black_box(items), b"bench seed")))
+        });
+        group.bench_with_input(BenchmarkId::new("lone", &id), &items, |b, items| {
+            b.iter(|| assert!(items.iter().all(|(k, m, s)| k.verify(black_box(m), s))))
         });
     }
     group.finish();
-    for n in [16usize, 64, 128, 192, 256, 1024, 4096] {
-        println!("pippenger_window({n}) = {}", pippenger_window(n));
-    }
 }
 
-/// The end product: one batched Schnorr equation over a chunk of
-/// signatures, single-signer (pubkey coalescing at its best) and
-/// distinct-signer (no pubkey coalescing) variants.
-fn bench_verify_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_verify/schnorr");
-    group.sample_size(10);
-    for (label, signers) in [("single_signer", 1usize), ("distinct_signers", 512)] {
-        let keys: Vec<Keypair> = (0..signers)
-            .map(|i| Keypair::from_seed(format!("bench batch {i}").as_bytes()))
-            .collect();
-        let items: Vec<BatchItem> = (0..512usize)
-            .map(|i| {
-                let kp = &keys[i % keys.len()];
-                let msg = sha256(format!("bench message {i}").as_bytes());
-                (*kp.public(), msg, kp.sign(&msg))
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new(label, 512), &items, |b, items| {
-            b.iter(|| assert!(verify_batch(black_box(items), b"bench seed")))
+/// Pairs shaped like a coalesced equation of `n` signatures from
+/// `signers` keys: a 128-bit coefficient on every nonce point, a
+/// full-width scalar on every key and on the generator.
+fn equation_pairs(n: usize, signers: usize) -> Vec<(Affine, U256)> {
+    let scalar = |tag: &str, i: usize| {
+        U256::from_be_bytes(tagged_hash(tag, &(i as u64).to_be_bytes()).as_bytes())
+    };
+    let half = |k: U256| U256::from_limbs([k.limbs()[0], k.limbs()[1], 0, 0]);
+    let mut pairs: Vec<(Affine, U256)> = (0..n)
+        .map(|i| {
+            (
+                mul_generator(&scalar("bench/nonce", i)),
+                half(scalar("bench/z", i)),
+            )
+        })
+        .collect();
+    pairs.extend((0..signers.min(n)).map(|i| {
+        let key = mul_generator(&scalar("bench/key", i));
+        (key, scalar("bench/ze", i).shr(1))
+    }));
+    pairs.push((GENERATOR, scalar("bench/zs", 0).shr(1)));
+    pairs
+}
+
+/// Straus against the signed buckets at the model's window and one either
+/// side of it — the crossover and the window model in one table.
+fn bench_msm_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_verify/msm");
+    group.sample_size(20);
+    for (n, signers) in SHAPES.into_iter().filter(|(n, _)| *n >= 16) {
+        let pairs = equation_pairs(n, signers);
+        let halves = glv_halves(&pairs);
+        let id = format!("{n}x{signers}");
+        group.bench_with_input(BenchmarkId::new("straus", &id), &pairs, |b, ps| {
+            b.iter(|| straus(black_box(ps)))
         });
+        let model = signed_window(halves.len());
+        for w in [model - 1, model, model + 1] {
+            let label = format!("pippenger_c{w}{}", if w == model { "_model" } else { "" });
+            group.bench_with_input(BenchmarkId::new(label, &id), &halves, |b, hs| {
+                b.iter(|| pippenger(black_box(hs), w))
+            });
+        }
     }
     group.finish();
 }
@@ -114,6 +142,6 @@ fn bench_mempool_admit(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_msm_windows, bench_verify_batch, bench_mempool_admit
+    targets = bench_verify_batch, bench_msm_kernels, bench_mempool_admit
 }
 criterion_main!(benches);

@@ -51,7 +51,7 @@ use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
 use tn_core::platform::PlatformConfig;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian};
 use tn_crypto::field::{neg_mod, reduce, N};
-use tn_crypto::msm::{msm, pippenger_window, straus};
+use tn_crypto::msm::{glv_halves, msm, signed_window, straus, PIPPENGER_FROM};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::u256::U256;
 use tn_crypto::{Hash256, Keypair, Signature};
@@ -232,10 +232,11 @@ fn main() {
             std::hint::black_box(msm(&ps));
         }
         let msm_ms = started.elapsed().as_secs_f64() * 1_000.0 / reps as f64;
-        let kernel = if n < tn_crypto::msm::STRAUS_CUTOFF {
+        let halves = glv_halves(&ps).len();
+        let kernel = if n < PIPPENGER_FROM {
             "straus".to_string()
         } else {
-            format!("pippenger c={}", pippenger_window(n))
+            format!("signed pippenger c={}", signed_window(halves))
         };
         rows.push(Row::timed("msm", "per-point windows", n, per_point_ms, 1.0));
         rows.push(Row::timed("msm", kernel, n, msm_ms, per_point_ms / msm_ms));
@@ -366,11 +367,11 @@ fn main() {
         validator,
         txs,
     } = BlobChain::new("e22", k as usize, 1);
-    store.set_telemetry(registry.sink());
     // Proposing warms the cache; import another replica's view cold by
-    // clearing it first.
+    // clearing it first, and count the import only.
     let block = store.propose(&validator, 1, txs, &mut NoExecutor);
     store.set_sig_cache(SigCache::new(1 << 16));
+    store.set_telemetry(registry.sink());
     store.import(&block, &mut NoExecutor).expect("imports");
     let snap = registry.snapshot();
     let batch_txs = snap.counter(BATCH_TXS_COUNTER).unwrap_or(0);

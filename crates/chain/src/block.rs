@@ -48,6 +48,8 @@
 //! per-transaction spans need per-transaction verification and no
 //! equation is formed.
 
+use std::collections::HashSet;
+
 use tn_crypto::merkle::{leaf_hash, merkle_root, merkle_root_of_leaves_par};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::{verify_batch, Address, BatchItem, Hash256, Keypair, PublicKey, Signature};
@@ -544,17 +546,69 @@ pub(crate) fn prove_run(
         .collect()
 }
 
+/// The transaction signature pass that mempool admission
+/// ([`crate::mempool::Mempool::insert_batch`]) and block proposal
+/// ([`crate::store::ChainStore::propose`] / `commit`) share, on the
+/// caller's thread. Entry `i` is true when `txs[i]` (a transaction and its
+/// id) needs no further signature check. The candidates are, up to `room`
+/// of them, each transaction's first copy that `eligible` accepts and that
+/// is either in `cache` (a hit, counted and decided with one lookup) or
+/// signed by its sender's key; the unseen ones are proved in equations of
+/// `policy.chunk` ([`batch_verify_chunk`], seeded by `seed`). A failed
+/// equation's share is counted ([`BATCH_FALLBACK_COUNTER`]) and left
+/// unproved, like everything else, for the caller's in-order loop.
+pub(crate) fn prove_txs(
+    txs: &[(Hash256, Transaction)],
+    mut eligible: impl FnMut(&Hash256) -> bool,
+    room: usize,
+    seed: &[u8],
+    policy: BatchVerifyPolicy,
+    cache: Option<&SigCache>,
+    telemetry: &TelemetrySink,
+) -> Vec<bool> {
+    let mut proved = vec![false; txs.len()];
+    if !policy.enabled {
+        return proved;
+    }
+    let (mut in_batch, mut unseen, mut hits) = (HashSet::with_capacity(txs.len()), Vec::new(), 0);
+    for (i, (id, tx)) in txs.iter().enumerate() {
+        if hits + unseen.len() == room {
+            break;
+        } else if !in_batch.insert(*id) || !eligible(id) {
+            continue;
+        } else if cache.is_some_and(|c| c.contains(id)) {
+            proved[i] = true;
+            hits += 1;
+        } else if tx.pubkey.address() == tx.from {
+            unseen.push(i);
+        }
+    }
+    if hits > 0 {
+        telemetry.add(crate::sigcache::HIT_COUNTER, hits as u64);
+    }
+    for share in unseen.chunks(policy.chunk.max(1)) {
+        let claims = share.iter().map(|&i| Claim::Tx(&txs[i].1, txs[i].0));
+        if batch_verify_chunk(claims, seed, cache, telemetry) {
+            share.iter().for_each(|&i| proved[i] = true);
+        } else {
+            telemetry.incr(BATCH_FALLBACK_COUNTER);
+        }
+    }
+    proved
+}
+
 /// One batched signature equation over `claims`: the kernel that block
-/// import ([`prove_run`]) and mempool admission
-/// ([`crate::mempool::Mempool::insert_batch`]) share.
+/// import ([`prove_run`]), mempool admission and block proposal
+/// ([`prove_txs`]) share.
 ///
-/// Signatures already in `cache` are skipped; the rest are folded into one
-/// [`verify_batch`] equation seeded by `seed`. Returns `true` when the
-/// equation holds, i.e. every signature of the chunk is known valid —
-/// then, and only then, the counters move (`chain.sigcache.hit` per
-/// skipped transaction, `chain.sigcache.miss` and [`BATCH_TXS_COUNTER`]
-/// per batched one, [`BATCH_HEADERS_COUNTER`] per batched header,
-/// [`BATCH_CHUNKS_COUNTER`] once) and the batched signatures are written
+/// Signatures already in `cache` are skipped; the rest must have signer
+/// keys matching their addresses and are folded into one [`verify_batch`]
+/// equation seeded by `seed`. Returns `true` when the equation holds, i.e.
+/// every signature of the chunk is known valid — then, and only then, the
+/// counters move (`chain.sigcache.hit` per skipped transaction,
+/// `chain.sigcache.miss` and [`BATCH_TXS_COUNTER`] per batched one,
+/// [`BATCH_HEADERS_COUNTER`] per batched header, [`BATCH_CHUNKS_COUNTER`]
+/// once if an equation was built) and the batched signatures are written
 /// to `cache`. Returns `false` on a signer-address mismatch or a failing
 /// equation, deciding nothing: the caller rescans its share for the exact
 /// error.
@@ -570,23 +624,23 @@ pub(crate) fn batch_verify_chunk<'a>(
     for claim in claims {
         let (key, item) = match claim {
             Claim::Tx(tx, id) => {
-                if tx.pubkey.address() != tx.from {
-                    return false;
-                }
                 if cache.is_some_and(|c| c.contains(&id)) {
                     hits += 1;
                     continue;
+                }
+                if tx.pubkey.address() != tx.from {
+                    return false;
                 }
                 let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
                 (id, (tx.pubkey, digest, tx.signature))
             }
             Claim::Header(block, digest) => {
-                if block.proposer_key.address() != block.header.proposer {
-                    return false;
-                }
                 let memo = block.header_sig_memo(&digest);
                 if cache.is_some_and(|c| c.contains(&memo)) {
                     continue;
+                }
+                if block.proposer_key.address() != block.header.proposer {
+                    return false;
                 }
                 headers += 1;
                 (memo, (block.proposer_key, digest, block.signature))
@@ -613,7 +667,9 @@ pub(crate) fn batch_verify_chunk<'a>(
     if headers > 0 {
         telemetry.add(BATCH_HEADERS_COUNTER, headers);
     }
-    telemetry.incr(BATCH_CHUNKS_COUNTER);
+    if !keys.is_empty() {
+        telemetry.incr(BATCH_CHUNKS_COUNTER);
+    }
     if let Some(cache) = cache {
         for key in keys {
             cache.insert(key);
@@ -954,7 +1010,8 @@ mod tests {
         assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(5));
         assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), None);
         assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), None);
-        // Second pass: everything served from the cache, no new misses.
+        // Second pass: everything served from the cache, no new misses —
+        // and, every chunk found whole in the cache, no equation counted.
         block
             .verify_structure_policy(&pool, Some(&cache), &sink, &trace, 0, policy)
             .expect("valid");
@@ -963,6 +1020,7 @@ mod tests {
         assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), Some(16));
         assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(16));
         assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(1));
+        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(5));
     }
 
     #[test]

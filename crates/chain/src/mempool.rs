@@ -8,7 +8,7 @@ use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
-use crate::block::{batch_verify_chunk, BatchVerifyPolicy, Block, Claim, BATCH_FALLBACK_COUNTER};
+use crate::block::{prove_txs, BatchVerifyPolicy, Block};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
 use crate::state::State;
@@ -109,17 +109,15 @@ impl Mempool {
     /// A pre-pass computes every id once and picks the transactions that
     /// are certain to reach their signature check: not already pending,
     /// not a repeat of an earlier transaction of the batch, sender address
-    /// matching the key, and inside the remaining capacity. Their
-    /// signatures are folded into batched equations of `policy.chunk`
-    /// signatures, fanned out over `pool` — the chunking and the kernel
-    /// block import uses, counted in `chain.verify.batch.{txs,chunks}`;
-    /// an ingest batch below `policy.chunk` is one equation on the
-    /// caller's thread. Then the per-transaction checks of
-    /// [`Mempool::insert`] run in input order, skipping the signature
-    /// check of every transaction whose equation held. A failing equation
-    /// decides nothing (`chain.verify.batch.fallback` counts it): its
-    /// share, like everything the pre-pass set aside, is verified one by
-    /// one.
+    /// matching the key, and inside the remaining capacity. Cached ids are
+    /// hits; the other signatures are folded into batched equations of
+    /// `policy.chunk` signatures, one after another on the caller's thread
+    /// (`_pool` is not used) — the pass block proposal runs too. Then the
+    /// per-transaction checks of [`Mempool::insert`] run in input order,
+    /// skipping the signature check of every transaction a hit or a held
+    /// equation settled. A failing equation decides nothing
+    /// (`chain.verify.batch.fallback` counts it): its share, like
+    /// everything the pre-pass set aside, is verified one by one.
     ///
     /// With `policy` disabled, or while a [`TraceSink`] is enabled (each
     /// `tx.admission` span times its own transaction's check), this *is*
@@ -128,61 +126,22 @@ impl Mempool {
         &mut self,
         txs: Vec<Transaction>,
         state: &State,
-        pool: &Pool,
+        _pool: &Pool,
         policy: BatchVerifyPolicy,
     ) -> Vec<Result<(), ChainError>> {
-        let ids: Vec<Hash256> = txs.iter().map(Transaction::id).collect();
-        let verified = if policy.enabled && !self.trace.is_enabled() {
-            self.batch_verify(&txs, &ids, pool, policy.chunk.max(1))
-        } else {
-            vec![false; txs.len()]
-        };
-        txs.into_iter()
-            .zip(ids)
-            .zip(verified)
-            .map(|((tx, id), verified)| self.admit(tx, id, state, verified))
-            .collect()
-    }
-
-    /// The pre-pass and equations of [`Mempool::insert_batch`]: entry `i`
-    /// is true when `txs[i]` went through an equation that held (or was
-    /// found in the sigcache beside one).
-    fn batch_verify(
-        &self,
-        txs: &[Transaction],
-        ids: &[Hash256],
-        pool: &Pool,
-        chunk: usize,
-    ) -> Vec<bool> {
-        let mut verified = vec![false; txs.len()];
+        let txs: Vec<(Hash256, Transaction)> = txs.into_iter().map(|tx| (tx.id(), tx)).collect();
         // Each candidate admitted grows the pool by at most one, and a
         // repeat can only be admitted when its first copy was not, so the
         // first `room` candidates all pass the capacity check on their turn.
         let room = self.capacity.saturating_sub(self.len);
-        let mut in_batch = HashSet::with_capacity(txs.len());
-        let candidates: Vec<usize> = (0..txs.len())
-            .filter(|&i| {
-                in_batch.insert(ids[i])
-                    && !self.seen.contains(&ids[i])
-                    && txs[i].pubkey.address() == txs[i].from
-            })
-            .take(room)
-            .collect();
-        if candidates.is_empty() {
-            return verified;
-        }
-        let held = pool.map_chunks(&candidates, chunk, |_, share| {
-            let share = share.iter().map(|&i| Claim::Tx(&txs[i], ids[i]));
-            batch_verify_chunk(share, b"TN/admit", self.sig_cache.as_ref(), &self.telemetry)
-        });
-        for (share, held) in candidates.chunks(chunk).zip(held) {
-            if held {
-                share.iter().for_each(|&i| verified[i] = true);
-            } else {
-                self.telemetry.incr(BATCH_FALLBACK_COUNTER);
-            }
-        }
-        verified
+        let (cache, telemetry) = (self.sig_cache.as_ref(), &self.telemetry);
+        // While tracing nothing is a candidate: each span times its own check.
+        let eligible = |id: &Hash256| !self.trace.is_enabled() && !self.seen.contains(id);
+        let verified = prove_txs(&txs, eligible, room, b"TN/admit", policy, cache, telemetry);
+        txs.into_iter()
+            .zip(verified)
+            .map(|((id, tx), verified)| self.admit(tx, id, state, verified))
+            .collect()
     }
 
     /// One admission with its metrics and span; `verified` says the

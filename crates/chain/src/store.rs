@@ -35,8 +35,9 @@
 //! ## Two ways in, one accept tail
 //!
 //! A block enters through [`ChainStore::commit`] — the proposer's one
-//! pass: select, execute against the real executor, sign, accept what
-//! execution left — or through [`ChainStore::import`] — everyone else's
+//! pass: select (signatures no admission saw proved in shared equations),
+//! execute against the real executor, sign, accept what execution left —
+//! or through [`ChainStore::import`] — everyone else's
 //! path: verify structure and signatures, check parent, height and
 //! timestamp, re-execute and compare the state root. Import works on
 //! **runs**: [`ChainStore::check_run`] hashes each block of a run once
@@ -88,7 +89,7 @@ use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, Tx
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
-use crate::block::{prove_run, BatchVerifyPolicy, Block, BlockHashes, BlockHeader};
+use crate::block::{prove_run, prove_txs, BatchVerifyPolicy, Block, BlockHashes, BlockHeader};
 use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
@@ -1436,12 +1437,13 @@ impl ChainStore {
     }
 
     /// The proposer's one pass over `txs`: drops those whose signature
-    /// does not verify (through the sigcache, so transactions admitted by
-    /// a mempool sharing it skip the EC check), executes the rest in
-    /// order against a copy of the head state — dropping, untouched, those
-    /// the state refuses (nonce, balance) — and builds and signs the block
-    /// over what is left. Each transaction is hashed once: the id that
-    /// keys the sigcache also names the receipt and is the leaf of the
+    /// does not verify, executes the rest in order against a copy of the
+    /// head state — dropping, untouched, those the state refuses (nonce,
+    /// balance) — and builds and signs the block over what is left. The
+    /// signatures are settled as admission settles them ([`prove_txs`]);
+    /// only a failed equation's share, or everything with batching off, is
+    /// checked alone, in order. Each transaction is hashed once: the id
+    /// that keys the sigcache also names the receipt and is the leaf of the
     /// transaction root. With `trace` enabled each applied transaction
     /// records its `tx.apply` span.
     fn assemble(
@@ -1455,15 +1457,22 @@ impl ChainStore {
         let v0 = trace.now_ns();
         let mut txs: Vec<(Hash256, Transaction)> = {
             let _verify = self.telemetry.span("chain.verify_ns");
-            let verified = |(id, tx): &(Hash256, Transaction)| {
-                self.sig_cache
-                    .verify_identified(tx, *id, &self.telemetry)
-                    .is_ok()
+            let txs: Vec<_> = txs.into_iter().map(|tx| (tx.id(), tx)).collect();
+            let (cache, telemetry) = (&self.sig_cache, &self.telemetry);
+            let proved = prove_txs(
+                &txs,
+                |_| true,
+                usize::MAX,
+                b"TN/propose",
+                self.batch_policy,
+                Some(cache),
+                telemetry,
+            );
+            let verified = |((id, tx), proved): &(_, bool)| {
+                *proved || cache.verify_identified(tx, *id, telemetry).is_ok()
             };
-            txs.into_iter()
-                .map(|tx| (tx.id(), tx))
-                .filter(verified)
-                .collect()
+            let txs = txs.into_iter().zip(proved).filter(verified);
+            txs.map(|(tx, _)| tx).collect()
         };
         let e0 = trace.now_ns();
         let (address, height) = (proposer.address(), self.height() + 1);

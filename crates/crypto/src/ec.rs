@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::field::{Fe, BETA};
-use crate::msm::{digit, glv_split};
+use crate::msm::{glv_split, signed_digits};
 use crate::u256::U256;
 
 /// The curve constant `b` of `y² = x³ + b`.
@@ -376,28 +376,12 @@ pub fn mul_generator_jacobian(k: &U256) -> Jacobian {
     let comb = generator_comb();
     let mut acc = Jacobian::infinity();
     for ((magnitude, negative), lambda) in glv_split(k).into_iter().zip([false, true]) {
-        // Signed digits, low window first: a window above 64 is written
-        // `window − 128` and carries one into the next.
-        let mut carry = 0;
-        for (w, row) in comb.iter().enumerate() {
-            let window = digit(&magnitude, COMB_BITS * w as u32, COMB_BITS) + carry;
-            carry = usize::from(window > COMB_ENTRIES);
-            let size = if carry == 1 {
-                2 * COMB_ENTRIES - window
-            } else {
-                window
-            };
-            if size != 0 {
-                let entry = if lambda {
-                    row[size - 1].mul_lambda()
-                } else {
-                    row[size - 1]
-                };
-                acc = acc.add_affine(&if negative == (carry == 1) {
-                    entry
-                } else {
-                    entry.negate()
-                });
+        for (row, d) in comb.iter().zip(signed_digits(&magnitude, COMB_BITS)) {
+            if d != 0 {
+                let entry = row[d.unsigned_abs() as usize - 1];
+                let entry = if lambda { entry.mul_lambda() } else { entry };
+                let flip = negative != (d < 0);
+                acc = acc.add_affine(&if flip { entry.negate() } else { entry });
             }
         }
     }

@@ -19,19 +19,14 @@
 //!   root by the fixed addition chains for `p − 2` and `(p + 1)/4` — plus
 //!   the generic `*_mod` family that serves the group order `n` and is the
 //!   reference `Fe` is tested against.
-//! - [`ec`]: secp256k1 elliptic-curve group operations in Jacobian
-//!   coordinates over `Fe`; the generator has a 64 × 15 fixed-base window
-//!   table stored affine (normalised once by a batch inversion), so `k·G`
-//!   is at most 64 mixed additions and no doublings (signing and key
-//!   derivation), and every point has the endomorphism `λ·(x, y) = (β·x, y)`
+//! - [`ec`]: secp256k1 group operations in Jacobian coordinates over
+//!   `Fe`; `k·G` from a 19 × 64 signed-digit comb (at most 38 mixed
+//!   additions, no doublings), and the endomorphism `λ·(x, y) = (β·x, y)`
 //!   for one field multiplication.
-//! - [`msm`]: variable-base multi-scalar multiplication (Straus on width-5
-//!   non-adjacent form over eight batch-normalised odd multiples per point
-//!   for small batches, Pippenger buckets for large ones) backing batch
-//!   signature verification, and `double_mul_glv`, the `s·G + k·P` of a
-//!   single verification as one doubling chain of half the scalar width
-//!   (both scalars split over the endomorphism, the generator's two halves
-//!   adding from static width-8 tables).
+//! - [`msm`]: multi-scalar multiplication on endomorphism-split half-width
+//!   scalars — Straus for small batches, signed-digit Pippenger buckets for
+//!   large ones — behind batch signature verification, and the `s·G + k·P`
+//!   of a single verification on one half-width doubling chain.
 //! - [`schnorr`]: Schnorr signatures over secp256k1 (BIP340-flavoured, but
 //!   simplified: the nonce is derived deterministically from the secret key
 //!   and message).

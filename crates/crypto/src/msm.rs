@@ -1,84 +1,80 @@
 //! Multi-scalar multiplication: `Σ kᵢ·Pᵢ` in one shared pass.
 //!
-//! Batch Schnorr verification (see [`crate::schnorr::verify_batch`])
-//! reduces a block's worth of signatures to a single multi-scalar
-//! multiplication (MSM). Computing each `kᵢ·Pᵢ` independently costs
-//! ~256 doublings plus ~128 additions *per point*; the kernels here share
-//! that work across the whole batch:
+//! Batch Schnorr verification ([`crate::schnorr::verify_batch`]) reduces
+//! a block's worth of signatures to one multi-scalar multiplication (MSM).
+//! Computing each `kᵢ·Pᵢ` alone costs ~256 doublings plus ~43 additions
+//! *per point*; the kernels here share that work across the batch, and
+//! they walk **half-width** scalars. secp256k1 has the endomorphism
+//! `λ·(x, y) = (β·x, y)`, and every scalar splits as `k₁ + k₂·λ (mod n)`
+//! with `|kᵢ| < 2^128` ([`glv_split`]), so a full-width term `k·P` is two
+//! 128-bit terms over `P` and `λP`:
 //!
 //! - **Straus** ([`straus`]): every point gets a table of its eight odd
-//!   multiples, the tables are normalised to affine sixteen points to an
-//!   inversion, and one doubling chain serves all points — per point, 8
-//!   table additions plus ~43 mixed additions for a 256-bit scalar in
-//!   width-5 non-adjacent form. Wins for small batches where Pippenger's
-//!   bucket overhead dominates.
-//! - **Pippenger** ([`pippenger`]): for each `c`-bit window, points are
-//!   accumulated into `2^c − 1` buckets by scalar digit and the buckets
-//!   collapse with a running sum, so the per-window cost is `n` mixed
-//!   additions plus `2^(c+1)` bucket additions — sublinear per-point cost
-//!   once `n` is large against `2^c`. Window size comes from
-//!   [`pippenger_window`].
-//! - [`msm`] picks between them by batch size ([`STRAUS_CUTOFF`]).
+//!   multiples (`λP`'s is `P`'s with every x times `β`), and one doubling
+//!   chain of ~129 steps serves all points — per point, 8 table additions
+//!   plus ~22 mixed additions per 128-bit half.
+//! - **Pippenger** ([`pippenger`]): per window of a signed `c`-bit
+//!   recoding, each point into one of `2^(c−1)` buckets, collapsed by a
+//!   running sum: `128/c + 1` windows of `n` mixed additions plus `2^c`,
+//!   sublinear per point once `n` is large against `2^c` ([`signed_window`]).
+//! - [`msm`] splits every scalar wider than 128 bits ([`glv_halves`]) and
+//!   picks between them by the number of pairs ([`PIPPENGER_FROM`]).
 //! - [`double_mul_glv`] and [`SignerTables::double_mul`] are the other end
 //!   of the range: the two-term `s·G + k·P` of **one** verification, where
 //!   there is no batch to share work with — so they share the doubling
 //!   chain between the equation's own terms, halve its length over the
-//!   curve endomorphism, and, for a key the process has verified before,
+//!   endomorphism too, and, for a key the process has verified before,
 //!   halve it again over stored tables (cost models below).
 //!
-//! Scalars are plain 256-bit integers: `k·P` is integer scalar
-//! multiplication, so callers may pass values `≥ n` (they wrap by the
-//! point's group order as usual). Short scalars are cheap — both kernels
-//! skip the positions above the widest scalar in the batch, which is what
-//! makes 128-bit Fiat–Shamir coefficients half-price.
+//! `k·P` is taken modulo the group order `n`, so callers may pass scalars
+//! `≥ n`; their halves are 129 bits wide instead of 128.
 //!
-//! # Measured window parameters
+//! # Measured: the batch equation
 //!
-//! The `batch_verify` criterion group (`crates/bench/benches/
-//! batch_verify.rs`) sweeps MSM sizes n = 16…4096 across window widths on
-//! the full 256-bit scalar range. Measured on the dedicated field element
-//! of [`crate::field`] (linux/x86_64, 2 vCPUs giving about one CPU of
-//! time, per-point µs, 10-iteration runs; a second sweep moved single
-//! cells by up to 2 µs, so the last digit is noise):
+//! A whole `verify_batch` per signature (µs; the `batch_verify` groups of
+//! `crates/bench/benches/batch_verify.rs`, medians of five alternating
+//! runs, linux/x86_64, 2 vCPUs giving about one CPU of time) with unsplit
+//! 256-bit scalars over unsigned `2^c − 1` buckets (before), as here
+//! (after), and the same items verified alone by repeat signers:
 //!
-//! | n    | Straus | c=4  | c=6  | c=8  | c=10 | c=12 | [`msm`] picks |
-//! |------|--------|------|------|------|------|------|---------------|
-//! | 16   | 15.1   | 32.8 | 54.8 | 138  | —    | —    | Straus (14.1) |
-//! | 64   | 13.6   | 17.9 | 21.8 | 41.7 | —    | —    | Straus (13.0) |
-//! | 128  | 13.2   | 13.4 | 14.9 | 24.2 | 57.5 | —    | Straus (13.1) |
-//! | 192  | 12.4   | 13.0 | 11.7 | 18.7 | 41.3 | —    | c=5 (12.4)    |
-//! | 256  | 12.8   | 12.4 | 11.7 | 16.7 | 34.3 | —    | c=5 (11.7)    |
-//! | 1024 | —      | 11.7 | 9.2  | 8.8  | 12.7 | 27.7 | c=7 (8.6)     |
-//! | 4096 | —      | 11.7 | 8.4  | 6.9  | 7.3  | 11.1 | c=8 (7.0)     |
+//! | signatures × signers | before | after | alone |
+//! |----------------------|--------|-------|-------|
+//! | 2 × 2                | 42.9   | 24.8  | 24.0  |
+//! | 8 × 8                | 28.0   | 27.5  | 26.4  |
+//! | 16 × 16              | 27.5   | 26.0  | 29.1  |
+//! | 32 × 32              | 26.8   | 24.6  | 32.4  |
+//! | 64 × 36              | 21.2   | 18.0  | 31.8  |
+//! | 65 × 24              | 18.3   | 15.7  | 31.8  |
+//! | 128 × 8              | 14.6   | 11.5  | 32.1  |
+//! | 128 × 36             | 17.5   | 13.5  | 32.4  |
+//! | 512 × 36             | 11.6   | 10.3  | 32.6  |
 //!
-//! The point operations underneath (`field_ops` group of `crates/bench/
-//! benches/crypto_ops.rs`, dependent chains of 1024): doubling 0.14 µs,
-//! mixed addition 0.18 µs, general addition 0.24–0.25 µs — a mixed addition
-//! costs 0.68–0.74 of a general one across runs, which is the weight 7/10
-//! in [`pippenger_window`]'s model `windows · (0.7·n + 2^(c+1))`. The model
-//! picks windows within a few percent of the measured optima at every
-//! swept size. Straus is flat at 12–15 µs per point while Pippenger's cost
-//! falls with `n`; on full-width scalars the two meet between n = 128 and
-//! n = 192, and on the shape `verify_batch` produces (half the points carry
-//! 128-bit coefficients) already near n = 150, so [`STRAUS_CUTOFF`] = 160.
+//! Below [`crate::schnorr::LONE_BELOW`] = 8 items a batch is its items'
+//! lone verifications (~24 µs among a few keys, ~32 among 36, whose tables
+//! no longer share the first-level cache): the 2 × 2 row. On pairs alone
+//! (`batch_verify/msm`; sweep in `docs/ARCHITECTURE.md`) Straus and the
+//! buckets meet at ~40 pairs — 20.0 against 21.4 µs per signature at 33,
+//! 10.7 against 10.7 at 41, 20.8 against 19.6 at 49 — hence
+//! [`PIPPENGER_FROM`]. [`signed_window`]'s model picks the measured best
+//! or a tied width at every swept size (c = 5 at 50–82 halves, 6 at
+//! 138–202, 7 at 330–586, 8 at 1 098, 9 at 2 122).
 //!
 //! # One signature: the lone-verify cost models
 //!
-//! A single verification needs `s·G + k·P` (`k = −e`). secp256k1 has the
-//! endomorphism `λ·(x, y) = (β·x, y)`, and every scalar splits as
-//! `k₁ + k₂·λ (mod n)` with `|kᵢ| < 2^128` ([`glv_split`]), so the
-//! equation is four 128-bit terms `s₁·G + s₂·λG + k₁·P + k₂·λP` on one
-//! doubling chain — [`double_mul_glv`], what a key met for the first time
-//! costs. A point whose multiple `2^64·B` also has a table takes a
-//! 128-bit scalar as two 64-bit terms, `a·B + b·(2^64·B)`; with static
-//! tables of `G, λG, 2^64·G, 2^64·λG` and a signer's stored tables of
-//! `P, 2^64·P` ([`SignerTables`]) the equation is **eight 64-bit terms**
-//! on a chain of 64 steps, and no table is built per call.
+//! A single verification needs `s·G + k·P` (`k = −e`): split, four
+//! 128-bit terms `s₁·G + s₂·λG + k₁·P + k₂·λP` on one doubling chain —
+//! [`double_mul_glv`], what a key met for the first time costs. A point
+//! whose multiple `2^64·B` also has a table takes a 128-bit scalar as two
+//! 64-bit terms, `a·B + b·(2^64·B)`; with static tables of `G, λG,
+//! 2^64·G, 2^64·λG` and a signer's stored tables of `P, 2^64·P`
+//! ([`SignerTables`]) the equation is **eight 64-bit terms** on a chain of
+//! 64 steps, and no table is built per call.
 //!
 //! Counted over 2 000 hash-derived `(s, k)` and priced with the point
-//! operations above (`field_ops`: doubling 0.14 µs, mixed addition
-//! 0.17 µs, general addition 0.22 µs, inversion 3.1 µs, multiplication
-//! 16 ns):
+//! operations of the `field_ops` group (`crates/bench/benches/
+//! crypto_ops.rs`, dependent chains of 1024: doubling 0.14 µs, mixed
+//! addition 0.17 µs, general addition 0.22 µs, inversion 3.1 µs,
+//! multiplication 16 ns):
 //!
 //! | step | first sighting ([`double_mul_glv`]) | µs | repeat signer ([`SignerTables::double_mul`]) | µs |
 //! |------|------------|------|------------|------|
@@ -90,32 +86,16 @@
 //! | `P` terms (one digit in 6, resp. 7) | 43.3 mixed additions | 7.4 | 38.2 | 6.5 |
 //! | **total** | | **35.9** | | **21.5** |
 //!
-//! Measured in one process, alternating chunks of 100 calls, in a stretch
-//! where this host ran everything 1.6× slower than the prices above (so
-//! read the ratios): first sighting 49.5 µs, repeat signer 30.6 (0.62; the
-//! model's 0.60), [`SignerTables::build`] 23.0 — 66 doublings, 30 general
-//! additions, one inversion and 32 × 3 M, model 20.5 at those prices,
-//! 33 at that hour's: a run of doublings of one point overlaps better
-//! than the chains that priced it. A whole `PublicKey::verify` (plus
-//! lifting `R`, 3.0 µs, and the challenge hash, 0.6 µs) went 54.0 → 35.5
-//! (0.66), at the host's usual speed ≈ 34 → 22; in the benchmark's traced
-//! ledger `crypto.verify_us` 51.9 → 33.3. The build is 1.2 of the 18.9 µs
-//! the tables then save per call, which is why a key gets them on its
-//! *second* lone verification ([`crate::schnorr::SignerMemo`]): a one-off
-//! signer never pays, a repeat signer is ahead from its third. The static
-//! tables are 4 × 64 affine points (18 KiB, built on first use: 66
-//! doublings, 126 general additions and one inversion). The two-product
-//! form PR 14 had — 60 additions from the signing table for `s·G`, then a
-//! 256-step width-5 walk for `k·P` — is 59 µs at the model's prices.
-//!
-//! Tried and left out: building `P`'s per-call table on a shared
-//! denominator ("effective affine", no inversion; `G`'s entries then pay
-//! two multiplications per addition to follow it onto the isomorphic
-//! curve) measured 31.4 → 28.2 µs for the first-sighting kernel but +2 %
-//! `commit_tps` on the replicated benchmark workload, inside its
-//! run-to-run spread, for a second table builder and table entries that
-//! are not curve points. Storing the signer's `λ` images (4.5 KiB per key
-//! instead of 2.3) would save the 0.5 µs row.
+//! Measured in one process, alternating chunks of 100 calls: the repeat
+//! signer's walk costs 0.62 of the first sighting's (the model's 0.60), and
+//! [`SignerTables::build`] — 66 doublings, 30 general additions, one
+//! inversion and 32 × 3 M — about 1.2 of the 18.9 µs the tables then save
+//! per call, which is why a key gets them on its *second* lone
+//! verification ([`crate::schnorr::SignerMemo`]): a one-off signer never
+//! pays, a repeat signer is ahead from its third. The static tables are
+//! 4 × 64 affine points (18 KiB, built on first use). Tried and left out:
+//! `P`'s per-call table on a shared denominator (kernel −10 %, end to end
+//! inside the run-to-run spread, for table entries that are not points).
 //!
 //! # The signing comb
 //!
@@ -123,15 +103,10 @@
 //! commitment, a key's derivation) has no second term to share doublings
 //! with, so it has none: a table holds every `j·128^w·G` a signed 7-bit
 //! digit can ask for. Split over the endomorphism, a scalar is two halves
-//! of 19 such digits, and the `λ` half reads the same table through one
-//! `β` multiplication per addition: 37.2 mixed additions (at most 38) and
-//! 18.6 multiplications, model 6.6 µs, against up to 64 additions (60.0
-//! for a random scalar, 10.2 µs) from the 64 × 15 four-bit table it
-//! replaced. Measured in the same stretch: 12.5 → 8.2 µs (0.66), a whole
-//! `Keypair::sign` 17.7 → 13.6 (≈ 13 → 10 at the usual speed), signatures
-//! byte for byte the same. The table is 19 × 64 points, 85.5 KiB
-//! (the four-bit one was 67.5), built on first use from 19 doublings,
-//! 1 197 general additions and one inversion (~0.3 ms).
+//! of 19 such digits — the buckets' signed recoding at `c = 7` — and the
+//! `λ` half reads the same table through one `β` multiplication per
+//! addition: 37.2 mixed additions on average, at most 38. The table is
+//! 19 × 64 points (85.5 KiB), built on first use (~0.3 ms).
 //!
 //! Nothing here is constant-time: digits, bucket indexes, the recodings
 //! and the sign of each split half all branch and index on the scalars.
@@ -142,13 +117,9 @@ use crate::ec::{Affine, Jacobian, GENERATOR};
 use crate::field::{GLV_A1, GLV_A2, GLV_G1, GLV_G2, GLV_MINUS_B1};
 use crate::u256::U256;
 
-/// Batch sizes below this use [`straus`]; at or above it, [`pippenger`].
-///
-/// Chosen from the criterion sweep in the module docs: per-point cost of
-/// Straus is flat (odd-multiples table + ~43 mixed additions) while
-/// Pippenger's falls with `n`; the curves cross between n = 128 and
-/// n = 192.
-pub const STRAUS_CUTOFF: usize = 160;
+/// Batches of this many pairs and more go to [`pippenger`], smaller ones
+/// to [`straus`] (measured crossover in the module docs).
+pub const PIPPENGER_FROM: usize = 40;
 
 /// Bits `[lo, lo + c)` of `k` as a bucket index. `c ≤ 16`; bits past 255
 /// read as zero.
@@ -164,11 +135,22 @@ pub(crate) fn digit(k: &U256, lo: u32, c: u32) -> usize {
     (v & ((1u64 << c) - 1)) as usize
 }
 
-/// Number of `c`-bit windows needed to cover the widest scalar in
-/// `pairs` (at least one, so zero-scalar batches stay well-formed).
-fn window_count(pairs: &[(Affine, U256)], c: u32) -> u32 {
-    let max_bits = pairs.iter().map(|(_, k)| k.bits()).max().unwrap_or(0);
-    max_bits.div_ceil(c).max(1)
+/// `k` in signed `c`-bit digits, low window first — the recoding of
+/// [`pippenger`]'s buckets and of the signing comb: every digit `dⱼ` lies
+/// in `[−2^(c−1), 2^(c−1)]` and `k = Σ dⱼ·2^(c·j)`. A window above
+/// `2^(c−1)` is written `window − 2^c` and carries one into the next, so a
+/// scalar of `b` bits takes `b / c + 1` digits — the last places the
+/// final carry — and every digit after those is zero. `1 ≤ c ≤ 16`.
+pub fn signed_digits(k: &U256, c: u32) -> impl Iterator<Item = i32> + '_ {
+    debug_assert!((1..=16).contains(&c));
+    let half = 1i32 << (c - 1);
+    let mut carry = 0;
+    (0u32..).map(move |w| {
+        let lo = w.saturating_mul(c);
+        let window = if lo < 256 { digit(k, lo, c) as i32 } else { 0 } + carry;
+        carry = i32::from(window > half);
+        window - (carry << c)
+    })
 }
 
 /// Signed-window width over a point met for the first time ([`straus`]
@@ -197,16 +179,19 @@ const SIGNER_ODD_MULTIPLES: usize = 1 << (SIGNER_WNAF_WIDTH - 2);
 /// Points whose tables [`straus`] normalises with one shared inversion.
 const NORMALIZE_BLOCK: usize = 16;
 
-/// Digits in the non-adjacent form of a 256-bit scalar.
-const WNAF_DIGITS: usize = 257;
+/// Digits in the non-adjacent form of a scalar of at most 129 bits — a
+/// [`glv_split`] half, the widest scalar a walk takes — with room above
+/// it for the final carry.
+const WNAF_DIGITS: usize = 129 + GEN_WNAF_WIDTH as usize;
 
-/// The width-`width` non-adjacent form of `k`: digits `dᵢ` with
-/// `k = Σ dᵢ·2^i`, every nonzero digit odd with `|dᵢ| < 2^(width−1)`, and
-/// at least `width − 1` zeros after each nonzero one — on average one
-/// nonzero digit in `width + 1`. Returns the digits and how many of them
-/// are in use (the index of the highest nonzero digit plus one).
+/// The width-`width` non-adjacent form of `k` (at most 129 bits): digits
+/// `dᵢ` with `k = Σ dᵢ·2^i`, every nonzero digit odd with
+/// `|dᵢ| < 2^(width−1)`, and at least `width − 1` zeros after each nonzero
+/// one — on average one nonzero digit in `width + 1`. Returns the digits
+/// and how many of them are in use (the highest nonzero digit's index + 1).
 fn wnaf(k: &U256, width: u32) -> ([i8; WNAF_DIGITS], usize) {
     debug_assert!((2..=8).contains(&width), "digits must fit an i8");
+    debug_assert!(k.bits() <= 129, "walks take split halves");
     let mut digits = [0i8; WNAF_DIGITS];
     let mut used = 0;
     // `carry` is what a negative digit further down borrowed from here.
@@ -214,22 +199,17 @@ fn wnaf(k: &U256, width: u32) -> ([i8; WNAF_DIGITS], usize) {
     let mut bit = 0u32;
     let top = k.bits();
     // Past the scalar's top bit only a pending carry is left to place.
-    while bit < 256 && (bit < top || carry == 1) {
+    while bit < top || carry == 1 {
         if k.bit(bit) as u32 == carry {
             // The bit and the carry cancel (0+0, or 1+1 carrying on).
             bit += 1;
             continue;
         }
-        let take = width.min(256 - bit);
-        let window = digit(k, bit, take) as u32 + carry; // odd, < 2^width
+        let window = digit(k, bit, width) as u32 + carry; // odd, < 2^width
         carry = window >> (width - 1);
         digits[bit as usize] = (window as i32 - ((carry as i32) << width)) as i8;
         used = bit as usize + 1;
-        bit += take;
-    }
-    if carry == 1 {
-        digits[256] = 1;
-        used = WNAF_DIGITS;
+        bit += width;
     }
     (digits, used)
 }
@@ -276,27 +256,19 @@ struct Stream<'a> {
 }
 
 impl<'a> Stream<'a> {
-    /// `k` over `table`, which holds `2^(width−2)` odd multiples.
-    fn new(table: &'a [Affine], k: &U256, width: u32) -> Stream<'a> {
+    /// `±magnitude` over `table`, which holds `2^(width−2)` odd multiples:
+    /// a negative scalar is its magnitude with every digit's sign flipped.
+    fn signed(table: &'a [Affine], (magnitude, negative): (U256, bool), width: u32) -> Self {
         debug_assert_eq!(table.len(), 1 << (width - 2));
-        let (digits, used) = wnaf(k, width);
+        let (mut digits, used) = wnaf(&magnitude, width);
+        if negative {
+            digits[..used].iter_mut().for_each(|d| *d = -*d);
+        }
         Stream {
             table,
             digits,
             used,
         }
-    }
-
-    /// `±magnitude` over `table`: a negative scalar is its magnitude with
-    /// every digit's sign flipped.
-    fn signed(table: &'a [Affine], (magnitude, negative): (U256, bool), width: u32) -> Self {
-        let mut stream = Stream::new(table, &magnitude, width);
-        if negative {
-            for d in &mut stream.digits[..stream.used] {
-                *d = -*d;
-            }
-        }
-        stream
     }
 }
 
@@ -322,14 +294,11 @@ fn interleave(streams: &[Stream<'_>]) -> Jacobian {
     acc
 }
 
-/// `Σ kᵢ·Pᵢ` by the Straus (shared-doubling) method on signed windows.
-///
-/// Each point gets a table of its eight odd multiples `P, 3P, …, 15P`;
-/// the tables are brought to affine form by a shared inversion, so the
-/// single doubling chain that serves every point adds mixed. Each scalar
-/// is recoded to width-5 non-adjacent form (`wnaf`) — about 43 additions
-/// for a 256-bit scalar, negative digits adding the negated entry.
-/// Preferred below [`STRAUS_CUTOFF`] points.
+/// `Σ kᵢ·Pᵢ` by the Straus (shared-doubling) method on signed windows:
+/// every point's eight odd multiples `P, 3P, …, 15P`, affine on a shared
+/// inversion, walked in width-5 non-adjacent form down one doubling chain.
+/// A scalar wider than 128 bits is split ([`glv_split`]), its second half
+/// walking `λP`'s table — `P`'s with every x multiplied by `β`.
 pub fn straus(pairs: &[(Affine, U256)]) -> Jacobian {
     // Tables are normalised a block of points at a time, so the Jacobian
     // multiples are a fixed-size scratch buffer; one inversion per block
@@ -343,11 +312,23 @@ pub fn straus(pairs: &[(Affine, U256)]) -> Jacobian {
         }
         tables.extend(Jacobian::batch_to_affine(&multiples));
     }
-    let streams: Vec<Stream<'_>> = pairs
-        .iter()
-        .zip(tables.chunks_exact(ODD_MULTIPLES))
-        .map(|((_, k), table)| Stream::new(table, k, WNAF_WIDTH))
+    let wide = |k: &U256| k.bits() > 128;
+    let images: Vec<Affine> = (tables.chunks_exact(ODD_MULTIPLES).zip(pairs))
+        .filter(|(_, (_, k))| wide(k))
+        .flat_map(|(table, _)| table.iter().map(Affine::mul_lambda))
         .collect();
+    let mut images = images.chunks_exact(ODD_MULTIPLES);
+    let mut streams = Vec::with_capacity(pairs.len() + images.len());
+    for ((_, k), table) in pairs.iter().zip(tables.chunks_exact(ODD_MULTIPLES)) {
+        match wide(k).then(|| images.next()).flatten() {
+            Some(image) => {
+                let [k1, k2] = glv_split(k);
+                streams.push(Stream::signed(table, k1, WNAF_WIDTH));
+                streams.push(Stream::signed(image, k2, WNAF_WIDTH));
+            }
+            None => streams.push(Stream::signed(table, (*k, false), WNAF_WIDTH)),
+        }
+    }
     interleave(&streams)
 }
 
@@ -476,82 +457,94 @@ fn cut_at_64((magnitude, negative): (U256, bool)) -> [(U256, bool); 2] {
     [(low, negative), (magnitude.shr(64), negative)]
 }
 
-/// `Σ kᵢ·Pᵢ` by the Pippenger bucket method with `c`-bit windows.
-///
-/// Per window: each point lands in the bucket of its scalar digit (one
-/// mixed addition), then the buckets collapse with the running-sum trick
-/// (`Σ j·Bⱼ` in `2·(2^c − 1)` additions). Use [`pippenger_window`] to pick
-/// `c`, or [`msm`] to have both picked automatically.
+/// `Σ kᵢ·Pᵢ` by the Pippenger bucket method on [`signed_digits`].
+/// Per window, from the top: `c` doublings, each point into the bucket of
+/// its digit's magnitude (negated for a negative digit), and the
+/// `2^(c−1)` buckets collapsed by a running sum. Scalars of at most `b`
+/// bits take `b / c + 1` windows.
 pub fn pippenger(pairs: &[(Affine, U256)], c: u32) -> Jacobian {
     assert!((1..=16).contains(&c), "window width must be in 1..=16");
-    if pairs.is_empty() {
+    let n = pairs.len();
+    if n == 0 {
         return Jacobian::infinity();
     }
-    let windows = window_count(pairs, c);
-    let n_buckets = (1usize << c) - 1;
+    let bits = pairs.iter().map(|(_, k)| k.bits()).max().unwrap_or(0);
+    let windows = (bits / c + 1) as usize;
+    // digits[w · n + i]: pair i's digit in window w.
+    let mut digits = vec![0i32; windows * n];
+    for (i, (_, k)) in pairs.iter().enumerate() {
+        for (w, d) in signed_digits(k, c).take(windows).enumerate() {
+            digits[w * n + i] = d;
+        }
+    }
     let mut acc = Jacobian::infinity();
-    let mut buckets = vec![Jacobian::infinity(); n_buckets];
-    for w in (0..windows).rev() {
-        if !acc.is_infinity() {
-            for _ in 0..c {
-                acc = acc.double();
-            }
+    let mut buckets = vec![Jacobian::infinity(); 1 << (c - 1)];
+    for window in digits.chunks_exact(n).rev() {
+        for _ in 0..c {
+            acc = acc.double();
         }
-        for b in buckets.iter_mut() {
-            *b = Jacobian::infinity();
-        }
-        let mut touched = false;
-        for (p, k) in pairs {
-            let d = digit(k, w * c, c);
+        let mut top = 0;
+        for ((p, _), &d) in pairs.iter().zip(window) {
             if d != 0 {
-                buckets[d - 1] = buckets[d - 1].add_affine(p);
-                touched = true;
+                let magnitude = d.unsigned_abs() as usize;
+                let bucket = &mut buckets[magnitude - 1];
+                *bucket = bucket.add_affine(&if d > 0 { *p } else { p.negate() });
+                top = top.max(magnitude);
             }
-        }
-        if !touched {
-            continue;
         }
         // Running sum: Σ_j j·B_j = Σ over suffix sums of the buckets.
         let mut running = Jacobian::infinity();
         let mut sum = Jacobian::infinity();
-        for b in buckets.iter().rev() {
-            running = running.add(b);
+        for bucket in buckets[..top].iter_mut().rev() {
+            running = running.add(bucket);
             sum = sum.add(&running);
+            *bucket = Jacobian::infinity();
         }
         acc = acc.add(&sum);
     }
     acc
 }
 
-/// The Pippenger window width minimizing the modeled cost for an
-/// `n`-point MSM over full-width scalars.
+/// The [`pippenger`] window width minimizing the modeled cost of `n`
+/// pairs whose scalars are at most 128 bits wide (`glv_split` halves).
 ///
-/// Model: `windows(c) · (0.7·n + 2^(c+1))` — `n` mixed bucket additions
-/// (8M + 3S, measured at 0.70 of a general 12M + 4S addition) plus the
-/// running-sum collapse per window. Validated against the criterion sweep
-/// recorded in the module docs.
-pub fn pippenger_window(n: usize) -> u32 {
-    let mut best = 4u32;
-    let mut best_cost = u64::MAX;
-    for c in 4..=14u32 {
-        let windows = 256u64.div_ceil(c as u64);
-        let cost = windows * ((7 * n as u64) / 10 + (1u64 << (c + 1)));
-        if cost < best_cost {
-            best_cost = cost;
-            best = c;
-        }
-    }
-    best
+/// Model: `(128 / c + 1) · (6·n + 5·2^c)` — per window, `n` bucket
+/// additions and the `2^c` of the running sum, weighted 6 : 5 as fitted to
+/// the measured sweep, not the 0.7 : 1 the operation counts suggest.
+pub fn signed_window(n: usize) -> u32 {
+    (2..=16u32)
+        .min_by_key(|&c| u64::from(128 / c + 1) * (6 * n as u64 + (5 << c)))
+        .unwrap_or(2)
 }
 
-/// `Σ kᵢ·Pᵢ`, selecting [`straus`] or [`pippenger`] (with
-/// [`pippenger_window`]) by batch size.
-pub fn msm(pairs: &[(Affine, U256)]) -> Jacobian {
-    if pairs.len() < STRAUS_CUTOFF {
-        straus(pairs)
-    } else {
-        pippenger(pairs, pippenger_window(pairs.len()))
+/// `pairs` with every scalar wider than 128 bits split over the
+/// endomorphism ([`glv_split`]): `k·P` becomes `k₁·(±P) + k₂·(±λP)`, the
+/// sign of each half folded into its point and `λP = (β·x, y)`. Scalars
+/// are taken modulo `n` in the split.
+pub fn glv_halves(pairs: &[(Affine, U256)]) -> Vec<(Affine, U256)> {
+    let signed = |p: Affine, negative: bool| if negative { p.negate() } else { p };
+    let mut halves = Vec::with_capacity(2 * pairs.len());
+    for &(p, k) in pairs {
+        if k.bits() <= 128 {
+            halves.push((p, k));
+        } else {
+            let [(k1, negative1), (k2, negative2)] = glv_split(&k);
+            halves.push((signed(p, negative1), k1));
+            halves.push((signed(p.mul_lambda(), negative2), k2));
+        }
     }
+    halves
+}
+
+/// `Σ kᵢ·Pᵢ` for points of the curve and scalars taken modulo `n`:
+/// [`straus`] below [`PIPPENGER_FROM`] pairs, else [`pippenger`] over the
+/// half-width pairs of [`glv_halves`] with [`signed_window`]'s width.
+pub fn msm(pairs: &[(Affine, U256)]) -> Jacobian {
+    if pairs.len() < PIPPENGER_FROM {
+        return straus(pairs);
+    }
+    let halves = glv_halves(pairs);
+    pippenger(&halves, signed_window(halves.len()))
 }
 
 #[cfg(test)]
@@ -611,7 +604,7 @@ mod tests {
 
     #[test]
     fn msm_matches_naive_across_cutoff() {
-        for count in [STRAUS_CUTOFF - 1, STRAUS_CUTOFF, STRAUS_CUTOFF + 5] {
+        for count in [PIPPENGER_FROM - 1, PIPPENGER_FROM, PIPPENGER_FROM + 5] {
             let ps = pairs(count, 0x77);
             assert_eq!(msm(&ps).to_affine(), naive(&ps), "count={count}");
         }
@@ -643,6 +636,7 @@ mod tests {
             assert_eq!(straus(&ps).to_affine(), expect);
             assert_eq!(pippenger(&ps, 4).to_affine(), expect);
             assert_eq!(pippenger(&ps, 8).to_affine(), expect);
+            assert_eq!(pippenger(&glv_halves(&ps), 3).to_affine(), expect);
         }
     }
 
@@ -848,8 +842,10 @@ mod tests {
         ps.push((last.negate(), edge[edge.len() - 1]));
         let expect = naive(&ps);
         assert_eq!(straus(&ps).to_affine(), expect);
+        assert_eq!(msm(&ps).to_affine(), expect);
         for c in [4u32, 5, 9] {
             assert_eq!(pippenger(&ps, c).to_affine(), expect, "c={c}");
+            assert_eq!(pippenger(&glv_halves(&ps), c).to_affine(), expect, "c={c}");
         }
         // The whole batch cancelling: k·P + k·(−P).
         for k in edge {
@@ -863,15 +859,16 @@ mod tests {
     fn wnaf_digits_are_sparse_odd_and_sum_to_the_scalar() {
         for width in [2, WNAF_WIDTH, GEN_WNAF_WIDTH] {
             let limit = (1u8 << (width - 1)) - 1;
-            for k in ladder_scalars().into_iter().chain(scalars(8, 0x31)) {
+            // The split halves walks take, and the widest: 129 bits.
+            let widest = [U256::MAX.shr(127), U256::ONE.shl(128)];
+            let full = ladder_scalars().into_iter().chain(scalars(8, 0x31));
+            let halves = full.flat_map(|k| glv_split(&k).map(|(magnitude, _)| magnitude));
+            for k in halves.chain(widest) {
                 let (digits, used) = wnaf(&k, width);
                 assert!(digits[used..].iter().all(|&d| d == 0));
                 assert!(used == 0 || digits[used - 1] != 0);
-                // Horner from the top, modulo 2^256 (a digit at position
-                // 256 contributes 2^256 ≡ 0 and is checked by the ladder
-                // tests).
                 let mut sum = U256::ZERO;
-                for (i, &d) in digits.iter().enumerate().take(256).rev() {
+                for (i, &d) in digits.iter().enumerate().rev() {
                     sum = sum.shl(1);
                     let magnitude = U256::from_u64(d.unsigned_abs() as u64);
                     sum = if d >= 0 {
@@ -909,8 +906,8 @@ mod tests {
         // inside the swept range.
         let mut last = 0;
         for n in [16usize, 64, 256, 1024, 4096, 65536] {
-            let c = pippenger_window(n);
-            assert!((4..=14).contains(&c));
+            let c = signed_window(n);
+            assert!((3..=14).contains(&c));
             assert!(c >= last, "window must grow with n");
             last = c;
         }

@@ -265,6 +265,10 @@ pub fn batch_coefficients(items: &[BatchItem], seed: &[u8]) -> Vec<U256> {
         .collect()
 }
 
+/// Batches of fewer items than this are their items' [`PublicKey::verify`]
+/// calls, which cost less there (measured in [`crate::msm`]).
+pub const LONE_BELOW: usize = 8;
+
 /// Verifies a batch of Schnorr signatures with one multi-scalar check.
 ///
 /// Accepts exactly when every item would pass [`PublicKey::verify`]
@@ -280,17 +284,18 @@ pub fn batch_coefficients(items: &[BatchItem], seed: &[u8]) -> Vec<U256> {
 /// its own verification equation, so a batch of valid signatures is
 /// **never** rejected; an invalid item can only slip through if the
 /// adversary predicts the Fiat–Shamir coefficients, which requires
-/// breaking the hash. The whole right-hand side is one MSM
-/// ([`crate::msm::msm`]) with duplicate points coalesced — repeated
-/// signers (the common case in a block) collapse to a single point with
-/// an accumulated scalar. Any malformed item (out-of-range scalar,
+/// breaking the hash. Repeated points (a block's repeat signers) are
+/// coalesced into one MSM ([`crate::msm::msm`]) whose full-width scalars,
+/// a key's `Σ zᵢ·eᵢ` and the generator's `−Σ zᵢ·sᵢ`, are split into
+/// 128-bit halves beside the `Rᵢ`'s 128-bit `zᵢ`; fewer than [`LONE_BELOW`]
+/// items are verified alone. Any malformed item (out-of-range scalar,
 /// off-curve nonce, infinity key) fails the batch immediately; callers
 /// fall back to per-item verification to localize the failure.
 pub fn verify_batch(items: &[BatchItem], seed: &[u8]) -> bool {
-    match items {
-        [] => return true,
-        [(pubkey, msg, sig)] => return pubkey.verify(msg, sig),
-        _ => {}
+    if items.len() < LONE_BELOW {
+        return items
+            .iter()
+            .all(|(pubkey, msg, sig)| pubkey.verify(msg, sig));
     }
     let mut prepared = Vec::with_capacity(items.len());
     for (pubkey, msg, sig) in items {
@@ -491,8 +496,8 @@ mod tests {
     fn batch_matches_individual_verdicts() {
         // Clean, poisoned (one bad item, at either end or inside) and
         // half-valid batches, for every way an item can be wrong, on both
-        // sides of the Straus/Pippenger cutoff (each item contributes up
-        // to two MSM points).
+        // sides of the lone/equation and Straus/Pippenger crossovers (each
+        // item contributes up to two MSM points).
         type Corruption = fn(&mut BatchItem);
         let corruptions: [Corruption; 6] = [
             |item| item.2.s[30] ^= 0x40,
@@ -502,7 +507,7 @@ mod tests {
             |item| item.1 = sha256(b"another message"),
             |item| item.0 = *Keypair::from_seed(b"another signer").public(),
         ];
-        for (n, signers) in [(7, 2), (40, 40), (crate::msm::STRAUS_CUTOFF, 3)] {
+        for (n, signers) in [(2, 2), (LONE_BELOW - 1, 2), (LONE_BELOW, 2), (40, 40)] {
             let clean = make_batch(n, signers);
             assert!(verify_batch(&clean, b"seed"), "n={n}");
             for (c, corrupt) in corruptions.iter().enumerate() {

@@ -147,14 +147,6 @@ impl U256 {
         self.overflowing_sub(other).0
     }
 
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(&self, other: &U256) -> Option<U256> {
-        match self.overflowing_sub(other) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Full 256×256→512-bit schoolbook multiplication. Returns little-endian
     /// `(low, high)` 256-bit halves.
     pub fn widening_mul(&self, other: &U256) -> (U256, U256) {

@@ -19,11 +19,13 @@
 use proptest::prelude::*;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian, GENERATOR};
 use tn_crypto::field::{add_mod, mul_mod, neg_mod, reduce, LAMBDA, N, P};
-use tn_crypto::msm::{double_mul_glv, SignerTables};
-use tn_crypto::schnorr::SignerMemo;
+use tn_crypto::msm::{
+    double_mul_glv, glv_halves, msm, pippenger, signed_digits, straus, SignerTables, PIPPENGER_FROM,
+};
+use tn_crypto::schnorr::{SignerMemo, LONE_BELOW};
 use tn_crypto::sha256::{sha256, tagged_hash};
 use tn_crypto::u256::U256;
-use tn_crypto::{Hash256, Keypair, PublicKey, Signature};
+use tn_crypto::{verify_batch, BatchItem, Hash256, Keypair, PublicKey, Signature};
 
 /// `a·G + b·Q` by two ladders.
 fn ladder_sum(a: &U256, q: &Affine, b: &U256) -> Affine {
@@ -403,4 +405,178 @@ proptest! {
     ) {
         assert_equation_agrees(&s, &mul_generator(&d), &e);
     }
+}
+
+/// `n` items signed round-robin by `signers` keys.
+fn signed_batch(n: usize, signers: usize) -> Vec<BatchItem> {
+    let keys: Vec<Keypair> = (0..signers)
+        .map(|i| Keypair::from_seed(format!("batch oracle signer {i}").as_bytes()))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let kp = &keys[i % signers];
+            let msg = sha256(format!("batch oracle message {i}").as_bytes());
+            (*kp.public(), msg, kp.sign(&msg))
+        })
+        .collect()
+}
+
+/// `verify_batch` against the reference verdict of every item, for every
+/// way an item can be wrong, at one item, the middle one, the last one and
+/// every other one — on each side of both crossovers the batch kernel has:
+/// lone verifications below [`LONE_BELOW`] items, and [`PIPPENGER_FROM`]
+/// pairs between the shared-doubling walk and the signed buckets (three
+/// signers: `n` nonces, three keys and the generator make `n + 4` pairs).
+/// 128 is an admission chunk; 513 is past the default equation size.
+#[test]
+fn batch_verdicts_are_the_individual_verdicts_at_every_crossover() {
+    type Corruption = fn(&mut BatchItem);
+    let corruptions: [Corruption; 7] = [
+        |item| flip(&mut item.2.s, 3),
+        |item| item.2.s = N.to_be_bytes(),
+        |item| flip(&mut item.2.r_x, 200),
+        |item| item.2.r_parity_odd = !item.2.r_parity_odd,
+        |item| item.1 = sha256(b"a message nobody signed"),
+        |item| item.0 = *Keypair::from_seed(b"batch oracle stranger").public(),
+        // The signature its signer made over another message.
+        |item| item.2 = Keypair::from_seed(b"batch oracle signer 0").sign(&sha256(b"other")),
+    ];
+    let crossing = PIPPENGER_FROM - 4;
+    let sizes = [
+        2,
+        LONE_BELOW - 1,
+        LONE_BELOW,
+        LONE_BELOW + 1,
+        crossing - 1,
+        crossing,
+        crossing + 1,
+        128,
+        513,
+    ];
+    for n in sizes {
+        let clean = signed_batch(n, 3);
+        assert!(clean.iter().all(|(k, m, s)| reference_verify(k, m, s)));
+        assert!(verify_batch(&clean, b"oracle"), "n={n}");
+        let every_other: Vec<usize> = (0..n).step_by(2).collect();
+        for (c, corrupt) in corruptions.iter().enumerate() {
+            for positions in [vec![0], vec![n / 2], vec![n - 1], every_other.clone()] {
+                let mut items = clean.clone();
+                positions.iter().for_each(|&i| corrupt(&mut items[i]));
+                let expect = positions
+                    .iter()
+                    .all(|&i| reference_verify(&items[i].0, &items[i].1, &items[i].2));
+                assert_eq!(
+                    verify_batch(&items, b"oracle"),
+                    expect,
+                    "n={n} corruption={c} at {} positions from {}",
+                    positions.len(),
+                    positions[0]
+                );
+            }
+        }
+    }
+}
+
+/// `Σ kᵢ·Pᵢ` by one plain ladder per pair.
+fn ladder_msm(pairs: &[(Affine, U256)]) -> Affine {
+    let sum = pairs.iter().fold(Jacobian::infinity(), |acc, (p, k)| {
+        acc.add(&Jacobian::from_affine(p).mul_scalar(k))
+    });
+    sum.to_affine()
+}
+
+/// The batch kernels against the ladders on scalars whose endomorphism
+/// halves are zero (λ, anything below 2^128), negative (n − 1, −λ), at the
+/// 128-bit edge or of a scalar ≥ n, over a point, its negation, repeats,
+/// other points and infinity — one pair at a time and all together.
+#[test]
+fn msm_kernels_match_the_ladders_on_split_edge_scalars() {
+    let p = mul_generator(&U256::from_u64(99));
+    let two128 = U256::ONE.shl(128);
+    let mut ks = vec![
+        U256::ZERO,
+        U256::ONE,
+        U256::MAX,
+        two128.wrapping_sub(&U256::ONE),
+    ];
+    ks.extend([
+        LAMBDA,
+        neg_mod(&LAMBDA, &N),
+        N.wrapping_sub(&U256::ONE),
+        two128,
+    ]);
+    ks.extend([
+        two128.wrapping_add(&U256::ONE),
+        N,
+        N.wrapping_add(&U256::from_u64(5)),
+    ]);
+    let mut pairs: Vec<(Affine, U256)> = ks.iter().map(|k| (p, *k)).collect();
+    pairs.extend(ks.iter().map(|k| (p.negate(), *k)));
+    pairs.extend(
+        ks.iter()
+            .map(|k| (mul_generator(&k.wrapping_add(&U256::ONE)), *k)),
+    );
+    pairs.push((Affine::Infinity, U256::MAX));
+    for (i, pair) in pairs.iter().enumerate() {
+        let one = std::slice::from_ref(pair);
+        let (expect, halves) = (ladder_msm(one), glv_halves(one));
+        assert!(halves.iter().all(|(_, k)| k.bits() <= 129), "pair {i}");
+        assert_eq!(ladder_msm(&halves), expect, "pair {i}");
+        assert_eq!(pippenger(&halves, 5).to_affine(), expect, "pair {i}");
+        assert_eq!(straus(one).to_affine(), expect, "pair {i}");
+    }
+    let expect = ladder_msm(&pairs);
+    assert_eq!(msm(&pairs).to_affine(), expect);
+    assert_eq!(straus(&pairs).to_affine(), expect);
+    for c in [2, 6, 9] {
+        assert_eq!(
+            pippenger(&glv_halves(&pairs), c).to_affine(),
+            expect,
+            "c={c}"
+        );
+    }
+}
+
+/// The signed recoding under the buckets and the signing comb, against
+/// its definition: digits in `[−2^(c−1), 2^(c−1)]`, `b / c + 1` of them
+/// for a `b`-bit scalar with zeros after — the carry out of the top window
+/// placed — and `Σ dⱼ·2^(c·j)` the scalar again.
+#[test]
+fn signed_digits_stay_in_range_recombine_and_place_the_final_carry() {
+    let all_ones = U256::ONE.shl(128).wrapping_sub(&U256::ONE);
+    let mut ks = vec![
+        U256::ZERO,
+        U256::ONE,
+        U256::MAX,
+        N,
+        all_ones,
+        all_ones.shl(1),
+    ];
+    for i in 0u8..64 {
+        let k = U256::from_be_bytes(sha256(&[i]).as_bytes());
+        ks.extend([k, k.shr(128), k.shr(u32::from(i) * 4)]);
+    }
+    for c in [1u32, 2, 5, 7, 8, 11, 16] {
+        let half = 1i32 << (c - 1);
+        for k in &ks {
+            let count = (k.bits() / c + 1) as usize;
+            let digits: Vec<i32> = signed_digits(k, c).take(count + 4).collect();
+            assert!(digits.iter().all(|d| (-half..=half).contains(d)), "c={c}");
+            assert!(digits[count..].iter().all(|&d| d == 0), "c={c}");
+            // Horner from the top, modulo 2^256.
+            let sum = digits[..count].iter().rev().fold(U256::ZERO, |sum, &d| {
+                let magnitude = U256::from_u64(u64::from(d.unsigned_abs()));
+                if d >= 0 {
+                    sum.shl(c).wrapping_add(&magnitude)
+                } else {
+                    sum.shl(c).wrapping_sub(&magnitude)
+                }
+            });
+            assert_eq!(sum, *k, "c={c} k={}", k.to_hex());
+        }
+    }
+    // 2^128 − 1 in 8-bit windows: −1, then fifteen windows of 0xff plus
+    // the carry, each 0 carrying one on, and the carry on top.
+    let digits: Vec<i32> = signed_digits(&all_ones, 8).take(18).collect();
+    assert_eq!(digits, [[-1].as_slice(), &[0; 15], &[1, 0]].concat());
 }

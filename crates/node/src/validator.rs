@@ -300,8 +300,8 @@ impl ValidatorNode {
     /// Rejections are per-transaction and never abort the batch, and every
     /// verdict is the one [`ValidatorNode::submit`] would give in the same
     /// position; the signatures are checked through
-    /// [`Mempool::insert_batch`]'s batched equations on the store's verify
-    /// pool and batch policy. Counts `node.ingest.batches` and observes
+    /// [`Mempool::insert_batch`]'s batched equations under the store's
+    /// batch policy. Counts `node.ingest.batches` and observes
     /// `node.ingest.batch_size` on top of the usual per-transaction
     /// mempool metrics.
     pub fn submit_batch(&mut self, txs: Vec<Transaction>) -> IngestOutcome {

@@ -55,7 +55,10 @@ echo "== cargo test --release -p tn-chain (state trie and run import without deb
 # tests must hold with debug_assert!s compiled out, as the benchmark and
 # every binary run the code. The same run holds tests/run_import_oracle.rs
 # — a run of blocks proved in shared equations against the block-by-block
-# loop, verdict for verdict — to the optimized build.
+# loop, verdict for verdict — and tests/propose_batch_oracle.rs — a
+# proposal's unseen transactions proved together against the lone check
+# of each: same block bytes, receipts, state root, dropped set and
+# sigcache hit/miss counts — to the optimized build.
 cargo test --release --offline -p tn-chain -q
 
 echo "== cargo test --release -p tn-supplychain (stored trace summaries as every binary reads them)"
