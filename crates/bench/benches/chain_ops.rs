@@ -32,6 +32,9 @@ fn bench_tx_verify(c: &mut Criterion) {
     });
 }
 
+/// Importing a block into the store that proposed it: proposing proved
+/// every signature into the store's sigcache and noted the header, so
+/// these rows are the warm-cache import — no signature is verified again.
 fn bench_block_import(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_import");
     group.sample_size(10);

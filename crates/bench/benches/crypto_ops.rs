@@ -85,6 +85,12 @@ fn bench_field_ops(c: &mut Criterion) {
     group.bench_function("mul_generator", |g| {
         g.iter(|| mul_generator_jacobian(black_box(&k)))
     });
+    // The same product by the generic double-and-add ladder, which the
+    // fixed-base table replaced.
+    let generator = Jacobian::from_affine(&tn_crypto::ec::GENERATOR);
+    group.bench_function("mul_generator_ladder", |g| {
+        g.iter(|| black_box(&generator).mul_scalar(black_box(&k)))
+    });
     // The lone-verify equation `s·G + k·P` — over a key met for the
     // first time, then over a repeat signer's stored tables — and the
     // first form's two per-call set-up steps: the scalar split and the

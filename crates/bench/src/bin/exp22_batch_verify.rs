@@ -1,12 +1,13 @@
 //! E22: batched Schnorr verification with Pippenger MSM on the cold
 //! import path.
 //!
-//! E17 established that the verified-tx cache makes warm imports nearly
-//! free; what remains is the **cold** path — state-sync catch-up, replay
-//! after restart, and any block whose transactions never passed through
-//! the local mempool. There, every signature pays an elliptic-curve
-//! verification. This experiment measures the batch-crypto stack that
-//! attacks exactly that cost:
+//! The verified-tx cache makes warm imports nearly free (a signature
+//! admission checked is a cache hit at proposal and import); what remains
+//! is the **cold** path — state-sync catch-up, replay after restart, and
+//! any block whose transactions never passed through the local mempool.
+//! There, every signature pays an elliptic-curve verification. This
+//! experiment measures the batch-crypto stack that attacks exactly that
+//! cost:
 //!
 //! - **MSM kernels** (Part A): per-point cost of the shared-pass
 //!   multi-scalar multiplication (`tn_crypto::msm`) vs one independent
@@ -17,22 +18,25 @@
 //!   doubling chain, identity test free in Jacobian coordinates) vs the
 //!   first affine-comparison form (generic ladder for `e·P` plus a field
 //!   inversion to normalize).
-//! - **Cold import** (Part C): full block structural verification —
-//!   batching off (per-tx scan, exactly the pre-E22 path) vs batching on
-//!   (one random-linear-combination equation per 512-tx chunk). The
-//!   headline gate: batched cold verification sustains ≥ 2.5× the
-//!   per-tx scan's txs/s on single-signer blocks (the repo's own
-//!   workload shape; the gate was 4× before the per-tx scan itself got a
-//!   third cheaper).
+//! - **Cold import** (Part C): full block structural verification — the
+//!   per-tx scan built here (pooled transaction ids, `merkle_root_par`,
+//!   the header checks, then every signature alone at the pool's
+//!   first-error `try_check`: exactly the pre-E22 path) vs the import
+//!   path's signature pass, `ChainStore::check_run` on a fresh store (one
+//!   random-linear-combination equation per 512 signatures, the sigcache
+//!   bookkeeping included). The headline gate: batched cold verification
+//!   sustains ≥ 2.5× the per-tx scan's txs/s on single-signer blocks (the
+//!   repo's own workload shape; the gate was 4× before the per-tx scan
+//!   itself got a third cheaper).
 //! - **Counters** (Part D): a cold import observed through the
 //!   `chain.verify.batch.*` and `chain.sigcache.*` counters — batching
 //!   preserves the one-EC-verify-per-tx accounting.
-//! - **Admission** (Part E): `ValidatorNode::submit_batch` of one 128-
-//!   and one 256-transaction ingest batch on a fresh node — per-tx
-//!   (`verify_batch_chunk = 0`) vs batched (the default), single-signer
-//!   and distinct-signer — plus a poisoned batch (one bad signature):
-//!   its equation fails, the whole batch is rescanned, and the cost must
-//!   stay near the per-tx path's. Every pair is also checked for equal
+//! - **Admission** (Part E): one 128- and one 256-transaction ingest
+//!   batch on a fresh node — per-tx (a `ValidatorNode::submit` loop) vs
+//!   batched (`ValidatorNode::submit_batch`), single-signer and
+//!   distinct-signer — plus a poisoned batch (one bad signature): its
+//!   equation fails, the whole batch is rescanned, and the cost must stay
+//!   near the per-tx path's. Every pair is also checked for equal
 //!   verdicts, pool contents and sigcache lookups.
 //!
 //! Run with `--quick` for a CI-sized smoke run.
@@ -43,14 +47,13 @@ use serde::Serialize;
 
 use tn_bench::scenarios::BlobChain;
 use tn_bench::{Experiment, Value};
-use tn_chain::block::{
-    BatchVerifyPolicy, BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_TXS_COUNTER,
-};
+use tn_chain::block::{BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_TXS_COUNTER};
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
 use tn_core::platform::PlatformConfig;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian};
 use tn_crypto::field::{neg_mod, reduce, N};
+use tn_crypto::merkle::merkle_root_par;
 use tn_crypto::msm::{glv_halves, msm, signed_window, straus, PIPPENGER_FROM};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::u256::U256;
@@ -58,8 +61,7 @@ use tn_crypto::{Hash256, Keypair, Signature};
 use tn_node::validator::IngestOutcome;
 use tn_node::ValidatorNode;
 use tn_par::Pool;
-use tn_telemetry::{Registry, TelemetrySink};
-use tn_trace::TraceSink;
+use tn_telemetry::Registry;
 
 /// One measured configuration.
 #[derive(Debug, Serialize)]
@@ -114,20 +116,27 @@ fn deterministic_pairs(n: usize) -> Vec<(Affine, U256)> {
         .collect()
 }
 
-/// Cold structural verification wall-time (no cache, so every rep pays
-/// the full signature cost) under `policy`.
-fn time_cold_verify(block: &Block, pool: &Pool, policy: BatchVerifyPolicy, reps: usize) -> f64 {
-    let sink = TelemetrySink::disabled();
-    let trace = TraceSink::disabled();
-    block
-        .verify_structure_policy(pool, None, &sink, &trace, 0, policy)
-        .expect("valid block");
+/// The per-transaction scan, as block import ran it before the batch
+/// equation: every transaction id on `pool`, the Merkle root over them on
+/// `pool`, the header checks, then each signature alone at the pool's
+/// first-error `try_check`. No cache.
+fn scan(block: &Block, pool: &Pool) -> bool {
+    let ids = pool.map(&block.transactions, |tx| tx.id().into_bytes());
+    let digest = block.header.digest();
+    block.proposer_key.address() == block.header.proposer
+        && block.proposer_key.verify(&digest, &block.signature)
+        && merkle_root_par(&ids, pool) == block.header.tx_root
+        && pool
+            .try_check(&block.transactions, |_, tx| tx.verify())
+            .is_ok()
+}
+
+/// Mean wall time (ms) of `run(i)` for `i` in `0..reps`, after one
+/// untimed warm-up call `run(reps)`.
+fn mean_ms(reps: usize, mut run: impl FnMut(usize)) -> f64 {
+    run(reps);
     let started = Instant::now();
-    for _ in 0..reps {
-        block
-            .verify_structure_policy(pool, None, &sink, &trace, 0, policy)
-            .expect("valid block");
-    }
+    (0..reps).for_each(&mut run);
     started.elapsed().as_secs_f64() * 1_000.0 / reps as f64
 }
 
@@ -160,24 +169,33 @@ struct Admitted {
     misses: u64,
 }
 
-/// `submit_batch(txs)` on a fresh node built from `config`, with the ids
-/// in `cached` already in its sigcache: the fastest of `reps` wall times
-/// (ms), what was admitted, and the `chain.verify.batch.{txs,fallback}`
-/// counters.
+/// `txs` admitted on a fresh default node, with the ids in `cached`
+/// already in its sigcache — through `submit_batch` when `batched`, else
+/// through a `submit` loop: the fastest of `reps` wall times (ms), what was
+/// admitted, and the `chain.verify.batch.{txs,fallback}` counters.
 fn admit(
-    config: &PlatformConfig,
     txs: &[Transaction],
     cached: &[Hash256],
     reps: usize,
+    batched: bool,
 ) -> (f64, Admitted, u64, u64) {
     let mut best: Option<(f64, Admitted, u64, u64)> = None;
     for _ in 0..reps {
-        let mut node = ValidatorNode::new(0, config);
+        let mut node = ValidatorNode::new(0, &PlatformConfig::default());
         let cache = node.pipeline().store().sig_cache();
         cached.iter().for_each(|id| cache.insert(*id));
         let batch = txs.to_vec();
         let started = Instant::now();
-        let outcome = node.submit_batch(batch);
+        let outcome = if batched {
+            node.submit_batch(batch)
+        } else {
+            let verdicts = batch.into_iter().map(|tx| node.submit(tx));
+            let accepted = verdicts.filter(Result::is_ok).count();
+            IngestOutcome {
+                accepted,
+                rejected: txs.len() - accepted,
+            }
+        };
         let ms = started.elapsed().as_secs_f64() * 1_000.0;
         let snap = node.metrics_snapshot();
         let count = |name: &str| snap.counter(name).unwrap_or(0);
@@ -320,7 +338,7 @@ fn main() {
     }
 
     // Part C: cold import — the headline gate.
-    println!("\nPart C: cold block verification (batching off vs on)");
+    println!("\nPart C: cold block verification (per-tx scan vs the import path's equations)");
     let block_txs = if quick { 96 } else { 1024 };
     let reps = if quick { 1 } else { 3 };
     let pool = Pool::auto();
@@ -328,9 +346,18 @@ fn main() {
     let mut batch_tps = 0.0;
     let mut speedup_single = 0.0;
     for (label, signers) in [("single signer", 1usize), ("distinct signers", block_txs)] {
-        let block = BlobChain::new("e22", block_txs, signers).block();
-        let scan_ms = time_cold_verify(&block, &pool, BatchVerifyPolicy::disabled(), reps);
-        let batch_ms = time_cold_verify(&block, &pool, BatchVerifyPolicy::default(), reps);
+        let chain = BlobChain::new("e22", block_txs, signers);
+        // One cold store per batched call, built before the clock starts.
+        let (genesis, validator) = (chain.store.head_state().clone(), chain.validator.clone());
+        let stores: Vec<ChainStore> = (0..=reps)
+            .map(|_| ChainStore::new(genesis.clone(), &validator))
+            .collect();
+        let block = chain.block();
+        let run = std::slice::from_ref(&block);
+        let scan_ms = mean_ms(reps, |_| assert!(scan(&block, &pool), "valid block"));
+        let batch_ms = mean_ms(reps, |i| drop(stores[i].check_run(run)));
+        let proved = |store: &ChainStore| store.sig_cache().len() == block_txs + 1;
+        assert!(stores.iter().all(proved), "every signature proved");
         let speedup = scan_ms / batch_ms;
         for (mode, ms, sp) in [
             ("per-tx scan", scan_ms, 1.0),
@@ -398,12 +425,7 @@ fn main() {
 
     // Part E: mempool admission of one ingest batch — the per-tx scan
     // vs the batched equation behind `ValidatorNode::submit_batch`.
-    println!("\nPart E: batch admission (submit_batch, per-tx vs batched)\n");
-    let scan_config = PlatformConfig {
-        verify_batch_chunk: 0,
-        ..PlatformConfig::default()
-    };
-    let batch_config = PlatformConfig::default();
+    println!("\nPart E: batch admission (submit loop vs submit_batch)\n");
     let reps = if quick { 1 } else { 5 };
     let sizes: &[usize] = if quick { &[32] } else { &[128, 256] };
     let mut admit_scan_us = 0.0;
@@ -411,12 +433,12 @@ fn main() {
     for &n in sizes {
         for (label, signers) in [("single signer", 1usize), ("distinct signers", n)] {
             let txs = BlobChain::new("e22 admit", n, signers).txs;
-            let (scan_ms, scan, scan_batched, _) = admit(&scan_config, &txs, &[], reps);
-            let (batch_ms, batched, batch_txs, fallback) = admit(&batch_config, &txs, &[], reps);
+            let (scan_ms, scan, scan_batched, _) = admit(&txs, &[], reps, false);
+            let (batch_ms, batched, batch_txs, fallback) = admit(&txs, &[], reps, true);
             assert_eq!(batched, scan, "batched admission differs from the scan");
             assert_eq!(scan.outcome.accepted, n);
             // One lookup per transaction, a miss; every miss through the
-            // equation when batching is on, none when it is off.
+            // equation for the batch, none for the loop.
             assert_eq!((scan.hits, scan.misses), (0, n as u64));
             assert_eq!((scan_batched, batch_txs, fallback), (0, n as u64, 0));
             for (mode, ms, sp) in [
@@ -437,8 +459,8 @@ fn main() {
     let n = sizes[0];
     let txs = BlobChain::new("e22 admit", n, 1).txs;
     let cached: Vec<Hash256> = txs.iter().step_by(2).map(Transaction::id).collect();
-    let (_, scan, ..) = admit(&scan_config, &txs, &cached, 1);
-    let (_, batched, batch_txs, _) = admit(&batch_config, &txs, &cached, 1);
+    let (_, scan, ..) = admit(&txs, &cached, 1, false);
+    let (_, batched, batch_txs, _) = admit(&txs, &cached, 1, true);
     assert_eq!(batched, scan, "half-cached batch differs from the scan");
     let half = (n / 2) as u64;
     assert_eq!((scan.hits, scan.misses, batch_txs), (half, half, half));
@@ -446,8 +468,8 @@ fn main() {
     // finds the one bad signature, everything else is admitted.
     let mut poisoned = txs;
     poisoned[n / 2].fee ^= 1;
-    let (scan_ms, scan, ..) = admit(&scan_config, &poisoned, &[], reps);
-    let (poisoned_ms, batched, batch_txs, fallback) = admit(&batch_config, &poisoned, &[], reps);
+    let (scan_ms, scan, ..) = admit(&poisoned, &[], reps, false);
+    let (poisoned_ms, batched, batch_txs, fallback) = admit(&poisoned, &[], reps, true);
     assert_eq!(batched, scan, "poisoned batch differs from the scan");
     assert_eq!((scan.outcome.accepted, scan.outcome.rejected), (n - 1, 1));
     assert_eq!((batch_txs, fallback, scan.misses), (0, 1, n as u64));
@@ -485,7 +507,7 @@ fn main() {
     // ≥ 2.5 expected on single-signer blocks at full size), per-point MSM
     // cost at the largest swept size and one no-inversion verification
     // (µs), and per-transaction admission cost of one 128-tx single-signer
-    // `submit_batch`, per-tx vs batched (µs).
+    // ingest batch, `submit` loop vs `submit_batch` (µs).
     exp.snapshot(
         "e22_batch_verify",
         vec![

@@ -8,10 +8,9 @@
 //! order — a peer's catch-up answer, a stretch of a snapshot or of the WAL
 //! tail, or a single block, which is the run of one — and folds every
 //! signature of the run this process has not seen into batched Schnorr
-//! equations ([`tn_crypto::verify_batch`]) of at most
-//! [`BatchVerifyPolicy::chunk`] signatures: an equation takes as many
-//! consecutive whole blocks as fit, and only a block larger than that is
-//! cut into several. The rule:
+//! equations ([`tn_crypto::verify_batch`]) of at most [`BATCH_CHUNK`]
+//! signatures: an equation takes as many consecutive whole blocks as fit,
+//! and only a block larger than that is cut into several. The rule:
 //!
 //! - **What is proved before what is executed.** Signatures depend on no
 //!   chain state, so a whole run's are settled before its first block is
@@ -40,13 +39,14 @@
 //!
 //! Nothing is ever recorded as verified except by a lone verification
 //! that passed, an equation that held, or the store having produced the
-//! signature itself. Equation boundaries depend only on the policy and
-//! the run, and each equation's Fiat–Shamir seed binds the id of the
-//! first block in it and the chunk index (the coefficients bind every
-//! signature, key and message of the chunk), so replicas proving the same
-//! run compute bit-identical equations whatever their worker count. With tracing on,
-//! per-transaction spans need per-transaction verification and no
-//! equation is formed.
+//! signature itself. Equation boundaries depend only on the run, and each
+//! equation's Fiat–Shamir seed binds the id of the first block in it and
+//! the chunk index (the coefficients bind every signature, key and
+//! message of the chunk), so replicas proving the same run compute
+//! bit-identical equations whatever their worker count. Tracing never
+//! changes how a signature is checked: a `tx.verify` span is recorded by
+//! the per-block check alone, the fallback for a block no equation
+//! vouched for.
 
 use std::collections::HashSet;
 
@@ -75,50 +75,15 @@ pub const BATCH_HEADERS_COUNTER: &str = "chain.verify.batch.headers";
 /// invalid block takes this path).
 pub const BATCH_FALLBACK_COUNTER: &str = "chain.verify.batch.fallback";
 
-/// Policy for the batched-Schnorr fast path on block verification.
-///
-/// `chunk` is the number of signatures (a block's proposer signature and
-/// its transactions') folded into one batched signature equation. It is a **consensus-visible constant in spirit**:
-/// chunk boundaries (and hence the Fiat–Shamir transcripts) depend only on
-/// this value, never on the worker count, so replicas with different
-/// parallelism compute bit-identical batch equations. Accept/reject
-/// outcomes are identical for *any* chunk value — a failing batch falls
-/// back to the sequential-semantics per-block check — so the knob only
-/// moves performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchVerifyPolicy {
-    /// Whether the batch fast path runs at all.
-    pub enabled: bool,
-    /// Signatures per batched equation (clamped to ≥ 1 at use sites).
-    pub chunk: usize,
-}
-
-impl BatchVerifyPolicy {
-    /// Default signatures per batch equation. Large enough that the
-    /// Pippenger bucket MSM amortises well, small enough that several
-    /// chunks exist to spread over verify workers at realistic block
-    /// sizes.
-    pub const DEFAULT_CHUNK: usize = 512;
-
-    /// Batching off: every transaction pays an individual verification.
-    pub fn disabled() -> BatchVerifyPolicy {
-        BatchVerifyPolicy {
-            enabled: false,
-            chunk: Self::DEFAULT_CHUNK,
-        }
-    }
-}
-
-impl Default for BatchVerifyPolicy {
-    /// Batching on with [`BatchVerifyPolicy::DEFAULT_CHUNK`] signatures
-    /// per equation.
-    fn default() -> Self {
-        BatchVerifyPolicy {
-            enabled: true,
-            chunk: Self::DEFAULT_CHUNK,
-        }
-    }
-}
+/// Signatures (a block's proposer signature and its transactions')
+/// folded into one batched Schnorr equation: large enough that the
+/// Pippenger bucket MSM amortises well. It is a **consensus-visible
+/// constant in spirit**: equation boundaries, and hence the Fiat–Shamir
+/// transcripts, depend only on it and on the signatures, so replicas
+/// compute bit-identical equations. Accept/reject outcomes do not depend
+/// on it at all — a failed equation falls back to the sequential-semantics
+/// check — so it only moves cost.
+pub const BATCH_CHUNK: usize = 512;
 
 /// A block header: the hash-linked, proposer-signed commitment to a batch
 /// of transactions and the resulting state.
@@ -192,29 +157,18 @@ impl Block {
         merkle_root(txs.iter().map(|t| t.id().into_bytes()))
     }
 
-    /// Every transaction's id and the Merkle root over them, hashing each
-    /// transaction once (fanned out over `pool`). The root is
-    /// [`Block::compute_tx_root`]'s for every input and worker count.
-    fn ids_and_tx_root(txs: &[Transaction], pool: &Pool) -> (Vec<Hash256>, Hash256) {
-        let (ids, leaves) = pool
-            .map(txs, |t| {
-                let id = t.id();
-                (id, leaf_hash(id.as_bytes()))
-            })
-            .into_iter()
-            .unzip();
-        (ids, merkle_root_of_leaves_par(leaves, pool))
-    }
-
     /// Everything the import path hashes of this block, computed once: the
     /// checks, the signature equations, the receipts and the indexes all
-    /// read these.
+    /// read these. Each transaction is hashed once, fanned out over `pool`;
+    /// the root is [`Block::compute_tx_root`]'s for every worker count.
     pub(crate) fn hashes(&self, pool: &Pool) -> BlockHashes {
-        let (tx_ids, tx_root) = Block::ids_and_tx_root(&self.transactions, pool);
+        let leaf = |id: Hash256| (id, leaf_hash(id.as_bytes()));
+        let hashed = pool.map(&self.transactions, |tx| leaf(tx.id()));
+        let (tx_ids, leaves): (Vec<Hash256>, _) = hashed.into_iter().unzip();
         BlockHashes {
             id: self.header.digest(),
             tx_ids,
-            tx_root,
+            tx_root: merkle_root_of_leaves_par(leaves, pool),
         }
     }
 
@@ -298,9 +252,9 @@ impl Block {
     /// signature, tx-root match, and per-transaction signatures.
     ///
     /// This is the reference verifier: one plain loop, no worker pool, no
-    /// signature cache, no batch equation. Tests and experiments compare
-    /// [`Block::verify_structure_policy`] — the import path's check of a
-    /// run of one — against it.
+    /// signature cache, no batch equation. Tests compare
+    /// [`ChainStore::import`](crate::store::ChainStore::import) — the
+    /// import path's check of a run of one — against it.
     ///
     /// # Errors
     ///
@@ -322,79 +276,21 @@ impl Block {
         self.transactions.iter().try_for_each(Transaction::verify)
     }
 
-    /// [`Block::verify_structure`] as the import path runs it on one
-    /// block: the per-transaction work fans out over `pool`, is
-    /// short-circuited through a verified-signature `cache` when one is
-    /// given (hits bump `chain.sigcache.hit` on `telemetry`, misses bump
-    /// `chain.sigcache.miss` and pay the EC verification), and is batched
-    /// according to `policy`. With `trace` enabled, one `tx.verify` span
-    /// per transaction is recorded under `parent` (the importing replica's
-    /// `chain.verify` span), carrying the verify worker that owned the
-    /// transaction's chunk (from [`Pool::chunk_bounds`]) and its index.
-    ///
-    /// The result is byte-identical to the reference for every worker
-    /// count, cache state and policy: header checks run in the same order,
-    /// and when several transactions are invalid the error reported is
-    /// always the one at the **lowest** transaction index (the pool's
-    /// `try_check` guarantees first-error semantics).
-    ///
-    /// With batching enabled (and tracing disabled), this is the run of
-    /// one of the [module-level run rule](self): the proposer's signature
-    /// and the transactions' are split into fixed-size chunks and each
-    /// chunk is folded into one random-linear-combination Schnorr equation
-    /// ([`tn_crypto::verify_batch`]). Per chunk, cached signatures are
-    /// skipped (a transaction's bumps `chain.sigcache.hit`) and the rest
-    /// are batch-verified (bumping `chain.sigcache.miss` and
-    /// [`BATCH_TXS_COUNTER`] per transaction, [`BATCH_HEADERS_COUNTER`]
-    /// for the header, then populating the cache) — so across admission →
-    /// proposal → import each signature still pays at most one EC
-    /// verification, exactly like the per-transaction path.
-    ///
-    /// A valid block is **never** rejected by batching (each term of a
-    /// batched equation is the identity precisely when that signature
-    /// verifies). When any chunk fails — which implies some signature is
-    /// invalid, up to the 2⁻¹²⁸ soundness error — the block is checked
-    /// again from the top, one signature at a time, so the reported error
-    /// is byte-identical to the sequential scan's for every pool × chunk
-    /// configuration ([`BATCH_FALLBACK_COUNTER`] records the failed
-    /// equation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Block::verify_structure`].
-    pub fn verify_structure_policy(
-        &self,
-        pool: &Pool,
-        cache: Option<&SigCache>,
-        telemetry: &TelemetrySink,
-        trace: &TraceSink,
-        parent: u64,
-        policy: BatchVerifyPolicy,
-    ) -> Result<(), ChainError> {
-        let hashes = self.hashes(pool);
-        if policy.enabled
-            && !trace.is_enabled()
-            && prove_run(&[(self, &hashes)], pool, cache, telemetry, policy.chunk)[0]
-        {
-            return Ok(());
-        }
-        self.verify_hashed(&hashes, pool, cache, telemetry, trace, parent)
-    }
-
     /// The per-block check behind every import that no equation vouched
     /// for: [`Block::verify_structure`]'s checks in its order — proposer
     /// address, proposer signature, transaction root, then every
-    /// transaction at the pool's first-error `try_check` — reading
+    /// transaction in order, stopping at the first error — reading
     /// `hashes` (which must be `self.hashes(..)`) instead of hashing
     /// again. A signature found in `cache` is not verified a second time:
     /// a transaction's id is there once it verified anywhere in this
     /// process, a header's [`Block::header_sig_memo`] once this store
-    /// signed it or an equation proved it.
+    /// signed it or an equation proved it. Each transaction checked
+    /// records a `tx.verify` span under `parent` (the importing replica's
+    /// `chain.verify` span) with its `index`.
     pub(crate) fn verify_hashed(
         &self,
         hashes: &BlockHashes,
-        pool: &Pool,
-        cache: Option<&SigCache>,
+        cache: &SigCache,
         telemetry: &TelemetrySink,
         trace: &TraceSink,
         parent: u64,
@@ -402,42 +298,22 @@ impl Block {
         if self.proposer_key.address() != self.header.proposer {
             return Err(ChainError::AddressMismatch);
         }
-        let known = cache.is_some_and(|c| c.contains(&self.header_sig_memo(&hashes.id)));
+        let known = cache.contains(&self.header_sig_memo(&hashes.id));
         if !known && !self.proposer_key.verify(&hashes.id, &self.signature) {
             return Err(ChainError::BadSignature);
         }
         if hashes.tx_root != self.header.tx_root {
             return Err(ChainError::BadTxRoot);
         }
-        let ids = &hashes.tx_ids;
-        let bounds = if trace.is_enabled() {
-            pool.chunk_bounds(self.transactions.len())
-        } else {
-            Vec::new()
-        };
-        pool.try_check(&self.transactions, |i, tx| {
+        let txs = self.transactions.iter().zip(&hashes.tx_ids);
+        txs.enumerate().try_for_each(|(i, (tx, id))| {
             let t0 = trace.now_ns();
-            let result = match cache {
-                Some(cache) => cache.verify_identified(tx, ids[i], telemetry),
-                None => tx.verify(),
-            };
-            if trace.is_enabled() {
-                let worker = bounds
-                    .iter()
-                    .position(|(lo, hi)| (*lo..*hi).contains(&i))
-                    .unwrap_or(0) as u64;
-                trace.complete(
-                    TraceId::from_seed(ids[i].as_bytes()),
-                    "tx.verify",
-                    parent,
-                    lanes::VERIFY,
-                    t0,
-                    &[("worker", worker), ("index", i as u64)],
-                );
-            }
+            let result = cache.verify_identified(tx, *id, telemetry);
+            let tx_trace = TraceId::from_seed(id.as_bytes());
+            let index = [("index", i as u64)];
+            trace.complete(tx_trace, "tx.verify", parent, lanes::VERIFY, t0, &index);
             result
         })
-        .map_err(|(_, err)| err)
     }
 
     /// The `cache` key that records "this exact header digest, proposer
@@ -492,7 +368,7 @@ pub(crate) enum Claim<'a> {
 pub(crate) fn prove_run(
     run: &[(&Block, &BlockHashes)],
     pool: &Pool,
-    cache: Option<&SigCache>,
+    cache: &SigCache,
     telemetry: &TelemetrySink,
     chunk: usize,
 ) -> Vec<bool> {
@@ -542,7 +418,7 @@ pub(crate) fn prove_run(
 /// of them, each transaction's first copy that `eligible` accepts and that
 /// is either in `cache` (a hit, counted and decided with one lookup) or
 /// signed by its sender's key; the unseen ones are proved in equations of
-/// `policy.chunk` ([`batch_verify_chunk`], seeded by `seed`). A failed
+/// `chunk` signatures ([`batch_verify_chunk`], seeded by `seed`). A failed
 /// equation's share is counted ([`BATCH_FALLBACK_COUNTER`]) and left
 /// unproved, like everything else, for the caller's in-order loop.
 pub(crate) fn prove_txs(
@@ -550,21 +426,18 @@ pub(crate) fn prove_txs(
     mut eligible: impl FnMut(&Hash256) -> bool,
     room: usize,
     seed: &[u8],
-    policy: BatchVerifyPolicy,
-    cache: Option<&SigCache>,
+    chunk: usize,
+    cache: &SigCache,
     telemetry: &TelemetrySink,
 ) -> Vec<bool> {
     let mut proved = vec![false; txs.len()];
-    if !policy.enabled {
-        return proved;
-    }
     let (mut in_batch, mut unseen, mut hits) = (HashSet::with_capacity(txs.len()), Vec::new(), 0);
     for (i, (id, tx)) in txs.iter().enumerate() {
         if hits + unseen.len() == room {
             break;
         } else if !in_batch.insert(*id) || !eligible(id) {
             continue;
-        } else if cache.is_some_and(|c| c.contains(id)) {
+        } else if cache.contains(id) {
             proved[i] = true;
             hits += 1;
         } else if tx.pubkey.address() == tx.from {
@@ -574,7 +447,7 @@ pub(crate) fn prove_txs(
     if hits > 0 {
         telemetry.add(crate::sigcache::HIT_COUNTER, hits as u64);
     }
-    for share in unseen.chunks(policy.chunk.max(1)) {
+    for share in unseen.chunks(chunk.max(1)) {
         let claims = share.iter().map(|&i| Claim::Tx(&txs[i].1, txs[i].0));
         if batch_verify_chunk(claims, seed, cache, telemetry) {
             share.iter().for_each(|&i| proved[i] = true);
@@ -603,7 +476,7 @@ pub(crate) fn prove_txs(
 pub(crate) fn batch_verify_chunk<'a>(
     claims: impl Iterator<Item = Claim<'a>>,
     seed: &[u8],
-    cache: Option<&SigCache>,
+    cache: &SigCache,
     telemetry: &TelemetrySink,
 ) -> bool {
     let mut items: Vec<BatchItem> = Vec::with_capacity(claims.size_hint().0);
@@ -612,7 +485,7 @@ pub(crate) fn batch_verify_chunk<'a>(
     for claim in claims {
         let (key, item) = match claim {
             Claim::Tx(tx, id) => {
-                if cache.is_some_and(|c| c.contains(&id)) {
+                if cache.contains(&id) {
                     hits += 1;
                     continue;
                 }
@@ -624,7 +497,7 @@ pub(crate) fn batch_verify_chunk<'a>(
             }
             Claim::Header(block, digest) => {
                 let memo = block.header_sig_memo(&digest);
-                if cache.is_some_and(|c| c.contains(&memo)) {
+                if cache.contains(&memo) {
                     continue;
                 }
                 if block.proposer_key.address() != block.header.proposer {
@@ -641,15 +514,11 @@ pub(crate) fn batch_verify_chunk<'a>(
         return false;
     }
     let txs = keys.len() as u64 - headers;
-    if cache.is_some() {
-        if hits > 0 {
-            telemetry.add(crate::sigcache::HIT_COUNTER, hits);
-        }
-        if txs > 0 {
-            telemetry.add(crate::sigcache::MISS_COUNTER, txs);
-        }
+    if hits > 0 {
+        telemetry.add(crate::sigcache::HIT_COUNTER, hits);
     }
     if txs > 0 {
+        telemetry.add(crate::sigcache::MISS_COUNTER, txs);
         telemetry.add(BATCH_TXS_COUNTER, txs);
     }
     if headers > 0 {
@@ -658,10 +527,8 @@ pub(crate) fn batch_verify_chunk<'a>(
     if !keys.is_empty() {
         telemetry.incr(BATCH_CHUNKS_COUNTER);
     }
-    if let Some(cache) = cache {
-        for key in keys {
-            cache.insert(key);
-        }
+    for key in keys {
+        cache.insert(key);
     }
     true
 }
@@ -712,39 +579,10 @@ impl Decodable for Block {
 mod tests {
     use super::*;
     use crate::transaction::Payload;
+    use tn_crypto::sha256::sha256;
 
     fn sample_block() -> (Keypair, Block) {
-        let proposer = Keypair::from_seed(b"proposer");
-        let alice = Keypair::from_seed(b"alice");
-        let txs = vec![
-            Transaction::signed(
-                &alice,
-                0,
-                1,
-                Payload::Blob {
-                    tag: 1,
-                    data: vec![1],
-                },
-            ),
-            Transaction::signed(
-                &alice,
-                1,
-                1,
-                Payload::Blob {
-                    tag: 1,
-                    data: vec![2],
-                },
-            ),
-        ];
-        let block = Block::build(
-            &proposer,
-            1,
-            tn_crypto::sha256::sha256(b"genesis"),
-            tn_crypto::sha256::sha256(b"state"),
-            1000,
-            txs,
-        );
-        (proposer, block)
+        (Keypair::from_seed(b"proposer"), block_with_txs(2))
     }
 
     #[test]
@@ -824,104 +662,127 @@ mod tests {
         assert!(block.prove_tx(99).is_none());
     }
 
-    /// The configurable verifier with batching off, so the pool's
-    /// per-transaction `try_check` path is the one under test.
-    fn verify_pooled(
-        block: &Block,
-        pool: &Pool,
-        cache: Option<&SigCache>,
-    ) -> Result<(), ChainError> {
-        block.verify_structure_policy(
-            pool,
-            cache,
-            &TelemetrySink::disabled(),
-            &TraceSink::disabled(),
-            0,
-            BatchVerifyPolicy::disabled(),
-        )
+    /// `count` blob transactions from three signers in rotation.
+    fn rotation(count: usize) -> Vec<Transaction> {
+        let keys: Vec<Keypair> = (0..3u8).map(|i| Keypair::from_seed(&[b'k', i])).collect();
+        (0..count)
+            .map(|i| {
+                let data = (i as u32).to_be_bytes().to_vec();
+                Transaction::signed(
+                    &keys[i % 3],
+                    (i / 3) as u64,
+                    1,
+                    Payload::Blob { tag: 1, data },
+                )
+            })
+            .collect()
     }
 
     fn block_with_txs(count: usize) -> Block {
-        let proposer = Keypair::from_seed(b"proposer");
-        let alice = Keypair::from_seed(b"alice");
-        let txs = (0..count)
-            .map(|i| {
-                Transaction::signed(
-                    &alice,
-                    i as u64,
-                    1,
-                    Payload::Blob {
-                        tag: 1,
-                        data: vec![i as u8],
-                    },
-                )
-            })
-            .collect();
+        let (proposer, parent) = (Keypair::from_seed(b"proposer"), sha256(b"genesis"));
         Block::build(
             &proposer,
             1,
-            tn_crypto::sha256::sha256(b"genesis"),
-            tn_crypto::sha256::sha256(b"state"),
+            parent,
+            sha256(b"state"),
             1000,
-            txs,
+            rotation(count),
         )
+    }
+
+    /// Re-roots and re-signs `block`, so only what was done to its
+    /// transactions is wrong with it.
+    fn reseal(block: &mut Block) {
+        block.header.tx_root = Block::compute_tx_root(&block.transactions);
+        block.signature = Keypair::from_seed(b"proposer").sign(&block.header.digest());
+    }
+
+    /// A deterministic stream of numbers below a bound.
+    fn numbers(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) as usize) % bound.max(1)
+        }
+    }
+
+    /// The import path's check of a run of one with equations of `chunk`
+    /// signatures: the signature pass, then, for a block it did not
+    /// prove, the per-block check.
+    fn check_one(
+        block: &Block,
+        workers: usize,
+        cache: &SigCache,
+        sink: &TelemetrySink,
+        chunk: usize,
+    ) -> Result<(), ChainError> {
+        let (pool, hashes) = (Pool::new(workers), block.hashes(&Pool::new(workers)));
+        if prove_run(&[(block, &hashes)], &pool, cache, sink, chunk)[0] {
+            return Ok(());
+        }
+        block.verify_hashed(&hashes, cache, sink, &TraceSink::disabled(), 0)
+    }
+
+    /// `chain.sigcache.{hit,miss}` and `chain.verify.batch.{txs,headers,
+    /// chunks,fallback}`, absent as 0.
+    fn counts(registry: &tn_telemetry::Registry) -> [u64; 6] {
+        let snap = registry.snapshot();
+        [
+            crate::sigcache::HIT_COUNTER,
+            crate::sigcache::MISS_COUNTER,
+            BATCH_TXS_COUNTER,
+            BATCH_HEADERS_COUNTER,
+            BATCH_CHUNKS_COUNTER,
+            BATCH_FALLBACK_COUNTER,
+        ]
+        .map(|name| snap.counter(name).unwrap_or(0))
     }
 
     #[test]
     fn parallel_verify_matches_sequential_on_valid_blocks() {
+        let sink = TelemetrySink::disabled();
         for count in [0usize, 1, 2, 7, 33] {
             let block = block_with_txs(count);
-            let seq = block.verify_structure();
-            for workers in [1usize, 2, 3, 4, 8] {
-                let par = verify_pooled(&block, &Pool::new(workers), None);
-                assert_eq!(par, seq, "count={count} workers={workers}");
+            let ids: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
+            for workers in 1..=8 {
+                let hashes = block.hashes(&Pool::new(workers));
+                assert_eq!(hashes.tx_ids, ids);
+                assert_eq!(hashes.tx_root, block.header.tx_root);
+                let got = check_one(&block, workers, &SigCache::new(64), &sink, BATCH_CHUNK);
+                assert_eq!(got, Ok(()), "count={count} workers={workers}");
             }
-            assert_eq!(
-                Block::ids_and_tx_root(&block.transactions, &Pool::new(4)).1,
-                Block::compute_tx_root(&block.transactions),
-            );
         }
     }
 
     #[test]
     fn parallel_verify_reports_lowest_index_error() {
-        // Corrupt 1..=k signatures at pseudo-random indices and check every
-        // worker count reports exactly the sequential first error.
-        let mut rng_state = 0x5eed_5eedu64;
-        let mut next = move |bound: usize| {
-            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((rng_state >> 33) as usize) % bound
-        };
+        // The reference's first error at every worker count, and in the
+        // cache exactly the transactions in front of it.
+        let mut next = numbers(0x5eed_5eed);
         for k in 1..=5usize {
             let mut block = block_with_txs(32);
-            let mut corrupted = Vec::new();
-            for c in 0..k {
-                let mut idx = next(block.transactions.len());
-                while corrupted.contains(&idx) {
-                    idx = next(block.transactions.len());
-                }
-                // Alternate corruption kinds so "which index errored first"
-                // is visible in the error value itself.
+            let corrupted: Vec<usize> = (0..k).map(|c| 6 * c + next(6)).collect();
+            for (c, &idx) in corrupted.iter().enumerate() {
+                // Alternate kinds so the first error names its index.
                 if c % 2 == 0 {
                     block.transactions[idx].fee ^= 1; // BadSignature
                 } else {
                     block.transactions[idx].from = Keypair::from_seed(b"eve").address();
-                    // AddressMismatch
                 }
-                corrupted.push(idx);
             }
+            reseal(&mut block);
             let first_bad = *corrupted.iter().min().expect("k >= 1");
-            let expected = block.transactions[first_bad].verify();
-            assert!(expected.is_err());
-            // Re-root and re-sign so only the tx signatures are invalid.
-            let proposer = Keypair::from_seed(b"proposer");
-            block.header.tx_root = Block::compute_tx_root(&block.transactions);
-            block.signature = proposer.sign(&block.header.digest());
             let seq = block.verify_structure();
-            assert_eq!(seq, expected, "sequential reports the lowest-index error");
+            assert!(seq.is_err());
+            assert_eq!(seq, block.transactions[first_bad].verify());
             for workers in [1usize, 2, 3, 4, 8] {
-                let par = verify_pooled(&block, &Pool::new(workers), None);
-                assert_eq!(par, seq, "k={k} workers={workers}");
+                let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
+                let got = check_one(&block, workers, &cache, &sink, BATCH_CHUNK);
+                assert_eq!(
+                    (got, cache.len()),
+                    (seq.clone(), first_bad),
+                    "{k} {workers}"
+                );
             }
         }
     }
@@ -929,45 +790,34 @@ mod tests {
     #[test]
     fn parallel_verify_with_cache_matches_and_hits() {
         let block = block_with_txs(16);
-        let cache = SigCache::new(64);
-        let pool = Pool::new(4);
-        assert_eq!(verify_pooled(&block, &pool, Some(&cache)), Ok(()));
-        assert_eq!(cache.len(), 16);
-        // Second pass is served entirely from the cache.
-        assert_eq!(verify_pooled(&block, &pool, Some(&cache)), Ok(()));
+        let (cache, registry) = (SigCache::new(64), tn_telemetry::Registry::new());
+        let hashes = block.hashes(&Pool::new(4));
+        for _ in 0..2 {
+            let trace = TraceSink::disabled();
+            let got = block.verify_hashed(&hashes, &cache, &registry.sink(), &trace, 0);
+            assert_eq!((got, cache.len()), (Ok(()), 16));
+        }
+        // The second pass is served entirely from the cache.
+        assert_eq!(counts(&registry), [16, 16, 0, 0, 0, 0]);
     }
 
     #[test]
     fn batch_policy_matches_sequential_verdicts() {
-        // Valid and corrupted blocks must produce identical results for
-        // every worker count × chunk size, batching on or off.
+        // Valid and corrupted blocks: the reference's verdict for every
+        // worker count × chunk size.
         for corrupt in [false, true] {
             for count in [0usize, 1, 5, 33] {
                 let mut block = block_with_txs(count);
                 if corrupt && count > 0 {
                     block.transactions[count / 2].fee ^= 1;
-                    let proposer = Keypair::from_seed(b"proposer");
-                    block.header.tx_root = Block::compute_tx_root(&block.transactions);
-                    block.signature = proposer.sign(&block.header.digest());
+                    reseal(&mut block);
                 }
                 let seq = block.verify_structure();
                 for workers in [1usize, 3, 8] {
-                    for chunk in [1usize, 4, 16, 512] {
-                        let got = block.verify_structure_policy(
-                            &Pool::new(workers),
-                            None,
-                            &TelemetrySink::disabled(),
-                            &tn_trace::TraceSink::disabled(),
-                            0,
-                            BatchVerifyPolicy {
-                                enabled: true,
-                                chunk,
-                            },
-                        );
-                        assert_eq!(
-                            got, seq,
-                            "corrupt={corrupt} count={count} workers={workers} chunk={chunk}"
-                        );
+                    for chunk in [1usize, 4, 16, BATCH_CHUNK] {
+                        let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
+                        let got = check_one(&block, workers, &cache, &sink, chunk);
+                        assert_eq!(got, seq, "{corrupt} {count} {workers} {chunk}");
                     }
                 }
             }
@@ -977,60 +827,245 @@ mod tests {
     #[test]
     fn batch_verify_populates_cache_and_counters() {
         let block = block_with_txs(16);
-        let cache = crate::sigcache::SigCache::new(64);
-        let registry = tn_telemetry::Registry::new();
-        let sink = registry.sink();
-        let pool = Pool::new(4);
-        let policy = BatchVerifyPolicy {
-            enabled: true,
-            chunk: 4,
-        };
-        let trace = tn_trace::TraceSink::disabled();
-        block
-            .verify_structure_policy(&pool, Some(&cache), &sink, &trace, 0, policy)
-            .expect("valid");
-        let snap = registry.snapshot();
-        // The proposer's signature leads the run: 17 signatures, 5 chunks.
-        assert_eq!(cache.len(), 17, "header and every tx cached");
-        assert_eq!(snap.counter(crate::sigcache::MISS_COUNTER), Some(16));
-        assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(16));
-        assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(1));
-        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(5));
-        assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), None);
-        assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), None);
-        // Second pass: everything served from the cache, no new misses —
-        // and, every chunk found whole in the cache, no equation counted.
-        block
-            .verify_structure_policy(&pool, Some(&cache), &sink, &trace, 0, policy)
-            .expect("valid");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter(crate::sigcache::MISS_COUNTER), Some(16));
-        assert_eq!(snap.counter(crate::sigcache::HIT_COUNTER), Some(16));
-        assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(16));
-        assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(1));
-        assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(5));
+        let (cache, registry) = (SigCache::new(64), tn_telemetry::Registry::new());
+        check_one(&block, 4, &cache, &registry.sink(), 4).expect("valid");
+        // The proposer's signature leads: 17 signatures, 5 chunks, cached.
+        assert_eq!(cache.len(), 17);
+        assert_eq!(counts(&registry), [0, 16, 16, 1, 5, 0]);
+        // Second pass: every chunk found whole in the cache, no equation.
+        check_one(&block, 4, &cache, &registry.sink(), 4).expect("valid");
+        assert_eq!(counts(&registry), [16, 16, 16, 1, 5, 0]);
     }
 
     #[test]
     fn failed_batch_falls_back_and_counts() {
         let mut block = block_with_txs(8);
         block.transactions[3].fee ^= 1;
-        let proposer = Keypair::from_seed(b"proposer");
-        block.header.tx_root = Block::compute_tx_root(&block.transactions);
-        block.signature = proposer.sign(&block.header.digest());
+        reseal(&mut block);
         let registry = tn_telemetry::Registry::new();
-        let sink = registry.sink();
-        let got = block.verify_structure_policy(
-            &Pool::new(2),
-            None,
-            &sink,
-            &tn_trace::TraceSink::disabled(),
-            0,
-            BatchVerifyPolicy::default(),
-        );
+        let got = check_one(&block, 2, &SigCache::new(64), &registry.sink(), BATCH_CHUNK);
         assert_eq!(got, block.verify_structure());
         assert!(got.is_err());
-        assert_eq!(registry.snapshot().counter(BATCH_FALLBACK_COUNTER), Some(1));
+        assert_eq!(counts(&registry)[5], 1);
+    }
+
+    /// Plants fault `kind` at `txs[at]`: a bad `s`, a flipped `r_x`, a
+    /// foreign key (the signer is not `from`), another transaction's
+    /// signature, or (4) the transaction before it again.
+    fn plant_tx_fault(txs: &mut [Transaction], at: usize, kind: usize) {
+        match kind {
+            0 => txs[at].signature.s[31] ^= 1,
+            1 => txs[at].signature.r_x[5] ^= 0x10,
+            2 => {
+                let (eve, tx) = (Keypair::from_seed(b"eve"), &txs[at]);
+                let digest = Transaction::signing_digest(&tx.from, tx.nonce, tx.fee, &tx.payload);
+                (txs[at].signature, txs[at].pubkey) = (eve.sign(&digest), *eve.public());
+            }
+            3 => txs[at].signature = txs[(at + 3) % txs.len()].signature,
+            _ => txs[at] = txs[at.saturating_sub(1)].clone(),
+        }
+    }
+
+    /// `prove_txs` against its definition: the candidates are, up to
+    /// `room`, each id's first copy that is `eligible`; a cached candidate
+    /// is a hit; the others whose key is their sender's are cut every
+    /// `chunk`, in order, and a share is proved — and cached — exactly
+    /// when each of its signatures passes the lone check.
+    fn assert_prove_txs(
+        txs: &[Transaction],
+        cached: usize,
+        eligible: fn(usize) -> bool,
+        room: usize,
+        chunk: usize,
+    ) {
+        let txs: Vec<(Hash256, Transaction)> = txs.iter().cloned().map(Into::into).collect();
+        let valid = |i: usize| txs[i].1.verify().is_ok();
+        let cache = SigCache::new(1 << 12);
+        let was: HashSet<Hash256> = (0..txs.len())
+            .filter(|&i| valid(i))
+            .take(cached)
+            .map(|i| txs[i].0)
+            .collect();
+        was.iter().for_each(|id| cache.insert(*id));
+        let (mut seen, mut hits, mut unseen) = (HashSet::new(), 0, Vec::new());
+        let mut expect = vec![false; txs.len()];
+        for (i, (id, tx)) in txs.iter().enumerate() {
+            if hits + unseen.len() == room {
+                break;
+            } else if !seen.insert(*id) || !eligible(i) {
+                continue;
+            } else if was.contains(id) {
+                (expect[i], hits) = (true, hits + 1);
+            } else if tx.pubkey.address() == tx.from {
+                unseen.push(i);
+            }
+        }
+        let mut counted = [hits as u64, 0, 0, 0, 0, 0];
+        let mut expect_cache = was;
+        for share in unseen.chunks(chunk) {
+            if share.iter().all(|&i| valid(i)) {
+                share.iter().for_each(|&i| expect[i] = true);
+                expect_cache.extend(share.iter().map(|&i| txs[i].0));
+                counted[1] += share.len() as u64;
+                counted[2] += share.len() as u64;
+                counted[4] += 1;
+            } else {
+                counted[5] += 1;
+            }
+        }
+        let (registry, ids) = (tn_telemetry::Registry::new(), txs.iter().map(|(id, _)| *id));
+        let ids: Vec<Hash256> = ids.collect();
+        let is_eligible = |id: &Hash256| ids.iter().position(|i| i == id).is_some_and(eligible);
+        let sink = registry.sink();
+        let got = prove_txs(&txs, is_eligible, room, b"t", chunk, &cache, &sink);
+        let case = format!("n={} cached={cached} room={room} chunk={chunk}", txs.len());
+        assert_eq!(got, expect, "{case}");
+        let cached_right = ids
+            .iter()
+            .all(|id| cache.contains(id) == expect_cache.contains(id));
+        assert!(cached_right, "{case}");
+        assert_eq!(counts(&registry), counted, "{case}");
+    }
+
+    #[test]
+    fn prove_txs_proves_exactly_the_held_shares_at_every_chunk() {
+        let (mut next, clean) = (numbers(0x7e57_c0de), rotation(129));
+        for case in 0..48 {
+            let count = next(41);
+            let mut txs = clean[..count].to_vec();
+            for _ in 0..next(4).min(count) {
+                plant_tx_fault(&mut txs, next(count), next(5));
+            }
+            let every_fifth_ineligible: fn(usize) -> bool = |i| i % 5 != 0;
+            let eligible = [every_fifth_ineligible, |_| true][usize::from(case % 4 != 0)];
+            let room = [next(count + 1), usize::MAX][usize::from(case % 3 != 0)];
+            for chunk in [1, 2, 3, 4, 7, 8, 16, 64, 128, BATCH_CHUNK] {
+                assert_prove_txs(&txs, next(count + 1), eligible, room, chunk);
+            }
+        }
+        // Both sides of a chunk boundary: clean, and each fault first,
+        // last and on the boundary itself.
+        for chunk in [64, 128] {
+            for count in [chunk - 1, chunk, chunk + 1] {
+                assert_prove_txs(&clean[..count], 0, |_| true, usize::MAX, chunk);
+                for (kind, at) in
+                    (0..5).flat_map(|k| [0, chunk - 1, chunk, count - 1].map(|at| (k, at)))
+                {
+                    let mut txs = clean[..count].to_vec();
+                    plant_tx_fault(&mut txs, at.min(count - 1), kind);
+                    assert_prove_txs(&txs, 0, |_| true, usize::MAX, chunk);
+                }
+            }
+        }
+    }
+
+    /// `prove_run` against its definition: a block whose transaction root
+    /// holds lays out its proposer's signature, then its transactions',
+    /// one run of claims cut every `chunk`; an equation over what the cache
+    /// lacks holds, and enters the cache, exactly when each of those claims
+    /// passes the lone check; a block is proved when it has claims and
+    /// every equation holding one held. Counters are checked on one worker,
+    /// where a later equation meets what an earlier one cached.
+    fn assert_prove_run(blocks: &[Block], chunk: usize) {
+        let mut claims: Vec<(bool, Hash256, bool)> = Vec::new(); // (header, key, valid)
+        let spans: Vec<_> = blocks
+            .iter()
+            .map(|b| {
+                let start = claims.len();
+                if Block::compute_tx_root(&b.transactions) == b.header.tx_root {
+                    let valid = b.proposer_key.address() == b.header.proposer
+                        && b.proposer_key.verify(&b.id(), &b.signature);
+                    claims.push((true, b.header_sig_memo(&b.id()), valid));
+                    let txs = b.transactions.iter();
+                    claims.extend(txs.map(|tx| (false, tx.id(), tx.verify().is_ok())));
+                }
+                start..claims.len()
+            })
+            .collect();
+        let (mut cached, mut held, mut counted) = (HashSet::new(), Vec::new(), [0u64; 6]);
+        for share in claims.chunks(chunk) {
+            let fresh: Vec<_> = share.iter().filter(|c| !cached.contains(&c.1)).collect();
+            held.push(fresh.iter().all(|c| c.2));
+            if !held[held.len() - 1] {
+                counted[5] += 1;
+                continue;
+            }
+            let headers = fresh.iter().filter(|c| c.0).count() as u64;
+            let txs = fresh.len() as u64 - headers;
+            counted[0] += share.iter().filter(|c| !c.0).count() as u64 - txs;
+            counted[1] += txs;
+            counted[2] += txs;
+            counted[3] += headers;
+            counted[4] += u64::from(!fresh.is_empty());
+            cached.extend(fresh.iter().map(|c| c.1));
+        }
+        let in_held = |s: &std::ops::Range<usize>| {
+            !held[s.start / chunk..s.end.div_ceil(chunk)].contains(&false)
+        };
+        let expect: Vec<bool> = spans.iter().map(|s| !s.is_empty() && in_held(s)).collect();
+        let hashes: Vec<BlockHashes> = blocks.iter().map(|b| b.hashes(&Pool::new(1))).collect();
+        let run: Vec<(&Block, &BlockHashes)> = blocks.iter().zip(&hashes).collect();
+        for workers in [1, 2, 3, 8] {
+            let (cache, registry) = (SigCache::new(1 << 12), tn_telemetry::Registry::new());
+            let got = prove_run(&run, &Pool::new(workers), &cache, &registry.sink(), chunk);
+            let case = format!("blocks={} chunk={chunk} workers={workers}", blocks.len());
+            assert_eq!(got, expect, "{case}");
+            assert_eq!(cache.len(), cached.len(), "{case}");
+            assert!(cached.iter().all(|key| cache.contains(key)), "{case}");
+            assert!(workers > 1 || counts(&registry) == counted, "{case}");
+        }
+    }
+
+    /// A run of blocks with `counts[i]` transactions each, and `faults`
+    /// planted as (block, kind, transaction): kinds 0–4 a transaction
+    /// fault, resealed; 5 a bad proposer signature; 6 a foreign proposer
+    /// key; 7 a transaction root that is off; 8 the block twice.
+    fn faulty_run(counts: &[usize], faults: &[(usize, usize, usize)]) -> Vec<Block> {
+        let (proposer, mut serial) = (Keypair::from_seed(b"proposer"), 0);
+        let mut blocks: Vec<Block> = counts
+            .iter()
+            .zip(1u64..)
+            .map(|(&n, h)| {
+                let txs = rotation(serial + n).split_off(serial);
+                serial += n;
+                let parent = sha256(&h.to_be_bytes());
+                Block::build(&proposer, h, parent, Hash256::ZERO, 1, txs)
+            })
+            .collect();
+        for &(b, kind, at) in faults {
+            let b = b % blocks.len();
+            let n = blocks[b].transactions.len();
+            match kind {
+                0..=4 if n > 0 => {
+                    plant_tx_fault(&mut blocks[b].transactions, at % n, kind);
+                    reseal(&mut blocks[b]);
+                }
+                0..=5 => blocks[b].signature.s[31] ^= 1,
+                6 => blocks[b].proposer_key = *Keypair::from_seed(b"eve").public(),
+                7 => blocks[b].header.tx_root = Hash256::ZERO,
+                _ => blocks.insert(b, blocks[b].clone()),
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn prove_run_proves_exactly_the_held_equations_at_every_chunk() {
+        let mut next = numbers(0x0dd_ba11);
+        for _ in 0..24 {
+            let counts: Vec<usize> = (0..1 + next(6)).map(|_| next(7)).collect();
+            let faults: Vec<_> = (0..next(3))
+                .map(|_| (next(counts.len()), next(9), next(8)))
+                .collect();
+            for chunk in [1, 2, 3, 4, 5, 7, 16, 64, BATCH_CHUNK] {
+                assert_prove_run(&faulty_run(&counts, &faults), chunk);
+            }
+        }
+        // Empty blocks and a block cut in two: 3, 1, 9, 1 and 2
+        // signatures in equations of at most 5, each fault on each block.
+        for fault in (0..5).flat_map(|b| (0..9).map(move |kind| (b, kind, 1))) {
+            assert_prove_run(&faulty_run(&[2, 0, 8, 0, 1], &[fault]), 5);
+        }
     }
 
     #[test]

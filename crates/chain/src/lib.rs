@@ -75,7 +75,7 @@ pub mod store;
 pub mod transaction;
 pub mod trie;
 
-pub use block::{BatchVerifyPolicy, Block, BlockHeader};
+pub use block::{Block, BlockHeader};
 pub use checkpoint::ChainCheckpoint;
 pub use error::ChainError;
 pub use mempool::Mempool;
@@ -88,7 +88,7 @@ pub use trie::{AccountProof, ProofError};
 
 /// Common imports for downstream crates.
 pub mod prelude {
-    pub use crate::block::{BatchVerifyPolicy, Block, BlockHeader};
+    pub use crate::block::{Block, BlockHeader};
     pub use crate::codec::{Decodable, Decoder, Encodable, Encoder};
     pub use crate::error::ChainError;
     pub use crate::mempool::Mempool;

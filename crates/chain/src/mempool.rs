@@ -5,11 +5,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use tn_crypto::{Address, Hash256};
-use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
-use crate::block::{prove_txs, BatchVerifyPolicy, Block};
+use crate::block::{prove_txs, Block, BATCH_CHUNK};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
 use crate::state::State;
@@ -32,10 +31,11 @@ pub struct Mempool {
     len: usize,
     telemetry: TelemetrySink,
     trace: TraceSink,
-    /// Optional verified-transaction cache. When set (usually to the
-    /// chain store's cache), admission-time verification is recorded so
-    /// proposal and import skip re-verifying the same signature.
-    sig_cache: Option<SigCache>,
+    /// Verified-transaction cache: a fresh one of the pool's own until
+    /// [`Mempool::set_sig_cache`] shares the chain store's, after which
+    /// admission-time verification spares proposal and import the same
+    /// signature.
+    sig_cache: SigCache,
 }
 
 impl Mempool {
@@ -48,7 +48,7 @@ impl Mempool {
             len: 0,
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
-            sig_cache: None,
+            sig_cache: SigCache::default(),
         }
     }
 
@@ -70,7 +70,7 @@ impl Mempool {
     /// at admission are recorded there, so block proposal and import see
     /// cache hits instead of repeating the EC verification.
     pub fn set_sig_cache(&mut self, cache: SigCache) {
-        self.sig_cache = Some(cache);
+        self.sig_cache = cache;
     }
 
     /// Number of pending transactions.
@@ -112,33 +112,28 @@ impl Mempool {
     /// not a repeat of an earlier transaction of the batch, sender address
     /// matching the key, and inside the remaining capacity. Cached ids are
     /// hits; the other signatures are folded into batched equations of
-    /// `policy.chunk` signatures, one after another on the caller's thread
-    /// (`_pool` is not used) — the pass block proposal runs too. Then the
-    /// per-transaction checks of [`Mempool::insert`] run in input order,
-    /// skipping the signature check of every transaction a hit or a held
-    /// equation settled. A failing equation decides nothing
+    /// [`BATCH_CHUNK`] signatures, one after another on the caller's
+    /// thread — the pass block proposal runs too. Then the per-transaction
+    /// checks of [`Mempool::insert`] run in input order, skipping the
+    /// signature check of every transaction a hit or a held equation
+    /// settled. A failing equation decides nothing
     /// (`chain.verify.batch.fallback` counts it): its share, like
-    /// everything the pre-pass set aside, is verified one by one.
-    ///
-    /// With `policy` disabled, or while a [`TraceSink`] is enabled (each
-    /// `tx.admission` span times its own transaction's check), this *is*
-    /// the plain loop.
+    /// everything the pre-pass set aside, is verified one by one. A
+    /// [`TraceSink`] changes none of this: each `tx.admission` span times
+    /// what is left of its transaction's admission.
     pub fn insert_batch(
         &mut self,
         txs: Vec<Transaction>,
         state: &State,
-        _pool: &Pool,
-        policy: BatchVerifyPolicy,
     ) -> Vec<Result<(), ChainError>> {
         let txs: Vec<(Hash256, Transaction)> = txs.into_iter().map(Into::into).collect();
         // Each candidate admitted grows the pool by at most one, and a
         // repeat can only be admitted when its first copy was not, so the
         // first `room` candidates all pass the capacity check on their turn.
         let room = self.capacity.saturating_sub(self.len);
-        let (cache, telemetry) = (self.sig_cache.as_ref(), &self.telemetry);
-        // While tracing nothing is a candidate: each span times its own check.
-        let eligible = |id: &Hash256| !self.trace.is_enabled() && !self.seen.contains(id);
-        let verified = prove_txs(&txs, eligible, room, b"TN/admit", policy, cache, telemetry);
+        let (cache, sink) = (&self.sig_cache, &self.telemetry);
+        let eligible = |id: &Hash256| !self.seen.contains(id);
+        let verified = prove_txs(&txs, eligible, room, b"TN/admit", BATCH_CHUNK, cache, sink);
         txs.into_iter()
             .zip(verified)
             .map(|((id, tx), verified)| self.admit(tx, id, state, verified))
@@ -196,10 +191,7 @@ impl Mempool {
             return Err(ChainError::MempoolFull);
         }
         if !verified {
-            match &self.sig_cache {
-                Some(cache) => cache.verify_identified(&tx, id, &self.telemetry)?,
-                None => tx.verify()?,
-            }
+            self.sig_cache.verify_identified(&tx, id, &self.telemetry)?;
         }
         let committed = state.nonce(&tx.from);
         if tx.nonce < committed {

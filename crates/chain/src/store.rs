@@ -89,7 +89,7 @@ use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, Tx
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
-use crate::block::{prove_run, prove_txs, BatchVerifyPolicy, Block, BlockHashes, BlockHeader};
+use crate::block::{prove_run, prove_txs, Block, BlockHashes, BlockHeader, BATCH_CHUNK};
 use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
@@ -243,8 +243,8 @@ enum Sigs {
     /// nothing about this one: it is checked again as a run of one.
     Shared,
     /// Nothing vouches for the block (an equation over it alone failed,
-    /// tracing or the policy rules equations out, or the store already
-    /// holds it): the per-block check decides.
+    /// its transaction root is off, or the store already holds it): the
+    /// per-block check decides.
     Unproved,
 }
 
@@ -252,26 +252,18 @@ enum Sigs {
 /// runs for [`ChainStore::check_run`]: a run is handed back as soon as the
 /// next block's signatures would no longer fit beside it in one equation,
 /// so the stream is never held decoded whole.
+#[derive(Default)]
 struct RunBuffer {
     blocks: Vec<Block>,
     signatures: usize,
-    limit: usize,
 }
 
 impl RunBuffer {
-    fn new(policy: BatchVerifyPolicy) -> RunBuffer {
-        RunBuffer {
-            blocks: Vec::new(),
-            signatures: 0,
-            limit: policy.chunk.max(1),
-        }
-    }
-
     /// Adds `block`; returns the run gathered before it when the two
     /// together would overflow one equation.
     fn push(&mut self, block: Block) -> Option<Vec<Block>> {
         let signatures = 1 + block.transactions.len();
-        let full = (!self.blocks.is_empty() && self.signatures + signatures > self.limit)
+        let full = (!self.blocks.is_empty() && self.signatures + signatures > BATCH_CHUNK)
             .then(|| self.take());
         self.signatures += signatures;
         self.blocks.push(block);
@@ -345,14 +337,13 @@ pub struct ChainStore {
     genesis: Hash256,
     telemetry: TelemetrySink,
     trace: TraceSink,
-    /// Worker pool used for block verification (tx hashing, Merkle
-    /// reduction, signature checks). Defaults to [`Pool::auto`].
+    /// Worker pool that hashes imported blocks (transaction ids, Merkle
+    /// reduction) and evaluates the equations of a block larger than one:
+    /// always [`Pool::auto`].
     pool: Pool,
     /// Verified-transaction cache shared with the mempool and proposer so
     /// each signature pays for at most one EC verification per process.
     sig_cache: SigCache,
-    /// Batched-Schnorr policy applied during block verification.
-    batch_policy: BatchVerifyPolicy,
 }
 
 impl fmt::Debug for ChainStore {
@@ -465,7 +456,6 @@ impl ChainStore {
             trace: TraceSink::disabled(),
             pool: Pool::auto(),
             sig_cache: SigCache::default(),
-            batch_policy: BatchVerifyPolicy::default(),
         })
     }
 
@@ -614,7 +604,6 @@ impl ChainStore {
             trace: TraceSink::disabled(),
             pool: Pool::auto(),
             sig_cache: SigCache::default(),
-            batch_policy: BatchVerifyPolicy::default(),
         };
         Ok((store, cp))
     }
@@ -671,7 +660,7 @@ impl ChainStore {
             }
             Ok(())
         };
-        let mut run = RunBuffer::new(self.batch_policy);
+        let mut run = RunBuffer::default();
         let mut torn = 0u64;
         for rec in records {
             if self.window.contains_key(&Hash256::from_bytes(rec.id)) {
@@ -703,21 +692,16 @@ impl ChainStore {
     }
 
     /// Routes the store's spans to `sink`: per-block `chain.import` with
-    /// `chain.verify` / `chain.execute` children and per-transaction
-    /// `tx.verify` and `tx.apply`.
+    /// `chain.execute` and, for a block no equation proved, `chain.verify`
+    /// children; per-transaction `tx.apply`, and `tx.verify` from the
+    /// per-block check. A sink changes what is recorded, never how a
+    /// signature is checked.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
 
-    /// Sets the worker pool used for block verification. `Pool::new(0)`
-    /// and [`Pool::auto`] both resolve to the machine's available
-    /// parallelism; [`Pool::sequential`] forces single-threaded
-    /// verification. Results are byte-identical for every worker count.
-    pub fn set_verify_pool(&mut self, pool: Pool) {
-        self.pool = pool;
-    }
-
-    /// The worker pool currently used for block verification.
+    /// The worker pool the store verifies on: [`Pool::auto`], the
+    /// machine's available parallelism, until `tn-par` is deleted.
     pub fn verify_pool(&self) -> Pool {
         self.pool
     }
@@ -734,19 +718,6 @@ impl ChainStore {
     /// admission-time verification pre-warms block import.
     pub fn sig_cache(&self) -> SigCache {
         self.sig_cache.clone()
-    }
-
-    /// Sets the batched-Schnorr policy used during block verification.
-    /// Accept/reject outcomes are identical for every policy (a failing
-    /// batch falls back to the per-transaction scan); the policy only
-    /// moves import cost.
-    pub fn set_batch_policy(&mut self, policy: BatchVerifyPolicy) {
-        self.batch_policy = policy;
-    }
-
-    /// The batched-Schnorr policy currently applied during verification.
-    pub fn batch_policy(&self) -> BatchVerifyPolicy {
-        self.batch_policy
     }
 
     /// The genesis block id.
@@ -982,12 +953,10 @@ impl ChainStore {
     /// order: hashes every block once (`Block::hashes`) and settles all
     /// the signatures the run carries that this process has not seen —
     /// proposers' and transactions' alike — in equations of at most
-    /// [`BatchVerifyPolicy::chunk`] signatures, as many whole blocks to an
-    /// equation as fit, before any block is executed ([`crate::block`]
-    /// states the rule). Blocks the
-    /// store already holds are left out: they are refused before any
-    /// check. With tracing on, or batching off, nothing is proved here and
-    /// every block gets the per-block check when it is imported.
+    /// [`BATCH_CHUNK`] signatures, as many whole blocks to an equation as
+    /// fit, before any block is executed ([`crate::block`] states the
+    /// rule). Blocks the store already holds are left out: they are
+    /// refused before any check.
     ///
     /// Changes nothing in the store but its sigcache, which only ever
     /// learns of signatures that verified. Hand each [`CheckedBlock`] to
@@ -1011,9 +980,6 @@ impl ChainStore {
 
     /// The signature pass of [`ChainStore::check_run`] over hashed blocks.
     fn prove(&self, checked: &mut [CheckedBlock<'_>]) {
-        if !self.batch_policy.enabled || self.trace.is_enabled() {
-            return;
-        }
         let _verify = self.telemetry.span("chain.verify_ns");
         let fresh: Vec<usize> = (0..checked.len())
             .filter(|&i| self.reject_known(&checked[i].hashes.id).is_ok())
@@ -1022,13 +988,12 @@ impl ChainStore {
         // out, every verify worker would build its equation's scratch in
         // an allocator arena of its own and the process would keep them
         // all; the pool still splits a single block larger than a chunk.
-        let limit = self.batch_policy.chunk.max(1);
         let mut rest = fresh.as_slice();
         while !rest.is_empty() {
             let mut signatures = 0;
             let fits = |&&i: &&usize| {
                 signatures += 1 + checked[i].block.transactions.len();
-                signatures <= limit
+                signatures <= BATCH_CHUNK
             };
             let (together, later) = rest.split_at(rest.iter().take_while(fits).count().max(1));
             let run: Vec<(&Block, &BlockHashes)> = together
@@ -1038,9 +1003,9 @@ impl ChainStore {
             let proved = prove_run(
                 &run,
                 &self.pool,
-                Some(&self.sig_cache),
+                &self.sig_cache,
                 &self.telemetry,
-                limit,
+                BATCH_CHUNK,
             );
             let unproved = if together.len() > 1 {
                 Sigs::Shared
@@ -1156,25 +1121,16 @@ impl ChainStore {
         if *sigs != Sigs::Proved {
             let _verify = self.telemetry.span("chain.verify_ns");
             let v0 = trace.now_ns();
-            let verify_span = replica_span_id(ids.trace, "chain.verify", trace.replica());
-            block.verify_hashed(
-                hashes,
-                &self.pool,
-                Some(&self.sig_cache),
-                &self.telemetry,
-                &trace,
-                verify_span,
-            )?;
+            let span = replica_span_id(ids.trace, "chain.verify", trace.replica());
+            block.verify_hashed(hashes, &self.sig_cache, &self.telemetry, &trace, span)?;
+            let txs = [("txs", block.transactions.len() as u64)];
             trace.complete(
                 ids.trace,
                 "chain.verify",
                 ids.import,
                 lanes::VERIFY,
                 v0,
-                &[
-                    ("txs", block.transactions.len() as u64),
-                    ("workers", self.pool.workers() as u64),
-                ],
+                &txs,
             );
         }
         let parent = self
@@ -1441,10 +1397,10 @@ impl ChainStore {
     /// head state — dropping, untouched, those the state refuses (nonce,
     /// balance) — and builds and signs the block over what is left. The
     /// signatures are settled as admission settles them ([`prove_txs`]);
-    /// only a failed equation's share, or everything with batching off, is
-    /// checked alone, in order. Each transaction is hashed at most once: a
-    /// bare one here, one paired with its id not at all; the id keys the
-    /// sigcache, names the receipt and is the leaf of the transaction root.
+    /// only a failed equation's share is checked alone, in order. Each
+    /// transaction is hashed at most once: a bare one here, one paired with
+    /// its id not at all; the id keys the sigcache, names the receipt and
+    /// is the leaf of the transaction root.
     /// With `trace` enabled each applied transaction records its `tx.apply`
     /// span.
     fn assemble(
@@ -1465,8 +1421,8 @@ impl ChainStore {
                 |_| true,
                 usize::MAX,
                 b"TN/propose",
-                self.batch_policy,
-                Some(cache),
+                BATCH_CHUNK,
+                cache,
                 telemetry,
             );
             let verified = |((id, tx), proved): &(_, bool)| {
@@ -1684,7 +1640,7 @@ impl ChainStore {
         }
         // Decoded a run at a time, never whole: the buffer holds at most
         // one equation's worth of signatures.
-        let mut run = RunBuffer::new(store.batch_policy);
+        let mut run = RunBuffer::default();
         for _ in 0..n {
             match Block::decode(&mut dec) {
                 Ok(block) => {

@@ -1,26 +1,33 @@
-//! Differential oracle for the proposer's signature pass: a store with
-//! batching on ([`BatchVerifyPolicy::default`] or a small chunk) against
-//! one with [`BatchVerifyPolicy::disabled`], whose proposer checks every
-//! transaction alone through the sigcache, in input order.
+//! Differential oracle for the proposer's signature pass: a store's
+//! [`ChainStore::propose`] and [`ChainStore::commit`] against a test-local
+//! reference proposer that verifies each transaction alone, in input
+//! order, through a cold cache, then applies every survivor to the head
+//! state in order and drops what the state refuses.
 //!
-//! Both stores get the same unseen transactions — valid ones from five
-//! senders with faults planted at random positions: a bad `s`, a flipped
-//! `r_x`, a foreign key (the signer is not `from`, so `AddressMismatch`),
-//! a signature over another message of the same sender, and a repeated
-//! transaction — through [`ChainStore::propose`] and
-//! [`ChainStore::commit`]. They must build byte-identical blocks, return
-//! the same receipts, reach the same post-state root and drop the same
-//! transactions. On the counters, each transaction meets the sigcache once
-//! per stage, as a hit or a miss and never both, and the two stores count
-//! the same hits and misses.
+//! The store gets unseen transactions — valid ones from five senders with
+//! faults planted at random positions: a bad `s`, a flipped `r_x`, a
+//! foreign key (the signer is not `from`, so `AddressMismatch`), a
+//! signature over another message of the same sender, and a repeated
+//! transaction. It must build the reference's block byte for byte, return
+//! its receipts, reach its post-state root and drop the same transactions.
+//! On the counters, each transaction meets the sigcache once per stage, as
+//! a hit or a miss and never both, and the store counts the reference's
+//! hits and misses. Inputs sit on both sides of one equation's worth of
+//! signatures ([`BATCH_CHUNK`]); the chunk boundaries below it are the
+//! `prove_txs` unit tests' in `block.rs`.
 //!
 //! To see it fail: in `block.rs`, let the shared pre-pass put a repeated
-//! transaction into the equation a second time (two misses where the loop
-//! counts a miss and a hit), or mark a whole failed chunk as verified.
+//! transaction into the equation a second time (two misses where the
+//! reference counts a miss and a hit), or mark a whole failed chunk as
+//! verified.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use tn_chain::block::{BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_TXS_COUNTER};
+use std::collections::HashSet;
+
+use tn_chain::block::{
+    BATCH_CHUNK, BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_TXS_COUNTER,
+};
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
 use tn_crypto::sha256::sha256;
@@ -118,11 +125,13 @@ fn transactions(count: usize, faults: &[(usize, Fault)]) -> Vec<Transaction> {
     txs
 }
 
-fn store(policy: BatchVerifyPolicy) -> (ChainStore, Registry) {
-    let genesis = State::genesis(senders().iter().map(|k| (k.address(), 1_000_000)));
-    let mut store = ChainStore::new(genesis, &proposer());
+fn genesis() -> State {
+    State::genesis(senders().iter().map(|k| (k.address(), 1_000_000)))
+}
+
+fn store() -> (ChainStore, Registry) {
+    let mut store = ChainStore::new(genesis(), &proposer());
     store.set_sig_cache(SigCache::new(1 << 12));
-    store.set_batch_policy(policy);
     let registry = Registry::new();
     store.set_telemetry(registry.sink());
     (store, registry)
@@ -158,9 +167,9 @@ fn dropped(txs: &[Transaction], block: &Block) -> Vec<usize> {
 }
 
 /// `txs` through [`ChainStore::propose`] (`commit = false`) or
-/// [`ChainStore::commit`] on a fresh store with `policy`.
-fn propose(policy: BatchVerifyPolicy, txs: &[Transaction], commit: bool) -> (Proposed, Snapshot) {
-    let (mut store, registry) = store(policy);
+/// [`ChainStore::commit`] on a fresh store.
+fn propose(txs: &[Transaction], commit: bool) -> (Proposed, Snapshot) {
+    let (mut store, registry) = store();
     let (block, receipts, state_root) = if commit {
         let (block, receipts) = store
             .commit(&proposer(), 1, txs.to_vec(), &mut NoExecutor)
@@ -183,24 +192,62 @@ fn propose(policy: BatchVerifyPolicy, txs: &[Transaction], commit: bool) -> (Pro
     (proposed, snap)
 }
 
-/// Holds the batched proposal of `txs` to the loop, through both entry
-/// points. Returns the batched store's counters from `commit`.
-fn check(txs: &[Transaction], chunk: usize) -> Result<Snapshot, TestCaseError> {
-    let batched = BatchVerifyPolicy {
-        enabled: true,
-        chunk,
-    };
+/// The reference proposer over `txs`: verify each alone, in order, through
+/// a cold cache (a repeat of one that verified is a hit, everything else a
+/// miss), then apply each survivor to the genesis state, in order,
+/// dropping what the state refuses; the block is built and signed over
+/// what is left.
+fn reference(txs: &[Transaction], commit: bool) -> Proposed {
+    let (mut verified, mut hits, mut misses) = (HashSet::new(), 0, 0);
+    let survivors = txs.iter().filter(|tx| {
+        let id = tx.id();
+        if verified.contains(&id) {
+            hits += 1;
+            return true;
+        }
+        misses += 1;
+        let valid = tx.verify().is_ok();
+        if valid {
+            verified.insert(id);
+        }
+        valid
+    });
+    let survivors: Vec<Transaction> = survivors.cloned().collect();
+    let mut state = genesis();
+    let mut receipts = Vec::new();
+    let kept: Vec<Transaction> = survivors
+        .into_iter()
+        .filter(|tx| {
+            let applied = state.apply(tx, &proposer().address(), &mut NoExecutor);
+            applied.map(|receipt| receipts.push(receipt)).is_ok()
+        })
+        .collect();
+    let genesis_id = ChainStore::new(genesis(), &proposer()).genesis_id();
+    let block = Block::build(&proposer(), 1, genesis_id, state.root(), 1, kept);
+    Proposed {
+        block: sha256(&block.to_bytes()),
+        receipts: commit.then_some(receipts),
+        state_root: commit.then(|| state.root()),
+        dropped: dropped(txs, &block),
+        hits,
+        misses,
+    }
+}
+
+/// Holds the store's proposal of `txs` to the reference, through both
+/// entry points. Returns the store's counters from `commit`.
+fn check(txs: &[Transaction]) -> Result<Snapshot, TestCaseError> {
     let mut last = None;
     for commit in [false, true] {
-        let (reference, _) = propose(BatchVerifyPolicy::disabled(), txs, commit);
-        let (got, snap) = propose(batched, txs, commit);
+        let (got, snap) = propose(txs, commit);
+        let reference = reference(txs, commit);
         prop_assert!(
             got == reference,
-            "chunk {chunk} commit {commit}: {got:?} against the loop's {reference:?}"
+            "commit {commit}: {got:?} against the reference's {reference:?}"
         );
         prop_assert!(
             got.hits + got.misses == txs.len() as u64,
-            "chunk {chunk} commit {commit}: not one sigcache lookup per transaction"
+            "commit {commit}: not one sigcache lookup per transaction"
         );
         last = Some(snap);
     }
@@ -218,30 +265,28 @@ fn must<T>(result: Result<T, TestCaseError>) -> T {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// 0…140 unseen transactions with up to four planted faults, in
-    /// equations of 1…512 signatures.
+    /// 0…140 unseen transactions with up to four planted faults.
     #[test]
     fn prop_batched_proposal_equals_the_loop(
         count in 0usize..=140,
         faults in proptest::collection::vec((any::<u16>(), 0usize..FAULTS.len()), 0..5),
-        chunk in 0usize..5,
     ) {
         let faults: Vec<(usize, Fault)> =
             faults.iter().map(|&(at, f)| (at as usize, FAULTS[f])).collect();
         let txs = transactions(count, &faults);
-        check(&txs, [1, 7, 64, 128, 512][chunk])?;
+        check(&txs)?;
     }
 }
 
 #[test]
 fn every_fault_on_both_sides_of_a_chunk_boundary() {
-    for chunk in [64, 128] {
-        for count in [chunk - 1, chunk, chunk + 1] {
-            for fault in FAULTS {
-                // First, last and on the boundary itself.
-                for at in [0, count - 1, chunk - 1, chunk.min(count - 1)] {
-                    must(check(&transactions(count, &[(at, fault)]), chunk));
-                }
+    let chunk = BATCH_CHUNK;
+    for count in [chunk - 1, chunk, chunk + 1] {
+        must(check(&transactions(count, &[])));
+        for fault in FAULTS {
+            // First, last and on the boundary itself.
+            for at in [0, chunk - 1, count - 1] {
+                must(check(&transactions(count, &[(at, fault)])));
             }
         }
     }
@@ -249,31 +294,32 @@ fn every_fault_on_both_sides_of_a_chunk_boundary() {
 
 #[test]
 fn a_clean_proposal_is_one_equation_per_chunk() {
-    let txs = transactions(140, &[]);
-    let snap = must(check(&txs, 64));
-    assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(3));
-    assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(140));
-    assert_eq!(snap.counter(MISS_COUNTER), Some(140));
+    let txs = transactions(BATCH_CHUNK + 1, &[]);
+    let snap = must(check(&txs));
+    let n = Some(BATCH_CHUNK as u64 + 1);
+    assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(2));
+    assert_eq!(snap.counter(BATCH_TXS_COUNTER), n);
+    assert_eq!(snap.counter(MISS_COUNTER), n);
     assert_eq!(snap.counter(HIT_COUNTER), None);
     assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), None);
 }
 
 #[test]
 fn a_failed_equation_sends_only_its_own_share_to_the_loop() {
-    // 130 transactions in chunks of 64: the bad one sits in the second.
-    let txs = transactions(130, &[(70, Fault::BadS)]);
-    let snap = must(check(&txs, 64));
-    assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(2));
-    assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(66));
+    // 520 transactions: the bad one sits in the second equation of 8.
+    let txs = transactions(BATCH_CHUNK + 8, &[(BATCH_CHUNK + 3, Fault::BadS)]);
+    let snap = must(check(&txs));
+    assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(1));
+    assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(BATCH_CHUNK as u64));
     assert_eq!(snap.counter(BATCH_FALLBACK_COUNTER), Some(1));
-    assert_eq!(snap.counter(MISS_COUNTER), Some(130));
+    assert_eq!(snap.counter(MISS_COUNTER), Some(BATCH_CHUNK as u64 + 8));
 }
 
 #[test]
 fn an_all_hit_proposal_builds_no_equation() {
     // Admission saw every transaction; the proposer looks each up once.
     let txs = transactions(40, &[]);
-    let (mut store, registry) = store(BatchVerifyPolicy::default());
+    let (mut store, registry) = store();
     let mut mempool = Mempool::new(100);
     mempool.set_sig_cache(store.sig_cache());
     for tx in &txs {

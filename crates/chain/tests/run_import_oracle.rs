@@ -11,6 +11,9 @@
 //! records nothing; one that held records exactly its own signatures).
 //! Both stores start cold and are compared on what they imported, the
 //! error they returned, their receipts, head, state root and sigcache.
+//! Runs sit on both sides of one equation's worth of signatures
+//! ([`BATCH_CHUNK`]); the chunk boundaries below it are the `prove_run`
+//! unit tests' in `block.rs`.
 //!
 //! To see it fail: make `prove_run` in `block.rs` report a block as proved
 //! when one of its chunks failed (`.all(|held| *held)` → `.any(..)`), or
@@ -20,7 +23,8 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tn_chain::block::{
-    BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_HEADERS_COUNTER, BATCH_TXS_COUNTER,
+    BATCH_CHUNK, BATCH_CHUNKS_COUNTER, BATCH_FALLBACK_COUNTER, BATCH_HEADERS_COUNTER,
+    BATCH_TXS_COUNTER,
 };
 use tn_chain::prelude::*;
 use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
@@ -232,21 +236,13 @@ fn import_as_run(store: &mut ChainStore, blocks: &[Block]) -> Took {
     took(store, receipts, verdict)
 }
 
-/// Two cold stores with the same policy; the first `warm` blocks'
-/// transactions are verified into both caches first, as admission would.
-fn stores(blocks: &[Block], chunk: usize, warm: usize) -> (ChainStore, ChainStore, Registry) {
+/// Two cold stores; the first `warm` blocks' transactions are verified
+/// into both caches first, as admission would.
+fn stores(blocks: &[Block], warm: usize) -> (ChainStore, ChainStore, Registry) {
     let registry = Registry::new();
     let make = || {
         let mut store = fresh_store();
         store.set_sig_cache(SigCache::new(1 << 12));
-        // One worker: with more, how far the per-transaction scan of a bad
-        // block gets past the bad transaction (and so what it caches) is
-        // a race, on either path.
-        store.set_verify_pool(tn_par::Pool::sequential());
-        store.set_batch_policy(BatchVerifyPolicy {
-            enabled: true,
-            chunk,
-        });
         for tx in blocks.iter().take(warm).flat_map(|b| &b.transactions) {
             let _ = store
                 .sig_cache()
@@ -263,10 +259,9 @@ fn stores(blocks: &[Block], chunk: usize, warm: usize) -> (ChainStore, ChainStor
 /// the run store and its counters for case-specific assertions.
 fn check(
     blocks: &[Block],
-    chunk: usize,
     warm: usize,
 ) -> Result<(ChainStore, tn_telemetry::Snapshot), TestCaseError> {
-    let (mut seq_store, mut run_store, registry) = stores(blocks, chunk, warm);
+    let (mut seq_store, mut run_store, registry) = stores(blocks, warm);
     let seq = import_one_by_one(&mut seq_store, blocks);
     let run = import_as_run(&mut run_store, blocks);
     // Verdict for verdict the sequential loop.
@@ -296,20 +291,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Chains of 1…40 blocks with 0…8 transactions each, one planted
-    /// fault (or none), equations of 1…512 signatures, a cache-warm
-    /// prefix of 0…3 blocks.
+    /// fault (or none), a cache-warm prefix of 0…3 blocks.
     #[test]
     fn prop_run_import_equals_the_sequential_loop(
         tx_counts in proptest::collection::vec(0usize..=8, 1..=40),
         fault in 0usize..FAULTS.len(),
         at in (any::<u16>(), any::<u16>(), any::<bool>()),
-        chunk in 0usize..5,
         warm in 0usize..4,
     ) {
         let mut blocks = chain(&tx_counts);
         let (k, j, sealed) = at;
         plant(&mut blocks, FAULTS[fault], k as usize, j as usize, sealed);
-        check(&blocks, [1, 3, 7, 64, 512][chunk], warm)?;
+        check(&blocks, warm)?;
     }
 }
 
@@ -324,7 +317,7 @@ fn must<T>(result: Result<T, TestCaseError>) -> T {
 #[test]
 fn a_valid_run_is_one_equation_and_no_lone_verification() {
     let blocks = chain(&[1; 20]);
-    let (store, snap) = must(check(&blocks, 512, 0));
+    let (store, snap) = must(check(&blocks, 0));
     assert_eq!(store.height(), 20);
     assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(1));
     assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(20));
@@ -337,20 +330,49 @@ fn a_valid_run_is_one_equation_and_no_lone_verification() {
 
 #[test]
 fn empty_blocks_and_chunk_boundaries() {
-    // 3, 1, 9, 1 and 2 signatures in equations of at most 5: blocks 0–1
-    // share one, block 2 alone is cut in two, blocks 3–4 share one.
-    let blocks = chain(&[2, 0, 8, 0, 1]);
-    let (store, snap) = must(check(&blocks, 5, 0));
+    // 256, 1, 513, 1 and 256 signatures in equations of at most 512:
+    // blocks 0–1 share one, block 2 alone is cut in two, blocks 3–4 share
+    // one.
+    let blocks = chain(&[255, 0, BATCH_CHUNK, 0, 255]);
+    let (store, snap) = must(check(&blocks, 0));
     assert_eq!(store.height(), 5);
     assert_eq!(snap.counter(BATCH_CHUNKS_COUNTER), Some(4));
     assert_eq!(snap.counter(BATCH_HEADERS_COUNTER), Some(5));
-    assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(11));
+    assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(1022));
+}
+
+#[test]
+fn every_fault_on_both_sides_of_one_equation() {
+    // Runs of 511, 512 and 513 signatures, as two blocks and as one: a
+    // run of 513 is two equations either way.
+    let half = BATCH_CHUNK / 2 - 1;
+    let shapes = [
+        vec![half - 1, half],
+        vec![half, half],
+        vec![half, half + 1],
+        vec![BATCH_CHUNK - 2],
+        vec![BATCH_CHUNK - 1],
+        vec![BATCH_CHUNK],
+    ];
+    for shape in shapes {
+        let clean = chain(&shape);
+        let (store, _) = must(check(&clean, 0));
+        assert_eq!(store.height(), shape.len() as u64);
+        for fault in FAULTS {
+            for (k, j) in [(0, 0), (shape.len() - 1, usize::MAX)] {
+                let mut blocks = clean.clone();
+                let j = j.min(shape[k].saturating_sub(1));
+                plant(&mut blocks, fault, k, j, true);
+                must(check(&blocks, 0));
+            }
+        }
+    }
 }
 
 #[test]
 fn an_admission_warmed_prefix_is_skipped_not_proved_again() {
     let blocks = chain(&[4, 4, 4, 4]);
-    let (_, snap) = must(check(&blocks, 512, 2));
+    let (_, snap) = must(check(&blocks, 2));
     assert_eq!(snap.counter(HIT_COUNTER), Some(8));
     assert_eq!(snap.counter(MISS_COUNTER), Some(8));
     assert_eq!(snap.counter(BATCH_TXS_COUNTER), Some(8));
@@ -362,25 +384,23 @@ fn every_fault_at_every_position_of_a_short_run() {
     for fault in FAULTS {
         for k in 0..4 {
             for sealed in [false, true] {
-                for chunk in [4, 512] {
-                    let mut blocks = chain(&[2, 3, 0, 2]);
-                    let planted = plant(&mut blocks, fault, k, 1, sealed);
-                    let (store, snap) = must(check(&blocks, chunk, 0));
-                    let expect_height = match planted {
-                        Fault::None => 4,
-                        Fault::Duplicate => k as u64 + 1,
-                        _ => k as u64,
-                    };
-                    assert_eq!(store.height(), expect_height, "{planted:?} at {k}");
-                    if !matches!(planted, Fault::None | Fault::Duplicate | Fault::StateRoot) {
-                        // Bad bytes under an equation, or a block left out
-                        // of them: the per-block check had the last word.
-                        assert!(
-                            snap.counter(BATCH_FALLBACK_COUNTER).is_some()
-                                || snap.counter(BATCH_HEADERS_COUNTER) < Some(4),
-                            "{planted:?} at {k}: no equation noticed"
-                        );
-                    }
+                let mut blocks = chain(&[2, 3, 0, 2]);
+                let planted = plant(&mut blocks, fault, k, 1, sealed);
+                let (store, snap) = must(check(&blocks, 0));
+                let expect_height = match planted {
+                    Fault::None => 4,
+                    Fault::Duplicate => k as u64 + 1,
+                    _ => k as u64,
+                };
+                assert_eq!(store.height(), expect_height, "{planted:?} at {k}");
+                if !matches!(planted, Fault::None | Fault::Duplicate | Fault::StateRoot) {
+                    // Bad bytes under an equation, or a block left out of
+                    // them: the per-block check had the last word.
+                    assert!(
+                        snap.counter(BATCH_FALLBACK_COUNTER).is_some()
+                            || snap.counter(BATCH_HEADERS_COUNTER) < Some(4),
+                        "{planted:?} at {k}: no equation noticed"
+                    );
                 }
             }
         }
@@ -391,7 +411,7 @@ fn every_fault_at_every_position_of_a_short_run() {
 fn a_wrong_state_root_stops_the_run_after_its_signatures_were_proved() {
     let mut blocks = chain(&[2, 2, 2, 2, 2]);
     plant(&mut blocks, Fault::StateRoot, 2, 0, false);
-    let (store, snap) = must(check(&blocks, 512, 0));
+    let (store, snap) = must(check(&blocks, 0));
     assert_eq!(store.height(), 2, "blocks 0 and 1 imported, 2 refused");
     // All fifteen signatures are good, so the equation held and recorded
     // them — blocks 3 and 4 included, though they were never imported.
@@ -407,7 +427,7 @@ fn swapped_signatures_fail_the_equation_and_leave_nothing_behind() {
     // digest: the equation binds every signature to its own message.
     let mut blocks = chain(&[1, 1, 1]);
     plant(&mut blocks, Fault::SwappedSigs, 1, 0, false);
-    let (store, snap) = must(check(&blocks, 512, 0));
+    let (store, snap) = must(check(&blocks, 0));
     assert_eq!(store.height(), 1);
     assert_eq!(
         snap.counter(BATCH_FALLBACK_COUNTER),

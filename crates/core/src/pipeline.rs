@@ -188,9 +188,8 @@ pub struct Bootstrap {
     pub pipeline: ExecutionPipeline,
 }
 
-/// What every bootstrap path shares: the well-known governance keys, the
-/// seed corpus derived from `config`, and the verification knobs wired
-/// into whatever pipeline `build` produces from them.
+/// What every bootstrap path shares: the well-known governance keys and
+/// the seed corpus derived from `config`, handed to `build`.
 fn bootstrap_with<R>(
     config: &PlatformConfig,
     build: impl FnOnce(
@@ -204,9 +203,7 @@ fn bootstrap_with<R>(
     let seed_corpus: Vec<FactRecord> = tn_factdb::corpus::generate_corpus(&config.factdb_seed)
         .into_iter()
         .collect();
-    let (mut pipeline, extra) = build(&governor, &validator, seed_corpus)?;
-    pipeline.set_verify_workers(config.verify_workers);
-    pipeline.set_verify_batch_chunk(config.verify_batch_chunk);
+    let (pipeline, extra) = build(&governor, &validator, seed_corpus)?;
     let bootstrap = Bootstrap {
         governor,
         validator,
@@ -412,38 +409,6 @@ impl ExecutionPipeline {
         self.store.set_trace(sink.clone());
         self.host.registry.set_trace(sink.clone());
         self.host.trace = sink;
-    }
-
-    /// Sizes the chain store's verification worker pool. `0` selects the
-    /// machine's available parallelism; any other value is the exact
-    /// worker count (1 = sequential). Verification results are
-    /// byte-identical for every worker count, so this is purely a
-    /// throughput knob.
-    pub fn set_verify_workers(&mut self, workers: usize) {
-        let pool = if workers == 0 {
-            tn_par::Pool::auto()
-        } else {
-            tn_par::Pool::new(workers)
-        };
-        self.store.set_verify_pool(pool);
-    }
-
-    /// Configures the batched-Schnorr chunk size for block verification.
-    /// `0` disables batching; any other value is the number of
-    /// transactions folded into one batch equation. Accept/reject
-    /// outcomes are identical for every setting (a failing batch falls
-    /// back to the per-transaction scan), so this is purely a
-    /// throughput knob.
-    pub fn set_verify_batch_chunk(&mut self, chunk: usize) {
-        let policy = if chunk == 0 {
-            tn_chain::BatchVerifyPolicy::disabled()
-        } else {
-            tn_chain::BatchVerifyPolicy {
-                enabled: true,
-                chunk,
-            }
-        };
-        self.store.set_batch_policy(policy);
     }
 
     /// Restores a pipeline from a [`ChainStore::snapshot`]: every block is

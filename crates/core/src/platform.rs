@@ -173,15 +173,6 @@ pub struct PlatformConfig {
     pub weights: PlatformRankWeights,
     /// Maximum transactions the mempool holds at once.
     pub mempool_capacity: usize,
-    /// Worker threads for block verification (signatures, tx-root
-    /// hashing). `0` means "use the machine's available parallelism".
-    /// Results are byte-identical for every worker count.
-    pub verify_workers: usize,
-    /// Transactions folded into one batched-Schnorr equation during block
-    /// verification; `0` disables batching (per-transaction
-    /// verification). Accept/reject outcomes are identical for every
-    /// value — this only moves import cost.
-    pub verify_batch_chunk: usize,
     /// Storage-engine configuration: backend selection (in-memory or
     /// on-disk), in-memory retention window, checkpoint cadence,
     /// segment/fsync sizing, and compaction.
@@ -205,8 +196,6 @@ impl Default for PlatformConfig {
             },
             weights: PlatformRankWeights::default(),
             mempool_capacity: 100_000,
-            verify_workers: 0,
-            verify_batch_chunk: tn_chain::BatchVerifyPolicy::DEFAULT_CHUNK,
             storage: StorageConfig::default(),
             gateway: GatewayConfig::default(),
         }

@@ -653,13 +653,9 @@ mod tests {
     /// `tx.apply` span per replica parented under the commit — with the
     /// parent ids recomputed from the deterministic-id scheme, never read
     /// from the spans themselves.
-    fn assert_tx_trace_shape(workers: usize, prefix: usize) -> Result<(), String> {
+    fn assert_tx_trace_shape(prefix: usize) -> Result<(), String> {
         let config = ClusterConfig {
             tracing: true,
-            platform: PlatformConfig {
-                verify_workers: workers,
-                ..PlatformConfig::default()
-            },
             ..ClusterConfig::default()
         };
         let txs = scripted_workload(&config.platform);
@@ -667,7 +663,7 @@ mod tests {
         // (dependencies always precede dependents).
         let prefix = prefix.clamp(10, txs.len());
         let run = run_pbft_cluster(&config, &txs[..prefix])
-            .map_err(|e| format!("traced cluster ({workers} workers) failed: {e}"))?;
+            .map_err(|e| format!("traced cluster failed: {e}"))?;
         assert!(run.is_consistent(), "replicas diverged");
         let trace = run.trace.as_ref().expect("tracing was enabled");
         let n = config.n_validators;
@@ -709,21 +705,12 @@ mod tests {
 
     proptest::proptest! {
         // Each case is a full 4-replica traced cluster run; keep the case
-        // count small. One property per verify-worker count so both the
-        // sequential path and the tn-par pool are always exercised — the
-        // trace shape must be identical either way.
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2))]
+        // count small.
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4))]
 
         #[test]
-        fn prop_tx_traces_well_formed_sequential_verify(prefix in 10usize..64) {
-            if let Err(e) = assert_tx_trace_shape(1, prefix) {
-                return Err(proptest::test_runner::TestCaseError::Fail(e));
-            }
-        }
-
-        #[test]
-        fn prop_tx_traces_well_formed_parallel_verify(prefix in 10usize..64) {
-            if let Err(e) = assert_tx_trace_shape(4, prefix) {
+        fn prop_tx_traces_well_formed(prefix in 10usize..64) {
+            if let Err(e) = assert_tx_trace_shape(prefix) {
                 return Err(proptest::test_runner::TestCaseError::Fail(e));
             }
         }

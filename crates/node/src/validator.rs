@@ -300,19 +300,13 @@ impl ValidatorNode {
     /// Rejections are per-transaction and never abort the batch, and every
     /// verdict is the one [`ValidatorNode::submit`] would give in the same
     /// position; the signatures are checked through
-    /// [`Mempool::insert_batch`]'s batched equations under the store's
-    /// batch policy. Counts `node.ingest.batches` and observes
-    /// `node.ingest.batch_size` on top of the usual per-transaction
-    /// mempool metrics.
+    /// [`Mempool::insert_batch`]'s batched equations. Counts
+    /// `node.ingest.batches` and observes `node.ingest.batch_size` on top
+    /// of the usual per-transaction mempool metrics.
     pub fn submit_batch(&mut self, txs: Vec<Transaction>) -> IngestOutcome {
         let size = txs.len() as u64;
-        let store = self.pipeline.store();
-        let verdicts = self.mempool.insert_batch(
-            txs,
-            store.head_state(),
-            &store.verify_pool(),
-            store.batch_policy(),
-        );
+        let state = self.pipeline.store().head_state();
+        let verdicts = self.mempool.insert_batch(txs, state);
         let accepted = verdicts.iter().filter(|v| v.is_ok()).count();
         let out = IngestOutcome {
             accepted,

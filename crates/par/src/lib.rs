@@ -90,15 +90,6 @@ impl Pool {
         self.workers
     }
 
-    /// The contiguous `[lo, hi)` chunk each worker would own for an
-    /// `n`-item work list — the pool's actual partitioning policy, public
-    /// so observability layers can attribute item `i` to worker
-    /// `bounds.iter().position(|(lo, hi)| (lo..hi).contains(&i))` without
-    /// replicating the split arithmetic.
-    pub fn chunk_bounds(&self, n: usize) -> Vec<(usize, usize)> {
-        self.chunk_ranges(n)
-    }
-
     /// Contiguous chunk boundaries splitting `n` items over the workers.
     fn chunk_ranges(&self, n: usize) -> Vec<(usize, usize)> {
         let parts = self.workers.min(n).max(1);
@@ -304,19 +295,6 @@ mod tests {
                 assert!(ranges.len() <= workers.max(1));
             }
         }
-    }
-
-    #[test]
-    fn chunk_bounds_matches_internal_partitioning() {
-        let pool = Pool::new(3);
-        assert_eq!(pool.chunk_bounds(10), pool.chunk_ranges(10));
-        // Every index maps to exactly one worker.
-        let bounds = pool.chunk_bounds(10);
-        for i in 0..10 {
-            let owners = bounds.iter().filter(|(lo, hi)| (*lo..*hi).contains(&i));
-            assert_eq!(owners.count(), 1, "index {i}");
-        }
-        assert!(pool.chunk_bounds(0).is_empty() || pool.chunk_bounds(0) == vec![(0, 0)]);
     }
 
     #[test]

@@ -55,10 +55,13 @@ echo "== cargo test --release -p tn-chain (state trie and run import without deb
 # tests must hold with debug_assert!s compiled out, as the benchmark and
 # every binary run the code. The same run holds tests/run_import_oracle.rs
 # — a run of blocks proved in shared equations against the block-by-block
-# loop, verdict for verdict — and tests/propose_batch_oracle.rs — a
-# proposal's unseen transactions proved together against the lone check
-# of each: same block bytes, receipts, state root, dropped set and
-# sigcache hit/miss counts — to the optimized build. tests/select_oracle.rs
+# import loop, verdict for verdict — and tests/propose_batch_oracle.rs — a
+# proposal's unseen transactions proved together against a test-local
+# proposer that verifies each alone, then applies: same block bytes,
+# receipts, state root, dropped set and sigcache hit/miss counts — to the
+# optimized build, on both sides of one 512-signature equation; the
+# prove_run / prove_txs unit tests sweep the smaller chunk sizes and the
+# worker counts there is no setting for. tests/select_oracle.rs
 # holds the mempool's heap selection to the per-pick walk over every
 # account that defined it, transaction for transaction and in order, each
 # with its own id: the block order is consensus-visible, so it must hold
@@ -96,9 +99,6 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --quick
 git diff --exit-code -- benchmark BENCHMARK.json
 
-echo "== exp17 smoke (parallel verification pipeline)"
-cargo run -q --release --offline -p tn-bench --bin exp17_parallel_verify -- --quick
-
 echo "== exp18 smoke (distributed tracing + Perfetto export)"
 # The bin itself validates the exported JSON (well-formed, non-empty,
 # spans from >= 3 replicas); double-check the artifact landed (--quick
@@ -126,11 +126,11 @@ echo "== exp21 smoke (open-loop gateway sweep)"
 cargo run -q --release --offline -p tn-bench --bin exp21_open_loop -- --quick
 
 echo "== exp22 smoke (batch Schnorr verification: cold import and mempool admission)"
-# The bin asserts batch==sequential verdicts, byte-identical replica
-# digests across batch configurations, the one-EC-verify-per-tx cache
-# contract, and that submit_batch through the batched equation admits,
-# rejects and counts exactly like the per-tx path (clean, half-cached
-# and poisoned batches); --quick runs small sizes and writes no artifacts.
+# The bin asserts that the import path's signature pass proves every
+# signature of a valid block, the one-EC-verify-per-tx cache contract,
+# and that submit_batch through the batched equation admits, rejects and
+# counts exactly like a submit loop (clean, half-cached and poisoned
+# batches); --quick runs small sizes and writes no artifacts.
 cargo run -q --release --offline -p tn-bench --bin exp22_batch_verify -- --quick
 
 echo "== exp23 smoke (health plane: fault detection + monitor overhead)"
