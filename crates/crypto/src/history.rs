@@ -9,21 +9,13 @@
 //! records were only ever added, never altered or removed.
 //!
 //! Tree shape follows RFC 6962: `MTH(D[n]) = H(MTH(D[0:k]), MTH(D[k:n]))`
-//! with `k` the largest power of two `< n`. Leaf and interior hashes use
-//! the same domain separation as [`crate::merkle`].
+//! with `k` the largest power of two `< n`. Leaf and interior hashes are
+//! [`crate::merkle`]'s, domain separation included.
 
 use serde::{Deserialize, Serialize};
 
 use crate::hash::Hash256;
-use crate::sha256::Sha256;
-
-fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(&[0x01]);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
-}
+use crate::merkle::node_hash;
 
 /// Largest power of two strictly less than `n` (n ≥ 2).
 fn split_point(n: usize) -> usize {

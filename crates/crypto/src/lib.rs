@@ -8,8 +8,9 @@
 //! propagation step is a signed, hash-linked transaction. This crate supplies
 //! the primitives that substrate needs without external crypto dependencies:
 //!
-//! - [`sha256`]: the SHA-256 compression function and streaming hasher,
-//!   validated against NIST test vectors.
+//! - [`sha256`]: SHA-256 and tagged hashes on one compression — the CPU's
+//!   SHA extensions where run-time detection finds them, the portable
+//!   FIPS 180-4 rounds elsewhere and as the tests' reference.
 //! - [`u256`]: fixed-width 256-bit unsigned integer arithmetic (with 512-bit
 //!   multiplication intermediates).
 //! - [`field`]: the dedicated base-field element `Fe` for
@@ -48,6 +49,11 @@
 //! reproduction is self-contained; a production deployment would swap in
 //! audited crates behind the same interfaces.
 //!
+//! Exactly one `unsafe` block exists: [`sha256`]'s call to its compression
+//! on the SHA extensions, a safe `#[target_feature(enable = "sha,sse4.1")]`
+//! fn that touches no memory but its arguments. It is sound because it is
+//! made only after `is_x86_feature_detected!` found both on the running CPU.
+//!
 //! # Example
 //!
 //! ```
@@ -60,7 +66,7 @@
 //! assert!(kp.public().verify(&msg, &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ec;

@@ -23,12 +23,26 @@ pub fn leaf_hash(data: &[u8]) -> Hash256 {
     h.finalize()
 }
 
-fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
+/// Domain-separated interior hash: `sha256(0x01 ‖ left ‖ right)`.
+pub(crate) fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     let mut h = Sha256::new();
     h.update(&[0x01]);
     h.update(left.as_bytes());
     h.update(right.as_bytes());
     h.finalize()
+}
+
+/// Node `i` of the level above `level`; an odd last node pairs with itself.
+fn parent(level: &[Hash256], i: usize) -> Hash256 {
+    let left = &level[2 * i];
+    node_hash(left, level.get(2 * i + 1).unwrap_or(left))
+}
+
+/// The level above `level`.
+fn parent_level(level: &[Hash256]) -> Vec<Hash256> {
+    (0..level.len().div_ceil(2))
+        .map(|i| parent(level, i))
+        .collect()
 }
 
 /// A full Merkle tree retaining all levels, supporting proof generation.
@@ -58,26 +72,10 @@ impl MerkleTree {
             return MerkleTree { levels: Vec::new() };
         }
         let mut levels = vec![leaves];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let left = &pair[0];
-                let right = pair.get(1).unwrap_or(left);
-                next.push(node_hash(left, right));
-            }
-            levels.push(next);
+        while let Some(top) = levels.last().filter(|level| level.len() > 1) {
+            levels.push(parent_level(top));
         }
         MerkleTree { levels }
-    }
-
-    /// Convenience constructor hashing raw items with [`leaf_hash`].
-    pub fn from_items<I, T>(items: I) -> MerkleTree
-    where
-        I: IntoIterator<Item = T>,
-        T: AsRef<[u8]>,
-    {
-        MerkleTree::from_leaves(items.into_iter().map(|d| leaf_hash(d.as_ref())).collect())
     }
 
     /// The root commitment ([`Hash256::ZERO`] for an empty tree).
@@ -171,13 +169,7 @@ pub fn merkle_root_of_leaves(mut level: Vec<Hash256>) -> Hash256 {
         return Hash256::ZERO;
     }
     while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            let left = &pair[0];
-            let right = pair.get(1).unwrap_or(left);
-            next.push(node_hash(left, right));
-        }
-        level = next;
+        level = parent_level(&level);
     }
     level[0]
 }
@@ -198,23 +190,11 @@ pub fn merkle_root_of_leaves_par(mut level: Vec<Hash256>, pool: &Pool) -> Hash25
         return Hash256::ZERO;
     }
     while level.len() > 1 {
-        let next_len = level.len().div_ceil(2);
-        if pool.workers() > 1 && level.len() >= PAR_LEVEL_THRESHOLD {
-            let level_ref = &level;
-            level = pool.map_index(next_len, |i| {
-                let left = &level_ref[2 * i];
-                let right = level_ref.get(2 * i + 1).unwrap_or(left);
-                node_hash(left, right)
-            });
+        level = if pool.workers() > 1 && level.len() >= PAR_LEVEL_THRESHOLD {
+            pool.map_index(level.len().div_ceil(2), |i| parent(&level, i))
         } else {
-            let mut next = Vec::with_capacity(next_len);
-            for pair in level.chunks(2) {
-                let left = &pair[0];
-                let right = pair.get(1).unwrap_or(left);
-                next.push(node_hash(left, right));
-            }
-            level = next;
-        }
+            parent_level(&level)
+        };
     }
     level[0]
 }
@@ -264,11 +244,6 @@ impl MerkleAccumulator {
     /// Current root over all appended leaves.
     pub fn root(&self) -> Hash256 {
         merkle_root_of_leaves(self.leaves.clone())
-    }
-
-    /// Builds a full tree (for proof generation) at the current state.
-    pub fn to_tree(&self) -> MerkleTree {
-        MerkleTree::from_leaves(self.leaves.clone())
     }
 }
 
@@ -342,7 +317,7 @@ mod tests {
     fn merkle_root_matches_tree() {
         let items: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 3]).collect();
         let via_fn = merkle_root(items.iter());
-        let via_tree = MerkleTree::from_items(items.iter()).root();
+        let via_tree = MerkleTree::from_leaves(items.iter().map(|d| leaf_hash(d)).collect()).root();
         assert_eq!(via_fn, via_tree);
     }
 
@@ -356,8 +331,6 @@ mod tests {
         concat.extend_from_slice(a.as_bytes());
         concat.extend_from_slice(b.as_bytes());
         assert_ne!(leaf_hash(&concat), node_hash(&a, &b));
-        // And the undomain-separated pair hash differs from the node hash.
-        assert_ne!(crate::sha256::sha256_pair(&a, &b), node_hash(&a, &b));
     }
 
     #[test]
@@ -372,8 +345,9 @@ mod tests {
             assert_eq!(acc.root(), MerkleTree::from_leaves(leaves.clone()).root());
         }
         assert_eq!(acc.len(), 10);
-        let tree = acc.to_tree();
-        let proof = tree.prove(7).expect("in range");
+        let proof = MerkleTree::from_leaves(leaves.clone())
+            .prove(7)
+            .expect("in range");
         assert!(proof.verify(&leaves[7], &acc.root()));
     }
 

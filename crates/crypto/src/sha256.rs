@@ -1,8 +1,10 @@
-//! SHA-256 implemented from the FIPS 180-4 specification.
+//! SHA-256 from the FIPS 180-4 specification: one-shot [`sha256`], the
+//! streaming [`Sha256`] and BIP340-style [`tagged_hash`].
 //!
-//! Provides both a one-shot [`sha256`] convenience function and a streaming
-//! [`Sha256`] hasher. Verified against the NIST short-message test vectors
-//! in the unit tests below.
+//! Every hash in the platform runs through one compression function: on
+//! the x86-64 SHA extensions (`sha256rnds2`, `sha256msg1`, `sha256msg2`) when
+//! run-time CPU detection finds them, else on the portable FIPS 180-4 rounds,
+//! the reference the tests hold the hardware kernel to.
 
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock};
@@ -73,8 +75,7 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(rest.len());
+            let take = (64 - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
@@ -84,15 +85,13 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        let (blocks, tail) = rest.as_chunks::<64>();
+        for block in blocks {
+            self.compress(block);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
@@ -118,7 +117,18 @@ impl Sha256 {
         Hash256::from_bytes(out)
     }
 
+    /// One compression of `block` into the state, on the SHA extensions where the CPU has them.
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(vars) = ni::rounds(self.state, block) {
+            return self.feed_forward(vars);
+        }
+        self.compress_portable(block);
+    }
+
+    /// The compression as FIPS 180-4 §6.2.2 writes it: the only kernel on
+    /// CPUs without the SHA extensions, and the reference for the one with.
+    fn compress_portable(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -152,14 +162,62 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        self.feed_forward([a, b, c, d, e, f, g, h]);
+    }
+
+    /// Adds the working variables after round 63 into the chaining value.
+    fn feed_forward(&mut self, vars: [u32; 8]) {
+        for (word, var) in self.state.iter_mut().zip(vars) {
+            *word = word.wrapping_add(var);
+        }
+    }
+}
+
+/// The 64 rounds on the x86-64 SHA extensions (`sha256rnds2`, `sha256msg1`,
+/// `sha256msg2`), selected at run time by CPU detection alone.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni {
+    use std::arch::x86_64::*;
+
+    /// The working variables after 64 rounds of `block` from `state`; `None` without the extensions.
+    pub(super) fn rounds(state: [u32; 8], block: &[u8; 64]) -> Option<[u32; 8]> {
+        let detected = is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1");
+        // SAFETY: `rounds_sha` needs only the `sha` and `sse4.1` features
+        // (it touches no memory but its arguments), both detected just above.
+        detected.then(|| unsafe { rounds_sha(state, block) })
+    }
+
+    #[target_feature(enable = "sha,sse4.1")]
+    fn rounds_sha(s: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
+        let word = |i: usize| i32::from_be_bytes(block.as_chunks().0[i]);
+        let quad = |w: [i32; 4]| _mm_set_epi32(w[3], w[2], w[1], w[0]);
+        // W[t..t+4] for t = 0, 4, 8, 12. Each group of four rounds derives the
+        // next four words of the schedule (the last four, words no round reads).
+        let [mut m0, mut m1, mut m2, mut m3] =
+            [0, 4, 8, 12].map(|t| quad([t, t + 1, t + 2, t + 3].map(word)));
+        // The instructions hold the state as (A, B, E, F), (C, D, G, H), A and C highest.
+        let s = s.map(|x| x as i32);
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for k in super::K.as_chunks::<4>().0 {
+            let wk = _mm_add_epi32(m0, quad(k.map(|x| x as i32)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            let sum = _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8(m3, m2, 4));
+            (m0, m1, m2, m3) = (m1, m2, m3, _mm_sha256msg2_epu32(sum, m3));
+        }
+        let lanes = |v: __m128i| {
+            [
+                _mm_extract_epi32(v, 3),
+                _mm_extract_epi32(v, 2),
+                _mm_extract_epi32(v, 1),
+                _mm_extract_epi32(v, 0),
+            ]
+            .map(|lane| lane as u32)
+        };
+        let ([a, b, e, f], [c, d, g, h]) = (lanes(abef), lanes(cdgh));
+        [a, b, c, d, e, f, g, h]
     }
 }
 
@@ -178,21 +236,6 @@ pub fn sha256(data: &[u8]) -> Hash256 {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
-}
-
-/// SHA-256 of the concatenation of two hashes — the Merkle-tree node
-/// combiner used throughout the platform.
-pub fn sha256_pair(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
-}
-
-/// Double SHA-256 (`sha256(sha256(data))`), the Bitcoin-style block-id hash
-/// used for block headers.
-pub fn sha256d(data: &[u8]) -> Hash256 {
-    sha256(sha256(data).as_bytes())
 }
 
 /// Tags whose midstate [`tagged_hasher`] keeps. The platform's tags are a
@@ -309,7 +352,7 @@ mod tests {
         // Message lengths 0..=130 cover every position of the 0x80 byte in
         // a block, both sides of the 55/56 boundary where the length field
         // moves to a block of its own, twice over. The reference pads by
-        // the letter of FIPS 180-4 §5.1.1 and calls nothing but `compress`.
+        // the letter of FIPS 180-4 §5.1.1 and calls only `compress_portable`.
         let mut all = Sha256::new();
         for len in 0..=130usize {
             let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
@@ -322,7 +365,7 @@ mod tests {
             padded.extend_from_slice(&(len as u64 * 8).to_be_bytes());
             let mut reference = Sha256::new();
             for block in padded.chunks_exact(64) {
-                reference.compress(block.try_into().expect("64 bytes"));
+                reference.compress_portable(block.try_into().expect("64 bytes"));
             }
             let words = reference.state.map(u32::to_be_bytes).concat();
             assert_eq!(digest.as_bytes()[..], words[..], "len {len}");
@@ -358,18 +401,5 @@ mod tests {
     fn tagged_hash_domain_separates() {
         assert_ne!(tagged_hash("a", b"msg"), tagged_hash("b", b"msg"));
         assert_ne!(tagged_hash("a", b"msg"), sha256(b"msg"));
-    }
-
-    #[test]
-    fn sha256d_differs_from_single() {
-        assert_ne!(sha256d(b"block"), sha256(b"block"));
-        assert_eq!(sha256d(b"block"), sha256(sha256(b"block").as_bytes()));
-    }
-
-    #[test]
-    fn pair_hash_is_order_sensitive() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_ne!(sha256_pair(&a, &b), sha256_pair(&b, &a));
     }
 }

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use tn_crypto::sha256::{sha256, tagged_hash, Sha256};
+use tn_crypto::sha256::{tagged_hash, tagged_hasher};
 use tn_crypto::{Address, Hash256};
 
 use crate::expert::ExpertTallies;
@@ -395,10 +395,7 @@ impl SupplyChainGraph {
         // Streamed into the hasher field by field: the graph is hashed
         // after every block, and a buffer of its whole encoding would be
         // the largest allocation of a read-heavy node.
-        let tag = sha256(b"TN/supplychain-graph");
-        let mut h = Sha256::new();
-        h.update(tag.as_bytes());
-        h.update(tag.as_bytes());
+        let mut h = tagged_hasher("TN/supplychain-graph");
         for item in self.iter() {
             h.update(item.id.as_bytes());
             h.update(item.author.as_hash().as_bytes());
