@@ -21,7 +21,6 @@ use tn_bench::Experiment;
 use tn_consensus::fault::FaultPlan;
 use tn_consensus::harness::{order_payloads_pbft_faulted, order_payloads_poa_faulted};
 use tn_consensus::pbft::PbftConfig;
-use tn_consensus::poa::PoaConfig;
 use tn_consensus::sim::NetworkConfig;
 use tn_node::network::{run_pbft_cluster, ClusterConfig};
 use tn_node::workload::scripted_workload;
@@ -57,10 +56,7 @@ fn measure(protocol: &'static str, n: usize, payloads: &[Vec<u8>]) -> LatencyRow
             let config = PbftConfig::default();
             order_payloads_pbft_faulted(n, payloads, 5, net, horizon, &config, &plan, &sinks, &[])
         }
-        _ => {
-            let config = PoaConfig::default();
-            order_payloads_poa_faulted(n, payloads, 5, net, horizon, &config, &plan, &sinks, &[])
-        }
+        _ => order_payloads_poa_faulted(n, payloads, 5, net, horizon, &plan, &sinks, &[]),
     }
     .expect("default network and empty plan are valid");
     let snap = registries[0].snapshot();

@@ -209,10 +209,7 @@ fn run_cell(cell: &FaultScenario) -> DetectionRow {
             .pbft
             .clone()
             .expect("every E19 scenario has a PBFT plan"),
-        monitor: Some(MonitorConfig {
-            extra_rules,
-            ..MonitorConfig::default()
-        }),
+        monitor: Some(MonitorConfig { extra_rules }),
         ..ClusterConfig::default()
     };
     let txs = scripted_workload(&config.platform);

@@ -140,11 +140,6 @@ impl SigCache {
         self.lru().capacity
     }
 
-    /// True when the two handles share one underlying cache.
-    pub fn shares_with(&self, other: &SigCache) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Cache-aware [`Transaction::verify`]: a hit skips the EC
     /// verification entirely; a miss verifies and, on success, caches.
     /// Bumps [`HIT_COUNTER`] / [`MISS_COUNTER`] on `telemetry`.
@@ -241,10 +236,8 @@ mod tests {
     fn clones_share_state() {
         let cache = SigCache::new(8);
         let clone = cache.clone();
-        assert!(cache.shares_with(&clone));
         clone.insert(tx(0).id());
         assert!(cache.contains(&tx(0).id()));
-        assert!(!cache.shares_with(&SigCache::new(8)));
     }
 
     #[test]

@@ -325,8 +325,6 @@ pub struct ChainStore {
     retention: u64,
     /// Periodic checkpoint spacing (0 = only explicit checkpoints).
     checkpoint_interval: u64,
-    /// Run backend compaction after each checkpoint.
-    auto_compact: bool,
     /// Height of the most recent checkpoint written (or restored).
     last_checkpoint: u64,
     /// True while `replay_tail` re-imports records the backend already
@@ -447,7 +445,6 @@ impl ChainStore {
             backend,
             retention: config.retention.max(1),
             checkpoint_interval: config.checkpoint_interval,
-            auto_compact: config.compact,
             last_checkpoint: 0,
             replaying: false,
             head: id,
@@ -595,7 +592,6 @@ impl ChainStore {
             backend,
             retention: config.retention.max(1),
             checkpoint_interval: config.checkpoint_interval,
-            auto_compact: config.compact,
             last_checkpoint: cp.height,
             replaying: false,
             head,
@@ -1300,9 +1296,7 @@ impl ChainStore {
     /// whatever the executor derives: contract storage, projections).
     /// The WAL is
     /// flushed first so the checkpointed block is durable before the
-    /// checkpoint that references it. Runs backend compaction afterwards
-    /// when the store was configured with `compact`. Returns the
-    /// checkpoint height.
+    /// checkpoint that references it. Returns the checkpoint height.
     ///
     /// # Errors
     ///
@@ -1325,9 +1319,6 @@ impl ChainStore {
             .put_checkpoint(height, head_id.as_bytes(), &cp.to_bytes())?;
         self.last_checkpoint = height;
         self.telemetry.incr("chain.checkpoints");
-        if self.auto_compact {
-            self.backend.compact()?;
-        }
         Ok(height)
     }
 

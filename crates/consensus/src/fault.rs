@@ -43,8 +43,7 @@ pub struct PartitionFault {
 pub struct DropWindow {
     /// Window start tick (inclusive).
     pub from: u64,
-    /// Window end tick (exclusive); the base drop probability is restored
-    /// here.
+    /// Window end tick (exclusive).
     pub until: u64,
     /// Drop probability inside the window, in `[0, 1]`.
     pub drop_prob: f64,
@@ -189,13 +188,6 @@ impl FaultPlan {
             .any(|c| c.replica == id && c.at <= t && c.restart_at.map(|r| r > t).unwrap_or(true))
     }
 
-    /// True when the plan crashes `id` and never restarts it.
-    pub fn stays_down(&self, id: NodeId) -> bool {
-        self.crashes
-            .iter()
-            .any(|c| c.replica == id && c.restart_at.is_none())
-    }
-
     /// Installs the plan's scheduled actions (crashes, restarts,
     /// partitions, heals, drop windows) on `sim` as deterministic control
     /// events. Byzantine modes and corrupt payloads are not handled here:
@@ -228,6 +220,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Context, NetworkConfig, Node};
 
     #[test]
     fn default_plan_is_empty_and_valid() {
@@ -329,7 +322,74 @@ mod tests {
         };
         assert_eq!(plan.crashed_replicas(), vec![1, 3]);
         assert_eq!(plan.revived_replicas(), vec![(3, 500)]);
-        assert!(plan.stays_down(1));
-        assert!(!plan.stays_down(3));
+    }
+
+    /// Sends the other node a message every 10 ticks; records the tick of
+    /// every delivery.
+    struct Ticker {
+        delivered_at: Vec<u64>,
+    }
+
+    impl Node<()> for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+            ctx.set_timer(10, 0);
+        }
+        fn on_message(&mut self, _: NodeId, _: (), ctx: &mut Context<'_, ()>) {
+            self.delivered_at.push(ctx.now());
+        }
+        fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, ()>) {
+            ctx.send(1 - ctx.me(), ());
+            ctx.set_timer(10, 0);
+        }
+    }
+
+    /// Runs two tickers to tick 1 000 under `windows` (all at loss 1.0)
+    /// and returns the delivery ticks.
+    fn deliveries_under(windows: &[(u64, u64)]) -> Vec<u64> {
+        let plan = FaultPlan {
+            drop_windows: windows
+                .iter()
+                .map(|&(from, until)| DropWindow {
+                    from,
+                    until,
+                    drop_prob: 1.0,
+                })
+                .collect(),
+            ..FaultPlan::default()
+        };
+        assert!(plan.validate(2).is_ok());
+        let nodes = (0..2)
+            .map(|_| Ticker {
+                delivered_at: Vec::new(),
+            })
+            .collect();
+        let mut sim = Simulator::new(nodes, NetworkConfig::default());
+        plan.schedule_on(&mut sim);
+        sim.run_until(1_000);
+        sim.nodes()
+            .flat_map(|n| n.delivered_at.iter().copied())
+            .collect()
+    }
+
+    /// Deliveries in `[from, until)`. A message sent just before a window
+    /// opens lands at most 15 ticks in.
+    fn delivered_within(at: &[u64], from: u64, until: u64) -> usize {
+        at.iter().filter(|t| (from..until).contains(*t)).count()
+    }
+
+    #[test]
+    fn inner_drop_window_ending_leaves_the_outer_window_open() {
+        let at = deliveries_under(&[(100, 600), (200, 300)]);
+        assert_eq!(delivered_within(&at, 120, 600), 0);
+        assert!(delivered_within(&at, 0, 100) > 0);
+        assert!(delivered_within(&at, 600, 1_000) > 0);
+    }
+
+    #[test]
+    fn adjacent_drop_windows_listed_late_first_both_hold() {
+        let at = deliveries_under(&[(300, 600), (100, 300)]);
+        assert_eq!(delivered_within(&at, 120, 600), 0);
+        assert!(delivered_within(&at, 600, 1_000) > 0);
+        assert_eq!(at, deliveries_under(&[(100, 300), (300, 600)]));
     }
 }

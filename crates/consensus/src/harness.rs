@@ -9,7 +9,7 @@ use tn_trace::TraceSink;
 
 use crate::fault::{CrashFault, FaultPlan};
 use crate::pbft::{ByzMode, CommittedEntry, PbftConfig, PbftMsg, PbftReplica, Request};
-use crate::poa::{PoaConfig, PoaMsg, PoaValidator};
+use crate::poa::{PoaMsg, PoaValidator};
 use crate::sim::{NetworkConfig, Node, NodeId, Simulator};
 
 /// Aggregate statistics from a consensus run.
@@ -174,11 +174,11 @@ impl Protocol for PbftReplica {
 
 impl Protocol for PoaValidator {
     type Msg = PoaMsg;
-    type Config = PoaConfig;
+    type Config = ();
     const LABEL: &'static str = "poa";
 
-    fn replica(id: NodeId, n: usize, config: &PoaConfig, plan: &FaultPlan) -> Self {
-        PoaValidator::new(id, n, config.clone(), plan.poa_mode_of(id))
+    fn replica(id: NodeId, n: usize, _config: &(), plan: &FaultPlan) -> Self {
+        PoaValidator::new(id, n, plan.poa_mode_of(id))
     }
 
     fn attach(&mut self, telemetry: TelemetrySink, trace: TraceSink) {
@@ -224,7 +224,6 @@ fn simulate<P: Protocol + Node<P::Msg>>(
     sinks: &[TelemetrySink],
     traces: &[TraceSink],
 ) -> Result<Simulator<P::Msg, P>, String> {
-    net.validate()?;
     plan.validate(n)?;
     let nodes: Vec<P> = (0..n)
         .map(|id| {
@@ -324,7 +323,7 @@ fn run_stats<P: Protocol + Node<P::Msg>>(
         &[],
         &[],
     )
-    .expect("valid network model and crash set");
+    .expect("valid crash set");
     let reference = (0..n)
         .find(|id| !crashed.contains(id))
         .expect("a live node");
@@ -408,15 +407,7 @@ pub fn run_poa(
             .collect(),
         ..FaultPlan::default()
     };
-    run_stats::<PoaValidator>(
-        n,
-        crashed,
-        workload,
-        net,
-        max_time,
-        &PoaConfig::default(),
-        &plan,
-    )
+    run_stats::<PoaValidator>(n, crashed, workload, net, max_time, &(), &plan)
 }
 
 /// Orders opaque payloads through a PBFT cluster of `n` replicas:
@@ -431,8 +422,8 @@ pub fn run_poa(
 ///
 /// # Errors
 ///
-/// When `net` or `plan` fails validation (bad drop probabilities, replica
-/// ids out of range, inverted fault windows).
+/// When `plan` fails validation (bad drop probabilities, replica ids out
+/// of range, inverted fault windows).
 #[allow(clippy::too_many_arguments)]
 pub fn order_payloads_pbft_faulted(
     n: usize,
@@ -466,7 +457,7 @@ pub fn order_payloads_pbft_faulted(
 ///
 /// # Errors
 ///
-/// When `net` or `plan` fails validation.
+/// When `plan` fails validation.
 #[allow(clippy::too_many_arguments)]
 pub fn order_payloads_poa_faulted(
     n: usize,
@@ -474,7 +465,6 @@ pub fn order_payloads_poa_faulted(
     interarrival: u64,
     net: NetworkConfig,
     max_time: u64,
-    config: &PoaConfig,
     plan: &FaultPlan,
     sinks: &[TelemetrySink],
     traces: &[TraceSink],
@@ -485,7 +475,7 @@ pub fn order_payloads_poa_faulted(
         interarrival,
         net,
         max_time,
-        config,
+        &(),
         plan,
         sinks,
         traces,
@@ -511,8 +501,8 @@ mod tests {
 
     /// A 4-validator PoA run on the default network.
     fn poa(payloads: &[Vec<u8>], plan: &FaultPlan, traces: &[TraceSink]) -> OrderingRun {
-        let (net, config) = (NetworkConfig::default(), PoaConfig::default());
-        order_payloads_poa_faulted(4, payloads, 5, net, 500_000, &config, plan, &[], traces)
+        let net = NetworkConfig::default();
+        order_payloads_poa_faulted(4, payloads, 5, net, 500_000, plan, &[], traces)
             .expect("valid inputs")
     }
 
@@ -660,18 +650,22 @@ mod tests {
 
     #[test]
     fn faulted_run_rejects_invalid_inputs() {
-        let bad_net = NetworkConfig {
-            drop_prob: 2.0,
-            ..NetworkConfig::default()
+        let bad_window = FaultPlan {
+            drop_windows: vec![crate::fault::DropWindow {
+                from: 0,
+                until: 100,
+                drop_prob: 2.0,
+            }],
+            ..FaultPlan::default()
         };
         assert!(order_payloads_pbft_faulted(
             4,
             &[],
             5,
-            bad_net,
+            NetworkConfig::default(),
             1_000,
             &PbftConfig::default(),
-            &FaultPlan::default(),
+            &bad_window,
             &[],
             &[],
         )
@@ -687,7 +681,6 @@ mod tests {
             5,
             NetworkConfig::default(),
             1_000,
-            &PoaConfig::default(),
             &bad_plan,
             &[],
             &[],

@@ -49,5 +49,5 @@ pub use harness::{
     OrderingRun, RunStats, Workload,
 };
 pub use pbft::{ByzMode, CommittedEntry, PbftConfig, PbftMsg, PbftReplica, Request};
-pub use poa::{PoaConfig, PoaMode, PoaMsg, PoaValidator};
+pub use poa::{PoaMode, PoaMsg, PoaValidator};
 pub use sim::{Context, NetworkConfig, Node, NodeId, Simulator};

@@ -178,15 +178,17 @@ const TIMER_BATCH: u64 = 1;
 /// View timers encode the view they guard: `TIMER_VIEW_BASE + view`.
 const TIMER_VIEW_BASE: u64 = 1000;
 
+/// Primary batching delay (ticks) before proposing a partial batch.
+const BATCH_DELAY: u64 = 20;
+/// How long (ticks) a backup waits for progress before voting to change
+/// view; a view change itself gets twice as long.
+const VIEW_TIMEOUT: u64 = 600;
+
 /// Protocol tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PbftConfig {
     /// Maximum requests per batch.
     pub max_batch: usize,
-    /// Primary batching delay before proposing a partial batch.
-    pub batch_delay: u64,
-    /// How long a backup waits for progress before voting to change view.
-    pub view_timeout: u64,
     /// Emit a checkpoint every this many executed sequences; log entries
     /// at or below a stable (2f+1-agreed) checkpoint are pruned.
     pub checkpoint_interval: u64,
@@ -196,8 +198,6 @@ impl Default for PbftConfig {
     fn default() -> Self {
         PbftConfig {
             max_batch: 64,
-            batch_delay: 20,
-            view_timeout: 600,
             checkpoint_interval: 64,
         }
     }
@@ -310,13 +310,6 @@ impl PbftReplica {
         self.stable_checkpoint
     }
 
-    /// Running chained digest of the execution history. Two honest
-    /// replicas that executed the same batch sequence report the same
-    /// value, making it the cheap consensus-level agreement probe.
-    pub fn exec_digest(&self) -> Hash256 {
-        self.exec_digest
-    }
-
     /// Number of live (unpruned) log entries — bounded by checkpointing
     /// under sustained load.
     pub fn log_len(&self) -> usize {
@@ -342,11 +335,11 @@ impl PbftReplica {
             if self.pending.len() >= self.config.max_batch {
                 self.propose(ctx);
             } else {
-                ctx.set_timer(self.config.batch_delay, TIMER_BATCH);
+                ctx.set_timer(BATCH_DELAY, TIMER_BATCH);
             }
         } else {
             // Guard liveness: expect the primary to commit it.
-            ctx.set_timer(self.config.view_timeout, TIMER_VIEW_BASE + self.view);
+            ctx.set_timer(VIEW_TIMEOUT, TIMER_VIEW_BASE + self.view);
         }
     }
 
@@ -755,7 +748,7 @@ impl PbftReplica {
             false,
         );
         // Re-arm in case the new primary is also faulty.
-        ctx.set_timer(self.config.view_timeout * 2, TIMER_VIEW_BASE + target);
+        ctx.set_timer(VIEW_TIMEOUT * 2, TIMER_VIEW_BASE + target);
         self.maybe_new_view(target, ctx);
     }
 
@@ -871,10 +864,10 @@ impl PbftReplica {
                 // announcement (sent right after install) reaches backups
                 // before the PrePrepare; otherwise they would drop it as
                 // a future-view message and stall the view again.
-                ctx.set_timer(self.config.batch_delay, TIMER_BATCH);
+                ctx.set_timer(BATCH_DELAY, TIMER_BATCH);
             }
         } else if !self.pending.is_empty() {
-            ctx.set_timer(self.config.view_timeout, TIMER_VIEW_BASE + view);
+            ctx.set_timer(VIEW_TIMEOUT, TIMER_VIEW_BASE + view);
         }
     }
 }
@@ -892,9 +885,9 @@ impl Node<PbftMsg> for PbftReplica {
         // timer otherwise so a stalled primary is still detected.
         if !self.pending.is_empty() {
             if self.is_primary() {
-                ctx.set_timer(self.config.batch_delay, TIMER_BATCH);
+                ctx.set_timer(BATCH_DELAY, TIMER_BATCH);
             } else {
-                ctx.set_timer(self.config.view_timeout, TIMER_VIEW_BASE + self.view);
+                ctx.set_timer(VIEW_TIMEOUT, TIMER_VIEW_BASE + self.view);
             }
         }
     }
@@ -970,7 +963,7 @@ impl Node<PbftMsg> for PbftReplica {
             let starved = self.pending.iter().any(|r| {
                 self.pending_since
                     .get(&r.id)
-                    .is_some_and(|since| now.saturating_sub(*since) >= self.config.view_timeout)
+                    .is_some_and(|since| now.saturating_sub(*since) >= VIEW_TIMEOUT)
             });
             if self.view <= guarded_view && starved {
                 self.start_view_change(guarded_view + 1, ctx);
@@ -999,13 +992,7 @@ mod tests {
         let nodes = (0..n)
             .map(|id| PbftReplica::new(id, n, PbftConfig::default(), mode_of(id)))
             .collect();
-        Simulator::new(
-            nodes,
-            NetworkConfig {
-                seed,
-                ..NetworkConfig::default()
-            },
-        )
+        Simulator::new(nodes, NetworkConfig { seed })
     }
 
     fn inject_requests(sim: &mut Simulator<PbftMsg, PbftReplica>, count: usize, start: u64) {

@@ -56,30 +56,16 @@ fn batch_digest(batch: &[Request]) -> Hash256 {
 
 const TIMER_SLOT: u64 = 1;
 
-/// Configuration for the PoA ordering service.
-#[derive(Debug, Clone)]
-pub struct PoaConfig {
-    /// Slot length in simulation ticks.
-    pub slot_duration: u64,
-    /// Maximum requests per slot proposal.
-    pub max_batch: usize,
-}
-
-impl Default for PoaConfig {
-    fn default() -> Self {
-        PoaConfig {
-            slot_duration: 50,
-            max_batch: 64,
-        }
-    }
-}
+/// Slot length in simulation ticks.
+const SLOT_DURATION: u64 = 50;
+/// Maximum requests per slot proposal.
+const MAX_BATCH: usize = 64;
 
 /// A PoA validator node.
 #[derive(Debug)]
 pub struct PoaValidator {
     id: NodeId,
     n: usize,
-    config: PoaConfig,
     mode: PoaMode,
     slot: u64,
     pending: Vec<Request>,
@@ -98,12 +84,11 @@ pub struct PoaValidator {
 
 impl PoaValidator {
     /// Creates validator `id` in an `n`-node authority set.
-    pub fn new(id: NodeId, n: usize, config: PoaConfig, mode: PoaMode) -> PoaValidator {
+    pub fn new(id: NodeId, n: usize, mode: PoaMode) -> PoaValidator {
         assert!(n >= 1, "PoA needs at least one validator");
         PoaValidator {
             id,
             n,
-            config,
             mode,
             slot: 0,
             pending: Vec::new(),
@@ -184,7 +169,7 @@ impl PoaValidator {
 
 impl Node<PoaMsg> for PoaValidator {
     fn on_start(&mut self, ctx: &mut Context<'_, PoaMsg>) {
-        ctx.set_timer(self.config.slot_duration, TIMER_SLOT);
+        ctx.set_timer(SLOT_DURATION, TIMER_SLOT);
     }
 
     fn on_revive(&mut self, ctx: &mut Context<'_, PoaMsg>) {
@@ -192,9 +177,9 @@ impl Node<PoaMsg> for PoaValidator {
         // node are consumed). Resync the local slot counter to wall clock
         // so this validator rejoins the rotation in the *current* slot
         // instead of replaying the ones it slept through, then re-arm.
-        let elapsed_slots = ctx.now() / self.config.slot_duration;
+        let elapsed_slots = ctx.now() / SLOT_DURATION;
         self.slot = self.slot.max(elapsed_slots + 1);
-        ctx.set_timer(self.config.slot_duration, TIMER_SLOT);
+        ctx.set_timer(SLOT_DURATION, TIMER_SLOT);
     }
 
     fn on_message(&mut self, from: NodeId, msg: PoaMsg, ctx: &mut Context<'_, PoaMsg>) {
@@ -230,13 +215,13 @@ impl Node<PoaMsg> for PoaValidator {
         }
         let slot = self.slot;
         self.slot += 1;
-        ctx.set_timer(self.config.slot_duration, TIMER_SLOT);
+        ctx.set_timer(SLOT_DURATION, TIMER_SLOT);
 
         if self.leader_of(slot) != self.id || self.pending.is_empty() {
             return;
         }
         let t0 = self.trace.now_ns();
-        let take = self.pending.len().min(self.config.max_batch);
+        let take = self.pending.len().min(MAX_BATCH);
         let batch: Vec<Request> = self.pending.drain(..take).collect();
         for r in &batch {
             self.pending_ids.remove(&r.id);
@@ -314,7 +299,7 @@ mod tests {
                 .unwrap_or(PoaMode::Honest)
         };
         let nodes = (0..n)
-            .map(|id| PoaValidator::new(id, n, PoaConfig::default(), mode_of(id)))
+            .map(|id| PoaValidator::new(id, n, mode_of(id)))
             .collect();
         Simulator::new(nodes, NetworkConfig::default())
     }

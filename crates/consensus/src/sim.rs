@@ -18,49 +18,23 @@ use tn_telemetry::TelemetrySink;
 /// Identifier of a simulated node (index into the cluster).
 pub type NodeId = usize;
 
-/// Latency and loss model for the simulated network.
+/// Minimum one-way delivery latency (simulation ticks).
+const BASE_LATENCY: u64 = 10;
+/// Uniform jitter added on top of [`BASE_LATENCY`]: a message takes
+/// 10–15 ticks.
+const JITTER: u64 = 5;
+
+/// The simulated network's random stream. A message takes 10–15 ticks,
+/// uniformly; outside a scheduled drop window none is lost.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Minimum one-way delivery latency (simulation ticks).
-    pub base_latency: u64,
-    /// Uniform jitter added on top of the base latency.
-    pub jitter: u64,
-    /// Probability a message is silently dropped.
-    pub drop_prob: f64,
     /// RNG seed for latency/drop decisions.
     pub seed: u64,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig {
-            base_latency: 10,
-            jitter: 5,
-            drop_prob: 0.0,
-            seed: 7,
-        }
-    }
-}
-
-impl NetworkConfig {
-    /// Checks the model for nonsensical parameters. A `drop_prob` outside
-    /// `[0, 1]` (or NaN) would silently bias every loss sample, so it is
-    /// rejected here rather than sampled.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.drop_prob.is_nan() {
-            return Err("network drop_prob is NaN".into());
-        }
-        if !(0.0..=1.0).contains(&self.drop_prob) {
-            return Err(format!(
-                "network drop_prob {} outside [0, 1]",
-                self.drop_prob
-            ));
-        }
-        Ok(())
+        NetworkConfig { seed: 7 }
     }
 }
 
@@ -93,7 +67,8 @@ enum ControlAction {
     Revive(NodeId),
     Partition(Vec<HashSet<NodeId>>),
     Heal,
-    SetDropProb(f64),
+    OpenDropWindow(f64),
+    CloseDropWindow(f64),
 }
 
 struct ControlEvent {
@@ -219,8 +194,10 @@ pub struct Simulator<M, N: Node<M>> {
     queue: BinaryHeap<Event<M>>,
     now: u64,
     seq: u64,
-    config: NetworkConfig,
     rng: StdRng,
+    /// Loss probabilities of the drop windows open now; a message is lost
+    /// with the highest of them.
+    open_drop_windows: Vec<f64>,
     /// Partition groups: messages crossing group boundaries are dropped.
     /// Empty = fully connected.
     partition: Vec<HashSet<NodeId>>,
@@ -242,27 +219,16 @@ pub struct Simulator<M, N: Node<M>> {
 }
 
 impl<M: Clone, N: Node<M>> Simulator<M, N> {
-    /// Creates a simulator over `nodes` with the given network model.
-    ///
-    /// # Panics
-    ///
-    /// When `config` fails [`NetworkConfig::validate`] (e.g. a `drop_prob`
-    /// outside `[0, 1]` or NaN, which would silently bias every loss
-    /// sample). Callers that need a recoverable error should validate
-    /// first.
+    /// Creates a simulator over `nodes` with the given network seed.
     pub fn new(nodes: Vec<N>, config: NetworkConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid NetworkConfig: {e}");
-        }
-        let rng = StdRng::seed_from_u64(config.seed);
         Simulator {
             nodes,
             crashed: HashSet::new(),
             queue: BinaryHeap::new(),
             now: 0,
             seq: 0,
-            config,
-            rng,
+            rng: StdRng::seed_from_u64(config.seed),
+            open_drop_windows: Vec::new(),
             partition: Vec::new(),
             controls: BinaryHeap::new(),
             delivered_messages: 0,
@@ -357,8 +323,9 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     }
 
     /// Schedules a window `[from, until)` during which messages are
-    /// dropped with probability `drop_prob`; the config's base probability
-    /// is restored at `until`.
+    /// dropped with probability `drop_prob`. Windows overlap freely: while
+    /// several are open a message is lost with the highest of their
+    /// probabilities, and closing one leaves the others open.
     ///
     /// # Panics
     ///
@@ -368,9 +335,8 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
             (0.0..=1.0).contains(&drop_prob) && !drop_prob.is_nan(),
             "drop window probability {drop_prob} outside [0, 1]"
         );
-        let base = self.config.drop_prob;
-        self.schedule_control(from, ControlAction::SetDropProb(drop_prob));
-        self.schedule_control(until, ControlAction::SetDropProb(base));
+        self.schedule_control(from, ControlAction::OpenDropWindow(drop_prob));
+        self.schedule_control(until, ControlAction::CloseDropWindow(drop_prob));
     }
 
     fn apply_control(&mut self, action: ControlAction) {
@@ -381,7 +347,14 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
             ControlAction::Revive(id) => self.revive(id),
             ControlAction::Partition(groups) => self.partition = groups,
             ControlAction::Heal => self.partition.clear(),
-            ControlAction::SetDropProb(p) => self.config.drop_prob = p,
+            ControlAction::OpenDropWindow(p) => self.open_drop_windows.push(p),
+            ControlAction::CloseDropWindow(p) => {
+                // Windows of equal probability are interchangeable, so
+                // closing any one of them is closing this one.
+                if let Some(i) = self.open_drop_windows.iter().position(|&q| q == p) {
+                    self.open_drop_windows.swap_remove(i);
+                }
+            }
         }
     }
 
@@ -458,17 +431,13 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
         if to >= self.nodes.len() {
             return;
         }
-        if self.config.drop_prob > 0.0 && self.rng.gen::<f64>() < self.config.drop_prob {
+        let loss = self.open_drop_windows.iter().copied().fold(0.0, f64::max);
+        if loss > 0.0 && self.rng.gen::<f64>() < loss {
             self.dropped_messages += 1;
             self.telemetry.incr("sim.msg.dropped");
             return;
         }
-        let jitter = if self.config.jitter > 0 {
-            self.rng.gen_range(0..=self.config.jitter)
-        } else {
-            0
-        };
-        let latency = self.config.base_latency + jitter;
+        let latency = BASE_LATENCY + self.rng.gen_range(0..=JITTER);
         self.seq += 1;
         self.queue.push(Event {
             time: self.now + latency,
@@ -634,11 +603,7 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let trace = |seed| {
-            let mut cfg = NetworkConfig {
-                seed,
-                ..NetworkConfig::default()
-            };
-            cfg.jitter = 20;
+            let cfg = NetworkConfig { seed };
             let nodes = (0..4)
                 .map(|_| Relay {
                     received: Vec::new(),
@@ -699,20 +664,14 @@ mod tests {
 
     #[test]
     fn drop_probability_loses_messages() {
-        let cfg = NetworkConfig {
-            drop_prob: 1.0,
-            ..NetworkConfig::default()
-        };
-        let nodes = (0..2)
-            .map(|_| Relay {
-                received: Vec::new(),
-                forward: true,
-            })
-            .collect();
-        let mut sim: Simulator<u64, Relay> = Simulator::new(nodes, cfg);
+        let mut sim = cluster(2);
+        sim.schedule_drop_window(0, 10_000, 1.0);
         sim.run_until(10_000);
+        // The startup send precedes the window's t = 0 control and
+        // arrives; node 1's forward, sent inside the window, is lost and
+        // ends the chain.
         let total: usize = sim.nodes().map(|n| n.received.len()).sum();
-        assert_eq!(total, 0);
+        assert_eq!(total, 1);
         assert_eq!(sim.dropped_messages, 1);
     }
 
@@ -740,36 +699,6 @@ mod tests {
         );
         sim.run_until(1000);
         assert_eq!(sim.node(0).fired, vec![(2, 10), (1, 50)]);
-    }
-
-    #[test]
-    fn network_config_validation_rejects_bad_drop_prob() {
-        for bad in [-0.1, 1.5, f64::NAN] {
-            let cfg = NetworkConfig {
-                drop_prob: bad,
-                ..NetworkConfig::default()
-            };
-            assert!(cfg.validate().is_err(), "drop_prob {bad} must be rejected");
-        }
-        assert!(NetworkConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid NetworkConfig")]
-    fn simulator_rejects_nan_drop_prob() {
-        let cfg = NetworkConfig {
-            drop_prob: f64::NAN,
-            ..NetworkConfig::default()
-        };
-        let _ = Simulator::new(
-            (0..2)
-                .map(|_| Relay {
-                    received: Vec::new(),
-                    forward: false,
-                })
-                .collect::<Vec<_>>(),
-            cfg,
-        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use tn_consensus::harness::{
     Workload,
 };
 use tn_consensus::pbft::PbftConfig;
-use tn_consensus::poa::PoaConfig;
 use tn_consensus::sim::NetworkConfig;
 
 const N: usize = 4;
@@ -135,7 +134,6 @@ fn poa_ordering_is_pinned() {
             5,
             NetworkConfig::default(),
             500_000,
-            &PoaConfig::default(),
             &plan,
             &[],
             &[],

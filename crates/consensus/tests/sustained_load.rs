@@ -47,7 +47,6 @@ fn checkpointing_bounds_log_growth() {
     let config = PbftConfig {
         max_batch: 4,
         checkpoint_interval: 8,
-        ..PbftConfig::default()
     };
     let nodes: Vec<PbftReplica> = (0..n)
         .map(|id| PbftReplica::new(id, n, config.clone(), ByzMode::Honest))
@@ -80,7 +79,6 @@ fn checkpoint_digests_agree_across_replicas() {
     let config = PbftConfig {
         max_batch: 4,
         checkpoint_interval: 8,
-        ..PbftConfig::default()
     };
     let nodes: Vec<PbftReplica> = (0..n)
         .map(|id| PbftReplica::new(id, n, config.clone(), ByzMode::Honest))

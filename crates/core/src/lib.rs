@@ -47,8 +47,6 @@ pub mod roles;
 
 pub use client::{ClientError, LightClient};
 pub use pipeline::{bootstrap, Bootstrap, BuiltinAddrs, ExecutionPipeline};
-pub use platform::{
-    BlockSummary, ItemRank, Platform, PlatformConfig, PlatformError, PlatformRankWeights,
-};
+pub use platform::{BlockSummary, ItemRank, Platform, PlatformConfig, PlatformError};
 pub use projections::{AdmissionLedger, Projections, View};
 pub use roles::{IdentityRecord, IdentityRegistry, Role};

@@ -40,6 +40,9 @@ use crate::roles::IdentityRegistry;
 /// registry's serialized state (distinct from every projection name).
 pub const REGISTRY_EXTENSION: &str = "contracts.registry";
 
+/// Attestations required to admit a record to the factual database.
+const FACT_THRESHOLD: usize = 2;
+
 /// The contract slot of [`ExecutionPipeline::execution_digest`]: 32 bytes
 /// reserved for a commitment over the built-in contracts' state, which
 /// no digest covers yet. Until then it holds the root of an empty
@@ -75,22 +78,18 @@ struct Host {
 impl Host {
     /// The genesis host: the four governance built-ins owned by
     /// `governor`, projections seeded with the genesis factual corpus.
-    fn genesis(
-        governor: Address,
-        fact_threshold: usize,
-        seed_corpus: Vec<FactRecord>,
-    ) -> (Host, BuiltinAddrs) {
+    fn genesis(governor: Address, seed_corpus: Vec<FactRecord>) -> (Host, BuiltinAddrs) {
         let mut registry = ContractRegistry::new();
         let addrs = BuiltinAddrs {
             newsroom: registry.install_builtin(Box::new(NewsroomRegistry::new())),
             ranking: registry.install_builtin(Box::new(RankingContract::new(governor))),
             incentive: registry.install_builtin(Box::new(IncentiveContract::new(governor))),
             admission: registry
-                .install_builtin(Box::new(FactDbAdmission::new(governor, fact_threshold))),
+                .install_builtin(Box::new(FactDbAdmission::new(governor, FACT_THRESHOLD))),
         };
         let host = Host {
             registry,
-            projections: Projections::new(seed_corpus, addrs.admission, fact_threshold),
+            projections: Projections::new(seed_corpus, addrs.admission, FACT_THRESHOLD),
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
         };
@@ -231,7 +230,6 @@ pub fn bootstrap(config: &PlatformConfig) -> Bootstrap {
             genesis,
             validator,
             governor.address(),
-            config.fact_threshold,
             seed_corpus,
             config.storage.clone(),
         )?;
@@ -273,13 +271,7 @@ pub fn recover_bootstrap(config: &PlatformConfig) -> Result<(Bootstrap, u64), Ch
             ));
         };
         let backend = Box::new(tn_storage::DiskBackend::open(dir, &config.storage)?);
-        ExecutionPipeline::recover(
-            backend,
-            &config.storage,
-            governor.address(),
-            config.fact_threshold,
-            seed_corpus,
-        )
+        ExecutionPipeline::recover(backend, &config.storage, governor.address(), seed_corpus)
     })
 }
 
@@ -298,12 +290,7 @@ pub fn restore_bootstrap(
     snapshot: &[u8],
 ) -> Result<Bootstrap, ChainError> {
     let (bootstrap, ()) = bootstrap_with(config, |governor, _, seed_corpus| {
-        let pipeline = ExecutionPipeline::restore(
-            snapshot,
-            governor.address(),
-            config.fact_threshold,
-            seed_corpus,
-        )?;
+        let pipeline = ExecutionPipeline::restore(snapshot, governor.address(), seed_corpus)?;
         Ok((pipeline, ()))
     })?;
     Ok(bootstrap)
@@ -341,11 +328,10 @@ impl ExecutionPipeline {
         genesis: State,
         validator: &Keypair,
         governor: Address,
-        fact_threshold: usize,
         seed_corpus: Vec<FactRecord>,
         storage: StorageConfig,
     ) -> Result<ExecutionPipeline, ChainError> {
-        let (host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        let (host, addrs) = Host::genesis(governor, seed_corpus);
         let store = ChainStore::with_config(genesis, validator, storage)?;
         Ok(ExecutionPipeline { store, host, addrs })
     }
@@ -366,11 +352,10 @@ impl ExecutionPipeline {
         backend: Box<dyn Storage>,
         config: &StorageConfig,
         governor: Address,
-        fact_threshold: usize,
         seed_corpus: Vec<FactRecord>,
     ) -> Result<(ExecutionPipeline, u64), ChainError> {
         let (mut store, cp) = ChainStore::open_recovering(backend, config)?;
-        let (mut host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        let (mut host, addrs) = Host::genesis(governor, seed_corpus);
         // The genesis checkpoint was written before anything executed: it
         // carries no extensions and needs none, the tail replay starts at
         // height 1 on a genesis host.
@@ -424,10 +409,9 @@ impl ExecutionPipeline {
     pub fn restore(
         snapshot: &[u8],
         governor: Address,
-        fact_threshold: usize,
         seed_corpus: Vec<FactRecord>,
     ) -> Result<ExecutionPipeline, ChainError> {
-        let (mut host, addrs) = Host::genesis(governor, fact_threshold, seed_corpus);
+        let (mut host, addrs) = Host::genesis(governor, seed_corpus);
         let store = ChainStore::restore(snapshot, &mut host)?;
         Ok(ExecutionPipeline { store, host, addrs })
     }

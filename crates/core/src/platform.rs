@@ -88,26 +88,16 @@ impl From<tn_supplychain::graph::GraphError> for PlatformError {
     }
 }
 
-/// Ranking-weight configuration: how the three signals combine.
-#[derive(Debug, Clone, Copy)]
-pub struct PlatformRankWeights {
-    /// Provenance (trace-back) weight.
-    pub trace: f64,
-    /// AI-detector weight.
-    pub ai: f64,
-    /// Crowd-rating weight.
-    pub crowd: f64,
-}
+/// How the three ranking signals combine (§VI): provenance weighs as
+/// much as the AI detector and the crowd together. The weights sum to 1.
+const TRACE_WEIGHT: f64 = 0.5;
+/// AI-detector weight (see [`TRACE_WEIGHT`]).
+const AI_WEIGHT: f64 = 0.25;
+/// Crowd-rating weight (see [`TRACE_WEIGHT`]).
+const CROWD_WEIGHT: f64 = 0.25;
 
-impl Default for PlatformRankWeights {
-    fn default() -> Self {
-        PlatformRankWeights {
-            trace: 0.5,
-            ai: 0.25,
-            crowd: 0.25,
-        }
-    }
-}
+/// Maximum transactions a platform's or validator's mempool holds at once.
+pub const MEMPOOL_CAPACITY: usize = 100_000;
 
 /// Front-door gateway parameters: admission rate limiting, bounded
 /// ingress queueing, and batched mempool ingest.
@@ -165,17 +155,11 @@ pub struct PlatformConfig {
     pub identity_grant: u64,
     /// Flat fee attached to platform transactions.
     pub fee: u64,
-    /// Attestations required to admit a record to the factual database.
-    pub fact_threshold: usize,
     /// Initial factual corpus.
     pub factdb_seed: CorpusConfig,
-    /// Ranking weights.
-    pub weights: PlatformRankWeights,
-    /// Maximum transactions the mempool holds at once.
-    pub mempool_capacity: usize,
     /// Storage-engine configuration: backend selection (in-memory or
-    /// on-disk), in-memory retention window, checkpoint cadence,
-    /// segment/fsync sizing, and compaction.
+    /// on-disk), in-memory retention window, checkpoint cadence and
+    /// segment/fsync sizing.
     pub storage: StorageConfig,
     /// Front-door gateway configuration: admission rate limits, ingress
     /// queue bounds, and mempool ingest batching (consumed by
@@ -188,14 +172,11 @@ impl Default for PlatformConfig {
         PlatformConfig {
             identity_grant: 10_000,
             fee: 1,
-            fact_threshold: 2,
             factdb_seed: CorpusConfig {
                 size: 50,
                 seed: 42,
                 start_time: 0,
             },
-            weights: PlatformRankWeights::default(),
-            mempool_capacity: 100_000,
             storage: StorageConfig::default(),
             gateway: GatewayConfig::default(),
         }
@@ -274,7 +255,7 @@ impl Platform {
             validator,
             pipeline,
         } = crate::pipeline::bootstrap(&config);
-        let mut mempool = Mempool::new(config.mempool_capacity);
+        let mut mempool = Mempool::new(MEMPOOL_CAPACITY);
         // Share the store's verified-tx cache so admission-time
         // verification pre-warms block proposal and import.
         mempool.set_sig_cache(pipeline.store().sig_cache());
@@ -758,7 +739,7 @@ impl Platform {
     }
 
     /// Computes the combined ranking of an item: provenance trace × AI ×
-    /// crowd, per the configured weights.
+    /// crowd, weighted 2 : 1 : 1.
     ///
     /// # Errors
     ///
@@ -781,9 +762,7 @@ impl Platform {
         } else {
             0.5
         };
-        let w = self.config.weights;
-        let total = w.trace + w.ai + w.crowd;
-        let rank = 100.0 * (w.trace * t + w.ai * ai + w.crowd * crowd) / total;
+        let rank = 100.0 * (TRACE_WEIGHT * t + AI_WEIGHT * ai + CROWD_WEIGHT * crowd);
         Ok(ItemRank {
             trace: t,
             ai,
@@ -1449,11 +1428,11 @@ mod tests {
 
     #[test]
     fn mempool_rejection_surfaces_and_releases_nonce() {
-        let config = PlatformConfig {
-            mempool_capacity: 2,
-            ..PlatformConfig::default()
-        };
-        let mut p = Platform::new(config);
+        let mut p = Platform::new(PlatformConfig::default());
+        // A two-slot pool, sharing the store's signature cache as the
+        // platform's own pool does.
+        p.mempool = Mempool::new(2);
+        p.mempool.set_sig_cache(p.pipeline.store().sig_cache());
         let who = kp("tiny-pool user");
         // Two transactions fill the pool; registration enqueues exactly two
         // (grant transfer + identity blob) for a non-checker role.

@@ -67,8 +67,6 @@ pub struct FactualDatabase {
     index: HashMap<Hash256, usize>,
     /// topic → indices.
     by_topic: HashMap<String, Vec<usize>>,
-    /// speaker → indices.
-    by_speaker: HashMap<String, Vec<usize>>,
 }
 
 impl FactualDatabase {
@@ -103,10 +101,6 @@ impl FactualDatabase {
             .entry(record.topic.clone())
             .or_default()
             .push(idx);
-        self.by_speaker
-            .entry(record.speaker.clone())
-            .or_default()
-            .push(idx);
         self.tree.push(record.leaf_hash());
         self.records.push(record);
         Ok(id)
@@ -126,14 +120,6 @@ impl FactualDatabase {
     pub fn by_topic(&self, topic: &str) -> Vec<&FactRecord> {
         self.by_topic
             .get(topic)
-            .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// All records by a speaker, in append order.
-    pub fn by_speaker(&self, speaker: &str) -> Vec<&FactRecord> {
-        self.by_speaker
-            .get(speaker)
             .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect())
             .unwrap_or_default()
     }
@@ -206,13 +192,6 @@ impl FactualDatabase {
         t.sort_unstable();
         t
     }
-
-    /// Distinct speakers present.
-    pub fn speakers(&self) -> Vec<&str> {
-        let mut s: Vec<&str> = self.by_speaker.keys().map(String::as_str).collect();
-        s.sort_unstable();
-        s
-    }
 }
 
 #[cfg(test)]
@@ -259,9 +238,7 @@ mod tests {
             db.append(record(i)).unwrap();
         }
         assert_eq!(db.by_topic("topic-0").len(), 7);
-        assert_eq!(db.by_speaker("Speaker 0").len(), 3);
         assert_eq!(db.topics().len(), 3);
-        assert_eq!(db.speakers().len(), 7);
         assert!(db.by_topic("nope").is_empty());
     }
 

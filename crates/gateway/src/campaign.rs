@@ -37,8 +37,8 @@ use tn_crowdrank::adversary::{CampaignRole, CampaignTarget};
 use tn_crowdrank::{CoordinationDetector, DefenseConfig, ObservedVote};
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_monitor::{
-    prometheus_text, MonitorConfig, ParticipantLedger, ParticipantPolicy, ParticipantVerdict,
-    ReplicaMonitor, Transition, RULE_CAMPAIGN_BURN,
+    prometheus_text, MonitorConfig, ParticipantLedger, ParticipantVerdict, ReplicaMonitor,
+    Transition, RULE_CAMPAIGN_BURN,
 };
 use tn_node::validator::ValidatorNode;
 use tn_propagation::cascade::{assign_accounts, independent_cascade_with_receptivity};
@@ -92,6 +92,9 @@ impl AttackKind {
     }
 }
 
+/// Uncontested background articles honest noise spreads over.
+const BACKGROUND_ARTICLES: usize = 4;
+
 /// One cell of the campaign matrix: an attack population against a
 /// defense switch.
 #[derive(Debug, Clone)]
@@ -108,8 +111,6 @@ pub struct CampaignProfile {
     pub adversaries: usize,
     /// Voting rounds in the scripted campaign.
     pub rounds: usize,
-    /// Uncontested background articles honest noise spreads over.
-    pub background_articles: usize,
     /// Round at which turncoat sybils flip to the ring script.
     pub flip_round: usize,
     /// Master seed for honest vote noise.
@@ -124,7 +125,6 @@ impl Default for CampaignProfile {
             honest: 8,
             adversaries: 6,
             rounds: 10,
-            background_articles: 4,
             flip_round: 5,
             seed: 24,
         }
@@ -301,7 +301,7 @@ pub fn build_campaign_workload(
         )
         .expect("publish factual");
     let mut background = Vec::new();
-    for b in 0..profile.background_articles.max(1) {
+    for b in 0..BACKGROUND_ARTICLES {
         background.push(
             p.publish_news(
                 &journo,
@@ -467,7 +467,7 @@ pub fn run_campaign(
     // detection.
     let mut monitor = ReplicaMonitor::new(0, &MonitorConfig::default());
     let mut detector = CoordinationDetector::new(DefenseConfig::default());
-    let mut ledger = ParticipantLedger::new(ParticipantPolicy::default());
+    let mut ledger = ParticipantLedger::new();
     let mut verdict_log: Vec<(u64, String, ParticipantVerdict)> = Vec::new();
     let mut alert_height: Option<u64> = None;
     let mut coordinated_votes = 0u64;

@@ -126,15 +126,6 @@ impl Gateway {
         })
     }
 
-    /// Gates [`Gateway::drain_into`] on downstream mempool occupancy:
-    /// draining pauses while the node's mempool holds at least
-    /// `watermark` transactions, so overload queues in the *bounded*
-    /// lanes (shedding new arrivals at the door) instead of growing the
-    /// mempool without bound. `0` disables the gate.
-    pub fn set_mempool_watermark(&mut self, watermark: usize) {
-        self.mempool_watermark = watermark;
-    }
-
     /// Routes gateway metrics (`gateway.*`) to `sink`.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.telemetry = sink;
@@ -475,10 +466,10 @@ mod tests {
         let mut gw = Gateway::new(&GatewayConfig {
             workers: 1,
             queue_capacity: 16,
+            mempool_watermark: 2,
             ..cfg()
         })
         .unwrap();
-        gw.set_mempool_watermark(2);
         let kp = Keypair::from_seed(b"tn-platform-governor");
         for nonce in 1..=6 {
             let t = Transaction::signed(

@@ -46,11 +46,6 @@ impl RateLimiter {
         }
     }
 
-    /// True when rate limiting is disabled (`rate == 0`).
-    pub fn is_disabled(&self) -> bool {
-        self.rate == 0
-    }
-
     /// Decides one request from `client` arriving at `now_ns`: spends a
     /// token and returns `true`, or returns `false` when the bucket is
     /// empty. Timestamps may repeat but must not go backwards per client
@@ -100,7 +95,6 @@ mod tests {
     #[test]
     fn zero_rate_disables_limiting() {
         let mut l = RateLimiter::new(0, 0);
-        assert!(l.is_disabled());
         for i in 0..10_000 {
             assert!(l.allow(1, i));
         }

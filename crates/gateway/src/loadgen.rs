@@ -81,6 +81,9 @@ pub struct Request {
     pub kind: RequestKind,
 }
 
+/// Zipf exponent for article popularity (1.0 ≈ classic web traffic).
+const ZIPF_S: f64 = 1.0;
+
 /// Parameters of a generated workload. All fields are part of the seed:
 /// two equal profiles produce identical workloads.
 #[derive(Debug, Clone)]
@@ -101,8 +104,6 @@ pub struct LoadProfile {
     pub write_events: usize,
     /// Read events interleaved into the stream.
     pub read_events: usize,
-    /// Zipf exponent for article popularity (1.0 ≈ classic web traffic).
-    pub zipf_s: f64,
     /// Master seed for client kinds, event actors and article targets.
     pub seed: u64,
 }
@@ -117,7 +118,6 @@ impl Default for LoadProfile {
             seed_articles: 24,
             write_events: 600,
             read_events: 300,
-            zipf_s: 1.0,
             seed: 21,
         }
     }
@@ -266,7 +266,7 @@ pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workloa
     // --- event loop: the load stream -------------------------------------
     // Writers draw events in proportion to their amplification, so bots
     // dominate traffic the way §VII's propagation model says they do.
-    let zipf = ZipfSampler::new(articles.len(), profile.zipf_s);
+    let zipf = ZipfSampler::new(articles.len(), ZIPF_S);
     let mut writer_pool = Vec::new();
     for (i, client) in clients.iter().enumerate() {
         let weight = client.kind.amplification() as usize;

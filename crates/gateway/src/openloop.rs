@@ -47,15 +47,16 @@ use crate::gateway::{AdmitVerdict, Gateway};
 use crate::loadgen::{schedule, RequestKind, Workload};
 use crate::GatewayError;
 
+/// Logical interval between gateway→mempool drain ticks (2 ms).
+const INGEST_INTERVAL_NS: u64 = 2_000_000;
+/// Logical interval between block-production ticks (20 ms).
+const BLOCK_INTERVAL_NS: u64 = 20_000_000;
+
 /// Parameters of one open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
     /// Offered arrival rate, requests per second.
     pub offered_tps: f64,
-    /// Logical interval between gateway→mempool drain ticks.
-    pub ingest_interval_ns: u64,
-    /// Logical interval between block-production ticks.
-    pub block_interval_ns: u64,
     /// Maximum transactions selected per block.
     pub block_max_txs: usize,
     /// Abort a client's remaining writes after one is shed (see module
@@ -74,8 +75,6 @@ impl Default for OpenLoopConfig {
     fn default() -> Self {
         OpenLoopConfig {
             offered_tps: 500.0,
-            ingest_interval_ns: 2_000_000, // 2 ms
-            block_interval_ns: 20_000_000, // 20 ms
             block_max_txs: 512,
             abort_shed_sessions: true,
             seed: 21,
@@ -228,8 +227,8 @@ pub fn run_open_loop_on(
     let latencies = Histogram::new();
 
     let mut ai = 0usize;
-    let mut next_ingest = olc.ingest_interval_ns.max(1);
-    let mut next_block = olc.block_interval_ns.max(1);
+    let mut next_ingest = INGEST_INTERVAL_NS;
+    let mut next_block = BLOCK_INTERVAL_NS;
     // Single-server queue model: when the commit server next frees up,
     // in logical nanoseconds.
     let mut server_free_ns = 0u64;
@@ -288,14 +287,14 @@ pub fn run_open_loop_on(
                 }
             }
         } else if t == next_ingest {
-            next_ingest += olc.ingest_interval_ns.max(1);
+            next_ingest += INGEST_INTERVAL_NS;
             let drained = gw.drain_into(&mut node);
             report.mempool_rejected += drained.rejected as u64;
             if drained.backpressured {
                 report.backpressure_ticks += 1;
             }
         } else {
-            next_block += olc.block_interval_ns.max(1);
+            next_block += BLOCK_INTERVAL_NS;
             let started = Instant::now();
             let outcome = node.produce_block_from_mempool(olc.block_max_txs)?;
             let service_ns = started.elapsed().as_nanos() as u64;

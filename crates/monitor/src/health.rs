@@ -39,59 +39,14 @@ impl HealthState {
     }
 }
 
-/// Tuning for the built-in rule set and the cluster rollup.
-#[derive(Debug, Clone)]
+/// Retained time-series windows per replica.
+const RETENTION: usize = 64;
+
+/// What a deployment adds to the built-in rule set.
+#[derive(Debug, Clone, Default)]
 pub struct MonitorConfig {
-    /// Retained time-series windows per replica.
-    pub retention: usize,
-    /// Commit-latency SLO: `pipeline.commit_ns` p99 ceiling, nanoseconds.
-    pub commit_p99_ns: u64,
-    /// Gateway shed SLO error budget (fraction of offered requests that
-    /// may shed before budget burns).
-    pub shed_budget: f64,
-    /// Burn-rate multiple over [`MonitorConfig::shed_budget`] that fires
-    /// the shed alert.
-    pub shed_burn_threshold: f64,
-    /// Signature-cache hit-ratio floor; below it the cache has collapsed.
-    /// A healthy validator counts one miss per transaction it admits and
-    /// one hit when it commits it (the proposer's one signature pass), so
-    /// the ratio rests at 1/2 and dips while admissions run ahead of
-    /// commits. The default, 1/7, is where commits fall below a sixth of
-    /// admissions over the rule's four windows — the condition the floor
-    /// of 1/4 expressed while a commit still looked each signature up
-    /// twice.
-    pub sigcache_floor: f64,
-    /// Consensus-message drops tolerated per rule window before the drop
-    /// alert fires.
-    pub msg_drop_max: u64,
-    /// WAL records replayed per rule window tolerated before the replay
-    /// spike alert fires.
-    pub wal_replay_max: u64,
-    /// Misinformation-campaign SLO error budget: fraction of submitted
-    /// crowd votes that may look coordinated before budget burns.
-    pub campaign_budget: f64,
-    /// Burn-rate multiple over [`MonitorConfig::campaign_budget`] that
-    /// fires the campaign alert.
-    pub campaign_burn_threshold: f64,
     /// Extra caller-defined rules appended to the built-ins.
     pub extra_rules: Vec<SloRule>,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            retention: 64,
-            commit_p99_ns: 250_000_000, // 250 ms: far above healthy service time
-            shed_budget: 0.01,
-            shed_burn_threshold: 10.0,
-            sigcache_floor: 1.0 / 7.0,
-            msg_drop_max: 0,
-            wal_replay_max: 0,
-            campaign_budget: 0.05,
-            campaign_burn_threshold: 4.0,
-            extra_rules: Vec::new(),
-        }
-    }
 }
 
 /// Rule name for cross-replica digest divergence (emitted by
@@ -133,7 +88,8 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
                 windows: 4,
             },
             cmp: Cmp::Above,
-            threshold: config.commit_p99_ns as f64,
+            // 250 ms: far above healthy service time.
+            threshold: 250_000_000.0,
             for_windows: 2,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -146,12 +102,15 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
                     "gateway.shed.queue_full".into(),
                 ],
                 total: vec!["gateway.offered".into()],
-                budget: config.shed_budget,
+                // Up to 1 % of offered requests may shed before the
+                // budget burns.
+                budget: 0.01,
                 short_windows: 2,
                 long_windows: 8,
             },
             cmp: Cmp::Above,
-            threshold: config.shed_burn_threshold,
+            // Fires at ten times the budget's burn rate.
+            threshold: 10.0,
             for_windows: 1,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -164,7 +123,15 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
                 windows: 4,
             },
             cmp: Cmp::Below,
-            threshold: config.sigcache_floor,
+            // Below this floor the cache has collapsed. A healthy
+            // validator counts one miss per transaction it admits and one
+            // hit when it commits it (the proposer's one signature pass),
+            // so the ratio rests at 1/2 and dips while admissions run
+            // ahead of commits. 1/7 is where commits fall below a sixth of
+            // admissions over the rule's four windows — the condition the
+            // floor of 1/4 expressed while a commit still looked each
+            // signature up twice.
+            threshold: 1.0 / 7.0,
             for_windows: 2,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -176,7 +143,8 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
                 windows: 2,
             },
             cmp: Cmp::Above,
-            threshold: config.wal_replay_max as f64,
+            // Any WAL record replayed inside a rule window is a spike.
+            threshold: 0.0,
             for_windows: 1,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -212,7 +180,8 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
                 windows: 2,
             },
             cmp: Cmp::Above,
-            threshold: config.msg_drop_max as f64,
+            // Any consensus-message drop inside a rule window fires.
+            threshold: 0.0,
             for_windows: 1,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -222,12 +191,15 @@ pub fn builtin_rules(config: &MonitorConfig) -> Vec<SloRule> {
             query: Query::BurnRate {
                 bad: vec!["crowdrank.votes.coordinated".into()],
                 total: vec!["crowdrank.votes.total".into()],
-                budget: config.campaign_budget,
+                // Up to 5 % of submitted crowd votes may look coordinated
+                // before the budget burns.
+                budget: 0.05,
                 short_windows: 2,
                 long_windows: 8,
             },
             cmp: Cmp::Above,
-            threshold: config.campaign_burn_threshold,
+            // Fires at four times the budget's burn rate.
+            threshold: 4.0,
             for_windows: 1,
             clear_windows: 2,
             severity: Severity::Warn,
@@ -264,11 +236,12 @@ pub struct ReplicaMonitor {
 }
 
 impl ReplicaMonitor {
-    /// A monitor for `replica` with the built-in rule set from `config`.
+    /// A monitor for `replica` with the built-in rule set and `config`'s
+    /// extra rules.
     pub fn new(replica: usize, config: &MonitorConfig) -> ReplicaMonitor {
         ReplicaMonitor {
             replica,
-            tsdb: Tsdb::new(config.retention),
+            tsdb: Tsdb::new(RETENTION),
             engine: RuleEngine::new(builtin_rules(config)),
             health: HealthState::Healthy,
             cluster_state: HealthState::Healthy,

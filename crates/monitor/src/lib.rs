@@ -43,6 +43,6 @@ pub use health::{
     RULE_LAG, RULE_MSG_DROPS, RULE_RESTART, RULE_SHED_BURN, RULE_SIGCACHE, RULE_UNDECODABLE,
     RULE_WAL_REPLAY,
 };
-pub use participants::{ParticipantLedger, ParticipantPolicy, ParticipantVerdict};
+pub use participants::{ParticipantLedger, ParticipantVerdict};
 pub use rules::{Alert, AlertState, Cmp, Query, RuleEngine, Severity, SloRule, Transition};
 pub use tsdb::{Tsdb, Window};

@@ -40,26 +40,12 @@ impl ParticipantVerdict {
     }
 }
 
-/// Hysteresis thresholds for the verdict ladder.
-#[derive(Debug, Clone, Copy)]
-pub struct ParticipantPolicy {
-    /// Consecutive strike ticks before `Trusted → Watched`.
-    pub watch_after: u32,
-    /// Consecutive strike ticks before `Watched → Quarantined`.
-    pub quarantine_after: u32,
-    /// Consecutive clean ticks before stepping one rung back down.
-    pub clear_after: u32,
-}
-
-impl Default for ParticipantPolicy {
-    fn default() -> Self {
-        ParticipantPolicy {
-            watch_after: 1,
-            quarantine_after: 2,
-            clear_after: 4,
-        }
-    }
-}
+/// Consecutive strike ticks before `Trusted → Watched`.
+const WATCH_AFTER: u32 = 1;
+/// Further consecutive strike ticks before `Watched → Quarantined`.
+const QUARANTINE_AFTER: u32 = 2;
+/// Consecutive clean ticks before stepping one rung back down.
+const CLEAR_AFTER: u32 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct ParticipantRecord {
@@ -90,20 +76,15 @@ impl ParticipantRecord {
 /// [`ReplicaMonitor::transitions`](crate::health::ReplicaMonitor::transitions).
 #[derive(Debug, Default)]
 pub struct ParticipantLedger {
-    policy: ParticipantPolicy,
     records: BTreeMap<String, ParticipantRecord>,
     /// `(tick, participant, new verdict)`, oldest first.
     transitions: Vec<(u64, String, ParticipantVerdict)>,
 }
 
 impl ParticipantLedger {
-    /// An empty ledger with the given hysteresis policy.
-    pub fn new(policy: ParticipantPolicy) -> ParticipantLedger {
-        ParticipantLedger {
-            policy,
-            records: BTreeMap::new(),
-            transitions: Vec::new(),
-        }
+    /// An empty ledger.
+    pub fn new() -> ParticipantLedger {
+        ParticipantLedger::default()
     }
 
     /// Ingests one monitoring tick: `implicated` are the participants
@@ -127,18 +108,17 @@ impl ParticipantLedger {
                 rec.strikes += 1;
                 rec.clean = 0;
                 match rec.verdict {
-                    ParticipantVerdict::Trusted if rec.strikes >= self.policy.watch_after => {
+                    ParticipantVerdict::Trusted if rec.strikes >= WATCH_AFTER => {
                         // A strike streak long enough for quarantine
                         // skips the intermediate rung.
-                        if rec.strikes >= self.policy.watch_after + self.policy.quarantine_after {
+                        if rec.strikes >= WATCH_AFTER + QUARANTINE_AFTER {
                             ParticipantVerdict::Quarantined
                         } else {
                             ParticipantVerdict::Watched
                         }
                     }
                     ParticipantVerdict::Watched
-                        if rec.strikes
-                            >= self.policy.watch_after + self.policy.quarantine_after =>
+                        if rec.strikes >= WATCH_AFTER + QUARANTINE_AFTER =>
                     {
                         ParticipantVerdict::Quarantined
                     }
@@ -146,7 +126,7 @@ impl ParticipantLedger {
                 }
             } else {
                 rec.clean += 1;
-                if rec.clean >= self.policy.clear_after {
+                if rec.clean >= CLEAR_AFTER {
                     rec.clean = 0;
                     rec.strikes = 0;
                     match rec.verdict {
@@ -203,7 +183,7 @@ mod tests {
 
     #[test]
     fn escalates_through_watched_to_quarantined_with_hysteresis() {
-        let mut ledger = ParticipantLedger::new(ParticipantPolicy::default());
+        let mut ledger = ParticipantLedger::new();
         let bot = ids(&["bot-1"]);
         let t1 = ledger.observe(1, &bot);
         assert_eq!(t1, vec![("bot-1".into(), ParticipantVerdict::Watched)]);
@@ -217,7 +197,7 @@ mod tests {
 
     #[test]
     fn clean_ticks_step_back_down_one_rung_at_a_time() {
-        let mut ledger = ParticipantLedger::new(ParticipantPolicy::default());
+        let mut ledger = ParticipantLedger::new();
         let bot = ids(&["bot-1"]);
         for tick in 1..=3 {
             ledger.observe(tick, &bot);
@@ -237,7 +217,7 @@ mod tests {
 
     #[test]
     fn single_noisy_tick_does_not_quarantine_and_resets_on_clean() {
-        let mut ledger = ParticipantLedger::new(ParticipantPolicy::default());
+        let mut ledger = ParticipantLedger::new();
         ledger.observe(1, &ids(&["h-1"]));
         assert_eq!(ledger.verdict("h-1"), ParticipantVerdict::Watched);
         // One strike then clean: strikes reset after clear_after ticks,
@@ -261,7 +241,7 @@ mod tests {
 
     #[test]
     fn transition_log_records_tick_and_order() {
-        let mut ledger = ParticipantLedger::new(ParticipantPolicy::default());
+        let mut ledger = ParticipantLedger::new();
         let ring = ids(&["a", "b"]);
         ledger.observe(5, &ring);
         ledger.observe(6, &ring);

@@ -12,7 +12,6 @@ use tn_chain::prelude::Transaction;
 use tn_consensus::fault::FaultPlan;
 use tn_consensus::harness::{order_payloads_pbft_faulted, order_payloads_poa_faulted, OrderingRun};
 use tn_consensus::pbft::PbftConfig;
-use tn_consensus::poa::PoaConfig;
 use tn_consensus::sim::NetworkConfig;
 use tn_core::platform::PlatformConfig;
 use tn_crypto::Hash256;
@@ -30,14 +29,11 @@ pub struct ClusterConfig {
     pub n_validators: usize,
     /// Platform genesis parameters (shared by every replica).
     pub platform: PlatformConfig,
-    /// Simulated network model.
+    /// Seed of the simulated network (latency and loss are fixed).
     pub net: NetworkConfig,
-    /// PBFT tuning (view timeout, batching, checkpoint interval),
-    /// threaded down to every replica.
+    /// PBFT tuning (batch size, checkpoint interval), threaded down to
+    /// every replica.
     pub pbft: PbftConfig,
-    /// PoA tuning (slot duration, batch size), threaded down to every
-    /// validator.
-    pub poa: PoaConfig,
     /// Declarative fault schedule: crashes/restarts, partitions + heals,
     /// loss windows, per-replica byzantine modes, corrupted payload
     /// injection. Empty (fault-free) by default.
@@ -65,7 +61,6 @@ impl Default for ClusterConfig {
             platform: PlatformConfig::default(),
             net: NetworkConfig::default(),
             pbft: PbftConfig::default(),
-            poa: PoaConfig::default(),
             faults: FaultPlan::default(),
             interarrival: 5,
             max_time: 2_000_000,
@@ -264,7 +259,6 @@ fn run_cluster(
     txs: &[Transaction],
     order: impl FnOnce(&[TelemetrySink], &[TraceSink]) -> Result<OrderingRun, String>,
 ) -> Result<ClusterRun, NodeError> {
-    config.net.validate().map_err(NodeError::Config)?;
     config
         .faults
         .validate(config.n_validators)
@@ -537,7 +531,6 @@ pub fn run_poa_cluster(
             config.interarrival,
             config.net.clone(),
             config.max_time,
-            &config.poa,
             &config.faults,
             sinks,
             traces,
@@ -729,9 +722,13 @@ mod tests {
     #[test]
     fn invalid_network_config_is_a_config_error() {
         let config = ClusterConfig {
-            net: NetworkConfig {
-                drop_prob: f64::NAN,
-                ..NetworkConfig::default()
+            faults: FaultPlan {
+                drop_windows: vec![tn_consensus::fault::DropWindow {
+                    from: 0,
+                    until: 100,
+                    drop_prob: f64::NAN,
+                }],
+                ..FaultPlan::default()
             },
             ..ClusterConfig::default()
         };

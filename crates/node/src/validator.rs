@@ -17,7 +17,7 @@ use tn_chain::prelude::*;
 use tn_core::pipeline::{
     bootstrap, recover_bootstrap, restore_bootstrap, Bootstrap, ExecutionPipeline,
 };
-use tn_core::platform::PlatformConfig;
+use tn_core::platform::{PlatformConfig, MEMPOOL_CAPACITY};
 use tn_crypto::{Hash256, Keypair};
 use tn_monitor::{Alert, HealthState, MonitorConfig, ReplicaMonitor};
 use tn_telemetry::{Registry, Snapshot, TelemetrySink};
@@ -110,7 +110,7 @@ impl ValidatorNode {
     /// and mempool; metrics never feed back into execution, so
     /// instrumented replicas stay byte-identical too.
     pub fn new(id: usize, config: &PlatformConfig) -> ValidatorNode {
-        Self::assemble(id, config, bootstrap(config), false)
+        Self::assemble(id, bootstrap(config), false)
     }
 
     /// Wires a bootstrapped pipeline into a node: a fresh telemetry
@@ -118,12 +118,7 @@ impl ValidatorNode {
     /// pipeline's verified-tx cache (a signature verified at admission is
     /// never re-verified at proposal or import). `recovered` counts the
     /// restart in the fresh registry.
-    fn assemble(
-        id: usize,
-        config: &PlatformConfig,
-        bootstrap: Bootstrap,
-        recovered: bool,
-    ) -> ValidatorNode {
+    fn assemble(id: usize, bootstrap: Bootstrap, recovered: bool) -> ValidatorNode {
         let Bootstrap {
             validator,
             mut pipeline,
@@ -131,7 +126,7 @@ impl ValidatorNode {
         } = bootstrap;
         let registry = Registry::new();
         pipeline.set_telemetry(registry.sink());
-        let mut mempool = Mempool::new(config.mempool_capacity);
+        let mut mempool = Mempool::new(MEMPOOL_CAPACITY);
         mempool.set_telemetry(registry.sink());
         mempool.set_sig_cache(pipeline.store().sig_cache());
         if recovered {
@@ -171,7 +166,7 @@ impl ValidatorNode {
         snapshot: &[u8],
     ) -> Result<ValidatorNode, NodeError> {
         let bootstrap = restore_bootstrap(config, snapshot)?;
-        Ok(Self::assemble(id, config, bootstrap, true))
+        Ok(Self::assemble(id, bootstrap, true))
     }
 
     /// Restarts replica `id` from its on-disk storage directory (the
@@ -190,7 +185,7 @@ impl ValidatorNode {
     /// checkpointed state fails to load.
     pub fn reopen(id: usize, config: &PlatformConfig) -> Result<(ValidatorNode, u64), NodeError> {
         let (bootstrap, replayed) = recover_bootstrap(config)?;
-        Ok((Self::assemble(id, config, bootstrap, true), replayed))
+        Ok((Self::assemble(id, bootstrap, true), replayed))
     }
 
     /// Forces a storage checkpoint at the current head (clean shutdown:

@@ -165,41 +165,6 @@ impl Pool {
         self.map_index(chunks.len(), |i| f(i, chunks[i]))
     }
 
-    /// Order-preserving parallel map that consumes its input, for work
-    /// units the workers must own (e.g. contract state moved out of a
-    /// registry).
-    pub fn map_owned<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        if self.workers.min(n) <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        // Split the owned vector into contiguous chunks, front to back.
-        let ranges = self.chunk_ranges(n);
-        let mut rest = items;
-        let mut owned_chunks: Vec<Vec<T>> = Vec::with_capacity(ranges.len());
-        for (lo, hi) in &ranges {
-            let tail = rest.split_off(hi - lo);
-            owned_chunks.push(std::mem::replace(&mut rest, tail));
-        }
-        let f = &f;
-        let mut chunks: Vec<Vec<R>> = Vec::with_capacity(owned_chunks.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = owned_chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            for h in handles {
-                chunks.push(h.join().expect("tn-par worker panicked"));
-            }
-        });
-        chunks.into_iter().flatten().collect()
-    }
-
     /// Checks every item, returning `Ok(())` when all pass or the
     /// **lowest-index** failure `(index, error)` otherwise — byte-identical
     /// to a sequential `for` loop's first error, for any worker count.
@@ -307,16 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn map_owned_preserves_order() {
-        let items: Vec<String> = (0..57).map(|i| format!("item-{i}")).collect();
-        let expect = items.clone();
-        for workers in [1, 2, 5, 16] {
-            let got = Pool::new(workers).map_owned(items.clone(), |s| s);
-            assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn map_index_matches_map() {
         let items: Vec<u32> = (0..41).collect();
         let pool = Pool::new(4);
@@ -330,7 +285,6 @@ mod tests {
     fn empty_inputs_are_fine() {
         let pool = Pool::new(8);
         assert!(pool.map(&[] as &[u8], |x| *x).is_empty());
-        assert!(pool.map_owned(Vec::<u8>::new(), |x| x).is_empty());
         assert_eq!(
             pool.try_check(&[] as &[u8], |_, _| Ok::<(), ()>(())),
             Ok(())

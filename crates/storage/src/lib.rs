@@ -28,7 +28,7 @@
 //! 3. `put_checkpoint` — a serialized chain+projection snapshot is stored;
 //!    recovery replays only blocks after the latest checkpoint.
 //! 4. `compact` — segments wholly below the latest checkpoint are deleted
-//!    (opt-in: full-history audits need every block).
+//!    (only on an explicit call: full-history audits need every block).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -125,9 +125,6 @@ pub struct StorageConfig {
     pub segment_blocks: u64,
     /// Appends per fsync (disk backend); `flush` forces one regardless.
     pub fsync_interval: u64,
-    /// Delete sealed segments below the latest checkpoint. Off by
-    /// default: replay-from-genesis audits need full history.
-    pub compact: bool,
 }
 
 impl Default for StorageConfig {
@@ -138,7 +135,6 @@ impl Default for StorageConfig {
             checkpoint_interval: 16,
             segment_blocks: 32,
             fsync_interval: 8,
-            compact: false,
         }
     }
 }

@@ -162,13 +162,8 @@ fn restored_pipeline_rebuilds_identical_projections() {
     let seed: Vec<FactRecord> = tn_factdb::corpus::generate_corpus(&config.factdb_seed)
         .into_iter()
         .collect();
-    let restored = tn_core::pipeline::ExecutionPipeline::restore(
-        &snapshot,
-        governor,
-        config.fact_threshold,
-        seed,
-    )
-    .expect("restore");
+    let restored =
+        tn_core::pipeline::ExecutionPipeline::restore(&snapshot, governor, seed).expect("restore");
 
     assert_eq!(restored.store().head_id(), p.store().head_id());
     assert_eq!(restored.projection_digests(), p.projection_digests());
