@@ -19,9 +19,9 @@
 //!   first affine-comparison form (generic ladder for `e·P` plus a field
 //!   inversion to normalize).
 //! - **Cold import** (Part C): full block structural verification — the
-//!   per-tx scan built here (pooled transaction ids, `merkle_root_par`,
-//!   the header checks, then every signature alone at the pool's
-//!   first-error `try_check`: exactly the pre-E22 path) vs the import
+//!   per-tx scan built here (transaction ids, `merkle_root`, the header
+//!   checks, then every signature alone, in order, on the calling thread:
+//!   the pre-E22 path without its worker pool) vs the import
 //!   path's signature pass, `ChainStore::check_run` on a fresh store (one
 //!   random-linear-combination equation per 512 signatures, the sigcache
 //!   bookkeeping included). The headline gate: batched cold verification
@@ -53,14 +53,13 @@ use tn_chain::sigcache::{HIT_COUNTER, MISS_COUNTER};
 use tn_core::platform::PlatformConfig;
 use tn_crypto::ec::{mul_generator, Affine, Jacobian};
 use tn_crypto::field::{neg_mod, reduce, N};
-use tn_crypto::merkle::merkle_root_par;
+use tn_crypto::merkle::merkle_root;
 use tn_crypto::msm::{glv_halves, msm, signed_window, straus, PIPPENGER_FROM};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::u256::U256;
 use tn_crypto::{Hash256, Keypair, Signature};
 use tn_node::validator::IngestOutcome;
 use tn_node::ValidatorNode;
-use tn_par::Pool;
 use tn_telemetry::Registry;
 
 /// One measured configuration.
@@ -117,18 +116,15 @@ fn deterministic_pairs(n: usize) -> Vec<(Affine, U256)> {
 }
 
 /// The per-transaction scan, as block import ran it before the batch
-/// equation: every transaction id on `pool`, the Merkle root over them on
-/// `pool`, the header checks, then each signature alone at the pool's
-/// first-error `try_check`. No cache.
-fn scan(block: &Block, pool: &Pool) -> bool {
-    let ids = pool.map(&block.transactions, |tx| tx.id().into_bytes());
+/// equation: every transaction id, the Merkle root over them, the header
+/// checks, then each signature alone, in order. No cache.
+fn scan(block: &Block) -> bool {
+    let ids = block.transactions.iter().map(|tx| tx.id().into_bytes());
     let digest = block.header.digest();
     block.proposer_key.address() == block.header.proposer
         && block.proposer_key.verify(&digest, &block.signature)
-        && merkle_root_par(&ids, pool) == block.header.tx_root
-        && pool
-            .try_check(&block.transactions, |_, tx| tx.verify())
-            .is_ok()
+        && merkle_root(ids) == block.header.tx_root
+        && block.transactions.iter().all(|tx| tx.verify().is_ok())
 }
 
 /// Mean wall time (ms) of `run(i)` for `i` in `0..reps`, after one
@@ -219,8 +215,6 @@ fn main() {
         "Batch Schnorr verification: MSM kernels, no-inversion verify, cold import",
     );
     let quick = exp.quick;
-    println!("available parallelism: {}\n", Pool::auto().workers());
-
     let mut rows: Vec<Row> = Vec::new();
 
     // Part A: MSM per-point cost vs independent per-point multiplication.
@@ -341,7 +335,6 @@ fn main() {
     println!("\nPart C: cold block verification (per-tx scan vs the import path's equations)");
     let block_txs = if quick { 96 } else { 1024 };
     let reps = if quick { 1 } else { 3 };
-    let pool = Pool::auto();
     let mut scan_tps = 0.0;
     let mut batch_tps = 0.0;
     let mut speedup_single = 0.0;
@@ -354,7 +347,7 @@ fn main() {
             .collect();
         let block = chain.block();
         let run = std::slice::from_ref(&block);
-        let scan_ms = mean_ms(reps, |_| assert!(scan(&block, &pool), "valid block"));
+        let scan_ms = mean_ms(reps, |_| assert!(scan(&block), "valid block"));
         let batch_ms = mean_ms(reps, |i| drop(stores[i].check_run(run)));
         let proved = |store: &ChainStore| store.sig_cache().len() == block_txs + 1;
         assert!(stores.iter().all(proved), "every signature proved");

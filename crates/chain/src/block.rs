@@ -43,17 +43,15 @@
 //! equation's Fiat–Shamir seed binds the id of the first block in it and
 //! the chunk index (the coefficients bind every signature, key and
 //! message of the chunk), so replicas proving the same run compute
-//! bit-identical equations whatever their worker count. Tracing never
-//! changes how a signature is checked: a `tx.verify` span is recorded by
-//! the per-block check alone, the fallback for a block no equation
-//! vouched for.
+//! bit-identical equations. Tracing never changes how a signature is
+//! checked: a `tx.verify` span is recorded by the per-block check alone,
+//! the fallback for a block no equation vouched for.
 
 use std::collections::HashSet;
 
-use tn_crypto::merkle::{leaf_hash, merkle_root, merkle_root_of_leaves_par};
+use tn_crypto::merkle::{leaf_hash, merkle_root, merkle_root_of_leaves};
 use tn_crypto::sha256::tagged_hash;
 use tn_crypto::{verify_batch, Address, BatchItem, Hash256, Keypair, PublicKey, Signature};
-use tn_par::Pool;
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, TraceId, TraceSink};
 
@@ -159,16 +157,19 @@ impl Block {
 
     /// Everything the import path hashes of this block, computed once: the
     /// checks, the signature equations, the receipts and the indexes all
-    /// read these. Each transaction is hashed once, fanned out over `pool`;
-    /// the root is [`Block::compute_tx_root`]'s for every worker count.
-    pub(crate) fn hashes(&self, pool: &Pool) -> BlockHashes {
-        let leaf = |id: Hash256| (id, leaf_hash(id.as_bytes()));
-        let hashed = pool.map(&self.transactions, |tx| leaf(tx.id()));
-        let (tx_ids, leaves): (Vec<Hash256>, _) = hashed.into_iter().unzip();
+    /// read these. Each transaction is hashed once; the root is
+    /// [`Block::compute_tx_root`]'s.
+    pub(crate) fn hashes(&self) -> BlockHashes {
+        let (tx_ids, leaves): (Vec<Hash256>, _) = (self.transactions.iter())
+            .map(|tx| {
+                let id = tx.id();
+                (id, leaf_hash(id.as_bytes()))
+            })
+            .unzip();
         BlockHashes {
             id: self.header.digest(),
             tx_ids,
-            tx_root: merkle_root_of_leaves_par(leaves, pool),
+            tx_root: merkle_root_of_leaves(leaves),
         }
     }
 
@@ -251,8 +252,8 @@ impl Block {
     /// Structural validation: proposer address consistency, proposer
     /// signature, tx-root match, and per-transaction signatures.
     ///
-    /// This is the reference verifier: one plain loop, no worker pool, no
-    /// signature cache, no batch equation. Tests compare
+    /// This is the reference verifier: one plain loop, no signature cache,
+    /// no batch equation. Tests compare
     /// [`ChainStore::import`](crate::store::ChainStore::import) — the
     /// import path's check of a run of one — against it.
     ///
@@ -367,7 +368,6 @@ pub(crate) enum Claim<'a> {
 /// nothing.
 pub(crate) fn prove_run(
     run: &[(&Block, &BlockHashes)],
-    pool: &Pool,
     cache: &SigCache,
     telemetry: &TelemetrySink,
     chunk: usize,
@@ -375,7 +375,7 @@ pub(crate) fn prove_run(
     let Some((_, first)) = run.first() else {
         return Vec::new();
     };
-    let chunk = chunk.max(1); // as `map_chunks` clamps it
+    let chunk = chunk.max(1);
     let mut claims = Vec::new();
     let spans: Vec<_> = run
         .iter()
@@ -389,12 +389,14 @@ pub(crate) fn prove_run(
             start..claims.len()
         })
         .collect();
-    let held = pool.map_chunks(&claims, chunk, |ci, share| {
-        let mut seed = [0u8; 40];
-        seed[..32].copy_from_slice(first.id.as_bytes());
-        seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
-        batch_verify_chunk(share.iter().copied(), &seed, cache, telemetry)
-    });
+    let held: Vec<bool> = (claims.chunks(chunk).enumerate())
+        .map(|(ci, share)| {
+            let mut seed = [0u8; 40];
+            seed[..32].copy_from_slice(first.id.as_bytes());
+            seed[32..].copy_from_slice(&(ci as u64).to_be_bytes());
+            batch_verify_chunk(share.iter().copied(), &seed, cache, telemetry)
+        })
+        .collect();
     let failed = held.iter().filter(|held| !**held).count();
     if failed > 0 {
         telemetry.add(BATCH_FALLBACK_COUNTER, failed as u64);
@@ -594,7 +596,7 @@ mod tests {
     #[test]
     fn hashes_are_the_digest_the_ids_and_the_root() {
         let (_, block) = sample_block();
-        let hashes = block.hashes(&Pool::new(2));
+        let hashes = block.hashes();
         let ids: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
         assert_eq!(hashes.id, block.id());
         assert_eq!(hashes.tx_ids, ids);
@@ -711,13 +713,12 @@ mod tests {
     /// prove, the per-block check.
     fn check_one(
         block: &Block,
-        workers: usize,
         cache: &SigCache,
         sink: &TelemetrySink,
         chunk: usize,
     ) -> Result<(), ChainError> {
-        let (pool, hashes) = (Pool::new(workers), block.hashes(&Pool::new(workers)));
-        if prove_run(&[(block, &hashes)], &pool, cache, sink, chunk)[0] {
+        let hashes = block.hashes();
+        if prove_run(&[(block, &hashes)], cache, sink, chunk)[0] {
             return Ok(());
         }
         block.verify_hashed(&hashes, cache, sink, &TraceSink::disabled(), 0)
@@ -738,26 +739,26 @@ mod tests {
         .map(|name| snap.counter(name).unwrap_or(0))
     }
 
+    // The `parallel_verify_*` and `batch_policy_*` names date from the
+    // pooled pass; the pass they check is now one sequential run.
     #[test]
     fn parallel_verify_matches_sequential_on_valid_blocks() {
         let sink = TelemetrySink::disabled();
         for count in [0usize, 1, 2, 7, 33] {
             let block = block_with_txs(count);
             let ids: Vec<Hash256> = block.transactions.iter().map(Transaction::id).collect();
-            for workers in 1..=8 {
-                let hashes = block.hashes(&Pool::new(workers));
-                assert_eq!(hashes.tx_ids, ids);
-                assert_eq!(hashes.tx_root, block.header.tx_root);
-                let got = check_one(&block, workers, &SigCache::new(64), &sink, BATCH_CHUNK);
-                assert_eq!(got, Ok(()), "count={count} workers={workers}");
-            }
+            let hashes = block.hashes();
+            assert_eq!(hashes.tx_ids, ids);
+            assert_eq!(hashes.tx_root, block.header.tx_root);
+            let got = check_one(&block, &SigCache::new(64), &sink, BATCH_CHUNK);
+            assert_eq!(got, Ok(()), "count={count}");
         }
     }
 
     #[test]
     fn parallel_verify_reports_lowest_index_error() {
-        // The reference's first error at every worker count, and in the
-        // cache exactly the transactions in front of it.
+        // The reference's first error, and in the cache exactly the
+        // transactions in front of it.
         let mut next = numbers(0x5eed_5eed);
         for k in 1..=5usize {
             let mut block = block_with_txs(32);
@@ -775,15 +776,9 @@ mod tests {
             let seq = block.verify_structure();
             assert!(seq.is_err());
             assert_eq!(seq, block.transactions[first_bad].verify());
-            for workers in [1usize, 2, 3, 4, 8] {
-                let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
-                let got = check_one(&block, workers, &cache, &sink, BATCH_CHUNK);
-                assert_eq!(
-                    (got, cache.len()),
-                    (seq.clone(), first_bad),
-                    "{k} {workers}"
-                );
-            }
+            let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
+            let got = check_one(&block, &cache, &sink, BATCH_CHUNK);
+            assert_eq!((got, cache.len()), (seq, first_bad), "{k}");
         }
     }
 
@@ -791,7 +786,7 @@ mod tests {
     fn parallel_verify_with_cache_matches_and_hits() {
         let block = block_with_txs(16);
         let (cache, registry) = (SigCache::new(64), tn_telemetry::Registry::new());
-        let hashes = block.hashes(&Pool::new(4));
+        let hashes = block.hashes();
         for _ in 0..2 {
             let trace = TraceSink::disabled();
             let got = block.verify_hashed(&hashes, &cache, &registry.sink(), &trace, 0);
@@ -804,7 +799,7 @@ mod tests {
     #[test]
     fn batch_policy_matches_sequential_verdicts() {
         // Valid and corrupted blocks: the reference's verdict for every
-        // worker count × chunk size.
+        // chunk size.
         for corrupt in [false, true] {
             for count in [0usize, 1, 5, 33] {
                 let mut block = block_with_txs(count);
@@ -813,12 +808,10 @@ mod tests {
                     reseal(&mut block);
                 }
                 let seq = block.verify_structure();
-                for workers in [1usize, 3, 8] {
-                    for chunk in [1usize, 4, 16, BATCH_CHUNK] {
-                        let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
-                        let got = check_one(&block, workers, &cache, &sink, chunk);
-                        assert_eq!(got, seq, "{corrupt} {count} {workers} {chunk}");
-                    }
+                for chunk in [1usize, 4, 16, BATCH_CHUNK] {
+                    let (cache, sink) = (SigCache::new(64), TelemetrySink::disabled());
+                    let got = check_one(&block, &cache, &sink, chunk);
+                    assert_eq!(got, seq, "{corrupt} {count} {chunk}");
                 }
             }
         }
@@ -828,12 +821,12 @@ mod tests {
     fn batch_verify_populates_cache_and_counters() {
         let block = block_with_txs(16);
         let (cache, registry) = (SigCache::new(64), tn_telemetry::Registry::new());
-        check_one(&block, 4, &cache, &registry.sink(), 4).expect("valid");
+        check_one(&block, &cache, &registry.sink(), 4).expect("valid");
         // The proposer's signature leads: 17 signatures, 5 chunks, cached.
         assert_eq!(cache.len(), 17);
         assert_eq!(counts(&registry), [0, 16, 16, 1, 5, 0]);
         // Second pass: every chunk found whole in the cache, no equation.
-        check_one(&block, 4, &cache, &registry.sink(), 4).expect("valid");
+        check_one(&block, &cache, &registry.sink(), 4).expect("valid");
         assert_eq!(counts(&registry), [16, 16, 16, 1, 5, 0]);
     }
 
@@ -843,7 +836,7 @@ mod tests {
         block.transactions[3].fee ^= 1;
         reseal(&mut block);
         let registry = tn_telemetry::Registry::new();
-        let got = check_one(&block, 2, &SigCache::new(64), &registry.sink(), BATCH_CHUNK);
+        let got = check_one(&block, &SigCache::new(64), &registry.sink(), BATCH_CHUNK);
         assert_eq!(got, block.verify_structure());
         assert!(got.is_err());
         assert_eq!(counts(&registry)[5], 1);
@@ -964,8 +957,8 @@ mod tests {
     /// one run of claims cut every `chunk`; an equation over what the cache
     /// lacks holds, and enters the cache, exactly when each of those claims
     /// passes the lone check; a block is proved when it has claims and
-    /// every equation holding one held. Counters are checked on one worker,
-    /// where a later equation meets what an earlier one cached.
+    /// every equation holding one held. A later equation meets what an
+    /// earlier one cached, and the counters say exactly that.
     fn assert_prove_run(blocks: &[Block], chunk: usize) {
         let mut claims: Vec<(bool, Hash256, bool)> = Vec::new(); // (header, key, valid)
         let spans: Vec<_> = blocks
@@ -1003,17 +996,15 @@ mod tests {
             !held[s.start / chunk..s.end.div_ceil(chunk)].contains(&false)
         };
         let expect: Vec<bool> = spans.iter().map(|s| !s.is_empty() && in_held(s)).collect();
-        let hashes: Vec<BlockHashes> = blocks.iter().map(|b| b.hashes(&Pool::new(1))).collect();
+        let hashes: Vec<BlockHashes> = blocks.iter().map(Block::hashes).collect();
         let run: Vec<(&Block, &BlockHashes)> = blocks.iter().zip(&hashes).collect();
-        for workers in [1, 2, 3, 8] {
-            let (cache, registry) = (SigCache::new(1 << 12), tn_telemetry::Registry::new());
-            let got = prove_run(&run, &Pool::new(workers), &cache, &registry.sink(), chunk);
-            let case = format!("blocks={} chunk={chunk} workers={workers}", blocks.len());
-            assert_eq!(got, expect, "{case}");
-            assert_eq!(cache.len(), cached.len(), "{case}");
-            assert!(cached.iter().all(|key| cache.contains(key)), "{case}");
-            assert!(workers > 1 || counts(&registry) == counted, "{case}");
-        }
+        let (cache, registry) = (SigCache::new(1 << 12), tn_telemetry::Registry::new());
+        let got = prove_run(&run, &cache, &registry.sink(), chunk);
+        let case = format!("blocks={} chunk={chunk}", blocks.len());
+        assert_eq!(got, expect, "{case}");
+        assert_eq!(cache.len(), cached.len(), "{case}");
+        assert!(cached.iter().all(|key| cache.contains(key)), "{case}");
+        assert_eq!(counts(&registry), counted, "{case}");
     }
 
     /// A run of blocks with `counts[i]` transactions each, and `faults`

@@ -64,11 +64,6 @@ pub enum ChainError {
     },
     /// The storage backend failed (I/O, corruption, protocol misuse).
     Storage(String),
-    /// The operation needed block history that compaction has pruned.
-    HistoryPruned {
-        /// Lowest height still materialized in storage.
-        first: u64,
-    },
     /// A checkpoint blob was missing, malformed, or inconsistent with the
     /// stored chain.
     Checkpoint(String),
@@ -122,9 +117,6 @@ impl fmt::Display for ChainError {
                 )
             }
             ChainError::Storage(msg) => write!(f, "storage backend error: {msg}"),
-            ChainError::HistoryPruned { first } => {
-                write!(f, "block history below height {first} has been compacted")
-            }
             ChainError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
         }
     }

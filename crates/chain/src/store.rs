@@ -84,7 +84,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use tn_crypto::{Address, Hash256, Keypair};
-use tn_par::Pool;
 use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, TxLocation};
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
@@ -335,10 +334,6 @@ pub struct ChainStore {
     genesis: Hash256,
     telemetry: TelemetrySink,
     trace: TraceSink,
-    /// Worker pool that hashes imported blocks (transaction ids, Merkle
-    /// reduction) and evaluates the equations of a block larger than one:
-    /// always [`Pool::auto`].
-    pool: Pool,
     /// Verified-transaction cache shared with the mempool and proposer so
     /// each signature pays for at most one EC verification per process.
     sig_cache: SigCache,
@@ -451,7 +446,6 @@ impl ChainStore {
             genesis: id,
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
-            pool: Pool::auto(),
             sig_cache: SigCache::default(),
         })
     }
@@ -598,7 +592,6 @@ impl ChainStore {
             genesis: genesis_id,
             telemetry: TelemetrySink::disabled(),
             trace: TraceSink::disabled(),
-            pool: Pool::auto(),
             sig_cache: SigCache::default(),
         };
         Ok((store, cp))
@@ -696,10 +689,9 @@ impl ChainStore {
         self.trace = sink;
     }
 
-    /// The worker pool the store verifies on: [`Pool::auto`], the
-    /// machine's available parallelism, until `tn-par` is deleted.
-    pub fn verify_pool(&self) -> Pool {
-        self.pool
+    /// The worker count the store verifies with: one, the calling thread.
+    pub fn verify_pool(&self) -> tn_par::Pool {
+        Default::default()
     }
 
     /// Replaces the verified-transaction cache. Use this to share one
@@ -969,7 +961,7 @@ impl ChainStore {
         let _verify = self.telemetry.span("chain.verify_ns");
         CheckedBlock {
             block,
-            hashes: block.hashes(&self.pool),
+            hashes: block.hashes(),
             sigs: Sigs::Unproved,
         }
     }
@@ -980,10 +972,8 @@ impl ChainStore {
         let fresh: Vec<usize> = (0..checked.len())
             .filter(|&i| self.reject_known(&checked[i].hashes.id).is_ok())
             .collect();
-        // One equation's worth of blocks at a time, on this thread. Fanned
-        // out, every verify worker would build its equation's scratch in
-        // an allocator arena of its own and the process would keep them
-        // all; the pool still splits a single block larger than a chunk.
+        // One equation's worth of blocks at a time; a block larger than a
+        // chunk is cut into several equations.
         let mut rest = fresh.as_slice();
         while !rest.is_empty() {
             let mut signatures = 0;
@@ -996,13 +986,7 @@ impl ChainStore {
                 .iter()
                 .map(|&i| (checked[i].block, &checked[i].hashes))
                 .collect();
-            let proved = prove_run(
-                &run,
-                &self.pool,
-                &self.sig_cache,
-                &self.telemetry,
-                BATCH_CHUNK,
-            );
+            let proved = prove_run(&run, &self.sig_cache, &self.telemetry, BATCH_CHUNK);
             let unproved = if together.len() > 1 {
                 Sigs::Shared
             } else {
@@ -1350,14 +1334,11 @@ impl ChainStore {
         Ok(())
     }
 
-    /// The backend record of a block the store knows, or the error that
-    /// says compaction took it.
+    /// The backend record of a block the store knows.
     fn record(&self, id: &Hash256) -> Result<BlockRecord, ChainError> {
         self.backend
             .block_by_id(id.as_bytes())?
-            .ok_or(ChainError::HistoryPruned {
-                first: self.backend.first_height(),
-            })
+            .ok_or_else(|| ChainError::Storage(format!("backend has no record of block {id}")))
     }
 
     /// Walks the canonical chain genesis-first, decoding each block and
@@ -1367,8 +1348,8 @@ impl ChainStore {
     ///
     /// # Errors
     ///
-    /// [`ChainError::HistoryPruned`] when compaction took a canonical
-    /// record; storage and decode errors.
+    /// [`ChainError::Storage`] when the backend lacks a canonical record
+    /// or fails to read one; decode errors.
     pub fn for_each_canonical(
         &self,
         f: &mut dyn FnMut(&Block, &[Receipt]),
@@ -1547,7 +1528,7 @@ impl ChainStore {
         self.for_each_canonical(&mut |block, _| {
             out.extend(block.transactions.iter().cloned());
         })
-        .expect("canonical history readable (compaction disables full iteration)");
+        .expect("canonical history readable");
         out
     }
 
@@ -1567,8 +1548,8 @@ impl ChainStore {
     ///
     /// # Panics
     ///
-    /// When a canonical block cannot be read back from the backend
-    /// (compaction pruned it, or the disk is corrupt).
+    /// When a canonical block cannot be read back from the backend (the
+    /// disk is corrupt).
     pub fn snapshot(&self) -> Vec<u8> {
         // Height order (parents before children), deterministic tie-break.
         let mut ids: Vec<(u64, Hash256)> = self
@@ -1587,7 +1568,7 @@ impl ChainStore {
             .iter()
             .map(|(_, id)| {
                 self.record(id)
-                    .expect("canonical block readable (compaction disables snapshots)")
+                    .expect("canonical block readable")
                     .block_bytes
             })
             .collect();
@@ -2227,6 +2208,7 @@ mod tests {
         assert!(!store.contains(&tn_crypto::sha256::sha256(b"no such block")));
     }
 
+    // Compaction is gone; the name is kept, the checkpoint half stays.
     #[test]
     fn pruned_checkpoints_still_serve_history_recovery_and_compaction() {
         // 60 blocks, a checkpoint every 8: the in-memory backend is left
@@ -2267,23 +2249,6 @@ mod tests {
             old.root(),
             recovered.block(&ids[20]).unwrap().header.state_root
         );
-
-        // Compaction drops history below the newest checkpoint; what is
-        // left still answers, what is gone answers `None`, nothing panics.
-        recovered.backend.compact().expect("compacts");
-        assert_eq!(recovered.storage().first_height(), 56);
-        for (h, id) in ids.iter().enumerate().skip(1) {
-            let state = recovered.state_of(id);
-            if h >= 56 {
-                let header = recovered.block(id).expect("kept block").header;
-                assert_eq!(state.expect("kept state").root(), header.state_root);
-            } else {
-                assert!(
-                    state.is_none() && recovered.block(id).is_none(),
-                    "height {h}"
-                );
-            }
-        }
     }
 
     /// Test executor: no contracts, and a log of the canonical blocks it

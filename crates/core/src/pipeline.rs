@@ -548,7 +548,7 @@ impl ExecutionPipeline {
     /// # Errors
     ///
     /// The name of the first projection that diverged, or why canonical
-    /// history could not be read back (compaction pruned it).
+    /// history could not be read back (the disk is corrupt).
     pub fn verify_replay(&self) -> Result<Vec<(&'static str, Hash256)>, String> {
         let mut fresh = self.host.projections.fresh();
         replay_counted(&mut fresh, &self.store, &self.host.telemetry)

@@ -105,7 +105,7 @@ pub const MEMPOOL_CAPACITY: usize = 100_000;
 /// The struct itself is plain data — `tn-gateway` validates it at
 /// construction (a zero-capacity queue or zero-size ingest batch is a
 /// typed configuration error there, never a silent stall; `workers == 0`
-/// is clamped to one lane, mirroring `tn-par`). It lives here so a single
+/// is clamped to one lane). It lives here so a single
 /// [`PlatformConfig`] describes a complete front-door deployment and can
 /// be threaded through bootstrap alongside storage and verify settings.
 #[derive(Debug, Clone)]

@@ -357,8 +357,7 @@ impl Projections {
     ///
     /// # Errors
     ///
-    /// When canonical history cannot be read back (compaction pruned it,
-    /// or the disk is corrupt).
+    /// When canonical history cannot be read back (the disk is corrupt).
     pub fn replay(&mut self, store: &ChainStore) -> Result<u64, ChainError> {
         *self = self.fresh();
         let mut blocks = 0;

@@ -10,7 +10,6 @@
 //! interior node is presented as a leaf.
 
 use serde::{Deserialize, Serialize};
-use tn_par::Pool;
 
 use crate::hash::Hash256;
 use crate::sha256::Sha256;
@@ -32,16 +31,11 @@ pub(crate) fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     h.finalize()
 }
 
-/// Node `i` of the level above `level`; an odd last node pairs with itself.
-fn parent(level: &[Hash256], i: usize) -> Hash256 {
-    let left = &level[2 * i];
-    node_hash(left, level.get(2 * i + 1).unwrap_or(left))
-}
-
-/// The level above `level`.
+/// The level above `level`; an odd last node pairs with itself.
 fn parent_level(level: &[Hash256]) -> Vec<Hash256> {
-    (0..level.len().div_ceil(2))
-        .map(|i| parent(level, i))
+    level
+        .chunks(2)
+        .map(|pair| node_hash(&pair[0], &pair[pair.len() - 1]))
         .collect()
 }
 
@@ -172,41 +166,6 @@ pub fn merkle_root_of_leaves(mut level: Vec<Hash256>) -> Hash256 {
         level = parent_level(&level);
     }
     level[0]
-}
-
-/// A level must be at least this wide before a reduction step is worth
-/// fanning out to pool workers; below it, thread overhead dominates.
-const PAR_LEVEL_THRESHOLD: usize = 64;
-
-/// Computes the Merkle root over pre-hashed leaves, fanning each wide
-/// level's node hashing out over `pool` workers.
-///
-/// Byte-identical to [`merkle_root_of_leaves`] for every input and worker
-/// count — levels are reduced pairwise in the same order, only the hashing
-/// of independent sibling pairs runs concurrently. Narrow levels (fewer
-/// than 64 nodes) are reduced inline.
-pub fn merkle_root_of_leaves_par(mut level: Vec<Hash256>, pool: &Pool) -> Hash256 {
-    if level.is_empty() {
-        return Hash256::ZERO;
-    }
-    while level.len() > 1 {
-        level = if pool.workers() > 1 && level.len() >= PAR_LEVEL_THRESHOLD {
-            pool.map_index(level.len().div_ceil(2), |i| parent(&level, i))
-        } else {
-            parent_level(&level)
-        };
-    }
-    level[0]
-}
-
-/// Computes the Merkle root of an item list with leaf hashing and wide
-/// levels parallelised over `pool`. Byte-identical to [`merkle_root`].
-pub fn merkle_root_par<T>(items: &[T], pool: &Pool) -> Hash256
-where
-    T: AsRef<[u8]> + Sync,
-{
-    let leaves = pool.map(items, |d| leaf_hash(d.as_ref()));
-    merkle_root_of_leaves_par(leaves, pool)
 }
 
 /// Incrementally maintained append-only Merkle accumulator.
@@ -349,35 +308,6 @@ mod tests {
             .prove(7)
             .expect("in range");
         assert!(proof.verify(&leaves[7], &acc.root()));
-    }
-
-    #[test]
-    fn parallel_root_matches_sequential() {
-        // Determinism across worker counts, at and around the parallel
-        // threshold and for odd widths that duplicate the last node.
-        for size in [0usize, 1, 2, 3, 63, 64, 65, 127, 128, 129, 257] {
-            let leaves: Vec<Hash256> = (0..size)
-                .map(|i| leaf_hash(&(i as u64).to_be_bytes()))
-                .collect();
-            let expect = merkle_root_of_leaves(leaves.clone());
-            for workers in [1usize, 2, 3, 4, 8] {
-                let pool = Pool::new(workers);
-                assert_eq!(
-                    merkle_root_of_leaves_par(leaves.clone(), &pool),
-                    expect,
-                    "size={size} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn merkle_root_par_matches_merkle_root() {
-        let items: Vec<Vec<u8>> = (0..200u8).map(|i| vec![i; 5]).collect();
-        let expect = merkle_root(items.iter());
-        for workers in [1usize, 3, 4] {
-            assert_eq!(merkle_root_par(&items, &Pool::new(workers)), expect);
-        }
     }
 
     proptest! {

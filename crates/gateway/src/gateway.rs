@@ -93,7 +93,7 @@ pub struct Gateway {
 impl Gateway {
     /// Builds a gateway from `config`, validating it.
     ///
-    /// `workers == 0` is clamped to one lane (mirroring `tn-par`'s pool).
+    /// `workers == 0` is clamped to one lane.
     ///
     /// # Errors
     ///

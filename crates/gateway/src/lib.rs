@@ -33,7 +33,7 @@
 //! `PlatformConfig`, so one config describes a full deployment) and is
 //! validated here at construction: zero-capacity queues and zero-size
 //! ingest batches are typed [`GatewayError`]s instead of silent stalls,
-//! and `workers == 0` clamps to one lane, mirroring `tn-par`.
+//! and `workers == 0` clamps to one lane.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

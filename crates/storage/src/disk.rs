@@ -32,8 +32,6 @@
 //! - Finalization state between `sealed` and the chain layer's eviction
 //!   frontier is not persisted; the chain layer re-finalizes that gap
 //!   after replay (the records are still in the WAL).
-//! - Compaction only deletes segments wholly below the latest checkpoint,
-//!   so replay from the latest checkpoint is always possible.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
@@ -43,7 +41,7 @@ use std::path::{Path, PathBuf};
 use tn_telemetry::TelemetrySink;
 
 use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader, TxIndexEntry, TxLocation};
-use crate::{Checkpoint, CompactStats, Storage, StorageConfig, StorageError};
+use crate::{Checkpoint, Storage, StorageConfig, StorageError};
 
 const META_MAGIC: u32 = 0x544E_4D54; // "TNMT"
 const META_SLOT: u64 = 64;
@@ -841,10 +839,6 @@ impl Storage for DiskBackend {
         self.frontier
     }
 
-    fn first_height(&self) -> u64 {
-        self.first
-    }
-
     fn contains_block(&self, id: &Key) -> bool {
         self.live_ids.contains(id) || self.by_id.contains_key(id)
     }
@@ -946,41 +940,6 @@ impl Storage for DiskBackend {
             }
         }
         Ok(None)
-    }
-
-    fn compact(&mut self) -> Result<CompactStats, StorageError> {
-        let _span = self.telemetry.span("storage.compact_ns");
-        let Some((&ckpt, _)) = self.checkpoints.iter().next_back() else {
-            return Ok(CompactStats::default());
-        };
-        let mut stats = CompactStats::default();
-        let removable: Vec<u64> = self
-            .segments
-            .iter()
-            .filter(|(_, seg)| seg.entries.keys().next_back().is_some_and(|&hi| hi < ckpt))
-            .map(|(&start, _)| start)
-            .collect();
-        for start in removable {
-            if let Some(seg) = self.segments.remove(&start) {
-                for e in seg.entries.values() {
-                    self.by_id.remove(&e.id);
-                }
-                stats.blocks_pruned += seg.entries.len() as u64;
-                stats.segments_removed += 1;
-                fs::remove_file(&seg.path)?;
-                let _ = fs::remove_file(idx_path(&self.dir, start));
-            }
-        }
-        if stats.segments_removed > 0 {
-            File::open(self.dir.join("segments"))?.sync_all()?;
-            if let Some((&start, _)) = self.segments.iter().next() {
-                self.first = start;
-            } else if !self.pending.is_empty() {
-                self.first = self.pending[0].0;
-            }
-            self.telemetry.incr("storage.compactions");
-        }
-        Ok(stats)
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -1247,6 +1206,7 @@ mod tests {
         assert_eq!(s.head().unwrap().unwrap().height, 1);
     }
 
+    // Compaction is gone; the name is kept, the checkpoint half stays.
     #[test]
     fn checkpoints_round_trip_and_drive_compaction() {
         let tmp = TempDir::new();
@@ -1259,18 +1219,14 @@ mod tests {
         let c = s.latest_checkpoint().unwrap().unwrap();
         assert_eq!((c.height, c.blob.as_slice()), (8, &b"snapshot-blob"[..]));
         assert!(s.checkpoint_at_or_before(7).unwrap().is_none());
-        // Segments 1..=4 and 5..=8 exist; only 1..=4 is wholly below 8.
-        let stats = s.compact().unwrap();
-        assert_eq!(stats.segments_removed, 1);
-        assert_eq!(stats.blocks_pruned, 4);
-        assert_eq!(s.first_height(), 5);
-        assert!(s.block_by_height(2).unwrap().is_none());
-        assert_eq!(s.block_by_height(6).unwrap().unwrap(), rec(6, 6));
-        // Reopen sees the pruned shape.
         s.flush().unwrap();
         drop(s);
         let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
-        assert_eq!(s.first_height(), 5);
+        assert_eq!(
+            s.latest_checkpoint().unwrap().unwrap().blob,
+            b"snapshot-blob"
+        );
+        assert_eq!(s.block_by_height(2).unwrap().unwrap(), rec(2, 2));
         assert_eq!(s.finalized_height(), 8);
     }
 

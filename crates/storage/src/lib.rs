@@ -26,9 +26,8 @@
 //!    and indexed (tx id → location, account → tx ids), fork siblings at
 //!    or below the height are discarded.
 //! 3. `put_checkpoint` — a serialized chain+projection snapshot is stored;
-//!    recovery replays only blocks after the latest checkpoint.
-//! 4. `compact` — segments wholly below the latest checkpoint are deleted
-//!    (only on an explicit call: full-history audits need every block).
+//!    recovery replays only blocks after the latest checkpoint. History is
+//!    never deleted: full-history audits need every block.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -87,15 +86,6 @@ pub struct Checkpoint {
     pub id: Key,
     /// The serialized snapshot (format owned by the chain layer).
     pub blob: Vec<u8>,
-}
-
-/// What one [`Storage::compact`] pass reclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Sealed segments deleted.
-    pub segments_removed: usize,
-    /// Finalized blocks whose full records were dropped.
-    pub blocks_pruned: u64,
 }
 
 /// Which backend a node runs on.
@@ -186,10 +176,6 @@ pub trait Storage: Send + fmt::Debug {
     /// Highest finalized height (0 when nothing is finalized).
     fn finalized_height(&self) -> u64;
 
-    /// Lowest finalized height still materialized (rises past 1 only
-    /// after compaction pruned early segments).
-    fn first_height(&self) -> u64;
-
     /// True when [`Storage::block_by_id`] would find a record for `id`,
     /// answered from the id indexes without touching the record.
     fn contains_block(&self, id: &Key) -> bool;
@@ -278,15 +264,6 @@ pub trait Storage: Send + fmt::Debug {
     ///
     /// [`StorageError`] on read failure or corruption.
     fn checkpoint_at_or_before(&self, height: u64) -> Result<Option<Checkpoint>, StorageError>;
-
-    /// Deletes finalized history wholly below the latest checkpoint.
-    /// After compaction `first_height` rises and full-history replay is
-    /// no longer possible.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on delete failure.
-    fn compact(&mut self) -> Result<CompactStats, StorageError>;
 
     /// Forces buffered writes (WAL, head metadata) to durable storage.
     ///

@@ -14,15 +14,15 @@
 //! and historical queries can need are kept: the oldest (the genesis
 //! checkpoint every replay can start from) and the newest two. A query for a height below the kept recent ones
 //! is answered with the genesis checkpoint and the chain layer replays
-//! further — the same state, since records are only ever dropped by
-//! `compact`. (The disk backend keeps every blob; they cost it no memory.)
+//! further — the same state, since records are never dropped. (The disk
+//! backend keeps every blob; they cost it no memory.)
 
 use std::collections::{BTreeMap, HashMap};
 
 use tn_telemetry::TelemetrySink;
 
 use crate::record::{BlockRecord, HeadMeta, Key, TxLocation};
-use crate::{Checkpoint, CompactStats, Storage, StorageError};
+use crate::{Checkpoint, Storage, StorageError};
 
 /// Checkpoints kept besides the oldest one. Two, so that a checkpoint the
 /// chain layer finds unusable still has a recent predecessor.
@@ -41,7 +41,6 @@ pub struct MemBackend {
     checkpoints: BTreeMap<u64, (Key, Vec<u8>)>,
     tx_index: HashMap<Key, TxLocation>,
     account_index: HashMap<Key, Vec<Key>>,
-    first_height: u64,
     telemetry: TelemetrySink,
 }
 
@@ -100,23 +99,12 @@ impl Storage for MemBackend {
             }
         }
         self.by_id.insert(rec.id, height);
-        if self.finalized.is_empty() {
-            self.first_height = height;
-        }
         self.finalized.insert(height, rec);
         Ok(())
     }
 
     fn finalized_height(&self) -> u64 {
         self.finalized.keys().next_back().copied().unwrap_or(0)
-    }
-
-    fn first_height(&self) -> u64 {
-        if self.finalized.is_empty() {
-            0
-        } else {
-            self.first_height
-        }
     }
 
     fn contains_block(&self, id: &Key) -> bool {
@@ -199,29 +187,6 @@ impl Storage for MemBackend {
                 id: *id,
                 blob: blob.clone(),
             }))
-    }
-
-    fn compact(&mut self) -> Result<CompactStats, StorageError> {
-        let _span = self.telemetry.span("storage.compact_ns");
-        let Some((&ckpt_height, _)) = self.checkpoints.iter().next_back() else {
-            return Ok(CompactStats::default());
-        };
-        let prune: Vec<u64> = self
-            .finalized
-            .range(..ckpt_height)
-            .map(|(&h, _)| h)
-            .collect();
-        let mut stats = CompactStats::default();
-        for h in prune {
-            if let Some(rec) = self.finalized.remove(&h) {
-                self.by_id.remove(&rec.id);
-                stats.blocks_pruned += 1;
-            }
-        }
-        if let Some(&first) = self.finalized.keys().next() {
-            self.first_height = first;
-        }
-        Ok(stats)
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
@@ -313,6 +278,7 @@ mod tests {
         assert_eq!(heights, vec![2, 3, 4]);
     }
 
+    // Compaction is gone; the name is kept, the checkpoint half stays.
     #[test]
     fn checkpoints_and_compaction() {
         let mut s = MemBackend::new();
@@ -324,11 +290,7 @@ mod tests {
         s.put_checkpoint(4, &[4; 32], b"mid").unwrap();
         assert_eq!(s.latest_checkpoint().unwrap().unwrap().height, 4);
         assert_eq!(s.checkpoint_at_or_before(3).unwrap().unwrap().height, 0);
-        let stats = s.compact().unwrap();
-        assert_eq!(stats.blocks_pruned, 3);
-        assert_eq!(s.first_height(), 4);
-        assert!(s.block_by_height(3).unwrap().is_none());
-        assert!(s.block_by_height(5).unwrap().is_some());
+        assert!(s.block_by_height(3).unwrap().is_some());
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub(crate) struct TracerInner {
     /// causally-consistent timeline.
     origin: Instant,
     /// One lock per replica. A replica's spans are recorded by that
-    /// replica's execution (plus its scoped verify workers), so the lock
-    /// is effectively uncontended — "lock-light", not lock-free.
+    /// replica's execution, so the lock is effectively uncontended —
+    /// "lock-light", not lock-free.
     shards: Vec<Mutex<Shard>>,
     /// Ids of once-per-trace spans already minted (cluster-wide dedup for
     /// spans like `tx.admission` that every replica would otherwise

@@ -83,8 +83,8 @@ echo "== cargo test --release -p tn-chain (state trie and run import without deb
 # proposer that verifies each alone, then applies: same block bytes,
 # receipts, state root, dropped set and sigcache hit/miss counts — to the
 # optimized build, on both sides of one 512-signature equation; the
-# prove_run / prove_txs unit tests sweep the smaller chunk sizes and the
-# worker counts there is no setting for. tests/select_oracle.rs
+# prove_run / prove_txs unit tests sweep the smaller chunk sizes, with
+# every counter checked on every run. tests/select_oracle.rs
 # holds the mempool's heap selection to the per-pick walk over every
 # account that defined it, transaction for transaction and in order, each
 # with its own id: the block order is consensus-visible, so it must hold
