@@ -1,8 +1,10 @@
 //! E10 — End-to-end ecosystem (Figure 2): all five roles act through the
 //! real platform over multiple rounds; measures rank separation, factual
-//! database growth and ledger volume, with and without the AI detector.
+//! database growth and ledger volume, with and without the AI detector;
+//! asserts the shape check it prints.
 //!
-//! Run: `cargo run -p tn-bench --release --bin exp10_ecosystem`
+//! Run: `cargo run -p tn-bench --release --bin exp10_ecosystem` (`--quick`:
+//! four rounds, writes nothing).
 
 use serde::Serialize;
 use tn_bench::Experiment;
@@ -25,17 +27,18 @@ struct Row {
 fn main() {
     let exp = Experiment::start("E10", "figure-2 ecosystem simulation");
     let mut rows = Vec::new();
+    let rounds = if exp.quick { 4 } else { 8 };
 
     for (variant, detector_round) in [
         ("with AI detector (round 3)", Some(3)),
         ("no AI detector", None),
     ] {
-        let result = run_ecosystem(&EcosystemConfig {
-            rounds: 8,
+        let config = EcosystemConfig {
+            rounds,
             detector_round,
             ..EcosystemConfig::default()
-        })
-        .expect("simulation runs");
+        };
+        let result = run_ecosystem(&config).expect("simulation runs");
         for r in &result.rounds {
             rows.push(Row {
                 variant,
@@ -50,19 +53,31 @@ fn main() {
                 chain_height: r.chain_height,
             });
         }
+        let fakes: Vec<_> = result.truth.iter().filter(|(_, f)| *f).collect();
+        let found = fakes
+            .iter()
+            .filter(|(id, _)| result.platform.origin_of(id).expect("known").is_some())
+            .count();
+        let factdb = result.platform.factdb().len();
         println!(
-            "[{variant}] final separation {:.1}, factdb {} records, {} blocks, accountability {}",
+            "[{variant}] final separation {:.1}, factdb {factdb} records, {} blocks, \
+             accountability {found}/{}",
             result.final_separation,
-            result.platform.factdb().len(),
             result.platform.height(),
-            {
-                let fakes: Vec<_> = result.truth.iter().filter(|(_, f)| *f).collect();
-                let found = fakes
-                    .iter()
-                    .filter(|(id, _)| result.platform.origin_of(id).expect("known").is_some())
-                    .count();
-                format!("{found}/{}", fakes.len())
-            }
+            fakes.len()
+        );
+        let outranked = result
+            .rounds
+            .iter()
+            .all(|r| r.mean_rank_factual > r.mean_rank_fake);
+        let points = result.rounds.last().map_or(0.0, |r| r.mean_consumer_points);
+        let seeded = config.platform.factdb_seed.size;
+        assert!(
+            outranked && points > 0.0 && factdb > seeded && found == fakes.len(),
+            "[{variant}] shape check failed: factual outranks fake every round {outranked}, \
+             consumer points {points:.1}, factdb {factdb} of {seeded} seeded, origins found \
+             {found}/{}",
+            fakes.len()
         );
     }
 

@@ -300,15 +300,11 @@ impl Mempool {
             .flat_map(|m| m.values().map(|(_, tx)| tx))
     }
 
-    /// The next free nonce per account with pending transactions:
-    /// `max(pending nonce) + 1`. Lets a caller re-derive its nonce
-    /// reservations from actual pool content instead of tracking them
-    /// separately (and drifting when transactions are dropped or pruned).
-    pub fn next_nonces(&self) -> BTreeMap<Address, u64> {
-        self.by_account
-            .iter()
-            .filter_map(|(addr, txs)| txs.keys().next_back().map(|n| (*addr, n + 1)))
-            .collect()
+    /// The nonce after `who`'s highest pending one, `None` when it has
+    /// nothing pending: a signer's next nonce read from pool content, so
+    /// it cannot drift when transactions are dropped or pruned.
+    pub fn next_nonce(&self, who: &Address) -> Option<u64> {
+        self.by_account.get(who)?.keys().next_back().map(|n| n + 1)
     }
 }
 
@@ -433,12 +429,11 @@ mod tests {
     fn next_nonces_tracks_pool_content() {
         let s = state();
         let mut pool = Mempool::new(100);
-        assert!(pool.next_nonces().is_empty());
+        assert_eq!(pool.next_nonce(&alice().address()), None);
         pool.insert(tx(&alice(), 0, 1), &s).unwrap();
         pool.insert(tx(&alice(), 1, 1), &s).unwrap();
         pool.insert(tx(&bob(), 0, 1), &s).unwrap();
-        let next = pool.next_nonces();
-        assert_eq!(next.get(&alice().address()), Some(&2));
-        assert_eq!(next.get(&bob().address()), Some(&1));
+        assert_eq!(pool.next_nonce(&alice().address()), Some(2));
+        assert_eq!(pool.next_nonce(&bob().address()), Some(1));
     }
 }

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+use tn_contracts::builtin::{incentive_reward, incentive_slash};
 use tn_crypto::{Hash256, Keypair};
 use tn_factdb::record::{FactRecord, SourceKind};
 use tn_supplychain::ops::{apply, PropagationOp};
@@ -270,12 +271,12 @@ pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, Platfo
                     rng.gen_range(0..=30)
                 };
                 platform.submit_rating(rater, item, score)?;
-                let correct = believes_factual != *is_fake;
-                if correct {
-                    platform.reward_points(&rater.address(), 2)?;
+                let points = if believes_factual != *is_fake {
+                    incentive_reward(&rater.address(), 2)
                 } else {
-                    platform.slash_points(&rater.address(), 1)?;
-                }
+                    incentive_slash(&rater.address(), 1)
+                };
+                platform.call(None, platform.pipeline().addrs().incentive, points, 10_000)?;
             }
         }
         platform.produce_block()?;

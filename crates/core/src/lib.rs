@@ -9,11 +9,11 @@
 //!   graph, identity registry, factual database, headline cache) derived
 //!   purely from committed blocks.
 //! - [`pipeline`]: the [`ExecutionPipeline`] — chain store plus, as its
-//!   executor, contract registry and projections; the deterministic
-//!   replica core shared by the local platform and `tn-node` validators.
+//!   executor, contract registry and projections, beside the mempool and
+//!   block clock; the single-node core under the platform and validators.
 //! - [`platform`]: the [`Platform`] struct — a facade over the pipeline
-//!   adding keys, a mempool and the AI detector behind one transactional
-//!   API (publish, rate, attest, rank, trace, suggest experts).
+//!   adding keys and the AI detector behind one transactional API
+//!   (publish, rate, attest, rank, trace, suggest experts, `call`).
 //! - [`ecosystem`]: the multi-round ecosystem simulation (experiment E10)
 //!   in which consumers, creators, fact checkers, AI developers and
 //!   publishers act through the real platform APIs.

@@ -10,7 +10,8 @@
 //! canonical, and that is the only way anything gets from the store to
 //! the projections, whichever way the block came in — committed here,
 //! imported from a peer, replayed from the WAL tail or decoded from a
-//! snapshot. Everything above the pipeline —
+//! snapshot. It also owns the mempool and the block clock, both kept in
+//! step with every block. Everything above it —
 //! [`Platform`](crate::platform::Platform) locally, `tn-node` validators
 //! in a consensus network — is a driver that decides *which* transactions
 //! to commit; the pipeline guarantees that committing the same blocks
@@ -42,6 +43,9 @@ pub const REGISTRY_EXTENSION: &str = "contracts.registry";
 
 /// Attestations required to admit a record to the factual database.
 const FACT_THRESHOLD: usize = 2;
+
+/// Maximum transactions a pipeline's mempool holds at once.
+pub const MEMPOOL_CAPACITY: usize = 100_000;
 
 /// The contract slot of [`ExecutionPipeline::execution_digest`]: 32 bytes
 /// reserved for a commitment over the built-in contracts' state, which
@@ -297,11 +301,14 @@ pub fn restore_bootstrap(
 }
 
 /// The deterministic execution core: the chain store and, as its
-/// executor, the contract registry and the projections.
+/// executor, the contract registry and the projections; beside them the
+/// mempool and the next block's timestamp.
 pub struct ExecutionPipeline {
     store: ChainStore,
     host: Host,
     addrs: BuiltinAddrs,
+    mempool: Mempool,
+    next_timestamp: u64,
 }
 
 impl std::fmt::Debug for ExecutionPipeline {
@@ -313,6 +320,21 @@ impl std::fmt::Debug for ExecutionPipeline {
 }
 
 impl ExecutionPipeline {
+    /// An empty mempool on the store's verified-tx cache (a signature
+    /// checked at admission is a hit at proposal and import), the clock
+    /// one past the head.
+    fn assemble(store: ChainStore, host: Host, addrs: BuiltinAddrs) -> ExecutionPipeline {
+        let mut mempool = Mempool::new(MEMPOOL_CAPACITY);
+        mempool.set_sig_cache(store.sig_cache());
+        ExecutionPipeline {
+            next_timestamp: store.height() + 1,
+            store,
+            host,
+            addrs,
+            mempool,
+        }
+    }
+
     /// Builds a pipeline on `storage`: genesis state, the four governance
     /// built-ins owned by `governor`, and the four projections seeded with
     /// the genesis factual corpus. Two pipelines built with identical
@@ -333,7 +355,7 @@ impl ExecutionPipeline {
     ) -> Result<ExecutionPipeline, ChainError> {
         let (host, addrs) = Host::genesis(governor, seed_corpus);
         let store = ChainStore::with_config(genesis, validator, storage)?;
-        Ok(ExecutionPipeline { store, host, addrs })
+        Ok(Self::assemble(store, host, addrs))
     }
 
     /// Reopens a pipeline from an existing storage backend: restores the
@@ -371,16 +393,17 @@ impl ExecutionPipeline {
                 .map_err(ChainError::Checkpoint)?;
         }
         let replayed = store.replay_tail(&mut host)?;
-        Ok((ExecutionPipeline { store, host, addrs }, replayed))
+        Ok((Self::assemble(store, host, addrs), replayed))
     }
 
     /// Routes pipeline metrics (commit and per-projection apply timing,
     /// replay counters) to `sink` and forwards it to the chain store
-    /// (import timing) and contract registry (gas and execution
-    /// counters). Disabled by default.
+    /// (import timing), contract registry (gas and execution counters)
+    /// and mempool (admission counters). Disabled by default.
     pub fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.store.set_telemetry(sink.clone());
         self.host.registry.set_telemetry(sink.clone());
+        self.mempool.set_telemetry(sink.clone());
         self.host.telemetry = sink;
     }
 
@@ -389,10 +412,12 @@ impl ExecutionPipeline {
     /// `pipeline.commit` root span with `chain.propose` (selection,
     /// execution, signing) and `chain.import` (accept) children, the
     /// latter with `chain.projections` and one `projection.<name>` per
-    /// view beneath it. Disabled by default.
+    /// view beneath it (and a `tx.admission` span per admitted
+    /// transaction). Disabled by default.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.store.set_trace(sink.clone());
         self.host.registry.set_trace(sink.clone());
+        self.mempool.set_trace(sink.clone());
         self.host.trace = sink;
     }
 
@@ -413,14 +438,56 @@ impl ExecutionPipeline {
     ) -> Result<ExecutionPipeline, ChainError> {
         let (mut host, addrs) = Host::genesis(governor, seed_corpus);
         let store = ChainStore::restore(snapshot, &mut host)?;
-        Ok(ExecutionPipeline { store, host, addrs })
+        Ok(Self::assemble(store, host, addrs))
+    }
+
+    // --- admission --------------------------------------------------------
+
+    /// Admission-checks `tx` against the head state and queues it in the
+    /// mempool (counting `mempool.admitted` / `mempool.rejected`).
+    ///
+    /// # Errors
+    ///
+    /// Mempool admission errors (duplicate, full, bad nonce, signature).
+    pub fn submit(&mut self, tx: Transaction) -> Result<(), ChainError> {
+        self.mempool.insert(tx, self.store.head_state())
+    }
+
+    /// [`ExecutionPipeline::submit`] for each of `txs` in one pass: verdict
+    /// `i` is the one the `i`-th submit of a loop would give (rejections
+    /// never abort the batch), but the signatures are checked in
+    /// [`Mempool::insert_batch`]'s batched equations.
+    pub fn submit_batch(&mut self, txs: Vec<Transaction>) -> Vec<Result<(), ChainError>> {
+        self.mempool.insert_batch(txs, self.store.head_state())
+    }
+
+    /// Up to `max` ready transactions with their ids, fee-prioritised and
+    /// nonce-ordered per sender: the next block's content.
+    pub fn select(&self, max: usize) -> Vec<(Hash256, Transaction)> {
+        self.mempool.select_identified(self.store.head_state(), max)
+    }
+
+    /// The next free nonce of `who`, past its committed and pending ones.
+    pub fn next_nonce(&self, who: &Address) -> u64 {
+        let pending = self.mempool.next_nonce(who).unwrap_or(0);
+        self.store.head_state().nonce(who).max(pending)
+    }
+
+    /// The timestamp the next committed block carries.
+    pub fn next_timestamp(&self) -> u64 {
+        self.next_timestamp
+    }
+
+    /// The pending transactions.
+    pub fn mempool(&self) -> &Mempool {
+        &self.mempool
     }
 
     // --- commit path -----------------------------------------------------
 
     /// Builds a block from `txs` at `timestamp` on the head, commits it
     /// and returns it with its receipts. Projections observe the block
-    /// before this returns.
+    /// before this returns; the mempool and the clock move past the block.
     ///
     /// One pass ([`ChainStore::commit`]): the transactions are selected
     /// and executed once, against the contract registry, and the state
@@ -462,6 +529,8 @@ impl ExecutionPipeline {
             );
         }
         self.host.telemetry.incr("pipeline.batches_committed");
+        self.mempool.prune_block(&block, self.store.head_state());
+        self.next_timestamp = self.next_timestamp.max(block.header.timestamp + 1);
         self.maybe_checkpoint()?;
         Ok((block, receipts))
     }
@@ -502,7 +571,7 @@ impl ExecutionPipeline {
     /// Chain-level import errors.
     pub fn apply_block(&mut self, block: &Block) -> Result<Vec<Receipt>, ChainError> {
         let receipts = self.store.import(block, &mut self.host)?;
-        self.maybe_checkpoint()?;
+        self.imported(block.header.timestamp)?;
         Ok(receipts)
     }
 
@@ -515,9 +584,19 @@ impl ExecutionPipeline {
     ///
     /// Chain-level import errors.
     pub fn apply_checked(&mut self, checked: CheckedBlock<'_>) -> Result<Vec<Receipt>, ChainError> {
+        let timestamp = checked.block().header.timestamp;
         let receipts = self.store.import_checked(checked, &mut self.host)?;
-        self.maybe_checkpoint()?;
+        self.imported(timestamp)?;
         Ok(receipts)
+    }
+
+    /// Moves the clock past an imported block and sweeps the whole
+    /// mempool: the import may have switched branches.
+    fn imported(&mut self, timestamp: u64) -> Result<(), ChainError> {
+        self.next_timestamp = self.next_timestamp.max(timestamp + 1);
+        self.mempool.prune_committed(self.store.head_state());
+        self.maybe_checkpoint()?;
+        Ok(())
     }
 
     // --- digests ---------------------------------------------------------
@@ -572,6 +651,16 @@ impl ExecutionPipeline {
         &self.host.registry
     }
 
+    /// Typed read access to the built-in contract at `addr`. Panics when
+    /// `addr` holds no `T`; each of the four [`BuiltinAddrs`] holds its own.
+    pub fn builtin<T: 'static>(&self, addr: Address) -> &T {
+        self.host
+            .registry
+            .builtin(&addr)
+            .and_then(|b| b.as_any().downcast_ref())
+            .expect("built-in installed at genesis")
+    }
+
     /// Built-in contract addresses.
     pub fn addrs(&self) -> BuiltinAddrs {
         self.addrs
@@ -616,5 +705,11 @@ impl ExecutionPipeline {
     #[cfg(test)]
     pub(crate) fn projections_mut(&mut self) -> &mut Projections {
         &mut self.host.projections
+    }
+
+    /// The mempool, for tests that swap in a smaller one.
+    #[cfg(test)]
+    pub(crate) fn mempool_mut(&mut self) -> &mut Mempool {
+        &mut self.mempool
     }
 }

@@ -1,10 +1,10 @@
 //! The AI blockchain trusting-news platform (Figure 1).
 //!
 //! [`Platform`] is a thin facade over the layered block-execution
-//! pipeline: it holds the governor/validator keys, a fee-prioritised
-//! mempool, and the AI detector, and drives an
-//! [`ExecutionPipeline`] — the
-//! deterministic core in which the chain store executes blocks and
+//! pipeline: it holds the governor/validator keys and the AI detector,
+//! signs each request at the sender's next nonce, and drives an
+//! [`ExecutionPipeline`] — the single-node core that owns the mempool and
+//! the block clock, and in which the chain store executes blocks and
 //! notifies the four registered projections (supply-chain graph, identity
 //! registry, factual database, headline cache). All state mutations flow
 //! through signed transactions and block production — the platform never
@@ -25,8 +25,8 @@ use tn_chain::codec::Encodable;
 use tn_chain::prelude::*;
 use tn_contracts::builtin::{
     admission_attest, admission_register_checker, newsroom_authorize, newsroom_create_room,
-    newsroom_register_platform, ranking_submit, FactDbAdmission, IncentiveContract,
-    NewsroomRegistry, RankingContract,
+    newsroom_register_platform, newsroom_revoke, ranking_submit, FactDbAdmission,
+    IncentiveContract, NewsroomRegistry, RankingContract,
 };
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_factdb::corpus::CorpusConfig;
@@ -95,9 +95,6 @@ const TRACE_WEIGHT: f64 = 0.5;
 const AI_WEIGHT: f64 = 0.25;
 /// Crowd-rating weight (see [`TRACE_WEIGHT`]).
 const CROWD_WEIGHT: f64 = 0.25;
-
-/// Maximum transactions a platform's or validator's mempool holds at once.
-pub const MEMPOOL_CAPACITY: usize = 100_000;
 
 /// Front-door gateway parameters: admission rate limiting, bounded
 /// ingress queueing, and batched mempool ingest.
@@ -218,18 +215,11 @@ pub struct Platform {
     validator: Keypair,
     pipeline: ExecutionPipeline,
     detector: Option<EnsembleDetector>,
-    /// Pending transactions (real fee-prioritised mempool from tn-chain).
-    mempool: Mempool,
-    /// Nonces reserved by pending transactions, per account. Re-derived
-    /// from mempool content after every block so reservations never drift
-    /// from the pool.
-    reserved_nonces: HashMap<Address, u64>,
     /// Fact ids proposed through this platform whose FACT_PROPOSE
     /// transaction may not have committed yet (pre-commit attest
     /// validation only; the authoritative candidate set is the fact
     /// projection's chain-derived ledger).
     pending_proposals: HashSet<Hash256>,
-    clock: u64,
 }
 
 impl fmt::Debug for Platform {
@@ -239,7 +229,7 @@ impl fmt::Debug for Platform {
             .field("factdb", &self.factdb().len())
             .field("graph", &self.graph().len())
             .field("identities", &self.identities().len())
-            .field("pending", &self.mempool.len())
+            .field("pending", &self.pipeline.mempool().len())
             .finish()
     }
 }
@@ -255,30 +245,14 @@ impl Platform {
             validator,
             pipeline,
         } = crate::pipeline::bootstrap(&config);
-        let mut mempool = Mempool::new(MEMPOOL_CAPACITY);
-        // Share the store's verified-tx cache so admission-time
-        // verification pre-warms block proposal and import.
-        mempool.set_sig_cache(pipeline.store().sig_cache());
         Platform {
             config,
             governor,
             validator,
             pipeline,
             detector: None,
-            mempool,
-            reserved_nonces: HashMap::new(),
             pending_proposals: HashSet::new(),
-            // The bootstrap committed the anchor block at timestamp 1.
-            clock: 2,
         }
-    }
-
-    /// Routes telemetry from the pipeline (import/projection/contract
-    /// metrics) and the mempool (admission counters) to `sink`. Disabled
-    /// by default.
-    pub fn set_telemetry(&mut self, sink: tn_telemetry::TelemetrySink) {
-        self.pipeline.set_telemetry(sink.clone());
-        self.mempool.set_telemetry(sink);
     }
 
     // --- accessors -------------------------------------------------------
@@ -352,105 +326,60 @@ impl Platform {
 
     /// Typed read access to the newsroom registry contract.
     pub fn newsrooms(&self) -> &NewsroomRegistry {
-        self.pipeline
-            .registry()
-            .builtin(&self.pipeline.addrs().newsroom)
-            .and_then(|b| b.as_any().downcast_ref())
-            .expect("newsroom builtin installed")
+        self.pipeline.builtin(self.pipeline.addrs().newsroom)
     }
 
     /// Typed read access to the ranking contract.
     pub fn ranking_contract(&self) -> &RankingContract {
-        self.pipeline
-            .registry()
-            .builtin(&self.pipeline.addrs().ranking)
-            .and_then(|b| b.as_any().downcast_ref())
-            .expect("ranking builtin installed")
+        self.pipeline.builtin(self.pipeline.addrs().ranking)
     }
 
     /// Typed read access to the incentive contract.
     pub fn incentives(&self) -> &IncentiveContract {
-        self.pipeline
-            .registry()
-            .builtin(&self.pipeline.addrs().incentive)
-            .and_then(|b| b.as_any().downcast_ref())
-            .expect("incentive builtin installed")
+        self.pipeline.builtin(self.pipeline.addrs().incentive)
     }
 
     /// Typed read access to the admission contract.
     pub fn admission(&self) -> &FactDbAdmission {
-        self.pipeline
-            .registry()
-            .builtin(&self.pipeline.addrs().admission)
-            .and_then(|b| b.as_any().downcast_ref())
-            .expect("admission builtin installed")
+        self.pipeline.builtin(self.pipeline.addrs().admission)
     }
 
     // --- transaction plumbing -------------------------------------------
 
-    fn next_nonce(&mut self, who: &Address) -> u64 {
-        let committed = self.pipeline.store().head_state().nonce(who);
-        let reserved = self.reserved_nonces.entry(*who).or_insert(committed);
-        if *reserved < committed {
-            *reserved = committed;
-        }
-        let n = *reserved;
-        *reserved += 1;
-        n
-    }
-
-    fn enqueue(&mut self, signer: &Keypair, payload: Payload) -> Result<(), PlatformError> {
-        self.enqueue_with_fee(signer, self.config.fee, payload)
-    }
-
-    fn enqueue_with_fee(
+    /// Signs `payload` for `signer` (the governor when `None`) at its next
+    /// nonce and submits it; a refused transaction leaves the nonce free.
+    fn enqueue(
         &mut self,
-        signer: &Keypair,
+        signer: Option<&Keypair>,
         fee: u64,
         payload: Payload,
     ) -> Result<(), PlatformError> {
-        let nonce = self.next_nonce(&signer.address());
+        let signer = signer.unwrap_or(&self.governor);
+        let nonce = self.pipeline.next_nonce(&signer.address());
         let tx = Transaction::signed(signer, nonce, fee, payload);
-        if let Err(e) = self.mempool.insert(tx, self.pipeline.store().head_state()) {
-            // Release the reservation taken above so the nonce is not
-            // burned by a transaction that never entered the pool.
-            if let Some(reserved) = self.reserved_nonces.get_mut(&signer.address()) {
-                *reserved = nonce;
-            }
-            return Err(PlatformError::Mempool(e));
-        }
-        Ok(())
+        self.pipeline.submit(tx).map_err(PlatformError::Mempool)
     }
 
-    /// Enqueues a `signer`-signed call of `contract` with the encoded
-    /// operation `input`.
-    fn call_contract(
+    /// Enqueues a call of the built-in `contract` with `input` from one of
+    /// `tn_contracts::builtin`'s encoders, signed by `signer` (the governor
+    /// when `None`). The contract checks the caller when the block runs.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
+    pub fn call(
         &mut self,
-        signer: &Keypair,
+        signer: Option<&Keypair>,
         contract: Address,
         input: Vec<u8>,
         gas_limit: u64,
     ) -> Result<(), PlatformError> {
-        self.enqueue(
-            signer,
-            Payload::ContractCall {
-                contract,
-                input,
-                gas_limit,
-            },
-        )
-    }
-
-    fn enqueue_anchor(&mut self) -> Result<(), PlatformError> {
-        let root = self.pipeline.factdb().root();
-        let governor = self.governor.clone();
-        self.enqueue(
-            &governor,
-            Payload::AnchorRoot {
-                namespace: "factdb".into(),
-                root,
-            },
-        )
+        let payload = Payload::ContractCall {
+            contract,
+            input,
+            gas_limit,
+        };
+        self.enqueue(signer, self.config.fee, payload)
     }
 
     /// Produces one block from all pending transactions and imports it
@@ -464,19 +393,11 @@ impl Platform {
     /// Chain-level import errors (should not occur for platform-built
     /// transactions).
     pub fn produce_block(&mut self) -> Result<BlockSummary, PlatformError> {
-        let txs = self
-            .mempool
-            .select_identified(self.pipeline.store().head_state(), 10_000);
+        let txs = self.pipeline.select(10_000);
+        let timestamp = self.pipeline.next_timestamp();
         let (block, receipts) = self
             .pipeline
-            .commit_batch(&self.validator, self.clock, txs)?;
-        self.mempool
-            .prune_block(&block, self.pipeline.store().head_state());
-        // Re-derive nonce reservations from what actually remains in the
-        // pool: transactions that were neither selected nor pruned keep
-        // their nonces reserved, everything else is released.
-        self.reserved_nonces = self.mempool.next_nonces().into_iter().collect();
-        self.clock += 1;
+            .commit_batch(&self.validator, timestamp, txs)?;
 
         let failed = receipts.iter().filter(|r| !r.success).count();
         let admitted = self.pipeline.take_newly_admitted();
@@ -484,7 +405,12 @@ impl Platform {
             self.pending_proposals.remove(id);
         }
         if !admitted.is_empty() {
-            self.enqueue_anchor()?;
+            let root = self.pipeline.factdb().root();
+            let anchor = Payload::AnchorRoot {
+                namespace: "factdb".into(),
+                root,
+            };
+            self.enqueue(None, self.config.fee, anchor)?;
         }
 
         Ok(BlockSummary {
@@ -510,14 +436,11 @@ impl Platform {
         name: &str,
         roles: &[Role],
     ) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        self.enqueue(
-            &governor,
-            Payload::Transfer {
-                to: who.address(),
-                amount: self.config.identity_grant,
-            },
-        )?;
+        let grant = Payload::Transfer {
+            to: who.address(),
+            amount: self.config.identity_grant,
+        };
+        self.enqueue(None, self.config.fee, grant)?;
         let record = IdentityRecord {
             name: name.into(),
             roles: roles.to_vec(),
@@ -525,8 +448,8 @@ impl Platform {
         // Registration is platform-subsidized (fee 0): the account may be
         // brand-new and unfunded until the grant above commits, and the
         // mempool orders by fee, not enqueue order.
-        self.enqueue_with_fee(
-            who,
+        self.enqueue(
+            Some(who),
             0,
             Payload::Blob {
                 tag: blob_tags::IDENTITY,
@@ -536,8 +459,7 @@ impl Platform {
         // Fact checkers are also registered with the admission contract.
         if roles.contains(&Role::FactChecker) {
             let input = admission_register_checker(&who.address());
-            let governor = self.governor.clone();
-            self.call_contract(&governor, self.pipeline.addrs().admission, input, 10_000)?;
+            self.call(None, self.pipeline.addrs().admission, input, 10_000)?;
         }
         Ok(())
     }
@@ -565,9 +487,7 @@ impl Platform {
         publisher: &Keypair,
         name: &str,
     ) -> Result<(), PlatformError> {
-        self.require_role(&publisher.address(), Role::Publisher)?;
-        let input = newsroom_register_platform(name);
-        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
+        self.newsroom_call(publisher, newsroom_register_platform(name))
     }
 
     /// Creates a topical news room on an owned platform (§V layer 2).
@@ -582,9 +502,7 @@ impl Platform {
         platform_id: u64,
         topic: &str,
     ) -> Result<(), PlatformError> {
-        self.require_role(&publisher.address(), Role::Publisher)?;
-        let input = newsroom_create_room(platform_id, topic);
-        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
+        self.newsroom_call(publisher, newsroom_create_room(platform_id, topic))
     }
 
     /// Authorizes a journalist to publish in a room.
@@ -598,9 +516,14 @@ impl Platform {
         room: u64,
         journalist: &Address,
     ) -> Result<(), PlatformError> {
+        self.newsroom_call(publisher, newsroom_authorize(room, journalist))
+    }
+
+    /// A `Publisher`-signed call of the newsroom registry.
+    fn newsroom_call(&mut self, publisher: &Keypair, input: Vec<u8>) -> Result<(), PlatformError> {
         self.require_role(&publisher.address(), Role::Publisher)?;
-        let input = newsroom_authorize(room, journalist);
-        self.call_contract(publisher, self.pipeline.addrs().newsroom, input, 10_000)
+        let newsroom = self.pipeline.addrs().newsroom;
+        self.call(Some(publisher), newsroom, input, 10_000)
     }
 
     // --- news flow ---------------------------------------------------------
@@ -649,7 +572,7 @@ impl Platform {
                 author.address().short()
             )));
         }
-        let published_at = self.clock;
+        let published_at = self.pipeline.next_timestamp();
         let event = NewsEvent {
             headline: headline.to_string(),
             content: content.to_string(),
@@ -659,7 +582,7 @@ impl Platform {
             published_at,
         };
         let item_id = tn_supplychain::graph::item_id(&author.address(), content, published_at);
-        self.enqueue(author, event.into_payload())?;
+        self.enqueue(Some(author), self.config.fee, event.into_payload())?;
         Ok(item_id)
     }
 
@@ -678,7 +601,7 @@ impl Platform {
             return Err(PlatformError::NotVerified(rater.address()));
         }
         let input = ranking_submit(item, score);
-        self.call_contract(rater, self.pipeline.addrs().ranking, input, 10_000)
+        self.call(Some(rater), self.pipeline.addrs().ranking, input, 10_000)
     }
 
     /// Proposes a record for factual-database admission as an on-chain
@@ -691,14 +614,11 @@ impl Platform {
     /// [`PlatformError::Mempool`] when the proposal cannot be enqueued.
     pub fn propose_fact(&mut self, record: FactRecord) -> Result<Hash256, PlatformError> {
         let id = record.id();
-        let governor = self.governor.clone();
-        self.enqueue(
-            &governor,
-            Payload::Blob {
-                tag: blob_tags::FACT_PROPOSE,
-                data: record.to_bytes(),
-            },
-        )?;
+        let proposal = Payload::Blob {
+            tag: blob_tags::FACT_PROPOSE,
+            data: record.to_bytes(),
+        };
+        self.enqueue(None, self.config.fee, proposal)?;
         self.pending_proposals.insert(id);
         Ok(id)
     }
@@ -722,7 +642,8 @@ impl Platform {
             return Err(PlatformError::UnknownItem(*record_id));
         }
         let input = admission_attest(record_id);
-        self.call_contract(checker, self.pipeline.addrs().admission, input, 10_000)
+        let admission = self.pipeline.addrs().admission;
+        self.call(Some(checker), admission, input, 10_000)
     }
 
     // --- AI & ranking -----------------------------------------------------
@@ -813,116 +734,6 @@ impl Platform {
         tn_supplychain::expert::experts_for_topic(self.graph(), topic, k)
     }
 
-    /// The governor rewards an account with incentive points ("economic
-    /// incentives to reward individuals", §V) via the incentive contract.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn reward_points(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::incentive_reward(who, amount);
-        self.call_contract(&governor, self.pipeline.addrs().incentive, input, 10_000)
-    }
-
-    /// The governor slashes an account's incentive points.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn slash_points(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::incentive_slash(who, amount);
-        self.call_contract(&governor, self.pipeline.addrs().incentive, input, 10_000)
-    }
-
-    // --- Adversarial-participant defenses ---------------------------------
-
-    /// The governor activates the ranking contract's defense policy
-    /// (minimum bond to vote, reputation decay, slashing on contradicted
-    /// votes). Applies from the next produced block.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn set_ranking_policy(
-        &mut self,
-        policy: &tn_contracts::builtin::DefensePolicy,
-    ) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::ranking_set_policy(policy);
-        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
-    }
-
-    /// The governor grants free ranking stake to a verified participant
-    /// (the admission cost a sybil must sink before voting carries
-    /// weight).
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn grant_ranking_stake(&mut self, who: &Address, amount: u64) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::ranking_grant_stake(who, amount);
-        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
-    }
-
-    /// A participant bonds free stake so their ratings carry weight
-    /// under an active defense policy.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn post_ranking_bond(
-        &mut self,
-        staker: &Keypair,
-        amount: u64,
-    ) -> Result<(), PlatformError> {
-        let input = tn_contracts::builtin::ranking_post_bond(amount);
-        self.call_contract(staker, self.pipeline.addrs().ranking, input, 10_000)
-    }
-
-    /// The governor records a confirmed fact-check outcome for an item:
-    /// raters who agreed gain reputation, contradicted raters lose
-    /// reputation and part of their bond (slashed to the treasury).
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn record_rating_outcome(
-        &mut self,
-        item: &Hash256,
-        factual: bool,
-    ) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::ranking_record_outcome(item, factual);
-        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 50_000)
-    }
-
-    /// The governor quarantines a rater: new submissions are rejected and
-    /// already-stored ratings stop counting toward rankings until
-    /// [`Platform::unquarantine_rater`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn quarantine_rater(&mut self, who: &Address) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::ranking_quarantine(who);
-        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
-    }
-
-    /// The governor lifts a rater's quarantine.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::Mempool`] when the call cannot be enqueued.
-    pub fn unquarantine_rater(&mut self, who: &Address) -> Result<(), PlatformError> {
-        let governor = self.governor.clone();
-        let input = tn_contracts::builtin::ranking_unquarantine(who);
-        self.call_contract(&governor, self.pipeline.addrs().ranking, input, 10_000)
-    }
-
     // --- Management Act enforcement ---------------------------------------
 
     /// Enforces the "AI Blockchain Platform Management Act" (§V): scans the
@@ -966,11 +777,9 @@ impl Platform {
             })
             .map(|(id, _)| id)
             .collect();
-        let contract = self.pipeline.addrs().newsroom;
         for (who, _) in &sanctioned {
             for room in &rooms {
-                let input = tn_contracts::builtin::newsroom_revoke(*room, who);
-                self.call_contract(enforcer, contract, input, 10_000)?;
+                self.newsroom_call(enforcer, newsroom_revoke(*room, who))?;
             }
         }
         Ok(sanctioned)
@@ -1130,7 +939,9 @@ mod tests {
 
     #[test]
     fn defense_policy_bond_quarantine_flow() {
+        use tn_contracts::builtin::*;
         let (mut p, journo, rid) = with_room();
+        let ranking = p.pipeline().addrs().ranking;
         let bot = kp("ring-bot");
         p.register_identity(&bot, "Ring Bot", &[Role::Consumer])
             .unwrap();
@@ -1138,17 +949,23 @@ mod tests {
         let item = p
             .publish_news(&journo, rid, "topic", "text", vec![])
             .unwrap();
-        p.set_ranking_policy(&tn_contracts::builtin::DefensePolicy {
+        let policy = DefensePolicy {
             min_bond: 50,
             decay_bps: 9_000,
             slash_bps: 2_500,
-        })
-        .unwrap();
-        p.grant_ranking_stake(&journo.address(), 200).unwrap();
-        p.grant_ranking_stake(&bot.address(), 200).unwrap();
+        };
+        for input in [
+            ranking_set_policy(&policy),
+            ranking_grant_stake(&journo.address(), 200),
+            ranking_grant_stake(&bot.address(), 200),
+        ] {
+            p.call(None, ranking, input, 10_000).unwrap();
+        }
         p.produce_block().unwrap();
-        p.post_ranking_bond(&journo, 100).unwrap();
-        p.post_ranking_bond(&bot, 100).unwrap();
+        for who in [&journo, &bot] {
+            p.call(Some(who), ranking, ranking_post_bond(100), 10_000)
+                .unwrap();
+        }
         p.produce_block().unwrap();
 
         // Both bonded raters carry weight.
@@ -1159,7 +976,8 @@ mod tests {
         assert_eq!(count, 2);
 
         // Quarantining the bot zeroes its stored rating's weight.
-        p.quarantine_rater(&bot.address()).unwrap();
+        p.call(None, ranking, ranking_quarantine(&bot.address()), 10_000)
+            .unwrap();
         p.produce_block().unwrap();
         assert!(p.ranking_contract().is_quarantined(&bot.address()));
         // The stored rating stays on-chain but its weight drops to zero:
@@ -1170,7 +988,8 @@ mod tests {
 
         // A confirmed not-factual outcome slashes the contradicted bot.
         let (_, bonded_before) = p.ranking_contract().stake(&bot.address());
-        p.record_rating_outcome(&item, false).unwrap();
+        p.call(None, ranking, ranking_record_outcome(&item, false), 50_000)
+            .unwrap();
         p.produce_block().unwrap();
         let (_, bonded_after) = p.ranking_contract().stake(&bot.address());
         assert!(bonded_after < bonded_before);
@@ -1430,9 +1249,10 @@ mod tests {
     fn mempool_rejection_surfaces_and_releases_nonce() {
         let mut p = Platform::new(PlatformConfig::default());
         // A two-slot pool, sharing the store's signature cache as the
-        // platform's own pool does.
-        p.mempool = Mempool::new(2);
-        p.mempool.set_sig_cache(p.pipeline.store().sig_cache());
+        // pipeline's own pool does.
+        let mut pool = Mempool::new(2);
+        pool.set_sig_cache(p.pipeline.store().sig_cache());
+        *p.pipeline.mempool_mut() = pool;
         let who = kp("tiny-pool user");
         // Two transactions fill the pool; registration enqueues exactly two
         // (grant transfer + identity blob) for a non-checker role.
@@ -1449,9 +1269,8 @@ mod tests {
         let err = p.propose_fact(record.clone());
         assert!(matches!(err, Err(PlatformError::Mempool(_))), "got {err:?}");
 
-        // The failed enqueue must not burn the governor's nonce
-        // reservation: once the pool drains, the same proposal enqueues
-        // and commits cleanly.
+        // The failed enqueue must not burn the governor's nonce: once the
+        // pool drains, the same proposal enqueues and commits cleanly.
         p.produce_block().unwrap();
         p.propose_fact(record).unwrap();
         let s = p.produce_block().unwrap();

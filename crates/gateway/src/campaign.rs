@@ -30,7 +30,10 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tn_chain::prelude::*;
-use tn_contracts::builtin::DefensePolicy;
+use tn_contracts::builtin::{
+    ranking_grant_stake, ranking_post_bond, ranking_quarantine, ranking_record_outcome,
+    ranking_set_policy, DefensePolicy, RankingContract,
+};
 use tn_core::platform::{Platform, PlatformConfig};
 use tn_core::roles::Role;
 use tn_crowdrank::adversary::{CampaignRole, CampaignTarget};
@@ -317,13 +320,17 @@ pub fn build_campaign_workload(
 
     // --- defense bootstrap (setup-side: policy, grants, bonds) ------------
     if profile.defense {
-        p.set_ranking_policy(&campaign_policy()).expect("policy");
+        let ranking = p.pipeline().addrs().ranking;
+        let policy = ranking_set_policy(&campaign_policy());
+        p.call(None, ranking, policy, 10_000).expect("policy");
         for k in honest_keys.iter().chain(&adv_keys) {
-            p.grant_ranking_stake(&k.address(), 200).expect("grant");
+            let grant = ranking_grant_stake(&k.address(), 200);
+            p.call(None, ranking, grant, 10_000).expect("grant");
         }
         p.produce_block().expect("policy block");
         for k in honest_keys.iter().chain(&adv_keys) {
-            p.post_ranking_bond(k, 100).expect("bond");
+            p.call(Some(k), ranking, ranking_post_bond(100), 10_000)
+                .expect("bond");
         }
         p.produce_block().expect("bond block");
     }
@@ -473,7 +480,6 @@ pub fn run_campaign(
     let mut coordinated_votes = 0u64;
     let mut total_votes = 0u64;
     let mut enforced: Vec<Address> = Vec::new();
-    let mut gov_nonce: Option<u64> = None;
     let mut blocks_seen = 0u64;
     let defense = profile.defense;
 
@@ -505,48 +511,32 @@ pub fn run_campaign(
             verdict_log.push((height, id, verdict));
         }
 
-        // 3. Enforce on-chain when defended.
+        // 3. Enforce on-chain when defended, at the governor's next nonce.
         if defense {
-            let next_nonce = {
-                let committed = node.pipeline().store().head_state().nonce(&gov_addr);
-                gov_nonce.map_or(committed, |n| n.max(committed))
-            };
-            let mut nonce = next_nonce;
-            let mut submit = |payload: Payload, nonce: &mut u64| {
-                let tx = Transaction::signed(&governor, *nonce, 1, payload);
-                if node.submit(tx).is_ok() {
-                    *nonce += 1;
-                }
+            let mut submit = |input: Vec<u8>, gas_limit: u64| {
+                let nonce = node.pipeline().next_nonce(&gov_addr);
+                let payload = Payload::ContractCall {
+                    contract: ranking,
+                    input,
+                    gas_limit,
+                };
+                // A refused call leaves the pool, and so the nonce, as it was.
+                let _ = node.submit(Transaction::signed(&governor, nonce, 1, payload));
             };
             for who in &report.quarantine {
                 if !enforced.contains(who) {
                     enforced.push(*who);
                     monitor.record_participant_fact(height, RULE_PARTICIPANT_QUARANTINE, 1.0);
-                    submit(
-                        Payload::ContractCall {
-                            contract: ranking,
-                            input: tn_contracts::builtin::ranking_quarantine(who),
-                            gas_limit: 10_000,
-                        },
-                        &mut nonce,
-                    );
+                    submit(ranking_quarantine(who), 10_000);
                 }
             }
             // Governor fact-check oracle cadence: every other block.
             if blocks_seen.is_multiple_of(2) {
                 for (item, factual) in [(campaign.fake_item, false), (campaign.factual_item, true)]
                 {
-                    submit(
-                        Payload::ContractCall {
-                            contract: ranking,
-                            input: tn_contracts::builtin::ranking_record_outcome(&item, factual),
-                            gas_limit: 50_000,
-                        },
-                        &mut nonce,
-                    );
+                    submit(ranking_record_outcome(&item, factual), 50_000);
                 }
             }
-            gov_nonce = Some(nonce);
         }
     };
 
@@ -560,16 +550,7 @@ pub fn run_campaign(
         &mut hook,
     )?;
 
-    let contract = run
-        .node
-        .pipeline()
-        .registry()
-        .builtin(&ranking)
-        .and_then(|b| {
-            b.as_any()
-                .downcast_ref::<tn_contracts::builtin::RankingContract>()
-        })
-        .expect("ranking builtin installed");
+    let contract = run.node.pipeline().builtin::<RankingContract>(ranking);
     let (_, fake_mean_e4) = contract.ranking(&campaign.fake_item);
     let (_, factual_mean_e4) = contract.ranking(&campaign.factual_item);
     let quarantined_on_chain: Vec<Address> = campaign

@@ -17,7 +17,7 @@ use tn_chain::prelude::*;
 use tn_core::pipeline::{
     bootstrap, recover_bootstrap, restore_bootstrap, Bootstrap, ExecutionPipeline,
 };
-use tn_core::platform::{PlatformConfig, MEMPOOL_CAPACITY};
+use tn_core::platform::PlatformConfig;
 use tn_crypto::{Hash256, Keypair};
 use tn_monitor::{Alert, HealthState, MonitorConfig, ReplicaMonitor};
 use tn_telemetry::{Registry, Snapshot, TelemetrySink};
@@ -87,11 +87,6 @@ pub struct ValidatorNode {
     id: usize,
     proposer: Keypair,
     pipeline: ExecutionPipeline,
-    /// Timestamp for the next block; the bootstrap anchor block used 1.
-    next_timestamp: u64,
-    /// Client-facing transaction ingest (admission-checked before the
-    /// payloads ever reach consensus).
-    mempool: Mempool,
     /// Per-replica metrics: block imports, projection apply times,
     /// consensus phase histograms, mempool admissions, contract gas.
     registry: Registry,
@@ -106,18 +101,15 @@ pub struct ValidatorNode {
 impl ValidatorNode {
     /// Boots replica `id` from the canonical bootstrap for `config`. All
     /// nodes built from the same config start byte-identical. Each node
-    /// owns an enabled telemetry [`Registry`] wired through its pipeline
-    /// and mempool; metrics never feed back into execution, so
-    /// instrumented replicas stay byte-identical too.
+    /// owns an enabled telemetry [`Registry`] wired through its pipeline;
+    /// metrics never feed back into execution, so instrumented replicas
+    /// stay byte-identical too.
     pub fn new(id: usize, config: &PlatformConfig) -> ValidatorNode {
         Self::assemble(id, bootstrap(config), false)
     }
 
-    /// Wires a bootstrapped pipeline into a node: a fresh telemetry
-    /// registry through pipeline and mempool, and the mempool sharing the
-    /// pipeline's verified-tx cache (a signature verified at admission is
-    /// never re-verified at proposal or import). `recovered` counts the
-    /// restart in the fresh registry.
+    /// Wires a bootstrapped pipeline into a node with a fresh telemetry
+    /// registry. `recovered` counts the restart in the fresh registry.
     fn assemble(id: usize, bootstrap: Bootstrap, recovered: bool) -> ValidatorNode {
         let Bootstrap {
             validator,
@@ -126,18 +118,13 @@ impl ValidatorNode {
         } = bootstrap;
         let registry = Registry::new();
         pipeline.set_telemetry(registry.sink());
-        let mut mempool = Mempool::new(MEMPOOL_CAPACITY);
-        mempool.set_telemetry(registry.sink());
-        mempool.set_sig_cache(pipeline.store().sig_cache());
         if recovered {
             registry.sink().incr("node.fault.recoveries");
         }
         ValidatorNode {
             id,
             proposer: validator,
-            next_timestamp: pipeline.store().height() + 1,
             pipeline,
-            mempool,
             registry,
             trace: TraceSink::disabled(),
             monitor: None,
@@ -204,7 +191,6 @@ impl ValidatorNode {
     /// consensus phases land in the same trace.
     pub fn set_trace(&mut self, sink: TraceSink) {
         self.pipeline.set_trace(sink.clone());
-        self.mempool.set_trace(sink.clone());
         self.trace = sink;
     }
 
@@ -274,34 +260,26 @@ impl ValidatorNode {
         }
     }
 
-    /// Admission-checks `tx` against the current head state and queues it
-    /// in this node's mempool (counting `mempool.admitted` /
-    /// `mempool.rejected`).
+    /// [`ExecutionPipeline::submit`]: admits `tx` to this node's mempool.
     ///
     /// # Errors
     ///
     /// Mempool admission errors (duplicate, full, bad nonce, signature).
     pub fn submit(&mut self, tx: Transaction) -> Result<(), ChainError> {
-        self.mempool.insert(tx, self.pipeline.store().head_state())
+        self.pipeline.submit(tx)
     }
 
-    /// The node's client-facing mempool.
+    /// The node's client-facing mempool (the pipeline's).
     pub fn mempool(&self) -> &Mempool {
-        &self.mempool
+        self.pipeline.mempool()
     }
 
-    /// Admission-checks a batch of transactions against the current head
-    /// state in one pass — the gateway's batched-ingest entry point.
-    /// Rejections are per-transaction and never abort the batch, and every
-    /// verdict is the one [`ValidatorNode::submit`] would give in the same
-    /// position; the signatures are checked through
-    /// [`Mempool::insert_batch`]'s batched equations. Counts
-    /// `node.ingest.batches` and observes `node.ingest.batch_size` on top
-    /// of the usual per-transaction mempool metrics.
+    /// [`ExecutionPipeline::submit_batch`], the gateway's batched-ingest
+    /// entry point. Counts `node.ingest.batches` and observes
+    /// `node.ingest.batch_size` on top of the per-transaction metrics.
     pub fn submit_batch(&mut self, txs: Vec<Transaction>) -> IngestOutcome {
         let size = txs.len() as u64;
-        let state = self.pipeline.store().head_state();
-        let verdicts = self.mempool.insert_batch(txs, state);
+        let verdicts = self.pipeline.submit_batch(txs);
         let accepted = verdicts.iter().filter(|v| v.is_ok()).count();
         let out = IngestOutcome {
             accepted,
@@ -326,9 +304,7 @@ impl ValidatorNode {
         &mut self,
         max_txs: usize,
     ) -> Result<Option<BatchOutcome>, NodeError> {
-        let txs = self
-            .mempool
-            .select_identified(self.pipeline.store().head_state(), max_txs);
+        let txs = self.pipeline.select(max_txs);
         if txs.is_empty() {
             return Ok(None);
         }
@@ -355,8 +331,8 @@ impl ValidatorNode {
 
     /// Shared commit tail of [`ValidatorNode::apply_committed_batch`] and
     /// [`ValidatorNode::produce_block_from_mempool`]: builds the next
-    /// block from already-decoded transactions and their ids, imports it,
-    /// records the cluster-once `tx.commit` spans, and prunes the mempool.
+    /// block at the pipeline's clock from already-decoded transactions and
+    /// their ids, imports it, and records the cluster-once `tx.commit` spans.
     fn commit_txs(
         &mut self,
         txs: Vec<(Hash256, Transaction)>,
@@ -364,9 +340,8 @@ impl ValidatorNode {
     ) -> Result<BatchOutcome, NodeError> {
         let t0 = self.trace.now_ns();
         let decoded = txs.len();
-        let timestamp = self.next_timestamp;
+        let timestamp = self.pipeline.next_timestamp();
         let (block, receipts) = self.pipeline.commit_batch(&self.proposer, timestamp, txs)?;
-        self.next_timestamp += 1;
         if self.trace.is_enabled() {
             // The cluster-once logical commit of each transaction: whichever
             // replica gets here first records it; every replica's `tx.apply`
@@ -383,9 +358,6 @@ impl ValidatorNode {
                 );
             }
         }
-        // Committed transactions (and stale rivals) leave the ingest queue.
-        self.mempool
-            .prune_block(&block, self.pipeline.store().head_state());
         if undecodable > 0 {
             self.registry
                 .sink()
@@ -477,11 +449,7 @@ impl ValidatorNode {
                 header.height
             )));
         }
-        let timestamp = header.timestamp;
         self.pipeline.apply_checked(checked)?;
-        self.next_timestamp = self.next_timestamp.max(timestamp + 1);
-        self.mempool
-            .prune_committed(self.pipeline.store().head_state());
         self.registry.sink().incr("node.catchup.blocks_applied");
         Ok(())
     }
@@ -842,6 +810,52 @@ mod tests {
         assert_eq!(node.height(), 1 + blocks as u64);
         node.verify_replay()
             .map_err(|e| format!("replay audit failed after mempool production: {e}"))?;
+        Ok(())
+    }
+
+    #[test]
+    fn a_pool_a_peer_commits_leaves_with_its_nonces_and_the_clock_follows() -> Result<(), String> {
+        use crate::workload::scripted_workload;
+        let config = PlatformConfig::default();
+        let stream = scripted_workload(&config);
+        let mut peer = ValidatorNode::new(0, &config);
+        let mut node = ValidatorNode::new(1, &config);
+        assert_eq!(node.submit_batch(stream.clone()).accepted, stream.len());
+        // The peer commits the node's whole pool in two blocks, then an
+        // empty one: its head runs two timestamps past the node's clock.
+        let (first, rest) = stream.split_at(stream.len() / 2);
+        for batch in [first, rest, &[]] {
+            peer.apply_committed_batch(&encode_payloads(batch))
+                .map_err(|e| format!("peer batch failed: {e}"))?;
+        }
+        let (applied, verdict) = node.apply_synced_blocks(&peer.blocks_after(node.height()));
+        assert!(applied == 3 && verdict.is_ok(), "{verdict:?}");
+        assert!(node.mempool().is_empty());
+        let head = node.pipeline().store().head_state();
+        for tx in &stream {
+            assert_eq!(node.pipeline().next_nonce(&tx.from), head.nonce(&tx.from));
+        }
+        // The node's next block, cut from its mempool, is stamped past the
+        // peer's head, and the peer takes it.
+        let peer_head = peer.pipeline().store().head();
+        let governor = Keypair::from_seed(b"tn-platform-governor");
+        let nonce = node.pipeline().next_nonce(&governor.address());
+        let payload = Payload::Transfer {
+            to: stream[0].from,
+            amount: 1,
+        };
+        node.submit(Transaction::signed(&governor, nonce, config.fee, payload))
+            .map_err(|e| format!("submit failed: {e}"))?;
+        let produced = node.produce_block_from_mempool(8);
+        assert!(matches!(
+            produced,
+            Ok(Some(BatchOutcome { included: 1, .. }))
+        ));
+        let head = node.pipeline().store().head();
+        assert_eq!(head.header.timestamp, peer_head.header.timestamp + 1);
+        peer.apply_synced_block(head)
+            .map_err(|e| format!("the peer refused the block: {e}"))?;
+        assert_eq!(peer.execution_digest(), node.execution_digest());
         Ok(())
     }
 

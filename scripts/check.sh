@@ -122,6 +122,14 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --quick
 git diff --exit-code -- benchmark BENCHMARK.json
 
+echo "== exp10 smoke (figure-2 ecosystem: the platform's shape check)"
+# The bin asserts what it prints as its shape check, in every round of
+# both variants: factual items outrank fake ones, consumers hold incentive
+# points (paid through Platform::call into the incentive contract), the
+# factual database grows past its seed, and every fake item's origin is
+# found. --quick runs four rounds and leaves results/e10.json alone.
+cargo run -q --release --offline -p tn-bench --bin exp10_ecosystem -- --quick
+
 echo "== exp18 smoke (distributed tracing + Perfetto export)"
 # The bin itself validates the exported JSON (well-formed, non-empty,
 # spans from >= 3 replicas); double-check the artifact landed (--quick
