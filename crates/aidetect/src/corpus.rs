@@ -32,9 +32,6 @@ pub struct NewsCorpusConfig {
     pub n_factual: usize,
     /// Number of fake documents.
     pub n_fake: usize,
-    /// Fraction of fakes that are *modified factual* articles (the rest
-    /// are fabricated from templates). Paper statistic: 0.723.
-    pub modified_fraction: f64,
     /// Fraction of modified fakes written *subtly*: a single mild,
     /// insinuating sentence instead of overt emotional loading. Subtle
     /// fakes are genuinely hard for content-only detectors — the regime
@@ -49,12 +46,15 @@ impl Default for NewsCorpusConfig {
         NewsCorpusConfig {
             n_factual: 300,
             n_fake: 300,
-            modified_fraction: 0.723,
             subtlety: 0.0,
             seed: 7,
         }
     }
 }
+
+/// Fraction of fakes that are *modified factual* articles (the rest are
+/// fabricated from templates). Paper statistic: 0.723.
+const MODIFIED_FRACTION: f64 = 0.723;
 
 const FABRICATION_OPENERS: [&str; 6] = [
     "You will not believe what leaked tonight",
@@ -123,7 +123,7 @@ pub fn generate_news_corpus(config: &NewsCorpusConfig) -> Vec<LabeledDoc> {
 
     // Fake docs.
     for i in 0..config.n_fake {
-        let modified = rng.gen_bool(config.modified_fraction);
+        let modified = rng.gen_bool(MODIFIED_FRACTION);
         if modified {
             let rec = &pool[config.n_factual + i];
             let text = if rng.gen_bool(config.subtlety.clamp(0.0, 1.0)) {

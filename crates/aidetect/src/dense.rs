@@ -10,29 +10,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Training hyperparameters.
-#[derive(Debug, Clone)]
-pub struct DenseConfig {
-    /// SGD epochs.
-    pub epochs: usize,
-    /// Initial learning rate.
-    pub learning_rate: f64,
-    /// L2 regularization.
-    pub l2: f64,
-    /// Shuffle seed.
-    pub seed: u64,
-}
-
-impl Default for DenseConfig {
-    fn default() -> Self {
-        DenseConfig {
-            epochs: 80,
-            learning_rate: 0.1,
-            l2: 1e-4,
-            seed: 1,
-        }
-    }
-}
+/// SGD epochs.
+const EPOCHS: usize = 80;
+/// Initial learning rate (decays as 1/(1+0.005·t)).
+const LEARNING_RATE: f64 = 0.1;
+/// L2 regularization.
+const L2: f64 = 1e-4;
+/// Shuffle seed.
+const SEED: u64 = 1;
 
 /// A trained dense logistic-regression model with built-in feature
 /// standardization.
@@ -61,7 +46,7 @@ impl DenseLogReg {
     ///
     /// Panics on empty/ragged input, length mismatch, or single-class
     /// labels.
-    pub fn train(x: &[Vec<f64>], y: &[bool], config: &DenseConfig) -> DenseLogReg {
+    pub fn train(x: &[Vec<f64>], y: &[bool]) -> DenseLogReg {
         assert!(!x.is_empty(), "training set must be nonempty");
         assert_eq!(x.len(), y.len(), "features and labels must align");
         let dim = x[0].len();
@@ -106,19 +91,19 @@ impl DenseLogReg {
 
         let mut weights = vec![0.0; dim];
         let mut bias = 0.0;
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut order: Vec<usize> = (0..x.len()).collect();
         let mut t = 0.0f64;
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
             order.shuffle(&mut rng);
             for &i in &order {
-                let lr = config.learning_rate / (1.0 + 0.005 * t);
+                let lr = LEARNING_RATE / (1.0 + 0.005 * t);
                 t += 1.0;
                 let row = &standardized[i];
                 let z = bias + row.iter().zip(&weights).map(|(v, w)| v * w).sum::<f64>();
                 let err = sigmoid(z) - if y[i] { 1.0 } else { 0.0 };
                 for (w, v) in weights.iter_mut().zip(row) {
-                    *w -= lr * (err * v + config.l2 * *w);
+                    *w -= lr * (err * v + L2 * *w);
                 }
                 bias -= lr * err;
             }
@@ -186,7 +171,7 @@ mod tests {
     #[test]
     fn learns_separable_data() {
         let (x, y) = toy_data(400, 3);
-        let model = DenseLogReg::train(&x, &y, &DenseConfig::default());
+        let model = DenseLogReg::train(&x, &y);
         let (xt, yt) = toy_data(200, 99);
         let correct = xt
             .iter()
@@ -203,7 +188,7 @@ mod tests {
     #[test]
     fn noise_feature_gets_small_weight() {
         let (x, y) = toy_data(600, 5);
-        let model = DenseLogReg::train(&x, &y, &DenseConfig::default());
+        let model = DenseLogReg::train(&x, &y);
         let w = model.weights();
         assert!(w[0].abs() > 3.0 * w[2].abs(), "weights {w:?}");
     }
@@ -211,15 +196,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let (x, y) = toy_data(100, 7);
-        let a = DenseLogReg::train(&x, &y, &DenseConfig::default());
-        let b = DenseLogReg::train(&x, &y, &DenseConfig::default());
+        let a = DenseLogReg::train(&x, &y);
+        let b = DenseLogReg::train(&x, &y);
         assert_eq!(a.predict(&x[0]), b.predict(&x[0]));
     }
 
     #[test]
     fn probabilities_bounded() {
         let (x, y) = toy_data(100, 9);
-        let model = DenseLogReg::train(&x, &y, &DenseConfig::default());
+        let model = DenseLogReg::train(&x, &y);
         for row in &x {
             let p = model.predict(row);
             assert!((0.0..=1.0).contains(&p));
@@ -231,14 +216,14 @@ mod tests {
     fn single_class_panics() {
         let x = vec![vec![1.0], vec![2.0]];
         let y = vec![true, true];
-        DenseLogReg::train(&x, &y, &DenseConfig::default());
+        DenseLogReg::train(&x, &y);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_dims_panic() {
         let (x, y) = toy_data(50, 11);
-        let model = DenseLogReg::train(&x, &y, &DenseConfig::default());
+        let model = DenseLogReg::train(&x, &y);
         model.predict(&[1.0]);
     }
 }

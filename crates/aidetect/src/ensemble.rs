@@ -5,38 +5,23 @@
 
 use crate::corpus::LabeledDoc;
 use crate::lexicon::LexiconFeatures;
-use crate::logreg::{LogRegConfig, LogisticRegression};
+use crate::logreg::LogisticRegression;
 use crate::naive_bayes::NaiveBayes;
-use crate::stance::{detect_stance, stance_score, StanceConfig};
+use crate::stance::{detect_stance, stance_score};
 
-/// Blend weights for the ensemble components (normalized at use).
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleWeights {
-    /// Naive-Bayes component.
-    pub nb: f64,
-    /// Logistic-regression component.
-    pub lr: f64,
-    /// Lexicon-heuristic component.
-    pub lexicon: f64,
-}
-
-impl Default for EnsembleWeights {
-    fn default() -> Self {
-        EnsembleWeights {
-            nb: 0.35,
-            lr: 0.45,
-            lexicon: 0.20,
-        }
-    }
-}
+// Blend weights for the ensemble components, normalized by their total.
+/// Naive-Bayes component.
+const NB_WEIGHT: f64 = 0.35;
+/// Logistic-regression component.
+const LR_WEIGHT: f64 = 0.45;
+/// Lexicon-heuristic component.
+const LEXICON_WEIGHT: f64 = 0.20;
 
 /// The trained ensemble detector.
 #[derive(Debug)]
 pub struct EnsembleDetector {
     nb: NaiveBayes,
     lr: LogisticRegression,
-    weights: EnsembleWeights,
-    stance_config: StanceConfig,
 }
 
 impl EnsembleDetector {
@@ -46,22 +31,21 @@ impl EnsembleDetector {
     ///
     /// Panics if the corpus is empty or single-class (component
     /// constraints).
-    pub fn train(docs: &[LabeledDoc], weights: EnsembleWeights) -> EnsembleDetector {
+    pub fn train(docs: &[LabeledDoc]) -> EnsembleDetector {
         EnsembleDetector {
             nb: NaiveBayes::train(docs),
-            lr: LogisticRegression::train(docs, &LogRegConfig::default()),
-            weights,
-            stance_config: StanceConfig::default(),
+            lr: LogisticRegression::train(docs),
         }
     }
 
     /// Probability that `text` is fake.
     pub fn prob_fake(&self, text: &str) -> f64 {
-        let w = self.weights;
-        let total = w.nb + w.lr + w.lexicon;
-        assert!(total > 0.0, "ensemble weights must not all be zero");
+        let total = NB_WEIGHT + LR_WEIGHT + LEXICON_WEIGHT;
         let lex = LexiconFeatures::extract(text).heuristic_score();
-        (w.nb * self.nb.prob_fake(text) + w.lr * self.lr.prob_fake(text) + w.lexicon * lex) / total
+        (NB_WEIGHT * self.nb.prob_fake(text)
+            + LR_WEIGHT * self.lr.prob_fake(text)
+            + LEXICON_WEIGHT * lex)
+            / total
     }
 
     /// Probability that `text` is fake, adjusted by the stance of the body
@@ -69,7 +53,7 @@ impl EnsembleDetector {
     /// signal; corroboration lowers the score).
     pub fn prob_fake_with_headline(&self, headline: &str, body: &str) -> f64 {
         let base = self.prob_fake(body);
-        let s = stance_score(detect_stance(headline, body, &self.stance_config));
+        let s = stance_score(detect_stance(headline, body));
         // Stance acts as a 25 % component on top of the content score.
         0.75 * base + 0.25 * s
     }
@@ -94,10 +78,7 @@ mod tests {
             ..NewsCorpusConfig::default()
         });
         let (train, test) = train_test_split(&corpus, 0.8);
-        (
-            EnsembleDetector::train(&train, EnsembleWeights::default()),
-            test,
-        )
+        (EnsembleDetector::train(&train), test)
     }
 
     #[test]

@@ -126,16 +126,6 @@ pub fn sparse_dot(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
     sum
 }
 
-/// Cosine similarity of two sparse vectors (0 for zero vectors).
-pub fn cosine(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
-    let na: f64 = a.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    sparse_dot(a, b) / (na * nb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,8 +197,6 @@ mod tests {
         let a = vec![(0, 1.0), (2, 2.0), (5, 3.0)];
         let b = vec![(2, 4.0), (5, 1.0), (9, 7.0)];
         assert!((sparse_dot(&a, &b) - 11.0).abs() < 1e-12);
-        assert!((cosine(&a, &a) - 1.0).abs() < 1e-12);
-        assert_eq!(cosine(&a, &[]), 0.0);
         // Orthogonal.
         assert_eq!(sparse_dot(&[(0, 1.0)], &[(1, 1.0)]), 0.0);
     }

@@ -27,11 +27,11 @@
 //!
 //! ```
 //! use tn_aidetect::corpus::{generate_news_corpus, train_test_split, NewsCorpusConfig};
-//! use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
+//! use tn_aidetect::ensemble::EnsembleDetector;
 //!
 //! let corpus = generate_news_corpus(&NewsCorpusConfig::default());
 //! let (train, test) = train_test_split(&corpus, 0.8);
-//! let det = EnsembleDetector::train(&train, EnsembleWeights::default());
+//! let det = EnsembleDetector::train(&train);
 //! let p = det.prob_fake(&test[0].text);
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
@@ -51,9 +51,9 @@ pub mod naive_bayes;
 pub mod stance;
 
 pub use corpus::{generate_news_corpus, train_test_split, LabeledDoc, NewsCorpusConfig};
-pub use dense::{DenseConfig, DenseLogReg};
-pub use ensemble::{EnsembleDetector, EnsembleWeights};
-pub use logreg::{LogRegConfig, LogisticRegression};
+pub use dense::DenseLogReg;
+pub use ensemble::EnsembleDetector;
+pub use logreg::LogisticRegression;
 pub use metrics::{evaluate, roc_auc, roc_curve, Metrics};
 pub use naive_bayes::NaiveBayes;
-pub use stance::{detect_stance, Stance, StanceConfig};
+pub use stance::{detect_stance, Stance};

@@ -9,35 +9,18 @@ use rand::SeedableRng;
 use crate::corpus::LabeledDoc;
 use crate::features::Vocabulary;
 
-/// Training hyperparameters.
-#[derive(Debug, Clone)]
-pub struct LogRegConfig {
-    /// SGD epochs.
-    pub epochs: usize,
-    /// Initial learning rate (decays as 1/(1+t·decay)).
-    pub learning_rate: f64,
-    /// Learning-rate decay factor.
-    pub decay: f64,
-    /// L2 regularization strength.
-    pub l2: f64,
-    /// Shuffle seed.
-    pub seed: u64,
-    /// Minimum document frequency for vocabulary terms.
-    pub min_df: usize,
-}
-
-impl Default for LogRegConfig {
-    fn default() -> Self {
-        LogRegConfig {
-            epochs: 30,
-            learning_rate: 0.5,
-            decay: 0.01,
-            l2: 1e-4,
-            seed: 1,
-            min_df: 1,
-        }
-    }
-}
+/// SGD epochs.
+const EPOCHS: usize = 30;
+/// Initial learning rate (decays as 1/(1+t·DECAY)).
+const LEARNING_RATE: f64 = 0.5;
+/// Learning-rate decay factor.
+const DECAY: f64 = 0.01;
+/// L2 regularization strength.
+const L2: f64 = 1e-4;
+/// Shuffle seed.
+const SEED: u64 = 1;
+/// Minimum document frequency for vocabulary terms.
+const MIN_DF: usize = 1;
 
 /// A trained logistic-regression classifier (positive class = fake).
 #[derive(Debug, Clone)]
@@ -62,14 +45,14 @@ impl LogisticRegression {
     /// # Panics
     ///
     /// Panics if `docs` is empty or single-class.
-    pub fn train(docs: &[LabeledDoc], config: &LogRegConfig) -> LogisticRegression {
+    pub fn train(docs: &[LabeledDoc]) -> LogisticRegression {
         assert!(!docs.is_empty(), "training set must be nonempty");
         let n_fake = docs.iter().filter(|d| d.fake).count();
         assert!(
             n_fake > 0 && n_fake < docs.len(),
             "training set must contain both classes"
         );
-        let vocab = Vocabulary::fit(docs.iter().map(|d| d.text.as_str()), config.min_df);
+        let vocab = Vocabulary::fit(docs.iter().map(|d| d.text.as_str()), MIN_DF);
         let features: Vec<(Vec<(usize, f64)>, f64)> = docs
             .iter()
             .map(|d| (vocab.tfidf(&d.text), if d.fake { 1.0 } else { 0.0 }))
@@ -77,19 +60,19 @@ impl LogisticRegression {
 
         let mut weights = vec![0.0f64; vocab.len()];
         let mut bias = 0.0f64;
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut order: Vec<usize> = (0..features.len()).collect();
         let mut t = 0.0f64;
-        for _ in 0..config.epochs {
+        for _ in 0..EPOCHS {
             order.shuffle(&mut rng);
             for &idx in &order {
                 let (x, y) = &features[idx];
-                let lr = config.learning_rate / (1.0 + config.decay * t);
+                let lr = LEARNING_RATE / (1.0 + DECAY * t);
                 t += 1.0;
                 let z = bias + x.iter().map(|(i, v)| weights[*i] * v).sum::<f64>();
                 let err = sigmoid(z) - y;
                 for (i, v) in x {
-                    weights[*i] -= lr * (err * v + config.l2 * weights[*i]);
+                    weights[*i] -= lr * (err * v + L2 * weights[*i]);
                 }
                 bias -= lr * err;
             }
@@ -112,30 +95,6 @@ impl LogisticRegression {
     pub fn predict(&self, text: &str) -> bool {
         self.prob_fake(text) > 0.5
     }
-
-    /// The highest-weight (most fake-indicative) terms — model
-    /// transparency in the spirit of the paper's cited WVU system, which
-    /// accompanies scores with explanations.
-    pub fn top_fake_terms(&self, k: usize) -> Vec<(String, f64)> {
-        let mut terms: Vec<(String, f64)> = Vec::new();
-        // Reconstruct index → term once; Vocabulary only exposes lookup, so
-        // scan weights through term_index by re-fitting is avoided: walk all
-        // indices via the sorted weight list and match lazily.
-        // (Vocabulary keeps its map private; expose via iteration here.)
-        for (term, w) in self.vocab_terms() {
-            terms.push((term, w));
-        }
-        terms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        terms.truncate(k);
-        terms
-    }
-
-    fn vocab_terms(&self) -> Vec<(String, f64)> {
-        self.vocab
-            .terms()
-            .map(|(t, i)| (t.to_string(), self.weights[i]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -155,7 +114,7 @@ mod tests {
     #[test]
     fn learns_the_synthetic_corpus() {
         let (train, test) = train_test_split(&corpus(), 0.8);
-        let lr = LogisticRegression::train(&train, &LogRegConfig::default());
+        let lr = LogisticRegression::train(&train);
         let preds: Vec<(bool, f64)> = test
             .iter()
             .map(|d| (d.fake, lr.prob_fake(&d.text)))
@@ -168,16 +127,20 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let docs = corpus();
-        let a = LogisticRegression::train(&docs, &LogRegConfig::default());
-        let b = LogisticRegression::train(&docs, &LogRegConfig::default());
+        let a = LogisticRegression::train(&docs);
+        let b = LogisticRegression::train(&docs);
         let t = "the committee approved the shocking budget";
         assert!((a.prob_fake(t) - b.prob_fake(t)).abs() < 1e-12);
     }
 
     #[test]
     fn top_terms_are_emotional() {
-        let lr = LogisticRegression::train(&corpus(), &LogRegConfig::default());
-        let top: Vec<String> = lr.top_fake_terms(25).into_iter().map(|(t, _)| t).collect();
+        let lr = LogisticRegression::train(&corpus());
+        // The highest-weight (most fake-indicative) terms.
+        let mut terms: Vec<(&str, f64)> =
+            lr.vocab.terms().map(|(t, i)| (t, lr.weights[i])).collect();
+        terms.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let top: Vec<&str> = terms.iter().take(25).map(|(t, _)| *t).collect();
         let emotional = [
             "shocking",
             "corrupt",
@@ -191,10 +154,7 @@ mod tests {
             "insiders",
             "leaked",
         ];
-        let hits = top
-            .iter()
-            .filter(|t| emotional.contains(&t.as_str()))
-            .count();
+        let hits = top.iter().filter(|t| emotional.contains(t)).count();
         assert!(
             hits >= 3,
             "expected emotional terms among top weights, got {top:?}"
@@ -203,7 +163,7 @@ mod tests {
 
     #[test]
     fn probabilities_bounded() {
-        let lr = LogisticRegression::train(&corpus(), &LogRegConfig::default());
+        let lr = LogisticRegression::train(&corpus());
         for t in [
             "",
             "committee",
@@ -230,6 +190,6 @@ mod tests {
                 topic: "t".into(),
             },
         ];
-        LogisticRegression::train(&docs, &LogRegConfig::default());
+        LogisticRegression::train(&docs);
     }
 }

@@ -44,27 +44,13 @@ const SUPPORT: [&str; 10] = [
     "ratified",
 ];
 
-/// Tunable thresholds for the stance rules.
-#[derive(Debug, Clone, Copy)]
-pub struct StanceConfig {
-    /// Jaccard overlap below which the pair is `Unrelated`.
-    pub unrelated_below: f64,
-    /// Refutation-cue density (per 100 tokens) above which the pair is
-    /// `Disagree`.
-    pub refute_density: f64,
-    /// Support-cue count at or above which the pair is `Agree`.
-    pub support_cues: usize,
-}
-
-impl Default for StanceConfig {
-    fn default() -> Self {
-        StanceConfig {
-            unrelated_below: 0.05,
-            refute_density: 1.0,
-            support_cues: 1,
-        }
-    }
-}
+/// Jaccard overlap below which the pair is `Unrelated`.
+const UNRELATED_BELOW: f64 = 0.05;
+/// Refutation-cue density (per 100 tokens) at or above which the pair is
+/// `Disagree`.
+const REFUTE_DENSITY: f64 = 1.0;
+/// Support-cue count at or above which the pair is `Agree`.
+const SUPPORT_CUES: usize = 1;
 
 /// Token-set Jaccard overlap between headline and body.
 pub fn overlap(headline: &str, body: &str) -> f64 {
@@ -78,9 +64,9 @@ pub fn overlap(headline: &str, body: &str) -> f64 {
 }
 
 /// Classifies the stance of `body` toward `headline`.
-pub fn detect_stance(headline: &str, body: &str, config: &StanceConfig) -> Stance {
+pub fn detect_stance(headline: &str, body: &str) -> Stance {
     let ov = overlap(headline, body);
-    if ov < config.unrelated_below {
+    if ov < UNRELATED_BELOW {
         return Stance::Unrelated;
     }
     let body_tokens = tokenize(body);
@@ -94,9 +80,9 @@ pub fn detect_stance(headline: &str, body: &str, config: &StanceConfig) -> Stanc
         .filter(|t| SUPPORT.contains(&t.as_str()))
         .count();
     let refute_density = refutes as f64 * 100.0 / n as f64;
-    if refute_density >= config.refute_density && refutes > supports {
+    if refute_density >= REFUTE_DENSITY && refutes > supports {
         Stance::Disagree
-    } else if supports >= config.support_cues {
+    } else if supports >= SUPPORT_CUES {
         Stance::Agree
     } else {
         Stance::Discuss
@@ -125,39 +111,27 @@ mod tests {
     fn agree_case() {
         let body = "The committee officially approved the solar subsidy amendment; \
                     the result was confirmed and published the same day.";
-        assert_eq!(
-            detect_stance(HEADLINE, body, &StanceConfig::default()),
-            Stance::Agree
-        );
+        assert_eq!(detect_stance(HEADLINE, body), Stance::Agree);
     }
 
     #[test]
     fn disagree_case() {
         let body = "Reports that the committee approved the solar subsidy amendment are false. \
                     The chair denied the claim and called it a hoax, not a decision.";
-        assert_eq!(
-            detect_stance(HEADLINE, body, &StanceConfig::default()),
-            Stance::Disagree
-        );
+        assert_eq!(detect_stance(HEADLINE, body), Stance::Disagree);
     }
 
     #[test]
     fn unrelated_case() {
         let body = "Penguins waddle across frozen shores while whales sing offshore.";
-        assert_eq!(
-            detect_stance(HEADLINE, body, &StanceConfig::default()),
-            Stance::Unrelated
-        );
+        assert_eq!(detect_stance(HEADLINE, body), Stance::Unrelated);
     }
 
     #[test]
     fn discuss_case() {
         let body = "The solar subsidy amendment has been debated by the committee for weeks; \
                     analysts expect a decision on the subsidy question soon.";
-        assert_eq!(
-            detect_stance(HEADLINE, body, &StanceConfig::default()),
-            Stance::Discuss
-        );
+        assert_eq!(detect_stance(HEADLINE, body), Stance::Discuss);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tn_aidetect::corpus::{generate_news_corpus, NewsCorpusConfig};
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
+use tn_aidetect::ensemble::EnsembleDetector;
 use tn_aidetect::media::{block_fingerprints, generate_video};
 use tn_aidetect::naive_bayes::NaiveBayes;
 
@@ -23,7 +23,7 @@ fn bench_training(c: &mut Criterion) {
 
 fn bench_inference(c: &mut Criterion) {
     let corpus = generate_news_corpus(&NewsCorpusConfig::default());
-    let det = EnsembleDetector::train(&corpus, EnsembleWeights::default());
+    let det = EnsembleDetector::train(&corpus);
     let doc = &corpus[0].text;
     c.bench_function("ensemble_infer_one_doc", |b| {
         b.iter(|| det.prob_fake(black_box(doc)))

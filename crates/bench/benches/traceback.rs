@@ -21,7 +21,6 @@ fn config(n_items: usize) -> SynthConfig {
         n_fakers: 5,
         n_items,
         seed: 5,
-        ..SynthConfig::default()
     }
 }
 

@@ -7,6 +7,8 @@
 //! network graph \[where\] consumers are involved into the process nodes".
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp1_supplychain_scale`
+//! (`--quick` runs the same sizes, asserts the shape check and writes no
+//! artifact).
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -79,7 +81,6 @@ fn main() {
             n_fakers: (items / 40).max(2),
             n_items: items,
             seed: 42,
-            ..SynthConfig::default()
         });
         let participants: HashSet<_> = synth
             .graph
@@ -102,6 +103,26 @@ fn main() {
             traceable_fraction: traceable,
         });
     }
+
+    // The shape check, asserted: the process chain keeps its 4
+    // participants at every size, the news chain's participant set grows
+    // with volume, and most (not all: fabrications have no root) news
+    // items trace back to the factual database.
+    let (process, news): (Vec<&Row>, Vec<&Row>) = rows
+        .iter()
+        .partition(|r| r.chain_kind.starts_with("process"));
+    let fixed = process.iter().all(|r| r.participants == 4);
+    let grows = news
+        .windows(2)
+        .all(|w| w[1].participants > w[0].participants);
+    let traced = news
+        .iter()
+        .all(|r| (0.85..1.0).contains(&r.traceable_fraction));
+    assert!(
+        fixed && grows && traced,
+        "shape check failed: process participants fixed at 4 {fixed}, news participants grow \
+         {grows}, news traceable fraction in [0.85, 1) {traced}"
+    );
 
     exp.report("E1", "process vs news supply chain scale", &rows);
     println!(

@@ -62,7 +62,6 @@ fn profile(attack: AttackKind, defense: bool, quick: bool) -> CampaignProfile {
             adversaries: 4,
             rounds: 6,
             flip_round: 3,
-            ..CampaignProfile::default()
         }
     } else {
         CampaignProfile {

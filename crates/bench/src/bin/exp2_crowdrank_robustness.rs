@@ -7,6 +7,8 @@
 //! majority decided crowd sourcing mechanisms".
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp2_crowdrank_robustness`
+//! (`--quick` runs the same sweep, asserts the shape check and writes no
+//! artifact).
 
 use serde::Serialize;
 use tn_bench::{table::capture, Experiment};
@@ -35,7 +37,6 @@ fn main() {
             n_malicious,
             honest_error: 0.12,
             rounds: 25,
-            items_per_round: 20,
             seed: 11,
             ..SimConfig::default()
         };
@@ -55,6 +56,27 @@ fn main() {
     }
 
     exp.table(&rows);
+    // The shape check, asserted: truth discovery matches the truth up to
+    // 3/8 malicious; at parity majority and truth discovery have both
+    // collapsed while confirmed-outcome reputation weighting stays
+    // accurate in every row.
+    let parity = rows.last().expect("sweep ends at parity");
+    let td_holds = rows
+        .iter()
+        .filter(|r| r.malicious_fraction <= 0.375)
+        .all(|r| r.truth_discovery_accuracy >= 0.95);
+    let weighted_holds = rows.iter().all(|r| r.weighted_accuracy >= 0.9);
+    assert!(
+        td_holds
+            && weighted_holds
+            && parity.majority_accuracy < 0.5
+            && parity.truth_discovery_accuracy < 0.5,
+        "shape check failed: truth discovery >= 0.95 through 3/8 malicious {td_holds}, \
+         weighted >= 0.9 in every row {weighted_holds}, at parity majority {:.3} and truth \
+         discovery {:.3} (both must be < 0.5)",
+        parity.majority_accuracy,
+        parity.truth_discovery_accuracy
+    );
     println!(
         "\nshape check: majority degrades steeply as the malicious fraction approaches 0.5 \
          (honest noise makes it fail even earlier). Truth discovery needs no history and \

@@ -7,6 +7,8 @@
 //! factualness of the news."
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp3_traceback_ranking`
+//! (`--quick` runs the same chain, asserts the shape check and writes no
+//! artifact).
 
 use std::collections::HashSet;
 
@@ -135,6 +137,29 @@ fn main() {
         })
         .collect();
     exp.table(&generations);
+
+    // The shape check, asserted: the AI signal is strong on the full mix;
+    // on the camouflaged subset it falls toward chance while provenance
+    // keeps detecting; trace scores fall with every generation after the
+    // first.
+    let auc = |name: &str| {
+        rows.iter()
+            .find(|r| r.signal == name)
+            .map_or(f64::NAN, |r| r.auc_fake_detection)
+    };
+    let (ai, trace_camo, ai_camo) = (
+        auc("ai only"),
+        auc("trace only (camouflaged)"),
+        auc("ai only (camouflaged)"),
+    );
+    let decays = generations[1..]
+        .windows(2)
+        .all(|w| w[1].mean_score < w[0].mean_score);
+    assert!(
+        ai >= 0.9 && trace_camo >= 0.9 && ai_camo < 0.75 && decays,
+        "shape check failed: AI AUC {ai:.3} (>= 0.9), camouflaged trace AUC {trace_camo:.3} \
+         (>= 0.9) vs AI {ai_camo:.3} (< 0.75), trace score decays by generation {decays}"
+    );
 
     println!(
         "\nshape check: on the full mix the AI content signal is strong (the synthetic fakes \

@@ -12,12 +12,14 @@
 //! modified-factual statistic.
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp4_text_detection`
+//! (`--quick` runs the same sweeps, asserts the shape check and writes no
+//! artifact).
 
 use serde::Serialize;
 use tn_aidetect::corpus::{generate_news_corpus, NewsCorpusConfig};
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
+use tn_aidetect::ensemble::EnsembleDetector;
 use tn_aidetect::lexicon::LexiconFeatures;
-use tn_aidetect::logreg::{LogRegConfig, LogisticRegression};
+use tn_aidetect::logreg::LogisticRegression;
 use tn_aidetect::metrics::evaluate;
 use tn_aidetect::naive_bayes::NaiveBayes;
 use tn_bench::Experiment;
@@ -45,14 +47,12 @@ fn corpora(
         n_fake: train_per_class,
         subtlety,
         seed: 7,
-        ..NewsCorpusConfig::default()
     });
     let test = generate_news_corpus(&NewsCorpusConfig {
         n_factual: 250,
         n_fake: 250,
         subtlety,
         seed: 7777, // different synthetic world
-        ..NewsCorpusConfig::default()
     });
     (train, test)
 }
@@ -74,8 +74,8 @@ fn main() {
         for (n_train, subtlety) in points {
             let (train, test) = corpora(n_train, subtlety);
             let nb = NaiveBayes::train(&train);
-            let lr = LogisticRegression::train(&train, &LogRegConfig::default());
-            let ens = EnsembleDetector::train(&train, EnsembleWeights::default());
+            let lr = LogisticRegression::train(&train);
+            let ens = EnsembleDetector::train(&train);
             type Scorer = Box<dyn Fn(&str) -> f64>;
             let mut models: Vec<(&str, Scorer)> = vec![
                 ("naive bayes", Box::new(move |t: &str| nb.prob_fake(t))),
@@ -108,6 +108,49 @@ fn main() {
                 });
             }
         }
+    }
+
+    // The shape check, asserted: every learned model gains accuracy from
+    // 16 to 500 training docs, scores >= 0.95 on overt fakes, and every
+    // detector (the lexicon heuristic included) loses accuracy from
+    // subtlety 0 to 0.9.
+    let accuracy = |sweep: &str, model: &str, train_docs: usize, subtlety: f64| {
+        rows.iter()
+            .find(|r| {
+                r.sweep == sweep
+                    && r.model == model
+                    && r.train_docs == train_docs
+                    && r.subtlety == subtlety
+            })
+            .map_or(f64::NAN, |r| r.accuracy)
+    };
+    for model in ["naive bayes", "logistic regression", "ensemble"] {
+        let (small, large) = (
+            accuracy("learning-curve", model, 16, 0.5),
+            accuracy("learning-curve", model, 500, 0.5),
+        );
+        let overt = accuracy("subtlety", model, 500, 0.0);
+        assert!(
+            small < large && overt >= 0.95,
+            "shape check failed for {model}: accuracy {small:.3} at 16 docs vs {large:.3} at \
+             500, {overt:.3} on overt fakes (must be >= 0.95)"
+        );
+    }
+    for model in [
+        "lexicon heuristic",
+        "naive bayes",
+        "logistic regression",
+        "ensemble",
+    ] {
+        let (overt, subtle) = (
+            accuracy("subtlety", model, 500, 0.0),
+            accuracy("subtlety", model, 500, 0.9),
+        );
+        assert!(
+            subtle < overt,
+            "shape check failed for {model}: accuracy {subtle:.3} at subtlety 0.9 vs \
+             {overt:.3} at 0"
+        );
     }
 
     exp.report("E4", "text detection sweeps", &rows);

@@ -6,6 +6,8 @@
 //! effect (−80 % reshare) and bot-driven spread.
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp5_propagation_race`
+//! (`--quick` runs the same races, asserts the shape check and writes no
+//! artifact).
 
 use serde::Serialize;
 use tn_bench::Experiment;
@@ -60,10 +62,7 @@ fn main() {
         ),
         (
             "suppress + certify ×1.6".into(),
-            RaceConfig {
-                factual_boost: 1.6,
-                ..base.clone()
-            },
+            RaceConfig { factual_boost: 1.6 },
             Intervention::RankingSuppression { multiplier: 0.25 },
         ),
     ];
@@ -82,6 +81,31 @@ fn main() {
                 fake_half_reach_round: r.fake.half_reach_round,
             });
         }
+    }
+
+    // The shape check, asserted on both topologies: the status-quo fake
+    // outruns the factual story, a flag at delay 8 changes nothing, and
+    // the full stack (suppress + certify) lets the factual story win.
+    for (net_name, _) in &networks {
+        let cell = |label: &str| {
+            rows.iter()
+                .find(|r| r.network == *net_name && r.intervention == label)
+                .expect("every cell ran")
+        };
+        let (none, late, stack) = (
+            cell("none (status quo)"),
+            cell("flagging d=8 (−80%)"),
+            cell("suppress + certify ×1.6"),
+        );
+        assert!(
+            !none.factual_wins && late.fake_reach == none.fake_reach && stack.factual_wins,
+            "shape check failed on {net_name}: status quo factual wins {}, late flag reach {} \
+             vs {}, full stack factual wins {}",
+            none.factual_wins,
+            late.fake_reach,
+            none.fake_reach,
+            stack.factual_wins
+        );
     }
 
     exp.report("E5", "propagation race", &rows);

@@ -36,7 +36,6 @@ fn main() {
             n_fakers: 8,
             n_items,
             seed: 23,
-            ..SynthConfig::default()
         });
         let honest: HashSet<Address> = synth.honest.iter().copied().collect();
         let scored = score_experts(&synth.graph);

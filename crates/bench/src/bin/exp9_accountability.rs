@@ -15,6 +15,8 @@
 //!    imperfect and reported as such).
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp9_accountability`
+//! (`--quick` runs the same sizes, asserts the shape check and writes no
+//! artifact).
 
 use std::time::Instant;
 
@@ -44,7 +46,6 @@ fn main() {
             n_fakers: 8,
             n_items,
             seed: 31,
-            ..SynthConfig::default()
         });
 
         // Partition fake items into fabricated lineages (no factual root)
@@ -105,6 +106,22 @@ fn main() {
             culprit_pinpoint_acc: pinpoint as f64 / distorted.max(1) as f64,
             mean_trace_us,
         });
+    }
+
+    // The shape check, asserted: the two hard guarantees are exact at
+    // every scale; pinpointing stays a heuristic that is usually right.
+    for r in &rows {
+        assert!(
+            r.fabrication_origin_acc == 1.0
+                && r.culprit_on_path == 1.0
+                && r.culprit_pinpoint_acc > 0.5,
+            "shape check failed at {} items: fabrication origin {:.3}, culprit on path {:.3} \
+             (both must be 1), pinpoint {:.3} (must be > 0.5)",
+            r.graph_items,
+            r.fabrication_origin_acc,
+            r.culprit_on_path,
+            r.culprit_pinpoint_acc
+        );
     }
 
     exp.report("E9", "accountability at scale", &rows);

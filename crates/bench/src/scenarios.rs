@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use tn_aidetect::corpus::{generate_news_corpus, NewsCorpusConfig};
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
+use tn_aidetect::ensemble::EnsembleDetector;
 use tn_aidetect::lexicon::LexiconFeatures;
 use tn_chain::prelude::*;
 use tn_consensus::fault::{CrashFault, DropWindow, FaultPlan, PartitionFault};
@@ -228,12 +228,8 @@ impl ProvenanceSignals {
             n_fakers: 6,
             n_items: 600,
             seed: 17,
-            ..SynthConfig::default()
         });
-        let detector = EnsembleDetector::train(
-            &generate_news_corpus(&NewsCorpusConfig::default()),
-            EnsembleWeights::default(),
-        );
+        let detector = EnsembleDetector::train(&generate_news_corpus(&NewsCorpusConfig::default()));
         let traces = synth.graph.trace_all();
         let (mut ids, mut is_fake) = (Vec::new(), Vec::new());
         let (mut trace_scores, mut ai_scores, mut text_clean) =

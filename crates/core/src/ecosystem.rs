@@ -21,6 +21,15 @@ use tn_supplychain::ops::{apply, PropagationOp};
 use crate::platform::{Platform, PlatformConfig, PlatformError};
 use crate::roles::Role;
 
+/// Probability a creator publishes an item in a round.
+const PUBLISH_PROB: f64 = 0.8;
+/// Consumers rating each item (sampled).
+const RATERS_PER_ITEM: usize = 5;
+/// Consumer rating noise (probability of misjudging an item).
+const RATING_NOISE: f64 = 0.15;
+/// RNG seed.
+const SEED: u64 = 2019;
+
 /// Ecosystem population and schedule.
 #[derive(Debug, Clone)]
 pub struct EcosystemConfig {
@@ -34,20 +43,12 @@ pub struct EcosystemConfig {
     pub n_checkers: usize,
     /// Simulation rounds.
     pub rounds: usize,
-    /// Items published per creator per round (probabilistically).
-    pub publish_prob: f64,
-    /// Consumers rating each item (sampled).
-    pub raters_per_item: usize,
     /// Probability a fact checker proposes+attests a fresh public record
     /// each round.
     pub new_fact_prob: f64,
     /// Round at which the AI developer ships the trained detector
     /// (`None` = never).
     pub detector_round: Option<usize>,
-    /// Consumer rating noise (probability of misjudging an item).
-    pub rating_noise: f64,
-    /// RNG seed.
-    pub seed: u64,
     /// Platform parameters.
     pub platform: PlatformConfig,
 }
@@ -60,12 +61,8 @@ impl Default for EcosystemConfig {
             n_fakers: 2,
             n_checkers: 3,
             rounds: 10,
-            publish_prob: 0.8,
-            raters_per_item: 5,
             new_fact_prob: 0.5,
             detector_round: Some(3),
-            rating_noise: 0.15,
-            seed: 2019,
             platform: PlatformConfig::default(),
         }
     }
@@ -114,7 +111,7 @@ pub struct EcosystemResult {
 /// Propagates platform errors (which indicate a bug in the harness — all
 /// simulated actions are authorized).
 pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, PlatformError> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut platform = Platform::new(config.platform.clone());
 
     // --- population setup -------------------------------------------------
@@ -198,7 +195,7 @@ pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, Platfo
         // Creators publish.
         let roots: Vec<FactRecord> = platform.factdb().iter().cloned().collect();
         for creator in &creators {
-            if !rng.gen_bool(config.publish_prob.clamp(0.0, 1.0)) {
+            if !rng.gen_bool(PUBLISH_PROB) {
                 continue;
             }
             let root = roots.choose(&mut rng).expect("factdb seeded");
@@ -221,7 +218,7 @@ pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, Platfo
             published += 1;
         }
         for faker in &fakers {
-            if !rng.gen_bool(config.publish_prob.clamp(0.0, 1.0)) {
+            if !rng.gen_bool(PUBLISH_PROB) {
                 continue;
             }
             let id = if rng.gen_bool(0.28) {
@@ -262,8 +259,8 @@ pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, Platfo
         // reward economy), exercised through the incentive contract.
         let new_items: Vec<(Hash256, bool)> = truth.iter().rev().take(published).copied().collect();
         for (item, is_fake) in &new_items {
-            for rater in consumers.choose_multiple(&mut rng, config.raters_per_item) {
-                let misjudge = rng.gen_bool(config.rating_noise.clamp(0.0, 1.0));
+            for rater in consumers.choose_multiple(&mut rng, RATERS_PER_ITEM) {
+                let misjudge = rng.gen_bool(RATING_NOISE);
                 let believes_factual = *is_fake == misjudge;
                 let score: u8 = if believes_factual {
                     rng.gen_range(70..=100)

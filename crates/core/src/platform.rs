@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-use tn_aidetect::ensemble::{EnsembleDetector, EnsembleWeights};
+use tn_aidetect::ensemble::EnsembleDetector;
 use tn_chain::codec::Encodable;
 use tn_chain::prelude::*;
 use tn_contracts::builtin::{
@@ -651,7 +651,7 @@ impl Platform {
     /// Trains the platform's AI detector on a labeled corpus (the
     /// AI-developer role's contribution to the ecosystem).
     pub fn train_detector(&mut self, corpus: &[tn_aidetect::corpus::LabeledDoc]) {
-        self.detector = Some(EnsembleDetector::train(corpus, EnsembleWeights::default()));
+        self.detector = Some(EnsembleDetector::train(corpus));
     }
 
     /// True when a detector has been trained.

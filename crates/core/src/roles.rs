@@ -128,18 +128,6 @@ impl IdentityRegistry {
         self.entries.get(who).map(|(n, _)| n.as_str())
     }
 
-    /// All accounts holding a role.
-    pub fn with_role(&self, role: Role) -> Vec<Address> {
-        let mut v: Vec<Address> = self
-            .entries
-            .iter()
-            .filter(|(_, (_, rs))| rs.contains(&role))
-            .map(|(a, _)| *a)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// A hash of the full registry state (addresses sorted, names and
     /// role sets included), so replicas can compare registries by hash.
     pub fn digest(&self) -> Hash256 {
@@ -254,19 +242,6 @@ mod tests {
         assert!(reg.has_role(&a, Role::ContentCreator));
         assert!(reg.has_role(&a, Role::FactChecker));
         assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn with_role_lists_sorted() {
-        let mut reg = IdentityRegistry::new();
-        let (a, b, c) = (addr(b"a"), addr(b"b"), addr(b"c"));
-        reg.register(a, "A", &[Role::FactChecker]);
-        reg.register(b, "B", &[Role::FactChecker]);
-        reg.register(c, "C", &[Role::Consumer]);
-        let checkers = reg.with_role(Role::FactChecker);
-        assert_eq!(checkers.len(), 2);
-        assert!(checkers.windows(2).all(|w| w[0] <= w[1]));
-        assert!(reg.with_role(Role::Publisher).is_empty());
     }
 
     #[test]

@@ -140,12 +140,6 @@ impl CampaignRole {
             },
         }
     }
-
-    /// True when the role is attacker-controlled (for false-positive
-    /// accounting: honest rankers must never be quarantined).
-    pub fn is_adversarial(&self) -> bool {
-        !matches!(self, CampaignRole::HonestRanker)
-    }
 }
 
 /// Deterministically assigns items to the strategic campaign set by hash
@@ -258,8 +252,6 @@ mod tests {
         for round in 5..10 {
             assert_eq!(t.score(CampaignTarget::FakeItem, round, &mut rng), 96);
         }
-        assert!(t.is_adversarial());
-        assert!(!CampaignRole::HonestRanker.is_adversarial());
     }
 
     #[test]

@@ -29,46 +29,21 @@ use tn_crypto::{Address, Hash256};
 use crate::aggregate::{Decision, Vote};
 use crate::reputation::ReputationLedger;
 
-/// Tunable defense parameters.
-#[derive(Debug, Clone)]
-pub struct DefenseConfig {
-    /// Per-confirmation-round reputation decay factor in `(0, 1]`.
-    pub decay_factor: f64,
-    /// Evidence-discount constant `k` (how much confirmed history buys
-    /// full weight).
-    pub evidence_discount: f64,
-    /// Minimum bonded stake for a vote to carry any weight.
-    pub min_bond: u64,
-    /// Basis points of the bond slashed per contradicted vote.
-    pub slash_bps: u32,
-    /// Sliding-window length (ticks) for coordination detection.
-    pub window: usize,
-    /// Minimum participants with identical vote vectors to call a ring.
-    pub min_ring: usize,
-    /// Minimum items two vote vectors must share before they are
-    /// comparable (one shared vote is coincidence, not coordination).
-    pub min_shared_items: usize,
-    /// Scores are bucketed by this divisor before comparison (1 = exact).
-    pub score_bucket: u8,
-    /// Consecutive flagged ticks before a quarantine verdict.
-    pub quarantine_streak: u32,
-}
-
-impl Default for DefenseConfig {
-    fn default() -> Self {
-        DefenseConfig {
-            decay_factor: 0.9,
-            evidence_discount: 10.0,
-            min_bond: 50,
-            slash_bps: 2_500,
-            window: 8,
-            min_ring: 3,
-            min_shared_items: 2,
-            score_bucket: 1,
-            quarantine_streak: 2,
-        }
-    }
-}
+/// Evidence-discount constant `k` (how much confirmed history buys full
+/// weight) of [`stake_weighted`].
+const EVIDENCE_DISCOUNT: f64 = 10.0;
+/// Minimum bonded stake for a vote to carry any weight in
+/// [`stake_weighted`].
+pub const MIN_BOND: u64 = 50;
+/// Sliding-window length (ticks) for coordination detection.
+const WINDOW: usize = 8;
+/// Minimum participants with identical vote vectors to call a ring.
+const MIN_RING: usize = 3;
+/// Minimum items two vote vectors must share before they are comparable
+/// (one shared vote is coincidence, not coordination).
+const MIN_SHARED_ITEMS: usize = 2;
+/// Consecutive flagged ticks before a quarantine verdict.
+const QUARANTINE_STREAK: u32 = 2;
 
 /// Typed stake-accounting failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,7 +175,7 @@ impl StakeLedger {
 
 /// Stake- and reputation-weighted aggregation with quarantine: each vote
 /// weighs `discounted_weight(voter, k)` if the voter has bonded at least
-/// `min_bond` and is not quarantined, else exactly zero. Zero-weight
+/// [`MIN_BOND`] and is not quarantined, else exactly zero. Zero-weight
 /// items decide *not factual* (conservative), confidence 0.5.
 ///
 /// Quarantined votes contributing weight zero — rather than being
@@ -212,7 +187,6 @@ pub fn stake_weighted(
     reputation: &ReputationLedger,
     stakes: &StakeLedger,
     quarantined: &BTreeSet<Address>,
-    config: &DefenseConfig,
 ) -> Vec<Decision> {
     let mut by_item: BTreeMap<Hash256, Vec<&Vote>> = BTreeMap::new();
     for v in votes {
@@ -225,11 +199,11 @@ pub fn stake_weighted(
             let mut total = 0.0;
             let mut counted = 0usize;
             for v in &vs {
-                if quarantined.contains(&v.voter) || stakes.bonded(&v.voter) < config.min_bond {
+                if quarantined.contains(&v.voter) || stakes.bonded(&v.voter) < MIN_BOND {
                     continue;
                 }
                 counted += 1;
-                let w = reputation.discounted_weight(&v.voter, config.evidence_discount);
+                let w = reputation.discounted_weight(&v.voter, EVIDENCE_DISCOUNT);
                 total += w;
                 if v.factual {
                     yes += w;
@@ -270,52 +244,41 @@ pub struct CoordinationReport {
 /// many identities casting identical vote vectors in the same window.
 /// Honest rankers agree in direction but differ in exact scores, so their
 /// vectors collide only by chance. The detector groups participants by
-/// their windowed `(item, bucketed score)` vector; groups of at least
-/// `min_ring` members sharing at least `min_shared_items` items are
-/// rings. Ring membership for `quarantine_streak` consecutive observed
-/// ticks yields a quarantine verdict.
-#[derive(Debug, Clone)]
+/// their windowed `(item, score)` vector over the last 8 ticks; groups of
+/// at least 3 members sharing at least 2 items are rings. Ring membership
+/// for 2 consecutive observed ticks yields a quarantine verdict.
+#[derive(Debug, Clone, Default)]
 pub struct CoordinationDetector {
-    config: DefenseConfig,
     window: VecDeque<(u64, Vec<ObservedVote>)>,
     streaks: BTreeMap<Address, u32>,
     verdicts: BTreeSet<Address>,
 }
 
 impl CoordinationDetector {
-    /// New detector with the given config.
-    pub fn new(config: DefenseConfig) -> Self {
-        CoordinationDetector {
-            config,
-            window: VecDeque::new(),
-            streaks: BTreeMap::new(),
-            verdicts: BTreeSet::new(),
-        }
+    /// New detector with an empty window.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Ingests one tick's committed votes and reports coordination.
     pub fn observe(&mut self, tick: u64, votes: &[ObservedVote]) -> CoordinationReport {
         self.window.push_back((tick, votes.to_vec()));
-        while self.window.len() > self.config.window.max(1) {
+        while self.window.len() > WINDOW {
             self.window.pop_front();
         }
 
         // Windowed per-voter vote vector (last write wins per item).
-        let bucket = self.config.score_bucket.max(1);
         let mut vectors: BTreeMap<Address, BTreeMap<Hash256, u8>> = BTreeMap::new();
         for (_, vs) in &self.window {
             for (voter, item, score) in vs {
-                vectors
-                    .entry(*voter)
-                    .or_default()
-                    .insert(*item, score / bucket);
+                vectors.entry(*voter).or_default().insert(*item, *score);
             }
         }
 
         // Group voters by identical vectors covering enough items.
         let mut groups: BTreeMap<Vec<(Hash256, u8)>, Vec<Address>> = BTreeMap::new();
         for (voter, vec) in &vectors {
-            if vec.len() < self.config.min_shared_items.max(1) {
+            if vec.len() < MIN_SHARED_ITEMS {
                 continue;
             }
             let signature: Vec<(Hash256, u8)> = vec.iter().map(|(i, s)| (*i, *s)).collect();
@@ -323,7 +286,7 @@ impl CoordinationDetector {
         }
         let rings: Vec<Vec<Address>> = groups
             .into_values()
-            .filter(|members| members.len() >= self.config.min_ring.max(2))
+            .filter(|members| members.len() >= MIN_RING)
             .collect();
         let ringed: BTreeSet<Address> = rings.iter().flatten().copied().collect();
 
@@ -334,7 +297,7 @@ impl CoordinationDetector {
         for voter in &ringed {
             let streak = self.streaks.entry(*voter).or_insert(0);
             *streak += 1;
-            if *streak >= self.config.quarantine_streak && self.verdicts.insert(*voter) {
+            if *streak >= QUARANTINE_STREAK && self.verdicts.insert(*voter) {
                 quarantine.push(*voter);
             }
         }
@@ -407,7 +370,6 @@ mod tests {
     fn stake_weighted_gates_on_bond_and_quarantine() {
         let mut reputation = ReputationLedger::new();
         let mut stakes = StakeLedger::new();
-        let config = DefenseConfig::default();
         // Two bonded honest voters with history; a swarm of unbonded
         // sybils; one bonded-but-quarantined ring leader.
         for who in [addr(1), addr(2), addr(66)] {
@@ -442,7 +404,7 @@ mod tests {
             });
         }
         let quarantined: BTreeSet<Address> = [addr(66)].into_iter().collect();
-        let d = stake_weighted(&votes, &reputation, &stakes, &quarantined, &config);
+        let d = stake_weighted(&votes, &reputation, &stakes, &quarantined);
         assert_eq!(d.len(), 1);
         assert!(d[0].factual, "unbonded sybils and quarantined must not win");
         assert_eq!(d[0].votes, 2);
@@ -452,7 +414,7 @@ mod tests {
             .filter(|v| v.voter == addr(1) || v.voter == addr(2))
             .copied()
             .collect();
-        let d2 = stake_weighted(&clean, &reputation, &stakes, &quarantined, &config);
+        let d2 = stake_weighted(&clean, &reputation, &stakes, &quarantined);
         assert_eq!(d, d2);
     }
 
@@ -465,13 +427,7 @@ mod tests {
             item: item(1),
             factual: true,
         }];
-        let d = stake_weighted(
-            &votes,
-            &reputation,
-            &stakes,
-            &BTreeSet::new(),
-            &DefenseConfig::default(),
-        );
+        let d = stake_weighted(&votes, &reputation, &stakes, &BTreeSet::new());
         assert!(!d[0].factual);
         assert_eq!(d[0].confidence, 0.5);
         assert_eq!(d[0].votes, 0);
@@ -492,7 +448,7 @@ mod tests {
 
     #[test]
     fn detector_flags_rings_not_honest_noise() {
-        let mut det = CoordinationDetector::new(DefenseConfig::default());
+        let mut det = CoordinationDetector::new();
         // Honest voters: same direction, distinct exact scores.
         let mut votes: Vec<ObservedVote> = (0..10u64)
             .flat_map(|i| {
@@ -524,7 +480,7 @@ mod tests {
 
     #[test]
     fn detector_clean_traffic_never_fires() {
-        let mut det = CoordinationDetector::new(DefenseConfig::default());
+        let mut det = CoordinationDetector::new();
         for tick in 0..20u64 {
             let votes: Vec<ObservedVote> = (0..12u64)
                 .map(|i| (addr(i), item((tick % 5) as u8), (17 * i + tick) as u8 % 100))
@@ -539,18 +495,21 @@ mod tests {
 
     #[test]
     fn detector_streak_resets_when_ring_disbands() {
-        let config = DefenseConfig {
-            quarantine_streak: 3,
-            window: 1,
-            ..DefenseConfig::default()
-        };
-        let mut det = CoordinationDetector::new(config);
-        det.observe(1, &ring_votes(&[50, 51, 52], 9));
-        det.observe(2, &ring_votes(&[50, 51, 52], 9));
-        // Ring goes quiet for a tick (window 1 forgets them; they vote
-        // solo so the streak entry resets).
-        det.observe(3, &[(addr(50), item(1), 10), (addr(50), item(2), 20)]);
-        let r = det.observe(4, &ring_votes(&[50, 51, 52], 9));
+        let mut det = CoordinationDetector::new();
+        let r1 = det.observe(1, &ring_votes(&[50, 51, 52], 9));
+        assert_eq!(r1.rings.len(), 1);
+        assert!(r1.quarantine.is_empty(), "streak 1 < threshold 2");
+        // The ring disbands for a tick: each member re-scores item 200
+        // differently (last write wins), so no two vectors coincide and
+        // every streak entry resets.
+        let split: Vec<ObservedVote> = [50u64, 51, 52]
+            .iter()
+            .map(|&m| (addr(m), item(200), m as u8))
+            .collect();
+        assert!(det.observe(2, &split).rings.is_empty());
+        // Back in lockstep: a ring again, but its streak starts over.
+        let r = det.observe(3, &ring_votes(&[50, 51, 52], 9));
+        assert_eq!(r.rings.len(), 1);
         assert!(r.quarantine.is_empty(), "streak must have reset");
     }
 }

@@ -41,8 +41,8 @@ pub use aggregate::{
     Vote,
 };
 pub use defense::{
-    stake_weighted, CoordinationDetector, CoordinationReport, DefenseConfig, DefenseError,
-    ObservedVote, StakeLedger,
+    stake_weighted, CoordinationDetector, CoordinationReport, DefenseError, ObservedVote,
+    StakeLedger,
 };
 pub use reputation::{Reputation, ReputationError, ReputationLedger};
 pub use sim::{run, SimConfig, SimResult, Strategy};

@@ -155,14 +155,6 @@ impl ReputationLedger {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Validators sorted by weight, best first.
-    pub fn leaderboard(&self) -> Vec<(Address, f64)> {
-        let mut v: Vec<(Address, f64)> =
-            self.entries.iter().map(|(a, r)| (*a, r.weight())).collect();
-        v.sort_by(|x, y| y.1.partial_cmp(&x.1).unwrap_or(std::cmp::Ordering::Equal));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -249,10 +241,7 @@ mod tests {
             ledger.record(&addr(1), true);
             ledger.record(&addr(2), false);
         }
-        let board = ledger.leaderboard();
-        assert_eq!(board[0].0, addr(1));
-        assert_eq!(board[1].0, addr(2));
-        assert!(board[0].1 > 0.7 && board[1].1 < 0.3);
+        assert!(ledger.weight(&addr(1)) > 0.7 && ledger.weight(&addr(2)) < 0.3);
         assert_eq!(ledger.len(), 2);
     }
 

@@ -45,20 +45,8 @@ pub struct SimConfig {
     pub honest_error: f64,
     /// Fraction of items targeted by strategic campaigns.
     pub campaign_fraction: f64,
-    /// Items per round.
-    pub items_per_round: usize,
     /// Number of rounds.
     pub rounds: usize,
-    /// Fraction of items that are actually factual.
-    pub factual_fraction: f64,
-    /// Tokens rewarded per correct vote / slashed per wrong vote.
-    pub reward: u64,
-    /// Fraction of items whose true label is eventually confirmed by the
-    /// fact-checking pipeline (attested into the factual database).
-    /// Reputation and incentives update ONLY from confirmed items — the
-    /// platform never treats its own crowd decision as ground truth, which
-    /// is what makes reputation poisoning-resistant.
-    pub confirmation_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -71,15 +59,24 @@ impl Default for SimConfig {
             n_strategic: 0,
             honest_error: 0.1,
             campaign_fraction: 0.2,
-            items_per_round: 20,
             rounds: 15,
-            factual_fraction: 0.6,
-            reward: 1,
-            confirmation_fraction: 0.3,
             seed: 7,
         }
     }
 }
+
+/// Items per round.
+const ITEMS_PER_ROUND: usize = 20;
+/// Fraction of items that are actually factual.
+const FACTUAL_FRACTION: f64 = 0.6;
+/// Tokens rewarded per correct vote / slashed per wrong vote.
+const REWARD: i64 = 1;
+/// Fraction of items whose true label is eventually confirmed by the
+/// fact-checking pipeline (attested into the factual database).
+/// Reputation and incentives update ONLY from confirmed items — the
+/// platform never treats its own crowd decision as ground truth, which is
+/// what makes reputation poisoning-resistant.
+const CONFIRMATION_FRACTION: f64 = 0.3;
 
 /// Results of a simulation run.
 #[derive(Debug, Clone)]
@@ -134,10 +131,7 @@ pub fn build_population(config: &SimConfig) -> Vec<Validator> {
 pub fn run(config: &SimConfig, strategy: Strategy) -> SimResult {
     let population = build_population(config);
     assert!(!population.is_empty(), "population must be nonempty");
-    assert!(
-        config.items_per_round > 0 && config.rounds > 0,
-        "need items and rounds"
-    );
+    assert!(config.rounds > 0, "need rounds");
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut ledger = ReputationLedger::new();
@@ -148,13 +142,13 @@ pub fn run(config: &SimConfig, strategy: Strategy) -> SimResult {
 
     for round in 0..config.rounds {
         // Generate this round's items and hidden truths.
-        let items: Vec<(Hash256, bool)> = (0..config.items_per_round)
+        let items: Vec<(Hash256, bool)> = (0..ITEMS_PER_ROUND)
             .map(|i| {
                 let id = tagged_hash(
                     "TN/sim-item",
                     format!("{}-{round}-{i}", config.seed).as_bytes(),
                 );
-                (id, rng.gen_bool(config.factual_fraction))
+                (id, rng.gen_bool(FACTUAL_FRACTION))
             })
             .collect();
 
@@ -195,18 +189,14 @@ pub fn run(config: &SimConfig, strategy: Strategy) -> SimResult {
         // confirmed outcomes is the platform's defense.
         let confirmed: HashMap<Hash256, bool> = items
             .iter()
-            .filter(|_| rng.gen_bool(config.confirmation_fraction.clamp(0.0, 1.0)))
+            .filter(|_| rng.gen_bool(CONFIRMATION_FRACTION))
             .map(|(id, t)| (*id, *t))
             .collect();
         for vote in &votes {
             if let Some(&truth) = confirmed.get(&vote.item) {
                 let agreed = vote.factual == truth;
                 ledger.record(&vote.voter, agreed);
-                let delta = if agreed {
-                    config.reward as i64
-                } else {
-                    -(config.reward as i64)
-                };
+                let delta = if agreed { REWARD } else { -REWARD };
                 *balances.entry(vote.voter).or_insert(0) += delta;
             }
         }

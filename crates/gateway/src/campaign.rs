@@ -37,7 +37,7 @@ use tn_contracts::builtin::{
 use tn_core::platform::{Platform, PlatformConfig};
 use tn_core::roles::Role;
 use tn_crowdrank::adversary::{CampaignRole, CampaignTarget};
-use tn_crowdrank::{CoordinationDetector, DefenseConfig, ObservedVote};
+use tn_crowdrank::{CoordinationDetector, ObservedVote};
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_monitor::{
     prometheus_text, MonitorConfig, ParticipantLedger, ParticipantVerdict, ReplicaMonitor,
@@ -98,6 +98,9 @@ impl AttackKind {
 /// Uncontested background articles honest noise spreads over.
 const BACKGROUND_ARTICLES: usize = 4;
 
+/// Master seed for honest vote noise and the reach projection's graph.
+const CAMPAIGN_SEED: u64 = 24;
+
 /// One cell of the campaign matrix: an attack population against a
 /// defense switch.
 #[derive(Debug, Clone)]
@@ -116,8 +119,6 @@ pub struct CampaignProfile {
     pub rounds: usize,
     /// Round at which turncoat sybils flip to the ring script.
     pub flip_round: usize,
-    /// Master seed for honest vote noise.
-    pub seed: u64,
 }
 
 impl Default for CampaignProfile {
@@ -129,7 +130,6 @@ impl Default for CampaignProfile {
             adversaries: 6,
             rounds: 10,
             flip_round: 5,
-            seed: 24,
         }
     }
 }
@@ -219,7 +219,7 @@ pub fn build_campaign_workload(
     config: &PlatformConfig,
     profile: &CampaignProfile,
 ) -> CampaignWorkload {
-    let mut rng = StdRng::seed_from_u64(profile.seed);
+    let mut rng = StdRng::seed_from_u64(CAMPAIGN_SEED);
     let mut p = Platform::new(config.clone());
 
     let adversaries = match profile.attack {
@@ -473,7 +473,7 @@ pub fn run_campaign(
     // campaign counters have to land before the sample for same-height
     // detection.
     let mut monitor = ReplicaMonitor::new(0, &MonitorConfig::default());
-    let mut detector = CoordinationDetector::new(DefenseConfig::default());
+    let mut detector = CoordinationDetector::new();
     let mut ledger = ParticipantLedger::new();
     let mut verdict_log: Vec<(u64, String, ParticipantVerdict)> = Vec::new();
     let mut alert_height: Option<u64> = None;
@@ -566,7 +566,6 @@ pub fn run_campaign(
         factual_mean_e4,
         &quarantined_on_chain,
         campaign.adversary_addrs.len(),
-        profile.seed,
     );
 
     Ok(CampaignOutcome {
@@ -589,17 +588,16 @@ pub fn run_campaign(
 /// Projects the committed crowd ranking onto social-propagation reach:
 /// the platform suppresses a story's reshare probability in proportion
 /// to how low its crowd score is, and quarantined amplifier accounts are
-/// blocked from resharing. Deterministic in `(inputs, seed)`.
+/// blocked from resharing. Deterministic in its inputs.
 fn project_reach(
     fake_mean_e4: u64,
     factual_mean_e4: u64,
     quarantined: &[Address],
     adversaries: usize,
-    seed: u64,
 ) -> (usize, usize) {
     let n = 2_000usize;
-    let graph = barabasi_albert(n, 3, seed);
-    let accounts = assign_accounts(n, 0.10, 0.05, seed);
+    let graph = barabasi_albert(n, 3, CAMPAIGN_SEED);
+    let accounts = assign_accounts(n, 0.10, 0.05, CAMPAIGN_SEED);
     let seeds: Vec<usize> = (0..4).collect();
     // A story with crowd score s keeps s/100 of its reshare probability
     // (rank suppression); floor at 0.05 so even a buried story trickles.
@@ -624,7 +622,7 @@ fn project_reach(
     let receptivity: Vec<f64> = vec![1.0; n];
     let config = CascadeConfig {
         share_multiplier: suppress(fake_mean_e4),
-        seed,
+        seed: CAMPAIGN_SEED,
         ..CascadeConfig::default()
     };
     // The fake story runs flagged (suppressed by its crowd score) with
@@ -669,7 +667,6 @@ mod tests {
             adversaries: 4,
             rounds: 6,
             flip_round: 3,
-            ..CampaignProfile::default()
         }
     }
 

@@ -52,6 +52,9 @@ const INGEST_INTERVAL_NS: u64 = 2_000_000;
 /// Logical interval between block-production ticks (20 ms).
 const BLOCK_INTERVAL_NS: u64 = 20_000_000;
 
+/// Seed for the arrival schedule.
+const ARRIVAL_SEED: u64 = 21;
+
 /// Parameters of one open-loop run.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
@@ -62,8 +65,6 @@ pub struct OpenLoopConfig {
     /// Abort a client's remaining writes after one is shed (see module
     /// docs). Disable only for workloads without nonce chains.
     pub abort_shed_sessions: bool,
-    /// Seed for the arrival schedule.
-    pub seed: u64,
     /// Attach the live health plane to the validator: each committed
     /// block samples the registry, so the gateway's shed counters feed
     /// the burn-rate SLO. `None` (the default) runs unmonitored; the
@@ -77,7 +78,6 @@ impl Default for OpenLoopConfig {
             offered_tps: 500.0,
             block_max_txs: 512,
             abort_shed_sessions: true,
-            seed: 21,
             monitor: None,
         }
     }
@@ -213,7 +213,7 @@ pub fn run_open_loop_on(
         node.enable_monitor(mc);
     }
 
-    let arrivals = schedule(workload, olc.offered_tps, olc.seed);
+    let arrivals = schedule(workload, olc.offered_tps, ARRIVAL_SEED);
     let mut report = OpenLoopReport {
         offered_tps: olc.offered_tps,
         ..OpenLoopReport::default()

@@ -260,89 +260,6 @@ pub fn independent_cascade_with_receptivity(
     })
 }
 
-/// SIR epidemic spreading: susceptible → infected → recovered, as an
-/// alternative dynamics model (stories "die out" as sharers lose
-/// interest).
-#[derive(Debug, Clone)]
-pub struct SirConfig {
-    /// Per-contact infection probability.
-    pub beta: f64,
-    /// Per-round recovery probability.
-    pub gamma: f64,
-    /// Maximum rounds.
-    pub max_rounds: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for SirConfig {
-    fn default() -> Self {
-        SirConfig {
-            beta: 0.1,
-            gamma: 0.3,
-            max_rounds: 200,
-            seed: 1,
-        }
-    }
-}
-
-/// Runs SIR from `seeds`, returning cumulative ever-infected counts per
-/// round.
-pub fn sir(graph: &SocialGraph, seeds: &[usize], config: &SirConfig) -> CascadeResult {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        S,
-        I,
-        R,
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut state = vec![St::S; graph.len()];
-    let mut ever = 0usize;
-    for &s in seeds {
-        if s < graph.len() && state[s] == St::S {
-            state[s] = St::I;
-            ever += 1;
-        }
-    }
-    let mut series = vec![ever];
-    for _ in 0..config.max_rounds {
-        let infected: Vec<usize> = (0..graph.len()).filter(|&v| state[v] == St::I).collect();
-        if infected.is_empty() {
-            break;
-        }
-        let mut newly = Vec::new();
-        for &v in &infected {
-            for &nb in graph.neighbors(v) {
-                if state[nb] == St::S && rng.gen_bool(config.beta.clamp(0.0, 1.0)) {
-                    newly.push(nb);
-                }
-            }
-        }
-        for v in newly {
-            if state[v] == St::S {
-                state[v] = St::I;
-                ever += 1;
-            }
-        }
-        for &v in &infected {
-            if rng.gen_bool(config.gamma.clamp(0.0, 1.0)) {
-                state[v] = St::R;
-            }
-        }
-        series.push(ever);
-    }
-    let half = ever.div_ceil(2);
-    let half_reach_round = series
-        .iter()
-        .position(|&r| r >= half)
-        .unwrap_or(series.len().saturating_sub(1));
-    CascadeResult {
-        reach_over_time: series,
-        total_reach: ever,
-        half_reach_round,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,27 +364,6 @@ mod tests {
         let cyborgs = kinds.iter().filter(|k| **k == AccountKind::Cyborg).count();
         assert_eq!(bots, 100);
         assert_eq!(cyborgs, 50);
-    }
-
-    #[test]
-    fn sir_spreads_and_dies_out() {
-        let (g, _) = setup();
-        let r = sir(&g, &[0, 1, 2], &SirConfig::default());
-        assert!(r.total_reach > 3);
-        assert!(r.reach_over_time.len() <= 201);
-        // With beta = 0.0 nothing spreads and the epidemic dies as soon as
-        // the seed recovers.
-        let fast = sir(
-            &g,
-            &[0],
-            &SirConfig {
-                beta: 0.0,
-                gamma: 1.0,
-                ..SirConfig::default()
-            },
-        );
-        assert_eq!(fast.total_reach, 1);
-        assert!(fast.reach_over_time.len() <= 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! - [`network`]: Barabási–Albert, Watts–Strogatz and Erdős–Rényi graph
 //!   generators.
-//! - [`cascade`]: independent-cascade and SIR spreading with account-type
+//! - [`cascade`]: independent-cascade spreading with account-type
 //!   amplification, flagging multipliers and source blocking.
 //! - [`popularity`]: Zipf-skewed item popularity for reader/ranker load
 //!   generation.
@@ -35,8 +35,8 @@ pub mod popularity;
 pub mod race;
 
 pub use cascade::{
-    assign_accounts, independent_cascade, independent_cascade_with_receptivity, sir, AccountKind,
-    CascadeConfig, CascadeError, CascadeResult, SirConfig,
+    assign_accounts, independent_cascade, independent_cascade_with_receptivity, AccountKind,
+    CascadeConfig, CascadeError, CascadeResult,
 };
 pub use network::{barabasi_albert, erdos_renyi, watts_strogatz, SocialGraph};
 pub use popularity::ZipfSampler;

@@ -57,14 +57,6 @@ impl SocialGraph {
         self.adj[b].push(a);
     }
 
-    /// Mean degree.
-    pub fn mean_degree(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        2.0 * self.edge_count() as f64 / self.len() as f64
-    }
-
     /// Maximum degree.
     pub fn max_degree(&self) -> usize {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
@@ -249,11 +241,11 @@ mod tests {
         // Each new node adds ~m edges.
         assert!(g.edge_count() >= 3 * (500 - 4));
         // Heavy tail: the max degree dwarfs the mean.
+        let mean_degree = 2.0 * g.edge_count() as f64 / g.len() as f64;
         assert!(
-            g.max_degree() as f64 > 4.0 * g.mean_degree(),
-            "max {} mean {}",
-            g.max_degree(),
-            g.mean_degree()
+            g.max_degree() as f64 > 4.0 * mean_degree,
+            "max {} mean {mean_degree}",
+            g.max_degree()
         );
     }
 

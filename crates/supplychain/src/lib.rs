@@ -15,8 +15,6 @@
 //! - [`ranking`]: factualness ranking from trace distance × modification
 //!   degree, plus Spearman/precision@k rank-quality metrics.
 //! - [`expert`]: domain-topic expert identification from ledger history.
-//! - [`community`]: label-propagation community detection over the
-//!   interaction graph.
 //! - [`index`]: on-chain news-event encoding and the ledger indexer that
 //!   reconstructs the graph from `tn-chain` blocks.
 //! - [`process`]: the fixed-workflow process supply chain of Figure 3, the
@@ -45,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod community;
 pub mod expert;
 pub mod graph;
 pub mod index;

@@ -32,13 +32,6 @@ pub struct SynthConfig {
     pub n_fakers: usize,
     /// News items to generate on top of the roots.
     pub n_items: usize,
-    /// Probability a faker fabricates from nothing instead of distorting
-    /// an existing item (the paper's citation says ~72 % of fakes are
-    /// *modified* factual news, so this defaults to 0.28).
-    pub fabricate_prob: f64,
-    /// Probability an honest item derives from an existing item rather
-    /// than citing a fact root directly.
-    pub deep_propagation_prob: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -50,12 +43,18 @@ impl Default for SynthConfig {
             n_honest: 20,
             n_fakers: 5,
             n_items: 300,
-            fabricate_prob: 0.28,
-            deep_propagation_prob: 0.6,
             seed: 42,
         }
     }
 }
+
+/// Probability a faker fabricates from nothing instead of distorting an
+/// existing item (the paper's citation says ~72 % of fakes are *modified*
+/// factual news, hence 0.28).
+const FABRICATE_PROB: f64 = 0.28;
+/// Probability an honest item derives from an existing item rather than
+/// citing a fact root directly.
+const DEEP_PROPAGATION_PROB: f64 = 0.6;
 
 /// Ground truth for one generated item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,13 +81,6 @@ pub struct SynthChain {
     pub fakers: Vec<Address>,
     /// Fact-root ids in the graph.
     pub roots: Vec<Hash256>,
-}
-
-impl SynthChain {
-    /// Count of items whose ground truth is fake.
-    pub fn fake_count(&self) -> usize {
-        self.truth.values().filter(|t| t.is_fake).count()
-    }
 }
 
 const FABRICATED_TEMPLATES: [&str; 6] = [
@@ -143,7 +135,7 @@ pub fn generate(config: &SynthConfig) -> SynthChain {
             rng.gen_bool(config.n_fakers as f64 / (config.n_fakers + config.n_honest) as f64);
         let (id, item_truth) = if faker_turn {
             let author = *fakers.choose(&mut rng).expect("nonempty");
-            if rng.gen_bool(config.fabricate_prob) || generated.is_empty() && roots.is_empty() {
+            if rng.gen_bool(FABRICATE_PROB) || generated.is_empty() && roots.is_empty() {
                 // Fabricated from nothing: no parents at all.
                 let template = FABRICATED_TEMPLATES.choose(&mut rng).expect("nonempty");
                 let content = format!("{template} Report {i}.");
@@ -192,7 +184,7 @@ pub fn generate(config: &SynthConfig) -> SynthChain {
             }
         } else {
             let author = *honest.choose(&mut rng).expect("nonempty");
-            let deep = rng.gen_bool(config.deep_propagation_prob) && !generated.is_empty();
+            let deep = rng.gen_bool(DEEP_PROPAGATION_PROB) && !generated.is_empty();
             let (pid, parent_fake, parent_gen) = if deep {
                 pick_parent(&graph, &truth, &roots, &generated, 0.9, &mut rng)
             } else {
@@ -265,6 +257,10 @@ fn pick_parent<R: Rng>(
 mod tests {
     use super::*;
 
+    fn fake_count(s: &SynthChain) -> usize {
+        s.truth.values().filter(|t| t.is_fake).count()
+    }
+
     fn small() -> SynthConfig {
         SynthConfig {
             n_fact_roots: 10,
@@ -280,7 +276,7 @@ mod tests {
         let a = generate(&small());
         let b = generate(&small());
         assert_eq!(a.graph.len(), b.graph.len());
-        assert_eq!(a.fake_count(), b.fake_count());
+        assert_eq!(fake_count(&a), fake_count(&b));
         let ids_a: Vec<_> = a.graph.iter().map(|i| i.id).collect();
         let ids_b: Vec<_> = b.graph.iter().map(|i| i.id).collect();
         assert_eq!(ids_a, ids_b);
@@ -292,8 +288,8 @@ mod tests {
         assert_eq!(s.graph.len(), 10 + 80);
         assert_eq!(s.graph.root_count(), 10);
         assert_eq!(s.truth.len(), 80);
-        assert!(s.fake_count() > 0, "some fakes expected");
-        assert!(s.fake_count() < 80, "not everything should be fake");
+        assert!(fake_count(&s) > 0, "some fakes expected");
+        assert!(fake_count(&s) < 80, "not everything should be fake");
     }
 
     #[test]

@@ -37,10 +37,7 @@ fn main() {
         ),
         (
             "trace-ranking suppression + certified boost",
-            RaceConfig {
-                factual_boost: 1.6,
-                ..base.clone()
-            },
+            RaceConfig { factual_boost: 1.6 },
             Intervention::RankingSuppression { multiplier: 0.25 },
         ),
     ];
@@ -65,10 +62,7 @@ fn main() {
     let none = run_race(&graph, &base, Intervention::None).expect("valid race config");
     let full = run_race(
         &graph,
-        &RaceConfig {
-            factual_boost: 1.6,
-            ..base
-        },
+        &RaceConfig { factual_boost: 1.6 },
         Intervention::RankingSuppression { multiplier: 0.25 },
     )
     .expect("valid race config");

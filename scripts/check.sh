@@ -130,6 +130,27 @@ echo "== exp10 smoke (figure-2 ecosystem: the platform's shape check)"
 # found. --quick runs four rounds and leaves results/e10.json alone.
 cargo run -q --release --offline -p tn-bench --bin exp10_ecosystem -- --quick
 
+echo "== research-model smokes (E1, E2, E3, E4, E5, E9, E11: the paper's shape checks)"
+# Each bin asserts the pass condition EXPERIMENTS.md states for its claim
+# and exits non-zero when it fails; --quick runs the full (sub-second)
+# sizes and writes no artifact. E1: the process chain keeps 4
+# participants, the news chain's grow, 85-99 % of news items trace to a
+# root. E2: truth discovery holds through 3/8 malicious, majority and
+# truth discovery collapse at parity, reputation weighting stays >= 0.9.
+# E3: AI AUC >= 0.9 on the full mix; on camouflaged fakes provenance
+# stays >= 0.9 while AI falls below 0.75; trace scores decay by
+# generation. E4: every learned model gains from 16 to 500 docs and
+# scores >= 0.95 on overt fakes; every detector degrades with subtlety.
+# E5: on both topologies the status-quo fake wins, a late flag changes
+# nothing, the full platform stack lets the factual story win. E9:
+# fabrication origins and culprit containment are exact at every size.
+# E11: ledger-only signals reach AUC 0.9 and beat each part; all
+# features are the best set at >= 0.95.
+for bin in exp1_supplychain_scale exp2_crowdrank_robustness exp3_traceback_ranking \
+  exp4_text_detection exp5_propagation_race exp9_accountability exp11_early_prediction; do
+  cargo run -q --release --offline -p tn-bench --bin "$bin" -- --quick
+done
+
 echo "== exp18 smoke (distributed tracing + Perfetto export)"
 # The bin itself validates the exported JSON (well-formed, non-empty,
 # spans from >= 3 replicas); double-check the artifact landed (--quick

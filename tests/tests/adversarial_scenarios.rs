@@ -160,10 +160,7 @@ fn detector_generalizes_across_seeds() {
         n_fake: 150,
         ..NewsCorpusConfig::default()
     });
-    let det = tn_aidetect::ensemble::EnsembleDetector::train(
-        &train,
-        tn_aidetect::ensemble::EnsembleWeights::default(),
-    );
+    let det = tn_aidetect::ensemble::EnsembleDetector::train(&train);
     let preds: Vec<(bool, f64)> = test
         .iter()
         .map(|d| (d.fake, det.prob_fake(&d.text)))

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use tn_crowdrank::defense::{stake_weighted, DefenseConfig, StakeLedger};
+use tn_crowdrank::defense::{stake_weighted, StakeLedger, MIN_BOND};
 use tn_crowdrank::reputation::{Reputation, ReputationLedger};
 use tn_crowdrank::Vote;
 use tn_crypto::sha256::sha256;
@@ -169,11 +169,10 @@ proptest! {
         for (who, correct) in &history {
             reputation.record(&addr(*who), *correct);
         }
-        let config = DefenseConfig::default();
         let mut stakes = StakeLedger::new();
         for i in 0u8..8 {
-            stakes.grant(&addr(i), 2 * config.min_bond).expect("grant");
-            stakes.post_bond(&addr(i), config.min_bond).expect("bond");
+            stakes.grant(&addr(i), 2 * MIN_BOND).expect("grant");
+            stakes.post_bond(&addr(i), MIN_BOND).expect("bond");
         }
         let quarantined: BTreeSet<Address> = (0u8..8)
             .filter(|i| quarantine_mask & (1 << i) != 0)
@@ -193,8 +192,8 @@ proptest! {
             .cloned()
             .collect();
 
-        let full = stake_weighted(&all, &reputation, &stakes, &quarantined, &config);
-        let minus = stake_weighted(&stripped, &reputation, &stakes, &quarantined, &config);
+        let full = stake_weighted(&all, &reputation, &stakes, &quarantined);
+        let minus = stake_weighted(&stripped, &reputation, &stakes, &quarantined);
 
         // Items voted on *only* by quarantined participants still get a
         // (conservative, zero-weight) decision in the full run; restrict
