@@ -107,25 +107,6 @@ impl Vocabulary {
     }
 }
 
-/// Sparse dot product of two index-sorted vectors.
-pub fn sparse_dot(a: &[(usize, f64)], b: &[(usize, f64)]) -> f64 {
-    let mut i = 0;
-    let mut j = 0;
-    let mut sum = 0.0;
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                sum += a[i].1 * b[j].1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,14 +171,5 @@ mod tests {
         let v = Vocabulary::fit(DOCS, 1);
         assert!(v.counts("").is_empty());
         assert!(v.tfidf("xylophone quartz").is_empty());
-    }
-
-    #[test]
-    fn sparse_ops() {
-        let a = vec![(0, 1.0), (2, 2.0), (5, 3.0)];
-        let b = vec![(2, 4.0), (5, 1.0), (9, 7.0)];
-        assert!((sparse_dot(&a, &b) - 11.0).abs() < 1e-12);
-        // Orthogonal.
-        assert_eq!(sparse_dot(&[(0, 1.0)], &[(1, 1.0)]), 0.0);
     }
 }

@@ -10,7 +10,7 @@
 //! DESIGN.md we substitute transparent, from-scratch models exercising the
 //! identical platform interface (a probability-of-fake per item):
 //!
-//! - [`features`]: tokenizer, vocabulary, TF-IDF, sparse-vector math.
+//! - [`features`]: tokenizer, vocabulary, bag-of-words counts, TF-IDF.
 //! - [`corpus`]: labeled synthetic news corpus with the paper's cited
 //!   structure (72.3 % of fakes are modified factual articles carrying
 //!   negative-emotion wording).

@@ -9,6 +9,8 @@
 //! evidence-discounted weighting (weight × evidence/(evidence+k)).
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp13_sybil_resistance`
+//! (`--quick` runs the same sweep, asserts the verdict and writes no
+//! artifact).
 
 use serde::Serialize;
 use tn_bench::Experiment;
@@ -70,7 +72,24 @@ fn main() {
         });
     }
 
-    exp.report("E13", "sybil resistance", &rows);
+    exp.table(&rows);
+    // The verdict, asserted: majority flips at 12 sybils (a tie breaks
+    // conservative), posterior-mean weighting at 25, and evidence-
+    // discounted weighting never flips through 400, at confidence 1.0.
+    let majority_flips_at_12 = rows.iter().all(|r| r.majority_correct == (r.sybils < 12));
+    let posterior_flips_at_25 = rows
+        .iter()
+        .all(|r| r.posterior_weighted_correct == (r.sybils < 25));
+    let evidence_holds = rows
+        .iter()
+        .all(|r| r.evidence_weighted_correct && r.evidence_confidence == 1.0);
+    assert!(
+        majority_flips_at_12 && posterior_flips_at_25 && evidence_holds,
+        "verdict failed: majority flips at 12 {majority_flips_at_12}, posterior-mean flips at \
+         25 {posterior_flips_at_25}, evidence-discounted holds at confidence 1.0 through 400 \
+         {evidence_holds}"
+    );
+    exp.write_report("E13", "sybil resistance", &rows);
     println!(
         "\nshape check: majority falls as soon as the swarm matches the honest raters (ties break \
          conservative); posterior-mean weighting falls a little later (each fresh identity \

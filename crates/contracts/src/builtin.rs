@@ -347,7 +347,8 @@ pub fn newsroom_revoke(room: u64, who: &Address) -> Vec<u8> {
 /// - `3` GetRating(item, who: hash) → score byte (0xff when absent)
 /// - `4` SetPolicy(min_bond u64, decay_bps u64, slash_bps u64) — owner only;
 ///   activates the adversarial-participant defenses (E24)
-/// - `5` GrantStake(who: hash, amount u64) — owner only (admission grant)
+/// - `5` GrantStake(who: hash, amount u64) — owner only (admission grant);
+///   refused when total stake (free + bonded + treasury) would pass `u64::MAX`
 /// - `6` PostBond(amount u64) — moves the caller's free stake into its bond
 /// - `7` RecordOutcome(item: hash, factual u8) — owner only; decays every
 ///   rater's reputation toward the prior, bumps/penalizes by confirmed
@@ -706,6 +707,21 @@ impl BuiltinContract for RankingContract {
                 let amount = dec.get_u64().map_err(bad_input)?;
                 if amount == 0 {
                     return Err("grant amount must be positive".into());
+                }
+                // Every granted token stays in free + bonded + treasury,
+                // so a total that fits a u64 keeps every balance, bond
+                // and the treasury from overflowing.
+                let held: u128 = self
+                    .free_stake
+                    .values()
+                    .chain(self.bonded_stake.values())
+                    .map(|v| *v as u128)
+                    .sum::<u128>()
+                    + self.treasury as u128;
+                if held + amount as u128 > u64::MAX as u128 {
+                    return Err(format!(
+                        "grant of {amount} would push total stake {held} past u64::MAX"
+                    ));
                 }
                 *self.free_stake.entry(who).or_insert(0) += amount;
                 Ok(Vec::new())
@@ -1397,6 +1413,22 @@ mod tests {
 
         let out = rk.call(&sybil, &ranking_get_stake(&honest)).unwrap();
         assert_eq!(decode_stake(&out), Some((0, 100)));
+    }
+
+    #[test]
+    fn ranking_grant_past_u64_max_is_refused_without_writing() {
+        let owner = addr(b"platform");
+        let mut rk = RankingContract::new(owner);
+        let (a, b) = (addr(b"a"), addr(b"b"));
+        rk.call(&owner, &ranking_grant_stake(&a, u64::MAX - 1))
+            .unwrap();
+        rk.call(&a, &ranking_post_bond(u64::MAX / 2)).unwrap();
+        let before = rk.save_state();
+        assert!(rk.call(&owner, &ranking_grant_stake(&a, 2)).is_err());
+        assert!(rk.call(&owner, &ranking_grant_stake(&b, 2)).is_err());
+        assert_eq!(rk.save_state(), before);
+        rk.call(&owner, &ranking_grant_stake(&b, 1)).unwrap();
+        assert_eq!(rk.stake(&b), (1, 0));
     }
 
     #[test]

@@ -1,40 +1,21 @@
-//! Participant-level defenses against coordinated misinformation
-//! campaigns — the library half of E24.
+//! Coordination detection for crowd ranking — the detector E24 runs
+//! beside the on-chain `RankingContract` (`tn-contracts`), which holds
+//! the bonds, slashing, decay and quarantine themselves.
 //!
-//! Three mechanisms, composable and individually testable:
+//! [`CoordinationDetector`] watches a sliding window of committed votes.
+//! Participants whose *exact* vote vectors coincide on enough items form
+//! a ring; persistent ring membership produces quarantine verdicts, which
+//! the campaign driver submits to the contract as governor transactions.
+//! The per-tick coordinated/total counts feed the `tn-monitor` campaign
+//! burn-rate rule.
 //!
-//! - [`StakeLedger`]: sybil admission cost. A participant must bond stake
-//!   before its votes carry weight; bonds are slashed when confirmed
-//!   outcomes contradict the vote. Stake is conserved — every token is in
-//!   exactly one of {free, bonded, treasury} at all times.
-//! - [`stake_weighted`]: vote aggregation that multiplies the
-//!   evidence-discounted Beta reputation by a bond gate and zeroes
-//!   quarantined participants entirely.
-//! - [`CoordinationDetector`]: rate-of-coordination detection over a
-//!   sliding window of committed votes. Participants whose *exact* vote
-//!   vectors coincide on enough items form a ring; persistent ring
-//!   membership produces quarantine verdicts. The per-tick
-//!   coordinated/total counts feed the `tn-monitor` campaign burn-rate
-//!   rule.
-//!
-//! Everything here is deterministic (BTree containers, no RNG) because it
-//! runs on — or mirrors — the replica path, where all replicas must reach
-//! byte-identical conclusions.
+//! Everything here is deterministic (BTree containers, no RNG), so every
+//! replica that watches the same blocks reaches byte-identical verdicts.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
 use tn_crypto::{Address, Hash256};
 
-use crate::aggregate::{Decision, Vote};
-use crate::reputation::ReputationLedger;
-
-/// Evidence-discount constant `k` (how much confirmed history buys full
-/// weight) of [`stake_weighted`].
-const EVIDENCE_DISCOUNT: f64 = 10.0;
-/// Minimum bonded stake for a vote to carry any weight in
-/// [`stake_weighted`].
-pub const MIN_BOND: u64 = 50;
 /// Sliding-window length (ticks) for coordination detection.
 const WINDOW: usize = 8;
 /// Minimum participants with identical vote vectors to call a ring.
@@ -44,182 +25,6 @@ const MIN_RING: usize = 3;
 const MIN_SHARED_ITEMS: usize = 2;
 /// Consecutive flagged ticks before a quarantine verdict.
 const QUARANTINE_STREAK: u32 = 2;
-
-/// Typed stake-accounting failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefenseError {
-    /// Tried to bond more than the free balance.
-    InsufficientStake {
-        /// Free balance available.
-        have: u64,
-        /// Amount requested.
-        need: u64,
-    },
-    /// Zero-amount grant or bond.
-    ZeroAmount,
-}
-
-impl fmt::Display for DefenseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DefenseError::InsufficientStake { have, need } => {
-                write!(f, "insufficient free stake: have {have}, need {need}")
-            }
-            DefenseError::ZeroAmount => write!(f, "amount must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for DefenseError {}
-
-/// Conserved stake accounting: every token granted into the system is in
-/// exactly one of free balances, bonded balances, or the slash treasury.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StakeLedger {
-    free: BTreeMap<Address, u64>,
-    bonded: BTreeMap<Address, u64>,
-    treasury: u64,
-    minted: u64,
-}
-
-impl StakeLedger {
-    /// Empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mints `amount` into `who`'s free balance (the only way stake
-    /// enters the system).
-    ///
-    /// # Errors
-    ///
-    /// [`DefenseError::ZeroAmount`] when `amount == 0`.
-    pub fn grant(&mut self, who: &Address, amount: u64) -> Result<(), DefenseError> {
-        if amount == 0 {
-            return Err(DefenseError::ZeroAmount);
-        }
-        *self.free.entry(*who).or_insert(0) += amount;
-        self.minted += amount;
-        Ok(())
-    }
-
-    /// Moves `amount` from `who`'s free balance into its bond.
-    ///
-    /// # Errors
-    ///
-    /// [`DefenseError::InsufficientStake`] when the free balance is too
-    /// small; [`DefenseError::ZeroAmount`] when `amount == 0`.
-    pub fn post_bond(&mut self, who: &Address, amount: u64) -> Result<(), DefenseError> {
-        if amount == 0 {
-            return Err(DefenseError::ZeroAmount);
-        }
-        let free = self.free.entry(*who).or_insert(0);
-        if *free < amount {
-            return Err(DefenseError::InsufficientStake {
-                have: *free,
-                need: amount,
-            });
-        }
-        *free -= amount;
-        *self.bonded.entry(*who).or_insert(0) += amount;
-        Ok(())
-    }
-
-    /// Slashes `slash_bps` basis points of `who`'s bond into the
-    /// treasury; returns the amount slashed. A nonempty bond always loses
-    /// at least one token, so repeated contradictions drain it.
-    pub fn slash(&mut self, who: &Address, slash_bps: u32) -> u64 {
-        let bonded = self.bonded.entry(*who).or_insert(0);
-        if *bonded == 0 {
-            return 0;
-        }
-        let cut = ((*bonded as u128 * slash_bps.min(10_000) as u128) / 10_000) as u64;
-        let cut = cut.max(1).min(*bonded);
-        *bonded -= cut;
-        self.treasury += cut;
-        cut
-    }
-
-    /// `who`'s free balance.
-    pub fn free(&self, who: &Address) -> u64 {
-        self.free.get(who).copied().unwrap_or(0)
-    }
-
-    /// `who`'s bonded balance.
-    pub fn bonded(&self, who: &Address) -> u64 {
-        self.bonded.get(who).copied().unwrap_or(0)
-    }
-
-    /// Accumulated slashed stake.
-    pub fn treasury(&self) -> u64 {
-        self.treasury
-    }
-
-    /// Total stake ever granted.
-    pub fn minted(&self) -> u64 {
-        self.minted
-    }
-
-    /// Sum of all free + bonded balances + treasury. Conservation means
-    /// this always equals [`StakeLedger::minted`].
-    pub fn circulating(&self) -> u64 {
-        self.free.values().sum::<u64>() + self.bonded.values().sum::<u64>() + self.treasury
-    }
-
-    /// True when the conservation invariant holds (it always must; the
-    /// property tests hammer this).
-    pub fn conserved(&self) -> bool {
-        self.circulating() == self.minted
-    }
-}
-
-/// Stake- and reputation-weighted aggregation with quarantine: each vote
-/// weighs `discounted_weight(voter, k)` if the voter has bonded at least
-/// [`MIN_BOND`] and is not quarantined, else exactly zero. Zero-weight
-/// items decide *not factual* (conservative), confidence 0.5.
-///
-/// Quarantined votes contributing weight zero — rather than being
-/// filtered before aggregation — is what makes "quarantined votes never
-/// affect the aggregate" a checkable identity: the decision vector is
-/// byte-identical whether or not their votes are present at all.
-pub fn stake_weighted(
-    votes: &[Vote],
-    reputation: &ReputationLedger,
-    stakes: &StakeLedger,
-    quarantined: &BTreeSet<Address>,
-) -> Vec<Decision> {
-    let mut by_item: BTreeMap<Hash256, Vec<&Vote>> = BTreeMap::new();
-    for v in votes {
-        by_item.entry(v.item).or_default().push(v);
-    }
-    by_item
-        .into_iter()
-        .map(|(item, vs)| {
-            let mut yes = 0.0;
-            let mut total = 0.0;
-            let mut counted = 0usize;
-            for v in &vs {
-                if quarantined.contains(&v.voter) || stakes.bonded(&v.voter) < MIN_BOND {
-                    continue;
-                }
-                counted += 1;
-                let w = reputation.discounted_weight(&v.voter, EVIDENCE_DISCOUNT);
-                total += w;
-                if v.factual {
-                    yes += w;
-                }
-            }
-            let factual = yes * 2.0 > total && total > 0.0;
-            let winner = if factual { yes } else { total - yes };
-            Decision {
-                item,
-                factual,
-                confidence: if total > 0.0 { winner / total } else { 0.5 },
-                votes: counted,
-            }
-        })
-        .collect()
-}
 
 /// One committed vote as seen by the detector: `(voter, item, score)`.
 pub type ObservedVote = (Address, Hash256, u8);
@@ -329,108 +134,6 @@ mod tests {
 
     fn item(i: u8) -> Hash256 {
         sha256(&[i])
-    }
-
-    #[test]
-    fn stake_is_conserved_through_grant_bond_slash() {
-        let mut s = StakeLedger::new();
-        s.grant(&addr(1), 100).unwrap();
-        s.grant(&addr(2), 250).unwrap();
-        assert!(s.conserved());
-        s.post_bond(&addr(1), 80).unwrap();
-        s.post_bond(&addr(2), 250).unwrap();
-        assert!(s.conserved());
-        let cut = s.slash(&addr(2), 2_500);
-        assert_eq!(cut, 62);
-        assert_eq!(s.treasury(), 62);
-        assert_eq!(s.bonded(&addr(2)), 188);
-        assert!(s.conserved());
-        // Draining slashes always bite at least one token.
-        while s.bonded(&addr(2)) > 0 {
-            assert!(s.slash(&addr(2), 1) >= 1);
-        }
-        assert!(s.conserved());
-        assert_eq!(s.circulating(), 350);
-    }
-
-    #[test]
-    fn bond_errors_are_typed() {
-        let mut s = StakeLedger::new();
-        assert_eq!(s.grant(&addr(1), 0), Err(DefenseError::ZeroAmount));
-        s.grant(&addr(1), 10).unwrap();
-        assert_eq!(
-            s.post_bond(&addr(1), 11),
-            Err(DefenseError::InsufficientStake { have: 10, need: 11 })
-        );
-        assert!(s.conserved());
-        assert_eq!(s.slash(&addr(9), 10_000), 0);
-    }
-
-    #[test]
-    fn stake_weighted_gates_on_bond_and_quarantine() {
-        let mut reputation = ReputationLedger::new();
-        let mut stakes = StakeLedger::new();
-        // Two bonded honest voters with history; a swarm of unbonded
-        // sybils; one bonded-but-quarantined ring leader.
-        for who in [addr(1), addr(2), addr(66)] {
-            for _ in 0..20 {
-                reputation.record(&who, true);
-            }
-            stakes.grant(&who, 100).unwrap();
-            stakes.post_bond(&who, 100).unwrap();
-        }
-        let mut votes = vec![
-            Vote {
-                voter: addr(1),
-                item: item(1),
-                factual: true,
-            },
-            Vote {
-                voter: addr(2),
-                item: item(1),
-                factual: true,
-            },
-            Vote {
-                voter: addr(66),
-                item: item(1),
-                factual: false,
-            },
-        ];
-        for s in 100..140u64 {
-            votes.push(Vote {
-                voter: addr(s),
-                item: item(1),
-                factual: false,
-            });
-        }
-        let quarantined: BTreeSet<Address> = [addr(66)].into_iter().collect();
-        let d = stake_weighted(&votes, &reputation, &stakes, &quarantined);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].factual, "unbonded sybils and quarantined must not win");
-        assert_eq!(d[0].votes, 2);
-        // Identical decision when the gated votes are absent entirely.
-        let clean: Vec<Vote> = votes
-            .iter()
-            .filter(|v| v.voter == addr(1) || v.voter == addr(2))
-            .copied()
-            .collect();
-        let d2 = stake_weighted(&clean, &reputation, &stakes, &quarantined);
-        assert_eq!(d, d2);
-    }
-
-    #[test]
-    fn stake_weighted_zero_weight_is_conservative() {
-        let reputation = ReputationLedger::new();
-        let stakes = StakeLedger::new(); // nobody bonded
-        let votes = [Vote {
-            voter: addr(1),
-            item: item(1),
-            factual: true,
-        }];
-        let d = stake_weighted(&votes, &reputation, &stakes, &BTreeSet::new());
-        assert!(!d[0].factual);
-        assert_eq!(d[0].confidence, 0.5);
-        assert_eq!(d[0].votes, 0);
     }
 
     fn ring_votes(members: &[u64], tickseed: u8) -> Vec<ObservedVote> {

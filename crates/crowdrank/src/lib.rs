@@ -12,8 +12,9 @@
 //! - [`adversary`]: honest/random/malicious/strategic validator models,
 //!   plus the campaign participant roles (bot rings, turncoat sybils,
 //!   bribed rankers) driven end-to-end by E24.
-//! - [`defense`]: stake bonds with slashing, stake-weighted aggregation
-//!   with quarantine, and sliding-window coordination detection.
+//! - [`defense`]: sliding-window coordination detection, whose verdicts
+//!   E24 enforces through the on-chain `RankingContract` (`tn-contracts`:
+//!   bonds, slashing, decay and quarantine).
 //! - [`sim`]: the round-based simulation with incentive economics that
 //!   powers the E2 robustness experiment.
 //!
@@ -40,9 +41,6 @@ pub use aggregate::{
     evidence_weighted, majority, reputation_weighted, truth_discovery, AggregateError, Decision,
     Vote,
 };
-pub use defense::{
-    stake_weighted, CoordinationDetector, CoordinationReport, DefenseError, ObservedVote,
-    StakeLedger,
-};
+pub use defense::{CoordinationDetector, CoordinationReport, ObservedVote};
 pub use reputation::{Reputation, ReputationError, ReputationLedger};
 pub use sim::{run, SimConfig, SimResult, Strategy};

@@ -39,10 +39,7 @@ use tn_core::roles::Role;
 use tn_crowdrank::adversary::{CampaignRole, CampaignTarget};
 use tn_crowdrank::{CoordinationDetector, ObservedVote};
 use tn_crypto::{Address, Hash256, Keypair};
-use tn_monitor::{
-    prometheus_text, MonitorConfig, ParticipantLedger, ParticipantVerdict, ReplicaMonitor,
-    Transition, RULE_CAMPAIGN_BURN,
-};
+use tn_monitor::{prometheus_text, MonitorConfig, ReplicaMonitor, Transition, RULE_CAMPAIGN_BURN};
 use tn_node::validator::ValidatorNode;
 use tn_propagation::cascade::{assign_accounts, independent_cascade_with_receptivity};
 use tn_propagation::network::barabasi_albert;
@@ -181,8 +178,6 @@ pub struct CampaignOutcome {
     pub coordinated_votes: u64,
     /// Total votes observed across the run.
     pub total_votes: u64,
-    /// Monitoring-plane participant verdict log `(height, id, verdict)`.
-    pub verdict_log: Vec<(u64, String, ParticipantVerdict)>,
     /// Fake-article reach when the final crowd ranking drives platform
     /// suppression on a synthetic social graph.
     pub fake_reach: usize,
@@ -190,13 +185,6 @@ pub struct CampaignOutcome {
     pub factual_reach: usize,
     /// Prometheus exposition of the external monitor after the run.
     pub prometheus: String,
-}
-
-/// Opaque monitoring-plane id for an address (hex prefix of its hash);
-/// `tn-monitor` must stay address-agnostic, so verdict ledgers key on
-/// this string.
-pub fn participant_id(addr: &Address) -> String {
-    addr.as_hash().to_hex()[..16].to_string()
 }
 
 /// Builds the campaign workload by running the scripted session —
@@ -474,8 +462,6 @@ pub fn run_campaign(
     // detection.
     let mut monitor = ReplicaMonitor::new(0, &MonitorConfig::default());
     let mut detector = CoordinationDetector::new();
-    let mut ledger = ParticipantLedger::new();
-    let mut verdict_log: Vec<(u64, String, ParticipantVerdict)> = Vec::new();
     let mut alert_height: Option<u64> = None;
     let mut coordinated_votes = 0u64;
     let mut total_votes = 0u64;
@@ -505,10 +491,6 @@ pub fn run_campaign(
                 .any(|a| a.rule == RULE_CAMPAIGN_BURN && a.transition == Transition::Firing)
         {
             alert_height = Some(height);
-        }
-        let implicated: Vec<String> = report.rings.iter().flatten().map(participant_id).collect();
-        for (id, verdict) in ledger.observe(height, &implicated) {
-            verdict_log.push((height, id, verdict));
         }
 
         // 3. Enforce on-chain when defended, at the governor's next nonce.
@@ -578,7 +560,6 @@ pub fn run_campaign(
         detector_verdicts: detector.quarantined(),
         coordinated_votes,
         total_votes,
-        verdict_log,
         fake_reach,
         factual_reach,
         prometheus: prometheus_text(&monitor),

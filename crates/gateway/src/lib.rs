@@ -49,8 +49,8 @@ pub mod openloop;
 pub mod queue;
 
 pub use campaign::{
-    build_campaign_workload, campaign_policy, participant_id, run_campaign, AttackKind,
-    CampaignOutcome, CampaignProfile, CampaignWorkload, RULE_PARTICIPANT_QUARANTINE,
+    build_campaign_workload, campaign_policy, run_campaign, AttackKind, CampaignOutcome,
+    CampaignProfile, CampaignWorkload, RULE_PARTICIPANT_QUARANTINE,
 };
 pub use gateway::{AdmitVerdict, DrainReport, Gateway, GatewayStats};
 pub use limiter::RateLimiter;

@@ -15,9 +15,7 @@
 //!    state machine (`Healthy → Degraded → Lagging → Quarantined`)
 //!    driven by the built-in rule set plus cross-replica rollup facts
 //!    (height lag, digest divergence), rolled up into a
-//!    [`ClusterHealth`] verdict. [`ParticipantLedger`] applies the same
-//!    escalation-ladder idea to crowd *participants* flagged by
-//!    coordination detection (`Trusted → Watched → Quarantined`).
+//!    [`ClusterHealth`] verdict.
 //! 4. [`expo`] — Prometheus text exposition (with a line-format lint)
 //!    and JSON dumps of series, alerts, and health, plus the merged
 //!    cluster alert-timeline artifact.
@@ -32,7 +30,6 @@
 
 pub mod expo;
 pub mod health;
-pub mod participants;
 pub mod rules;
 pub mod tsdb;
 
@@ -43,6 +40,5 @@ pub use health::{
     RULE_LAG, RULE_MSG_DROPS, RULE_RESTART, RULE_SHED_BURN, RULE_SIGCACHE, RULE_UNDECODABLE,
     RULE_WAL_REPLAY,
 };
-pub use participants::{ParticipantLedger, ParticipantVerdict};
 pub use rules::{Alert, AlertState, Cmp, Query, RuleEngine, Severity, SloRule, Transition};
 pub use tsdb::{Tsdb, Window};

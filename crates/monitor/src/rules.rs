@@ -11,7 +11,7 @@
 //! Queries that evaluate to "no data" (the series never appeared, or a
 //! latency histogram was idle over the window) count as *clear*: an SLO
 //! over a series that is not being exercised is vacuously met. Rules
-//! whose job is to detect silence should instead threshold a rate
+//! whose job is to detect silence should instead threshold a `Sum`
 //! `Below` a floor on a series that is known to exist.
 
 use crate::tsdb::Tsdb;
@@ -28,14 +28,6 @@ pub enum Cmp {
 /// What a rule measures each evaluation tick.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Query {
-    /// Mean per-window increment rate of a counter over the trailing
-    /// `windows` windows.
-    Rate {
-        /// Counter series name.
-        counter: String,
-        /// Trailing window count.
-        windows: usize,
-    },
     /// Total increments of a counter over the trailing `windows` windows.
     Sum {
         /// Counter series name.
@@ -90,7 +82,6 @@ impl Query {
     /// Evaluates the query against `tsdb`; `None` means no data.
     pub fn evaluate(&self, tsdb: &Tsdb) -> Option<f64> {
         match self {
-            Query::Rate { counter, windows } => tsdb.counter_rate(counter, *windows),
             Query::Sum { counter, windows } => {
                 tsdb.counter_window(counter, *windows).map(|v| v as f64)
             }

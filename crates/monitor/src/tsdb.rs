@@ -175,15 +175,6 @@ impl Tsdb {
         )
     }
 
-    /// Mean per-window increment rate over the trailing `windows` windows
-    /// (the available window count bounds the divisor, so early samples
-    /// are not diluted by windows that never existed).
-    pub fn counter_rate(&self, name: &str, windows: usize) -> Option<f64> {
-        let sum = self.counter_window(name, windows)?;
-        let n = windows.clamp(1, self.windows.len().max(1));
-        Some(sum as f64 / n as f64)
-    }
-
     /// The merged distribution a histogram recorded over the trailing
     /// `windows` windows (bucket deltas summed across windows). `None`
     /// when the series has never appeared; an empty distribution when it

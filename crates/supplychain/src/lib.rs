@@ -55,5 +55,4 @@ pub mod text;
 pub use graph::{GraphError, NewsItem, ParentRef, SupplyChainGraph, TraceResult, TraceSummary};
 pub use index::{index_chain, IndexStats, NewsEvent};
 pub use ops::PropagationOp;
-pub use ranking::{rank_graph, RankWeights, RankedItem};
 pub use synth::{generate, SynthChain, SynthConfig};

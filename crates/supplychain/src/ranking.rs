@@ -1,48 +1,15 @@
-//! Factualness ranking from provenance traces, and rank-quality metrics.
+//! Factualness scores from provenance traces, and rank-quality metrics.
 //!
 //! The paper: "The trace distance of graph from its root to the current
 //! reported news and the degree of the modifications … can then be used to
 //! rank the factualness of the news" (§VI). The trace score (Π of per-hop
-//! retention) is combined with an optional AI content score into a 0–100
-//! ranking; Spearman correlation and precision@k quantify rank quality in
-//! the E3 experiment.
+//! retention) is the provenance signal `Platform::rank_item` blends with
+//! the AI and crowd scores; Spearman correlation and precision@k quantify
+//! rank quality in the E3 experiment.
 
 use tn_crypto::Hash256;
 
-use crate::graph::{SupplyChainGraph, TraceResult, TraceSummary};
-
-/// Weighting between provenance and AI content signals.
-#[derive(Debug, Clone, Copy)]
-pub struct RankWeights {
-    /// Weight of the trace-back score.
-    pub trace: f64,
-    /// Weight of the AI classifier score.
-    pub ai: f64,
-}
-
-impl Default for RankWeights {
-    fn default() -> Self {
-        RankWeights {
-            trace: 0.7,
-            ai: 0.3,
-        }
-    }
-}
-
-/// A ranked news item.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedItem {
-    /// Item id.
-    pub id: Hash256,
-    /// Final 0–100 factualness ranking.
-    pub rank: f64,
-    /// Provenance component in `[0, 1]`.
-    pub trace_score: f64,
-    /// AI component in `[0, 1]` (0.5 when absent).
-    pub ai_score: f64,
-    /// Whether the item traces to the factual database.
-    pub reaches_root: bool,
-}
+use crate::graph::{TraceResult, TraceSummary};
 
 /// Converts a trace result to a `[0, 1]` provenance score.
 pub fn trace_score(trace: &TraceResult) -> f64 {
@@ -60,42 +27,6 @@ fn provenance_score(reaches_root: bool, score: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Combines provenance and AI scores into the 0–100 ranking.
-///
-/// # Panics
-///
-/// Panics if both weights are zero.
-pub fn combine(trace: f64, ai: f64, weights: &RankWeights) -> f64 {
-    let total = weights.trace + weights.ai;
-    assert!(total > 0.0, "rank weights must not both be zero");
-    100.0 * (weights.trace * trace.clamp(0.0, 1.0) + weights.ai * ai.clamp(0.0, 1.0)) / total
-}
-
-/// Ranks every non-root item in the graph. `ai_scores` maps item ids to a
-/// `[0, 1]` "probability factual" from the AI detector; items without an
-/// entry use a neutral 0.5.
-pub fn rank_graph(
-    graph: &SupplyChainGraph,
-    ai_scores: &dyn Fn(&Hash256) -> Option<f64>,
-    weights: &RankWeights,
-) -> Vec<RankedItem> {
-    graph
-        .summaries()
-        .filter(|(item, _)| !item.is_fact_root)
-        .map(|(item, trace)| {
-            let ts = summary_score(trace);
-            let ai = ai_scores(&item.id).unwrap_or(0.5);
-            RankedItem {
-                id: item.id,
-                rank: combine(ts, ai, weights),
-                trace_score: ts,
-                ai_score: ai,
-                reaches_root: trace.reaches_root,
-            }
-        })
-        .collect()
 }
 
 /// Assigns average ranks (1-based, ties averaged) to values.
@@ -189,32 +120,6 @@ mod tests {
     use tn_crypto::sha256::sha256;
 
     #[test]
-    fn combine_weights() {
-        let w = RankWeights {
-            trace: 0.7,
-            ai: 0.3,
-        };
-        assert!((combine(1.0, 1.0, &w) - 100.0).abs() < 1e-9);
-        assert!((combine(0.0, 0.0, &w)).abs() < 1e-9);
-        assert!((combine(1.0, 0.0, &w) - 70.0).abs() < 1e-9);
-        // Clamping.
-        assert!((combine(2.0, -1.0, &w) - 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not both be zero")]
-    fn zero_weights_panic() {
-        combine(
-            0.5,
-            0.5,
-            &RankWeights {
-                trace: 0.0,
-                ai: 0.0,
-            },
-        );
-    }
-
-    #[test]
     fn spearman_perfect_and_inverse() {
         let a = [1.0, 2.0, 3.0, 4.0];
         let up = [10.0, 20.0, 30.0, 40.0];
@@ -251,52 +156,5 @@ mod tests {
         let relevant: HashSet<Hash256> = [ids[4], ids[0]].into_iter().collect();
         assert!((precision_at_k(&scored, &relevant, 2) - 0.5).abs() < 1e-9);
         assert!((precision_at_k(&scored, &relevant, 1) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rank_graph_orders_by_provenance() {
-        use crate::graph::SupplyChainGraph;
-        use crate::ops::PropagationOp;
-        use tn_crypto::Keypair;
-
-        let fact = "The committee approved the solar subsidy amendment. \
-            The vote passed with a clear majority. The minister welcomed the outcome.";
-        let mut g = SupplyChainGraph::new();
-        let root = sha256(b"r");
-        g.add_fact_root(root, fact, "energy", 0).unwrap();
-        let clean = g
-            .insert(
-                Keypair::from_seed(b"c").address(),
-                fact,
-                "energy",
-                1,
-                vec![(root, PropagationOp::Relay)],
-                1,
-            )
-            .unwrap();
-        let fabricated = g
-            .insert(
-                Keypair::from_seed(b"f").address(),
-                "Secret memo reveals everything is a lie.",
-                "energy",
-                1,
-                vec![],
-                2,
-            )
-            .unwrap();
-
-        let ranked = rank_graph(&g, &|_| None, &RankWeights::default());
-        let find = |id| ranked.iter().find(|r| r.id == id).unwrap();
-        assert!(find(clean).rank > find(fabricated).rank);
-        assert!(find(clean).reaches_root);
-        assert!(!find(fabricated).reaches_root);
-        // AI score shifts the ranking.
-        let ranked_ai = rank_graph(
-            &g,
-            &|id| (*id == fabricated).then_some(0.9),
-            &RankWeights::default(),
-        );
-        let f2 = ranked_ai.iter().find(|r| r.id == fabricated).unwrap();
-        assert!(f2.rank > find(fabricated).rank);
     }
 }

@@ -1,7 +1,8 @@
 //! Differential oracle for the provenance reads of [`SupplyChainGraph`]:
 //! `trace_back`, `trace_all`, `distortion_culprit`, `origin_author`,
-//! `score_experts` / `experts_for_topic` and `rank_graph` against their
-//! definitions, recomputed from nothing but `iter()` / `get()`.
+//! `score_experts` / `experts_for_topic` and the stored summaries
+//! `summaries()` scores items by, against their definitions, recomputed
+//! from nothing but `iter()` / `get()`.
 //!
 //! The reference ([`reference_trace`]) is the memoised recursion the graph
 //! answered with before answers were stored on the nodes, kept here word
@@ -42,7 +43,7 @@ use tn_crypto::sha256::sha256;
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_supplychain::expert::{experts_for_topic, score_experts, ExpertScore};
 use tn_supplychain::graph::{SupplyChainGraph, TraceResult};
-use tn_supplychain::ranking::{combine, rank_graph, RankWeights};
+use tn_supplychain::ranking::summary_score;
 use tn_supplychain::PropagationOp;
 
 // --- the definitions ------------------------------------------------------
@@ -282,18 +283,18 @@ fn check_against_definitions(g: &SupplyChainGraph) -> Result<(), TestCaseError> 
         }
     }
 
-    let weights = RankWeights::default();
-    let ai = |id: &Hash256| (id.as_bytes()[0] & 1 == 1).then_some(0.8);
-    let ranked = rank_graph(g, &ai, &weights);
-    prop_assert_eq!(ranked.iter().map(|r| r.id).collect::<Vec<_>>(), non_roots);
-    for r in &ranked {
-        let trace = reference_trace(g, r.id, &mut memo);
-        let ts = clamped(&trace);
-        let ai_score = ai(&r.id).unwrap_or(0.5);
-        prop_assert_eq!(r.trace_score.to_bits(), ts.to_bits());
-        prop_assert_eq!(r.ai_score.to_bits(), ai_score.to_bits());
-        prop_assert_eq!(r.rank.to_bits(), combine(ts, ai_score, &weights).to_bits());
-        prop_assert_eq!(r.reaches_root, trace.reaches_root);
+    let scored: Vec<_> = g
+        .summaries()
+        .filter(|(item, _)| !item.is_fact_root)
+        .collect();
+    prop_assert_eq!(
+        scored.iter().map(|(item, _)| item.id).collect::<Vec<_>>(),
+        non_roots
+    );
+    for (item, summary) in scored {
+        let trace = reference_trace(g, item.id, &mut memo);
+        prop_assert_eq!(summary_score(summary).to_bits(), clamped(&trace).to_bits());
+        prop_assert_eq!(summary.reaches_root, trace.reaches_root);
     }
     Ok(())
 }

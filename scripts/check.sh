@@ -130,7 +130,7 @@ echo "== exp10 smoke (figure-2 ecosystem: the platform's shape check)"
 # found. --quick runs four rounds and leaves results/e10.json alone.
 cargo run -q --release --offline -p tn-bench --bin exp10_ecosystem -- --quick
 
-echo "== research-model smokes (E1, E2, E3, E4, E5, E9, E11: the paper's shape checks)"
+echo "== research-model smokes (E1, E2, E3, E4, E5, E9, E11, E13: the paper's shape checks)"
 # Each bin asserts the pass condition EXPERIMENTS.md states for its claim
 # and exits non-zero when it fails; --quick runs the full (sub-second)
 # sizes and writes no artifact. E1: the process chain keeps 4
@@ -145,9 +145,12 @@ echo "== research-model smokes (E1, E2, E3, E4, E5, E9, E11: the paper's shape c
 # nothing, the full platform stack lets the factual story win. E9:
 # fabrication origins and culprit containment are exact at every size.
 # E11: ledger-only signals reach AUC 0.9 and beat each part; all
-# features are the best set at >= 0.95.
+# features are the best set at >= 0.95. E13: majority flips at 12
+# sybils, posterior-mean weighting at 25, evidence-discounted weighting
+# never through 400, at confidence 1.0.
 for bin in exp1_supplychain_scale exp2_crowdrank_robustness exp3_traceback_ranking \
-  exp4_text_detection exp5_propagation_race exp9_accountability exp11_early_prediction; do
+  exp4_text_detection exp5_propagation_race exp9_accountability exp11_early_prediction \
+  exp13_sybil_resistance; do
   cargo run -q --release --offline -p tn-bench --bin "$bin" -- --quick
 done
 

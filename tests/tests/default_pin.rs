@@ -578,53 +578,6 @@ fn coordination_verdicts_are_pinned() {
 }
 
 #[test]
-fn stake_weighted_decisions_are_pinned() {
-    use std::collections::BTreeSet;
-    use tn_crowdrank::aggregate::Vote;
-    use tn_crowdrank::defense::{stake_weighted, StakeLedger};
-    use tn_crowdrank::reputation::ReputationLedger;
-    let mut reputation = ReputationLedger::new();
-    let mut stakes = StakeLedger::new();
-    // Voter i holds i correct confirmations, bonds 10·i, votes factual
-    // on item (i mod 3) when i is even.
-    for i in 0..12u64 {
-        for _ in 0..i {
-            reputation.record(&voter(i), true);
-        }
-        for _ in 0..(i % 4) {
-            reputation.record(&voter(i), false);
-        }
-        if i > 0 {
-            stakes.grant(&voter(i), 10 * i).unwrap();
-            stakes.post_bond(&voter(i), 10 * i).unwrap();
-        }
-    }
-    let votes: Vec<Vote> = (0..12u64)
-        .flat_map(|i| {
-            (0..3u8).map(move |item| Vote {
-                voter: voter(i),
-                item: vote_item(item),
-                factual: (i + item as u64).is_multiple_of(2),
-            })
-        })
-        .collect();
-    let quarantined: BTreeSet<_> = [voter(10)].into_iter().collect();
-    let decisions: Vec<(bool, u64, usize)> =
-        stake_weighted(&votes, &reputation, &stakes, &quarantined)
-            .into_iter()
-            .map(|d| (d.factual, d.confidence.to_bits(), d.votes))
-            .collect();
-    assert_eq!(
-        decisions,
-        [
-            (false, 4604244103401210535, 6),
-            (true, 4604244103401210534, 6),
-            (false, 4604244103401210535, 6),
-        ]
-    );
-}
-
-#[test]
 fn crowd_sim_accuracies_are_pinned() {
     use tn_crowdrank::sim::{run, SimConfig, Strategy};
     // The default population, and E2's near-parity row (11 of 24
@@ -728,36 +681,6 @@ fn synth_truth_and_digest_are_pinned() {
             18,
             8,
             "883f26afaaa1445364778a77d8a3c5a4bf80f65b80b6bf77aaae463034ec255e"
-        )
-    );
-}
-
-#[test]
-fn rank_graph_scores_are_pinned() {
-    use tn_supplychain::ranking::{rank_graph, RankWeights};
-    use tn_supplychain::synth::{generate, SynthConfig};
-    let s = generate(&SynthConfig::default());
-    let ai = |id: &Hash256| {
-        (!id.as_bytes()[0].is_multiple_of(3)).then(|| id.as_bytes()[1] as f64 / 255.0)
-    };
-    let ranked = rank_graph(&s.graph, &ai, &RankWeights::default());
-    let first: Vec<u64> = ranked.iter().take(4).map(|r| r.rank.to_bits()).collect();
-    let all = words_digest(
-        ranked
-            .iter()
-            .flat_map(|r| [r.rank.to_bits(), r.trace_score.to_bits()]),
-    );
-    assert_eq!(
-        (ranked.len(), first, all.as_str()),
-        (
-            300,
-            vec![
-                4636331636241141518,
-                4633599237512112844,
-                4631645470026709467,
-                4629396720251471548,
-            ],
-            "1dc9bde294a37e05c4afb1b369db571775be2dc77bde4506c972f7b2b30a3643"
         )
     );
 }

@@ -1,18 +1,23 @@
-//! Property tests for the participant-defense layer (E24's library
-//! half): reputation decay is a contraction toward the prior and
-//! composes order-independently, stake accounting conserves every token
-//! under arbitrary op sequences, and quarantined participants can never
-//! move the aggregate decision digest.
+//! Property tests for the participant defenses: reputation decay (which
+//! E14(c) runs) is a contraction toward the prior and composes
+//! order-independently, and E24's on-chain `RankingContract`, driven
+//! through `BuiltinContract::call` the way block execution drives it,
+//! conserves every granted token under arbitrary op sequences and never
+//! lets a quarantined rater move an item's weighted mean.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
-use tn_crowdrank::defense::{stake_weighted, StakeLedger, MIN_BOND};
+use tn_contracts::builtin::{
+    decode_ranking, ranking_get, ranking_grant_stake, ranking_post_bond, ranking_quarantine,
+    ranking_record_outcome, ranking_set_policy, ranking_set_reputation, ranking_submit,
+    ranking_unquarantine, BuiltinContract, DefensePolicy, RankingContract,
+};
 use tn_crowdrank::reputation::{Reputation, ReputationLedger};
-use tn_crowdrank::Vote;
-use tn_crypto::sha256::sha256;
 use tn_crypto::{Address, Hash256, Keypair};
+use tn_gateway::campaign_policy;
 
 fn addr(i: u8) -> Address {
     Keypair::from_seed(&[b'd', b'p', i]).address()
@@ -25,18 +30,31 @@ fn item(i: u8) -> Hash256 {
     Hash256::from_bytes(bytes)
 }
 
-/// Canonical byte digest of a decision vector: if two aggregations hash
-/// identically, every field of every decision (including the float
-/// confidence bits) is identical.
-fn decision_digest(decisions: &[tn_crowdrank::Decision]) -> Hash256 {
-    let mut bytes = Vec::new();
-    for d in decisions {
-        bytes.extend_from_slice(d.item.as_bytes());
-        bytes.push(d.factual as u8);
-        bytes.extend_from_slice(&d.confidence.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&(d.votes as u64).to_le_bytes());
-    }
-    sha256(&bytes)
+/// The governor: the only caller allowed to grant, record outcomes and
+/// quarantine.
+fn governor() -> Address {
+    Keypair::from_seed(b"dp-governor").address()
+}
+
+/// Stake amounts: half drawn below 10 000, half from all of `u64`, so a
+/// run mixes small grants and bonds with grants that would push the
+/// total past `u64::MAX`.
+fn amount() -> impl Strategy<Value = u64> {
+    (any::<bool>(), any::<u64>()).prop_map(|(small, x)| if small { x % 10_000 } else { x })
+}
+
+/// Raters `addr(0..RATERS)` the conservation property draws from.
+const RATERS: u8 = 6;
+
+/// Σ free + Σ bonded over every rater, plus the treasury.
+fn circulating(rk: &RankingContract) -> u128 {
+    let held: u128 = (0..RATERS)
+        .map(|i| {
+            let (free, bonded) = rk.stake(&addr(i));
+            free as u128 + bonded as u128
+        })
+        .sum();
+    held + rk.treasury() as u128
 }
 
 proptest! {
@@ -122,94 +140,116 @@ proptest! {
         prop_assert_eq!(before, after);
     }
 
-    /// Every token granted into the stake system stays in exactly one of
-    /// {free, bonded, treasury} through arbitrary grant/bond/slash
-    /// sequences — including ops that fail.
+    /// Every token granted stays in exactly one of {free, bonded,
+    /// treasury} through arbitrary grant, bond, rate, record-outcome and
+    /// quarantine sequences — refused ops included, among them grants
+    /// that would push the total past `u64::MAX` and grants by a
+    /// non-governor.
     #[test]
     fn stake_is_conserved_under_arbitrary_ops(
-        ops in proptest::collection::vec((0u8..3, 0u8..6, 0u64..10_000), 1..128),
+        slash_bps in 0u64..12_000,
+        ops in proptest::collection::vec(
+            (0u8..7, 0u8..RATERS, amount()),
+            1..128,
+        ),
     ) {
-        let mut ledger = StakeLedger::new();
+        let gov = governor();
+        let mut rk = RankingContract::new(gov);
+        rk.call(&gov, &ranking_set_policy(&DefensePolicy { slash_bps, ..campaign_policy() }))
+            .expect("governor sets the policy");
+        let mut granted: u128 = 0;
         for (op, who, amount) in ops {
-            let who = addr(who);
+            let rater = addr(who);
+            let it = item((amount % 4) as u8);
             match op {
                 0 => {
-                    let _ = ledger.grant(&who, amount);
+                    if rk.call(&gov, &ranking_grant_stake(&rater, amount)).is_ok() {
+                        granted += amount as u128;
+                    }
                 }
                 1 => {
-                    let _ = ledger.post_bond(&who, amount);
+                    prop_assert!(rk.call(&rater, &ranking_grant_stake(&rater, amount)).is_err());
+                }
+                2 => {
+                    let _ = rk.call(&rater, &ranking_post_bond(amount));
+                }
+                3 => {
+                    let _ = rk.call(&rater, &ranking_submit(&it, (amount % 101) as u8));
+                }
+                4 => {
+                    let treasury_before = rk.treasury();
+                    let out = rk
+                        .call(&gov, &ranking_record_outcome(&it, amount & 4 != 0))
+                        .expect("governor records outcomes");
+                    let cut = u64::from_le_bytes(out.try_into().expect("u64 output"));
+                    prop_assert_eq!(rk.treasury() as u128, treasury_before as u128 + cut as u128);
+                }
+                5 => {
+                    rk.call(&gov, &ranking_quarantine(&rater)).expect("governor quarantines");
                 }
                 _ => {
-                    let treasury_before = ledger.treasury();
-                    let cut = ledger.slash(&who, (amount % 12_000) as u32);
-                    prop_assert_eq!(ledger.treasury(), treasury_before + cut);
+                    rk.call(&gov, &ranking_unquarantine(&rater)).expect("governor paroles");
                 }
             }
-            prop_assert!(
-                ledger.conserved(),
-                "minted {} != circulating {}",
-                ledger.minted(),
-                ledger.circulating()
-            );
+            prop_assert_eq!(circulating(&rk), granted);
         }
     }
 
-    /// The aggregate decision vector — down to the confidence float bits
-    /// — is identical whether quarantined participants' votes are zeroed
-    /// in place or stripped from the input entirely. Quarantine is a
-    /// true no-op on the digest, which is what lets replicas apply it
-    /// without re-agreeing on history.
+    /// Each item's weighted mean is the same whether quarantined raters'
+    /// ratings are stored or were never submitted: quarantine weighs a
+    /// rating exactly zero, so it needs no history rewritten.
     #[test]
     fn quarantined_votes_never_move_the_aggregate_digest(
-        votes in proptest::collection::vec((0u8..8, 0u8..5, any::<bool>()), 1..96),
+        votes in proptest::collection::vec((0u8..8, 0u8..5, 0u8..=100), 1..96),
         quarantine_mask in 0u8..=255,
-        history in proptest::collection::vec((0u8..8, any::<bool>()), 0..48),
+        bonds in proptest::collection::vec(0u64..=2 * campaign_policy().min_bond, 8),
+        reputations in proptest::collection::vec(0u64..=1_000, 8),
     ) {
-        let mut reputation = ReputationLedger::new();
-        for (who, correct) in &history {
-            reputation.record(&addr(*who), *correct);
-        }
-        let mut stakes = StakeLedger::new();
-        for i in 0u8..8 {
-            stakes.grant(&addr(i), 2 * MIN_BOND).expect("grant");
-            stakes.post_bond(&addr(i), MIN_BOND).expect("bond");
-        }
-        let quarantined: BTreeSet<Address> = (0u8..8)
-            .filter(|i| quarantine_mask & (1 << i) != 0)
-            .map(addr)
-            .collect();
-        let all: Vec<Vote> = votes
-            .iter()
-            .map(|(who, it, factual)| Vote {
-                voter: addr(*who),
-                item: item(*it),
-                factual: *factual,
-            })
-            .collect();
-        let stripped: Vec<Vote> = all
-            .iter()
-            .filter(|v| !quarantined.contains(&v.voter))
-            .cloned()
-            .collect();
-
-        let full = stake_weighted(&all, &reputation, &stakes, &quarantined);
-        let minus = stake_weighted(&stripped, &reputation, &stakes, &quarantined);
-
-        // Items voted on *only* by quarantined participants still get a
-        // (conservative, zero-weight) decision in the full run; restrict
-        // the identity to items that survive stripping and pin the
-        // orphans to the conservative default.
-        let surviving: BTreeSet<Hash256> = stripped.iter().map(|v| v.item).collect();
-        let full_surviving: Vec<_> = full
-            .iter()
-            .filter(|d| surviving.contains(&d.item))
-            .cloned()
-            .collect();
-        prop_assert_eq!(decision_digest(&full_surviving), decision_digest(&minus));
-        for orphan in full.iter().filter(|d| !surviving.contains(&d.item)) {
-            prop_assert!(!orphan.factual);
-            prop_assert_eq!(orphan.votes, 0);
-            prop_assert!((orphan.confidence - 0.5).abs() < 1e-12);
+        let gov = governor();
+        let policy = campaign_policy();
+        let quarantined: BTreeSet<u8> =
+            (0u8..8).filter(|i| quarantine_mask & (1 << i) != 0).collect();
+        let build = |keep_quarantined: bool| -> Result<RankingContract, String> {
+            let mut rk = RankingContract::new(gov);
+            rk.call(&gov, &ranking_set_policy(&policy))?;
+            for i in 0u8..8 {
+                let rater = addr(i);
+                rk.call(&gov, &ranking_grant_stake(&rater, 2 * policy.min_bond))?;
+                let bond = bonds[i as usize];
+                if bond > 0 {
+                    rk.call(&rater, &ranking_post_bond(bond))?;
+                }
+                rk.call(&gov, &ranking_set_reputation(&rater, reputations[i as usize]))?;
+            }
+            for (who, it, score) in &votes {
+                if keep_quarantined || !quarantined.contains(who) {
+                    rk.call(&addr(*who), &ranking_submit(&item(*it), *score))?;
+                }
+            }
+            for who in &quarantined {
+                rk.call(&gov, &ranking_quarantine(&addr(*who)))?;
+            }
+            Ok(rk)
+        };
+        let mut full = build(true).map_err(TestCaseError::Fail)?;
+        let mut stripped = build(false).map_err(TestCaseError::Fail)?;
+        for it in 0u8..5 {
+            let read = |rk: &mut RankingContract| {
+                let out = rk.call(&gov, &ranking_get(&item(it))).expect("read op");
+                decode_ranking(&out).expect("16-byte ranking")
+            };
+            let (full_count, full_mean) = read(&mut full);
+            let (stripped_count, stripped_mean) = read(&mut stripped);
+            prop_assert_eq!(full_mean, stripped_mean);
+            let raters_of = |keep: bool| {
+                votes
+                    .iter()
+                    .filter(|(who, i, _)| *i == it && (keep || !quarantined.contains(who)))
+                    .map(|(who, _, _)| *who)
+                    .collect::<BTreeSet<u8>>()
+                    .len() as u64
+            };
+            prop_assert_eq!((full_count, stripped_count), (raters_of(true), raters_of(false)));
         }
     }
 }
