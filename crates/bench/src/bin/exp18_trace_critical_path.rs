@@ -217,8 +217,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
     // Part A: Perfetto export.
-    let out = Path::new("results").join("e18_trace.json");
-    let _ = fs::create_dir_all("results");
+    let out = exp.artifact_path("e18_trace.json");
     let (events, replicas) = export_and_validate(trace, &out, 3);
     let cross = trace.cross_replica_traces(3);
     assert!(

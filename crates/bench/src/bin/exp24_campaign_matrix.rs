@@ -15,10 +15,10 @@
 //! defense plane is deterministic, so its verdicts are consensus-safe.
 //!
 //! `--quick` is a CI smoke run: a reduced 4-cell matrix with the same
-//! invariants, plus the Prometheus alert artifact
-//! (`results/e24_alerts.prom`) that `scripts/check.sh` lints. Full runs
-//! sweep the whole 8-cell matrix and write `results/e24.json` +
-//! `BENCH_e24.json`.
+//! invariants, plus the Prometheus alert artifact, written to the system
+//! temp directory, that `scripts/check.sh` lints. Full runs sweep the
+//! whole 8-cell matrix and write `results/e24.json`, `BENCH_e24.json` and
+//! `results/e24_alerts.prom`.
 //!
 //! Run: `cargo run -p tn-bench --release --bin exp24_campaign_matrix`
 
@@ -91,8 +91,9 @@ fn run_cell(config: &PlatformConfig, p: &CampaignProfile) -> (Row, CampaignOutco
         .iter()
         .filter(|q| cw.honest_addrs.contains(q))
         .count();
-    let fake = a.fake_mean_e4 as f64 / 10_000.0;
-    let factual = a.factual_mean_e4 as f64 / 10_000.0;
+    // An article no rating carries weight for reads as unrated: score 50.
+    let score = |mean_e4: Option<u64>| mean_e4.map_or(50.0, |m| m as f64 / 10_000.0);
+    let (fake, factual) = (score(a.fake_mean_e4), score(a.factual_mean_e4));
     let row = Row {
         attack: p.attack.label(),
         defense: p.defense,
@@ -237,16 +238,17 @@ fn main() {
 
     // Prometheus artifact from the defended-ring cell: the campaign
     // burn-rate series and alert must survive the exposition lint (this
-    // is the artifact scripts/check.sh greps, so --quick writes it too).
+    // is the artifact scripts/check.sh greps, so --quick writes it too,
+    // to the temp directory).
     let prom = ring_prom.expect("defended ring cell ran");
     lint_prometheus(&prom).expect("exposition lint");
     assert!(
         prom.contains("crowdrank_votes_coordinated") || prom.contains("crowdrank.votes"),
         "campaign series missing from exposition"
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/e24_alerts.prom", &prom).expect("write prom artifact");
-    println!("\nwrote results/e24_alerts.prom ({} bytes)", prom.len());
+    let prom_path = exp.artifact_path("e24_alerts.prom");
+    std::fs::write(&prom_path, &prom).expect("write prom artifact");
+    println!("\nwrote {} ({} bytes)", prom_path.display(), prom.len());
 
     println!("\nInvariants held: replicas byte-identical in every cell; zero honest");
     println!("quarantines; clean cell silent; coordinated attacks alerted and (defended)");

@@ -18,7 +18,7 @@ pub mod scenarios;
 pub mod table;
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
@@ -121,6 +121,19 @@ impl Experiment {
         let path = format!("BENCH_{}.json", self.id.to_lowercase());
         self.write_json(Path::new(&path), &snapshot);
         snapshot
+    }
+
+    /// Where an artifact the binary writes itself goes (`name` is its
+    /// file name): `results/` on a full run, the system temp directory
+    /// under `--quick`, so a smoke leaves the tree as it found it.
+    pub fn artifact_path(&self, name: &str) -> PathBuf {
+        let dir = if self.quick {
+            std::env::temp_dir()
+        } else {
+            PathBuf::from("results")
+        };
+        let _ = std::fs::create_dir_all(&dir);
+        dir.join(name)
     }
 
     /// Pretty-prints `doc` into `path`. Failures warn instead of

@@ -21,16 +21,11 @@
 //! window. The full height → id canonical map stays in memory (40 bytes
 //! per block), so canonical-chain walks never touch the backend.
 //!
-//! Every query about a body — [`ChainStore::block`], the transaction and
-//! account indexes, [`ChainStore::for_each_canonical`],
+//! Every query about a body — [`ChainStore::block`],
+//! [`ChainStore::receipts_of`], [`ChainStore::for_each_canonical`],
 //! [`ChainStore::snapshot`] — reads the backend record, whatever the
-//! height. Historical *states* of evicted
-//! blocks are reconstructed by replaying forward from the nearest
-//! checkpoint at or below the requested height. The replay uses
-//! [`NoExecutor`], which is sound because contract execution cannot
-//! write chain [`State`]: a [`TxExecutor`] is handed the caller, the
-//! contract and its input, never the state (every replayed height is
-//! held to its header's state root in the tests).
+//! height. The record is the block's one copy: nothing is indexed beside
+//! it, and the only states kept are the window's.
 //!
 //! ## Two ways in, one accept tail
 //!
@@ -70,8 +65,9 @@
 //! another branch canonical, after which it re-derives what it holds from
 //! [`ChainStore::for_each_canonical`]. A block on a side branch is stored
 //! and announced to nobody. The store keeps no list of listeners and
-//! knows no view by name: [`NoExecutor`] derives nothing, the platform's
-//! pipeline lends its contract registry and projections as one executor.
+//! knows no view by name: [`NoExecutor`](crate::state::NoExecutor)
+//! derives nothing, the platform's pipeline lends its contract registry
+//! and projections as one executor.
 //!
 //! Checkpoints ([`ChainCheckpoint`]) bundle the head state with the
 //! extension blobs the caller hands over; a restarted replica restores
@@ -84,7 +80,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use tn_crypto::{Address, Hash256, Keypair};
-use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig, TxIndexEntry, TxLocation};
+use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig};
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
@@ -93,8 +89,8 @@ use crate::checkpoint::ChainCheckpoint;
 use crate::codec::{Decodable, Decoder, Encodable, Encoder};
 use crate::error::ChainError;
 use crate::sigcache::SigCache;
-use crate::state::{NoExecutor, Receipt, State, TxExecutor};
-use crate::transaction::{Payload, Transaction};
+use crate::state::{Receipt, State, TxExecutor};
+use crate::transaction::Transaction;
 
 /// What the window keeps of a block: enough to validate children against
 /// it and to run fork choice. Transactions and receipts stay in the
@@ -138,24 +134,8 @@ fn decode_receipts(bytes: &[u8]) -> Result<Vec<Receipt>, ChainError> {
     Ok(receipts)
 }
 
-/// A transaction's entry for the backend's indexes: its id and the
-/// account keys it touches — always the sender, plus the transfer
-/// recipient or called contract.
-fn index_entry(tx: &Transaction, id: &Hash256) -> TxIndexEntry {
-    let counterparty = match &tx.payload {
-        Payload::Transfer { to, .. } => Some(to),
-        Payload::ContractCall { contract, .. } => Some(contract),
-        _ => None,
-    };
-    TxIndexEntry {
-        id: *id.as_bytes(),
-        sender: *tx.from.as_hash().as_bytes(),
-        counterparty: counterparty.map(|a| *a.as_hash().as_bytes()),
-    }
-}
-
 /// The backend record of `block`; `receipts` are its transactions'
-/// receipts in order, which is where the index takes each id from.
+/// receipts in order.
 fn block_record(block: &Block, id: &Hash256, receipts: &[Receipt]) -> BlockRecord {
     debug_assert_eq!(block.transactions.len(), receipts.len());
     BlockRecord {
@@ -164,12 +144,6 @@ fn block_record(block: &Block, id: &Hash256, receipts: &[Receipt]) -> BlockRecor
         parent: *block.header.parent.as_bytes(),
         block_bytes: encode_block(block).into(),
         receipts_bytes: encode_receipts(receipts).into(),
-        txs: block
-            .transactions
-            .iter()
-            .zip(receipts)
-            .map(|(tx, receipt)| index_entry(tx, &receipt.tx_id))
-            .collect(),
     }
 }
 
@@ -412,17 +386,17 @@ impl ChainStore {
             height: 0,
             id: *id.as_bytes(),
         })?;
-        // The genesis checkpoint anchors both historical state replay and
-        // crash recovery: `checkpoint_at_or_before` always finds at least
-        // this one, and recovery needs it to reconstruct the genesis
-        // state (block headers commit only the state root).
+        // The genesis checkpoint anchors crash recovery:
+        // `checkpoint_at_or_before` always finds at least this one, and
+        // recovery needs it to reconstruct the genesis state (block
+        // headers commit only the state root).
         let cp = ChainCheckpoint {
             height: 0,
             head_id: id,
             state: genesis_state.clone(),
             extensions: Vec::new(),
         };
-        backend.put_checkpoint(0, id.as_bytes(), &cp.to_bytes())?;
+        backend.put_checkpoint(0, &cp.to_bytes())?;
         backend.flush()?;
         let mut window = HashMap::new();
         window.insert(
@@ -779,100 +753,10 @@ impl ChainStore {
         decode_block(&self.record(id).ok()?.block_bytes).ok()
     }
 
-    /// Post-state of an arbitrary canonical block. Windowed blocks answer
-    /// from memory; evicted heights are reconstructed by replaying from
-    /// the nearest checkpoint at or below the height (sound with
-    /// [`NoExecutor`]: contract execution never writes chain state).
-    /// Returns `None` for unknown ids and for evicted non-canonical
-    /// blocks (whose states are discarded with the fork).
-    pub fn state_of(&self, id: &Hash256) -> Option<State> {
-        if let Some(sb) = self.window.get(id) {
-            return Some(sb.post_state.clone());
-        }
-        let rec = self.backend.block_by_id(id.as_bytes()).ok().flatten()?;
-        if self.canonical.get(&rec.height) != Some(id) {
-            return None;
-        }
-        self.state_at_height(rec.height)
-    }
-
-    /// Reconstructs the canonical state at `height` from checkpoint +
-    /// forward replay.
-    fn state_at_height(&self, height: u64) -> Option<State> {
-        let _span = self.telemetry.span("chain.state_replay_ns");
-        let raw = self
-            .backend
-            .checkpoint_at_or_before(height)
-            .ok()
-            .flatten()?;
-        let cp = ChainCheckpoint::from_bytes(&raw.blob).ok()?;
-        let mut state = cp.state;
-        let mut replayed = 0u64;
-        for h in cp.height + 1..=height {
-            let rec = self.backend.block_by_height(h).ok().flatten()?;
-            let block = decode_block(&rec.block_bytes).ok()?;
-            for tx in &block.transactions {
-                state
-                    .apply_prechecked(tx, &block.header.proposer, &mut NoExecutor)
-                    .ok()?;
-            }
-            replayed += 1;
-        }
-        self.telemetry.add("chain.state_replay_blocks", replayed);
-        Some(state)
-    }
-
     /// Receipts of an arbitrary stored block, decoded from its backend
     /// record.
     pub fn receipts_of(&self, id: &Hash256) -> Option<Vec<Receipt>> {
         decode_receipts(&self.record(id).ok()?.receipts_bytes).ok()
-    }
-
-    /// Index entries of the canonical blocks above the finalized frontier,
-    /// lowest height first: the part of the chain the backend's own
-    /// transaction and account indexes do not cover yet.
-    fn unfinalized_index(&self) -> impl Iterator<Item = (u64, Arc<[TxIndexEntry]>)> + '_ {
-        let frontier = self.backend.finalized_height();
-        self.canonical
-            .range(frontier + 1..)
-            .filter_map(|(&h, id)| Some((h, self.record(id).ok()?.txs)))
-    }
-
-    /// Location (height, intra-block index) of a canonical transaction,
-    /// covering both finalized history (backend index) and the recent
-    /// window.
-    pub fn tx_location(&self, tx: &Hash256) -> Option<TxLocation> {
-        if let Ok(Some(loc)) = self.backend.tx_location(tx.as_bytes()) {
-            return Some(loc);
-        }
-        self.unfinalized_index().find_map(|(height, txs)| {
-            let index = txs.iter().position(|t| t.id == *tx.as_bytes())?;
-            Some(TxLocation {
-                height,
-                index: index as u32,
-            })
-        })
-    }
-
-    /// Ids of canonical transactions touching `account` (sender,
-    /// transfer recipient, or called contract), in chain order.
-    pub fn account_txs(&self, account: &Address) -> Vec<Hash256> {
-        let key = *account.as_hash().as_bytes();
-        let mut out: Vec<Hash256> = self
-            .backend
-            .account_txs(&key)
-            .unwrap_or_default()
-            .into_iter()
-            .map(Hash256::from_bytes)
-            .collect();
-        for (_, txs) in self.unfinalized_index() {
-            out.extend(
-                txs.iter()
-                    .filter(|t| t.accounts().any(|a| *a == key))
-                    .map(|t| Hash256::from_bytes(t.id)),
-            );
-        }
-        out
     }
 
     /// Number of blocks known: the canonical chain plus windowed fork
@@ -1299,8 +1183,7 @@ impl ChainStore {
             state: self.head_state().clone(),
             extensions,
         };
-        self.backend
-            .put_checkpoint(height, head_id.as_bytes(), &cp.to_bytes())?;
+        self.backend.put_checkpoint(height, &cp.to_bytes())?;
         self.last_checkpoint = height;
         self.telemetry.incr("chain.checkpoints");
         Ok(height)
@@ -1791,12 +1674,11 @@ mod tests {
         store.import(&a1, &mut NoExecutor).expect("a1");
         assert_eq!(store.head_id(), a1.id());
 
-        // Branch B: two blocks on genesis → should win.
-        let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
-        let b1 = Block::build(&p2, 1, genesis, genesis_state.root(), 11, vec![]);
+        // Branch B: two empty blocks on genesis → should win.
+        let root0 = store.block(&genesis).expect("genesis").header.state_root;
+        let b1 = Block::build(&p2, 1, genesis, root0, 11, vec![]);
         store.import(&b1, &mut NoExecutor).expect("b1");
-        let b1_state = store.state_of(&b1.id()).expect("b1 state").clone();
-        let b2 = Block::build(&p2, 2, b1.id(), b1_state.root(), 12, vec![]);
+        let b2 = Block::build(&p2, 2, b1.id(), root0, 12, vec![]);
         store.import(&b2, &mut NoExecutor).expect("b2");
 
         assert_eq!(store.head_id(), b2.id());
@@ -2022,63 +1904,6 @@ mod tests {
         }
     }
 
-    /// The header's state root is the oracle: whatever a block went
-    /// through — committed here or imported, on the branch that lost and
-    /// won again, still in the window or evicted and replayed from a
-    /// checkpoint — `state_of` must hash to it.
-    #[test]
-    fn state_of_matches_header_roots_across_reorg_checkpoint_and_eviction() {
-        let mut store = tight_store();
-        let rival = Keypair::from_seed(b"rival");
-        let genesis = store.genesis_id();
-        let mut ids = vec![genesis];
-        // Height 1 by commit; then a two-block rival branch from genesis
-        // takes over (reorg), and the chain continues on it.
-        store
-            .commit(&proposer(), 10, vec![blob(0)], &mut NoExecutor)
-            .expect("commits");
-        let root0 = store.state_of(&genesis).expect("genesis state").root();
-        let r1 = Block::build(&rival, 1, genesis, root0, 11, vec![]);
-        store.import(&r1, &mut NoExecutor).expect("r1");
-        let r2 = Block::build(&rival, 2, r1.id(), root0, 12, vec![]);
-        store.import(&r2, &mut NoExecutor).expect("r2");
-        assert_eq!(store.head_id(), r2.id(), "reorg onto the rival branch");
-        ids.extend([r1.id(), r2.id()]);
-        for i in 0..22u64 {
-            let ts = 20 + i;
-            let id = if i % 2 == 0 {
-                let (block, _) = store
-                    .commit(&proposer(), ts, vec![blob(i)], &mut NoExecutor)
-                    .expect("commits");
-                block.id()
-            } else {
-                let block = store.propose(&proposer(), ts, vec![blob(i)], &mut NoExecutor);
-                store.import(&block, &mut NoExecutor).expect("imports");
-                block.id()
-            };
-            ids.push(id);
-            store.maybe_checkpoint(Vec::new()).expect("checkpoints");
-        }
-        assert_eq!(store.height(), 24);
-        assert_eq!(store.storage().finalized_height(), 20);
-        assert!(
-            store
-                .storage()
-                .checkpoint_at_or_before(24)
-                .unwrap()
-                .unwrap()
-                .height
-                >= 16
-        );
-        assert!(store.resident_blocks() <= 5);
-        for (h, id) in ids.iter().enumerate() {
-            let header = store.block(id).expect("block readable").header;
-            assert_eq!(header.height, h as u64);
-            let state = store.state_of(id).expect("state available");
-            assert_eq!(state.root(), header.state_root, "height {h}");
-        }
-    }
-
     #[test]
     fn eviction_bounds_window_and_serves_old_queries() {
         let mut store = tight_store();
@@ -2097,39 +1922,18 @@ mod tests {
         // Canonical map and chain walks still cover everything.
         assert_eq!(store.canonical_chain().len(), 21);
         assert_eq!(store.canonical_transactions().len(), 20);
-        // Evicted blocks, receipts and states answer from the backend.
+        // Evicted blocks and receipts answer from the backend.
         let old = &ids[2];
         let block = store.block(old).expect("old block readable");
         assert_eq!(block.header.height, 3);
         let receipts = store.receipts_of(old).expect("old receipts readable");
         assert_eq!(receipts.len(), 1);
-        let state = store.state_of(old).expect("old state reconstructed");
-        assert_eq!(state.root(), block.header.state_root);
         // Evicted duplicate still rejected as duplicate.
         let dup = store.block(old).unwrap();
         assert!(matches!(
             store.import(&dup, &mut NoExecutor),
             Err(ChainError::DuplicateBlock(_))
         ));
-    }
-
-    #[test]
-    fn tx_and_account_index_cover_window_and_finalized() {
-        let mut store = tight_store();
-        let mut tx_ids = Vec::new();
-        for i in 0..12u64 {
-            let tx = blob(i);
-            tx_ids.push(tx.id());
-            let block = store.propose(&proposer(), 10 + i, vec![tx], &mut NoExecutor);
-            store.import(&block, &mut NoExecutor).expect("imports");
-        }
-        for (i, tx_id) in tx_ids.iter().enumerate() {
-            let loc = store.tx_location(tx_id).expect("tx located");
-            assert_eq!(loc.height, i as u64 + 1);
-            assert_eq!(loc.index, 0);
-        }
-        let by_account = store.account_txs(&alice().address());
-        assert_eq!(by_account, tx_ids);
     }
 
     #[test]
@@ -2223,14 +2027,10 @@ mod tests {
         }
         let at = |h| store.storage().checkpoint_at_or_before(h).unwrap().unwrap();
         assert_eq!((at(60).height, at(55).height, at(47).height), (56, 48, 0));
-        // The header's state root is the oracle no pruning can move: every
-        // evicted height's state, replayed from whichever checkpoint is
-        // left below it, must hash to it.
+        // Pruning checkpoints drops no block.
         for (h, id) in ids.iter().enumerate() {
             let header = store.block(id).expect("block readable").header;
             assert_eq!(header.height, h as u64);
-            let state = store.state_of(id).expect("state reconstructed");
-            assert_eq!(state.root(), header.state_root, "height {h}");
         }
 
         // Recovery restores the newest checkpoint and replays the tail.
@@ -2242,13 +2042,7 @@ mod tests {
         assert_eq!(recovered.replay_tail(&mut NoExecutor).expect("replays"), 4);
         assert_eq!(recovered.head_id(), head);
         assert_eq!(recovered.head_state().root(), root);
-        let old = recovered
-            .state_of(&ids[20])
-            .expect("state below the kept checkpoints");
-        assert_eq!(
-            old.root(),
-            recovered.block(&ids[20]).unwrap().header.state_root
-        );
+        assert_eq!(recovered.block(&ids[20]).map(|b| b.id()), Some(ids[20]));
     }
 
     /// Test executor: no contracts, and a log of the canonical blocks it
@@ -2334,11 +2128,10 @@ mod tests {
 
         // Branch B (two empty blocks) wins the reorg; the executor must
         // now reflect B's history, not A's.
-        let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
-        let b1 = Block::build(&p2, 1, genesis, genesis_state.root(), 11, vec![]);
+        let root0 = store.block(&genesis).expect("genesis").header.state_root;
+        let b1 = Block::build(&p2, 1, genesis, root0, 11, vec![]);
         store.import(&b1, &mut trace).expect("b1");
-        let b1_state = store.state_of(&b1.id()).expect("b1 state").clone();
-        let b2 = Block::build(&p2, 2, b1.id(), b1_state.root(), 12, vec![]);
+        let b2 = Block::build(&p2, 2, b1.id(), root0, 12, vec![]);
         store.import(&b2, &mut trace).expect("b2");
         assert_eq!(store.head_id(), b2.id());
 
@@ -2359,8 +2152,8 @@ mod tests {
         // A same-height rival that loses the tie-break must not disturb
         // what the executor holds; one that wins it has it rebuilt.
         let rival = Keypair::from_seed(b"rival");
-        let genesis_state = store.state_of(&genesis).expect("genesis state").clone();
-        let r1 = Block::build(&rival, 1, genesis, genesis_state.root(), 11, vec![]);
+        let root0 = store.block(&genesis).expect("genesis").header.state_root;
+        let r1 = Block::build(&rival, 1, genesis, root0, 11, vec![]);
         let (head_before, before) = (store.head_id(), trace.0.clone());
         store.import(&r1, &mut trace).expect("r1");
         assert_eq!(trace.blocks_seen(), 2);

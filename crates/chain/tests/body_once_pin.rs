@@ -1,22 +1,24 @@
 //! Body-once oracle: everything `ChainStore` answers about a block's body
-//! — `block`, `receipts_of`, `state_of`, `tx_location`, `account_txs`,
-//! `snapshot` bytes and what `restore` rebuilds from them — pinned as
-//! hashes of transcripts that were recorded while the store still kept a
-//! decoded copy of every windowed block. The scripted chain has a fork, a
-//! reorg away and a reorg back, a late fork sibling that stays resident,
-//! and heights on both sides of the retention bound, and it is probed at
-//! three points: with both branches resident and nothing finalized, right
-//! after the reorg back, and at the end with most heights finalized.
+//! — `block`, `receipts_of`, `snapshot` bytes and what `restore` rebuilds
+//! from them — pinned as hashes of transcripts that were recorded while
+//! the store still kept a decoded copy of every windowed block. The
+//! scripted chain has a fork, a reorg away and a reorg back, a late fork
+//! sibling that stays resident, and heights on both sides of the
+//! retention bound, and it is probed at three points: with both branches
+//! resident and nothing finalized, right after the reorg back, and at the
+//! end with most heights finalized.
 //!
 //! Re-pinned once for the `TN/state/2` state-root format: every section
-//! that hashes over a state root or a block id (`bodies`, `states`,
-//! `shape`, the `snapshot` digest, `restored`) has a new constant;
-//! `receipts`, `tx_locations`, `account_txs` and the three snapshot
-//! *lengths* are the ones recorded under the old format.
+//! that hashes over a state root or a block id (`bodies`, `shape`, the
+//! `snapshot` digest, `restored`) has a new constant; `receipts` and the
+//! three snapshot *lengths* are the ones recorded under the old format.
+//! Three sections — historical states and the transaction and account
+//! lookups — were deleted with the queries they pinned; every constant
+//! left is the one recorded before.
 
 use tn_chain::prelude::*;
 use tn_crypto::sha256::sha256;
-use tn_crypto::{Address, Hash256, Keypair};
+use tn_crypto::{Hash256, Keypair};
 use tn_storage::StorageConfig;
 
 fn key(name: &str) -> Keypair {
@@ -151,7 +153,6 @@ fn transcript(store: &ChainStore, s: &Script) -> Vec<(&'static str, String)> {
 
     let mut bodies = String::new();
     let mut receipts = String::new();
-    let mut states = String::new();
     for id in &ids {
         bodies += &opt_hash(store.block(id).map(|b| b.to_bytes()));
         receipts += &opt_hash(store.receipts_of(id).map(|rs| {
@@ -159,29 +160,8 @@ fn transcript(store: &ChainStore, s: &Script) -> Vec<(&'static str, String)> {
             rs.iter().for_each(|r| r.encode(&mut enc));
             enc.finish()
         }));
-        states += &store
-            .state_of(id)
-            .map_or("none".to_string(), |st| hex(st.root()));
         bodies.push('\n');
         receipts.push('\n');
-        states.push('\n');
-    }
-
-    let mut locations = String::new();
-    for tx in blocks.iter().flat_map(|b| &b.transactions) {
-        locations += &match store.tx_location(&tx.id()) {
-            Some(loc) => format!("{}:{}\n", loc.height, loc.index),
-            None => "none\n".to_string(),
-        };
-    }
-
-    let mut accounts = String::new();
-    for who in ["alice", "bob", "carol", "dave", "contract", "nobody"] {
-        let addr: Address = key(who).address();
-        for id in store.account_txs(&addr) {
-            accounts += &hex(id);
-        }
-        accounts.push('\n');
     }
 
     let chain: String = store.canonical_chain().into_iter().map(hex).collect();
@@ -210,9 +190,6 @@ fn transcript(store: &ChainStore, s: &Script) -> Vec<(&'static str, String)> {
     vec![
         ("bodies", digest(bodies)),
         ("receipts", digest(receipts)),
-        ("states", digest(states)),
-        ("tx_locations", digest(locations)),
-        ("account_txs", digest(accounts)),
         ("shape", digest(shape)),
         (
             "snapshot",
@@ -261,7 +238,7 @@ fn body_queries_match_the_window_era_answers() {
     assert_pinned("most heights finalized", transcript(&store, &s), &SETTLED);
 }
 
-const FORKED: [(&str, &str); 8] = [
+const FORKED: [(&str, &str); 5] = [
     (
         "bodies",
         "87723a6b4107c7e4b2c819ff5bac2e3e4fb43bf759711fafb560b4d6a3787a5c",
@@ -269,18 +246,6 @@ const FORKED: [(&str, &str); 8] = [
     (
         "receipts",
         "35365e5be9cbb16c0c58742f96246115a2da1bb9454e5313c505ebf2f3777dd0",
-    ),
-    (
-        "states",
-        "8a4121cd8f834f47113bd8573f8625649fded202c16747fad7a3b1d53308e67a",
-    ),
-    (
-        "tx_locations",
-        "2073e85cfcf3c0652b89d240b33fb7f54a8cbb42ec065022ba9658f5c41bb417",
-    ),
-    (
-        "account_txs",
-        "70ee44ba2b1460fd6d159b438ea5f2f8f9118cad2701e2735bab59584eb7a500",
     ),
     (
         "shape",
@@ -296,7 +261,7 @@ const FORKED: [(&str, &str); 8] = [
     ),
 ];
 
-const REORGED: [(&str, &str); 8] = [
+const REORGED: [(&str, &str); 5] = [
     (
         "bodies",
         "27fc9b0e00e20b071eb22948e919119df8f094c8b0264d8e3c5385aafa8e6e51",
@@ -304,18 +269,6 @@ const REORGED: [(&str, &str); 8] = [
     (
         "receipts",
         "1502118162f6b98c09c9fda29c9e468d3ca91117bd83210fa14648f0da835b65",
-    ),
-    (
-        "states",
-        "c369ae9f0bf4775914998ec8923d6bdfb8504d3f8de0ae17de2b5428a1a74be0",
-    ),
-    (
-        "tx_locations",
-        "ce9ec1e07cb560b9b3219a9649e4454642965099934590c101d56485640dac40",
-    ),
-    (
-        "account_txs",
-        "d4e6920e5f1b28fa845cdffb8a0b64ca61f19f808bfd98b5cfb6101796ee427e",
     ),
     (
         "shape",
@@ -331,7 +284,7 @@ const REORGED: [(&str, &str); 8] = [
     ),
 ];
 
-const SETTLED: [(&str, &str); 8] = [
+const SETTLED: [(&str, &str); 5] = [
     (
         "bodies",
         "a80161fa1b473f151d9c678e0d297fda9d6c14830fff8acc275e0ee30ff7e704",
@@ -339,18 +292,6 @@ const SETTLED: [(&str, &str); 8] = [
     (
         "receipts",
         "d489d881b9048a417c6e5d99bdb4344132b7590ae2014c9963d94c4450d65f37",
-    ),
-    (
-        "states",
-        "0989c377d1e0b56109a5923dcdb7007402cb3cc9e5dde6a4ae23b446bc94f8a1",
-    ),
-    (
-        "tx_locations",
-        "61f69d7c9afb2bae8b3e29249b38b65764d6e89bcf0ff5049f35639abb17be71",
-    ),
-    (
-        "account_txs",
-        "35b5cb8af7e093c250fdfd77fd91278270a2b53e748b1b087c1cd5592a720a13",
     ),
     (
         "shape",

@@ -342,7 +342,8 @@ pub fn newsroom_revoke(room: u64, who: &Address) -> Vec<u8> {
 /// Operations:
 /// - `0` SubmitRating(item: hash, score: u8 ≤ 100) — last write per caller wins;
 ///   rejected for quarantined callers while a defense policy is active
-/// - `1` GetRanking(item) → (count u64, weighted mean ×10⁻⁴ u64)
+/// - `1` GetRanking(item) → (count u64, weighted mean ×10⁻⁴ u64); the mean
+///   is left out when no rating carries weight
 /// - `2` SetReputation(who: hash, rep u64) — owner only
 /// - `3` GetRating(item, who: hash) → score byte (0xff when absent)
 /// - `4` SetPolicy(min_bond u64, decay_bps u64, slash_bps u64) — owner only;
@@ -459,10 +460,13 @@ impl RankingContract {
         self.rep(who)
     }
 
-    /// Computes `(rating count, weighted mean score in 1e-4 units)`.
-    pub fn ranking(&self, item: &Hash256) -> (u64, u64) {
+    /// Computes `(rating count, weighted mean score in 1e-4 units)`. The
+    /// mean is `None` when no rating carries weight — nobody rated the
+    /// item, or every rater is quarantined or under the bond — so an item
+    /// nobody credible rated never reads as a unanimous score of 0.
+    pub fn ranking(&self, item: &Hash256) -> (u64, Option<u64>) {
         let Some(rs) = self.ratings.get(item) else {
-            return (0, 0);
+            return (0, None);
         };
         let mut weight_sum: u128 = 0;
         let mut score_sum: u128 = 0;
@@ -471,10 +475,7 @@ impl RankingContract {
             weight_sum += w;
             score_sum += w * (*score as u128);
         }
-        if weight_sum == 0 {
-            return (rs.len() as u64, 0);
-        }
-        let mean_e4 = (score_sum * 10_000 / weight_sum) as u64;
+        let mean_e4 = (weight_sum > 0).then(|| (score_sum * 10_000 / weight_sum) as u64);
         (rs.len() as u64, mean_e4)
     }
 
@@ -663,9 +664,10 @@ impl BuiltinContract for RankingContract {
             1 => {
                 let item = dec.get_hash().map_err(bad_input)?;
                 let (count, mean) = self.ranking(&item);
-                let mut out = Vec::with_capacity(16);
-                out.extend_from_slice(&count.to_le_bytes());
-                out.extend_from_slice(&mean.to_le_bytes());
+                let mut out = count.to_le_bytes().to_vec();
+                if let Some(mean) = mean {
+                    out.extend_from_slice(&mean.to_le_bytes());
+                }
                 Ok(out)
             }
             2 => {
@@ -802,15 +804,15 @@ pub fn ranking_set_reputation(who: &Address, rep: u64) -> Vec<u8> {
     e.finish()
 }
 
-/// Decodes a `GetRanking` output into `(count, weighted mean ×1e-4)`.
-pub fn decode_ranking(out: &[u8]) -> Option<(u64, u64)> {
-    if out.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(out[..8].try_into().ok()?),
-        u64::from_le_bytes(out[8..].try_into().ok()?),
-    ))
+/// Decodes a `GetRanking` output into `(count, weighted mean ×1e-4)`,
+/// the mean `None` when no rating carries weight (8 bytes instead of 16).
+pub fn decode_ranking(out: &[u8]) -> Option<(u64, Option<u64>)> {
+    let (count, mean) = out.split_first_chunk::<8>()?;
+    let mean = match mean {
+        [] => None,
+        mean => Some(u64::from_le_bytes(mean.try_into().ok()?)),
+    };
+    Some((u64::from_le_bytes(*count), mean))
 }
 
 /// Encodes a `SetPolicy` input (op 4).
@@ -1279,6 +1281,7 @@ mod tests {
         let (count, mean) = decode_ranking(&out).unwrap();
         assert_eq!(count, 2);
         // (900*90 + 10*0) / 910 = 89.01 → 890109 in 1e-4 units.
+        let mean = mean.expect("weighted");
         assert!((880_000..900_000).contains(&mean), "mean={mean}");
     }
 
@@ -1292,7 +1295,7 @@ mod tests {
         rk.call(&rater, &ranking_submit(&item, 80)).unwrap();
         let (count, mean) = decode_ranking(&rk.call(&rater, &ranking_get(&item)).unwrap()).unwrap();
         assert_eq!(count, 1);
-        assert_eq!(mean, 800_000);
+        assert_eq!(mean, Some(800_000));
     }
 
     #[test]
@@ -1304,9 +1307,11 @@ mod tests {
         assert!(rk
             .call(&addr(b"not owner"), &ranking_set_reputation(&addr(b"r"), 5))
             .is_err());
-        // Unrated item: zero count.
-        let (count, mean) = decode_ranking(&rk.call(&owner, &ranking_get(&item)).unwrap()).unwrap();
-        assert_eq!((count, mean), (0, 0));
+        // Unrated item: zero count, no mean (8 bytes).
+        let out = rk.call(&owner, &ranking_get(&item)).unwrap();
+        assert_eq!(out.len(), 8);
+        assert_eq!(decode_ranking(&out), Some((0, None)));
+        assert_eq!(decode_ranking(&out[..5]), None);
     }
 
     #[test]
@@ -1380,7 +1385,7 @@ mod tests {
         // Legacy mode: both votes carry the default weight.
         rk.call(&honest, &ranking_submit(&item, 80)).unwrap();
         rk.call(&sybil, &ranking_submit(&item, 0)).unwrap();
-        assert_eq!(rk.ranking(&item), (2, 40_0000));
+        assert_eq!(rk.ranking(&item), (2, Some(40_0000)));
 
         // Policy on: nobody bonded yet, so all weights collapse to zero.
         let policy = DefensePolicy {
@@ -1391,7 +1396,7 @@ mod tests {
         assert!(rk.call(&honest, &ranking_set_policy(&policy)).is_err());
         rk.call(&owner, &ranking_set_policy(&policy)).unwrap();
         assert_eq!(rk.policy(), Some(policy));
-        assert_eq!(rk.ranking(&item), (2, 0));
+        assert_eq!(rk.ranking(&item), (2, None));
 
         // Honest bonds; sybil does not → only the honest vote counts.
         assert!(rk
@@ -1401,15 +1406,15 @@ mod tests {
         assert!(rk.call(&honest, &ranking_post_bond(200)).is_err());
         rk.call(&honest, &ranking_post_bond(100)).unwrap();
         assert_eq!(rk.stake(&honest), (0, 100));
-        assert_eq!(rk.ranking(&item), (2, 80_0000));
+        assert_eq!(rk.ranking(&item), (2, Some(80_0000)));
 
         // Quarantine zeroes the honest vote too; unquarantine restores.
         rk.call(&owner, &ranking_quarantine(&honest)).unwrap();
         assert!(rk.is_quarantined(&honest));
-        assert_eq!(rk.ranking(&item), (2, 0));
+        assert_eq!(rk.ranking(&item), (2, None));
         assert!(rk.call(&honest, &ranking_submit(&item, 90)).is_err());
         rk.call(&owner, &ranking_unquarantine(&honest)).unwrap();
-        assert_eq!(rk.ranking(&item), (2, 80_0000));
+        assert_eq!(rk.ranking(&item), (2, Some(80_0000)));
 
         let out = rk.call(&sybil, &ranking_get_stake(&honest)).unwrap();
         assert_eq!(decode_stake(&out), Some((0, 100)));

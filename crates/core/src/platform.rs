@@ -677,12 +677,10 @@ impl Platform {
             },
             None => 0.5,
         };
-        let (count, mean_e4) = self.ranking_contract().ranking(item);
-        let crowd = if count > 0 {
-            (mean_e4 as f64 / 10_000.0) / 100.0
-        } else {
-            0.5
-        };
+        // Unrated — nobody rated the item, or no rating carries weight —
+        // is the neutral 0.5, never a unanimous 0.
+        let (_, mean_e4) = self.ranking_contract().ranking(item);
+        let crowd = mean_e4.map_or(0.5, |m| (m as f64 / 10_000.0) / 100.0);
         let rank = 100.0 * (TRACE_WEIGHT * t + AI_WEIGHT * ai + CROWD_WEIGHT * crowd);
         Ok(ItemRank {
             trace: t,
@@ -937,6 +935,45 @@ mod tests {
         assert!(rated.rank > neutral.rank);
     }
 
+    /// Ratings that all weigh zero — every rater quarantined — are no
+    /// crowd score: the item ranks exactly as it did before anyone rated.
+    #[test]
+    fn an_item_only_quarantined_raters_rated_ranks_as_unrated() {
+        use tn_contracts::builtin::*;
+        let (mut p, journo, rid) = with_room();
+        let ranking = p.pipeline().addrs().ranking;
+        let item = p
+            .publish_news(&journo, rid, "topic", "text", vec![])
+            .unwrap();
+        p.produce_block().unwrap();
+        let unrated = p.rank_item(&item).unwrap();
+        let policy = DefensePolicy {
+            min_bond: 50,
+            decay_bps: 9_000,
+            slash_bps: 2_500,
+        };
+        for input in [
+            ranking_set_policy(&policy),
+            ranking_grant_stake(&journo.address(), 100),
+        ] {
+            p.call(None, ranking, input, 10_000).unwrap();
+        }
+        p.produce_block().unwrap();
+        p.call(Some(&journo), ranking, ranking_post_bond(100), 10_000)
+            .unwrap();
+        p.submit_rating(&journo, &item, 0).unwrap();
+        p.produce_block().unwrap();
+        assert_eq!(
+            p.rank_item(&item).unwrap().crowd,
+            0.0,
+            "a bonded fake verdict"
+        );
+        p.call(None, ranking, ranking_quarantine(&journo.address()), 10_000)
+            .unwrap();
+        p.produce_block().unwrap();
+        assert_eq!(p.rank_item(&item).unwrap(), unrated);
+    }
+
     #[test]
     fn defense_policy_bond_quarantine_flow() {
         use tn_contracts::builtin::*;
@@ -984,7 +1021,7 @@ mod tests {
         // the mean collapses to the honest rater's 80.
         let (count, mean_e4) = p.ranking_contract().ranking(&item);
         assert_eq!(count, 2);
-        assert_eq!(mean_e4, 80 * 10_000);
+        assert_eq!(mean_e4, Some(80 * 10_000));
 
         // A confirmed not-factual outcome slashes the contradicted bot.
         let (_, bonded_before) = p.ranking_contract().stake(&bot.address());

@@ -163,10 +163,12 @@ pub struct CampaignOutcome {
     pub report: OpenLoopReport,
     /// Execution digest after the run (replica-determinism check).
     pub digest: Hash256,
-    /// Weighted crowd mean of the fake article, 1e-4 units.
-    pub fake_mean_e4: u64,
-    /// Weighted crowd mean of the factual article, 1e-4 units.
-    pub factual_mean_e4: u64,
+    /// Weighted crowd mean of the fake article, 1e-4 units; `None` when
+    /// no rating of it carries weight.
+    pub fake_mean_e4: Option<u64>,
+    /// Weighted crowd mean of the factual article, 1e-4 units; `None`
+    /// when no rating of it carries weight.
+    pub factual_mean_e4: Option<u64>,
     /// First block height at which [`RULE_CAMPAIGN_BURN`] fired.
     pub alert_height: Option<u64>,
     /// Participants the on-chain contract holds quarantined at the end.
@@ -571,8 +573,8 @@ pub fn run_campaign(
 /// to how low its crowd score is, and quarantined amplifier accounts are
 /// blocked from resharing. Deterministic in its inputs.
 fn project_reach(
-    fake_mean_e4: u64,
-    factual_mean_e4: u64,
+    fake_mean_e4: Option<u64>,
+    factual_mean_e4: Option<u64>,
     quarantined: &[Address],
     adversaries: usize,
 ) -> (usize, usize) {
@@ -582,7 +584,9 @@ fn project_reach(
     let seeds: Vec<usize> = (0..4).collect();
     // A story with crowd score s keeps s/100 of its reshare probability
     // (rank suppression); floor at 0.05 so even a buried story trickles.
-    let suppress = |mean_e4: u64| (mean_e4 as f64 / 1_000_000.0).max(0.05);
+    // A story no credible rater scored is unrated: score 50, as
+    // `Platform::rank_item` gives it.
+    let suppress = |mean_e4: Option<u64>| mean_e4.map_or(0.5, |m| m as f64 / 1_000_000.0).max(0.05);
     // Quarantined amplifiers: block the same fraction of bot nodes as
     // the fraction of the adversary population under quarantine.
     let mut blocked = vec![false; n];
@@ -639,6 +643,8 @@ fn project_reach(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tn_contracts::builtin::ranking_submit;
+    use tn_contracts::BuiltinContract;
 
     fn quick_profile(attack: AttackKind, defense: bool) -> CampaignProfile {
         CampaignProfile {
@@ -695,11 +701,11 @@ mod tests {
         // With the ring's weight zeroed, the fake article's crowd score
         // collapses toward the honest consensus (low).
         assert!(
-            out.fake_mean_e4 < 50 * 10_000,
-            "fake score must be bounded: {}",
+            out.fake_mean_e4.is_some_and(|m| m < 50 * 10_000),
+            "fake score must be bounded: {:?}",
             out.fake_mean_e4
         );
-        assert!(out.factual_mean_e4 > 50 * 10_000);
+        assert!(out.factual_mean_e4.is_some_and(|m| m > 50 * 10_000));
         assert!(out.fake_reach < out.factual_reach);
     }
 
@@ -715,8 +721,8 @@ mod tests {
         );
         assert!(out.quarantined_on_chain.is_empty(), "nothing enforced");
         assert!(
-            out.fake_mean_e4 > 50 * 10_000,
-            "undefended fake score inflates: {}",
+            out.fake_mean_e4.is_some_and(|m| m > 50 * 10_000),
+            "undefended fake score inflates: {:?}",
             out.fake_mean_e4
         );
     }
@@ -732,6 +738,38 @@ mod tests {
         assert!(out.quarantined_on_chain.is_empty());
         assert_eq!(out.coordinated_votes, 0);
         assert!(out.total_votes > 0);
+    }
+
+    /// An item whose every rater is quarantined has no credible crowd
+    /// score: it reaches as far as an item nobody rated, and farther than
+    /// one a bonded rater called fake.
+    #[test]
+    fn an_item_only_quarantined_raters_rated_reaches_as_unrated() {
+        let key = |seed: &[u8]| Keypair::from_seed(seed).address();
+        let (owner, ring, honest) = (key(b"governor"), key(b"ring"), key(b"honest"));
+        let mut rk = RankingContract::new(owner);
+        let policy = campaign_policy();
+        rk.call(&owner, &ranking_set_policy(&policy)).unwrap();
+        for who in [ring, honest] {
+            rk.call(&owner, &ranking_grant_stake(&who, policy.min_bond))
+                .unwrap();
+            rk.call(&who, &ranking_post_bond(policy.min_bond)).unwrap();
+        }
+        let (quarantined_only, fake, unrated) = (
+            Hash256::from_bytes([1; 32]),
+            Hash256::from_bytes([2; 32]),
+            Hash256::from_bytes([3; 32]),
+        );
+        rk.call(&ring, &ranking_submit(&quarantined_only, 100))
+            .unwrap();
+        rk.call(&honest, &ranking_submit(&fake, 0)).unwrap();
+        rk.call(&owner, &ranking_quarantine(&ring)).unwrap();
+        let reach = |item| {
+            let mean = rk.ranking(item).1;
+            project_reach(mean, mean, &[], 0).0
+        };
+        assert_eq!(reach(&quarantined_only), reach(&unrated));
+        assert!(reach(&quarantined_only) > reach(&fake));
     }
 
     #[test]

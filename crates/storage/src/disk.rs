@@ -5,7 +5,6 @@
 //! ```text
 //! meta                     dual-slot head metadata (seqno + CRC per slot)
 //! wal.log                  CRC-framed BlockRecords not yet sealed
-//! index.log                CRC-framed tx/account index entries (sealed blocks)
 //! segments/seg-NNNNNNNNNN.seg   sealed canonical blocks, contiguous heights
 //! segments/seg-NNNNNNNNNN.idx   per-segment offset index (rebuildable)
 //! snapshots/NNNNNNNNNN.snap     checkpoint blobs, one per height
@@ -17,13 +16,15 @@
 //! fsyncs are batched every `fsync_interval` appends (`flush` forces one).
 //! When the chain layer finalizes a height the record stays in the WAL
 //! until a full segment's worth of finalized blocks accumulates; the
-//! segment is then written tmp-first, fsynced and renamed, its index
-//! entries are appended to `index.log`, and the WAL is rewritten without
-//! the sealed (and dead fork) records. Checkpoints and segment files are
-//! only ever created whole (tmp + fsync + rename), so a crash leaves
-//! either the old or the new file, never a torn one. The WAL is the only
-//! file that can tear; `open` scans it and truncates at the first invalid
-//! frame, which restores exactly the acknowledged durable prefix.
+//! segment is then written tmp-first, fsynced and renamed, and the WAL is
+//! rewritten without the sealed (and dead fork) records. Sealing indexes
+//! nothing: a block is its record, found by height through the segment's
+//! offset sidecar and by id through a map rebuilt from the sidecars.
+//! Checkpoints and segment files are only ever created whole (tmp file,
+//! fsync, rename), so a crash leaves either the old or the new file, never
+//! a torn one. The WAL is the only file that can tear; `open` scans it and
+//! truncates at the first invalid frame, which restores exactly the
+//! acknowledged durable prefix.
 //!
 //! ## Recovery invariants
 //!
@@ -33,14 +34,14 @@
 //!   frontier is not persisted; the chain layer re-finalizes that gap
 //!   after replay (the records are still in the WAL).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use tn_telemetry::TelemetrySink;
 
-use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader, TxIndexEntry, TxLocation};
+use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader};
 use crate::{Checkpoint, Storage, StorageConfig, StorageError};
 
 const META_MAGIC: u32 = 0x544E_4D54; // "TNMT"
@@ -59,22 +60,24 @@ fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The `[len u32][crc32 u32]` header of the frame `data` starts with, or
+/// `None` when fewer than eight bytes are left.
+fn frame_header(data: &[u8]) -> Option<(usize, u32)> {
+    let mut r = Reader::new(data);
+    Some((r.u32().ok()? as usize, r.u32().ok()?))
+}
+
 /// Scans CRC frames from `data`, stopping at the first torn or corrupt
 /// frame. Returns the decoded payloads with their frame offsets and the
 /// length of the valid prefix.
 fn scan_frames(data: &[u8]) -> (Vec<(u64, Vec<u8>)>, u64) {
     let mut out = Vec::new();
     let mut pos = 0usize;
-    while data.len() - pos >= 8 {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4")) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4"));
-        if len > MAX_FRAME || data.len() - pos - 8 < len {
+    while let Some((len, crc)) = data.get(pos..).and_then(frame_header) {
+        let payload = data.get(pos + 8..).and_then(|rest| rest.get(..len));
+        let Some(payload) = payload.filter(|p| len <= MAX_FRAME && crc32(p) == crc) else {
             break;
-        }
-        let payload = &data[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
+        };
         out.push((pos as u64, payload.to_vec()));
         pos += 8 + len;
     }
@@ -180,12 +183,8 @@ pub struct DiskBackend {
     first: u64,
     frontier: u64,
 
-    index_file: File,
-    tx_index: HashMap<Key, TxLocation>,
-    account_index: HashMap<Key, Vec<Key>>,
-
-    /// height → checkpoint block id (blobs stay on disk).
-    checkpoints: BTreeMap<u64, Key>,
+    /// Heights of the stored checkpoints (blobs stay on disk).
+    checkpoints: BTreeSet<u64>,
 
     head: Option<HeadMeta>,
     meta_file: File,
@@ -220,10 +219,6 @@ impl DiskBackend {
             .create(true)
             .append(true)
             .open(dir.join("wal.log"))?;
-        let index_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("index.log"))?;
         let meta_file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -243,10 +238,7 @@ impl DiskBackend {
             by_id: HashMap::new(),
             first: 0,
             frontier: 0,
-            index_file,
-            tx_index: HashMap::new(),
-            account_index: HashMap::new(),
-            checkpoints: BTreeMap::new(),
+            checkpoints: BTreeSet::new(),
             head: None,
             meta_file,
             meta_seqno: 0,
@@ -311,10 +303,11 @@ impl DiskBackend {
                 }
             }
             let seg = load_segment(dir, start)?;
-            let Some((&lo, _)) = seg.entries.iter().next() else {
+            let (Some((&lo, _)), Some((&hi, _))) =
+                (seg.entries.first_key_value(), seg.entries.last_key_value())
+            else {
                 break;
             };
-            let (&hi, _) = seg.entries.iter().next_back().expect("nonempty");
             if lo != start || seg.entries.len() as u64 != hi - lo + 1 {
                 break; // torn segment: keep only history before it
             }
@@ -328,28 +321,6 @@ impl DiskBackend {
             expected = Some(hi + 1);
             segments.insert(start, seg);
         }
-
-        // Index log: valid prefix only, and only entries for heights that
-        // survived the segment scan.
-        let mut tx_index = HashMap::new();
-        let mut account_index: HashMap<Key, Vec<Key>> = HashMap::new();
-        let index_data = read_file(&dir.join("index.log"))?;
-        let (index_frames, index_valid) = scan_frames(&index_data);
-        for (_, payload) in &index_frames {
-            let (height, entries) = decode_index_frame(payload)?;
-            if segments.is_empty() || height < first || height > sealed {
-                continue;
-            }
-            apply_index(&mut tx_index, &mut account_index, height, &entries);
-        }
-        if index_valid < index_data.len() as u64 {
-            let f = OpenOptions::new().write(true).open(dir.join("index.log"))?;
-            f.set_len(index_valid)?;
-            f.sync_all()?;
-        }
-        let index_file = OpenOptions::new()
-            .append(true)
-            .open(dir.join("index.log"))?;
 
         // WAL: valid prefix, truncate the torn tail, drop records already
         // sealed (a crash between segment rename and WAL rewrite leaves
@@ -372,23 +343,16 @@ impl DiskBackend {
         }
         let wal_file = OpenOptions::new().append(true).open(dir.join("wal.log"))?;
 
-        // Checkpoints: remember heights; blobs are validated on read.
-        let mut checkpoints = BTreeMap::new();
+        // Checkpoints: remember the heights whose blob reads back whole.
+        let mut checkpoints = BTreeSet::new();
         for entry in fs::read_dir(dir.join("snapshots"))? {
             let name = entry?.file_name();
             let name = name.to_string_lossy().into_owned();
-            if let Some(h) = name
+            let height = name
                 .strip_suffix(".snap")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                checkpoints.insert(h, [0u8; 32]);
-            }
-        }
-        // Resolve checkpoint ids eagerly (cheap: one read per checkpoint).
-        let mut resolved = BTreeMap::new();
-        for &h in checkpoints.keys() {
-            if let Ok(Some(c)) = read_checkpoint(dir, h) {
-                resolved.insert(h, c.id);
+                .and_then(|s| s.parse::<u64>().ok());
+            if let Some(h) = height.filter(|&h| matches!(read_checkpoint(dir, h), Ok(Some(_)))) {
+                checkpoints.insert(h);
             }
         }
 
@@ -406,10 +370,7 @@ impl DiskBackend {
             by_id,
             first,
             frontier: sealed,
-            index_file,
-            tx_index,
-            account_index,
-            checkpoints: resolved,
+            checkpoints,
             head,
             meta_file,
             meta_seqno,
@@ -418,11 +379,6 @@ impl DiskBackend {
             recovered_records: recovered,
             telemetry: TelemetrySink::disabled(),
         })
-    }
-
-    /// The directory this backend stores into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn write_meta(&mut self) -> Result<(), StorageError> {
@@ -464,13 +420,14 @@ impl DiskBackend {
     }
 
     /// Seals the oldest `segment_blocks` pending-finalized records into a
-    /// segment file, appends their index entries, and rewrites the WAL
-    /// without them.
+    /// segment file and rewrites the WAL without them.
     fn seal_segment(&mut self) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.seal_ns");
         let take = self.segment_blocks.min(self.pending.len() as u64) as usize;
         let sealed: Vec<(u64, Key)> = self.pending.drain(..take).collect();
-        let start = sealed[0].0;
+        let Some(&(start, _)) = sealed.first() else {
+            return Ok(());
+        };
 
         let mut seg_bytes = Vec::new();
         let mut entries = BTreeMap::new();
@@ -501,15 +458,6 @@ impl DiskBackend {
             idx_bytes.extend_from_slice(&frame_bytes(&encode_idx_entry(*h, e)));
         }
         write_atomic(&idx_path(&self.dir, start), &idx_bytes)?;
-
-        // Index entries become durable with the segment.
-        for (height, id) in &sealed {
-            let rec = self.live.iter().find(|r| r.id == *id).expect("checked");
-            let entries: Vec<(Key, Vec<Key>)> = rec.txs.iter().map(index_entry).collect();
-            let payload = encode_index_frame(*height, &entries);
-            self.index_file.write_all(&frame_bytes(&payload))?;
-        }
-        self.index_file.sync_data()?;
 
         for (h, e) in &entries {
             self.by_id.insert(e.id, *h);
@@ -552,8 +500,9 @@ impl DiskBackend {
         f.seek(SeekFrom::Start(e.offset))?;
         let mut header = [0u8; 8];
         f.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4")) as usize;
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4"));
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len as u64 != e.len {
             return Err(StorageError::Corrupt(format!(
                 "segment {} frame length mismatch",
@@ -580,6 +529,18 @@ impl DiskBackend {
         };
         self.read_seg_entry(seg, e).map(Some)
     }
+
+    /// The finalized canonical record at `height`: sealed, or finalized
+    /// and still waiting in the WAL for its segment.
+    fn block_by_height(&self, height: u64) -> Result<Option<BlockRecord>, StorageError> {
+        if self.pending.first().is_none_or(|(h, _)| height < *h) {
+            return self.sealed_record(height);
+        }
+        if let Some((_, id)) = self.pending.iter().find(|(h, _)| *h == height) {
+            return Ok(self.live.iter().find(|r| r.id == *id).cloned());
+        }
+        Ok(None)
+    }
 }
 
 fn read_meta(file: &File) -> Result<(Option<HeadMeta>, u64), StorageError> {
@@ -587,35 +548,36 @@ fn read_meta(file: &File) -> Result<(Option<HeadMeta>, u64), StorageError> {
     let mut buf = Vec::new();
     f.seek(SeekFrom::Start(0))?;
     f.read_to_end(&mut buf)?;
-    let mut best: Option<(u64, Option<HeadMeta>)> = None;
-    for slot in 0..2u64 {
-        let lo = (slot * META_SLOT) as usize;
-        if buf.len() < lo + 57 {
-            continue;
-        }
-        let s = &buf[lo..lo + 57];
-        let magic = u32::from_le_bytes(s[..4].try_into().expect("4"));
-        let crc = u32::from_le_bytes(s[53..57].try_into().expect("4"));
-        if magic != META_MAGIC || crc32(&s[..53]) != crc {
-            continue;
-        }
-        let seqno = u64::from_le_bytes(s[4..12].try_into().expect("8"));
-        let head = if s[12] == 1 {
-            Some(HeadMeta {
-                height: u64::from_le_bytes(s[13..21].try_into().expect("8")),
-                id: s[21..53].try_into().expect("32"),
-            })
-        } else {
-            None
-        };
-        if best.as_ref().is_none_or(|(s0, _)| seqno > *s0) {
-            best = Some((seqno, head));
-        }
-    }
+    let best = buf
+        .chunks(META_SLOT as usize)
+        .take(2)
+        .filter_map(decode_meta_slot)
+        .max_by_key(|(seqno, _)| *seqno);
     match best {
         Some((seqno, head)) => Ok((head, seqno)),
         None => Err(StorageError::Corrupt("no valid meta slot".into())),
     }
+}
+
+/// One meta slot — `[magic u32][seqno u64][flag u8][height u64][id]`,
+/// then the CRC of those 53 bytes — as `(seqno, head)`; `None` when the
+/// slot is short, torn or not a meta slot.
+fn decode_meta_slot(slot: &[u8]) -> Option<(u64, Option<HeadMeta>)> {
+    let (body, tail) = slot.split_first_chunk::<53>()?;
+    if Reader::new(tail).u32().ok()? != crc32(body) {
+        return None;
+    }
+    let mut r = Reader::new(body);
+    if r.u32().ok()? != META_MAGIC {
+        return None;
+    }
+    let seqno = r.u64().ok()?;
+    let present = r.u8().ok()? == 1;
+    let head = HeadMeta {
+        height: r.u64().ok()?,
+        id: r.key().ok()?,
+    };
+    Some((seqno, present.then_some(head)))
 }
 
 fn load_segment(dir: &Path, start: u64) -> Result<Segment, StorageError> {
@@ -683,77 +645,9 @@ fn read_checkpoint(dir: &Path, height: u64) -> Result<Option<Checkpoint>, Storag
     };
     let mut r = Reader::new(payload);
     let h = r.u64().map_err(bad)?;
-    let id = r.key().map_err(bad)?;
     let blob = r.bytes().map_err(bad)?.to_vec();
     r.expect_end().map_err(bad)?;
-    if h != height {
-        return Ok(None);
-    }
-    Ok(Some(Checkpoint { height, id, blob }))
-}
-
-fn encode_index_frame(height: u64, entries: &[(Key, Vec<Key>)]) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_u64(&mut p, height);
-    put_u64(&mut p, entries.len() as u64);
-    for (tx, accounts) in entries {
-        p.extend_from_slice(tx);
-        put_u64(&mut p, accounts.len() as u64);
-        for a in accounts {
-            p.extend_from_slice(a);
-        }
-    }
-    p
-}
-
-/// One decoded `index.log` frame: the finalized height plus, per tx id,
-/// the accounts it touches.
-type IndexFrame = (u64, Vec<(Key, Vec<Key>)>);
-
-/// A record's index entry in the shape of an `index.log` frame entry.
-fn index_entry(tx: &TxIndexEntry) -> (Key, Vec<Key>) {
-    (tx.id, tx.accounts().copied().collect())
-}
-
-fn decode_index_frame(payload: &[u8]) -> Result<IndexFrame, StorageError> {
-    let mut r = Reader::new(payload);
-    let height = r.u64().map_err(bad)?;
-    let n = r.u64().map_err(bad)? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let tx = r.key().map_err(bad)?;
-        let m = r.u64().map_err(bad)? as usize;
-        let mut accounts = Vec::with_capacity(m.min(1 << 10));
-        for _ in 0..m {
-            accounts.push(r.key().map_err(bad)?);
-        }
-        entries.push((tx, accounts));
-    }
-    r.expect_end().map_err(bad)?;
-    Ok((height, entries))
-}
-
-fn apply_index(
-    tx_index: &mut HashMap<Key, TxLocation>,
-    account_index: &mut HashMap<Key, Vec<Key>>,
-    height: u64,
-    entries: &[(Key, Vec<Key>)],
-) {
-    for (i, (tx, accounts)) in entries.iter().enumerate() {
-        tx_index.insert(
-            *tx,
-            TxLocation {
-                height,
-                index: i as u32,
-            },
-        );
-        for a in accounts {
-            let txs = account_index.entry(*a).or_default();
-            if !txs.contains(tx) {
-                txs.push(*tx);
-            }
-        }
-    }
+    Ok((h == height).then_some(Checkpoint { height, blob }))
 }
 
 impl Storage for DiskBackend {
@@ -794,18 +688,11 @@ impl Storage for DiskBackend {
                 "finalize height {height} breaks contiguity (expected {expect})"
             )));
         }
-        let Some(rec) = self.live.iter().find(|r| r.id == *id && r.height == height) else {
+        if !self.live.iter().any(|r| r.id == *id && r.height == height) {
             return Err(StorageError::Invalid(format!(
                 "finalize of unknown block at height {height}"
             )));
-        };
-        let entries: Vec<(Key, Vec<Key>)> = rec.txs.iter().map(index_entry).collect();
-        apply_index(
-            &mut self.tx_index,
-            &mut self.account_index,
-            height,
-            &entries,
-        );
+        }
         self.pending.push((height, *id));
         self.pending_ids.insert(*id);
         self.frontier = height;
@@ -853,16 +740,6 @@ impl Storage for DiskBackend {
         }
     }
 
-    fn block_by_height(&self, height: u64) -> Result<Option<BlockRecord>, StorageError> {
-        if self.pending_ids.is_empty() || height < self.pending[0].0 {
-            return self.sealed_record(height);
-        }
-        if let Some((_, id)) = self.pending.iter().find(|(h, _)| *h == height) {
-            return Ok(self.live.iter().find(|r| r.id == *id).cloned());
-        }
-        Ok(None)
-    }
-
     fn finalized_id(&self, height: u64) -> Result<Option<Key>, StorageError> {
         if let Some((_, id)) = self.pending.iter().find(|(h, _)| *h == height) {
             return Ok(Some(*id));
@@ -905,36 +782,18 @@ impl Storage for DiskBackend {
         Ok(())
     }
 
-    fn tx_location(&self, tx: &Key) -> Result<Option<TxLocation>, StorageError> {
-        Ok(self.tx_index.get(tx).copied())
-    }
-
-    fn account_txs(&self, account: &Key) -> Result<Vec<Key>, StorageError> {
-        Ok(self.account_index.get(account).cloned().unwrap_or_default())
-    }
-
-    fn put_checkpoint(&mut self, height: u64, id: &Key, blob: &[u8]) -> Result<(), StorageError> {
+    fn put_checkpoint(&mut self, height: u64, blob: &[u8]) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.snapshot_ns");
-        let mut payload = Vec::with_capacity(48 + blob.len());
+        let mut payload = Vec::with_capacity(16 + blob.len());
         put_u64(&mut payload, height);
-        payload.extend_from_slice(id);
         crate::record::put_bytes(&mut payload, blob);
         write_atomic(&snap_path(&self.dir, height), &frame_bytes(&payload))?;
-        self.checkpoints.insert(height, *id);
+        self.checkpoints.insert(height);
         Ok(())
     }
 
-    fn latest_checkpoint(&self) -> Result<Option<Checkpoint>, StorageError> {
-        for (&h, _) in self.checkpoints.iter().rev() {
-            if let Some(c) = read_checkpoint(&self.dir, h)? {
-                return Ok(Some(c));
-            }
-        }
-        Ok(None)
-    }
-
     fn checkpoint_at_or_before(&self, height: u64) -> Result<Option<Checkpoint>, StorageError> {
-        for (&h, _) in self.checkpoints.range(..=height).rev() {
+        for &h in self.checkpoints.range(..=height).rev() {
             if let Some(c) = read_checkpoint(&self.dir, h)? {
                 return Ok(Some(c));
             }
@@ -1002,12 +861,6 @@ mod tests {
             parent: [tag.wrapping_sub(1); 32],
             block_bytes: vec![tag; 10].into(),
             receipts_bytes: vec![tag ^ 1].into(),
-            txs: [TxIndexEntry {
-                id: [tag | 0x80; 32],
-                sender: [0x42; 32],
-                counterparty: None,
-            }]
-            .into(),
         }
     }
 
@@ -1063,15 +916,14 @@ mod tests {
         let wal = read_file(&tmp.0.join("wal.log")).unwrap();
         let (frames, _) = scan_frames(&wal);
         assert_eq!(frames.len(), 2);
-        // Index answers survive sealing.
-        assert_eq!(
-            s.tx_location(&[2 | 0x80; 32]).unwrap(),
-            Some(TxLocation {
-                height: 2,
-                index: 0
-            })
-        );
-        assert_eq!(s.account_txs(&[0x42; 32]).unwrap().len(), 5);
+        // Sealed blocks answer by id too, and nothing else was written.
+        assert_eq!(s.block_by_id(&[2; 32]).unwrap().unwrap(), rec(2, 2));
+        let mut files: Vec<String> = fs::read_dir(&tmp.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["meta", "segments", "snapshots", "wal.log"]);
     }
 
     #[test]
@@ -1090,7 +942,7 @@ mod tests {
         let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
         assert_eq!(s.finalized_height(), 4, "pending state is not persisted");
         assert_eq!(s.block_by_height(3).unwrap().unwrap(), rec(3, 3));
-        assert_eq!(s.tx_location(&[3 | 0x80; 32]).unwrap().unwrap().height, 3);
+        assert_eq!(s.block_by_id(&[3; 32]).unwrap().unwrap(), rec(3, 3));
         // Heights 5 and 6 are back in the WAL for re-import.
         let heights: Vec<u64> = s
             .blocks_after(4)
@@ -1215,15 +1067,15 @@ mod tests {
             s.append_block(rec(h, h as u8)).unwrap();
             s.finalize(h, &[h as u8; 32]).unwrap();
         }
-        s.put_checkpoint(8, &[8; 32], b"snapshot-blob").unwrap();
-        let c = s.latest_checkpoint().unwrap().unwrap();
+        s.put_checkpoint(8, b"snapshot-blob").unwrap();
+        let c = s.checkpoint_at_or_before(u64::MAX).unwrap().unwrap();
         assert_eq!((c.height, c.blob.as_slice()), (8, &b"snapshot-blob"[..]));
         assert!(s.checkpoint_at_or_before(7).unwrap().is_none());
         s.flush().unwrap();
         drop(s);
         let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
         assert_eq!(
-            s.latest_checkpoint().unwrap().unwrap().blob,
+            s.checkpoint_at_or_before(u64::MAX).unwrap().unwrap().blob,
             b"snapshot-blob"
         );
         assert_eq!(s.block_by_height(2).unwrap().unwrap(), rec(2, 2));
@@ -1252,5 +1104,67 @@ mod tests {
         s.finalize(1, &[1; 32]).unwrap();
         assert!(s.block_by_id(&[9; 32]).unwrap().is_none());
         assert_eq!(s.blocks_after(0).unwrap().len(), 1);
+    }
+
+    /// Short files parse to an error or to a shorter recovered prefix,
+    /// never to a panic: a `meta` cut inside its newer slot falls back to
+    /// the older one and one cut inside both is refused, a WAL whose last
+    /// frame header stops mid-word loses that frame, and a segment whose
+    /// `.idx` sidecar ends inside an entry is rescanned.
+    #[test]
+    fn short_files_are_errors_or_shorter_prefixes() {
+        let tmp = TempDir::new();
+        {
+            let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
+            for h in 1..=7 {
+                s.append_block(rec(h, h as u8)).unwrap();
+                if h <= 4 {
+                    s.finalize(h, &[h as u8; 32]).unwrap();
+                }
+            }
+            // Seqnos: create 1 (slot 1), then 2 (slot 0), then 3 (slot 1).
+            for h in [6, 7] {
+                s.set_head(HeadMeta {
+                    height: h,
+                    id: [h as u8; 32],
+                })
+                .unwrap();
+                s.flush().unwrap();
+            }
+        }
+        let cut = |path: &Path, len: u64| {
+            let f = OpenOptions::new().write(true).open(path).unwrap();
+            f.set_len(len).unwrap();
+        };
+        // WAL: heights 5..=7 live there; cut two bytes into 7's header.
+        let wal_path = tmp.0.join("wal.log");
+        let (frames, _) = scan_frames(&read_file(&wal_path).unwrap());
+        assert_eq!(frames.len(), 3);
+        cut(&wal_path, frames[2].0 + 2);
+        // Sidecar: cut the last entry short.
+        let idx = idx_path(&tmp.0, 1);
+        cut(&idx, fs::metadata(&idx).unwrap().len() - 3);
+        // Meta: cut inside the newer slot.
+        let meta_path = tmp.0.join("meta");
+        cut(&meta_path, META_SLOT + 30);
+        let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
+        assert_eq!(s.head().unwrap().map(|h| h.height), Some(6));
+        assert_eq!(s.finalized_height(), 4);
+        assert_eq!(s.block_by_height(4).unwrap().unwrap(), rec(4, 4));
+        let heights: Vec<u64> = s
+            .blocks_after(0)
+            .unwrap()
+            .iter()
+            .map(|r| r.height)
+            .collect();
+        assert_eq!(heights, vec![1, 2, 3, 4, 5, 6], "the torn frame is gone");
+        assert_eq!(fs::metadata(&wal_path).unwrap().len(), frames[2].0);
+        drop(s);
+        // Meta cut inside both slots: no head to trust, refused.
+        cut(&meta_path, 30);
+        assert!(matches!(
+            DiskBackend::open(&tmp.0, &cfg()),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 }

@@ -23,8 +23,8 @@
 //!    in the WAL. Fsyncs are batched; `flush` forces one.
 //! 2. `finalize(height, id)` — the chain layer has evicted the height from
 //!    its in-memory window; the canonical record is sealed into a segment
-//!    and indexed (tx id → location, account → tx ids), fork siblings at
-//!    or below the height are discarded.
+//!    as it is, with nothing indexed beside it, and fork siblings at or
+//!    below the height are discarded.
 //! 3. `put_checkpoint` — a serialized chain+projection snapshot is stored;
 //!    recovery replays only blocks after the latest checkpoint. History is
 //!    never deleted: full-history audits need every block.
@@ -42,7 +42,7 @@ use std::path::PathBuf;
 
 pub use disk::DiskBackend;
 pub use mem::MemBackend;
-pub use record::{BlockRecord, HeadMeta, Key, TxIndexEntry, TxLocation};
+pub use record::{BlockRecord, HeadMeta, Key};
 
 use tn_telemetry::TelemetrySink;
 
@@ -77,13 +77,12 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
-/// A stored checkpoint: an opaque chain snapshot bound to a block.
+/// A stored checkpoint: an opaque chain snapshot taken at a height (the
+/// snapshot names its block itself).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Height of the block the snapshot was taken at.
     pub height: u64,
-    /// Id of that block.
-    pub id: Key,
     /// The serialized snapshot (format owned by the chain layer).
     pub blob: Vec<u8>,
 }
@@ -187,13 +186,6 @@ pub trait Storage: Send + fmt::Debug {
     /// [`StorageError`] on read failure or corruption.
     fn block_by_id(&self, id: &Key) -> Result<Option<BlockRecord>, StorageError>;
 
-    /// Fetches the finalized canonical record at `height`.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on read failure or corruption.
-    fn block_by_height(&self, height: u64) -> Result<Option<BlockRecord>, StorageError>;
-
     /// Id of the finalized canonical block at `height`, without reading
     /// the record payload (used to rebuild the height → id map cheaply on
     /// recovery).
@@ -228,37 +220,16 @@ pub trait Storage: Send + fmt::Debug {
     /// [`StorageError`] on write failure.
     fn set_head(&mut self, head: HeadMeta) -> Result<(), StorageError>;
 
-    /// Location of a finalized transaction by id.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on read failure.
-    fn tx_location(&self, tx: &Key) -> Result<Option<TxLocation>, StorageError>;
-
-    /// Ids of finalized transactions touching `account`, in chain order.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on read failure.
-    fn account_txs(&self, account: &Key) -> Result<Vec<Key>, StorageError>;
-
-    /// Stores a checkpoint blob for the block `id` at `height`,
-    /// replacing any checkpoint at the same height.
+    /// Stores a checkpoint blob for the block at `height`, replacing any
+    /// checkpoint at the same height.
     ///
     /// # Errors
     ///
     /// [`StorageError`] on write failure.
-    fn put_checkpoint(&mut self, height: u64, id: &Key, blob: &[u8]) -> Result<(), StorageError>;
+    fn put_checkpoint(&mut self, height: u64, blob: &[u8]) -> Result<(), StorageError>;
 
-    /// The highest stored checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on read failure or corruption.
-    fn latest_checkpoint(&self) -> Result<Option<Checkpoint>, StorageError>;
-
-    /// The highest checkpoint at or below `height` (serves historical
-    /// state queries).
+    /// The highest checkpoint at or below `height` (`u64::MAX` asks for
+    /// the newest).
     ///
     /// # Errors
     ///

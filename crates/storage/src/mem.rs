@@ -11,17 +11,16 @@
 //! every read hands out the record's shared slices, not copies of them.
 //!
 //! Checkpoint blobs are full state snapshots, so only the ones recovery
-//! and historical queries can need are kept: the oldest (the genesis
-//! checkpoint every replay can start from) and the newest two. A query for a height below the kept recent ones
-//! is answered with the genesis checkpoint and the chain layer replays
-//! further — the same state, since records are never dropped. (The disk
-//! backend keeps every blob; they cost it no memory.)
+//! can need are kept: the oldest (the genesis checkpoint every replay can
+//! start from) and the newest two. A query for a height below the kept
+//! recent ones is answered with the genesis checkpoint. (The disk backend
+//! keeps every blob; they cost it no memory.)
 
 use std::collections::{BTreeMap, HashMap};
 
 use tn_telemetry::TelemetrySink;
 
-use crate::record::{BlockRecord, HeadMeta, Key, TxLocation};
+use crate::record::{BlockRecord, HeadMeta, Key};
 use crate::{Checkpoint, Storage, StorageError};
 
 /// Checkpoints kept besides the oldest one. Two, so that a checkpoint the
@@ -38,9 +37,7 @@ pub struct MemBackend {
     /// id → height for finalized records.
     by_id: HashMap<Key, u64>,
     head: Option<HeadMeta>,
-    checkpoints: BTreeMap<u64, (Key, Vec<u8>)>,
-    tx_index: HashMap<Key, TxLocation>,
-    account_index: HashMap<Key, Vec<Key>>,
+    checkpoints: BTreeMap<u64, Vec<u8>>,
     telemetry: TelemetrySink,
 }
 
@@ -86,18 +83,6 @@ impl Storage for MemBackend {
         // Competing fork records at or below the frontier can never become
         // canonical; discard them.
         self.wal.retain(|r| r.height > height);
-        for (i, tx) in rec.txs.iter().enumerate() {
-            self.tx_index.insert(
-                tx.id,
-                TxLocation {
-                    height,
-                    index: i as u32,
-                },
-            );
-            for account in tx.accounts() {
-                self.account_index.entry(*account).or_default().push(tx.id);
-            }
-        }
         self.by_id.insert(rec.id, height);
         self.finalized.insert(height, rec);
         Ok(())
@@ -116,10 +101,6 @@ impl Storage for MemBackend {
             return Ok(self.finalized.get(h).cloned());
         }
         Ok(self.wal.iter().find(|r| r.id == *id).cloned())
-    }
-
-    fn block_by_height(&self, height: u64) -> Result<Option<BlockRecord>, StorageError> {
-        Ok(self.finalized.get(&height).cloned())
     }
 
     fn finalized_id(&self, height: u64) -> Result<Option<Key>, StorageError> {
@@ -145,17 +126,9 @@ impl Storage for MemBackend {
         Ok(())
     }
 
-    fn tx_location(&self, tx: &Key) -> Result<Option<TxLocation>, StorageError> {
-        Ok(self.tx_index.get(tx).copied())
-    }
-
-    fn account_txs(&self, account: &Key) -> Result<Vec<Key>, StorageError> {
-        Ok(self.account_index.get(account).cloned().unwrap_or_default())
-    }
-
-    fn put_checkpoint(&mut self, height: u64, id: &Key, blob: &[u8]) -> Result<(), StorageError> {
+    fn put_checkpoint(&mut self, height: u64, blob: &[u8]) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.snapshot_ns");
-        self.checkpoints.insert(height, (*id, blob.to_vec()));
+        self.checkpoints.insert(height, blob.to_vec());
         if self.checkpoints.len() > 1 + RECENT_CHECKPOINTS {
             // One insert, one removal: the oldest after the first.
             if let Some(&superseded) = self.checkpoints.keys().nth(1) {
@@ -165,26 +138,13 @@ impl Storage for MemBackend {
         Ok(())
     }
 
-    fn latest_checkpoint(&self) -> Result<Option<Checkpoint>, StorageError> {
-        Ok(self
-            .checkpoints
-            .iter()
-            .next_back()
-            .map(|(&height, (id, blob))| Checkpoint {
-                height,
-                id: *id,
-                blob: blob.clone(),
-            }))
-    }
-
     fn checkpoint_at_or_before(&self, height: u64) -> Result<Option<Checkpoint>, StorageError> {
         Ok(self
             .checkpoints
             .range(..=height)
             .next_back()
-            .map(|(&h, (id, blob))| Checkpoint {
-                height: h,
-                id: *id,
+            .map(|(&height, blob)| Checkpoint {
+                height,
                 blob: blob.clone(),
             }))
     }
@@ -201,7 +161,6 @@ impl Storage for MemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TxIndexEntry;
     use std::sync::Arc;
 
     fn rec(height: u64, tag: u8) -> BlockRecord {
@@ -211,12 +170,6 @@ mod tests {
             parent: [tag.wrapping_sub(1); 32],
             block_bytes: vec![tag].into(),
             receipts_bytes: vec![].into(),
-            txs: [TxIndexEntry {
-                id: [tag ^ 0xFF; 32],
-                sender: [0x11; 32],
-                counterparty: None,
-            }]
-            .into(),
         }
     }
 
@@ -228,16 +181,9 @@ mod tests {
         assert_eq!(s.finalized_height(), 0);
         s.finalize(1, &[1; 32]).unwrap();
         assert_eq!(s.finalized_height(), 1);
-        assert_eq!(s.block_by_height(1).unwrap().unwrap().id, [1; 32]);
+        assert_eq!(s.finalized_id(1).unwrap(), Some([1; 32]));
+        assert_eq!(s.block_by_id(&[1; 32]).unwrap().unwrap().height, 1);
         assert_eq!(s.block_by_id(&[2; 32]).unwrap().unwrap().height, 2);
-        assert_eq!(
-            s.tx_location(&[1 ^ 0xFF; 32]).unwrap(),
-            Some(TxLocation {
-                height: 1,
-                index: 0
-            })
-        );
-        assert_eq!(s.account_txs(&[0x11; 32]).unwrap(), vec![[1 ^ 0xFF; 32]]);
     }
 
     #[test]
@@ -286,24 +232,25 @@ mod tests {
             s.append_block(rec(h, h as u8)).unwrap();
             s.finalize(h, &[h as u8; 32]).unwrap();
         }
-        s.put_checkpoint(0, &[0; 32], b"genesis").unwrap();
-        s.put_checkpoint(4, &[4; 32], b"mid").unwrap();
-        assert_eq!(s.latest_checkpoint().unwrap().unwrap().height, 4);
+        s.put_checkpoint(0, b"genesis").unwrap();
+        s.put_checkpoint(4, b"mid").unwrap();
+        assert_eq!(
+            s.checkpoint_at_or_before(u64::MAX).unwrap().unwrap().height,
+            4
+        );
         assert_eq!(s.checkpoint_at_or_before(3).unwrap().unwrap().height, 0);
-        assert!(s.block_by_height(3).unwrap().is_some());
+        assert!(s.block_by_id(&[3; 32]).unwrap().is_some());
     }
 
     #[test]
     fn keeps_the_oldest_checkpoint_and_the_newest_two() {
         let mut s = MemBackend::new();
         for h in 0..100u64 {
-            s.put_checkpoint(h * 16, &[h as u8; 32], &[h as u8; 8])
-                .unwrap();
+            s.put_checkpoint(h * 16, &[h as u8; 8]).unwrap();
             assert!(s.checkpoints.len() <= 3);
         }
         let kept: Vec<u64> = s.checkpoints.keys().copied().collect();
         assert_eq!(kept, vec![0, 98 * 16, 99 * 16]);
-        assert_eq!(s.latest_checkpoint().unwrap().unwrap().height, 99 * 16);
         // Heights the kept recent checkpoints cover answer with them, every
         // older height with the genesis checkpoint — never with nothing.
         let at = |h| s.checkpoint_at_or_before(h).unwrap().unwrap();
@@ -312,9 +259,10 @@ mod tests {
         assert_eq!(at(98 * 16 - 1).height, 0);
         assert_eq!(at(17).blob, vec![0u8; 8]);
         // Rewriting a kept height replaces it and drops nothing.
-        s.put_checkpoint(99 * 16, &[7; 32], b"again").unwrap();
+        s.put_checkpoint(99 * 16, b"again").unwrap();
         assert_eq!(s.checkpoints.len(), 3);
-        assert_eq!(s.latest_checkpoint().unwrap().unwrap().blob, b"again");
+        let newest = s.checkpoint_at_or_before(u64::MAX).unwrap().unwrap();
+        assert_eq!(newest.blob, b"again");
     }
 
     #[test]
@@ -326,7 +274,6 @@ mod tests {
         let same = |got: BlockRecord| {
             Arc::ptr_eq(&got.block_bytes, &original.block_bytes)
                 && Arc::ptr_eq(&got.receipts_bytes, &original.receipts_bytes)
-                && Arc::ptr_eq(&got.txs, &original.txs)
         };
         assert!(s.contains_block(&[1; 32]) && !s.contains_block(&[9; 32]));
         assert!(same(s.block_by_id(&[1; 32]).unwrap().unwrap()));
@@ -334,7 +281,7 @@ mod tests {
         s.finalize(1, &[1; 32]).unwrap();
         assert!(s.contains_block(&[1; 32]));
         assert!(same(s.block_by_id(&[1; 32]).unwrap().unwrap()));
-        assert!(same(s.block_by_height(1).unwrap().unwrap()));
+        assert!(same(s.blocks_after(0).unwrap().remove(0)));
     }
 
     #[test]

@@ -16,44 +16,12 @@ use std::sync::Arc;
 /// the chain layer.
 pub type Key = [u8; 32];
 
-/// Where a transaction landed: the block height and its offset within the
-/// block's transaction list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxLocation {
-    /// Height of the finalized canonical block containing the transaction.
-    pub height: u64,
-    /// Zero-based position inside that block's transaction list.
-    pub index: u32,
-}
-
-/// Index material for one transaction inside a [`BlockRecord`]: the
-/// transaction id plus the account keys the transaction touched, which
-/// drive the account index. A transaction has one sender and names at most
-/// one other account, so both sit inline — an entry owns no heap memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TxIndexEntry {
-    /// Transaction id.
-    pub id: Key,
-    /// The sending account.
-    pub sender: Key,
-    /// The other account touched (a transfer's recipient, a called
-    /// contract), if the transaction names one.
-    pub counterparty: Option<Key>,
-}
-
-impl TxIndexEntry {
-    /// The accounts touched: the sender, then the counterparty if any.
-    pub fn accounts(&self) -> impl Iterator<Item = &Key> {
-        std::iter::once(&self.sender).chain(&self.counterparty)
-    }
-}
-
-/// One block as the engine stores it: placement metadata, opaque payloads,
-/// and the per-transaction index material extracted by the chain layer.
+/// One block as the engine stores it: placement metadata and opaque
+/// payloads.
 ///
-/// The payloads and the index entries are shared slices: a backend that
-/// keeps records in memory hands out clones that copy three pointers, so
-/// the bytes of a block exist once however many readers ask for them.
+/// The payloads are shared slices: a backend that keeps records in memory
+/// hands out clones that copy two pointers, so the bytes of a block exist
+/// once however many readers ask for them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRecord {
     /// Block height.
@@ -66,8 +34,6 @@ pub struct BlockRecord {
     pub block_bytes: Arc<[u8]>,
     /// Canonical encoding of the block's execution receipts.
     pub receipts_bytes: Arc<[u8]>,
-    /// Per-transaction index entries, in block order.
-    pub txs: Arc<[TxIndexEntry]>,
 }
 
 /// Crash-safe head metadata: the chain layer's current fork-choice winner.
@@ -77,16 +43,6 @@ pub struct HeadMeta {
     pub height: u64,
     /// Head block id.
     pub id: Key,
-}
-
-impl fmt::Display for HeadMeta {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "head h={} id={:02x}{:02x}{:02x}{:02x}",
-            self.height, self.id[0], self.id[1], self.id[2], self.id[3]
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -104,10 +60,9 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// A bounds-checked reader over an encoded record.
+/// A bounds-checked reader over an encoded record: the bytes not read yet.
 pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 /// Decode failure: the buffer was shorter or longer than the format
@@ -126,36 +81,46 @@ impl std::error::Error for DecodeError {}
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
-            return Err(DecodeError("unexpected end of record"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError("unexpected end of record"))?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.array().map(u64::from_le_bytes)
     }
 
     pub(crate) fn key(&mut self) -> Result<Key, DecodeError> {
-        Ok(self.take(32)?.try_into().expect("32"))
+        self.array()
     }
 
     pub(crate) fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u64()? as usize;
-        if len > self.buf.len() - self.pos {
+        if len > self.rest.len() {
             return Err(DecodeError("length prefix beyond buffer"));
         }
-        self.take(len)
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
     }
 
     pub(crate) fn expect_end(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(DecodeError("trailing bytes after record"))
@@ -166,22 +131,12 @@ impl<'a> Reader<'a> {
 impl BlockRecord {
     /// Encodes the record for framing into the WAL or a segment.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            96 + self.block_bytes.len() + self.receipts_bytes.len() + self.txs.len() * 48,
-        );
+        let mut out = Vec::with_capacity(88 + self.block_bytes.len() + self.receipts_bytes.len());
         put_u64(&mut out, self.height);
         out.extend_from_slice(&self.id);
         out.extend_from_slice(&self.parent);
         put_bytes(&mut out, &self.block_bytes);
         put_bytes(&mut out, &self.receipts_bytes);
-        put_u64(&mut out, self.txs.len() as u64);
-        for tx in self.txs.iter() {
-            out.extend_from_slice(&tx.id);
-            put_u64(&mut out, tx.accounts().count() as u64);
-            for a in tx.accounts() {
-                out.extend_from_slice(a);
-            }
-        }
         out
     }
 
@@ -197,28 +152,12 @@ impl BlockRecord {
         let parent = r.key()?;
         let block_bytes = r.bytes()?.into();
         let receipts_bytes = r.bytes()?.into();
-        let n_txs = r.u64()? as usize;
-        let mut txs = Vec::with_capacity(n_txs.min(1 << 16));
-        for _ in 0..n_txs {
-            let id = r.key()?;
-            let (sender, counterparty) = match r.u64()? {
-                1 => (r.key()?, None),
-                2 => (r.key()?, Some(r.key()?)),
-                _ => return Err(DecodeError("a transaction touches one or two accounts")),
-            };
-            txs.push(TxIndexEntry {
-                id,
-                sender,
-                counterparty,
-            });
-        }
         let rec = BlockRecord {
             height,
             id,
             parent,
             block_bytes,
             receipts_bytes,
-            txs: txs.into(),
         };
         r.expect_end()?;
         Ok(rec)
@@ -271,19 +210,6 @@ mod tests {
             parent: [height.wrapping_sub(1) as u8; 32],
             block_bytes: vec![1, 2, 3, height as u8].into(),
             receipts_bytes: vec![9, 8].into(),
-            txs: [
-                TxIndexEntry {
-                    id: [0xAA; 32],
-                    sender: [1; 32],
-                    counterparty: Some([2; 32]),
-                },
-                TxIndexEntry {
-                    id: [0xBB; 32],
-                    sender: [3; 32],
-                    counterparty: None,
-                },
-            ]
-            .into(),
         }
     }
 

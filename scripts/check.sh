@@ -156,10 +156,14 @@ done
 
 echo "== exp18 smoke (distributed tracing + Perfetto export)"
 # The bin itself validates the exported JSON (well-formed, non-empty,
-# spans from >= 3 replicas); double-check the artifact landed (--quick
-# leaves results/e18.json alone but always exports the trace).
+# spans from >= 3 replicas); double-check the artifact landed. --quick
+# leaves results/ alone and exports the trace to the temp directory
+# (TMPDIR, else /tmp); the file is removed first so a stale one cannot
+# pass.
+tmp=${TMPDIR:-/tmp}
+rm -f "$tmp/e18_trace.json"
 cargo run -q --release --offline -p tn-bench --bin exp18_trace_critical_path -- --quick
-test -s results/e18_trace.json || { echo "missing results/e18_trace.json"; exit 1; }
+test -s "$tmp/e18_trace.json" || { echo "missing $tmp/e18_trace.json"; exit 1; }
 
 echo "== exp19 smoke (fault-injection matrix)"
 # The bin asserts the fault-tolerance invariants itself: ≤f crashes keep a
@@ -202,12 +206,22 @@ echo "== exp24 smoke (misinformation-campaign matrix: participant defenses)"
 # zero honest quarantines, undefended rings detected but unbounded,
 # bribery bounded by slashing alone, and every cell byte-identical
 # across two replicas. --quick runs a 4-cell matrix and writes only the
-# Prometheus alert artifact, which must contain the campaign series.
+# Prometheus alert artifact, to the temp directory (removed first), which
+# must contain the campaign series.
+rm -f "$tmp/e24_alerts.prom"
 cargo run -q --release --offline -p tn-bench --bin exp24_campaign_matrix -- --quick
-test -s results/e24_alerts.prom || { echo "missing results/e24_alerts.prom"; exit 1; }
-grep -q "crowdrank" results/e24_alerts.prom || {
-  echo "campaign series missing from results/e24_alerts.prom"
+test -s "$tmp/e24_alerts.prom" || { echo "missing $tmp/e24_alerts.prom"; exit 1; }
+grep -q "crowdrank" "$tmp/e24_alerts.prom" || {
+  echo "campaign series missing from $tmp/e24_alerts.prom"
   exit 1
 }
+
+echo "== the smokes left results/ and the BENCH_ snapshots as they found them"
+# Every --quick run above writes its artifacts to the temp directory or
+# nowhere; a tracked result or perf snapshot that changed, or a new file
+# beside them, is a smoke writing into the tree.
+git diff --exit-code -- results 'BENCH_*.json'
+untracked=$(git ls-files --others --exclude-standard -- results 'BENCH_*.json')
+[ -z "$untracked" ] || { echo "smokes left files behind:"; echo "$untracked"; exit 1; }
 
 echo "All checks passed."

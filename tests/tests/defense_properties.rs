@@ -236,7 +236,7 @@ proptest! {
         for it in 0u8..5 {
             let read = |rk: &mut RankingContract| {
                 let out = rk.call(&gov, &ranking_get(&item(it))).expect("read op");
-                decode_ranking(&out).expect("16-byte ranking")
+                decode_ranking(&out).expect("8- or 16-byte ranking")
             };
             let (full_count, full_mean) = read(&mut full);
             let (stripped_count, stripped_mean) = read(&mut stripped);

@@ -20,14 +20,14 @@ use tn_node::{run_pbft_cluster, scripted_workload, ClusterConfig};
 type Fingerprint = (Vec<Hash256>, Vec<u8>, Vec<(&'static str, Hash256)>, Hash256);
 
 /// Every digest a replica can be compared by, plus the state root of
-/// every canonical block as `state_of` reports it and the built-ins'
+/// every canonical block as its header commits it and the built-ins'
 /// checkpoint bytes.
 fn fingerprint(b: &Bootstrap) -> Fingerprint {
     let store = b.pipeline.store();
     let roots = store
         .canonical_chain()
         .iter()
-        .map(|id| store.state_of(id).expect("canonical state").root())
+        .map(|id| store.block(id).expect("canonical block").header.state_root)
         .collect();
     (
         roots,

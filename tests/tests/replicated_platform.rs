@@ -262,7 +262,7 @@ fn all_layers_agree_across_pbft_replicas() {
         .expect("items")
         .id;
     let rank_addr = tn_contracts::executor::builtin_address("ranking");
-    let counts: Vec<(u64, u64)> = snapshots
+    let counts: Vec<(u64, Option<u64>)> = snapshots
         .iter()
         .map(|r| {
             r.registry
