@@ -8,18 +8,39 @@ use tn_crypto::field::Fe;
 use tn_crypto::merkle::{leaf_hash, MerkleTree};
 use tn_crypto::msm::{double_mul_glv, glv_split, odd_multiples, SignerTables};
 use tn_crypto::schnorr::SignerMemo;
-use tn_crypto::sha256::sha256;
+use tn_crypto::sha256::{sha256, Sha256};
 use tn_crypto::u256::U256;
 use tn_crypto::Keypair;
 
+/// SHA-256 by input shape, 1 024 hashes per row (one hash is below what a
+/// single timed call resolves): 55 bytes (one block with its padding),
+/// one full trie branch (a 4-byte header and sixteen 32-byte child
+/// hashes, 516 bytes, nine blocks) in one piece, 4 KiB, and the same
+/// branch streamed in seventeen pieces as the trie fed it before.
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
-    for size in [64usize, 1024, 16384] {
+    for size in [55usize, 516, 4096] {
         let data = vec![0xabu8; size];
-        group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
-            b.iter(|| sha256(black_box(d)))
+        group.bench_with_input(BenchmarkId::new("x1024", size), &data, |b, d| {
+            b.iter(|| {
+                for _ in 0..1024 {
+                    black_box(sha256(black_box(d)));
+                }
+            })
         });
     }
+    let branch = [0xabu8; 516];
+    group.bench_function("x1024/516_streamed_4+16x32", |b| {
+        b.iter(|| {
+            for _ in 0..1024 {
+                let (header, children) = black_box(&branch).split_at(4);
+                let mut h = Sha256::new();
+                h.update(header);
+                children.chunks(32).for_each(|child| h.update(child));
+                black_box(h.finalize());
+            }
+        })
+    });
     group.finish();
 }
 

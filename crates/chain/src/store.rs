@@ -80,7 +80,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use tn_crypto::{Address, Hash256, Keypair};
-use tn_storage::{BlockRecord, HeadMeta, Storage, StorageConfig};
+use tn_storage::{BlockRecord, Storage, StorageConfig};
 use tn_telemetry::TelemetrySink;
 use tn_trace::{lanes, replica_span_id, span_id, TraceId, TraceSink};
 
@@ -382,10 +382,6 @@ impl ChainStore {
         let id = block.id();
         backend.append_block(block_record(&block, &id, &[]))?;
         backend.finalize(0, id.as_bytes())?;
-        backend.set_head(HeadMeta {
-            height: 0,
-            id: *id.as_bytes(),
-        })?;
         // The genesis checkpoint anchors crash recovery:
         // `checkpoint_at_or_before` always finds at least this one, and
         // recovery needs it to reconstruct the genesis state (block
@@ -1081,10 +1077,6 @@ impl ChainStore {
                 self.telemetry.incr("chain.reorgs");
                 self.rewrite_canonical();
             }
-            self.backend.set_head(HeadMeta {
-                height,
-                id: *id.as_bytes(),
-            })?;
             // Keep what the executor derives in step with the canonical
             // chain.
             if extends {
@@ -1206,8 +1198,7 @@ impl ChainStore {
         }
     }
 
-    /// Forces buffered backend writes (WAL, head metadata) to durable
-    /// storage.
+    /// Forces buffered backend writes (the WAL) to durable storage.
     ///
     /// # Errors
     ///

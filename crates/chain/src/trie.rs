@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use tn_crypto::sha256::Sha256;
+use tn_crypto::sha256::sha256;
 use tn_crypto::{Address, Hash256};
 
 use crate::codec::{Decodable, DecodeError, Decoder, Encodable, Encoder};
@@ -62,21 +62,28 @@ fn diverge(a: &Address, b: &Address) -> usize {
 }
 
 fn leaf_hash(addr: &Address, acct: &AccountState) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(&[0x00]);
-    h.update(addr.as_hash().as_bytes());
-    h.update(&acct.balance.to_le_bytes());
-    h.update(&acct.nonce.to_le_bytes());
-    h.finalize()
+    // 0x00 ‖ address ‖ balance ‖ nonce.
+    let mut input = [0u8; 49];
+    input[1..33].copy_from_slice(addr.as_hash().as_bytes());
+    input[33..41].copy_from_slice(&acct.balance.to_le_bytes());
+    input[41..].copy_from_slice(&acct.nonce.to_le_bytes());
+    sha256(&input)
 }
 
-/// A hasher primed with a branch's header; the caller feeds the child
-/// hashes in nibble order.
-fn branch_hasher(index: u8, bitmap: u16) -> Sha256 {
-    let mut h = Sha256::new();
-    h.update(&[0x01, index]);
-    h.update(&bitmap.to_le_bytes());
-    h
+/// A branch's hash: its header (`0x01`, the nibble index, the bitmap)
+/// and the hashes of its children in nibble order, gathered into one
+/// buffer so the hasher compresses the whole input in one run. At most
+/// sixteen children: one per bit of `bitmap`.
+fn branch_hash(index: u8, bitmap: u16, children: impl IntoIterator<Item = Hash256>) -> Hash256 {
+    let mut input = [0u8; 4 + 32 * 16];
+    let [lo, hi] = bitmap.to_le_bytes();
+    input[..4].copy_from_slice(&[0x01, index, lo, hi]);
+    let mut len = 4;
+    for child in children {
+        input[len..len + 32].copy_from_slice(child.as_bytes());
+        len += 32;
+    }
+    sha256(&input[..len])
 }
 
 #[derive(Debug, Clone)]
@@ -129,13 +136,7 @@ impl Node {
                 index,
                 bitmap,
                 children,
-            } => {
-                let mut h = branch_hasher(*index, *bitmap);
-                for child in children {
-                    h.update(child.hash().as_bytes());
-                }
-                h.finalize()
-            }
+            } => branch_hash(*index, *bitmap, children.iter().map(|child| child.hash())),
         })
     }
 
@@ -517,21 +518,19 @@ impl AccountProof {
             }
             let bit = 1u16 << nibble(addr, usize::from(step.index));
             let fanout = step.bitmap.count_ones() as usize;
-            let mut h = branch_hasher(step.index, step.bitmap);
-            match (step.bitmap & bit != 0, below) {
+            let hash = match (step.bitmap & bit != 0, below) {
                 (true, Some(child)) if step.siblings.len() + 1 == fanout => {
                     let (left, right) = step.siblings.split_at(rank(step.bitmap, bit));
-                    left.iter().for_each(|s| h.update(s.as_bytes()));
-                    h.update(child.as_bytes());
-                    right.iter().for_each(|s| h.update(s.as_bytes()));
+                    let children = left.iter().chain([&child]).chain(right);
+                    branch_hash(step.index, step.bitmap, children.copied())
                 }
                 // Only the deepest step can have nothing below it.
                 (false, None) if step.siblings.len() == fanout => {
-                    step.siblings.iter().for_each(|s| h.update(s.as_bytes()));
+                    branch_hash(step.index, step.bitmap, step.siblings.iter().copied())
                 }
                 _ => return Err(ProofError::Malformed),
-            }
-            below = Some(h.finalize());
+            };
+            below = Some(hash);
         }
         let accounts_root = below.unwrap_or(EMPTY_ROOT);
         if commitment(&accounts_root, &self.anchors_hash) != *state_root {

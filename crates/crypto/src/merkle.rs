@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::hash::Hash256;
-use crate::sha256::Sha256;
+use crate::sha256::{sha256, Sha256};
 
 /// Domain-separated leaf hash: `sha256(0x00 ‖ leaf)`.
 pub fn leaf_hash(data: &[u8]) -> Hash256 {
@@ -22,13 +22,13 @@ pub fn leaf_hash(data: &[u8]) -> Hash256 {
     h.finalize()
 }
 
-/// Domain-separated interior hash: `sha256(0x01 ‖ left ‖ right)`.
+/// Domain-separated interior hash: `sha256(0x01 ‖ left ‖ right)`, its
+/// 65 bytes handed to the hasher in one piece.
 pub(crate) fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(&[0x01]);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
+    let mut input = [0x01; 65];
+    input[1..33].copy_from_slice(left.as_bytes());
+    input[33..].copy_from_slice(right.as_bytes());
+    sha256(&input)
 }
 
 /// The level above `level`; an odd last node pairs with itself.

@@ -18,7 +18,7 @@ use crate::field::{add_mod, mul_mod, neg_mod, reduce, N};
 use crate::hash::Hash256;
 use crate::keys::PublicKey;
 use crate::msm::{double_mul_glv, msm, SignerTables};
-use crate::sha256::{tagged_hash, tagged_hasher};
+use crate::sha256::tagged_hash;
 use crate::u256::U256;
 
 /// A Schnorr signature: the nonce commitment (x coordinate + y parity) and
@@ -65,12 +65,14 @@ impl Signature {
 /// `r_parity_odd` — the signature's own bytes, which the caller has
 /// checked do name a curve point.
 fn challenge(r_x: &[u8; 32], r_parity_odd: bool, pubkey: &Affine, msg: &Hash256) -> U256 {
-    let mut h = tagged_hasher("TN/challenge");
-    h.update(r_x);
-    h.update(&[r_parity_odd as u8]);
-    h.update(&pubkey.to_compressed());
-    h.update(msg.as_bytes());
-    reduce(&U256::from_be_bytes(h.finalize().as_bytes()), &N)
+    // `r_x ‖ parity ‖ P ‖ msg`, 98 bytes in one piece.
+    let mut input = [0u8; 98];
+    input[..32].copy_from_slice(r_x);
+    input[32] = r_parity_odd as u8;
+    input[33..66].copy_from_slice(&pubkey.to_compressed());
+    input[66..].copy_from_slice(msg.as_bytes());
+    let e = tagged_hash("TN/challenge", &input);
+    reduce(&U256::from_be_bytes(e.as_bytes()), &N)
 }
 
 /// Signs a 32-byte message digest with secret scalar `d`.

@@ -227,3 +227,38 @@ fn ten_thousand_seeded_random_messages() {
         check(&msg, &mut rng, &format!("case {case}, length {len}"));
     }
 }
+
+#[test]
+fn every_block_count_through_twenty_at_random_splits() {
+    // Runs of 0 to 20 whole blocks, then a tail that leaves the padding in
+    // the last block or moves it to one of its own: the compression sees
+    // runs of every length, entered from the buffer and from a block
+    // boundary, with the padding blocks of both kinds behind them.
+    let mut rng = Rng(20);
+    for blocks in 0..=20 {
+        for tail in [0, 1, 32, 55, 56, 63] {
+            let msg = rng.bytes(64 * blocks + tail);
+            check(&msg, &mut rng, &format!("{blocks} blocks and {tail} bytes"));
+        }
+    }
+}
+
+#[test]
+fn trie_branches_streamed_as_header_and_child_hashes() {
+    // An account-trie branch: a 4-byte header, then one 32-byte hash per
+    // child (up to sixteen), fed piece by piece as well as whole.
+    let mut rng = Rng(516);
+    for children in 1..=16 {
+        let msg = rng.bytes(4 + 32 * children);
+        let (header, hashes) = msg.split_at(4);
+        let mut h = Sha256::new();
+        h.update(header);
+        hashes.chunks(32).for_each(|child| h.update(child));
+        assert_eq!(
+            h.finalize().into_bytes(),
+            reference(&msg),
+            "{children} children streamed"
+        );
+        check(&msg, &mut rng, &format!("{children} children"));
+    }
+}

@@ -3,7 +3,6 @@
 //! ## Layout (under the storage directory)
 //!
 //! ```text
-//! meta                     dual-slot head metadata (seqno + CRC per slot)
 //! wal.log                  CRC-framed BlockRecords not yet sealed
 //! segments/seg-NNNNNNNNNN.seg   sealed canonical blocks, contiguous heights
 //! segments/seg-NNNNNNNNNN.idx   per-segment offset index (rebuildable)
@@ -41,11 +40,9 @@ use std::path::{Path, PathBuf};
 
 use tn_telemetry::TelemetrySink;
 
-use crate::record::{crc32, put_u64, BlockRecord, HeadMeta, Key, Reader};
+use crate::record::{crc32, put_u64, BlockRecord, Key, Reader};
 use crate::{Checkpoint, Storage, StorageConfig, StorageError};
 
-const META_MAGIC: u32 = 0x544E_4D54; // "TNMT"
-const META_SLOT: u64 = 64;
 const MAX_FRAME: usize = 1 << 30;
 
 // ---------------------------------------------------------------------------
@@ -183,13 +180,9 @@ pub struct DiskBackend {
     first: u64,
     frontier: u64,
 
-    /// Heights of the stored checkpoints (blobs stay on disk).
+    /// Heights of the stored checkpoint files (blobs stay on disk and
+    /// are read, and checked, only when asked for).
     checkpoints: BTreeSet<u64>,
-
-    head: Option<HeadMeta>,
-    meta_file: File,
-    meta_seqno: u64,
-    head_dirty: bool,
 
     appends_since_sync: u64,
     /// WAL records restored by the last `open`, reported through telemetry
@@ -219,13 +212,7 @@ impl DiskBackend {
             .create(true)
             .append(true)
             .open(dir.join("wal.log"))?;
-        let meta_file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(dir.join("meta"))?;
-        let mut backend = DiskBackend {
+        Ok(DiskBackend {
             dir: dir.to_path_buf(),
             segment_blocks: cfg.segment_blocks.max(1),
             fsync_interval: cfg.fsync_interval.max(1),
@@ -239,40 +226,27 @@ impl DiskBackend {
             first: 0,
             frontier: 0,
             checkpoints: BTreeSet::new(),
-            head: None,
-            meta_file,
-            meta_seqno: 0,
-            head_dirty: false,
             appends_since_sync: 0,
             recovered_records: 0,
             telemetry: TelemetrySink::disabled(),
-        };
-        backend.write_meta()?;
-        Ok(backend)
+        })
     }
 
     /// Opens an existing store, recovering from any crash-interrupted
-    /// write: the WAL is truncated at its first invalid frame, segments
-    /// with missing or corrupt offset indexes are rescanned, and the head
-    /// metadata slot with the highest valid sequence number wins.
+    /// write: the WAL is truncated at its first invalid frame and segments
+    /// with missing or corrupt offset indexes are rescanned.
     ///
     /// # Errors
     ///
     /// [`StorageError::Invalid`] when `dir` is not a storage directory,
     /// [`StorageError::Io`] on filesystem failure.
     pub fn open(dir: &Path, cfg: &StorageConfig) -> Result<Self, StorageError> {
-        if !dir.join("meta").exists() {
+        if !dir.join("wal.log").exists() {
             return Err(StorageError::Invalid(format!(
                 "{} is not a storage directory",
                 dir.display()
             )));
         }
-        let meta_file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(dir.join("meta"))?;
-        let (head, meta_seqno) = read_meta(&meta_file)?;
-
         // Segments: trust the offset index when it validates, rescan the
         // segment otherwise. Drop any segment that does not chain
         // contiguously onto the previous one (possible only after
@@ -343,17 +317,16 @@ impl DiskBackend {
         }
         let wal_file = OpenOptions::new().append(true).open(dir.join("wal.log"))?;
 
-        // Checkpoints: remember the heights whose blob reads back whole.
+        // Checkpoints: the heights their file names give. A blob is read
+        // (and a damaged one passed over) only when recovery asks for it.
         let mut checkpoints = BTreeSet::new();
         for entry in fs::read_dir(dir.join("snapshots"))? {
             let name = entry?.file_name();
-            let name = name.to_string_lossy().into_owned();
             let height = name
+                .to_string_lossy()
                 .strip_suffix(".snap")
                 .and_then(|s| s.parse::<u64>().ok());
-            if let Some(h) = height.filter(|&h| matches!(read_checkpoint(dir, h), Ok(Some(_)))) {
-                checkpoints.insert(h);
-            }
+            checkpoints.extend(height);
         }
 
         let recovered = live.len() as u64;
@@ -371,41 +344,10 @@ impl DiskBackend {
             first,
             frontier: sealed,
             checkpoints,
-            head,
-            meta_file,
-            meta_seqno,
-            head_dirty: false,
             appends_since_sync: 0,
             recovered_records: recovered,
             telemetry: TelemetrySink::disabled(),
         })
-    }
-
-    fn write_meta(&mut self) -> Result<(), StorageError> {
-        self.meta_seqno += 1;
-        let mut slot = Vec::with_capacity(64);
-        slot.extend_from_slice(&META_MAGIC.to_le_bytes());
-        slot.extend_from_slice(&self.meta_seqno.to_le_bytes());
-        match self.head {
-            Some(h) => {
-                slot.push(1);
-                slot.extend_from_slice(&h.height.to_le_bytes());
-                slot.extend_from_slice(&h.id);
-            }
-            None => {
-                slot.push(0);
-                slot.extend_from_slice(&[0u8; 40]);
-            }
-        }
-        let crc = crc32(&slot);
-        slot.extend_from_slice(&crc.to_le_bytes());
-        slot.resize(META_SLOT as usize, 0);
-        let offset = (self.meta_seqno % 2) * META_SLOT;
-        self.meta_file.seek(SeekFrom::Start(offset))?;
-        self.meta_file.write_all(&slot)?;
-        self.meta_file.sync_data()?;
-        self.head_dirty = false;
-        Ok(())
     }
 
     fn sync_wal(&mut self) -> Result<(), StorageError> {
@@ -413,9 +355,6 @@ impl DiskBackend {
         self.wal_file.sync_data()?;
         drop(span);
         self.appends_since_sync = 0;
-        if self.head_dirty {
-            self.write_meta()?;
-        }
         Ok(())
     }
 
@@ -541,43 +480,6 @@ impl DiskBackend {
         }
         Ok(None)
     }
-}
-
-fn read_meta(file: &File) -> Result<(Option<HeadMeta>, u64), StorageError> {
-    let mut f = file;
-    let mut buf = Vec::new();
-    f.seek(SeekFrom::Start(0))?;
-    f.read_to_end(&mut buf)?;
-    let best = buf
-        .chunks(META_SLOT as usize)
-        .take(2)
-        .filter_map(decode_meta_slot)
-        .max_by_key(|(seqno, _)| *seqno);
-    match best {
-        Some((seqno, head)) => Ok((head, seqno)),
-        None => Err(StorageError::Corrupt("no valid meta slot".into())),
-    }
-}
-
-/// One meta slot — `[magic u32][seqno u64][flag u8][height u64][id]`,
-/// then the CRC of those 53 bytes — as `(seqno, head)`; `None` when the
-/// slot is short, torn or not a meta slot.
-fn decode_meta_slot(slot: &[u8]) -> Option<(u64, Option<HeadMeta>)> {
-    let (body, tail) = slot.split_first_chunk::<53>()?;
-    if Reader::new(tail).u32().ok()? != crc32(body) {
-        return None;
-    }
-    let mut r = Reader::new(body);
-    if r.u32().ok()? != META_MAGIC {
-        return None;
-    }
-    let seqno = r.u64().ok()?;
-    let present = r.u8().ok()? == 1;
-    let head = HeadMeta {
-        height: r.u64().ok()?,
-        id: r.key().ok()?,
-    };
-    Some((seqno, present.then_some(head)))
 }
 
 fn load_segment(dir: &Path, start: u64) -> Result<Segment, StorageError> {
@@ -772,16 +674,6 @@ impl Storage for DiskBackend {
         Ok(out)
     }
 
-    fn head(&self) -> Result<Option<HeadMeta>, StorageError> {
-        Ok(self.head)
-    }
-
-    fn set_head(&mut self, head: HeadMeta) -> Result<(), StorageError> {
-        self.head = Some(head);
-        self.head_dirty = true;
-        Ok(())
-    }
-
     fn put_checkpoint(&mut self, height: u64, blob: &[u8]) -> Result<(), StorageError> {
         let _span = self.telemetry.span("storage.snapshot_ns");
         let mut payload = Vec::with_capacity(16 + blob.len());
@@ -793,20 +685,14 @@ impl Storage for DiskBackend {
     }
 
     fn checkpoint_at_or_before(&self, height: u64) -> Result<Option<Checkpoint>, StorageError> {
-        for &h in self.checkpoints.range(..=height).rev() {
-            if let Some(c) = read_checkpoint(&self.dir, h)? {
-                return Ok(Some(c));
-            }
-        }
-        Ok(None)
+        // Newest first; a blob that does not read back whole (torn,
+        // damaged, removed) is passed over for the next older one.
+        let mut newest_first = self.checkpoints.range(..=height).rev();
+        Ok(newest_first.find_map(|&h| read_checkpoint(&self.dir, h).ok().flatten()))
     }
 
     fn flush(&mut self) -> Result<(), StorageError> {
-        self.sync_wal()?;
-        if self.head_dirty {
-            self.write_meta()?;
-        }
-        Ok(())
+        self.sync_wal()
     }
 
     fn set_telemetry(&mut self, sink: TelemetrySink) {
@@ -872,15 +758,9 @@ mod tests {
             for h in 1..=3 {
                 s.append_block(rec(h, h as u8)).unwrap();
             }
-            s.set_head(HeadMeta {
-                height: 3,
-                id: [3; 32],
-            })
-            .unwrap();
             s.flush().unwrap();
         }
         let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
-        assert_eq!(s.head().unwrap().unwrap().height, 3);
         let recs = s.blocks_after(0).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[2], rec(3, 3));
@@ -923,7 +803,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         files.sort();
-        assert_eq!(files, ["meta", "segments", "snapshots", "wal.log"]);
+        assert_eq!(files, ["segments", "snapshots", "wal.log"]);
     }
 
     #[test]
@@ -1028,36 +908,6 @@ mod tests {
         assert_eq!(s.block_by_height(4).unwrap().unwrap(), rec(4, 4));
     }
 
-    #[test]
-    fn meta_slot_crc_guards_head() {
-        let tmp = TempDir::new();
-        {
-            let mut s = DiskBackend::create(&tmp.0, &cfg()).unwrap();
-            s.append_block(rec(1, 1)).unwrap();
-            s.set_head(HeadMeta {
-                height: 1,
-                id: [1; 32],
-            })
-            .unwrap();
-            s.flush().unwrap();
-            s.set_head(HeadMeta {
-                height: 2,
-                id: [2; 32],
-            })
-            .unwrap();
-            s.flush().unwrap();
-        }
-        // Corrupt the most recent slot; open falls back to the older one.
-        let meta_path = tmp.0.join("meta");
-        let mut data = read_file(&meta_path).unwrap();
-        // Seqnos: create=1, flush=2 (slot 0), flush=3 (slot 1). Newest in
-        // slot 1.
-        data[(META_SLOT + 20) as usize] ^= 0xFF;
-        fs::write(&meta_path, &data).unwrap();
-        let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
-        assert_eq!(s.head().unwrap().unwrap().height, 1);
-    }
-
     // Compaction is gone; the name is kept, the checkpoint half stays.
     #[test]
     fn checkpoints_round_trip_and_drive_compaction() {
@@ -1107,10 +957,10 @@ mod tests {
     }
 
     /// Short files parse to an error or to a shorter recovered prefix,
-    /// never to a panic: a `meta` cut inside its newer slot falls back to
-    /// the older one and one cut inside both is refused, a WAL whose last
-    /// frame header stops mid-word loses that frame, and a segment whose
-    /// `.idx` sidecar ends inside an entry is rescanned.
+    /// never to a panic: a WAL whose last frame header stops mid-word
+    /// loses that frame, a segment whose `.idx` sidecar ends inside an
+    /// entry is rescanned, and a checkpoint cut inside its frame is
+    /// passed over for the older one.
     #[test]
     fn short_files_are_errors_or_shorter_prefixes() {
         let tmp = TempDir::new();
@@ -1122,15 +972,9 @@ mod tests {
                     s.finalize(h, &[h as u8; 32]).unwrap();
                 }
             }
-            // Seqnos: create 1 (slot 1), then 2 (slot 0), then 3 (slot 1).
-            for h in [6, 7] {
-                s.set_head(HeadMeta {
-                    height: h,
-                    id: [h as u8; 32],
-                })
-                .unwrap();
-                s.flush().unwrap();
-            }
+            s.put_checkpoint(2, b"older").unwrap();
+            s.put_checkpoint(4, b"newer").unwrap();
+            s.flush().unwrap();
         }
         let cut = |path: &Path, len: u64| {
             let f = OpenOptions::new().write(true).open(path).unwrap();
@@ -1144,11 +988,12 @@ mod tests {
         // Sidecar: cut the last entry short.
         let idx = idx_path(&tmp.0, 1);
         cut(&idx, fs::metadata(&idx).unwrap().len() - 3);
-        // Meta: cut inside the newer slot.
-        let meta_path = tmp.0.join("meta");
-        cut(&meta_path, META_SLOT + 30);
+        // Checkpoint: cut the newer one inside its frame.
+        let newer = snap_path(&tmp.0, 4);
+        cut(&newer, fs::metadata(&newer).unwrap().len() - 3);
         let s = DiskBackend::open(&tmp.0, &cfg()).unwrap();
-        assert_eq!(s.head().unwrap().map(|h| h.height), Some(6));
+        let c = s.checkpoint_at_or_before(u64::MAX).unwrap().unwrap();
+        assert_eq!((c.height, c.blob.as_slice()), (2, &b"older"[..]));
         assert_eq!(s.finalized_height(), 4);
         assert_eq!(s.block_by_height(4).unwrap().unwrap(), rec(4, 4));
         let heights: Vec<u64> = s
@@ -1160,11 +1005,11 @@ mod tests {
         assert_eq!(heights, vec![1, 2, 3, 4, 5, 6], "the torn frame is gone");
         assert_eq!(fs::metadata(&wal_path).unwrap().len(), frames[2].0);
         drop(s);
-        // Meta cut inside both slots: no head to trust, refused.
-        cut(&meta_path, 30);
+        // No WAL: not a storage directory, refused.
+        fs::remove_file(&wal_path).unwrap();
         assert!(matches!(
             DiskBackend::open(&tmp.0, &cfg()),
-            Err(StorageError::Corrupt(_))
+            Err(StorageError::Invalid(_))
         ));
     }
 }

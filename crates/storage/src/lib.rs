@@ -12,10 +12,9 @@
 //! - [`MemBackend`] — everything in process memory; the pre-storage-engine
 //!   behavior, extracted. Used by default and by tests.
 //! - [`DiskBackend`] — a CRC-framed write-ahead log for recent blocks,
-//!   sealed append-only segment files for finalized history, atomic
-//!   checkpoint blobs, and crash-safe head metadata. Restart cost is
-//!   proportional to the WAL tail past the last checkpoint, not to chain
-//!   length.
+//!   sealed append-only segment files for finalized history and atomic
+//!   checkpoint blobs. Restart cost is proportional to the WAL tail past
+//!   the last checkpoint, not to chain length.
 //!
 //! ## Lifecycle of a block
 //!
@@ -42,7 +41,7 @@ use std::path::PathBuf;
 
 pub use disk::DiskBackend;
 pub use mem::MemBackend;
-pub use record::{BlockRecord, HeadMeta, Key};
+pub use record::{BlockRecord, Key};
 
 use tn_telemetry::TelemetrySink;
 
@@ -205,21 +204,6 @@ pub trait Storage: Send + fmt::Debug {
     /// [`StorageError`] on read failure or corruption.
     fn blocks_after(&self, height: u64) -> Result<Vec<BlockRecord>, StorageError>;
 
-    /// Last recorded head metadata, if any.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on read failure.
-    fn head(&self) -> Result<Option<HeadMeta>, StorageError>;
-
-    /// Records the chain layer's fork-choice head (crash-safe; durable by
-    /// the next fsync).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] on write failure.
-    fn set_head(&mut self, head: HeadMeta) -> Result<(), StorageError>;
-
     /// Stores a checkpoint blob for the block at `height`, replacing any
     /// checkpoint at the same height.
     ///
@@ -236,7 +220,7 @@ pub trait Storage: Send + fmt::Debug {
     /// [`StorageError`] on read failure or corruption.
     fn checkpoint_at_or_before(&self, height: u64) -> Result<Option<Checkpoint>, StorageError>;
 
-    /// Forces buffered writes (WAL, head metadata) to durable storage.
+    /// Forces buffered WAL writes to durable storage.
     ///
     /// # Errors
     ///

@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use tn_telemetry::TelemetrySink;
 
-use crate::record::{BlockRecord, HeadMeta, Key};
+use crate::record::{BlockRecord, Key};
 use crate::{Checkpoint, Storage, StorageError};
 
 /// Checkpoints kept besides the oldest one. Two, so that a checkpoint the
@@ -36,7 +36,6 @@ pub struct MemBackend {
     finalized: BTreeMap<u64, BlockRecord>,
     /// id → height for finalized records.
     by_id: HashMap<Key, u64>,
-    head: Option<HeadMeta>,
     checkpoints: BTreeMap<u64, Vec<u8>>,
     telemetry: TelemetrySink,
 }
@@ -115,15 +114,6 @@ impl Storage for MemBackend {
             .collect();
         out.extend(self.wal.iter().filter(|r| r.height > height).cloned());
         Ok(out)
-    }
-
-    fn head(&self) -> Result<Option<HeadMeta>, StorageError> {
-        Ok(self.head)
-    }
-
-    fn set_head(&mut self, head: HeadMeta) -> Result<(), StorageError> {
-        self.head = Some(head);
-        Ok(())
     }
 
     fn put_checkpoint(&mut self, height: u64, blob: &[u8]) -> Result<(), StorageError> {
@@ -282,17 +272,5 @@ mod tests {
         assert!(s.contains_block(&[1; 32]));
         assert!(same(s.block_by_id(&[1; 32]).unwrap().unwrap()));
         assert!(same(s.blocks_after(0).unwrap().remove(0)));
-    }
-
-    #[test]
-    fn head_round_trip() {
-        let mut s = MemBackend::new();
-        assert_eq!(s.head().unwrap(), None);
-        let h = HeadMeta {
-            height: 3,
-            id: [3; 32],
-        };
-        s.set_head(h).unwrap();
-        assert_eq!(s.head().unwrap(), Some(h));
     }
 }

@@ -36,15 +36,6 @@ pub struct BlockRecord {
     pub receipts_bytes: Arc<[u8]>,
 }
 
-/// Crash-safe head metadata: the chain layer's current fork-choice winner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeadMeta {
-    /// Head block height.
-    pub height: u64,
-    /// Head block id.
-    pub id: Key,
-}
-
 // ---------------------------------------------------------------------------
 // Mini-codec (little-endian, length-prefixed)
 // ---------------------------------------------------------------------------
@@ -91,10 +82,6 @@ impl<'a> Reader<'a> {
             .ok_or(DecodeError("unexpected end of record"))?;
         self.rest = rest;
         Ok(*head)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
-        self.array().map(u8::from_le_bytes)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {

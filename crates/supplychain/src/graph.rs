@@ -392,26 +392,30 @@ impl SupplyChainGraph {
     /// graphs built from the same event sequence digest identically, so
     /// replicas and ledger replays can be compared by hash.
     pub fn digest(&self) -> Hash256 {
-        // Streamed into the hasher field by field: the graph is hashed
+        // Streamed into the hasher a node at a time: the graph is hashed
         // after every block, and a buffer of its whole encoding would be
-        // the largest allocation of a read-heavy node.
+        // the largest allocation of a read-heavy node. One node's encoding
+        // goes in as one piece, so its full blocks compress in one run.
         let mut h = tagged_hasher("TN/supplychain-graph");
+        let mut node = Vec::new();
         for item in self.iter() {
-            h.update(item.id.as_bytes());
-            h.update(item.author.as_hash().as_bytes());
-            h.update(&(item.content.len() as u64).to_le_bytes());
-            h.update(item.content.as_bytes());
-            h.update(&(item.topic.len() as u64).to_le_bytes());
-            h.update(item.topic.as_bytes());
-            h.update(&item.room.to_le_bytes());
-            h.update(&item.published_at.to_le_bytes());
-            h.update(&[item.is_fact_root as u8]);
-            h.update(&(item.parents.len() as u64).to_le_bytes());
+            node.clear();
+            node.extend_from_slice(item.id.as_bytes());
+            node.extend_from_slice(item.author.as_hash().as_bytes());
+            node.extend_from_slice(&(item.content.len() as u64).to_le_bytes());
+            node.extend_from_slice(item.content.as_bytes());
+            node.extend_from_slice(&(item.topic.len() as u64).to_le_bytes());
+            node.extend_from_slice(item.topic.as_bytes());
+            node.extend_from_slice(&item.room.to_le_bytes());
+            node.extend_from_slice(&item.published_at.to_le_bytes());
+            node.push(item.is_fact_root as u8);
+            node.extend_from_slice(&(item.parents.len() as u64).to_le_bytes());
             for p in &item.parents {
-                h.update(p.id.as_bytes());
-                h.update(&[p.op.tag()]);
-                h.update(&p.modification.to_bits().to_le_bytes());
+                node.extend_from_slice(p.id.as_bytes());
+                node.push(p.op.tag());
+                node.extend_from_slice(&p.modification.to_bits().to_le_bytes());
             }
+            h.update(&node);
         }
         h.finalize()
     }

@@ -11,11 +11,13 @@ echo "== size, panic-site, unsafe-site and config-field budget (scripts/budget.t
 # unwrap( / expect( / panic! sites outside tn-bench, comment lines and
 # everything from a file's #[cfg(test)] on left out. A third counts the
 # word `unsafe` (not `unsafe_code`) in crates/*/src, left out the same
-# way: the one site is tn-crypto's call to the SHA-extension compression,
-# after CPU detection, and every other crate forbids unsafe code. A fourth
-# counts the public fields of top-level `pub struct …Config / …Profile /
-# …Policy / …Weights` bodies, left out the same way: a setting no caller
-# sets to a second value is a constant, not a field. None may
+# way: the one site is tn-crypto's call to the multi-block SHA-extension
+# kernel (sha256::ni::compress_sha: one call per run of whole blocks, an
+# update's or a finalize's padding), after CPU detection, and every other
+# crate forbids unsafe code. A fourth counts the public fields of
+# top-level `pub struct …Config / …Profile / …Policy / …Weights` bodies,
+# left out the same way: a setting no caller sets to a second value is a
+# constant, not a field. None may
 # exceed the value recorded in scripts/budget.txt; a PR that lowers one
 # lowers the recorded value with it, so the next PR cannot give it back.
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -65,7 +67,9 @@ echo "== cargo test --release -p tn-crypto (limb arithmetic and signer tables as
 # from eight threads at once; it is the only guard, so it runs optimized.
 # The same run holds tests/sha256_oracle.rs: sha256, streaming Sha256 and
 # tagged_hash against a test-local FIPS 180-4 padding and compression, over
-# every length 0..=130, 10 000 seeded random messages and the NIST vectors.
+# every length 0..=130, every block count 0..=20 at random cuts, a trie
+# branch streamed as header and child hashes, 10 000 seeded random
+# messages and the NIST vectors.
 # On a CPU with the SHA extensions every hash runs on them, so the oracle
 # checks the hardware kernel here optimized, as every binary ships it; the
 # unit test every_padding_length_matches_the_definition meets the two

@@ -271,3 +271,42 @@ fn reopen_is_repeatable_at_every_chain_length() {
         reopen(4, height, digest);
     }
 }
+
+#[test]
+fn damaged_newest_checkpoint_reopens_from_the_next_older_one() {
+    let tmp = TempDir::new("bad-checkpoint");
+    let (config, batches, crash_height) = crashed_node(&tmp, 14);
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(tmp.0.join("snapshots"))
+        .expect("snapshot directory")
+        .map(|e| e.expect("snapshot entry").path())
+        .collect();
+    snaps.sort();
+    let [.., older, newest] = &snaps[..] else {
+        panic!("two checkpoints at least, got {snaps:?}");
+    };
+    let height_of = |path: &PathBuf| -> u64 {
+        let stem = path.file_stem().expect("file stem").to_string_lossy();
+        stem.parse().expect("checkpoint files are named by height")
+    };
+    let (older, newest) = (height_of(older), height_of(newest));
+    assert!(older < newest && newest < crash_height);
+
+    // Flip one byte inside the newest checkpoint's frame.
+    let path = &snaps[snaps.len() - 1];
+    let mut data = std::fs::read(path).expect("read checkpoint");
+    let at = data.len() / 2;
+    data[at] ^= 0xff;
+    std::fs::write(path, &data).expect("write checkpoint");
+
+    // Recovery passes over it: it replays the tail past the older
+    // checkpoint and reaches the full height with the never-crashed
+    // replica's digest.
+    let (recovered, replayed) = ValidatorNode::reopen(0, &config).expect("reopen");
+    assert_eq!(recovered.height(), crash_height);
+    assert_eq!(replayed, crash_height - older);
+    let mut witness = ValidatorNode::new(9, &PlatformConfig::default());
+    for b in &batches {
+        witness.apply_committed_batch(b).expect("witness batch");
+    }
+    assert_eq!(recovered.execution_digest(), witness.execution_digest());
+}
