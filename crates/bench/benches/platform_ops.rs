@@ -35,23 +35,9 @@ fn setup() -> Bench {
         )
         .expect("journalist");
     platform.produce_block().expect("identities");
-    platform
-        .create_publisher_platform(&publisher, "Bench Press")
-        .expect("press");
-    platform.produce_block().expect("block");
-    let pid = platform
-        .newsrooms()
-        .find_platform("Bench Press")
-        .expect("registered");
-    platform
-        .create_news_room(&publisher, pid, "energy")
-        .expect("room");
-    platform.produce_block().expect("block");
-    let room = platform.newsrooms().rooms().next().expect("room").0;
-    platform
-        .authorize_journalist(&publisher, room, &journalist.address())
-        .expect("authz");
-    platform.produce_block().expect("block");
+    let room = platform
+        .open_newsroom(&publisher, "Bench Press", "energy", &[journalist.address()])
+        .expect("newsroom");
     let fact = platform.factdb().iter().next().expect("seeded").clone();
     let item = platform
         .publish_news(

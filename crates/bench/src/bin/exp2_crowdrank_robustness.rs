@@ -38,7 +38,6 @@ fn main() {
             honest_error: 0.12,
             rounds: 25,
             seed: 11,
-            ..SimConfig::default()
         };
         let maj = run(&config, Strategy::Majority);
         let rep = run(&config, Strategy::ReputationWeighted);

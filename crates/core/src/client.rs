@@ -334,15 +334,9 @@ mod tests {
         p.register_identity(&journo, "LC Journo", &[Role::ContentCreator])
             .unwrap();
         p.produce_block().unwrap();
-        p.create_publisher_platform(&publisher, "LC Press").unwrap();
-        p.produce_block().unwrap();
-        let pid = p.newsrooms().find_platform("LC Press").unwrap();
-        p.create_news_room(&publisher, pid, "energy").unwrap();
-        p.produce_block().unwrap();
-        let room = p.newsrooms().rooms().next().unwrap().0;
-        p.authorize_journalist(&publisher, room, &journo.address())
+        let room = p
+            .open_newsroom(&publisher, "LC Press", "energy", &[journo.address()])
             .unwrap();
-        p.produce_block().unwrap();
         let fact = p.factdb().iter().next().unwrap().clone();
         let item = p
             .publish_news(

@@ -139,20 +139,12 @@ pub fn run_ecosystem(config: &EcosystemConfig) -> Result<EcosystemResult, Platfo
         platform.register_identity(c, &format!("Checker {i}"), &[Role::FactChecker])?;
     }
     platform.produce_block()?;
-
-    platform.create_publisher_platform(&publisher, "Platform Press")?;
-    platform.produce_block()?;
-    let pid = platform
-        .newsrooms()
-        .find_platform("Platform Press")
-        .expect("platform registered");
-    platform.create_news_room(&publisher, pid, "general")?;
-    platform.produce_block()?;
-    let room = platform.newsrooms().rooms().next().expect("room created").0;
-    for c in creators.iter().chain(fakers.iter()) {
-        platform.authorize_journalist(&publisher, room, &c.address())?;
-    }
-    platform.produce_block()?;
+    let authors: Vec<_> = creators
+        .iter()
+        .chain(&fakers)
+        .map(Keypair::address)
+        .collect();
+    let room = platform.open_newsroom(&publisher, "Platform Press", "general", &authors)?;
 
     // --- rounds ------------------------------------------------------------
     let mut truth: Vec<(Hash256, bool)> = Vec::new();

@@ -519,6 +519,47 @@ impl Platform {
         self.newsroom_call(publisher, newsroom_authorize(room, journalist))
     }
 
+    /// Opens a newsroom in three blocks: `publisher` registers the
+    /// platform `name`, creates a `topic` room on it, and authorizes each
+    /// of `authors` there. Returns the id of the room created under the
+    /// new platform (not merely the first room on the ledger).
+    ///
+    /// # Errors
+    ///
+    /// Requires the `Publisher` role; [`PlatformError::Contract`] when the
+    /// platform or its room was not created when its block committed.
+    pub fn open_newsroom(
+        &mut self,
+        publisher: &Keypair,
+        name: &str,
+        topic: &str,
+        authors: &[Address],
+    ) -> Result<u64, PlatformError> {
+        let owner = publisher.address();
+        let known = self.newsrooms().platforms().last().map(|(id, _)| id);
+        self.create_publisher_platform(publisher, name)?;
+        self.produce_block()?;
+        let platform = self
+            .newsrooms()
+            .platforms()
+            .find(|(id, p)| Some(*id) > known && p.owner == owner && p.name == name)
+            .map(|(id, _)| id)
+            .ok_or_else(|| PlatformError::Contract(format!("platform {name:?} not created")))?;
+        self.create_news_room(publisher, platform, topic)?;
+        self.produce_block()?;
+        let room = self
+            .newsrooms()
+            .rooms()
+            .find(|(_, r)| r.platform == platform)
+            .map(|(id, _)| id)
+            .ok_or_else(|| PlatformError::Contract(format!("room {topic:?} not created")))?;
+        for author in authors {
+            self.authorize_journalist(publisher, room, author)?;
+        }
+        self.produce_block()?;
+        Ok(room)
+    }
+
     /// A `Publisher`-signed call of the newsroom registry.
     fn newsroom_call(&mut self, publisher: &Keypair, input: Vec<u8>) -> Result<(), PlatformError> {
         self.require_role(&publisher.address(), Role::Publisher)?;
@@ -843,16 +884,40 @@ mod tests {
         p.register_identity(&journo, "Jane Doe", &[Role::ContentCreator, Role::Consumer])
             .unwrap();
         p.produce_block().unwrap();
-        p.create_publisher_platform(&pub_kp, "Daily Facts").unwrap();
-        p.produce_block().unwrap();
-        let pid = p.newsrooms().find_platform("Daily Facts").unwrap();
-        p.create_news_room(&pub_kp, pid, "energy").unwrap();
-        p.produce_block().unwrap();
-        let rid = p.newsrooms().rooms().next().unwrap().0;
-        p.authorize_journalist(&pub_kp, rid, &journo.address())
+        let rid = p
+            .open_newsroom(&pub_kp, "Daily Facts", "energy", &[journo.address()])
             .unwrap();
-        p.produce_block().unwrap();
         (p, journo, rid)
+    }
+
+    #[test]
+    fn open_newsroom_returns_the_new_platforms_room() {
+        let (mut p, journo, first) = with_room();
+        let pub_kp = kp("publisher");
+        let height = p.height();
+        // The same name again: a second platform, whose room is not the
+        // first room on the ledger.
+        let second = p
+            .open_newsroom(&pub_kp, "Daily Facts", "sports", &[])
+            .unwrap();
+        assert_eq!(p.height(), height + 3, "one block per step");
+        assert_ne!(second, first);
+        let room = p.newsrooms().room(second).unwrap();
+        assert_eq!(room.topic, "sports");
+        assert_ne!(room.platform, p.newsrooms().room(first).unwrap().platform);
+        assert!(!p.newsrooms().is_authorized(second, &journo.address()));
+        assert!(p.newsrooms().is_authorized(first, &journo.address()));
+
+        // A platform the contract refuses (empty name) is an error, as is
+        // a caller without the Publisher role.
+        assert!(matches!(
+            p.open_newsroom(&pub_kp, "", "energy", &[]),
+            Err(PlatformError::Contract(_))
+        ));
+        assert!(matches!(
+            p.open_newsroom(&journo, "Rogue Press", "energy", &[]),
+            Err(PlatformError::NotAuthorized(_))
+        ));
     }
 
     #[test]

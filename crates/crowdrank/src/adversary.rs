@@ -14,18 +14,9 @@ pub enum Behavior {
         /// Per-vote error probability.
         error_rate: f64,
     },
-    /// Coin-flips every vote.
-    Random,
     /// Always votes the opposite of the truth (a coordinated smear /
     /// whitewash bloc when many share this behaviour).
     Malicious,
-    /// Votes truthfully on most items to build reputation, but lies on
-    /// items from a targeted campaign set — the strategic adversary the
-    /// accountability mechanisms must catch.
-    Strategic {
-        /// Fraction of items (by hash prefix) in the campaign set.
-        campaign_fraction: f64,
-    },
 }
 
 /// A simulated validator.
@@ -48,16 +39,7 @@ impl Validator {
                     truth
                 }
             }
-            Behavior::Random => rng.gen_bool(0.5),
             Behavior::Malicious => !truth,
-            Behavior::Strategic { campaign_fraction } => {
-                let targeted = in_campaign(item, campaign_fraction);
-                if targeted {
-                    !truth
-                } else {
-                    truth
-                }
-            }
         };
         Vote {
             voter: self.address,
@@ -142,15 +124,6 @@ impl CampaignRole {
     }
 }
 
-/// Deterministically assigns items to the strategic campaign set by hash
-/// prefix, so all strategic validators target the *same* items (a
-/// coordinated campaign).
-pub fn in_campaign(item: &Hash256, fraction: f64) -> bool {
-    let f = fraction.clamp(0.0, 1.0);
-    let prefix = item.to_u64_prefix();
-    (prefix as f64 / u64::MAX as f64) < f
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,35 +163,6 @@ mod tests {
             assert!(!v.vote(&item, true, &mut rng).factual);
             assert!(v.vote(&item, false, &mut rng).factual);
         }
-    }
-
-    #[test]
-    fn strategic_lies_only_on_campaign() {
-        let v = validator(Behavior::Strategic {
-            campaign_fraction: 0.3,
-        });
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut lies = 0;
-        let n = 1000u32;
-        for i in 0..n {
-            let item = sha256(&i.to_le_bytes());
-            let vote = v.vote(&item, true, &mut rng);
-            let targeted = in_campaign(&item, 0.3);
-            assert_eq!(vote.factual, !targeted);
-            if targeted {
-                lies += 1;
-            }
-        }
-        // ~30 % of items targeted.
-        assert!((200..420).contains(&lies), "lies={lies}");
-    }
-
-    #[test]
-    fn campaign_membership_is_deterministic_and_shared() {
-        let item = sha256(b"contested story");
-        assert_eq!(in_campaign(&item, 0.5), in_campaign(&item, 0.5));
-        assert!(in_campaign(&item, 1.0));
-        assert!(!in_campaign(&item, 0.0));
     }
 
     #[test]
@@ -262,15 +206,5 @@ mod tests {
             assert!(b.score(CampaignTarget::FakeItem, round, &mut rng) >= 88);
             assert!(b.score(CampaignTarget::FactualItem, round, &mut rng) > 50);
         }
-    }
-
-    #[test]
-    fn random_is_roughly_balanced() {
-        let v = validator(Behavior::Random);
-        let mut rng = StdRng::seed_from_u64(2);
-        let yes = (0..1000u32)
-            .filter(|i| v.vote(&sha256(&i.to_le_bytes()), true, &mut rng).factual)
-            .count();
-        assert!((400..=600).contains(&yes), "yes={yes}");
     }
 }

@@ -9,7 +9,7 @@
 //! - [`reputation`]: Beta-posterior validator reputation with decay.
 //! - [`aggregate`]: majority (baseline), reputation-weighted voting, and
 //!   EM truth discovery.
-//! - [`adversary`]: honest/random/malicious/strategic validator models,
+//! - [`adversary`]: the honest and malicious validator models E2 runs,
 //!   plus the campaign participant roles (bot rings, turncoat sybils,
 //!   bribed rankers) driven end-to-end by E24.
 //! - [`defense`]: sliding-window coordination detection, whose verdicts

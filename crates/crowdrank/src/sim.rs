@@ -39,12 +39,8 @@ pub struct SimConfig {
     pub n_honest: usize,
     /// Malicious validators (always invert).
     pub n_malicious: usize,
-    /// Strategic validators (honest except on campaign items).
-    pub n_strategic: usize,
     /// Honest per-vote error rate.
     pub honest_error: f64,
-    /// Fraction of items targeted by strategic campaigns.
-    pub campaign_fraction: f64,
     /// Number of rounds.
     pub rounds: usize,
     /// RNG seed.
@@ -56,9 +52,7 @@ impl Default for SimConfig {
         SimConfig {
             n_honest: 20,
             n_malicious: 5,
-            n_strategic: 0,
             honest_error: 0.1,
-            campaign_fraction: 0.2,
             rounds: 15,
             seed: 7,
         }
@@ -110,14 +104,6 @@ pub fn build_population(config: &SimConfig) -> Vec<Validator> {
         pop.push(Validator {
             address: Keypair::from_seed(format!("malicious-{i}").as_bytes()).address(),
             behavior: Behavior::Malicious,
-        });
-    }
-    for i in 0..config.n_strategic {
-        pop.push(Validator {
-            address: Keypair::from_seed(format!("strategic-{i}").as_bytes()).address(),
-            behavior: Behavior::Strategic {
-                campaign_fraction: config.campaign_fraction,
-            },
         });
     }
     pop
@@ -338,31 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn truth_discovery_resists_strategic_campaign() {
-        // Strategic validators build reputation then lie on campaign items.
-        let config = SimConfig {
-            n_honest: 12,
-            n_malicious: 0,
-            n_strategic: 8,
-            campaign_fraction: 0.25,
-            rounds: 20,
-            ..SimConfig::default()
-        };
-        let td = run(&config, Strategy::TruthDiscovery);
-        assert!(
-            td.overall_accuracy > 0.85,
-            "truth discovery {}",
-            td.overall_accuracy
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "population must be nonempty")]
     fn empty_population_panics() {
         let config = SimConfig {
             n_honest: 0,
             n_malicious: 0,
-            n_strategic: 0,
             ..SimConfig::default()
         };
         run(&config, Strategy::Majority);

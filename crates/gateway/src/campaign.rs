@@ -34,7 +34,7 @@ use tn_contracts::builtin::{
     ranking_grant_stake, ranking_post_bond, ranking_quarantine, ranking_record_outcome,
     ranking_set_policy, DefensePolicy, RankingContract,
 };
-use tn_core::platform::{Platform, PlatformConfig};
+use tn_core::platform::{Platform, PlatformConfig, PlatformError};
 use tn_core::roles::Role;
 use tn_crowdrank::adversary::{CampaignRole, CampaignTarget};
 use tn_crowdrank::{CoordinationDetector, ObservedVote};
@@ -46,7 +46,7 @@ use tn_propagation::network::barabasi_albert;
 use tn_propagation::CascadeConfig;
 use tn_trace::TraceSink;
 
-use crate::loadgen::{Request, RequestKind, Workload};
+use crate::loadgen::{split_ledger, Workload};
 use crate::openloop::{run_open_loop_on, OpenLoopConfig, OpenLoopReport};
 use crate::GatewayError;
 
@@ -200,15 +200,19 @@ pub struct CampaignOutcome {
 /// ranker, adversaries included: the platform cannot distinguish a bot
 /// from a human a priori, so damage bounding must come from detection,
 /// quarantine and slashing — not from refusing to admit attackers.
-///
-/// # Panics
-///
-/// On internally inconsistent platform operations (generator bugs, not
-/// runtime conditions).
 pub fn build_campaign_workload(
     config: &PlatformConfig,
     profile: &CampaignProfile,
 ) -> CampaignWorkload {
+    campaign_session(config, profile)
+        .expect("the session signs only for accounts it registered with the roles each call needs")
+}
+
+/// The session behind [`build_campaign_workload`].
+fn campaign_session(
+    config: &PlatformConfig,
+    profile: &CampaignProfile,
+) -> Result<CampaignWorkload, PlatformError> {
     let mut rng = StdRng::seed_from_u64(CAMPAIGN_SEED);
     let mut p = Platform::new(config.clone());
 
@@ -216,19 +220,14 @@ pub fn build_campaign_workload(
         AttackKind::Clean => 0,
         _ => profile.adversaries,
     };
-    let role_of = |i: usize| -> CampaignRole {
-        match profile.attack {
-            AttackKind::Clean => CampaignRole::HonestRanker,
-            AttackKind::BotRing => CampaignRole::RingBot { script_score: 97 },
-            AttackKind::TurncoatSybils => CampaignRole::TurncoatSybil {
-                flip_round: profile.flip_round,
-                script_score: 97,
-            },
-            AttackKind::BribedRankers => {
-                let _ = i;
-                CampaignRole::BribedRanker
-            }
-        }
+    let adversary_role = match profile.attack {
+        AttackKind::Clean => CampaignRole::HonestRanker,
+        AttackKind::BotRing => CampaignRole::RingBot { script_score: 97 },
+        AttackKind::TurncoatSybils => CampaignRole::TurncoatSybil {
+            flip_round: profile.flip_round,
+            script_score: 97,
+        },
+        AttackKind::BribedRankers => CampaignRole::BribedRanker,
     };
 
     // --- population -------------------------------------------------------
@@ -241,88 +240,67 @@ pub fn build_campaign_workload(
         .map(|i| Keypair::from_seed(format!("e24-adv-{i}").as_bytes()))
         .collect();
 
-    p.register_identity(&publisher, "Campaign Press", &[Role::Publisher])
-        .expect("register publisher");
+    p.register_identity(&publisher, "Campaign Press", &[Role::Publisher])?;
     p.register_identity(
         &journo,
         "Journalist",
         &[Role::ContentCreator, Role::Consumer],
-    )
-    .expect("register journalist");
+    )?;
     for (i, k) in honest_keys.iter().enumerate() {
-        p.register_identity(k, &format!("Honest {i}"), &[Role::Consumer])
-            .expect("register honest ranker");
+        p.register_identity(k, &format!("Honest {i}"), &[Role::Consumer])?;
     }
     for (i, k) in adv_keys.iter().enumerate() {
-        p.register_identity(k, &format!("Ranker {i}"), &[Role::Consumer])
-            .expect("register adversary");
+        p.register_identity(k, &format!("Ranker {i}"), &[Role::Consumer])?;
     }
-    p.produce_block().expect("identity block");
-
-    p.create_publisher_platform(&publisher, "Campaign Press")
-        .expect("create platform");
-    p.produce_block().expect("platform block");
-    let pid = p
-        .newsrooms()
-        .find_platform("Campaign Press")
-        .expect("platform id");
-    p.create_news_room(&publisher, pid, "politics")
-        .expect("create room");
-    p.produce_block().expect("room block");
-    let room = p.newsrooms().rooms().next().expect("room").0;
-    p.authorize_journalist(&publisher, room, &journo.address())
-        .expect("authorize");
-    p.produce_block().expect("authorize block");
+    p.produce_block()?;
+    let room = p.open_newsroom(
+        &publisher,
+        "Campaign Press",
+        "politics",
+        &[journo.address()],
+    )?;
 
     // --- articles ---------------------------------------------------------
-    let fake_item = p
-        .publish_news(
-            &journo,
-            room,
-            "politics",
-            "BREAKING: fabricated scandal the campaign amplifies.",
-            vec![],
-        )
-        .expect("publish fake");
-    let factual_item = p
-        .publish_news(
-            &journo,
-            room,
-            "politics",
-            "Verified report the campaign wants buried.",
-            vec![],
-        )
-        .expect("publish factual");
+    let fake_item = p.publish_news(
+        &journo,
+        room,
+        "politics",
+        "BREAKING: fabricated scandal the campaign amplifies.",
+        vec![],
+    )?;
+    let factual_item = p.publish_news(
+        &journo,
+        room,
+        "politics",
+        "Verified report the campaign wants buried.",
+        vec![],
+    )?;
     let mut background = Vec::new();
     for b in 0..BACKGROUND_ARTICLES {
-        background.push(
-            p.publish_news(
-                &journo,
-                room,
-                "politics",
-                &format!("Background article {b}."),
-                vec![],
-            )
-            .expect("publish background"),
-        );
+        background.push(p.publish_news(
+            &journo,
+            room,
+            "politics",
+            &format!("Background article {b}."),
+            vec![],
+        )?);
     }
-    p.produce_block().expect("article block");
+    p.produce_block()?;
 
     // --- defense bootstrap (setup-side: policy, grants, bonds) ------------
     if profile.defense {
         let ranking = p.pipeline().addrs().ranking;
         let policy = ranking_set_policy(&campaign_policy());
-        p.call(None, ranking, policy, 10_000).expect("policy");
+        p.call(None, ranking, policy, 10_000)?;
         for k in honest_keys.iter().chain(&adv_keys) {
             let grant = ranking_grant_stake(&k.address(), 200);
-            p.call(None, ranking, grant, 10_000).expect("grant");
+            p.call(None, ranking, grant, 10_000)?;
         }
-        p.produce_block().expect("policy block");
+        p.produce_block()?;
         for k in honest_keys.iter().chain(&adv_keys) {
-            p.call(Some(k), ranking, ranking_post_bond(100), 10_000)
-                .expect("bond");
+            p.call(Some(k), ranking, ranking_post_bond(100), 10_000)?;
         }
-        p.produce_block().expect("bond block");
+        p.produce_block()?;
     }
     let setup_height = p.store().height();
 
@@ -332,70 +310,49 @@ pub fn build_campaign_workload(
             let role = CampaignRole::HonestRanker;
             if rng.gen_bool(0.6) {
                 let s = role.score(CampaignTarget::FakeItem, round, &mut rng);
-                p.submit_rating(k, &fake_item, s).expect("honest fake vote");
+                p.submit_rating(k, &fake_item, s)?;
             }
             if rng.gen_bool(0.6) {
                 let s = role.score(CampaignTarget::FactualItem, round, &mut rng);
-                p.submit_rating(k, &factual_item, s)
-                    .expect("honest factual vote");
+                p.submit_rating(k, &factual_item, s)?;
             }
             let bg = &background[rng.gen_range(0..background.len())];
             let s = role.score(CampaignTarget::Background, round, &mut rng);
-            p.submit_rating(k, bg, s).expect("honest background vote");
+            p.submit_rating(k, bg, s)?;
         }
-        for (i, k) in adv_keys.iter().enumerate() {
-            let role = role_of(i);
-            match role {
+        for k in &adv_keys {
+            match adversary_role {
                 CampaignRole::BribedRanker => {
                     // Boost only the fake item; behave honestly elsewhere
                     // so the vote vector never matches another briber's.
-                    let s = role.score(CampaignTarget::FakeItem, round, &mut rng);
-                    p.submit_rating(k, &fake_item, s).expect("bribed vote");
+                    let s = adversary_role.score(CampaignTarget::FakeItem, round, &mut rng);
+                    p.submit_rating(k, &fake_item, s)?;
                     let bg = &background[rng.gen_range(0..background.len())];
-                    let s = role.score(CampaignTarget::Background, round, &mut rng);
-                    p.submit_rating(k, bg, s).expect("bribed background vote");
+                    let s = adversary_role.score(CampaignTarget::Background, round, &mut rng);
+                    p.submit_rating(k, bg, s)?;
                 }
                 _ => {
-                    let s = role.score(CampaignTarget::FakeItem, round, &mut rng);
-                    p.submit_rating(k, &fake_item, s).expect("adv fake vote");
-                    let s = role.score(CampaignTarget::FactualItem, round, &mut rng);
-                    p.submit_rating(k, &factual_item, s)
-                        .expect("adv factual vote");
+                    let s = adversary_role.score(CampaignTarget::FakeItem, round, &mut rng);
+                    p.submit_rating(k, &fake_item, s)?;
+                    let s = adversary_role.score(CampaignTarget::FactualItem, round, &mut rng);
+                    p.submit_rating(k, &factual_item, s)?;
                 }
             }
         }
-        p.produce_block().expect("round block");
+        p.produce_block()?;
     }
-    p.produce_block().expect("flush block");
+    // A flush block after the last round.
+    p.produce_block()?;
 
-    // --- extraction: committed ledger → setup + stream --------------------
-    let mut by_addr: HashMap<Address, u64> = HashMap::new();
-    for (i, k) in honest_keys.iter().chain(&adv_keys).enumerate() {
-        by_addr.insert(k.address(), i as u64 + 1);
-    }
-    let store = p.store();
-    let mut chain = store.canonical_chain();
-    chain.reverse();
-    let mut setup = Vec::new();
-    let mut requests = Vec::new();
-    for block in chain.iter().filter_map(|id| store.block(id)) {
-        if block.header.height < 2 {
-            continue; // bootstrap prefix every replica already holds
-        }
-        for tx in block.transactions {
-            match by_addr.get(&tx.from) {
-                Some(&client) if block.header.height > setup_height => {
-                    requests.push(Request {
-                        client,
-                        kind: RequestKind::Write(Box::new(tx)),
-                    });
-                }
-                _ => setup.push(tx),
-            }
-        }
-    }
+    let by_addr: HashMap<Address, u64> = honest_keys
+        .iter()
+        .chain(&adv_keys)
+        .zip(1..)
+        .map(|(k, client)| (k.address(), client))
+        .collect();
+    let (setup, requests) = split_ledger(&p, setup_height, &by_addr);
 
-    CampaignWorkload {
+    Ok(CampaignWorkload {
         workload: Workload {
             setup,
             requests,
@@ -406,7 +363,7 @@ pub fn build_campaign_workload(
         factual_item,
         adversary_addrs: adv_keys.iter().map(|k| k.address()).collect(),
         honest_addrs: honest_keys.iter().map(|k| k.address()).collect(),
-    }
+    })
 }
 
 /// Decodes the ranking-contract vote submissions in `block` as
@@ -643,6 +600,7 @@ fn project_reach(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadgen::RequestKind;
     use tn_contracts::builtin::ranking_submit;
     use tn_contracts::BuiltinContract;
 

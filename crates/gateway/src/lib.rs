@@ -21,6 +21,14 @@
 //!   pipeline does — the defining property of an open-loop generator,
 //!   and the reason the latency knee becomes visible.
 //!
+//! Both generators here — [`build_workload`] and the E24 campaign's
+//! [`build_campaign_workload`] — and `tn_node::workload` share one
+//! session shape: a local `Platform` opens its newsroom with
+//! `Platform::open_newsroom`, scripts its traffic as one fallible
+//! function (one `expect` per public entry point, for accounts the
+//! session itself registered), and the committed ledger is split once,
+//! into setup and per-client requests, by the same walk.
+//!
 //! Admission decisions are a pure function of the gateway configuration
 //! and the arrival schedule (client ids + logical timestamps): replaying
 //! the same schedule yields the identical admit/shed verdict sequence

@@ -28,9 +28,10 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tn_chain::prelude::*;
-use tn_core::platform::{Platform, PlatformConfig};
+use tn_core::platform::{Platform, PlatformConfig, PlatformError};
 use tn_core::roles::Role;
 use tn_crypto::{Address, Keypair};
+use tn_node::workload::post_bootstrap_blocks;
 use tn_propagation::{AccountKind, ZipfSampler};
 use tn_supplychain::ops::PropagationOp;
 
@@ -180,15 +181,24 @@ fn kind_of(r: f64, bot_fraction: f64) -> AccountKind {
 ///
 /// # Panics
 ///
-/// On internally inconsistent platform operations (registration or
-/// publication of generator-controlled accounts failing) — these
-/// indicate a bug in the generator, not a runtime condition.
+/// When the profile has no submitter or no seed article. Every platform
+/// call signs for a client the session registered, funded and (for a
+/// submitter) authorized itself, so the platform refuses none.
 pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workload {
     assert!(profile.submitters > 0, "need at least one submitter");
     assert!(
         profile.seed_articles > 0,
         "need a non-empty article catalogue"
     );
+    persona_session(config, profile)
+        .expect("the session signs only for clients it registered with the roles each call needs")
+}
+
+/// The session behind [`build_workload`].
+fn persona_session(
+    config: &PlatformConfig,
+    profile: &LoadProfile,
+) -> Result<Workload, PlatformError> {
     let mut rng = StdRng::seed_from_u64(profile.seed);
     let mut p = Platform::new(config.clone());
 
@@ -212,55 +222,37 @@ pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workloa
 
     // --- setup: registrations, newsroom, seed articles -------------------
     let publisher = Keypair::from_seed(b"e21-publisher");
-    p.register_identity(&publisher, "Open Loop Press", &[Role::Publisher])
-        .expect("register publisher");
+    p.register_identity(&publisher, "Open Loop Press", &[Role::Publisher])?;
     for (client, key) in clients.iter().zip(&keys) {
         let roles: &[Role] = match client.persona {
             Persona::Submitter => &[Role::ContentCreator, Role::Consumer],
             _ => &[Role::Consumer],
         };
-        p.register_identity(key, &format!("Client {}", client.id), roles)
-            .expect("register client");
+        p.register_identity(key, &format!("Client {}", client.id), roles)?;
     }
-    p.produce_block().expect("identity block");
-
-    p.create_publisher_platform(&publisher, "Open Loop Press")
-        .expect("create platform");
-    p.produce_block().expect("platform block");
-    let pid = p
-        .newsrooms()
-        .find_platform("Open Loop Press")
-        .expect("platform id");
-    p.create_news_room(&publisher, pid, "general")
-        .expect("create room");
-    p.produce_block().expect("room block");
-    let room = p.newsrooms().rooms().next().expect("room").0;
-    for (client, key) in clients.iter().zip(&keys) {
-        if client.persona == Persona::Submitter {
-            p.authorize_journalist(&publisher, room, &key.address())
-                .expect("authorize");
-        }
-    }
-    p.produce_block().expect("authorize block");
+    p.produce_block()?;
+    let authors: Vec<Address> = keys[..profile.submitters]
+        .iter()
+        .map(Keypair::address)
+        .collect();
+    let room = p.open_newsroom(&publisher, "Open Loop Press", "general", &authors)?;
 
     let mut articles = Vec::new();
     for a in 0..profile.seed_articles {
         let author = a % profile.submitters;
-        let id = p
-            .publish_news(
-                &keys[author],
-                room,
-                "general",
-                &format!("Seed article {a} from the open-loop catalogue."),
-                vec![],
-            )
-            .expect("seed publish");
+        let id = p.publish_news(
+            &keys[author],
+            room,
+            "general",
+            &format!("Seed article {a} from the open-loop catalogue."),
+            vec![],
+        )?;
         articles.push(id);
         if a % 16 == 15 {
-            p.produce_block().expect("seed block");
+            p.produce_block()?;
         }
     }
-    p.produce_block().expect("final seed block");
+    p.produce_block()?;
     let setup_height = p.store().height();
 
     // --- event loop: the load stream -------------------------------------
@@ -291,54 +283,29 @@ pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workloa
                     "general",
                     &format!("Stream article at event {ev}."),
                     parents,
-                )
-                .expect("stream publish");
+                )?;
             }
             Persona::Ranker => {
                 let article = &articles[zipf.sample(&mut rng)];
                 let score = rng.gen_range(10..100u8);
-                p.submit_rating(&keys[actor], article, score)
-                    .expect("stream rating");
+                p.submit_rating(&keys[actor], article, score)?;
             }
             Persona::Reader => unreachable!("readers are not in the writer pool"),
         }
         if ev % 32 == 31 {
-            p.produce_block().expect("stream block");
+            p.produce_block()?;
         }
     }
-    p.produce_block().expect("final stream block");
-    p.produce_block().expect("flush block");
+    // The last stream block, then a flush block.
+    p.produce_block()?;
+    p.produce_block()?;
 
-    // --- extraction: committed ledger → setup prefix + request stream ----
     let by_addr: HashMap<Address, u64> = keys
         .iter()
         .zip(&clients)
         .map(|(k, c)| (k.address(), c.id))
         .collect();
-    let store = p.store();
-    let mut chain = store.canonical_chain();
-    chain.reverse();
-    let mut setup = Vec::new();
-    let mut stream = Vec::new();
-    for block in chain.iter().filter_map(|id| store.block(id)) {
-        if block.header.height < 2 {
-            continue; // bootstrap prefix every replica already holds
-        }
-        for tx in block.transactions {
-            match by_addr.get(&tx.from) {
-                Some(&client) if block.header.height > setup_height => {
-                    stream.push(Request {
-                        client,
-                        kind: RequestKind::Write(Box::new(tx)),
-                    });
-                }
-                // Setup traffic, plus any governor-signed stray in the
-                // stream window: both are pre-applied, never rate-limited
-                // (system transactions are not client load).
-                _ => setup.push(tx),
-            }
-        }
-    }
+    let (setup, stream) = split_ledger(&p, setup_height, &by_addr);
 
     // --- interleave reads -------------------------------------------------
     // Readers draw Zipf article targets; reads are spread evenly through
@@ -376,12 +343,40 @@ pub fn build_workload(config: &PlatformConfig, profile: &LoadProfile) -> Workloa
         }
     }
 
-    Workload {
+    Ok(Workload {
         setup,
         requests,
         clients,
         articles: articles.len(),
+    })
+}
+
+/// Splits `platform`'s committed ledger above the bootstrap prefix every
+/// replica already holds into a setup prefix and a request stream: a
+/// transaction signed by a client in `clients` (address → client id) in
+/// a block above `setup_height` is that client's write request; all else
+/// — setup traffic, and any governor-signed stray in the stream window —
+/// is setup, pre-applied and never rate-limited (system transactions are
+/// not client load).
+pub(crate) fn split_ledger(
+    platform: &Platform,
+    setup_height: u64,
+    clients: &HashMap<Address, u64>,
+) -> (Vec<Transaction>, Vec<Request>) {
+    let mut setup = Vec::new();
+    let mut stream = Vec::new();
+    for block in post_bootstrap_blocks(platform) {
+        for tx in block.transactions {
+            match clients.get(&tx.from) {
+                Some(&client) if block.header.height > setup_height => stream.push(Request {
+                    client,
+                    kind: RequestKind::Write(Box::new(tx)),
+                }),
+                _ => setup.push(tx),
+            }
+        }
     }
+    (setup, stream)
 }
 
 /// Schedules `workload`'s requests as an open-loop Poisson process at

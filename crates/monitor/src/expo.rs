@@ -10,6 +10,7 @@
 
 use crate::health::{ClusterHealth, HealthState, ReplicaMonitor};
 use crate::rules::{AlertState, Transition};
+use tn_telemetry::json_string;
 
 /// Quantiles exported for each histogram series.
 const EXPORT_QUANTILES: [f64; 3] = [0.5, 0.99, 0.999];
@@ -262,7 +263,7 @@ pub fn json_dump(monitor: &ReplicaMonitor) -> String {
         first = false;
         out.push_str(&format!(
             "{}:{}",
-            json_str(name),
+            json_string(name),
             tsdb.counter_latest(name).unwrap_or(0)
         ));
     }
@@ -279,7 +280,7 @@ pub fn json_dump(monitor: &ReplicaMonitor) -> String {
         first = false;
         out.push_str(&format!(
             "{}:{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-            json_str(name),
+            json_string(name),
             merged.count,
             merged.sum,
             json_quantile(&merged, 0.5),
@@ -296,7 +297,7 @@ pub fn json_dump(monitor: &ReplicaMonitor) -> String {
         first = false;
         out.push_str(&format!(
             "{{\"rule\":{},\"value\":{}}}",
-            json_str(&rule.name),
+            json_string(&rule.name),
             json_f64(value)
         ));
     }
@@ -330,7 +331,7 @@ fn push_timeline(out: &mut String, monitor: &ReplicaMonitor) {
             "{{\"replica\":{},\"tick\":{},\"rule\":{},\"transition\":\"{}\",\"value\":{}}}",
             monitor.replica(),
             alert.tick,
-            json_str(&alert.rule),
+            json_string(&alert.rule),
             match alert.transition {
                 Transition::Firing => "firing",
                 Transition::Resolved => "resolved",
@@ -351,7 +352,7 @@ pub fn timeline_json(monitors: &[&ReplicaMonitor], health: &ClusterHealth) -> St
                 "{{\"replica\":{},\"tick\":{},\"rule\":{},\"severity\":\"{:?}\",\"transition\":\"{}\",\"value\":{}}}",
                 monitor.replica(),
                 alert.tick,
-                json_str(&alert.rule),
+                json_string(&alert.rule),
                 alert.severity,
                 match alert.transition {
                     Transition::Firing => "firing",
@@ -399,25 +400,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".into()
     }
-}
-
-/// A JSON string literal with escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   replica fetches missing canonical blocks from peers at the agreed
 //!   digest, verifying each before applying.
 //! - [`workload`]: scripted, replayable platform traffic for cluster
-//!   runs.
+//!   runs, and the walk over a session's committed blocks above the
+//!   bootstrap prefix that `tn-gateway`'s generators split their ledgers
+//!   with.
 //!
 //! # Example
 //!

@@ -63,5 +63,5 @@ pub mod sink;
 pub use counter::Counter;
 pub use events::{Event, EventRing};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use registry::{Registry, Snapshot};
+pub use registry::{json_string, Registry, Snapshot};
 pub use sink::{Span, TelemetrySink};

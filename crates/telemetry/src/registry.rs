@@ -299,7 +299,7 @@ impl Snapshot {
 }
 
 /// Escapes `s` as a JSON string literal, including the surrounding quotes.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -38,23 +38,9 @@ fn main() {
             .unwrap();
     }
     platform.produce_block().expect("identities");
-    platform
-        .create_publisher_platform(&publisher, "LCA Press")
-        .expect("press");
-    platform.produce_block().expect("block");
-    let pid = platform
-        .newsrooms()
-        .find_platform("LCA Press")
-        .expect("registered");
-    platform
-        .create_news_room(&publisher, pid, "energy")
-        .expect("room");
-    platform.produce_block().expect("block");
-    let room = platform.newsrooms().rooms().next().expect("room").0;
-    platform
-        .authorize_journalist(&publisher, room, &journalist.address())
-        .expect("authz");
-    platform.produce_block().expect("block");
+    let room = platform
+        .open_newsroom(&publisher, "LCA Press", "energy", &[journalist.address()])
+        .expect("newsroom");
 
     let old_size = platform.factdb().len();
     let record = FactRecord {

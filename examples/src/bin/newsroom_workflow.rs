@@ -52,19 +52,9 @@ fn main() -> Result<(), PlatformError> {
     platform.produce_block()?;
 
     // --- two-layer newsroom setup -------------------------------------------
-    platform.create_publisher_platform(&publisher, "Metro Press")?;
-    platform.produce_block()?;
-    let pid = platform
-        .newsrooms()
-        .find_platform("Metro Press")
-        .expect("registered");
-    platform.create_news_room(&publisher, pid, "health")?;
-    platform.produce_block()?;
-    let room = platform.newsrooms().rooms().next().expect("room").0;
-    for j in [&senior, &stringer, &tabloid] {
-        platform.authorize_journalist(&publisher, room, &j.address())?;
-    }
-    platform.produce_block()?;
+    let journalists = [&senior, &stringer, &tabloid].map(Keypair::address);
+    let room = platform.open_newsroom(&publisher, "Metro Press", "health", &journalists)?;
+    let pid = platform.newsrooms().room(room).expect("opened").platform;
     println!("Metro Press (platform #{pid}) opened health room #{room} with 3 journalists");
 
     // --- fact checkers admit a fresh public record ---------------------------

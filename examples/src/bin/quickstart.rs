@@ -54,17 +54,9 @@ fn main() -> Result<(), PlatformError> {
     platform.produce_block()?;
 
     // 3. Two-layer governance: distribution platform, then a news room.
-    platform.create_publisher_platform(&publisher, "Daily Facts")?;
-    platform.produce_block()?;
-    let pid = platform
-        .newsrooms()
-        .find_platform("Daily Facts")
-        .expect("registered");
-    platform.create_news_room(&publisher, pid, "energy")?;
-    platform.produce_block()?;
-    let room = platform.newsrooms().rooms().next().expect("created").0;
-    platform.authorize_journalist(&publisher, room, &journalist.address())?;
-    platform.produce_block()?;
+    let room =
+        platform.open_newsroom(&publisher, "Daily Facts", "energy", &[journalist.address()])?;
+    let pid = platform.newsrooms().room(room).expect("opened").platform;
     println!("newsroom ready: platform #{pid}, room #{room}");
 
     // 4. Publish a sourced story (citing a factual record) and an

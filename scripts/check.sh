@@ -220,6 +220,18 @@ grep -q "crowdrank" "$tmp/e24_alerts.prom" || {
   exit 1
 }
 
+echo "== examples (every user-facing demo runs to exit 0)"
+# Building the examples is not enough: one that panics must fail here.
+# They run from the temp directory, because quickstart keeps its storage
+# engine's files in ./quickstart-data while it runs. All eight take about
+# a second together on the release build.
+root=$PWD
+for bin in consensus_cluster deepfake_audit ecosystem_simulation fake_news_race \
+  light_client_audit newsroom_workflow quickstart validator_cluster; do
+  (cd "$tmp" && cargo run -q --release --offline --manifest-path "$root/Cargo.toml" \
+    -p tn-examples --bin "$bin" > /dev/null)
+done
+
 echo "== the smokes left results/ and the BENCH_ snapshots as they found them"
 # Every --quick run above writes its artifacts to the temp directory or
 # nowhere; a tracked result or perf snapshot that changed, or a new file

@@ -588,7 +588,6 @@ fn crowd_sim_accuracies_are_pinned() {
         honest_error: 0.12,
         rounds: 25,
         seed: 11,
-        ..SimConfig::default()
     };
     let mut got: Vec<(u64, u64, u64, i64, String)> = Vec::new();
     for config in [SimConfig::default(), near_parity] {
@@ -776,5 +775,192 @@ fn ecosystem_round_stats_are_pinned() {
             4,
             4630094872530971357
         )
+    );
+}
+
+/// Length-prefixed canonical bytes of a generated workload, the input of
+/// [`generated_workloads_are_pinned`]'s digests.
+#[derive(Default)]
+struct Encoding(Vec<u8>);
+
+impl Encoding {
+    fn word(&mut self, w: u64) {
+        self.0.extend_from_slice(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.word(b.len() as u64);
+        self.0.extend_from_slice(b);
+    }
+
+    fn txs(&mut self, txs: &[tn_chain::transaction::Transaction]) {
+        use tn_chain::codec::Encodable;
+        self.word(txs.len() as u64);
+        for tx in txs {
+            self.bytes(&tx.to_bytes());
+        }
+    }
+
+    fn addresses(&mut self, addrs: &[tn_crypto::Address]) {
+        self.word(addrs.len() as u64);
+        for a in addrs {
+            self.bytes(a.as_hash().as_bytes());
+        }
+    }
+
+    fn workload(&mut self, wl: &tn_gateway::Workload) {
+        use tn_chain::codec::Encodable;
+        use tn_gateway::{Persona, RequestKind};
+        use tn_propagation::AccountKind;
+        self.txs(&wl.setup);
+        self.word(wl.requests.len() as u64);
+        for req in &wl.requests {
+            self.word(req.client);
+            match &req.kind {
+                RequestKind::Write(tx) => {
+                    self.word(0);
+                    self.bytes(&tx.to_bytes());
+                }
+                RequestKind::Read { article } => {
+                    self.word(1);
+                    self.word(*article as u64);
+                }
+            }
+        }
+        self.word(wl.clients.len() as u64);
+        for c in &wl.clients {
+            self.word(c.id);
+            self.word(match c.persona {
+                Persona::Submitter => 0,
+                Persona::Ranker => 1,
+                Persona::Reader => 2,
+            });
+            self.word(match c.kind {
+                AccountKind::Human => 0,
+                AccountKind::Bot => 1,
+                AccountKind::Cyborg => 2,
+            });
+        }
+        self.word(wl.articles as u64);
+    }
+
+    fn digest(&self) -> String {
+        sha256(&self.0).to_hex()
+    }
+}
+
+/// Pins every transaction the four session generators emit — the cluster
+/// workload, the open-loop persona stream and all eight campaign cells —
+/// byte for byte, with the request order, client ids, read targets and
+/// the campaign's item ids and address lists.
+#[test]
+fn generated_workloads_are_pinned() {
+    use tn_gateway::LoadProfile;
+    use tn_gateway::{build_campaign_workload, build_workload, AttackKind, CampaignProfile};
+    use tn_node::workload::scripted_workload;
+    let config = PlatformConfig::default();
+    let mut got: Vec<(String, usize, String)> = Vec::new();
+
+    let txs = scripted_workload(&config);
+    let mut e = Encoding::default();
+    e.txs(&txs);
+    got.push(("scripted".into(), txs.len(), e.digest()));
+
+    let profile = LoadProfile {
+        submitters: 2,
+        rankers: 4,
+        readers: 2,
+        seed_articles: 18,
+        write_events: 70,
+        read_events: 12,
+        ..LoadProfile::default()
+    };
+    let wl = build_workload(&config, &profile);
+    let mut e = Encoding::default();
+    e.workload(&wl);
+    got.push(("open-loop".into(), wl.requests.len(), e.digest()));
+
+    for attack in AttackKind::all() {
+        for defense in [false, true] {
+            let cw = build_campaign_workload(
+                &config,
+                &CampaignProfile {
+                    attack,
+                    defense,
+                    honest: 4,
+                    adversaries: 3,
+                    rounds: 4,
+                    flip_round: 2,
+                },
+            );
+            let mut e = Encoding::default();
+            e.workload(&cw.workload);
+            e.bytes(cw.fake_item.as_bytes());
+            e.bytes(cw.factual_item.as_bytes());
+            e.addresses(&cw.adversary_addrs);
+            e.addresses(&cw.honest_addrs);
+            let label = format!("{}/{defense}", attack.label());
+            got.push((label, cw.workload.requests.len(), e.digest()));
+        }
+    }
+
+    let got: Vec<(&str, usize, &str)> = got
+        .iter()
+        .map(|(l, n, d)| (l.as_str(), *n, d.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (
+                "scripted",
+                24,
+                "782ac0606cf71c7a3ae5cb70bbdb378b97725aa5d53643317e890ebffbb576d0"
+            ),
+            (
+                "open-loop",
+                82,
+                "3f56601e70ac6ef3739bb20433dae00cb0ea51fcdb3e95fd809f71417ee65dc6"
+            ),
+            (
+                "clean/false",
+                35,
+                "70d6e1cc45ce956829c56da0a7a1d9b94b55474b95a4dd85f27535625903ffc7"
+            ),
+            (
+                "clean/true",
+                35,
+                "22096e814da66839533242a7e42a7c98f09cb82390655b4638685aa0b7513f5c"
+            ),
+            (
+                "bot-ring/false",
+                59,
+                "32e94561bd29e5097ed461aacb3d500743922e76e9158acaa8847d4d770aa776"
+            ),
+            (
+                "bot-ring/true",
+                59,
+                "23e26378933318d102490ec3fcf2bfee6d80f778f87d0d9a76ad5f16b7e90f6a"
+            ),
+            (
+                "turncoat-sybils/false",
+                61,
+                "321f46cb4da27d6e82cd154a7dbd8b46f471c50c70696421576045f31980682f"
+            ),
+            (
+                "turncoat-sybils/true",
+                61,
+                "024346fa62b183445357b9d7d6e6d56a896afc8d3edaef977a82a2cf6cf0be21"
+            ),
+            (
+                "bribed-rankers/false",
+                63,
+                "223dc888f2f6416cd19eeb27053faa18fe9b252abe2bae17d92b213e09b8e70e"
+            ),
+            (
+                "bribed-rankers/true",
+                63,
+                "cc6f739452cbd1ca371b9be1fc1216118a2ef98fbe17c4e0a000f9dc89423b6f"
+            ),
+        ]
     );
 }
