@@ -5,11 +5,11 @@ use std::collections::HashMap;
 /// Lowercased alphanumeric word tokens: the supply-chain graph's
 /// tokenizer, so the detector and the modification degree see the same
 /// words.
-pub use tn_supplychain::text::tokenize;
+pub(crate) use tn_supplychain::text::tokenize;
 
 /// A fitted vocabulary mapping tokens to dense feature indices.
 #[derive(Debug, Clone, Default)]
-pub struct Vocabulary {
+pub(crate) struct Vocabulary {
     index: HashMap<String, usize>,
     /// Document frequency per term (for IDF).
     doc_freq: Vec<usize>,
@@ -20,7 +20,7 @@ pub struct Vocabulary {
 impl Vocabulary {
     /// Fits a vocabulary over a document collection, keeping terms that
     /// appear in at least `min_df` documents.
-    pub fn fit<'a, I: IntoIterator<Item = &'a str>>(docs: I, min_df: usize) -> Vocabulary {
+    pub(crate) fn fit<'a, I: IntoIterator<Item = &'a str>>(docs: I, min_df: usize) -> Vocabulary {
         let mut df: HashMap<String, usize> = HashMap::new();
         let mut n_docs = 0usize;
         for doc in docs {
@@ -53,28 +53,18 @@ impl Vocabulary {
     }
 
     /// Vocabulary size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// True when no terms were kept.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Index of a term, if in vocabulary.
-    pub fn term_index(&self, term: &str) -> Option<usize> {
+    pub(crate) fn term_index(&self, term: &str) -> Option<usize> {
         self.index.get(term).copied()
-    }
-
-    /// Iterates `(term, index)` pairs (unordered).
-    pub fn terms(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.index.iter().map(|(t, i)| (t.as_str(), *i))
     }
 
     /// Sparse raw term counts for a document: `(index, count)` pairs
     /// sorted by index. Out-of-vocabulary tokens are dropped.
-    pub fn counts(&self, text: &str) -> Vec<(usize, f64)> {
+    pub(crate) fn counts(&self, text: &str) -> Vec<(usize, f64)> {
         let mut acc: HashMap<usize, f64> = HashMap::new();
         for tok in tokenize(text) {
             if let Some(&i) = self.index.get(&tok) {
@@ -88,7 +78,7 @@ impl Vocabulary {
 
     /// Sparse TF-IDF vector, L2-normalized. TF is raw count; IDF is
     /// `ln((1 + N) / (1 + df)) + 1` (smoothed, sklearn-style).
-    pub fn tfidf(&self, text: &str) -> Vec<(usize, f64)> {
+    pub(crate) fn tfidf(&self, text: &str) -> Vec<(usize, f64)> {
         let mut v = self.counts(text);
         let n = self.n_docs as f64;
         let mut norm = 0.0;
@@ -110,6 +100,13 @@ impl Vocabulary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vocabulary {
+        /// Iterates `(term, index)` pairs (unordered).
+        pub(crate) fn terms(&self) -> impl Iterator<Item = (&str, usize)> {
+            self.index.iter().map(|(t, i)| (t.as_str(), *i))
+        }
+    }
 
     const DOCS: [&str; 4] = [
         "the committee approved the budget",

@@ -10,7 +10,7 @@
 use crate::features::tokenize;
 
 /// Negative-emotion and outrage vocabulary.
-pub const NEGATIVE_EMOTION: [&str; 24] = [
+pub(crate) const NEGATIVE_EMOTION: [&str; 24] = [
     "shocking",
     "outrageous",
     "disgraceful",
@@ -38,7 +38,7 @@ pub const NEGATIVE_EMOTION: [&str; 24] = [
 ];
 
 /// Unverifiable-sourcing and conspiracy phrasing.
-pub const CONSPIRACY: [&str; 16] = [
+pub(crate) const CONSPIRACY: [&str; 16] = [
     "anonymous",
     "insiders",
     "whistleblower",
@@ -58,7 +58,7 @@ pub const CONSPIRACY: [&str; 16] = [
 ];
 
 /// Clickbait / urgency phrasing.
-pub const CLICKBAIT: [&str; 12] = [
+pub(crate) const CLICKBAIT: [&str; 12] = [
     "share",
     "viral",
     "unbelievable",

@@ -10,7 +10,7 @@
 //! DESIGN.md we substitute transparent, from-scratch models exercising the
 //! identical platform interface (a probability-of-fake per item):
 //!
-//! - [`features`]: tokenizer, vocabulary, bag-of-words counts, TF-IDF.
+//! - `features`: tokenizer, vocabulary, bag-of-words counts, TF-IDF.
 //! - [`corpus`]: labeled synthetic news corpus with the paper's cited
 //!   structure (72.3 % of fakes are modified factual articles carrying
 //!   negative-emotion wording).
@@ -38,22 +38,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod corpus;
 pub mod dense;
 pub mod ensemble;
-pub mod features;
+mod features;
 pub mod lexicon;
 pub mod logreg;
 pub mod media;
 pub mod metrics;
 pub mod naive_bayes;
 pub mod stance;
-
-pub use corpus::{generate_news_corpus, train_test_split, LabeledDoc, NewsCorpusConfig};
-pub use dense::DenseLogReg;
-pub use ensemble::EnsembleDetector;
-pub use logreg::LogisticRegression;
-pub use metrics::{evaluate, roc_auc, roc_curve, Metrics};
-pub use naive_bayes::NaiveBayes;
-pub use stance::{detect_stance, Stance};

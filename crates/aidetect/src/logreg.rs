@@ -90,11 +90,6 @@ impl LogisticRegression {
         let z = self.bias + x.iter().map(|(i, v)| self.weights[*i] * v).sum::<f64>();
         sigmoid(z)
     }
-
-    /// Hard prediction at a 0.5 threshold.
-    pub fn predict(&self, text: &str) -> bool {
-        self.prob_fake(text) > 0.5
-    }
 }
 
 #[cfg(test)]

@@ -18,13 +18,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Frame width and height (pixels).
-pub const FRAME_DIM: usize = 32;
+pub(crate) const FRAME_DIM: usize = 32;
 
 /// One grayscale frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Row-major luma values.
-    pub pixels: Vec<u8>,
+    pub(crate) pixels: Vec<u8>,
 }
 
 impl Frame {
@@ -182,7 +182,7 @@ pub fn block_fingerprints(frame: &Frame) -> Vec<u64> {
 }
 
 /// Hamming distance between two fingerprints of equal length, in bits.
-pub fn hamming(a: &[u64], b: &[u64]) -> u32 {
+pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u32 {
     assert_eq!(a.len(), b.len(), "fingerprint lengths differ");
     a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }

@@ -4,17 +4,17 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// True positives (fake predicted fake).
-    pub tp: usize,
+    pub(crate) tp: usize,
     /// False positives (factual predicted fake).
-    pub fp: usize,
+    pub(crate) fp: usize,
     /// True negatives.
-    pub tn: usize,
+    pub(crate) tn: usize,
     /// False negatives.
-    pub fn_: usize,
+    pub(crate) fn_: usize,
     /// (tp + tn) / total.
     pub accuracy: f64,
     /// tp / (tp + fp); 0 when undefined.
-    pub precision: f64,
+    pub(crate) precision: f64,
     /// tp / (tp + fn); 0 when undefined.
     pub recall: f64,
     /// Harmonic mean of precision and recall; 0 when undefined.
@@ -110,37 +110,37 @@ pub fn roc_auc(preds: &[(bool, f64)]) -> f64 {
     u / (n_pos as f64 * n_neg as f64)
 }
 
-/// Points of the ROC curve `(false-positive rate, true-positive rate)` at
-/// each distinct threshold, from (0,0) to (1,1).
-pub fn roc_curve(preds: &[(bool, f64)]) -> Vec<(f64, f64)> {
-    let n_pos = preds.iter().filter(|(l, _)| *l).count();
-    let n_neg = preds.len() - n_pos;
-    if n_pos == 0 || n_neg == 0 {
-        return vec![(0.0, 0.0), (1.0, 1.0)];
-    }
-    let mut sorted: Vec<&(bool, f64)> = preds.iter().collect();
-    sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let mut curve = vec![(0.0, 0.0)];
-    let (mut tp, mut fp) = (0usize, 0usize);
-    let mut i = 0;
-    while i < sorted.len() {
-        let score = sorted[i].1;
-        while i < sorted.len() && (sorted[i].1 - score).abs() < 1e-15 {
-            if sorted[i].0 {
-                tp += 1;
-            } else {
-                fp += 1;
-            }
-            i += 1;
-        }
-        curve.push((fp as f64 / n_neg as f64, tp as f64 / n_pos as f64));
-    }
-    curve
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Points of the ROC curve `(false-positive rate, true-positive rate)` at
+    /// each distinct threshold, from (0,0) to (1,1).
+    fn roc_curve(preds: &[(bool, f64)]) -> Vec<(f64, f64)> {
+        let n_pos = preds.iter().filter(|(l, _)| *l).count();
+        let n_neg = preds.len() - n_pos;
+        if n_pos == 0 || n_neg == 0 {
+            return vec![(0.0, 0.0), (1.0, 1.0)];
+        }
+        let mut sorted: Vec<&(bool, f64)> = preds.iter().collect();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        let mut curve = vec![(0.0, 0.0)];
+        let (mut tp, mut fp) = (0usize, 0usize);
+        let mut i = 0;
+        while i < sorted.len() {
+            let score = sorted[i].1;
+            while i < sorted.len() && (sorted[i].1 - score).abs() < 1e-15 {
+                if sorted[i].0 {
+                    tp += 1;
+                } else {
+                    fp += 1;
+                }
+                i += 1;
+            }
+            curve.push((fp as f64 / n_neg as f64, tp as f64 / n_pos as f64));
+        }
+        curve
+    }
 
     #[test]
     fn perfect_classifier() {

@@ -62,7 +62,7 @@ impl NaiveBayes {
     }
 
     /// Log-odds that `text` is fake: `log P(fake|x) − log P(factual|x)`.
-    pub fn log_odds_fake(&self, text: &str) -> f64 {
+    pub(crate) fn log_odds_fake(&self, text: &str) -> f64 {
         let mut scores = self.log_prior;
         for tok in tokenize(text) {
             if let Some(i) = self.vocab.term_index(&tok) {
@@ -76,11 +76,6 @@ impl NaiveBayes {
     /// Probability that `text` is fake (sigmoid of the log-odds).
     pub fn prob_fake(&self, text: &str) -> f64 {
         1.0 / (1.0 + (-self.log_odds_fake(text)).exp())
-    }
-
-    /// Hard prediction: true = fake.
-    pub fn predict(&self, text: &str) -> bool {
-        self.log_odds_fake(text) > 0.0
     }
 }
 

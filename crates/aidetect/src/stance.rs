@@ -53,7 +53,7 @@ const REFUTE_DENSITY: f64 = 1.0;
 const SUPPORT_CUES: usize = 1;
 
 /// Token-set Jaccard overlap between headline and body.
-pub fn overlap(headline: &str, body: &str) -> f64 {
+pub(crate) fn overlap(headline: &str, body: &str) -> f64 {
     let h: HashSet<String> = tokenize(headline).into_iter().collect();
     let b: HashSet<String> = tokenize(body).into_iter().collect();
     if h.is_empty() || b.is_empty() {
@@ -92,7 +92,7 @@ pub fn detect_stance(headline: &str, body: &str) -> Stance {
 /// A fake-likelihood signal from stance: headlines whose own body
 /// disagrees with them, or that are unrelated to their body, are
 /// suspicious; corroborated (agree) pairs are not.
-pub fn stance_score(stance: Stance) -> f64 {
+pub(crate) fn stance_score(stance: Stance) -> f64 {
     match stance {
         Stance::Agree => 0.15,
         Stance::Discuss => 0.45,

@@ -1,7 +1,7 @@
 //! E16: consensus phase latency measured through the telemetry layer.
 //!
 //! The paper argues a permissioned PBFT network commits news transactions
-//! with latency low enough for interactive fact-checking. PR 2's
+//! with latency low enough for interactive fact-checking. The
 //! `tn-telemetry` crate instruments the PBFT replicas directly: each
 //! replica records `pbft.prepare_phase_ticks` (pre-prepare accepted →
 //! prepare quorum), `pbft.commit_phase_ticks` (prepare quorum → commit

@@ -2,7 +2,7 @@
 //!
 //! The paper's trust argument rests on the permissioned network surviving
 //! real failure modes, not just the happy path. This binary drives the
-//! PR 5 fault subsystem end to end: each scenario is a declarative
+//! consensus fault subsystem end to end: each scenario is a declarative
 //! [`FaultPlan`] (scheduled crashes/restarts, partitions + heals, message
 //! loss, byzantine modes, corrupted payloads) executed deterministically
 //! by the consensus simulator, with the node layer's crash recovery,

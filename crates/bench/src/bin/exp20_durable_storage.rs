@@ -1,7 +1,8 @@
 //! E20: durable storage — restart-proportional recovery and disk-backed
 //! import throughput.
 //!
-//! The PR 6 storage engine claims two things worth measuring:
+//! The disk storage engine (`tn-storage`: CRC-framed WAL segments plus
+//! state checkpoints) claims two things worth measuring:
 //!
 //! 1. **Recovery is proportional to downtime, not chain length.** A
 //!    replica reopened from its storage directory restores the newest

@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod scenarios;
 pub mod table;
@@ -38,18 +39,18 @@ struct Report<R: Serialize> {
 /// are only ever read between points taken on a comparable machine (see
 /// `docs/BENCHMARKS.md`).
 #[derive(Debug, Serialize)]
-pub struct MachineSpec {
+pub(crate) struct MachineSpec {
     /// Operating system (`std::env::consts::OS`).
-    pub os: &'static str,
+    pub(crate) os: &'static str,
     /// CPU architecture (`std::env::consts::ARCH`).
-    pub arch: &'static str,
+    pub(crate) arch: &'static str,
     /// Logical CPUs visible to the process.
-    pub cpus: usize,
+    pub(crate) cpus: usize,
 }
 
 impl MachineSpec {
     /// Captures the current host.
-    pub fn current() -> MachineSpec {
+    pub(crate) fn current() -> MachineSpec {
         MachineSpec {
             os: std::env::consts::OS,
             arch: std::env::consts::ARCH,

@@ -5,7 +5,7 @@
 //! [`capture`] runs any `Serialize` value into a [`Value`] tree that keeps
 //! field names, field order and the integer/float distinction, so
 //! re-serializing a `Value` through `serde_json` is byte-identical to
-//! serializing the original. [`render`] lays captured struct rows out as an
+//! serializing the original. `render` lays captured struct rows out as an
 //! aligned text table.
 
 use serde::ser::{SerializeSeq, SerializeStruct, SerializeTupleStruct};
@@ -174,7 +174,7 @@ impl Value {
 /// Renders captured struct rows as an aligned table: one column per
 /// field, headed by the field name; strings left-aligned, everything else
 /// right-aligned. Rows that are not structs get a single `value` column.
-pub fn render(rows: &[Value]) -> String {
+pub(crate) fn render(rows: &[Value]) -> String {
     fn fields(row: &Value) -> Vec<(&'static str, &Value)> {
         match row {
             Value::Struct(fields) => fields.iter().map(|(name, v)| (*name, v)).collect(),

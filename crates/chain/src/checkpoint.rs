@@ -21,9 +21,9 @@ pub struct ChainCheckpoint {
     /// Height of the canonical block the checkpoint was taken at.
     pub height: u64,
     /// Id of that block (the head at checkpoint time).
-    pub head_id: Hash256,
+    pub(crate) head_id: Hash256,
     /// Full account state after executing the checkpoint block.
-    pub state: State,
+    pub(crate) state: State,
     /// Named opaque blobs saved by projections and the execution layer.
     /// Order is preserved; names should be unique.
     pub extensions: Vec<(String, Vec<u8>)>,
@@ -39,14 +39,14 @@ impl ChainCheckpoint {
     }
 
     /// Encodes the checkpoint for storage.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         self.encode(&mut enc);
         enc.finish()
     }
 
     /// Decodes a checkpoint previously produced by
-    /// [`ChainCheckpoint::to_bytes`].
+    /// `ChainCheckpoint::to_bytes`.
     ///
     /// # Errors
     ///

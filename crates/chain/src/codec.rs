@@ -64,19 +64,9 @@ impl Encoder {
         self.buf
     }
 
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Reserves room for exactly `additional` more bytes, so a caller that
     /// knows the final size pays for one allocation and no slack.
-    pub fn reserve_exact(&mut self, additional: usize) {
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
         self.buf.reserve_exact(additional);
     }
 
@@ -93,7 +83,7 @@ impl Encoder {
     }
 
     /// Writes a little-endian u32.
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+    pub(crate) fn put_u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
@@ -188,7 +178,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a little-endian u32.
-    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
@@ -201,13 +191,15 @@ impl<'a> Decoder<'a> {
         ))
     }
 
-    /// Reads an unsigned LEB128 varint.
+    /// Reads an unsigned LEB128 varint in its minimal form: a final byte
+    /// of 0 after a continuation byte is [`DecodeError::BadVarint`], so each
+    /// value has one encoding.
     pub fn get_varint(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.get_u8()?;
-            if shift == 63 && byte > 1 {
+            if (shift == 63 && byte > 1) || (shift > 0 && byte == 0) {
                 return Err(DecodeError::BadVarint);
             }
             v |= ((byte & 0x7f) as u64) << shift;

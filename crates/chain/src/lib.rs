@@ -17,21 +17,21 @@
 //! - [`state`]: the replicated world state — balances (the incentive
 //!   currency), nonces, and namespaced anchor roots (the factual-DB root is
 //!   anchored here) — plus the transition function with a pluggable
-//!   contract executor. Accounts live in [`trie`], a persistent Merkle
+//!   contract executor. Accounts live in `trie`, a persistent Merkle
 //!   radix trie: a clone is O(1), a block re-hashes the paths it wrote,
 //!   and a reader checks one account against a header's state root with
 //!   an [`AccountProof`].
-//! - [`store`]: block storage, parent-state validation, longest-chain fork
+//! - `store`: block storage, parent-state validation, longest-chain fork
 //!   choice, and the word to the executor about what became canonical. A
 //!   proposer executes and accepts its own block in one pass
 //!   ([`ChainStore::commit`]); blocks from elsewhere are validated in full
 //!   ([`ChainStore::import`]), a run of them with one signature pass ahead
 //!   of execution ([`ChainStore::import_run`]).
-//! - [`observer`]: how the digests of views derived from canonical block
+//! - `observer`: how the digests of views derived from canonical block
 //!   history (supply-chain graph, identity registry, fact admissions, …)
 //!   combine into one projection root, so replicas and replays can be
 //!   compared by hash.
-//! - [`mempool`]: fee-prioritised pending-transaction pool.
+//! - `mempool`: fee-prioritised pending-transaction pool.
 //!
 //! Consensus (who gets to append) lives in `tn-consensus`; contract
 //! execution lives in `tn-contracts`, the derived views in `tn-core`, and
@@ -62,25 +62,22 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod block;
 pub mod checkpoint;
 pub mod codec;
-pub mod error;
-pub mod mempool;
-pub mod observer;
+mod error;
+mod mempool;
+mod observer;
 pub mod sigcache;
 pub mod state;
-pub mod store;
+mod store;
 pub mod transaction;
-pub mod trie;
+mod trie;
 
 pub use block::{Block, BlockHeader};
-pub use checkpoint::ChainCheckpoint;
 pub use error::ChainError;
-pub use mempool::Mempool;
-pub use observer::projection_root;
-pub use sigcache::SigCache;
 pub use state::{AccountState, NoExecutor, Receipt, State, TxExecutor};
 pub use store::{ChainStore, CheckedBlock};
 pub use transaction::{blob_tags, Payload, Transaction};

@@ -35,7 +35,7 @@ pub const MISS_COUNTER: &str = "chain.sigcache.miss";
 
 /// Default cache capacity: 65 536 transactions ≈ a few MiB, hundreds of
 /// full blocks of headroom.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// True LRU over transaction ids: recency stamps in a `HashMap`, eviction
 /// order in a `BTreeMap` keyed by stamp. All operations are O(log n) and
@@ -84,7 +84,7 @@ pub struct SigCache {
 }
 
 impl Default for SigCache {
-    /// A cache with [`DEFAULT_CAPACITY`].
+    /// A cache with `DEFAULT_CAPACITY`.
     fn default() -> Self {
         SigCache::new(DEFAULT_CAPACITY)
     }
@@ -133,11 +133,6 @@ impl SigCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.lru().capacity
     }
 
     /// Cache-aware [`Transaction::verify`]: a hit skips the EC
@@ -243,7 +238,6 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one() {
         let cache = SigCache::new(0);
-        assert_eq!(cache.capacity(), 1);
         cache.insert(tx(0).id());
         cache.insert(tx(1).id());
         assert_eq!(cache.len(), 1);

@@ -1,7 +1,7 @@
 //! The replicated world state and its transition function.
 //!
 //! A [`State`] is two tables behind one commitment. Accounts live in a
-//! persistent Merkle radix trie ([`crate::trie`]): cloning a state is two
+//! persistent Merkle radix trie (`crate::trie`): cloning a state is two
 //! reference counts, a write copies and re-hashes only the path it
 //! touches, and states derived from one another — the chain store keeps
 //! one per windowed block — share everything they did not write. The
@@ -164,7 +164,7 @@ impl Eq for State {}
 
 impl State {
     /// Empty state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -247,26 +247,15 @@ impl State {
         self.accounts.unshared(&base.accounts).1 + anchors
     }
 
-    /// Validates a transaction against current state without applying it
-    /// (signature, nonce, balance).
-    ///
-    /// # Errors
-    ///
-    /// Any of the [`ChainError`] validation variants.
-    pub fn validate(&self, tx: &Transaction) -> Result<(), ChainError> {
-        tx.verify()?;
-        self.validate_prechecked(tx)
-    }
-
-    /// [`State::validate`] minus the signature check, for transactions
-    /// whose signatures were already verified (block-level batch
-    /// verification, or a verified-transaction cache hit). Checks nonce
-    /// and balance only.
+    /// Validates a transaction against current state without applying it,
+    /// for transactions whose signatures were already verified
+    /// (block-level batch verification, or a verified-transaction cache
+    /// hit). Checks nonce and balance only.
     ///
     /// # Errors
     ///
     /// [`ChainError::BadNonce`] or [`ChainError::InsufficientBalance`].
-    pub fn validate_prechecked(&self, tx: &Transaction) -> Result<(), ChainError> {
+    pub(crate) fn validate_prechecked(&self, tx: &Transaction) -> Result<(), ChainError> {
         let acct = self.account(&tx.from);
         if tx.nonce != acct.nonce {
             return Err(ChainError::BadNonce {

@@ -354,7 +354,7 @@ impl ChainStore {
     /// # Errors
     ///
     /// [`ChainError::Storage`] when writing the genesis record fails.
-    pub fn with_backend(
+    pub(crate) fn with_backend(
         genesis_state: State,
         genesis_proposer: &Keypair,
         backend: Box<dyn Storage>,
@@ -717,17 +717,6 @@ impl ChainStore {
     /// A shared reference to the storage backend.
     pub fn storage(&self) -> &dyn Storage {
         &*self.backend
-    }
-
-    /// Consumes the store, returning its backend (used by recovery tests
-    /// and tooling to reopen the same storage).
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::Storage`] when the final flush fails.
-    pub fn into_backend(mut self) -> Result<Box<dyn Storage>, ChainError> {
-        self.backend.flush()?;
-        Ok(self.backend)
     }
 
     /// Number of blocks whose header and post-state are held in the
@@ -1198,16 +1187,6 @@ impl ChainStore {
         }
     }
 
-    /// Forces buffered backend writes (the WAL) to durable storage.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::Storage`] on fsync failure.
-    pub fn flush(&mut self) -> Result<(), ChainError> {
-        self.backend.flush()?;
-        Ok(())
-    }
-
     /// The backend record of a block the store knows.
     fn record(&self, id: &Hash256) -> Result<BlockRecord, ChainError> {
         self.backend
@@ -1406,11 +1385,6 @@ impl ChainStore {
         out
     }
 
-    /// Convenience accessor: the balance of `addr` at the head state.
-    pub fn balance(&self, addr: &Address) -> u64 {
-        self.head_state().balance(addr)
-    }
-
     /// Serializes the chain — genesis state, genesis block, the full
     /// canonical chain and any windowed fork blocks — into one snapshot
     /// blob (see [`ChainStore::restore`]). Evicted fork blocks are not
@@ -1515,6 +1489,19 @@ mod tests {
     use crate::transaction::Payload;
     use tn_storage::MemBackend;
 
+    impl ChainStore {
+        /// Consumes the store, returning its backend, so a test can reopen
+        /// the same storage.
+        ///
+        /// # Errors
+        ///
+        /// [`ChainError::Storage`] when the final flush fails.
+        fn into_backend(mut self) -> Result<Box<dyn Storage>, ChainError> {
+            self.backend.flush()?;
+            Ok(self.backend)
+        }
+    }
+
     fn alice() -> Keypair {
         Keypair::from_seed(b"alice")
     }
@@ -1571,7 +1558,7 @@ mod tests {
         assert_eq!(store.height(), 1);
         assert_eq!(store.head_id(), block.id());
         // Fees accrued to proposer.
-        assert_eq!(store.balance(&proposer().address()), 2);
+        assert_eq!(store.head_state().balance(&proposer().address()), 2);
     }
 
     #[test]

@@ -62,20 +62,16 @@ pub mod blob_tags {
     pub const NEWS_PROPAGATE: u16 = 2;
     /// Crowd-sourced truthfulness rating (tn-crowdrank).
     pub const RATING: u16 = 3;
-    /// Newsroom registration (tn-core).
-    pub const NEWSROOM: u16 = 4;
-    /// Fact-checker attestation (tn-factdb).
-    pub const FACT_ATTEST: u16 = 5;
-    /// AI-detector model registration (tn-core ecosystem).
-    pub const MODEL_REGISTER: u16 = 6;
+    // 4–6 are unassigned: newsroom registration and fact attestation are
+    // contract calls, not blobs.
     /// Identity verification record (tn-core, "identification verified
     /// persons" of §V).
     pub const IDENTITY: u16 = 7;
     /// Fact-record proposal (tn-core): a candidate fact published on
-    /// chain, admitted into the factual DB once enough [`FACT_ATTEST`]
-    /// attestations accumulate. Putting proposals on chain makes fact
-    /// admission a pure function of block history, so it can live in a
-    /// replayable projection.
+    /// chain, admitted into the factual DB once enough attestations
+    /// (calls to the fact-admission contract) accumulate. Putting
+    /// proposals on chain makes fact admission a pure function of block
+    /// history, so it can live in a replayable projection.
     pub const FACT_PROPOSE: u16 = 8;
 }
 

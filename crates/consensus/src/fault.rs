@@ -73,16 +73,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// True when the plan injects no fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.partitions.is_empty()
-            && self.drop_windows.is_empty()
-            && self.byz_modes.is_empty()
-            && self.poa_modes.is_empty()
-            && self.corrupt_payloads == 0
-    }
-
     /// Checks the plan against a cluster of `n` replicas: replica ids in
     /// range, windows well-ordered, drop probabilities valid.
     ///
@@ -182,7 +172,7 @@ impl FaultPlan {
 
     /// True when the plan has `id` down (crashed, not yet restarted) at
     /// tick `t`. Used to pick live injection targets for a workload.
-    pub fn is_down_at(&self, id: NodeId, t: u64) -> bool {
+    pub(crate) fn is_down_at(&self, id: NodeId, t: u64) -> bool {
         self.crashes
             .iter()
             .any(|c| c.replica == id && c.at <= t && c.restart_at.map(|r| r > t).unwrap_or(true))
@@ -193,7 +183,7 @@ impl FaultPlan {
     /// events. Byzantine modes and corrupt payloads are not handled here:
     /// modes are applied at replica construction and payload corruption at
     /// injection time, both by the harness.
-    pub fn schedule_on<M: Clone, N: crate::sim::Node<M>>(&self, sim: &mut Simulator<M, N>) {
+    pub(crate) fn schedule_on<M: Clone, N: crate::sim::Node<M>>(&self, sim: &mut Simulator<M, N>) {
         for c in &self.crashes {
             sim.schedule_crash(c.at, c.replica);
             if let Some(r) = c.restart_at {
@@ -225,7 +215,9 @@ mod tests {
     #[test]
     fn default_plan_is_empty_and_valid() {
         let plan = FaultPlan::default();
-        assert!(plan.is_empty());
+        assert!(plan.crashes.is_empty() && plan.partitions.is_empty());
+        assert!(plan.drop_windows.is_empty() && plan.corrupt_payloads == 0);
+        assert!(plan.byz_modes.is_empty() && plan.poa_modes.is_empty());
         assert!(plan.validate(4).is_ok());
         assert_eq!(plan.byz_mode_of(2), ByzMode::Honest);
         assert_eq!(plan.poa_mode_of(2), PoaMode::Honest);
@@ -327,6 +319,7 @@ mod tests {
     /// Sends the other node a message every 10 ticks; records the tick of
     /// every delivery.
     struct Ticker {
+        me: NodeId,
         delivered_at: Vec<u64>,
     }
 
@@ -338,7 +331,7 @@ mod tests {
             self.delivered_at.push(ctx.now());
         }
         fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, ()>) {
-            ctx.send(1 - ctx.me(), ());
+            ctx.send(1 - self.me, ());
             ctx.set_timer(10, 0);
         }
     }
@@ -359,7 +352,8 @@ mod tests {
         };
         assert!(plan.validate(2).is_ok());
         let nodes = (0..2)
-            .map(|_| Ticker {
+            .map(|me| Ticker {
+                me,
                 delivered_at: Vec::new(),
             })
             .collect();

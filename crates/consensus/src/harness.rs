@@ -16,11 +16,11 @@ use crate::sim::{NetworkConfig, Node, NodeId, Simulator};
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Protocol label ("pbft" or "poa").
-    pub protocol: &'static str,
+    pub(crate) protocol: &'static str,
     /// Cluster size.
     pub n_nodes: usize,
     /// Requests injected.
-    pub injected: usize,
+    pub(crate) injected: usize,
     /// Requests committed on the reference (first honest) replica.
     pub committed: usize,
     /// Simulation ticks elapsed when the last commit landed.
@@ -28,7 +28,7 @@ pub struct RunStats {
     /// Commits per 1000 ticks.
     pub throughput: f64,
     /// Mean request commit latency (ticks).
-    pub mean_latency: f64,
+    pub(crate) mean_latency: f64,
     /// Median latency.
     pub p50_latency: u64,
     /// 95th-percentile latency.
@@ -98,17 +98,15 @@ pub struct OrderingRun {
     /// value.
     pub exec_digests: Vec<Hash256>,
     /// Per-replica final view (PBFT; zeros for PoA).
-    pub final_views: Vec<u64>,
+    pub(crate) final_views: Vec<u64>,
     /// Per-replica highest stable checkpoint (PBFT; zeros for PoA).
-    pub stable_checkpoints: Vec<u64>,
+    pub(crate) stable_checkpoints: Vec<u64>,
     /// Messages delivered by the simulator.
     pub delivered: u64,
     /// Messages silently dropped (loss + crash + partition).
     pub dropped: u64,
     /// Partition-blocked messages (subset of `dropped`).
     pub partitioned: u64,
-    /// Corrupted payloads injected alongside the real workload.
-    pub corrupt_injected: usize,
     /// Latest local commit time across all replicas (convergence proxy).
     pub last_commit: u64,
 }
@@ -254,10 +252,7 @@ fn simulate<P: Protocol + Node<P::Msg>>(
 }
 
 /// Reads the cluster-wide outcome off a finished simulation.
-fn observe<P: Protocol + Node<P::Msg>>(
-    sim: &Simulator<P::Msg, P>,
-    plan: &FaultPlan,
-) -> OrderingRun {
+fn observe<P: Protocol + Node<P::Msg>>(sim: &Simulator<P::Msg, P>) -> OrderingRun {
     let mut run = OrderingRun {
         views: Vec::new(),
         exec_digests: Vec::new(),
@@ -266,7 +261,6 @@ fn observe<P: Protocol + Node<P::Msg>>(
         delivered: sim.delivered_messages,
         dropped: sim.dropped_messages,
         partitioned: sim.partitioned_messages,
-        corrupt_injected: plan.corrupt_payloads,
         last_commit: 0,
     };
     for node in sim.nodes() {
@@ -447,7 +441,7 @@ pub fn order_payloads_pbft_faulted(
         sinks,
         traces,
     )?;
-    Ok(observe(&sim, plan))
+    Ok(observe(&sim))
 }
 
 /// The PoA counterpart of [`order_payloads_pbft_faulted`]: clients
@@ -480,7 +474,7 @@ pub fn order_payloads_poa_faulted(
         sinks,
         traces,
     )?;
-    Ok(observe(&sim, plan))
+    Ok(observe(&sim))
 }
 
 #[cfg(test)]
@@ -740,7 +734,6 @@ mod tests {
             pbft(&payloads, &PbftConfig::default(), &plan, &[]),
             poa(&payloads, &plan, &[]),
         ] {
-            assert_eq!(run.corrupt_injected, 3);
             let committed: usize = run.views[0].iter().map(|b| b.len()).sum();
             assert_eq!(committed, 13, "garbage is ordered, not filtered");
             for view in &run.views[1..] {

@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod fault;
 pub mod harness;
@@ -48,6 +49,3 @@ pub use harness::{
     order_payloads_pbft_faulted, order_payloads_poa_faulted, run_pbft, run_poa, CommittedPayloads,
     OrderingRun, RunStats, Workload,
 };
-pub use pbft::{ByzMode, CommittedEntry, PbftConfig, PbftMsg, PbftReplica, Request};
-pub use poa::{PoaMode, PoaMsg, PoaValidator};
-pub use sim::{Context, NetworkConfig, Node, NodeId, Simulator};

@@ -24,7 +24,7 @@ pub struct Request {
     /// Opaque payload (e.g. an encoded transaction).
     pub payload: Vec<u8>,
     /// Simulation time the client submitted it (for latency accounting).
-    pub submitted_at: u64,
+    pub(crate) submitted_at: u64,
 }
 
 impl Request {
@@ -115,7 +115,7 @@ pub enum PbftMsg {
 }
 
 /// A prepared entry carried in view-change messages: `(seq, digest, batch)`.
-pub type PreparedEntry = (u64, Hash256, Vec<Request>);
+pub(crate) type PreparedEntry = (u64, Hash256, Vec<Request>);
 
 /// A batch a replica has finally committed (executed). PoA validators log
 /// their committed slots in the same shape.
@@ -124,7 +124,7 @@ pub struct CommittedEntry {
     /// Sequence number (PBFT: gapless, increasing; PoA: the slot).
     pub seq: u64,
     /// View in which it committed (PoA: always 0).
-    pub view: u64,
+    pub(crate) view: u64,
     /// Batch digest.
     pub digest: Hash256,
     /// The requests, in order.
@@ -283,7 +283,7 @@ impl PbftReplica {
     /// `pbft.commit_phase_ticks`, `pbft.request_latency_ticks` histograms
     /// and proposal/commit/view-change counters — to `sink`. All times are
     /// simulation ticks.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
+    pub(crate) fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.telemetry = sink;
     }
 
@@ -291,12 +291,12 @@ impl PbftReplica {
     /// `pbft.preprepare`, `pbft.prepare_phase`, `pbft.commit_phase`, one
     /// each per ordered batch — to `sink`. The batch trace id is derived
     /// from the batch digest, so every replica lands in the same trace.
-    pub fn set_trace(&mut self, sink: TraceSink) {
+    pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
 
     /// The quorum size `2f + 1`.
-    pub fn quorum(&self) -> usize {
+    pub(crate) fn quorum(&self) -> usize {
         2 * self.f + 1
     }
 

@@ -20,7 +20,7 @@ use crate::sim::{Context, Node, NodeId, EXTERNAL};
 
 /// PoA protocol messages.
 #[derive(Debug, Clone)]
-pub enum PoaMsg {
+pub(crate) enum PoaMsg {
     /// Client request.
     Request(Request),
     /// Leader proposal for a slot.
@@ -63,7 +63,7 @@ const MAX_BATCH: usize = 64;
 
 /// A PoA validator node.
 #[derive(Debug)]
-pub struct PoaValidator {
+pub(crate) struct PoaValidator {
     id: NodeId,
     n: usize,
     mode: PoaMode,
@@ -73,7 +73,7 @@ pub struct PoaValidator {
     committed_ids: HashSet<Hash256>,
     seen_slots: HashMap<u64, Hash256>,
     /// Commit log, in local commit order (`seq` is the slot, `view` 0).
-    pub committed: Vec<CommittedEntry>,
+    pub(crate) committed: Vec<CommittedEntry>,
     /// Metrics sink (round/commit counters and request latency, in sim
     /// ticks). Disabled by default.
     telemetry: TelemetrySink,
@@ -84,7 +84,7 @@ pub struct PoaValidator {
 
 impl PoaValidator {
     /// Creates validator `id` in an `n`-node authority set.
-    pub fn new(id: NodeId, n: usize, mode: PoaMode) -> PoaValidator {
+    pub(crate) fn new(id: NodeId, n: usize, mode: PoaMode) -> PoaValidator {
         assert!(n >= 1, "PoA needs at least one validator");
         PoaValidator {
             id,
@@ -104,14 +104,14 @@ impl PoaValidator {
     /// Routes this validator's metrics — `poa.slots_led`,
     /// `poa.slots_committed`, `poa.requests_committed` counters and the
     /// `poa.request_latency_ticks` histogram — to `sink`.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
+    pub(crate) fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.telemetry = sink;
     }
 
     /// Routes this validator's slot spans — `poa.propose` on the leader,
     /// `poa.commit` on every validator, batch trace derived from the slot
     /// digest — to `sink`.
-    pub fn set_trace(&mut self, sink: TraceSink) {
+    pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
     }
 
@@ -309,7 +309,7 @@ mod tests {
             let t = 10 + (i as u64) * 3;
             let req = Request::new(format!("r{i}").into_bytes(), t);
             // PoA: requests are broadcast to all validators by the client.
-            for node in 0..sim.n_nodes() {
+            for node in 0..sim.nodes().count() {
                 sim.inject_at(node, PoaMsg::Request(req.clone()), t);
             }
         }

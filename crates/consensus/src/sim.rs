@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use tn_telemetry::TelemetrySink;
 
 /// Identifier of a simulated node (index into the cluster).
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// Minimum one-way delivery latency (simulation ticks).
 const BASE_LATENCY: u64 = 10;
@@ -46,7 +46,7 @@ pub trait Node<M> {
     /// Called for each delivered message.
     fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<'_, M>);
 
-    /// Called when a timer set via [`Context::set_timer`] fires.
+    /// Called when a timer set via `Context::set_timer` fires.
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, M>);
 
     /// Called when the simulator revives this node after a crash. Timer
@@ -137,13 +137,11 @@ impl<M> Ord for Event<M> {
 }
 
 /// The pseudo-sender id used for externally injected messages.
-pub const EXTERNAL: NodeId = usize::MAX;
+pub(crate) const EXTERNAL: NodeId = usize::MAX;
 
 /// API surface a node sees while handling an event.
 pub struct Context<'a, M> {
     now: u64,
-    me: NodeId,
-    n_nodes: usize,
     outbox: &'a mut Vec<Outgoing<M>>,
 }
 
@@ -155,33 +153,23 @@ enum Outgoing<M> {
 
 impl<'a, M> Context<'a, M> {
     /// Current simulation time.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
-    /// This node's id.
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
-    /// Cluster size.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
     /// Sends a message to one node (latency applied by the simulator).
-    pub fn send(&mut self, to: NodeId, msg: M) {
+    pub(crate) fn send(&mut self, to: NodeId, msg: M) {
         self.outbox.push(Outgoing::Send { to, msg });
     }
 
     /// Sends a message to every node (optionally including self, delivered
     /// with zero latency to self).
-    pub fn broadcast(&mut self, msg: M, include_self: bool) {
+    pub(crate) fn broadcast(&mut self, msg: M, include_self: bool) {
         self.outbox.push(Outgoing::Broadcast { msg, include_self });
     }
 
     /// Schedules [`Node::on_timer`] after `delay` ticks.
-    pub fn set_timer(&mut self, delay: u64, timer: u64) {
+    pub(crate) fn set_timer(&mut self, delay: u64, timer: u64) {
         self.outbox.push(Outgoing::Timer { delay, timer });
     }
 }
@@ -204,14 +192,14 @@ pub struct Simulator<M, N: Node<M>> {
     /// Scheduled environment changes (crashes, heals, loss windows).
     controls: BinaryHeap<ControlEvent>,
     /// Total messages delivered (for cost accounting).
-    pub delivered_messages: u64,
+    pub(crate) delivered_messages: u64,
     /// Total messages silently dropped, for any reason: random loss,
     /// partition blocking, or a crashed sender/receiver. Superset of
     /// [`Self::partitioned_messages`].
-    pub dropped_messages: u64,
+    pub(crate) dropped_messages: u64,
     /// Messages dropped specifically because they crossed a partition
     /// boundary (also counted in [`Self::dropped_messages`]).
-    pub partitioned_messages: u64,
+    pub(crate) partitioned_messages: u64,
     /// Metrics sink for loss accounting (`sim.msg.dropped` /
     /// `sim.msg.partitioned`). Disabled by default.
     telemetry: TelemetrySink,
@@ -242,18 +230,8 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     /// Routes the simulator's loss counters — `sim.msg.dropped` for
     /// random-loss and crash drops, `sim.msg.partitioned` for
     /// partition-blocked messages — to `sink`. Disabled by default.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
+    pub(crate) fn set_telemetry(&mut self, sink: TelemetrySink) {
         self.telemetry = sink;
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Immutable access to a node (for assertions after a run).
@@ -262,7 +240,7 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     }
 
     /// Iterates all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = &N> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &N> {
         self.nodes.iter()
     }
 
@@ -274,7 +252,7 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     /// Revives a crashed node (it keeps its state; recovery protocols are
     /// the node's business). The node's [`Node::on_revive`] hook runs so
     /// it can re-arm timers lost while it was down.
-    pub fn revive(&mut self, id: NodeId) {
+    pub(crate) fn revive(&mut self, id: NodeId) {
         if !self.crashed.remove(&id) {
             return;
         }
@@ -282,8 +260,6 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
         {
             let mut ctx = Context {
                 now: self.now,
-                me: id,
-                n_nodes: self.nodes.len(),
                 outbox: &mut outbox,
             };
             self.nodes[id].on_revive(&mut ctx);
@@ -303,22 +279,22 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     }
 
     /// Schedules a crash of `id` at simulation tick `at`.
-    pub fn schedule_crash(&mut self, at: u64, id: NodeId) {
+    pub(crate) fn schedule_crash(&mut self, at: u64, id: NodeId) {
         self.schedule_control(at, ControlAction::Crash(id));
     }
 
     /// Schedules a restart of `id` at tick `at` (see [`Self::revive`]).
-    pub fn schedule_revive(&mut self, at: u64, id: NodeId) {
+    pub(crate) fn schedule_revive(&mut self, at: u64, id: NodeId) {
         self.schedule_control(at, ControlAction::Revive(id));
     }
 
     /// Schedules a partition into `groups` at tick `at`.
-    pub fn schedule_partition(&mut self, at: u64, groups: Vec<HashSet<NodeId>>) {
+    pub(crate) fn schedule_partition(&mut self, at: u64, groups: Vec<HashSet<NodeId>>) {
         self.schedule_control(at, ControlAction::Partition(groups));
     }
 
     /// Schedules removal of any partition at tick `at`.
-    pub fn schedule_heal(&mut self, at: u64) {
+    pub(crate) fn schedule_heal(&mut self, at: u64) {
         self.schedule_control(at, ControlAction::Heal);
     }
 
@@ -330,7 +306,7 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     /// # Panics
     ///
     /// When `drop_prob` is outside `[0, 1]` or NaN.
-    pub fn schedule_drop_window(&mut self, from: u64, until: u64, drop_prob: f64) {
+    pub(crate) fn schedule_drop_window(&mut self, from: u64, until: u64, drop_prob: f64) {
         assert!(
             (0.0..=1.0).contains(&drop_prob) && !drop_prob.is_nan(),
             "drop window probability {drop_prob} outside [0, 1]"
@@ -379,7 +355,7 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
     }
 
     /// Injects an external message (e.g. a client request) to `to` at
-    /// `at_time` (absolute). The node sees it as coming from [`EXTERNAL`].
+    /// `at_time` (absolute). The node sees it as coming from `EXTERNAL`.
     pub fn inject_at(&mut self, to: NodeId, msg: M, at_time: u64) {
         self.seq += 1;
         self.queue.push(Event {
@@ -457,8 +433,6 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
             {
                 let mut ctx = Context {
                     now: self.now,
-                    me: id,
-                    n_nodes: self.nodes.len(),
                     outbox: &mut outbox,
                 };
                 self.nodes[id].on_start(&mut ctx);
@@ -511,8 +485,6 @@ impl<M: Clone, N: Node<M>> Simulator<M, N> {
             {
                 let mut ctx = Context {
                     now: self.now,
-                    me: ev.to,
-                    n_nodes: self.nodes.len(),
                     outbox: &mut outbox,
                 };
                 match ev.kind {
@@ -560,21 +532,23 @@ mod tests {
 
     /// A node that floods a counter token around the ring.
     struct Relay {
+        me: NodeId,
+        n_nodes: usize,
         received: Vec<(NodeId, u64)>,
         forward: bool,
     }
 
     impl Node<u64> for Relay {
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            if ctx.me() == 0 {
-                ctx.send(1 % ctx.n_nodes(), 1);
+            if self.me == 0 {
+                ctx.send(1 % self.n_nodes, 1);
             }
         }
 
         fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
             self.received.push((from, msg));
             if self.forward && msg < 10 {
-                let next = (ctx.me() + 1) % ctx.n_nodes();
+                let next = (self.me + 1) % self.n_nodes;
                 ctx.send(next, msg + 1);
             }
         }
@@ -584,7 +558,9 @@ mod tests {
 
     fn cluster(n: usize) -> Simulator<u64, Relay> {
         let nodes = (0..n)
-            .map(|_| Relay {
+            .map(|me| Relay {
+                me,
+                n_nodes: n,
                 received: Vec::new(),
                 forward: true,
             })
@@ -605,7 +581,9 @@ mod tests {
         let trace = |seed| {
             let cfg = NetworkConfig { seed };
             let nodes = (0..4)
-                .map(|_| Relay {
+                .map(|me| Relay {
+                    me,
+                    n_nodes: 4,
                     received: Vec::new(),
                     forward: true,
                 })

@@ -73,7 +73,7 @@ pub struct RoomRecord {
     /// Topic string.
     pub topic: String,
     /// Journalists authorized to publish in this room.
-    pub journalists: HashSet<Address>,
+    pub(crate) journalists: HashSet<Address>,
 }
 
 /// The two-layer trust registry: platforms (layer 1) and rooms with
@@ -317,13 +317,6 @@ pub fn newsroom_authorize(room: u64, who: &Address) -> Vec<u8> {
     e.finish()
 }
 
-/// Encodes an `IsAuthorized` query input.
-pub fn newsroom_is_authorized(room: u64, who: &Address) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u8(3).put_u64(room).put_hash(who.as_hash());
-    e.finish()
-}
-
 /// Encodes a `RevokeJournalist` call input.
 pub fn newsroom_revoke(room: u64, who: &Address) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -378,17 +371,17 @@ pub struct RankingContract {
 }
 
 /// Default reputation weight for unknown raters.
-pub const DEFAULT_REPUTATION: u64 = 100;
+pub(crate) const DEFAULT_REPUTATION: u64 = 100;
 
 /// Reputation ceiling under an active defense policy.
-pub const REPUTATION_CAP: u64 = 1_000;
+pub(crate) const REPUTATION_CAP: u64 = 1_000;
 
 /// Reputation gained per confirmed-correct rating.
-pub const REPUTATION_STEP_UP: u64 = 20;
+pub(crate) const REPUTATION_STEP_UP: u64 = 20;
 
 /// Reputation lost per confirmed-wrong rating (harsher than the gain, so
 /// turncoats fall faster than they climbed).
-pub const REPUTATION_STEP_DOWN: u64 = 40;
+pub(crate) const REPUTATION_STEP_DOWN: u64 = 40;
 
 /// On-chain defense parameters (op `4`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,11 +417,6 @@ impl RankingContract {
             .unwrap_or(DEFAULT_REPUTATION)
     }
 
-    /// The active defense policy, if any.
-    pub fn policy(&self) -> Option<DefensePolicy> {
-        self.policy
-    }
-
     /// `(free, bonded)` stake of a rater.
     pub fn stake(&self, who: &Address) -> (u64, u64) {
         (
@@ -449,7 +437,7 @@ impl RankingContract {
 
     /// A rater's current aggregation weight: its reputation, gated to
     /// zero by quarantine or an unmet bond when a policy is active.
-    pub fn vote_weight(&self, who: &Address) -> u64 {
+    pub(crate) fn vote_weight(&self, who: &Address) -> u64 {
         if let Some(policy) = &self.policy {
             if self.quarantined.contains(who)
                 || self.bonded_stake.get(who).copied().unwrap_or(0) < policy.min_bond
@@ -860,24 +848,6 @@ pub fn ranking_unquarantine(who: &Address) -> Vec<u8> {
     e.finish()
 }
 
-/// Encodes a `GetStake` input (op 10).
-pub fn ranking_get_stake(who: &Address) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u8(10).put_hash(who.as_hash());
-    e.finish()
-}
-
-/// Decodes a `GetStake` output into `(free, bonded)`.
-pub fn decode_stake(out: &[u8]) -> Option<(u64, u64)> {
-    if out.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(out[..8].try_into().ok()?),
-        u64::from_le_bytes(out[8..].try_into().ok()?),
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Incentive contract
 // ---------------------------------------------------------------------------
@@ -1013,13 +983,6 @@ pub fn incentive_balance(who: &Address) -> Vec<u8> {
     e.finish()
 }
 
-/// Encodes a `Transfer` input.
-pub fn incentive_transfer(to: &Address, amount: u64) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u8(3).put_hash(to.as_hash()).put_u64(amount);
-    e.finish()
-}
-
 // ---------------------------------------------------------------------------
 // Factual-database admission
 // ---------------------------------------------------------------------------
@@ -1059,14 +1022,14 @@ impl FactDbAdmission {
     }
 
     /// True once `record` has reached the attestation threshold.
-    pub fn is_admitted(&self, record: &Hash256) -> bool {
+    pub(crate) fn is_admitted(&self, record: &Hash256) -> bool {
         self.attestations
             .get(record)
             .is_some_and(|s| s.len() >= self.threshold)
     }
 
     /// Number of distinct attestations for `record`.
-    pub fn attestation_count(&self, record: &Hash256) -> usize {
+    pub(crate) fn attestation_count(&self, record: &Hash256) -> usize {
         self.attestations.get(record).map_or(0, HashSet::len)
     }
 }
@@ -1189,18 +1152,57 @@ pub fn admission_attest(record: &Hash256) -> Vec<u8> {
     e.finish()
 }
 
-/// Encodes an `IsAdmitted` query.
-pub fn admission_is_admitted(record: &Hash256) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u8(2).put_hash(record);
-    e.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tn_crypto::sha256::sha256;
     use tn_crypto::Keypair;
+
+    /// Encodes a `GetStake` input (op 10).
+    fn ranking_get_stake(who: &Address) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(10).put_hash(who.as_hash());
+        e.finish()
+    }
+
+    /// Decodes a `GetStake` output into `(free, bonded)`.
+    fn decode_stake(out: &[u8]) -> Option<(u64, u64)> {
+        if out.len() != 16 {
+            return None;
+        }
+        Some((
+            u64::from_le_bytes(out[..8].try_into().ok()?),
+            u64::from_le_bytes(out[8..].try_into().ok()?),
+        ))
+    }
+
+    /// Encodes an `IsAdmitted` query.
+    fn admission_is_admitted(record: &Hash256) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(2).put_hash(record);
+        e.finish()
+    }
+
+    impl RankingContract {
+        /// The active defense policy, if any.
+        fn policy(&self) -> Option<DefensePolicy> {
+            self.policy
+        }
+    }
+
+    /// Encodes an `IsAuthorized` query input.
+    fn newsroom_is_authorized(room: u64, who: &Address) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(3).put_u64(room).put_hash(who.as_hash());
+        e.finish()
+    }
+
+    /// Encodes a `Transfer` input.
+    fn incentive_transfer(to: &Address, amount: u64) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.put_u8(3).put_hash(to.as_hash()).put_u64(amount);
+        e.finish()
+    }
 
     fn addr(seed: &[u8]) -> Address {
         Keypair::from_seed(seed).address()

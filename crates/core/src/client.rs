@@ -119,11 +119,6 @@ impl LightClient {
         self.headers.is_empty()
     }
 
-    /// The latest proven factual-database anchor.
-    pub fn fact_anchor(&self) -> Option<Hash256> {
-        self.fact_anchor.map(|(r, _)| r)
-    }
-
     /// All proven anchors in observation order.
     pub fn anchor_trail(&self) -> &[Hash256] {
         &self.anchor_trail
@@ -158,7 +153,7 @@ impl LightClient {
     /// # Errors
     ///
     /// [`ClientError::BadHeader`] or [`ClientError::BrokenLink`].
-    pub fn submit_header(
+    pub(crate) fn submit_header(
         &mut self,
         header: BlockHeader,
         proposer_key: &PublicKey,
@@ -187,7 +182,7 @@ impl LightClient {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::submit_header`].
+    /// Same as `Self::submit_header`.
     pub fn submit_block_header(&mut self, block: &Block) -> Result<(), ClientError> {
         self.submit_header(block.header.clone(), &block.proposer_key, &block.signature)
     }
@@ -199,7 +194,7 @@ impl LightClient {
     ///
     /// [`ClientError`] variants for unknown blocks, bad proofs or bad
     /// signatures.
-    pub fn verify_transaction(
+    pub(crate) fn verify_transaction(
         &self,
         block_id: &Hash256,
         tx: &Transaction,
@@ -322,6 +317,13 @@ mod tests {
     use crate::roles::Role;
     use tn_crypto::Keypair;
     use tn_supplychain::ops::PropagationOp;
+
+    impl LightClient {
+        /// The latest proven factual-database anchor.
+        fn fact_anchor(&self) -> Option<Hash256> {
+            self.fact_anchor.map(|(r, _)| r)
+        }
+    }
 
     /// Builds a platform with one published item, then replays its chain
     /// into a light client.

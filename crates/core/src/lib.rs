@@ -5,15 +5,17 @@
 //! substrate crate:
 //!
 //! - [`roles`]: verified identities and the five ecosystem roles.
-//! - [`projections`]: [`Projections`], the four views (supply-chain
+//! - `projections`: `Projections`, the four views (supply-chain
 //!   graph, identity registry, factual database, headline cache) derived
 //!   purely from committed blocks.
-//! - [`pipeline`]: the [`ExecutionPipeline`] — chain store plus, as its
-//!   executor, contract registry and projections, beside the mempool and
-//!   block clock; the single-node core under the platform and validators.
-//! - [`platform`]: the [`Platform`] struct — a facade over the pipeline
-//!   adding keys and the AI detector behind one transactional API
-//!   (publish, rate, attest, rank, trace, suggest experts, `call`).
+//! - [`pipeline`]: the [`ExecutionPipeline`](pipeline::ExecutionPipeline)
+//!   — chain store plus, as its executor, contract registry and
+//!   projections, beside the mempool and block clock; the single-node core
+//!   under the platform and validators.
+//! - [`platform`]: the [`Platform`](platform::Platform) struct — a facade
+//!   over the pipeline adding keys and the AI detector behind one
+//!   transactional API (publish, rate, attest, rank, trace, suggest
+//!   experts, `call`).
 //! - [`ecosystem`]: the multi-round ecosystem simulation (experiment E10)
 //!   in which consumers, creators, fact checkers, AI developers and
 //!   publishers act through the real platform APIs.
@@ -37,16 +39,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 pub mod ecosystem;
 pub mod pipeline;
 pub mod platform;
-pub mod projections;
+mod projections;
 pub mod roles;
-
-pub use client::{ClientError, LightClient};
-pub use pipeline::{bootstrap, Bootstrap, BuiltinAddrs, ExecutionPipeline};
-pub use platform::{BlockSummary, ItemRank, Platform, PlatformConfig, PlatformError};
-pub use projections::{AdmissionLedger, Projections, View};
-pub use roles::{IdentityRecord, IdentityRegistry, Role};

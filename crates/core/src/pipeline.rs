@@ -3,7 +3,7 @@
 //! `ExecutionPipeline` is the deterministic core every node runs: a
 //! [`ChainStore`] and, beside it, everything derived from the blocks the
 //! store accepts — the contract registry (the built-ins' state) and the four
-//! platform [`Projections`] (supply chain, identities, factual database,
+//! platform `Projections` (supply chain, identities, factual database,
 //! headlines). The two derived halves are one `Host`, the
 //! [`TxExecutor`] the pipeline lends the store on every call: the store
 //! has it execute contract payloads and tells it which block became
@@ -39,13 +39,13 @@ use crate::roles::IdentityRegistry;
 
 /// Checkpoint-extension key under which the pipeline stores the contract
 /// registry's serialized state (distinct from every projection name).
-pub const REGISTRY_EXTENSION: &str = "contracts.registry";
+pub(crate) const REGISTRY_EXTENSION: &str = "contracts.registry";
 
 /// Attestations required to admit a record to the factual database.
 const FACT_THRESHOLD: usize = 2;
 
 /// Maximum transactions a pipeline's mempool holds at once.
-pub const MEMPOOL_CAPACITY: usize = 100_000;
+pub(crate) const MEMPOOL_CAPACITY: usize = 100_000;
 
 /// The contract slot of [`ExecutionPipeline::execution_digest`]: 32 bytes
 /// reserved for a commitment over the built-in contracts' state, which
@@ -53,7 +53,7 @@ pub const MEMPOOL_CAPACITY: usize = 100_000;
 /// bytecode-contract store (`TN/contracts-root` over no bytes) — the
 /// value the slot has had on every chain the platform runs — so no
 /// execution digest moves.
-pub fn contracts_slot() -> Hash256 {
+pub(crate) fn contracts_slot() -> Hash256 {
     tn_crypto::sha256::tagged_hash("TN/contracts-root", &[])
 }
 
@@ -61,13 +61,13 @@ pub fn contracts_slot() -> Hash256 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuiltinAddrs {
     /// Newsroom registry (platforms, rooms, authorizations).
-    pub newsroom: Address,
+    pub(crate) newsroom: Address,
     /// Crowd-rating contract.
     pub ranking: Address,
     /// Incentive-points contract.
-    pub incentive: Address,
+    pub(crate) incentive: Address,
     /// Fact-admission attestation gate.
-    pub admission: Address,
+    pub(crate) admission: Address,
 }
 
 /// What the pipeline derives from the blocks its store accepts, lent to
@@ -346,7 +346,7 @@ impl ExecutionPipeline {
     /// [`ChainError::Storage`] when the backend cannot be initialized
     /// (e.g. the disk directory already holds data; use
     /// [`ExecutionPipeline::recover`] for that).
-    pub fn with_storage(
+    pub(crate) fn with_storage(
         genesis: State,
         validator: &Keypair,
         governor: Address,
@@ -370,7 +370,7 @@ impl ExecutionPipeline {
     ///
     /// [`ChainError::Checkpoint`] when checkpointed state is unusable,
     /// [`ChainError::Storage`] on backend failures.
-    pub fn recover(
+    pub(crate) fn recover(
         backend: Box<dyn Storage>,
         config: &StorageConfig,
         governor: Address,
@@ -543,7 +543,7 @@ impl ExecutionPipeline {
     /// # Errors
     ///
     /// [`ChainError::Storage`] on backend write failures.
-    pub fn maybe_checkpoint(&mut self) -> Result<Option<u64>, ChainError> {
+    pub(crate) fn maybe_checkpoint(&mut self) -> Result<Option<u64>, ChainError> {
         let due = self.store.checkpoint_due();
         due.then(|| self.checkpoint_now()).transpose()
     }
@@ -601,13 +601,13 @@ impl ExecutionPipeline {
 
     // --- digests ---------------------------------------------------------
 
-    /// `(name, digest)` of every projection, in [`View::ALL`] order.
+    /// `(name, digest)` of every projection, in `View::ALL` order.
     pub fn projection_digests(&self) -> Vec<(&'static str, Hash256)> {
         self.host.projections.digests()
     }
 
     /// One hash summarizing the replica: head id, world-state root, the
-    /// [`contracts_slot`], and the projection root. Two nodes that agree
+    /// `contracts_slot`, and the projection root. Two nodes that agree
     /// on it agree on their chain and their projections; the built-in
     /// contracts' state is not in it yet.
     pub fn execution_digest(&self) -> Hash256 {
@@ -672,12 +672,12 @@ impl ExecutionPipeline {
     }
 
     /// Indexing statistics of the supply-chain graph.
-    pub fn index_stats(&self) -> &IndexStats {
+    pub(crate) fn index_stats(&self) -> &IndexStats {
         self.host.projections.index_stats()
     }
 
     /// The verified-identity registry.
-    pub fn identities(&self) -> &IdentityRegistry {
+    pub(crate) fn identities(&self) -> &IdentityRegistry {
         self.host.projections.identities()
     }
 
@@ -687,17 +687,17 @@ impl ExecutionPipeline {
     }
 
     /// The chain-derived fact-admission ledger (candidate queries).
-    pub fn admissions(&self) -> &AdmissionLedger {
+    pub(crate) fn admissions(&self) -> &AdmissionLedger {
         self.host.projections.ledger()
     }
 
     /// Drains fact records admitted since the last call.
-    pub fn take_newly_admitted(&mut self) -> Vec<Hash256> {
+    pub(crate) fn take_newly_admitted(&mut self) -> Vec<Hash256> {
         self.host.projections.take_newly_admitted()
     }
 
     /// The headline recorded on-chain for `item`, if any.
-    pub fn headline(&self, item: &Hash256) -> Option<&str> {
+    pub(crate) fn headline(&self, item: &Hash256) -> Option<&str> {
         self.host.projections.headline(item)
     }
 

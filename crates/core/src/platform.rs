@@ -25,8 +25,8 @@ use tn_chain::codec::Encodable;
 use tn_chain::prelude::*;
 use tn_contracts::builtin::{
     admission_attest, admission_register_checker, newsroom_authorize, newsroom_create_room,
-    newsroom_register_platform, newsroom_revoke, ranking_submit, FactDbAdmission,
-    IncentiveContract, NewsroomRegistry, RankingContract,
+    newsroom_register_platform, newsroom_revoke, ranking_submit, IncentiveContract,
+    NewsroomRegistry, RankingContract,
 };
 use tn_crypto::{Address, Hash256, Keypair};
 use tn_factdb::corpus::CorpusConfig;
@@ -198,8 +198,6 @@ pub struct ItemRank {
 /// Summary of one produced block.
 #[derive(Debug, Clone)]
 pub struct BlockSummary {
-    /// Block height.
-    pub height: u64,
     /// Transactions included.
     pub included: usize,
     /// Transactions whose execution failed (still on-chain).
@@ -330,18 +328,13 @@ impl Platform {
     }
 
     /// Typed read access to the ranking contract.
-    pub fn ranking_contract(&self) -> &RankingContract {
+    pub(crate) fn ranking_contract(&self) -> &RankingContract {
         self.pipeline.builtin(self.pipeline.addrs().ranking)
     }
 
     /// Typed read access to the incentive contract.
-    pub fn incentives(&self) -> &IncentiveContract {
+    pub(crate) fn incentives(&self) -> &IncentiveContract {
         self.pipeline.builtin(self.pipeline.addrs().incentive)
-    }
-
-    /// Typed read access to the admission contract.
-    pub fn admission(&self) -> &FactDbAdmission {
-        self.pipeline.builtin(self.pipeline.addrs().admission)
     }
 
     // --- transaction plumbing -------------------------------------------
@@ -414,7 +407,6 @@ impl Platform {
         }
 
         Ok(BlockSummary {
-            height: block.header.height,
             included: block.transactions.len(),
             failed,
             admitted_facts: admitted,
@@ -696,7 +688,7 @@ impl Platform {
     }
 
     /// True when a detector has been trained.
-    pub fn has_detector(&self) -> bool {
+    pub(crate) fn has_detector(&self) -> bool {
         self.detector.is_some()
     }
 

@@ -40,7 +40,7 @@ use crate::roles::{IdentityRecord, IdentityRegistry};
 /// One of the four views [`Projections`] derives, in the order their
 /// digests and checkpoint blobs are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum View {
+pub(crate) enum View {
     /// The news supply-chain graph and its indexing statistics.
     SupplyChain,
     /// The verified-identity registry.
@@ -53,7 +53,7 @@ pub enum View {
 
 impl View {
     /// Every view, in reporting order.
-    pub const ALL: [View; 4] = [
+    pub(crate) const ALL: [View; 4] = [
         View::SupplyChain,
         View::Identity,
         View::FactDb,
@@ -62,7 +62,7 @@ impl View {
 
     /// The view's stable name: in digest reports, as checkpoint-extension
     /// key, in `chain.projection.<name>.apply_ns` and `projection.<name>`.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             View::SupplyChain => "supplychain",
             View::Identity => "identity",
@@ -82,7 +82,7 @@ impl View {
 /// ledger only trusts successful receipts, so it never re-implements the
 /// authorization rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdmissionLedger {
+pub(crate) struct AdmissionLedger {
     admission_addr: Address,
     threshold: usize,
     candidates: BTreeMap<Hash256, FactRecord>,
@@ -93,7 +93,7 @@ pub struct AdmissionLedger {
 impl AdmissionLedger {
     /// Creates an empty ledger watching `admission_addr` with the given
     /// attestation threshold.
-    pub fn new(admission_addr: Address, threshold: usize) -> Self {
+    pub(crate) fn new(admission_addr: Address, threshold: usize) -> Self {
         AdmissionLedger {
             admission_addr,
             threshold,
@@ -104,12 +104,12 @@ impl AdmissionLedger {
     }
 
     /// True when `record` is a known (pending or admitted) candidate.
-    pub fn is_candidate(&self, record: &Hash256) -> bool {
+    pub(crate) fn is_candidate(&self, record: &Hash256) -> bool {
         self.candidates.contains_key(record) || self.admitted.contains(record)
     }
 
     /// Distinct attesters observed for `record`.
-    pub fn attestation_count(&self, record: &Hash256) -> usize {
+    pub(crate) fn attestation_count(&self, record: &Hash256) -> usize {
         self.attesters.get(record).map_or(0, BTreeSet::len)
     }
 
@@ -239,7 +239,7 @@ impl AdmissionLedger {
 
 /// Everything the platform derives from canonical block history.
 #[derive(Debug)]
-pub struct Projections {
+pub(crate) struct Projections {
     /// The genesis factual corpus, planted on every (re)build.
     seed: Vec<FactRecord>,
     ledger: AdmissionLedger,
@@ -260,7 +260,7 @@ impl Projections {
     /// database's first records, nothing proposed or attested. Facts
     /// attested by `threshold` distinct callers of the contract at
     /// `admission_addr` are admitted.
-    pub fn new(seed: Vec<FactRecord>, admission_addr: Address, threshold: usize) -> Self {
+    pub(crate) fn new(seed: Vec<FactRecord>, admission_addr: Address, threshold: usize) -> Self {
         let mut p = Projections {
             seed: Vec::new(),
             ledger: AdmissionLedger::new(admission_addr, threshold),
@@ -279,7 +279,7 @@ impl Projections {
     }
 
     /// A genesis-state value of the same construction parameters.
-    pub fn fresh(&self) -> Projections {
+    pub(crate) fn fresh(&self) -> Projections {
         Projections::new(
             self.seed.clone(),
             self.ledger.admission_addr,
@@ -298,7 +298,7 @@ impl Projections {
 
     /// Consumes the next canonical block and its execution receipts
     /// (`receipts[i]` belongs to `block.transactions[i]`).
-    pub fn apply(&mut self, block: &Block, receipts: &[Receipt]) {
+    pub(crate) fn apply(&mut self, block: &Block, receipts: &[Receipt]) {
         for view in View::ALL {
             self.apply_view(view, block, receipts);
         }
@@ -358,7 +358,7 @@ impl Projections {
     /// # Errors
     ///
     /// When canonical history cannot be read back (the disk is corrupt).
-    pub fn replay(&mut self, store: &ChainStore) -> Result<u64, ChainError> {
+    pub(crate) fn replay(&mut self, store: &ChainStore) -> Result<u64, ChainError> {
         *self = self.fresh();
         let mut blocks = 0;
         store.for_each_canonical(&mut |block, receipts| {
@@ -371,7 +371,7 @@ impl Projections {
     // --- digests and checkpoints -----------------------------------------
 
     /// `(name, digest)` of every view, in [`View::ALL`] order.
-    pub fn digests(&self) -> Vec<(&'static str, Hash256)> {
+    pub(crate) fn digests(&self) -> Vec<(&'static str, Hash256)> {
         View::ALL
             .iter()
             .map(|&view| (view.name(), self.digest(view)))
@@ -416,7 +416,7 @@ impl Projections {
 
     /// The checkpoint extensions: every view's saved state under its
     /// name, in [`View::ALL`] order.
-    pub fn save(&self) -> Vec<(String, Vec<u8>)> {
+    pub(crate) fn save(&self) -> Vec<(String, Vec<u8>)> {
         View::ALL
             .iter()
             .map(|&view| (view.name().to_string(), self.save_view(view)))
@@ -466,7 +466,7 @@ impl Projections {
     /// # Errors
     ///
     /// A message naming the missing or malformed blob.
-    pub fn load(&mut self, saved: &[(String, Vec<u8>)]) -> Result<(), String> {
+    pub(crate) fn load(&mut self, saved: &[(String, Vec<u8>)]) -> Result<(), String> {
         let blob = |view: View| {
             let found = saved.iter().find(|(name, _)| name == view.name());
             found
@@ -536,38 +536,38 @@ impl Projections {
     // --- reads -----------------------------------------------------------
 
     /// The supply-chain graph.
-    pub fn graph(&self) -> &SupplyChainGraph {
+    pub(crate) fn graph(&self) -> &SupplyChainGraph {
         &self.graph
     }
 
     /// Indexing statistics over all applied blocks.
-    pub fn index_stats(&self) -> &IndexStats {
+    pub(crate) fn index_stats(&self) -> &IndexStats {
         &self.stats
     }
 
     /// The verified-identity registry.
-    pub fn identities(&self) -> &IdentityRegistry {
+    pub(crate) fn identities(&self) -> &IdentityRegistry {
         &self.identities
     }
 
     /// The factual database.
-    pub fn factdb(&self) -> &FactualDatabase {
+    pub(crate) fn factdb(&self) -> &FactualDatabase {
         &self.factdb
     }
 
     /// The chain-derived admission ledger (candidate queries).
-    pub fn ledger(&self) -> &AdmissionLedger {
+    pub(crate) fn ledger(&self) -> &AdmissionLedger {
         &self.ledger
     }
 
     /// The headline recorded on-chain for `item`, if any.
-    pub fn headline(&self, item: &Hash256) -> Option<&str> {
+    pub(crate) fn headline(&self, item: &Hash256) -> Option<&str> {
         self.headlines.get(item).map(String::as_str)
     }
 
     /// Drains the records admitted since the last call (the platform uses
     /// this to report admissions and trigger re-anchoring).
-    pub fn take_newly_admitted(&mut self) -> Vec<Hash256> {
+    pub(crate) fn take_newly_admitted(&mut self) -> Vec<Hash256> {
         std::mem::take(&mut self.newly_admitted)
     }
 }

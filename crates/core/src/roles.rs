@@ -30,7 +30,7 @@ pub enum Role {
 
 impl Role {
     /// All roles.
-    pub const ALL: [Role; 5] = [
+    pub(crate) const ALL: [Role; 5] = [
         Role::Consumer,
         Role::ContentCreator,
         Role::FactChecker,
@@ -39,7 +39,7 @@ impl Role {
     ];
 
     /// Stable wire tag.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             Role::Consumer => 0,
             Role::ContentCreator => 1,
@@ -50,7 +50,7 @@ impl Role {
     }
 
     /// Decodes a wire tag.
-    pub fn from_tag(t: u8) -> Option<Role> {
+    pub(crate) fn from_tag(t: u8) -> Option<Role> {
         Role::ALL.get(t as usize).copied()
     }
 }
@@ -59,9 +59,9 @@ impl Role {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdentityRecord {
     /// Display name of the verified person/organization.
-    pub name: String,
+    pub(crate) name: String,
     /// Roles granted.
-    pub roles: Vec<Role>,
+    pub(crate) roles: Vec<Role>,
 }
 
 impl Encodable for IdentityRecord {
@@ -98,12 +98,12 @@ pub struct IdentityRegistry {
 
 impl IdentityRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers (or extends) an identity.
-    pub fn register(&mut self, who: Address, name: &str, roles: &[Role]) {
+    pub(crate) fn register(&mut self, who: Address, name: &str, roles: &[Role]) {
         let entry = self
             .entries
             .entry(who)
@@ -112,7 +112,7 @@ impl IdentityRegistry {
     }
 
     /// True when `who` is a verified identity.
-    pub fn is_verified(&self, who: &Address) -> bool {
+    pub(crate) fn is_verified(&self, who: &Address) -> bool {
         self.entries.contains_key(who)
     }
 
@@ -130,7 +130,7 @@ impl IdentityRegistry {
 
     /// A hash of the full registry state (addresses sorted, names and
     /// role sets included), so replicas can compare registries by hash.
-    pub fn digest(&self) -> Hash256 {
+    pub(crate) fn digest(&self) -> Hash256 {
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(addr, _)| **addr);
         let mut data = Vec::new();
@@ -147,7 +147,7 @@ impl IdentityRegistry {
     }
 
     /// Serializes the registry (addresses sorted) for a chain checkpoint.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut entries: Vec<_> = self.entries.iter().collect();
         entries.sort_by_key(|(addr, _)| **addr);
         let mut e = Encoder::new();
@@ -168,7 +168,7 @@ impl IdentityRegistry {
     /// # Errors
     ///
     /// A message when the blob is malformed.
-    pub fn from_bytes(bytes: &[u8]) -> Result<IdentityRegistry, String> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<IdentityRegistry, String> {
         let err = |e: DecodeError| format!("malformed identity registry: {e}");
         let mut dec = Decoder::new(bytes);
         let mut reg = IdentityRegistry::new();
@@ -189,13 +189,8 @@ impl IdentityRegistry {
     }
 
     /// Number of verified identities.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no identities are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

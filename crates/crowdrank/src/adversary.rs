@@ -8,7 +8,7 @@ use crate::aggregate::Vote;
 
 /// How a validator produces votes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Behavior {
+pub(crate) enum Behavior {
     /// Votes the ground truth, flipping with the given error probability.
     Honest {
         /// Per-vote error probability.
@@ -21,16 +21,16 @@ pub enum Behavior {
 
 /// A simulated validator.
 #[derive(Debug, Clone)]
-pub struct Validator {
+pub(crate) struct Validator {
     /// Its platform identity.
-    pub address: Address,
+    pub(crate) address: Address,
     /// Its behaviour.
-    pub behavior: Behavior,
+    pub(crate) behavior: Behavior,
 }
 
 impl Validator {
     /// Produces this validator's vote on an item with known ground truth.
-    pub fn vote<R: Rng>(&self, item: &Hash256, truth: bool, rng: &mut R) -> Vote {
+    pub(crate) fn vote<R: Rng>(&self, item: &Hash256, truth: bool, rng: &mut R) -> Vote {
         let factual = match self.behavior {
             Behavior::Honest { error_rate } => {
                 if rng.gen_bool(error_rate.clamp(0.0, 1.0)) {
@@ -61,7 +61,7 @@ pub enum CampaignTarget {
 }
 
 /// Adversarial participant roles for end-to-end misinformation campaigns
-/// (E24). Unlike [`Behavior`] — which emits boolean votes for the in-crate
+/// (E24). Unlike `Behavior` — which emits boolean votes for the in-crate
 /// simulation — a role emits 0–100 *scores* for the on-chain ranking
 /// contract, and its behaviour can change over time (turncoats flip).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,7 +7,7 @@
 //! - [`majority`]: one account, one vote — the criticised baseline;
 //! - [`reputation_weighted`]: votes weighted by the Beta-reputation
 //!   ledger;
-//! - [`truth_discovery`]: EM-style iteration that jointly estimates item
+//! - `truth_discovery`: EM-style iteration that jointly estimates item
 //!   truth and per-validator accuracy from the vote matrix alone (no
 //!   history needed) — the "AI algorithm" flavour of aggregation.
 
@@ -22,7 +22,7 @@ use crate::reputation::ReputationLedger;
 /// adversary-supplied votes, so malformed input must surface as an error
 /// a caller can handle — never a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateError {
+pub(crate) enum AggregateError {
     /// `truth_discovery` was asked to run zero EM iterations.
     ZeroIterations,
 }
@@ -55,13 +55,13 @@ pub struct Vote {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The item.
-    pub item: Hash256,
+    pub(crate) item: Hash256,
     /// Final verdict: factual?
     pub factual: bool,
     /// Confidence in `[0.5, 1.0]` (share of weight on the winning side).
     pub confidence: f64,
     /// Number of votes aggregated.
-    pub votes: usize,
+    pub(crate) votes: usize,
 }
 
 fn group_by_item(votes: &[Vote]) -> HashMap<Hash256, Vec<&Vote>> {
@@ -125,7 +125,7 @@ pub fn reputation_weighted(votes: &[Vote], ledger: &ReputationLedger) -> Vec<Dec
 
 /// Reputation-weighted voting with evidence discounting: like
 /// [`reputation_weighted`], but each vote's weight is
-/// [`ReputationLedger::discounted_weight`] — fresh identities with no
+/// `ReputationLedger::discounted_weight` — fresh identities with no
 /// confirmed history count for almost nothing, which is what defeats
 /// Sybil swarms (identities are free; *confirmed history* is not).
 pub fn evidence_weighted(votes: &[Vote], ledger: &ReputationLedger, k: f64) -> Vec<Decision> {
@@ -164,7 +164,7 @@ pub fn evidence_weighted(votes: &[Vote], ledger: &ReputationLedger, k: f64) -> V
 /// # Errors
 ///
 /// [`AggregateError::ZeroIterations`] if `iterations == 0`.
-pub fn truth_discovery(
+pub(crate) fn truth_discovery(
     votes: &[Vote],
     iterations: usize,
 ) -> Result<(Vec<Decision>, HashMap<Address, f64>), AggregateError> {

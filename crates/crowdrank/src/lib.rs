@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod adversary;
 pub mod aggregate;
@@ -36,11 +37,4 @@ pub mod defense;
 pub mod reputation;
 pub mod sim;
 
-pub use adversary::{Behavior, CampaignRole, CampaignTarget, Validator};
-pub use aggregate::{
-    evidence_weighted, majority, reputation_weighted, truth_discovery, AggregateError, Decision,
-    Vote,
-};
 pub use defense::{CoordinationDetector, CoordinationReport, ObservedVote};
-pub use reputation::{Reputation, ReputationError, ReputationLedger};
-pub use sim::{run, SimConfig, SimResult, Strategy};

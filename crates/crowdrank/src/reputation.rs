@@ -104,7 +104,7 @@ impl ReputationLedger {
     }
 
     /// The reputation record for a validator (default prior when unseen).
-    pub fn get(&self, who: &Address) -> Reputation {
+    pub(crate) fn get(&self, who: &Address) -> Reputation {
         self.entries.get(who).copied().unwrap_or_default()
     }
 
@@ -118,7 +118,7 @@ impl ReputationLedger {
     /// history) weighs ~0 regardless of how many of them an attacker
     /// mints — the Sybil-resistance weighting of E13. `k` sets how much
     /// confirmed history buys full weight.
-    pub fn discounted_weight(&self, who: &Address, k: f64) -> f64 {
+    pub(crate) fn discounted_weight(&self, who: &Address, k: f64) -> f64 {
         let rep = self.get(who);
         let e = rep.evidence();
         rep.weight() * (e / (e + k.max(1e-9)))
@@ -145,22 +145,19 @@ impl ReputationLedger {
         }
         Ok(())
     }
-
-    /// Number of validators with recorded history.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no history is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tn_crypto::Keypair;
+
+    impl ReputationLedger {
+        /// Number of validators with recorded history.
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+    }
 
     fn addr(i: u64) -> Address {
         Keypair::from_seed(&i.to_le_bytes()).address()

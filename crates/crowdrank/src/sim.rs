@@ -79,8 +79,6 @@ pub struct SimResult {
     pub accuracy_per_round: Vec<f64>,
     /// Overall decision accuracy.
     pub overall_accuracy: f64,
-    /// Final reputation ledger.
-    pub ledger: ReputationLedger,
     /// Final incentive balances.
     pub balances: HashMap<Address, i64>,
     /// Mean final reputation weight of honest validators.
@@ -90,7 +88,7 @@ pub struct SimResult {
 }
 
 /// Builds the validator population for a config.
-pub fn build_population(config: &SimConfig) -> Vec<Validator> {
+pub(crate) fn build_population(config: &SimConfig) -> Vec<Validator> {
     let mut pop = Vec::new();
     for i in 0..config.n_honest {
         pop.push(Validator {
@@ -211,7 +209,6 @@ pub fn run(config: &SimConfig, strategy: Strategy) -> SimResult {
         overall_accuracy: total_correct as f64 / total_items as f64,
         honest_weight: mean_weight("honest"),
         malicious_weight: mean_weight("malicious"),
-        ledger,
         balances,
     }
 }

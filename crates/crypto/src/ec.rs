@@ -4,7 +4,7 @@
 //! held as [`Fe`] elements. Points are kept in Jacobian projective
 //! coordinates internally so that point addition and doubling avoid the
 //! (expensive) field inversion; only conversion back to affine coordinates
-//! pays one, and [`Jacobian::batch_to_affine`] shares that one across a
+//! pays one, and `Jacobian::batch_to_affine` shares that one across a
 //! whole table. Operation costs in field multiplications (M) and
 //! squarings (S): doubling 3M + 4S, mixed addition of an affine point
 //! 8M + 3S, general addition 12M + 4S.
@@ -34,22 +34,6 @@ pub enum Affine {
 }
 
 impl Affine {
-    /// True if the point satisfies the curve equation (or is infinity).
-    pub fn is_on_curve(&self) -> bool {
-        match self {
-            Affine::Infinity => true,
-            Affine::Point { x, y } => y.sqr() == x.sqr() * *x + B,
-        }
-    }
-
-    /// The x coordinate, or `None` for infinity.
-    pub fn x(&self) -> Option<U256> {
-        match self {
-            Affine::Infinity => None,
-            Affine::Point { x, .. } => Some(x.to_u256()),
-        }
-    }
-
     /// True if the y coordinate is even (used for compressed encoding).
     /// Infinity reports `true`.
     pub fn y_is_even(&self) -> bool {
@@ -72,7 +56,7 @@ impl Affine {
 
     /// The finite point with x coordinate `x` whose y has the requested
     /// parity. `None` if `x ≥ p` (non-canonical) or no point has that x.
-    pub fn lift_x(x: &U256, parity_odd: bool) -> Option<Affine> {
+    pub(crate) fn lift_x(x: &U256, parity_odd: bool) -> Option<Affine> {
         let x = Fe::from_u256(x)?;
         let y = (x.sqr() * x + B).sqrt()?;
         let y = if y.is_odd() == parity_odd { y } else { -y };
@@ -108,7 +92,7 @@ impl Affine {
     /// `λ·self` for one field multiplication: the curve endomorphism
     /// `(x, y) ↦ (β·x, y)` with [`BETA`] and [`crate::field::LAMBDA`]. Only
     /// meaningful for points of the curve.
-    pub fn mul_lambda(&self) -> Affine {
+    pub(crate) fn mul_lambda(&self) -> Affine {
         match self {
             Affine::Infinity => Affine::Infinity,
             Affine::Point { x, y } => Affine::Point {
@@ -184,7 +168,7 @@ impl Jacobian {
     /// Converts many points to affine coordinates with one field inversion
     /// between them and three multiplications per point (Montgomery's
     /// trick); infinities pass through.
-    pub fn batch_to_affine(points: &[Jacobian]) -> Vec<Affine> {
+    pub(crate) fn batch_to_affine(points: &[Jacobian]) -> Vec<Affine> {
         // before[i] = product of the finite points' Z before index i.
         let mut acc = Fe::ONE;
         let before: Vec<Fe> = points
@@ -305,14 +289,6 @@ impl Jacobian {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Additions on this thread whose operands had the same x coordinate
-    /// (equal or opposite points), which the generic formula cannot add.
-    /// Tests read it to show that an input really reaches those branches.
-    pub(crate) static DEGENERATE_ADDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
 /// The standard secp256k1 generator point `G`.
 pub const GENERATOR: Affine = Affine::Point {
     x: Fe::from_canonical_limbs([
@@ -394,9 +370,35 @@ pub fn mul_generator(k: &U256) -> Affine {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Additions on this thread whose operands had the same x coordinate
+    /// (equal or opposite points), which the generic formula cannot add.
+    /// Tests read it to show that an input really reaches those branches.
+    pub(crate) static DEGENERATE_ADDS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::field::N;
+
+    impl Affine {
+        /// True if the point satisfies the curve equation (or is infinity).
+        fn is_on_curve(&self) -> bool {
+            match self {
+                Affine::Infinity => true,
+                Affine::Point { x, y } => y.sqr() == x.sqr() * *x + B,
+            }
+        }
+
+        /// The x coordinate, or `None` for infinity.
+        fn x(&self) -> Option<U256> {
+            match self {
+                Affine::Infinity => None,
+                Affine::Point { x, .. } => Some(x.to_u256()),
+            }
+        }
+    }
 
     #[test]
     fn generator_is_on_curve() {

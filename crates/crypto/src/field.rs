@@ -39,8 +39,8 @@ pub const N: U256 = U256::from_limbs([
 ]);
 
 /// `λ`, a primitive cube root of unity modulo [`N`]: the scalar the curve
-/// endomorphism `(x, y) ↦ (β·x, y)` multiplies by (see [`BETA`] and
-/// [`crate::ec::Affine::mul_lambda`]).
+/// endomorphism `(x, y) ↦ (β·x, y)` multiplies by (see `BETA` and
+/// `crate::ec::Affine::mul_lambda`).
 pub const LAMBDA: U256 = U256::from_limbs([
     0xdf02_967c_1b23_bd72,
     0x122e_22ea_2081_6678,
@@ -50,7 +50,7 @@ pub const LAMBDA: U256 = U256::from_limbs([
 
 /// `β`, the primitive cube root of unity modulo [`P`] that goes with
 /// [`LAMBDA`]: `λ·(x, y) = (β·x, y)` for every point of the curve.
-pub const BETA: Fe = Fe([
+pub(crate) const BETA: Fe = Fe([
     0xc139_6c28_7195_01ee,
     0x9cf0_4975_12f5_8995,
     0x6e64_479e_ac34_34e9,
@@ -119,9 +119,9 @@ pub struct Fe([u64; 4]);
 
 impl Fe {
     /// Zero.
-    pub const ZERO: Fe = Fe([0, 0, 0, 0]);
+    pub(crate) const ZERO: Fe = Fe([0, 0, 0, 0]);
     /// One.
-    pub const ONE: Fe = Fe([1, 0, 0, 0]);
+    pub(crate) const ONE: Fe = Fe([1, 0, 0, 0]);
 
     /// Builds an element from little-endian limbs the caller knows to be
     /// below `p` (curve constants).
@@ -130,13 +130,13 @@ impl Fe {
     }
 
     /// Builds from a `u64`.
-    pub const fn from_u64(v: u64) -> Fe {
+    pub(crate) const fn from_u64(v: u64) -> Fe {
         Fe([v, 0, 0, 0])
     }
 
     /// The element with integer value `v`, or `None` when `v ≥ p` (a
     /// non-canonical encoding).
-    pub fn from_u256(v: &U256) -> Option<Fe> {
+    pub(crate) fn from_u256(v: &U256) -> Option<Fe> {
         (*v < P).then_some(Fe(*v.limbs()))
     }
 
@@ -156,7 +156,7 @@ impl Fe {
     }
 
     /// True for the zero element.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 == [0, 0, 0, 0]
     }
 
@@ -246,13 +246,13 @@ impl Fe {
 
     /// `2·self`.
     #[inline(always)]
-    pub fn double(self) -> Fe {
+    pub(crate) fn double(self) -> Fe {
         self + self
     }
 
     /// `3·self`.
     #[inline(always)]
-    pub fn triple(self) -> Fe {
+    pub(crate) fn triple(self) -> Fe {
         self + self + self
     }
 
@@ -362,7 +362,7 @@ impl Mul for Fe {
 ///
 /// Debug-asserts that the modulus has its top bit set (required for the
 /// folding bound).
-pub fn reduce_wide(mut lo: U256, mut hi: U256, m: &U256) -> U256 {
+pub(crate) fn reduce_wide(mut lo: U256, mut hi: U256, m: &U256) -> U256 {
     debug_assert!(m.bit(255), "modulus must be >= 2^255 for fold reduction");
     let d = U256::ZERO.wrapping_sub(m); // 2^256 − m
     while !hi.is_zero() {
@@ -400,17 +400,6 @@ pub fn add_mod(a: &U256, b: &U256, m: &U256) -> U256 {
     }
 }
 
-/// `(a − b) mod m` for `a, b < m`.
-pub fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
-    debug_assert!(a < m && b < m);
-    let (diff, borrow) = a.overflowing_sub(b);
-    if borrow {
-        diff.wrapping_add(m)
-    } else {
-        diff
-    }
-}
-
 /// `(−a) mod m` for `a < m`.
 pub fn neg_mod(a: &U256, m: &U256) -> U256 {
     if a.is_zero() {
@@ -426,29 +415,40 @@ pub fn mul_mod(a: &U256, b: &U256, m: &U256) -> U256 {
     reduce_wide(lo, hi, m)
 }
 
-/// `(a²) mod m`.
-pub fn sqr_mod(a: &U256, m: &U256) -> U256 {
-    mul_mod(a, a, m)
-}
-
-/// `(a^e) mod m` by square-and-multiply.
-pub fn pow_mod(a: &U256, e: &U256, m: &U256) -> U256 {
-    let mut result = U256::ONE;
-    let mut base = reduce(a, m);
-    let bits = e.bits();
-    for i in 0..bits {
-        if e.bit(i) {
-            result = mul_mod(&result, &base, m);
-        }
-        base = sqr_mod(&base, m);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `(a − b) mod m` for `a, b < m`.
+    fn sub_mod(a: &U256, b: &U256, m: &U256) -> U256 {
+        debug_assert!(a < m && b < m);
+        let (diff, borrow) = a.overflowing_sub(b);
+        if borrow {
+            diff.wrapping_add(m)
+        } else {
+            diff
+        }
+    }
+
+    /// `(a²) mod m`.
+    fn sqr_mod(a: &U256, m: &U256) -> U256 {
+        mul_mod(a, a, m)
+    }
+
+    /// `(a^e) mod m` by square-and-multiply.
+    fn pow_mod(a: &U256, e: &U256, m: &U256) -> U256 {
+        let mut result = U256::ONE;
+        let mut base = reduce(a, m);
+        let bits = e.bits();
+        for i in 0..bits {
+            if e.bit(i) {
+                result = mul_mod(&result, &base, m);
+            }
+            base = sqr_mod(&base, m);
+        }
+        result
+    }
 
     /// `p − 2` and `(p + 1)/4`, the exponents the two chains hard-code.
     fn inv_exponent() -> U256 {

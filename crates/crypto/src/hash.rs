@@ -47,25 +47,6 @@ impl Hash256 {
         hex::encode(&self.0)
     }
 
-    /// Parses a 64-character hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hex::ParseHexError`] if the string is not exactly 64 hex
-    /// characters.
-    pub fn from_hex(s: &str) -> Result<Self, hex::ParseHexError> {
-        let v = hex::decode(s)?;
-        if v.len() != 32 {
-            return Err(hex::ParseHexError::BadLength {
-                expected: 64,
-                actual: s.len(),
-            });
-        }
-        let mut b = [0u8; 32];
-        b.copy_from_slice(&v);
-        Ok(Hash256(b))
-    }
-
     /// True if this is the all-zero sentinel.
     pub fn is_zero(&self) -> bool {
         self.0 == [0u8; 32]
@@ -74,13 +55,6 @@ impl Hash256 {
     /// A short 8-hex-char prefix, convenient for logs and debug output.
     pub fn short(&self) -> String {
         hex::encode(&self.0[..4])
-    }
-
-    /// Interprets the first 8 bytes as a big-endian u64 — handy for
-    /// deterministic pseudo-random decisions derived from hashes (e.g.
-    /// leader election by hash).
-    pub fn to_u64_prefix(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("slice of 8"))
     }
 }
 
@@ -116,15 +90,8 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let h = sha256(b"round trip");
-        let parsed = Hash256::from_hex(&h.to_hex()).expect("valid hex");
-        assert_eq!(parsed, h);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(Hash256::from_hex("zz").is_err());
-        assert!(Hash256::from_hex(&"ab".repeat(31)).is_err());
-        assert!(Hash256::from_hex(&"ab".repeat(33)).is_err());
+        let parsed = hex::decode(&h.to_hex()).expect("valid hex");
+        assert_eq!(parsed, h.as_bytes());
     }
 
     #[test]
@@ -138,12 +105,5 @@ mod tests {
         let h = sha256(b"abc");
         assert_eq!(format!("{h}"), h.to_hex());
         assert!(format!("{h:?}").contains(&h.short()));
-    }
-
-    #[test]
-    fn u64_prefix_is_big_endian() {
-        let mut b = [0u8; 32];
-        b[0] = 1;
-        assert_eq!(Hash256::from_bytes(b).to_u64_prefix(), 1u64 << 56);
     }
 }

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error returned by [`decode`] when the input is not valid hex.
+/// Error returned by `decode` when the input is not valid hex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseHexError {
     /// The input length is odd or does not match the expected length.

@@ -36,9 +36,9 @@ pub struct HistoryTree {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InclusionProof {
     /// Index of the proven leaf.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Tree size the proof targets.
-    pub tree_size: usize,
+    pub(crate) tree_size: usize,
     /// Audit path, leaf-to-root order.
     pub siblings: Vec<Hash256>,
 }
@@ -47,33 +47,18 @@ pub struct InclusionProof {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConsistencyProof {
     /// Size of the older tree.
-    pub old_size: usize,
+    pub(crate) old_size: usize,
     /// Size of the newer tree.
-    pub new_size: usize,
+    pub(crate) new_size: usize,
     /// Proof hashes per RFC 6962 `PROOF(m, D[n])`.
     pub hashes: Vec<Hash256>,
 }
 
 impl HistoryTree {
-    /// New empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends a pre-hashed leaf, returning its index.
     pub fn push(&mut self, leaf: Hash256) -> usize {
         self.leaves.push(leaf);
         self.leaves.len() - 1
-    }
-
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
     }
 
     fn mth(leaves: &[Hash256]) -> Hash256 {
@@ -90,16 +75,6 @@ impl HistoryTree {
     /// Root over all leaves ([`Hash256::ZERO`] when empty).
     pub fn root(&self) -> Hash256 {
         Self::mth(&self.leaves)
-    }
-
-    /// Root over the first `m` leaves (a historical version).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m > len()`.
-    pub fn root_at(&self, m: usize) -> Hash256 {
-        assert!(m <= self.leaves.len(), "size out of range");
-        Self::mth(&self.leaves[..m])
     }
 
     /// Builds an inclusion proof for leaf `index` against the current
@@ -288,6 +263,18 @@ mod tests {
     use crate::merkle::leaf_hash;
     use proptest::prelude::*;
 
+    impl HistoryTree {
+        /// Root over the first `m` leaves (a historical version).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `m > len()`.
+        fn root_at(&self, m: usize) -> Hash256 {
+            assert!(m <= self.leaves.len(), "size out of range");
+            Self::mth(&self.leaves[..m])
+        }
+    }
+
     fn leaves(n: usize) -> Vec<Hash256> {
         (0..n)
             .map(|i| leaf_hash(&(i as u64).to_be_bytes()))
@@ -305,7 +292,7 @@ mod tests {
         let expect = node_hash(&node_hash(&l[0], &l[1]), &l[2]);
         assert_eq!(tree(3).root(), expect);
         // Empty and single.
-        assert_eq!(HistoryTree::new().root(), Hash256::ZERO);
+        assert_eq!(HistoryTree::default().root(), Hash256::ZERO);
         assert_eq!(tree(1).root(), l[0]);
     }
 

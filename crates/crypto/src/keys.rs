@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::ec::{mul_generator, Affine};
@@ -21,7 +20,7 @@ pub struct SecretKey(U256);
 impl SecretKey {
     /// Derives a secret key deterministically from arbitrary seed bytes by
     /// hashing into the scalar field (rejecting the zero scalar).
-    pub fn from_seed(seed: &[u8]) -> SecretKey {
+    pub(crate) fn from_seed(seed: &[u8]) -> SecretKey {
         let mut counter = 0u32;
         loop {
             let mut data = Vec::with_capacity(seed.len() + 4);
@@ -38,15 +37,8 @@ impl SecretKey {
         }
     }
 
-    /// Generates a fresh random secret key.
-    pub fn generate<R: RngCore>(rng: &mut R) -> SecretKey {
-        let mut seed = [0u8; 32];
-        rng.fill_bytes(&mut seed);
-        SecretKey::from_seed(&seed)
-    }
-
     /// The corresponding public key `d·G`.
-    pub fn public(&self) -> PublicKey {
+    pub(crate) fn public(&self) -> PublicKey {
         PublicKey(mul_generator(&self.0))
     }
 }
@@ -183,7 +175,7 @@ impl fmt::Display for Address {
 /// # Example
 ///
 /// ```
-/// use tn_crypto::keys::Keypair;
+/// use tn_crypto::Keypair;
 /// use tn_crypto::sha256::sha256;
 ///
 /// let kp = Keypair::from_seed(b"alice");
@@ -201,18 +193,6 @@ impl Keypair {
     /// Deterministic key pair from seed bytes.
     pub fn from_seed(seed: &[u8]) -> Keypair {
         let secret = SecretKey::from_seed(seed);
-        let public = secret.public();
-        let address = public.address();
-        Keypair {
-            secret,
-            public,
-            address,
-        }
-    }
-
-    /// Fresh random key pair.
-    pub fn generate<R: RngCore>(rng: &mut R) -> Keypair {
-        let secret = SecretKey::generate(rng);
         let public = secret.public();
         let address = public.address();
         Keypair {
@@ -241,8 +221,6 @@ impl Keypair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn from_seed_is_deterministic() {
@@ -258,14 +236,6 @@ mod tests {
             Keypair::from_seed(b"a").address(),
             Keypair::from_seed(b"b").address()
         );
-    }
-
-    #[test]
-    fn generate_produces_working_keys() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let kp = Keypair::generate(&mut rng);
-        let msg = crate::sha256::sha256(b"m");
-        assert!(kp.public().verify(&msg, &kp.sign(&msg)));
     }
 
     #[test]

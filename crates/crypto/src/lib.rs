@@ -36,7 +36,7 @@
 //! - [`history`]: RFC 6962-style append-only history trees with
 //!   consistency proofs, used by the factual database so clients can audit
 //!   that it only ever grows.
-//! - [`keys`]: key pairs and addresses (hash-of-public-key identities).
+//! - `keys`: key pairs and addresses (hash-of-public-key identities).
 //! - [`hex`]: hexadecimal encoding/decoding helpers.
 //!
 //! # Security note
@@ -57,7 +57,7 @@
 //! # Example
 //!
 //! ```
-//! use tn_crypto::keys::Keypair;
+//! use tn_crypto::Keypair;
 //! use tn_crypto::sha256::sha256;
 //!
 //! let kp = Keypair::from_seed(b"example seed");
@@ -68,13 +68,14 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ec;
 pub mod field;
-pub mod hash;
+mod hash;
 pub mod hex;
 pub mod history;
-pub mod keys;
+mod keys;
 pub mod merkle;
 pub mod msm;
 pub mod schnorr;
@@ -82,7 +83,5 @@ pub mod sha256;
 pub mod u256;
 
 pub use hash::Hash256;
-pub use history::{ConsistencyProof, HistoryTree, InclusionProof};
 pub use keys::{Address, Keypair, PublicKey, SecretKey};
-pub use merkle::{MerkleProof, MerkleTree};
 pub use schnorr::{batch_coefficients, verify_batch, BatchItem, Signature};

@@ -82,13 +82,8 @@ impl MerkleTree {
     }
 
     /// Number of leaves.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.levels.first().map_or(0, Vec::len)
-    }
-
-    /// True when the tree has no leaves.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Builds an inclusion proof for leaf `index`, or `None` if out of
@@ -120,7 +115,7 @@ impl FromIterator<Hash256> for MerkleTree {
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MerkleProof {
     /// Index of the proven leaf.
-    pub index: usize,
+    pub(crate) index: usize,
     /// Sibling hashes, one per tree level (leaf level first).
     pub siblings: Vec<Hash256>,
 }
@@ -139,11 +134,6 @@ impl MerkleProof {
             idx /= 2;
         }
         cur == *root
-    }
-
-    /// Proof size in hashes (tree depth).
-    pub fn depth(&self) -> usize {
-        self.siblings.len()
     }
 }
 
@@ -168,44 +158,6 @@ pub fn merkle_root_of_leaves(mut level: Vec<Hash256>) -> Hash256 {
     level[0]
 }
 
-/// Incrementally maintained append-only Merkle accumulator.
-///
-/// The factual database grows continuously; this structure appends in
-/// amortized O(log n) and recomputes the root lazily, matching the
-/// "factual DB root anchored per block" design.
-#[derive(Clone, Debug, Default)]
-pub struct MerkleAccumulator {
-    leaves: Vec<Hash256>,
-}
-
-impl MerkleAccumulator {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a pre-hashed leaf, returning its index.
-    pub fn push(&mut self, leaf: Hash256) -> usize {
-        self.leaves.push(leaf);
-        self.leaves.len() - 1
-    }
-
-    /// Number of leaves appended so far.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// True when nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
-    }
-
-    /// Current root over all appended leaves.
-    pub fn root(&self) -> Hash256 {
-        merkle_root_of_leaves(self.leaves.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,7 +166,7 @@ mod tests {
     #[test]
     fn empty_tree_zero_root() {
         let t = MerkleTree::from_leaves(vec![]);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.root(), Hash256::ZERO);
         assert!(t.prove(0).is_none());
     }
@@ -292,24 +244,6 @@ mod tests {
         assert_ne!(leaf_hash(&concat), node_hash(&a, &b));
     }
 
-    #[test]
-    fn accumulator_tracks_tree() {
-        let mut acc = MerkleAccumulator::new();
-        assert_eq!(acc.root(), Hash256::ZERO);
-        let mut leaves = Vec::new();
-        for i in 0..10u8 {
-            let l = leaf_hash(&[i]);
-            acc.push(l);
-            leaves.push(l);
-            assert_eq!(acc.root(), MerkleTree::from_leaves(leaves.clone()).root());
-        }
-        assert_eq!(acc.len(), 10);
-        let proof = MerkleTree::from_leaves(leaves.clone())
-            .prove(7)
-            .expect("in range");
-        assert!(proof.verify(&leaves[7], &acc.root()));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -320,7 +254,7 @@ mod tests {
             let i = pick % n;
             let proof = t.prove(i).expect("in range");
             prop_assert!(proof.verify(&leaves[i], &t.root()));
-            prop_assert_eq!(proof.depth(), t.levels.len() - 1);
+            prop_assert_eq!(proof.siblings.len(), t.levels.len() - 1);
         }
 
         #[test]

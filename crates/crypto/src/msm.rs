@@ -391,7 +391,7 @@ fn generator_odd_multiples() -> &'static [[Affine; GEN_ODD_MULTIPLES]; 4] {
 /// (Straus–Shamir). `G` and `λG` add from static width-8 tables; `P` gets
 /// the per-call width-5 table of [`odd_multiples`], and `λP`'s is that
 /// table with every x coordinate multiplied by `β`
-/// ([`Affine::mul_lambda`]). Scalars are taken modulo `n`; `P` must be on
+/// (`Affine::mul_lambda`). Scalars are taken modulo `n`; `P` must be on
 /// the curve (the endomorphism means nothing elsewhere).
 pub fn double_mul_glv(s: &U256, point: &Affine, k: &U256) -> Jacobian {
     let [g, g_lambda, ..] = generator_odd_multiples();

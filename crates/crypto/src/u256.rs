@@ -18,9 +18,8 @@ use crate::hex;
 /// use tn_crypto::u256::U256;
 /// let a = U256::from_u64(7);
 /// let b = U256::from_u64(6);
-/// let (sum, carry) = a.overflowing_add(&b);
-/// assert_eq!(sum, U256::from_u64(13));
-/// assert!(!carry);
+/// assert_eq!(a.wrapping_add(&b), U256::from_u64(13));
+/// assert_eq!(U256::ZERO.wrapping_sub(&U256::from_u64(1)).bits(), 256);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct U256(pub(crate) [u64; 4]);
@@ -49,18 +48,13 @@ impl U256 {
     }
 
     /// Truncates to the low 64 bits.
-    pub const fn as_u64(&self) -> u64 {
+    pub(crate) const fn as_u64(&self) -> u64 {
         self.0[0]
     }
 
     /// True if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.0 == [0, 0, 0, 0]
-    }
-
-    /// True if the value is odd.
-    pub fn is_odd(&self) -> bool {
-        self.0[0] & 1 == 1
     }
 
     /// Parses big-endian bytes (must be exactly 32).
@@ -111,7 +105,7 @@ impl U256 {
 
     /// Addition with carry-out.
     #[allow(clippy::needless_range_loop)]
-    pub fn overflowing_add(&self, other: &U256) -> (U256, bool) {
+    pub(crate) fn overflowing_add(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = 0u64;
         for i in 0..4 {
@@ -125,7 +119,7 @@ impl U256 {
 
     /// Subtraction with borrow-out (`true` when `other > self`).
     #[allow(clippy::needless_range_loop)]
-    pub fn overflowing_sub(&self, other: &U256) -> (U256, bool) {
+    pub(crate) fn overflowing_sub(&self, other: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = 0u64;
         for i in 0..4 {
@@ -149,7 +143,7 @@ impl U256 {
 
     /// Full 256×256→512-bit schoolbook multiplication. Returns little-endian
     /// `(low, high)` 256-bit halves.
-    pub fn widening_mul(&self, other: &U256) -> (U256, U256) {
+    pub(crate) fn widening_mul(&self, other: &U256) -> (U256, U256) {
         let mut acc = [0u64; 8];
         for i in 0..4 {
             let mut carry: u128 = 0;
@@ -174,7 +168,7 @@ impl U256 {
     }
 
     /// Wrapping (mod 2^256) multiplication.
-    pub fn wrapping_mul(&self, other: &U256) -> U256 {
+    pub(crate) fn wrapping_mul(&self, other: &U256) -> U256 {
         self.widening_mul(other).0
     }
 
@@ -220,7 +214,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `i >= 256`.
-    pub fn bit(&self, i: u32) -> bool {
+    pub(crate) fn bit(&self, i: u32) -> bool {
         assert!(i < 256, "bit index out of range");
         (self.0[(i / 64) as usize] >> (i % 64)) & 1 == 1
     }
@@ -241,7 +235,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `divisor == 0`.
-    pub fn div_rem_u64(&self, divisor: u64) -> (U256, u64) {
+    pub(crate) fn div_rem_u64(&self, divisor: u64) -> (U256, u64) {
         assert!(divisor != 0, "division by zero");
         let mut q = [0u64; 4];
         let mut rem: u128 = 0;

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use crate::record::{FactRecord, SourceKind};
 
 /// Topics covered by the synthetic public record.
-pub const TOPICS: [&str; 8] = [
+pub(crate) const TOPICS: [&str; 8] = [
     "economy",
     "energy",
     "health",
@@ -196,8 +196,12 @@ mod tests {
         assert_eq!(db.len(), 120);
         assert!(!db.root().is_zero());
         // Topics drawn from the bank.
-        for t in db.topics() {
-            assert!(TOPICS.contains(&t), "unknown topic {t}");
+        for r in db.iter() {
+            assert!(
+                TOPICS.contains(&r.topic.as_str()),
+                "unknown topic {}",
+                r.topic
+            );
         }
     }
 

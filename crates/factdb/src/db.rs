@@ -65,8 +65,6 @@ pub struct FactualDatabase {
     tree: HistoryTree,
     /// id → index.
     index: HashMap<Hash256, usize>,
-    /// topic → indices.
-    by_topic: HashMap<String, Vec<usize>>,
 }
 
 impl FactualDatabase {
@@ -97,31 +95,14 @@ impl FactualDatabase {
         }
         let idx = self.records.len();
         self.index.insert(id, idx);
-        self.by_topic
-            .entry(record.topic.clone())
-            .or_default()
-            .push(idx);
         self.tree.push(record.leaf_hash());
         self.records.push(record);
         Ok(id)
     }
 
-    /// Looks up a record by id.
-    pub fn get(&self, id: &Hash256) -> Option<&FactRecord> {
-        self.index.get(id).map(|&i| &self.records[i])
-    }
-
     /// True when the record id is present.
     pub fn contains(&self, id: &Hash256) -> bool {
         self.index.contains_key(id)
-    }
-
-    /// All records on a topic, in append order.
-    pub fn by_topic(&self, topic: &str) -> Vec<&FactRecord> {
-        self.by_topic
-            .get(topic)
-            .map(|idxs| idxs.iter().map(|&i| &self.records[i]).collect())
-            .unwrap_or_default()
     }
 
     /// Iterates records in append order.
@@ -133,16 +114,6 @@ impl FactualDatabase {
     /// on-chain). [`Hash256::ZERO`] when empty.
     pub fn root(&self) -> Hash256 {
         self.tree.root()
-    }
-
-    /// The root as of the first `m` records (a historical anchored
-    /// version).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m > len()`.
-    pub fn root_at(&self, m: usize) -> Hash256 {
-        self.tree.root_at(m)
     }
 
     /// Builds an inclusion proof for a record against the *current* root.
@@ -175,23 +146,6 @@ impl FactualDatabase {
             .prove_consistency(old_size)
             .ok_or(FactDbError::NotFound(Hash256::ZERO))
     }
-
-    /// Verifies an append-only consistency proof between two anchored
-    /// roots.
-    pub fn verify_consistency(
-        old_root: &Hash256,
-        new_root: &Hash256,
-        proof: &ConsistencyProof,
-    ) -> bool {
-        HistoryTree::verify_consistency(old_root, new_root, proof)
-    }
-
-    /// Distinct topics present.
-    pub fn topics(&self) -> Vec<&str> {
-        let mut t: Vec<&str> = self.by_topic.keys().map(String::as_str).collect();
-        t.sort_unstable();
-        t
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +153,13 @@ mod tests {
     use super::*;
     use crate::record::SourceKind;
     use proptest::prelude::*;
+
+    impl FactualDatabase {
+        /// Looks up a record by id.
+        fn get(&self, id: &Hash256) -> Option<&FactRecord> {
+            self.index.get(id).map(|&i| &self.records[i])
+        }
+    }
 
     fn record(i: u64) -> FactRecord {
         FactRecord {
@@ -229,17 +190,6 @@ mod tests {
             Err(FactDbError::Duplicate(_))
         ));
         assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn topic_and_speaker_indices() {
-        let mut db = FactualDatabase::new();
-        for i in 0..21 {
-            db.append(record(i)).unwrap();
-        }
-        assert_eq!(db.by_topic("topic-0").len(), 7);
-        assert_eq!(db.topics().len(), 3);
-        assert!(db.by_topic("nope").is_empty());
     }
 
     #[test]

@@ -28,11 +28,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod corpus;
 pub mod db;
 pub mod record;
 
-pub use corpus::{generate_corpus, seeded_database, CorpusConfig};
-pub use db::{FactDbError, FactualDatabase};
 pub use record::{FactRecord, SourceKind};

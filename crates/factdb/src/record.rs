@@ -26,7 +26,7 @@ pub enum SourceKind {
 
 impl SourceKind {
     /// All variants, for iteration in generators and tests.
-    pub const ALL: [SourceKind; 5] = [
+    pub(crate) const ALL: [SourceKind; 5] = [
         SourceKind::LegislativeSpeech,
         SourceKind::PresidentialAddress,
         SourceKind::PublicFigureStatement,
@@ -76,7 +76,7 @@ impl FactRecord {
     }
 
     /// The leaf hash committed in the database's Merkle tree.
-    pub fn leaf_hash(&self) -> Hash256 {
+    pub(crate) fn leaf_hash(&self) -> Hash256 {
         tn_crypto::merkle::leaf_hash(&self.to_bytes())
     }
 }

@@ -173,9 +173,6 @@ pub struct CampaignOutcome {
     pub alert_height: Option<u64>,
     /// Participants the on-chain contract holds quarantined at the end.
     pub quarantined_on_chain: Vec<Address>,
-    /// Participants the out-of-band detector convicted (regardless of
-    /// whether enforcement acted on the verdicts).
-    pub detector_verdicts: Vec<Address>,
     /// Coordinated votes observed across the run.
     pub coordinated_votes: u64,
     /// Total votes observed across the run.
@@ -516,7 +513,6 @@ pub fn run_campaign(
         factual_mean_e4,
         alert_height,
         quarantined_on_chain,
-        detector_verdicts: detector.quarantined(),
         coordinated_votes,
         total_votes,
         fake_reach,
@@ -692,7 +688,6 @@ mod tests {
         let cw = build_campaign_workload(&config, &profile);
         let out = run_campaign(&config, &cw, &profile, &quick_olc()).unwrap();
         assert_eq!(out.alert_height, None, "no false-positive campaign alert");
-        assert!(out.detector_verdicts.is_empty());
         assert!(out.quarantined_on_chain.is_empty());
         assert_eq!(out.coordinated_votes, 0);
         assert!(out.total_votes > 0);

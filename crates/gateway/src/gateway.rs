@@ -54,9 +54,9 @@ pub struct GatewayStats {
     /// Requests shed by a full lane.
     pub shed_queue_full: u64,
     /// Transactions handed to the mempool.
-    pub ingested: u64,
+    pub(crate) ingested: u64,
     /// Of those, accepted by mempool admission.
-    pub mempool_accepted: u64,
+    pub(crate) mempool_accepted: u64,
     /// Of those, rejected by mempool admission (duplicate/nonce/full) —
     /// visible rejections, not queue drops.
     pub mempool_rejected: u64,
@@ -72,7 +72,7 @@ pub struct DrainReport {
     /// Rejected by the mempool.
     pub rejected: usize,
     /// Ingest calls made (each ≤ `ingest_batch` transactions).
-    pub batches: usize,
+    pub(crate) batches: usize,
     /// True when the pass stopped early because the mempool watermark
     /// was reached (backpressure holding work in the bounded lanes).
     pub backpressured: bool,
@@ -134,13 +134,8 @@ impl Gateway {
     /// Records `gateway.admission` / `gateway.ingest` spans to `sink`,
     /// linking each transaction's front-door hops into the same causal
     /// trace the mempool and pipeline continue.
-    pub fn set_trace(&mut self, sink: TraceSink) {
+    pub(crate) fn set_trace(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// Number of ingress lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Transactions currently queued across all lanes.
@@ -179,11 +174,7 @@ impl Gateway {
         } else {
             TraceId::NONE
         };
-        match self.lanes[lane].push(QueuedTx {
-            tx,
-            client,
-            arrival_ns: now_ns,
-        }) {
+        match self.lanes[lane].push(QueuedTx { tx, client }) {
             Ok(()) => {
                 self.stats.admitted += 1;
                 self.telemetry.incr("gateway.admitted");
@@ -349,7 +340,7 @@ mod tests {
             ..cfg()
         })
         .unwrap();
-        assert_eq!(gw.lanes(), 1);
+        assert_eq!(gw.lanes.len(), 1);
     }
 
     #[test]

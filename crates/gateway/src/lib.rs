@@ -14,7 +14,7 @@
 //!   into a [`ValidatorNode`](tn_node::validator::ValidatorNode)'s
 //!   mempool. Once admitted, a transaction is *never* lost: bounded
 //!   lanes push back by refusing new work, not by dropping old work.
-//! - **An open-loop load harness** ([`loadgen`], [`openloop`]): a
+//! - **An open-loop load harness** (`loadgen`, `openloop`): a
 //!   Zipf-popularity workload of submitter/ranker/reader personas (bot
 //!   and honest, per `tn-propagation`'s account model) replayed at a
 //!   configured arrival rate that does **not** slow down when the
@@ -45,29 +45,28 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::error::Error;
 use std::fmt;
 
 pub mod campaign;
-pub mod gateway;
-pub mod limiter;
-pub mod loadgen;
-pub mod openloop;
-pub mod queue;
+mod gateway;
+mod limiter;
+mod loadgen;
+mod openloop;
+mod queue;
 
 pub use campaign::{
     build_campaign_workload, campaign_policy, run_campaign, AttackKind, CampaignOutcome,
     CampaignProfile, CampaignWorkload, RULE_PARTICIPANT_QUARANTINE,
 };
 pub use gateway::{AdmitVerdict, DrainReport, Gateway, GatewayStats};
-pub use limiter::RateLimiter;
 pub use loadgen::{
     build_workload, schedule, Arrival, ClientProfile, LoadProfile, Persona, Request, RequestKind,
     Workload,
 };
 pub use openloop::{run_open_loop, run_open_loop_on, OpenLoopConfig, OpenLoopReport, OpenLoopRun};
-pub use queue::IngressLane;
 
 /// Gateway-layer errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

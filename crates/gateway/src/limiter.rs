@@ -27,7 +27,7 @@ struct Bucket {
 /// second with bursts up to `burst` (clamped to at least 1 so an enabled
 /// limiter can always admit a first request).
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     /// Sustained tokens per second (0 = disabled).
     rate: u64,
     /// Bucket depth in millitokens.
@@ -38,7 +38,7 @@ pub struct RateLimiter {
 impl RateLimiter {
     /// Creates a limiter granting `rate` requests/second with bursts of
     /// `burst` per client.
-    pub fn new(rate: u64, burst: u64) -> RateLimiter {
+    pub(crate) fn new(rate: u64, burst: u64) -> RateLimiter {
         RateLimiter {
             rate,
             burst_milli: burst.max(1).saturating_mul(MILLI),
@@ -50,7 +50,7 @@ impl RateLimiter {
     /// token and returns `true`, or returns `false` when the bucket is
     /// empty. Timestamps may repeat but must not go backwards per client
     /// (a regression is treated as "no time passed").
-    pub fn allow(&mut self, client: u64, now_ns: u64) -> bool {
+    pub(crate) fn allow(&mut self, client: u64, now_ns: u64) -> bool {
         if self.rate == 0 {
             return true;
         }
@@ -78,11 +78,6 @@ impl RateLimiter {
         } else {
             false
         }
-    }
-
-    /// Number of clients with instantiated buckets.
-    pub fn clients(&self) -> usize {
-        self.buckets.len()
     }
 }
 
@@ -141,7 +136,7 @@ mod tests {
         assert!(l.allow(1, 0));
         assert!(!l.allow(1, 0));
         assert!(l.allow(2, 0), "client 2 has its own bucket");
-        assert_eq!(l.clients(), 2);
+        assert_eq!(l.buckets.len(), 2);
     }
 
     #[test]

@@ -149,20 +149,15 @@ impl Workload {
             .filter(|r| matches!(r.kind, RequestKind::Write(_)))
             .count()
     }
-
-    /// Read requests in the stream.
-    pub fn reads(&self) -> usize {
-        self.requests.len() - self.writes()
-    }
 }
 
 /// One scheduled arrival: the request at `index` arrives at `at_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Logical arrival timestamp, nanoseconds from run start.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
     /// Index into [`Workload::requests`].
-    pub index: usize,
+    pub(crate) index: usize,
 }
 
 /// Derives a client's account kind from the profile's bot mix.
@@ -426,7 +421,7 @@ mod tests {
         let wl = build_workload(&PlatformConfig::default(), &small_profile());
         assert!(!wl.setup.is_empty(), "setup prefix");
         assert_eq!(wl.writes(), 40, "every event became a committed write");
-        assert_eq!(wl.reads(), 10);
+        assert_eq!(wl.requests.len() - wl.writes(), 10, "reads");
         assert_eq!(wl.articles, 6);
         for req in &wl.requests {
             if let RequestKind::Write(tx) = &req.kind {

@@ -86,12 +86,10 @@ impl Default for OpenLoopConfig {
 /// Measured outcome of one open-loop run.
 #[derive(Debug, Clone, Default)]
 pub struct OpenLoopReport {
-    /// Offered arrival rate, requests per second.
-    pub offered_tps: f64,
     /// Write requests that reached the gateway.
     pub writes_offered: u64,
     /// Read requests that reached the gateway.
-    pub reads_offered: u64,
+    pub(crate) reads_offered: u64,
     /// Writes admitted into an ingress lane.
     pub admitted: u64,
     /// Writes shed by per-client rate limiting.
@@ -128,7 +126,7 @@ pub struct OpenLoopReport {
     /// Mean commit latency, milliseconds.
     pub mean_ms: f64,
     /// Worst-case commit latency, milliseconds.
-    pub max_ms: f64,
+    pub(crate) max_ms: f64,
     /// Total wall-clock commit service time across all blocks, ms.
     pub service_ms: f64,
 }
@@ -215,7 +213,6 @@ pub fn run_open_loop_on(
 
     let arrivals = schedule(workload, olc.offered_tps, ARRIVAL_SEED);
     let mut report = OpenLoopReport {
-        offered_tps: olc.offered_tps,
         ..OpenLoopReport::default()
     };
     let mut verdicts = Vec::new();

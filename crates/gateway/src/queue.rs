@@ -12,19 +12,16 @@ use tn_chain::prelude::Transaction;
 
 /// One admitted transaction waiting for mempool ingest.
 #[derive(Debug, Clone)]
-pub struct QueuedTx {
+pub(crate) struct QueuedTx {
     /// The admitted transaction.
-    pub tx: Transaction,
+    pub(crate) tx: Transaction,
     /// The submitting client.
-    pub client: u64,
-    /// Logical arrival timestamp (nanoseconds) — carried through ingest
-    /// for stage-latency attribution.
-    pub arrival_ns: u64,
+    pub(crate) client: u64,
 }
 
 /// A bounded FIFO ingress lane.
 #[derive(Debug)]
-pub struct IngressLane {
+pub(crate) struct IngressLane {
     queue: VecDeque<QueuedTx>,
     capacity: usize,
 }
@@ -37,7 +34,7 @@ impl IngressLane {
     /// When `capacity == 0`; [`Gateway::new`](crate::Gateway::new)
     /// rejects that configuration with a typed error before any lane is
     /// built.
-    pub fn new(capacity: usize) -> IngressLane {
+    pub(crate) fn new(capacity: usize) -> IngressLane {
         assert!(capacity > 0, "zero-capacity ingress lane");
         IngressLane {
             // Grown on demand: `capacity` is the shedding bound, and a lane
@@ -50,7 +47,7 @@ impl IngressLane {
     /// Accepts `entry` at the tail, or returns it when the lane is full
     /// (the caller sheds it — visibly — at the door).
     #[allow(clippy::result_large_err)] // channel-style API: a refused entry goes back whole
-    pub fn push(&mut self, entry: QueuedTx) -> Result<(), QueuedTx> {
+    pub(crate) fn push(&mut self, entry: QueuedTx) -> Result<(), QueuedTx> {
         if self.queue.len() >= self.capacity {
             return Err(entry);
         }
@@ -59,23 +56,13 @@ impl IngressLane {
     }
 
     /// Removes and returns the oldest entry.
-    pub fn pop(&mut self) -> Option<QueuedTx> {
+    pub(crate) fn pop(&mut self) -> Option<QueuedTx> {
         self.queue.pop_front()
     }
 
     /// Queued entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -97,7 +84,6 @@ mod tests {
                 },
             ),
             client: 1,
-            arrival_ns: nonce,
         }
     }
 
@@ -106,7 +92,7 @@ mod tests {
         // `capacity` bounds the queue; it is not preallocated.
         let lane = IngressLane::new(1 << 20);
         assert_eq!(lane.queue.capacity(), 0);
-        assert_eq!(lane.capacity(), 1 << 20);
+        assert_eq!(lane.capacity, 1 << 20);
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn push_header(out: &mut String, metric: &str, help: &str, kind: &str) {
 
 /// Maps a series name to a legal Prometheus metric name: `tn_` prefix,
 /// dots and other illegal characters replaced with underscores.
-pub fn metric_name(series: &str) -> String {
+pub(crate) fn metric_name(series: &str) -> String {
     let mut name = String::with_capacity(series.len() + 3);
     name.push_str("tn_");
     for (i, c) in series.chars().enumerate() {

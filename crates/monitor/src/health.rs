@@ -250,7 +250,7 @@ impl ReplicaMonitor {
     }
 
     /// The replica id this monitor watches.
-    pub fn replica(&self) -> usize {
+    pub(crate) fn replica(&self) -> usize {
         self.replica
     }
 
@@ -270,7 +270,7 @@ impl ReplicaMonitor {
     }
 
     /// Health transitions, oldest first (the state machine's history).
-    pub fn transitions(&self) -> &[(u64, HealthState)] {
+    pub(crate) fn transitions(&self) -> &[(u64, HealthState)] {
         &self.transitions
     }
 
@@ -287,7 +287,13 @@ impl ReplicaMonitor {
     /// Applies a cluster-rollup fact: escalates this replica to `state`
     /// (never downgrades) and records `rule` as an externally detected
     /// Firing alert at `tick`.
-    pub fn apply_cluster_fact(&mut self, tick: u64, state: HealthState, rule: &str, value: f64) {
+    pub(crate) fn apply_cluster_fact(
+        &mut self,
+        tick: u64,
+        state: HealthState,
+        rule: &str,
+        value: f64,
+    ) {
         self.engine.push_external(Alert {
             rule: rule.into(),
             tick,
@@ -301,7 +307,7 @@ impl ReplicaMonitor {
 
     /// Records a participant-level fact (e.g. a crowd-rank quarantine
     /// verdict) as an externally detected alert on this replica's
-    /// timeline. Unlike [`ReplicaMonitor::apply_cluster_fact`], the
+    /// timeline. Unlike `ReplicaMonitor::apply_cluster_fact`, the
     /// replica's own health is untouched: a quarantined *participant*
     /// does not make the replica less trustworthy — the timeline just
     /// documents the enforcement next to the rule alerts that led to it.
@@ -318,7 +324,7 @@ impl ReplicaMonitor {
     /// Clears the cluster-rollup override (a later rollup found the
     /// replica back on the quorum, e.g. after catch-up), recording a
     /// Resolved transition for `rule`.
-    pub fn clear_cluster_fact(&mut self, tick: u64, rule: &str) {
+    pub(crate) fn clear_cluster_fact(&mut self, tick: u64, rule: &str) {
         if self.cluster_state == HealthState::Healthy {
             return;
         }

@@ -4,7 +4,7 @@
 //! ([`tn_telemetry`]) to online verdicts. It is organized as four small
 //! layers, each a pure function of the one below:
 //!
-//! 1. [`Tsdb`] — a ring-buffer time-series store fed cumulative
+//! 1. `Tsdb` — a ring-buffer time-series store fed cumulative
 //!    [`Registry`](tn_telemetry::Registry) snapshots on a logical-clock
 //!    tick, retaining per-window deltas.
 //! 2. [`SloRule`] / [`RuleEngine`] — declarative rules (threshold,
@@ -16,7 +16,7 @@
 //!    driven by the built-in rule set plus cross-replica rollup facts
 //!    (height lag, digest divergence), rolled up into a
 //!    [`ClusterHealth`] verdict.
-//! 4. [`expo`] — Prometheus text exposition (with a line-format lint)
+//! 4. `expo` — Prometheus text exposition (with a line-format lint)
 //!    and JSON dumps of series, alerts, and health, plus the merged
 //!    cluster alert-timeline artifact.
 //!
@@ -27,11 +27,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod expo;
-pub mod health;
-pub mod rules;
-pub mod tsdb;
+mod expo;
+mod health;
+mod rules;
+mod tsdb;
 
 pub use expo::{json_dump, lint_prometheus, prometheus_text, timeline_json};
 pub use health::{
@@ -41,4 +42,3 @@ pub use health::{
     RULE_WAL_REPLAY,
 };
 pub use rules::{Alert, AlertState, Cmp, Query, RuleEngine, Severity, SloRule, Transition};
-pub use tsdb::{Tsdb, Window};

@@ -80,7 +80,7 @@ pub enum Query {
 
 impl Query {
     /// Evaluates the query against `tsdb`; `None` means no data.
-    pub fn evaluate(&self, tsdb: &Tsdb) -> Option<f64> {
+    pub(crate) fn evaluate(&self, tsdb: &Tsdb) -> Option<f64> {
         match self {
             Query::Sum { counter, windows } => {
                 tsdb.counter_window(counter, *windows).map(|v| v as f64)
@@ -205,9 +205,9 @@ pub struct Alert {
     pub transition: Transition,
     /// The measured value at the transition (last breached value for
     /// Resolved, where the clearing evaluation may have had no data).
-    pub value: f64,
+    pub(crate) value: f64,
     /// The rule's severity.
-    pub severity: Severity,
+    pub(crate) severity: Severity,
 }
 
 /// Per-rule runtime state.
@@ -219,7 +219,7 @@ struct RuleRuntime {
     last_value: f64,
 }
 
-/// Evaluates a rule set against a [`Tsdb`] each tick, maintaining alert
+/// Evaluates a rule set against a `Tsdb` each tick, maintaining alert
 /// states and an append-only timeline of transitions.
 #[derive(Debug)]
 pub struct RuleEngine {
@@ -230,7 +230,7 @@ pub struct RuleEngine {
 
 impl RuleEngine {
     /// An engine over `rules`.
-    pub fn new(rules: Vec<SloRule>) -> RuleEngine {
+    pub(crate) fn new(rules: Vec<SloRule>) -> RuleEngine {
         let runtime = rules
             .iter()
             .map(|_| RuleRuntime {
@@ -250,7 +250,7 @@ impl RuleEngine {
     /// Evaluates every rule against `tsdb` at logical `tick`, returning
     /// the transitions this evaluation produced (also appended to the
     /// timeline).
-    pub fn evaluate(&mut self, tick: u64, tsdb: &Tsdb) -> Vec<Alert> {
+    pub(crate) fn evaluate(&mut self, tick: u64, tsdb: &Tsdb) -> Vec<Alert> {
         let mut out = Vec::new();
         for (rule, rt) in self.rules.iter().zip(self.runtime.iter_mut()) {
             let value = rule.query.evaluate(tsdb);
@@ -302,12 +302,12 @@ impl RuleEngine {
     }
 
     /// The rules this engine evaluates.
-    pub fn rules(&self) -> &[SloRule] {
+    pub(crate) fn rules(&self) -> &[SloRule] {
         &self.rules
     }
 
     /// Current state of the named rule, if it exists.
-    pub fn state(&self, rule: &str) -> Option<AlertState> {
+    pub(crate) fn state(&self, rule: &str) -> Option<AlertState> {
         self.rules
             .iter()
             .position(|r| r.name == rule)
@@ -315,7 +315,7 @@ impl RuleEngine {
     }
 
     /// Rules currently firing, with their last breached values.
-    pub fn firing(&self) -> Vec<(&SloRule, f64)> {
+    pub(crate) fn firing(&self) -> Vec<(&SloRule, f64)> {
         self.rules
             .iter()
             .zip(&self.runtime)
@@ -325,7 +325,7 @@ impl RuleEngine {
     }
 
     /// The worst severity among currently firing rules, if any fire.
-    pub fn worst_firing(&self) -> Option<Severity> {
+    pub(crate) fn worst_firing(&self) -> Option<Severity> {
         self.firing().iter().map(|(r, _)| r.severity).max()
     }
 
@@ -337,7 +337,7 @@ impl RuleEngine {
     /// Appends an externally detected transition (cluster-rollup facts
     /// like digest divergence are computed outside the per-replica store
     /// but belong on the same timeline).
-    pub fn push_external(&mut self, alert: Alert) {
+    pub(crate) fn push_external(&mut self, alert: Alert) {
         self.timeline.push(alert);
     }
 }

@@ -22,15 +22,13 @@ use tn_telemetry::{HistogramSnapshot, Snapshot};
 /// One retained sampling window: the deltas between two consecutive
 /// cumulative snapshots.
 #[derive(Debug, Clone)]
-pub struct Window {
-    /// Logical tick at which the window closed (the sample's tick).
-    pub tick: u64,
+pub(crate) struct Window {
     /// Counter increments in the window (zero-delta entries omitted; the
     /// series set is tracked separately by the [`Tsdb`]).
-    pub counters: BTreeMap<String, u64>,
+    pub(crate) counters: BTreeMap<String, u64>,
     /// Histogram activity in the window (bucket-count deltas; empty
     /// histograms omitted).
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub(crate) histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 /// Bounded store of per-window metric deltas plus the latest cumulative
@@ -53,7 +51,7 @@ pub struct Tsdb {
 
 impl Tsdb {
     /// A store retaining at most `capacity` windows (minimum 1).
-    pub fn new(capacity: usize) -> Tsdb {
+    pub(crate) fn new(capacity: usize) -> Tsdb {
         Tsdb {
             capacity: capacity.max(1),
             windows: VecDeque::new(),
@@ -72,7 +70,7 @@ impl Tsdb {
     ///
     /// Ticks are expected to be non-decreasing; a stale tick is clamped
     /// to the previous one rather than reordering the ring.
-    pub fn sample(&mut self, tick: u64, snapshot: Snapshot) {
+    pub(crate) fn sample(&mut self, tick: u64, snapshot: Snapshot) {
         let tick = tick.max(self.last_tick);
         let mut counters = BTreeMap::new();
         let mut histograms = BTreeMap::new();
@@ -102,7 +100,6 @@ impl Tsdb {
             self.windows.pop_front();
         }
         self.windows.push_back(Window {
-            tick,
             counters,
             histograms,
         });
@@ -111,43 +108,28 @@ impl Tsdb {
         self.samples += 1;
     }
 
-    /// Number of currently retained windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// True before the first sample.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Total samples ever taken, including evicted windows.
     pub fn samples_total(&self) -> u64 {
         self.samples
     }
 
     /// Tick of the most recent sample (0 before the first).
-    pub fn last_tick(&self) -> u64 {
+    pub(crate) fn last_tick(&self) -> u64 {
         self.last_tick
     }
 
-    /// The retained windows, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &Window> {
-        self.windows.iter()
-    }
-
     /// Every counter series name ever observed, sorted.
-    pub fn counter_names(&self) -> impl Iterator<Item = &String> {
+    pub(crate) fn counter_names(&self) -> impl Iterator<Item = &String> {
         self.counter_names.iter()
     }
 
     /// Every histogram series name ever observed, sorted.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &String> {
+    pub(crate) fn histogram_names(&self) -> impl Iterator<Item = &String> {
         self.histogram_names.iter()
     }
 
     /// The latest cumulative value of a counter, if the series is known.
-    pub fn counter_latest(&self, name: &str) -> Option<u64> {
+    pub(crate) fn counter_latest(&self, name: &str) -> Option<u64> {
         self.last.as_ref()?.counter(name).or({
             // Known series absent from the latest snapshot (cannot happen
             // with a monotone registry, but be conservative).
@@ -164,7 +146,7 @@ impl Tsdb {
     /// `Some(0)` means the series is known and was quiet; `None` means the
     /// series has never appeared in any sample (a rule evaluating it has
     /// no data).
-    pub fn counter_window(&self, name: &str, windows: usize) -> Option<u64> {
+    pub(crate) fn counter_window(&self, name: &str, windows: usize) -> Option<u64> {
         if !self.counter_names.contains(name) {
             return None;
         }
@@ -179,7 +161,7 @@ impl Tsdb {
     /// `windows` windows (bucket deltas summed across windows). `None`
     /// when the series has never appeared; an empty distribution when it
     /// was quiet.
-    pub fn histogram_window(&self, name: &str, windows: usize) -> Option<HistogramSnapshot> {
+    pub(crate) fn histogram_window(&self, name: &str, windows: usize) -> Option<HistogramSnapshot> {
         if !self.histogram_names.contains(name) {
             return None;
         }
@@ -197,7 +179,7 @@ impl Tsdb {
     /// [`HistogramSnapshot::quantile`]). `None` when the series is
     /// unknown **or** recorded no samples in the window — a latency rule
     /// has no data on an idle series, which must not read as "latency 0".
-    pub fn quantile_window(&self, name: &str, q: f64, windows: usize) -> Option<u64> {
+    pub(crate) fn quantile_window(&self, name: &str, q: f64, windows: usize) -> Option<u64> {
         let merged = self.histogram_window(name, windows)?;
         if merged.count == 0 {
             return None;
@@ -273,7 +255,7 @@ mod tests {
             sink.incr("ticks");
             tsdb.sample(t, registry.snapshot());
         }
-        assert_eq!(tsdb.len(), 2);
+        assert_eq!(tsdb.windows.len(), 2);
         assert_eq!(tsdb.samples_total(), 5);
         // Only the last two windows (one increment each) remain.
         assert_eq!(tsdb.counter_window("ticks", 10), Some(2));

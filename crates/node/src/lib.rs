@@ -13,7 +13,7 @@
 //!   [`FaultPlan`](tn_consensus::fault::FaultPlan): scheduled crashes,
 //!   partitions, loss windows, and byzantine modes, with per-replica
 //!   fault reports and quarantine verdicts in the result.
-//! - [`statesync`]: [`catch_up`] — a recovered
+//! - `statesync`: [`catch_up`] — a recovered
 //!   replica fetches missing canonical blocks from peers at the agreed
 //!   digest, verifying each before applying.
 //! - [`workload`]: scripted, replayable platform traffic for cluster
@@ -36,9 +36,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod network;
-pub mod statesync;
+mod statesync;
 pub mod validator;
 pub mod workload;
 

@@ -114,8 +114,6 @@ pub enum ReplicaVerdict {
 /// What the crash-recovery path did for one restarted replica.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
-    /// Size of the ledger snapshot the replica restarted from.
-    pub snapshot_bytes: usize,
     /// True when the restored pipeline reproduced the pre-restart
     /// execution digest (projections rebuilt via the replay path).
     pub digest_intact: bool,
@@ -128,13 +126,7 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone)]
 pub struct FaultReport {
     /// Replica id.
-    pub replica: usize,
-    /// The fault plan crashed this replica at some point.
-    pub crashed: bool,
-    /// The fault plan restarted it after a crash.
-    pub revived: bool,
-    /// The fault plan gave it a byzantine mode.
-    pub byzantine: bool,
+    pub(crate) replica: usize,
     /// Crash-recovery details for revived replicas.
     pub recovery: Option<RecoveryReport>,
     /// Final relation to the quorum digest.
@@ -376,7 +368,6 @@ fn run_cluster(
             metrics: recovered.metrics_snapshot(),
         };
         recoveries[id] = Some(RecoveryReport {
-            snapshot_bytes: snapshot.len(),
             digest_intact,
             catchup,
         });
@@ -424,14 +415,6 @@ fn run_cluster(
             };
             FaultReport {
                 replica: id,
-                crashed: config.faults.crashed_replicas().contains(&id),
-                revived: config
-                    .faults
-                    .revived_replicas()
-                    .iter()
-                    .any(|&(r, _)| r == id),
-                byzantine: config.faults.byz_mode_of(id) != tn_consensus::pbft::ByzMode::Honest
-                    || config.faults.poa_mode_of(id) != tn_consensus::poa::PoaMode::Honest,
                 recovery: recoveries[id].clone(),
                 verdict,
             }
@@ -779,7 +762,6 @@ mod tests {
         }
         // The crashed replica holds a prefix of the agreed chain: behind,
         // reconcilable, not quarantined.
-        assert!(run.fault_reports[3].crashed);
         assert_eq!(run.fault_reports[3].verdict, ReplicaVerdict::Lagging);
         assert_eq!(run.verdict, ClusterVerdict::Partial);
         assert!(run.quarantined().is_empty());
@@ -872,7 +854,6 @@ mod tests {
         assert_eq!(run.verdict, ClusterVerdict::Partial);
         assert_eq!(run.quarantined(), vec![3]);
         assert_eq!(run.fault_reports[3].verdict, ReplicaVerdict::Quarantined);
-        assert!(run.fault_reports[3].byzantine);
         let quorum = match run.quorum_digest() {
             Some(d) => d,
             None => return Err("honest majority lost quorum".into()),

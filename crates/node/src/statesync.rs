@@ -54,20 +54,20 @@ impl Error for SyncError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatchupReport {
     /// The recovering replica.
-    pub replica: usize,
+    pub(crate) replica: usize,
     /// The peer that served the blocks (the first at the target digest
     /// that worked), if any.
-    pub peer: Option<usize>,
+    pub(crate) peer: Option<usize>,
     /// Replica chain height before catch-up.
-    pub from_height: u64,
+    pub(crate) from_height: u64,
     /// Replica chain height after catch-up.
-    pub to_height: u64,
+    pub(crate) to_height: u64,
     /// Canonical blocks fetched from peers across all attempts.
-    pub blocks_fetched: usize,
+    pub(crate) blocks_fetched: usize,
     /// Blocks that passed verification and were applied.
     pub blocks_applied: usize,
     /// Blocks rejected by verification (tampered or mislinked).
-    pub rejected_blocks: usize,
+    pub(crate) rejected_blocks: usize,
     /// True when the replica reports the target digest afterwards.
     pub converged: bool,
 }

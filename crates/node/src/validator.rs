@@ -61,9 +61,9 @@ pub struct BatchOutcome {
     pub included: usize,
     /// Decoded transactions dropped by block proposal (invalid nonce,
     /// unfundable fee, …) — identically dropped on every replica.
-    pub dropped: usize,
+    pub(crate) dropped: usize,
     /// Payloads that did not decode as transactions.
-    pub undecodable: usize,
+    pub(crate) undecodable: usize,
     /// Included transactions whose execution failed (still on-chain).
     pub failed: usize,
 }
@@ -232,7 +232,7 @@ impl ValidatorNode {
 
     /// Mutable access to the health plane (cluster rollups escalate
     /// replica state through it), if enabled.
-    pub fn monitor_mut(&mut self) -> Option<&mut ReplicaMonitor> {
+    pub(crate) fn monitor_mut(&mut self) -> Option<&mut ReplicaMonitor> {
         self.monitor.as_mut()
     }
 
@@ -250,7 +250,7 @@ impl ValidatorNode {
     /// returns the alert transitions it produced (empty when the monitor
     /// is disabled). Runs automatically at every commit; callers may also
     /// invoke it on quiet replicas (e.g. a crashed node's last state).
-    pub fn monitor_tick(&mut self) -> Vec<Alert> {
+    pub(crate) fn monitor_tick(&mut self) -> Vec<Alert> {
         match self.monitor.as_mut() {
             Some(monitor) => {
                 let tick = self.pipeline.store().height();
@@ -384,7 +384,7 @@ impl ValidatorNode {
     }
 
     /// True when the node's store holds `id` (canonical or fork).
-    pub fn has_block(&self, id: &Hash256) -> bool {
+    pub(crate) fn has_block(&self, id: &Hash256) -> bool {
         self.pipeline.store().contains(id)
     }
 

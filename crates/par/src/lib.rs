@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 /// The worker count the store verifies with: always one.
 #[derive(Debug, Clone, Copy, Default)]

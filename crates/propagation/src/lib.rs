@@ -7,11 +7,10 @@
 //! account models (per its citations) and intervention policies, and the
 //! E5 race harness that tests the promise.
 //!
-//! - [`network`]: Barabási–Albert, Watts–Strogatz and Erdős–Rényi graph
-//!   generators.
+//! - [`network`]: Barabási–Albert and Watts–Strogatz graph generators.
 //! - [`cascade`]: independent-cascade spreading with account-type
 //!   amplification, flagging multipliers and source blocking.
-//! - [`popularity`]: Zipf-skewed item popularity for reader/ranker load
+//! - `popularity`: Zipf-skewed item popularity for reader/ranker load
 //!   generation.
 //! - [`race`]: the fake-vs-factual race under platform interventions.
 //!
@@ -28,16 +27,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cascade;
 pub mod network;
-pub mod popularity;
+mod popularity;
 pub mod race;
 
 pub use cascade::{
     assign_accounts, independent_cascade, independent_cascade_with_receptivity, AccountKind,
     CascadeConfig, CascadeError, CascadeResult,
 };
-pub use network::{barabasi_albert, erdos_renyi, watts_strogatz, SocialGraph};
 pub use popularity::ZipfSampler;
-pub use race::{run_race, Intervention, RaceConfig, RaceResult};

@@ -1,10 +1,10 @@
 //! Social-network graph generators.
 //!
-//! The propagation experiments need realistic network topologies. Three
+//! The propagation experiments need realistic network topologies. Two
 //! classic generators are provided: Barabási–Albert preferential
-//! attachment (heavy-tailed degrees, like follower graphs — the default),
-//! Watts–Strogatz small worlds, and Erdős–Rényi random graphs as a
-//! control.
+//! attachment (heavy-tailed degrees, like follower graphs — the default)
+//! and Watts–Strogatz small worlds. The unit tests add Erdős–Rényi random
+//! graphs as a control.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +39,7 @@ impl SocialGraph {
     }
 
     /// Neighbors of node `v`.
-    pub fn neighbors(&self, v: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[usize] {
         &self.adj[v]
     }
 
@@ -174,25 +174,6 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> SocialGraph {
     g
 }
 
-/// Erdős–Rényi G(n, p).
-///
-/// # Panics
-///
-/// Panics unless `0.0 <= p <= 1.0`.
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> SocialGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = SocialGraph::with_nodes(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen_bool(p) {
-                g.add_edge(a, b);
-            }
-        }
-    }
-    g
-}
-
 /// Watts–Strogatz small world: ring lattice with `k` nearest neighbors
 /// per side, each edge rewired with probability `beta`.
 ///
@@ -233,6 +214,25 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> SocialGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Erdős–Rényi G(n, p).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`.
+    fn erdos_renyi(n: usize, p: f64, seed: u64) -> SocialGraph {
+        assert!((0.0..=1.0).contains(&p), "p must be a probability");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = SocialGraph::with_nodes(n);
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if rng.gen_bool(p) {
+                    g.add_edge(a, b);
+                }
+            }
+        }
+        g
+    }
 
     #[test]
     fn ba_basic_properties() {

@@ -52,30 +52,10 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when the sampler has no ranks (never: construction forbids
-    /// it), provided for API completeness alongside [`ZipfSampler::len`].
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws one rank in `0..len()` from `rng`.
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&p| p < u).min(self.cdf.len() - 1)
-    }
-
-    /// Probability mass of `rank` (0 for out-of-range ranks).
-    pub fn mass(&self, rank: usize) -> f64 {
-        match rank {
-            0 => self.cdf.first().copied().unwrap_or(0.0),
-            k if k < self.cdf.len() => self.cdf[k] - self.cdf[k - 1],
-            _ => 0.0,
-        }
     }
 }
 
@@ -84,6 +64,22 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl ZipfSampler {
+        /// Number of ranks.
+        fn len(&self) -> usize {
+            self.cdf.len()
+        }
+
+        /// Probability mass of `rank` (0 for out-of-range ranks).
+        fn mass(&self, rank: usize) -> f64 {
+            match rank {
+                0 => self.cdf.first().copied().unwrap_or(0.0),
+                k if k < self.cdf.len() => self.cdf[k] - self.cdf[k - 1],
+                _ => 0.0,
+            }
+        }
+    }
 
     #[test]
     fn masses_sum_to_one_and_decrease() {

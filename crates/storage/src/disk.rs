@@ -199,7 +199,7 @@ impl DiskBackend {
     ///
     /// [`StorageError::Invalid`] when `dir` is non-empty,
     /// [`StorageError::Io`] on filesystem failure.
-    pub fn create(dir: &Path, cfg: &StorageConfig) -> Result<Self, StorageError> {
+    pub(crate) fn create(dir: &Path, cfg: &StorageConfig) -> Result<Self, StorageError> {
         if dir.exists() && fs::read_dir(dir)?.next().is_some() {
             return Err(StorageError::Invalid(format!(
                 "refusing to initialize non-empty directory {}",

@@ -29,11 +29,12 @@
 //!    never deleted: full-history audits need every block.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod disk;
-pub mod mem;
-pub mod record;
+mod disk;
+mod mem;
+mod record;
 
 use std::error::Error;
 use std::fmt;

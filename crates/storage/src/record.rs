@@ -60,7 +60,7 @@ pub(crate) struct Reader<'a> {
 /// requires (the CRC framing means this indicates an engine bug or
 /// deliberate tampering rather than a torn write).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError(pub(crate) &'static str);
+pub(crate) struct DecodeError(pub(crate) &'static str);
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -117,7 +117,7 @@ impl<'a> Reader<'a> {
 
 impl BlockRecord {
     /// Encodes the record for framing into the WAL or a segment.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(88 + self.block_bytes.len() + self.receipts_bytes.len());
         put_u64(&mut out, self.height);
         out.extend_from_slice(&self.id);
@@ -132,7 +132,7 @@ impl BlockRecord {
     /// # Errors
     ///
     /// [`DecodeError`] when the buffer does not parse exactly.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
+    pub(crate) fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
         let height = r.u64()?;
         let id = r.key()?;
@@ -178,7 +178,7 @@ const fn crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc_table();
 
 /// CRC-32 (IEEE) over `data` — the checksum guarding every on-disk frame.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

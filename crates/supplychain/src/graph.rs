@@ -49,7 +49,7 @@ pub struct ParentRef {
     /// Parent item id.
     pub id: Hash256,
     /// Operation that derived this item from the parent.
-    pub op: PropagationOp,
+    pub(crate) op: PropagationOp,
     /// Measured modification degree in `[0, 1]` (0 = verbatim).
     pub modification: f64,
 }
@@ -66,13 +66,13 @@ pub struct NewsItem {
     /// Topic label.
     pub topic: String,
     /// News room the item was published into.
-    pub room: u64,
+    pub(crate) room: u64,
     /// Parent edges (empty for original, unsourced claims).
     pub parents: Vec<ParentRef>,
     /// True for factual-database root nodes.
     pub is_fact_root: bool,
     /// Publication time.
-    pub published_at: u64,
+    pub(crate) published_at: u64,
 }
 
 /// Computes the content-addressed id of an item from its identity fields.
@@ -131,11 +131,11 @@ pub struct TraceSummary {
     /// True when at least one path reaches a fact root.
     pub reaches_root: bool,
     /// Best path quality, as [`TraceResult::score`].
-    pub score: f64,
+    pub(crate) score: f64,
     /// Hop count of the best-scoring path (None when unreachable).
-    pub distance: Option<usize>,
+    pub(crate) distance: Option<usize>,
     /// Sum of modification degrees along the best path.
-    pub cumulative_modification: f64,
+    pub(crate) cumulative_modification: f64,
 }
 
 impl TraceSummary {
@@ -633,17 +633,17 @@ impl SupplyChainGraph {
     }
 }
 
+/// Notes one arena node or expertise row read; nothing outside tests.
+pub(crate) fn count_visit() {
+    #[cfg(test)]
+    NODE_VISITS.with(|visits| visits.set(visits.get() + 1));
+}
+
 #[cfg(test)]
 thread_local! {
     /// Arena nodes and tally rows read on this thread. Tests read it to
     /// show that a provenance read visits its answer and nothing else.
     static NODE_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Notes one arena node or expertise row read; nothing outside tests.
-pub(crate) fn count_visit() {
-    #[cfg(test)]
-    NODE_VISITS.with(|visits| visits.set(visits.get() + 1));
 }
 
 #[cfg(test)]

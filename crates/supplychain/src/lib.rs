@@ -42,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod expert;
 pub mod graph;
@@ -53,6 +54,4 @@ pub mod synth;
 pub mod text;
 
 pub use graph::{GraphError, NewsItem, ParentRef, SupplyChainGraph, TraceResult, TraceSummary};
-pub use index::{index_chain, IndexStats, NewsEvent};
 pub use ops::PropagationOp;
-pub use synth::{generate, SynthChain, SynthConfig};

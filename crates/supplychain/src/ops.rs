@@ -34,7 +34,7 @@ pub enum PropagationOp {
 
 impl PropagationOp {
     /// All operations, for iteration.
-    pub const ALL: [PropagationOp; 6] = [
+    pub(crate) const ALL: [PropagationOp; 6] = [
         PropagationOp::Relay,
         PropagationOp::Cite,
         PropagationOp::Mix,
@@ -56,26 +56,18 @@ impl PropagationOp {
     }
 
     /// Decodes a wire tag.
-    pub fn from_tag(t: u8) -> Option<PropagationOp> {
+    pub(crate) fn from_tag(t: u8) -> Option<PropagationOp> {
         PropagationOp::ALL.get(t as usize).copied()
-    }
-
-    /// How many parent items the operation takes.
-    pub fn arity(self) -> usize {
-        match self {
-            PropagationOp::Mix | PropagationOp::Merge => 2,
-            _ => 1,
-        }
     }
 }
 
 /// Verbatim relay.
-pub fn relay(parent: &str) -> String {
+pub(crate) fn relay(parent: &str) -> String {
     parent.to_string()
 }
 
 /// Extracts a random contiguous run of at least half the sentences.
-pub fn split<R: Rng>(parent: &str, rng: &mut R) -> String {
+pub(crate) fn split<R: Rng>(parent: &str, rng: &mut R) -> String {
     let sents = sentences(parent);
     if sents.len() <= 1 {
         return parent.to_string();
@@ -86,7 +78,7 @@ pub fn split<R: Rng>(parent: &str, rng: &mut R) -> String {
 }
 
 /// Interleaves sentences from two parents.
-pub fn mix<R: Rng>(a: &str, b: &str, rng: &mut R) -> String {
+pub(crate) fn mix<R: Rng>(a: &str, b: &str, rng: &mut R) -> String {
     let sa = sentences(a);
     let sb = sentences(b);
     let mut out = Vec::with_capacity(sa.len() + sb.len());
@@ -108,7 +100,7 @@ pub fn mix<R: Rng>(a: &str, b: &str, rng: &mut R) -> String {
 }
 
 /// Concatenates two parents.
-pub fn merge(a: &str, b: &str) -> String {
+pub(crate) fn merge(a: &str, b: &str) -> String {
     let mut out = a.trim_end().to_string();
     if !out.ends_with('.') {
         out.push('.');
@@ -135,7 +127,7 @@ pub fn insert<R: Rng>(parent: &str, injected: &[&str], rng: &mut R) -> String {
 /// unverifiable claims in the style the paper attributes to fabricated
 /// stories ("the content of the news is often easy to carry personal
 /// emotions and intentions, using the words of negative emotions", §I).
-pub const FAKE_INJECTIONS: [&str; 10] = [
+pub(crate) const FAKE_INJECTIONS: [&str; 10] = [
     "Insiders warn this is a shocking corrupt cover-up",
     "Anonymous sources claim the real numbers are being hidden",
     "This outrageous betrayal will destroy ordinary families",
@@ -149,7 +141,7 @@ pub const FAKE_INJECTIONS: [&str; 10] = [
 ];
 
 /// Neutral filler used by honest paraphrasers.
-pub const NEUTRAL_INJECTIONS: [&str; 6] = [
+pub(crate) const NEUTRAL_INJECTIONS: [&str; 6] = [
     "Officials provided additional context at the briefing",
     "The full document is available in the public record",
     "Analysts noted the measure follows earlier proposals",
@@ -193,6 +185,16 @@ mod tests {
     use crate::text::{modification_degree, similarity};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl PropagationOp {
+        /// How many parent items the operation takes.
+        fn arity(self) -> usize {
+            match self {
+                PropagationOp::Mix | PropagationOp::Merge => 2,
+                _ => 1,
+            }
+        }
+    }
 
     const PARENT: &str = "The committee approved the solar subsidy amendment. \
         The vote passed with a clear majority. The minister welcomed the outcome. \

@@ -38,7 +38,7 @@ impl Stage {
     ];
 
     /// The next stage, or `None` after retail.
-    pub fn next(self) -> Option<Stage> {
+    pub(crate) fn next(self) -> Option<Stage> {
         let i = Stage::PIPELINE
             .iter()
             .position(|s| *s == self)
@@ -51,13 +51,13 @@ impl Stage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessStep {
     /// Item being tracked.
-    pub item: Hash256,
+    pub(crate) item: Hash256,
     /// Stage completed.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// Participant that performed the stage.
-    pub actor: Address,
+    pub(crate) actor: Address,
     /// Logical time.
-    pub at: u64,
+    pub(crate) at: u64,
 }
 
 /// Errors for the process chain.

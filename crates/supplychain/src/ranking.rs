@@ -67,7 +67,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Pearson correlation (0.0 for zero-variance inputs).
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn pearson(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "samples must have equal length");
     let n = a.len() as f64;
     if a.is_empty() {

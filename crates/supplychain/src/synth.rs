@@ -77,10 +77,6 @@ pub struct SynthChain {
     pub truth: HashMap<Hash256, ItemTruth>,
     /// Honest account addresses.
     pub honest: Vec<Address>,
-    /// Faker account addresses.
-    pub fakers: Vec<Address>,
-    /// Fact-root ids in the graph.
-    pub roots: Vec<Hash256>,
 }
 
 const FABRICATED_TEMPLATES: [&str; 6] = [
@@ -225,8 +221,6 @@ pub fn generate(config: &SynthConfig) -> SynthChain {
         graph,
         truth,
         honest,
-        fakers,
-        roots,
     }
 }
 

@@ -132,7 +132,7 @@ pub fn modification_degree(parent: &str, derived: &str) -> f64 {
 
 /// Splits text into sentences on `.`, `!`, `?` boundaries (trimmed,
 /// non-empty).
-pub fn sentences(text: &str) -> Vec<String> {
+pub(crate) fn sentences(text: &str) -> Vec<String> {
     text.split(['.', '!', '?'])
         .map(str::trim)
         .filter(|s| !s.is_empty())

@@ -8,28 +8,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// synchronization primitives, and one `fetch_add` is the entire cost of
 /// an enabled-telemetry increment.
 #[derive(Debug, Default)]
-pub struct Counter {
+pub(crate) struct Counter {
     value: AtomicU64,
 }
 
 impl Counter {
     /// A counter starting at zero.
-    pub fn new() -> Counter {
+    pub(crate) fn new() -> Counter {
         Counter::default()
     }
 
     /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
+    pub(crate) fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one to the counter.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -43,7 +38,7 @@ mod tests {
     fn add_and_get() {
         let c = Counter::new();
         assert_eq!(c.get(), 0);
-        c.incr();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
     }
@@ -56,7 +51,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 })
             })

@@ -9,12 +9,12 @@ use std::time::Instant;
 pub struct Event {
     /// Monotonically increasing sequence number, starting at 0, counting
     /// every event ever pushed (including ones since evicted).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Microseconds since the ring was created. Strictly monotonic: each
     /// push is stamped at least one microsecond after the previous one,
     /// so `at_micros` order always agrees with `seq` (push) order even
     /// when the clock's resolution can't separate two pushes.
-    pub at_micros: u64,
+    pub(crate) at_micros: u64,
     /// Short machine-readable kind, e.g. `"view_change"`.
     pub kind: String,
     /// Free-form human-readable detail.
@@ -26,7 +26,7 @@ pub struct Event {
 /// When full, pushing evicts the oldest event; `seq` keeps counting so a
 /// reader can tell how many events were dropped.
 #[derive(Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     origin: Instant,
     capacity: usize,
     inner: Mutex<RingState>,
@@ -43,7 +43,7 @@ struct RingState {
 
 impl EventRing {
     /// A ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> EventRing {
+    pub(crate) fn new(capacity: usize) -> EventRing {
         EventRing {
             origin: Instant::now(),
             capacity: capacity.max(1),
@@ -58,7 +58,7 @@ impl EventRing {
     /// Records an event, evicting the oldest if the ring is full. The
     /// timestamp is assigned under the ring lock and forced strictly past
     /// the previous event's, so timestamp order always matches push order.
-    pub fn push(&self, kind: &str, detail: String) {
+    pub(crate) fn push(&self, kind: &str, detail: String) {
         let elapsed = self.origin.elapsed().as_micros() as u64;
         let mut state = self.inner.lock().expect("event ring poisoned");
         let at_micros = if state.next_seq == 0 {
@@ -81,12 +81,12 @@ impl EventRing {
     }
 
     /// Total number of events ever pushed (including evicted ones).
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.inner.lock().expect("event ring poisoned").next_seq
     }
 
     /// The retained events, oldest first.
-    pub fn drain_snapshot(&self) -> Vec<Event> {
+    pub(crate) fn drain_snapshot(&self) -> Vec<Event> {
         self.inner
             .lock()
             .expect("event ring poisoned")

@@ -15,14 +15,14 @@
 //!
 //! Key types:
 //!
-//! - [`Counter`]: a monotonically increasing atomic counter.
+//! - `Counter`: a monotonically increasing atomic counter.
 //! - [`Histogram`]: a fixed-bucket (power-of-two) histogram with atomic
 //!   buckets, suitable for latency and size distributions; snapshots
 //!   estimate p50/p95/p99 from the buckets.
 //! - [`Span`]: a monotonic timer guard that records its elapsed
 //!   nanoseconds into a histogram when dropped.
-//! - [`EventRing`]: a bounded ring buffer of structured
-//!   [`Event`]s (kind + detail + relative timestamp).
+//! - `EventRing`: a bounded ring buffer of structured
+//!   `Event`s (kind + detail + relative timestamp).
 //! - [`Registry`]: owns the named metrics and produces [`Snapshot`]s.
 //! - [`TelemetrySink`]: the cheap, cloneable handle instrumented code
 //!   holds. A disabled sink (the default) makes every operation an
@@ -53,15 +53,14 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod counter;
-pub mod events;
-pub mod histogram;
-pub mod registry;
-pub mod sink;
+mod counter;
+mod events;
+mod histogram;
+mod registry;
+mod sink;
 
-pub use counter::Counter;
-pub use events::{Event, EventRing};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{json_string, Registry, Snapshot};
 pub use sink::{Span, TelemetrySink};

@@ -54,7 +54,7 @@ impl Inner {
     }
 }
 
-/// Owns a set of named [`Counter`]s, [`Histogram`]s, and an event ring,
+/// Owns a set of named `Counter`s, [`Histogram`]s, and an event ring,
 /// and produces [`Snapshot`]s of them.
 ///
 /// Metrics are created lazily on first use by name; a `Registry` is cheap
@@ -121,7 +121,7 @@ pub struct Snapshot {
     /// Retained structured events, oldest first.
     pub events: Vec<Event>,
     /// Total events ever recorded (including evicted ones).
-    pub events_total: u64,
+    pub(crate) events_total: u64,
 }
 
 impl Snapshot {

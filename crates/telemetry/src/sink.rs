@@ -81,13 +81,6 @@ pub struct Span {
     target: Option<(Arc<Histogram>, Instant)>,
 }
 
-impl Span {
-    /// Drops the span without recording anything.
-    pub fn cancel(mut self) {
-        self.target = None;
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((histogram, started)) = self.target.take() {
@@ -100,6 +93,13 @@ impl Drop for Span {
 mod tests {
     use super::*;
     use crate::Registry;
+
+    impl Span {
+        /// Drops the span without recording anything.
+        fn cancel(mut self) {
+            self.target = None;
+        }
+    }
 
     #[test]
     fn disabled_sink_records_nothing_and_skips_detail() {

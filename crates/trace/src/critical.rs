@@ -17,7 +17,7 @@ use crate::trace::Trace;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageBreakdown {
     /// The root span name the breakdown was computed for.
-    pub root_name: String,
+    pub(crate) root_name: String,
     /// Number of root spans found.
     pub roots: usize,
     /// Sum of all root durations, nanoseconds.
@@ -91,7 +91,7 @@ impl Trace {
     /// Attributes the total duration of every span named `root_name` to
     /// its direct children (clipped to the parent interval), summing per
     /// stage name across all roots. The residue lands in
-    /// [`StageBreakdown::other_ns`].
+    /// `StageBreakdown::other_ns`.
     pub fn commit_breakdown(&self, root_name: &str) -> StageBreakdown {
         let mut stages: BTreeMap<String, u64> = BTreeMap::new();
         let mut total_ns = 0u64;

@@ -90,7 +90,7 @@ impl TraceId {
     }
 
     /// Lower-case hex rendering (no `0x` prefix), as used in exports.
-    pub fn to_hex(&self) -> String {
+    pub(crate) fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
 }

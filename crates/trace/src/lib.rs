@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod critical;
 mod export;
@@ -39,7 +40,6 @@ mod span;
 mod trace;
 mod tracer;
 
-pub use critical::StageBreakdown;
 pub use id::{replica_span_id, span_id, SpanContext, TraceId};
 pub use span::{lanes, SpanRecord};
 pub use trace::Trace;

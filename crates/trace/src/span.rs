@@ -24,13 +24,13 @@ pub mod lanes {
     pub const CONTRACTS: &str = "contracts";
 
     /// Every lane, in the fixed display order used by the exporter.
-    pub const ALL: [&str; 7] = [
+    pub(crate) const ALL: [&str; 7] = [
         ADMISSION, CONSENSUS, PIPELINE, VERIFY, EXECUTE, PROJECTION, CONTRACTS,
     ];
 }
 
 /// Annotations a span can carry inline (see [`SpanArgs`]).
-pub const MAX_ARGS: usize = 4;
+pub(crate) const MAX_ARGS: usize = 4;
 
 /// Numeric key/value annotations stored inline in the record, so the
 /// record path never heap-allocates for them. At most [`MAX_ARGS`]
@@ -44,7 +44,7 @@ pub struct SpanArgs {
 
 impl SpanArgs {
     /// Copies up to [`MAX_ARGS`] entries from `args`.
-    pub fn new(args: &[(&'static str, u64)]) -> SpanArgs {
+    pub(crate) fn new(args: &[(&'static str, u64)]) -> SpanArgs {
         let mut out = SpanArgs::default();
         for &(k, v) in args.iter().take(MAX_ARGS) {
             out.items[out.len as usize] = (k, v);
@@ -54,12 +54,12 @@ impl SpanArgs {
     }
 
     /// The stored annotations, in insertion order.
-    pub fn as_slice(&self) -> &[(&'static str, u64)] {
+    pub(crate) fn as_slice(&self) -> &[(&'static str, u64)] {
         &self.items[..self.len as usize]
     }
 
     /// Iterates the stored annotations.
-    pub fn iter(&self) -> std::slice::Iter<'_, (&'static str, u64)> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (&'static str, u64)> {
         self.as_slice().iter()
     }
 
@@ -100,9 +100,9 @@ pub struct SpanRecord {
     /// Replica that recorded the span.
     pub replica: usize,
     /// Display lane (see [`lanes`]).
-    pub lane: &'static str,
+    pub(crate) lane: &'static str,
     /// Start, in nanoseconds since the tracer's shared origin.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
     /// Numeric key/value annotations (sim ticks, heights, worker ids…).
@@ -111,7 +111,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// End of the span, saturating at `u64::MAX`.
-    pub fn end_ns(&self) -> u64 {
+    pub(crate) fn end_ns(&self) -> u64 {
         self.start_ns.saturating_add(self.dur_ns)
     }
 

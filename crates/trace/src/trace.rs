@@ -17,7 +17,7 @@ pub struct Trace {
     /// Spans evicted from ring buffers before collection.
     pub dropped: u64,
     /// Number of replica shards the tracer was built with.
-    pub n_replicas: usize,
+    pub(crate) n_replicas: usize,
 }
 
 impl Trace {

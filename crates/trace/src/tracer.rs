@@ -141,23 +141,6 @@ impl TraceSink {
         }
     }
 
-    /// Claims a once-per-trace span id: true exactly for the first caller
-    /// across all replicas (false when disabled). Gate cluster-wide-once
-    /// spans (`tx.admission`, `tx.commit`) on this.
-    pub fn once(&self, id: u64) -> bool {
-        match &self.inner {
-            Some(inner) => inner.minted.lock().expect("mint set poisoned").insert(id),
-            None => false,
-        }
-    }
-
-    /// Records a completed span into this replica's shard.
-    pub fn record(&self, record: SpanRecord) {
-        if let Some(inner) = &self.inner {
-            Self::push(inner, record);
-        }
-    }
-
     /// The shared push path: ring-buffer insert under the shard lock.
     fn push(inner: &TracerInner, record: SpanRecord) {
         let shard_idx = record.replica.min(inner.shards.len() - 1);
@@ -269,12 +252,20 @@ mod tests {
     use super::*;
     use crate::span::lanes;
 
+    impl TraceSink {
+        /// Records a completed span into this replica's shard.
+        pub(crate) fn record(&self, record: SpanRecord) {
+            if let Some(inner) = &self.inner {
+                Self::push(inner, record);
+            }
+        }
+    }
+
     #[test]
     fn disabled_sink_is_inert() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
         assert_eq!(sink.now_ns(), 0);
-        assert!(!sink.once(7));
         sink.complete(TraceId::from_seed(b"t"), "x", 0, lanes::PIPELINE, 0, &[]);
         assert!(!sink.complete_once(TraceId::from_seed(b"t"), "x", 0, lanes::PIPELINE, 0, &[]));
     }

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== size, panic-site, unsafe-site and config-field budget (scripts/budget.txt only ever goes down)"
+echo "== size, panic-site, unsafe-site, config-field and pub-item budget (scripts/budget.txt only ever goes down)"
 # Two counts that grew for twenty PRs: lines under crates/*/src, and
 # unwrap( / expect( / panic! sites outside tn-bench, comment lines and
 # everything from a file's #[cfg(test)] on left out. A third counts the
@@ -17,7 +17,9 @@ echo "== size, panic-site, unsafe-site and config-field budget (scripts/budget.t
 # crate forbids unsafe code. A fourth counts the public fields of
 # top-level `pub struct …Config / …Profile / …Policy / …Weights` bodies,
 # left out the same way: a setting no caller sets to a second value is a
-# constant, not a field. None may
+# constant, not a field. A fifth counts the lines that declare a public
+# item or re-export (`pub fn`, `pub struct`, `pub mod`, `pub use`, …; not
+# `pub(crate)`, not fields), left out the same way. None may
 # exceed the value recorded in scripts/budget.txt; a PR that lowers one
 # lowers the recorded value with it, so the next PR cannot give it back.
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -35,11 +37,59 @@ config_fields=$(find crates/*/src -name '*.rs' -print0 |
     body && /^}/ { body = 0 }
     !test && body && /^    pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }')
-for count in src_lines panic_sites unsafe_sites config_fields; do
+pub_items=$(find crates/*/src -name '*.rs' -print0 |
+  xargs -0 awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && /^[[:space:]]*pub (const |unsafe |async )?(fn|struct|enum|trait|type|const|static|mod|use) / { n++ }
+    END { print n + 0 }')
+for count in src_lines panic_sites unsafe_sites config_fields pub_items; do
   budget=$(awk -v key="$count" '$1 == key { print $2 }' scripts/budget.txt)
   echo "$count ${!count} (budget $budget)"
   [ "${!count}" -le "$budget" ] || { echo "$count over budget"; exit 1; }
 done
+
+echo "== public surface census (every pub item has a reader outside its own file)"
+# rustc's dead_code lint cannot see a `pub` item, so one that nothing
+# outside its file uses is dead code nobody is told about. This lists
+# every pub fn, type, trait, const, static and module declared under
+# crates/*/src (test modules left out, as above) whose name appears in no
+# other file under crates/, tests/, examples/ or benchmark/src. A type
+# that a pub signature or pub field in its own file names is read
+# through it and is not listed. An allowlisted name stays public for the
+# reason beside it; anything else listed fails the gate: make it
+# pub(crate) or private and delete what rustc then reports dead.
+census_allow='
+enforce_management_act DESIGN.md §V "Management Act": the sanction of repeat distorters, Platform API with no caller yet
+'
+unread=$({ find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*'; } |
+  xargs awk -v allow="$census_allow" '
+    BEGIN { n = split(allow, a, "\n"); for (i = 1; i <= n; i++) { split(a[i], f, " "); if (f[1] != "") allowed[f[1]] = 1 } }
+    FNR == 1 { test = 0; sig = 0; src = FILENAME ~ /^crates\/[^\/]+\/src\// }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    src && !test && match($0, /^[[:space:]]*pub (const |unsafe |async )?(fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*/) {
+      k = split(substr($0, RSTART, RLENGTH), w, " ")
+      decl[w[k], FILENAME] = 1; names[w[k]] = 1; kind[w[k], FILENAME] = w[k - 1]
+      if (w[k - 1] == "fn") sig = 1
+    }
+    src && !test && (sig || /^[[:space:]]*pub [a-z_0-9]+: /) {
+      k = split($0, t, /[^A-Za-z0-9_]+/)
+      for (i = 1; i <= k; i++) signed[t[i], FILENAME] = 1
+      if (/[{;]/) sig = 0
+    }
+    { k = split($0, t, /[^A-Za-z0-9_]+/); for (i = 1; i <= k; i++) if (t[i] != "") used[t[i], FILENAME] = 1 }
+    END {
+      for (key in used) { split(key, p, SUBSEP); if (p[1] in names) { files[p[1]]++; where[p[1]] = p[2] } }
+      for (key in decl) {
+        split(key, p, SUBSEP); name = p[1]; file = p[2]
+        if (files[name] > 1 || name in allowed) continue
+        if (kind[key] ~ /^(struct|enum|trait|type)$/ && signed[name, file]) continue
+        print file ": " kind[key] " " name
+      }
+    }' | sort)
+if [ -n "$unread" ]; then
+  echo "pub items no other file names:"
+  echo "$unread"
+  exit 1
+fi
 
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -106,3 +106,46 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&score));
     }
 }
+
+/// `decode(b) == Ok(x)` must imply `encode(x) == b`: a varint has one
+/// encoding, the minimal one. Every 1- and 2-byte input is tried.
+#[test]
+fn varints_decode_only_from_their_canonical_encoding() {
+    use tn_chain::codec::Encoder;
+    let inputs = (0..=255u8)
+        .map(|b| vec![b])
+        .chain((0..=u16::MAX).map(|w| w.to_le_bytes().to_vec()));
+    for bytes in inputs {
+        let mut d = Decoder::new(&bytes);
+        let Ok(v) = d.get_varint() else { continue };
+        if d.expect_end().is_err() {
+            continue;
+        }
+        let mut e = Encoder::new();
+        e.put_varint(v);
+        assert_eq!(e.finish(), bytes, "{bytes:02x?} decodes to {v}");
+    }
+}
+
+/// A block whose transaction count is written `[0x80, 0x00]` instead of
+/// `[0x00]` is not the encoding of any block.
+#[test]
+fn block_with_non_minimal_transaction_count_is_rejected() {
+    use tn_chain::codec::Encodable;
+    let kp = Keypair::from_seed(b"fuzz canonical block");
+    let block = Block::build(
+        &kp,
+        1,
+        Default::default(),
+        Default::default(),
+        7,
+        Vec::new(),
+    );
+    let mut bytes = block.to_bytes();
+    assert_eq!(bytes.pop(), Some(0x00), "an empty block ends in its count");
+    bytes.extend_from_slice(&[0x80, 0x00]);
+    assert!(
+        Block::from_bytes(&bytes).is_err(),
+        "non-minimal count decoded"
+    );
+}
